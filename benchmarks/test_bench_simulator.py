@@ -1,0 +1,142 @@
+"""The simulator's own cost: events/s, tasks/s, tracing tax, export MB/s.
+
+Every table of the paper's evaluation is produced by the discrete-event
+GTFock simulator, so its wall clock bounds how far the reproduction can
+scale (ROADMAP item 4).  This benchmark runs ``simulate_gtfock`` on the
+scaled C54H18 stand-in at 12/192/768/3888 cores three ways -- tracing
+off, tracing on, tracing on with a ``SimCapture`` -- then exports the
+largest cell's Chrome trace, and appends one ``fock_simulator``
+datapoint to ``BENCH_fock.json``.  Run as a pytest benchmark or as a
+script; ``--quick`` (CI) runs C24H12 at 12/192 cores and skips the
+history file.  The benchmark drives public API only, so it also runs
+against an older ``src/`` via ``PYTHONPATH`` for a before/after pair.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import tempfile
+import time
+
+from repro.bench.harness import benchmark_molecules, molecule_setup
+from repro.fock.simulate import SimCapture, simulate_gtfock
+from repro.obs.trace import NullTracer, Tracer
+
+from test_bench_table3_times import append_history
+
+CORES = (12, 192, 768, 3888)
+ROUNDS = 3
+
+
+def _best(fn, rounds: int) -> tuple[float, object]:
+    """Min-of-N wall (scheduler noise is one-sided) and the last result."""
+    walls, out = [], None
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        out = fn()
+        walls.append(time.perf_counter() - t0)
+    return min(walls), out
+
+
+def run_simulator_bench(quick: bool = False) -> dict:
+    key = "C24H12" if quick else "C54H18"
+    name, mol = next(
+        (n, m) for n, m in benchmark_molecules().items() if n.startswith(key)
+    )
+    setup = molecule_setup(name, mol)
+    rounds = 1 if quick else ROUNDS
+
+    def sim(cores, **kw):
+        return simulate_gtfock(
+            setup.basis, setup.screen, cores, config=setup.config,
+            costs=setup.costs, molecule_name=name, **kw,
+        )
+
+    def sim_traced(cores):
+        tracer = Tracer("bench-sim")
+        sim(cores, tracer=tracer)
+        return tracer
+
+    def sim_captured(cores):
+        capture = SimCapture()
+        sim(cores, tracer=Tracer("bench-sim"), capture=capture)
+        return capture
+
+    cells = {}
+    traced = None
+    for cores in CORES[:2] if quick else CORES:
+        off, res = _best(lambda: sim(cores, tracer=NullTracer()), rounds)
+        on, traced = _best(lambda: sim_traced(cores), rounds)
+        cap, capture = _best(lambda: sim_captured(cores), rounds)
+        pops = sum(1 for action, _, _ in capture.events if action == "pop")
+        cells[str(cores)] = {
+            "nproc": res.nproc,
+            "wall_off_s": round(off, 4),
+            "wall_on_s": round(on, 4),
+            "wall_capture_s": round(cap, 4),
+            "events_per_s": round(pops / off, 1),
+            "tasks_per_s": round(res.ntasks / off, 1),
+            "wall_per_rank_ms": round(1e3 * off / res.nproc, 4),
+        }
+    with tempfile.TemporaryDirectory(prefix="repro-bench-sim-") as tmp:
+        path = os.path.join(tmp, "trace.json")
+        export_s, _ = _best(lambda: traced.write_chrome(path), rounds)
+        export_mb = os.path.getsize(path) / 1e6
+    top = cells[str(max(int(c) for c in cells))]
+    return {
+        "benchmark": "fock_simulator",
+        "molecule": name,
+        "wall_s": round(sum(c["wall_off_s"] for c in cells.values()), 4),
+        "events_per_s": top["events_per_s"],
+        "tasks_per_s": top["tasks_per_s"],
+        "tracing_tax_ratio": round(top["wall_on_s"] / top["wall_off_s"], 4),
+        "capture_tax_ratio": round(top["wall_capture_s"] / top["wall_off_s"], 4),
+        "trace_events": len(traced.events),
+        "export_mb": round(export_mb, 3),
+        "export_mb_per_s": round(export_mb / export_s, 2),
+        "cells": cells,
+    }
+
+
+def render(entry: dict) -> str:
+    lines = [
+        f"simulator cost on {entry['molecule']}: "
+        f"{entry['wall_s']:.3f} s untraced over {len(entry['cells'])} cells",
+        f"{'cores':>6} {'ranks':>6} {'off s':>8} {'on s':>8} {'capture s':>10} "
+        f"{'events/s':>10} {'tasks/s':>10} {'ms/rank':>8}",
+    ]
+    for cores, c in entry["cells"].items():
+        lines.append(
+            f"{cores:>6} {c['nproc']:>6} {c['wall_off_s']:>8.3f} "
+            f"{c['wall_on_s']:>8.3f} {c['wall_capture_s']:>10.3f} "
+            f"{c['events_per_s']:>10.0f} {c['tasks_per_s']:>10.0f} "
+            f"{c['wall_per_rank_ms']:>8.3f}"
+        )
+    lines.append(
+        f"tracing tax x{entry['tracing_tax_ratio']:.2f} "
+        f"(capture x{entry['capture_tax_ratio']:.2f}); export "
+        f"{entry['export_mb']:.1f} MB ({entry['trace_events']} events) at "
+        f"{entry['export_mb_per_s']:.1f} MB/s"
+    )
+    return "\n".join(lines)
+
+
+def test_bench_simulator(benchmark, emit):
+    entry = benchmark.pedantic(run_simulator_bench, rounds=1, iterations=1)
+    emit(render(entry))
+    assert entry["trace_events"] > 0
+    append_history(entry)
+
+
+def main(argv: list[str]) -> int:
+    entry = run_simulator_bench(quick="--quick" in argv)
+    print(render(entry))
+    if "--quick" not in argv:
+        append_history(entry)
+        print("appended datapoint to BENCH_fock.json")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -94,6 +94,18 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "energy_matches": bool,
         "passed": bool,
     },
+    # the discrete-event simulator's own cost (ROADMAP item 4): untraced
+    # wall over the core sweep, rates and tracing tax at the largest cell
+    "fock_simulator": {
+        "molecule": str,
+        "wall_s": float,
+        "events_per_s": float,
+        "tasks_per_s": float,
+        "tracing_tax_ratio": float,
+        "capture_tax_ratio": float,
+        "export_mb_per_s": float,
+        "cells": dict,
+    },
     "phase_profiler": {
         "wall_off_s": float,
         "wall_on_s": float,

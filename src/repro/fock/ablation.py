@@ -121,10 +121,10 @@ def stealing_ablation(
                 np.arange(blk.row_lo, blk.row_hi)[:, None] * ns
                 + np.arange(blk.col_lo, blk.col_hi)[None, :]
             ).ravel()
-            queues.append(codes.tolist())
+            queues.append(codes)
         out = run_work_stealing(
             queues,
-            lambda c: float(eris[c]) * t_task + config.task_overhead,
+            lambda codes: eris[codes] * t_task + config.task_overhead,
             (part.prow, part.pcol),
             steal_fraction=frac,
         )

@@ -72,15 +72,16 @@ def block_footprint(screen: ScreeningMap, block: TaskBlock) -> Footprint:
 
     cross = np.outer(phi_rows, phi_cols)
     union = row_pairs | col_pairs | cross
-    w = sizes[:, None] * sizes[None, :]
+    # elements of a pair mask = sum_ij sizes_i sizes_j mask_ij, as two
+    # matrix-vector products instead of an (nshells, nshells) weight table
     return Footprint(
         row_pairs=row_pairs,
         col_pairs=col_pairs,
         phi_rows=phi_rows,
         phi_cols=phi_cols,
-        elements=int(w[union].sum()),
-        elements_rows=int(w[row_pairs].sum()),
-        elements_cols=int(w[col_pairs].sum()),
+        elements=int(sizes @ (union @ sizes)),
+        elements_rows=int(sizes[rows] @ (sig[rows] @ sizes)),
+        elements_cols=int(sizes[cols] @ (sig[cols] @ sizes)),
         elements_cross=int(sizes[phi_rows].sum()) * int(sizes[phi_cols].sum()),
     )
 
@@ -113,10 +114,11 @@ def footprint_bounding_boxes(fp: Footprint) -> list[tuple[int, int, int, int]]:
     """
     boxes = []
     for mask2d in (fp.row_pairs, fp.col_pairs):
-        rows, cols = np.nonzero(mask2d)
+        rows = np.flatnonzero(mask2d.any(axis=1))
+        cols = np.flatnonzero(mask2d.any(axis=0))
         if rows.size:
             boxes.append(
-                (int(rows.min()), int(rows.max()) + 1, int(cols.min()), int(cols.max()) + 1)
+                (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
             )
     pr = np.flatnonzero(fp.phi_rows)
     pc = np.flatnonzero(fp.phi_cols)

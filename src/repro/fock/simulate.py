@@ -190,6 +190,7 @@ def simulate_gtfock(
     faults: FaultPlan | FaultState | None = None,
     tracer: Tracer | None = None,
     capture: SimCapture | None = None,
+    footprints: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FockSimResult:
     """Simulate the paper's algorithm at ``cores`` total cores.
 
@@ -206,6 +207,11 @@ def simulate_gtfock(
     with the raw accounting (stats, stealing outcome, phase times,
     event log, a ``resimulate`` closure) for
     :func:`repro.obs.critpath.analyze`.
+
+    ``footprints`` are the per-rank prefetch footprint ``(elements,
+    calls)`` of an earlier run on the same ``(screen, cores)``: they do
+    not depend on the machine configuration, so ``resimulate`` hands
+    them back instead of recomputing them for every what-if.
     """
     if cores < 1:
         raise ValueError("cores must be >= 1")
@@ -224,17 +230,22 @@ def simulate_gtfock(
     stats = CommStats(nproc, config, faults=fstate)
 
     # -- prefetch: exact union footprint volume, boxed-region call count ----
-    footprint_bytes = np.zeros(nproc)
+    if footprints is None:
+        elements = np.zeros(nproc, dtype=np.int64)
+        prefetch_calls = np.zeros(nproc, dtype=np.int64)
+        for p in range(nproc):
+            fp = block_footprint(screen, part.task_block(p))
+            elements[p] = fp.elements
+            prefetch_calls[p] = ga_calls_for_footprint(
+                fp, part.row_shell_bounds, part.col_shell_bounds
+            )
+        footprints = (elements, prefetch_calls)
+    elements, prefetch_calls = footprints
+    footprint_bytes = (elements * config.element_size).astype(float)
     prefetch_time = np.zeros(nproc)
-    prefetch_calls = np.zeros(nproc, dtype=np.int64)
     for p in range(nproc):
-        fp = block_footprint(screen, part.task_block(p))
-        calls = ga_calls_for_footprint(
-            fp, part.row_shell_bounds, part.col_shell_bounds
-        )
-        nbytes = fp.elements * config.element_size
-        footprint_bytes[p] = nbytes
-        prefetch_calls[p] = calls
+        nbytes = footprint_bytes[p]
+        calls = int(prefetch_calls[p])
         clock0 = float(stats.clock[p])
         stats.charge_comm(
             p, nbytes, ncalls=calls, remote=True, channel=CH_PREFETCH_GET
@@ -243,15 +254,15 @@ def simulate_gtfock(
         if tracer.enabled and prefetch_time[p] > 0:
             tracer.virtual_span(
                 "prefetch", p, clock0, float(stats.clock[p]), cat="comm",
-                nbytes=float(nbytes), calls=int(calls),
+                nbytes=float(nbytes), calls=calls,
             )
 
     # -- work-stealing execution over per-task costs ------------------------
     t_task = config.t_int_gtfock / threads
     eris_flat = costs.eris.ravel()
 
-    def cost_of(code: int) -> float:
-        return float(eris_flat[code]) * t_task + config.task_overhead
+    def cost_of(codes: np.ndarray) -> np.ndarray:
+        return eris_flat[codes] * t_task + config.task_overhead
 
     # "When a process steals from a new victim" (Sec III-F): the D-buffer
     # copy is paid once per (thief, victim) pair; repeat steals from the
@@ -270,8 +281,7 @@ def simulate_gtfock(
         blk = part.task_block(p)
         rows = np.arange(blk.row_lo, blk.row_hi)
         cols = np.arange(blk.col_lo, blk.col_hi)
-        codes = (rows[:, None] * ns + cols[None, :]).ravel()
-        queues.append(codes.tolist())
+        queues.append((rows[:, None] * ns + cols[None, :]).ravel())
 
     event_observer = None
     if capture is not None:
@@ -350,6 +360,7 @@ def simulate_gtfock(
                     molecule_name=molecule_name,
                     faults=faults,
                     tracer=NullTracer(),
+                    footprints=footprints,
                 )
             finally:
                 set_metrics(previous)

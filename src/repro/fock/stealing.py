@@ -12,6 +12,13 @@ whole queue is one event, split lazily when a thief interrupts it.  The
 and numeric builds (where the callback computes real ERIs into the
 executing process's buffers).
 
+State is array-backed: each rank's batch is a task sequence plus NumPy
+base-cost and cumulative-cost arrays with a live length (a steal takes
+the victim's tail as a view), and two per-rank vectors -- batch start
+time and a *stealability threshold* -- let an idle rank find its victim
+with one vectorised compare instead of probing queues one by one (see
+"Simulator hot path" in ``docs/PERFORMANCE.md``).
+
 Fault tolerance (``faults=``): the scheduler honors a
 :class:`~repro.runtime.faults.FaultState` -- stragglers execute their
 batches slower, completion events can be delivered late, and a rank can
@@ -27,9 +34,8 @@ after everyone drained wakes the earliest-idle survivor.  See
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -104,44 +110,22 @@ class StealingOutcome:
         return float(self.finish_time.max()) / avg if avg > 0 else 1.0
 
 
-class _ProcState:
-    __slots__ = ("tasks", "costs", "cum", "start", "active", "factor")
+class _Batch:
+    """One rank's live batch: ``tasks[:n]`` / ``costs[:n]`` / ``cum[:n]``.
+
+    ``costs`` are *base* costs; ``cum`` is their running sum scaled by
+    the executing rank's straggler slowdown (stolen tasks run at the
+    thief's rate, not the victim's).  A thief shrinks ``n`` and walks
+    away with views of the tail; ``n == 0`` means the rank is not
+    executing anything.
+    """
+
+    __slots__ = ("tasks", "costs", "cum", "n")
 
     def __init__(self) -> None:
-        self.tasks: list[Any] = []
-        self.costs: list[float] = []
-        self.cum: list[float] = []
-        self.start = 0.0
-        self.active = False
-        self.factor = 1.0
-
-    def begin(
-        self, tasks: list, costs: list[float], start: float, factor: float = 1.0
-    ) -> float:
-        """Start a batch; ``costs`` are *base* costs, ``factor`` is the
-        executing rank's straggler slowdown (stolen tasks run at the
-        thief's rate, not the victim's)."""
-        self.tasks = tasks
-        self.costs = costs
-        self.cum = list(np.cumsum(costs) * factor) if costs else []
-        self.start = start
-        self.active = bool(tasks)
-        self.factor = factor
-        return start + (self.cum[-1] if self.cum else 0.0)
-
-    def completed_by(self, t: float) -> int:
-        """Number of queued tasks fully executed by time t."""
-        if not self.active:
-            return len(self.tasks)
-        return bisect_right(self.cum, t - self.start + 1e-15)
-
-    def stealable_after(self, t: float) -> int:
-        """Index from which tasks can still be stolen at time t.
-
-        The task in flight at time t cannot be stolen.
-        """
-        k = self.completed_by(t)
-        return min(k + 1, len(self.tasks))
+        self.tasks: Any = ()
+        self.costs = self.cum = np.empty(0)
+        self.n = 0
 
 
 def victim_scan_order(proc: int, prow: int, pcol: int) -> list[int]:
@@ -158,12 +142,36 @@ def victim_scan_order(proc: int, prow: int, pcol: int) -> list[int]:
     return order
 
 
+def in_scan_order(per_rank: np.ndarray, thief: int, pcol: int) -> np.ndarray:
+    """``per_rank`` values of all other ranks, in the thief's scan order.
+
+    ``victim_scan_order`` is four ascending runs of ranks -- the thief's
+    own row from its right neighbour to the row end, the row start up to
+    the thief, then the later rows and (wrapping) the earlier ones -- so
+    it is derived per steal attempt in O(p) instead of being stored for
+    every thief (O(p^2) ints).
+    """
+    row0 = thief - thief % pcol
+    return np.concatenate((
+        per_rank[thief + 1 : row0 + pcol], per_rank[row0:thief],
+        per_rank[row0 + pcol :], per_rank[:row0],
+    ))
+
+
+def scan_rank(index: int, thief: int, pcol: int, nproc: int) -> int:
+    """``victim_scan_order(thief, ...)[index]`` without building the list."""
+    row0 = thief - thief % pcol
+    if index < pcol - 1:
+        return row0 + (thief - row0 + 1 + index) % pcol
+    return (row0 + index + 1) % nproc
+
+
 _DEATH = "death"  # event-key marker for scheduled rank deaths
 
 
 def run_work_stealing(
-    queues: list[list[Any]],
-    cost_of: Callable[[Any], float],
+    queues: Sequence[Sequence[Any] | np.ndarray],
+    cost_of: Callable[[Any], Any],
     grid: tuple[int, int],
     stats: CommStats | None = None,
     steal_cost: Callable[[int, int], float] | None = None,
@@ -183,9 +191,13 @@ def run_work_stealing(
     Parameters
     ----------
     queues:
-        Initial task list per process (the static partition's blocks).
+        Initial task sequence per process (the static partition's
+        blocks): a list of arbitrary task objects, or a NumPy array of
+        task codes.
     cost_of:
-        Virtual execution cost (seconds) of one task.
+        Virtual execution cost (seconds) of one task.  An array queue is
+        costed in one vectorised call ``cost_of(codes) -> costs``; a
+        list queue task by task.
     grid:
         (prow, pcol) process grid shape; defines the victim scan order.
     stats:
@@ -238,8 +250,15 @@ def run_work_stealing(
         raise ValueError(f"{len(queues)} queues for a {prow}x{pcol} grid")
     if not 0.0 < steal_fraction <= 1.0:
         raise ValueError("steal_fraction must be in (0, 1]")
+    min_avail = max(1, min_steal)
+    flight = stats.flight if stats is not None else None
 
-    states = [_ProcState() for _ in range(nproc)]
+    batches = [_Batch() for _ in range(nproc)]
+    #: per-rank batch start time, and the cumulative cost that must still
+    #: lie ahead of a thief's arrival for ``min_avail`` tasks to be
+    #: stealable behind the one in flight (-inf: nothing to steal)
+    start = np.zeros(nproc)
+    threshold = np.full(nproc, -np.inf)
     events = EventQueue(
         perturb=faults.perturb_event if faults is not None else None,
         observer=event_observer,
@@ -251,7 +270,6 @@ def run_work_stealing(
     executed_tasks = np.zeros(nproc, dtype=np.int64)
     queue_ops = np.zeros(nproc, dtype=np.int64)
     steals: list[StealRecord] = []
-    scan_orders = [victim_scan_order(p, prow, pcol) for p in range(nproc)]
     done = np.zeros(nproc, dtype=bool)
     dead = np.zeros(nproc, dtype=bool)
 
@@ -263,31 +281,44 @@ def run_work_stealing(
     recoveries: list[RecoveryRecord] = []
     reexecuted = 0
 
-    def factor_of(p: int) -> float:
-        return faults.compute_factor(p) if faults is not None else 1.0
+    def set_threshold(p: int) -> None:
+        b = batches[p]
+        j = b.n - 1 - min_avail
+        threshold[p] = b.cum[j] if j >= 0 else -np.inf
 
-    for p in range(nproc):
-        start = float(stats.clock[p]) if stats is not None else 0.0
-        costs = [cost_of(t) for t in queues[p]]
-        initial_cost[p] = float(sum(costs))
-        end = states[p].begin(list(queues[p]), costs, start, factor_of(p))
+    def begin(p: int, tasks: Any, costs: np.ndarray, t0: float) -> float:
+        """Start a batch on rank ``p`` at ``t0``; returns its base cost."""
+        b = batches[p]
+        cum = costs.cumsum()
+        n = len(cum)
+        base = cum[-1] if n else 0.0
+        if faults is not None:
+            cum *= faults.compute_factor(p)
+        b.tasks, b.costs, b.cum, b.n = tasks, costs, cum, n
+        start[p] = t0
+        set_threshold(p)
+        events.schedule(t0 + (cum[-1] if n else 0.0), p)
+        return base
+
+    def completed_by(p: int, t: float) -> int:
+        """Number of rank ``p``'s batch tasks fully executed by time t."""
+        b = batches[p]
+        return int(b.cum[: b.n].searchsorted(t - start[p] + 1e-15, side="right"))
+
+    for p, tasks in enumerate(queues):
+        if isinstance(tasks, np.ndarray):
+            costs = np.asarray(cost_of(tasks), dtype=float)
+        else:
+            costs = np.fromiter(map(cost_of, tasks), dtype=float, count=len(tasks))
+        t0 = float(stats.clock[p]) if stats is not None else 0.0
+        initial_cost[p] = begin(p, tasks, costs, t0)
         queue_ops[p] += 1  # one atomic enqueue of the whole initial block
-        if stats is not None:
-            stats.flight.record_op(p, CH_QUEUE)
-        events.schedule(end, p)
+        if flight is not None:
+            flight.record_op(p, CH_QUEUE)
     if faults is not None:
         for p, t_death in faults.plan.deaths.items():
             if 0 <= p < nproc:
                 events.schedule(float(t_death), (_DEATH, p))
-
-    def commit(proc: int, tasks: list[Any], costs: list[float], factor: float) -> None:
-        executed_cost[proc] += float(sum(costs)) * factor
-        executed_tasks[proc] += len(tasks)
-        if track_faults:
-            history[proc].extend(zip(tasks, costs))
-        if on_task is not None:
-            for t in tasks:
-                on_task(proc, t)
 
     def adopt_orphans(p: int, t: float) -> bool:
         """Rank ``p`` takes a block from the orphan pool at time ``t``."""
@@ -298,12 +329,11 @@ def run_work_stealing(
         take = orphans[-n:]
         del orphans[-n:]
         tasks = [x[0] for x in take]
-        costs = [x[1] for x in take]
         nre = sum(1 for x in take if x[2])
         reexecuted += nre
         queue_ops[p] += 1  # atomic pop from the recovery pool
-        if stats is not None:
-            stats.flight.record_op(p, CH_STEAL_TASK)
+        if flight is not None:
+            flight.record_op(p, CH_STEAL_TASK)
         if on_recover is not None:
             on_recover(p, tasks)
         if done[p] and t > finish[p]:
@@ -316,8 +346,7 @@ def run_work_stealing(
                     "blocked", p, float(finish[p]), t, cat="sched"
                 )
         done[p] = False
-        end = states[p].begin(tasks, costs, t, factor_of(p))
-        events.schedule(end, p)
+        begin(p, tasks, np.array([x[1] for x in take], dtype=float), t)
         recoveries.append(RecoveryRecord(t, p, len(take), nre))
         tracer.virtual_instant(
             "recover", p, t, cat="sched", ntasks=len(take), reexecuted=nre
@@ -326,7 +355,7 @@ def run_work_stealing(
 
     def kill(p: int, t: float) -> None:
         """Execute rank ``p``'s death at virtual time ``t``."""
-        st = states[p]
+        b = batches[p]
         dead[p] = True
         # everything this rank executed since its last (never-happened)
         # flush is lost with its memory; queued work is lost with it too
@@ -334,15 +363,14 @@ def run_work_stealing(
             (task, cost, True) for task, cost in history[p]
         ]
         history[p].clear()
-        if st.active:
-            k = st.completed_by(t)
-            for i, (task, cost) in enumerate(zip(st.tasks, st.costs)):
+        if b.n:
+            k = completed_by(p, t)
+            for i, (task, cost) in enumerate(zip(b.tasks[: b.n], b.costs[: b.n])):
                 lost.append((task, cost, i < k))
             # the rank did burn real time on the partial batch
-            burned = min(max(t - st.start, 0.0), st.cum[-1] if st.cum else 0.0)
-            executed_cost[p] += burned
-            st.active = False
-            st.tasks, st.costs, st.cum = [], [], []
+            executed_cost[p] += min(max(t - start[p], 0.0), b.cum[b.n - 1])
+            b.n = 0
+            threshold[p] = -np.inf
         events.cancel(p)
         if not done[p]:
             finish[p] = t
@@ -370,82 +398,91 @@ def run_work_stealing(
             kill(key[1], t)
             continue
         p = key
-        st = states[p]
-        # the whole (possibly shrunk) batch has run to completion
-        commit(p, st.tasks, st.costs, st.factor)
-        if tracer.enabled and st.tasks:
-            tracer.virtual_span(
-                "batch", p, st.start, t, cat="sched", ntasks=len(st.tasks)
-            )
-            prev = 0.0
-            for task, cum in zip(st.tasks, st.cum):
-                end = float(cum)
-                tracer.virtual_span(
-                    "task", p, st.start + prev, st.start + end,
-                    cat="task", task=str(task),
+        b = batches[p]
+        n = b.n
+        if n:
+            # the whole (possibly shrunk) batch has run to completion
+            tasks = b.tasks[:n]
+            executed_cost[p] += b.cum[n - 1]
+            executed_tasks[p] += n
+            if track_faults:
+                history[p].extend(zip(tasks, b.costs[:n]))
+            if on_task is not None:
+                for task in tasks:
+                    on_task(p, task)
+            if tracer.enabled:
+                t0 = float(start[p])
+                tracer.virtual_span("batch", p, t0, t, cat="sched", ntasks=n)
+                edges = np.empty(n + 1)
+                edges[0] = t0
+                np.add(t0, b.cum[:n], out=edges[1:])
+                # str() of a Python int is several times cheaper than of
+                # a NumPy scalar
+                names = tasks.tolist() if isinstance(tasks, np.ndarray) else tasks
+                tracer.virtual_spans(
+                    "task", p, edges[:-1], edges[1:],
+                    cat="task", task=list(map(str, names)),
                 )
-                prev = end
-        st.active = False
-        st.tasks, st.costs, st.cum = [], [], []
+            b.n = 0
+            threshold[p] = -np.inf
 
         # orphaned work outranks stealing: it is the only copy left
         if adopt_orphans(p, t):
             continue
 
-        stolen = False
-        probes = 0
-        if enable_stealing:
-            order = scan_orders[p]
+        victim, probes = -1, 0
+        if enable_stealing and nproc > 1:
+            # a victim can spare ``min_avail`` tasks behind its in-flight
+            # one iff that much cumulative cost still lies past ``t``
+            spare = in_scan_order(threshold > (t - start) + 1e-15, p, pcol)
             if rng is not None:
-                order = [order[i] for i in rng.permutation(len(order))]
-            for victim in order:
-                queue_ops[p] += 1  # probe the victim's queue
-                if stats is not None:
-                    stats.flight.record_op(p, CH_STEAL_TASK)
-                probes += 1
-                vs = states[victim]
-                if dead[victim] or not vs.active:
-                    # a dead victim's queue no longer exists: the probe
-                    # comes back empty and the thief moves on
-                    continue
-                lo = vs.stealable_after(t)
-                avail = len(vs.tasks) - lo
-                if avail < max(1, min_steal):
-                    continue
-                nsteal = max(1, int(avail * steal_fraction))
-                cut = len(vs.tasks) - nsteal
-                stolen_tasks = vs.tasks[cut:]
-                stolen_costs = vs.costs[cut:]
+                # seeded tie-break: scan a permutation of the row-wise order
+                perm = rng.permutation(nproc - 1)
+                spare = spare[perm]
+            first = int(spare.argmax())
+            if spare[first]:
+                probes = first + 1
+                victim = scan_rank(
+                    int(perm[first]) if rng is not None else first, p, pcol, nproc
+                )
+            else:
+                probes = nproc - 1
+            # every queue scanned before the victim's came back empty (a
+            # dead victim's queue no longer exists): one probe each
+            queue_ops[p] += probes
+            if flight is not None:
+                flight.record_op(p, CH_STEAL_TASK, probes)
+            if victim >= 0:
+                vb = batches[victim]
+                # the task in flight at time t cannot be stolen
+                avail = vb.n - (completed_by(victim, t) + 1)
+                cut = vb.n - max(1, int(avail * steal_fraction))
+                stolen_tasks = vb.tasks[cut : vb.n]
+                stolen_costs = vb.costs[cut : vb.n]
                 # shrink the victim in place and reschedule its finish
-                vs.tasks = vs.tasks[:cut]
-                vs.costs = vs.costs[:cut]
-                vs.cum = vs.cum[:cut]
+                vb.n = cut
+                set_threshold(victim)
                 queue_ops[victim] += 1  # atomic update of victim queue
-                if stats is not None:
-                    stats.flight.record_op(victim, CH_STEAL_TASK)
-                new_victim_end = vs.start + (vs.cum[-1] if vs.cum else 0.0)
-                events.schedule(max(new_victim_end, t), victim)
+                if flight is not None:
+                    flight.record_op(victim, CH_STEAL_TASK)
+                events.schedule(max(start[victim] + vb.cum[cut - 1], t), victim)
                 if on_steal is not None:
                     on_steal(p, victim)
                 # the thief pays for copying the victim's D buffer
                 dt = steal_cost(p, victim) if steal_cost is not None else 0.0
-                start = t + dt
                 if stats is not None and dt > 0:
                     stats.comm_time[p] += dt
                 if tracer.enabled and dt > 0:
                     tracer.virtual_span(
-                        "steal_copy", p, t, start, cat="comm", victim=victim
+                        "steal_copy", p, t, t + dt, cat="comm", victim=victim
                     )
-                end = states[p].begin(stolen_tasks, stolen_costs, start, factor_of(p))
-                events.schedule(end, p)
-                steals.append(StealRecord(t, p, victim, len(stolen_tasks)))
+                begin(p, stolen_tasks, stolen_costs, t + dt)
+                steals.append(StealRecord(t, p, victim, len(stolen_costs)))
                 tracer.virtual_instant(
                     "steal", p, t, cat="sched",
-                    victim=victim, ntasks=len(stolen_tasks), scans=probes,
+                    victim=victim, ntasks=len(stolen_costs), scans=probes,
                 )
-                stolen = True
-                break
-        if not stolen:
+        if victim < 0:
             done[p] = True
             finish[p] = t
             if tracer.enabled and enable_stealing:

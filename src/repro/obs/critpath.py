@@ -250,10 +250,9 @@ def rank_chains(capture: "SimCapture") -> list[list[PathSegment]]:
         )
     end = np.asarray(capture.finish, dtype=float)
     raw: list[list[PathSegment]] = [[] for _ in range(capture.nproc)]
-    for ev in tracer.spans(pid=SIM_PID):
-        kind = _SPAN_KINDS.get(ev.name)
-        if kind is None:
-            continue  # per-task spans duplicate their batch span
+    # per-task spans duplicate their batch span: never expanded
+    for ev in tracer.spans(pid=SIM_PID, names=_SPAN_KINDS):
+        kind = _SPAN_KINDS[ev.name]
         detail = ""
         if ev.name == "steal_copy":
             detail = f"D copy from p{ev.args.get('victim', '?')}"

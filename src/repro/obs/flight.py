@@ -146,7 +146,9 @@ class FlightRecorder:
         self.nproc = nproc
         self.max_events = int(max_events)
         self._channels: dict[str, _ChannelCounters] = {}
-        self._ring: deque[FlightEvent] = deque(maxlen=max(self.max_events, 0))
+        #: plain ``(t, rank, channel, nbytes, ncalls, dt)`` tuples: almost
+        #: every record is overwritten before anyone reads the ring
+        self._ring: deque[tuple] = deque(maxlen=max(self.max_events, 0))
         self.dropped_events = 0
 
     # -- recording -----------------------------------------------------------
@@ -176,7 +178,7 @@ class FlightRecorder:
             if len(self._ring) == self.max_events:
                 self.dropped_events += 1
             self._ring.append(
-                FlightEvent(float(t), rank, channel, int(nbytes), int(ncalls), dt)
+                (float(t), rank, channel, int(nbytes), int(ncalls), dt)
             )
 
     def record_op(self, rank: int, channel: str, nops: int = 1) -> None:
@@ -193,7 +195,7 @@ class FlightRecorder:
         return ordered
 
     def events(self) -> list[FlightEvent]:
-        return list(self._ring)
+        return [FlightEvent(*entry) for entry in self._ring]
 
     def per_rank(self, channel: str, field: str = "bytes") -> np.ndarray:
         """Per-rank values of one channel (zeros if never recorded)."""

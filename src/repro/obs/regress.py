@@ -119,6 +119,12 @@ DEFAULT_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("fock_critpath", "decomposition_ok", kind="flag", quick=True),
     MetricSpec("fock_critpath", "wall_s", "lower", "relative",
                warn=1.5, fail=3.0, unit="s"),
+    # the simulator's own cost (benchmark fock_simulator): the tax bound
+    # is the first measured ratio (1.66) + 0.15
+    MetricSpec("fock_simulator", "wall_s", "lower", "relative",
+               warn=1.5, fail=3.0, unit="s"),
+    MetricSpec("fock_simulator", "tracing_tax_ratio", "lower", "absolute",
+               warn=1.81, fail=3.0, unit="x"),
     # -- SCF service chaos trajectory (BENCH_service.json) ---------------
     MetricSpec("fock_service", "passed", kind="flag", quick=True),
     MetricSpec("fock_service", "all_done", kind="flag", quick=True),

@@ -31,12 +31,17 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Iterator
+
+import numpy as np
 
 #: trace-event pid used for host (wall-clock) spans
 HOST_PID = 1
 #: trace-event pid used for simulated ranks (virtual clock)
 SIM_PID = 2
+#: events per C-encoder call in :meth:`Tracer.write_chrome`
+_EXPORT_CHUNK = 4096
 
 
 def _coerce(obj: Any) -> Any:
@@ -101,6 +106,34 @@ class TraceEvent:
         return rec
 
 
+class _SpanRun:
+    """The spans of one :meth:`Tracer.virtual_spans` call, held as columns.
+
+    A traced scheduler run emits one span per executed task; as columns
+    they cost one object per batch instead of two per span, and turn
+    into :class:`TraceEvent` s only when something reads them.  ``phase``
+    / ``pid`` / ``cat`` / ``name`` / ``tid`` read like an event's, so
+    filters can skip a whole run without expanding it.
+    """
+
+    __slots__ = ("name", "cat", "tid", "ts", "dur", "columns")
+    phase = "X"
+    pid = SIM_PID
+
+    def __init__(self, name, cat, tid, ts, dur, columns):
+        self.name, self.cat, self.tid = name, cat, tid
+        self.ts, self.dur, self.columns = ts, dur, columns
+
+    def events(self) -> list[TraceEvent]:
+        keys = tuple(self.columns)
+        rows = zip(*self.columns.values()) if keys else ((),) * len(self.ts)
+        return [
+            TraceEvent("X", self.name, self.cat, SIM_PID, self.tid, ts, dur,
+                       dict(zip(keys, row)))
+            for ts, dur, row in zip(self.ts.tolist(), self.dur.tolist(), rows)
+        ]
+
+
 class Tracer:
     """Collects host and virtual spans; thread-safe for host probes."""
 
@@ -108,7 +141,9 @@ class Tracer:
 
     def __init__(self, name: str = "repro"):
         self.name = name
-        self.events: list[TraceEvent] = []
+        #: events and unexpanded span runs, in emission order
+        self._log: list[TraceEvent | _SpanRun] = []
+        self._runs = 0
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
         self._host_tids: dict[int, int] = {}
@@ -128,7 +163,25 @@ class Tracer:
 
     def _append(self, ev: TraceEvent) -> None:
         with self._lock:
-            self.events.append(ev)
+            self._log.append(ev)
+
+    def _iter_events(self, match=None) -> Iterator[TraceEvent]:
+        """Events in emission order; ``match`` drops whole log items
+        (single events or span runs) before any run is expanded."""
+        for item in self._log:
+            if match is None or match(item):
+                if type(item) is _SpanRun:
+                    yield from item.events()
+                else:
+                    yield item
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every recorded event, in emission order."""
+        with self._lock:
+            if self._runs:
+                self._log, self._runs = list(self._iter_events()), 0
+            return self._log
 
     # -- host (wall-clock) probes -------------------------------------------
 
@@ -188,6 +241,24 @@ class Tracer:
                        max(end - start, 0.0), args)
         )
 
+    def virtual_spans(
+        self, name: str, proc: int, starts, ends, cat: str = "sim", **columns
+    ) -> None:
+        """Bulk :meth:`virtual_span`: one span per ``(start, end)`` pair.
+
+        ``starts``/``ends`` are arrays of virtual seconds and every
+        keyword is a sequence holding that argument's value for each
+        span.  :attr:`events` shows them in order, equal field for field
+        to as many single calls; until it is read they stay one columnar
+        record.
+        """
+        starts = np.asarray(starts, dtype=float)
+        durs = np.maximum(np.asarray(ends, dtype=float) - starts, 0.0)
+        run = _SpanRun(name, cat, proc, starts, durs, columns)
+        with self._lock:
+            self._log.append(run)
+            self._runs += 1
+
     def virtual_instant(
         self, name: str, proc: int, t: float, cat: str = "sim", **args
     ) -> None:
@@ -196,31 +267,34 @@ class Tracer:
 
     # -- queries -------------------------------------------------------------
 
-    def spans(self, cat: str | None = None, pid: int | None = None) -> list[TraceEvent]:
-        return [
-            ev for ev in self.events
-            if ev.phase == "X"
-            and (cat is None or ev.cat == cat)
-            and (pid is None or ev.pid == pid)
-        ]
+    def spans(
+        self, cat: str | None = None, pid: int | None = None, names=None
+    ) -> list[TraceEvent]:
+        """Complete spans, optionally of one category / pid / set of names."""
+        return list(self._iter_events(
+            lambda item: item.phase == "X"
+            and (cat is None or item.cat == cat)
+            and (pid is None or item.pid == pid)
+            and (names is None or item.name in names)
+        ))
 
     def instants(self, name: str | None = None) -> list[TraceEvent]:
         return [
-            ev for ev in self.events
+            ev for ev in self._log
             if ev.phase == "i" and (name is None or ev.name == name)
         ]
 
     # -- export --------------------------------------------------------------
 
-    def chrome_trace(self) -> dict:
-        """The full Chrome trace-event document (Perfetto-loadable)."""
+    def _chrome_meta(self) -> list[dict]:
+        """Process/thread naming records that head the Chrome document."""
         meta: list[dict] = [
             {"name": "process_name", "ph": "M", "pid": HOST_PID,
              "args": {"name": f"{self.name} host (wall clock)"}},
             {"name": "process_name", "ph": "M", "pid": SIM_PID,
              "args": {"name": f"{self.name} simulated ranks (virtual clock)"}},
         ]
-        sim_tids = sorted({ev.tid for ev in self.events if ev.pid == SIM_PID})
+        sim_tids = sorted({ev.tid for ev in self._log if ev.pid == SIM_PID})
         for tid in sim_tids:
             meta.append(
                 {"name": "thread_name", "ph": "M", "pid": SIM_PID, "tid": tid,
@@ -231,14 +305,36 @@ class Tracer:
                 {"name": "thread_name", "ph": "M", "pid": HOST_PID, "tid": tid,
                  "args": {"name": f"thread {tid}"}}
             )
+        return meta
+
+    def chrome_trace(self) -> dict:
+        """The full Chrome trace-event document (Perfetto-loadable)."""
         return {
-            "traceEvents": meta + [ev.to_chrome() for ev in self.events],
+            "traceEvents": self._chrome_meta()
+            + [ev.to_chrome() for ev in self.events],
             "displayTimeUnit": "ms",
         }
 
     def write_chrome(self, path: str) -> None:
+        """Stream :meth:`chrome_trace` to ``path``, a bounded chunk at a time.
+
+        ``json.dump`` always takes CPython's pure-Python incremental
+        encoder; ``JSONEncoder.encode`` takes the C one.  Encoding
+        ``_EXPORT_CHUNK`` events per call keeps the C speed without ever
+        holding the whole document as one string, and span runs are
+        expanded one at a time.
+        """
+        encode = json.JSONEncoder(default=_coerce).encode
         with open(path, "w") as fh:
-            json.dump(self.chrome_trace(), fh, default=_coerce)
+            # the metadata records are never empty, so every chunk after
+            # them is preceded by a separator
+            fh.write('{"traceEvents": [' + encode(self._chrome_meta())[1:-1])
+            events = self._iter_events()
+            while chunk := [
+                ev.to_chrome() for ev in islice(events, _EXPORT_CHUNK)
+            ]:
+                fh.write(", " + encode(chunk)[1:-1])
+            fh.write('], "displayTimeUnit": "ms"}')
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -294,6 +390,9 @@ class NullTracer(Tracer):
         pass
 
     def virtual_span(self, name, proc, start, end, cat="sim", **args) -> None:
+        pass
+
+    def virtual_spans(self, name, proc, starts, ends, cat="sim", **columns) -> None:
         pass
 
     def virtual_instant(self, name, proc, t, cat="sim", **args) -> None:

@@ -28,6 +28,7 @@ from repro.obs import (
     set_tracer,
     tracing,
 )
+from repro.obs.trace import _EXPORT_CHUNK, _coerce
 from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
 
@@ -102,12 +103,74 @@ class TestTracer:
         recs = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert recs[0]["name"] == "a" and recs[0]["clock"] == "host"
 
+    @pytest.mark.parametrize(
+        "nevents", [0, 1, _EXPORT_CHUNK - 1, _EXPORT_CHUNK, _EXPORT_CHUNK + 1]
+    )
+    def test_streamed_chrome_export_equals_the_document(self, tmp_path, nevents):
+        """write_chrome encodes chunk by chunk; the file must still parse
+        to exactly chrome_trace(), also across a chunk boundary."""
+        tr = Tracer("stream")
+        for i in range(nevents):
+            if i % 3 == 1:
+                tr.virtual_span("w", proc=i % 5, start=0.1 * i, end=0.1 * i + 0.05,
+                                cat="task", task=str(i))
+            elif i % 3 == 2:  # a one-span columnar run
+                tr.virtual_spans("w", i % 5, [0.1 * i], [0.1 * i + 0.05],
+                                 cat="task", task=[str(i)])
+            else:
+                tr.virtual_instant("steal", proc=i % 5, t=0.1 * i, victim=i % 4)
+        path = tmp_path / "t.json"
+        tr.write_chrome(str(path))
+        assert json.loads(path.read_text()) == tr.chrome_trace()
+
+    def test_streamed_chrome_export_coerces_numpy_args(self, tmp_path):
+        tr = Tracer()
+        with tr.span("host", n=np.int64(3), x=np.float32(0.5)):
+            pass
+        tr.virtual_span("w", proc=np.int64(2), start=np.float64(1.0), end=2.0,
+                        nbytes=np.float64(8.0), flag=np.bool_(True))
+        path = tmp_path / "t.json"
+        tr.write_chrome(str(path))
+        # the one-shot encoder falls back to the same _coerce hook
+        assert json.loads(path.read_text()) == json.loads(
+            json.dumps(tr.chrome_trace(), default=_coerce)
+        )
+        assert path.read_text() == json.dumps(tr.chrome_trace(), default=_coerce)
+
+    def test_bulk_virtual_spans_equal_single_calls(self):
+        starts = np.array([0.0, 1.5, 1.5, 4.0])
+        ends = np.array([1.5, 1.5, 4.0, 3.0])  # zero and negative lengths
+        labels = [str(i) for i in range(4)]
+        bulk, single = Tracer(), Tracer()
+        for tr in (bulk, single):
+            tr.virtual_instant("before", 1, 0.0)
+        bulk.virtual_spans("task", 7, starts, ends, cat="task", task=labels, k=range(4))
+        bulk.virtual_spans("bare", 2, starts[:2], ends[:2])
+        for i in range(4):
+            single.virtual_span("task", 7, starts[i], ends[i], cat="task",
+                                task=labels[i], k=i)
+        for i in range(2):
+            single.virtual_span("bare", 2, starts[i], ends[i])
+        bulk.virtual_spans("task", 7, [], [], task=[])
+        for tr in (bulk, single):
+            tr.virtual_instant("after", 1, 9.0)
+        # filters and exports read the columnar runs without flattening
+        assert bulk.spans(cat="task") == single.spans(cat="task")
+        assert bulk.spans(pid=SIM_PID, names={"bare"}) == single.spans(names={"bare"})
+        assert bulk.instants() == single.instants()
+        assert bulk.chrome_trace() == single.chrome_trace()
+        assert bulk.events == single.events
+        bulk.virtual_spans("late", 0, [1.0], [2.0])  # appending after a read
+        single.virtual_span("late", 0, 1.0, 2.0)
+        assert bulk.events == single.events
+
     def test_null_tracer_records_nothing(self):
         nt = NullTracer()
         with nt.span("x") as sp:
             sp["ignored"] = 1
         nt.instant("i")
         nt.virtual_span("v", 0, 0.0, 1.0)
+        nt.virtual_spans("v", 0, [0.0], [1.0], k=[1])
         nt.virtual_instant("vi", 0, 0.0)
         assert nt.events == []
         assert not nt.enabled

@@ -210,7 +210,7 @@ class TestDefaultSpecs:
         families = {s.benchmark for s in DEFAULT_SPECS}
         assert {
             "eri_kernels", "fock_table3", "fock_chaos",
-            "scf_guard", "phase_profiler",
+            "scf_guard", "phase_profiler", "fock_simulator",
         } <= families
 
     def test_labels_are_unique(self):

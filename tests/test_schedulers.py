@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_stealing import reference_work_stealing
 from repro.fock.centralized import run_centralized
-from repro.fock.stealing import run_work_stealing, victim_scan_order
-from repro.runtime.faults import FaultPlan
+from repro.fock.stealing import (
+    in_scan_order,
+    run_work_stealing,
+    scan_rank,
+    victim_scan_order,
+)
+from repro.obs import Tracer
+from repro.runtime.faults import FaultPlan, random_plan
 from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
 
@@ -22,6 +29,163 @@ class TestVictimScanOrder:
         # proc 4 in a 2x3 grid is at (1, 1); row 1 = procs 3,4,5
         order = victim_scan_order(4, 2, 3)
         assert set(order[:2]) == {5, 3}
+
+
+    @given(st.integers(1, 7), st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_order_matches_the_oracle(self, prow, pcol):
+        """1xp, px1, square and non-square grids: the order derived per
+        steal attempt is the precomputed list, for every thief."""
+        nproc = prow * pcol
+        ranks = np.arange(nproc)
+        for thief in range(nproc):
+            order = victim_scan_order(thief, prow, pcol)
+            assert in_scan_order(ranks, thief, pcol).tolist() == order
+            assert [
+                scan_rank(i, thief, pcol, nproc) for i in range(nproc - 1)
+            ] == order
+
+
+def _differential_case(seed):
+    """Random queues x grid x steal knobs x fault plan, from one seed."""
+    rng = np.random.default_rng(seed)
+    prow, pcol = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    nproc = prow * pcol
+    costs = rng.uniform(0.05, 2.0, size=400)
+    costs[rng.random(400) < 0.1] = 0.5  # exact ties on task boundaries
+    lens = rng.integers(0, 40, size=nproc)
+    if seed % 3 == 0:
+        lens[rng.integers(nproc)] = 120  # one overloaded rank
+    bounds = np.concatenate(([0], np.cumsum(lens)))
+    queues = [np.arange(bounds[p], bounds[p + 1]) % 400 for p in range(nproc)]
+    knobs = dict(
+        steal_fraction=float(rng.choice([0.25, 0.5, 1.0])),
+        min_steal=int(rng.integers(1, 4)),
+        enable_stealing=bool(seed % 7),
+    )
+    plan = None
+    kind = seed % 4
+    if kind and nproc > 1:
+        plan = random_plan(
+            seed, nproc, horizon=float(costs.mean() * lens.mean()) or 1.0,
+            ndeaths=min(kind - 1, nproc - 1), nstragglers=kind % 2,
+            delay_seconds=0.3,
+        )
+    return (prow, pcol), queues, costs, knobs, plan, bool(seed % 2)
+
+
+def _run_scheduler(run, grid, queues, cost_of, knobs, plan, permute):
+    nproc = grid[0] * grid[1]
+    fstate = plan.activate(nproc) if plan is not None else None
+    stats = CommStats(nproc, LONESTAR, faults=fstate)
+    stats.clock[:] = np.linspace(0.0, 0.2, nproc)
+    tracer, log, recovered = Tracer(), [], []
+    seen = set()
+
+    def steal_cost(thief, victim):
+        if (thief, victim) in seen:
+            return 0.0
+        seen.add((thief, victim))
+        return stats.charge_steal(thief, 4096 * (victim + 1), ncalls=1)
+
+    if fstate is not None:
+        rng = fstate.rng
+    else:
+        rng = np.random.default_rng(5) if permute else None
+    out = run(
+        queues, cost_of, grid, stats=stats, steal_cost=steal_cost,
+        tracer=tracer, faults=fstate, rng=rng,
+        on_recover=lambda p, tasks: recovered.append((p, len(tasks))),
+        event_observer=lambda *ev: log.append(ev), **knobs,
+    )
+    return out, stats, tracer, log, recovered
+
+
+class TestAgainstReferenceScan:
+    """The array-backed scheduler vs the per-victim Python scan it
+    replaced (``tests/reference_stealing.py``): same decisions, same
+    counters, times equal to rounding."""
+
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_same_schedule_counters_and_trace(self, seed):
+        grid, queues, costs, knobs, plan, permute = _differential_case(seed)
+        ref, ref_stats, ref_tr, ref_log, ref_rec = _run_scheduler(
+            reference_work_stealing, grid, [q.tolist() for q in queues],
+            lambda c: float(costs[c]), knobs, plan, permute,
+        )
+        # array queues take the vectorised cost path, list queues the
+        # per-task one: both must reproduce the reference
+        for new_queues, cost_of in (
+            (queues, lambda codes: costs[codes]),
+            ([q.tolist() for q in queues], lambda c: float(costs[c])),
+        ):
+            out, stats, tr, log, rec = _run_scheduler(
+                run_work_stealing, grid, new_queues, cost_of, knobs, plan,
+                permute,
+            )
+            assert [(s.thief, s.victim, s.ntasks) for s in out.steals] == [
+                (s.thief, s.victim, s.ntasks) for s in ref.steals
+            ]
+            np.testing.assert_allclose(
+                [s.time for s in out.steals], [s.time for s in ref.steals],
+                rtol=self.RTOL,
+            )
+            np.testing.assert_array_equal(out.queue_ops, ref.queue_ops)
+            np.testing.assert_array_equal(out.executed_tasks, ref.executed_tasks)
+            for field in ("finish_time", "executed_cost", "blocked_time",
+                          "initial_cost"):
+                np.testing.assert_allclose(
+                    getattr(out, field), getattr(ref, field), rtol=self.RTOL
+                )
+            assert out.dead_ranks == ref.dead_ranks
+            assert out.reexecuted_tasks == ref.reexecuted_tasks
+            assert [(r.rank, r.ntasks, r.reexecuted) for r in out.recoveries] == [
+                (r.rank, r.ntasks, r.reexecuted) for r in ref.recoveries
+            ]
+            assert rec == ref_rec
+            if ref.executed_history is not None:
+                assert [
+                    [int(task) for task, _ in h] for h in out.executed_history
+                ] == [[task for task, _ in h] for h in ref.executed_history]
+            # flight recorder: ops / msgs / bytes per rank and channel
+            assert stats.flight.channels() == ref_stats.flight.channels()
+            for field in ("ops", "msgs", "bytes"):
+                np.testing.assert_array_equal(
+                    stats.flight.matrix(field)[1], ref_stats.flight.matrix(field)[1]
+                )
+            np.testing.assert_allclose(stats.clock, ref_stats.clock, rtol=self.RTOL)
+            # event log: same actions on the same keys in the same order
+            assert [(a, k) for a, _, k in log] == [(a, k) for a, _, k in ref_log]
+            np.testing.assert_allclose(
+                [t for _, t, _ in log], [t for _, t, _ in ref_log], rtol=self.RTOL
+            )
+            # trace: bulk-appended task spans == per-call virtual_span
+            assert len(tr.events) == len(ref_tr.events)
+            for ev, rev in zip(tr.events, ref_tr.events):
+                assert (ev.phase, ev.name, ev.cat, ev.pid, ev.tid, ev.args) == (
+                    rev.phase, rev.name, rev.cat, rev.pid, rev.tid, rev.args
+                )
+                assert ev.ts == pytest.approx(rev.ts, rel=self.RTOL, abs=1e-15)
+                assert ev.dur == pytest.approx(rev.dur, rel=1e-9, abs=1e-15)
+
+    def test_cases_cover_the_fault_paths(self):
+        """The seeds above really exercise deaths, adoption, stragglers,
+        delayed events, permuted scans and min_steal > 1."""
+        seen = {"death": 0, "recover": 0, "steal": 0, "permuted": 0, "min2": 0}
+        for seed in range(48):
+            grid, queues, costs, knobs, plan, permute = _differential_case(seed)
+            out, *_ = _run_scheduler(
+                run_work_stealing, grid, queues, lambda c: costs[c], knobs,
+                plan, permute,
+            )
+            seen["death"] += bool(out.dead_ranks)
+            seen["recover"] += bool(out.recoveries)
+            seen["steal"] += bool(out.steals)
+            seen["permuted"] += bool(out.steals) and (permute or plan is not None)
+            seen["min2"] += bool(out.steals) and knobs["min_steal"] > 1
+        assert all(n >= 5 for n in seen.values()), seen
 
 
 class TestWorkStealingConservation:
