@@ -27,5 +27,5 @@ examples:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \
-	  benchmarks/out .benchmarks
+	  benchmarks/out .benchmarks .perfbench_out .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -43,6 +43,8 @@ SCHEMAS: dict[str, dict[str, type]] = {
         # stored-integral (conventional SCF) mode
         "stored_iter2_s": float,
         "store_iter2_recomputed": float,
+        # profiler jk_contraction wall of the stored iteration-2 build
+        "jk_contract_s": float,
     },
     # larger systems where timing the seed kernel is impractical: the
     # class-batched path is the only timed kernel, and numerics are
@@ -53,6 +55,7 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "quartets": float,
         "t_class_s": float,
         "stored_iter2_s": float,
+        "jk_contract_s": float,
         "sample_max_abs_diff": float,
     },
     "fock_table3": {

@@ -18,13 +18,15 @@ module restructures the loop the same way:
   followed by one 4-operand einsum with a leading quartet axis --
   replacing thousands of per-quartet kernel calls with a handful of
   large contractions.
-* **Batched scatter** (:func:`_scatter_chunk`): quartets are sorted by
-  their index-coincidence pattern, so each permutation image of a whole
-  sub-batch is applied with one multi-quartet einsum against the
-  gathered density blocks and one ``np.bincount`` scatter-add --
-  replacing ``scatter_quartet``'s per-quartet ``np.einsum`` pair.
-* **Threaded contraction** (:func:`jk_from_plan` ``threads=``): class
-  chunks are dealt cost-sorted across a thread pool, each worker
+* **Six-block contraction** (:func:`_contract_blocks`): every resolved
+  chunk is staged with the other chunks of its *block shape* (``dims``
+  -- all the contraction's array shapes depend on; the kernel's class
+  key also carries primitive counts it does not care about) and each
+  stage is flushed with six batched ``np.matmul`` + ``np.bincount``
+  pairs -- the paper's six Fock blocks per unique quartet, weighted by
+  ``1/|stabiliser|`` instead of replaying up to eight permutation images.
+* **Threaded contraction** (:func:`jk_from_plan` ``threads=``): whole
+  flushes are dealt cost-sorted across a thread pool, each worker
   accumulating into private J/K buffers that are reduced at the end.
 
 Numerics agree with the per-quartet paths to summation order (tests pin
@@ -57,6 +59,7 @@ from repro.integrals.pairdata import (
     stack_pairs,
 )
 from repro.integrals.spherical import transform_matrix
+from repro.util.validation import check_symmetric
 
 #: The 8 axis permutations of an (ab|cd) block under Eq (4)'s
 #: permutational symmetry.  This is the one shared definition --
@@ -79,15 +82,22 @@ MAX_R_WORK = 1 << 22
 #: hard cap on shell quartets per chunk (index/scatter array sizes)
 MAX_CHUNK_QUARTETS = 8192
 
+#: budget (float64 elements) of resolved integral blocks staged for one
+#: contraction flush; a flush's temporaries are about twice its blocks
+MAX_STAGE_WORK = MAX_R_WORK // 8
+
+#: block-axis pairs of the six Fock blocks a quartet (ab|cd) touches,
+#: as (rows, columns) of the three matrix views J(ab|cd), K(ac|bd), K(ad|bc)
+_PAIR_AXES = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+
 
 def iter_canonical_quartets(sigma: np.ndarray, tau: float):
     """Canonical (M>=N, pair(MN) >= pair(PQ)) screened shell quartets.
 
     ``sigma`` is the shell-pair Schwarz matrix; a quartet survives iff
-    ``sigma[M,N] * sigma[P,Q] > tau``.  (Moved here from
-    ``repro.scf.fock`` so the class planner sits below the Fock builders
-    in the import graph; ``canonical_shell_quartets`` still re-exports
-    it.)
+    ``sigma[M,N] * sigma[P,Q] > tau``.  The planner uses the vectorised
+    :func:`canonical_quartet_array`; this generator is its oracle (and
+    ``repro.scf.fock.canonical_shell_quartets``).
     """
     ns = sigma.shape[0]
     for m in range(ns):
@@ -102,37 +112,45 @@ def iter_canonical_quartets(sigma: np.ndarray, tau: float):
                         yield (m, n, p, q)
 
 
-def distinct_perms(
-    quartet: tuple[int, int, int, int]
-) -> tuple[tuple[int, int, int, int], ...]:
-    """The permutations of :data:`EIGHT_PERMUTATIONS` whose images of
-    ``quartet`` are distinct, in enumeration order.
+def canonical_quartet_array(sigma: np.ndarray, tau: float) -> np.ndarray:
+    """:func:`iter_canonical_quartets` as one ``(nq, 4)`` array, same order.
 
-    Which images coincide depends only on the *equality pattern* of the
-    four indices (which positions hold equal values), so one
-    representative answers for every quartet sharing its pattern --
-    that is what lets the batched scatter apply a uniform permutation
-    list to a whole sub-batch.
+    The canonical pairs ``(p, q <= p)`` in row-major order are exactly
+    the generator's ket enumeration, and the kets of bra pair ``i`` are
+    pairs ``0..i`` -- one vectorised Schwarz test per bra pair.
     """
-    seen: set[tuple[int, int, int, int]] = set()
-    perms = []
-    for perm in EIGHT_PERMUTATIONS:
-        img = (quartet[perm[0]], quartet[perm[1]],
-               quartet[perm[2]], quartet[perm[3]])
-        if img not in seen:
-            seen.add(img)
-            perms.append(perm)
-    return tuple(perms)
+    pm, pn = np.tril_indices(sigma.shape[0])
+    spair = sigma[pm, pn]
+    bras, kets = [], []
+    for i in np.flatnonzero(spair > 0.0):
+        keep = np.flatnonzero(spair[i] * spair[:i + 1] > tau)
+        bras.append(np.full(keep.size, i))
+        kets.append(keep)
+    if not bras:
+        return np.empty((0, 4), dtype=np.int64)
+    bra, ket = np.concatenate(bras), np.concatenate(kets)
+    return np.stack([pm[bra], pn[bra], pm[ket], pn[ket]], axis=1)
+
+
+def orbit_weights(quartets: np.ndarray) -> np.ndarray:
+    """``1 / |stabiliser|`` of each index 4-tuple (rows, in any order).
+
+    The stabiliser is the set of :data:`EIGHT_PERMUTATIONS` fixing the
+    tuple, so ``8 * w`` is the number of distinct permutation images;
+    for canonical tuples it is the familiar 1/2 per coincidence M=N,
+    P=Q, MN=PQ.  Summing ``w * image`` over all eight permutations
+    counts every distinct image exactly once.
+    """
+    q = np.asarray(quartets).reshape(-1, 4)
+    fixed = np.sum(
+        [(q[:, perm] == q).all(axis=1) for perm in EIGHT_PERMUTATIONS], axis=0
+    )
+    return 1.0 / fixed
 
 
 @dataclass
 class ClassBatch:
-    """All surviving quartets of one angular-momentum class.
-
-    ``quartets`` rows are sorted by index-coincidence pattern so each
-    ``subgroups`` entry is a contiguous ``(lo, hi, perms)`` slice whose
-    members share one distinct-permutation list.
-    """
+    """All surviving quartets of one angular-momentum class."""
 
     lkey: tuple[int, int, int, int]
     pure: tuple[bool, bool, bool, bool]
@@ -144,7 +162,11 @@ class ClassBatch:
     ket_slots: np.ndarray
     bra: StackedPairs
     ket: StackedPairs
-    subgroups: list[tuple[int, int, tuple]]
+    #: :func:`orbit_weights` of ``quartets``
+    weights: np.ndarray
+    #: (6, nq) flat J/K index ``start_i * nbf + start_j`` of the first
+    #: element of each :data:`_PAIR_AXES` block, per quartet
+    pair_bases: np.ndarray
     #: estimated primitive-quartet work (thread balancing / chunking)
     cost: float
     # -- precomputed kernel constants ------------------------------------
@@ -154,7 +176,7 @@ class ClassBatch:
     ket_sign: np.ndarray = field(repr=False, default=None)
     scales: tuple = field(repr=False, default=None)
     transforms: tuple = field(repr=False, default=None)
-    #: memoized store-offset resolution: (store generation, offsets)
+    #: memoized store resolution: (store generation, offsets, positions)
     _store_res: tuple = field(repr=False, default=None, compare=False)
 
     @property
@@ -188,73 +210,70 @@ class ClassPlan:
                 out.append((batch, lo, min(lo + step, batch.nq)))
         return out
 
+    def flushes(self) -> list[list[tuple[ClassBatch, int, int]]]:
+        """The kernel chunks grouped into contraction flushes.
+
+        A flush is a run of same-shape chunks (any kernel class) holding
+        at most :data:`MAX_STAGE_WORK` block elements -- or one chunk,
+        if that alone is larger.
+        """
+        by_shape: dict[tuple, list] = {}
+        for chunk in self.chunks():
+            by_shape.setdefault(chunk[0].dims, []).append(chunk)
+        out = []
+        for chunks in by_shape.values():
+            held = MAX_STAGE_WORK  # full: the first chunk opens a flush
+            for batch, lo, hi in chunks:
+                size = (hi - lo) * batch.block_size
+                if held + size > MAX_STAGE_WORK:
+                    out.append([])
+                    held = 0
+                out[-1].append((batch, lo, hi))
+                held += size
+        return out
+
+
+def _slot_pairs(cols: np.ndarray, ns: int) -> tuple[np.ndarray, list]:
+    """Slots into the unique (i, j) shell pairs of ``cols``, and the pairs."""
+    keys, slots = np.unique(cols[:, 0] * ns + cols[:, 1], return_inverse=True)
+    return slots, list(zip(*(v.tolist() for v in divmod(keys, ns))))
+
 
 def _build_batch(
-    basis: BasisSet, pair_cache: ShellPairData, key: tuple, quartet_list: list
+    basis: BasisSet,
+    pair_cache: ShellPairData,
+    qarr: np.ndarray,
+    weights: np.ndarray,
+    pair_bases: np.ndarray,
 ) -> ClassBatch:
-    la, lb, lc, ld = key[:4]
-    pure = key[4:8]
-    qarr = np.asarray(quartet_list, dtype=np.int64).reshape(-1, 4)
-    m, n, p, q = qarr.T
-    pattern = (
-        (m == n).astype(np.int64)
-        | ((p == q).astype(np.int64) << 1)
-        | ((m == p).astype(np.int64) << 2)
-        | ((m == q).astype(np.int64) << 3)
-        | ((n == p).astype(np.int64) << 4)
-        | ((n == q).astype(np.int64) << 5)
-    )
-    order = np.argsort(pattern, kind="stable")
-    qarr = qarr[order]
-    pattern = pattern[order]
-    subgroups: list[tuple[int, int, tuple]] = []
-    lo = 0
+    """The batch of ``qarr``, whose rows all share one class key."""
+    sh = [basis.shells[i] for i in qarr[0]]
+    lkey = tuple(s.l for s in sh)
+    pure = tuple(s.pure for s in sh)
     nq = qarr.shape[0]
-    while lo < nq:
-        hi = lo + int(np.searchsorted(pattern[lo:], pattern[lo], side="right"))
-        subgroups.append((lo, hi, distinct_perms(tuple(int(i) for i in qarr[lo]))))
-        lo = hi
-
-    def slot_pairs(cols: np.ndarray):
-        slots = np.empty(nq, dtype=np.int64)
-        index: dict[tuple[int, int], int] = {}
-        pairs: list[tuple[int, int]] = []
-        for row, (i, j) in enumerate(cols):
-            pk = (int(i), int(j))
-            slot = index.get(pk)
-            if slot is None:
-                slot = index[pk] = len(pairs)
-                pairs.append(pk)
-            slots[row] = slot
-        return slots, pairs
-
-    bra_slots, bra_pairs = slot_pairs(qarr[:, :2])
-    ket_slots, ket_pairs = slot_pairs(qarr[:, 2:])
+    bra_slots, bra_pairs = _slot_pairs(qarr[:, :2], basis.nshells)
+    ket_slots, ket_pairs = _slot_pairs(qarr[:, 2:], basis.nshells)
     bra = stack_pairs(pair_cache, bra_pairs)
     ket = stack_pairs(pair_cache, ket_pairs)
 
-    lmax = la + lb + lc + ld
-    dims = tuple(
-        nsph(l) if pu else ncart(l)
-        for l, pu in zip((la, lb, lc, ld), pure)
-    )
+    lmax = sum(lkey)
+    dims = tuple(nsph(l) if pu else ncart(l) for l, pu in zip(lkey, pure))
     TT = bra.tt[:, None] + ket.tt[None, :]
     UU = bra.uu[:, None] + ket.uu[None, :]
     VV = bra.vv[:, None] + ket.vv[None, :]
     ket_sign = (-1.0) ** (ket.tt + ket.uu + ket.vv)
     scales = tuple(
         np.array([component_scale(*c) for c in cartesian_components(l)])
-        for l in (la, lb, lc, ld)
+        for l in lkey
     )
     transforms = tuple(
-        transform_matrix(l) if pu else None
-        for l, pu in zip((la, lb, lc, ld), pure)
+        transform_matrix(l) if pu else None for l, pu in zip(lkey, pure)
     )
     cost = float(nq) * bra.npp * ket.npp * (lmax + 1) ** 4
     return ClassBatch(
-        lkey=(la, lb, lc, ld), pure=pure, dims=dims, lmax=lmax,
+        lkey=lkey, pure=pure, dims=dims, lmax=lmax,
         quartets=qarr, bra_slots=bra_slots, ket_slots=ket_slots,
-        bra=bra, ket=ket, subgroups=subgroups, cost=cost,
+        bra=bra, ket=ket, weights=weights, pair_bases=pair_bases, cost=cost,
         TT=TT, UU=UU, VV=VV, ket_sign=ket_sign,
         scales=scales, transforms=transforms,
     )
@@ -265,7 +284,7 @@ def build_class_plan(
     pair_cache: ShellPairData | None,
     quartets,
 ) -> ClassPlan:
-    """Group ``quartets`` (an iterable of shell-index 4-tuples) by class.
+    """Group ``quartets`` (shell-index 4-tuples, or an (nq, 4) array) by class.
 
     ``pair_cache`` supplies (and memoizes) the stacked
     :class:`~repro.integrals.pairdata.PairData`; pass ``None`` to use a
@@ -273,20 +292,40 @@ def build_class_plan(
     """
     if pair_cache is None:
         pair_cache = ShellPairData(basis)
+    if not isinstance(quartets, np.ndarray):
+        quartets = list(quartets)
+    qarr = np.asarray(quartets, dtype=np.int64).reshape(-1, 4)
     shells = basis.shells
-    groups: dict[tuple, list] = {}
-    for quartet in quartets:
-        m, n, p, q = quartet
-        sa, sb, sc, sd = shells[m], shells[n], shells[p], shells[q]
-        key = (
-            sa.l, sb.l, sc.l, sd.l,
-            sa.pure, sb.pure, sc.pure, sd.pure,
-            sa.nprim * sb.nprim, sc.nprim * sd.nprim,
-        )
-        groups.setdefault(key, []).append(quartet)
+    ang = np.array([s.l for s in shells])
+    pure = np.array([int(s.pure) for s in shells])
+    nprim = np.array([s.nprim for s in shells])
+    nang, npp = int(ang.max()) + 1, int(nprim.max()) ** 2 + 1
+
+    def pair_class(a, b):
+        shape = (ang[a] * nang + ang[b]) * 4 + pure[a] * 2 + pure[b]
+        return shape * npp + nprim[a] * nprim[b]
+
+    keys = (
+        pair_class(qarr[:, 0], qarr[:, 1]) * (4 * nang * nang * npp)
+        + pair_class(qarr[:, 2], qarr[:, 3])
+    )
+    _, inverse, counts = np.unique(
+        keys, return_inverse=True, return_counts=True
+    )
+    members = np.split(
+        np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1]
+    )
+    n = basis.nbf
+    starts = basis.offsets[qarr]
+    weights = orbit_weights(qarr)
+    pair_bases = np.stack(
+        [starts[:, i] * n + starts[:, j] for i, j in _PAIR_AXES]
+    ).astype(np.int32 if n * n < 2**31 else np.int64)
     batches = [
-        _build_batch(basis, pair_cache, key, qlist)
-        for key, qlist in groups.items()
+        _build_batch(
+            basis, pair_cache, qarr[rows], weights[rows], pair_bases[:, rows]
+        )
+        for rows in members if rows.size
     ]
     batches.sort(key=lambda b: -b.cost)
     return ClassPlan(
@@ -363,71 +402,55 @@ def _finalize_class(out: np.ndarray, batch: ClassBatch) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the batched J/K scatter
+# the six-block J/K contraction
 # ---------------------------------------------------------------------------
 
 
-def _scatter_chunk(
-    jflat: np.ndarray,
-    kflat: np.ndarray,
-    density: np.ndarray,
-    starts: np.ndarray,
-    batch: ClassBatch,
-    blocks: np.ndarray,
-    lo: int,
-    hi: int,
+def _contract_blocks(
+    jt: np.ndarray,
+    kt: np.ndarray,
+    dflat: np.ndarray,
+    n: int,
+    flush: list[tuple[ClassBatch, int, int]],
+    parts: list[np.ndarray],
 ) -> None:
-    """Accumulate one chunk's stacked blocks into flat J/K buffers.
+    """Accumulate one flush of same-shape blocks into half-J / half-K.
 
-    For every distinct permutation image of each coincidence subgroup::
+    With ``g = w (ab|cd)`` (``w`` the orbit weight) and symmetric D, the
+    eight permutation images of a quartet collapse to six blocks::
 
-        J[a,b] += sum_cd (ab|cd) D[c,d]
-        K[a,c] += sum_bd (ab|cd) D[b,d]
+        Jt[ab] += g D[cd]    Kt[ac] += g D[bd]    Kt[ad] += g D[bc]
+        Jt[cd] += D[ab] g    Kt[bd] += D[ac] g    Kt[bc] += D[ad] g
 
-    computed as one multi-quartet einsum per image and scattered with a
-    single ``np.bincount`` per matrix -- the batched replacement of
-    ``scatter_quartet``'s per-quartet einsum pair.
+    and ``J = 2 (Jt + Jt^T)``, ``K = Kt + Kt^T`` (taken by the caller).
+    ``jt``/``kt``/``dflat`` are ``(ndens, n*n)``; each block is one
+    batched matmul against gathered density blocks and one ``bincount``
+    scatter-add per density.
     """
-    n = density.shape[0]
-    ranges = [np.arange(d) for d in batch.dims]
-    for glo, ghi, perms in batch.subgroups:
-        s, e = max(glo, lo), min(ghi, hi)
-        if s >= e:
-            continue
-        blk_rows = blocks[s - lo:e - lo]
-        img_q = batch.quartets[s:e]
-        for perm in perms:
-            pq = img_q[:, perm]
-            blkp = blk_rows.transpose(
-                0, perm[0] + 1, perm[1] + 1, perm[2] + 1, perm[3] + 1
-            )
-            ra, rb, rc, rd = (ranges[i] for i in perm)
-            ai = starts[pq[:, 0]][:, None] + ra
-            bi = starts[pq[:, 1]][:, None] + rb
-            ci = starts[pq[:, 2]][:, None] + rc
-            di = starts[pq[:, 3]][:, None] + rd
-            nq = pq.shape[0]
-            da, db, dc, dd = (len(r) for r in (ra, rb, rc, rd))
-            # J: sum_cd (ab|cd) D[c,d] -- one batched matvec per image
-            dcd = density[ci[:, :, None], di[:, None, :]]
-            cj = np.matmul(
-                blkp.reshape(nq, da * db, dc * dd),
-                dcd.reshape(nq, dc * dd, 1),
-            )
-            jflat += np.bincount(
-                (ai[:, :, None] * n + bi[:, None, :]).ravel(),
-                weights=cj.ravel(), minlength=n * n,
-            )
-            # K: sum_bd (ab|cd) D[b,d] -- regroup axes to (ac, bd)
-            dbd = density[bi[:, :, None], di[:, None, :]]
-            ck = np.matmul(
-                blkp.transpose(0, 1, 3, 2, 4).reshape(nq, da * dc, db * dd),
-                dbd.reshape(nq, db * dd, 1),
-            )
-            kflat += np.bincount(
-                (ai[:, :, None] * n + ci[:, None, :]).ravel(),
-                weights=ck.ravel(), minlength=n * n,
-            )
+    g = np.concatenate(parts)
+    g *= np.concatenate([b.weights[lo:hi] for b, lo, hi in flush]).reshape(
+        -1, 1, 1, 1, 1
+    )
+    bases = np.concatenate([b.pair_bases[:, lo:hi] for b, lo, hi in flush], 1)
+    dims = g.shape[1:]
+    index = [
+        base[:, None]
+        + (np.arange(dims[i])[:, None] * n + np.arange(dims[j])).ravel()
+        for base, (i, j) in zip(bases, _PAIR_AXES)
+    ]
+
+    def scatter(acc, idx, vals):
+        for a, v in zip(acc, vals):
+            a += np.bincount(idx.ravel(), weights=v.ravel(), minlength=n * n)
+
+    for view, acc in enumerate((jt, kt, kt)):
+        (i, j), (k, l) = _PAIR_AXES[2 * view], _PAIR_AXES[2 * view + 1]
+        rows, cols = index[2 * view], index[2 * view + 1]
+        mat = g.transpose(0, i + 1, j + 1, k + 1, l + 1).reshape(
+            len(g), dims[i] * dims[j], dims[k] * dims[l]
+        )
+        scatter(acc, rows, np.matmul(mat, dflat[:, cols][..., None]))
+        scatter(acc, cols, np.matmul(dflat[:, rows][:, :, None, :], mat))
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +458,20 @@ def _scatter_chunk(
 # ---------------------------------------------------------------------------
 
 
-def _store_offsets(batch: ClassBatch, store) -> np.ndarray | None:
-    """Per-row store offsets for a batch, memoized per store generation."""
+#: where a resolved row came from (tallied per chunk, summed per build)
+_COUNT_KEYS = ("computed", "from_store", "from_cache", "rescued",
+               "crc_rescued")
+
+
+def _store_offsets(batch: ClassBatch, store) -> tuple:
+    """Per-row store ``(offsets, key positions)`` of a batch, memoized
+    per store generation (``(None, None)`` while the store is not ready)."""
     res = batch._store_res
-    if res is not None and res[0] == store.generation:
-        return res[1]
-    offs = store.offsets_for(batch.quartets)
-    batch._store_res = (store.generation, offs)
-    return offs
+    if res is None or res[0] != store.generation:
+        offs = store.offsets_for(batch.quartets)
+        pos = None if offs is None else store.positions_of(offs)
+        res = batch._store_res = (store.generation, offs, pos)
+    return res[1:]
 
 
 def _resolve_chunk(
@@ -457,10 +486,9 @@ def _resolve_chunk(
     from the batched path exactly as they do from the per-quartet path.
     """
     nrows = hi - lo
-    counts = {"computed": 0, "from_store": 0, "from_cache": 0, "rescued": 0,
-              "crc_rescued": 0}
+    counts = dict.fromkeys(_COUNT_KEYS, 0)
     if store is not None and store.ready:
-        offs = _store_offsets(batch, store)
+        offs, pos = _store_offsets(batch, store)
         if offs is not None:
             sel = offs[lo:hi]
             if (sel >= 0).all():
@@ -470,7 +498,7 @@ def _resolve_chunk(
                     # not trusted: recompute them with the same batched
                     # kernel (bitwise-identical values, so a corrupted
                     # store never perturbs F)
-                    good = store.verify_stacked(sel, blocks)
+                    good = store.verify_stacked(sel, blocks, pos[lo:hi])
                     if not good.all():
                         bad = np.flatnonzero(~good)
                         blocks[bad] = compute_class_rows(
@@ -544,36 +572,58 @@ def clear_jk_interrupt() -> None:
 
 
 class JKInterrupted(RuntimeError):
-    """A threaded J/K contraction was interrupted mid-build (job teardown)."""
+    """A J/K contraction was interrupted mid-build (job teardown)."""
 
 
-def _run_chunks(engine, density, chunks, starts, store, cache):
-    """One worker's share: private J/K buffers + per-phase wall/cpu."""
-    n = density.shape[0]
-    jflat = np.zeros(n * n)
-    kflat = np.zeros(n * n)
-    stats = {
-        "eri_wall": 0.0, "eri_cpu": 0.0, "jk_wall": 0.0, "jk_cpu": 0.0,
-        "calls": 0, "computed": 0, "from_store": 0, "from_cache": 0,
-        "rescued": 0, "crc_rescued": 0,
-    }
-    for batch, lo, hi in chunks:
-        if _JK_INTERRUPT.is_set():
-            raise JKInterrupted("threaded J/K interrupted between chunks")
-        t0, c0 = time.perf_counter(), time.thread_time()
-        blocks, counts = _resolve_chunk(engine, batch, lo, hi, store, cache)
-        t1, c1 = time.perf_counter(), time.thread_time()
-        _scatter_chunk(jflat, kflat, density, starts, batch, blocks, lo, hi)
-        t2, c2 = time.perf_counter(), time.thread_time()
-        stats["eri_wall"] += t1 - t0
-        stats["eri_cpu"] += c1 - c0
-        stats["jk_wall"] += t2 - t1
-        stats["jk_cpu"] += c2 - c1
-        stats["calls"] += 1
-        for key in ("computed", "from_store", "from_cache", "rescued",
-                    "crc_rescued"):
-            stats[key] += counts[key]
-    return jflat, kflat, stats
+def density_stack(density: np.ndarray, n: int) -> np.ndarray:
+    """One ``(n, n)`` density or a stack ``(k, n, n)`` of them as a
+    contiguous float64 stack, each checked symmetric (the six-block
+    contraction reads ``D[cd]`` for ``D[dc]``)."""
+    dens = np.ascontiguousarray(density, dtype=np.float64).reshape(-1, n, n)
+    for d in dens:
+        check_symmetric(d, "density", tol=1e-8)
+    return dens
+
+
+class _Stopwatch:
+    """A worker thread's private stand-in for a profiler phase span."""
+
+    def __init__(self):
+        self.wall = self.cpu = 0.0
+        self.calls = 0
+
+    def __enter__(self):
+        self.t0, self.c0 = time.perf_counter(), time.thread_time()
+
+    def __exit__(self, *exc):
+        self.wall += time.perf_counter() - self.t0
+        self.cpu += time.thread_time() - self.c0
+        self.calls += 1
+        return False
+
+
+def _run_flushes(engine, dflat, flushes, store, cache, eri_span, jk_span):
+    """One worker's share: private half-J/half-K buffers + source counts,
+    ``eri_span`` around every chunk resolution, ``jk_span`` every flush."""
+    n = engine.basis.nbf
+    jt = np.zeros_like(dflat)
+    kt = np.zeros_like(dflat)
+    totals = dict.fromkeys(_COUNT_KEYS, 0)
+    for flush in flushes:
+        parts = []
+        for batch, lo, hi in flush:
+            if _JK_INTERRUPT.is_set():
+                raise JKInterrupted("J/K build interrupted between chunks")
+            with eri_span:
+                blocks, counts = _resolve_chunk(
+                    engine, batch, lo, hi, store, cache
+                )
+            parts.append(blocks)
+            for key in _COUNT_KEYS:
+                totals[key] += counts[key]
+        with jk_span:
+            _contract_blocks(jt, kt, dflat, n, flush, parts)
+    return jt, kt, totals
 
 
 def jk_from_plan(
@@ -587,71 +637,61 @@ def jk_from_plan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """J and K matrices from a class plan, one batched sweep per chunk.
 
-    ``threads > 1`` deals the cost-sorted chunk list round-robin across a
-    thread pool; every worker owns private J/K accumulators (reduced at
-    the end) plus private phase timings, which are folded into the active
-    profiler as one ``eri_quartets``/``jk_contraction`` sample per chunk
-    -- spans per class batch, never per quartet.
+    ``density`` is one symmetric ``(n, n)`` matrix or a stack
+    ``(k, n, n)`` of them; a stack shares one pass over the integrals
+    and returns stacked ``(k, n, n)`` J and K.
+
+    ``threads > 1`` deals the flushes, largest first, to the least-loaded
+    worker of a thread pool; every worker owns private accumulators
+    (reduced at the end) plus private phase timings, which are folded
+    into the active profiler as one ``eri_quartets`` sample per kernel
+    chunk and one ``jk_contraction`` sample per flush -- never per quartet.
     """
     from repro.obs.profile import PHASE_ERI, PHASE_JK, get_profiler
 
-    basis = engine.basis
-    n = basis.nbf
-    starts = basis.offsets[:-1].astype(np.int64)
+    n = engine.basis.nbf
+    dflat = density_stack(density, n).reshape(-1, n * n)
     store = getattr(engine, "integral_store", None) if use_store else None
     cache = getattr(engine, "quartet_cache", None) if use_cache else None
-    chunks = plan.chunks()
+    flushes = plan.flushes()
     nthreads = resolve_jk_threads(threads)
     prof = get_profiler()
 
-    if nthreads <= 1 or len(chunks) <= 1:
-        jflat = np.zeros(n * n)
-        kflat = np.zeros(n * n)
-        totals = {"computed": 0, "from_store": 0, "from_cache": 0,
-                  "rescued": 0, "crc_rescued": 0}
-        eri_span = prof.phase(PHASE_ERI)
-        jk_span = prof.phase(PHASE_JK)
-        for batch, lo, hi in chunks:
-            with eri_span:
-                blocks, counts = _resolve_chunk(
-                    engine, batch, lo, hi, store, cache
-                )
-            with jk_span:
-                _scatter_chunk(
-                    jflat, kflat, density, starts, batch, blocks, lo, hi
-                )
-            for key in totals:
-                totals[key] += counts[key]
+    if nthreads <= 1 or len(flushes) <= 1:
+        results = [_run_flushes(
+            engine, dflat, flushes, store, cache,
+            prof.phase(PHASE_ERI), prof.phase(PHASE_JK),
+        )]
         engine.last_jk_worker_stats = []
     else:
-        shares: list[list] = [[] for _ in range(nthreads)]
-        for i, chunk in enumerate(chunks):  # chunks are cost-sorted
-            shares[i % nthreads].append(chunk)
-        shares = [s for s in shares if s]
+        # largest flush first, each to the least-loaded worker
+        costs = [sum(b.cost * (hi - lo) / b.nq for b, lo, hi in f)
+                 for f in flushes]
+        shares = [[] for _ in range(min(nthreads, len(flushes)))]
+        loads = [0.0] * len(shares)
+        for i in sorted(range(len(flushes)), key=lambda i: -costs[i]):
+            worker = loads.index(min(loads))
+            shares[worker].append(flushes[i])
+            loads[worker] += costs[i]
+        watches = [(_Stopwatch(), _Stopwatch()) for _ in shares]
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
             results = list(pool.map(
-                lambda share: _run_chunks(
-                    engine, density, share, starts, store, cache
+                lambda share, watch: _run_flushes(
+                    engine, dflat, share, store, cache, *watch
                 ),
-                shares,
+                shares, watches,
             ))
-        jflat = np.zeros(n * n)
-        kflat = np.zeros(n * n)
-        totals = {"computed": 0, "from_store": 0, "from_cache": 0,
-                  "rescued": 0, "crc_rescued": 0}
-        for jp, kp, stats in results:
-            jflat += jp
-            kflat += kp
-            prof.add_sample(
-                PHASE_ERI, stats["eri_wall"], stats["eri_cpu"], stats["calls"]
-            )
-            prof.add_sample(
-                PHASE_JK, stats["jk_wall"], stats["jk_cpu"], stats["calls"]
-            )
-            for key in totals:
-                totals[key] += stats[key]
-        engine.last_jk_worker_stats = [stats for (_, _, stats) in results]
+        for eri, jk in watches:
+            prof.add_sample(PHASE_ERI, eri.wall, eri.cpu, eri.calls)
+            prof.add_sample(PHASE_JK, jk.wall, jk.cpu, jk.calls)
+        engine.last_jk_worker_stats = [
+            {"eri_wall": eri.wall, "eri_cpu": eri.cpu, "jk_wall": jk.wall,
+             "jk_cpu": jk.cpu, "calls": eri.calls, "flushes": jk.calls,
+             **totals}
+            for (eri, jk), (_, _, totals) in zip(watches, results)
+        ]
 
+    totals = {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS}
     engine.quartets_computed += totals["computed"]
     engine.quartets_served_from_cache += totals["from_cache"]
     if store is not None:
@@ -659,7 +699,11 @@ def jk_from_plan(
         engine.crc_rescues += totals["crc_rescued"]
         if store.filling and store.pending_blocks:
             store.finalize(tau)
-    return jflat.reshape(n, n), kflat.reshape(n, n)
+    jt = sum(r[0] for r in results).reshape(-1, n, n)
+    kt = sum(r[1] for r in results).reshape(-1, n, n)
+    j = 2.0 * (jt + jt.transpose(0, 2, 1))
+    k = kt + kt.transpose(0, 2, 1)
+    return (j, k) if np.ndim(density) == 3 else (j[0], k[0])
 
 
 def jk_for_quartets(
@@ -672,9 +716,9 @@ def jk_for_quartets(
 
     Used by the multiprocessing Fock workers: each worker groups its
     task chunk's quartets into a throwaway plan and runs the same
-    batched sweep + scatter.  The quartet tuples may be in any index
-    order (the coincidence-pattern scatter handles arbitrary tuples);
-    the store and LRU layers are bypassed because worker-side fills
+    batched sweep + contraction.  The quartet tuples may be in any index
+    order (:func:`orbit_weights` holds for arbitrary tuples); the store
+    and LRU layers are bypassed because worker-side fills
     would be lost with the forked process anyway.
     """
     pair_cache = getattr(engine, "pair_cache", None)

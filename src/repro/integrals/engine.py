@@ -39,7 +39,7 @@ from repro.integrals.class_batch import (
 from repro.integrals.class_batch import (
     ClassPlan,
     build_class_plan,
-    iter_canonical_quartets,
+    canonical_quartet_array,
 )
 from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.eri_os import eri_shell_quartet_os
@@ -262,7 +262,7 @@ class ERIEngine(abc.ABC):
             plan = build_class_plan(
                 self.basis,
                 getattr(self, "pair_cache", None),
-                iter_canonical_quartets(self.schwarz(), tau),
+                canonical_quartet_array(self.schwarz(), tau),
             )
         self._class_plans[tau] = plan
         while len(self._class_plans) > _MAX_CLASS_PLANS:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.integrals.boys import boys, boys_array
 
 
-def e_coefficients(la: int, lb: int, a: float, b: float, ab_dist: float) -> np.ndarray:
+def e_coefficients(la: int, lb: int, a, b, ab_dist: float) -> np.ndarray:
     """Hermite expansion coefficients for one Cartesian direction.
 
     Returns ``E[i, j, t]`` of shape (la+1, lb+1, la+lb+1) with the
@@ -32,7 +32,9 @@ def e_coefficients(la: int, lb: int, a: float, b: float, ab_dist: float) -> np.n
     la, lb:
         Maximum 1-D angular momenta of the two centers.
     a, b:
-        Primitive exponents.
+        Primitive exponents -- two floats, or two equal-length arrays of
+        primitive pairs, in which case ``E`` gains a trailing pair axis
+        (elementwise the same arithmetic as the scalar call).
     ab_dist:
         ``A_x - B_x`` (the coordinate difference along this direction).
     """
@@ -43,8 +45,12 @@ def e_coefficients(la: int, lb: int, a: float, b: float, ab_dist: float) -> np.n
     pa = -b / p * ab_dist  # P - A
     pb = a / p * ab_dist  # P - B
 
-    E = np.zeros((la + 1, lb + 1, la + lb + 1))
-    E[0, 0, 0] = math.exp(-mu * ab_dist * ab_dist)
+    E = np.zeros((la + 1, lb + 1, la + lb + 1) + np.shape(p))
+    arg = -mu * ab_dist * ab_dist
+    # math.exp per pair: np.exp may round the last bit differently
+    E[0, 0, 0] = (
+        math.exp(arg) if np.ndim(arg) == 0 else [math.exp(x) for x in arg]
+    )
     # build up i with j = 0
     for i in range(1, la + 1):
         tmax = i

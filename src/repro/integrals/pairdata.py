@@ -97,27 +97,23 @@ def build_pair_data(sh_a: Shell, sh_b: Shell) -> PairData:
     by = np.array([c[1] for c in comps_b])
     bz = np.array([c[2] for c in comps_b])
     A, B = sh_a.center, sh_b.center
-    npp = sh_a.nprim * sh_b.nprim
-    coef = np.empty(npp)
-    p = np.empty(npp)
-    P = np.empty((npp, 3))
-    E = np.empty((npp, len(comps_a), len(comps_b), len(hidx)))
-    i = 0
-    for a, ca in zip(sh_a.exps, sh_a.norm_coefs):
-        for b, cb in zip(sh_b.exps, sh_b.norm_coefs):
-            pp = a + b
-            coef[i] = ca * cb
-            p[i] = pp
-            P[i] = (a * A + b * B) / pp
-            ex = e_coefficients(la, lb, a, b, float(A[0] - B[0]))
-            ey = e_coefficients(la, lb, a, b, float(A[1] - B[1]))
-            ez = e_coefficients(la, lb, a, b, float(A[2] - B[2]))
-            E[i] = (
-                ex[ax[:, None, None], bx[None, :, None], tt[None, None, :]]
-                * ey[ay[:, None, None], by[None, :, None], uu[None, None, :]]
-                * ez[az[:, None, None], bz[None, :, None], vv[None, None, :]]
-            )
-            i += 1
+    # all primitive pairs at once, a-major
+    a = np.repeat(sh_a.exps, sh_b.nprim)
+    b = np.tile(sh_b.exps, sh_a.nprim)
+    coef = np.repeat(sh_a.norm_coefs, sh_b.nprim) * np.tile(
+        sh_b.norm_coefs, sh_a.nprim
+    )
+    p = a + b
+    P = (a[:, None] * A + b[:, None] * B) / p[:, None]
+    ex, ey, ez = (
+        e_coefficients(la, lb, a, b, float(A[d] - B[d])) for d in range(3)
+    )
+    E = np.ascontiguousarray(np.moveaxis(
+        ex[ax[:, None, None], bx[None, :, None], tt[None, None, :]]
+        * ey[ay[:, None, None], by[None, :, None], uu[None, None, :]]
+        * ez[az[:, None, None], bz[None, :, None], vv[None, None, :]],
+        -1, 0,
+    ))
     return PairData(la=la, lb=lb, coef=coef, p=p, P=P, E=E, tt=tt, uu=uu, vv=vv)
 
 
@@ -223,10 +219,10 @@ def stack_pairs(
     return StackedPairs(
         la=first.la,
         lb=first.lb,
-        coef=np.stack([r.coef for r in records]),
-        p=np.stack([r.p for r in records]),
-        P=np.stack([r.P for r in records]),
-        E=np.stack([r.E for r in records]),
+        coef=np.array([r.coef for r in records]),
+        p=np.array([r.p for r in records]),
+        P=np.array([r.P for r in records]),
+        E=np.array([r.E for r in records]),
         tt=first.tt,
         uu=first.uu,
         vv=first.vv,

@@ -372,19 +372,27 @@ class ERIStore:
         rows = self._flat[offsets[:, None] + np.arange(block_size)]
         return rows.reshape((len(offsets),) + tuple(dims))
 
+    def positions_of(self, offsets: np.ndarray) -> np.ndarray:
+        """Key positions of blocks at ``offsets`` (as :meth:`offsets_for`
+        returned them): ``_offsets`` is a cumulative sum, hence ascending,
+        so each offset maps back by binary search."""
+        return np.searchsorted(self._offsets, np.asarray(offsets, np.int64))
+
     def verify_stacked(
-        self, offsets: np.ndarray, blocks: np.ndarray
+        self,
+        offsets: np.ndarray,
+        blocks: np.ndarray,
+        positions: np.ndarray | None = None,
     ) -> np.ndarray:
         """CRC-check blocks just gathered at ``offsets``; True where intact.
 
-        ``_offsets`` is a cumulative-sum array (ascending), so each
-        offset maps back to its key position by binary search.  Blocks
-        already scrubbed this attach skip the CRC; intact blocks are
-        marked scrubbed; a mismatch never is, so corruption stays
-        visible on every read.  The class-batched resolver recomputes
-        the rows flagged False.
+        ``positions`` are the blocks' key positions (:meth:`positions_of`;
+        looked up here when not given).  Blocks already scrubbed this
+        attach skip the CRC; intact blocks are marked scrubbed; a
+        mismatch never is, so corruption stays visible on every read.
+        The class-batched resolver recomputes the rows flagged False.
         """
-        pos = np.searchsorted(self._offsets, np.asarray(offsets, np.int64))
+        pos = self.positions_of(offsets) if positions is None else positions
         good = np.ones(len(offsets), dtype=bool)
         todo = np.flatnonzero(~self._verified[pos])
         if todo.size:

@@ -95,6 +95,11 @@ DEFAULT_SPECS: tuple[MetricSpec, ...] = (
                warn=1.5, fail=3.0, unit="s"),
     MetricSpec("eri_kernels_large", "t_class_s", "lower", "relative",
                warn=1.5, fail=3.0, unit="s"),
+    # six-block J/K contraction of a stored (zero-recompute) build
+    MetricSpec("eri_kernels", "jk_contract_s", "lower", "relative",
+               warn=1.5, fail=3.0, unit="s"),
+    MetricSpec("eri_kernels_large", "jk_contract_s", "lower", "relative",
+               warn=1.5, fail=3.0, unit="s"),
     MetricSpec("eri_kernels_large", "sample_max_abs_diff", "lower",
                "absolute", warn=1e-11, fail=1e-10, unit="Eh"),
     # -- Fock simulation trajectory (BENCH_fock.json) --------------------

@@ -102,7 +102,7 @@ def _run_tasks(tasks: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         and quartets
     ):
         # the worker's whole task chunk as one class-batched sweep; the
-        # coincidence-pattern scatter handles the non-canonical
+        # contraction's orbit weights hold for the non-canonical
         # (M, P, N, Q) task tuples directly
         return jk_for_quartets(engine, density, quartets)
     n = basis.nbf

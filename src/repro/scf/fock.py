@@ -21,12 +21,12 @@ import numpy as np
 from repro.chem.basis.basisset import BasisSet
 from repro.integrals.class_batch import (
     EIGHT_PERMUTATIONS,
+    density_stack,
     iter_canonical_quartets,
     jk_from_plan,
 )
 from repro.integrals.engine import ERIEngine
 from repro.obs.profile import PHASE_ERI, PHASE_JK, get_profiler
-from repro.util.validation import check_symmetric
 
 __all__ = [
     "EIGHT_PERMUTATIONS",
@@ -107,9 +107,9 @@ def build_jk(
     """Coulomb and exchange matrices over the screened canonical quartets.
 
     Engines that support it take the cross-quartet *class-batched* path
-    (:mod:`repro.integrals.class_batch`): one vectorized kernel sweep and
-    one batched density contraction per angular-momentum class, optionally
-    threaded.  Everything else -- and any engine carrying seeded ``scf``
+    (:mod:`repro.integrals.class_batch`): one vectorized kernel sweep per
+    angular-momentum class and one six-block density contraction per
+    block shape, optionally threaded.  Everything else -- and any engine carrying seeded ``scf``
     fault injection, whose corruption stream is defined by per-quartet
     call order -- walks the original per-quartet loop, which produces
     identical J/K up to floating-point summation order.
@@ -119,7 +119,9 @@ def build_jk(
     engine:
         ERI engine (provides quartets and the Schwarz matrix).
     density:
-        Symmetric density matrix D, shape (nbf, nbf).
+        Symmetric density matrix D, shape (nbf, nbf) -- or a stack
+        (k, nbf, nbf) of them, contracted in one pass over the integrals
+        and returned as stacked (k, nbf, nbf) J and K.
     tau:
         Cauchy-Schwarz drop tolerance (the paper uses 1e-10).
     threads:
@@ -127,7 +129,6 @@ def build_jk(
         ``REPRO_JK_THREADS``, default 1; ignored on the per-quartet path).
     """
     basis = engine.basis
-    check_symmetric(density, "density", tol=1e-8)
     if (
         getattr(engine, "supports_class_batched", False)
         and getattr(engine, "scf_faults", None) is None
@@ -135,9 +136,9 @@ def build_jk(
         return jk_from_plan(
             engine, density, engine.class_plan(tau), tau=tau, threads=threads
         )
-    n = basis.nbf
-    j = np.zeros((n, n))
-    k = np.zeros((n, n))
+    dens = density_stack(density, basis.nbf)
+    j = np.zeros(dens.shape)
+    k = np.zeros(dens.shape)
     sigma = engine.schwarz()
     # spans are hoisted out of the loop: this is the repo's hottest path
     # and the probes are gated at <= 5% overhead when profiling is on
@@ -148,11 +149,12 @@ def build_jk(
         with eri_span:
             block = engine.quartet(*quartet)
         with jk_span:
-            scatter_quartet(j, k, density, basis, quartet, block)
+            for ji, ki, d in zip(j, k, dens):
+                scatter_quartet(ji, ki, d, basis, quartet, block)
     store = getattr(engine, "integral_store", None)
     if store is not None and store.filling and store.pending_blocks:
         store.finalize(tau)
-    return j, k
+    return (j, k) if np.ndim(density) == 3 else (j[0], k[0])
 
 
 def fock_matrix(

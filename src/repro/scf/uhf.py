@@ -7,7 +7,7 @@ and spin-beta orbitals get separate Fock matrices
 ``F_s = Hcore + J(D_a + D_b) - K(D_s)``,   s in {alpha, beta},
 
 built from the same screened symmetry-exploiting J/K machinery as RHF
-(one J/K evaluation per spin density).
+(both spin densities contracted in one pass over the integrals).
 """
 
 from __future__ import annotations
@@ -104,6 +104,15 @@ class UHF:
         elif self.guard is False:
             self.guard = None
 
+    def _fock_pair(self, h, d_a, d_b) -> tuple[np.ndarray, np.ndarray]:
+        """``F_s = h + J(D_a) + J(D_b) - K(D_s)`` for both spins from one
+        pass over the integrals (J is linear in D; an empty beta space
+        contributes nothing and is left out of the stack)."""
+        dens = np.stack([d_a, d_b] if self.n_beta > 0 else [d_a])
+        j, k = build_jk(self.engine, dens, self.tau)
+        f = h + j.sum(axis=0)
+        return f - k[0], (f - k[1] if self.n_beta > 0 else f)
+
     def run(self) -> UHFResult:
         guard: SCFGuard | None = None
         if self.guard is not None:
@@ -140,14 +149,7 @@ class UHF:
         it = 0
         for it in range(1, self.max_iter + 1):
             d_total = d_a + d_b
-            j_tot, _ = build_jk(self.engine, d_total, self.tau)
-            _, k_a = build_jk(self.engine, d_a, self.tau)
-            f_a = h + j_tot - k_a
-            if self.n_beta > 0:
-                _, k_b = build_jk(self.engine, d_b, self.tau)
-                f_b = h + j_tot - k_b
-            else:
-                f_b = h + j_tot
+            f_a, f_b = self._fock_pair(h, d_a, d_b)
             if guard is not None:
                 bad = not guard.check_matrix("fock_alpha", f_a, it)
                 bad = not guard.check_matrix("fock_beta", f_b, it) or bad
@@ -167,14 +169,7 @@ class UHF:
                     ):
                         self.engine.force_reference_path()
                     # rebuild both spins on the degraded configuration
-                    j_tot, _ = build_jk(self.engine, d_total, self.tau)
-                    _, k_a = build_jk(self.engine, d_a, self.tau)
-                    f_a = h + j_tot - k_a
-                    if self.n_beta > 0:
-                        _, k_b = build_jk(self.engine, d_b, self.tau)
-                        f_b = h + j_tot - k_b
-                    else:
-                        f_b = h + j_tot
+                    f_a, f_b = self._fock_pair(h, d_a, d_b)
                     if not (
                         np.isfinite(f_a).all() and np.isfinite(f_b).all()
                     ):

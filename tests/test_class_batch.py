@@ -1,9 +1,10 @@
 """Tests for the cross-quartet class-batched ERI path.
 
-The class-batched kernel, scatter, and threaded driver must reproduce
-the per-quartet paths (PR-2 batched, seed MD, Obara-Saika) exactly to
-summation order across mixed s/p/d bases, and its profiler attribution
-must land one span per class chunk, not per quartet.
+The class-batched kernel, six-block contraction, and threaded driver
+must reproduce the per-quartet paths (PR-2 batched, seed MD,
+Obara-Saika) exactly to summation order across mixed s/p/d bases, and
+its profiler attribution must land one span per kernel chunk / per
+flush, not per quartet.
 """
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ from hypothesis import strategies as st
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.builders import water
+from repro.integrals import class_batch
 from repro.integrals.class_batch import (
     EIGHT_PERMUTATIONS,
     build_class_plan,
+    canonical_quartet_array,
     compute_class_rows,
-    distinct_perms,
     iter_canonical_quartets,
     jk_for_quartets,
     jk_from_plan,
+    orbit_weights,
 )
 from repro.integrals.engine import MDEngine, OSEngine
 from repro.obs.profile import (
@@ -32,7 +35,31 @@ from repro.obs.profile import (
     PhaseProfiler,
     set_profiler,
 )
-from repro.scf.fock import build_jk
+from repro.scf.fock import build_jk, scatter_quartet
+
+
+def distinct_perms(quartet):
+    """Oracle: the permutations of ``EIGHT_PERMUTATIONS`` whose images
+    of ``quartet`` are distinct, in enumeration order -- the list the
+    per-image scatter used to replay, which ``orbit_weights`` replaces."""
+    seen = set()
+    perms = []
+    for perm in EIGHT_PERMUTATIONS:
+        img = tuple(quartet[i] for i in perm)
+        if img not in seen:
+            seen.add(img)
+            perms.append(perm)
+    return tuple(perms)
+
+
+def oracle_jk(engine, density, quartets):
+    """J/K of a quartet list through the per-quartet ``scatter_quartet``."""
+    n = engine.basis.nbf
+    j, k = np.zeros((n, n)), np.zeros((n, n))
+    for quartet in quartets:
+        block = engine.quartet(*quartet)
+        scatter_quartet(j, k, density, engine.basis, quartet, block)
+    return j, k
 
 
 def rand_shell(rng, l, pure=False):
@@ -48,12 +75,16 @@ def rand_shell(rng, l, pure=False):
 
 
 def rand_basis(rng, nshells=6, lmax=2):
-    """A small random mixed s/p/d basis (some pure d shells)."""
+    """A small random mixed s/p/d basis, always with one pure and one
+    cartesian d shell when ``lmax`` allows."""
     shells = []
     for _ in range(nshells):
         l = int(rng.integers(0, lmax + 1))
         pure = bool(l == 2 and rng.integers(0, 2))
         shells.append(rand_shell(rng, l, pure=pure))
+    if lmax >= 2:
+        shells[0] = rand_shell(rng, 2, pure=True)
+        shells[1] = rand_shell(rng, 2, pure=False)
     return BasisSet(molecule=water(), shells=shells, name="rand")
 
 
@@ -90,6 +121,46 @@ class TestClassJKAgreement:
         assert np.allclose(j_cls, j_ref, atol=1e-10, rtol=0)
         assert np.allclose(k_cls, k_ref, atol=1e-10, rtol=0)
 
+    @given(st.integers(0, 1000))
+    @settings(max_examples=6, deadline=None)
+    def test_six_blocks_match_scatter_quartet_oracle(self, seed):
+        """Canonical and orbit-scrambled tuples, incl. pure-d shells."""
+        rng = np.random.default_rng(seed)
+        basis = rand_basis(rng, nshells=5)
+        d = rand_density(rng, basis.nbf)
+        engine = MDEngine(basis)
+        canonical = list(iter_canonical_quartets(engine.schwarz(), 0.0))
+        scrambled = [
+            tuple(q[i] for i in EIGHT_PERMUTATIONS[rng.integers(0, 8)])
+            for q in canonical
+        ]
+        j_ref, k_ref = oracle_jk(MDEngine(basis, class_batched=False), d,
+                                 canonical)
+        for quartets in (canonical, scrambled):
+            j, k = jk_for_quartets(engine, d, quartets)
+            assert np.allclose(j, j_ref, atol=1e-10, rtol=0)
+            assert np.allclose(k, k_ref, atol=1e-10, rtol=0)
+
+    def test_asymmetric_density_rejected(self, water_basis):
+        engine = MDEngine(water_basis)
+        d = rand_density(np.random.default_rng(3), water_basis.nbf)
+        d[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            jk_from_plan(engine, d, engine.class_plan(1e-11))
+
+    def test_stacked_densities_match_per_density_calls(self, water_basis):
+        rng = np.random.default_rng(19)
+        dens = np.stack([rand_density(rng, water_basis.nbf) for _ in range(3)])
+        for engine in (MDEngine(water_basis),
+                       MDEngine(water_basis, class_batched=False)):
+            j, k = build_jk(engine, dens)
+            assert j.shape == k.shape == dens.shape
+            for ji, ki, d in zip(j, k, dens):
+                j1, k1 = build_jk(engine, d)
+                assert j1.shape == d.shape
+                assert np.allclose(ji, j1, atol=1e-12, rtol=0)
+                assert np.allclose(ki, k1, atol=1e-12, rtol=0)
+
     def test_class_rows_match_engine_quartets(self):
         """compute_class_rows blocks == the per-quartet batched kernel."""
         basis = BasisSet.build(water(), "6-31g")
@@ -115,7 +186,15 @@ class TestClassJKAgreement:
 
 
 class TestDistinctPerms:
-    """Pattern-uniform permutation lists behind the batched scatter."""
+    """The distinct-image oracle and the orbit weights that replace it."""
+
+    @given(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_weight_counts_distinct_images(self, vals):
+        # tuples in arbitrary (non-canonical) order
+        assert 8 * orbit_weights(np.array([vals]))[0] == len(
+            distinct_perms(tuple(vals))
+        )
 
     @given(st.lists(st.integers(0, 3), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)
@@ -148,6 +227,29 @@ class TestThreadedContraction:
         j4, k4 = jk_from_plan(engine, d, plan, threads=4)
         assert np.allclose(j1, j4, atol=1e-12, rtol=0)
         assert np.allclose(k1, k4, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_small_stage_budget_matches_unbounded(self, monkeypatch, threads):
+        """Several flushes per shape, flush edges inside a kernel class."""
+        basis = BasisSet.build(water(), "6-31g")
+        d = rand_density(np.random.default_rng(17), basis.nbf)
+        engine = MDEngine(basis)
+        plan = engine.class_plan(1e-11)
+        j_ref, k_ref = jk_from_plan(engine, d, plan)
+        one_per_shape = len(plan.flushes())
+        assert one_per_shape == len({b.dims for b in plan.batches})
+        # tiny sweeps -> several kernel chunks per class; a stage budget
+        # of a sixth of the largest shape -> flushes end mid-class
+        monkeypatch.setattr(class_batch, "MAX_R_WORK", 2_000)
+        monkeypatch.setattr(class_batch, "MAX_STAGE_WORK", 100)
+        flushes = plan.flushes()
+        assert len(flushes) >= 2 * one_per_shape
+        assert any(f[0][1] > 0 or f[-1][2] < f[-1][0].nq for f in flushes)
+        assert sorted((id(b), lo, hi) for f in flushes for b, lo, hi in f) \
+            == sorted((id(b), lo, hi) for b, lo, hi in plan.chunks())
+        j, k = jk_from_plan(engine, d, plan, threads=threads)
+        assert np.allclose(j, j_ref, atol=1e-12, rtol=0)
+        assert np.allclose(k, k_ref, atol=1e-12, rtol=0)
 
     def test_build_jk_threads_kwarg(self):
         basis = BasisSet.build(water(), "sto-3g")
@@ -228,7 +330,8 @@ class TestJKForQuartets:
 
 
 class TestProfilerAttribution:
-    """Spans land per class chunk, not per quartet -- serial and threaded."""
+    """``eri_quartets`` lands per kernel chunk, ``jk_contraction`` per
+    flush -- never per quartet -- serial and threaded."""
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_eri_and_jk_phases_recorded_per_chunk(self, threads):
@@ -237,16 +340,15 @@ class TestProfilerAttribution:
         d = rand_density(rng, basis.nbf)
         engine = MDEngine(basis)
         plan = engine.class_plan(1e-11)
-        nchunks = len(plan.chunks())
         prof = PhaseProfiler()
         set_profiler(prof)
         try:
             jk_from_plan(engine, d, plan, threads=threads)
         finally:
             set_profiler(None)
-        assert prof.stats[PHASE_ERI].calls == nchunks
-        assert prof.stats[PHASE_JK].calls == nchunks
-        assert prof.stats[PHASE_ERI].calls < plan.nquartets
+        assert prof.stats[PHASE_ERI].calls == len(plan.chunks())
+        assert prof.stats[PHASE_JK].calls == len(plan.flushes())
+        assert len(plan.flushes()) <= len(plan.chunks()) < plan.nquartets
         assert prof.stats[PHASE_ERI].wall_s > 0.0
         assert prof.stats[PHASE_JK].wall_s > 0.0
 
@@ -298,17 +400,29 @@ class TestCacheIntegration:
 
 
 class TestClassPlanStructure:
-    def test_pattern_subgroups_are_uniform(self, water_basis):
-        engine = MDEngine(water_basis)
-        plan = engine.class_plan(1e-11)
+    def test_orbit_weights_match_distinct_images(self, water_basis):
+        plan = MDEngine(water_basis).class_plan(1e-11)
         for batch in plan.batches:
-            covered = 0
-            for lo, hi, perms in batch.subgroups:
-                assert hi > lo
-                covered += hi - lo
-                for row in batch.quartets[lo:hi]:
-                    assert distinct_perms(tuple(int(v) for v in row)) == perms
-            assert covered == batch.nq
+            assert batch.weights.shape == (batch.nq,)
+            assert batch.pair_bases.shape == (6, batch.nq)
+            for row, w in zip(batch.quartets, batch.weights):
+                assert 8 * w == len(distinct_perms(tuple(int(v) for v in row)))
+
+    @given(st.integers(0, 1000))
+    @settings(max_examples=25, deadline=None)
+    def test_vectorised_enumeration_matches_generator(self, seed):
+        rng = np.random.default_rng(seed)
+        ns = int(rng.integers(1, 9))
+        sigma = rng.uniform(0.0, 1.0, (ns, ns)) ** 4
+        sigma = np.maximum(sigma, sigma.T)
+        dead = rng.integers(0, ns, size=int(rng.integers(0, 3)))
+        sigma[dead, :] = 0.0  # zero rows: shells screened out entirely
+        sigma[:, dead] = 0.0
+        tau = float(rng.choice([0.0, 1e-3, 0.05, 2.0]))
+        expected = list(iter_canonical_quartets(sigma, tau))
+        got = canonical_quartet_array(sigma, tau)
+        assert got.shape == (len(expected), 4)
+        assert [tuple(row) for row in got.tolist()] == expected
 
     def test_throwaway_pair_cache(self, water_basis):
         quartets = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)]

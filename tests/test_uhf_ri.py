@@ -65,6 +65,34 @@ class TestUHF:
         with pytest.raises(ValueError):
             UHF(h2(0.7), multiplicity=2)  # 2 electrons cannot be a doublet
 
+    @pytest.mark.parametrize(
+        "mol, kw, sweeps",
+        [(h2(0.7414), {}, 3), (h2(2.5), {"guess_mix": 0.4}, 3),
+         (h_atom(), {}, 2)],
+        ids=["h2", "h2-broken-symmetry", "h-atom-no-beta"],
+    )
+    def test_one_integral_pass_per_iteration(self, mol, kw, sweeps):
+        """Both spins from one stacked build: 3x fewer quartets than the
+        J(Da+Db), K(Da), K(Db) sweeps (2x with no beta electrons)."""
+
+        class ThreeSweepUHF(UHF):
+            def _fock_pair(self, h, d_a, d_b):
+                j_tot, _ = build_jk(self.engine, d_a + d_b, self.tau)
+                _, k_a = build_jk(self.engine, d_a, self.tau)
+                if self.n_beta == 0:
+                    return h + j_tot - k_a, h + j_tot
+                _, k_b = build_jk(self.engine, d_b, self.tau)
+                return h + j_tot - k_a, h + j_tot - k_b
+
+        new, old = UHF(mol, **kw), ThreeSweepUHF(mol, **kw)
+        res, ref = new.run(), old.run()
+        assert abs(res.energy - ref.energy) <= 1e-10
+        # iteration counts may differ by rounding noise at convergence
+        per_iteration = new.engine.class_plan(new.tau).nquartets
+        assert new.engine.quartets_computed == res.iterations * per_iteration
+        assert old.engine.quartets_computed == \
+            sweeps * ref.iterations * per_iteration
+
     def test_triplet_h2_above_singlet_at_equilibrium(self):
         e_singlet = UHF(h2(0.7414), multiplicity=1).run().energy
         e_triplet = UHF(h2(0.7414), multiplicity=3).run().energy
