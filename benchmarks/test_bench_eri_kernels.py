@@ -20,9 +20,22 @@ the class-batched and stored paths only (the seed kernel is impractical
 at that size); numerics are spot-checked on a sampled quartet subset
 against the PR-2 batched kernel.
 
+Both measurements also time the layers under the class-batched build
+(``kernel_floor``): ``boys_ns_per_eval`` (per argument of one
+``boys_array(4, .)`` sweep -- F_0..F_4 -- over 200 k arguments, 60 % of
+them past the asymptotic switch like the water-cluster workloads), ``oneelec_s`` (S + H^core), ``schwarz_s``, and
+the class-batched build on a warm engine (plan memoized: what every
+direct-SCF iteration after the first pays) at 1 and 2 ``jk_threads``.
+The threaded pair is measure-only: the sweep is NumPy passes over one chunk at a time, so
+two threads on a two-core host share memory bandwidth and trade the
+GIL between passes -- 1.05-1.3x is the ceiling seen here (docs/
+PERFORMANCE.md, "Kernel hot path"); it is recorded, never graded.
+
 Each full run appends one datapoint per benchmark to ``BENCH_eri.json``
 at the repo root -- the perf trajectory future PRs extend and compare
-against.
+against.  The script only drives public entry points, so running it
+with ``PYTHONPATH`` on a parent checkout's ``src`` appends that
+commit's datapoint to this checkout's history.
 
 Run as a pytest benchmark (``pytest benchmarks/test_bench_eri_kernels.py``)
 or as a script; ``--quick`` runs a small STO-3G smoke variant covering
@@ -43,8 +56,10 @@ from repro.bench.harness import format_table
 from repro.bench.record import append_history as _append_history
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import benzene, water
+from repro.integrals.boys import boys_array
 from repro.integrals.class_batch import compute_class_rows
 from repro.integrals.engine import MDEngine
+from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.obs.profile import PHASE_JK, profiling
 from repro.scf.fock import build_jk
 
@@ -57,6 +72,16 @@ FULL_SPEEDUP_FLOOR = 2.0
 #: minimum acceptable class-batched-over-seed speedup in the full benchmark
 #: (the PR-7 issue targets >= 10x on water/6-31G)
 CLASS_SPEEDUP_FLOOR = 10.0
+
+
+#: report rows of :func:`kernel_floor`
+FLOOR_ROWS = (
+    ("class-batched, warm plan, 1 thread", "t_class_threads1_s"),
+    ("class-batched, warm plan, 2 threads", "t_class_threads2_s"),
+    ("S + Hcore", "oneelec_s"),
+    ("Schwarz", "schwarz_s"),
+    ("boys_array(4, .) [ns/argument]", "boys_ns_per_eval"),
+)
 
 
 def _timed_build(engine, density, tau=1e-11):
@@ -80,6 +105,40 @@ def _stored_iter2(basis, density, store_dir):
         t_iter2, j, k = _timed_build(engine, density)
     recomputed = engine.quartets_computed - computed0
     return t_iter2, prof.stats[PHASE_JK].wall_s, recomputed, j, k
+
+
+def _best(fn, repeats: int = 3) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def kernel_floor(basis, density) -> dict:
+    """The layers under a class-batched build, best of 3 each."""
+    rng = np.random.default_rng(29)
+    xs = np.where(
+        rng.random(200_000) < 0.4,
+        rng.uniform(0.0, 35.0, 200_000), rng.uniform(35.0, 4000.0, 200_000),
+    )
+
+    warm = MDEngine(basis)
+    build_jk(warm, density)  # Schwarz, pair data and the class plan
+
+    def threaded(threads):
+        return _best(lambda: build_jk(warm, density, threads=threads))
+
+    return {
+        "boys_ns_per_eval": round(
+            1e9 * _best(lambda: boys_array(4, xs)) / xs.size, 2),
+        "oneelec_s": round(
+            _best(lambda: (overlap(basis), core_hamiltonian(basis))), 4),
+        "schwarz_s": round(_best(lambda: MDEngine(basis).schwarz()), 4),
+        "t_class_threads1_s": round(threaded(1), 4),
+        "t_class_threads2_s": round(threaded(2), 4),
+    }
 
 
 def run_eri_kernel_bench(basis_name: str = "6-31g") -> dict:
@@ -143,6 +202,7 @@ def run_eri_kernel_bench(basis_name: str = "6-31g") -> dict:
         "jk_contract_s": round(t_jk, 4),
         "store_iter2_recomputed": recomputed,
         "stored_max_abs_diff": stored_diff,
+        **kernel_floor(basis, d),
     }
 
 
@@ -198,6 +258,7 @@ def run_eri_large_bench(basis_name: str = "6-31g", nsample: int = 64) -> dict:
         "jk_contract_s": round(t_jk, 4),
         "store_iter2_recomputed": recomputed,
         "sample_max_abs_diff": sample_diff,
+        **kernel_floor(basis, d),
     }
 
 
@@ -221,6 +282,7 @@ def render_report(result: dict) -> str:
         ["stored iter 2", result["stored_iter2_s"],
          round(result["t_seed_s"] / max(result["stored_iter2_s"], 1e-12), 2)],
         ["  of which J/K contraction", result["jk_contract_s"], ""],
+        *([label, result[key], ""] for label, key in FLOOR_ROWS),
     ]
     table = format_table(
         ["kernel", "time [s]", "speedup"],
@@ -241,6 +303,7 @@ def render_large_report(result: dict) -> str:
         ["class-batched", result["t_class_s"]],
         ["stored iter 2", result["stored_iter2_s"]],
         ["  of which J/K contraction", result["jk_contract_s"]],
+        *([label, result[key]] for label, key in FLOOR_ROWS),
     ]
     return format_table(
         ["kernel", "time [s]"],

@@ -23,6 +23,14 @@ import pathlib
 
 from repro.obs.manifest import utc_now_iso
 
+#: the layers under the class-batched build (tabulated Boys, S + Hcore,
+#: Schwarz, the warm-plan build at 1 and 2 jk_threads)
+_KERNEL_FLOOR = dict.fromkeys(
+    ("boys_ns_per_eval", "oneelec_s", "schwarz_s",
+     "t_class_threads1_s", "t_class_threads2_s"),
+    float,
+)
+
 #: required keys and types per benchmark family.  ``float`` accepts any
 #: non-bool number; benchmarks not listed here only need a ``benchmark``
 #: name (new families can start recording before they grow a schema).
@@ -45,6 +53,7 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "store_iter2_recomputed": float,
         # profiler jk_contraction wall of the stored iteration-2 build
         "jk_contract_s": float,
+        **_KERNEL_FLOOR,
     },
     # larger systems where timing the seed kernel is impractical: the
     # class-batched path is the only timed kernel, and numerics are
@@ -57,6 +66,7 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "stored_iter2_s": float,
         "jk_contract_s": float,
         "sample_max_abs_diff": float,
+        **_KERNEL_FLOOR,
     },
     "fock_table3": {
         "wall_s": float,

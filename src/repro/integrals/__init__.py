@@ -36,7 +36,6 @@ from repro.integrals.oneelec import (
     overlap,
 )
 from repro.integrals.schwarz import (
-    pair_bound,
     schwarz_matrix,
     schwarz_model,
     screening_stats,
@@ -79,7 +78,6 @@ __all__ = [
     "kinetic",
     "nuclear_attraction",
     "overlap",
-    "pair_bound",
     "schwarz_matrix",
     "schwarz_model",
     "screening_stats",

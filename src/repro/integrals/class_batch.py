@@ -1,10 +1,9 @@
 """Cross-quartet, class-batched ERI evaluation and J/K contraction.
 
-PR 2's batched kernel removed the per-*primitive* Python loop but still
-walks shell quartets one at a time: ``build_jk`` pays interpreter and
-einsum-dispatch overhead per quartet, exactly the loop structure the
-MPI/OpenMP Xeon Phi HF restructure (arxiv 1708.00033) targets.  This
-module restructures the loop the same way:
+The per-quartet kernels pay interpreter and dispatch overhead per shell
+quartet -- exactly the loop structure the MPI/OpenMP Xeon Phi HF
+restructure (arxiv 1708.00033) targets.  This module restructures the
+loop the same way:
 
 * **Class plan** (:func:`build_class_plan`): Schwarz-surviving canonical
   quartets are grouped by angular-momentum class -- the tuple
@@ -13,11 +12,12 @@ module restructures the loop the same way:
   :class:`~repro.integrals.pairdata.PairData` records into contiguous
   tensors once, and records per-quartet slots into those stacks.
 * **Class-batched kernel** (one sweep per chunk): a single
-  ``boys_array``/:func:`~repro.integrals.hermite.r_tensor_batch` call
-  over *all* primitive quartets of up to thousands of shell quartets,
-  followed by one 4-operand einsum with a leading quartet axis --
-  replacing thousands of per-quartet kernel calls with a handful of
-  large contractions.
+  :func:`~repro.integrals.pairdata.md_sweep` -- one tabulated
+  ``boys_array`` and one compact
+  :func:`~repro.integrals.hermite.r_tensor_batch` recursion over *all*
+  primitive quartets of up to thousands of shell quartets, then two
+  batched matmuls with a leading quartet axis -- replacing thousands of
+  per-quartet kernel calls with a handful of large contractions.
 * **Six-block contraction** (:func:`_contract_blocks`): every resolved
   chunk is staged with the other chunks of its *block shape* (``dims``
   -- all the contraction's array shapes depend on; the kernel's class
@@ -36,6 +36,7 @@ pins <= 1e-12 on J/K vs the seed kernel).
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -45,20 +46,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.basis.shells import (
-    cartesian_components,
-    component_scale,
-    ncart,
-    nsph,
-)
-from repro.integrals.hermite import r_tensor_batch
+from repro.chem.basis.shells import ncart, nsph
 from repro.integrals.pairdata import (
-    _TWO_PI_52,
     ShellPairData,
     StackedPairs,
+    SweepOperands,
+    md_sweep,
     stack_pairs,
 )
-from repro.integrals.spherical import transform_matrix
 from repro.util.validation import check_symmetric
 
 #: The 8 axis permutations of an (ab|cd) block under Eq (4)'s
@@ -75,16 +70,18 @@ EIGHT_PERMUTATIONS: tuple[tuple[int, int, int, int], ...] = (
     (3, 2, 1, 0),
 )
 
-#: budget (float64 elements) for the Hermite r-recursion working set of
-#: one sweep; bounds peak memory and keeps chunks cache-friendly
-MAX_R_WORK = 1 << 22
+#: budget (float64 elements) for the compact Hermite recursion rows of
+#: one sweep (2 MiB).  A bound on peak memory -- every other temporary of
+#: a sweep scales with it -- not a speed knob: the sweep time is flat from
+#: 2^17 to 2^22 (docs/PERFORMANCE.md, "Kernel hot path")
+MAX_R_WORK = 1 << 18
 
 #: hard cap on shell quartets per chunk (index/scatter array sizes)
 MAX_CHUNK_QUARTETS = 8192
 
 #: budget (float64 elements) of resolved integral blocks staged for one
 #: contraction flush; a flush's temporaries are about twice its blocks
-MAX_STAGE_WORK = MAX_R_WORK // 8
+MAX_STAGE_WORK = 1 << 19
 
 #: block-axis pairs of the six Fock blocks a quartet (ab|cd) touches,
 #: as (rows, columns) of the three matrix views J(ab|cd), K(ac|bd), K(ad|bc)
@@ -169,13 +166,8 @@ class ClassBatch:
     pair_bases: np.ndarray
     #: estimated primitive-quartet work (thread balancing / chunking)
     cost: float
-    # -- precomputed kernel constants ------------------------------------
-    TT: np.ndarray = field(repr=False, default=None)
-    UU: np.ndarray = field(repr=False, default=None)
-    VV: np.ndarray = field(repr=False, default=None)
-    ket_sign: np.ndarray = field(repr=False, default=None)
-    scales: tuple = field(repr=False, default=None)
-    transforms: tuple = field(repr=False, default=None)
+    #: precomputed kernel constants of the (bra, ket) stacks
+    ops: SweepOperands = field(repr=False, default=None)
     #: memoized store resolution: (store generation, offsets, positions)
     _store_res: tuple = field(repr=False, default=None, compare=False)
 
@@ -190,7 +182,8 @@ class ClassBatch:
 
     def chunk_rows(self) -> int:
         """Quartets per sweep under the :data:`MAX_R_WORK` budget."""
-        per_q = self.bra.npp * self.ket.npp * (self.lmax + 1) ** 4
+        # the compact recursion holds C(L+4, 4) vectors per primitive quartet
+        per_q = self.bra.npp * self.ket.npp * math.comb(self.lmax + 4, 4)
         return int(max(1, min(MAX_CHUNK_QUARTETS, MAX_R_WORK // max(per_q, 1))))
 
 
@@ -253,29 +246,17 @@ def _build_batch(
     nq = qarr.shape[0]
     bra_slots, bra_pairs = _slot_pairs(qarr[:, :2], basis.nshells)
     ket_slots, ket_pairs = _slot_pairs(qarr[:, 2:], basis.nshells)
-    bra = stack_pairs(pair_cache, bra_pairs)
-    ket = stack_pairs(pair_cache, ket_pairs)
+    bra = stack_pairs([pair_cache.get(i, j) for i, j in bra_pairs])
+    ket = stack_pairs([pair_cache.get(i, j) for i, j in ket_pairs])
 
     lmax = sum(lkey)
     dims = tuple(nsph(l) if pu else ncart(l) for l, pu in zip(lkey, pure))
-    TT = bra.tt[:, None] + ket.tt[None, :]
-    UU = bra.uu[:, None] + ket.uu[None, :]
-    VV = bra.vv[:, None] + ket.vv[None, :]
-    ket_sign = (-1.0) ** (ket.tt + ket.uu + ket.vv)
-    scales = tuple(
-        np.array([component_scale(*c) for c in cartesian_components(l)])
-        for l in lkey
-    )
-    transforms = tuple(
-        transform_matrix(l) if pu else None for l, pu in zip(lkey, pure)
-    )
     cost = float(nq) * bra.npp * ket.npp * (lmax + 1) ** 4
     return ClassBatch(
         lkey=lkey, pure=pure, dims=dims, lmax=lmax,
         quartets=qarr, bra_slots=bra_slots, ket_slots=ket_slots,
         bra=bra, ket=ket, weights=weights, pair_bases=pair_bases, cost=cost,
-        TT=TT, UU=UU, VV=VV, ket_sign=ket_sign,
-        scales=scales, transforms=transforms,
+        ops=SweepOperands.build(bra, ket, pure),
     )
 
 
@@ -342,63 +323,13 @@ def compute_class_rows(batch: ClassBatch, rows) -> np.ndarray:
     """ERI blocks for ``rows`` of a class in one primitive sweep.
 
     Returns the stacked, finalized blocks of shape ``(nrows, *dims)``:
-    one ``boys_array``/``r_tensor_batch`` evaluation and one einsum over
-    every primitive quartet of every selected shell quartet.
+    one :func:`~repro.integrals.pairdata.md_sweep` over every primitive
+    quartet of every selected shell quartet.
     """
-    bra, ket = batch.bra, batch.ket
-    bs = batch.bra_slots[rows]
-    ks = batch.ket_slots[rows]
-    cb, pb, Pb, Eb = bra.coef[bs], bra.p[bs], bra.P[bs], bra.E[bs]
-    ck, pk, Pk, Ek = ket.coef[ks], ket.p[ks], ket.P[ks], ket.E[ks]
-    nq, nb = pb.shape
-    nk = pk.shape[1]
-
-    pbx = pb[:, :, None]
-    qkx = pk[:, None, :]
-    psum = pbx + qkx
-    alpha = pbx * qkx / psum
-    pq_vec = Pb[:, :, None, :] - Pk[:, None, :, :]
-    r = r_tensor_batch(batch.lmax, alpha.ravel(), pq_vec.reshape(-1, 3))
-    hb, hk = batch.TT.shape
-    rmat = (
-        (r[:, batch.TT, batch.UU, batch.VV] * batch.ket_sign[None, None, :])
-        .reshape(nq, nb, nk, hb, hk)
-    )
-    pref = (
-        cb[:, :, None] * ck[:, None, :] * _TWO_PI_52
-        / (pbx * qkx * np.sqrt(psum))
-    )
-    # the 4-operand contraction sum_{x,y,i,j} Eb R Ek pref as two batched
-    # matmuls (BLAS; no per-call einsum path search): fold pref into R,
-    # then (ab, xi) @ (xi, yj) @ (yj, cd)
-    rp = rmat * pref[:, :, :, None, None]
-    na, nb_c = Eb.shape[2], Eb.shape[3]
-    nc, nd = Ek.shape[2], Ek.shape[3]
-    ebm = Eb.transpose(0, 2, 3, 1, 4).reshape(nq, na * nb_c, nb * hb)
-    rpm = rp.transpose(0, 1, 3, 2, 4).reshape(nq, nb * hb, nk * hk)
-    ekm = Ek.transpose(0, 1, 4, 2, 3).reshape(nq, nk * hk, nc * nd)
-    out = np.matmul(np.matmul(ebm, rpm), ekm).reshape(nq, na, nb_c, nc, nd)
-    return _finalize_class(out, batch)
-
-
-def _finalize_class(out: np.ndarray, batch: ClassBatch) -> np.ndarray:
-    """Batched component normalization + spherical transform.
-
-    The stacked equivalent of
-    :func:`repro.integrals.eri_md.finalize_quartet`: scales broadcast
-    over the leading quartet axis; each pure axis is contracted with the
-    shared solid-harmonic matrix of its angular momentum.
-    """
-    for axis, scale in enumerate(batch.scales):
-        shape = [1, 1, 1, 1, 1]
-        shape[axis + 1] = scale.size
-        out *= scale.reshape(shape)
-    for axis, t in enumerate(batch.transforms):
-        if t is None:
-            continue
-        out = np.tensordot(out, t, axes=([axis + 1], [1]))
-        out = np.moveaxis(out, -1, axis + 1)
-    return np.ascontiguousarray(out)
+    return md_sweep(
+        batch.ops, batch.bra, batch.ket,
+        batch.bra_slots[rows], batch.ket_slots[rows],
+    ).reshape((-1,) + batch.dims)
 
 
 # ---------------------------------------------------------------------------

@@ -427,9 +427,8 @@ class MDEngine(ERIEngine):
             self.quartet_cache.clear()
 
     def _build_schwarz(self) -> np.ndarray:
-        if self.model_schwarz:
-            return schwarz_model(self.basis)
-        return schwarz_matrix(self.basis)
+        build = schwarz_model if self.model_schwarz else schwarz_matrix
+        return build(self.basis, self.pair_cache)
 
 
 class OSEngine(ERIEngine):

@@ -14,6 +14,7 @@ contraction of these two objects.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,6 +86,14 @@ def hermite_index(lmax: int) -> list[tuple[int, int, int]]:
     return idx
 
 
+@functools.lru_cache(maxsize=None)
+def hermite_lookup(lmax: int) -> np.ndarray:
+    """``lookup[t, u, v]``: position of (t, u, v) in ``hermite_index(lmax)``."""
+    lookup = np.full((lmax + 1,) * 3, -1, dtype=np.intp)
+    lookup[tuple(zip(*hermite_index(lmax)))] = np.arange(len(hermite_index(lmax)))
+    return lookup
+
+
 def r_tensor(lmax: int, p: float, pq: np.ndarray) -> np.ndarray:
     """Hermite Coulomb integrals ``R_{tuv}`` with t+u+v <= lmax.
 
@@ -105,15 +114,12 @@ def r_tensor(lmax: int, p: float, pq: np.ndarray) -> np.ndarray:
     x, y, z = (float(c) for c in pq)
     r2 = x * x + y * y + z * z
     fm = boys(lmax, p * r2)
-    # R^{(n)}_{000} = (-2p)^n F_n
-    rn = np.empty((lmax + 1, lmax + 1, lmax + 1, lmax + 1))
-    # layer n stored at rn[n]; fill by downward n so recursion only reads n+1
+    # layer n stored at rn[n], seeded with R^{(n)}_{000} = (-2p)^n F_n
+    rn = np.zeros((lmax + 1, lmax + 1, lmax + 1, lmax + 1))
     scale = 1.0
-    base = np.zeros((lmax + 1, lmax + 1, lmax + 1, lmax + 1))
     for n in range(lmax + 1):
-        base[n, 0, 0, 0] = scale * fm[n]
+        rn[n, 0, 0, 0] = scale * fm[n]
         scale *= -2.0 * p
-    rn = base
     for total in range(1, lmax + 1):
         for n in range(lmax - total, -1, -1):
             for t in range(total + 1):
@@ -135,57 +141,70 @@ def r_tensor(lmax: int, p: float, pq: np.ndarray) -> np.ndarray:
     return rn[0]
 
 
-def r_tensor_batch(lmax: int, ps: np.ndarray, pqs: np.ndarray) -> np.ndarray:
-    """Hermite Coulomb integrals for a whole batch of composite centers.
+@functools.lru_cache(maxsize=None)
+def _compact_recursion(lmax: int) -> tuple[int, tuple[int, ...], tuple]:
+    """Row layout and step list of :func:`r_tensor_batch`.
 
-    The batched equivalent of :func:`r_tensor`: one Boys-function sweep
-    over every argument (``boys_array``), then the same upward recursion
-    with each (n, t, u, v) entry holding a length-``nq`` vector.  The
-    recursion loop count is independent of the batch size, so the Python
-    overhead is amortized over all primitive quartets of a shell quartet.
-
-    Parameters
-    ----------
-    lmax:
-        Maximum total Hermite order (shared by the batch).
-    ps:
-        Composite exponents, shape (nq,).
-    pqs:
-        Composite-center difference vectors, shape (nq, 3).
-
-    Returns
-    -------
-    R of shape (nq, lmax+1, lmax+1, lmax+1); entries with t+u+v > lmax
-    are 0.
+    Only the auxiliaries ``R^{(n)}_{tuv}`` with ``n + t + u + v <= lmax``
+    are ever read, so only they get a row: the ``n = 0`` entries first,
+    in :func:`hermite_index` order (the result), then ``n = 1, 2, ..``.
+    Returns the result's row count, the rows of the seeds ``R^{(n)}_{000}``
+    and, in dependency order, one ``(dst, axis, src, k, src2)`` per other
+    entry: ``R[dst] = PQ[axis] * R[src] + k * R[src2]``.
     """
-    ps = np.asarray(ps, dtype=float).ravel()
-    pqs = np.asarray(pqs, dtype=float).reshape(-1, 3)
-    nq = ps.size
-    x, y, z = pqs[:, 0], pqs[:, 1], pqs[:, 2]
-    r2 = x * x + y * y + z * z
-    fm = boys_array(lmax, ps * r2)  # (nq, lmax+1)
-    # batch axis last so each recursion entry is one contiguous vector
-    rn = np.zeros((lmax + 1, lmax + 1, lmax + 1, lmax + 1, nq))
-    scale = np.ones(nq)
-    for n in range(lmax + 1):
-        rn[n, 0, 0, 0] = scale * fm[:, n]
-        scale = scale * (-2.0 * ps)
+    keys = [
+        (n, *tuv) for n in range(lmax + 1) for tuv in hermite_index(lmax - n)
+    ]
+    row = {key: i for i, key in enumerate(keys)}
+    steps = []
     for total in range(1, lmax + 1):
         for n in range(lmax - total, -1, -1):
-            for t in range(total + 1):
-                for u in range(total - t + 1):
-                    v = total - t - u
-                    if t > 0:
-                        val = x * rn[n + 1, t - 1, u, v]
-                        if t > 1:
-                            val = val + (t - 1) * rn[n + 1, t - 2, u, v]
-                    elif u > 0:
-                        val = y * rn[n + 1, t, u - 1, v]
-                        if u > 1:
-                            val = val + (u - 1) * rn[n + 1, t, u - 2, v]
-                    else:
-                        val = z * rn[n + 1, t, u, v - 1]
-                        if v > 1:
-                            val = val + (v - 1) * rn[n + 1, t, u, v - 2]
-                    rn[n, t, u, v] = val
-    return np.moveaxis(rn[0], -1, 0)
+            for tuv in hermite_index(total):
+                if sum(tuv) != total:
+                    continue
+                axis = next(i for i in range(3) if tuv[i])
+                low = list(tuv)
+                low[axis] -= 1
+                src = row[(n + 1, *low)]
+                k = low[axis]
+                low[axis] -= 1
+                src2 = row[(n + 1, *low)] if k else src
+                steps.append((row[(n, *tuv)], axis, src, k, src2))
+    seeds = (row[(n, 0, 0, 0)] for n in range(lmax + 1))
+    return len(hermite_index(lmax)), tuple(seeds), tuple(steps)
+
+
+def r_tensor_batch(
+    lmax: int, ps: np.ndarray, pqs: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Hermite Coulomb integrals for a whole batch of composite centers.
+
+    The batched equivalent of :func:`r_tensor` for composite exponents
+    ``ps`` (nq,) and center differences ``pqs`` (nq, 3): one ``boys_array``
+    sweep, then the same upward recursion with each entry one contiguous
+    length-``nq`` vector -- over the compact set of auxiliaries only (70
+    rows instead of 5^4 at lmax = 4).  The loop count is independent of
+    the batch size, so the Python overhead is amortized over the sweep.
+
+    R is linear in the Boys values, so the per-center ``weights`` (nq,)
+    scale the seeds ``R^{(n)}_{000}`` and with them every entry: callers
+    fold their primitive prefactors in here.  Returns ``weights *
+    R_{tuv}``, shape ``(nherm, nq)``, rows in ``hermite_index(lmax)`` order.
+    """
+    ps = np.asarray(ps, dtype=float).ravel()
+    xyz = np.ascontiguousarray(np.asarray(pqs, dtype=float).reshape(-1, 3).T)
+    x, y, z = xyz
+    fm = boys_array(lmax, ps * (x * x + y * y + z * z)).T  # (lmax+1, nq)
+    nherm, seeds, steps = _compact_recursion(lmax)
+    rn = np.empty((len(seeds) + len(steps), ps.size))
+    scale = weights
+    for n, dst in enumerate(seeds):  # R^{(n)}_{000} = (-2p)^n F_n
+        np.multiply(scale, fm[n], out=rn[dst])
+        if n < lmax:
+            scale = scale * (-2.0 * ps)
+    tmp = np.empty(ps.size)
+    for dst, axis, src, k, src2 in steps:
+        val = np.multiply(xyz[axis], rn[src], out=rn[dst])
+        if k:
+            val += np.multiply(rn[src2], k, out=tmp)
+    return rn[:nherm]

@@ -11,77 +11,36 @@ where ``X_P`` is the Gaussian product center coordinate.  Used by
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.basis.shells import Shell, cartesian_components, component_scale
-from repro.integrals.hermite import e_coefficients
-from repro.integrals.spherical import apply_transforms
-
-
-def dipole_block(
-    sh_a: Shell, sh_b: Shell, origin: np.ndarray
-) -> list[np.ndarray]:
-    """The three dipole blocks ``<a| (r - origin)_k |b>`` for one shell pair."""
-    comps_a = cartesian_components(sh_a.l)
-    comps_b = cartesian_components(sh_b.l)
-    origin = np.asarray(origin, dtype=float).reshape(3)
-    blocks = [np.zeros((len(comps_a), len(comps_b))) for _ in range(3)]
-    la, lb = sh_a.l, sh_b.l
-    A, B = sh_a.center, sh_b.center
-    for a, ca in zip(sh_a.exps, sh_a.norm_coefs):
-        for b, cb in zip(sh_b.exps, sh_b.norm_coefs):
-            p = a + b
-            P = (a * A + b * B) / p
-            pref = ca * cb * (math.pi / p) ** 1.5
-            # E arrays per direction with one extra Hermite order available
-            es = [
-                e_coefficients(la, lb, a, b, float(A[d] - B[d])) for d in range(3)
-            ]
-            for ia, ca_idx in enumerate(comps_a):
-                for ib, cb_idx in enumerate(comps_b):
-                    s1d = [
-                        es[d][ca_idx[d], cb_idx[d], 0] for d in range(3)
-                    ]
-                    for k in range(3):
-                        i, j = ca_idx[k], cb_idx[k]
-                        e1 = es[k][i, j, 1] if 1 <= i + j else 0.0
-                        m1d = e1 + (P[k] - origin[k]) * es[k][i, j, 0]
-                        others = 1.0
-                        for d in range(3):
-                            if d != k:
-                                others *= s1d[d]
-                        blocks[k][ia, ib] += pref * m1d * others
-    sa = np.array([component_scale(*c) for c in comps_a])
-    sb = np.array([component_scale(*c) for c in comps_b])
-    out = []
-    for k in range(3):
-        blocks[k] *= sa[:, None] * sb[None, :]
-        out.append(apply_transforms(blocks[k], (sh_a, sh_b)))
-    return out
+from repro.integrals.hermite import hermite_index
+from repro.integrals.oneelec import assemble_pair_classes, overlap_prefactor
 
 
 def dipole_integrals(
     basis: BasisSet, origin: np.ndarray | None = None
 ) -> np.ndarray:
-    """Dipole integral matrices, shape (3, nbf, nbf).
+    """Dipole integral matrices ``<a| (r - origin)_k |b>``, shape (3, nbf, nbf).
 
     ``origin`` defaults to the coordinate origin; molecular dipole
-    moments of neutral molecules are origin-independent.
+    moments of neutral molecules are origin-independent.  Evaluated per
+    shell-pair class from the stacked Hermite ``E`` tensors: the 3-D
+    coefficient at the unit Hermite index along k is ``E_1`` along k
+    times ``E_0`` along the other two directions.
     """
-    if origin is None:
-        origin = np.zeros(3)
-    n = basis.nbf
-    out = np.zeros((3, n, n))
-    for i in range(basis.nshells):
-        si = basis.shell_slice(i)
-        for j in range(i + 1):
-            sj = basis.shell_slice(j)
-            blocks = dipole_block(basis.shells[i], basis.shells[j], origin)
-            for k in range(3):
-                out[k, si, sj] = blocks[k]
-                if i != j:
-                    out[k, sj, si] = blocks[k].T
-    return out
+    origin = np.zeros(3) if origin is None else np.asarray(origin, float).reshape(3)
+
+    def blocks(stack, _members):
+        hidx = hermite_index(stack.la + stack.lb)
+        pref = overlap_prefactor(stack)
+        out = []
+        for k in range(3):
+            unit = tuple(int(d == k) for d in range(3))
+            moment = (stack.P[..., k] - origin[k])[:, :, None, None] * stack.E[..., 0]
+            if unit in hidx:  # absent for an s-s pair, where E_1 = 0
+                moment = moment + stack.E[..., hidx.index(unit)]
+            out.append(np.einsum("sx,sxab->sab", pref, moment))
+        return np.array(out)
+
+    return assemble_pair_classes(basis, None, blocks, ncomp=3)

@@ -2,9 +2,14 @@
 
 These form the overlap matrix S (for the basis orthogonalization
 ``X = U s^{-1/2}``) and the core Hamiltonian ``H^core = T + V`` of
-Algorithm 1 in the paper.  They are computed once per SCF run, so clarity
-wins over micro-optimization; the shell-pair structure mirrors the ERI
-code.
+Algorithm 1 in the paper.  They are on every SCF run's wall clock, so
+they ride the ERI kernel's data: canonical shell pairs are grouped by
+class and every class is evaluated at once from its stacked
+:class:`~repro.integrals.pairdata.PairData` -- S and the dipoles straight
+from the Hermite ``E`` tensors, V with one ``r_tensor_batch`` sweep over
+(primitive pairs x nuclei), T from 1-D Hermite tables extended by two
+on the ket side.  ``tests/reference_kernel.py`` holds the per-component
+scalar loops as the oracle.
 """
 
 from __future__ import annotations
@@ -14,139 +19,137 @@ import math
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.basis.shells import Shell, cartesian_components, component_scale
-from repro.integrals.hermite import e_coefficients, r_tensor
-from repro.integrals.spherical import apply_transforms
+from repro.chem.basis.shells import cartesian_components
+from repro.integrals.class_batch import MAX_R_WORK
+from repro.integrals.hermite import e_coefficients, r_tensor_batch
+from repro.integrals.pairdata import ShellPairData, StackedPairs, stack_pairs
+from repro.integrals.spherical import cartesian_to_basis
 
 
-def _pair_e1d(sh_a: Shell, sh_b: Shell, extra_b: int = 0):
-    """Per-primitive-pair 1-D Hermite coefficients for the three directions.
-
-    Yields ``(ca*cb, p, P, (Ex, Ey, Ez))`` for every primitive pair, where
-    the E arrays allow 1-D angular momenta up to ``la`` and ``lb+extra_b``.
-    """
-    la, lb = sh_a.l, sh_b.l
-    A, B = sh_a.center, sh_b.center
-    for a, ca in zip(sh_a.exps, sh_a.norm_coefs):
-        for b, cb in zip(sh_b.exps, sh_b.norm_coefs):
-            p = a + b
-            P = (a * A + b * B) / p
-            es = tuple(
-                e_coefficients(la, lb + extra_b, a, b, float(A[d] - B[d]))
-                for d in range(3)
-            )
-            yield ca * cb, a, b, p, P, es
-
-
-def overlap_block(sh_a: Shell, sh_b: Shell) -> np.ndarray:
-    """Overlap block between two shells (basis-function shape)."""
-    comps_a = cartesian_components(sh_a.l)
-    comps_b = cartesian_components(sh_b.l)
-    block = np.zeros((len(comps_a), len(comps_b)))
-    for coef, _a, _b, p, _P, (ex, ey, ez) in _pair_e1d(sh_a, sh_b):
-        pref = coef * (math.pi / p) ** 1.5
-        for ia, (ax, ay, az) in enumerate(comps_a):
-            for ib, (bx, by, bz) in enumerate(comps_b):
-                block[ia, ib] += pref * ex[ax, bx, 0] * ey[ay, by, 0] * ez[az, bz, 0]
-    _scale_components(block, sh_a, sh_b)
-    return apply_transforms(block, (sh_a, sh_b))
-
-
-def kinetic_block(sh_a: Shell, sh_b: Shell) -> np.ndarray:
-    """Kinetic-energy block ``-1/2 <a|del^2|b>`` between two shells."""
-    comps_a = cartesian_components(sh_a.l)
-    comps_b = cartesian_components(sh_b.l)
-    block = np.zeros((len(comps_a), len(comps_b)))
-    for coef, _a, b, p, _P, (ex, ey, ez) in _pair_e1d(sh_a, sh_b, extra_b=2):
-        pref = coef * (math.pi / p) ** 1.5
-        for ia, (ax, ay, az) in enumerate(comps_a):
-            for ib, (bx, by, bz) in enumerate(comps_b):
-                sx, sy, sz = ex[ax, bx, 0], ey[ay, by, 0], ez[az, bz, 0]
-                tx = _kin1d(ex, ax, bx, b)
-                ty = _kin1d(ey, ay, by, b)
-                tz = _kin1d(ez, az, bz, b)
-                block[ia, ib] += pref * (tx * sy * sz + sx * ty * sz + sx * sy * tz)
-    _scale_components(block, sh_a, sh_b)
-    return apply_transforms(block, (sh_a, sh_b))
-
-
-def nuclear_attraction_block(
-    sh_a: Shell, sh_b: Shell, charges: np.ndarray, positions: np.ndarray
+def assemble_pair_classes(
+    basis: BasisSet, pairs: ShellPairData | None, class_blocks, ncomp: int = 1
 ) -> np.ndarray:
-    """Nuclear-attraction block ``-sum_C Z_C <a| 1/|r-C| |b>``."""
-    comps_a = cartesian_components(sh_a.l)
-    comps_b = cartesian_components(sh_b.l)
-    ltot = sh_a.l + sh_b.l
-    block = np.zeros((len(comps_a), len(comps_b)))
-    for coef, _a, _b, p, P, (ex, ey, ez) in _pair_e1d(sh_a, sh_b):
-        pref = coef * 2.0 * math.pi / p
-        for z, c in zip(charges, positions):
-            r = r_tensor(ltot, p, P - c)
-            for ia, (ax, ay, az) in enumerate(comps_a):
-                for ib, (bx, by, bz) in enumerate(comps_b):
-                    acc = 0.0
-                    for t in range(ax + bx + 1):
-                        for u in range(ay + by + 1):
-                            for v in range(az + bz + 1):
-                                acc += (
-                                    ex[ax, bx, t]
-                                    * ey[ay, by, u]
-                                    * ez[az, bz, v]
-                                    * r[t, u, v]
-                                )
-                    block[ia, ib] -= pref * z * acc
-    _scale_components(block, sh_a, sh_b)
-    return apply_transforms(block, (sh_a, sh_b))
+    """Symmetric one-electron matrices, one shell-pair class at a time.
 
-
-def _kin1d(e: np.ndarray, i: int, j: int, b: float) -> float:
-    """1-D kinetic factor from overlap coefficients E with lb extended by 2."""
-    term = -2.0 * b * b * e[i, j + 2, 0] + b * (2 * j + 1) * e[i, j, 0]
-    if j >= 2:
-        term -= 0.5 * j * (j - 1) * e[i, j - 2, 0]
-    return term
-
-
-def _scale_components(block: np.ndarray, sh_a: Shell, sh_b: Shell) -> None:
-    """Apply per-component angular normalization in place (Cartesian block)."""
-    sa = np.array([component_scale(*c) for c in cartesian_components(sh_a.l)])
-    sb = np.array([component_scale(*c) for c in cartesian_components(sh_b.l)])
-    block *= sa[:, None] * sb[None, :]
-
-
-def _assemble(basis: BasisSet, block_fn) -> np.ndarray:
-    n = basis.nbf
-    out = np.zeros((n, n))
-    for i in range(basis.nshells):
-        si = basis.shell_slice(i)
-        for j in range(i + 1):
-            sj = basis.shell_slice(j)
-            blk = block_fn(basis.shells[i], basis.shells[j])
-            out[si, sj] = blk
-            if i != j:
-                out[sj, si] = blk.T
+    ``class_blocks(stack, members)`` returns the raw Cartesian blocks
+    ``(ncomp, npairs, ncart_a, ncart_b)`` of the canonical pairs
+    ``members`` (``(npairs, 2)`` shell indices, ``i >= j``) stacked in
+    ``stack``; normalization, spherical transforms and the scatter into
+    ``(ncomp, nbf, nbf)`` happen here.  ``pairs`` supplies (and memoizes)
+    the pair data: the ERI engine's cache to share it, ``None`` for a
+    throwaway one.
+    """
+    if pairs is None:
+        pairs = ShellPairData(basis)
+    shells = basis.shells
+    classes: dict[tuple, list] = {}
+    for i, si in enumerate(shells):
+        for j, sj in enumerate(shells[: i + 1]):
+            key = (si.l, sj.l, si.pure, sj.pure, si.nprim * sj.nprim)
+            classes.setdefault(key, []).append((i, j))
+    out = np.zeros((ncomp, basis.nbf, basis.nbf))
+    slices = basis.shell_slices
+    for members in classes.values():
+        ta, tb = (cartesian_to_basis(shells[s].l, shells[s].pure) for s in members[0])
+        stack = stack_pairs([pairs.get(i, j) for i, j in members])
+        blocks = class_blocks(stack, np.array(members))
+        blocks = ta @ blocks @ tb.T
+        for (i, j), blk in zip(members, np.moveaxis(blocks, 1, 0)):
+            out[:, slices[j], slices[i]] = blk.transpose(0, 2, 1)
+            out[:, slices[i], slices[j]] = blk
     return out
 
 
-def overlap(basis: BasisSet) -> np.ndarray:
+def overlap_prefactor(stack: StackedPairs) -> np.ndarray:
+    """``c_a c_b (pi / p)^{3/2}`` per primitive pair, (npairs, npp)."""
+    return stack.coef * (math.pi / stack.p) ** 1.5
+
+
+def overlap(basis: BasisSet, pairs: ShellPairData | None = None) -> np.ndarray:
     """Full overlap matrix S, shape (nbf, nbf)."""
-    return _assemble(basis, overlap_block)
+
+    def blocks(stack, _members):
+        return np.einsum(
+            "sx,sxab->sab", overlap_prefactor(stack), stack.E[..., 0]
+        )[None]
+
+    return assemble_pair_classes(basis, pairs, blocks)[0]
 
 
-def kinetic(basis: BasisSet) -> np.ndarray:
-    """Full kinetic-energy matrix T."""
-    return _assemble(basis, kinetic_block)
+def kinetic(basis: BasisSet, pairs: ShellPairData | None = None) -> np.ndarray:
+    """Full kinetic-energy matrix T, blocks ``-1/2 <a|del^2|b>``."""
+    shells = basis.shells
+
+    def blocks(stack, members):
+        # 1-D tables E_0^{i,j} with j up to lb + 2, every primitive pair
+        # of the class along one flat axis (a-major like the pair data)
+        sa = [shells[i] for i in members[:, 0]]
+        sb = [shells[j] for j in members[:, 1]]
+        a = np.concatenate([np.repeat(s.exps, t.nprim) for s, t in zip(sa, sb)])
+        b = np.concatenate([np.tile(t.exps, s.nprim) for s, t in zip(sa, sb)])
+        ab = np.repeat(
+            [s.center - t.center for s, t in zip(sa, sb)], stack.npp, axis=0
+        )
+        ca = np.array(cartesian_components(stack.la))[:, None, :]
+        cb = np.array(cartesian_components(stack.lb))[None, :, :]
+        s1d, t1d = [], []
+        for d in range(3):
+            e0 = e_coefficients(stack.la, stack.lb + 2, a, b, ab[:, d])[:, :, 0]
+            i, j = ca[..., d], cb[..., d]
+            s1d.append(e0[i, j])
+            # D_x^2 on the ket: 4b^2 G_{j+2} - 2b(2j+1) G_j + j(j-1) G_{j-2}
+            # (the last coefficient vanishes where j - 2 would not exist)
+            t1d.append(
+                -2.0 * b * b * e0[i, j + 2]
+                + b * (2 * j + 1)[..., None] * e0[i, j]
+                - (0.5 * j * (j - 1))[..., None] * e0[i, np.maximum(j - 2, 0)]
+            )
+        (sx, sy, sz), (tx, ty, tz) = s1d, t1d
+        total = tx * sy * sz + sx * ty * sz + sx * sy * tz  # (na, nb, flat)
+        return np.einsum(
+            "sx,absx->sab",
+            overlap_prefactor(stack),
+            total.reshape(total.shape[:2] + stack.p.shape),
+        )[None]
+
+    return assemble_pair_classes(basis, pairs, blocks)[0]
 
 
-def nuclear_attraction(basis: BasisSet) -> np.ndarray:
+def nuclear_attraction(
+    basis: BasisSet, pairs: ShellPairData | None = None
+) -> np.ndarray:
     """Full nuclear-attraction matrix V (includes the -Z sign)."""
     charges = basis.molecule.numbers.astype(float)
     positions = basis.molecule.coords
-    return _assemble(
-        basis, lambda a, b: nuclear_attraction_block(a, b, charges, positions)
-    )
+
+    def blocks(stack, _members):
+        lab = stack.la + stack.lb
+        # -Z_C c_a c_b 2 pi / p rides the Hermite seeds: R summed over the
+        # nuclei is one (nherm, prim) table per pair to contract
+        weights = (-2.0 * math.pi * stack.coef / stack.p)[..., None] * charges
+        out = []
+        step = max(1, MAX_R_WORK // (stack.npp * len(charges) * math.comb(lab + 4, 4)))
+        for lo in range(0, stack.npairs, step):
+            sel = slice(lo, lo + step)
+            w = weights[sel]
+            r = r_tensor_batch(
+                lab,
+                np.broadcast_to(stack.p[sel, :, None], w.shape),
+                stack.P[sel, :, None, :] - positions,
+                w.ravel(),
+            )
+            out.append(np.einsum(
+                "sxabh,hsx->sab", stack.E[sel], r.reshape(-1, *w.shape).sum(-1)
+            ))
+        return np.concatenate(out)[None]
+
+    return assemble_pair_classes(basis, pairs, blocks)[0]
 
 
-def core_hamiltonian(basis: BasisSet) -> np.ndarray:
+def core_hamiltonian(
+    basis: BasisSet, pairs: ShellPairData | None = None
+) -> np.ndarray:
     """H^core = T + V (line 2 of Algorithm 1 in the paper)."""
-    return kinetic(basis) + nuclear_attraction(basis)
+    if pairs is None:
+        pairs = ShellPairData(basis)
+    return kinetic(basis, pairs) + nuclear_attraction(basis, pairs)

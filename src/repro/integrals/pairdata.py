@@ -4,22 +4,20 @@ GTFock's central performance idea (Sec II-C/III of the paper) is that
 everything density-*independent* about a shell pair -- Gaussian product
 exponents, product centers, contraction prefactors, and the Hermite
 E-coefficient tensors -- should be computed *once per basis* and then
-amortized over every quartet that pair participates in.  The seed
-implementation (:func:`repro.integrals.eri_md.eri_shell_quartet`)
-recomputes all of it for bra and ket on every call, and then walks the
-bra x ket primitive pairs in a Python loop.
-
-Two pieces fix that:
+amortized over every quartet that pair participates in:
 
 * :class:`PairData` / :class:`ShellPairData` -- the per-pair primitive
   records stacked into contiguous ndarrays, built lazily and cached per
   ordered shell-pair index so each pair is expanded exactly once.
-* :func:`eri_shell_quartet_batched` -- the quartet kernel that flattens
-  the bra x ket primitive loops: one vectorized Boys/``r_tensor_batch``
-  evaluation over *all* primitive quartets at once and a single einsum
-  contraction, instead of one ``r_tensor`` + einsum per primitive pair.
+* :func:`md_sweep` -- the kernel that flattens the bra x ket primitive
+  loops of any number of quartets: one vectorized Boys/``r_tensor_batch``
+  evaluation over *all* primitive quartets at once and two batched
+  matmuls.  :func:`eri_shell_quartet_batched` is its one-quartet case,
+  the class-batched Fock build (:mod:`repro.integrals.class_batch`) its
+  thousands-of-quartets case.
 
-Numerics are identical to the per-primitive path up to floating-point
+Numerics are identical to the per-primitive path
+(:func:`repro.integrals.eri_md.eri_shell_quartet`) up to floating-point
 summation order (agreement far below 1e-10; see tests/test_pairdata.py).
 """
 
@@ -32,8 +30,13 @@ import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell, cartesian_components
-from repro.integrals.eri_md import finalize_quartet
-from repro.integrals.hermite import e_coefficients, hermite_index, r_tensor_batch
+from repro.integrals.hermite import (
+    e_coefficients,
+    hermite_index,
+    hermite_lookup,
+    r_tensor_batch,
+)
+from repro.integrals.spherical import cartesian_to_basis
 
 _TWO_PI_52 = 2.0 * math.pi**2.5
 
@@ -42,19 +45,23 @@ _TWO_PI_52 = 2.0 * math.pi**2.5
 class PairData:
     """Stacked density-independent primitive data for one shell pair.
 
-    All arrays share the leading primitive-pair axis of length
-    ``npp = nprim_a * nprim_b``.
+    All arrays share the primitive-pair axis of length
+    ``npp = nprim_a * nprim_b``.  A *stack* (:func:`stack_pairs`) is the
+    same record with one more leading axis on every array -- the unique
+    shell pairs of one angular-momentum class, which must therefore
+    share ``(la, lb, npp)`` -- so a whole class batch gathers its bra (or
+    ket) primitive data with one fancy-index read.
     """
 
     la: int
     lb: int
-    #: contraction coefficient products ``c_a c_b``, shape (npp,)
+    #: contraction coefficient products ``c_a c_b``, shape (..., npp)
     coef: np.ndarray
-    #: composite exponents ``p = a + b``, shape (npp,)
+    #: composite exponents ``p = a + b``, shape (..., npp)
     p: np.ndarray
-    #: Gaussian product centers ``P``, shape (npp, 3)
+    #: Gaussian product centers ``P``, shape (..., npp, 3)
     P: np.ndarray
-    #: E tensors stacked, shape (npp, ncart_a, ncart_b, nherm)
+    #: E tensors stacked, shape (..., npp, ncart_a, ncart_b, nherm)
     E: np.ndarray
     #: flattened Hermite (t, u, v) indices, each shape (nherm,)
     tt: np.ndarray
@@ -63,8 +70,13 @@ class PairData:
 
     @property
     def npp(self) -> int:
-        """Number of primitive pairs."""
-        return int(self.p.size)
+        """Number of primitive pairs (per shell pair)."""
+        return int(self.p.shape[-1])
+
+    @property
+    def npairs(self) -> int:
+        """Pair slots of a stack."""
+        return int(self.p.shape[0])
 
     @property
     def nbytes(self) -> int:
@@ -73,6 +85,10 @@ class PairData:
             arr.nbytes for arr in (self.coef, self.p, self.P, self.E,
                                    self.tt, self.uu, self.vv)
         )
+
+
+#: a :class:`PairData` with the leading pair-slot axis
+StackedPairs = PairData
 
 
 def build_pair_data(sh_a: Shell, sh_b: Shell) -> PairData:
@@ -156,67 +172,14 @@ class ShellPairData:
         return sum(d.nbytes for d in self._pairs.values())
 
 
-@dataclass(frozen=True)
-class StackedPairs:
-    """Unique shell pairs of one angular-momentum class, stacked.
-
-    The cross-quartet analogue of :class:`PairData`: all arrays gain a
-    leading *pair-slot* axis of length ``npairs`` so a whole class batch
-    can gather its bra (or ket) primitive data with one fancy-index read
-    (see :mod:`repro.integrals.class_batch`).  Stacking requires every
-    member pair to share ``(la, lb, npp)`` -- guaranteed by the class
-    key.
-    """
-
-    la: int
-    lb: int
-    #: contraction coefficient products, shape (npairs, npp)
-    coef: np.ndarray
-    #: composite exponents, shape (npairs, npp)
-    p: np.ndarray
-    #: Gaussian product centers, shape (npairs, npp, 3)
-    P: np.ndarray
-    #: E tensors, shape (npairs, npp, ncart_a, ncart_b, nherm)
-    E: np.ndarray
-    #: flattened Hermite (t, u, v) indices shared by the class, (nherm,)
-    tt: np.ndarray
-    uu: np.ndarray
-    vv: np.ndarray
-
-    @property
-    def npairs(self) -> int:
-        return int(self.p.shape[0])
-
-    @property
-    def npp(self) -> int:
-        """Primitive pairs per shell pair (uniform across the stack)."""
-        return int(self.p.shape[1])
-
-    @property
-    def nbytes(self) -> int:
-        return sum(
-            arr.nbytes for arr in (self.coef, self.p, self.P, self.E,
-                                   self.tt, self.uu, self.vv)
-        )
-
-
-def stack_pairs(
-    cache: ShellPairData, pairs: list[tuple[int, int]]
-) -> StackedPairs:
-    """Stack the :class:`PairData` of ``pairs`` into one contiguous block.
-
-    ``pairs`` must be non-empty and class-uniform (same ``la``, ``lb``,
-    and primitive-pair count); the per-pair records come from (and are
-    memoized in) ``cache``.
-    """
-    if not pairs:
-        raise ValueError("cannot stack an empty pair list")
-    records = [cache.get(i, j) for i, j in pairs]
+def stack_pairs(records: list[PairData]) -> StackedPairs:
+    """Stack class-uniform (same ``la``, ``lb`` and primitive-pair count)
+    :class:`PairData` records along a new leading pair-slot axis."""
     first = records[0]
     for rec in records[1:]:
         if (rec.la, rec.lb, rec.npp) != (first.la, first.lb, first.npp):
             raise ValueError("stack_pairs requires class-uniform pairs")
-    return StackedPairs(
+    return PairData(
         la=first.la,
         lb=first.lb,
         coef=np.array([r.coef for r in records]),
@@ -227,6 +190,98 @@ def stack_pairs(
         uu=first.uu,
         vv=first.vv,
     )
+
+
+@dataclass(frozen=True)
+class SweepOperands:
+    """What :func:`md_sweep` needs of one (bra stack, ket stack) pairing
+    beyond the stacks, whichever quartets are swept."""
+
+    #: rows of the compact Hermite tensor at (tuv)_bra + (tuv)_ket,
+    #: flattened (nherm_bra * nherm_ket,)
+    rrows: np.ndarray
+    #: per pair slot, ``coef / p`` (bra side times 2 pi^{5/2}), (npairs, npp)
+    bra_w: np.ndarray
+    ket_w: np.ndarray
+    #: per pair slot, E on normalized basis functions as matmul operands:
+    #: (npairs, ab, herm x prim) and, with the ket sign (-1)^{t+u+v}
+    #: folded in, (npairs, herm x prim, cd)
+    bra_e: np.ndarray
+    ket_e: np.ndarray
+
+    @classmethod
+    def build(
+        cls, bra: StackedPairs, ket: StackedPairs, pure: tuple[bool, ...]
+    ) -> "SweepOperands":
+        """Operands for shells of purity ``pure`` (a, b, c, d): E carries
+        :func:`cartesian_to_basis`, so the matmuls land on basis functions."""
+        lmax = bra.la + bra.lb + ket.la + ket.lb
+
+        def on_basis(stack, pure_a, pure_b):  # E as (pair, prim, herm, ab)
+            t = np.kron(
+                cartesian_to_basis(stack.la, pure_a),
+                cartesian_to_basis(stack.lb, pure_b),
+            )
+            flat = stack.E.reshape(stack.E.shape[:2] + (-1, stack.tt.size))
+            return np.tensordot(flat, t, axes=([2], [1]))
+
+        bra_e = on_basis(bra, *pure[:2]).transpose(0, 3, 2, 1)
+        ket_sign = (-1.0) ** (ket.tt + ket.uu + ket.vv)
+        ket_e = (on_basis(ket, *pure[2:]) * ket_sign[:, None]).transpose(0, 2, 1, 3)
+        return cls(
+            rrows=hermite_lookup(lmax)[
+                bra.tt[:, None] + ket.tt[None, :],
+                bra.uu[:, None] + ket.uu[None, :],
+                bra.vv[:, None] + ket.vv[None, :],
+            ].ravel(),
+            bra_w=_TWO_PI_52 * bra.coef / bra.p,
+            ket_w=ket.coef / ket.p,
+            bra_e=bra_e.reshape(bra.npairs, bra_e.shape[1], -1),
+            ket_e=ket_e.reshape(ket.npairs, -1, ket_e.shape[3]),
+        )
+
+
+def md_sweep(
+    ops: SweepOperands,
+    bra: StackedPairs,
+    ket: StackedPairs,
+    bs: np.ndarray,
+    ks: np.ndarray,
+) -> np.ndarray:
+    """ERI blocks ``(nq, ab, cd)`` over basis functions of the quartets
+    pairing bra slots ``bs`` with ket slots ``ks``, in one primitive sweep.
+
+    One ``r_tensor_batch`` over every primitive quartet, carrying the
+    prefactor ``c_b c_k 2 pi^{5/2} / (p q sqrt(p + q))``, then
+    ``sum_{x,y,i,j} Eb R Ek`` as two batched matmuls ``(ab, ix) @ (ix, jy)
+    @ (jy, cd)``.  Each quartet's arithmetic is independent of the rest of
+    the sweep: a row recomputed alone is bitwise the row of a full sweep.
+    """
+    pb = bra.p[bs][:, :, None]
+    qk = ket.p[ks][:, None, :]
+    nq, nb, nk = pb.shape[0], pb.shape[1], qk.shape[2]
+    lmax = bra.la + bra.lb + ket.la + ket.lb
+    psum = pb + qk
+    pref = ops.bra_w[bs][:, :, None] * ops.ket_w[ks][:, None, :]
+    pref /= np.sqrt(psum)
+    alpha = np.divide(pb * qk, psum, out=psum)
+    pq_vec = (
+        bra.P[bs].transpose(2, 0, 1)[:, :, :, None]
+        - ket.P[ks].transpose(2, 0, 1)[:, :, None, :]
+    )
+    r = r_tensor_batch(lmax, alpha.ravel(), pq_vec.reshape(3, -1).T, pref.ravel())
+    if lmax == 0:
+        rmat = r.reshape(nq, nb, nk)
+    else:
+        # one row gather, one transpose: (hb, hk, q, x, y) -> (q, hb x, hk y)
+        hb = bra.tt.size
+        rmat = (
+            np.take(r, ops.rrows, axis=0)
+            .reshape(hb, -1, nq, nb, nk)
+            .transpose(2, 0, 3, 1, 4)
+            .reshape(nq, hb * nb, -1)
+        )
+    return np.matmul(np.matmul(ops.bra_e[bs], rmat), ops.ket_e[ks])
 
 
 def eri_shell_quartet_batched(
@@ -240,41 +295,14 @@ def eri_shell_quartet_batched(
     """The ERI block ``(ab|cd)`` via one batched primitive evaluation.
 
     Drop-in equivalent of
-    :func:`repro.integrals.eri_md.eri_shell_quartet`: same shapes, same
-    normalization, same spherical handling.  Pass precomputed ``bra`` /
-    ``ket`` :class:`PairData` (e.g. from a :class:`ShellPairData` cache)
-    to skip the per-call pair expansion entirely.
+    :func:`repro.integrals.eri_md.eri_shell_quartet`; pass precomputed
+    ``bra`` / ``ket`` :class:`PairData` (e.g. from a :class:`ShellPairData`
+    cache) to skip the pair expansion.  A one-quartet :func:`md_sweep`,
+    so it is bitwise the class-batched kernel's block.
     """
-    if bra is None:
-        bra = build_pair_data(sh_a, sh_b)
-    if ket is None:
-        ket = build_pair_data(sh_c, sh_d)
-    lmax = bra.la + bra.lb + ket.la + ket.lb
-    nb, nk = bra.npp, ket.npp
-
-    # composite Gaussian data over all nb*nk primitive quartets
-    pb = bra.p[:, None]
-    qk = ket.p[None, :]
-    psum = pb + qk
-    alpha = pb * qk / psum
-    pq_vec = bra.P[:, None, :] - ket.P[None, :, :]
-    r = r_tensor_batch(lmax, alpha.ravel(), pq_vec.reshape(-1, 3))
-
-    # gather R at summed Hermite indices: (nq, nherm_bra, nherm_ket)
-    ket_sign = (-1.0) ** (ket.tt + ket.uu + ket.vv)
-    rmat = (
-        r[
-            :,
-            bra.tt[:, None] + ket.tt[None, :],
-            bra.uu[:, None] + ket.uu[None, :],
-            bra.vv[:, None] + ket.vv[None, :],
-        ]
-        * ket_sign[None, None, :]
-    ).reshape(nb, nk, bra.tt.size, ket.tt.size)
-    pref = bra.coef[:, None] * ket.coef[None, :] * _TWO_PI_52 / (
-        pb * qk * np.sqrt(psum)
-    )
-    out = np.einsum(
-        "xabi,xyij,ycdj,xy->abcd", bra.E, rmat, ket.E, pref, optimize=True
-    )
-    return finalize_quartet(out, (sh_a, sh_b, sh_c, sh_d))
+    shells = (sh_a, sh_b, sh_c, sh_d)
+    bra = stack_pairs([bra or build_pair_data(sh_a, sh_b)])
+    ket = stack_pairs([ket or build_pair_data(sh_c, sh_d)])
+    ops = SweepOperands.build(bra, ket, tuple(sh.pure for sh in shells))
+    slot = np.zeros(1, dtype=np.intp)
+    return md_sweep(ops, bra, ket, slot, slot).reshape([sh.nbf for sh in shells])

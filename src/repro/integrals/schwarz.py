@@ -12,7 +12,8 @@ so that a quartet (MN|PQ) may be skipped when
 Two evaluation paths:
 
 * :func:`schwarz_matrix` -- exact: computes the diagonal quartet
-  ``(MN|MN)`` for every shell pair.  O(nshells^2) quartets; fine for
+  ``(MN|MN)`` for every shell pair, as one class plan through the
+  class-batched kernel.  O(nshells^2) quartets; fine for
   validation-scale molecules.
 * :func:`schwarz_model` -- paper-scale model: the exact *diagonal* values
   ``sigma(M,M)`` combined with the Gaussian-product decay
@@ -27,37 +28,40 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.integrals.pairdata import build_pair_data, eri_shell_quartet_batched
+from repro.integrals.class_batch import build_class_plan, compute_class_rows
+from repro.integrals.pairdata import ShellPairData
 
 
-def pair_bound(basis: BasisSet, m: int, n: int) -> float:
-    """Exact shell-pair value sigma(M,N) from the diagonal quartet.
+def _diagonal_bounds(
+    basis: BasisSet, m: np.ndarray, n: np.ndarray, pair_cache: ShellPairData | None
+) -> np.ndarray:
+    """Exact sigma(M,N) from the diagonal quartets ``(MN|MN)`` of the shell
+    pairs ``(m[i], n[i])``, scattered into a zero (nshells, nshells) matrix.
 
-    Evaluated on the batched primitive kernel with the (M,N) pair data
-    built once and shared between bra and ket -- screening setup used to
-    cost as much as a visible slice of the whole J/K build on the seed
-    per-primitive kernel.
+    One class plan swept by the same kernel as the Fock build's quartets;
+    ``pair_cache`` supplies (and memoizes) the pair data -- the engine
+    passes its own, so Schwarz and every later plan expand each pair once.
     """
-    sh_m, sh_n = basis.shells[m], basis.shells[n]
-    pd = build_pair_data(sh_m, sh_n)
-    block = eri_shell_quartet_batched(sh_m, sh_n, sh_m, sh_n, bra=pd, ket=pd)
-    nm, nn = sh_m.nbf, sh_n.nbf
-    diag = np.abs(np.einsum("ijij->ij", block.reshape(nm, nn, nm, nn)))
-    return float(np.sqrt(diag.max()))
-
-
-def schwarz_matrix(basis: BasisSet) -> np.ndarray:
-    """Exact sigma(M,N) for all shell pairs, shape (nshells, nshells)."""
-    ns = basis.nshells
-    sigma = np.zeros((ns, ns))
-    for m in range(ns):
-        for n in range(m + 1):
-            v = pair_bound(basis, m, n)
-            sigma[m, n] = sigma[n, m] = v
+    sigma = np.zeros((basis.nshells, basis.nshells))
+    plan = build_class_plan(basis, pair_cache, np.stack([m, n, m, n], axis=1))
+    for batch, lo, hi in plan.chunks():
+        blocks = compute_class_rows(batch, np.arange(lo, hi))
+        diag = np.abs(np.einsum("qijij->qij", blocks)).reshape(hi - lo, -1)
+        sigma[tuple(batch.quartets[lo:hi, :2].T)] = np.sqrt(diag.max(axis=1))
     return sigma
 
 
-def schwarz_model(basis: BasisSet) -> np.ndarray:
+def schwarz_matrix(
+    basis: BasisSet, pair_cache: ShellPairData | None = None
+) -> np.ndarray:
+    """Exact sigma(M,N) for all shell pairs, shape (nshells, nshells)."""
+    lower = _diagonal_bounds(basis, *np.tril_indices(basis.nshells), pair_cache)
+    return np.maximum(lower, lower.T)
+
+
+def schwarz_model(
+    basis: BasisSet, pair_cache: ShellPairData | None = None
+) -> np.ndarray:
     """Model sigma(M,N): exact diagonals + Gaussian-product distance decay.
 
     ``sigma(M,N) ~= sqrt(sigma(M,M) sigma(N,N)) * exp(-mu_MN r_MN^2)``
@@ -66,8 +70,8 @@ def schwarz_model(basis: BasisSet) -> np.ndarray:
     asymptotic decay of the true bound, which is what determines the
     significant sets Phi(M) the parallel algorithm is built on.
     """
-    ns = basis.nshells
-    diag = np.array([pair_bound(basis, m, m) for m in range(ns)])
+    shells = np.arange(basis.nshells)
+    diag = np.diag(_diagonal_bounds(basis, shells, shells, pair_cache))
     e = basis.min_exponents()
     centers = basis.centers
     mu = e[:, None] * e[None, :] / (e[:, None] + e[None, :])

@@ -15,7 +15,13 @@ import math
 
 import numpy as np
 
-from repro.chem.basis.shells import Shell, ncart, nsph
+from repro.chem.basis.shells import (
+    Shell,
+    cartesian_components,
+    component_scale,
+    ncart,
+    nsph,
+)
 
 _SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -51,6 +57,14 @@ def shell_transform(shell: Shell) -> np.ndarray:
     if shell.pure:
         return transform_matrix(shell.l)
     return np.eye(ncart(shell.l))
+
+
+def cartesian_to_basis(l: int, pure: bool) -> np.ndarray:
+    """The ``(nbf, ncart)`` map from a shell's raw Cartesian components to
+    its basis functions: per-component angular normalization, then the
+    solid-harmonic transform if the shell is pure."""
+    scale = np.array([component_scale(*c) for c in cartesian_components(l)])
+    return (transform_matrix(l) if pure else np.eye(scale.size)) * scale
 
 
 def apply_transforms(block: np.ndarray, shells: tuple[Shell, ...]) -> np.ndarray:

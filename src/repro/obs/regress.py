@@ -93,6 +93,8 @@ DEFAULT_SPECS: tuple[MetricSpec, ...] = (
                warn=1e-13, fail=1e-12, quick=True, unit="Eh"),
     MetricSpec("eri_kernels", "stored_iter2_s", "lower", "relative",
                warn=1.5, fail=3.0, unit="s"),
+    MetricSpec("eri_kernels", "t_class_s", "lower", "relative",
+               warn=1.5, fail=3.0, unit="s"),
     MetricSpec("eri_kernels_large", "t_class_s", "lower", "relative",
                warn=1.5, fail=3.0, unit="s"),
     # six-block J/K contraction of a stored (zero-recompute) build
@@ -102,6 +104,19 @@ DEFAULT_SPECS: tuple[MetricSpec, ...] = (
                warn=1.5, fail=3.0, unit="s"),
     MetricSpec("eri_kernels_large", "sample_max_abs_diff", "lower",
                "absolute", warn=1e-11, fail=1e-10, unit="Eh"),
+    # the layers under the class-batched build: tabulated Boys, S + Hcore
+    # and Schwarz on the stacked pair data, the warm-plan sweep (the
+    # 2-thread twin t_class_threads2_s is recorded but measure-only: on a
+    # two-core host it swings 3x between runs of one commit)
+    *(
+        MetricSpec(family, key, "lower", "relative", warn=1.5, fail=3.0,
+                   unit=unit)
+        for family in ("eri_kernels", "eri_kernels_large")
+        for key, unit in (
+            ("boys_ns_per_eval", "ns"), ("oneelec_s", "s"),
+            ("schwarz_s", "s"), ("t_class_threads1_s", "s"),
+        )
+    ),
     # -- Fock simulation trajectory (BENCH_fock.json) --------------------
     MetricSpec("fock_table3", "molecules.*.ratio_gtfock_over_nwchem",
                "lower", "absolute", warn=1.0, fail=1.5, quick=True,

@@ -265,8 +265,11 @@ class RHF:
             self.engine.integral_store.verify_reads = True
 
         with tracer.span("scf_setup", cat="scf", molecule=mol_label):
-            s = overlap(self.basis)
-            h = core_hamiltonian(self.basis)
+            # the engine's pair data: S, T, V, Schwarz and every class
+            # plan expand each shell pair once
+            pairs = getattr(self.engine, "pair_cache", None)
+            s = overlap(self.basis, pairs)
+            h = core_hamiltonian(self.basis, pairs)
             x = orthogonalizer(s)
             enuc = self.molecule.nuclear_repulsion()
             d = guess if guess is not None else core_guess(h, x, self.nocc)

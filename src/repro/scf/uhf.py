@@ -121,8 +121,9 @@ class UHF:
                 molecule=self.molecule.name or self.molecule.formula,
             )
             self.engine.finite_check = self.guard.eri_sentinel
-        s = overlap(self.basis)
-        h = core_hamiltonian(self.basis)
+        pairs = getattr(self.engine, "pair_cache", None)
+        s = overlap(self.basis, pairs)
+        h = core_hamiltonian(self.basis, pairs)
         x = orthogonalizer(s)
         enuc = self.molecule.nuclear_repulsion()
 

@@ -18,6 +18,16 @@ from repro.scf.guess import core_guess
 from repro.scf.orthogonalization import orthogonalizer
 
 
+def pair_block(matrix_fn, sh_a, sh_b, molecule=None, **kwargs):
+    """The ``<sh_a| . |sh_b>`` block of a production one-electron matrix
+    builder (``overlap``, ``kinetic``, ...), evaluated on a throwaway
+    two-shell basis; ``molecule`` supplies the nuclei where they matter."""
+    basis = BasisSet(
+        molecule=molecule or water(), shells=[sh_a, sh_b], name="pair"
+    )
+    return matrix_fn(basis, **kwargs)[..., : sh_a.nbf, sh_a.nbf :]
+
+
 @pytest.fixture(scope="session")
 def water_mol():
     return water()

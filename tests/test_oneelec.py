@@ -5,17 +5,31 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pair_block
+
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
+from repro.chem.molecule import Atom, Molecule
 from repro.integrals.oneelec import (
     core_hamiltonian,
     kinetic,
-    kinetic_block,
     nuclear_attraction,
-    nuclear_attraction_block,
     overlap,
-    overlap_block,
 )
+
+
+def overlap_block(sh_a, sh_b):
+    return pair_block(overlap, sh_a, sh_b)
+
+
+def kinetic_block(sh_a, sh_b):
+    return pair_block(kinetic, sh_a, sh_b)
+
+
+def nuclear_attraction_block(sh_a, sh_b, symbol, position):
+    """The production V block of one nucleus ``symbol`` at ``position``."""
+    nucleus = Molecule(atoms=[Atom(symbol, tuple(position))])
+    return pair_block(nuclear_attraction, sh_a, sh_b, molecule=nucleus)
 
 
 def s_shell(alpha, center=(0, 0, 0)):
@@ -84,9 +98,7 @@ class TestNuclearAnalytic:
         """<a| -1/r |a> = -2 sqrt(2a/pi) for normalized s at the nucleus."""
         a = 1.1
         sh = s_shell(a)
-        blk = nuclear_attraction_block(
-            sh, sh, np.array([1.0]), np.zeros((1, 3))
-        )
+        blk = nuclear_attraction_block(sh, sh, "H", (0.0, 0.0, 0.0))
         expected = -2.0 * math.sqrt(2.0 * a / math.pi)
         assert blk[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -94,9 +106,7 @@ class TestNuclearAnalytic:
         """A distant nucleus sees a point charge: V ~ -Z/R."""
         a, R = 2.0, 40.0
         sh = s_shell(a)
-        blk = nuclear_attraction_block(
-            sh, sh, np.array([3.0]), np.array([[0.0, 0.0, R]])
-        )
+        blk = nuclear_attraction_block(sh, sh, "Li", (0.0, 0.0, R))
         assert blk[0, 0] == pytest.approx(-3.0 / R, rel=1e-8)
 
     def test_negative_everywhere_diag(self, water_basis):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import pair_block
+
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.builders import h2, methane, water
-from repro.integrals.moments import dipole_block, dipole_integrals
+from repro.integrals.moments import dipole_integrals
 from repro.integrals.oneelec import overlap
 from repro.scf.hf import RHF
 from repro.scf.properties import (
@@ -26,7 +28,7 @@ class TestDipoleIntegrals:
     def test_s_gaussian_centered_at_origin(self):
         """<s| r |s> = center for a normalized Gaussian (here 0)."""
         sh = s_shell(0.9, (0, 0, 0))
-        blocks = dipole_block(sh, sh, np.zeros(3))
+        blocks = pair_block(dipole_integrals, sh, sh, origin=np.zeros(3))
         for k in range(3):
             assert blocks[k][0, 0] == pytest.approx(0.0, abs=1e-14)
 
@@ -34,7 +36,7 @@ class TestDipoleIntegrals:
         """<s| r_k |s> equals the Gaussian center coordinate."""
         c = (0.3, -0.7, 1.1)
         sh = s_shell(1.4, c)
-        blocks = dipole_block(sh, sh, np.zeros(3))
+        blocks = pair_block(dipole_integrals, sh, sh, origin=np.zeros(3))
         for k in range(3):
             assert blocks[k][0, 0] == pytest.approx(c[k], rel=1e-12)
 

@@ -6,8 +6,9 @@ import pytest
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane
 from repro.integrals.eri_md import eri_shell_quartet
+from reference_kernel import pair_bound
+
 from repro.integrals.schwarz import (
-    pair_bound,
     schwarz_matrix,
     schwarz_model,
     screening_stats,

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import pair_block
+
 from repro.chem.basis.shells import Shell
-from repro.integrals.oneelec import overlap_block
+from repro.integrals.oneelec import overlap
 from repro.integrals.spherical import apply_transforms, shell_transform, transform_matrix
 
 
@@ -26,14 +28,14 @@ class TestTransformMatrix:
     def test_spherical_d_orthonormal(self):
         """Pure-d self overlap must be the identity."""
         sh = d_shell(pure=True)
-        s = overlap_block(sh, sh)
+        s = pair_block(overlap, sh, sh)
         assert s.shape == (5, 5)
         assert np.allclose(s, np.eye(5), atol=1e-12)
 
     def test_cartesian_d_overlap_structure(self):
         """Cartesian d self-overlap: 1 on diagonal, 1/3 between xx/yy/zz."""
         sh = d_shell(pure=False)
-        s = overlap_block(sh, sh)
+        s = pair_block(overlap, sh, sh)
         assert s.shape == (6, 6)
         assert np.allclose(np.diag(s), 1.0, atol=1e-12)
         # components: xx, xy, xz, yy, yz, zz -> (0,3), (0,5), (3,5) pairs
@@ -67,5 +69,5 @@ class TestApplyTransforms:
     def test_rotation_invariance_of_pure_norm(self):
         """The 5 pure-d functions stay orthonormal under center shifts."""
         sh = d_shell(pure=True, center=(1.0, -2.0, 0.5))
-        s = overlap_block(sh, sh)
+        s = pair_block(overlap, sh, sh)
         assert np.allclose(s, np.eye(5), atol=1e-12)
