@@ -6,10 +6,14 @@ scale (ROADMAP item 4).  This benchmark runs ``simulate_gtfock`` on the
 scaled C54H18 stand-in at 12/192/768/3888 cores three ways -- tracing
 off, tracing on, tracing on with a ``SimCapture`` -- then exports the
 largest cell's Chrome trace, and appends one ``fock_simulator``
-datapoint to ``BENCH_fock.json``.  Run as a pytest benchmark or as a
-script; ``--quick`` (CI) runs C24H12 at 12/192 cores and skips the
-history file.  The benchmark drives public API only, so it also runs
-against an older ``src/`` via ``PYTHONPATH`` for a before/after pair.
+datapoint to ``BENCH_fock.json``.  The NWChem baseline is timed beside
+it -- ``simulate_nwchem`` on C24H12 at 12 and 3888 cores
+(``nwchem_wall_s``, ``counter_accesses_per_s``) -- and so is the all-rank
+prefetch footprint of the largest GTFock cell (``footprint_s``).  Run as
+a pytest benchmark or as a script; ``--quick`` (CI) runs C24H12 at
+12/192 cores plus one NWChem cell and skips the history file.  The
+benchmark drives public API only, so it also runs against an older
+``src/`` via ``PYTHONPATH`` for a before/after pair.
 """
 
 from __future__ import annotations
@@ -20,12 +24,15 @@ import tempfile
 import time
 
 from repro.bench.harness import benchmark_molecules, molecule_setup
-from repro.fock.simulate import SimCapture, simulate_gtfock
+from repro.fock import prefetch
+from repro.fock.partition import StaticPartition
+from repro.fock.simulate import SimCapture, simulate_gtfock, simulate_nwchem
 from repro.obs.trace import NullTracer, Tracer
 
 from test_bench_table3_times import append_history
 
 CORES = (12, 192, 768, 3888)
+NWCHEM_CORES = (12, 3888)
 ROUNDS = 3
 
 
@@ -39,12 +46,57 @@ def _best(fn, rounds: int) -> tuple[float, object]:
     return min(walls), out
 
 
-def run_simulator_bench(quick: bool = False) -> dict:
-    key = "C24H12" if quick else "C54H18"
+def _setup(key: str):
     name, mol = next(
         (n, m) for n, m in benchmark_molecules().items() if n.startswith(key)
     )
-    setup = molecule_setup(name, mol)
+    return name, molecule_setup(name, mol)
+
+
+def _footprints(setup, nproc: int):
+    """Every rank's prefetch ``(elements, calls)``, the way this ``src/``
+    computes them: all ranks at once, or (older trees) mask by mask."""
+    part = StaticPartition.build(setup.basis.nshells, nproc)
+    if hasattr(prefetch, "rank_footprints"):
+        return prefetch.rank_footprints(setup.screen, part)
+    out = []
+    for p in range(nproc):
+        fp = prefetch.block_footprint(setup.screen, part.task_block(p))
+        out.append((fp.elements, prefetch.ga_calls_for_footprint(
+            fp, part.row_shell_bounds, part.col_shell_bounds
+        )))
+    return out
+
+
+def run_nwchem_bench(quick: bool, rounds: int) -> dict:
+    """The centralized-counter baseline: C24H12 over ``NWCHEM_CORES``."""
+    name, setup = _setup("C24H12")
+    cells = {}
+    for cores in NWCHEM_CORES[:1] if quick else NWCHEM_CORES:
+        wall, res = _best(
+            lambda: simulate_nwchem(
+                setup.basis, setup.screen, cores, config=setup.config,
+                costs=setup.costs, molecule_name=name,
+            ),
+            rounds,
+        )
+        cells[str(cores)] = {
+            "wall_s": round(wall, 4),
+            "counter_accesses": res.counter_accesses,
+            "counter_accesses_per_s": round(res.counter_accesses / wall, 1),
+        }
+    accesses = sum(c["counter_accesses"] for c in cells.values())
+    wall = sum(c["wall_s"] for c in cells.values())
+    return {
+        "nwchem_molecule": name,
+        "nwchem_wall_s": round(wall, 4),
+        "counter_accesses_per_s": round(accesses / wall, 1),
+        "nwchem_cells": cells,
+    }
+
+
+def run_simulator_bench(quick: bool = False) -> dict:
+    name, setup = _setup("C24H12" if quick else "C54H18")
     rounds = 1 if quick else ROUNDS
 
     def sim(cores, **kw):
@@ -84,6 +136,7 @@ def run_simulator_bench(quick: bool = False) -> dict:
         export_s, _ = _best(lambda: traced.write_chrome(path), rounds)
         export_mb = os.path.getsize(path) / 1e6
     top = cells[str(max(int(c) for c in cells))]
+    footprint_s, _ = _best(lambda: _footprints(setup, top["nproc"]), rounds)
     return {
         "benchmark": "fock_simulator",
         "molecule": name,
@@ -95,7 +148,9 @@ def run_simulator_bench(quick: bool = False) -> dict:
         "trace_events": len(traced.events),
         "export_mb": round(export_mb, 3),
         "export_mb_per_s": round(export_mb / export_s, 2),
+        "footprint_s": round(footprint_s, 5),
         "cells": cells,
+        **run_nwchem_bench(quick, rounds),
     }
 
 
@@ -117,7 +172,13 @@ def render(entry: dict) -> str:
         f"tracing tax x{entry['tracing_tax_ratio']:.2f} "
         f"(capture x{entry['capture_tax_ratio']:.2f}); export "
         f"{entry['export_mb']:.1f} MB ({entry['trace_events']} events) at "
-        f"{entry['export_mb_per_s']:.1f} MB/s"
+        f"{entry['export_mb_per_s']:.1f} MB/s; all-rank footprints "
+        f"{1e3 * entry['footprint_s']:.2f} ms"
+    )
+    lines.append(
+        f"NWChem baseline on {entry['nwchem_molecule']}: "
+        f"{entry['nwchem_wall_s']:.3f} s over {len(entry['nwchem_cells'])} "
+        f"cells, {entry['counter_accesses_per_s']:.0f} counter accesses/s"
     )
     return "\n".join(lines)
 
@@ -126,6 +187,7 @@ def test_bench_simulator(benchmark, emit):
     entry = benchmark.pedantic(run_simulator_bench, rounds=1, iterations=1)
     emit(render(entry))
     assert entry["trace_events"] > 0
+    assert entry["counter_accesses_per_s"] > 0
     append_history(entry)
 
 

@@ -108,7 +108,9 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "passed": bool,
     },
     # the discrete-event simulator's own cost (ROADMAP item 4): untraced
-    # wall over the core sweep, rates and tracing tax at the largest cell
+    # wall over the core sweep, rates and tracing tax at the largest
+    # cell, its all-rank prefetch footprints, and the centralized
+    # (NWChem) baseline on C24H12 at 12/3888 cores
     "fock_simulator": {
         "molecule": str,
         "wall_s": float,
@@ -117,6 +119,9 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "tracing_tax_ratio": float,
         "capture_tax_ratio": float,
         "export_mb_per_s": float,
+        "footprint_s": float,
+        "nwchem_wall_s": float,
+        "counter_accesses_per_s": float,
         "cells": dict,
     },
     "phase_profiler": {

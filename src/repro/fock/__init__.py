@@ -29,6 +29,7 @@ from repro.fock.prefetch import (
     block_footprint,
     footprint_bounding_boxes,
     ga_calls_for_footprint,
+    rank_footprints,
     task_footprint_elements,
 )
 from repro.fock.reorder import bandwidth_of, cell_reordering, reorder_basis
@@ -84,6 +85,7 @@ __all__ = [
     "block_footprint",
     "footprint_bounding_boxes",
     "ga_calls_for_footprint",
+    "rank_footprints",
     "task_footprint_elements",
     "bandwidth_of",
     "cell_reordering",

@@ -78,6 +78,101 @@ def _atom_pair_buckets(
     return v, w
 
 
+def nwchem_task_shape(
+    screen: ScreeningMap, chunk: int = 5, nbuckets: int = 4
+) -> NWChemTaskArrays:
+    """The machine-independent half of :func:`build_nwchem_task_arrays`.
+
+    The task arrays of a unit machine: ``cost`` is the raw
+    bucket-product ERI estimate, ``comm_bytes`` counts matrix elements
+    and ``total_eris`` is the estimate's own total.  A function of the
+    screen, ``chunk`` and ``nbuckets`` only, so it is built once and
+    kept on the :class:`ScreeningMap`: one molecule's core sweep (and
+    every machine configuration) scales the same arrays.
+    """
+    key = ("nwchem_task_shape", chunk, nbuckets)
+    shape = screen.derived.get(key)
+    if shape is None:
+        shape = screen.derived[key] = _build_task_shape(screen, chunk, nbuckets)
+    return shape
+
+
+def _build_task_shape(
+    screen: ScreeningMap, chunk: int, nbuckets: int
+) -> NWChemTaskArrays:
+    basis = screen.basis
+    sig_at = atom_sigma(screen)
+    natoms = sig_at.shape[0]
+    tau = screen.tau
+
+    # canonical significant atom pairs, ordered (the global task order)
+    iu, ju = np.tril_indices(natoms)  # I >= J
+    vals_at = sig_at[iu, ju]
+    keep = vals_at * float(sig_at.max()) > tau
+    pairs = np.stack([iu[keep], ju[keep]], axis=1)
+    pvals = vals_at[keep]
+    npairs = len(pairs)
+    if npairs == 0:
+        return NWChemTaskArrays(
+            np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), 0, 0.0
+        )
+
+    v, w = _atom_pair_buckets(screen, pairs, nbuckets)
+
+    # atom function sizes for communication volumes
+    offs = basis.offsets
+    atom_of = basis.atom_of_shell
+    fsizes = np.zeros(natoms)
+    for s in range(basis.nshells):
+        fsizes[atom_of[s]] += offs[s + 1] - offs[s]
+
+    # tasks: for bra pair index i (in canonical order), ket pair indices
+    # 0..i chunked by `chunk`.  Expand all (bra, ket) rows.
+    nket = np.arange(1, npairs + 1)
+    bra = np.repeat(np.arange(npairs), nket)
+    row_start = np.cumsum(nket) - nket
+    ket = np.arange(bra.size) - row_start[bra]
+    ntask_of_bra = (nket + chunk - 1) // chunk
+    row_task = (np.cumsum(ntask_of_bra) - ntask_of_bra)[bra] + ket // chunk
+    ntasks = int(ntask_of_bra.sum())
+
+    # atom-level screening of each quartet row
+    survive = pvals[bra] * pvals[ket] > tau
+
+    # bucket-product ERI estimate per surviving row, chunked for memory
+    cost_rows = np.zeros(bra.size)
+    idx = np.flatnonzero(survive)
+    step = 200_000
+    for s0 in range(0, idx.size, step):
+        sel = idx[s0 : s0 + step]
+        vb = v[bra[sel]][:, :, None] * v[ket[sel]][:, None, :]
+        wb = w[bra[sel]][:, :, None] * w[ket[sel]][:, None, :]
+        cost_rows[sel] = np.sum(wb * (vb > tau), axis=(1, 2))
+
+    # communication: 6 D-block gets + 6 F-block accs per surviving quartet
+    fi, fj = fsizes[pairs[:, 0]], fsizes[pairs[:, 1]]
+    blk6 = (
+        fi[bra] * fj[bra]
+        + fi[ket] * fj[ket]
+        + fi[bra] * fi[ket]
+        + fj[bra] * fj[ket]
+        + fi[bra] * fj[ket]
+        + fj[bra] * fi[ket]
+    )
+    elements_rows = np.where(survive, 2.0 * blk6, 0.0)
+    calls_rows = np.where(survive, 12, 0)
+    cost = np.bincount(row_task, weights=cost_rows, minlength=ntasks)
+    return NWChemTaskArrays(
+        cost=cost,
+        comm_bytes=np.bincount(row_task, weights=elements_rows, minlength=ntasks),
+        comm_calls=np.bincount(
+            row_task, weights=calls_rows, minlength=ntasks
+        ).astype(np.int64),
+        ntasks=ntasks,
+        total_eris=float(cost.sum()),
+    )
+
+
 def build_nwchem_task_arrays(
     screen: ScreeningMap,
     total_eris: float,
@@ -100,96 +195,15 @@ def build_nwchem_task_arrays(
     task_overhead:
         Fixed per-task bookkeeping seconds.
     """
-    basis = screen.basis
-    sig_at = atom_sigma(screen)
-    natoms = sig_at.shape[0]
-    tau = screen.tau
-
-    # canonical significant atom pairs, ordered (the global task order)
-    iu, ju = np.tril_indices(natoms)  # I >= J
-    vals_at = sig_at[iu, ju]
-    keep = vals_at * float(sig_at.max()) > tau
-    pairs = np.stack([iu[keep], ju[keep]], axis=1)
-    pvals = vals_at[keep]
-    npairs = len(pairs)
-    if npairs == 0:
-        return NWChemTaskArrays(
-            cost=np.zeros(0),
-            comm_bytes=np.zeros(0),
-            comm_calls=np.zeros(0, dtype=np.int64),
-            ntasks=0,
-            total_eris=total_eris,
-        )
-
-    v, w = _atom_pair_buckets(screen, pairs, nbuckets)
-
-    # atom function sizes for communication volumes
-    offs = basis.offsets
-    atom_of = basis.atom_of_shell
-    fsizes = np.zeros(natoms)
-    for s in range(basis.nshells):
-        fsizes[atom_of[s]] += offs[s + 1] - offs[s]
-
-    # tasks: for bra pair index i (in canonical order), ket pair indices
-    # 0..i chunked by `chunk`.  Expand all (bra, ket) rows.
-    bra_rows: list[np.ndarray] = []
-    ket_rows: list[np.ndarray] = []
-    task_of_row: list[np.ndarray] = []
-    task_base = 0
-    ntasks = 0
-    for i in range(npairs):
-        nket = i + 1
-        ntask_i = (nket + chunk - 1) // chunk
-        kets = np.arange(nket)
-        bra_rows.append(np.full(nket, i, dtype=np.int64))
-        ket_rows.append(kets)
-        task_of_row.append(task_base + kets // chunk)
-        task_base += ntask_i
-        ntasks += ntask_i
-    bra = np.concatenate(bra_rows)
-    ket = np.concatenate(ket_rows)
-    row_task = np.concatenate(task_of_row)
-
-    # atom-level screening of each quartet row
-    survive = pvals[bra] * pvals[ket] > tau
-
-    # bucket-product ERI estimate per surviving row, chunked for memory
-    cost_rows = np.zeros(bra.size)
-    idx = np.flatnonzero(survive)
-    step = 200_000
-    for s0 in range(0, idx.size, step):
-        sel = idx[s0 : s0 + step]
-        vb = v[bra[sel]][:, :, None] * v[ket[sel]][:, None, :]  # careful: see below
-        wb = w[bra[sel]][:, :, None] * w[ket[sel]][:, None, :]
-        cost_rows[sel] = np.sum(wb * (vb > tau), axis=(1, 2))
-
-    # communication: 6 D-block gets + 6 F-block accs per surviving quartet
-    fi, fj = fsizes[pairs[:, 0]], fsizes[pairs[:, 1]]
-    blk6 = (
-        fi[bra] * fj[bra]
-        + fi[ket] * fj[ket]
-        + fi[bra] * fi[ket]
-        + fj[bra] * fj[ket]
-        + fi[bra] * fj[ket]
-        + fj[bra] * fi[ket]
-    )
-    bytes_rows = np.where(survive, 2.0 * blk6 * element_size, 0.0)
-    calls_rows = np.where(survive, 12, 0)
-
-    cost = np.bincount(row_task, weights=cost_rows, minlength=ntasks)
-    comm_bytes = np.bincount(row_task, weights=bytes_rows, minlength=ntasks)
-    comm_calls = np.bincount(row_task, weights=calls_rows, minlength=ntasks).astype(
-        np.int64
-    )
-
+    shape = nwchem_task_shape(screen, chunk, nbuckets)
     # normalize to the exact total ERI work, then convert to seconds
-    est_total = float(cost.sum())
-    scale = (total_eris / est_total) if est_total > 0 else 0.0
-    cost = cost * scale * t_int + task_overhead
+    scale = (total_eris / shape.total_eris) if shape.total_eris > 0 else 0.0
     return NWChemTaskArrays(
-        cost=cost,
-        comm_bytes=comm_bytes,
-        comm_calls=comm_calls,
-        ntasks=ntasks,
+        cost=shape.cost * scale * t_int + task_overhead,
+        # element counts are whole numbers: scaling the per-task sums
+        # equals summing scaled rows, bit for bit
+        comm_bytes=shape.comm_bytes * element_size,
+        comm_calls=shape.comm_calls,
+        ntasks=shape.ntasks,
         total_eris=total_eris,
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fock.partition import TaskBlock
+from repro.fock.partition import StaticPartition, TaskBlock
 from repro.fock.screening_map import ScreeningMap
 
 
@@ -144,3 +144,69 @@ def ga_calls_for_footprint(
         gj1 = int(np.searchsorted(col_bounds, c1 - 1, side="right")) - 1
         calls += (gi1 - gi0 + 1) * (gj1 - gj0 + 1)
     return calls
+
+
+def _block_span(bounds: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """How many blocks of ``bounds`` each index range ``[lo, hi)`` overlaps."""
+    first = np.searchsorted(bounds, lo, side="right")
+    return np.searchsorted(bounds, hi - 1, side="right") - first + 1
+
+
+def rank_footprints(
+    screen: ScreeningMap, part: StaticPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(elements, prefetch_calls)`` of every rank's task block at once.
+
+    Equal, rank by rank, to ``block_footprint(screen,
+    part.task_block(p)).elements`` and :func:`ga_calls_for_footprint`
+    of that footprint, but a function of the rank's block indices: no
+    per-rank ``(nshells, nshells)`` mask is built, only per-row-block
+    and per-column-block summaries of shape ``(prow | pcol, nshells)``.
+
+    With ``s`` the shell sizes, ``S`` the significance matrix,
+    ``r = s * (S s)`` the weight of each shell's row of pairs and
+    ``U_R`` / ``U_C`` the Phi-unions of a row block R / column block C,
+    inclusion-exclusion over rows | cols | cross gives::
+
+        |union| = sum_R r + sum_C r + (s.U_R)(s.U_C)
+                  - sum_{M in R} s_M (S (s * U_C))_M     # rows & cross
+                  - sum_{N in C} U_R[N] r_N              # cols & cross
+
+    The rows & cols term and the triple term are the same set (``M in
+    Phi(M)`` puts every pair of a shared shell inside the cross block)
+    and cancel.  The three fetch regions' bounding boxes are
+    ``R x extent(U_R)``, ``C x extent(U_C)`` and ``extent(U_R) x
+    extent(U_C)`` for the same reason: every row of a block has its
+    diagonal pair.
+    """
+    sig = screen.significant
+    s = screen.basis.shell_sizes().astype(np.int64)
+    rb, cb = part.row_shell_bounds, part.col_shell_bounds
+    u_r = np.logical_or.reduceat(sig, rb[:-1], axis=0)  # (prow, nshells)
+    u_c = np.logical_or.reduceat(sig, cb[:-1], axis=0)  # (pcol, nshells)
+    r = s * (sig @ s)
+    rows_cross = np.add.reduceat(
+        s[:, None] * (sig @ (u_c * s).T), rb[:-1], axis=0
+    )
+    cols_cross = np.add.reduceat(u_r * r, cb[:-1], axis=1)
+    elements = (
+        np.add.reduceat(r, rb[:-1])[:, None]
+        + np.add.reduceat(r, cb[:-1])[None, :]
+        + np.outer(u_r @ s, u_c @ s)
+        - rows_cross
+        - cols_cross
+    )
+
+    def extent(union: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = union.shape[1]
+        return union.argmax(axis=1), n - union[:, ::-1].argmax(axis=1)
+
+    r_lo, r_hi = extent(u_r)
+    c_lo, c_hi = extent(u_c)
+    # one GA call per (bounding box, owner block) intersection
+    calls = (
+        (_block_span(rb, rb[:-1], rb[1:]) * _block_span(cb, r_lo, r_hi))[:, None]
+        + (_block_span(rb, cb[:-1], cb[1:]) * _block_span(cb, c_lo, c_hi))[None, :]
+        + np.outer(_block_span(rb, r_lo, r_hi), _block_span(cb, c_lo, c_hi))
+    )
+    return elements.ravel(), calls.ravel().astype(np.int64)

@@ -12,7 +12,7 @@ algorithm is built on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +38,10 @@ class ScreeningMap:
     basis: BasisSet
     sigma: np.ndarray
     tau: float
+    #: per-instance memo for structures other modules derive from
+    #: ``(basis, sigma, tau)`` alone (NWChem task shapes), kept beside
+    #: the cached ``significant`` / ``phi`` so a core sweep builds them once
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_square(self.sigma, "sigma")

@@ -25,11 +25,14 @@ from repro.fock.centralized import run_centralized
 from repro.fock.cost import TaskCosts, quartet_cost_matrix
 from repro.fock.nwchem_cost import build_nwchem_task_arrays
 from repro.fock.partition import StaticPartition
-from repro.fock.prefetch import block_footprint, ga_calls_for_footprint
+# block_footprint is not called here any more (rank_footprints covers
+# every rank at once); the name stays importable from this module for
+# external tooling that patches it by name
+from repro.fock.prefetch import block_footprint, rank_footprints  # noqa: F401
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.stealing import StealingOutcome, run_work_stealing
 from repro.obs import Tracer, get_metrics, get_tracer
-from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET, CH_TASK_GET
+from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET
 from repro.obs.profile import PHASE_SIM_LOOP, get_profiler
 from repro.obs.trace import NullTracer
 from repro.runtime.faults import FaultPlan, FaultState
@@ -190,7 +193,6 @@ def simulate_gtfock(
     faults: FaultPlan | FaultState | None = None,
     tracer: Tracer | None = None,
     capture: SimCapture | None = None,
-    footprints: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FockSimResult:
     """Simulate the paper's algorithm at ``cores`` total cores.
 
@@ -207,11 +209,6 @@ def simulate_gtfock(
     with the raw accounting (stats, stealing outcome, phase times,
     event log, a ``resimulate`` closure) for
     :func:`repro.obs.critpath.analyze`.
-
-    ``footprints`` are the per-rank prefetch footprint ``(elements,
-    calls)`` of an earlier run on the same ``(screen, cores)``: they do
-    not depend on the machine configuration, so ``resimulate`` hands
-    them back instead of recomputing them for every what-if.
     """
     if cores < 1:
         raise ValueError("cores must be >= 1")
@@ -230,31 +227,19 @@ def simulate_gtfock(
     stats = CommStats(nproc, config, faults=fstate)
 
     # -- prefetch: exact union footprint volume, boxed-region call count ----
-    if footprints is None:
-        elements = np.zeros(nproc, dtype=np.int64)
-        prefetch_calls = np.zeros(nproc, dtype=np.int64)
-        for p in range(nproc):
-            fp = block_footprint(screen, part.task_block(p))
-            elements[p] = fp.elements
-            prefetch_calls[p] = ga_calls_for_footprint(
-                fp, part.row_shell_bounds, part.col_shell_bounds
-            )
-        footprints = (elements, prefetch_calls)
-    elements, prefetch_calls = footprints
+    elements, prefetch_calls = rank_footprints(screen, part)
     footprint_bytes = (elements * config.element_size).astype(float)
-    prefetch_time = np.zeros(nproc)
-    for p in range(nproc):
-        nbytes = footprint_bytes[p]
-        calls = int(prefetch_calls[p])
-        clock0 = float(stats.clock[p])
-        stats.charge_comm(
-            p, nbytes, ncalls=calls, remote=True, channel=CH_PREFETCH_GET
-        )
-        prefetch_time[p] = float(stats.clock[p]) - clock0
-        if tracer.enabled and prefetch_time[p] > 0:
+    ranks = np.arange(nproc)
+    stats.charge_comm_batch(
+        ranks, footprint_bytes, prefetch_calls, channel=CH_PREFETCH_GET
+    )
+    # the run starts at clock zero: what prefetch charged is the clock
+    prefetch_time = stats.clock.copy()
+    if tracer.enabled:
+        for p in np.flatnonzero(prefetch_time > 0).tolist():
             tracer.virtual_span(
-                "prefetch", p, clock0, float(stats.clock[p]), cat="comm",
-                nbytes=float(nbytes), calls=calls,
+                "prefetch", p, 0.0, float(prefetch_time[p]), cat="comm",
+                nbytes=float(footprint_bytes[p]), calls=int(prefetch_calls[p]),
             )
 
     # -- work-stealing execution over per-task costs ------------------------
@@ -304,23 +289,19 @@ def simulate_gtfock(
         )
 
     # -- final flush of the F buffers ----------------------------------------
-    finish = outcome.finish_time.copy()
-    flush_time = np.zeros(nproc)
-    dead = set(outcome.dead_ranks)
-    for p in range(nproc):
-        if p in dead:
-            continue  # a dead rank never flushes; survivors re-flushed its work
-        fp_calls = 3  # three near-contiguous F regions accumulated back
-        clock0 = float(stats.clock[p])
-        stats.charge_comm(
-            p, footprint_bytes[p], ncalls=fp_calls, remote=True,
-            channel=CH_FOCK_ACC,
-        )
-        # clock delta, not transfer_time: under fault injection the
-        # flush also pays retries and backoff
-        flush_time[p] = float(stats.clock[p]) - clock0
-        finish[p] += flush_time[p]
-        if tracer.enabled and flush_time[p] > 0:
+    # a dead rank never flushes; survivors re-flushed its work
+    alive = np.setdiff1d(ranks, outcome.dead_ranks)
+    fp_calls = 3  # three near-contiguous F regions accumulated back
+    clock0 = stats.clock.copy()
+    stats.charge_comm_batch(
+        alive, footprint_bytes[alive], fp_calls, channel=CH_FOCK_ACC
+    )
+    # clock delta, not transfer_time: under fault injection the
+    # flush also pays retries and backoff
+    flush_time = stats.clock - clock0
+    finish = outcome.finish_time + flush_time
+    if tracer.enabled:
+        for p in np.flatnonzero(flush_time > 0).tolist():
             tracer.virtual_span(
                 "flush", p, float(finish[p]) - flush_time[p], float(finish[p]),
                 cat="comm", nbytes=float(footprint_bytes[p]), calls=fp_calls,
@@ -360,7 +341,6 @@ def simulate_gtfock(
                     molecule_name=molecule_name,
                     faults=faults,
                     tracer=NullTracer(),
-                    footprints=footprints,
                 )
             finally:
                 set_metrics(previous)
@@ -408,22 +388,8 @@ def simulate_nwchem(
         element_size=config.element_size,
     )
     stats = CommStats(nproc, config)
-
-    def cost_of(tid: int) -> float:
-        return float(arrays.cost[tid])
-
-    def comm_of(proc: int, tid: int) -> None:
-        nbytes = float(arrays.comm_bytes[tid])
-        ncalls = int(arrays.comm_calls[tid])
-        if ncalls:
-            stats.charge_comm(
-                proc, nbytes, ncalls=ncalls, remote=True, channel=CH_TASK_GET
-            )
-
     with get_profiler().phase(PHASE_SIM_LOOP):
-        outcome = run_centralized(
-            list(range(arrays.ntasks)), nproc, stats, cost_of, comm_of=comm_of
-        )
+        outcome = run_centralized(arrays, nproc, stats)
     return _finalize(
         "nwchem",
         molecule_name or (basis.molecule.name or basis.molecule.formula),

@@ -251,7 +251,6 @@ def run_work_stealing(
     if not 0.0 < steal_fraction <= 1.0:
         raise ValueError("steal_fraction must be in (0, 1]")
     min_avail = max(1, min_steal)
-    flight = stats.flight if stats is not None else None
 
     batches = [_Batch() for _ in range(nproc)]
     #: per-rank batch start time, and the cumulative cost that must still
@@ -313,8 +312,6 @@ def run_work_stealing(
         t0 = float(stats.clock[p]) if stats is not None else 0.0
         initial_cost[p] = begin(p, tasks, costs, t0)
         queue_ops[p] += 1  # one atomic enqueue of the whole initial block
-        if flight is not None:
-            flight.record_op(p, CH_QUEUE)
     if faults is not None:
         for p, t_death in faults.plan.deaths.items():
             if 0 <= p < nproc:
@@ -332,8 +329,6 @@ def run_work_stealing(
         nre = sum(1 for x in take if x[2])
         reexecuted += nre
         queue_ops[p] += 1  # atomic pop from the recovery pool
-        if flight is not None:
-            flight.record_op(p, CH_STEAL_TASK)
         if on_recover is not None:
             on_recover(p, tasks)
         if done[p] and t > finish[p]:
@@ -450,8 +445,6 @@ def run_work_stealing(
             # every queue scanned before the victim's came back empty (a
             # dead victim's queue no longer exists): one probe each
             queue_ops[p] += probes
-            if flight is not None:
-                flight.record_op(p, CH_STEAL_TASK, probes)
             if victim >= 0:
                 vb = batches[victim]
                 # the task in flight at time t cannot be stolen
@@ -463,8 +456,6 @@ def run_work_stealing(
                 vb.n = cut
                 set_threshold(victim)
                 queue_ops[victim] += 1  # atomic update of victim queue
-                if flight is not None:
-                    flight.record_op(victim, CH_STEAL_TASK)
                 events.schedule(max(start[victim] + vb.cum[cut - 1], t), victim)
                 if on_steal is not None:
                     on_steal(p, victim)
@@ -491,6 +482,12 @@ def run_work_stealing(
     if stats is not None:
         stats.clock[:] = np.maximum(stats.clock, finish)
         stats.comp_time += executed_cost
+        # queue atomics reach the flight recorder once: each rank's
+        # initial enqueue on ``queue``, every later one (probes, victim
+        # updates, orphan pops) on ``steal_task``
+        stats.flight.record_ops(CH_QUEUE, np.ones(nproc, dtype=np.int64))
+        if (queue_ops > 1).any():
+            stats.flight.record_ops(CH_STEAL_TASK, queue_ops - 1)
 
     return StealingOutcome(
         finish_time=finish,

@@ -43,6 +43,7 @@ oldest events and counts them in :attr:`FlightRecorder.dropped_events`.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -92,6 +93,26 @@ CHANNELS = (
 )
 
 _FIELDS = ("msgs", "bytes", "time", "ops")
+
+
+def check_rank(rank: int, nproc: int) -> None:
+    """Reject a rank outside ``[0, nproc)``.
+
+    NumPy indexing would wrap ``-1`` around and silently charge the
+    last rank's counters.
+    """
+    if not 0 <= rank < nproc:
+        raise IndexError(f"process {rank} out of range [0, {nproc})")
+
+
+def check_ranks(ranks, nproc: int) -> np.ndarray:
+    """``ranks`` as a 1-D index array; same rule as :func:`check_rank`,
+    applied once per batch and naming the first offender."""
+    ranks = np.asarray(ranks, dtype=np.intp)
+    bad = np.flatnonzero((ranks < 0) | (ranks >= nproc))
+    if bad.size:
+        check_rank(int(ranks[bad[0]]), nproc)
+    return ranks
 
 
 @dataclass
@@ -170,6 +191,7 @@ class FlightRecorder:
         t: float = 0.0,
     ) -> None:
         """Account a counted communication operation (a GA call)."""
+        check_rank(rank, self.nproc)
         c = self._counters(channel)
         c.msgs[rank] += ncalls
         c.bytes[rank] += int(nbytes)
@@ -181,9 +203,61 @@ class FlightRecorder:
                 (float(t), rank, channel, int(nbytes), int(ncalls), dt)
             )
 
+    def record_batch(self, ranks, channel, nbytes, ncalls, dt, t=0.0) -> None:
+        """Account a batch of counted operations, in array order.
+
+        Leaves the recorder exactly as one :meth:`record` per entry
+        would: counters accumulate in array order (``np.add.at`` is
+        unbuffered, so a rank's float ``time`` sum rounds as it does op
+        by op), the ring keeps the last ``max_events`` entries and
+        ``dropped_events`` advances as if they had arrived one by one.
+        ``channel`` is one name for the whole batch, or per op an index
+        into :data:`CHANNELS` (ops of several channels interleaved in
+        event order); the other fields broadcast against ``ranks``.
+        """
+        ranks = check_ranks(ranks, self.nproc)
+        n = ranks.size
+        if n == 0:
+            return
+        nbytes = np.broadcast_to(np.asarray(nbytes).astype(np.int64), n)
+        ncalls = np.broadcast_to(np.asarray(ncalls, dtype=np.int64), n)
+        dt = np.broadcast_to(np.asarray(dt, dtype=float), n)
+        #: the entries that can still be in the ring afterwards
+        tail = slice(max(0, n - self.max_events), n)
+        if isinstance(channel, str):
+            groups = [(channel, slice(None))]
+            names = itertools.repeat(channel)
+        else:
+            channel = np.asarray(channel)
+            groups = [(CHANNELS[k], channel == k) for k in np.unique(channel)]
+            names = (CHANNELS[k] for k in channel[tail].tolist())
+        for name, sel in groups:
+            c = self._counters(name)
+            np.add.at(c.msgs, ranks[sel], ncalls[sel])
+            np.add.at(c.bytes, ranks[sel], nbytes[sel])
+            np.add.at(c.time, ranks[sel], dt[sel])
+        if self.max_events > 0:
+            self.dropped_events += max(
+                0, len(self._ring) + n - self.max_events
+            )
+            t = np.broadcast_to(np.asarray(t, dtype=float), n)
+            self._ring.extend(zip(
+                t[tail].tolist(),
+                ranks[tail].tolist(),
+                names,
+                nbytes[tail].tolist(),
+                ncalls[tail].tolist(),
+                dt[tail].tolist(),
+            ))
+
     def record_op(self, rank: int, channel: str, nops: int = 1) -> None:
         """Account scheduler atomics that are *not* one-sided GA calls."""
+        check_rank(rank, self.nproc)
         self._counters(channel).ops[rank] += nops
+
+    def record_ops(self, channel: str, nops: np.ndarray) -> None:
+        """:meth:`record_op` for every rank at once: ``nops[rank]`` each."""
+        self._counters(channel).ops += nops
 
     # -- queries -------------------------------------------------------------
 

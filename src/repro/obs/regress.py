@@ -145,6 +145,8 @@ DEFAULT_SPECS: tuple[MetricSpec, ...] = (
                warn=1.5, fail=3.0, unit="s"),
     MetricSpec("fock_simulator", "tracing_tax_ratio", "lower", "absolute",
                warn=1.81, fail=3.0, unit="x"),
+    MetricSpec("fock_simulator", "nwchem_wall_s", "lower", "relative",
+               warn=1.5, fail=3.0, unit="s"),
     # -- SCF service chaos trajectory (BENCH_service.json) ---------------
     MetricSpec("fock_service", "passed", kind="flag", quick=True),
     MetricSpec("fock_service", "all_done", kind="flag", quick=True),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 
 from repro.obs.flight import (
     CH_ALLREDUCE,
@@ -24,12 +25,18 @@ def _rounds(nproc: int) -> int:
     return max(1, int(math.ceil(math.log2(max(nproc, 2)))))
 
 
+def _charge_all(stats: CommStats, nbytes, ncalls, channel: str) -> float:
+    """Charge every rank one collective step, then synchronize clocks."""
+    stats.charge_comm_batch(
+        np.arange(stats.nproc), nbytes, ncalls,
+        remote=stats.nproc > 1, channel=channel,
+    )
+    return stats.barrier()
+
+
 def barrier(stats: CommStats) -> float:
     """Dissemination barrier: log2(p) latency rounds, then sync clocks."""
-    r = _rounds(stats.nproc)
-    for p in range(stats.nproc):
-        stats.charge_comm(p, 0, ncalls=r, remote=stats.nproc > 1, channel=CH_BARRIER)
-    return stats.barrier()
+    return _charge_all(stats, 0, _rounds(stats.nproc), CH_BARRIER)
 
 
 def allreduce(stats: CommStats, nbytes: float) -> float:
@@ -41,11 +48,7 @@ def allreduce(stats: CommStats, nbytes: float) -> float:
     if nbytes < 0:
         raise ValueError("nbytes must be >= 0")
     r = _rounds(stats.nproc)
-    for p in range(stats.nproc):
-        stats.charge_comm(
-            p, nbytes * r, ncalls=r, remote=stats.nproc > 1, channel=CH_ALLREDUCE
-        )
-    return stats.barrier()
+    return _charge_all(stats, nbytes * r, r, CH_ALLREDUCE)
 
 
 def broadcast(stats: CommStats, nbytes: float, root: int = 0) -> float:
@@ -56,13 +59,9 @@ def broadcast(stats: CommStats, nbytes: float, root: int = 0) -> float:
     """
     if not 0 <= root < stats.nproc:
         raise IndexError(f"root {root} out of range")
-    r = _rounds(stats.nproc)
-    for p in range(stats.nproc):
-        ncalls = r if p == root else 1
-        stats.charge_comm(
-            p, nbytes, ncalls=ncalls, remote=stats.nproc > 1, channel=CH_BROADCAST
-        )
-    return stats.barrier()
+    ncalls = np.ones(stats.nproc, dtype=np.int64)
+    ncalls[root] = _rounds(stats.nproc)
+    return _charge_all(stats, nbytes, ncalls, CH_BROADCAST)
 
 
 def reduce_scatter(stats: CommStats, nbytes_total: float) -> float:
@@ -75,9 +74,4 @@ def reduce_scatter(stats: CommStats, nbytes_total: float) -> float:
         raise ValueError("nbytes_total must be >= 0")
     p = stats.nproc
     share = nbytes_total * (p - 1) / max(p, 1)
-    for proc in range(p):
-        stats.charge_comm(
-            proc, share, ncalls=max(p - 1, 1), remote=p > 1,
-            channel=CH_REDUCE_SCATTER,
-        )
-    return stats.barrier()
+    return _charge_all(stats, share, max(p - 1, 1), CH_REDUCE_SCATTER)

@@ -352,20 +352,37 @@ class SharedCounter:
         The caller pays a round-trip latency plus any queueing delay
         behind other processes' outstanding increments.
         """
-        cfg = self.stats.config
-        self.accesses += 1
-        self.stats.calls[proc] += 1
-        self.stats.remote_calls[proc] += 1
-        arrival = self.stats.clock[proc] + cfg.latency
-        start = max(arrival, self.server_free)
-        self.server_free = start + cfg.queue_service
-        finish = self.server_free + cfg.latency
-        dt = finish - self.stats.clock[proc]
-        self.stats.clock[proc] += dt
-        self.stats.comm_time[proc] += dt
-        self.stats.flight.record(
-            proc, CH_COUNTER, 0, 1, dt, t=float(self.stats.clock[proc])
+        stats = self.stats
+        stats._check(proc)
+        cfg = stats.config
+        dt, self.server_free = counter_service(
+            stats.clock[proc], self.server_free, cfg.latency, cfg.queue_service
         )
+        self.accesses += 1
+        stats.calls[proc] += 1
+        stats.remote_calls[proc] += 1
+        stats.clock[proc] += dt
+        stats.comm_time[proc] += dt
+        stats.flight.record(proc, CH_COUNTER, 0, 1, dt, t=float(stats.clock[proc]))
         out = self.value
         self.value += 1
         return out
+
+
+def counter_service(
+    clock: float, server_free: float, latency: float, queue_service: float
+) -> tuple[float, float]:
+    """One ``NGA_Read_inc`` issued at ``clock``: ``(dt, server_free)``.
+
+    The request reaches the owner a latency later, queues behind the
+    accesses already outstanding (``server_free`` is when the owner can
+    take it), is served for ``queue_service`` and answered a latency
+    after that.  ``dt`` is what the caller's clock pays.  Pure: the
+    scalar :meth:`SharedCounter.read_inc` and the centralized
+    scheduler's dispatch loop both resolve the counter through it.
+    """
+    start = clock + latency
+    if start < server_free:
+        start = server_free
+    server_free = start + queue_service
+    return (server_free + latency) - clock, server_free

@@ -14,9 +14,19 @@ simulation share one accounting path.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from repro.obs.flight import CH_GA, CH_RETRY, CH_STEAL_D, FlightRecorder
+from repro.obs.flight import (
+    CH_GA,
+    CH_RETRY,
+    CH_STEAL_D,
+    CHANNELS,
+    FlightRecorder,
+    check_rank,
+    check_ranks,
+)
 from repro.runtime.faults import FaultState
 from repro.runtime.machine import MachineConfig
 
@@ -67,8 +77,15 @@ class CommStats:
         self.comp_time = np.zeros(nproc)
 
     def _check(self, proc: int) -> None:
-        if not 0 <= proc < self.nproc:
-            raise IndexError(f"process {proc} out of range [0, {self.nproc})")
+        check_rank(proc, self.nproc)
+
+    def _comm_seconds(self, nbytes, ncalls, remote: bool):
+        """Time of one op (scalars) or of each op of a batch (arrays)."""
+        if remote:
+            return self.config.transfer_time(nbytes, ncalls)
+        # local transfers still cost memory bandwidth; model as a
+        # fraction of network transfer cost with no latency
+        return nbytes / (10.0 * self.config.bandwidth)
 
     def charge_fault_attempts(
         self,
@@ -133,21 +150,69 @@ class CommStats:
             self.charge_fault_attempts(proc, nbytes, ncalls)
         self.calls[proc] += ncalls
         self.bytes[proc] += int(nbytes)
-        dt = 0.0
         if remote:
             self.remote_calls[proc] += ncalls
             self.remote_bytes[proc] += int(nbytes)
-            dt = self.config.transfer_time(nbytes, ncalls)
-        else:
-            # local transfers still cost memory bandwidth; model as a
-            # fraction of network transfer cost with no latency
-            dt = nbytes / (10.0 * self.config.bandwidth)
+        dt = self._comm_seconds(nbytes, ncalls, remote)
         self.clock[proc] += dt
         self.comm_time[proc] += dt
         self.flight.record(
             proc, channel, int(nbytes), ncalls, dt, t=float(self.clock[proc])
         )
         return dt
+
+    def charge_comm_batch(
+        self,
+        procs,
+        nbytes,
+        ncalls=1,
+        remote: bool = True,
+        channel=CH_GA,
+        dt=None,
+        t=None,
+    ) -> None:
+        """Account a batch of communication operations, in array order.
+
+        Leaves ``self`` and the flight recorder exactly as one
+        :meth:`charge_comm` per op would (``nbytes`` / ``ncalls``
+        broadcast against ``procs``; ``channel`` is one name, or per op
+        an index into :data:`~repro.obs.flight.CHANNELS`).  Two kinds of
+        batch are resolved op by op: with a fault state attached every
+        remote op draws from the seeded RNG, and a rank charged twice
+        needs its intermediate clock for the event ring.
+
+        A scheduler that resolves its own clocks (the centralized
+        counter loop: queueing delays and compute interleave with the
+        transfers) passes the seconds it charged per op as ``dt`` and
+        the rank's clock after each op as ``t``; such ops draw no
+        faults, may repeat ranks, and leave ``clock`` to the caller.
+        """
+        procs = check_ranks(procs, self.nproc)
+        n = procs.size
+        nbytes = np.broadcast_to(np.asarray(nbytes, dtype=float), n)
+        ncalls = np.broadcast_to(np.asarray(ncalls, dtype=np.int64), n)
+        if t is None:
+            if (remote and self.faults is not None) or np.unique(procs).size < n:
+                channels = (
+                    itertools.repeat(channel) if isinstance(channel, str)
+                    else (CHANNELS[k] for k in channel)
+                )
+                for p, b, c, ch in zip(
+                    procs.tolist(), nbytes.tolist(), ncalls.tolist(), channels
+                ):
+                    self.charge_comm(p, b, c, remote=remote, channel=ch)
+                return
+            dt = self._comm_seconds(nbytes, ncalls, remote)
+            self.clock[procs] += dt
+            t = self.clock[procs]
+        nbytes = nbytes.astype(np.int64)
+        np.add.at(self.calls, procs, ncalls)
+        np.add.at(self.bytes, procs, nbytes)
+        if remote:
+            np.add.at(self.remote_calls, procs, ncalls)
+            np.add.at(self.remote_bytes, procs, nbytes)
+        np.add.at(self.comm_time, procs, dt)
+        self.flight.record_batch(procs, channel, nbytes, ncalls, dt, t)
 
     def charge_steal(
         self,

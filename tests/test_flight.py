@@ -18,12 +18,14 @@ from repro.fock.nwchem import nwchem_build
 from repro.fock.simulate import simulate_gtfock, simulate_nwchem
 from repro.integrals.engine import MDEngine, SyntheticERIEngine
 from repro.obs.flight import (
+    CH_ALLREDUCE,
     CH_BARRIER,
     CH_COUNTER,
     CH_FOCK_ACC,
     CH_GA,
     CH_PREFETCH_GET,
     CH_QUEUE,
+    CH_RETRY,
     CH_STEAL_D,
     CH_STEAL_F,
     CH_STEAL_TASK,
@@ -133,6 +135,83 @@ class TestFlightRecorder:
             fr.per_rank(CH_GA, "nope")
         with pytest.raises(ValueError):
             FlightRecorder(0)
+
+
+def _flight_state(fr: FlightRecorder) -> dict:
+    doc = fr.to_json()
+    doc["events"] = fr.events()
+    return doc
+
+
+class TestBatchedRecording:
+    """``record_batch`` / ``record_ops`` leave the recorder exactly as
+    the one-op calls do, and no entry point takes an out-of-range rank."""
+
+    @pytest.mark.parametrize("max_events", [0, 5, 4096])
+    @pytest.mark.parametrize("per_op_channels", [False, True])
+    def test_batch_equals_one_by_one(self, max_events, per_op_channels):
+        rng = np.random.default_rng(11)
+        n, nproc = 40, 4
+        ranks = rng.integers(0, nproc, n)  # ranks repeat inside the batch
+        nbytes = rng.integers(0, 1000, n)
+        ncalls = rng.integers(0, 4, n)
+        dt = rng.random(n) * 1e-3
+        t = np.cumsum(dt)
+        names = (CH_COUNTER, CH_TASK_GET, CH_RETRY)
+        codes = rng.integers(0, 3, n)
+        one = FlightRecorder(nproc, max_events=max_events)
+        batch = FlightRecorder(nproc, max_events=max_events)
+        for fr in (one, batch):  # something already in the ring
+            fr.record(1, CH_GA, 8, 1, 0.5, t=0.25)
+        for i in range(n):
+            ch = names[codes[i]] if per_op_channels else CH_GA
+            one.record(int(ranks[i]), ch, int(nbytes[i]), int(ncalls[i]),
+                       float(dt[i]), t=float(t[i]))
+        if per_op_channels:
+            lookup = np.array([CHANNELS.index(ch) for ch in names])
+            batch.record_batch(ranks, lookup[codes], nbytes, ncalls, dt, t)
+        else:
+            batch.record_batch(ranks, CH_GA, nbytes, ncalls, dt, t)
+        assert _flight_state(batch) == _flight_state(one)
+        assert batch.dropped_events == max(0, n + 1 - max_events) * (max_events > 0)
+
+    def test_scalars_broadcast_and_empty_batch_is_a_no_op(self):
+        fr = FlightRecorder(3)
+        fr.record_batch(np.arange(3), CH_BARRIER, 0, 2, 1e-5, t=1e-5)
+        assert fr.per_rank(CH_BARRIER, "msgs").tolist() == [2, 2, 2]
+        assert [ev.ncalls for ev in fr.events()] == [2, 2, 2]
+        fr.record_batch([], CH_ALLREDUCE, 0, 1, 0.0)
+        assert fr.channels() == [CH_BARRIER]
+
+    def test_record_ops_is_record_op_per_rank(self):
+        one, batch = FlightRecorder(3), FlightRecorder(3)
+        for rank, nops in enumerate([4, 0, 2]):
+            one.record_op(rank, CH_STEAL_TASK, nops)
+        batch.record_ops(CH_STEAL_TASK, np.array([4, 0, 2]))
+        assert _flight_state(batch) == _flight_state(one)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_rank_is_rejected_not_wrapped(self, bad):
+        """``proc = -1`` used to charge the last rank through NumPy
+        wrap-around everywhere but ``CommStats.charge_comm``."""
+        fr = FlightRecorder(3)
+        stats = CommStats(3, LONESTAR)
+        calls = [
+            lambda: fr.record(bad, CH_GA, 8, 1, 0.0),
+            lambda: fr.record_op(bad, CH_QUEUE),
+            lambda: fr.record_batch([0, bad, -7], CH_GA, 8, 1, 0.0),
+            lambda: SharedCounter(stats).read_inc(bad),
+            lambda: stats.charge_comm_batch([1, bad], 8.0),
+            lambda: stats.charge_comm_batch(
+                [1, bad], 8.0, dt=np.zeros(2), t=np.zeros(2)
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(IndexError, match=rf"process {bad} out of range"):
+                call()
+        assert fr.channels() == [] and fr.events() == []
+        assert not stats.calls.any() and not stats.clock.any()
+        assert stats.flight.events() == []
 
 
 class TestRuntimeTagging:

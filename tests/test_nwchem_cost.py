@@ -6,9 +6,12 @@ import pytest
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane, water_cluster
 from repro.fock.cost import quartet_cost_matrix
-from repro.fock.nwchem_cost import build_nwchem_task_arrays
+from reference_centralized import reference_task_arrays
+from repro.fock import nwchem_cost
+from repro.fock.nwchem_cost import build_nwchem_task_arrays, nwchem_task_shape
 from repro.fock.screening_map import ScreeningMap
 from repro.integrals.schwarz import schwarz_model
+from repro.runtime.machine import LONESTAR
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +67,43 @@ class TestTaskArrays:
         arrays = build_nwchem_task_arrays(screen, total, 1e-6, 0.0)
         assert arrays.ntasks > 0
         assert arrays.cost.sum() > 0
+
+
+class TestSharedTaskShape:
+    """The machine-independent half is built once per screen; scaling it
+    is bitwise the unsplit build kept in ``tests/reference_centralized.py``."""
+
+    @pytest.mark.parametrize("chunk,nbuckets", [(5, 4), (1, 2)])
+    def test_two_machines_off_one_cached_shape(
+        self, screen, chunk, nbuckets, monkeypatch
+    ):
+        total = quartet_cost_matrix(screen).total_eris
+        shape = nwchem_task_shape(screen, chunk, nbuckets)
+        # from here on the shape may only come from the cache
+        monkeypatch.setattr(nwchem_cost, "_build_task_shape", None)
+        machines = (
+            LONESTAR,
+            LONESTAR.with_(t_int_nwchem=1.7e-6, task_overhead=3e-7,
+                           element_size=4),
+        )
+        for cfg in machines:
+            knobs = dict(chunk=chunk, nbuckets=nbuckets,
+                         element_size=cfg.element_size)
+            new = build_nwchem_task_arrays(
+                screen, total, cfg.t_int_nwchem, cfg.task_overhead, **knobs
+            )
+            ref = reference_task_arrays(
+                screen, total, cfg.t_int_nwchem, cfg.task_overhead, **knobs
+            )
+            assert new.ntasks == ref.ntasks == shape.ntasks
+            assert new.total_eris == ref.total_eris
+            for field in ("cost", "comm_bytes", "comm_calls"):
+                a, b = getattr(new, field), getattr(ref, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+    def test_cache_is_per_screen_and_per_knobs(self, screen):
+        assert nwchem_task_shape(screen) is nwchem_task_shape(screen)
+        assert nwchem_task_shape(screen, chunk=2) is not nwchem_task_shape(screen)
+        other = ScreeningMap(screen.basis, screen.sigma, screen.tau)
+        assert nwchem_task_shape(other) is not nwchem_task_shape(screen)
+        assert other == screen  # the memo is not part of the value

@@ -1,9 +1,12 @@
 """Tests for prefetch footprints and both task decompositions."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane, methane
@@ -12,6 +15,7 @@ from repro.fock.prefetch import (
     block_footprint,
     footprint_bounding_boxes,
     ga_calls_for_footprint,
+    rank_footprints,
     task_footprint_elements,
 )
 from repro.fock.screening_map import ScreeningMap
@@ -79,6 +83,61 @@ class TestFootprint:
         c4 = ga_calls_for_footprint(fp, part4.row_shell_bounds, part4.col_shell_bounds)
         assert c1 <= c4
         assert c1 >= 1
+
+
+def _per_rank_footprints(screen, part):
+    """The loop ``simulate_gtfock`` ran before ``rank_footprints``."""
+    elements, calls = [], []
+    for p in range(part.nproc):
+        fp = block_footprint(screen, part.task_block(p))
+        elements.append(fp.elements)
+        calls.append(ga_calls_for_footprint(
+            fp, part.row_shell_bounds, part.col_shell_bounds
+        ))
+    return np.array(elements), np.array(calls)
+
+
+@st.composite
+def _random_screen_and_grid(draw):
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # random symmetric significance pattern of random density; the
+    # diagonal is forced true by ScreeningMap.significant itself
+    upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+    sigma = np.where(upper | upper.T, 1.0, 1e-30)
+    sizes = rng.integers(1, 7, size=n)
+    basis = SimpleNamespace(nshells=n, shell_sizes=lambda: sizes)
+    screen = ScreeningMap(basis, sigma, 1e-10)
+
+    def cuts(nblocks):
+        inner = rng.choice(np.arange(1, n), size=nblocks - 1, replace=False)
+        return np.concatenate(([0], np.sort(inner), [n])).astype(int)
+
+    # independent uneven cuts: prow != pcol, 1x1 grids, row and column
+    # blocks that overlap as shell ranges
+    prow, pcol = draw(st.integers(1, min(n, 5))), draw(st.integers(1, min(n, 5)))
+    part = StaticPartition(n, prow, pcol, cuts(prow), cuts(pcol))
+    return screen, part
+
+
+class TestRankFootprints:
+    @given(_random_screen_and_grid())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_equals_per_rank_masks(self, case):
+        screen, part = case
+        elements, calls = rank_footprints(screen, part)
+        ref_elements, ref_calls = _per_rank_footprints(screen, part)
+        assert np.array_equal(elements, ref_elements)
+        assert np.array_equal(calls, ref_calls)
+        assert elements.dtype == calls.dtype == np.int64
+
+    @pytest.mark.parametrize("nproc", [1, 2, 6, 16])
+    def test_real_screen_on_the_built_partition(self, screen, nproc):
+        part = StaticPartition.build(screen.nshells, nproc)
+        elements, calls = rank_footprints(screen, part)
+        ref_elements, ref_calls = _per_rank_footprints(screen, part)
+        assert np.array_equal(elements, ref_elements)
+        assert np.array_equal(calls, ref_calls)
 
 
 @pytest.fixture(scope="module")

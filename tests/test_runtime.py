@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.event import EventQueue
+from repro.runtime.faults import FaultPlan
 from repro.runtime.ga import GlobalArray, SharedCounter, block_bounds, grid_shape
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.network import CommStats
@@ -116,6 +117,81 @@ class TestCommStats:
         st_ = CommStats(1, LONESTAR)
         with pytest.raises(ValueError):
             st_.charge_compute(0, -1.0)
+
+
+def _stats_state(stats: CommStats) -> dict:
+    state = {
+        f: getattr(stats, f).tolist()
+        for f in ("calls", "bytes", "remote_calls", "remote_bytes",
+                  "clock", "comm_time", "comp_time")
+    }
+    state["flight"] = stats.flight.to_json()
+    if stats.faults is not None:
+        state["retries"] = stats.faults.retries.tolist()
+        state["rng"] = stats.faults.rng.bit_generator.state
+    return state
+
+
+class TestChargeCommBatch:
+    """``charge_comm_batch`` == the same ops through ``charge_comm``."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.one_of(st.integers(0, 10**6), st.floats(0, 1e6)),
+                st.integers(0, 5),
+            ),
+            max_size=30,
+        ),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_one_by_one(self, ops, remote, unique_ranks, faulty):
+        if unique_ranks:  # the vectorised path: every rank at most once
+            ops = list({op[0]: op for op in ops}.values())
+        procs = [op[0] for op in ops]
+        nbytes = [op[1] for op in ops]
+        ncalls = [op[2] for op in ops]
+
+        def fresh():
+            faults = None
+            if faulty:
+                faults = FaultPlan(
+                    seed=9, op_fail_rate=0.3, delay_rate=0.3
+                ).activate(5)
+            stats = CommStats(5, LONESTAR, faults=faults)
+            stats.charge_compute(3, 1e-3)  # pre-charged clock
+            return stats
+
+        one, batch = fresh(), fresh()
+        for p, b, c in ops:
+            one.charge_comm(p, b, ncalls=c, remote=remote, channel="task_get")
+        batch.charge_comm_batch(
+            procs, nbytes, ncalls, remote=remote, channel="task_get"
+        )
+        assert _stats_state(batch) == _stats_state(one)
+        batch.flight.check_against(batch)
+
+    def test_resolved_ops_record_what_the_caller_charged(self):
+        """A scheduler that owns the clock passes ``dt`` / ``t``: counted
+        and recorded as given, no fault draw, clock left alone."""
+        faults = FaultPlan(seed=1, op_fail_rate=0.9).activate(2)
+        rng_before = faults.rng.bit_generator.state
+        stats = CommStats(2, LONESTAR, faults=faults)
+        stats.charge_comm_batch(
+            [1, 1, 0], [0.0, 64.0, 0.0], [1, 6, 1], channel="counter",
+            dt=np.array([3e-5, 1e-5, 3e-5]), t=np.array([3e-5, 4e-5, 6e-5]),
+        )
+        assert stats.calls.tolist() == [1, 7]
+        assert stats.remote_bytes.tolist() == [0, 64]
+        assert stats.comm_time.tolist() == [3e-5, 3e-5 + 1e-5]
+        assert not stats.clock.any()
+        assert [ev.t for ev in stats.flight.events()] == [3e-5, 4e-5, 6e-5]
+        assert faults.rng.bit_generator.state == rng_before
+        stats.flight.check_against(stats)
 
 
 class TestGlobalArray:

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_centralized import reference_centralized
 from reference_stealing import reference_work_stealing
+from repro.fock import centralized
 from repro.fock.centralized import run_centralized
+from repro.fock.nwchem_cost import NWChemTaskArrays
 from repro.fock.stealing import (
     in_scan_order,
     run_work_stealing,
@@ -14,6 +17,7 @@ from repro.fock.stealing import (
     victim_scan_order,
 )
 from repro.obs import Tracer
+from repro.obs.flight import CH_FOCK_ACC, CH_GA, CH_TASK_GET, FlightRecorder
 from repro.runtime.faults import FaultPlan, random_plan
 from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
@@ -399,3 +403,204 @@ class TestCentralized:
         out = run_centralized(list(range(ntasks)), 8, stats, lambda t: 0.0)
         min_serial = ntasks * LONESTAR.queue_service
         assert out.makespan >= min_serial * 0.9
+
+
+# exact multiples of the machine's latency (5 us) and counter service
+# time (25 us) make ranks reach the counter at bitwise-equal clocks
+_SECONDS = st.sampled_from([0.0, 5e-6, 2.5e-5, 3e-5, 1e-4, 3.3e-4])
+
+
+@st.composite
+def _centralized_case(draw):
+    nproc = draw(st.integers(1, 40))
+    tasks = draw(st.lists(
+        st.tuples(_SECONDS, st.sampled_from([0, 0, 6, 12]), st.integers(0, 5000)),
+        max_size=120,
+    ))
+    arrays = NWChemTaskArrays(
+        cost=np.array([t[0] for t in tasks], dtype=float),
+        comm_calls=np.array([t[1] for t in tasks], dtype=np.int64),
+        # a zero-call task may still carry bytes: it charges nothing
+        comm_bytes=np.array([8.0 * t[2] for t in tasks]),
+        ntasks=len(tasks),
+        total_eris=0.0,
+    )
+    clocks = draw(st.lists(_SECONDS, min_size=nproc, max_size=nproc))
+    return nproc, arrays, clocks, draw(st.sampled_from([1, 7, 64]))
+
+
+def _centralized_stats(nproc, clocks, max_events):
+    stats = CommStats(
+        nproc, LONESTAR, flight=FlightRecorder(nproc, max_events=max_events)
+    )
+    stats.clock[:] = clocks
+    return stats
+
+
+def _fetch_hook(stats, arrays):
+    """The closure ``simulate_nwchem`` used to hand the per-task loop."""
+    def comm_of(proc, tid):
+        if arrays.comm_calls[tid]:
+            stats.charge_comm(
+                proc, float(arrays.comm_bytes[tid]),
+                ncalls=int(arrays.comm_calls[tid]), channel=CH_TASK_GET,
+            )
+    return comm_of
+
+
+def _assert_same_run(ref_stats, ref, new_stats, new):
+    """Everything the run leaves behind, exactly (one NumPy: bitwise)."""
+    assert np.array_equal(new.finish_time, ref.finish_time)
+    assert np.array_equal(new.executed_cost, ref.executed_cost)
+    assert np.array_equal(new.executed_tasks, ref.executed_tasks)
+    assert new.counter_accesses == ref.counter_accesses
+    for field in ("clock", "comm_time", "comp_time", "calls", "bytes",
+                  "remote_calls", "remote_bytes"):
+        assert np.array_equal(
+            getattr(new_stats, field), getattr(ref_stats, field)
+        ), field
+    for field in ("msgs", "bytes", "time", "ops"):
+        ref_ch, ref_m = ref_stats.flight.matrix(field)
+        new_ch, new_m = new_stats.flight.matrix(field)
+        assert new_ch == ref_ch
+        assert np.array_equal(new_m, ref_m), field
+    assert new_stats.flight.events() == ref_stats.flight.events()
+    assert new_stats.flight.dropped_events == ref_stats.flight.dropped_events
+    new_stats.flight.check_against(new_stats)
+
+
+class TestCentralizedAgainstReference:
+    """The array-fed, batch-accounted loop against the heap-per-task,
+    charge-as-you-go oracle in ``tests/reference_centralized.py``."""
+
+    @given(_centralized_case(), st.sampled_from([40, 4096]))
+    @settings(max_examples=120, deadline=None)
+    def test_array_fed_run_equals_the_oracle(self, case, max_events):
+        nproc, arrays, clocks, flush_every = case
+        ref_stats = _centralized_stats(nproc, clocks, max_events)
+        ref = reference_centralized(
+            list(range(arrays.ntasks)), nproc, ref_stats,
+            lambda tid: float(arrays.cost[tid]),
+            comm_of=_fetch_hook(ref_stats, arrays),
+        )
+        new_stats = _centralized_stats(nproc, clocks, max_events)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(centralized, "FLUSH_EVERY", flush_every)
+            new = run_centralized(arrays, nproc, new_stats)
+        _assert_same_run(ref_stats, ref, new_stats, new)
+
+    def test_the_cases_reach_ties_overflow_and_short_runs(self):
+        """The strategy really produces what the test is named after."""
+        nproc, ntasks = 6, 40
+        arrays = NWChemTaskArrays(
+            cost=np.full(ntasks, 2.5e-5), comm_bytes=np.zeros(ntasks),
+            comm_calls=np.zeros(ntasks, dtype=np.int64), ntasks=ntasks,
+            total_eris=0.0,
+        )
+        stats = _centralized_stats(nproc, np.zeros(nproc), 16)
+        run_centralized(arrays, nproc, stats)
+        assert stats.flight.dropped_events == ntasks + nproc - 16
+        # equal clocks are served in rank order
+        stats = _centralized_stats(nproc, np.zeros(nproc), 4096)
+        run_centralized(arrays, nproc, stats)
+        assert [ev.rank for ev in stats.flight.events()[:nproc]] == list(range(nproc))
+        few = NWChemTaskArrays(
+            arrays.cost[:2], arrays.comm_bytes[:2], arrays.comm_calls[:2], 2, 0.0
+        )
+        out = run_centralized(few, nproc, _centralized_stats(nproc, np.zeros(nproc), 16))
+        assert out.executed_tasks.tolist() == [1, 1, 0, 0, 0, 0]
+        assert out.counter_accesses == 2 + nproc
+
+    @pytest.mark.parametrize("as_arrays", [True, False])
+    def test_accounting_is_flushed_before_every_hook(self, as_arrays):
+        """Hooks that charge the clock -- their own rank's and another's
+        -- see today's clocks, counters and ring, and what they charge
+        moves the dispatch order exactly as in the per-task loop."""
+        rng = np.random.default_rng(5)
+        nproc, ntasks = 5, 60
+        arrays = NWChemTaskArrays(
+            cost=rng.choice([0.0, 2.5e-5, 1e-4], size=ntasks),
+            comm_bytes=8.0 * rng.integers(1, 500, size=ntasks),
+            comm_calls=rng.choice([0, 6], size=ntasks),
+            ntasks=ntasks, total_eris=0.0,
+        )
+        seen = {}
+
+        def hooks(stats, log):
+            def comm_of(proc, tid):
+                log.append((
+                    "comm", proc, tid, stats.clock.tolist(),
+                    stats.calls.tolist(), len(stats.flight.events()),
+                ))
+                if tid % 3 == 0:
+                    stats.charge_comm(proc, 64.0, 2, channel=CH_GA)
+                if tid % 7 == 0:
+                    stats.charge_comm((proc + 1) % nproc, 8.0, channel=CH_GA)
+
+            def on_task(proc, tid):
+                log.append(("task", proc, tid, stats.clock.tolist(),
+                            stats.comp_time.tolist()))
+                if tid % 2:
+                    stats.charge_comm(
+                        proc, 16.0, remote=False, channel=CH_FOCK_ACC
+                    )
+            return comm_of, on_task
+
+        ref_stats = _centralized_stats(nproc, np.zeros(nproc), 4096)
+        ref_comm, ref_task = hooks(ref_stats, seen.setdefault("ref", []))
+        fetch = _fetch_hook(ref_stats, arrays)
+
+        def ref_comm_of(proc, tid):
+            if as_arrays:
+                fetch(proc, tid)
+            ref_comm(proc, tid)
+
+        ref = reference_centralized(
+            list(range(ntasks)), nproc, ref_stats,
+            lambda tid: float(arrays.cost[tid]),
+            comm_of=ref_comm_of, on_task=ref_task,
+        )
+        new_stats = _centralized_stats(nproc, np.zeros(nproc), 4096)
+        comm_of, on_task = hooks(new_stats, seen.setdefault("new", []))
+        if as_arrays:
+            new = run_centralized(
+                arrays, nproc, new_stats, comm_of=comm_of, on_task=on_task
+            )
+        else:
+            new = run_centralized(
+                list(range(ntasks)), nproc, new_stats,
+                lambda tid: float(arrays.cost[tid]),
+                comm_of=comm_of, on_task=on_task,
+            )
+        assert seen["new"] == seen["ref"]
+        _assert_same_run(ref_stats, ref, new_stats, new)
+
+    def test_callable_costs_without_hooks_are_batched_too(self):
+        costs = [0.0, 1e-4, 2.5e-5] * 30
+        ref_stats = _centralized_stats(7, np.zeros(7), 32)
+        ref = reference_centralized(
+            list(range(90)), 7, ref_stats, costs.__getitem__
+        )
+        new_stats = _centralized_stats(7, np.zeros(7), 32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(centralized, "FLUSH_EVERY", 16)
+            new = run_centralized(list(range(90)), 7, new_stats, costs.__getitem__)
+        _assert_same_run(ref_stats, ref, new_stats, new)
+
+    def test_negative_cost_and_fault_draws_are_rejected(self):
+        arrays = NWChemTaskArrays(
+            np.array([1e-5, -1e-5]), np.zeros(2), np.zeros(2, dtype=np.int64),
+            2, 0.0,
+        )
+        with pytest.raises(ValueError, match="negative compute time"):
+            run_centralized(arrays, 2, CommStats(2, LONESTAR))
+        with pytest.raises(ValueError, match="negative compute time"):
+            run_centralized(
+                [0, 1], 2, CommStats(2, LONESTAR), arrays.cost.__getitem__,
+                on_task=lambda p, t: None,
+            )
+        faulty = CommStats(
+            2, LONESTAR, faults=FaultPlan(seed=1, op_fail_rate=0.2).activate(2)
+        )
+        with pytest.raises(ValueError, match="transient faults"):
+            run_centralized(arrays, 2, faulty)
