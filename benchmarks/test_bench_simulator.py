@@ -1,23 +1,28 @@
-"""The simulator's own cost: events/s, tasks/s, tracing tax, export MB/s.
+"""The simulator's own cost: events/s, tasks/s, tracing tax, export MB/s,
+trace-reading analysis.
 
 Every table of the paper's evaluation is produced by the discrete-event
 GTFock simulator, so its wall clock bounds how far the reproduction can
 scale (ROADMAP item 4).  This benchmark runs ``simulate_gtfock`` on the
 scaled C54H18 stand-in at 12/192/768/3888 cores three ways -- tracing
 off, tracing on, tracing on with a ``SimCapture`` -- then exports the
-largest cell's Chrome trace, and appends one ``fock_simulator``
-datapoint to ``BENCH_fock.json``.  The NWChem baseline is timed beside
+largest cell's Chrome trace, runs the critical-path analyzer over its
+capture without re-simulation (``analyze_noresim_s``: what reading the
+trace costs), and appends one ``fock_simulator`` datapoint to
+``BENCH_fock.json``.  The NWChem baseline is timed beside
 it -- ``simulate_nwchem`` on C24H12 at 12 and 3888 cores
 (``nwchem_wall_s``, ``counter_accesses_per_s``) -- and so is the all-rank
 prefetch footprint of the largest GTFock cell (``footprint_s``).  Run as
 a pytest benchmark or as a script; ``--quick`` (CI) runs C24H12 at
-12/192 cores plus one NWChem cell and skips the history file.  The
+12/192 cores plus one NWChem cell, checks the exported file against the
+one-shot encoding of ``chrome_trace()`` and skips the history file.  The
 benchmark drives public API only, so it also runs against an older
 ``src/`` via ``PYTHONPATH`` for a before/after pair.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
@@ -27,7 +32,8 @@ from repro.bench.harness import benchmark_molecules, molecule_setup
 from repro.fock import prefetch
 from repro.fock.partition import StaticPartition
 from repro.fock.simulate import SimCapture, simulate_gtfock, simulate_nwchem
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.critpath import analyze
+from repro.obs.trace import NullTracer, Tracer, _coerce
 
 from test_bench_table3_times import append_history
 
@@ -116,7 +122,7 @@ def run_simulator_bench(quick: bool = False) -> dict:
         return capture
 
     cells = {}
-    traced = None
+    traced = capture = None
     for cores in CORES[:2] if quick else CORES:
         off, res = _best(lambda: sim(cores, tracer=NullTracer()), rounds)
         on, traced = _best(lambda: sim_traced(cores), rounds)
@@ -135,6 +141,12 @@ def run_simulator_bench(quick: bool = False) -> dict:
         path = os.path.join(tmp, "trace.json")
         export_s, _ = _best(lambda: traced.write_chrome(path), rounds)
         export_mb = os.path.getsize(path) / 1e6
+        if quick:
+            # the streamed file is the stock encoder's text, byte for byte
+            with open(path) as fh:
+                assert fh.read() == json.dumps(
+                    traced.chrome_trace(), default=_coerce)
+    analyze_s, _ = _best(lambda: analyze(capture, resim=False), rounds)
     top = cells[str(max(int(c) for c in cells))]
     footprint_s, _ = _best(lambda: _footprints(setup, top["nproc"]), rounds)
     return {
@@ -148,6 +160,7 @@ def run_simulator_bench(quick: bool = False) -> dict:
         "trace_events": len(traced.events),
         "export_mb": round(export_mb, 3),
         "export_mb_per_s": round(export_mb / export_s, 2),
+        "analyze_noresim_s": round(analyze_s, 4),
         "footprint_s": round(footprint_s, 5),
         "cells": cells,
         **run_nwchem_bench(quick, rounds),
@@ -172,8 +185,9 @@ def render(entry: dict) -> str:
         f"tracing tax x{entry['tracing_tax_ratio']:.2f} "
         f"(capture x{entry['capture_tax_ratio']:.2f}); export "
         f"{entry['export_mb']:.1f} MB ({entry['trace_events']} events) at "
-        f"{entry['export_mb_per_s']:.1f} MB/s; all-rank footprints "
-        f"{1e3 * entry['footprint_s']:.2f} ms"
+        f"{entry['export_mb_per_s']:.1f} MB/s; analysis without "
+        f"re-simulation {1e3 * entry['analyze_noresim_s']:.1f} ms; all-rank "
+        f"footprints {1e3 * entry['footprint_s']:.2f} ms"
     )
     lines.append(
         f"NWChem baseline on {entry['nwchem_molecule']}: "

@@ -109,8 +109,9 @@ SCHEMAS: dict[str, dict[str, type]] = {
     },
     # the discrete-event simulator's own cost (ROADMAP item 4): untraced
     # wall over the core sweep, rates and tracing tax at the largest
-    # cell, its all-rank prefetch footprints, and the centralized
-    # (NWChem) baseline on C24H12 at 12/3888 cores
+    # cell, the critical-path analysis of its trace without
+    # re-simulation, its all-rank prefetch footprints, and the
+    # centralized (NWChem) baseline on C24H12 at 12/3888 cores
     "fock_simulator": {
         "molecule": str,
         "wall_s": float,
@@ -119,6 +120,7 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "tracing_tax_ratio": float,
         "capture_tax_ratio": float,
         "export_mb_per_s": float,
+        "analyze_noresim_s": float,
         "footprint_s": float,
         "nwchem_wall_s": float,
         "counter_accesses_per_s": float,

@@ -654,9 +654,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
             cres.faulty.faults, cres.faulty.outcome, registry=get_metrics()
         )
     if args.report:
-        report = chaos_report(
-            cres, trace=tracer.chrome_trace() if tracer is not None else None
-        )
+        report = chaos_report(cres, tracer)
         write_report(args.report, report)
         print(f"chaos report written to {args.report}")
     if args.json:

@@ -303,7 +303,7 @@ def simulate_gtfock(
     if tracer.enabled:
         for p in np.flatnonzero(flush_time > 0).tolist():
             tracer.virtual_span(
-                "flush", p, float(finish[p]) - flush_time[p], float(finish[p]),
+                "flush", p, float(finish[p] - flush_time[p]), float(finish[p]),
                 cat="comm", nbytes=float(footprint_bytes[p]), calls=fp_calls,
             )
 

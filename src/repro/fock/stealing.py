@@ -388,7 +388,9 @@ def run_work_stealing(
         ev = events.pop()
         if ev is None:
             break
-        t, key = ev
+        # event times come off the heap as NumPy scalars; every trace row
+        # below carries this one plain float (the exporter's fast path)
+        t, key = float(ev[0]), ev[1]
         if isinstance(key, tuple) and key[0] == _DEATH:
             kill(key[1], t)
             continue
@@ -408,16 +410,11 @@ def run_work_stealing(
             if tracer.enabled:
                 t0 = float(start[p])
                 tracer.virtual_span("batch", p, t0, t, cat="sched", ntasks=n)
-                edges = np.empty(n + 1)
-                edges[0] = t0
-                np.add(t0, b.cum[:n], out=edges[1:])
-                # str() of a Python int is several times cheaper than of
-                # a NumPy scalar
-                names = tasks.tolist() if isinstance(tasks, np.ndarray) else tasks
-                tracer.virtual_spans(
-                    "task", p, edges[:-1], edges[1:],
-                    cat="task", task=list(map(str, names)),
-                )
+                # handed over as views, not copies: a ``cum`` array is
+                # never written after ``begin`` built it, ``tasks`` is
+                # never written at all, and a later steal or death only
+                # shrinks the owner's ``n``
+                tracer.virtual_task_run(p, t0, b.cum[:n], tasks)
             b.n = 0
             threshold[p] = -np.inf
 
@@ -465,7 +462,8 @@ def run_work_stealing(
                     stats.comm_time[p] += dt
                 if tracer.enabled and dt > 0:
                     tracer.virtual_span(
-                        "steal_copy", p, t, t + dt, cat="comm", victim=victim
+                        "steal_copy", p, t, float(t + dt), cat="comm",
+                        victim=victim,
                     )
                 begin(p, stolen_tasks, stolen_costs, t + dt)
                 steals.append(StealRecord(t, p, victim, len(stolen_costs)))

@@ -91,27 +91,26 @@ def timeline_from_tracer(tracer: Tracer) -> Timeline:
     become comm spans; ``blocked`` spans (a done rank parked until a
     death wakes it) keep their own kind and render as ``~``.
     """
-    timeline = Timeline()
-    for ev in tracer.spans(cat="task"):
-        timeline.spans.append(
-            Span(ev.tid, ev.ts, ev.end, "work", str(ev.args.get("task", "")))
-        )
-    for ev in tracer.instants(name="steal"):
-        timeline.spans.append(
-            Span(ev.tid, ev.ts, ev.ts, "steal", f"from p{ev.args['victim']}")
-        )
-    for ev in tracer.spans(cat="comm"):
-        if ev.name == "steal_copy":
-            kind, detail = "steal", f"copy from p{ev.args.get('victim', '?')}"
+    spans = [
+        Span(tid, ts, ts + dur, "work", str(args.get("task", "")))
+        for _, _, _, _, tid, ts, dur, args in tracer.rows("X", cat="task")
+    ]
+    spans += [
+        Span(tid, ts, ts, "steal", f"from p{args['victim']}")
+        for _, _, _, _, tid, ts, _, args in tracer.rows("i", names=("steal",))
+    ]
+    for _, name, _, _, tid, ts, dur, args in tracer.rows("X", cat="comm"):
+        if name == "steal_copy":
+            kind, detail = "steal", f"copy from p{args.get('victim', '?')}"
         else:
-            kind, detail = "comm", ev.name
-        timeline.spans.append(Span(ev.tid, ev.ts, ev.end, kind, detail))
-    for ev in tracer.spans(cat="sched"):
-        if ev.name == "blocked":
-            timeline.spans.append(
-                Span(ev.tid, ev.ts, ev.end, "blocked", "await orphans")
-            )
-    return timeline
+            kind, detail = "comm", name
+        spans.append(Span(tid, ts, ts + dur, kind, detail))
+    spans += [
+        Span(tid, ts, ts + dur, "blocked", "await orphans")
+        for _, _, _, _, tid, ts, dur, _ in tracer.rows(
+            "X", cat="sched", names=("blocked",))
+    ]
+    return Timeline(spans)
 
 
 def traced_work_stealing(

@@ -35,7 +35,8 @@ two and is never on the critical path (the bounding rank has none).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -198,9 +199,13 @@ def decompose(capture: "SimCapture") -> Decomposition:
 # critical-path extraction
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """One interval on a rank's chain (possibly on the critical path)."""
+class PathSegment(NamedTuple):
+    """One interval on a rank's chain (possibly on the critical path).
+
+    A tuple, not a dataclass: a traced paper-scale run has one per batch
+    and steal (tens of thousands), and a frozen dataclass costs 2.5x as
+    much to build and twice the objects for the collector to track.
+    """
 
     proc: int
     start: float
@@ -248,20 +253,22 @@ def rank_chains(capture: "SimCapture") -> list[list[PathSegment]]:
             "critical-path extraction needs the run traced: pass an "
             "enabled Tracer to the simulation that filled the capture"
         )
-    end = np.asarray(capture.finish, dtype=float)
+    end = np.asarray(capture.finish, dtype=float).tolist()
     raw: list[list[PathSegment]] = [[] for _ in range(capture.nproc)]
     # per-task spans duplicate their batch span: never expanded
-    for ev in tracer.spans(pid=SIM_PID, names=_SPAN_KINDS):
-        kind = _SPAN_KINDS[ev.name]
+    for _, name, _, _, tid, ts, dur, args in tracer.rows(
+        "X", pid=SIM_PID, names=_SPAN_KINDS
+    ):
         detail = ""
-        if ev.name == "steal_copy":
-            detail = f"D copy from p{ev.args.get('victim', '?')}"
-        elif ev.name == "batch":
-            detail = f"{ev.args.get('ntasks', '?')} tasks"
-        raw[ev.tid].append(PathSegment(ev.tid, ev.ts, ev.end, kind, detail))
+        if name == "steal_copy":
+            detail = f"D copy from p{args.get('victim', '?')}"
+        elif name == "batch":
+            detail = f"{args.get('ntasks', '?')} tasks"
+        raw[tid].append(
+            PathSegment(tid, ts, ts + dur, _SPAN_KINDS[name], detail))
     chains: list[list[PathSegment]] = []
-    for p in range(capture.nproc):
-        segs = sorted(raw[p], key=lambda s: (s.start, s.end))
+    for p, segs in enumerate(raw):
+        segs.sort(key=itemgetter(1, 2))  # start, then end
         chain: list[PathSegment] = []
         cursor = 0.0
         for s in segs:
@@ -270,7 +277,7 @@ def rank_chains(capture: "SimCapture") -> list[list[PathSegment]]:
             chain.append(s)
             cursor = max(cursor, s.end)
         if end[p] > cursor + _T_EPS:
-            chain.append(PathSegment(p, cursor, float(end[p]), "slack"))
+            chain.append(PathSegment(p, cursor, end[p], "slack"))
         chains.append(chain)
     return chains
 

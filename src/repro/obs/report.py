@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import base64
 import html
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -830,7 +829,9 @@ class RunReport:
     steals: list[Any]
     validation: ModelValidation
     summary: dict
-    trace: dict | None = None
+    #: the run's Chrome trace-event JSON, as ``Tracer.chrome_chunks``
+    #: writes it; embedded verbatim as the download link
+    trace: str | None = None
     notes: list[str] = field(default_factory=list)
     #: fault-injection/recovery summary (chaos runs only); see
     #: ``docs/ROBUSTNESS.md`` for the fields
@@ -877,9 +878,7 @@ def render_report(r: RunReport) -> str:
 
     trace_html = ""
     if r.trace is not None:
-        payload = base64.b64encode(
-            json.dumps(r.trace).encode("utf-8")
-        ).decode("ascii")
+        payload = base64.b64encode(r.trace.encode("utf-8")).decode("ascii")
         trace_html = (
             "<section><h2>Trace</h2>"
             '<p class="caption">Chrome trace-event JSON of this run '
@@ -1397,7 +1396,7 @@ def run_report(
         steals=result.outcome.steals,
         validation=validation,
         summary=stats.summary(),
-        trace=tracer.chrome_trace() if tracer is not None else None,
+        trace=_trace_text(tracer),
         notes=[
             "model tolerances are calibrated for small test molecules; "
             "see docs/OBSERVABILITY.md for the threshold table",
@@ -1409,12 +1408,18 @@ def run_report(
     return report, result
 
 
-def chaos_report(cres: Any, trace: dict | None = None) -> RunReport:
+def _trace_text(tracer: Any) -> str | None:
+    """What :attr:`RunReport.trace` embeds: ``tracer``'s Chrome export."""
+    return "".join(tracer.chrome_chunks()) if tracer is not None else None
+
+
+def chaos_report(cres: Any, tracer: Any = None) -> RunReport:
     """Assemble a :class:`RunReport` for a chaos run's *faulted* build.
 
     ``cres`` is a :class:`~repro.fock.chaos.ChaosResult`; the report is
     the ordinary run report of the faulted build plus the fault-
-    injection/recovery section (``recovery``).
+    injection/recovery section (``recovery``), with the trace of
+    ``tracer`` (the one the run was recorded on) embedded.
     """
     from repro.model.perfmodel import PerfModel
     from repro.obs.validate import validate_run
@@ -1451,7 +1456,7 @@ def chaos_report(cres: Any, trace: dict | None = None) -> RunReport:
         steals=result.outcome.steals,
         validation=validation,
         summary=stats.summary(),
-        trace=trace,
+        trace=_trace_text(tracer),
         notes=[
             "this run executed under fault injection: model-vs-measured "
             "deviations include recovery overhead by design",

@@ -27,11 +27,14 @@ essentially nothing when disabled.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Any, Iterator
 
 import numpy as np
@@ -40,8 +43,13 @@ import numpy as np
 HOST_PID = 1
 #: trace-event pid used for simulated ranks (virtual clock)
 SIM_PID = 2
-#: events per C-encoder call in :meth:`Tracer.write_chrome`
+#: events per text chunk of :meth:`Tracer.chrome_chunks` (a task run is
+#: never split, so a chunk can exceed this by one run)
 _EXPORT_CHUNK = 4096
+#: stand-in value that shows :meth:`Tracer.chrome_chunks` where the JSON
+#: encoder puts an event's values (as is, and as a time in microseconds)
+_MARK = 1.2345678987654321e-300
+_MARKS = re.compile("|".join(map(re.escape, {repr(_MARK), repr(_MARK * 1e6)})))
 
 
 def _coerce(obj: Any) -> Any:
@@ -106,44 +114,67 @@ class TraceEvent:
         return rec
 
 
-class _SpanRun:
-    """The spans of one :meth:`Tracer.virtual_spans` call, held as columns.
+class _TaskRun:
+    """One finished scheduler batch, exactly as the scheduler held it.
 
-    A traced scheduler run emits one span per executed task; as columns
-    they cost one object per batch instead of two per span, and turn
-    into :class:`TraceEvent` s only when something reads them.  ``phase``
-    / ``pid`` / ``cat`` / ``name`` / ``tid`` read like an event's, so
-    filters can skip a whole run without expanding it.
+    :meth:`Tracer.virtual_task_run` stores the batch start and *views*
+    of its cumulative-cost and task arrays as one log row; the span
+    edges, durations and ``str(task)`` labels are derived
+    (:func:`_task_spans`) each time something reads them.
     """
 
-    __slots__ = ("name", "cat", "tid", "ts", "dur", "columns")
-    phase = "X"
-    pid = SIM_PID
+    __slots__ = ("tid", "t0", "cum", "tasks")
+    #: ``(phase, name, cat, pid)`` of every span of a run
+    HEAD = ("X", "task", "task", SIM_PID)
 
-    def __init__(self, name, cat, tid, ts, dur, columns):
-        self.name, self.cat, self.tid = name, cat, tid
-        self.ts, self.dur, self.columns = ts, dur, columns
+    def __init__(self, tid, t0, cum, tasks):
+        self.tid, self.t0, self.cum, self.tasks = tid, t0, cum, tasks
 
-    def events(self) -> list[TraceEvent]:
-        keys = tuple(self.columns)
-        rows = zip(*self.columns.values()) if keys else ((),) * len(self.ts)
+    def rows(self) -> list[tuple]:
+        ts, dur, labels = _task_spans([self])
+        head = self.HEAD + (self.tid,)
         return [
-            TraceEvent("X", self.name, self.cat, SIM_PID, self.tid, ts, dur,
-                       dict(zip(keys, row)))
-            for ts, dur, row in zip(self.ts.tolist(), self.dur.tolist(), rows)
+            head + (t, d, {"task": label})
+            for t, d, label in zip(ts.tolist(), dur.tolist(), labels)
         ]
 
 
+def _task_spans(runs: list[_TaskRun]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``(ts, dur, labels)`` of the task spans of ``runs``, run after run.
+
+    Task ``i`` of a run spans ``t0 + cum[i-1]`` (``t0`` for the first) to
+    ``t0 + cum[i]``.  Every step is elementwise, so a span reads the same
+    whether its run is expanded alone or with a thousand others.
+    """
+    lens = np.array([len(r.cum) for r in runs])
+    t0 = np.array([r.t0 for r in runs], dtype=float)
+    ends = np.repeat(t0, lens) + np.concatenate([r.cum for r in runs])
+    starts = np.empty_like(ends)
+    starts[1:] = ends[:-1]
+    starts[(lens.cumsum() - lens)[lens > 0]] = t0[lens > 0]
+    # str() of a Python int is several times cheaper than of a NumPy scalar
+    labels = list(map(str, chain.from_iterable(
+        r.tasks.tolist() if isinstance(r.tasks, np.ndarray) else r.tasks
+        for r in runs
+    )))
+    return starts, np.maximum(ends - starts, 0.0), labels
+
+
 class Tracer:
-    """Collects host and virtual spans; thread-safe for host probes."""
+    """Collects host and virtual spans; thread-safe for host probes.
+
+    The log holds one plain ``(phase, name, cat, pid, tid, ts, dur,
+    args)`` tuple per event and one :class:`_TaskRun` per finished
+    scheduler batch, in emission order.  A probe is a single append to a
+    list that is never rebound, so concurrent probes need no lock;
+    :class:`TraceEvent` objects exist only in what the readers return.
+    """
 
     enabled = True
 
     def __init__(self, name: str = "repro"):
         self.name = name
-        #: events and unexpanded span runs, in emission order
-        self._log: list[TraceEvent | _SpanRun] = []
-        self._runs = 0
+        self._log: list[tuple | _TaskRun] = []
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
         self._host_tids: dict[int, int] = {}
@@ -157,31 +188,9 @@ class Tracer:
         ident = threading.get_ident()
         tid = self._host_tids.get(ident)
         if tid is None:
-            tid = len(self._host_tids)
-            self._host_tids[ident] = tid
+            with self._lock:
+                tid = self._host_tids.setdefault(ident, len(self._host_tids))
         return tid
-
-    def _append(self, ev: TraceEvent) -> None:
-        with self._lock:
-            self._log.append(ev)
-
-    def _iter_events(self, match=None) -> Iterator[TraceEvent]:
-        """Events in emission order; ``match`` drops whole log items
-        (single events or span runs) before any run is expanded."""
-        for item in self._log:
-            if match is None or match(item):
-                if type(item) is _SpanRun:
-                    yield from item.events()
-                else:
-                    yield item
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        """Every recorded event, in emission order."""
-        with self._lock:
-            if self._runs:
-                self._log, self._runs = list(self._iter_events()), 0
-            return self._log
 
     # -- host (wall-clock) probes -------------------------------------------
 
@@ -199,18 +208,15 @@ class Tracer:
         try:
             yield args
         finally:
-            self._append(
-                TraceEvent(
-                    "X", name, cat, HOST_PID, self._host_tid(), t0,
-                    self._now() - t0, args,
-                )
+            self._log.append(
+                ("X", name, cat, HOST_PID, self._host_tid(), t0,
+                 self._now() - t0, args)
             )
 
     def instant(self, name: str, cat: str = "host", **args) -> None:
         """Record a zero-duration wall-clock marker."""
-        self._append(
-            TraceEvent("i", name, cat, HOST_PID, self._host_tid(),
-                       self._now(), 0.0, args)
+        self._log.append(
+            ("i", name, cat, HOST_PID, self._host_tid(), self._now(), 0.0, args)
         )
 
     def host_span_at(
@@ -222,11 +228,9 @@ class Tracer:
         profiler) and only reports the span after the fact; ``start`` and
         ``end`` are absolute ``perf_counter`` values.
         """
-        self._append(
-            TraceEvent(
-                "X", name, cat, HOST_PID, self._host_tid(),
-                start - self._epoch, max(end - start, 0.0), args,
-            )
+        self._log.append(
+            ("X", name, cat, HOST_PID, self._host_tid(),
+             start - self._epoch, max(end - start, 0.0), args)
         )
 
     # -- virtual (simulated-clock) probes -----------------------------------
@@ -236,9 +240,8 @@ class Tracer:
         cat: str = "sim", **args,
     ) -> None:
         """Record a span on simulated rank ``proc``; times in virtual seconds."""
-        self._append(
-            TraceEvent("X", name, cat, SIM_PID, proc, start,
-                       max(end - start, 0.0), args)
+        self._log.append(
+            ("X", name, cat, SIM_PID, proc, start, max(end - start, 0.0), args)
         )
 
     def virtual_spans(
@@ -248,41 +251,76 @@ class Tracer:
 
         ``starts``/``ends`` are arrays of virtual seconds and every
         keyword is a sequence holding that argument's value for each
-        span.  :attr:`events` shows them in order, equal field for field
-        to as many single calls; until it is read they stay one columnar
-        record.
+        span -- the same events, field for field, as that many single
+        calls.
         """
         starts = np.asarray(starts, dtype=float)
         durs = np.maximum(np.asarray(ends, dtype=float) - starts, 0.0)
-        run = _SpanRun(name, cat, proc, starts, durs, columns)
-        with self._lock:
-            self._log.append(run)
-            self._runs += 1
+        keys = tuple(columns)
+        vals = zip(*columns.values()) if keys else repeat(())
+        self._log.extend([
+            ("X", name, cat, SIM_PID, proc, t, d, dict(zip(keys, v)))
+            for t, d, v in zip(starts.tolist(), durs.tolist(), vals)
+        ])
+
+    def virtual_task_run(self, proc: int, t0: float, cum, tasks) -> None:
+        """Record a finished batch of back-to-back tasks on rank ``proc``.
+
+        Task ``i`` ran from ``t0 + cum[i-1]`` (``t0`` for the first) to
+        ``t0 + cum[i]``: the same events as one ``virtual_span("task",
+        proc, start, end, cat="task", task=str(tasks[i]))`` per task.
+        ``cum`` (a float array) and ``tasks`` are kept **by reference**
+        and read only when the trace is queried or exported, so the
+        caller must never write to them again.
+        """
+        if len(cum) != len(tasks):
+            raise ValueError(f"{len(tasks)} tasks for {len(cum)} costs")
+        self._log.append(_TaskRun(proc, t0, cum, tasks))
 
     def virtual_instant(
         self, name: str, proc: int, t: float, cat: str = "sim", **args
     ) -> None:
         """Record an instant on simulated rank ``proc`` at virtual time ``t``."""
-        self._append(TraceEvent("i", name, cat, SIM_PID, proc, t, 0.0, args))
+        self._log.append(("i", name, cat, SIM_PID, proc, t, 0.0, args))
 
     # -- queries -------------------------------------------------------------
+
+    def rows(
+        self, phase: str | None = None, cat: str | None = None,
+        pid: int | None = None, names=None,
+    ) -> Iterator[tuple]:
+        """Matching events as plain ``(phase, name, cat, pid, tid, ts, dur,
+        args)`` tuples in emission order -- the fields of a
+        :class:`TraceEvent` without the object.  A task run that the
+        filter rejects is skipped without being expanded."""
+        for item in self._log:
+            single = type(item) is tuple
+            ph, name, c, p = item[:4] if single else item.HEAD
+            if (
+                (phase is None or ph == phase)
+                and (cat is None or c == cat)
+                and (pid is None or p == pid)
+                and (names is None or name in names)
+            ):
+                if single:
+                    yield item
+                else:
+                    yield from item.rows()
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every recorded event, in emission order (built on each read)."""
+        return [TraceEvent(*row) for row in self.rows()]
 
     def spans(
         self, cat: str | None = None, pid: int | None = None, names=None
     ) -> list[TraceEvent]:
         """Complete spans, optionally of one category / pid / set of names."""
-        return list(self._iter_events(
-            lambda item: item.phase == "X"
-            and (cat is None or item.cat == cat)
-            and (pid is None or item.pid == pid)
-            and (names is None or item.name in names)
-        ))
+        return [TraceEvent(*row) for row in self.rows("X", cat, pid, names)]
 
     def instants(self, name: str | None = None) -> list[TraceEvent]:
-        return [
-            ev for ev in self._log
-            if ev.phase == "i" and (name is None or ev.name == name)
-        ]
+        names = None if name is None else (name,)
+        return [TraceEvent(*row) for row in self.rows("i", names=names)]
 
     # -- export --------------------------------------------------------------
 
@@ -294,7 +332,11 @@ class Tracer:
             {"name": "process_name", "ph": "M", "pid": SIM_PID,
              "args": {"name": f"{self.name} simulated ranks (virtual clock)"}},
         ]
-        sim_tids = sorted({ev.tid for ev in self._log if ev.pid == SIM_PID})
+        sim_tids = sorted({
+            item.tid if type(item) is _TaskRun else item[4]
+            for item in self._log
+            if type(item) is _TaskRun or item[3] == SIM_PID
+        })
         for tid in sim_tids:
             meta.append(
                 {"name": "thread_name", "ph": "M", "pid": SIM_PID, "tid": tid,
@@ -315,31 +357,128 @@ class Tracer:
             "displayTimeUnit": "ms",
         }
 
-    def write_chrome(self, path: str) -> None:
-        """Stream :meth:`chrome_trace` to ``path``, a bounded chunk at a time.
+    def chrome_chunks(self) -> Iterator[str]:
+        """:meth:`chrome_trace` as JSON text, a bounded chunk at a time.
 
-        ``json.dump`` always takes CPython's pure-Python incremental
-        encoder; ``JSONEncoder.encode`` takes the C one.  Encoding
-        ``_EXPORT_CHUNK`` events per call keeps the C speed without ever
-        holding the whole document as one string, and span runs are
-        expanded one at a time.
+        The chunks concatenate to exactly ``json.dumps(chrome_trace(),
+        default=_coerce)``, written straight from the log a column at a
+        time: the events of a chunk that share ``(phase, name, cat, pid,
+        *argument keys)`` share the literal text around their values,
+        and a column of values whose types are all exactly ``str`` /
+        ``int`` / finite ``float`` is converted by the JSON string
+        escaper / ``int.__repr__`` / ``float.__repr__`` -- the calls the
+        C encoder itself makes for those.  Everything else goes through
+        that encoder with the same ``_coerce`` hook: any other value
+        (NumPy scalars, bools, ``None``, non-finite floats, containers)
+        on its own, an event whose name, category or argument keys are
+        not ``str`` whole.  The task runs of a chunk are expanded
+        together.
         """
         encode = json.JSONEncoder(default=_coerce).encode
+        templates: dict[tuple, list[str] | None] = {}
+
+        def value(v) -> str:
+            t = type(v)
+            if t is float:
+                return float.__repr__(v) if isfinite(v) else encode(v)
+            if t is int:
+                return int.__repr__(v)
+            return _quote(v) if t is str else encode(v)
+
+        def values(col) -> Iterator[str]:
+            """:func:`value` of a whole column, in C when it is uniform."""
+            kinds = set(map(type, col))
+            if kinds == {float} and isfinite(sum(col)):
+                return map(float.__repr__, col)
+            if kinds == {int}:
+                return map(int.__repr__, col)
+            return map(_quote if kinds == {str} else value, col)
+
+        def template(shape: tuple) -> list[str] | None:
+            """The literal text around the values of such events, cut out
+            of what the encoder writes for one whose values are all
+            ``_MARK``; None if the encoder must write them whole."""
+            if shape not in templates:
+                ph, name, cat, pid, *keys = shape
+                text = None
+                if all(type(s) is str for s in (name, cat, *keys)):
+                    sample = TraceEvent(ph, name, cat, pid, _MARK, _MARK, _MARK,
+                                        dict.fromkeys(keys, _MARK))
+                    text = _MARKS.split(", " + encode(sample.to_chrome()))
+                    # tid, ts, dur of a span, args -- unless a name or a
+                    # key happens to spell the mark
+                    if len(text) != 3 + (ph == "X") + len(keys):
+                        text = None
+                templates[shape] = text
+            return templates[shape]
+
+        def filled(text: list[str], cols: list) -> Iterator[tuple]:
+            """Per event, the template's literals with a value between
+            every two: joined, they are the event's JSON."""
+            slots: list = []
+            for literal, col in zip(text, cols):
+                slots += repeat(literal), values(col)
+            return zip(*slots, repeat(text[-1]))
+
+        def chunk(window: list) -> str:
+            texts: list = [None] * len(window)
+            shapes: dict[tuple, list[int]] = {}
+            runs = []
+            for i, item in enumerate(window):
+                if type(item) is tuple:
+                    shapes.setdefault(item[:4] + tuple(item[7]), []).append(i)
+                else:
+                    runs.append(i)
+            for shape, where in shapes.items():
+                rows = [window[i] for i in where]
+                text = template(shape)
+                if text is None:
+                    done = [", " + encode(TraceEvent(*row).to_chrome())
+                            for row in rows]
+                else:
+                    _, _, _, _, tids, ts, dur, args = zip(*rows)
+                    cols = [tids, [t * 1e6 for t in ts]]
+                    if shape[0] == "X":
+                        cols.append([d * 1e6 for d in dur])
+                    cols += zip(*map(dict.values, args))
+                    done = map("".join, filled(text, cols))
+                for i, event in zip(where, done):
+                    texts[i] = event
+            if runs:
+                tasks = [window[i] for i in runs]
+                ts, dur, labels = _task_spans(tasks)
+                tids = list(chain.from_iterable(
+                    repeat(r.tid, len(r.cum)) for r in tasks))
+                spans = filled(template(_TaskRun.HEAD + ("task",)), [
+                    tids, (ts * 1e6).tolist(), (dur * 1e6).tolist(), labels])
+                for i, r in zip(runs, tasks):
+                    texts[i] = "".join(
+                        chain.from_iterable(islice(spans, len(r.cum))))
+            return "".join(texts)
+
+        # the metadata records are never empty, so every event's text
+        # starts with a separator
+        yield '{"traceEvents": [' + encode(self._chrome_meta())[1:-1]
+        window, nevents = [], 0
+        for item in self._log:
+            window.append(item)
+            nevents += 1 if type(item) is tuple else len(item.cum)
+            if nevents >= _EXPORT_CHUNK:
+                yield chunk(window)
+                window, nevents = [], 0
+        yield chunk(window) + '], "displayTimeUnit": "ms"}'
+
+    def write_chrome(self, path: str) -> None:
+        """Stream :meth:`chrome_chunks` to ``path``: the document never
+        exists as one string."""
         with open(path, "w") as fh:
-            # the metadata records are never empty, so every chunk after
-            # them is preceded by a separator
-            fh.write('{"traceEvents": [' + encode(self._chrome_meta())[1:-1])
-            events = self._iter_events()
-            while chunk := [
-                ev.to_chrome() for ev in islice(events, _EXPORT_CHUNK)
-            ]:
-                fh.write(", " + encode(chunk)[1:-1])
-            fh.write('], "displayTimeUnit": "ms"}')
+            fh.writelines(self.chrome_chunks())
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w") as fh:
-            for ev in self.events:
-                fh.write(json.dumps(ev.to_record(), default=_coerce) + "\n")
+            for row in self.rows():
+                rec = TraceEvent(*row).to_record()
+                fh.write(json.dumps(rec, default=_coerce) + "\n")
 
     def write(self, path: str) -> None:
         """Write ``.jsonl`` span records or (default) Chrome trace JSON."""
@@ -393,6 +532,9 @@ class NullTracer(Tracer):
         pass
 
     def virtual_spans(self, name, proc, starts, ends, cat="sim", **columns) -> None:
+        pass
+
+    def virtual_task_run(self, proc, t0, cum, tasks) -> None:
         pass
 
     def virtual_instant(self, name, proc, t, cat="sim", **args) -> None:

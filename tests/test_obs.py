@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
@@ -103,20 +105,35 @@ class TestTracer:
         recs = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert recs[0]["name"] == "a" and recs[0]["clock"] == "host"
 
+    def test_jsonl_streams_task_runs(self, tmp_path):
+        tr = Tracer()
+        tr.virtual_instant("steal", 1, 0.5, victim=0)
+        tr.virtual_task_run(1, 1.0, np.array([0.5, 2.0]), np.array([4, 5]))
+        path = tmp_path / "t.jsonl"
+        tr.write_jsonl(str(path))
+        recs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert recs == [ev.to_record() for ev in tr.events]
+        assert [r["ts"] for r in recs] == [0.5, 1.0, 1.5]
+        assert recs[2] == {"type": "span", "clock": "virtual", "name": "task",
+                           "cat": "task", "tid": 1, "ts": 1.5, "dur": 1.5,
+                           "args": {"task": "5"}}
+
     @pytest.mark.parametrize(
         "nevents", [0, 1, _EXPORT_CHUNK - 1, _EXPORT_CHUNK, _EXPORT_CHUNK + 1]
     )
     def test_streamed_chrome_export_equals_the_document(self, tmp_path, nevents):
-        """write_chrome encodes chunk by chunk; the file must still parse
+        """write_chrome writes chunk by chunk; the file must still parse
         to exactly chrome_trace(), also across a chunk boundary."""
         tr = Tracer("stream")
         for i in range(nevents):
             if i % 3 == 1:
                 tr.virtual_span("w", proc=i % 5, start=0.1 * i, end=0.1 * i + 0.05,
                                 cat="task", task=str(i))
-            elif i % 3 == 2:  # a one-span columnar run
+            elif i % 6 == 2:  # a one-span bulk call
                 tr.virtual_spans("w", i % 5, [0.1 * i], [0.1 * i + 0.05],
                                  cat="task", task=[str(i)])
+            elif i % 6 == 5:  # a one-span columnar task run
+                tr.virtual_task_run(i % 5, 0.1 * i, np.array([0.05]), [i])
             else:
                 tr.virtual_instant("steal", proc=i % 5, t=0.1 * i, victim=i % 4)
         path = tmp_path / "t.json"
@@ -154,7 +171,7 @@ class TestTracer:
         bulk.virtual_spans("task", 7, [], [], task=[])
         for tr in (bulk, single):
             tr.virtual_instant("after", 1, 9.0)
-        # filters and exports read the columnar runs without flattening
+        # every reader sees the bulk call as that many single events
         assert bulk.spans(cat="task") == single.spans(cat="task")
         assert bulk.spans(pid=SIM_PID, names={"bare"}) == single.spans(names={"bare"})
         assert bulk.instants() == single.instants()
@@ -164,6 +181,27 @@ class TestTracer:
         single.virtual_span("late", 0, 1.0, 2.0)
         assert bulk.events == single.events
 
+    def test_task_run_equals_single_calls(self):
+        """The scheduler's capture call: edges, durations and labels are
+        derived on read, from the arrays as they are *then*."""
+        cum = np.array([1.5, 1.5, 4.0, 4.25])
+        tasks = np.array([7, 8, 9, 10])
+        run, single = Tracer(), Tracer()
+        run.virtual_task_run(3, 2.0, cum[:3], tasks[:3])
+        run.virtual_task_run(3, 0.5, [], [])
+        run.virtual_task_run(5, 1.0, np.array([0.25]), [("m", 2)])
+        edges = [2.0, 3.5, 3.5, 6.0]
+        for i in range(3):
+            single.virtual_span("task", 3, edges[i], edges[i + 1], cat="task",
+                                task=str(7 + i))
+        single.virtual_span("task", 5, 1.0, 1.25, cat="task", task="('m', 2)")
+        assert run.events == single.events
+        assert run.spans(cat="task", pid=SIM_PID) == single.spans(cat="task")
+        assert run.spans(cat="sched") == run.instants() == []
+        assert "".join(run.chrome_chunks()) == "".join(single.chrome_chunks())
+        with pytest.raises(ValueError, match="2 tasks for 1 costs"):
+            run.virtual_task_run(0, 0.0, np.array([1.0]), [1, 2])
+
     def test_null_tracer_records_nothing(self):
         nt = NullTracer()
         with nt.span("x") as sp:
@@ -171,6 +209,7 @@ class TestTracer:
         nt.instant("i")
         nt.virtual_span("v", 0, 0.0, 1.0)
         nt.virtual_spans("v", 0, [0.0], [1.0], k=[1])
+        nt.virtual_task_run(0, 0.0, np.array([1.0]), [1])
         nt.virtual_instant("vi", 0, 0.0)
         assert nt.events == []
         assert not nt.enabled
@@ -192,6 +231,161 @@ class TestTracer:
                 pass
         assert get_tracer() is NULL_TRACER
         assert [s.name for s in tr.spans()] == ["inside"]
+
+
+_RESERVED = {"name", "cat", "proc", "start", "end", "t", "self"}
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e-320, 1e22, 1e16, 123456.789e-9,
+                     float("nan"), float("inf"), float("-inf")]),
+)
+_text = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u20ac\ud800\udfff%')),
+    max_size=6,
+)
+_scalars = st.one_of(
+    _text,
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    _floats,
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.floats(width=32, allow_nan=True).map(np.float32),
+    _floats.map(np.float64),
+    st.booleans().map(np.bool_),
+)
+_values = st.one_of(
+    _scalars,
+    st.lists(_scalars, max_size=3),
+    st.dictionaries(_text, st.one_of(_scalars, st.lists(_scalars, max_size=2)),
+                    max_size=2),
+)
+_args = st.dictionaries(_text.filter(lambda k: k not in _RESERVED), _values,
+                        max_size=3)
+_times = st.one_of(
+    st.floats(0.0, 1e4), st.integers(0, 50),
+    st.floats(0.0, 1e4).map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), 1e-320, 1e303]),
+)
+_procs = st.one_of(st.integers(0, 5), st.integers(0, 5).map(np.int64),
+                   st.booleans())
+_columns = st.integers(0, 3).flatmap(lambda n: st.tuples(
+    st.lists(_times, min_size=n, max_size=n),
+    st.lists(_times, min_size=n, max_size=n),
+    st.dictionaries(_text.filter(lambda k: k not in _RESERVED),
+                    st.lists(_values, min_size=n, max_size=n), max_size=2),
+))
+_task_runs = st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n).map(
+        lambda costs: np.cumsum(costs) if costs else np.empty(0)),
+    st.one_of(
+        st.lists(st.integers(-5, 10**6), min_size=n, max_size=n).map(
+            lambda codes: np.array(codes, dtype=np.int64)),
+        st.lists(st.one_of(_text, st.tuples(st.integers(), st.integers())),
+                 min_size=n, max_size=n),
+    ),
+))
+_ops = st.one_of(
+    st.tuples(st.just("span"), _text, _text, _args),
+    st.tuples(st.just("odd_key"), st.one_of(
+        st.integers(-9, -1), st.booleans(), st.none()), _values),
+    st.tuples(st.just("instant"), _text, _args),
+    st.tuples(st.just("virtual_span"), _text, _procs, _times, _times, _args),
+    st.tuples(st.just("virtual_instant"), _text, _procs, _times, _args),
+    st.tuples(st.just("virtual_spans"), _text, _procs, _columns),
+    st.tuples(st.just("virtual_task_run"), _procs, _times, _task_runs),
+)
+
+
+def _json_view(obj):
+    """What a JSON round trip makes of ``obj``, with NaN made comparable."""
+    if isinstance(obj, dict):
+        return {_json_view(k if isinstance(k, str) else json.dumps(k)):
+                _json_view(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_view(v) for v in obj]
+    if isinstance(obj, str):  # a surrogate pair reads back as one character
+        return obj.encode("utf-16", "surrogatepass").decode(
+            "utf-16", "surrogatepass")
+    if hasattr(obj, "item"):
+        obj = obj.item()
+    return "NaN" if isinstance(obj, float) and obj != obj else obj
+
+
+class TestChromeSerializer:
+    """``chrome_chunks`` writes the log column by column with its own
+    fast paths; ``chrome_trace()`` through the stock encoder is the
+    oracle it must match byte for byte."""
+
+    @given(st.lists(_ops, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_text_equals_the_one_shot_encoding(self, ops):
+        tr = Tracer("p%\u00e9")
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e303 s in us
+            self._replay(tr, ops)
+            text = "".join(tr.chrome_chunks())
+            oracle = tr.chrome_trace()
+        assert text == json.dumps(oracle, default=_coerce)
+        assert _json_view(json.loads(text)) == _json_view(oracle)
+
+    @staticmethod
+    def _replay(tr, ops):
+        for op, *rest in ops:
+            if op == "span":
+                name, cat, args = rest
+                with tr.span(name, cat=cat, **args):
+                    pass
+            elif op == "odd_key":
+                with tr.span("odd") as sp:
+                    sp[rest[0]] = rest[1]
+            elif op == "instant":
+                tr.instant(rest[0], **rest[1])
+            elif op == "virtual_span":
+                name, proc, start, end, args = rest
+                tr.virtual_span(name, proc, start, end, cat="c", **args)
+            elif op == "virtual_instant":
+                name, proc, t, args = rest
+                tr.virtual_instant(name, proc, t, **args)
+            elif op == "virtual_spans":
+                name, proc, (starts, ends, columns) = rest
+                tr.virtual_spans(name, proc, starts, ends, **columns)
+            else:
+                proc, t0, (cum, tasks) = rest
+                tr.virtual_task_run(proc, t0, cum, tasks)
+
+    def test_a_name_that_spells_the_template_mark(self):
+        """Templates are cut out of the encoder's output for an event whose
+        values are all ``_MARK``; a name or key that reads like the mark
+        must not be mistaken for a value slot."""
+        from repro.obs.trace import _MARK
+
+        tr = Tracer()
+        for mark in (repr(_MARK), repr(_MARK * 1e6)):
+            tr.virtual_span(mark, 0, 1.0, 2.0, k=1)
+            tr.virtual_instant("i", 1, 1.0, **{mark: "v", "x" + mark: _MARK})
+            tr.virtual_span("plain", 2, _MARK, 2.0, k=_MARK * 1e6, s=mark)
+        text = "".join(tr.chrome_chunks())
+        assert text == json.dumps(tr.chrome_trace(), default=_coerce)
+
+    def test_report_embeds_the_exported_text(self, tmp_path):
+        """NumPy span arguments that ``write_chrome`` accepts used to make
+        ``render_report`` raise (``json.dumps`` without the ``_coerce``
+        hook): the report now embeds the serializer's own text."""
+        import base64
+        import re
+
+        from repro.obs.report import render_report, run_report
+
+        with tracing(Tracer("numpy-args")) as tr:
+            tr.instant("x", n=np.int64(3), x=np.float32(0.5),
+                       flag=np.bool_(True))
+            report, _ = run_report("h2", "sto-3g", nproc=2)
+        html = render_report(report)
+        payload = re.search(r"data:application/json;base64,([^\"]+)", html)
+        path = tmp_path / "t.json"
+        tr.write_chrome(str(path))
+        assert base64.b64decode(payload.group(1)).decode() == path.read_text()
+        assert '"args": {"n": 3, "x": 0.5, "flag": true}' in path.read_text()
 
 
 class TestMetrics:

@@ -1,5 +1,7 @@
 """Tests for the work-stealing and centralized scheduler simulations."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from repro.fock.stealing import (
     scan_rank,
     victim_scan_order,
 )
-from repro.obs import Tracer
+from repro.fock.timeline import Span, timeline_from_tracer
+from repro.obs import SIM_PID, Tracer
+from repro.obs.critpath import _SPAN_KINDS, PathSegment, rank_chains
 from repro.obs.flight import CH_FOCK_ACC, CH_GA, CH_TASK_GET, FlightRecorder
 from repro.runtime.faults import FaultPlan, random_plan
 from repro.runtime.machine import LONESTAR
@@ -105,6 +109,18 @@ def _run_scheduler(run, grid, queues, cost_of, knobs, plan, permute):
     return out, stats, tracer, log, recovered
 
 
+def _assert_same_events(tr, ref_tr, rtol):
+    """Field for field, in order; times equal to rounding."""
+    events, ref_events = tr.events, ref_tr.events
+    assert len(events) == len(ref_events)
+    for ev, rev in zip(events, ref_events):
+        assert (ev.phase, ev.name, ev.cat, ev.pid, ev.tid, ev.args) == (
+            rev.phase, rev.name, rev.cat, rev.pid, rev.tid, rev.args
+        )
+        assert ev.ts == pytest.approx(rev.ts, rel=rtol, abs=1e-15)
+        assert ev.dur == pytest.approx(rev.dur, rel=1e-9, abs=1e-15)
+
+
 class TestAgainstReferenceScan:
     """The array-backed scheduler vs the per-victim Python scan it
     replaced (``tests/reference_stealing.py``): same decisions, same
@@ -165,14 +181,8 @@ class TestAgainstReferenceScan:
             np.testing.assert_allclose(
                 [t for _, t, _ in log], [t for _, t, _ in ref_log], rtol=self.RTOL
             )
-            # trace: bulk-appended task spans == per-call virtual_span
-            assert len(tr.events) == len(ref_tr.events)
-            for ev, rev in zip(tr.events, ref_tr.events):
-                assert (ev.phase, ev.name, ev.cat, ev.pid, ev.tid, ev.args) == (
-                    rev.phase, rev.name, rev.cat, rev.pid, rev.tid, rev.args
-                )
-                assert ev.ts == pytest.approx(rev.ts, rel=self.RTOL, abs=1e-15)
-                assert ev.dur == pytest.approx(rev.dur, rel=1e-9, abs=1e-15)
+            # trace: columnar task runs == per-call virtual_span
+            _assert_same_events(tr, ref_tr, self.RTOL)
 
     def test_cases_cover_the_fault_paths(self):
         """The seeds above really exercise deaths, adoption, stragglers,
@@ -190,6 +200,110 @@ class TestAgainstReferenceScan:
             seen["permuted"] += bool(out.steals) and (permute or plan is not None)
             seen["min2"] += bool(out.steals) and knobs["min_steal"] > 1
         assert all(n >= 5 for n in seen.values()), seen
+
+
+def _event_chains(events, finish, nproc):
+    """``critpath.rank_chains`` as it read the trace before the columnar
+    log: one ``TraceEvent`` and one ``PathSegment`` per span, then a sort."""
+    raw = [[] for _ in range(nproc)]
+    for ev in events:
+        if ev.phase != "X" or ev.pid != SIM_PID or ev.name not in _SPAN_KINDS:
+            continue
+        detail = ""
+        if ev.name == "steal_copy":
+            detail = f"D copy from p{ev.args.get('victim', '?')}"
+        elif ev.name == "batch":
+            detail = f"{ev.args.get('ntasks', '?')} tasks"
+        raw[ev.tid].append(
+            PathSegment(ev.tid, ev.ts, ev.end, _SPAN_KINDS[ev.name], detail))
+    chains = []
+    for p in range(nproc):
+        chain, cursor = [], 0.0
+        for s in sorted(raw[p], key=lambda s: (s.start, s.end)):
+            if s.start > cursor + 1e-9:
+                chain.append(PathSegment(p, cursor, s.start, "slack"))
+            chain.append(s)
+            cursor = max(cursor, s.end)
+        if finish[p] > cursor + 1e-9:
+            chain.append(PathSegment(p, cursor, float(finish[p]), "slack"))
+        chains.append(chain)
+    return chains
+
+
+def _event_timeline(events):
+    """``timeline_from_tracer`` as it read ``TraceEvent`` objects."""
+    spans = [Span(e.tid, e.ts, e.end, "work", str(e.args.get("task", "")))
+             for e in events if e.phase == "X" and e.cat == "task"]
+    spans += [Span(e.tid, e.ts, e.ts, "steal", f"from p{e.args['victim']}")
+              for e in events if e.phase == "i" and e.name == "steal"]
+    for e in events:
+        if e.phase == "X" and e.cat == "comm":
+            kind, detail = "comm", e.name
+            if e.name == "steal_copy":
+                kind, detail = "steal", f"copy from p{e.args.get('victim', '?')}"
+            spans.append(Span(e.tid, e.ts, e.end, kind, detail))
+    spans += [Span(e.tid, e.ts, e.end, "blocked", "await orphans")
+              for e in events
+              if e.phase == "X" and e.cat == "sched" and e.name == "blocked"]
+    return spans
+
+
+class TestColumnarTraceCapture:
+    """A finished batch reaches the tracer as *views* of the scheduler's
+    own cost and task arrays.  That is only sound if nothing writes to
+    them afterwards, so this run has everything that touches a batch
+    later -- steals (``min_steal > 1``), stragglers (``cum *= factor`` in
+    ``begin``), an early and a late rank death -- and reads the trace
+    only once it is over."""
+
+    GRID = (2, 3)
+
+    def _run(self, run, as_lists=False):
+        rng = np.random.default_rng(17)
+        costs = rng.uniform(0.05, 2.0, size=400)
+        lens = [150, 12, 30, 8, 40, 0]
+        bounds = np.concatenate(([0], np.cumsum(lens)))
+        queues = [np.arange(bounds[p], bounds[p + 1]) for p in range(6)]
+        cost_of = lambda codes: costs[codes]
+        if as_lists:
+            queues = [q.tolist() for q in queues]
+            cost_of = lambda c: float(costs[c])
+        plan = FaultPlan(
+            seed=17, slowdown={0: 1.7, 2: 2.5}, deaths={4: 9.0, 1: 58.6})
+        knobs = dict(steal_fraction=0.5, min_steal=2, enable_stealing=True)
+        out, _, tracer, _, _ = _run_scheduler(
+            run, self.GRID, queues, cost_of, knobs, plan, False)
+        return out, tracer
+
+    def test_views_survive_later_steals_and_deaths(self):
+        ref, ref_tr = self._run(reference_work_stealing, as_lists=True)
+        out, tr = self._run(run_work_stealing)
+        assert out.dead_ranks == [1, 4] and out.recoveries
+        assert sum(s.time > 58.6 for s in out.steals) >= 5
+        # ranks whose captured batches were robbed *after* an earlier
+        # batch of theirs had been handed to the tracer
+        robbed_again = {s.victim for s in out.steals} & {
+            s.thief for s in out.steals}
+        assert robbed_again
+        # the log really holds views of arrays the scheduler went on using
+        runs = [row for row in tr._log if type(row) is not tuple]
+        assert all(run.cum.base is not None for run in runs)
+        assert sum(len(run.cum) for run in runs) == out.executed_tasks.sum()
+        _assert_same_events(tr, ref_tr, 1e-12)
+
+    def test_chains_and_timeline_from_rows_equal_the_event_readers(self):
+        out, tr = self._run(run_work_stealing)
+        capture = SimpleNamespace(
+            tracer=tr, finish=out.finish_time, nproc=len(out.finish_time))
+        chains = rank_chains(capture)
+        oracle = _event_chains(tr.events, out.finish_time, capture.nproc)
+        assert [len(c) for c in chains] == [len(c) for c in oracle]
+        for chain, ref_chain in zip(chains, oracle):
+            for seg, ref_seg in zip(chain, ref_chain):
+                assert seg == ref_seg
+        kinds = {seg.kind for chain in chains for seg in chain}
+        assert {"compute", "steal", "blocked", "slack"} <= kinds
+        assert timeline_from_tracer(tr).spans == _event_timeline(tr.events)
 
 
 class TestWorkStealingConservation:
