@@ -1,12 +1,19 @@
 # Convenience targets for the repro package.
 
-.PHONY: install test bench bench-full examples clean
+.PHONY: install test loc bench bench-full examples clean
 
 install:
 	pip install -e . || python setup.py develop
 
 test:
 	pytest tests/
+
+# the size needle: src/ total and the ERI-path subtotal ROADMAP item 1 tracks
+loc:
+	@find src -name '*.py' | xargs cat | wc -l | xargs echo "src/ lines:"
+	@find src/repro/integrals src/repro/scf/fock.py \
+	  src/repro/scf/incremental.py -name '*.py' | xargs cat | wc -l \
+	  | xargs echo "integrals/ + scf/fock.py + scf/incremental.py (+ the deleted parallel/) lines:"
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -22,7 +29,6 @@ examples:
 	python examples/purification_pipeline.py
 	python examples/heterogeneous_systems.py
 	python examples/beyond_rhf.py
-	python examples/host_parallel_fock.py
 	python examples/scaling_study.py
 
 clean:

@@ -1,24 +1,21 @@
-"""ERI kernel microbenchmark: class-batched vs batched vs seed, store reuse.
+"""ERI kernel microbenchmark: reference kernel vs class kernel vs store.
 
-Times the water Fock-build microbenchmark five ways:
+Times the water Fock-build microbenchmark three ways, all through the
+one ``build_jk`` path:
 
-* **seed**: the per-primitive Python-loop MD kernel
-  (``MDEngine(batched=False)``), the original baseline;
-* **batched**: the pair-cached, per-quartet batched-primitive kernel
-  (``MDEngine(class_batched=False)``, :mod:`repro.integrals.pairdata`);
-* **class**: the cross-quartet class-batched path
+* **seed**: the per-primitive Python-loop MD reference kernel (an
+  ``MDEngine`` after ``force_reference_path()``), the original baseline;
+* **class**: the cross-quartet class-batched kernel
   (:mod:`repro.integrals.class_batch`) -- the default engine -- checked
-  against the seed kernel to 1e-12 and gated at >= 10x over seed;
-* **cached**: two successive direct-SCF-style builds through the
-  bounded LRU canonical-quartet cache (second-iteration hit rate);
+  against the reference kernel to 1e-12 and gated at >= 10x over it;
 * **stored**: conventional-SCF mode through an on-disk
   :class:`~repro.integrals.store.ERIStore` -- iteration 1 fills the
   store, iteration 2 must recompute **zero** quartets.
 
 A second measurement (``eri_kernels_large``) runs benzene/6-31G through
-the class-batched and stored paths only (the seed kernel is impractical
-at that size); numerics are spot-checked on a sampled quartet subset
-against the PR-2 batched kernel.
+the class-batched and stored paths only (the reference kernel is
+impractical at that size); numerics are spot-checked on a sampled
+quartet subset against the per-quartet kernel (``engine.quartet``).
 
 Both measurements also time the layers under the class-batched build
 (``kernel_floor``): ``boys_ns_per_eval`` (per argument of one
@@ -64,10 +61,6 @@ from repro.obs.profile import PHASE_JK, profiling
 from repro.scf.fock import build_jk
 
 HISTORY_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_eri.json"
-
-#: minimum acceptable batched-over-seed speedup in the full benchmark
-#: (the PR-2 issue targets >= 3x; asserted with headroom for loaded machines)
-FULL_SPEEDUP_FLOOR = 2.0
 
 #: minimum acceptable class-batched-over-seed speedup in the full benchmark
 #: (the PR-7 issue targets >= 10x on water/6-31G)
@@ -142,33 +135,21 @@ def kernel_floor(basis, density) -> dict:
 
 
 def run_eri_kernel_bench(basis_name: str = "6-31g") -> dict:
-    """One full measurement: seed / batched / class / cached / stored."""
+    """One full measurement: reference kernel / class kernel / stored."""
     mol = water()
     basis = BasisSet.build(mol, basis_name)
     rng = np.random.default_rng(17)
     d = rng.normal(size=(basis.nbf, basis.nbf))
     d = (d + d.T) / 2.0
 
-    t_seed, j0, k0 = _timed_build(MDEngine(basis, batched=False), d)
-    t_batched, j1, k1 = _timed_build(MDEngine(basis, class_batched=False), d)
-    max_diff = float(
-        max(np.max(np.abs(j0 - j1)), np.max(np.abs(k0 - k1)))
-    )
+    seed_engine = MDEngine(basis)
+    seed_engine.force_reference_path()
+    t_seed, j0, k0 = _timed_build(seed_engine, d)
 
     class_engine = MDEngine(basis)
     t_class, jc, kc = _timed_build(class_engine, d)
     class_diff = float(
         max(np.max(np.abs(j0 - jc)), np.max(np.abs(k0 - kc)))
-    )
-
-    cached = MDEngine(basis, cache_mb=64.0)
-    t_iter1, _, _ = _timed_build(cached, d)
-    hits0, misses0 = cached.quartet_cache.hits, cached.quartet_cache.misses
-    t_iter2, j2, k2 = _timed_build(cached, d)
-    hits = cached.quartet_cache.hits - hits0
-    misses = cached.quartet_cache.misses - misses0
-    cache_diff = float(
-        max(np.max(np.abs(j0 - j2)), np.max(np.abs(k0 - k2)))
     )
 
     with tempfile.TemporaryDirectory(prefix="eri_store_") as store_dir:
@@ -185,19 +166,9 @@ def run_eri_kernel_bench(basis_name: str = "6-31g") -> dict:
         "nbf": basis.nbf,
         "quartets": class_engine.quartets_computed,
         "t_seed_s": round(t_seed, 4),
-        "t_batched_s": round(t_batched, 4),
-        "batched_speedup": round(t_seed / t_batched, 2),
-        "max_abs_diff": max_diff,
         "t_class_s": round(t_class, 4),
-        "class_batched_speedup": round(t_seed / t_class, 2),
+        "class_speedup": round(t_seed / t_class, 2),
         "class_max_abs_diff": class_diff,
-        "cache_max_abs_diff": cache_diff,
-        "t_cached_iter1_s": round(t_iter1, 4),
-        "t_cached_iter2_s": round(t_iter2, 4),
-        "cache_iter2_hits": hits,
-        "cache_iter2_misses": misses,
-        "cache_iter2_hit_rate": round(hits / max(1, hits + misses), 4),
-        "cache_bytes_held": cached.quartet_cache.bytes_held,
         "stored_iter2_s": round(t_stored, 4),
         "jk_contract_s": round(t_jk, 4),
         "store_iter2_recomputed": recomputed,
@@ -224,7 +195,7 @@ def run_eri_large_bench(basis_name: str = "6-31g", nsample: int = 64) -> dict:
 
     # spot-check: sampled rows computed through the class-batched kernel
     # itself (compute_class_rows) vs the per-quartet batched kernel
-    ref = MDEngine(basis, class_batched=False)
+    ref = MDEngine(basis)
     plan = engine.class_plan(1e-11)
     batch_of = np.concatenate([
         np.full(b.nq, i, dtype=np.int64) for i, b in enumerate(plan.batches)
@@ -272,13 +243,8 @@ def append_history(entry: dict, path: pathlib.Path = HISTORY_PATH) -> None:
 
 def render_report(result: dict) -> str:
     rows = [
-        ["seed per-primitive", result["t_seed_s"], 1.0],
-        ["batched + pair cache", result["t_batched_s"],
-         result["batched_speedup"]],
-        ["class-batched", result["t_class_s"],
-         result["class_batched_speedup"]],
-        ["quartet-cache iter 2", result["t_cached_iter2_s"],
-         round(result["t_seed_s"] / max(result["t_cached_iter2_s"], 1e-12), 2)],
+        ["reference per-primitive", result["t_seed_s"], 1.0],
+        ["class-batched", result["t_class_s"], result["class_speedup"]],
         ["stored iter 2", result["stored_iter2_s"],
          round(result["t_seed_s"] / max(result["stored_iter2_s"], 1e-12), 2)],
         ["  of which J/K contraction", result["jk_contract_s"], ""],
@@ -291,7 +257,6 @@ def render_report(result: dict) -> str:
             f"ERI kernels: water/{result['basis']} J+K build "
             f"({result['quartets']} quartets, "
             f"class max |diff| {result['class_max_abs_diff']:.2e}, "
-            f"iter-2 hit rate {result['cache_iter2_hit_rate']:.0%}, "
             f"stored iter-2 recomputed {result['store_iter2_recomputed']})"
         ),
     )
@@ -318,36 +283,22 @@ def render_large_report(result: dict) -> str:
 
 
 def check_result(result: dict, quick: bool) -> None:
-    """Regression gates: numerics exact, batched/class not slower than seed."""
-    assert result["max_abs_diff"] < 1e-10, (
-        f"batched kernel numerics drifted: {result['max_abs_diff']:.3e}"
-    )
+    """Regression gates: numerics exact, class kernel not slower than seed."""
     assert result["class_max_abs_diff"] < 1e-12, (
         f"class-batched kernel numerics drifted: "
         f"{result['class_max_abs_diff']:.3e}"
     )
-    assert result["cache_max_abs_diff"] < 1e-10, (
-        f"cache-served blocks drifted: {result['cache_max_abs_diff']:.3e}"
-    )
     assert result["stored_max_abs_diff"] < 1e-10, (
         f"store-served blocks drifted: {result['stored_max_abs_diff']:.3e}"
-    )
-    assert result["cache_iter2_hit_rate"] > 0.5, (
-        f"second-iteration hit rate {result['cache_iter2_hit_rate']:.0%} <= 50%"
     )
     assert result["store_iter2_recomputed"] == 0, (
         f"stored mode recomputed {result['store_iter2_recomputed']} quartets "
         f"in iteration 2 (expected 0)"
     )
-    floor = 1.0 if quick else FULL_SPEEDUP_FLOOR
-    assert result["batched_speedup"] >= floor, (
-        f"batched kernel is a speed regression: "
-        f"{result['batched_speedup']:.2f}x < {floor}x over the seed path"
-    )
     class_floor = 1.0 if quick else CLASS_SPEEDUP_FLOOR
-    assert result["class_batched_speedup"] >= class_floor, (
+    assert result["class_speedup"] >= class_floor, (
         f"class-batched kernel below the speedup gate: "
-        f"{result['class_batched_speedup']:.2f}x < {class_floor}x over seed"
+        f"{result['class_speedup']:.2f}x < {class_floor}x over seed"
     )
 
 

@@ -13,7 +13,6 @@ Layers (bottom to top):
   numeric and timing-level;
 * :mod:`repro.dist` -- SUMMA and distributed purification;
 * :mod:`repro.model` -- the Sec III-G performance model;
-* :mod:`repro.parallel` -- real multiprocessing execution;
 * :mod:`repro.obs` -- tracing (Perfetto export) and metrics across all
   of the above;
 * :mod:`repro.bench` -- experiment drivers for every table and figure.

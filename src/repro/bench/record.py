@@ -38,15 +38,10 @@ SCHEMAS: dict[str, dict[str, type]] = {
     "eri_kernels": {
         "molecule": str,
         "basis": str,
+        # the reference (per-primitive) kernel vs the class kernel
         "t_seed_s": float,
-        "t_batched_s": float,
-        "batched_speedup": float,
-        "max_abs_diff": float,
-        "t_cached_iter2_s": float,
-        "cache_iter2_hit_rate": float,
-        # class-batched cross-quartet path (PR 7)
         "t_class_s": float,
-        "class_batched_speedup": float,
+        "class_speedup": float,
         "class_max_abs_diff": float,
         # stored-integral (conventional SCF) mode
         "stored_iter2_s": float,
@@ -57,7 +52,7 @@ SCHEMAS: dict[str, dict[str, type]] = {
     },
     # larger systems where timing the seed kernel is impractical: the
     # class-batched path is the only timed kernel, and numerics are
-    # verified on a sampled quartet subset against the PR-2 batched kernel
+    # verified on a sampled quartet subset against the per-quartet kernel
     "eri_kernels_large": {
         "molecule": str,
         "basis": str,

@@ -444,8 +444,6 @@ def _run_submit(args: argparse.Namespace) -> int:
     spec: dict = {"kind": "scf", "molecule": args.molecule, "basis": args.basis}
     if args.jk_threads is not None:
         spec["jk_threads"] = args.jk_threads
-    if args.cache_mb is not None:
-        spec["cache_mb"] = args.cache_mb
     if args.store:
         spec["store_dir"] = args.store
     if args.guard:
@@ -1111,13 +1109,10 @@ def main(argv: list[str] | None = None) -> int:
         "MemoryError retries)",
     )
     p_sub.add_argument(
-        "--cache-mb", type=float, default=None, metavar="MB",
-        help="ERI quartet cache budget (released on MemoryError retries)",
-    )
-    p_sub.add_argument(
         "--store", default=None, metavar="DIR",
         help="shared stored-integral directory (cross-process file "
-        "locking keeps concurrent fills safe)",
+        "locking keeps concurrent fills safe; dropped for direct SCF "
+        "on MemoryError retries)",
     )
     p_sub.add_argument(
         "--guard", action="store_true", help="arm the convergence guard"

@@ -16,10 +16,11 @@ fault-overhead counters), never as a numeric change.
 
 The ``scf`` fault family (:func:`run_scf_chaos`) applies the same
 invariant to *numerical* faults: a seeded
-:class:`~repro.runtime.faults.SCFFaultPlan` corrupts batched ERI quartet
-blocks with NaN/Inf, the convergence guard's per-quartet sentinel
-rescues each one on the reference kernel, and the rescued Fock matrix
-must still match the fault-free build to ``<= 1e-12``.
+:class:`~repro.runtime.faults.SCFFaultPlan` corrupts class-kernel ERI
+quartet blocks with NaN/Inf inside the production Fock build, the
+convergence guard's per-quartet sentinel rescues each one on the
+reference kernel, and the rescued Fock matrix must still match the
+fault-free build to ``<= 1e-12``.
 
 The ``sdc`` fault family (:func:`run_sdc_chaos`) is the *silent*
 variant: a seeded :class:`~repro.runtime.sdc.SDCFaultPlan` bit-flips
@@ -212,7 +213,7 @@ class SCFChaosResult:
     fock_error: float
     #: |dE| of the one-iteration electronic energy
     energy_error: float
-    #: batched ERI blocks the plan corrupted
+    #: class-kernel ERI blocks the plan corrupted
     quartets_corrupted: int
     #: corrupted blocks the sentinel recomputed on the reference kernel
     eri_rescues: int
@@ -248,12 +249,12 @@ def run_scf_chaos(
 ) -> SCFChaosResult:
     """The ``scf`` fault family's invariant gate.
 
-    Builds the Fock matrix twice from identical inputs on the batched
-    MD engine -- once clean, once with a seeded
-    :class:`~repro.runtime.faults.SCFFaultPlan` corrupting quartet
-    blocks and the per-quartet NaN/Inf sentinel armed -- and verifies
-    every corruption was rescued (recomputed on the reference kernel)
-    with ``max |dF| <= tolerance``.
+    Builds the Fock matrix twice from identical inputs on the MD engine,
+    both times through the production class path -- once clean, once
+    with a seeded :class:`~repro.runtime.faults.SCFFaultPlan` corrupting
+    the class kernel's blocks and the per-quartet NaN/Inf sentinel armed
+    -- and verifies every corruption was rescued (recomputed on the
+    reference kernel) with ``max |dF| <= tolerance``.
     """
     from repro.scf.fock import fock_matrix
 

@@ -5,16 +5,13 @@ from repro.integrals.class_batch import (
     ClassBatch,
     ClassPlan,
     build_class_plan,
-    jk_for_quartets,
     jk_from_plan,
 )
 from repro.integrals.engine import (
     ERIEngine,
     MDEngine,
     OSEngine,
-    QuartetCache,
     SyntheticERIEngine,
-    canonical_quartet,
 )
 from repro.integrals.eri_3center import eri_2center_block, eri_3center_block
 from repro.integrals.eri_md import eri_shell_quartet, eri_tensor
@@ -51,16 +48,13 @@ __all__ = [
     "ERIEngine",
     "MDEngine",
     "OSEngine",
-    "QuartetCache",
     "SyntheticERIEngine",
-    "canonical_quartet",
     "ClassBatch",
     "ClassPlan",
     "ERIStore",
     "StoreInvalidatedWarning",
     "basis_fingerprint",
     "build_class_plan",
-    "jk_for_quartets",
     "jk_from_plan",
     "PairData",
     "ShellPairData",

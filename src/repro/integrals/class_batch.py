@@ -29,9 +29,17 @@ loop the same way:
   flushes are dealt cost-sorted across a thread pool, each worker
   accumulating into private J/K buffers that are reduced at the end.
 
-Numerics agree with the per-quartet paths to summation order (tests pin
-<= 1e-10 elementwise across mixed s/p/d bases; the water benchmark gate
-pins <= 1e-12 on J/K vs the seed kernel).
+Every engine builds J/K here.  A chunk's blocks come from one of two
+sources (:func:`_resolve_chunk`): *stored* (a ready
+:class:`~repro.integrals.store.ERIStore`) or *compute* -- the class
+kernel when the plan carries its operands, else a stack of per-row
+``engine._quartet`` blocks (Obara-Saika, synthetic, and the MD reference
+kernel after ``force_reference_path()``).
+
+Numerics agree with the per-quartet scatter oracle
+(``tests/reference_fock.py``) to summation order (tests pin <= 1e-10
+elementwise across mixed s/p/d bases; the water benchmark gate pins
+<= 1e-12 on J/K vs the reference kernel).
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.basis.shells import ncart, nsph
 from repro.integrals.pairdata import (
     ShellPairData,
     StackedPairs,
@@ -58,7 +65,7 @@ from repro.util.validation import check_symmetric
 
 #: The 8 axis permutations of an (ab|cd) block under Eq (4)'s
 #: permutational symmetry.  This is the one shared definition --
-#: ``repro.scf.fock`` and ``repro.integrals.engine`` import it.
+#: ``repro.scf.fock`` imports it.
 EIGHT_PERMUTATIONS: tuple[tuple[int, int, int, int], ...] = (
     (0, 1, 2, 3),
     (1, 0, 2, 3),
@@ -88,33 +95,15 @@ MAX_STAGE_WORK = 1 << 19
 _PAIR_AXES = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
 
 
-def iter_canonical_quartets(sigma: np.ndarray, tau: float):
-    """Canonical (M>=N, pair(MN) >= pair(PQ)) screened shell quartets.
+def canonical_quartet_array(sigma: np.ndarray, tau: float) -> np.ndarray:
+    """Canonical (M>=N, pair(MN) >= pair(PQ)) screened shell quartets as
+    one ``(nq, 4)`` array, bra-major.
 
     ``sigma`` is the shell-pair Schwarz matrix; a quartet survives iff
-    ``sigma[M,N] * sigma[P,Q] > tau``.  The planner uses the vectorised
-    :func:`canonical_quartet_array`; this generator is its oracle (and
-    ``repro.scf.fock.canonical_shell_quartets``).
-    """
-    ns = sigma.shape[0]
-    for m in range(ns):
-        for n in range(m + 1):
-            smn = sigma[m, n]
-            if smn <= 0.0:
-                continue
-            for p in range(m + 1):
-                qmax = n if p == m else p
-                for q in range(qmax + 1):
-                    if smn * sigma[p, q] > tau:
-                        yield (m, n, p, q)
-
-
-def canonical_quartet_array(sigma: np.ndarray, tau: float) -> np.ndarray:
-    """:func:`iter_canonical_quartets` as one ``(nq, 4)`` array, same order.
-
-    The canonical pairs ``(p, q <= p)`` in row-major order are exactly
-    the generator's ket enumeration, and the kets of bra pair ``i`` are
-    pairs ``0..i`` -- one vectorised Schwarz test per bra pair.
+    ``sigma[M,N] * sigma[P,Q] > tau``.  The canonical pairs
+    ``(p, q <= p)`` in row-major order enumerate the kets, and the kets
+    of bra pair ``i`` are pairs ``0..i`` -- one vectorised Schwarz test
+    per bra pair.
     """
     pm, pn = np.tril_indices(sigma.shape[0])
     spair = sigma[pm, pn]
@@ -154,20 +143,24 @@ class ClassBatch:
     #: basis-function block shape (spherical length on pure axes)
     dims: tuple[int, int, int, int]
     lmax: int
+    #: primitive quartets per shell quartet
+    nprim: int
     quartets: np.ndarray  # (nq, 4) int64
-    bra_slots: np.ndarray  # (nq,) into ``bra`` stacks
-    ket_slots: np.ndarray
-    bra: StackedPairs
-    ket: StackedPairs
     #: :func:`orbit_weights` of ``quartets``
     weights: np.ndarray
     #: (6, nq) flat J/K index ``start_i * nbf + start_j`` of the first
     #: element of each :data:`_PAIR_AXES` block, per quartet
     pair_bases: np.ndarray
-    #: estimated primitive-quartet work (thread balancing / chunking)
-    cost: float
-    #: precomputed kernel constants of the (bra, ket) stacks
-    ops: SweepOperands = field(repr=False, default=None)
+    #: the class kernel's operands -- stacked pair data, per-quartet slots
+    #: into the stacks, precomputed constants; all ``None`` on a plan
+    #: built without pair data, whose rows come from ``engine._quartet``
+    bra: StackedPairs | None = None
+    ket: StackedPairs | None = None
+    bra_slots: np.ndarray | None = None
+    ket_slots: np.ndarray | None = None
+    ops: SweepOperands | None = field(repr=False, default=None)
+    #: plan row of this batch's first quartet (seeded faults address rows)
+    row0: int = 0
     #: memoized store resolution: (store generation, offsets, positions)
     _store_res: tuple = field(repr=False, default=None, compare=False)
 
@@ -180,10 +173,15 @@ class ClassBatch:
         d = self.dims
         return d[0] * d[1] * d[2] * d[3]
 
+    @property
+    def cost(self) -> float:
+        """Estimated primitive-quartet work (thread balancing)."""
+        return float(self.nq) * self.nprim * (self.lmax + 1) ** 4
+
     def chunk_rows(self) -> int:
         """Quartets per sweep under the :data:`MAX_R_WORK` budget."""
         # the compact recursion holds C(L+4, 4) vectors per primitive quartet
-        per_q = self.bra.npp * self.ket.npp * math.comb(self.lmax + 4, 4)
+        per_q = self.nprim * math.comb(self.lmax + 4, 4)
         return int(max(1, min(MAX_CHUNK_QUARTETS, MAX_R_WORK // max(per_q, 1))))
 
 
@@ -234,7 +232,7 @@ def _slot_pairs(cols: np.ndarray, ns: int) -> tuple[np.ndarray, list]:
 
 def _build_batch(
     basis: BasisSet,
-    pair_cache: ShellPairData,
+    pair_cache: ShellPairData | None,
     qarr: np.ndarray,
     weights: np.ndarray,
     pair_bases: np.ndarray,
@@ -243,21 +241,18 @@ def _build_batch(
     sh = [basis.shells[i] for i in qarr[0]]
     lkey = tuple(s.l for s in sh)
     pure = tuple(s.pure for s in sh)
-    nq = qarr.shape[0]
-    bra_slots, bra_pairs = _slot_pairs(qarr[:, :2], basis.nshells)
-    ket_slots, ket_pairs = _slot_pairs(qarr[:, 2:], basis.nshells)
-    bra = stack_pairs([pair_cache.get(i, j) for i, j in bra_pairs])
-    ket = stack_pairs([pair_cache.get(i, j) for i, j in ket_pairs])
-
-    lmax = sum(lkey)
-    dims = tuple(nsph(l) if pu else ncart(l) for l, pu in zip(lkey, pure))
-    cost = float(nq) * bra.npp * ket.npp * (lmax + 1) ** 4
-    return ClassBatch(
-        lkey=lkey, pure=pure, dims=dims, lmax=lmax,
-        quartets=qarr, bra_slots=bra_slots, ket_slots=ket_slots,
-        bra=bra, ket=ket, weights=weights, pair_bases=pair_bases, cost=cost,
-        ops=SweepOperands.build(bra, ket, pure),
+    batch = ClassBatch(
+        lkey=lkey, pure=pure, dims=tuple(s.nbf for s in sh), lmax=sum(lkey),
+        nprim=math.prod(s.nprim for s in sh),
+        quartets=qarr, weights=weights, pair_bases=pair_bases,
     )
+    if pair_cache is not None:
+        batch.bra_slots, bra_pairs = _slot_pairs(qarr[:, :2], basis.nshells)
+        batch.ket_slots, ket_pairs = _slot_pairs(qarr[:, 2:], basis.nshells)
+        batch.bra = stack_pairs([pair_cache.get(i, j) for i, j in bra_pairs])
+        batch.ket = stack_pairs([pair_cache.get(i, j) for i, j in ket_pairs])
+        batch.ops = SweepOperands.build(batch.bra, batch.ket, pure)
+    return batch
 
 
 def build_class_plan(
@@ -267,12 +262,12 @@ def build_class_plan(
 ) -> ClassPlan:
     """Group ``quartets`` (shell-index 4-tuples, or an (nq, 4) array) by class.
 
-    ``pair_cache`` supplies (and memoizes) the stacked
-    :class:`~repro.integrals.pairdata.PairData`; pass ``None`` to use a
-    throwaway per-plan cache.
+    The tuples may be in any index order (:func:`orbit_weights` holds
+    for arbitrary tuples).  ``pair_cache`` supplies (and memoizes) the
+    stacked :class:`~repro.integrals.pairdata.PairData` the class kernel
+    sweeps; an engine without that kernel passes ``None`` and gets a plan
+    whose rows resolve through its own ``_quartet``.
     """
-    if pair_cache is None:
-        pair_cache = ShellPairData(basis)
     if not isinstance(quartets, np.ndarray):
         quartets = list(quartets)
     qarr = np.asarray(quartets, dtype=np.int64).reshape(-1, 4)
@@ -309,9 +304,11 @@ def build_class_plan(
         for rows in members if rows.size
     ]
     batches.sort(key=lambda b: -b.cost)
-    return ClassPlan(
-        batches=batches, nquartets=sum(b.nq for b in batches)
-    )
+    nquartets = 0
+    for batch in batches:
+        batch.row0 = nquartets
+        nquartets += batch.nq
+    return ClassPlan(batches=batches, nquartets=nquartets)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +382,13 @@ def _contract_blocks(
 
 
 # ---------------------------------------------------------------------------
-# chunk resolution: store -> LRU cache -> compute
+# chunk resolution: two sources, stored and compute
 # ---------------------------------------------------------------------------
 
 
 #: where a resolved row came from (tallied per chunk, summed per build)
-_COUNT_KEYS = ("computed", "from_store", "from_cache", "rescued",
-               "crc_rescued")
+_COUNT_KEYS = ("computed", "from_store", "rescued", "crc_rescued",
+               "corrupted")
 
 
 def _store_offsets(batch: ClassBatch, store) -> tuple:
@@ -405,16 +402,27 @@ def _store_offsets(batch: ClassBatch, store) -> tuple:
     return res[1:]
 
 
+def _compute_rows(engine, batch: ClassBatch, rows: np.ndarray) -> np.ndarray:
+    """Freshly computed blocks for ``rows``: one class-kernel sweep when
+    the plan carries its operands, else the engine's own blocks stacked."""
+    if batch.ops is not None:
+        return compute_class_rows(batch, rows)
+    return np.stack(
+        [engine._quartet(*quartet) for quartet in batch.quartets[rows].tolist()]
+    )
+
+
 def _resolve_chunk(
-    engine, batch: ClassBatch, lo: int, hi: int, store, cache
+    engine, batch: ClassBatch, lo: int, hi: int, store, faults
 ) -> tuple[np.ndarray, dict]:
     """The stacked blocks for rows ``[lo, hi)`` and where they came from.
 
-    Resolution order per row: memory-mapped store (vectorized read of the
-    whole chunk), then the engine's LRU quartet cache, then one batched
-    kernel sweep over the remaining rows.  Computed rows are recorded to
-    a filling store and inserted into the cache, so both layers warm up
-    from the batched path exactly as they do from the per-quartet path.
+    *Stored*: a ready store holding every row of the chunk serves it in
+    one vectorized read.  *Compute*: otherwise the whole chunk is
+    computed; ``faults`` (the build's pre-drawn seeded corruptions, or
+    None) hit class-kernel rows only, before the NaN/Inf sentinel whose
+    per-quartet rescue repairs them, and a filling store records the
+    result.
     """
     nrows = hi - lo
     counts = dict.fromkeys(_COUNT_KEYS, 0)
@@ -426,52 +434,27 @@ def _resolve_chunk(
                 blocks = store.read_stacked(sel, batch.block_size, batch.dims)
                 if store.verify_reads:
                     # rows whose bytes fail the finalize-time CRC are
-                    # not trusted: recompute them with the same batched
-                    # kernel (bitwise-identical values, so a corrupted
-                    # store never perturbs F)
+                    # not trusted: recompute them with the kernel that
+                    # filled the store (bitwise-identical values, so a
+                    # corrupted store never perturbs F)
                     good = store.verify_stacked(sel, blocks, pos[lo:hi])
                     if not good.all():
                         bad = np.flatnonzero(~good)
-                        blocks[bad] = compute_class_rows(
-                            batch, np.arange(lo, hi)[bad]
-                        )
+                        blocks[bad] = _compute_rows(engine, batch, lo + bad)
                         counts["crc_rescued"] = len(bad)
                 counts["from_store"] = nrows
                 return blocks, counts
-    rows = np.arange(lo, hi)
-    blocks = None
-    missing = rows
-    if cache is not None and len(cache) > 0:
-        blocks = np.empty((nrows,) + batch.dims)
-        miss_idx = []
-        for i in range(nrows):
-            key = tuple(int(v) for v in batch.quartets[lo + i])
-            hit = cache.get(key)
-            if hit is None:
-                miss_idx.append(i)
-            else:
-                blocks[i] = hit
-        counts["from_cache"] = nrows - len(miss_idx)
-        if not miss_idx:
-            return blocks, counts
-        missing = rows[np.asarray(miss_idx)]
-    computed = compute_class_rows(batch, missing)
-    counts["computed"] = len(missing)
-    if engine.finite_check and not np.isfinite(computed.sum()):
-        finite = np.isfinite(computed.reshape(len(missing), -1)).all(axis=1)
+    blocks = _compute_rows(engine, batch, np.arange(lo, hi))
+    counts["computed"] = nrows
+    if faults is not None and batch.ops is not None:
+        counts["corrupted"] = faults.corrupt_rows(blocks, batch.row0 + lo)
+    if engine.finite_check and not np.isfinite(blocks.sum()):
+        finite = np.isfinite(blocks.reshape(nrows, -1)).all(axis=1)
         for i in np.flatnonzero(~finite):
-            key = tuple(int(v) for v in batch.quartets[missing[i]])
-            computed[i] = engine._rescue_quartet(*key)
+            blocks[i] = engine._rescue_quartet(*batch.quartets[lo + i].tolist())
             counts["rescued"] += 1
     if store is not None and store.filling:
-        store.record_batch(batch.quartets[missing], computed)
-    if cache is not None:
-        for i, row in enumerate(missing):
-            key = tuple(int(v) for v in batch.quartets[row])
-            cache.put(key, computed[i])
-    if blocks is None:
-        return computed, counts
-    blocks[missing - lo] = computed
+        store.record_batch(batch.quartets[lo:hi], blocks)
     return blocks, counts
 
 
@@ -533,7 +516,7 @@ class _Stopwatch:
         return False
 
 
-def _run_flushes(engine, dflat, flushes, store, cache, eri_span, jk_span):
+def _run_flushes(engine, dflat, flushes, store, faults, eri_span, jk_span):
     """One worker's share: private half-J/half-K buffers + source counts,
     ``eri_span`` around every chunk resolution, ``jk_span`` every flush."""
     n = engine.basis.nbf
@@ -547,7 +530,7 @@ def _run_flushes(engine, dflat, flushes, store, cache, eri_span, jk_span):
                 raise JKInterrupted("J/K build interrupted between chunks")
             with eri_span:
                 blocks, counts = _resolve_chunk(
-                    engine, batch, lo, hi, store, cache
+                    engine, batch, lo, hi, store, faults
                 )
             parts.append(blocks)
             for key in _COUNT_KEYS:
@@ -563,8 +546,6 @@ def jk_from_plan(
     plan: ClassPlan,
     tau: float | None = None,
     threads: int | None = None,
-    use_store: bool = True,
-    use_cache: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """J and K matrices from a class plan, one batched sweep per chunk.
 
@@ -577,20 +558,28 @@ def jk_from_plan(
     (reduced at the end) plus private phase timings, which are folded
     into the active profiler as one ``eri_quartets`` sample per kernel
     chunk and one ``jk_contraction`` sample per flush -- never per quartet.
+
+    An attached ``engine.integral_store`` is read when ready and filled
+    (then finalized with ``tau``) when not; an attached
+    ``engine.scf_faults`` state has this build's corruptions drawn here,
+    per plan row and before any worker starts, so the same rows are hit
+    at every thread count.
     """
     from repro.obs.profile import PHASE_ERI, PHASE_JK, get_profiler
 
     n = engine.basis.nbf
     dflat = density_stack(density, n).reshape(-1, n * n)
-    store = getattr(engine, "integral_store", None) if use_store else None
-    cache = getattr(engine, "quartet_cache", None) if use_cache else None
+    store = engine.integral_store
+    faults = None
+    if engine.scf_faults is not None:
+        faults = engine.scf_faults.draw_build(plan.nquartets)
     flushes = plan.flushes()
     nthreads = resolve_jk_threads(threads)
     prof = get_profiler()
 
     if nthreads <= 1 or len(flushes) <= 1:
         results = [_run_flushes(
-            engine, dflat, flushes, store, cache,
+            engine, dflat, flushes, store, faults,
             prof.phase(PHASE_ERI), prof.phase(PHASE_JK),
         )]
         engine.last_jk_worker_stats = []
@@ -608,7 +597,7 @@ def jk_from_plan(
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
             results = list(pool.map(
                 lambda share, watch: _run_flushes(
-                    engine, dflat, share, store, cache, *watch
+                    engine, dflat, share, store, faults, *watch
                 ),
                 shares, watches,
             ))
@@ -624,7 +613,9 @@ def jk_from_plan(
 
     totals = {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS}
     engine.quartets_computed += totals["computed"]
-    engine.quartets_served_from_cache += totals["from_cache"]
+    engine.count_rescues(totals["rescued"])
+    if faults is not None:
+        engine.scf_faults.quartets_corrupted += totals["corrupted"]
     if store is not None:
         engine.quartets_served_from_store += totals["from_store"]
         engine.crc_rescues += totals["crc_rescued"]
@@ -635,26 +626,3 @@ def jk_from_plan(
     j = 2.0 * (jt + jt.transpose(0, 2, 1))
     k = kt + kt.transpose(0, 2, 1)
     return (j, k) if np.ndim(density) == 3 else (j[0], k[0])
-
-
-def jk_for_quartets(
-    engine,
-    density: np.ndarray,
-    quartets,
-    threads: int | None = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """J/K contribution of an explicit quartet list, class-batched.
-
-    Used by the multiprocessing Fock workers: each worker groups its
-    task chunk's quartets into a throwaway plan and runs the same
-    batched sweep + contraction.  The quartet tuples may be in any index
-    order (:func:`orbit_weights` holds for arbitrary tuples); the store
-    and LRU layers are bypassed because worker-side fills
-    would be lost with the forked process anyway.
-    """
-    pair_cache = getattr(engine, "pair_cache", None)
-    plan = build_class_plan(engine.basis, pair_cache, quartets)
-    return jk_from_plan(
-        engine, density, plan, threads=threads,
-        use_store=False, use_cache=False,
-    )

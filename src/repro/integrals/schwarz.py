@@ -40,8 +40,11 @@ def _diagonal_bounds(
 
     One class plan swept by the same kernel as the Fock build's quartets;
     ``pair_cache`` supplies (and memoizes) the pair data -- the engine
-    passes its own, so Schwarz and every later plan expand each pair once.
+    passes its own, so Schwarz and every later plan expand each pair once
+    (``None``: a throwaway cache).
     """
+    if pair_cache is None:
+        pair_cache = ShellPairData(basis)
     sigma = np.zeros((basis.nshells, basis.nshells))
     plan = build_class_plan(basis, pair_cache, np.stack([m, n, m, n], axis=1))
     for batch, lo, hi in plan.chunks():

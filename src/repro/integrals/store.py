@@ -20,10 +20,10 @@ again on every Fock build.  This module is that storage layer:
 
 Lifecycle: ``open_or_fill()`` -> ``filling`` (first Fock build records
 computed blocks) -> ``finalize(tau)`` -> ``ready`` (all later builds read
-only).  The store sits *under* the LRU quartet cache in
-:meth:`repro.integrals.engine.ERIEngine.quartet` and under the
-class-batched chunk resolver, so direct-SCF iterations >= 2 recompute
-zero ERIs (tracked by ``quartets_served_from_store``).
+only).  The store is one of the two sources of the class-batched chunk
+resolver (:func:`repro.integrals.class_batch.jk_from_plan`; the other is
+compute), so SCF iterations >= 2 recompute zero ERIs (tracked by
+``quartets_served_from_store``).
 
 Cross-process safety (service workers share store directories):
 
@@ -43,8 +43,7 @@ whole-file SHA-256 of ``blocks.bin`` (``blocks_sha256``).  With
 block is CRC-checked the *first* time it is served per attach
 (scrub-on-first-read): an intact block is marked verified and skips
 the check on later reads, so the steady-state cost is near zero, while
-a mismatching block is *not* served -- :meth:`get` returns None (the
-engine recomputes the quartet) and :meth:`verify_stacked` flags bad
+a mismatching block is *not* served -- :meth:`verify_stacked` flags bad
 rows for the class-batched resolver to recompute -- and is never
 marked verified, so it is re-detected on every read.  The whole-file digest is only checked by the
 offline ``repro verify`` audit, keeping attach cheap.  A manifest with
@@ -109,8 +108,8 @@ class StoreInvalidatedWarning(UserWarning):
 class ERIStore:
     """On-disk store of canonical screened ERI quartet blocks.
 
-    States: ``filling`` (accepting :meth:`record` / :meth:`record_batch`)
-    and ``ready`` (memory-mapped, read-only).  ``generation`` increments
+    States: ``filling`` (accepting :meth:`record_batch`) and ``ready``
+    (memory-mapped, read-only).  ``generation`` increments
     whenever the readable content changes, so callers can memoize
     offset resolutions against it.
     """
@@ -165,10 +164,6 @@ class ERIStore:
             os.close(fd)
 
     # -- key packing --------------------------------------------------------
-
-    def pack(self, m: int, n: int, p: int, q: int) -> int:
-        s = self._nshells
-        return ((m * s + n) * s + p) * s + q
 
     def pack_rows(self, quartets: np.ndarray) -> np.ndarray:
         s = self._nshells
@@ -267,14 +262,6 @@ class ERIStore:
     @property
     def pending_blocks(self) -> int:
         return len(self._pending)
-
-    def record(self, key: tuple[int, int, int, int], block: np.ndarray) -> None:
-        """Record one canonical block while filling (thread-safe)."""
-        if not self.filling:
-            return
-        flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
-        with self._lock:
-            self._pending.setdefault(self.pack(*key), flat)
 
     def record_batch(self, quartets: np.ndarray, blocks: np.ndarray) -> None:
         """Record a stacked chunk of canonical blocks while filling."""
@@ -405,33 +392,6 @@ class ERIStore:
             self.crc_checks += int(todo.size)
             self.crc_mismatches += int((~good).sum())
         return good
-
-    def get(self, key: tuple[int, int, int, int]) -> np.ndarray | None:
-        """One canonical block (basis-function shape), or None if absent.
-
-        With ``verify_reads`` armed, a block whose bytes fail the CRC
-        recorded at finalize is *not* served: the method returns None
-        and the engine recomputes the quartet -- silent corruption in
-        the memmap becomes a counted recompute instead of a wrong F.
-        """
-        if not self.ready:
-            return None
-        packed = self.pack(*key)
-        pos = int(np.searchsorted(self._keys, packed))
-        if pos >= self._keys.size or self._keys[pos] != packed:
-            return None
-        shells = self.basis.shells
-        shape = tuple(shells[s].nbf for s in key)
-        off = int(self._offsets[pos])
-        size = int(np.prod(shape))
-        block = np.asarray(self._flat[off:off + size])
-        if self.verify_reads and not self._verified[pos]:
-            self.crc_checks += 1
-            if block_crc(block) != int(self._crcs[pos]):
-                self.crc_mismatches += 1
-                return None
-            self._verified[pos] = True
-        return block.reshape(shape)
 
     def stats(self) -> dict:
         """Snapshot for reports/tests."""

@@ -76,18 +76,8 @@ class MetricSpec:
 #: per-molecule tables of fock_table3).
 DEFAULT_SPECS: tuple[MetricSpec, ...] = (
     # -- ERI kernel trajectory (BENCH_eri.json) --------------------------
-    MetricSpec("eri_kernels", "batched_speedup", "higher", "relative",
-               warn=1.3, fail=2.0, quick=True, unit="x"),
-    MetricSpec("eri_kernels", "max_abs_diff", "lower", "absolute",
-               warn=1e-11, fail=1e-10, quick=True, unit="Eh"),
-    MetricSpec("eri_kernels", "cache_iter2_hit_rate", "higher", "absolute",
-               warn=0.90, fail=0.50, quick=True),
-    MetricSpec("eri_kernels", "t_batched_s", "lower", "relative",
-               warn=1.3, fail=2.0, unit="s"),
-    MetricSpec("eri_kernels", "t_cached_iter2_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    # class-batched cross-quartet path + stored-integral mode (PR 7)
-    MetricSpec("eri_kernels", "class_batched_speedup", "higher", "relative",
+    # class kernel vs the reference kernel, stored-integral mode
+    MetricSpec("eri_kernels", "class_speedup", "higher", "relative",
                warn=1.3, fail=2.0, quick=True, unit="x"),
     MetricSpec("eri_kernels", "class_max_abs_diff", "lower", "absolute",
                warn=1e-13, fail=1e-12, quick=True, unit="Eh"),

@@ -244,22 +244,24 @@ class SCFFaultPlan:
     """Declarative numerical faults for the SCF / Fock-build layer.
 
     The runtime :class:`FaultPlan` breaks the *machine* (rank deaths,
-    lost acks); this plan breaks the *numerics*: it corrupts batched ERI
-    quartet blocks and SCF iteration matrices with NaN/Inf, the failure
-    mode of a buggy fast kernel or a bad FMA path on one node.  The
-    convergence guard (:mod:`repro.scf.guard`) must detect and rescue
+    lost acks); this plan breaks the *numerics*: it corrupts class-kernel
+    ERI quartet blocks and SCF iteration matrices with NaN/Inf, the
+    failure mode of a buggy fast kernel or a bad FMA path on one node.
+    The convergence guard (:mod:`repro.scf.guard`) must detect and rescue
     every corruption -- that is the ``repro chaos --family scf`` gate.
 
-    Corruption only targets the *batched* ERI path, never the reference
-    per-primitive kernel, so the guard's ``reference_eri`` fallback (and
-    the per-quartet rescue) genuinely repairs the build.
+    Corruption only targets the rows the class kernel computes inside the
+    production Fock build (:func:`repro.integrals.class_batch.jk_from_plan`)
+    -- never stored rows, rescued rows or the reference per-primitive
+    kernel -- so the guard's ``reference_eri`` fallback (and the
+    per-quartet rescue) genuinely repairs the build.
 
     Parameters
     ----------
     seed:
         Seed of the generator behind every corruption draw.
     quartet_nan_rate / quartet_inf_rate:
-        Per-quartet-block probability that the batched ERI result is
+        Per-quartet-block probability that the class kernel's result is
         corrupted with NaN (resp. +Inf) in one random element.
     fock_nan_iterations / density_nan_iterations:
         SCF iteration numbers (1-based) at which one element of the
@@ -326,45 +328,71 @@ class SCFFaultPlan:
         return " ".join(parts)
 
 
+@dataclass(frozen=True)
+class BuildFaults:
+    """The quartet corruptions of one Fock build, drawn up front."""
+
+    #: victim plan rows, ascending
+    rows: np.ndarray
+    #: the NaN or Inf each victim gets
+    values: np.ndarray
+    #: position in the victim's block, as a fraction of the block size
+    where: np.ndarray
+
+    def corrupt_rows(self, blocks: np.ndarray, row0: int) -> int:
+        """Corrupt in place the victims among the stacked ``blocks`` of
+        plan rows ``[row0, row0 + len(blocks))``; returns how many."""
+        lo, hi = np.searchsorted(self.rows, (row0, row0 + len(blocks)))
+        for i in range(lo, hi):
+            block = blocks[self.rows[i] - row0]
+            block.flat[int(self.where[i] * block.size)] = self.values[i]
+        return int(hi - lo)
+
+
 class SCFFaultState:
     """An activated :class:`SCFFaultPlan` with its seeded rng and counters."""
 
     def __init__(self, plan: SCFFaultPlan):
         self.plan = plan
+        #: drives the matrix faults; quartet faults reseed per build
         self.rng = np.random.default_rng(plan.seed)
-        #: batched ERI blocks corrupted (NaN or Inf)
+        #: Fock builds drawn so far (the ordinal of the next one)
+        self.builds = 0
+        #: class-kernel ERI blocks corrupted (NaN or Inf)
         self.quartets_corrupted = 0
         #: SCF matrices (Fock/density) corrupted
         self.matrices_corrupted = 0
         #: (iteration, target) matrix faults that already fired
         self._fired: set[tuple[int, str]] = set()
 
-    def _budget_left(self) -> bool:
+    def _budget_left(self) -> int | None:
+        """Corruptions still allowed (None = unlimited)."""
         cap = self.plan.max_corruptions
-        total = self.quartets_corrupted + self.matrices_corrupted
-        return cap == 0 or total < cap
+        if cap == 0:
+            return None
+        return max(0, cap - self.quartets_corrupted - self.matrices_corrupted)
 
-    def corrupt_quartet(
-        self, block: np.ndarray, quartet: tuple[int, int, int, int]
-    ) -> np.ndarray:
-        """Maybe corrupt one batched ERI block; returns the block to use.
+    def draw_build(self, nrows: int) -> BuildFaults | None:
+        """The quartet corruptions of the next Fock build over an
+        ``nrows``-row class plan (None when the plan has no quartet rate).
 
-        The draw consumes the rng whether or not corruption fires, so a
-        faulted run is reproducible from the plan's seed alone.
+        Each row's fate is a pure function of (plan seed, build ordinal,
+        plan row), fixed before any worker starts: a faulted build
+        corrupts the same blocks at every thread count and on every run
+        of one seed.  ``max_corruptions`` keeps the first victims, in
+        row order, that the remaining budget covers.
         """
         p = self.plan
+        ordinal, self.builds = self.builds, self.builds + 1
         if not (p.quartet_nan_rate or p.quartet_inf_rate):
-            return block
-        draw = self.rng.random()
-        if draw >= p.quartet_nan_rate + p.quartet_inf_rate:
-            return block
-        if block.size == 0 or not self._budget_left():
-            return block
-        value = np.nan if draw < p.quartet_nan_rate else np.inf
-        flat = np.array(block, dtype=float).reshape(-1)
-        flat[int(self.rng.integers(flat.size))] = value
-        self.quartets_corrupted += 1
-        return flat.reshape(block.shape)
+            return None
+        draw, where = np.random.default_rng([p.seed, ordinal]).random(
+            (nrows, 2)
+        ).T
+        rows = np.flatnonzero(draw < p.quartet_nan_rate + p.quartet_inf_rate)
+        rows = rows[:self._budget_left()]
+        values = np.where(draw[rows] < p.quartet_nan_rate, np.nan, np.inf)
+        return BuildFaults(rows, values, where[rows])
 
     def corrupt_matrix(
         self, a: np.ndarray, iteration: int, which: str
@@ -382,7 +410,7 @@ class SCFFaultState:
         key = (int(iteration), which)
         if iteration not in targets or key in self._fired:
             return a
-        if a.size == 0 or not self._budget_left():
+        if a.size == 0 or self._budget_left() == 0:
             return a
         self._fired.add(key)
         out = np.array(a, dtype=float)

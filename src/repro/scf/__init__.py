@@ -21,11 +21,9 @@ from repro.scf.guard import (
 )
 from repro.scf.fock import (
     build_jk,
-    canonical_shell_quartets,
     fock_matrix,
     hf_electronic_energy,
     orbit_images,
-    scatter_quartet,
 )
 from repro.scf.guess import core_guess, gwh_guess, zero_guess
 from repro.scf.hf import RHF, SCFResult
@@ -77,11 +75,9 @@ __all__ = [
     "orthogonalizer_info",
     "DIIS",
     "build_jk",
-    "canonical_shell_quartets",
     "fock_matrix",
     "hf_electronic_energy",
     "orbit_images",
-    "scatter_quartet",
     "core_guess",
     "gwh_guess",
     "zero_guess",

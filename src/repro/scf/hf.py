@@ -59,16 +59,15 @@ class SCFResult:
     #: :meth:`repro.runtime.sdc.IntegrityMonitor.summary` (None when the
     #: ``integrity`` knob is off)
     integrity_summary: dict | None = None
+    #: doubly occupied orbitals (Tr(DS); Tr(D) only in an orthonormal basis)
+    nocc: int = 0
 
     @property
     def homo_lumo_gap(self) -> float | None:
-        if self.orbital_energies is None:
-            return None
-        nocc = int(round(np.trace(self.density @ np.eye(self.density.shape[0]))))
         eps = self.orbital_energies
-        if nocc <= 0 or nocc >= eps.size:
+        if eps is None or not 0 < self.nocc < eps.size:
             return None
-        return float(eps[nocc] - eps[nocc - 1])
+        return float(eps[self.nocc] - eps[self.nocc - 1])
 
 
 @dataclass
@@ -95,11 +94,6 @@ class RHF:
         Build the two-electron part from density differences
         (:class:`~repro.scf.incremental.IncrementalFockBuilder`): late
         iterations screen away almost all quartets.
-    cache_mb:
-        When set, enable the engine's bounded LRU canonical-quartet
-        cache with this memory budget (MiB): ERIs are density
-        independent, so every direct-SCF iteration after the first
-        serves its quartets from the cache instead of recomputing them.
     integral_store:
         When set, a directory for the memory-mapped stored-integral
         layer (:class:`~repro.integrals.store.ERIStore`): conventional
@@ -131,8 +125,8 @@ class RHF:
         iteration untouched bit for bit.
     faults:
         Optional :class:`~repro.runtime.faults.SCFFaultPlan` injecting
-        seeded NaN/Inf corruption into the batched ERI path and SCF
-        matrices (the ``repro chaos --family scf`` harness and the
+        seeded NaN/Inf corruption into the class kernel's ERI rows and
+        SCF matrices (the ``repro chaos --family scf`` harness and the
         torture suite); usually combined with ``guard``.
     integrity:
         End-to-end data-integrity layer (default off, zero hot-path
@@ -171,7 +165,6 @@ class RHF:
     use_diis: bool = True
     density_method: str = "diagonalize"
     incremental: bool = False
-    cache_mb: float | None = None
     integral_store: str | None = None
     jk_threads: int | None = None
     max_iter: int = 100
@@ -205,8 +198,6 @@ class RHF:
         )
         if self.engine is None:
             self.engine = MDEngine(self.basis)
-        if self.cache_mb is not None and self.engine.quartet_cache is None:
-            self.engine.enable_quartet_cache(self.cache_mb)
         if self.integral_store is not None and self.engine.integral_store is None:
             self.engine.attach_store(self.integral_store)
         store = self.engine.integral_store
@@ -281,12 +272,12 @@ class RHF:
 
         diis = DIIS() if self.use_diis else None
         inc_builder = None
-        inc_cls = None
         if self.incremental:
             from repro.scf.incremental import IncrementalFockBuilder
 
-            inc_cls = IncrementalFockBuilder
-            inc_builder = inc_cls(self.engine, tau=self.tau)
+            inc_builder = IncrementalFockBuilder(
+                self.engine, tau=self.tau, threads=self.jk_threads
+            )
         history: list[float] = []
         e_old = np.inf
         f = h
@@ -355,7 +346,7 @@ class RHF:
                         self.engine.force_reference_path()
                     if inc_builder is not None:
                         # the accumulated Fock may carry the corruption
-                        inc_builder = inc_cls(self.engine, tau=self.tau)
+                        inc_builder.reset()
                     with tracer.span("fock_rebuild", cat="scf"):
                         f = build_fock(d)
                     if not np.isfinite(f).all():
@@ -480,7 +471,7 @@ class RHF:
                     ):
                         self.engine.force_reference_path()
                         if inc_builder is not None:
-                            inc_builder = inc_cls(self.engine, tau=self.tau)
+                            inc_builder.reset()
                 if (
                     not discarded
                     and d_change < self.d_tol
@@ -512,11 +503,7 @@ class RHF:
         e_elec = hf_electronic_energy(h, f, d)
         eng = self.engine
         eri_store = {
-            "served": int(
-                eng.quartets_served_from_cache + eng.quartets_served_from_store
-            ),
             "computed": int(eng.quartets_computed),
-            "from_cache": int(eng.quartets_served_from_cache),
             "from_store": int(eng.quartets_served_from_store),
             "warm_start": getattr(self, "_store_warm_at_start", False),
         }
@@ -570,4 +557,5 @@ class RHF:
             guard_events=list(guard.events) if guard is not None else [],
             guard_summary=guard.summary() if guard is not None else None,
             integrity_summary=integrity_summary,
+            nocc=self.nocc,
         )

@@ -39,11 +39,14 @@ class IncrementalFockBuilder:
     rebuild_every:
         Force a full (non-incremental) rebuild every N calls to bound
         error accumulation.
+    threads:
+        Worker threads of every J/K build (as ``build_jk``'s).
     """
 
     engine: ERIEngine
     tau: float = 1e-11
     rebuild_every: int = 8
+    threads: int | None = None
     _g: np.ndarray | None = field(default=None, repr=False)
     _d_last: np.ndarray | None = field(default=None, repr=False)
     _count: int = 0
@@ -64,7 +67,7 @@ class IncrementalFockBuilder:
         )
         before = self.engine.quartets_computed
         if full:
-            j, k = build_jk(self.engine, density, self.tau)
+            j, k = build_jk(self.engine, density, self.tau, self.threads)
             self._g = 2.0 * j - k
         else:
             delta = density - self._d_last
@@ -72,7 +75,7 @@ class IncrementalFockBuilder:
             if dmax > 0.0:
                 # quartet survives iff sigma*sigma * dmax > tau
                 eff_tau = self.tau / dmax
-                j, k = build_jk(self.engine, delta, eff_tau)
+                j, k = build_jk(self.engine, delta, eff_tau, self.threads)
                 self._g = self._g + 2.0 * j - k
         self.history.append(self.engine.quartets_computed - before)
         self._d_last = density.copy()

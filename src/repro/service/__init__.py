@@ -14,11 +14,10 @@ worker crashes, hangs, and poison inputs.
 * :mod:`repro.service.worker` -- the worker-process main loop: claim a
   lease, run the job with per-iteration heartbeats and checkpointing,
   resume bitwise-exact from the latest intact checkpoint, degrade
-  ``jk_threads``/``cache_mb`` on ``MemoryError`` retries.
+  ``jk_threads``/``store_dir`` on ``MemoryError`` retries.
 * :mod:`repro.service.supervisor` -- ``repro serve``: spawns the
   multi-process pool, expires dead leases, enforces per-job wall-clock
-  timeouts (SIGTERM then SIGKILL with guaranteed child-pool teardown),
-  and respawns crashed workers.
+  timeouts (SIGTERM then SIGKILL), and respawns crashed workers.
 * :mod:`repro.service.chaos` -- the chaos gate: with seeded worker
   SIGKILLs mid-iteration every submitted job still reaches ``done`` and
   final energies match fault-free baselines to <= 1e-12.

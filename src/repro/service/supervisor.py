@@ -12,10 +12,8 @@ recovery paths a lease-based queue needs:
 * **Wall-clock timeouts**: a *running* job past its ``timeout_s`` budget
   is charged a timeout attempt and its worker is killed
   SIGTERM-then-SIGKILL.  SIGTERM gives the worker's handler a grace
-  window to tear down its multiprocessing pools (no orphaned children)
-  and exit; a worker that ignores it (stuck in native code) is
-  SIGKILLed and its children are reaped by the OS when the process
-  group dies.
+  window to stop its J/K threads, release the lease and exit; a worker
+  that ignores it (stuck in native code) is SIGKILLed.
 * **Worker respawn**: any worker process that exits -- crash, kill,
   chaos injection -- is replaced with a fresh one (with a new owner
   name, so a stale lease can never be renewed by its successor).

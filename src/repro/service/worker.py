@@ -27,15 +27,14 @@ Crash-tolerance mechanics:
   back and discards its result -- a job is never recorded-as-done twice.
 * **Graceful degradation.**  A ``MemoryError`` retry re-enqueues the job
   with a degraded spec (:func:`degrade_spec`): first the threaded J/K
-  is dropped to serial, then the ERI cache is released.
+  is dropped to serial, then the integral store is dropped (direct SCF).
 * **Clean teardown.**  SIGTERM (supervisor timeout or shutdown)
-  terminates registered multiprocessing pools
-  (:func:`repro.parallel.mp_fock.shutdown_active_pools`), interrupts
-  threaded J/K workers at the next chunk edge, releases the current
-  lease, and exits 143 -- no orphaned children, no stuck lease.
+  interrupts threaded J/K workers at the next chunk edge (a job starts
+  no child process, so there is no pool to reap), releases the current
+  lease, and exits 143 -- no stuck lease.
 
 Job specs are plain dicts.  ``kind="scf"`` (default) runs an RHF with
-``molecule``/``basis``/``max_iter``/``jk_threads``/``cache_mb``/``guard``/
+``molecule``/``basis``/``max_iter``/``jk_threads``/``guard``/
 ``integrity``/``store_dir`` keys.  A job whose run raises
 :class:`~repro.runtime.sdc.IntegrityError` (corruption the recovery
 ladder could not repair) is quarantined like poison input -- retrying
@@ -73,17 +72,20 @@ def degrade_spec(spec: dict) -> tuple[dict | None, str]:
     """One rung down the MemoryError degradation ladder.
 
     Returns ``(new_spec, description)`` or ``(None, "")`` when nothing
-    is left to shed.  Ladder: threaded J/K -> serial, then drop the
-    ERI quartet cache.
+    is left to shed.  Ladder: threaded J/K -> serial (one set of
+    private accumulators and staged blocks instead of one per thread),
+    then drop the integral store -- a *filling* store holds every
+    pending block in RAM until ``finalize`` -- and run direct SCF, whose
+    blocks are bitwise the stored ones.
     """
     if spec.get("jk_threads") and int(spec["jk_threads"]) > 1:
         new = dict(spec)
         new["jk_threads"] = 1
         return new, "jk_threads -> 1"
-    if spec.get("cache_mb"):
+    if spec.get("store_dir"):
         new = dict(spec)
-        new["cache_mb"] = None
-        return new, "cache_mb -> None"
+        new["store_dir"] = None
+        return new, "store_dir -> None"
     return None, ""
 
 
@@ -93,10 +95,8 @@ _CURRENT: dict = {}
 
 def _sigterm_handler(signum, frame):  # pragma: no cover - signal path
     from repro.integrals.class_batch import interrupt_jk_threads
-    from repro.parallel.mp_fock import shutdown_active_pools
 
     interrupt_jk_threads()
-    shutdown_active_pools()
     store: JobStore | None = _CURRENT.get("store")
     job_id = _CURRENT.get("job_id")
     if store is not None and job_id is not None:
@@ -144,7 +144,6 @@ def _run_scf_job(store: JobStore, job: Job, owner: str) -> dict:
         basis_name=spec.get("basis", "sto-3g"),
         max_iter=int(spec.get("max_iter", 100)),
         jk_threads=spec.get("jk_threads"),
-        cache_mb=spec.get("cache_mb"),
         integral_store=spec.get("store_dir"),
         guard=bool(spec.get("guard", False)),
         integrity=bool(spec.get("integrity", False)),

@@ -1,19 +1,27 @@
 """Tests for the cross-quartet class-batched ERI path.
 
 The class-batched kernel, six-block contraction, and threaded driver
-must reproduce the per-quartet paths (PR-2 batched, seed MD,
-Obara-Saika) exactly to summation order across mixed s/p/d bases, and
-its profiler attribution must land one span per kernel chunk / per
-flush, not per quartet.
+must reproduce the per-quartet scatter oracle (``reference_fock``) on
+every engine -- batched MD, reference MD, Obara-Saika, synthetic --
+exactly to summation order across mixed s/p/d bases, and its profiler
+attribution must land one span per kernel chunk / per flush, not per
+quartet.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_fock import (
+    canonical_shell_quartets,
+    reference_build_jk,
+    scatter_quartet,
+)
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.builders import water
@@ -23,19 +31,17 @@ from repro.integrals.class_batch import (
     build_class_plan,
     canonical_quartet_array,
     compute_class_rows,
-    iter_canonical_quartets,
-    jk_for_quartets,
     jk_from_plan,
     orbit_weights,
 )
-from repro.integrals.engine import MDEngine, OSEngine
+from repro.integrals.engine import MDEngine, OSEngine, SyntheticERIEngine
 from repro.obs.profile import (
     PHASE_ERI,
     PHASE_JK,
     PhaseProfiler,
     set_profiler,
 )
-from repro.scf.fock import build_jk, scatter_quartet
+from repro.scf.fock import build_jk
 
 
 def distinct_perms(quartet):
@@ -62,8 +68,8 @@ def oracle_jk(engine, density, quartets):
     return j, k
 
 
-def rand_shell(rng, l, pure=False):
-    n = int(rng.integers(1, 4))
+def rand_shell(rng, l, pure=False, nprim=None):
+    n = nprim or int(rng.integers(1, 4))
     return Shell(
         l=l,
         exps=rng.uniform(0.2, 3.0, n),
@@ -88,38 +94,71 @@ def rand_basis(rng, nshells=6, lmax=2):
     return BasisSet(molecule=water(), shells=shells, name="rand")
 
 
+def one_d_basis(rng):
+    """Three random s/p shells and one uncontracted pure-d shell: what
+    the per-primitive kernels (~100x slower on a d quartet) can afford."""
+    shells = [rand_shell(rng, 2, pure=True, nprim=1)]
+    shells += [rand_shell(rng, int(l)) for l in rng.integers(0, 2, 3)]
+    return BasisSet(molecule=water(), shells=shells, name="rand")
+
+
 def rand_density(rng, n):
     d = rng.normal(size=(n, n))
     return (d + d.T) / 2.0
 
 
+def reference_md(basis):
+    """The MD engine on its per-primitive reference kernel."""
+    engine = MDEngine(basis)
+    engine.force_reference_path()
+    return engine
+
+
+#: every engine ``build_jk`` serves: the class kernel, and the three
+#: whose plans resolve rows through ``engine._quartet``
+ENGINES = {
+    "md": MDEngine,
+    "md-reference": reference_md,
+    "os": OSEngine,
+    "synthetic": SyntheticERIEngine,
+}
+FAST = ("md", "synthetic")
+
+
 class TestClassJKAgreement:
-    """The class-batched J/K build vs every per-quartet path."""
+    """The one ``build_jk`` path vs the per-quartet scatter oracle."""
 
     def test_matches_batched_seed_and_os_on_water(self):
         basis = BasisSet.build(water(), "sto-3g")
         rng = np.random.default_rng(5)
         d = rand_density(rng, basis.nbf)
         j_cls, k_cls = build_jk(MDEngine(basis), d)
-        j_bat, k_bat = build_jk(MDEngine(basis, class_batched=False), d)
-        j_seed, k_seed = build_jk(MDEngine(basis, batched=False), d)
-        j_os, k_os = build_jk(OSEngine(basis), d)
-        for j, k in ((j_bat, k_bat), (j_seed, k_seed), (j_os, k_os)):
+        for make in (MDEngine, reference_md, OSEngine):
+            j, k = reference_build_jk(make(basis), d)
             assert np.allclose(j_cls, j, atol=1e-10, rtol=0)
             assert np.allclose(k_cls, k, atol=1e-10, rtol=0)
 
     @given(st.integers(0, 1000))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=3, deadline=None)
     def test_matches_per_quartet_on_random_bases(self, seed):
-        rng = np.random.default_rng(seed)
-        basis = rand_basis(rng)
-        d = rand_density(rng, basis.nbf)
-        j_cls, k_cls = build_jk(MDEngine(basis), d, tau=0.0)
-        j_ref, k_ref = build_jk(
-            MDEngine(basis, class_batched=False), d, tau=0.0
-        )
-        assert np.allclose(j_cls, j_ref, atol=1e-10, rtol=0)
-        assert np.allclose(k_cls, k_ref, atol=1e-10, rtol=0)
+        """Every engine x {one density, a stack of two} x threads {1, 2}
+        at tau = 0 on random s/p/d bases (always one pure-d shell)."""
+        for name, make in ENGINES.items():
+            rng = np.random.default_rng(seed)
+            engine = make(rand_basis(rng) if name in FAST else one_d_basis(rng))
+            if name not in FAST:
+                # the oracle pass pays for each block, the builds replay it
+                engine._quartet = functools.cache(engine._quartet)
+            n = engine.basis.nbf
+            dens = np.stack([rand_density(rng, n) for _ in range(2)])
+            j_ref, k_ref = reference_build_jk(engine, dens, tau=0.0)
+            for threads in (1, 2):
+                for d, jr, kr in ((dens[0], j_ref[0], k_ref[0]),
+                                  (dens, j_ref, k_ref)):
+                    j, k = build_jk(engine, d, tau=0.0, threads=threads)
+                    assert j.shape == k.shape == d.shape
+                    assert np.allclose(j, jr, atol=1e-10, rtol=0), name
+                    assert np.allclose(k, kr, atol=1e-10, rtol=0), name
 
     @given(st.integers(0, 1000))
     @settings(max_examples=6, deadline=None)
@@ -129,15 +168,14 @@ class TestClassJKAgreement:
         basis = rand_basis(rng, nshells=5)
         d = rand_density(rng, basis.nbf)
         engine = MDEngine(basis)
-        canonical = list(iter_canonical_quartets(engine.schwarz(), 0.0))
+        canonical = list(canonical_shell_quartets(engine.schwarz(), 0.0))
         scrambled = [
             tuple(q[i] for i in EIGHT_PERMUTATIONS[rng.integers(0, 8)])
             for q in canonical
         ]
-        j_ref, k_ref = oracle_jk(MDEngine(basis, class_batched=False), d,
-                                 canonical)
+        j_ref, k_ref = oracle_jk(MDEngine(basis), d, canonical)
         for quartets in (canonical, scrambled):
-            j, k = jk_for_quartets(engine, d, quartets)
+            j, k = jk_of_quartets(engine, d, quartets)
             assert np.allclose(j, j_ref, atol=1e-10, rtol=0)
             assert np.allclose(k, k_ref, atol=1e-10, rtol=0)
 
@@ -151,8 +189,9 @@ class TestClassJKAgreement:
     def test_stacked_densities_match_per_density_calls(self, water_basis):
         rng = np.random.default_rng(19)
         dens = np.stack([rand_density(rng, water_basis.nbf) for _ in range(3)])
-        for engine in (MDEngine(water_basis),
-                       MDEngine(water_basis, class_batched=False)):
+        slow = reference_md(water_basis)
+        slow._quartet = functools.cache(slow._quartet)
+        for engine in (MDEngine(water_basis), slow):
             j, k = build_jk(engine, dens)
             assert j.shape == k.shape == dens.shape
             for ji, ki, d in zip(j, k, dens):
@@ -165,7 +204,7 @@ class TestClassJKAgreement:
         """compute_class_rows blocks == the per-quartet batched kernel."""
         basis = BasisSet.build(water(), "6-31g")
         engine = MDEngine(basis)
-        ref = MDEngine(basis, class_batched=False)
+        ref = MDEngine(basis)
         plan = engine.class_plan(1e-11)
         for batch in plan.batches[:4]:
             rows = np.arange(min(batch.nq, 8))
@@ -179,9 +218,9 @@ class TestClassJKAgreement:
         rng = np.random.default_rng(2)
         d = rand_density(rng, basis.nbf)
         e_cls = MDEngine(basis)
-        e_ref = MDEngine(basis, class_batched=False)
+        e_ref = MDEngine(basis)
         build_jk(e_cls, d)
-        build_jk(e_ref, d)
+        reference_build_jk(e_ref, d)
         assert e_cls.quartets_computed == e_ref.quartets_computed
 
 
@@ -279,14 +318,16 @@ class TestPlanCaching:
         engine = MDEngine(water_basis)
         engine.class_plan(1e-11)
         engine.force_reference_path()
-        assert not engine.supports_class_batched
+        assert engine.pair_cache is None
         assert len(engine._class_plans) == 0
+        # plans built from here on carry no class-kernel operands
+        assert all(b.ops is None for b in engine.class_plan(1e-11).batches)
 
     def test_plan_covers_all_screened_quartets(self, water_basis):
         engine = MDEngine(water_basis)
         tau = 1e-11
         plan = engine.class_plan(tau)
-        expected = set(iter_canonical_quartets(engine.schwarz(), tau))
+        expected = set(canonical_shell_quartets(engine.schwarz(), tau))
         planned = {
             tuple(int(v) for v in row)
             for batch in plan.batches
@@ -295,23 +336,29 @@ class TestPlanCaching:
         assert planned == expected
 
 
+def jk_of_quartets(engine, density, quartets):
+    """J/K contribution of an explicit quartet list (any index order)."""
+    plan = build_class_plan(engine.basis, engine.pair_cache, quartets)
+    return jk_from_plan(engine, density, plan)
+
+
 class TestJKForQuartets:
-    """The explicit-quartet-list entry used by the mp Fock workers."""
+    """Plans over explicit quartet lists (numeric task decompositions)."""
 
     def test_non_canonical_tuples_give_same_jk(self):
         basis = BasisSet.build(water(), "sto-3g")
         rng = np.random.default_rng(23)
         d = rand_density(rng, basis.nbf)
         engine = MDEngine(basis)
-        canonical = list(iter_canonical_quartets(engine.schwarz(), 1e-11))
+        canonical = list(canonical_shell_quartets(engine.schwarz(), 1e-11))
         # scramble each tuple to a random image of its symmetry orbit:
         # the distinct-image scatter must produce the identical J/K
         scrambled = []
         for quartet in canonical:
             perm = EIGHT_PERMUTATIONS[rng.integers(0, 8)]
             scrambled.append(tuple(quartet[i] for i in perm))
-        j_ref, k_ref = jk_for_quartets(engine, d, canonical)
-        j_scr, k_scr = jk_for_quartets(engine, d, scrambled)
+        j_ref, k_ref = jk_of_quartets(engine, d, canonical)
+        j_scr, k_scr = jk_of_quartets(engine, d, scrambled)
         assert np.allclose(j_ref, j_scr, atol=1e-12, rtol=0)
         assert np.allclose(k_ref, k_scr, atol=1e-12, rtol=0)
 
@@ -320,11 +367,11 @@ class TestJKForQuartets:
         rng = np.random.default_rng(29)
         d = rand_density(rng, basis.nbf)
         engine = MDEngine(basis)
-        quartets = list(iter_canonical_quartets(engine.schwarz(), 1e-11))
-        j_all, k_all = jk_for_quartets(engine, d, quartets)
+        quartets = list(canonical_shell_quartets(engine.schwarz(), 1e-11))
+        j_all, k_all = jk_of_quartets(engine, d, quartets)
         half = len(quartets) // 2
-        j1, k1 = jk_for_quartets(engine, d, quartets[:half])
-        j2, k2 = jk_for_quartets(engine, d, quartets[half:])
+        j1, k1 = jk_of_quartets(engine, d, quartets[:half])
+        j2, k2 = jk_of_quartets(engine, d, quartets[half:])
         assert np.allclose(j_all, j1 + j2, atol=1e-12, rtol=0)
         assert np.allclose(k_all, k1 + k2, atol=1e-12, rtol=0)
 
@@ -384,21 +431,6 @@ class TestFiniteCheckRescue:
         assert np.allclose(k, k_ref, atol=1e-10, rtol=0)
 
 
-class TestCacheIntegration:
-    def test_second_iteration_served_from_cache(self):
-        basis = BasisSet.build(water(), "sto-3g")
-        rng = np.random.default_rng(41)
-        d = rand_density(rng, basis.nbf)
-        engine = MDEngine(basis, cache_mb=64.0)
-        j1, k1 = build_jk(engine, d)
-        computed = engine.quartets_computed
-        j2, k2 = build_jk(engine, d)
-        assert engine.quartets_computed == computed
-        assert engine.quartets_served_from_cache >= computed
-        assert np.array_equal(j1, j2)
-        assert np.array_equal(k1, k2)
-
-
 class TestClassPlanStructure:
     def test_orbit_weights_match_distinct_images(self, water_basis):
         plan = MDEngine(water_basis).class_plan(1e-11)
@@ -419,12 +451,17 @@ class TestClassPlanStructure:
         sigma[dead, :] = 0.0  # zero rows: shells screened out entirely
         sigma[:, dead] = 0.0
         tau = float(rng.choice([0.0, 1e-3, 0.05, 2.0]))
-        expected = list(iter_canonical_quartets(sigma, tau))
+        expected = list(canonical_shell_quartets(sigma, tau))
         got = canonical_quartet_array(sigma, tau)
         assert got.shape == (len(expected), 4)
         assert [tuple(row) for row in got.tolist()] == expected
 
     def test_throwaway_pair_cache(self, water_basis):
+        """No pair data -> a plan without class-kernel operands."""
         quartets = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)]
         plan = build_class_plan(water_basis, None, quartets)
         assert plan.nquartets == 3
+        assert all(b.ops is None and b.bra is None for b in plan.batches)
+        assert sorted(b.row0 for b in plan.batches) == sorted(
+            np.cumsum([0] + [b.nq for b in plan.batches])[:-1].tolist()
+        )

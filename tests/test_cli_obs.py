@@ -196,13 +196,12 @@ class TestPerfCommands:
         # copy the committed ERI history and append a synthetic 10x
         # slowdown in a quick (machine-independent) metric -- one whose
         # committed trajectory is flat: the relative gate also needs the
-        # point to clear the history's own scatter band, and
-        # class_batched_speedup legitimately stepped 22x -> 37x in PR 15
+        # point to clear the history's own scatter band
         doc = json.loads(open("BENCH_eri.json").read())
         entry = dict(
             [e for e in doc["history"] if e["benchmark"] == "eri_kernels"][-1]
         )
-        entry["batched_speedup"] = entry["batched_speedup"] / 10.0
+        entry["class_speedup"] = entry["class_speedup"] / 10.0
         doc["history"].append(entry)
         bad = tmp_path / "BENCH_eri.json"
         bad.write_text(json.dumps(doc))
@@ -223,7 +222,7 @@ class TestPerfCommands:
         rc = main(["perf", "history"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "eri_kernels.batched_speedup" in out
+        assert "eri_kernels.class_speedup" in out
 
     def test_perf_profile_quick(self, tmp_path, capsys):
         rundir = tmp_path / "prof"

@@ -4,8 +4,10 @@ checkpoint persistence, orthogonalizer hardening, and the scf chaos gate."""
 import numpy as np
 import pytest
 
+from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
 from repro.fock.chaos import run_scf_chaos
+from repro.integrals import class_batch
 from repro.integrals.engine import MDEngine, NonFiniteERIError, OSEngine
 from repro.integrals.oneelec import overlap
 from repro.runtime.faults import SCFFaultPlan, random_scf_plan
@@ -16,6 +18,7 @@ from repro.scf.checkpoint import (
     load_latest_intact,
     save_checkpoint,
 )
+from repro.scf.fock import build_jk
 from repro.scf.guard import (
     DEFAULT_LADDER,
     DIVERGING,
@@ -316,16 +319,71 @@ class TestOrthogonalizerHardening:
             orthogonalizer_info(s)
 
 
+def faulted_build(basis, density, plan, threads=1):
+    """One sentinel-armed ``build_jk`` under ``plan``: J, K, the engine
+    and the quartets the sentinel sent to the reference kernel."""
+    engine = MDEngine(basis)
+    engine.finite_check = True
+    engine.scf_faults = plan.activate()
+    rescued = []
+    rescue = engine._rescue_quartet
+    engine._rescue_quartet = lambda *q: rescued.append(q) or rescue(*q)
+    j, k = build_jk(engine, density, threads=threads)
+    return j, k, engine, sorted(rescued)
+
+
 class TestERIFaultSeam:
     def test_sentinel_rescues_corrupted_batched_block(self, water_basis):
-        engine = MDEngine(water_basis)
-        engine.finite_check = True
-        engine.scf_faults = SCFFaultPlan(
-            seed=0, quartet_nan_rate=1.0
-        ).activate()
-        block = engine.quartet(0, 0, 0, 0)
-        assert np.isfinite(block).all()
-        assert engine.eri_rescues >= 1
+        """Every class-kernel row corrupted: every block is rescued."""
+        d = np.eye(water_basis.nbf)
+        j_ref, k_ref = build_jk(MDEngine(water_basis), d)
+        j, k, engine, rescued = faulted_build(
+            water_basis, d, SCFFaultPlan(seed=0, quartet_nan_rate=1.0)
+        )
+        assert engine.eri_rescues == engine.quartets_computed == len(rescued)
+        assert engine.scf_faults.quartets_corrupted == len(rescued)
+        assert np.abs(j - j_ref).max() <= 1e-12
+        assert np.abs(k - k_ref).max() <= 1e-12
+
+    def test_seeded_faults_ride_the_class_path(self, monkeypatch):
+        """Faults corrupt rows the production kernel computed: same
+        blocks at every thread count and on every run of one seed."""
+        basis = BasisSet.build(water(), "6-31g")
+        rng = np.random.default_rng(3)
+        d = rng.normal(size=(basis.nbf, basis.nbf))
+        d = d + d.T
+        clean = MDEngine(basis)
+        j_ref, k_ref = build_jk(clean, d)
+        sweeps = []
+        kernel = class_batch.compute_class_rows
+        monkeypatch.setattr(
+            class_batch, "compute_class_rows",
+            lambda batch, rows: sweeps.append(len(rows)) or kernel(batch, rows),
+        )
+        plan = SCFFaultPlan(
+            seed=7, quartet_nan_rate=0.01, quartet_inf_rate=0.01,
+            max_corruptions=12,
+        )
+        runs = [faulted_build(basis, d, plan, threads=t) for t in (1, 2, 1)]
+        assert sum(sweeps) == 3 * clean.quartets_computed
+        victims = runs[0][3]
+        assert len(victims) == len(set(victims)) == 12  # the cap, honoured
+        for j, k, engine, rescued in runs:
+            assert rescued == victims
+            assert engine.quartets_computed == clean.quartets_computed
+            assert engine.scf_faults.quartets_corrupted == 12
+            assert engine.eri_rescues >= 12
+            assert np.abs(j - j_ref).max() <= 1e-12
+            assert np.abs(k - k_ref).max() <= 1e-12
+        assert len(runs[1][2].last_jk_worker_stats) == 2
+        # another seed, other victims; a matrix-only plan, none at all
+        other = SCFFaultPlan(seed=8, quartet_nan_rate=0.02, max_corruptions=12)
+        assert faulted_build(basis, d, other)[3] != victims
+        *_, engine, rescued = faulted_build(
+            basis, d, SCFFaultPlan(seed=7, fock_nan_iterations=(1,))
+        )
+        assert rescued == [] and engine.scf_faults.quartets_corrupted == 0
+        assert sum(sweeps) == 5 * clean.quartets_computed
 
     def test_engine_without_reference_path_raises(self, water_basis):
         engine = OSEngine(water_basis)
@@ -337,7 +395,9 @@ class TestERIFaultSeam:
         engine = MDEngine(water_basis)
         assert engine.supports_reference_path
         engine.force_reference_path()
-        assert engine.pair_cache is None and not engine.batched
+        assert engine.pair_cache is None
+        # its Fock builds no longer reach the class kernel
+        assert all(b.ops is None for b in engine.class_plan(1e-11).batches)
 
     def test_fault_plan_validation(self):
         with pytest.raises(ValueError, match="quartet_nan_rate"):

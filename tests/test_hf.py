@@ -57,6 +57,26 @@ class TestConvergenceBehavior:
         s = overlap(BasisSet.build(water(), "sto-3g"))
         assert np.trace(water_scf.density @ s) == pytest.approx(5.0, abs=1e-8)
 
+    @pytest.mark.parametrize("mol", [water, h2])
+    def test_homo_lumo_gap_off_a_minimal_basis(self, mol):
+        """nocc is Tr(DS), not Tr(D): 6-31G is far from orthonormal."""
+        rhf = RHF(mol(), basis_name="6-31g")
+        res = rhf.run()
+        eps = res.orbital_energies
+        assert res.nocc == rhf.nocc == mol().nelectrons // 2
+        assert res.homo_lumo_gap == eps[res.nocc] - eps[res.nocc - 1]
+        assert res.homo_lumo_gap > 0.5
+
+    def test_incremental_builds_are_threaded(self):
+        """``jk_threads`` reaches the incremental builder's J/K builds,
+        not only the final Fock build."""
+        seen = []
+        rhf = RHF(water(), incremental=True, jk_threads=2, max_iter=2,
+                  on_iteration=lambda it, e: seen.append(
+                      len(rhf.engine.last_jk_worker_stats)))
+        rhf.run()
+        assert seen == [2, 2]
+
     def test_without_diis_same_energy(self):
         e1 = RHF(h2(0.7414), use_diis=True).run().energy
         e2 = RHF(h2(0.7414), use_diis=False).run().energy

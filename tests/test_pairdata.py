@@ -1,21 +1,13 @@
-"""Tests for shell-pair data caching, the batched ERI kernel, and the
-bounded LRU canonical-quartet cache."""
+"""Tests for shell-pair data caching and the batched ERI kernel."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.builders import water
-from repro.integrals.engine import (
-    MDEngine,
-    OSEngine,
-    QuartetCache,
-    SyntheticERIEngine,
-    canonical_quartet,
-)
+from repro.integrals.engine import MDEngine, OSEngine
 from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.eri_os import eri_shell_quartet_os
 from repro.integrals.pairdata import (
@@ -23,7 +15,6 @@ from repro.integrals.pairdata import (
     build_pair_data,
     eri_shell_quartet_batched,
 )
-from repro.obs import MetricsRegistry, get_metrics, set_metrics
 
 
 def rand_shell(rng, l, pure=False):
@@ -99,7 +90,8 @@ class TestShellPairData:
 
     def test_unbatched_engine_matches_batched(self, water_basis):
         batched = MDEngine(water_basis)
-        seed = MDEngine(water_basis, batched=False)
+        seed = MDEngine(water_basis)
+        seed.force_reference_path()
         assert seed.pair_cache is None
         rng = np.random.default_rng(4)
         for _ in range(8):
@@ -109,121 +101,16 @@ class TestShellPairData:
             )
 
 
-class TestCanonicalQuartet:
-    @given(st.tuples(*(st.integers(0, 6),) * 4))
-    @settings(max_examples=100, deadline=None)
-    def test_key_is_canonical_and_perm_restores(self, quartet):
-        m, n, p, q = quartet
-        key, perm = canonical_quartet(m, n, p, q)
-        assert key[0] >= key[1] and key[2] >= key[3]
-        assert (key[0], key[1]) >= (key[2], key[3])
-        assert tuple(key[i] for i in perm) == quartet
-        # all 8 orbit members share one canonical key
-        for image in ((n, m, p, q), (m, n, q, p), (p, q, m, n), (q, p, n, m)):
-            assert canonical_quartet(*image)[0] == key
-
-    def test_served_transposes_match_direct_computation(self, water_basis):
-        cached = MDEngine(water_basis, cache_mb=8.0)
-        direct = MDEngine(water_basis)
-        m, n, p, q = 4, 1, 3, 0
-        cached.quartet(*canonical_quartet(m, n, p, q)[0])  # prime the cache
-        for image in (
-            (m, n, p, q), (n, m, p, q), (m, n, q, p), (n, m, q, p),
-            (p, q, m, n), (q, p, m, n), (p, q, n, m), (q, p, n, m),
-        ):
-            served = cached.quartet(*image)
-            assert np.allclose(served, direct.quartet(*image), atol=1e-13)
-        assert cached.quartets_computed == 1
-        assert cached.quartets_served_from_cache == 8
-
-
-class TestQuartetCacheLRU:
-    def test_byte_bound_and_eviction_order(self):
-        block = np.zeros((4, 4, 4, 4))  # 2048 bytes
-        cache = QuartetCache(max_bytes=3 * block.nbytes)
-        for i in range(3):
-            cache.put((i, 0, 0, 0), block.copy())
-        assert len(cache) == 3
-        cache.get((0, 0, 0, 0))  # refresh entry 0: entry 1 becomes LRU
-        cache.put((3, 0, 0, 0), block.copy())
-        assert cache.get((1, 0, 0, 0)) is None  # evicted
-        assert cache.get((0, 0, 0, 0)) is not None
-        assert cache.evictions == 1
-        assert cache.bytes_held <= cache.max_bytes
-
-    def test_oversized_block_is_not_cached(self):
-        cache = QuartetCache(max_bytes=100)
-        cache.put((0, 0, 0, 0), np.zeros(1000))
-        assert len(cache) == 0
-        assert cache.bytes_held == 0
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            QuartetCache(max_bytes=0)
-
-    def test_stats_and_clear(self):
-        cache = QuartetCache(max_bytes=10_000)
-        cache.put((0, 0, 0, 0), np.zeros(4))
-        cache.get((0, 0, 0, 0))
-        cache.get((1, 1, 1, 1))
-        st_ = cache.stats()
-        assert st_["hits"] == 1 and st_["misses"] == 1
-        assert st_["hit_rate"] == 0.5
-        assert st_["bytes_held"] == 32
-        cache.clear()
-        assert len(cache) == 0 and cache.bytes_held == 0
-
-
-class TestCacheMetrics:
-    def test_obs_counters_track_cache_traffic(self, water_basis):
-        previous = set_metrics(MetricsRegistry())
-        try:
-            eng = MDEngine(water_basis, cache_mb=8.0)
-            eng.quartet(2, 1, 1, 0)
-            eng.quartet(2, 1, 1, 0)
-            eng.quartet(1, 2, 0, 1)  # permutation image: same canonical block
-            reg = get_metrics()
-            assert reg.counter("repro_eri_cache_misses_total").value() == 1
-            assert reg.counter("repro_eri_cache_hits_total").value() == 2
-            assert (
-                reg.gauge("repro_eri_cache_bytes").value()
-                == eng.quartet_cache.bytes_held
-            )
-        finally:
-            set_metrics(previous)
-
-
 class TestEnginesThroughCacheLayer:
-    """OSEngine / SyntheticERIEngine pass through the cache layer unchanged,
-    and the computed/served split keeps call-count benchmarks exact."""
+    """``quartet()`` always computes, so call-count benchmarks stay exact."""
 
     def test_counters_without_cache_match_seed_semantics(self, water_basis):
         eng = OSEngine(water_basis)
         eng.quartet(0, 0, 0, 0)
         eng.quartet(0, 1, 0, 1)
-        assert eng.quartets_computed == 2
-        assert eng.quartets_served_from_cache == 0
-
-    @pytest.mark.parametrize("factory", [
-        OSEngine,
-        lambda b: SyntheticERIEngine(b),
-    ])
-    def test_cached_engine_serves_identical_blocks(self, water_basis, factory):
-        plain = factory(water_basis)
-        cached = factory(water_basis)
-        cached.enable_quartet_cache(8.0)
-        rng = np.random.default_rng(6)
-        quartets = [tuple(int(i) for i in rng.integers(0, water_basis.nshells, 4))
-                    for _ in range(6)]
-        for quartet in quartets + quartets:  # second sweep hits the cache
-            assert np.allclose(
-                cached.quartet(*quartet), plain.quartet(*quartet), atol=1e-13
-            )
-        assert cached.quartets_served_from_cache >= len(quartets)
-        assert (
-            cached.quartets_computed + cached.quartets_served_from_cache
-            == 2 * len(quartets)
-        )
+        eng.quartet(0, 1, 0, 1)
+        assert eng.quartets_computed == 3
+        assert eng.quartets_served_from_store == 0
 
 
 class TestShellSlicesProperty:

@@ -87,7 +87,7 @@ class TestCostMatrix:
 
     def test_total_matches_unique_count(self, small_screen):
         """Sum over all tasks == number of unique screened quartets."""
-        from repro.scf.fock import canonical_shell_quartets
+        from reference_fock import canonical_shell_quartets
 
         costs = quartet_cost_matrix(small_screen, exact_diagonal=True)
         unique = sum(

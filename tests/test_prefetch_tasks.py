@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_fock import canonical_shell_quartets
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane, methane
 from repro.fock.partition import StaticPartition, TaskBlock
@@ -27,7 +28,6 @@ from repro.fock.tasks import (
     nwchem_task_list,
 )
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
-from repro.scf.fock import canonical_shell_quartets
 
 
 @pytest.fixture(scope="module")

@@ -35,6 +35,7 @@ from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.eri_os import eri_shell_quartet_os
 from repro.integrals.moments import dipole_integrals
 from repro.integrals.oneelec import kinetic, nuclear_attraction, overlap
+from repro.integrals.pairdata import ShellPairData
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 
 
@@ -93,7 +94,9 @@ class TestClassRowsMatchReference:
                 for l in ls
             ]
             basis = BasisSet(molecule=water(), shells=shells, name="rand")
-            plan = build_class_plan(basis, None, [(0, 1, 2, 3)])
+            plan = build_class_plan(
+                basis, ShellPairData(basis), [(0, 1, 2, 3)]
+            )
             (batch,) = plan.batches
             seen_l.add(batch.lmax)
             new = compute_class_rows(batch, np.arange(1))

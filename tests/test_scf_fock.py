@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from reference_fock import canonical_shell_quartets
 from repro.integrals.eri_tensor_util import dense_fock_reference
 from repro.scf.fock import (
     build_jk,
-    canonical_shell_quartets,
     fock_matrix,
     hf_electronic_energy,
     orbit_images,

@@ -32,7 +32,6 @@ from repro.integrals.class_batch import (
     clear_jk_interrupt,
     interrupt_jk_threads,
 )
-from repro.parallel.mp_fock import active_pool_count, shutdown_active_pools
 from repro.scf.checkpoint import load_latest_intact, prune_checkpoints
 from repro.scf.hf import RHF
 from repro.service.store import (
@@ -196,22 +195,23 @@ class TestWorkerPersonalities:
 
     def test_oom_walks_degradation_ladder(self, store):
         job = store.submit(
-            {"kind": "oom", "jk_threads": 4, "cache_mb": 64}, max_attempts=5
+            {"kind": "oom", "jk_threads": 4, "store_dir": "/tmp/eri"},
+            max_attempts=5,
         )
         assert self.run_one(store) == "queued"
         assert store.get(job.id).spec["jk_threads"] == 1
         assert self.run_one(store) == "queued"
-        assert store.get(job.id).spec["cache_mb"] is None
+        assert store.get(job.id).spec["store_dir"] is None
         assert self.run_one(store) == "done"
         events = store.event_counts()
         assert events.get("degraded") == 2
 
     def test_degrade_spec_ladder(self):
-        spec = {"jk_threads": 4, "cache_mb": 64}
+        spec = {"jk_threads": 4, "store_dir": "/tmp/eri"}
         spec, rung = degrade_spec(spec)
         assert spec["jk_threads"] == 1 and "jk_threads" in rung
         spec, rung = degrade_spec(spec)
-        assert spec["cache_mb"] is None and "cache_mb" in rung
+        assert spec["store_dir"] is None and "store_dir" in rung
         assert degrade_spec(spec) == (None, "")
 
     def test_scf_job_records_energy(self, store):
@@ -377,18 +377,6 @@ class TestSigtermTeardown:
         assert final.state == "queued"  # released, not stuck leased
         assert final.lease_owner is None
         assert final.attempts == 0  # graceful release charges no attempt
-
-    def test_shutdown_active_pools_terminates(self):
-        import multiprocessing as mp
-
-        from repro.parallel import mp_fock
-
-        pool = mp.get_context("spawn").Pool(1)
-        mp_fock._register_pool(pool)
-        assert active_pool_count() == 1
-        assert shutdown_active_pools() == 1
-        assert active_pool_count() == 0
-        assert shutdown_active_pools() == 0  # idempotent
 
     def test_jk_interrupt_flag_aborts_threaded_build(self):
         engine_density = RHF(water(), jk_threads=2)

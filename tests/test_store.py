@@ -9,10 +9,13 @@ mismatched basis, record honest provenance, and give SCF iterations
 from __future__ import annotations
 
 import json
+import tempfile
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
@@ -69,18 +72,24 @@ class TestStoreLifecycle:
         assert np.array_equal(j1, j2)
         assert np.array_equal(k1, k2)
 
-    def test_per_quartet_dispatch_reads_store(self, tmp_path, sto3g_basis):
-        rng = np.random.default_rng(9)
-        d = rand_density(rng, sto3g_basis.nbf)
-        writer = MDEngine(sto3g_basis, store=tmp_path / "store")
-        build_jk(writer, d)
-
-        reader = MDEngine(sto3g_basis, store=tmp_path / "store")
-        block_direct = MDEngine(sto3g_basis).quartet(1, 0, 0, 0)
-        block_stored = reader.quartet(1, 0, 0, 0)
-        assert reader.quartets_served_from_store == 1
-        assert reader.quartets_computed == 0
-        assert np.array_equal(block_direct, block_stored)
+    @given(st.floats(-13.0, -6.0), st.sampled_from([1, 2]))
+    @settings(max_examples=6, deadline=None)
+    def test_round_trip_at_random_tau(self, log_tau, threads):
+        """At any threshold the warm build is bitwise the build that
+        filled the store, with zero recompute, serial and threaded."""
+        tau = 10.0 ** log_tau
+        basis = BasisSet.build(water(), "6-31g")
+        d = rand_density(np.random.default_rng(5), basis.nbf)
+        with tempfile.TemporaryDirectory() as tmp:
+            filler = MDEngine(basis, store=tmp)
+            j1, k1 = build_jk(filler, d, tau, threads=threads)
+            assert filler.integral_store.manifest["tau"] == tau
+            warm = MDEngine(basis, store=tmp)
+            j2, k2 = build_jk(warm, d, tau, threads=threads)
+        assert warm.quartets_computed == 0
+        assert warm.quartets_served_from_store == filler.quartets_computed > 0
+        assert np.array_equal(j1, j2)
+        assert np.array_equal(k1, k2)
 
 
 class TestInvalidation:
@@ -175,12 +184,21 @@ class TestStoredSCF:
         assert second.engine.quartets_served_from_store > 0
 
 
+#: the one (ss|ss) quartet the process-safety tests record, as a plan row
+_KEY = np.zeros((1, 4), dtype=np.int64)
+
+
+def _stored_value(store):
+    """The single element of the ``_KEY`` block, read back from disk."""
+    return store.read_stacked(store.offsets_for(_KEY), 1, (1, 1, 1, 1)).item()
+
+
 class TestProcessSafety:
     """Cross-process hardening: atomic finalize, crash recovery, flock."""
 
     def _filled_store(self, tmp_path, basis, name="store"):
         store = ERIStore(tmp_path / name, basis).open_or_fill()
-        store.record((0, 0, 0, 0), np.full((1, 1, 1, 1), 0.25))
+        store.record_batch(_KEY, np.full((1, 1, 1, 1, 1), 0.25))
         return store
 
     def test_crash_before_manifest_write_recovers(
@@ -208,11 +226,10 @@ class TestProcessSafety:
         assert not (tmp_path / "store" / "manifest.json").exists()
         fresh = ERIStore(tmp_path / "store", sto3g_basis).open_or_fill()
         assert fresh.filling and not fresh.ready
-        fresh.record((0, 0, 0, 0), np.full((1, 1, 1, 1), 0.25))
+        fresh.record_batch(_KEY, np.full((1, 1, 1, 1, 1), 0.25))
         fresh.finalize(tau=1e-10)
         assert fresh.ready
-        block = fresh.get((0, 0, 0, 0))
-        assert block is not None and block.ravel()[0] == 0.25
+        assert _stored_value(fresh) == 0.25
 
     def test_crash_before_index_write_recovers(
         self, tmp_path, sto3g_basis, monkeypatch
@@ -246,12 +263,12 @@ class TestProcessSafety:
         loser = ERIStore(tmp_path / "store", sto3g_basis)
         # simulate "was already filling when the winner finalized"
         loser.filling = True
-        loser.record((0, 0, 0, 0), np.full((1, 1, 1, 1), 99.0))
+        loser.record_batch(_KEY, np.full((1, 1, 1, 1, 1), 99.0))
         loser.finalize(tau=1e-10)
         assert loser.ready
         # the winner's bytes survived; the loser's 99.0 was discarded
         assert loser.manifest["created"] == created
-        assert loser.get((0, 0, 0, 0)).ravel()[0] == 0.25
+        assert _stored_value(loser) == 0.25
 
     def test_lock_file_created_and_reentrant(self, tmp_path, sto3g_basis):
         store = self._filled_store(tmp_path, sto3g_basis)
