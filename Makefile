@@ -8,12 +8,15 @@ install:
 test:
 	pytest tests/
 
-# the size needle: src/ total and the ERI-path subtotal ROADMAP item 1 tracks
+# the size needle: src/ total and the subtotals ROADMAP items 1 and 4 track
 loc:
 	@find src -name '*.py' | xargs cat | wc -l | xargs echo "src/ lines:"
 	@find src/repro/integrals src/repro/scf/fock.py \
 	  src/repro/scf/incremental.py -name '*.py' | xargs cat | wc -l \
-	  | xargs echo "integrals/ + scf/fock.py + scf/incremental.py (+ the deleted parallel/) lines:"
+	  | xargs echo "integrals/ + scf/fock.py + scf/incremental.py lines:"
+	@cd src/repro && cat scf/hf.py scf/uhf.py runtime/faults.py \
+	  runtime/sdc.py fock/chaos.py service/chaos.py scf/torture.py | wc -l \
+	  | xargs echo "SCF driver + fault families (ROADMAP item 4) lines:"
 
 bench:
 	pytest benchmarks/ --benchmark-only

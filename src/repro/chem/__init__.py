@@ -10,6 +10,7 @@ from repro.chem.builders import (
     graphene_flake,
     h2,
     methane,
+    molecule_by_name,
     paper_molecule,
     water,
     water_cluster,
@@ -28,6 +29,7 @@ __all__ = [
     "graphene_flake",
     "h2",
     "methane",
+    "molecule_by_name",
     "paper_molecule",
     "water",
     "water_cluster",

@@ -272,12 +272,29 @@ SCALED_MOLECULES = {
 }
 
 
-def paper_molecule(name: str) -> Molecule:
-    """Construct one of the paper's molecules (or scaled stand-ins) by name."""
-    registry = {**PAPER_MOLECULES, **SCALED_MOLECULES}
+#: Small demo molecules every molecule-taking command accepts by name.
+DEMO_MOLECULES = {
+    "water": water, "h2": h2, "methane": methane, "benzene": benzene,
+}
+
+
+def _build_named(name: str, registry: dict) -> Molecule:
     if name not in registry:
         raise KeyError(f"unknown molecule {name!r}; known: {sorted(registry)}")
     return registry[name]()
+
+
+def paper_molecule(name: str) -> Molecule:
+    """Construct one of the paper's molecules (or scaled stand-ins) by name."""
+    return _build_named(name, {**PAPER_MOLECULES, **SCALED_MOLECULES})
+
+
+def molecule_by_name(name: str) -> Molecule:
+    """A demo molecule or a paper molecule / stand-in by name: the one
+    resolver behind the CLI, the service worker and the chaos harnesses."""
+    return _build_named(
+        name, {**DEMO_MOLECULES, **PAPER_MOLECULES, **SCALED_MOLECULES}
+    )
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -60,28 +60,18 @@ import os
 import sys
 
 from repro.chem.basis.basisset import BASIS_REGISTRY, BasisSet
-from repro.chem.builders import PAPER_MOLECULES, SCALED_MOLECULES, paper_molecule
-
-
-def _build_molecule(name: str):
-    """A built-in demo molecule or a paper molecule/stand-in by name."""
-    from repro.chem import builders
-
-    simple = {
-        "water": builders.water,
-        "h2": builders.h2,
-        "methane": builders.methane,
-        "benzene": builders.benzene,
-    }
-    if name in simple:
-        return simple[name]()
-    return paper_molecule(name)
+from repro.chem.builders import (
+    PAPER_MOLECULES,
+    SCALED_MOLECULES,
+    molecule_by_name,
+    paper_molecule,
+)
 
 
 def _run_scf(args: argparse.Namespace) -> int:
     from repro.scf import RHF, GuardConfig
 
-    mol = _build_molecule(args.molecule)
+    mol = molecule_by_name(args.molecule)
     guard = None
     if args.guard:
         guard = GuardConfig(
@@ -266,7 +256,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     from repro.obs.critpath import analyze
     from repro.obs.manifest import get_ledger
 
-    mol = _build_molecule(args.molecule)
+    mol = molecule_by_name(args.molecule)
     basis = reorder_basis(BasisSet.build(mol, args.basis))
     screen = ScreeningMap(basis, schwarz_model(basis), args.tau)
     # path extraction needs the run traced: use the ambient tracer when
@@ -308,9 +298,29 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scf_chaos(args: argparse.Namespace) -> int:
+def _finish_chaos(
+    args: argparse.Namespace, cres, header: str, notes: tuple[str, ...] = ()
+) -> int:
+    """The tail every ``repro chaos`` family shares: summary, ``--json``,
+    and the failure line + exit code of a broken invariant."""
     import json
 
+    print(header)
+    for line in cres.summary_lines():
+        print(f"  {line}")
+    for note in notes:
+        print(note)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(cres.to_json(), fh, indent=2, sort_keys=True)
+        print(f"chaos summary written to {args.json}")
+    if not cres.passed:
+        print(cres.failure_line(), file=sys.stderr)
+        return 1
+    return 0
+
+
+def _run_scf_chaos(args: argparse.Namespace) -> int:
     from repro.fock.chaos import run_scf_chaos
 
     cres = run_scf_chaos(
@@ -320,40 +330,12 @@ def _run_scf_chaos(args: argparse.Namespace) -> int:
         quartet_nan_rate=args.quartet_nan_rate,
         tolerance=args.tolerance,
     )
-    print(f"scf chaos run: {cres.molecule}/{cres.basis_name}")
-    for line in cres.summary_lines():
-        print(f"  {line}")
-    if args.json:
-        payload = {
-            "family": "scf",
-            "molecule": cres.molecule,
-            "basis": cres.basis_name,
-            "seed": cres.plan.seed,
-            "fock_error": cres.fock_error,
-            "energy_error": cres.energy_error,
-            "tolerance": cres.tolerance,
-            "quartets_corrupted": cres.quartets_corrupted,
-            "eri_rescues": cres.eri_rescues,
-            "passed": cres.passed,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"chaos summary written to {args.json}")
-    if not cres.passed:
-        print(
-            f"scf chaos invariant FAILED: max |dF| {cres.fock_error:.3e} "
-            f"(tolerance {cres.tolerance:.0e}), "
-            f"{cres.quartets_corrupted} corrupted vs "
-            f"{cres.eri_rescues} rescued",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _finish_chaos(
+        args, cres, f"scf chaos run: {cres.molecule}/{cres.basis_name}"
+    )
 
 
 def _run_sdc_chaos(args: argparse.Namespace) -> int:
-    import json
-
     from repro.fock.chaos import run_sdc_chaos
 
     cres = run_sdc_chaos(
@@ -363,44 +345,14 @@ def _run_sdc_chaos(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         workdir=args.workdir,
     )
-    print(f"sdc chaos run: {cres.molecule}/{cres.basis_name}")
-    for line in cres.summary_lines():
-        print(f"  {line}")
-    if args.workdir:
-        print(f"  corrupted work tree kept at {args.workdir} "
-              "(audit it with 'repro verify')")
-    if args.json:
-        payload = {
-            "family": "sdc",
-            "molecule": cres.molecule,
-            "basis": cres.basis_name,
-            "seed": cres.plan.seed,
-            "fock_error": cres.fock_error,
-            "energy_error": cres.energy_error,
-            "tolerance": cres.tolerance,
-            "injected": cres.injected,
-            "detected": cres.detected,
-            "silent": cres.silent,
-            "false_positives": cres.false_positives,
-            "ga_error": cres.ga_error,
-            "checkpoint_intact": cres.checkpoint_intact,
-            "overhead": cres.overhead,
-            "passed": cres.passed,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"chaos summary written to {args.json}")
-    if not cres.passed:
-        print(
-            "sdc chaos invariant FAILED: "
-            f"{cres.silent_total} silent corruption(s), "
-            f"{cres.false_positives} false positive(s), "
-            f"max |dE| {cres.energy_error:.3e} "
-            f"(tolerance {cres.tolerance:.0e})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    kept = (
+        f"  corrupted work tree kept at {args.workdir} "
+        "(audit it with 'repro verify')"
+    )
+    return _finish_chaos(
+        args, cres, f"sdc chaos run: {cres.molecule}/{cres.basis_name}",
+        notes=(kept,) if args.workdir else (),
+    )
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -564,7 +516,6 @@ def _run_drain(args: argparse.Namespace) -> int:
 
 
 def _run_service_chaos(args: argparse.Namespace) -> int:
-    import json
     import tempfile
 
     from repro.service import run_service_chaos
@@ -581,32 +532,14 @@ def _run_service_chaos(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         lease_s=args.lease,
     )
-    print(
+    return _finish_chaos(
+        args, cres,
         f"service chaos run: {cres.njobs} jobs on {cres.workers} workers, "
-        f"queue {queue}"
+        f"queue {queue}",
     )
-    for line in cres.summary_lines():
-        print(f"  {line}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(cres.to_json(), fh, indent=2, sort_keys=True)
-        print(f"chaos summary written to {args.json}")
-    if not cres.passed:
-        print(
-            "service chaos invariant FAILED: "
-            f"{cres.counts.get('done', 0)}/{cres.njobs} done, "
-            f"max |dE| {cres.max_energy_error:.3e} "
-            f"(tolerance {cres.tolerance:.0e}), "
-            f"{cres.double_records} double records",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
-    import json
-
     from repro.fock.chaos import run_chaos
     from repro.obs import get_metrics, get_tracer
     from repro.obs.metrics import export_faults
@@ -641,43 +574,20 @@ def _run_chaos(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         tracer=tracer,
     )
-    print(
-        f"chaos run: {cres.molecule}/{cres.basis_name} on "
-        f"{cres.nproc} simulated processes"
-    )
-    for line in cres.summary_lines():
-        print(f"  {line}")
     if cres.faulty.faults is not None:
         export_faults(
             cres.faulty.faults, cres.faulty.outcome, registry=get_metrics()
         )
+    notes = ()
     if args.report:
-        report = chaos_report(cres, tracer)
-        write_report(args.report, report)
-        print(f"chaos report written to {args.report}")
-    if args.json:
-        payload = {
-            "molecule": cres.molecule,
-            "basis": cres.basis_name,
-            "nproc": cres.nproc,
-            "seed": cres.plan.seed,
-            "fock_error": cres.fock_error,
-            "energy_error": cres.energy_error,
-            "tolerance": cres.tolerance,
-            "passed": cres.passed,
-            "overhead": cres.overhead,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"chaos summary written to {args.json}")
-    if not cres.passed:
-        print(
-            f"chaos invariant FAILED: max |dF| {cres.fock_error:.3e} exceeds "
-            f"{cres.tolerance:.0e}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        write_report(args.report, chaos_report(cres, tracer))
+        notes = (f"chaos report written to {args.report}",)
+    return _finish_chaos(
+        args, cres,
+        f"chaos run: {cres.molecule}/{cres.basis_name} on "
+        f"{cres.nproc} simulated processes",
+        notes,
+    )
 
 
 def _run_info() -> int:
@@ -710,7 +620,7 @@ def _run_perf_profile(args: argparse.Namespace) -> int:
     )
     from repro.scf import RHF
 
-    mol = _build_molecule(args.molecule)
+    mol = molecule_by_name(args.molecule)
     print(
         f"profiled RHF/{args.basis} on {mol.formula} "
         f"(cProfile top {args.top}"

@@ -45,11 +45,26 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.chem.builders import molecule_by_name
 from repro.fock.gtfock import GTFockBuildResult, gtfock_build
 from repro.obs import Tracer
 from repro.runtime.faults import FaultPlan, SCFFaultPlan, random_plan
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.sdc import SDCFaultPlan, random_sdc_plan
+from repro.scf.fock import fock_matrix, hf_electronic_energy
+
+
+def _payload(result, *names: str, **head) -> dict:
+    """A family's ``--json`` payload: ``head``, the fields every Fock
+    chaos result shares, then the attributes ``names``."""
+    shared = ("fock_error", "energy_error", "tolerance")
+    return {
+        **head,
+        "molecule": result.molecule,
+        "basis": result.basis_name,
+        "seed": result.plan.seed,
+        **{name: getattr(result, name) for name in shared + names},
+    }
 
 
 @dataclass
@@ -94,37 +109,34 @@ class ChaosResult:
         ]
         return lines
 
+    def to_json(self) -> dict:
+        """The ``repro chaos --json`` payload."""
+        return _payload(self, "nproc", "passed", "overhead")
+
+    def failure_line(self) -> str:
+        return (
+            f"chaos invariant FAILED: max |dF| {self.fock_error:.3e} exceeds "
+            f"{self.tolerance:.0e}"
+        )
+
 
 def build_inputs(molecule: str, basis_name: str):
     """Molecule-name -> (engine, hcore, density, mol, basis), the same
     input pipeline the run-report driver uses."""
-    from repro.chem import builders
     from repro.chem.basis.basisset import BasisSet
-    from repro.chem.builders import paper_molecule
     from repro.fock.reorder import reorder_basis
     from repro.integrals.engine import MDEngine
     from repro.integrals.oneelec import core_hamiltonian, overlap
     from repro.scf.guess import core_guess
     from repro.scf.orthogonalization import orthogonalizer
 
-    simple = {
-        "water": builders.water,
-        "h2": builders.h2,
-        "methane": builders.methane,
-        "benzene": builders.benzene,
-    }
-    mol = simple[molecule]() if molecule in simple else paper_molecule(molecule)
+    mol = molecule_by_name(molecule)
     basis = reorder_basis(BasisSet.build(mol, basis_name))
     engine = MDEngine(basis)
     hcore = core_hamiltonian(basis)
     x = orthogonalizer(overlap(basis))
     density = core_guess(hcore, x, mol.nelectrons // 2)
     return engine, hcore, density, mol, basis
-
-
-def _one_iter_energy(density: np.ndarray, hcore: np.ndarray, fock: np.ndarray) -> float:
-    """RHF electronic energy of this density/Fock pair: tr D (H + F)."""
-    return float(np.sum(density * (hcore + fock)))
 
 
 def run_chaos(
@@ -170,8 +182,8 @@ def run_chaos(
     )
     fock_error = float(np.max(np.abs(faulty.fock - clean.fock)))
     energy_error = abs(
-        _one_iter_energy(density, hcore, faulty.fock)
-        - _one_iter_energy(density, hcore, clean.fock)
+        hf_electronic_energy(hcore, faulty.fock, density)
+        - hf_electronic_energy(hcore, clean.fock, density)
     )
     fstate = faulty.faults
     overhead = dict(fstate.overhead_summary()) if fstate is not None else {}
@@ -237,6 +249,20 @@ class SCFChaosResult:
             f"|dE| = {self.energy_error:.3e} Ha",
         ]
 
+    def to_json(self) -> dict:
+        """The ``repro chaos --family scf --json`` payload."""
+        return _payload(
+            self, "quartets_corrupted", "eri_rescues", "passed", family="scf"
+        )
+
+    def failure_line(self) -> str:
+        return (
+            f"scf chaos invariant FAILED: max |dF| {self.fock_error:.3e} "
+            f"(tolerance {self.tolerance:.0e}), "
+            f"{self.quartets_corrupted} corrupted vs "
+            f"{self.eri_rescues} rescued"
+        )
+
 
 def run_scf_chaos(
     molecule: str = "water",
@@ -256,8 +282,6 @@ def run_scf_chaos(
     -- and verifies every corruption was rescued (recomputed on the
     reference kernel) with ``max |dF| <= tolerance``.
     """
-    from repro.scf.fock import fock_matrix
-
     engine, hcore, density, mol, basis = build_inputs(molecule, basis_name)
     clean = fock_matrix(engine, hcore, density, tau)
     if plan is None:
@@ -273,8 +297,8 @@ def run_scf_chaos(
     rescued = fock_matrix(faulty_engine, hcore, density, tau)
     fock_error = float(np.max(np.abs(rescued - clean)))
     energy_error = abs(
-        _one_iter_energy(density, hcore, rescued)
-        - _one_iter_energy(density, hcore, clean)
+        hf_electronic_energy(hcore, rescued, density)
+        - hf_electronic_energy(hcore, clean, density)
     )
     return SCFChaosResult(
         molecule=mol.name or mol.formula,
@@ -373,6 +397,23 @@ class SDCChaosResult:
         ]
         return lines
 
+    def to_json(self) -> dict:
+        """The ``repro chaos --family sdc --json`` payload."""
+        return _payload(
+            self, "injected", "detected", "silent", "false_positives",
+            "ga_error", "checkpoint_intact", "overhead", "passed",
+            family="sdc",
+        )
+
+    def failure_line(self) -> str:
+        return (
+            "sdc chaos invariant FAILED: "
+            f"{self.silent_total} silent corruption(s), "
+            f"{self.false_positives} false positive(s), "
+            f"max |dE| {self.energy_error:.3e} "
+            f"(tolerance {self.tolerance:.0e})"
+        )
+
 
 def run_sdc_chaos(
     molecule: str = "water",
@@ -424,20 +465,7 @@ def run_sdc_chaos(
     ckpt_clean = workdir / "ckpt-clean"
     ckpt_sdc = workdir / "ckpt-sdc"
     try:
-        from repro.chem import builders
-        from repro.chem.builders import paper_molecule
-
-        simple = {
-            "water": builders.water,
-            "h2": builders.h2,
-            "methane": builders.methane,
-            "benzene": builders.benzene,
-        }
-        mol = (
-            simple[molecule]()
-            if molecule in simple
-            else paper_molecule(molecule)
-        )
+        mol = molecule_by_name(molecule)
 
         def make_rhf(ckpt_dir=None, integrity=False, sdc=None):
             return RHF(
@@ -465,11 +493,9 @@ def run_sdc_chaos(
         store_state.corrupt_store_dir(store_dir)
 
         # 4. the corrupted run: detectors armed, sdc matrix/file faults
-        rhf = make_rhf(ckpt_dir=ckpt_sdc, integrity=True, sdc=plan)
-        sdc_result = rhf.run()
-        sdc_state = rhf.sdc_state
+        sdc_result = make_rhf(ckpt_dir=ckpt_sdc, integrity=True, sdc=plan).run()
         summary = sdc_result.integrity_summary
-        detections = summary["detections"]
+        detections, injections = summary["detections"], summary["injections"]
 
         # offline checkpoint audit: every flipped file must fail
         # verification, and an intact snapshot must still be loadable
@@ -505,8 +531,8 @@ def run_sdc_chaos(
 
         injected = {
             "store_block": int(store_state.blocks_corrupted),
-            "checkpoint": int(sdc_state.files_corrupted),
-            "matrix": int(sdc_state.matrices_corrupted),
+            "checkpoint": injections["files_corrupted"],
+            "matrix": injections["matrices_corrupted"],
             "ga_payload": int(ga_state.payloads_corrupted),
         }
         detected = {

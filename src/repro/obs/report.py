@@ -1301,35 +1301,17 @@ def run_report(
     :func:`render_report` or persist via :func:`write_report`.
     """
     # heavy imports stay local: repro.obs must import before the runtime
-    from repro.chem import builders
-    from repro.chem.basis.basisset import BasisSet
-    from repro.chem.builders import paper_molecule
+    from repro.fock.chaos import build_inputs
     from repro.fock.gtfock import gtfock_build
-    from repro.fock.reorder import reorder_basis
-    from repro.integrals.engine import MDEngine
-    from repro.integrals.oneelec import core_hamiltonian, overlap
     from repro.model.perfmodel import PerfModel
     from repro.obs.metrics import export_commstats
     from repro.obs.trace import Tracer, get_tracer
     from repro.obs.validate import validate_run
     from repro.runtime.machine import LONESTAR
-    from repro.scf.guess import core_guess
-    from repro.scf.orthogonalization import orthogonalizer
 
     if config is None:
         config = LONESTAR
-    simple = {
-        "water": builders.water,
-        "h2": builders.h2,
-        "methane": builders.methane,
-        "benzene": builders.benzene,
-    }
-    mol = simple[molecule]() if molecule in simple else paper_molecule(molecule)
-    basis = reorder_basis(BasisSet.build(mol, basis_name))
-    engine = MDEngine(basis)
-    hcore = core_hamiltonian(basis)
-    x = orthogonalizer(overlap(basis))
-    density = core_guess(hcore, x, mol.nelectrons // 2)
+    engine, hcore, density, mol, basis = build_inputs(molecule, basis_name)
 
     guard_summary = None
     if scf_guard:

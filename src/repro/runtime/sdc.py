@@ -436,14 +436,19 @@ class IntegrityMonitor:
             self.record_detection("fock_matrix")
         return ok
 
-    def check_density(self, d: np.ndarray, iteration: int) -> bool:
-        """D must be finite, symmetric, and carry Tr(D S) = n_occ."""
+    def check_density(
+        self, d: np.ndarray, iteration: int, nocc: int | None = None
+    ) -> bool:
+        """D must be finite, symmetric, and carry Tr(D S) = n_occ
+        (``nocc``: this spin channel's count, default the monitor's)."""
         self.record_check("density_symmetry")
         ok = bool(np.isfinite(d).all()) and self._symmetry_ok(d)
-        if ok and self.overlap is not None and self.nocc is not None:
+        if nocc is None:
+            nocc = self.nocc
+        if ok and self.overlap is not None and nocc is not None:
             self.record_check("density_trace")
             tr = float(np.sum(d * self.overlap.T))
-            ok = abs(tr - self.nocc) <= self.config.trace_tol * max(1.0, self.nocc)
+            ok = abs(tr - nocc) <= self.config.trace_tol * max(1.0, nocc)
         if not ok:
             self.record_detection("density_matrix")
         return ok

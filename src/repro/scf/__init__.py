@@ -26,7 +26,7 @@ from repro.scf.fock import (
     orbit_images,
 )
 from repro.scf.guess import core_guess, gwh_guess, zero_guess
-from repro.scf.hf import RHF, SCFResult
+from repro.scf.hf import RHF, SCFDriver, SCFOutcome, SCFResult
 from repro.scf.incremental import IncrementalFockBuilder
 from repro.scf.mp2 import MP2Result, ao_to_mo, mp2_energy
 from repro.scf.properties import (
@@ -82,6 +82,8 @@ __all__ = [
     "gwh_guess",
     "zero_guess",
     "RHF",
+    "SCFDriver",
+    "SCFOutcome",
     "SCFResult",
     "IncrementalFockBuilder",
     "MP2Result",

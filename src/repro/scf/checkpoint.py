@@ -7,14 +7,18 @@ killed by the chaos harness) resumes from the latest snapshot and
 reproduces the uninterrupted trajectory *bitwise*: everything float64,
 no re-derivation.
 
-Format (``scf_ckpt_NNNN.npz``, one file per iteration):
+Format (``scf_ckpt_NNNN.npz``, one file per iteration; every array
+float64 unless noted, ``n`` basis functions, ``m`` DIIS vectors held):
 
-* ``iteration`` -- the 1-based iteration the snapshot was taken after;
-* ``density`` -- post-iteration density matrix;
-* ``energy`` -- total energy of that iteration (becomes ``e_old``);
+* ``iteration`` -- int64 scalar, the 1-based iteration the snapshot was
+  taken after;
+* ``density`` -- post-iteration density matrix, ``(n, n)``;
+* ``energy`` -- scalar total energy of that iteration (becomes
+  ``e_old``);
 * ``energy_history`` -- total energies of iterations ``1..iteration``;
 * ``diis_focks`` / ``diis_errors`` -- the DIIS window, oldest first,
-  stacked on axis 0 (empty arrays when DIIS is off or empty);
+  stacked on axis 0: ``(m, n, n)``, ``(0, n, n)`` when DIIS is off or
+  empty;
 * ``guard_json`` -- the convergence-guard remediation state
   (:meth:`repro.scf.guard.SCFGuard.state_dict` as JSON), so a restarted
   run resumes with the same damping / level shift / sticky fallbacks.
@@ -23,6 +27,14 @@ Format (``scf_ckpt_NNNN.npz``, one file per iteration):
 * ``payload_sha256`` -- SHA-256 digest over every other entry's bytes,
   written at save time and verified on load.  Absent in pre-integrity
   snapshots; those load without digest verification.
+
+That is the one-channel (RHF) layout, unchanged since the guard and
+integrity keys were added.  A run with several spin channels (UHF:
+alpha, beta) writes the same keys *spin-stacked*: ``density`` gains a
+leading spin axis, ``(k, n, n)``, and the DIIS entries hold one window
+per occupied channel, ``(k_occ, m, n, n)`` in spin order (an empty
+channel -- the beta space of an H atom -- keeps no window); digest and
+validation rules are the same.
 
 Writes are atomic (tmp file + ``os.replace``), so a rank dying mid-write
 never corrupts the latest complete snapshot.  Reads are defensive
@@ -96,6 +108,18 @@ class Checkpoint:
     #: convergence-guard remediation state (None in pre-guard snapshots)
     guard: dict | None = None
 
+    @property
+    def spin_densities(self) -> list[np.ndarray]:
+        """One density per spin channel, whichever layout was stored."""
+        return [self.density] if self.density.ndim == 2 else list(self.density)
+
+    @property
+    def spin_windows(self) -> list[tuple]:
+        """One ``(focks, errors)`` DIIS window per occupied channel."""
+        if self.density.ndim == 2:
+            return [(self.diis_focks, self.diis_errors)]
+        return list(zip(self.diis_focks, self.diis_errors))
+
 
 def checkpoint_path(directory: str | Path, iteration: int) -> Path:
     return Path(directory) / f"scf_ckpt_{iteration:04d}.npz"
@@ -112,27 +136,33 @@ def save_checkpoint(
 ) -> Path:
     """Atomically write iteration state; returns the snapshot path.
 
-    ``guard`` (optional) is an :class:`~repro.scf.guard.SCFGuard` whose
-    remediation state is persisted alongside the numerical state.
+    ``density`` and ``diis`` are one matrix and one
+    :class:`~repro.scf.diis.DIIS` (or None), or spin-aligned lists of
+    them (None marks a channel without a window); a single channel is
+    written in the bare one-channel layout.  ``guard`` (optional) is an
+    :class:`~repro.scf.guard.SCFGuard` whose remediation state is
+    persisted alongside the numerical state.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if diis is not None:
-        focks, errors = diis.state_arrays()
-    else:
-        focks, errors = [], []
-    n = density.shape[0]
+    if isinstance(density, np.ndarray) and density.ndim == 2:
+        density, diis = [density], [diis]
+    n = density[0].shape[0]
+    windows = [w.state_arrays() for w in diis or () if w is not None]
+    m = len(windows[0][0]) if windows else 0
+    stacked = len(density) > 1  # else the bare layout: no spin axis
+    shape = ((len(windows),) if stacked else ()) + (m, n, n)
+    focks, errors = (
+        np.reshape([w[i] for w in windows], shape) for i in (0, 1)
+    )
+    density = np.stack(density) if stacked else density[0]
     payload = {
         "iteration": np.int64(iteration),
         "density": np.asarray(density, dtype=np.float64),
         "energy": np.float64(energy),
         "energy_history": np.asarray(energy_history, dtype=np.float64),
-        "diis_focks": (
-            np.stack(focks) if focks else np.zeros((0, n, n))
-        ),
-        "diis_errors": (
-            np.stack(errors) if errors else np.zeros((0, n, n))
-        ),
+        "diis_focks": focks,
+        "diis_errors": errors,
     }
     if guard is not None:
         payload["guard_json"] = np.str_(guard.state_json())
@@ -151,9 +181,9 @@ def load_checkpoint(path: str | Path, verify: bool = True) -> Checkpoint:
     Verification re-derives the payload digest and compares it against
     the stored ``payload_sha256`` (when present -- pre-integrity
     snapshots have none), then validates the arrays themselves: all
-    entries finite, ``density`` square, DIIS stacks ``(k, n, n)`` with
-    ``n`` matching the density.  Failure raises
-    :class:`CheckpointIntegrityError`.
+    entries finite, ``density`` square (per spin channel), DIIS stacks
+    one axis deeper than the density with ``n`` matching it.  Failure
+    raises :class:`CheckpointIntegrityError`.
     """
     with np.load(path) as z:
         arrays = {name: z[name] for name in z.files}
@@ -182,11 +212,11 @@ def load_checkpoint(path: str | Path, verify: bool = True) -> Checkpoint:
 def _validate_arrays(arrays: dict, path) -> None:
     """Semantic validation: finite values, consistent shapes."""
     density = arrays["density"]
-    if density.ndim != 2 or density.shape[0] != density.shape[1]:
+    if density.ndim not in (2, 3) or density.shape[-2] != density.shape[-1]:
         raise CheckpointIntegrityError(
             f"density shape {density.shape} is not square in {path}"
         )
-    n = density.shape[0]
+    n = density.shape[-1]
     for name in ("density", "energy", "energy_history"):
         if not np.isfinite(arrays[name]).all():
             raise CheckpointIntegrityError(
@@ -194,8 +224,8 @@ def _validate_arrays(arrays: dict, path) -> None:
             )
     for name in ("diis_focks", "diis_errors"):
         stack = arrays[name]
-        if stack.ndim != 3 or (
-            stack.shape[0] and stack.shape[1:] != (n, n)
+        if stack.ndim != density.ndim + 1 or (
+            stack.size and stack.shape[-2:] != (n, n)
         ):
             raise CheckpointIntegrityError(
                 f"'{name}' shape {stack.shape} inconsistent with "

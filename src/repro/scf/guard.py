@@ -529,8 +529,9 @@ class SCFGuard:
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (restart path).
 
-        The driver must still re-apply the sticky rungs to the rebuilt
-        objects: :attr:`canonical_threshold` to the orthogonalizer and
+        The sticky rungs come back *pending*, so the driver's next
+        consume re-applies them to the rebuilt objects:
+        :attr:`canonical_threshold` to the orthogonalizer and
         :attr:`reference_eri` to the engine.
         """
         self.level = int(state.get("level", -1))
@@ -542,6 +543,8 @@ class SCFGuard:
         ct = state.get("canonical_threshold")
         self.canonical_threshold = float(ct) if ct is not None else None
         self.reference_eri = bool(state.get("reference_eri", False))
+        self._pending_canonical = self.canonical_threshold
+        self._pending_reference = self.reference_eri
         self.events = [GuardEvent.from_json(d) for d in state.get("events", [])]
         self._energies = [float(e) for e in state.get("energies", [])]
         self._d_changes = [float(d) for d in state.get("d_changes", [])]

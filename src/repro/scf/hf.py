@@ -1,10 +1,16 @@
-"""Restricted Hartree-Fock driver (Algorithm 1 of the paper).
+"""Hartree-Fock SCF driver (Algorithm 1 of the paper).
 
 Iterates Fock construction and density formation to self-consistency.
 The density step can use either matrix diagonalization (line 8 of
 Algorithm 1) or canonical purification (Sec IV-E), and any
 :class:`~repro.integrals.engine.ERIEngine` supplies the two-electron
 integrals, so the same driver runs on real or synthetic integrals.
+
+There is one iteration loop, :meth:`SCFDriver._iterate`, over a *spin
+stack*: a list with one density / Fock matrix per spin channel (one for
+:class:`RHF`, two for :class:`~repro.scf.uhf.UHF`).  Every cross-cutting
+step maps over the stack in one fixed order (``docs/ROBUSTNESS.md``,
+"One SCF loop"); a driver supplies only what is spin-specific.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from repro.integrals.engine import ERIEngine, MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.obs import get_metrics, get_tracer
 from repro.obs.manifest import get_ledger
+from repro.obs.metrics import export_integrity
 from repro.obs.profile import (
     PHASE_DIAG,
     PHASE_DIIS,
@@ -34,23 +41,24 @@ from repro.scf.diis import DIIS
 from repro.scf.fock import fock_matrix, hf_electronic_energy
 from repro.scf.guard import GuardConfig, GuardEvent, SCFGuard
 from repro.scf.guess import core_guess
+from repro.scf.incremental import IncrementalFockBuilder
 from repro.scf.orthogonalization import density_from_fock, orthogonalizer
 from repro.scf.purification import purify
 
 
-@dataclass
-class SCFResult:
-    """Converged (or final) state of an RHF run."""
+#: ``density_method`` values and the profiler phase each one runs under
+_DENSITY_PHASES = {"diagonalize": PHASE_DIAG, "purify": PHASE_PURIFY}
+
+
+@dataclass(kw_only=True)
+class SCFOutcome:
+    """What every SCF run reports, whatever its spin treatment."""
 
     energy: float
     electronic_energy: float
     nuclear_repulsion: float
     converged: bool
     iterations: int
-    fock: np.ndarray
-    density: np.ndarray
-    coefficients: np.ndarray | None
-    orbital_energies: np.ndarray | None
     energy_history: list[float] = field(default_factory=list)
     #: typed convergence-guard event trail (empty when the guard is off)
     guard_events: list[GuardEvent] = field(default_factory=list)
@@ -59,6 +67,16 @@ class SCFResult:
     #: :meth:`repro.runtime.sdc.IntegrityMonitor.summary` (None when the
     #: ``integrity`` knob is off)
     integrity_summary: dict | None = None
+
+
+@dataclass(kw_only=True)
+class SCFResult(SCFOutcome):
+    """Converged (or final) state of an RHF run."""
+
+    fock: np.ndarray
+    density: np.ndarray
+    coefficients: np.ndarray | None
+    orbital_energies: np.ndarray | None
     #: doubly occupied orbitals (Tr(DS); Tr(D) only in an orthonormal basis)
     nocc: int = 0
 
@@ -71,13 +89,18 @@ class SCFResult:
 
 
 @dataclass
-class RHF:
-    """Restricted closed-shell Hartree-Fock.
+class SCFDriver:
+    """The field base of :class:`RHF` and :class:`~repro.scf.uhf.UHF`
+    and the one SCF loop both run.  A subclass sets ``_spin_labels``
+    (the guard's matrix-label suffix per spin channel) and
+    ``_occupations`` (occupied orbitals per channel) and implements
+    ``_guess``, ``_focks``, ``_electronic_energy``, ``_final_state``
+    and ``_result``.
 
     Parameters
     ----------
     molecule:
-        Closed-shell molecule (even electron count).
+        The molecule (RHF: closed-shell, an even electron count).
     basis_name:
         Basis registry key (default ``sto-3g``).
     engine:
@@ -93,7 +116,7 @@ class RHF:
     incremental:
         Build the two-electron part from density differences
         (:class:`~repro.scf.incremental.IncrementalFockBuilder`): late
-        iterations screen away almost all quartets.
+        iterations screen away almost all quartets.  RHF only.
     integral_store:
         When set, a directory for the memory-mapped stored-integral
         layer (:class:`~repro.integrals.store.ERIStore`): conventional
@@ -179,11 +202,7 @@ class RHF:
     on_iteration: Callable[[int, float], None] | None = None
 
     def __post_init__(self) -> None:
-        if self.molecule.nelectrons % 2 != 0:
-            raise ValueError(
-                f"RHF requires an even electron count, got {self.molecule.nelectrons}"
-            )
-        if self.density_method not in ("diagonalize", "purify"):
+        if self.density_method not in _DENSITY_PHASES:
             raise ValueError(f"unknown density_method {self.density_method!r}")
         if self.restart and self.checkpoint_dir is None:
             raise ValueError("restart=True requires checkpoint_dir")
@@ -191,25 +210,63 @@ class RHF:
             self.guard = GuardConfig()
         elif self.guard is False:
             self.guard = None
-        self.basis = (
-            self.engine.basis
-            if self.engine is not None
-            else BasisSet.build(self.molecule, self.basis_name)
-        )
         if self.engine is None:
-            self.engine = MDEngine(self.basis)
+            self.engine = MDEngine(
+                BasisSet.build(self.molecule, self.basis_name)
+            )
+        self.basis = self.engine.basis
         if self.integral_store is not None and self.engine.integral_store is None:
             self.engine.attach_store(self.integral_store)
         store = self.engine.integral_store
         self._store_warm_at_start = bool(store is not None and store.ready)
-        self.nocc = self.molecule.nelectrons // 2
-        if self.nocc > self.basis.nbf:
-            raise ValueError(
-                f"{self.nocc} occupied orbitals exceed {self.basis.nbf} basis functions"
-            )
 
-    def run(self, guess: np.ndarray | None = None) -> SCFResult:
-        """Run the SCF iteration to convergence (Algorithm 1).
+    def _reset_fock_builder(self) -> None:
+        """Drop Fock-build state accumulated across iterations (a
+        stateless build has none)."""
+
+    def _run(self, guess: list[np.ndarray] | None):
+        """Iterate with the engine armed for this run only: the ERI
+        sentinel, the seeded quartet faults and the store's CRC
+        verification go back to their pre-run values however it ends."""
+        engine, store = self.engine, self.engine.integral_store
+        before = (
+            engine.finite_check, engine.scf_faults,
+            store is not None and store.verify_reads,
+        )
+        try:
+            return self._iterate(guess)
+        finally:
+            engine.finite_check, engine.scf_faults = before[:2]
+            if store is not None:
+                store.verify_reads = before[2]
+
+    def _apply_fallbacks(
+        self, guard: SCFGuard, s: np.ndarray, x: np.ndarray
+    ) -> np.ndarray:
+        """Execute the guard's pending sticky fallbacks; returns the
+        orthogonalizer to continue with."""
+        thr = guard.consume_canonical_orth()
+        if thr is not None:
+            x = orthogonalizer(s, threshold=thr, canonical=True)
+        if guard.consume_reference_eri() and self.engine.supports_reference_path:
+            self.engine.force_reference_path()
+            self._reset_fock_builder()
+        return x
+
+    def _new_density(self, f_eff, x, s, d, nocc: int, shift: float):
+        """One spin channel's density step: (density, eps, coefficients)."""
+        if self.density_method == "diagonalize":
+            return density_from_fock(
+                f_eff, x, nocc, level_shift=shift, overlap=s, density=d
+            )
+        f_or = x.T @ f_eff @ x
+        if shift:
+            p = x.T @ s @ d @ s @ x
+            f_or = f_or + shift * (np.eye(f_or.shape[0]) - 0.5 * (p + p.T))
+        return x @ purify(f_or, nocc).density @ x.T, None, None
+
+    def _iterate(self, guess: list[np.ndarray] | None):
+        """The SCF iteration (Algorithm 1) over the spin stack.
 
         Each iteration is a nested wall-clock span (``fock_build`` /
         ``diis`` / ``diagonalize`` or ``purify``) on the active tracer,
@@ -237,84 +294,89 @@ class RHF:
             "repro_scf_iterations_total", "SCF iterations executed",
             labelnames=("molecule",),
         )
+        engine = self.engine
+        occ, labels = self._occupations, self._spin_labels
         guard: SCFGuard | None = None
         if self.guard is not None:
             guard = SCFGuard(
                 self.guard, e_tol=self.e_tol, d_tol=self.d_tol,
                 molecule=mol_label,
             )
-            self.engine.finite_check = self.guard.eri_sentinel
-        fault_state = None
-        if self.faults is not None and self.faults.has_faults:
-            fault_state = self.faults.activate()
-        self.engine.scf_faults = fault_state
-        sdc_state = None
-        if self.sdc_faults is not None and self.sdc_faults.has_faults:
-            sdc_state = self.sdc_faults.activate()
-        self.sdc_state = sdc_state
-        if self.integrity and self.engine.integral_store is not None:
-            self.engine.integral_store.verify_reads = True
+            engine.finite_check = self.guard.eri_sentinel
+        # seeded NaNs (scf family), then silent bit flips (sdc family)
+        fault_states = [
+            plan.activate() if plan is not None and plan.has_faults else None
+            for plan in (self.faults, self.sdc_faults)
+        ]
+        engine.scf_faults, sdc_state = fault_states
+
+        def corrupt(mats: list[np.ndarray], which: str) -> list[np.ndarray]:
+            # each state fires at most once per (iteration, which), so
+            # on one spin channel
+            for state in fault_states:
+                if state is not None:
+                    mats = [state.corrupt_matrix(m, it, which) for m in mats]
+            return mats
+
+        def finite(mats: list[np.ndarray], which: str) -> bool:
+            # no short circuit: every bad channel is a guard event
+            return all([
+                guard.check_matrix(which + lab, m, it)
+                for lab, m in zip(labels, mats)
+            ])
+
+        def focks_intact(mats: list[np.ndarray]) -> bool:
+            return all([monitor.check_fock(f, it) for f in mats])
+
+        def densities_intact(mats: list[np.ndarray]) -> bool:
+            return all([
+                monitor.check_density(d, it, n) for d, n in zip(mats, occ)
+            ])
+
+        if self.integrity and engine.integral_store is not None:
+            engine.integral_store.verify_reads = True
 
         with tracer.span("scf_setup", cat="scf", molecule=mol_label):
             # the engine's pair data: S, T, V, Schwarz and every class
             # plan expand each shell pair once
-            pairs = getattr(self.engine, "pair_cache", None)
+            pairs = engine.pair_cache
             s = overlap(self.basis, pairs)
             h = core_hamiltonian(self.basis, pairs)
             x = orthogonalizer(s)
             enuc = self.molecule.nuclear_repulsion()
-            d = guess if guess is not None else core_guess(h, x, self.nocc)
+            ds = guess if guess is not None else self._guess(h, x)
 
-        monitor = None
-        if self.integrity:
-            monitor = IntegrityMonitor(overlap=s, nocc=self.nocc)
-        self.integrity_monitor = monitor
-
-        diis = DIIS() if self.use_diis else None
-        inc_builder = None
-        if self.incremental:
-            from repro.scf.incremental import IncrementalFockBuilder
-
-            inc_builder = IncrementalFockBuilder(
-                self.engine, tau=self.tau, threads=self.jk_threads
-            )
+        monitor = IntegrityMonitor(overlap=s) if self.integrity else None
+        # an empty spin channel (the beta space of an H atom) has no
+        # DIIS window, no density step and no orbital energies
+        diis = [DIIS() if self.use_diis and n else None for n in occ]
+        windows = [w for w in diis if w is not None]
+        self._reset_fock_builder()
         history: list[float] = []
         e_old = np.inf
-        f = h
-        coeffs: np.ndarray | None = None
-        eps: np.ndarray | None = None
+        fs = [h] * len(occ)
+        coeffs: list = [None] * len(occ)
+        eps: list = [None] * len(occ)
         converged = False
         start_it = 1
         if self.restart:
             ck = load_latest_intact(self.checkpoint_dir)
             if ck is not None:
-                d = ck.density
+                ds = ck.spin_densities
                 e_old = ck.energy
                 history = list(ck.energy_history)
-                if diis is not None:
-                    diis.load_state(ck.diis_focks, ck.diis_errors)
+                for w, (focks, errors) in zip(windows, ck.spin_windows):
+                    w.load_state(focks, errors)
                 start_it = ck.iteration + 1
                 if guard is not None and ck.guard is not None:
+                    # re-arms the sticky rungs: apply them to the
+                    # rebuilt orthogonalizer and engine
                     guard.load_state(ck.guard)
-                    # re-apply the sticky rungs to the rebuilt objects
-                    if guard.canonical_threshold is not None:
-                        x = orthogonalizer(
-                            s, threshold=guard.canonical_threshold,
-                            canonical=True,
-                        )
-                    if guard.reference_eri and self.engine.supports_reference_path:
-                        self.engine.force_reference_path()
+                    x = self._apply_fallbacks(guard, s, x)
                 tracer.instant(
                     "scf_restart", cat="scf", molecule=mol_label,
                     iteration=ck.iteration,
                 )
-
-        def build_fock(density: np.ndarray) -> np.ndarray:
-            if inc_builder is not None:
-                return inc_builder.fock(h, density)
-            return fock_matrix(
-                self.engine, h, density, self.tau, threads=self.jk_threads
-            )
 
         it = start_it - 1
         for it in range(start_it, self.max_iter + 1):
@@ -323,108 +385,77 @@ class RHF:
             ) as sp:
                 with tracer.span("fock_build", cat="scf"), \
                         prof.phase(PHASE_FOCK):
-                    f = build_fock(d)
-                if fault_state is not None:
-                    f = fault_state.corrupt_matrix(f, it, "fock")
-                if sdc_state is not None:
-                    f = sdc_state.corrupt_matrix(f, it, "fock")
-                if guard is not None and not guard.check_matrix("fock", f, it):
+                    fs = self._focks(h, ds)
+                fs = corrupt(fs, "fock")
+                if guard is not None and not finite(fs, "fock"):
                     # arithmetic is broken, not merely slow: jump to the
-                    # fallback rungs, apply them, rebuild this Fock once
+                    # fallback rungs, apply them, rebuild the Focks once
+                    # (the DIIS reset is consumed by the DIIS step below)
                     guard.on_nonfinite(it, "fock")
                     if guard.nonfinite_exhausted():
                         raise guard.fail(it, "Fock matrix is non-finite")
-                    if guard.consume_diis_reset() and diis is not None:
-                        diis.reset()
-                    thr = guard.consume_canonical_orth()
-                    if thr is not None:
-                        x = orthogonalizer(s, threshold=thr, canonical=True)
-                    if (
-                        guard.consume_reference_eri()
-                        and self.engine.supports_reference_path
-                    ):
-                        self.engine.force_reference_path()
-                    if inc_builder is not None:
-                        # the accumulated Fock may carry the corruption
-                        inc_builder.reset()
+                    x = self._apply_fallbacks(guard, s, x)
+                    # the accumulated Fock may carry the corruption
+                    self._reset_fock_builder()
                     with tracer.span("fock_rebuild", cat="scf"):
-                        f = build_fock(d)
-                    if not np.isfinite(f).all():
+                        fs = self._focks(h, ds)
+                    if not all(np.isfinite(f).all() for f in fs):
                         raise guard.fail(
                             it, "Fock matrix is non-finite after rebuild"
                         )
-                if monitor is not None and not monitor.check_fock(f, it):
+                if monitor is not None and not focks_intact(fs):
                     # recovery rung 1: ERIs are density independent, so
                     # one rebuild from the same density reproduces the
                     # uncorrupted Fock bitwise
                     monitor.record_recovery("recompute")
                     with tracer.span("fock_rebuild", cat="scf"):
-                        f = build_fock(d)
-                    if not monitor.check_fock(f, it):
+                        fs = self._focks(h, ds)
+                    if not focks_intact(fs):
                         raise IntegrityError(
                             f"Fock matrix failed integrity checks after "
                             f"rebuild at iteration {it}"
                         )
-                e_elec = hf_electronic_energy(h, f, d)
-                history.append(e_elec + enuc)
-                if diis is not None:
+                energy = self._electronic_energy(h, fs, ds) + enuc
+                history.append(energy)
+                f_eff = fs
+                if windows:
                     if guard is not None and guard.consume_diis_reset():
-                        diis.reset()
+                        for w in windows:
+                            w.reset()
                     with tracer.span("diis", cat="scf"), \
                             prof.phase(PHASE_DIIS):
-                        err = DIIS.error_vector(f, d, s, x)
-                        diis.push(f, err)
-                        f_eff = diis.extrapolate()
-                else:
-                    f_eff = f
+                        f_eff = [
+                            f if w is None else _extrapolated(w, f, d, s, x)
+                            for w, f, d in zip(diis, fs, ds)
+                        ]
                 shift = guard.level_shift if guard is not None else 0.0
-                density_phase = (
-                    PHASE_DIAG if self.density_method == "diagonalize"
-                    else PHASE_PURIFY
-                )
+
                 def density_step():
                     with tracer.span(self.density_method, cat="scf"), \
-                            prof.phase(density_phase):
-                        if self.density_method == "diagonalize":
-                            if shift:
-                                return density_from_fock(
-                                    f_eff, x, self.nocc,
-                                    level_shift=shift, overlap=s, density=d,
-                                )
-                            return density_from_fock(f_eff, x, self.nocc)
-                        f_or = x.T @ f_eff @ x
-                        if shift:
-                            p = x.T @ s @ d @ s @ x
-                            f_or = f_or + shift * (
-                                np.eye(f_or.shape[0]) - 0.5 * (p + p.T)
-                            )
-                        res = purify(f_or, self.nocc)
-                        return x @ res.density @ x.T, eps, coeffs
+                            prof.phase(_DENSITY_PHASES[self.density_method]):
+                        return map(list, zip(*[
+                            self._new_density(f, x, s, d, n, shift) if n
+                            else (np.zeros_like(d), None, None)
+                            for f, d, n in zip(f_eff, ds, occ)
+                        ]))
 
-                d_new, eps, coeffs = density_step()
-                if fault_state is not None:
-                    d_new = fault_state.corrupt_matrix(d_new, it, "density")
-                if sdc_state is not None:
-                    d_new = sdc_state.corrupt_matrix(d_new, it, "density")
+                ds_new, eps, coeffs = density_step()
+                ds_new = corrupt(ds_new, "density")
                 discarded = False
-                if guard is not None and not guard.check_matrix(
-                    "density", d_new, it
-                ):
+                if guard is not None and not finite(ds_new, "density"):
                     guard.on_nonfinite(it, "density")
                     if guard.nonfinite_exhausted():
                         raise guard.fail(it, "density matrix is non-finite")
                     guard.discard_iterate(it, "density")
-                    d_new = d  # keep the last good density
+                    ds_new = ds  # keep the last good densities
                     discarded = True
-                if monitor is not None and not monitor.check_density(
-                    d_new, it
-                ):
+                if monitor is not None and not densities_intact(ds_new):
                     # recovery rung 1: redo the density step from the
-                    # same effective Fock (bitwise-identical when the
+                    # same effective Focks (bitwise-identical when the
                     # corruption was a one-shot memory flip)
                     monitor.record_recovery("recompute")
-                    d_new, eps, coeffs = density_step()
-                    if not monitor.check_density(d_new, it):
+                    ds_new, eps, coeffs = density_step()
+                    if not densities_intact(ds_new):
                         # rung 2: roll back to the last snapshot that
                         # still passes both digest and ABFT validation
                         ck = (
@@ -432,11 +463,11 @@ class RHF:
                             if self.checkpoint_dir is not None
                             else None
                         )
-                        if ck is not None and monitor.check_density(
-                            ck.density, it
+                        if ck is not None and densities_intact(
+                            ck.spin_densities
                         ):
                             monitor.record_recovery("rollback")
-                            d_new = ck.density
+                            ds_new = ck.spin_densities
                         else:
                             raise IntegrityError(
                                 f"density matrix failed integrity checks "
@@ -444,34 +475,27 @@ class RHF:
                                 f"verified checkpoint is available"
                             )
                 if guard is not None:
-                    d_new = guard.damp(d_new, d)
-                d_change = float(np.max(np.abs(d_new - d)))
-                e_change = abs(e_elec + enuc - e_old)
-                e_old = e_elec + enuc
-                d = d_new
-                sp["energy"] = e_elec + enuc
+                    ds_new = [guard.damp(n, d) for n, d in zip(ds_new, ds)]
+                d_change = max(
+                    float(np.max(np.abs(n - d))) for n, d in zip(ds_new, ds)
+                )
+                e_change = abs(energy - e_old)
+                e_old = energy
+                ds = ds_new
+                sp["energy"] = energy
                 sp["d_change"] = d_change
                 c_iters.inc(molecule=mol_label)
-                g_energy.set(e_elec + enuc, molecule=mol_label)
+                g_energy.set(energy, molecule=mol_label)
                 g_dd.set(d_change, molecule=mol_label)
                 if np.isfinite(e_change):
                     g_de.set(float(e_change), molecule=mol_label)
                 ledger.snapshot(
                     "scf_iteration", iteration=it,
-                    energy=e_elec + enuc, d_change=d_change,
+                    energy=energy, d_change=d_change,
                 )
                 if guard is not None and not discarded:
-                    guard.observe(it, e_elec + enuc, d_change)
-                    thr = guard.consume_canonical_orth()
-                    if thr is not None:
-                        x = orthogonalizer(s, threshold=thr, canonical=True)
-                    if (
-                        guard.consume_reference_eri()
-                        and self.engine.supports_reference_path
-                    ):
-                        self.engine.force_reference_path()
-                        if inc_builder is not None:
-                            inc_builder.reset()
+                    guard.observe(it, energy, d_change)
+                    x = self._apply_fallbacks(guard, s, x)
                 if (
                     not discarded
                     and d_change < self.d_tol
@@ -480,7 +504,7 @@ class RHF:
                     converged = True
             if self.checkpoint_dir is not None:
                 ckpt_path = save_checkpoint(
-                    self.checkpoint_dir, it, d, e_old, history, diis,
+                    self.checkpoint_dir, it, ds, e_old, history, diis,
                     guard=guard,
                 )
                 if sdc_state is not None:
@@ -494,20 +518,13 @@ class RHF:
             if converged:
                 break
 
-        # final energy with the converged density
-        with tracer.span("final_fock_build", cat="scf", molecule=mol_label), \
-                prof.phase(PHASE_FOCK):
-            f = fock_matrix(
-                self.engine, h, d, self.tau, threads=self.jk_threads
-            )
-        e_elec = hf_electronic_energy(h, f, d)
-        eng = self.engine
+        fs, e_elec, energy = self._final_state(h, ds, fs, history, enuc)
         eri_store = {
-            "computed": int(eng.quartets_computed),
-            "from_store": int(eng.quartets_served_from_store),
-            "warm_start": getattr(self, "_store_warm_at_start", False),
+            "computed": int(engine.quartets_computed),
+            "from_store": int(engine.quartets_served_from_store),
+            "warm_start": self._store_warm_at_start,
         }
-        worker_stats = getattr(eng, "last_jk_worker_stats", None) or []
+        worker_stats = getattr(engine, "last_jk_worker_stats", None) or []
         balance = None
         if len(worker_stats) > 1:
             walls = [s["eri_wall"] + s["jk_wall"] for s in worker_stats]
@@ -517,7 +534,7 @@ class RHF:
         jk_threads = {"workers": len(worker_stats), "balance": balance}
         integrity_summary = None
         if monitor is not None:
-            store = eng.integral_store
+            store = engine.integral_store
             if store is not None:
                 # fold the store's CRC accounting into the run-wide
                 # integrity story: every mismatched block was recomputed
@@ -527,8 +544,6 @@ class RHF:
             integrity_summary = monitor.summary()
             if sdc_state is not None:
                 integrity_summary["injections"] = sdc_state.summary()
-            from repro.obs.metrics import export_integrity
-
             export_integrity(integrity_summary, registry=metrics)
         extra = (
             {} if integrity_summary is None
@@ -536,26 +551,93 @@ class RHF:
         )
         ledger.add_summary(
             molecule=mol_label, basis=self.basis_name,
-            energy=e_elec + enuc, converged=converged, iterations=it,
+            energy=energy, converged=converged, iterations=it,
             eri_store=eri_store, jk_threads=jk_threads, **extra,
         )
         metrics.gauge(
             "repro_scf_converged", "1 if the last SCF run converged",
             labelnames=("molecule",),
         ).set(int(converged), molecule=mol_label)
-        return SCFResult(
-            energy=e_elec + enuc,
+        return self._result(
+            fs, ds, eps, coeffs,
+            energy=energy,
             electronic_energy=e_elec,
             nuclear_repulsion=enuc,
             converged=converged,
             iterations=it,
-            fock=f,
-            density=d,
-            coefficients=coeffs,
-            orbital_energies=eps,
             energy_history=history,
             guard_events=list(guard.events) if guard is not None else [],
             guard_summary=guard.summary() if guard is not None else None,
             integrity_summary=integrity_summary,
-            nocc=self.nocc,
+        )
+
+
+def _extrapolated(
+    window: DIIS, f: np.ndarray, d: np.ndarray, s: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Push this iteration's (F, error) pair; the DIIS-extrapolated F."""
+    window.push(f, DIIS.error_vector(f, d, s, x))
+    return window.extrapolate()
+
+
+@dataclass
+class RHF(SCFDriver):
+    """Restricted closed-shell Hartree-Fock: one spin channel,
+    ``F = Hcore + 2J - K``.  Fields: see :class:`SCFDriver`."""
+
+    _spin_labels = ("",)
+
+    def __post_init__(self) -> None:
+        if self.molecule.nelectrons % 2 != 0:
+            raise ValueError(
+                f"RHF requires an even electron count, got {self.molecule.nelectrons}"
+            )
+        super().__post_init__()
+        self.nocc = self.molecule.nelectrons // 2
+        if self.nocc > self.basis.nbf:
+            raise ValueError(
+                f"{self.nocc} occupied orbitals exceed {self.basis.nbf} basis functions"
+            )
+        self._occupations = (self.nocc,)
+        self._builder: IncrementalFockBuilder | None = None
+
+    def run(self, guess: np.ndarray | None = None) -> SCFResult:
+        """Run the SCF iteration to convergence (Algorithm 1)."""
+        return self._run(None if guess is None else [guess])
+
+    def _reset_fock_builder(self) -> None:
+        if self.incremental:
+            self._builder = IncrementalFockBuilder(
+                self.engine, tau=self.tau, threads=self.jk_threads
+            )
+
+    def _guess(self, h: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+        return [core_guess(h, x, self.nocc)]
+
+    def _focks(self, h: np.ndarray, ds: list[np.ndarray]) -> list[np.ndarray]:
+        if self._builder is not None:
+            return [self._builder.fock(h, ds[0])]
+        return [
+            fock_matrix(self.engine, h, ds[0], self.tau, threads=self.jk_threads)
+        ]
+
+    def _electronic_energy(self, h, fs, ds) -> float:
+        return hf_electronic_energy(h, fs[0], ds[0])
+
+    def _final_state(self, h, ds, fs, history, enuc):
+        """Final energy with the converged density (one more build)."""
+        mol_label = self.molecule.name or self.molecule.formula
+        with get_tracer().span(
+            "final_fock_build", cat="scf", molecule=mol_label
+        ), get_profiler().phase(PHASE_FOCK):
+            f = fock_matrix(
+                self.engine, h, ds[0], self.tau, threads=self.jk_threads
+            )
+        e_elec = hf_electronic_energy(h, f, ds[0])
+        return [f], e_elec, e_elec + enuc
+
+    def _result(self, fs, ds, eps, coeffs, **common) -> SCFResult:
+        return SCFResult(
+            fock=fs[0], density=ds[0], coefficients=coeffs[0],
+            orbital_energies=eps[0], nocc=self.nocc, **common,
         )

@@ -96,6 +96,15 @@ class ServiceChaosResult:
             "passed": self.passed,
         }
 
+    def failure_line(self) -> str:
+        return (
+            "service chaos invariant FAILED: "
+            f"{self.counts.get('done', 0)}/{self.njobs} done, "
+            f"max |dE| {self.max_energy_error:.3e} "
+            f"(tolerance {self.tolerance:.0e}), "
+            f"{self.double_records} double records"
+        )
+
 
 class _SeededKiller:
     """SIGKILL a lease-holding worker at each seeded delay."""
@@ -149,17 +158,13 @@ def run_service_chaos(
     RHF per distinct spec) before the pool starts, so the comparison
     never depends on service machinery being correct.
     """
-    from repro.chem import builders
+    from repro.chem.builders import molecule_by_name
     from repro.scf import RHF
 
     queue_dir = Path(queue_dir)
     store = JobStore(queue_dir)
 
-    simple = {
-        "water": builders.water, "h2": builders.h2,
-        "methane": builders.methane, "benzene": builders.benzene,
-    }
-    baseline = RHF(simple[molecule](), basis_name=basis).run()
+    baseline = RHF(molecule_by_name(molecule), basis_name=basis).run()
     if not baseline.converged:
         raise RuntimeError(
             f"fault-free baseline {molecule}/{basis} did not converge"

@@ -116,20 +116,12 @@ def install_signal_handlers() -> None:
 
 
 def _run_scf_job(store: JobStore, job: Job, owner: str) -> dict:
-    from repro.chem import builders
-    from repro.chem.builders import paper_molecule
+    from repro.chem.builders import molecule_by_name
     from repro.scf import RHF
     from repro.scf.checkpoint import load_latest_intact, prune_checkpoints
 
     spec = job.spec
-    name = spec.get("molecule", "water")
-    simple = {
-        "water": builders.water,
-        "h2": builders.h2,
-        "methane": builders.methane,
-        "benzene": builders.benzene,
-    }
-    mol = simple[name]() if name in simple else paper_molecule(name)
+    mol = molecule_by_name(spec.get("molecule", "water"))
     ckpt_dir = Path(job.job_dir) / "checkpoints"
     resumed = load_latest_intact(ckpt_dir)
 

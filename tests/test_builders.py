@@ -7,12 +7,16 @@ from repro.chem.builders import (
     CC_AROMATIC,
     CC_SINGLE,
     CH_BOND,
+    DEMO_MOLECULES,
+    PAPER_MOLECULES,
+    SCALED_MOLECULES,
     alkane,
     benzene,
     coronene,
     graphene_flake,
     h2,
     methane,
+    molecule_by_name,
     paper_molecule,
     water,
     water_cluster,
@@ -130,3 +134,29 @@ class TestRegistry:
     def test_unknown_raises(self):
         with pytest.raises(KeyError):
             paper_molecule("C999")
+
+    def test_one_resolver_knows_every_name(self):
+        """Demo and registry names resolve through ``molecule_by_name``,
+        the only name table ``src`` keeps."""
+        assert molecule_by_name("water").formula == "H2O"
+        for name in DEMO_MOLECULES:
+            assert molecule_by_name(name).natoms > 0
+        for name in (*SCALED_MOLECULES, "C96H24"):
+            assert molecule_by_name(name).formula == name
+
+    def test_unknown_name_lists_the_known_ones(self):
+        with pytest.raises(KeyError) as exc_info:
+            molecule_by_name("C999")
+        for name in (*DEMO_MOLECULES, *PAPER_MOLECULES, *SCALED_MOLECULES):
+            assert name in str(exc_info.value)
+
+    def test_no_second_name_table_in_src(self):
+        from pathlib import Path
+
+        import repro
+
+        hits = [
+            path for path in Path(repro.__file__).parent.rglob("*.py")
+            if '"water": builders.water' in path.read_text()
+        ]
+        assert hits == []

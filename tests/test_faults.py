@@ -393,6 +393,40 @@ class TestChaosCLI:
         html = report.read_text()
         assert "Fault injection" in html and "retry" in html
 
+    def test_every_family_finishes_through_one_tail(self, tmp_path, capsys):
+        """A broken invariant: exit 1, the family's failure line on
+        stderr, and the family's ``to_json()`` in the ``--json`` file."""
+        import json
+
+        from repro.cli import main
+
+        summary = tmp_path / "scf.json"
+        rc = main(
+            [
+                "chaos", "water", "--family", "scf", "--seed", "2",
+                "--tolerance", "1e-30", "--json", str(summary),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(
+            "scf chaos invariant FAILED: max |dF| "
+        )
+        assert "6 corrupted vs 6 rescued" in captured.err
+        assert captured.out.startswith("scf chaos run: H2O/sto-3g\n  plan: ")
+        payload = json.loads(summary.read_text())
+        assert sorted(payload) == [
+            "basis", "energy_error", "eri_rescues", "family", "fock_error",
+            "molecule", "passed", "quartets_corrupted", "seed", "tolerance",
+        ]
+        assert payload["family"] == "scf" and payload["passed"] is False
+
+    def test_service_family_resolves_names_like_its_workers(self, tmp_path):
+        from repro.service import run_service_chaos
+
+        with pytest.raises(KeyError, match="known:.*C24H12.*water"):
+            run_service_chaos(tmp_path / "queue", molecule="C999")
+
     def test_export_faults_metrics(self):
         from repro.obs.metrics import MetricsRegistry, export_faults
 

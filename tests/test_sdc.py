@@ -34,9 +34,14 @@ from repro.scf.checkpoint import (
     save_checkpoint,
 )
 from repro.scf.fock import build_jk
+from repro.scf.guard import GuardConfig, GuardError
 from repro.scf.hf import RHF
+from repro.scf.uhf import UHF
 
 from repro.chem.basis.basisset import BasisSet
+from repro.chem.builders import h2
+from repro.chem.molecule import Molecule
+from repro.runtime.faults import SCFFaultPlan
 
 
 @pytest.fixture()
@@ -402,6 +407,184 @@ class TestSCFRecovery:
     def test_integrity_off_has_no_summary(self):
         res = RHF(water(), basis_name="sto-3g").run()
         assert res.integrity_summary is None
+
+
+class TestUHFRecovery:
+    """The integrity ladder on the two-channel spin stack (UHF shares
+    RHF's loop, so detection and recompute map over both spins)."""
+
+    #: (molecule, driver kwargs, Fock-flip iteration, density-flip
+    #: iteration); the H atom converges in two iterations, and needs a
+    #: second basis function for its Fock matrix to have an off-diagonal
+    SYSTEMS = {
+        "h-doublet": (
+            lambda: Molecule.from_arrays(["H"], np.zeros((1, 3)), name="H"),
+            {"basis_name": "6-31g"}, 1, 2,
+        ),
+        "h2-triplet": (
+            lambda: h2(0.7414), {"basis_name": "6-31g", "multiplicity": 3},
+            2, 4,
+        ),
+        "water-cation-doublet": (
+            lambda: Molecule(atoms=water().atoms, charge=1, name="H2O+"),
+            {}, 2, 4,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_matrix_flips_detected_and_recovered(self, name):
+        make, kw, fock_it, density_it = self.SYSTEMS[name]
+        clean = UHF(make(), integrity=True, **kw).run()
+        assert clean.converged
+        assert clean.integrity_summary["detections_total"] == 0
+        assert clean.integrity_summary["checks_total"] > 0
+        plan = SDCFaultPlan(
+            seed=1, fock_flip_iterations=(fock_it,),
+            density_flip_iterations=(density_it,),
+        )
+        res = UHF(make(), integrity=True, sdc_faults=plan, **kw).run()
+        s = res.integrity_summary
+        assert s["injections"]["matrices_corrupted"] == 2
+        assert s["detections_total"] == 2
+        assert s["detections"] == {"density_matrix": 1, "fock_matrix": 1}
+        assert s["recoveries"] == {"recompute": 2}
+        assert abs(res.energy - clean.energy) <= 1e-12
+        assert res.iterations == clean.iterations
+
+
+class TestRunScopedArming:
+    """A run arms the engine (ERI sentinel, seeded quartet faults) and
+    its store (CRC verification) for its own duration only."""
+
+    @pytest.fixture()
+    def engine(self, sto3g_basis, tmp_path):
+        engine = MDEngine(sto3g_basis)
+        engine.attach_store(tmp_path / "store")
+        return engine
+
+    def assert_disarmed(self, engine):
+        assert engine.finite_check is False
+        assert engine.scf_faults is None
+        assert engine.integral_store.verify_reads is False
+
+    def test_restored_after_a_run(self, engine):
+        plan = SCFFaultPlan(seed=11, quartet_nan_rate=0.2)
+        res = RHF(
+            water(), engine=engine, guard=True, faults=plan, integrity=True
+        ).run()
+        assert res.converged and engine.eri_rescues > 0
+        self.assert_disarmed(engine)
+        # the next run on the shared engine pays for none of it
+        rescues = engine.eri_rescues
+        plain = RHF(water(), engine=engine).run()
+        # (the store holds reference-kernel values for the rescued rows)
+        assert abs(plain.energy - RHF(water()).run().energy) <= 1e-10
+        assert engine.eri_rescues == rescues
+        UHF(water(), engine=engine).run()
+        self.assert_disarmed(engine)
+
+    def test_restored_when_the_run_raises(self, engine):
+        plan = SCFFaultPlan(seed=1, fock_nan_iterations=(1, 2, 3, 4, 5))
+        with pytest.raises(GuardError):
+            RHF(
+                water(), engine=engine, guard=GuardConfig(max_nonfinite=2),
+                faults=plan, integrity=True,
+            ).run()
+        self.assert_disarmed(engine)
+
+    def test_caller_armed_engine_stays_armed(self, engine):
+        engine.finite_check = True
+        RHF(water(), engine=engine).run()
+        assert engine.finite_check is True
+
+
+class TestFaultsCompose:
+    def test_kill_bitflip_and_nan_in_one_rhf_run(self, tmp_path):
+        """The north star's composed fault: seeded quartet NaNs, a NaN'd
+        Fock, flipped Fock / density elements and flipped checkpoint
+        files in one stored-integral run that is also killed once."""
+        mol = water()
+        clean = RHF(mol, "6-31g").run()
+
+        class Killed(Exception):
+            pass
+
+        def kill(iteration, energy):
+            if iteration == 5:
+                raise Killed
+
+        def driver(**kw):
+            return RHF(
+                mol, "6-31g", guard=True, integrity=True,
+                faults=SCFFaultPlan(
+                    seed=5, quartet_nan_rate=0.05, fock_nan_iterations=(2,)
+                ),
+                sdc_faults=SDCFaultPlan(
+                    seed=3, checkpoint_flip_rate=0.34,
+                    fock_flip_iterations=(3,), density_flip_iterations=(4,),
+                ),
+                integral_store=str(tmp_path / "store"),
+                checkpoint_dir=str(tmp_path / "ckpt"), **kw,
+            )
+
+        first = driver(on_iteration=kill)
+        with pytest.raises(Killed):
+            first.run()
+        resumed = driver(restart=True)
+        with pytest.warns(CheckpointCorruptionWarning):
+            res = resumed.run()
+        assert res.converged
+        assert abs(res.energy - clean.energy) <= 1e-12
+        # the quartet NaNs hit the store-filling first build
+        assert first.engine.eri_rescues >= 1
+        # the NaN'd Fock of iteration 2 reached the resumed run through
+        # the persisted guard state ...
+        assert res.guard_summary["nonfinite"] == 1
+        assert [ev.detail.get("where") for ev in res.guard_events
+                if ev.classification == "non_finite"
+                and ev.action == "observe"] == ["fock"]
+        # ... and with snapshots 3-5 flipped the restart fell back to
+        # iteration 2, so both matrix flips fired again and were caught
+        s = res.integrity_summary
+        assert s["injections"]["matrices_corrupted"] == 2
+        assert s["detections"] == {"density_matrix": 1, "fock_matrix": 1}
+        assert s["recoveries"] == {"recompute": 2}
+
+
+class TestRHFSnapshotFormat:
+    def test_keys_dtypes_and_shapes_are_pinned(self, tmp_path):
+        """The one-channel layout documented in ``scf/checkpoint.py``: a
+        service job checkpointed by an older commit must keep resuming,
+        so the key set, dtypes and shapes may only change on purpose."""
+        RHF(water(), "sto-3g", max_iter=3, guard=True,
+            checkpoint_dir=str(tmp_path)).run()
+        n = 7
+        with np.load(tmp_path / "scf_ckpt_0003.npz") as z:
+            layout = {k: (z[k].dtype.kind, z[k].shape) for k in z.files}
+            guard_state = json.loads(str(z["guard_json"]))
+        digest = layout.pop("payload_sha256")
+        guard_json = layout.pop("guard_json")
+        assert digest == ("U", ()) and guard_json == ("U", ())
+        assert layout == {
+            "iteration": ("i", ()),
+            "density": ("f", (n, n)),
+            "energy": ("f", ()),
+            "energy_history": ("f", (3,)),
+            "diis_focks": ("f", (3, n, n)),
+            "diis_errors": ("f", (3, n, n)),
+        }
+        assert guard_state["level"] == -1
+        # without a guard or DIIS: no guard key, empty (0, n, n) windows
+        RHF(water(), "sto-3g", max_iter=1, use_diis=False,
+            checkpoint_dir=str(tmp_path / "bare")).run()
+        with np.load(tmp_path / "bare" / "scf_ckpt_0001.npz") as z:
+            assert sorted(z.files) == [
+                "density", "diis_errors", "diis_focks", "energy",
+                "energy_history", "iteration", "payload_sha256",
+            ]
+            assert z["diis_focks"].shape == (0, n, n)
+            assert z["iteration"].dtype == np.int64
+            assert z["density"].dtype == np.float64
 
 
 # -- service quarantine ------------------------------------------------------

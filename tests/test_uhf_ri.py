@@ -5,12 +5,22 @@ import pytest
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
-from repro.chem.builders import h2
+from repro.chem.builders import h2, water
 from repro.chem.molecule import Molecule
 from repro.integrals.engine import MDEngine
 from repro.integrals.eri_3center import eri_2center_block, eri_3center_block
 from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.oneelec import overlap
+from repro.obs.manifest import RunLedger, load_run, set_ledger
+from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.runtime.faults import SCFFaultPlan
+from repro.runtime.sdc import flip_bit_in_file
+from repro.scf.checkpoint import (
+    CheckpointCorruptionWarning,
+    checkpoint_path,
+    checkpoint_paths,
+    load_checkpoint,
+)
 from repro.scf.fock import build_jk
 from repro.scf.hf import RHF
 from repro.scf.ri import RIJBuilder, even_tempered_auxiliary
@@ -19,6 +29,22 @@ from repro.scf.uhf import UHF
 
 def h_atom():
     return Molecule.from_arrays(["H"], np.zeros((1, 3)), name="H")
+
+
+def water_cation():
+    return Molecule(atoms=water().atoms, charge=1, name="H2O+")
+
+
+#: the open-shell systems the shared-loop gates run on (all STO-3G)
+OPEN_SHELLS = {
+    "h-doublet": (h_atom, {}),
+    "h2-triplet": (lambda: h2(0.7414), {"multiplicity": 3}),
+    "water-cation-doublet": (water_cation, {}),
+}
+
+
+class Killed(Exception):
+    """Raised from ``on_iteration`` to model a crash between iterations."""
 
 
 class TestUHF:
@@ -97,6 +123,158 @@ class TestUHF:
         e_singlet = UHF(h2(0.7414), multiplicity=1).run().energy
         e_triplet = UHF(h2(0.7414), multiplicity=3).run().energy
         assert e_triplet > e_singlet + 0.1
+
+
+@pytest.fixture(params=sorted(OPEN_SHELLS))
+def system(request):
+    make, kw = OPEN_SHELLS[request.param]
+    return make(), kw
+
+
+def run_killed_then_resumed(mol, kw, ckpt, kill_at, **common):
+    """One UHF run aborted from ``on_iteration`` at ``kill_at``, then the
+    restart from its checkpoint directory."""
+    def kill(iteration, energy):
+        if iteration == kill_at:
+            raise Killed
+
+    with pytest.raises(Killed):
+        UHF(mol, checkpoint_dir=str(ckpt), on_iteration=kill,
+            **kw, **common).run()
+    return UHF(mol, checkpoint_dir=str(ckpt), restart=True,
+               **kw, **common).run()
+
+
+class TestUHFSharedLoop:
+    """UHF runs the one SCF loop of ``repro.scf.hf``, so it passes the
+    gates its forked loop could not: crash-resume, heartbeat ordering,
+    ledger rows and gauges, every shared driver field."""
+
+    @pytest.mark.parametrize("guard", [False, True], ids=["plain", "guarded"])
+    def test_crash_resume_is_bitwise(self, system, guard, tmp_path):
+        mol, kw = system
+        ref = UHF(mol, guard=guard, **kw).run()
+        # iteration 3, or the first one when the run is over by then
+        kill_at = min(3, ref.iterations - 1)
+        res = run_killed_then_resumed(
+            mol, kw, tmp_path, kill_at, guard=guard
+        )
+        assert res.converged
+        assert res.iterations == ref.iterations
+        assert res.energy_history == ref.energy_history
+        assert np.array_equal(res.density_alpha, ref.density_alpha)
+        assert np.array_equal(res.density_beta, ref.density_beta)
+
+    def test_flipped_newest_snapshot_falls_back(self, tmp_path):
+        mol = water_cation()
+        ref = UHF(mol).run()
+
+        def kill(iteration, energy):
+            if iteration == 4:
+                raise Killed
+
+        with pytest.raises(Killed):
+            UHF(mol, checkpoint_dir=str(tmp_path), on_iteration=kill).run()
+        flip_bit_in_file(
+            checkpoint_paths(tmp_path)[0], np.random.default_rng(0)
+        )
+        with pytest.warns(CheckpointCorruptionWarning):
+            res = UHF(mol, checkpoint_dir=str(tmp_path), restart=True).run()
+        # resumed from iteration 3: still the uninterrupted trajectory
+        assert res.energy_history == ref.energy_history
+        assert np.array_equal(res.density_alpha, ref.density_alpha)
+
+    def test_snapshot_is_spin_stacked(self, tmp_path):
+        mol = water_cation()
+        UHF(mol, max_iter=3, checkpoint_dir=str(tmp_path)).run()
+        ck = load_checkpoint(checkpoint_path(tmp_path, 3))
+        n = BasisSet.build(mol, "sto-3g").nbf
+        assert ck.density.shape == (2, n, n)
+        assert np.shape(ck.diis_focks) == (2, 3, n, n)
+        assert [d.shape for d in ck.spin_densities] == [(n, n)] * 2
+        # an empty beta space keeps no DIIS window
+        UHF(h_atom(), checkpoint_dir=str(tmp_path / "h")).run()
+        ck = load_checkpoint(checkpoint_path(tmp_path / "h", 2))
+        assert ck.density.shape == (2, 1, 1)
+        assert np.shape(ck.diis_focks) == (1, 2, 1, 1)
+
+    def test_heartbeat_follows_the_durable_snapshot(self, system, tmp_path):
+        mol, kw = system
+        seen = []
+
+        def beat(iteration, energy):
+            assert checkpoint_path(tmp_path, iteration).exists()
+            assert not checkpoint_path(tmp_path, iteration + 1).exists()
+            seen.append((iteration, energy))
+
+        res = UHF(mol, checkpoint_dir=str(tmp_path), on_iteration=beat,
+                  **kw).run()
+        assert [it for it, _ in seen] == list(range(1, res.iterations + 1))
+        assert [e for _, e in seen] == res.energy_history
+
+    def test_ledger_rows_and_gauges(self, tmp_path):
+        ledger = RunLedger(tmp_path / "run", command="scf", config={})
+        registry = MetricsRegistry()
+        prev_ledger, prev_metrics = set_ledger(ledger), set_metrics(registry)
+        try:
+            res = UHF(h2(0.7414), multiplicity=3).run()
+        finally:
+            set_ledger(prev_ledger)
+            set_metrics(prev_metrics)
+        ledger.close(0)
+        record = load_run(ledger.path)
+        rows = [s for s in record.snapshots if s["label"] == "scf_iteration"]
+        assert [r["iteration"] for r in rows] == [1, 2]
+        assert rows[-1]["energy"] == res.energy
+        assert record.summary["energy"] == res.energy
+        assert record.summary["iterations"] == res.iterations
+        text = registry.to_prometheus()
+        for name in ("repro_scf_energy_hartree", "repro_scf_density_change",
+                     "repro_scf_iterations_total", "repro_scf_converged"):
+            assert name in text
+
+    @pytest.mark.parametrize("guard", [False, True], ids=["plain", "guarded"])
+    def test_closed_shell_uhf_equals_rhf(self, guard):
+        uhf = UHF(water(), guess_mix=0, guard=guard).run()
+        rhf = RHF(water(), guard=guard).run()
+        assert abs(uhf.energy - rhf.energy) <= 1e-9
+        assert np.allclose(uhf.density_alpha, rhf.density, atol=1e-7)
+        assert np.array_equal(uhf.density_alpha, uhf.density_beta)
+
+    def test_store_threads_and_purification(self, tmp_path):
+        mol = water_cation()
+        ref = UHF(mol).run()
+        store = str(tmp_path / "store")
+        filled = UHF(mol, integral_store=store, jk_threads=2).run()
+        warm_driver = UHF(mol, integral_store=store)
+        warm = warm_driver.run()
+        assert abs(filled.energy - ref.energy) <= 1e-8
+        assert warm.energy == ref.energy
+        assert warm_driver.engine.quartets_computed == 0
+        assert warm_driver.engine.quartets_served_from_store > 0
+        purified = UHF(mol, density_method="purify").run()
+        assert purified.converged
+        assert abs(purified.energy - ref.energy) <= 1e-7
+
+    def test_seeded_faults_rescued_under_the_guard(self):
+        mol = water_cation()
+        ref = UHF(mol, guard=True).run()
+        plan = SCFFaultPlan(
+            seed=5, quartet_nan_rate=0.05,
+            fock_nan_iterations=(2,), density_nan_iterations=(3,),
+        )
+        driver = UHF(mol, guard=True, faults=plan)
+        res = driver.run()
+        assert res.converged
+        assert abs(res.energy - ref.energy) <= 1e-9
+        assert res.guard_summary["nonfinite"] == 2
+        where = [ev.detail.get("where") for ev in res.guard_events]
+        assert "fock_alpha" in where and "density_alpha" in where
+        assert driver.engine.eri_rescues > 0
+
+    def test_incremental_rejected_by_name(self):
+        with pytest.raises(ValueError, match="incremental"):
+            UHF(h2(0.7414), incremental=True)
 
 
 def s_shell(alpha, center=(0, 0, 0)):
