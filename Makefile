@@ -1,6 +1,6 @@
 # Convenience targets for the repro package.
 
-.PHONY: install test loc bench bench-full examples clean
+.PHONY: install test loc bench bench-full reproduce examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -8,7 +8,7 @@ install:
 test:
 	pytest tests/
 
-# the size needle: src/ total and the subtotals ROADMAP items 1 and 4 track
+# the size needle: src/ total and the subtotals ROADMAP items 1, 4 and 5 track
 loc:
 	@find src -name '*.py' | xargs cat | wc -l | xargs echo "src/ lines:"
 	@find src/repro/integrals src/repro/scf/fock.py \
@@ -17,9 +17,16 @@ loc:
 	@cd src/repro && cat scf/hf.py scf/uhf.py runtime/faults.py \
 	  runtime/sdc.py fock/chaos.py service/chaos.py scf/torture.py | wc -l \
 	  | xargs echo "SCF driver + fault families (ROADMAP item 4) lines:"
+	@cat src/repro/obs/*.py src/repro/bench/*.py benchmarks/*.py \
+	  src/repro/cli.py | wc -l \
+	  | xargs echo "obs/ + bench/ + benchmarks/ + cli.py (ROADMAP item 5) lines:"
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# every BENCH family through the one runner, CI-sized, nothing appended
+reproduce:
+	python -m benchmarks --quick
 
 # the paper's exact molecule sizes (much slower)
 bench-full:

@@ -3,28 +3,28 @@
 Runs the ``repro chaos`` harness (one seeded random fault plan with a
 rank death over the water/sto-3g numeric build) and measures what
 recovery costs: the simulated-makespan slowdown, retries, re-executed
-tasks, and wall time.  Each full run appends one ``fock_chaos``
-datapoint to ``BENCH_fock.json`` so the fault-overhead trajectory is
-tracked alongside the performance tables; ``--quick`` skips the
-history file.  The chaos invariant (|dF| <= 1e-12 vs the fault-free
-build) is asserted on every run -- a benchmark that silently produced
-wrong numbers would be worse than useless.
+tasks, and wall time.  The ``fock_chaos`` family of the BENCH runner
+(``python -m benchmarks fock_chaos [--quick]``), so the fault-overhead
+trajectory is tracked alongside the performance tables.  The chaos
+invariant (|dF| <= 1e-12 vs the fault-free build) is graded on every
+run -- a benchmark that silently produced wrong numbers would be worse
+than useless.
 """
 
 from __future__ import annotations
 
-import sys
 import time
-
-from test_bench_table3_times import HISTORY_PATH, append_history
 
 from repro.fock.chaos import run_chaos
 
 
-def run_chaos_bench(seed: int = 7) -> tuple[dict, object]:
+SEED = 7
+
+
+def measure(quick: bool = False) -> tuple[dict, str]:
     """One measurement: a seeded chaos run, timed, summarized."""
     t0 = time.perf_counter()
-    cres = run_chaos("water", "sto-3g", nproc=4, seed=seed, ndeaths=1)
+    cres = run_chaos("water", "sto-3g", nproc=4, seed=SEED, ndeaths=1)
     wall = time.perf_counter() - t0
     ov = cres.overhead
     entry = {
@@ -33,7 +33,7 @@ def run_chaos_bench(seed: int = 7) -> tuple[dict, object]:
         "molecule": cres.molecule,
         "basis": cres.basis_name,
         "nproc": cres.nproc,
-        "seed": seed,
+        "seed": SEED,
         "plan": cres.plan.describe(),
         "fock_error": cres.fock_error,
         "passed": cres.passed,
@@ -45,39 +45,6 @@ def run_chaos_bench(seed: int = 7) -> tuple[dict, object]:
         "recoveries": ov["recoveries"],
         "retry_bytes": ov["retry_bytes"],
     }
-    return entry, cres
-
-
-def check_result(cres) -> None:
-    assert cres.passed, (
-        f"chaos invariant violated: |dF| = {cres.fock_error:.3e}"
-    )
-    assert cres.overhead["dead_ranks"], "plan must kill at least one rank"
-    assert cres.overhead["makespan_faulty"] >= cres.overhead["makespan_clean"]
-
-
-def test_bench_chaos(benchmark, emit):
-    entry, cres = benchmark.pedantic(run_chaos_bench, rounds=1, iterations=1)
-    emit("\n".join(cres.summary_lines()))
-    check_result(cres)
-    append_history(entry)
-
-
-def main(argv: list[str]) -> int:
-    quick = "--quick" in argv
-    seed = 7
-    for i, a in enumerate(argv):
-        if a == "--seed" and i + 1 < len(argv):
-            seed = int(argv[i + 1])
-    entry, cres = run_chaos_bench(seed)
-    for line in cres.summary_lines():
-        print(line)
-    check_result(cres)
-    if not quick:
-        append_history(entry)
-        print(f"appended datapoint to {HISTORY_PATH}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    assert ov["dead_ranks"], "plan must kill at least one rank"
+    assert ov["makespan_faulty"] >= ov["makespan_clean"]
+    return entry, "\n".join(cres.summary_lines())

@@ -3,19 +3,15 @@
 Runs the analyzer end to end on a simulated GTFock build (water/STO-3G,
 48 cores): exact per-rank time decomposition, critical-path extraction,
 and the network-2x / steal-off what-if projections cross-checked against
-re-simulation.  Each full run appends one datapoint to
-``BENCH_fock.json`` at the repo root (wall time, explained ratio, idle
-fraction, worst what-if error).  Run as a pytest benchmark or as a
-script; ``--quick`` skips the history file.
+re-simulation.  The ``fock_critpath`` family of the BENCH runner
+(``python -m benchmarks fock_critpath [--quick]``): wall time, explained
+ratio, idle fraction, worst what-if error.
 """
 
 from __future__ import annotations
 
-import pathlib
-import sys
 import time
 
-from repro.bench.record import append_history as _append_history
 from repro.chem import builders
 from repro.chem.basis.basisset import BasisSet
 from repro.fock.reorder import reorder_basis
@@ -25,10 +21,11 @@ from repro.integrals import schwarz_model
 from repro.obs.critpath import analyze
 from repro.obs.trace import Tracer
 
-HISTORY_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fock.json"
+
+CORES = 48
 
 
-def run_critpath_bench(cores: int = 48) -> tuple[dict, object]:
+def measure(quick: bool = False) -> tuple[dict, str]:
     """One measurement: simulate, analyze, cross-check what-ifs."""
     t0 = time.perf_counter()
     mol = builders.water()
@@ -36,7 +33,7 @@ def run_critpath_bench(cores: int = 48) -> tuple[dict, object]:
     screen = ScreeningMap(basis, schwarz_model(basis), 1e-10)
     capture = SimCapture()
     simulate_gtfock(
-        basis, screen, cores, tracer=Tracer("bench-critpath"),
+        basis, screen, CORES, tracer=Tracer("bench-critpath"),
         capture=capture, molecule_name=mol.name,
     )
     analysis = analyze(capture, resim=True, network_scale=2.0)
@@ -50,52 +47,7 @@ def run_critpath_bench(cores: int = 48) -> tuple[dict, object]:
         "whatif_max_rel_err": round(summary["whatif_max_rel_err"], 6),
         "decomposition_ok": summary["decomposition_ok"],
     }
-    return entry, analysis
-
-
-def append_history(entry: dict, path: pathlib.Path = HISTORY_PATH) -> None:
-    """Append one datapoint to the BENCH_fock.json trajectory."""
-    _append_history(
-        entry, path,
-        description="Fock-simulation perf trajectory "
-        "(see docs/PERFORMANCE.md)",
-    )
-
-
-def check_analysis(analysis) -> None:
-    """The acceptance targets the analyzer must hold."""
     analysis.check()  # exact decomposition + no FAIL-graded what-if
-    summary = analysis.summary()
-    assert summary["explained_ratio"] > 0.95, (
-        f"critical path explains only {summary['explained_ratio']:.1%}"
-    )
     cross_checked = [w for w in analysis.whatifs if w.resim_makespan is not None]
     assert len(cross_checked) >= 2, "need >= 2 re-simulated what-ifs"
-    for w in cross_checked:
-        assert w.rel_err <= 0.15, (
-            f"{w.name}: projection off by {w.rel_err:.1%} vs re-simulation"
-        )
-
-
-def test_bench_critpath(benchmark, emit):
-    entry, analysis = benchmark.pedantic(
-        run_critpath_bench, rounds=1, iterations=1
-    )
-    emit(analysis.text())
-    check_analysis(analysis)
-    append_history(entry)
-
-
-def main(argv: list[str]) -> int:
-    quick = "--quick" in argv
-    entry, analysis = run_critpath_bench()
-    print(analysis.text())
-    check_analysis(analysis)
-    if not quick:
-        append_history(entry)
-        print(f"appended datapoint to {HISTORY_PATH}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    return entry, analysis.text()

@@ -11,18 +11,16 @@ runners (run-to-run noise alone is ~6%), so the benchmark times single
 warm-cache :func:`build_jk` calls with the profiler off and on,
 *interleaved* round by round so both configurations see the same
 machine drift, and takes the min of each (scheduler noise is one-sided).
-Each full run appends one ``phase_profiler`` datapoint to
-``BENCH_fock.json`` so ``repro perf check`` watches the probe cost over
-time.  Run as a pytest benchmark or as a script; ``--quick`` uses fewer
-rounds and skips the history file.
+The ``phase_profiler`` family of the BENCH runner (``python -m
+benchmarks phase_profiler [--quick]``), so ``repro perf check`` watches
+the probe cost over time; ``--quick`` uses fewer rounds.
 """
 
 from __future__ import annotations
 
-import sys
-import time
-
 import numpy as np
+
+from benchmarks.overhead import on_off_walls
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
@@ -34,23 +32,10 @@ from repro.scf.fock import build_jk
 from repro.scf.guess import core_guess
 from repro.scf.orthogonalization import orthogonalizer
 
-from test_bench_table3_times import append_history
-
 ROUNDS = 10
-OVERHEAD_GATE = 0.05
 
 
-def _timed_build(engine, density, profiler):
-    prev = set_profiler(profiler)
-    try:
-        t0 = time.perf_counter()
-        jk = build_jk(engine, density)
-        return time.perf_counter() - t0, jk
-    finally:
-        set_profiler(prev)
-
-
-def run_profiler_bench(rounds: int = ROUNDS) -> dict:
+def measure(quick: bool = False) -> tuple[dict, str]:
     """Interleaved min-of-N wall times for probes off/on on one engine."""
     mol = water()
     basis = reorder_basis(BasisSet.build(mol, "6-31g"))
@@ -60,23 +45,17 @@ def run_profiler_bench(rounds: int = ROUNDS) -> dict:
     density = core_guess(hcore, x, mol.nelectrons // 2)
     build_jk(engine, density)  # warm the quartet/Schwarz caches
 
-    off, on = [], []
-    jk_off = jk_on = None
-    profiler = None
-    for i in range(rounds):
-        # alternate which configuration goes first so slow drift (cache
-        # state, thermal, co-tenant load) cannot bias one side
-        configs = ("off", "on") if i % 2 == 0 else ("on", "off")
-        for config in configs:
-            if config == "off":
-                t, jk_off = _timed_build(engine, density, None)
-                off.append(t)
-            else:
-                profiler = PhaseProfiler()
-                t, jk_on = _timed_build(engine, density, profiler)
-                on.append(t)
-    t_off = min(off)
-    t_on = min(on)
+    def build(probed: bool):
+        profiler = PhaseProfiler() if probed else None
+        prev = set_profiler(profiler)
+        try:
+            return build_jk(engine, density), profiler
+        finally:
+            set_profiler(prev)
+
+    walls, (jk_off, _), (jk_on, profiler) = on_off_walls(
+        build, 3 if quick else ROUNDS
+    )
     quartets = next(
         (p.calls for p in profiler.phases() if p.name == PHASE_ERI), 0
     )
@@ -84,56 +63,20 @@ def run_profiler_bench(rounds: int = ROUNDS) -> dict:
         np.array_equal(jk_off[0], jk_on[0])
         and np.array_equal(jk_off[1], jk_on[1])
     )
-    return {
+    entry = {
         "benchmark": "phase_profiler",
         "molecule": "water",
         "basis": "6-31g",
-        "rounds": rounds,
-        "wall_off_s": round(t_off, 4),
-        "wall_on_s": round(t_on, 4),
-        "overhead": round(t_on / t_off - 1.0, 4),
+        **walls,
         "quartets_profiled": int(quartets),
         "fock_matches": fock_matches,
     }
-
-
-def check_entry(entry: dict) -> None:
-    """The acceptance gate: probes are observation, not perturbation."""
-    assert entry["fock_matches"], "profiler changed the Fock matrices"
-    assert entry["quartets_profiled"] > 0, "probes never fired"
-    assert entry["overhead"] <= OVERHEAD_GATE, (
-        f"profiler overhead {entry['overhead']:.1%} exceeds "
-        f"{OVERHEAD_GATE:.0%} gate "
-        f"(off {entry['wall_off_s']}s, on {entry['wall_on_s']}s)"
-    )
-
-
-def _describe(entry: dict) -> str:
-    return (
+    # probes are observation, not perturbation
+    assert fock_matches, "profiler changed the Fock matrices"
+    assert quartets > 0, "probes never fired"
+    return entry, (
         "phase_profiler: water/6-31g warm build_jk overhead "
         f"{entry['overhead']:+.1%} (off {entry['wall_off_s']}s, "
         f"on {entry['wall_on_s']}s, "
         f"{entry['quartets_profiled']} quartets profiled)"
     )
-
-
-def test_bench_profiler(benchmark, emit):
-    entry = benchmark.pedantic(run_profiler_bench, rounds=1, iterations=1)
-    emit(_describe(entry))
-    check_entry(entry)
-    append_history(entry)
-
-
-def main(argv: list[str]) -> int:
-    quick = "--quick" in argv
-    entry = run_profiler_bench(rounds=3 if quick else ROUNDS)
-    print(_describe(entry))
-    check_entry(entry)
-    if not quick:
-        append_history(entry)
-        print("appended phase_profiler datapoint to BENCH_fock.json")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -2,100 +2,41 @@
 
 On a healthy run the guard is pure bookkeeping -- classification over a
 short history plus NaN/Inf sentinels on F and D -- so its wall-time
-overhead must stay within the PR's 5% acceptance gate.  Each full run
-appends one ``scf_guard`` datapoint to ``BENCH_fock.json`` (median wall
-time of both configurations plus the overhead ratio).  Run as a pytest
-benchmark or as a script; ``--quick`` skips the history file.
+overhead must stay within the 5% bound of its ``scf_guard`` family row.
+The ``scf_guard`` family of the BENCH runner (``python -m benchmarks
+scf_guard [--quick]``): best wall time of both configurations plus the
+overhead ratio; ``--quick`` runs one round.
 """
 
 from __future__ import annotations
 
-import sys
-import time
-
+from benchmarks.overhead import on_off_walls
 from repro.chem.builders import water
 from repro.scf.hf import RHF
 
-from test_bench_table3_times import append_history
-
 ROUNDS = 4
-OVERHEAD_GATE = 0.05
 
 
-def _time_scf(guard: bool) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    res = RHF(water(), basis_name="6-31g", guard=guard).run()
-    return time.perf_counter() - t0, res
-
-
-def run_guard_bench(rounds: int = ROUNDS) -> dict:
-    """Best-of-N wall times for guard off/on plus the overhead ratio.
-
-    Min (not median) is the estimator: scheduler noise on shared runners
-    is one-sided, so the fastest round of each configuration is the best
-    proxy for its true cost floor.
-    """
-    off, on = [], []
-    res_off = res_on = None
-    for _ in range(rounds):
-        t, res_off = _time_scf(guard=False)
-        off.append(t)
-        t, res_on = _time_scf(guard=True)
-        on.append(t)
-    t_off = min(off)
-    t_on = min(on)
-    return {
+def measure(quick: bool = False) -> tuple[dict, str]:
+    """Best-of-N wall times for guard off/on plus the overhead ratio."""
+    walls, res_off, res_on = on_off_walls(
+        lambda guard: RHF(water(), basis_name="6-31g", guard=guard).run(),
+        rounds=1 if quick else ROUNDS,
+    )
+    entry = {
         "benchmark": "scf_guard",
         "molecule": "water",
         "basis": "6-31g",
-        "rounds": rounds,
-        "wall_off_s": round(t_off, 4),
-        "wall_on_s": round(t_on, 4),
-        "overhead": round(t_on / t_off - 1.0, 4),
+        **walls,
         "iterations": res_on.iterations,
         "energy": round(res_on.energy, 10),
         "guard_events": len(res_on.guard_events),
         "energy_matches": bool(res_on.energy == res_off.energy),
     }
-
-
-def check_entry(entry: dict) -> None:
-    """The acceptance gate: a healthy run is untouched and nearly free."""
     assert entry["guard_events"] == 0, "guard intervened on a healthy run"
-    assert entry["energy_matches"], "guard changed the converged energy"
-    assert entry["overhead"] <= OVERHEAD_GATE, (
-        f"guard overhead {entry['overhead']:.1%} exceeds "
-        f"{OVERHEAD_GATE:.0%} gate "
-        f"(off {entry['wall_off_s']}s, on {entry['wall_on_s']}s)"
-    )
-
-
-def test_bench_scf_guard(benchmark, emit):
-    entry = benchmark.pedantic(run_guard_bench, rounds=1, iterations=1)
-    emit(
-        "scf_guard: water/6-31g overhead "
-        f"{entry['overhead']:+.1%} (off {entry['wall_off_s']}s, "
-        f"on {entry['wall_on_s']}s, {entry['iterations']} iters)"
-    )
-    check_entry(entry)
-    append_history(entry)
-
-
-def main(argv: list[str]) -> int:
-    quick = "--quick" in argv
-    entry = run_guard_bench(rounds=1 if quick else ROUNDS)
-    print(
+    return entry, (
         "scf_guard: water/6-31g overhead "
         f"{entry['overhead']:+.1%} (off {entry['wall_off_s']}s, "
         f"on {entry['wall_on_s']}s, {entry['iterations']} iters, "
         f"{entry['guard_events']} guard events)"
     )
-    check_entry(entry)
-    if not quick:
-        append_history(entry)
-        print("appended scf_guard datapoint to BENCH_fock.json")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

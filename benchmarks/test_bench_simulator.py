@@ -8,23 +8,23 @@ scaled C54H18 stand-in at 12/192/768/3888 cores three ways -- tracing
 off, tracing on, tracing on with a ``SimCapture`` -- then exports the
 largest cell's Chrome trace, runs the critical-path analyzer over its
 capture without re-simulation (``analyze_noresim_s``: what reading the
-trace costs), and appends one ``fock_simulator`` datapoint to
-``BENCH_fock.json``.  The NWChem baseline is timed beside
+trace costs) -- the ``fock_simulator`` family of the BENCH runner
+(``python -m benchmarks fock_simulator [--quick]``).  The NWChem
+baseline is timed beside
 it -- ``simulate_nwchem`` on C24H12 at 12 and 3888 cores
 (``nwchem_wall_s``, ``counter_accesses_per_s``) -- and so is the all-rank
-prefetch footprint of the largest GTFock cell (``footprint_s``).  Run as
-a pytest benchmark or as a script; ``--quick`` (CI) runs C24H12 at
-12/192 cores plus one NWChem cell, checks the exported file against the
-one-shot encoding of ``chrome_trace()`` and skips the history file.  The
-benchmark drives public API only, so it also runs against an older
-``src/`` via ``PYTHONPATH`` for a before/after pair.
+prefetch footprint of the largest GTFock cell (``footprint_s``).
+``--quick`` (CI) runs C24H12 at 12/192 cores plus one NWChem cell and
+checks the exported file against the one-shot encoding of
+``chrome_trace()``.  The measurement drives public API only, so it also
+runs against an older ``src/`` via ``PYTHONPATH`` for a before/after
+pair.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 import time
 
@@ -34,8 +34,6 @@ from repro.fock.partition import StaticPartition
 from repro.fock.simulate import SimCapture, simulate_gtfock, simulate_nwchem
 from repro.obs.critpath import analyze
 from repro.obs.trace import NullTracer, Tracer, _coerce
-
-from test_bench_table3_times import append_history
 
 CORES = (12, 192, 768, 3888)
 NWCHEM_CORES = (12, 3888)
@@ -101,7 +99,7 @@ def run_nwchem_bench(quick: bool, rounds: int) -> dict:
     }
 
 
-def run_simulator_bench(quick: bool = False) -> dict:
+def measure(quick: bool = False) -> tuple[dict, str]:
     name, setup = _setup("C24H12" if quick else "C54H18")
     rounds = 1 if quick else ROUNDS
 
@@ -149,7 +147,7 @@ def run_simulator_bench(quick: bool = False) -> dict:
     analyze_s, _ = _best(lambda: analyze(capture, resim=False), rounds)
     top = cells[str(max(int(c) for c in cells))]
     footprint_s, _ = _best(lambda: _footprints(setup, top["nproc"]), rounds)
-    return {
+    entry = {
         "benchmark": "fock_simulator",
         "molecule": name,
         "wall_s": round(sum(c["wall_off_s"] for c in cells.values()), 4),
@@ -165,6 +163,9 @@ def run_simulator_bench(quick: bool = False) -> dict:
         "cells": cells,
         **run_nwchem_bench(quick, rounds),
     }
+    assert entry["trace_events"] > 0
+    assert entry["counter_accesses_per_s"] > 0
+    return entry, render(entry)
 
 
 def render(entry: dict) -> str:
@@ -195,24 +196,3 @@ def render(entry: dict) -> str:
         f"cells, {entry['counter_accesses_per_s']:.0f} counter accesses/s"
     )
     return "\n".join(lines)
-
-
-def test_bench_simulator(benchmark, emit):
-    entry = benchmark.pedantic(run_simulator_bench, rounds=1, iterations=1)
-    emit(render(entry))
-    assert entry["trace_events"] > 0
-    assert entry["counter_accesses_per_s"] > 0
-    append_history(entry)
-
-
-def main(argv: list[str]) -> int:
-    entry = run_simulator_bench(quick="--quick" in argv)
-    print(render(entry))
-    if "--quick" not in argv:
-        append_history(entry)
-        print("appended datapoint to BENCH_fock.json")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -1,25 +1,19 @@
 """Table III: Fock construction time, GTFock vs NWChem, over core counts.
 
-Each full run appends one datapoint to ``BENCH_fock.json`` at the repo
-root -- the Fock-simulation perf trajectory future PRs extend (wall time
-of the sweep plus, per molecule, the simulated max-core Fock times and
-the GTFock/NWChem ratio).  Run as a pytest benchmark or as a script;
-``--quick`` skips the history file.
+The ``fock_table3`` family of the BENCH runner (``python -m benchmarks
+fock_table3 [--quick]``): one datapoint is the wall time of the sweep
+plus, per molecule, the simulated max-core Fock times and the
+GTFock/NWChem ratio.
 """
 
 from __future__ import annotations
 
-import pathlib
-import sys
 import time
 
 from repro.bench.experiments import table3_times
-from repro.bench.record import append_history as _append_history
-
-HISTORY_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fock.json"
 
 
-def run_table3_bench() -> tuple[dict, object]:
+def measure(quick: bool = False) -> tuple[dict, str]:
     """One measurement: the Table III sweep, timed, summarized."""
     t0 = time.perf_counter()
     report = table3_times()
@@ -40,16 +34,8 @@ def run_table3_bench() -> tuple[dict, object]:
                 algs["gtfock"][hi] / algs["nwchem"][hi], 4
             ),
         }
-    return entry, report
-
-
-def append_history(entry: dict, path: pathlib.Path = HISTORY_PATH) -> None:
-    """Append one datapoint to the BENCH_fock.json trajectory."""
-    _append_history(
-        entry, path,
-        description="Fock-simulation perf trajectory "
-        "(see docs/PERFORMANCE.md)",
-    )
+    check_report(report)
+    return entry, report.text
 
 
 def check_report(report) -> None:
@@ -64,25 +50,3 @@ def check_report(report) -> None:
         # both scale: max-core time well below min-core time
         for alg in ("gtfock", "nwchem"):
             assert algs[alg][cores[-1]] < algs[alg][cores[0]] / 50
-
-
-def test_bench_table3(benchmark, emit):
-    entry, report = benchmark.pedantic(run_table3_bench, rounds=1, iterations=1)
-    emit(report)
-    check_report(report)
-    append_history(entry)
-
-
-def main(argv: list[str]) -> int:
-    quick = "--quick" in argv
-    entry, report = run_table3_bench()
-    print(report.text)
-    check_report(report)
-    if not quick:
-        append_history(entry)
-        print(f"appended datapoint to {HISTORY_PATH}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

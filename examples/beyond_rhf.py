@@ -1,25 +1,17 @@
 #!/usr/bin/env python
-"""Beyond closed-shell RHF: UHF, MP2, and density-fitted Coulomb.
+"""Beyond closed-shell RHF: UHF symmetry breaking on H2.
 
 The paper frames fast Fock builds as the foundation for everything above
-them; this demo exercises the library's upper floors on H2:
-
-* UHF symmetry breaking along the dissociation curve (RHF fails at
-  stretched geometries; UHF with guess mixing finds the broken-symmetry
-  solution);
-* the MP2 correlation energy at equilibrium;
-* RI density fitting of the Coulomb matrix, the software analogue of the
-  "faster integrals" future the paper's Sec III-G analysis anticipates.
+them; this demo runs the open-shell driver along the H2 dissociation
+curve: RHF fails at stretched geometries, UHF with guess mixing finds
+the broken-symmetry solution.
 
 Usage:  python examples/beyond_rhf.py
 """
 
 
 from repro.chem import h2
-from repro.chem.basis.basisset import BasisSet
-from repro.integrals.engine import MDEngine
-from repro.scf import RHF, UHF, RIJBuilder, mp2_energy
-from repro.scf.fock import build_jk
+from repro.scf import RHF, UHF
 
 
 def main() -> None:
@@ -30,21 +22,7 @@ def main() -> None:
         e_uhf = UHF(h2(r), guess_mix=0.4).run().energy
         print(f"{r:6.2f} {e_rhf:12.6f} {e_uhf:12.6f} {e_uhf - e_rhf:10.6f}")
     print("UHF detaches below RHF once the bond stretches -- the correct")
-    print("dissociation limit (two H atoms: 2 x -0.4666 = -0.9332).\n")
-
-    mol = h2(0.7414)
-    basis = BasisSet.build(mol, "sto-3g")
-    scf = RHF(mol).run()
-    mp2 = mp2_energy(basis, scf, nocc=1)
-    print(f"MP2 at equilibrium: E(RHF) = {scf.energy:.6f}, "
-          f"E2 = {mp2.correlation_energy:.6f}, "
-          f"total = {mp2.total_energy:.6f}")
-
-    j_exact, _ = build_jk(MDEngine(basis), scf.density, 0.0)
-    ri = RIJBuilder.build(basis)
-    err = ri.fitting_error(scf.density, j_exact)
-    print(f"\nRI-J with a {ri.aux.nbf}-function even-tempered auxiliary "
-          f"basis: max |J_RI - J| = {err:.2e}")
+    print("dissociation limit (two H atoms: 2 x -0.4666 = -0.9332).")
 
 
 if __name__ == "__main__":

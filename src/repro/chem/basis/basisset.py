@@ -18,7 +18,7 @@ from repro.chem.basis.data_631g import G631_DATA
 from repro.chem.basis.data_sto3g import STO3G_DATA
 from repro.chem.basis.data_vdzsim import VDZSIM_DATA
 from repro.chem.basis.shells import Shell
-from repro.chem.molecule import Molecule
+from repro.chem.molecule import Molecule, UnknownNameError
 
 _L_OF_LETTER = {"S": 0, "P": 1, "D": 2, "F": 3}
 
@@ -30,18 +30,26 @@ BASIS_REGISTRY: dict[str, tuple[dict, bool]] = {
 }
 
 
+def _registered(basis_name: str) -> tuple[dict, bool]:
+    key = basis_name.lower()
+    if key not in BASIS_REGISTRY:
+        raise UnknownNameError(
+            f"unknown basis {basis_name!r}; known: {sorted(BASIS_REGISTRY)}"
+        )
+    return BASIS_REGISTRY[key]
+
+
 def element_shells(basis_name: str, symbol: str) -> list[tuple[int, list, list]]:
     """Expand an element's raw basis entries into (l, exps, coefs) triples.
 
     Pople ``SP`` entries expand into separate s and p shells sharing
     exponents, matching how every integral code treats them.
     """
-    key = basis_name.lower()
-    if key not in BASIS_REGISTRY:
-        raise KeyError(f"unknown basis {basis_name!r}; known: {sorted(BASIS_REGISTRY)}")
-    data, _pure = BASIS_REGISTRY[key]
+    data, _pure = _registered(basis_name)
     if symbol not in data:
-        raise KeyError(f"basis {basis_name!r} has no data for element {symbol!r}")
+        raise UnknownNameError(
+            f"basis {basis_name!r} has no data for element {symbol!r}"
+        )
     out: list[tuple[int, list, list]] = []
     for entry in data[symbol]:
         kind = entry[0]
@@ -81,9 +89,7 @@ class BasisSet:
     def build(cls, molecule: Molecule, name: str = "sto-3g") -> "BasisSet":
         """Construct the basis for ``molecule`` in atom order."""
         key = name.lower()
-        if key not in BASIS_REGISTRY:
-            raise KeyError(f"unknown basis {name!r}; known: {sorted(BASIS_REGISTRY)}")
-        _data, pure_d = BASIS_REGISTRY[key]
+        _data, pure_d = _registered(key)
         shells: list[Shell] = []
         for iat, atom in enumerate(molecule.atoms):
             for l, exps, coefs in element_shells(key, atom.symbol):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from repro.chem.molecule import Molecule
+from repro.chem.molecule import Molecule, UnknownNameError
 
 #: Aromatic C-C bond length (Angstrom), graphene/benzene.
 CC_AROMATIC = 1.42
@@ -280,7 +280,9 @@ DEMO_MOLECULES = {
 
 def _build_named(name: str, registry: dict) -> Molecule:
     if name not in registry:
-        raise KeyError(f"unknown molecule {name!r}; known: {sorted(registry)}")
+        raise UnknownNameError(
+            f"unknown molecule {name!r}; known: {sorted(registry)}"
+        )
     return registry[name]()
 
 

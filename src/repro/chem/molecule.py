@@ -23,6 +23,19 @@ from repro.chem.elements import (
 )
 
 
+class UnknownNameError(KeyError, ValueError):
+    """An unknown molecule or basis name.
+
+    A lookup miss (``KeyError``, as callers have always caught it) that
+    is also deterministic bad input (``ValueError``): the CLI reports it
+    with the known names, ``repro submit`` rejects it, and the service
+    worker quarantines it instead of retrying.
+    """
+
+    def __str__(self) -> str:  # KeyError would repr-quote the message
+        return str(self.args[0])
+
+
 @dataclass(frozen=True)
 class Atom:
     """A single atom: element symbol + position in bohr."""

@@ -61,11 +61,13 @@ import sys
 
 from repro.chem.basis.basisset import BASIS_REGISTRY, BasisSet
 from repro.chem.builders import (
+    DEMO_MOLECULES,
     PAPER_MOLECULES,
     SCALED_MOLECULES,
     molecule_by_name,
     paper_molecule,
 )
+from repro.chem.molecule import UnknownNameError
 
 
 def _run_scf(args: argparse.Namespace) -> int:
@@ -393,6 +395,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_submit(args: argparse.Namespace) -> int:
     from repro.service import JobStore
 
+    # a name no worker could resolve is rejected here, not enqueued
+    BasisSet.build(molecule_by_name(args.molecule), args.basis)
     spec: dict = {"kind": "scf", "molecule": args.molecule, "basis": args.basis}
     if args.jk_threads is not None:
         spec["jk_threads"] = args.jk_threads
@@ -603,13 +607,6 @@ def _run_info() -> int:
     return 0
 
 
-#: default BENCH history files graded by ``repro perf check`` (cwd-relative:
-#: run from the repo root, or point --history elsewhere)
-_DEFAULT_HISTORIES = (
-    "BENCH_eri.json", "BENCH_fock.json", "BENCH_service.json",
-)
-
-
 def _run_perf_profile(args: argparse.Namespace) -> int:
     from repro.obs.manifest import get_ledger
     from repro.obs.profile import (
@@ -653,12 +650,24 @@ def _run_perf_profile(args: argparse.Namespace) -> int:
 def _run_perf_check(args: argparse.Namespace) -> int:
     import json
 
+    from repro.bench.record import HISTORIES
     from repro.obs.regress import grade
 
-    histories = args.history or list(_DEFAULT_HISTORIES)
+    # the table's files are cwd-relative: run from the repo root, or
+    # point --history elsewhere
+    histories = args.history or list(HISTORIES)
     report = grade(
         histories, quick=args.quick, window=args.last, runs=args.runs
     )
+    if not report.findings:
+        # a gate that graded nothing has not passed
+        print(
+            "perf check FAILED: nothing to grade -- no BENCH history "
+            "entries found in: "
+            + ", ".join(os.path.abspath(h) for h in histories),
+            file=sys.stderr,
+        )
+        return 1
     print(report.text())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -675,10 +684,10 @@ def _run_perf_check(args: argparse.Namespace) -> int:
 
 
 def _run_perf_history(args: argparse.Namespace) -> int:
+    from repro.bench.record import HISTORIES
     from repro.obs.regress import history_text
 
-    histories = args.history or list(_DEFAULT_HISTORIES)
-    print(history_text(histories, last=args.points))
+    print(history_text(args.history or list(HISTORIES), last=args.points))
     return 0
 
 
@@ -693,7 +702,7 @@ def _run_perf(args: argparse.Namespace) -> int:
 def _run_list() -> int:
     print("paper molecules :", ", ".join(sorted(PAPER_MOLECULES)))
     print("scaled stand-ins:", ", ".join(sorted(SCALED_MOLECULES)))
-    print("demo molecules  : water, h2, methane, benzene")
+    print("demo molecules  :", ", ".join(DEMO_MOLECULES))
     print("basis sets      :", ", ".join(sorted(BASIS_REGISTRY)))
     return 0
 
@@ -1129,8 +1138,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     pp_check.add_argument(
         "--history", action="append", metavar="PATH",
-        help="BENCH history file (repeatable; default: BENCH_eri.json "
-        "and BENCH_fock.json in the current directory)",
+        help="BENCH history file (repeatable; default: every history of "
+        "the family table, in the current directory)",
     )
     pp_check.add_argument(
         "--quick", action="store_true",
@@ -1258,6 +1267,10 @@ def main(argv: list[str] | None = None) -> int:
             rc = _run_list()
         else:
             rc = _run_experiment(args.command)
+        return rc
+    except UnknownNameError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        rc = 2
         return rc
     finally:
         if profiler is not None:

@@ -13,7 +13,6 @@ from repro.integrals.engine import (
     OSEngine,
     SyntheticERIEngine,
 )
-from repro.integrals.eri_3center import eri_2center_block, eri_3center_block
 from repro.integrals.eri_md import eri_shell_quartet, eri_tensor
 from repro.integrals.moments import dipole_integrals
 from repro.integrals.eri_os import eri_shell_quartet_os
@@ -64,8 +63,6 @@ __all__ = [
     "eri_shell_quartet",
     "eri_shell_quartet_batched",
     "eri_tensor",
-    "eri_2center_block",
-    "eri_3center_block",
     "dipole_integrals",
     "eri_shell_quartet_os",
     "core_hamiltonian",

@@ -1,14 +1,16 @@
 """Performance-regression observatory over the BENCH_*.json trajectories.
 
-The benchmark suite appends one entry per run to ``BENCH_eri.json`` and
-``BENCH_fock.json`` (see :mod:`repro.bench.record`), but until now
-nothing ever read them back -- a 2x ERI slowdown would land in the
-history and sit there politely.  This module closes the loop:
+The benchmark suite appends one entry per run to the ``BENCH_*.json``
+histories; this module reads them back, so a 2x ERI slowdown cannot land
+in a history and sit there politely:
 
-* a :class:`MetricSpec` table declares every tracked metric -- where it
-  lives (benchmark + dotted key), which direction is good, and whether
-  it is graded **relative** to its own history, against an **absolute**
-  bound, or as a boolean **flag**;
+* the family table of :mod:`repro.bench.record` declares every tracked
+  metric as a :class:`MetricSpec` row -- where it lives (family + dotted
+  key), which direction is good, and whether it is graded **relative**
+  to its own history, against an **absolute** bound, or as a boolean
+  **flag**; :func:`grade` walks the histories with those rows and
+  :func:`gate` holds one fresh entry to the same bounds before it is
+  appended;
 * relative grading uses a robust baseline: the median of the previous
   ``K`` points, with scatter estimated as ``sigma = 1.4826 * MAD`` (the
   normal-consistent median absolute deviation).  The latest point fails
@@ -32,6 +34,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.bench.record import (
+    MetricSpec,
+    all_specs,
+    extract,
+    validate_entry,
+)
 from repro.obs.validate import FAIL, PASS, WARN
 
 #: normal-consistency factor: sigma = MAD_SCALE * MAD for Gaussian data
@@ -39,136 +47,6 @@ MAD_SCALE = 1.4826
 
 #: default baseline window (previous points, latest excluded)
 DEFAULT_WINDOW = 8
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """One tracked metric: location, goodness direction, and thresholds.
-
-    ``kind``:
-      * ``"relative"`` -- grade the latest point against the robust
-        baseline of its own history; ``warn``/``fail`` are fold ratios.
-      * ``"absolute"`` -- grade the latest value against hard bounds;
-        ``warn``/``fail`` are values in the metric's own unit.
-      * ``"flag"`` -- the value must be truthy; anything else FAILs.
-
-    ``direction`` is ``"lower"`` (smaller is better: times, errors,
-    overheads) or ``"higher"`` (speedups, hit rates).  ``quick`` marks
-    machine-independent metrics safe to grade on foreign hardware.
-    """
-
-    benchmark: str
-    key: str
-    direction: str = "lower"
-    kind: str = "relative"
-    warn: float = 1.3
-    fail: float = 2.0
-    quick: bool = False
-    unit: str = ""
-
-    @property
-    def label(self) -> str:
-        return f"{self.benchmark}.{self.key}"
-
-
-#: every metric the observatory watches.  Dotted keys descend into the
-#: entry; a ``*`` segment averages across the values of a mapping (the
-#: per-molecule tables of fock_table3).
-DEFAULT_SPECS: tuple[MetricSpec, ...] = (
-    # -- ERI kernel trajectory (BENCH_eri.json) --------------------------
-    # class kernel vs the reference kernel, stored-integral mode
-    MetricSpec("eri_kernels", "class_speedup", "higher", "relative",
-               warn=1.3, fail=2.0, quick=True, unit="x"),
-    MetricSpec("eri_kernels", "class_max_abs_diff", "lower", "absolute",
-               warn=1e-13, fail=1e-12, quick=True, unit="Eh"),
-    MetricSpec("eri_kernels", "stored_iter2_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    MetricSpec("eri_kernels", "t_class_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    MetricSpec("eri_kernels_large", "t_class_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    # six-block J/K contraction of a stored (zero-recompute) build
-    MetricSpec("eri_kernels", "jk_contract_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    MetricSpec("eri_kernels_large", "jk_contract_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    MetricSpec("eri_kernels_large", "sample_max_abs_diff", "lower",
-               "absolute", warn=1e-11, fail=1e-10, unit="Eh"),
-    # the layers under the class-batched build: tabulated Boys, S + Hcore
-    # and Schwarz on the stacked pair data, the warm-plan sweep (the
-    # 2-thread twin t_class_threads2_s is recorded but measure-only: on a
-    # two-core host it swings 3x between runs of one commit)
-    *(
-        MetricSpec(family, key, "lower", "relative", warn=1.5, fail=3.0,
-                   unit=unit)
-        for family in ("eri_kernels", "eri_kernels_large")
-        for key, unit in (
-            ("boys_ns_per_eval", "ns"), ("oneelec_s", "s"),
-            ("schwarz_s", "s"), ("t_class_threads1_s", "s"),
-        )
-    ),
-    # -- Fock simulation trajectory (BENCH_fock.json) --------------------
-    MetricSpec("fock_table3", "molecules.*.ratio_gtfock_over_nwchem",
-               "lower", "absolute", warn=1.0, fail=1.5, quick=True,
-               unit="ratio"),
-    MetricSpec("fock_table3", "wall_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    MetricSpec("fock_chaos", "passed", kind="flag", quick=True),
-    MetricSpec("fock_chaos", "fock_error", "lower", "absolute",
-               warn=1e-11, fail=1e-10, quick=True, unit="Eh"),
-    MetricSpec("fock_chaos", "fault_slowdown", "lower", "relative",
-               warn=1.5, fail=3.0, quick=True, unit="x"),
-    # critical-path analyzer (BENCH_fock.json, benchmark fock_critpath):
-    # the observatory grades *explanatory* metrics, not just wall times
-    MetricSpec("fock_critpath", "explained_ratio", "higher", "absolute",
-               warn=0.95, fail=0.80, quick=True, unit="frac"),
-    MetricSpec("fock_critpath", "idle_fraction", "lower", "absolute",
-               warn=0.30, fail=0.60, quick=True, unit="frac"),
-    MetricSpec("fock_critpath", "whatif_max_rel_err", "lower", "absolute",
-               warn=0.15, fail=0.30, quick=True, unit="frac"),
-    MetricSpec("fock_critpath", "decomposition_ok", kind="flag", quick=True),
-    MetricSpec("fock_critpath", "wall_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    # the simulator's own cost (benchmark fock_simulator): each tax bound
-    # is the ratio recorded when the columnar trace log landed (tracing
-    # 1.47, capture 1.86; three runs read 1.16-1.74 and 1.33-2.13) + 0.15
-    MetricSpec("fock_simulator", "wall_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    MetricSpec("fock_simulator", "tracing_tax_ratio", "lower", "absolute",
-               warn=1.62, fail=3.0, unit="x"),
-    MetricSpec("fock_simulator", "capture_tax_ratio", "lower", "absolute",
-               warn=2.01, fail=3.0, unit="x"),
-    MetricSpec("fock_simulator", "export_mb_per_s", "higher", "relative",
-               warn=1.5, fail=3.0, unit="MB/s"),
-    MetricSpec("fock_simulator", "analyze_noresim_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    MetricSpec("fock_simulator", "nwchem_wall_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    # -- SCF service chaos trajectory (BENCH_service.json) ---------------
-    MetricSpec("fock_service", "passed", kind="flag", quick=True),
-    MetricSpec("fock_service", "all_done", kind="flag", quick=True),
-    MetricSpec("fock_service", "max_energy_error", "lower", "absolute",
-               warn=1e-13, fail=1e-12, quick=True, unit="Eh"),
-    MetricSpec("fock_service", "double_records", "lower", "absolute",
-               warn=0.0, fail=0.0, quick=True),
-    MetricSpec("fock_service", "jobs_per_min", "higher", "relative",
-               warn=1.5, fail=3.0, unit="jobs/min"),
-    MetricSpec("fock_service", "wall_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-    MetricSpec("scf_guard", "energy_matches", kind="flag", quick=True),
-    MetricSpec("scf_guard", "overhead", "lower", "absolute",
-               warn=0.05, fail=0.10, quick=True, unit="frac"),
-    MetricSpec("fock_sdc", "passed", kind="flag", quick=True),
-    MetricSpec("fock_sdc", "energy_matches", kind="flag", quick=True),
-    MetricSpec("fock_sdc", "false_positives", "lower", "absolute",
-               warn=0.5, fail=0.5, quick=True),
-    MetricSpec("fock_sdc", "overhead", "lower", "absolute",
-               warn=0.05, fail=0.10, quick=True, unit="frac"),
-    MetricSpec("phase_profiler", "overhead", "lower", "absolute",
-               warn=0.05, fail=0.10, quick=True, unit="frac"),
-    MetricSpec("phase_profiler", "wall_on_s", "lower", "relative",
-               warn=1.5, fail=3.0, unit="s"),
-)
 
 
 def _median(values: list[float]) -> float:
@@ -185,29 +63,6 @@ def robust_baseline(values: list[float]) -> tuple[float, float]:
         return med, 0.0
     mad = _median([abs(v - med) for v in values])
     return med, MAD_SCALE * mad
-
-
-def extract(entry: dict, key: str) -> float | None:
-    """Resolve a dotted key in ``entry``; ``*`` averages a mapping level."""
-    node = entry
-    parts = key.split(".")
-    for i, part in enumerate(parts):
-        if part == "*":
-            if not isinstance(node, dict) or not node:
-                return None
-            rest = ".".join(parts[i + 1:])
-            vals = [extract(child, rest) if rest else child
-                    for child in node.values()]
-            vals = [v for v in vals if isinstance(v, (int, float))]
-            return float(sum(vals) / len(vals)) if vals else None
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    if isinstance(node, bool):
-        return 1.0 if node else 0.0
-    if isinstance(node, (int, float)):
-        return float(node)
-    return None
 
 
 @dataclass
@@ -337,6 +192,14 @@ class CheckReport:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
+    @property
+    def failures(self) -> list[str]:
+        """One ``label = value (note)`` line per FAIL-graded finding."""
+        return [
+            f"{f.spec.label} = {f.latest:g} ({f.note})"
+            for f in self.findings if f.status == FAIL
+        ]
+
     def to_json(self) -> dict:
         return {
             "status": self.status,
@@ -352,9 +215,9 @@ class CheckReport:
         ]
         for f in self.findings:
             base = f"{f.baseline:.4g}" if f.baseline is not None else (
-                f"<{f.spec.warn:g}" if f.spec.kind == "absolute"
+                f"<={f.spec.warn:g}" if f.spec.kind == "absolute"
                 and f.spec.direction == "lower"
-                else f">{f.spec.warn:g}" if f.spec.kind == "absolute"
+                else f">={f.spec.warn:g}" if f.spec.kind == "absolute"
                 else "-"
             )
             ratio = f"{f.ratio:.3f}" if f.ratio is not None else "-"
@@ -402,23 +265,13 @@ def series_for(
     return values, stamps
 
 
-def grade(
-    histories: list[str | Path],
-    specs: tuple[MetricSpec, ...] = DEFAULT_SPECS,
+def grade_entries(
+    entries: list[dict],
+    specs: tuple[MetricSpec, ...],
     quick: bool = False,
     window: int = DEFAULT_WINDOW,
-    runs: str | Path | None = None,
 ) -> CheckReport:
-    """Grade every tracked metric over the given BENCH history files.
-
-    ``window`` bounds the baseline to the last K prior points so ancient
-    history cannot mask a slow recent drift.  With ``runs`` set, ledger
-    summaries under that root join the check: a completed run must have
-    exited 0 and (when it recorded one) a truthy ``converged`` field.
-    """
-    entries: list[dict] = []
-    for path in histories:
-        entries.extend(load_history(path))
+    """Grade the latest point of each spec's series over ``entries``."""
     report = CheckReport()
     for spec in specs:
         if quick and not spec.quick:
@@ -431,8 +284,53 @@ def grade(
         report.findings.append(
             grade_series(spec, tail, stamps[-(window + 1):])
         )
+    return report
+
+
+def grade(
+    histories: list[str | Path],
+    specs: tuple[MetricSpec, ...] | None = None,
+    quick: bool = False,
+    window: int = DEFAULT_WINDOW,
+    runs: str | Path | None = None,
+) -> CheckReport:
+    """Grade every tracked metric over the given BENCH history files.
+
+    ``specs`` defaults to every row of the family table.  ``window``
+    bounds the baseline to the last K prior points so ancient history
+    cannot mask a slow recent drift.  With ``runs`` set, ledger
+    summaries under that root join the check: a completed run must have
+    exited 0 and (when it recorded one) a truthy ``converged`` field.
+    """
+    entries: list[dict] = []
+    for path in histories:
+        entries.extend(load_history(path))
+    report = grade_entries(
+        entries, all_specs() if specs is None else specs, quick, window
+    )
     if runs is not None:
         report.findings.extend(_grade_runs(runs))
+    return report
+
+
+def gate(entry: dict, quick: bool = False) -> CheckReport:
+    """Hold one fresh entry to its family's absolute and flag rows.
+
+    The same grading ``repro perf check`` applies to the latest point of
+    a history, before the point is appended (relative rows need a
+    history and are left to the observatory).  Raises ``ValueError``
+    naming every metric graded FAIL; otherwise returns the report.
+    """
+    family = validate_entry(entry)
+    report = grade_entries(
+        [entry],
+        tuple(s for s in family.specs if s.kind != "relative"),
+        quick=quick,
+    )
+    if not report.passed:
+        raise ValueError(
+            f"{family.name} gate failed: " + "; ".join(report.failures)
+        )
     return report
 
 
@@ -444,74 +342,53 @@ def _grade_runs(root: str | Path) -> list[Finding]:
     for rec in find_runs(root):
         if rec.summary is None:
             continue  # still in flight (or crashed); not this gate's job
-        name = rec.path.name
-        rc = rec.summary.get("exit_code", 0)
-        spec = MetricSpec(f"run:{name}", "exit_code", kind="flag",
-                          quick=True)
-        findings.append(Finding(
-            spec, float(rc == 0), None, 0.0, PASS if rc == 0 else FAIL,
-            note="" if rc == 0 else f"exit code {rc}", n_points=1,
-            timestamp=str(rec.summary.get("finished_utc", "")),
-        ))
-        if "converged" in rec.summary:
-            conv = bool(rec.summary["converged"])
-            cspec = MetricSpec(f"run:{name}", "converged", kind="flag",
-                               quick=True)
+        summary = rec.summary
+        family = f"run:{rec.path.name}"
+        stamp = str(summary.get("finished_utc", ""))
+
+        def flag(key: str, ok: bool, note: str) -> None:
             findings.append(Finding(
-                cspec, float(conv), None, 0.0, PASS if conv else FAIL,
-                note="" if conv else "SCF did not converge", n_points=1,
-                timestamp=str(rec.summary.get("finished_utc", "")),
+                MetricSpec(family, key, kind="flag", quick=True),
+                float(ok), None, 0.0, PASS if ok else FAIL,
+                note="" if ok else note, n_points=1, timestamp=stamp,
             ))
-        stamp = str(rec.summary.get("finished_utc", ""))
-        cp = rec.summary.get("critpath")
+
+        rc = summary.get("exit_code", 0)
+        flag("exit_code", rc == 0, f"exit code {rc}")
+        if "converged" in summary:
+            flag("converged", bool(summary["converged"]),
+                 "SCF did not converge")
+        cp = summary.get("critpath")
         if isinstance(cp, dict) and "decomposition_ok" in cp:
-            ok = bool(cp["decomposition_ok"])
-            dspec = MetricSpec(f"run:{name}", "critpath_decomposition_ok",
-                               kind="flag", quick=True)
-            findings.append(Finding(
-                dspec, float(ok), None, 0.0, PASS if ok else FAIL,
-                note="" if ok else (
-                    f"max residual {cp.get('max_residual', '?')} s"
-                ),
-                n_points=1, timestamp=stamp,
-            ))
-        store = rec.summary.get("eri_store")
+            flag("critpath_decomposition_ok", bool(cp["decomposition_ok"]),
+                 f"max residual {cp.get('max_residual', '?')} s")
+        store = summary.get("eri_store")
         if isinstance(store, dict) and store.get("warm_start"):
             # a warm-started store must serve everything: a single
             # recomputed quartet means the store's coverage regressed
             computed = int(store.get("computed", 0))
-            sspec = MetricSpec(f"run:{name}", "store_zero_recompute",
-                               kind="flag", quick=True)
-            findings.append(Finding(
-                sspec, float(computed == 0), None, 0.0,
-                PASS if computed == 0 else FAIL,
-                note="" if computed == 0 else (
-                    f"{computed} quartets recomputed despite a warm store"
-                ),
-                n_points=1, timestamp=stamp,
-            ))
-        jk = rec.summary.get("jk_threads")
+            flag("store_zero_recompute", computed == 0,
+                 f"{computed} quartets recomputed despite a warm store")
+        jk = summary.get("jk_threads")
         if (
             isinstance(jk, dict)
             and jk.get("balance") is not None
             and int(jk.get("workers", 0)) > 1
         ):
             bal = float(jk["balance"])
-            jspec = MetricSpec(f"run:{name}", "jk_worker_balance", "lower",
-                               "absolute", warn=1.5, fail=3.0, quick=True,
-                               unit="x")
-            status = PASS if bal <= 1.5 else (WARN if bal <= 3.0 else FAIL)
-            findings.append(Finding(
-                jspec, bal, None, 0.0, status,
-                note=f"slowest/mean J/K worker wall = {bal:.2f}x",
-                n_points=1, timestamp=stamp,
-            ))
+            finding = grade_series(
+                MetricSpec(family, "jk_worker_balance", "lower", "absolute",
+                           warn=1.5, fail=3.0, quick=True, unit="x"),
+                [bal], [stamp],
+            )
+            finding.note = f"slowest/mean J/K worker wall = {bal:.2f}x"
+            findings.append(finding)
     return findings
 
 
 def history_text(
     histories: list[str | Path],
-    specs: tuple[MetricSpec, ...] = DEFAULT_SPECS,
+    specs: tuple[MetricSpec, ...] | None = None,
     last: int = 6,
 ) -> str:
     """Trajectory table for ``repro perf history``: last N points per metric."""
@@ -519,7 +396,7 @@ def history_text(
     for path in histories:
         entries.extend(load_history(path))
     lines = [f"{'metric':<44} {'n':>3}  trajectory (oldest -> newest)"]
-    for spec in specs:
+    for spec in all_specs() if specs is None else specs:
         values, _ = series_for(entries, spec)
         if not values:
             continue

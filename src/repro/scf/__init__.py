@@ -28,7 +28,6 @@ from repro.scf.fock import (
 from repro.scf.guess import core_guess, gwh_guess, zero_guess
 from repro.scf.hf import RHF, SCFDriver, SCFOutcome, SCFResult
 from repro.scf.incremental import IncrementalFockBuilder
-from repro.scf.mp2 import MP2Result, ao_to_mo, mp2_energy
 from repro.scf.properties import (
     DipoleMoment,
     OrbitalSummary,
@@ -45,7 +44,6 @@ from repro.scf.orthogonalization import (
     orthogonalizer,
     orthogonalizer_info,
 )
-from repro.scf.ri import RIJBuilder, even_tempered_auxiliary
 from repro.scf.uhf import UHF, UHFResult
 from repro.scf.purification import (
     PurificationResult,
@@ -86,11 +84,6 @@ __all__ = [
     "SCFOutcome",
     "SCFResult",
     "IncrementalFockBuilder",
-    "MP2Result",
-    "ao_to_mo",
-    "mp2_energy",
-    "RIJBuilder",
-    "even_tempered_auxiliary",
     "UHF",
     "UHFResult",
     "DipoleMoment",

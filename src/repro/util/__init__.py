@@ -1,4 +1,4 @@
-"""Small shared utilities: validation helpers and timing."""
+"""Small shared utilities: validation helpers."""
 
 from repro.util.validation import (
     check_positive,
@@ -6,13 +6,10 @@ from repro.util.validation import (
     check_symmetric,
     require,
 )
-from repro.util.timing import Timer, wall_time
 
 __all__ = [
     "check_positive",
     "check_square",
     "check_symmetric",
     "require",
-    "Timer",
-    "wall_time",
 ]

@@ -2,8 +2,8 @@
 
 Loops all ``nshells^4`` quartets; exponentially slower than the
 production path but with no shared logic beyond the quartet engine, so it
-independently validates symmetry exploitation and screening.  Test use
-only -- keep the systems tiny.
+independently validates symmetry exploitation and screening.  An oracle
+for ``tests/test_scf_fock.py`` -- keep the systems tiny.
 """
 
 from __future__ import annotations

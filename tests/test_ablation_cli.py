@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.builders import alkane
+from repro.chem.builders import DEMO_MOLECULES, alkane
 from repro.cli import main
 from repro.fock.ablation import (
     granularity_ablation,
@@ -73,6 +73,30 @@ class TestCLI:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "C96H24" in out and "sto-3g" in out
+        assert "demo molecules  : " + ", ".join(DEMO_MOLECULES) in out
+
+    @pytest.mark.parametrize("argv", [
+        ["scf", "nosuch"],
+        ["scf", "water", "--basis", "nope"],
+        ["analyze", "nosuch"],
+        ["chaos", "nosuch"],
+        ["perf", "profile", "nosuch"],
+    ])
+    def test_unknown_name_exits_2_with_the_known_ones(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: unknown" in err and "known: [" in err
+        assert "Traceback" not in err
+
+    def test_submit_rejects_unknown_names_at_submit_time(
+        self, tmp_path, capsys
+    ):
+        queue = tmp_path / "queue"
+        assert main(["submit", "watr", "--queue", str(queue)]) == 2
+        assert main(["submit", "water", "--basis", "6-31",
+                     "--queue", str(queue)]) == 2
+        assert "unknown molecule 'watr'" in capsys.readouterr().err
+        assert not queue.exists()  # nothing was enqueued
 
     def test_scf_h2(self, capsys):
         assert main(["scf", "h2"]) == 0

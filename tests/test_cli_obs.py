@@ -30,9 +30,44 @@ def _check_prometheus(text: str) -> int:
     return n
 
 
+_TRACE_HEAD = '{"traceEvents": ['
+
+
+def _sampled_events(path, prefix_bytes=8 << 20, tail_bytes=1 << 16):
+    """Events of a Chrome trace file: all of a small one, a bounded
+    prefix plus the document tail of a large one.
+
+    ``json.loads`` of the 353 MB Table VI trace costs ~18 s and proves
+    nothing ``tests/test_obs.py::TestChromeSerializer`` does not already
+    pin (the streamed file is byte-equal to ``json.dumps``).  What this
+    suite owns is the CLI round trip: the prefix holds the metadata rows
+    and the first ~50k spans, the tail shows the document closes.
+    """
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        head = fh.read(prefix_bytes).decode()
+        fh.seek(max(0, size - tail_bytes))
+        tail = fh.read().decode()
+    if size <= prefix_bytes:
+        return json.loads(head)["traceEvents"]
+    assert head.startswith(_TRACE_HEAD)
+    decoder = json.JSONDecoder()
+    events, pos = [], len(_TRACE_HEAD)
+    while True:
+        try:
+            event, pos = decoder.raw_decode(head, pos)
+        except json.JSONDecodeError:
+            break  # the event the prefix cuts through
+        events.append(event)
+        pos += len(", ")
+    # re-opened at an event boundary, the tail is itself a document
+    closing = json.loads(_TRACE_HEAD + tail[tail.index('}, {"') + 3:])
+    assert closing["displayTimeUnit"] == "ms"
+    return events + closing["traceEvents"]
+
+
 def _check_perfetto(path) -> list[dict]:
-    doc = json.loads(path.read_text())
-    events = doc["traceEvents"]
+    events = _sampled_events(path)
     assert events, "empty trace"
     for ev in events:
         assert ev["ph"] in ("X", "i", "C", "M")
@@ -105,7 +140,12 @@ class TestExperimentObsFlags:
             "table6", "--trace", str(trace), "--metrics", str(metrics)
         ])
         assert rc == 0
-        _check_perfetto(trace)
+        events = _check_perfetto(trace)
+        # every event shape the sweep emits is in the sample: metadata
+        # rows, host spans, simulated-rank spans with their args
+        assert {"M", "X"} <= {ev["ph"] for ev in events}
+        assert {1, 2} <= {ev["pid"] for ev in events}
+        assert len(events) > 10_000
         _check_prometheus(metrics.read_text())
         out = capsys.readouterr().out
         # satellite: the steal share surfaces in Table VI output
@@ -209,6 +249,22 @@ class TestPerfCommands:
         assert rc == 1
         out = capsys.readouterr().out
         assert "fail" in out
+
+    def test_perf_check_that_graded_nothing_fails(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a mistyped --history ...
+        typo = tmp_path / "BENCH_eri.jsno"
+        assert main(["perf", "check", "--history", str(typo)]) == 1
+        out, err = capsys.readouterr()
+        assert str(typo) in err and "nothing to grade" in err
+        assert "PASS" not in out
+        # ... and the cwd-relative defaults from outside the repo root
+        monkeypatch.chdir(tmp_path)
+        assert main(["perf", "check", "--quick"]) == 1
+        err = capsys.readouterr().err
+        for name in ("BENCH_eri.json", "BENCH_fock.json", "BENCH_service.json"):
+            assert str(tmp_path / name) in err
 
     def test_perf_check_json_output(self, tmp_path):
         out = tmp_path / "check.json"

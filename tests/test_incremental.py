@@ -1,9 +1,12 @@
 """Tests for incremental (delta-density) Fock construction."""
 
 import numpy as np
+import pytest
 
+from repro.chem.builders import h2, water
 from repro.integrals.engine import MDEngine
 from repro.scf.fock import fock_matrix
+from repro.scf.hf import RHF
 from repro.scf.incremental import IncrementalFockBuilder
 
 
@@ -68,3 +71,15 @@ class TestIncrementalFock:
         inc.reset()
         f = inc.fock(h, d)
         assert np.allclose(f, fock_matrix(water_engine, h, d, 1e-11), atol=1e-12)
+
+
+class TestIncrementalRHF:
+    def test_same_energy_as_standard(self):
+        e_std = RHF(h2(0.7414)).run().energy
+        e_inc = RHF(h2(0.7414), incremental=True).run().energy
+        assert e_inc == pytest.approx(e_std, abs=1e-8)
+
+    def test_water_incremental(self):
+        e_std = RHF(water()).run().energy
+        e_inc = RHF(water(), incremental=True).run().energy
+        assert e_inc == pytest.approx(e_std, abs=1e-6)

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.bench.record import all_specs
 from repro.obs.regress import (
-    DEFAULT_SPECS,
     CheckReport,
     MetricSpec,
     extract,
@@ -180,6 +180,31 @@ class TestGrade:
         assert "bench.t" in text
         assert "pass" in text.lower()
 
+    def test_text_renders_bounds_as_inclusive(self, tmp_path):
+        # pass iff latest <= warn: a zero bound must not read "<0"
+        specs = (
+            _spec(kind="absolute", warn=0.0, fail=0.0),
+            _spec(key="u", kind="absolute", direction="higher",
+                  warn=0.95, fail=0.8),
+        )
+        path = tmp_path / "BENCH_x.json"
+        path.write_text(json.dumps({"history": [
+            {"benchmark": "bench", "t": 0, "u": 1.0},
+        ]}))
+        report = grade([path], specs=specs)
+        assert report.status == PASS
+        assert " <=0 " in report.text()
+        assert " >=0.95 " in report.text()
+
+    def test_default_specs_are_the_family_table(self, tmp_path):
+        path = tmp_path / "BENCH_fock.json"
+        path.write_text(json.dumps({"history": [
+            {"benchmark": "scf_guard", "overhead": 0.2,
+             "energy_matches": True},
+        ]}))
+        report = grade([path])
+        assert report.failures == ["scf_guard.overhead = 0.2 (bound 0.05)"]
+
 
 class TestHistoryIO:
     def test_load_history(self, tmp_path):
@@ -207,14 +232,14 @@ class TestHistoryIO:
 
 class TestDefaultSpecs:
     def test_default_specs_cover_committed_benchmarks(self):
-        families = {s.benchmark for s in DEFAULT_SPECS}
+        families = {s.benchmark for s in all_specs()}
         assert {
             "eri_kernels", "fock_table3", "fock_chaos",
             "scf_guard", "phase_profiler", "fock_simulator",
         } <= families
 
     def test_labels_are_unique(self):
-        labels = [s.label for s in DEFAULT_SPECS]
+        labels = [s.label for s in all_specs()]
         assert len(labels) == len(set(labels))
 
 
@@ -312,5 +337,5 @@ class TestGradeRuns:
         assert "jk_worker_balance" not in self._findings(tmp_path)
 
     def test_critpath_family_in_default_specs(self):
-        families = {s.benchmark for s in DEFAULT_SPECS}
+        families = {s.benchmark for s in all_specs()}
         assert "fock_critpath" in families

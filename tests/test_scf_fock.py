@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from reference_dense_fock import dense_fock_reference
 from reference_fock import canonical_shell_quartets
-from repro.integrals.eri_tensor_util import dense_fock_reference
 from repro.scf.fock import (
     build_jk,
     fock_matrix,

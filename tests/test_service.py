@@ -193,6 +193,19 @@ class TestWorkerPersonalities:
         assert "ValueError" in final.error
         assert "Traceback" in final.error
 
+    def test_unknown_molecule_or_basis_is_poison_not_a_retry(self, store):
+        # a lookup miss is deterministic bad input: KeyError used to fall
+        # through to the retry-forever branch
+        for spec in ({"kind": "scf", "molecule": "watr"},
+                     {"kind": "scf", "molecule": "water", "basis": "6-31"}):
+            job = store.submit(spec, max_attempts=5)
+            assert self.run_one(store) == "quarantined"
+            final = store.get(job.id)
+            assert final.attempts == 1  # never retried
+            assert "UnknownNameError" in final.error and "known:" in final.error
+            events = [ev for ev, _, _ in store.events_for(job.id)]
+            assert "retry" not in events
+
     def test_oom_walks_degradation_ladder(self, store):
         job = store.submit(
             {"kind": "oom", "jk_threads": 4, "store_dir": "/tmp/eri"},

@@ -1,15 +1,12 @@
-"""Tests for UHF, RI-J density fitting, and 3-center integrals."""
+"""Tests for UHF: the open-shell physics and the shared SCF loop."""
 
 import numpy as np
 import pytest
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.basis.shells import Shell
 from repro.chem.builders import h2, water
 from repro.chem.molecule import Molecule
 from repro.integrals.engine import MDEngine
-from repro.integrals.eri_3center import eri_2center_block, eri_3center_block
-from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.oneelec import overlap
 from repro.obs.manifest import RunLedger, load_run, set_ledger
 from repro.obs.metrics import MetricsRegistry, set_metrics
@@ -23,7 +20,6 @@ from repro.scf.checkpoint import (
 )
 from repro.scf.fock import build_jk
 from repro.scf.hf import RHF
-from repro.scf.ri import RIJBuilder, even_tempered_auxiliary
 from repro.scf.uhf import UHF
 
 
@@ -275,94 +271,3 @@ class TestUHFSharedLoop:
     def test_incremental_rejected_by_name(self):
         with pytest.raises(ValueError, match="incremental"):
             UHF(h2(0.7414), incremental=True)
-
-
-def s_shell(alpha, center=(0, 0, 0)):
-    return Shell(l=0, exps=np.array([alpha]), coefs=np.array([1.0]),
-                 center=np.array(center, dtype=float), atom_index=0)
-
-
-class TestThreeCenter:
-    def test_against_4center_with_sharp_probe(self):
-        """(ab|P) is the limit of (ab|PP') as the fourth index tends to a
-        point probe... instead validate via the fitted identity: the
-        2-center (P|Q) must equal the 3-center with an s-pair collapsed.
-
-        Direct check: (ss|P) computed two ways -- the dedicated 3-center
-        code vs the 4-center code with the auxiliary role played by a
-        product whose second factor is an extremely diffuse, nearly
-        constant Gaussian rescaled to unit value at the center.
-        """
-        a = s_shell(1.1)
-        b = s_shell(0.7, (0.0, 0.0, 0.8))
-        p = s_shell(0.9, (0.4, 0.2, -0.3))
-        val3 = eri_3center_block(a, b, p)[0, 0, 0]
-        # 4-center with an almost-flat partner: (ab|pq) -> N_q * (ab|p)
-        # as q -> 0 (q's normalized Gaussian tends to N_q * 1)
-        q_exp = 1e-8
-        q_sh = s_shell(q_exp, (0.4, 0.2, -0.3))
-        n_q = (2.0 * q_exp / np.pi) ** 0.75
-        val4 = eri_shell_quartet(a, b, p, q_sh)[0, 0, 0, 0]
-        assert val4 / n_q == pytest.approx(val3, rel=1e-5)
-
-    def test_2center_consistent_with_3center(self):
-        """(P|Q) equals (sP'|Q)-style consistency via the flat-probe trick."""
-        p = s_shell(1.3)
-        q = s_shell(0.6, (0.0, 0.0, 1.1))
-        val2 = eri_2center_block(p, q)[0, 0]
-        flat_exp = 1e-8
-        flat = s_shell(flat_exp, (0.0, 0.0, 0.0))
-        n_flat = (2.0 * flat_exp / np.pi) ** 0.75
-        val3 = eri_3center_block(p, flat, q)[0, 0, 0]
-        assert val3 / n_flat == pytest.approx(val2, rel=1e-5)
-
-    def test_2center_symmetric_positive(self):
-        shells = [s_shell(0.5), s_shell(1.5, (1, 0, 0)), s_shell(3.0, (0, 1, 0))]
-        n = len(shells)
-        v = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                v[i, j] = eri_2center_block(shells[i], shells[j])[0, 0]
-        assert np.allclose(v, v.T, atol=1e-12)
-        assert np.linalg.eigvalsh(v).min() > 0  # Coulomb metric is PD
-
-    def test_3center_bra_symmetry(self):
-        a = s_shell(1.1)
-        b = s_shell(0.7, (0.0, 0.0, 0.8))
-        p = s_shell(0.9, (0.4, 0.2, -0.3))
-        x = eri_3center_block(a, b, p)
-        y = eri_3center_block(b, a, p)
-        assert np.allclose(x, y.transpose(1, 0, 2), atol=1e-13)
-
-
-class TestRIJ:
-    @pytest.fixture(scope="class")
-    def h2_state(self):
-        mol = h2(0.7414)
-        basis = BasisSet.build(mol, "sto-3g")
-        d = RHF(mol).run().density
-        j_exact, _ = build_jk(MDEngine(basis), d, 0.0)
-        return basis, d, j_exact
-
-    def test_fitting_accuracy(self, h2_state):
-        basis, d, j_exact = h2_state
-        ri = RIJBuilder.build(basis)
-        assert ri.fitting_error(d, j_exact) < 1e-4
-
-    def test_richer_auxiliary_improves(self, h2_state):
-        basis, d, j_exact = h2_state
-        coarse = RIJBuilder.build(basis, even_tempered_auxiliary(basis, nper=6))
-        rich = RIJBuilder.build(
-            basis, even_tempered_auxiliary(basis, beta=1.6, nper=12, lmax=2)
-        )
-        assert rich.fitting_error(d, j_exact) < coarse.fitting_error(d, j_exact)
-
-    def test_fitted_j_symmetric(self, h2_state):
-        basis, d, _j = h2_state
-        jfit = RIJBuilder.build(basis).coulomb(d)
-        assert np.allclose(jfit, jfit.T, atol=1e-10)
-
-    def test_auxiliary_generation_validates(self, h2_state):
-        basis, _d, _j = h2_state
-        with pytest.raises(ValueError):
-            even_tempered_auxiliary(basis, beta=0.9)
