@@ -3,8 +3,8 @@
 Times the water Fock-build microbenchmark three ways, all through the
 one ``build_jk`` path:
 
-* **seed**: the per-primitive Python-loop MD reference kernel (an
-  ``MDEngine`` after ``force_reference_path()``), the original baseline;
+* **seed**: the per-primitive Python-loop MD reference kernel (the
+  oracle engine ``tests/reference_engine.py``), the original baseline;
 * **class**: the cross-quartet class-batched kernel
   (:mod:`repro.integrals.class_batch`) -- the default engine -- checked
   against the reference kernel to 1e-12 and gated at >= 10x over it;
@@ -38,6 +38,8 @@ with ``PYTHONPATH`` on a parent checkout's ``src`` measures that commit.
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import tempfile
 import time
 
@@ -52,6 +54,10 @@ from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.obs.profile import PHASE_JK, profiling
 from repro.scf.fock import build_jk
+
+# the seed engine lives beside the other differential oracles
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from reference_engine import ReferenceMDEngine  # noqa: E402
 
 #: minimum acceptable class-batched-over-seed speedup in the full benchmark
 #: (the PR-7 issue targets >= 10x on water/6-31G)
@@ -138,8 +144,7 @@ def measure(quick: bool = False) -> tuple[dict, str]:
     d = rng.normal(size=(basis.nbf, basis.nbf))
     d = (d + d.T) / 2.0
 
-    seed_engine = MDEngine(basis)
-    seed_engine.force_reference_path()
+    seed_engine = ReferenceMDEngine(basis)
     t_seed, j0, k0 = _timed_build(seed_engine, d)
 
     class_engine = MDEngine(basis)

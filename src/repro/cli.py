@@ -68,6 +68,7 @@ from repro.chem.builders import (
     paper_molecule,
 )
 from repro.chem.molecule import UnknownNameError
+from repro.runtime.faults import EmptyPlanError
 
 
 def _run_scf(args: argparse.Namespace) -> int:
@@ -130,32 +131,16 @@ def _run_scf(args: argparse.Namespace) -> int:
 
 
 def _run_torture(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.report import render_torture_report
-    from repro.scf.torture import run_torture, torture_json, torture_table
+    from repro.scf.torture import run_torture
 
-    outcomes = run_torture(quick=args.quick, vanilla=not args.no_vanilla)
-    for line in torture_table(outcomes):
-        print(line)
-    records = torture_json(outcomes)
+    tres = run_torture(quick=args.quick, vanilla=not args.no_vanilla)
+    notes = ()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(render_torture_report(records))
-        print(f"torture report written to {args.report}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2, sort_keys=True)
-        print(f"torture summary written to {args.json}")
-    failed = [o for o in outcomes if not o.passed]
-    if failed:
-        print(
-            "torture gate FAILED for: "
-            + ", ".join(o.case.name for o in failed),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+            fh.write(render_torture_report(tres.to_json()))
+        notes = (f"torture report written to {args.report}",)
+    return _finish_chaos(args, tres, f"torture run: {len(tres.outcomes)} cases", notes)
 
 
 def _run_experiment(name: str) -> int:
@@ -300,11 +285,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finish_chaos(
-    args: argparse.Namespace, cres, header: str, notes: tuple[str, ...] = ()
-) -> int:
-    """The tail every ``repro chaos`` family shares: summary, ``--json``,
-    and the failure line + exit code of a broken invariant."""
+def _finish_chaos(args: argparse.Namespace, cres, header: str, notes=()) -> int:
+    """The tail every gate shares (the four ``repro chaos`` families and
+    ``repro torture``): summary, ``--json``, and the failure line + exit
+    code of a broken invariant."""
     import json
 
     print(header)
@@ -315,46 +299,11 @@ def _finish_chaos(
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(cres.to_json(), fh, indent=2, sort_keys=True)
-        print(f"chaos summary written to {args.json}")
+        print(f"{cres.gate} summary written to {args.json}")
     if not cres.passed:
         print(cres.failure_line(), file=sys.stderr)
         return 1
     return 0
-
-
-def _run_scf_chaos(args: argparse.Namespace) -> int:
-    from repro.fock.chaos import run_scf_chaos
-
-    cres = run_scf_chaos(
-        molecule=args.molecule,
-        basis_name=args.basis,
-        seed=args.seed,
-        quartet_nan_rate=args.quartet_nan_rate,
-        tolerance=args.tolerance,
-    )
-    return _finish_chaos(
-        args, cres, f"scf chaos run: {cres.molecule}/{cres.basis_name}"
-    )
-
-
-def _run_sdc_chaos(args: argparse.Namespace) -> int:
-    from repro.fock.chaos import run_sdc_chaos
-
-    cres = run_sdc_chaos(
-        molecule=args.molecule,
-        basis_name=args.basis,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        workdir=args.workdir,
-    )
-    kept = (
-        f"  corrupted work tree kept at {args.workdir} "
-        "(audit it with 'repro verify')"
-    )
-    return _finish_chaos(
-        args, cres, f"sdc chaos run: {cres.molecule}/{cres.basis_name}",
-        notes=(kept,) if args.workdir else (),
-    )
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -519,79 +468,66 @@ def _run_drain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_service_chaos(args: argparse.Namespace) -> int:
+def _run_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.service import run_service_chaos
-
-    queue = args.queue or tempfile.mkdtemp(prefix="repro-service-chaos-")
-    cres = run_service_chaos(
-        queue,
-        njobs=args.jobs,
-        workers=args.workers,
-        kills=args.kills,
-        seed=args.seed,
-        molecule=args.molecule,
-        basis=args.service_basis,
-        tolerance=args.tolerance,
-        lease_s=args.lease,
-    )
-    return _finish_chaos(
-        args, cres,
-        f"service chaos run: {cres.njobs} jobs on {cres.workers} workers, "
-        f"queue {queue}",
-    )
-
-
-def _run_chaos(args: argparse.Namespace) -> int:
-    from repro.fock.chaos import run_chaos
+    from repro.fock.chaos import run_chaos, run_scf_chaos, run_sdc_chaos
     from repro.obs import get_metrics, get_tracer
     from repro.obs.metrics import export_faults
     from repro.obs.report import chaos_report, write_report
     from repro.obs.trace import Tracer
+    from repro.service import run_service_chaos
 
-    if args.family == "scf":
-        return _run_scf_chaos(args)
-    if args.family == "service":
-        return _run_service_chaos(args)
-    if args.family == "sdc":
-        return _run_sdc_chaos(args)
-
-    # capture the faulted run for the report's embedded trace; reuse an
-    # installed (--trace) tracer so both outputs describe the same run
-    ambient = get_tracer()
-    if ambient.enabled:
-        tracer = ambient
-    elif args.report:
+    # runtime only: capture the faulted run for the report's embedded
+    # trace; reuse an installed (--trace) tracer so both outputs describe
+    # the same run
+    tracer = get_tracer() if get_tracer().enabled else None
+    if tracer is None and args.report:
         tracer = Tracer("repro-chaos")
-    else:
-        tracer = None
-    cres = run_chaos(
-        molecule=args.molecule,
-        basis_name=args.basis,
-        nproc=args.nproc,
-        seed=args.seed,
-        ndeaths=args.deaths,
-        nstragglers=args.stragglers,
-        op_fail_rate=args.op_fail_rate,
-        delay_rate=args.delay_rate,
+    queue = args.queue
+    if args.family == "service" and queue is None:
+        queue = tempfile.mkdtemp(prefix="repro-service-chaos-")
+    fock = dict(
+        molecule=args.molecule, basis_name=args.basis, seed=args.seed,
         tolerance=args.tolerance,
-        tracer=tracer,
     )
-    if cres.faulty.faults is not None:
-        export_faults(
-            cres.faulty.faults, cres.faulty.outcome, registry=get_metrics()
+    families = {
+        "runtime": lambda: run_chaos(
+            nproc=args.nproc, ndeaths=args.deaths, nstragglers=args.stragglers,
+            op_fail_rate=args.op_fail_rate, delay_rate=args.delay_rate,
+            tracer=tracer, **fock,
+        ),
+        "scf": lambda: run_scf_chaos(
+            quartet_nan_rate=args.quartet_nan_rate, **fock
+        ),
+        "sdc": lambda: run_sdc_chaos(workdir=args.workdir, **fock),
+        "service": lambda: run_service_chaos(
+            queue, njobs=args.jobs, workers=args.workers, kills=args.kills,
+            seed=args.seed, molecule=args.molecule, basis=args.service_basis,
+            tolerance=args.tolerance, lease_s=args.lease,
+        ),
+    }
+    cres = families[args.family]()
+    notes = []
+    if args.family == "service":
+        subject = f"{cres.njobs} jobs on {cres.workers} workers, queue {queue}"
+    else:
+        subject = f"{cres.molecule}/{cres.basis_name}"
+    if args.family == "runtime":
+        subject += f" on {cres.nproc} simulated processes"
+        if cres.faulty.faults is not None:
+            export_faults(
+                cres.faulty.faults, cres.faulty.outcome, registry=get_metrics()
+            )
+        if args.report:
+            write_report(args.report, chaos_report(cres, tracer))
+            notes.append(f"chaos report written to {args.report}")
+    if args.family == "sdc" and args.workdir:
+        notes.append(
+            f"  corrupted work tree kept at {args.workdir} "
+            "(audit it with 'repro verify')"
         )
-    notes = ()
-    if args.report:
-        write_report(args.report, chaos_report(cres, tracer))
-        notes = (f"chaos report written to {args.report}",)
-    return _finish_chaos(
-        args, cres,
-        f"chaos run: {cres.molecule}/{cres.basis_name} on "
-        f"{cres.nproc} simulated processes",
-        notes,
-    )
+    return _finish_chaos(args, cres, f"{cres.gate} run: {subject}", notes)
 
 
 def _run_info() -> int:
@@ -1268,7 +1204,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             rc = _run_experiment(args.command)
         return rc
-    except UnknownNameError as exc:
+    except (UnknownNameError, EmptyPlanError) as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         rc = 2
         return rc

@@ -1,39 +1,32 @@
 """Chaos harness: prove the Fock build survives injected faults.
 
-Runs the numeric GTFock build twice on identical inputs -- once
-fault-free, once under a seeded :class:`~repro.runtime.faults.FaultPlan`
-(stragglers, lossy one-sided ops, delayed messages, rank deaths) -- and
-verifies the central robustness invariant:
+Three families, one shape: run the workload fault-free, run it again
+under a seeded plan, and hold the pair to the family's gate -- the one
+``invariants()`` list of its result class (a :class:`FockGate`), from
+which ``passed``, the failure line and the PASS/FAIL summary derive.
+A plan that injects nothing is rejected up front
+(:class:`~repro.runtime.faults.EmptyPlanError`).
 
-    the faulted build's Fock matrix equals the fault-free one to
-    ``<= 1e-12`` max elementwise difference, for *any* seeded plan that
-    leaves at least one rank alive.
-
-Only the virtual-time accounting may differ: retries, re-executed
-tasks, and extra bytes show up as measurable recovery overhead (the
-``retry`` flight channel, :class:`RecoveryRecord` entries, and the
-fault-overhead counters), never as a numeric change.
-
-The ``scf`` fault family (:func:`run_scf_chaos`) applies the same
-invariant to *numerical* faults: a seeded
-:class:`~repro.runtime.faults.SCFFaultPlan` corrupts class-kernel ERI
-quartet blocks with NaN/Inf inside the production Fock build, the
-convergence guard's per-quartet sentinel rescues each one on the
-reference kernel, and the rescued Fock matrix must still match the
-fault-free build to ``<= 1e-12``.
-
-The ``sdc`` fault family (:func:`run_sdc_chaos`) is the *silent*
-variant: a seeded :class:`~repro.runtime.sdc.SDCFaultPlan` bit-flips
-on-disk store blocks and checkpoint files, exponent-flips in-memory F/D
-elements, and corrupts GA accumulate payloads in flight -- none of
-which raises anything on its own.  The gate demands every injected
-corruption be *detected* by an integrity layer (zero silent
-acceptances), zero detections on a fault-free run (zero false
-positives), and the recovered run's F/E equal to the clean run's to
-``<= 1e-12``.
+* ``runtime`` (:func:`run_chaos`): the numeric GTFock build under a
+  :class:`~repro.runtime.faults.FaultPlan` (stragglers, lossy one-sided
+  ops, delayed messages, rank deaths), for *any* seeded plan that leaves
+  at least one rank alive.  Only the virtual-time accounting may differ:
+  retries, re-executed tasks, and extra bytes show up as measurable
+  recovery overhead (the ``retry`` flight channel,
+  :class:`RecoveryRecord` entries, and the fault-overhead counters),
+  never as a numeric change.
+* ``scf`` (:func:`run_scf_chaos`): *numerical* faults -- a seeded
+  :class:`~repro.runtime.faults.SCFFaultPlan` corrupts class-kernel ERI
+  quartet blocks with NaN/Inf inside the production Fock build and the
+  per-row sentinel rescues each one on the reference kernel.
+* ``sdc`` (:func:`run_sdc_chaos`): the *silent* variant -- a seeded
+  :class:`~repro.runtime.sdc.SDCFaultPlan` bit-flips on-disk store
+  blocks and checkpoint files, exponent-flips in-memory F/D elements,
+  and corrupts GA accumulate payloads in flight, none of which raises
+  anything on its own: an integrity layer must detect every one.
 
 Driven by the ``repro chaos`` CLI and ``tests/test_faults.py`` /
-``tests/test_sdc.py``.
+``tests/test_sdc.py``; the gates are tabulated in ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations
@@ -48,55 +41,86 @@ import numpy as np
 from repro.chem.builders import molecule_by_name
 from repro.fock.gtfock import GTFockBuildResult, gtfock_build
 from repro.obs import Tracer
-from repro.runtime.faults import FaultPlan, SCFFaultPlan, random_plan
+from repro.runtime.faults import (
+    FaultPlan,
+    GateResult,
+    SCFFaultPlan,
+    random_plan,
+)
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.sdc import SDCFaultPlan, random_sdc_plan
 from repro.scf.fock import fock_matrix, hf_electronic_energy
 
 
-def _payload(result, *names: str, **head) -> dict:
-    """A family's ``--json`` payload: ``head``, the fields every Fock
-    chaos result shares, then the attributes ``names``."""
-    shared = ("fock_error", "energy_error", "tolerance")
-    return {
-        **head,
-        "molecule": result.molecule,
-        "basis": result.basis_name,
-        "seed": result.plan.seed,
-        **{name: getattr(result, name) for name in shared + names},
-    }
-
-
-@dataclass
-class ChaosResult:
-    """Fault-free vs faulted build comparison, plus recovery overhead."""
+@dataclass(kw_only=True)
+class FockGate(GateResult):
+    """What the three Fock-build gates share: each compares a faulted-
+    and-recovered build against the fault-free one."""
 
     molecule: str
     basis_name: str
-    nproc: int
-    plan: FaultPlan
-    clean: GTFockBuildResult
-    faulty: GTFockBuildResult
-    #: max |F_faulty - F_clean| over all elements
+    plan: FaultPlan | SCFFaultPlan | SDCFaultPlan
+    #: max |F_faulted - F_clean| over all elements (sdc: of the final
+    #: Fock matrices)
     fock_error: float
-    #: |E_faulty - E_clean| of the one-iteration electronic energy
+    #: |E_faulted - E_clean| of the one-iteration electronic energy
+    #: (sdc: of the converged total energies)
     energy_error: float
     tolerance: float = 1e-12
+
+    #: the ``--json`` keys every Fock-build family leads with
+    _shared_keys = (
+        "molecule", "basis", "seed", "fock_error", "energy_error", "tolerance",
+    )
+
+    @property
+    def basis(self) -> str:
+        return self.basis_name
+
+    @property
+    def seed(self) -> int:
+        return self.plan.seed
+
+    def _fock_matches(self) -> tuple[str, bool]:
+        return ("max |dF| <= tolerance", self.fock_error <= self.tolerance)
+
+    def family_lines(self) -> list[str]:
+        """The family's own measurements, after the shared lines."""
+        raise NotImplementedError
+
+    def detail_lines(self) -> list[str]:
+        return [
+            f"plan: {self.plan.describe()}",
+            f"max |dF| = {self.fock_error:.3e}  |dE| = "
+            f"{self.energy_error:.3e} Ha (tolerance {self.tolerance:.0e})",
+            *self.family_lines(),
+        ]
+
+
+@dataclass
+class ChaosResult(FockGate):
+    """Fault-free vs faulted build comparison, plus recovery overhead."""
+
+    nproc: int
+    clean: GTFockBuildResult
+    faulty: GTFockBuildResult
     #: recovery-overhead summary (retries, re-executions, time ratio)
     overhead: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.fock_error <= self.tolerance
+    gate = "chaos"
+    json_keys = FockGate._shared_keys + ("nproc", "passed", "overhead")
 
-    def summary_lines(self) -> list[str]:
+    def invariants(self) -> list[tuple[str, bool]]:
         o = self.overhead
-        lines = [
-            f"plan: {self.plan.describe()}",
-            f"max |dF| = {self.fock_error:.3e} "
-            f"(tolerance {self.tolerance:.0e}) -> "
-            + ("PASS" if self.passed else "FAIL"),
-            f"|dE| = {self.energy_error:.3e} Ha",
+        landed = (
+            len(o.get("dead_ranks", ())) + o.get("retries_total", 0)
+            + len(self.plan.slowdown) + bool(o.get("delay_time_total"))
+        )
+        return [self.landed(landed), self._fock_matches()]
+
+    def family_lines(self) -> list[str]:
+        o = self.overhead
+        return [
             f"dead ranks: {o.get('dead_ranks', [])}  "
             f"re-executed tasks: {o.get('reexecuted_tasks', 0)}  "
             f"recoveries: {o.get('recoveries', 0)}",
@@ -107,17 +131,17 @@ class ChaosResult:
             f"{o.get('makespan_faulty', 0.0):.4g} s under faults "
             f"(x{o.get('slowdown', 1.0):.2f})",
         ]
-        return lines
 
-    def to_json(self) -> dict:
-        """The ``repro chaos --json`` payload."""
-        return _payload(self, "nproc", "passed", "overhead")
 
-    def failure_line(self) -> str:
-        return (
-            f"chaos invariant FAILED: max |dF| {self.fock_error:.3e} exceeds "
-            f"{self.tolerance:.0e}"
-        )
+def _errors(hcore, density, faulted, clean) -> dict:
+    """``fock_error`` / ``energy_error`` of a faulted one-iteration build."""
+    return {
+        "fock_error": float(np.max(np.abs(faulted - clean))),
+        "energy_error": abs(
+            hf_electronic_energy(hcore, faulted, density)
+            - hf_electronic_energy(hcore, clean, density)
+        ),
+    }
 
 
 def build_inputs(molecule: str, basis_name: str):
@@ -176,29 +200,23 @@ def run_chaos(
             op_fail_rate=op_fail_rate,
             delay_rate=delay_rate,
         )
+    plan.require_faults()
     faulty = gtfock_build(
         engine, hcore, density, nproc, tau=tau, config=config,
         screen=clean.screen, tracer=tracer, faults=plan,
     )
-    fock_error = float(np.max(np.abs(faulty.fock - clean.fock)))
-    energy_error = abs(
-        hf_electronic_energy(hcore, faulty.fock, density)
-        - hf_electronic_energy(hcore, clean.fock, density)
-    )
     fstate = faulty.faults
     overhead = dict(fstate.overhead_summary()) if fstate is not None else {}
+    t_clean = float(clean.stats.clock.max())
+    t_faulty = float(faulty.stats.clock.max())
     overhead.update(
         dead_ranks=list(faulty.outcome.dead_ranks),
         reexecuted_tasks=int(faulty.outcome.reexecuted_tasks),
         recoveries=len(faulty.outcome.recoveries),
         retry_bytes=int(faulty.stats.flight.per_rank("retry", "bytes").sum()),
-        makespan_clean=float(clean.stats.clock.max()),
-        makespan_faulty=float(faulty.stats.clock.max()),
-        slowdown=(
-            float(faulty.stats.clock.max()) / float(clean.stats.clock.max())
-            if float(clean.stats.clock.max()) > 0
-            else 1.0
-        ),
+        makespan_clean=t_clean,
+        makespan_faulty=t_faulty,
+        slowdown=t_faulty / t_clean if t_clean > 0 else 1.0,
     )
     return ChaosResult(
         molecule=mol.name or mol.formula,
@@ -207,61 +225,39 @@ def run_chaos(
         plan=plan,
         clean=clean,
         faulty=faulty,
-        fock_error=fock_error,
-        energy_error=energy_error,
         tolerance=tolerance,
         overhead=overhead,
+        **_errors(hcore, density, faulty.fock, clean.fock),
     )
 
 
 @dataclass
-class SCFChaosResult:
+class SCFChaosResult(FockGate):
     """Clean vs NaN-corrupted-and-rescued Fock build comparison."""
 
-    molecule: str
-    basis_name: str
-    plan: SCFFaultPlan
-    #: max |F_rescued - F_clean| over all elements
-    fock_error: float
-    #: |dE| of the one-iteration electronic energy
-    energy_error: float
     #: class-kernel ERI blocks the plan corrupted
     quartets_corrupted: int
     #: corrupted blocks the sentinel recomputed on the reference kernel
     eri_rescues: int
-    tolerance: float = 1e-12
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.fock_error <= self.tolerance
-            and self.eri_rescues >= self.quartets_corrupted
-        )
+    gate = "scf chaos"
+    json_keys = ("family",) + FockGate._shared_keys + (
+        "quartets_corrupted", "eri_rescues", "passed",
+    )
 
-    def summary_lines(self) -> list[str]:
+    def invariants(self) -> list[tuple[str, bool]]:
         return [
-            f"plan: {self.plan.describe()}",
-            f"corrupted quartet blocks: {self.quartets_corrupted}  "
-            f"rescued on reference kernel: {self.eri_rescues}",
-            f"max |dF| = {self.fock_error:.3e} "
-            f"(tolerance {self.tolerance:.0e}) -> "
-            + ("PASS" if self.passed else "FAIL"),
-            f"|dE| = {self.energy_error:.3e} Ha",
+            self.landed(self.quartets_corrupted),
+            self._fock_matches(),
+            ("every corrupted block rescued",
+             self.eri_rescues >= self.quartets_corrupted),
         ]
 
-    def to_json(self) -> dict:
-        """The ``repro chaos --family scf --json`` payload."""
-        return _payload(
-            self, "quartets_corrupted", "eri_rescues", "passed", family="scf"
-        )
-
-    def failure_line(self) -> str:
-        return (
-            f"scf chaos invariant FAILED: max |dF| {self.fock_error:.3e} "
-            f"(tolerance {self.tolerance:.0e}), "
-            f"{self.quartets_corrupted} corrupted vs "
-            f"{self.eri_rescues} rescued"
-        )
+    def family_lines(self) -> list[str]:
+        return [
+            f"corrupted quartet blocks: {self.quartets_corrupted}  "
+            f"rescued on reference kernel: {self.eri_rescues}",
+        ]
 
 
 def run_scf_chaos(
@@ -290,49 +286,36 @@ def run_scf_chaos(
             quartet_nan_rate=quartet_nan_rate / 2,
             quartet_inf_rate=quartet_nan_rate / 2,
         )
+    plan.require_faults()
     faulty_engine, *_ = build_inputs(molecule, basis_name)
     fstate = plan.activate()
     faulty_engine.scf_faults = fstate
     faulty_engine.finite_check = True
     rescued = fock_matrix(faulty_engine, hcore, density, tau)
-    fock_error = float(np.max(np.abs(rescued - clean)))
-    energy_error = abs(
-        hf_electronic_energy(hcore, rescued, density)
-        - hf_electronic_energy(hcore, clean, density)
-    )
     return SCFChaosResult(
         molecule=mol.name or mol.formula,
         basis_name=basis_name,
         plan=plan,
-        fock_error=fock_error,
-        energy_error=energy_error,
         quartets_corrupted=fstate.quartets_corrupted,
         eri_rescues=faulty_engine.eri_rescues,
         tolerance=tolerance,
+        **_errors(hcore, density, rescued, clean),
     )
 
 
 @dataclass
-class SDCChaosResult:
+class SDCChaosResult(FockGate):
     """Clean vs silently-corrupted-and-recovered SCF run comparison.
 
-    ``injected`` / ``detected`` / ``silent`` count corruptions per kind
+    ``injected`` / ``detected`` count corruptions per kind
     (``store_block``, ``checkpoint``, ``matrix``, ``ga_payload``);
     ``silent[k] = max(0, injected[k] - detected[k])`` and the gate
     demands every ``silent`` entry be zero -- a corruption nobody
     noticed is exactly the failure mode this family exists to rule out.
     """
 
-    molecule: str
-    basis_name: str
-    plan: SDCFaultPlan
-    #: max |F_sdc - F_clean| of the final Fock matrices
-    fock_error: float
-    #: |E_sdc - E_clean| of the converged total energies
-    energy_error: float
     injected: dict = field(default_factory=dict)
     detected: dict = field(default_factory=dict)
-    silent: dict = field(default_factory=dict)
     #: detections on the fault-free integrity-on run (must be zero)
     false_positives: int = 0
     #: max |GA - expected| after checksummed accumulates under payload
@@ -345,11 +328,23 @@ class SDCChaosResult:
     #: fault-free warm-store wall time, integrity off / on
     wall_off_s: float = 0.0
     wall_on_s: float = 0.0
-    tolerance: float = 1e-12
+
+    gate = "sdc chaos"
+    json_keys = ("family",) + FockGate._shared_keys + (
+        "injected", "detected", "silent", "false_positives", "ga_error",
+        "checkpoint_intact", "overhead", "passed",
+    )
 
     @property
     def injections_total(self) -> int:
         return sum(self.injected.values())
+
+    @property
+    def silent(self) -> dict:
+        return {
+            kind: max(0, n - self.detected.get(kind, 0))
+            for kind, n in self.injected.items()
+        }
 
     @property
     def silent_total(self) -> int:
@@ -362,57 +357,31 @@ class SDCChaosResult:
             return 0.0
         return self.wall_on_s / self.wall_off_s - 1.0
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.injections_total > 0
-            and self.silent_total == 0
-            and self.false_positives == 0
-            and self.fock_error <= self.tolerance
-            and self.energy_error <= self.tolerance
-            and self.ga_error == 0.0
-            and self.checkpoint_intact
-        )
+    def invariants(self) -> list[tuple[str, bool]]:
+        return [
+            self.landed(self.injections_total),
+            ("no silent corruption", self.silent_total == 0),
+            ("no false positive on the clean run", self.false_positives == 0),
+            self._fock_matches(),
+            ("|dE| <= tolerance", self.energy_error <= self.tolerance),
+            ("GA exact after retransmits", self.ga_error == 0.0),
+            ("an intact checkpoint survives", self.checkpoint_intact),
+        ]
 
-    def summary_lines(self) -> list[str]:
-        kinds = sorted(set(self.injected) | set(self.detected))
-        lines = [f"plan: {self.plan.describe()}"]
-        for kind in kinds:
-            inj = self.injected.get(kind, 0)
-            det = self.detected.get(kind, 0)
-            sil = self.silent.get(kind, 0)
-            lines.append(
-                f"{kind}: injected {inj}  detected {det}  "
-                + ("SILENT %d" % sil if sil else "silent 0")
-            )
-        lines += [
+    def family_lines(self) -> list[str]:
+        silent = self.silent
+        return [
+            f"{kind}: injected {self.injected.get(kind, 0)}  "
+            f"detected {self.detected.get(kind, 0)}  "
+            + ("SILENT %d" % silent[kind] if silent.get(kind) else "silent 0")
+            for kind in sorted(set(self.injected) | set(self.detected))
+        ] + [
             f"false positives on clean run: {self.false_positives}",
             f"GA after retransmits: max error {self.ga_error:.3e}  "
             f"intact checkpoint survives: {self.checkpoint_intact}",
-            f"max |dF| = {self.fock_error:.3e}  |dE| = "
-            f"{self.energy_error:.3e} Ha (tolerance {self.tolerance:.0e})",
             f"integrity overhead (fault-free, warm store): "
             f"{self.overhead * 100:.1f}%",
-            "verdict: " + ("PASS" if self.passed else "FAIL"),
         ]
-        return lines
-
-    def to_json(self) -> dict:
-        """The ``repro chaos --family sdc --json`` payload."""
-        return _payload(
-            self, "injected", "detected", "silent", "false_positives",
-            "ga_error", "checkpoint_intact", "overhead", "passed",
-            family="sdc",
-        )
-
-    def failure_line(self) -> str:
-        return (
-            "sdc chaos invariant FAILED: "
-            f"{self.silent_total} silent corruption(s), "
-            f"{self.false_positives} false positive(s), "
-            f"max |dE| {self.energy_error:.3e} "
-            f"(tolerance {self.tolerance:.0e})"
-        )
 
 
 def run_sdc_chaos(
@@ -456,6 +425,7 @@ def run_sdc_chaos(
 
     if plan is None:
         plan = random_sdc_plan(seed)
+    plan.require_faults()
     tmp = None
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-sdc-")
@@ -544,10 +514,6 @@ def run_sdc_chaos(
             ),
             "ga_payload": int(ga.checksum_rejects),
         }
-        silent = {
-            kind: max(0, injected[kind] - detected[kind])
-            for kind in injected
-        }
         return SDCChaosResult(
             molecule=mol.name or mol.formula,
             basis_name=basis_name,
@@ -558,7 +524,6 @@ def run_sdc_chaos(
             energy_error=abs(sdc_result.energy - clean.energy),
             injected=injected,
             detected=detected,
-            silent=silent,
             false_positives=int(false_positives),
             ga_error=ga_error,
             checkpoint_intact=checkpoint_intact,

@@ -33,8 +33,7 @@ Every engine builds J/K here.  A chunk's blocks come from one of two
 sources (:func:`_resolve_chunk`): *stored* (a ready
 :class:`~repro.integrals.store.ERIStore`) or *compute* -- the class
 kernel when the plan carries its operands, else a stack of per-row
-``engine._quartet`` blocks (Obara-Saika, synthetic, and the MD reference
-kernel after ``force_reference_path()``).
+``engine._quartet`` blocks (Obara-Saika and synthetic).
 
 Numerics agree with the per-quartet scatter oracle
 (``tests/reference_fock.py``) to summation order (tests pin <= 1e-10

@@ -79,8 +79,9 @@ class ERIEngine(abc.ABC):
         self.quartets_served_from_store = 0
         #: opt-in memory-mapped stored-integral layer (conventional SCF)
         self.integral_store: ERIStore | None = None
-        #: NaN/Inf sentinel on computed blocks (armed by the SCF guard);
-        #: off by default so the hot path carries zero extra cost
+        #: NaN/Inf sentinel on computed blocks (armed by the SCF guard,
+        #: at the start of a run or by its ``reference_eri`` rung); off
+        #: by default so the hot path carries zero extra cost
         self.finite_check = False
         #: blocks rescued by the per-quartet reference-kernel fallback
         self.eri_rescues = 0
@@ -172,14 +173,6 @@ class ERIEngine(abc.ABC):
                 "reference kernel",
             ).inc(n)
 
-    @property
-    def supports_reference_path(self) -> bool:
-        """Whether :meth:`force_reference_path` can do anything here."""
-        return False
-
-    def force_reference_path(self) -> None:
-        """Permanently drop to the engine's reference kernel (no-op here)."""
-
     def schwarz(self) -> np.ndarray:
         """Shell-pair screening values sigma(M,N), cached."""
         if self._schwarz is None:
@@ -194,9 +187,9 @@ class MDEngine(ERIEngine):
     """Real ERIs via McMurchie-Davidson (production engine).
 
     Quartets go through the batched primitive kernel fed by a per-basis
-    :class:`~repro.integrals.pairdata.ShellPairData` cache, until
-    :meth:`force_reference_path` drops the engine to the per-primitive
-    reference kernel (the cross-validation reference).
+    :class:`~repro.integrals.pairdata.ShellPairData` cache; the
+    per-primitive reference kernel (:mod:`repro.integrals.eri_md`) is
+    the independent slow path a flagged block is rescued on.
     """
 
     def __init__(
@@ -211,13 +204,11 @@ class MDEngine(ERIEngine):
 
     def _quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
         sh = self.basis.shells
-        if self.pair_cache is not None:
-            return eri_shell_quartet_batched(
-                sh[m], sh[n], sh[p], sh[q],
-                bra=self.pair_cache.get(m, n),
-                ket=self.pair_cache.get(p, q),
-            )
-        return eri_shell_quartet(sh[m], sh[n], sh[p], sh[q])
+        return eri_shell_quartet_batched(
+            sh[m], sh[n], sh[p], sh[q],
+            bra=self.pair_cache.get(m, n),
+            ket=self.pair_cache.get(p, q),
+        )
 
     def _rescue_quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
         """Graceful degradation at quartet granularity.
@@ -233,23 +224,6 @@ class MDEngine(ERIEngine):
                 (m, n, p, q), "reference kernel is non-finite too"
             )
         return block
-
-    @property
-    def supports_reference_path(self) -> bool:
-        return True
-
-    def force_reference_path(self) -> None:
-        """Permanently fall back to the per-primitive reference kernel.
-
-        The guard's last ladder rung: drops the pair data (so
-        :meth:`_quartet` and every later class plan use the reference
-        kernel), forgets the memoized class plans, and detaches any
-        integral store (stored blocks may have come from the distrusted
-        fast path).
-        """
-        self.pair_cache = None
-        self._class_plans.clear()
-        self.integral_store = None
 
     def _build_schwarz(self) -> np.ndarray:
         build = schwarz_model if self.model_schwarz else schwarz_matrix

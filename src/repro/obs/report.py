@@ -1186,7 +1186,7 @@ def integrity_section_html(d: dict) -> str:
 def render_torture_report(records: list[Any], title: str = "scf-torture") -> str:
     """Self-contained HTML page for an SCF torture-suite run.
 
-    ``records`` is :func:`repro.scf.torture.torture_json` output: one
+    ``records`` is :meth:`repro.scf.torture.TortureResult.to_json` output: one
     dict per case with ``case`` / ``status`` / ``passed`` / ``trail``.
     """
     npassed = sum(1 for rec in records if rec.get("passed"))
@@ -1413,14 +1413,9 @@ def chaos_report(cres: Any, tracer: Any = None) -> RunReport:
     model = PerfModel.from_screening(result.screen, stats.config, s=s_measured)
     validation = validate_run(model, stats, s_measured=s_measured)
     basis = result.screen.basis
-    recovery = dict(cres.overhead)
-    recovery.update(
-        passed=cres.passed,
-        fock_error=cres.fock_error,
-        energy_error=cres.energy_error,
-        tolerance=cres.tolerance,
-        plan=cres.plan.describe(),
-    )
+    # the gate's own payload (verdict, errors, tolerance) + the recovery
+    # overhead, whose ``plan`` entry is the plan's describe() string
+    recovery = {**cres.to_json(), **cres.overhead}
     return RunReport(
         title=(
             f"{cres.molecule}-{cres.basis_name}-p{cres.nproc}"

@@ -16,6 +16,13 @@ of a simulated run:
 * :func:`random_plan` -- a seeded random plan generator used by the
   ``repro chaos`` CLI and the chaos benchmark.
 
+A fault family is declared once, on three bases every family shares:
+:class:`SeededPlan` (each plan field carries its kind and ``describe``
+label; validation, ``has_faults`` and ``describe`` are loops over the
+fields), :class:`SeededFaultState` (rng, corruption budget, fire-once
+matrix faults) and :class:`GateResult` (one ``invariants()`` list per
+gate; ``passed``, the failure line and the PASS/FAIL line derive from it).
+
 Consumers: :class:`~repro.runtime.network.CommStats` charges retries and
 delays, :class:`~repro.runtime.ga.GlobalArray` models ack-lost
 accumulates (exactly-once via tags/epochs), the
@@ -27,7 +34,7 @@ the recovery protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,26 +43,132 @@ class FaultError(RuntimeError):
     """A fault the runtime could not absorb (e.g. retries exhausted)."""
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """Declarative description of everything that goes wrong in a run.
+class EmptyPlanError(ValueError):
+    """A chaos gate was handed a plan that injects nothing: bad input,
+    not a green gate (``repro chaos`` exits 2)."""
 
-    All randomness derives from ``seed``; activating the same plan twice
-    yields identical failure sequences (given the same execution).
+    def __init__(self, plan: str):
+        super().__init__(
+            f"fault plan injects nothing ({plan}): a chaos gate needs at "
+            "least one fault to survive"
+        )
+
+
+def declare(kind: str, default, label: str | None = None, **spec):
+    """One fault-plan field, declared once.
+
+    ``kind`` fixes the range check and the ``describe`` text; ``label``
+    is the field's ``describe`` name (None: never shown).  Kinds:
+
+    * ``rate`` -- a probability in [0, 1] (``below_one=True``: [0, 1));
+    * ``count`` -- a number of injections, >= 0;
+    * ``iterations`` -- a tuple of 1-based SCF iteration numbers;
+    * ``per_rank`` -- a ``rank -> value`` map, every value >= ``least``,
+      each entry shown as ``item.format(rank, value)``;
+    * ``param`` -- a plain knob, >= ``least``; never a fault by itself.
+
+    A truthy value of any kind but ``param`` makes the plan inject
+    something (``fault=False`` opts a field out).  ``show`` formats the
+    ``describe`` value from ``(value, plan)``; ``message`` replaces the
+    derived range-check text.
+    """
+    spec = {"kind": kind, "label": label, "fault": kind != "param", **spec}
+    spec.setdefault("least", 0)
+    spec.setdefault("show", "{:g}" if kind == "rate" else "{}")
+    if kind == "per_rank":
+        return field(default_factory=default, metadata=spec)
+    return field(default=default, metadata=spec)
+
+
+@dataclass(frozen=True)
+class SeededPlan:
+    """What every fault plan is: a frozen, seeded, declarative input.
+
+    Subclasses add :func:`declare` fields; range checks, ``has_faults``
+    and ``describe`` are derived here, one loop over the fields each.
+    All randomness derives from ``seed``: activating the same plan twice
+    yields identical fault sequences (given the same execution).
+    """
+
+    seed: int = 0
+
+    def _declared(self):
+        """``(name, declaration, value)`` of every declared field."""
+        return [
+            (f.name, f.metadata, getattr(self, f.name))
+            for f in fields(self) if f.metadata
+        ]
+
+    def __post_init__(self) -> None:
+        for name, d, v in self._declared():
+            kind, least = d["kind"], d["least"]
+            if kind == "rate":
+                open_top = d.get("below_one", False)
+                if not (0.0 <= v < 1.0 if open_top else 0.0 <= v <= 1.0):
+                    top = "1)" if open_top else "1]"
+                    raise ValueError(f"{name} must be in [0, {top}, got {v}")
+            elif kind == "iterations":
+                for it in v:
+                    if it < 1:
+                        raise ValueError(
+                            f"{name} entries are 1-based iteration numbers, got {it}"
+                        )
+            elif kind == "per_rank":
+                for rank, x in v.items():
+                    if x < least:
+                        raise ValueError(
+                            f"{name}[{rank}] must be {d.get('noun', '')}"
+                            f">= {least}, got {x}"
+                        )
+            elif v < least:
+                raise ValueError(
+                    d.get("message") or f"{name} must be >= {least}, got {v}"
+                )
+
+    @property
+    def has_faults(self) -> bool:
+        return any(v for _, d, v in self._declared() if d["fault"])
+
+    def require_faults(self) -> None:
+        """Raise :class:`EmptyPlanError` unless the plan injects something."""
+        if not self.has_faults:
+            raise EmptyPlanError(self.describe())
+
+    def describe(self) -> str:
+        parts = [f"seed={self.seed}"]
+        for _, d, v in self._declared():
+            if d["label"] is None or not v:
+                continue
+            if d["kind"] == "iterations":
+                text = ",".join(str(i) for i in v)
+            elif d["kind"] == "per_rank":
+                text = ",".join(d["item"].format(p, x) for p, x in sorted(v.items()))
+            else:
+                text = d["show"].format(v, self)
+            parts.append(f"{d['label']}={text}")
+        return " ".join(parts)
+
+
+_NONNEGATIVE = "backoff_base and delay_seconds must be >= 0"
+
+
+@dataclass(frozen=True)
+class FaultPlan(SeededPlan):
+    """Declarative description of everything that goes wrong in a run.
 
     Parameters
     ----------
     seed:
         Seed of the single :class:`numpy.random.Generator` behind every
         draw the plan makes.
-    slowdown:
-        Per-rank compute slowdown factors (straggler model): rank ``p``
-        executes tasks ``slowdown[p]`` times slower.  Factors must be
-        ``>= 1``.
     deaths:
         ``rank -> virtual time`` of hard, permanent rank death.  A dead
         rank stops executing, its queued *and* already-executed-but-
         unflushed tasks re-enter the pool, and it never flushes.
+    slowdown:
+        Per-rank compute slowdown factors (straggler model): rank ``p``
+        executes tasks ``slowdown[p]`` times slower.  Factors must be
+        ``>= 1``.
     op_fail_rate:
         Per-attempt probability that a remote one-sided op transiently
         fails.  Failed attempts are retried with exponential backoff;
@@ -74,65 +187,25 @@ class FaultPlan:
         delayed by ``uniform(0, delay_seconds)`` of virtual time.
     """
 
-    seed: int = 0
-    slowdown: dict[int, float] = field(default_factory=dict)
-    deaths: dict[int, float] = field(default_factory=dict)
-    op_fail_rate: float = 0.0
-    max_retries: int = 16
-    backoff_base: float = 20e-6
-    backoff_factor: float = 2.0
-    ack_loss_rate: float = 0.5
-    delay_rate: float = 0.0
-    delay_seconds: float = 100e-6
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.op_fail_rate < 1.0:
-            raise ValueError(f"op_fail_rate must be in [0, 1), got {self.op_fail_rate}")
-        if not 0.0 <= self.ack_loss_rate <= 1.0:
-            raise ValueError(f"ack_loss_rate must be in [0, 1], got {self.ack_loss_rate}")
-        if not 0.0 <= self.delay_rate <= 1.0:
-            raise ValueError(f"delay_rate must be in [0, 1], got {self.delay_rate}")
-        if self.max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
-        if self.backoff_base < 0 or self.delay_seconds < 0:
-            raise ValueError("backoff_base and delay_seconds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        for rank, f in self.slowdown.items():
-            if f < 1.0:
-                raise ValueError(f"slowdown[{rank}] must be >= 1, got {f}")
-        for rank, t in self.deaths.items():
-            if t < 0:
-                raise ValueError(f"deaths[{rank}] must be a time >= 0, got {t}")
-
-    @property
-    def has_faults(self) -> bool:
-        return bool(
-            self.slowdown
-            or self.deaths
-            or self.op_fail_rate
-            or self.delay_rate
-        )
+    deaths: dict[int, float] = declare(
+        "per_rank", dict, "deaths", noun="a time ", item="r{}@{:.3g}s"
+    )
+    slowdown: dict[int, float] = declare(
+        "per_rank", dict, "slow", least=1, item="r{}x{:g}"
+    )
+    op_fail_rate: float = declare("rate", 0.0, "op_fail", below_one=True)
+    max_retries: int = declare("param", 16, least=1)
+    backoff_base: float = declare("param", 20e-6, message=_NONNEGATIVE)
+    backoff_factor: float = declare("param", 2.0, least=1)
+    ack_loss_rate: float = declare("rate", 0.5, fault=False)
+    delay_rate: float = declare(
+        "rate", 0.0, "delay", show="{0:g}x{1.delay_seconds:g}s"
+    )
+    delay_seconds: float = declare("param", 100e-6, message=_NONNEGATIVE)
 
     def activate(self, nproc: int) -> "FaultState":
         """Instantiate the plan for an ``nproc``-rank run."""
         return FaultState(self, nproc)
-
-    def describe(self) -> str:
-        parts = [f"seed={self.seed}"]
-        if self.deaths:
-            parts.append(
-                "deaths=" + ",".join(f"r{p}@{t:.3g}s" for p, t in sorted(self.deaths.items()))
-            )
-        if self.slowdown:
-            parts.append(
-                "slow=" + ",".join(f"r{p}x{f:g}" for p, f in sorted(self.slowdown.items()))
-            )
-        if self.op_fail_rate:
-            parts.append(f"op_fail={self.op_fail_rate:g}")
-        if self.delay_rate:
-            parts.append(f"delay={self.delay_rate:g}x{self.delay_seconds:g}s")
-        return " ".join(parts)
 
 
 class FaultState:
@@ -240,7 +313,7 @@ class FaultState:
 
 
 @dataclass(frozen=True)
-class SCFFaultPlan:
+class SCFFaultPlan(SeededPlan):
     """Declarative numerical faults for the SCF / Fock-build layer.
 
     The runtime :class:`FaultPlan` breaks the *machine* (rank deaths,
@@ -253,8 +326,8 @@ class SCFFaultPlan:
     Corruption only targets the rows the class kernel computes inside the
     production Fock build (:func:`repro.integrals.class_batch.jk_from_plan`)
     -- never stored rows, rescued rows or the reference per-primitive
-    kernel -- so the guard's ``reference_eri`` fallback (and the
-    per-quartet rescue) genuinely repairs the build.
+    kernel -- so the per-row rescue (and the guard's ``reference_eri``
+    rung, which arms it) genuinely repairs the build.
 
     Parameters
     ----------
@@ -273,59 +346,16 @@ class SCFFaultPlan:
         high-rate plans from corrupting every block of a large build.
     """
 
-    seed: int = 0
-    quartet_nan_rate: float = 0.0
-    quartet_inf_rate: float = 0.0
-    fock_nan_iterations: tuple[int, ...] = ()
-    density_nan_iterations: tuple[int, ...] = ()
-    max_corruptions: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("quartet_nan_rate", "quartet_inf_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("fock_nan_iterations", "density_nan_iterations"):
-            for it in getattr(self, name):
-                if it < 1:
-                    raise ValueError(
-                        f"{name} entries are 1-based iteration numbers, got {it}"
-                    )
-        if self.max_corruptions < 0:
-            raise ValueError(
-                f"max_corruptions must be >= 0, got {self.max_corruptions}"
-            )
-
-    @property
-    def has_faults(self) -> bool:
-        return bool(
-            self.quartet_nan_rate
-            or self.quartet_inf_rate
-            or self.fock_nan_iterations
-            or self.density_nan_iterations
-        )
+    quartet_nan_rate: float = declare("rate", 0.0, "quartet_nan")
+    quartet_inf_rate: float = declare("rate", 0.0, "quartet_inf")
+    fock_nan_iterations: tuple[int, ...] = declare("iterations", (), "fock_nan@it")
+    density_nan_iterations: tuple[int, ...] = declare(
+        "iterations", (), "density_nan@it"
+    )
+    max_corruptions: int = declare("param", 0, "max")
 
     def activate(self) -> "SCFFaultState":
         return SCFFaultState(self)
-
-    def describe(self) -> str:
-        parts = [f"seed={self.seed}"]
-        if self.quartet_nan_rate:
-            parts.append(f"quartet_nan={self.quartet_nan_rate:g}")
-        if self.quartet_inf_rate:
-            parts.append(f"quartet_inf={self.quartet_inf_rate:g}")
-        if self.fock_nan_iterations:
-            parts.append(
-                "fock_nan@it=" + ",".join(str(i) for i in self.fock_nan_iterations)
-            )
-        if self.density_nan_iterations:
-            parts.append(
-                "density_nan@it="
-                + ",".join(str(i) for i in self.density_nan_iterations)
-            )
-        if self.max_corruptions:
-            parts.append(f"max={self.max_corruptions}")
-        return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -349,28 +379,87 @@ class BuildFaults:
         return int(hi - lo)
 
 
-class SCFFaultState:
-    """An activated :class:`SCFFaultPlan` with its seeded rng and counters."""
+class SeededFaultState:
+    """An activated numeric fault plan (``scf`` / ``sdc``): the seeded
+    rng, the corruption budget, the ``(iteration, target)`` fire-once
+    set and the matrix-fault skeleton.  A family names its injection
+    counters (``_counters``) and the plan fields holding its matrix-fault
+    iterations (``_iterations``, formatted with ``fock`` / ``density``),
+    and says *which element* a matrix fault picks and *what value* it
+    writes (:meth:`_hit`)."""
 
-    def __init__(self, plan: SCFFaultPlan):
+    _counters: tuple[str, ...] = ()
+    _iterations = ""
+
+    def __init__(self, plan):
         self.plan = plan
-        #: drives the matrix faults; quartet faults reseed per build
+        #: one generator behind every draw: a run is reproducible from
+        #: the plan's seed alone
         self.rng = np.random.default_rng(plan.seed)
-        #: Fock builds drawn so far (the ordinal of the next one)
-        self.builds = 0
-        #: class-kernel ERI blocks corrupted (NaN or Inf)
-        self.quartets_corrupted = 0
         #: SCF matrices (Fock/density) corrupted
         self.matrices_corrupted = 0
         #: (iteration, target) matrix faults that already fired
         self._fired: set[tuple[int, str]] = set()
+
+    @property
+    def injections_total(self) -> int:
+        return sum(getattr(self, name) for name in self._counters)
 
     def _budget_left(self) -> int | None:
         """Corruptions still allowed (None = unlimited)."""
         cap = self.plan.max_corruptions
         if cap == 0:
             return None
-        return max(0, cap - self.quartets_corrupted - self.matrices_corrupted)
+        return max(0, cap - self.injections_total)
+
+    def _hit(self, a: np.ndarray) -> tuple[int, float]:
+        """``(flat index, new value)`` of the one element of ``a`` a
+        matrix fault rewrites."""
+        raise NotImplementedError
+
+    def corrupt_matrix(
+        self, a: np.ndarray, iteration: int, which: str
+    ) -> np.ndarray:
+        """Maybe corrupt one element of an SCF matrix at ``iteration``.
+
+        Each (iteration, which) fault fires at most once, so a
+        detected-and-rebuilt matrix of the same iteration is clean.
+        """
+        targets = getattr(self.plan, self._iterations.format(which))
+        key = (int(iteration), which)
+        if iteration not in targets or key in self._fired:
+            return a
+        if a.size == 0 or self._budget_left() == 0:
+            return a
+        self._fired.add(key)
+        out = np.array(a, dtype=np.float64)
+        i, value = self._hit(out)
+        out.reshape(-1)[i] = value
+        self.matrices_corrupted += 1
+        return out
+
+    def summary(self) -> dict:
+        """Injection counters for reports and the chaos CLI."""
+        return {
+            **{name: int(getattr(self, name)) for name in self._counters},
+            "injections_total": int(self.injections_total),
+            "plan": self.plan.describe(),
+        }
+
+
+class SCFFaultState(SeededFaultState):
+    """An activated :class:`SCFFaultPlan`: a matrix fault NaNs one
+    uniformly drawn element; quartet faults reseed per build."""
+
+    _counters = ("quartets_corrupted", "matrices_corrupted")
+    _iterations = "{}_nan_iterations"
+
+    def __init__(self, plan: SCFFaultPlan):
+        super().__init__(plan)
+        #: Fock builds drawn so far (the ordinal of the next one)
+        self.builds = 0
+        #: class-kernel ERI blocks corrupted (NaN or Inf)
+        self.quartets_corrupted = 0
 
     def draw_build(self, nrows: int) -> BuildFaults | None:
         """The quartet corruptions of the next Fock build over an
@@ -394,55 +483,8 @@ class SCFFaultState:
         values = np.where(draw[rows] < p.quartet_nan_rate, np.nan, np.inf)
         return BuildFaults(rows, values, where[rows])
 
-    def corrupt_matrix(
-        self, a: np.ndarray, iteration: int, which: str
-    ) -> np.ndarray:
-        """Maybe NaN one element of an SCF matrix at ``iteration``.
-
-        Each (iteration, which) fault fires at most once, so the
-        guard's same-iteration rebuild sees a clean matrix.
-        """
-        targets = (
-            self.plan.fock_nan_iterations
-            if which == "fock"
-            else self.plan.density_nan_iterations
-        )
-        key = (int(iteration), which)
-        if iteration not in targets or key in self._fired:
-            return a
-        if a.size == 0 or self._budget_left() == 0:
-            return a
-        self._fired.add(key)
-        out = np.array(a, dtype=float)
-        flat = out.reshape(-1)
-        flat[int(self.rng.integers(flat.size))] = np.nan
-        self.matrices_corrupted += 1
-        return out
-
-    def summary(self) -> dict:
-        """Corruption counters for reports and the chaos CLI."""
-        return {
-            "quartets_corrupted": int(self.quartets_corrupted),
-            "matrices_corrupted": int(self.matrices_corrupted),
-            "plan": self.plan.describe(),
-        }
-
-
-def random_scf_plan(seed: int, quartet_nan_rate: float = 0.02) -> SCFFaultPlan:
-    """Seeded random :class:`SCFFaultPlan` for ``repro chaos --family scf``.
-
-    Splits the corruption rate between NaN and Inf and NaNs the Fock
-    matrix on one early iteration; the same seed always yields the same
-    plan.
-    """
-    rng = np.random.default_rng(seed)
-    return SCFFaultPlan(
-        seed=seed,
-        quartet_nan_rate=quartet_nan_rate / 2,
-        quartet_inf_rate=quartet_nan_rate / 2,
-        fock_nan_iterations=(int(rng.integers(2, 5)),),
-        max_corruptions=64,
-    )
+    def _hit(self, a: np.ndarray) -> tuple[int, float]:
+        return int(self.rng.integers(a.size)), np.nan
 
 
 def random_plan(
@@ -484,3 +526,54 @@ def random_plan(
         delay_rate=delay_rate,
         delay_seconds=delay_seconds,
     )
+
+
+class GateResult:
+    """What a chaos gate returns.  A family's result dataclass sets
+    ``gate`` (its display name), declares its fields and its ``--json``
+    key tuple, and states its gate ONCE, as :meth:`invariants`;
+    ``passed``, the failure line and the PASS/FAIL summary line derive
+    from that list, so they cannot disagree and a failure names every
+    invariant that broke."""
+
+    gate = ""
+    json_keys: tuple[str, ...] = ()
+
+    def invariants(self) -> list[tuple[str, bool]]:
+        """``(name, held)`` for every condition the gate demands."""
+        raise NotImplementedError
+
+    def detail_lines(self) -> list[str]:
+        """The family's measurements, one printable line each."""
+        raise NotImplementedError
+
+    @staticmethod
+    def landed(n: int) -> tuple[str, bool]:
+        """The invariant every family shares: the plan asked for faults
+        and at least one landed -- surviving nothing proves nothing."""
+        return ("at least one planned fault landed", n > 0)
+
+    @property
+    def family(self) -> str:
+        return self.gate.split()[0]
+
+    def broken(self) -> list[str]:
+        return [name for name, held in self.invariants() if not held]
+
+    @property
+    def passed(self) -> bool:
+        return not self.broken()
+
+    def summary_lines(self) -> list[str]:
+        broken = self.broken()
+        verdict = "FAIL: " + "; ".join(broken) if broken else "PASS"
+        return self.detail_lines() + [
+            f"{len(self.invariants())} invariants -> {verdict}"
+        ]
+
+    def failure_line(self) -> str:
+        return f"{self.gate} invariant FAILED: " + "; ".join(self.broken())
+
+    def to_json(self) -> dict:
+        """The ``--json`` payload: the declared keys, read off the result."""
+        return {key: getattr(self, key) for key in self.json_keys}

@@ -44,6 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.runtime.faults import SeededFaultState, SeededPlan, declare
+
 
 class IntegrityError(RuntimeError):
     """Corruption was detected and no recovery rung could repair it.
@@ -99,7 +101,7 @@ def _flip_exponent_bit(x: float, rng: np.random.Generator) -> float:
 
 
 @dataclass(frozen=True)
-class SDCFaultPlan:
+class SDCFaultPlan(SeededPlan):
     """Declarative silent-corruption faults, seeded like every plan.
 
     Parameters
@@ -127,97 +129,38 @@ class SDCFaultPlan:
         Hard cap on total injected corruptions (0 = unlimited).
     """
 
-    seed: int = 0
-    checkpoint_flip_rate: float = 0.0
-    store_flips: int = 0
-    payload_flip_rate: float = 0.0
-    fock_flip_iterations: tuple[int, ...] = ()
-    density_flip_iterations: tuple[int, ...] = ()
-    max_corruptions: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("checkpoint_flip_rate", "payload_flip_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.store_flips < 0:
-            raise ValueError(f"store_flips must be >= 0, got {self.store_flips}")
-        for name in ("fock_flip_iterations", "density_flip_iterations"):
-            for it in getattr(self, name):
-                if it < 1:
-                    raise ValueError(
-                        f"{name} entries are 1-based iteration numbers, got {it}"
-                    )
-        if self.max_corruptions < 0:
-            raise ValueError(
-                f"max_corruptions must be >= 0, got {self.max_corruptions}"
-            )
-
-    @property
-    def has_faults(self) -> bool:
-        return bool(
-            self.checkpoint_flip_rate
-            or self.store_flips
-            or self.payload_flip_rate
-            or self.fock_flip_iterations
-            or self.density_flip_iterations
-        )
+    checkpoint_flip_rate: float = declare("rate", 0.0, "ckpt_flip")
+    store_flips: int = declare("count", 0, "store_flips")
+    payload_flip_rate: float = declare("rate", 0.0, "payload_flip")
+    fock_flip_iterations: tuple[int, ...] = declare(
+        "iterations", (), "fock_flip@it"
+    )
+    density_flip_iterations: tuple[int, ...] = declare(
+        "iterations", (), "density_flip@it"
+    )
+    max_corruptions: int = declare("param", 0, "max")
 
     def activate(self) -> "SDCFaultState":
         return SDCFaultState(self)
 
-    def describe(self) -> str:
-        parts = [f"seed={self.seed}"]
-        if self.checkpoint_flip_rate:
-            parts.append(f"ckpt_flip={self.checkpoint_flip_rate:g}")
-        if self.store_flips:
-            parts.append(f"store_flips={self.store_flips}")
-        if self.payload_flip_rate:
-            parts.append(f"payload_flip={self.payload_flip_rate:g}")
-        if self.fock_flip_iterations:
-            parts.append(
-                "fock_flip@it="
-                + ",".join(str(i) for i in self.fock_flip_iterations)
-            )
-        if self.density_flip_iterations:
-            parts.append(
-                "density_flip@it="
-                + ",".join(str(i) for i in self.density_flip_iterations)
-            )
-        if self.max_corruptions:
-            parts.append(f"max={self.max_corruptions}")
-        return " ".join(parts)
 
-
-class SDCFaultState:
+class SDCFaultState(SeededFaultState):
     """An activated :class:`SDCFaultPlan`: seeded rng + injection counters."""
 
+    _counters = (
+        "files_corrupted", "blocks_corrupted", "payloads_corrupted",
+        "matrices_corrupted",
+    )
+    _iterations = "{}_flip_iterations"
+
     def __init__(self, plan: SDCFaultPlan):
-        self.plan = plan
-        self.rng = np.random.default_rng(plan.seed)
+        super().__init__(plan)
         #: checkpoint files bit-flipped post-write
         self.files_corrupted = 0
         #: on-disk store blocks bit-flipped
         self.blocks_corrupted = 0
         #: GA accumulate payloads corrupted in flight
         self.payloads_corrupted = 0
-        #: in-memory F/D matrices corrupted between iterations
-        self.matrices_corrupted = 0
-        #: (iteration, target) matrix faults that already fired
-        self._fired: set[tuple[int, str]] = set()
-
-    @property
-    def injections_total(self) -> int:
-        return (
-            self.files_corrupted
-            + self.blocks_corrupted
-            + self.payloads_corrupted
-            + self.matrices_corrupted
-        )
-
-    def _budget_left(self) -> bool:
-        cap = self.plan.max_corruptions
-        return cap == 0 or self.injections_total < cap
 
     def corrupt_file(self, path: str | Path) -> bool:
         """Maybe flip one bit of a just-written file; True if it fired.
@@ -228,7 +171,7 @@ class SDCFaultState:
         if self.plan.checkpoint_flip_rate <= 0.0:
             return False
         fire = self.rng.random() < self.plan.checkpoint_flip_rate
-        if not fire or not self._budget_left():
+        if not fire or self._budget_left() == 0:
             return False
         flip_bit_in_file(path, self.rng)
         self.files_corrupted += 1
@@ -253,7 +196,7 @@ class SDCFaultState:
         victims = self.rng.choice(nblocks, size=nflips, replace=False)
         with open(path / "blocks.bin", "r+b") as fh:
             for b in victims:
-                if not self._budget_left():
+                if self._budget_left() == 0:
                     break
                 elem = int(offsets[b] + self.rng.integers(int(sizes[b])))
                 byte = elem * 8 + int(self.rng.integers(8))
@@ -269,7 +212,7 @@ class SDCFaultState:
         if self.plan.payload_flip_rate <= 0.0:
             return block
         fire = self.rng.random() < self.plan.payload_flip_rate
-        if not fire or block.size == 0 or not self._budget_left():
+        if not fire or block.size == 0 or self._budget_left() == 0:
             return block
         out = np.array(block, dtype=np.float64)
         flat = out.reshape(-1)
@@ -278,30 +221,13 @@ class SDCFaultState:
         self.payloads_corrupted += 1
         return out
 
-    def corrupt_matrix(
-        self, a: np.ndarray, iteration: int, which: str
-    ) -> np.ndarray:
-        """Maybe exponent-flip one significant element of an SCF matrix.
-
-        Fires at most once per (iteration, target).  The victim element
-        is drawn among entries with non-negligible magnitude (an
-        exponent flip of a hard zero yields a denormal -- real, but
-        numerically invisible and below any detector's floor), and
-        off-diagonal positions are preferred so symmetric targets stay
-        detectable by the symmetry residual.
-        """
-        targets = (
-            self.plan.fock_flip_iterations
-            if which == "fock"
-            else self.plan.density_flip_iterations
-        )
-        key = (int(iteration), which)
-        if iteration not in targets or key in self._fired:
-            return a
-        if a.size == 0 or not self._budget_left():
-            return a
-        self._fired.add(key)
-        out = np.array(a, dtype=np.float64)
+    def _hit(self, out: np.ndarray) -> tuple[int, float]:
+        """An exponent flip of one significant element.  The victim is
+        drawn among entries with non-negligible magnitude (an exponent
+        flip of a hard zero yields a denormal -- real, but numerically
+        invisible and below any detector's floor), off-diagonal
+        positions preferred so symmetric targets stay detectable by the
+        symmetry residual."""
         scale = float(np.max(np.abs(out)))
         significant = np.abs(out) > 1e-6 * max(scale, 1e-300)
         if out.ndim == 2 and out.shape[0] == out.shape[1]:
@@ -311,22 +237,8 @@ class SDCFaultState:
         idx = np.flatnonzero(significant.reshape(-1))
         if idx.size == 0:
             idx = np.arange(out.size)
-        flat = out.reshape(-1)
         i = int(idx[self.rng.integers(idx.size)])
-        flat[i] = _flip_exponent_bit(float(flat[i]), self.rng)
-        self.matrices_corrupted += 1
-        return out
-
-    def summary(self) -> dict:
-        """Injection counters for reports and the chaos CLI."""
-        return {
-            "files_corrupted": int(self.files_corrupted),
-            "blocks_corrupted": int(self.blocks_corrupted),
-            "payloads_corrupted": int(self.payloads_corrupted),
-            "matrices_corrupted": int(self.matrices_corrupted),
-            "injections_total": int(self.injections_total),
-            "plan": self.plan.describe(),
-        }
+        return i, _flip_exponent_bit(float(out.reshape(-1)[i]), self.rng)
 
 
 def random_sdc_plan(seed: int) -> SDCFaultPlan:
@@ -353,19 +265,14 @@ def random_sdc_plan(seed: int) -> SDCFaultPlan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegrityConfig:
-    """Tolerances of the hot-path algebraic detectors.
-
-    ``sym_tol`` bounds the relative symmetry residual
-    ``max|A - A^T| / max(1, max|A|)`` of F and D; ``trace_tol`` bounds
-    ``|Tr(D S) - n_occ|`` (both are exact identities of RHF up to
-    rounding, so the defaults sit orders of magnitude above honest
-    float64 noise and orders below any exponent-bit flip).
-    """
-
-    sym_tol: float = 1e-8
-    trace_tol: float = 1e-6
+# Tolerances of the hot-path algebraic detectors.  Both are exact
+# identities of RHF up to rounding, so the values sit orders of magnitude
+# above honest float64 noise and orders below any exponent-bit flip.
+#: bound on the relative symmetry residual
+#: ``max|A - A^T| / max(1, max|A|)`` of F and D
+SYM_TOL = 1e-8
+#: bound on ``|Tr(D S) - n_occ|``
+TRACE_TOL = 1e-6
 
 
 class IntegrityMonitor:
@@ -385,11 +292,9 @@ class IntegrityMonitor:
         self,
         overlap: np.ndarray | None = None,
         nocc: int | None = None,
-        config: IntegrityConfig | None = None,
     ):
         self.overlap = overlap
         self.nocc = nocc
-        self.config = config or IntegrityConfig()
         #: detector runs, keyed by detector name
         self.checks: dict[str, int] = {}
         #: corruptions detected, keyed by kind
@@ -426,7 +331,7 @@ class IntegrityMonitor:
 
     def _symmetry_ok(self, a: np.ndarray) -> bool:
         residual = float(np.max(np.abs(a - a.T)))
-        return residual <= self.config.sym_tol * max(1.0, float(np.max(np.abs(a))))
+        return residual <= SYM_TOL * max(1.0, float(np.max(np.abs(a))))
 
     def check_fock(self, f: np.ndarray, iteration: int) -> bool:
         """F must be finite and symmetric (F = F^T is exact in RHF)."""
@@ -448,7 +353,7 @@ class IntegrityMonitor:
         if ok and self.overlap is not None and nocc is not None:
             self.record_check("density_trace")
             tr = float(np.sum(d * self.overlap.T))
-            ok = abs(tr - nocc) <= self.config.trace_tol * max(1.0, nocc)
+            ok = abs(tr - nocc) <= TRACE_TOL * max(1.0, nocc)
         if not ok:
             self.record_detection("density_matrix")
         return ok

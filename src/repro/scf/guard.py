@@ -17,8 +17,8 @@ Three pieces:
   :class:`Rung` steps the guard escalates through on bad
   classifications: density damping -> level shifting -> DIIS reset ->
   canonical orthogonalization with a tightened linear-dependence
-  threshold -> fallback from the batched ERI kernel to the reference
-  path.  Remediation is never free and never silent: every activation
+  threshold -> the per-row ERI sentinel armed for the rest of the run
+  (flagged rows recomputed on the reference kernel).  Remediation is never free and never silent: every activation
   is a typed :class:`GuardEvent`, an obs metric
   (``repro_scf_guard_*``), and a tracer instant;
 * :class:`SCFGuard` -- the per-run state machine the SCF drivers
@@ -31,7 +31,7 @@ Three pieces:
 The guard state round-trips through the PR-4 checkpoint format
 (:meth:`SCFGuard.state_dict` / :meth:`SCFGuard.load_state`), so a
 restarted run resumes with the same remediation -- including the sticky
-rungs (canonical orthogonalization, reference ERI path) that must be
+rungs (canonical orthogonalization, the armed ERI sentinel) that must be
 re-applied to the rebuilt ``X`` and engine.
 
 See ``docs/ROBUSTNESS.md`` ("Numerical robustness") for the classifier
@@ -142,7 +142,7 @@ class Rung:
 
 #: the default ladder, exactly the staged order of docs/ROBUSTNESS.md:
 #: mild damping, stronger damping, level shift, DIIS reset, canonical
-#: orthogonalization with a tightened threshold, reference ERI path
+#: orthogonalization with a tightened threshold, row-scoped reference ERIs
 DEFAULT_LADDER: tuple[Rung, ...] = (
     Rung("damp", {"factor": 0.3}),
     Rung("damp", {"factor": 0.6}),
@@ -181,9 +181,10 @@ class GuardConfig:
         The window counts as flat (``stagnating``) when its smallest
         density change exceeds this fraction of its largest.
     eri_sentinel:
-        Arm the per-quartet NaN/Inf sentinel on the ERI engine
-        (non-finite batched blocks are recomputed on the reference
-        kernel; see ``ERIEngine.finite_check``).
+        Arm the per-quartet NaN/Inf sentinel on the ERI engine from the
+        first iteration (non-finite batched blocks are recomputed on the
+        reference kernel; see ``ERIEngine.finite_check``).  When off, the
+        ``reference_eri`` rung still arms it once it fires.
     ladder:
         The remediation rungs, mildest first.
     """
@@ -391,7 +392,7 @@ class SCFGuard:
 
         A non-finite matrix means arithmetic is broken, not merely slow:
         the guard jumps past the convergence rungs to the fallback rungs
-        (DIIS reset onward, ending at the reference ERI path).
+        (DIIS reset onward, ending at the ``reference_eri`` rung).
         """
         ladder = self.config.ladder
         jump_to = next(
@@ -532,7 +533,7 @@ class SCFGuard:
         The sticky rungs come back *pending*, so the driver's next
         consume re-applies them to the rebuilt objects:
         :attr:`canonical_threshold` to the orthogonalizer and
-        :attr:`reference_eri` to the engine.
+        :attr:`reference_eri` to the engine's sentinel.
         """
         self.level = int(state.get("level", -1))
         self.damping = float(state.get("damping", 0.0))

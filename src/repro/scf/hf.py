@@ -248,8 +248,15 @@ class SCFDriver:
         thr = guard.consume_canonical_orth()
         if thr is not None:
             x = orthogonalizer(s, threshold=thr, canonical=True)
-        if guard.consume_reference_eri() and self.engine.supports_reference_path:
-            self.engine.force_reference_path()
+        if guard.consume_reference_eri():
+            # row-scoped: ERIs are density independent, so recomputing a
+            # flagged row on the reference kernel is exact and every
+            # other row stays on the class kernel.  Arm the per-row
+            # sentinel for the rest of the run (_run restores it) and
+            # drop what was built before it was armed: no stored row and
+            # no accumulated Fock reaches F unchecked
+            self.engine.finite_check = True
+            self.engine.detach_store()
             self._reset_fock_builder()
         return x
 
@@ -370,7 +377,7 @@ class SCFDriver:
                 start_it = ck.iteration + 1
                 if guard is not None and ck.guard is not None:
                     # re-arms the sticky rungs: apply them to the
-                    # rebuilt orthogonalizer and engine
+                    # rebuilt orthogonalizer and the engine's sentinel
                     guard.load_state(ck.guard)
                     x = self._apply_fallbacks(guard, s, x)
                 tracer.instant(

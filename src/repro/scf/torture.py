@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from repro.chem.molecule import Molecule
-from repro.runtime.faults import SCFFaultPlan
+from repro.runtime.faults import GateResult, SCFFaultPlan
 from repro.scf.guard import GuardConfig, GuardError
 from repro.scf.hf import RHF
 
@@ -222,59 +222,72 @@ def run_case(
     )
 
 
+@dataclass
+class TortureResult(GateResult):
+    """The suite's gate: one invariant per case, through the tail every
+    chaos family uses (``repro torture``'s verdict, ``--json``, exit code)."""
+
+    outcomes: list[TortureOutcome]
+
+    gate = "torture"
+
+    def invariants(self) -> list[tuple[str, bool]]:
+        return [
+            (f"{o.case.name} converges or ends classified", o.passed)
+            for o in self.outcomes
+        ]
+
+    def detail_lines(self) -> list[str]:
+        """Fixed-width summary table, one line per case."""
+        lines = [
+            f"{'case':<24} {'vanilla':<8} {'guarded':<20} {'iters':>5} "
+            f"{'energy (Ha)':>14}  events",
+            "-" * 86,
+        ]
+        for o in self.outcomes:
+            vanilla = (
+                "-" if o.vanilla_converged is None
+                else ("ok" if o.vanilla_converged else "FAIL")
+            )
+            energy = f"{o.energy:.6f}" if np.isfinite(o.energy) else "nan"
+            lines.append(
+                f"{o.case.name:<24} {vanilla:<8} {o.status:<20} "
+                f"{o.iterations:>5} {energy:>14}  {len(o.trail)}"
+            )
+        return lines + ["-" * 86]
+
+    def to_json(self) -> list[dict]:
+        """JSON-friendly outcome records (the ``repro torture --json``
+        payload and the torture report's input)."""
+        return [
+            {
+                "case": o.case.name,
+                "description": o.case.description,
+                "vanilla_converged": o.vanilla_converged,
+                "converged": o.converged,
+                "status": o.status,
+                "passed": o.passed,
+                "energy": o.energy if np.isfinite(o.energy) else None,
+                "iterations": o.iterations,
+                "aborted": o.aborted,
+                "abort_reason": o.abort_reason,
+                "guard": o.guard_summary,
+                "trail": o.trail,
+            }
+            for o in self.outcomes
+        ]
+
+
 def run_torture(
     quick: bool = False,
     guard: GuardConfig | bool = True,
     vanilla: bool = True,
     cases: tuple[TortureCase, ...] | None = None,
-) -> list[TortureOutcome]:
-    """Run the suite (the ``--quick`` subset in CI) and return outcomes."""
+) -> TortureResult:
+    """Run the suite (the ``--quick`` subset in CI) and gate the outcomes."""
     selected = cases if cases is not None else TORTURE_CASES
     if quick:
         selected = tuple(c for c in selected if c.quick)
-    return [run_case(c, guard=guard, vanilla=vanilla) for c in selected]
-
-
-def torture_table(outcomes: list[TortureOutcome]) -> list[str]:
-    """Fixed-width summary table, one line per case."""
-    lines = [
-        f"{'case':<24} {'vanilla':<8} {'guarded':<20} {'iters':>5} "
-        f"{'energy (Ha)':>14}  events",
-        "-" * 86,
-    ]
-    for o in outcomes:
-        vanilla = (
-            "-" if o.vanilla_converged is None
-            else ("ok" if o.vanilla_converged else "FAIL")
-        )
-        energy = f"{o.energy:.6f}" if np.isfinite(o.energy) else "nan"
-        nevents = len(o.trail)
-        lines.append(
-            f"{o.case.name:<24} {vanilla:<8} {o.status:<20} "
-            f"{o.iterations:>5} {energy:>14}  {nevents}"
-        )
-    npassed = sum(1 for o in outcomes if o.passed)
-    lines.append("-" * 86)
-    lines.append(f"{npassed}/{len(outcomes)} cases passed the guard gate")
-    return lines
-
-
-def torture_json(outcomes: list[TortureOutcome]) -> list[dict]:
-    """JSON-friendly outcome records (the ``repro torture --json`` payload)."""
-    return [
-        {
-            "case": o.case.name,
-            "description": o.case.description,
-            "vanilla_converged": o.vanilla_converged,
-            "converged": o.converged,
-            "status": o.status,
-            "passed": o.passed,
-            "energy": o.energy if np.isfinite(o.energy) else None,
-            "iterations": o.iterations,
-            "aborted": o.aborted,
-            "abort_reason": o.abort_reason,
-            "guard": o.guard_summary,
-            "trail": o.trail,
-        }
-        for o in outcomes
-    ]
+    return TortureResult(
+        [run_case(c, guard=guard, vanilla=vanilla) for c in selected]
+    )

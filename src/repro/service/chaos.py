@@ -12,6 +12,8 @@ resilience claim end to end:
   bitwise, so the match is typically *exact*;
 * no job is ever recorded-as-done twice (the lease-owner guard), even
   though some were *executed* more than once.
+* at least one seeded kill landed on a lease-holding worker (a run
+  that killed nobody proved nothing).
 
 The kill schedule is a seeded draw (delay per kill), so a chaos run is
 reproducible the way every fault plan in this package is.
@@ -27,12 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.runtime.faults import EmptyPlanError, GateResult
 from repro.service.store import JobStore
 from repro.service.supervisor import serve
 
 
 @dataclass
-class ServiceChaosResult:
+class ServiceChaosResult(GateResult):
     """Outcome of one seeded service-chaos run."""
 
     njobs: int
@@ -50,19 +53,26 @@ class ServiceChaosResult:
     tolerance: float = 1e-12
     worker_restarts: int = 0
 
+    gate = "service chaos"
+    json_keys = (
+        "family", "njobs", "workers", "seed", "kills_planned", "kills_done",
+        "wall_s", "jobs_per_min", "counts", "requeues", "double_records",
+        "max_energy_error", "tolerance", "worker_restarts", "passed",
+    )
+
     @property
     def all_done(self) -> bool:
         return self.counts.get("done", 0) == self.njobs
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.all_done
-            and self.double_records == 0
-            and self.max_energy_error <= self.tolerance
-        )
+    def invariants(self) -> list[tuple[str, bool]]:
+        return [
+            self.landed(self.kills_done),
+            ("every job done", self.all_done),
+            ("no job recorded done twice", self.double_records == 0),
+            ("max |dE| <= tolerance", self.max_energy_error <= self.tolerance),
+        ]
 
-    def summary_lines(self) -> list[str]:
+    def detail_lines(self) -> list[str]:
         return [
             f"jobs         = {self.njobs} submitted, "
             f"{self.counts.get('done', 0)} done "
@@ -74,36 +84,7 @@ class ServiceChaosResult:
             f"max |dE|     = {self.max_energy_error:.3e} "
             f"(tolerance {self.tolerance:.0e})",
             f"double records = {self.double_records}",
-            f"passed       = {self.passed}",
         ]
-
-    def to_json(self) -> dict:
-        return {
-            "family": "service",
-            "njobs": self.njobs,
-            "workers": self.workers,
-            "seed": self.seed,
-            "kills_planned": self.kills_planned,
-            "kills_done": self.kills_done,
-            "wall_s": self.wall_s,
-            "jobs_per_min": self.jobs_per_min,
-            "counts": self.counts,
-            "requeues": self.requeues,
-            "double_records": self.double_records,
-            "max_energy_error": self.max_energy_error,
-            "tolerance": self.tolerance,
-            "worker_restarts": self.worker_restarts,
-            "passed": self.passed,
-        }
-
-    def failure_line(self) -> str:
-        return (
-            "service chaos invariant FAILED: "
-            f"{self.counts.get('done', 0)}/{self.njobs} done, "
-            f"max |dE| {self.max_energy_error:.3e} "
-            f"(tolerance {self.tolerance:.0e}), "
-            f"{self.double_records} double records"
-        )
 
 
 class _SeededKiller:
@@ -161,6 +142,8 @@ def run_service_chaos(
     from repro.chem.builders import molecule_by_name
     from repro.scf import RHF
 
+    if kills < 1:
+        raise EmptyPlanError(f"kills={kills}")
     queue_dir = Path(queue_dir)
     store = JobStore(queue_dir)
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_engine import ReferenceMDEngine
 from reference_fock import (
     canonical_shell_quartets,
     reference_build_jk,
@@ -107,18 +108,11 @@ def rand_density(rng, n):
     return (d + d.T) / 2.0
 
 
-def reference_md(basis):
-    """The MD engine on its per-primitive reference kernel."""
-    engine = MDEngine(basis)
-    engine.force_reference_path()
-    return engine
-
-
 #: every engine ``build_jk`` serves: the class kernel, and the three
 #: whose plans resolve rows through ``engine._quartet``
 ENGINES = {
     "md": MDEngine,
-    "md-reference": reference_md,
+    "md-reference": ReferenceMDEngine,
     "os": OSEngine,
     "synthetic": SyntheticERIEngine,
 }
@@ -133,7 +127,7 @@ class TestClassJKAgreement:
         rng = np.random.default_rng(5)
         d = rand_density(rng, basis.nbf)
         j_cls, k_cls = build_jk(MDEngine(basis), d)
-        for make in (MDEngine, reference_md, OSEngine):
+        for make in (MDEngine, ReferenceMDEngine, OSEngine):
             j, k = reference_build_jk(make(basis), d)
             assert np.allclose(j_cls, j, atol=1e-10, rtol=0)
             assert np.allclose(k_cls, k, atol=1e-10, rtol=0)
@@ -189,7 +183,7 @@ class TestClassJKAgreement:
     def test_stacked_densities_match_per_density_calls(self, water_basis):
         rng = np.random.default_rng(19)
         dens = np.stack([rand_density(rng, water_basis.nbf) for _ in range(3)])
-        slow = reference_md(water_basis)
+        slow = ReferenceMDEngine(water_basis)
         slow._quartet = functools.cache(slow._quartet)
         for engine in (MDEngine(water_basis), slow):
             j, k = build_jk(engine, dens)
@@ -313,15 +307,6 @@ class TestPlanCaching:
         for i in range(12):
             engine.class_plan(10.0 ** (-i - 3))
         assert len(engine._class_plans) <= 8
-
-    def test_force_reference_path_disables_class_batching(self, water_basis):
-        engine = MDEngine(water_basis)
-        engine.class_plan(1e-11)
-        engine.force_reference_path()
-        assert engine.pair_cache is None
-        assert len(engine._class_plans) == 0
-        # plans built from here on carry no class-kernel operands
-        assert all(b.ops is None for b in engine.class_plan(1e-11).batches)
 
     def test_plan_covers_all_screened_quartets(self, water_basis):
         engine = MDEngine(water_basis)

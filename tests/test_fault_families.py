@@ -1,0 +1,299 @@
+"""The fault families' shared declarations: parity goldens, one-invariant-
+at-a-time gate breakage, and the empty-plan rejection.
+
+The goldens (``docs/fault_family_goldens.json``) were written by
+:func:`collect_goldens` under the *parent* commit's ``PYTHONPATH`` and
+are reproduced here by the declarations that replaced the hand-written
+plans and gates; the function only touches names both commits have.
+Regenerate with ``PYTHONPATH=src:tests python -c "import
+test_fault_families as t; t.write_goldens()"``.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+from dataclasses import fields, replace
+
+import pytest
+
+from repro.cli import main
+from repro.fock.chaos import (
+    ChaosResult,
+    SCFChaosResult,
+    SDCChaosResult,
+    run_chaos,
+    run_scf_chaos,
+    run_sdc_chaos,
+)
+from repro.runtime.faults import FaultPlan, SCFFaultPlan, random_plan
+from repro.runtime.sdc import SDCFaultPlan, random_sdc_plan
+from repro.service.chaos import ServiceChaosResult
+
+GOLDENS = pathlib.Path(__file__).parent.parent / "docs" / "fault_family_goldens.json"
+
+#: every validation message a plan can raise, one bad argument each
+BAD_PLANS = [
+    (FaultPlan, {"op_fail_rate": 1.0}), (FaultPlan, {"op_fail_rate": -0.1}),
+    (FaultPlan, {"ack_loss_rate": 1.5}), (FaultPlan, {"delay_rate": -0.5}),
+    (FaultPlan, {"max_retries": 0}), (FaultPlan, {"backoff_factor": 0.5}),
+    (FaultPlan, {"backoff_base": -1.0}), (FaultPlan, {"delay_seconds": -1.0}),
+    (FaultPlan, {"slowdown": {0: 0.5}}), (FaultPlan, {"deaths": {1: -1.0}}),
+    (SCFFaultPlan, {"quartet_nan_rate": 1.5}),
+    (SCFFaultPlan, {"quartet_inf_rate": -0.5}),
+    (SCFFaultPlan, {"fock_nan_iterations": (0,)}),
+    (SCFFaultPlan, {"density_nan_iterations": (2, -1)}),
+    (SCFFaultPlan, {"max_corruptions": -1}),
+    (SDCFaultPlan, {"checkpoint_flip_rate": 1.5}),
+    (SDCFaultPlan, {"payload_flip_rate": -0.1}),
+    (SDCFaultPlan, {"store_flips": -1}),
+    (SDCFaultPlan, {"fock_flip_iterations": (0,)}),
+    (SDCFaultPlan, {"density_flip_iterations": (0,)}),
+    (SDCFaultPlan, {"max_corruptions": -2}),
+]
+
+
+def _scf_inline(seed: int) -> SCFFaultPlan:
+    """The plan ``run_scf_chaos`` builds at its default rate."""
+    return SCFFaultPlan(
+        seed=seed, quartet_nan_rate=0.025, quartet_inf_rate=0.025
+    )
+
+
+def collect_goldens() -> dict:
+    """describe() strings, validation messages, and each family's
+    ``to_json()`` key set + seeded integer fields."""
+    out = {"describe": {}, "messages": {}, "json": {}}
+    for seed in range(5):
+        out["describe"][f"random_plan({seed}, 4, 1.0)"] = random_plan(
+            seed, 4, 1.0).describe()
+        out["describe"][f"random_plan({seed}, 8, 2.5, 2 deaths, 2 stragglers)"] = (
+            random_plan(seed, 8, 2.5, ndeaths=2, nstragglers=2).describe())
+        out["describe"][f"random_sdc_plan({seed})"] = random_sdc_plan(seed).describe()
+        out["describe"][f"scf inline({seed})"] = _scf_inline(seed).describe()
+    out["describe"]["scf full"] = SCFFaultPlan(
+        seed=5, quartet_nan_rate=0.05, quartet_inf_rate=0.01,
+        fock_nan_iterations=(2, 4), density_nan_iterations=(3,),
+        max_corruptions=64,
+    ).describe()
+    out["describe"]["sdc empty"] = SDCFaultPlan(seed=9).describe()
+    out["describe"]["runtime empty"] = FaultPlan().describe()
+    for cls, kwargs in BAD_PLANS:
+        with pytest.raises(ValueError) as err:
+            cls(**kwargs)
+        out["messages"][f"{cls.__name__}({kwargs})"] = str(err.value)
+    for seed in range(3):
+        j = run_chaos("water", "sto-3g", nproc=4, seed=seed).to_json()
+        out["json"][f"runtime seed {seed}"] = {
+            "keys": sorted(j), "overhead_keys": sorted(j["overhead"]),
+            "plan": j["overhead"]["plan"], "passed": j["passed"],
+            "dead_ranks": j["overhead"]["dead_ranks"],
+            "reexecuted_tasks": j["overhead"]["reexecuted_tasks"],
+            "retries_total": j["overhead"]["retries_total"],
+        }
+        j = run_scf_chaos("water", "sto-3g", seed=seed).to_json()
+        out["json"][f"scf seed {seed}"] = {
+            "keys": sorted(j), "passed": j["passed"],
+            "quartets_corrupted": j["quartets_corrupted"],
+            "eri_rescues": j["eri_rescues"],
+        }
+    j = run_sdc_chaos("water", "sto-3g", seed=3).to_json()
+    out["json"]["sdc seed 3"] = {
+        "keys": sorted(j), "passed": j["passed"],
+        **{k: j[k] for k in (
+            "injected", "detected", "silent", "false_positives",
+            "checkpoint_intact", "ga_error",
+        )},
+    }
+    out["json"]["service"] = {"keys": sorted(GOOD["service"].to_json())}
+    return out
+
+
+def write_goldens() -> None:
+    GOLDENS.write_text(json.dumps(collect_goldens(), indent=1, sort_keys=True) + "\n")
+
+
+# -- (b) one constructed, passing result per family ---------------------------
+
+_FOCK = dict(molecule="H2O", basis_name="sto-3g", fock_error=0.0, energy_error=0.0)
+GOOD = {
+    "runtime": ChaosResult(
+        plan=FaultPlan(seed=1, deaths={1: 0.5}), nproc=4, clean=None,
+        faulty=None, overhead={"dead_ranks": [1], "retries_total": 0}, **_FOCK,
+    ),
+    "scf": SCFChaosResult(
+        plan=_scf_inline(1), quartets_corrupted=6, eri_rescues=6, **_FOCK,
+    ),
+    "sdc": SDCChaosResult(
+        plan=random_sdc_plan(1), injected={"matrix": 2},
+        detected={"matrix": 2},
+        checkpoint_intact=True, **_FOCK,
+    ),
+    "service": ServiceChaosResult(
+        njobs=2, workers=2, seed=0, kills_planned=1, kills_done=1,
+        wall_s=1.0, jobs_per_min=120.0, counts={"done": 2}, requeues=1,
+        double_records=0,
+    ),
+}
+
+#: per family, per invariant (in ``invariants()`` order): the one field
+#: change that breaks it and nothing else
+BREAKERS = {
+    "runtime": [
+        dict(plan=FaultPlan(seed=1), overhead={}),
+        dict(fock_error=1e-9),
+    ],
+    "scf": [
+        dict(quartets_corrupted=0, eri_rescues=0),
+        dict(fock_error=1e-9),
+        dict(eri_rescues=5),
+    ],
+    "sdc": [
+        dict(injected={}),
+        dict(detected={"matrix": 1}),
+        dict(false_positives=1),
+        dict(fock_error=1e-9),
+        dict(energy_error=1e-9),
+        dict(ga_error=1e-16),
+        dict(checkpoint_intact=False),
+    ],
+    "service": [
+        dict(kills_done=0),
+        dict(counts={"done": 1}),
+        dict(double_records=1),
+        dict(max_energy_error=1e-9),
+    ],
+}
+CASES = [
+    (family, i) for family, breakers in BREAKERS.items()
+    for i in range(len(breakers))
+]
+
+
+class TestGateStatedOnce:
+    @pytest.mark.parametrize("family", sorted(GOOD))
+    def test_constructed_result_passes(self, family):
+        res = GOOD[family]
+        assert res.passed and res.broken() == []
+        assert res.summary_lines()[-1].endswith("-> PASS")
+        # every invariant has its breaker below: a new one needs a new row
+        assert len(res.invariants()) == len(BREAKERS[family])
+        assert res.invariants()[0][0] == "at least one planned fault landed"
+
+    @pytest.mark.parametrize("family, index", CASES)
+    def test_each_invariant_breaks_singly(self, family, index):
+        """Fails at the parent for sdc ``checkpoint_intact`` / ``ga_error``
+        / zero injections: ``passed`` tested them, ``failure_line`` did not."""
+        res = replace(GOOD[family], **BREAKERS[family][index])
+        name = res.invariants()[index][0]
+        assert res.broken() == [name]
+        assert res.passed is False
+        assert res.to_json()["passed"] is False
+        assert res.failure_line() == f"{res.gate} invariant FAILED: {name}"
+        assert res.summary_lines()[-1].endswith(f"-> FAIL: {name}")
+
+    def test_torture_gate_names_the_failed_case(self):
+        from repro.scf.torture import (
+            TORTURE_CASES,
+            TortureOutcome,
+            TortureResult,
+        )
+
+        def outcome(case, converged):
+            return TortureOutcome(
+                case=case, converged=converged, energy=-1.0, iterations=3,
+                aborted=False, abort_reason="", guard_summary=None,
+            )
+
+        a, b = TORTURE_CASES[:2]
+        good = TortureResult([outcome(a, True), outcome(b, True)])
+        assert good.passed and len(good.to_json()) == 2
+        bad = TortureResult([outcome(a, True), outcome(b, False)])
+        assert not bad.passed
+        assert bad.failure_line() == (
+            f"torture invariant FAILED: {b.name} converges or ends classified"
+        )
+        assert bad.to_json()[1]["status"] == "UNEXPLAINED"
+
+
+class TestParityGoldens:
+    """(a) the derived plans and gates reproduce the hand-written ones."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return collect_goldens()
+
+    @pytest.mark.parametrize("section", ["describe", "messages", "json"])
+    def test_section_matches_parent(self, fresh, section):
+        golden = json.loads(GOLDENS.read_text())
+        assert fresh[section] == golden[section]
+
+
+class TestEmptyPlanIsBadInput:
+    """(c) a gate that would inject nothing is rejected, not passed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "scf", "--quartet-nan-rate", "0"],
+            ["--deaths", "0", "--stragglers", "0", "--op-fail-rate", "0",
+             "--delay-rate", "0"],
+            ["--family", "service", "--kills", "0"],
+        ],
+        ids=["scf", "runtime", "service"],
+    )
+    def test_cli_exits_2(self, argv, capsys):
+        assert main(["chaos", "water", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "injects nothing" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_sdc_library_call_raises(self):
+        from repro.runtime.faults import EmptyPlanError
+
+        with pytest.raises(EmptyPlanError, match="injects nothing"):
+            run_sdc_chaos(plan=SDCFaultPlan(seed=0))
+
+
+# -- the docs table is generated from the declarations ------------------------
+
+#: what each family attacks (the one hand-written column)
+SURFACES = {
+    "runtime": "simulated ranks, one-sided GA ops, scheduler events",
+    "scf": "class-kernel ERI rows; F / D between SCF iterations",
+    "sdc": "checkpoint files, stored ERI blocks, GA payloads, F / D in memory",
+    "service": "live queue workers (SIGKILL while holding a lease)",
+}
+PLANS = {"runtime": FaultPlan, "scf": SCFFaultPlan, "sdc": SDCFaultPlan}
+
+
+def family_table() -> list[str]:
+    """``docs/ROBUSTNESS.md``'s family table: plan fields from the
+    :func:`~repro.runtime.faults.declare` metadata, invariants from each
+    gate's ``invariants()`` names.  Print with ``PYTHONPATH=src:tests
+    python -c "import test_fault_families as t;
+    print('\\n'.join(t.family_table()))"``."""
+    rows = [
+        "| family | plan fields | surfaces | invariants |",
+        "|---|---|---|---|",
+    ]
+    for family in ("runtime", "scf", "sdc", "service"):
+        names = ["kills"]  # the service family's whole plan
+        if family in PLANS:
+            names = [
+                f.name for f in fields(PLANS[family])
+                if f.metadata.get("fault")
+            ]
+        rows.append(
+            f"| `{family}` | {', '.join(f'`{n}`' for n in names)} "
+            f"| {SURFACES[family]} "
+            f"| {'; '.join(n for n, _ in GOOD[family].invariants())} |"
+            .replace("|dF|", "\\|dF\\|").replace("|dE|", "\\|dE\\|")
+        )
+    return rows
+
+
+def test_robustness_doc_lists_every_field_and_invariant():
+    doc = (GOLDENS.parent / "ROBUSTNESS.md").read_text()
+    for row in family_table():
+        assert row in doc

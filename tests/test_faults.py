@@ -412,7 +412,13 @@ class TestChaosCLI:
         assert captured.err.startswith(
             "scf chaos invariant FAILED: max |dF| "
         )
-        assert "6 corrupted vs 6 rescued" in captured.err
+        # the line names the broken invariant and only that one; the
+        # counts it used to repeat are in the summary on stdout
+        assert captured.err.rstrip().endswith("max |dF| <= tolerance")
+        assert (
+            "corrupted quartet blocks: 6  rescued on reference kernel: 6"
+            in captured.out
+        )
         assert captured.out.startswith("scf chaos run: H2O/sto-3g\n  plan: ")
         payload = json.loads(summary.read_text())
         assert sorted(payload) == [

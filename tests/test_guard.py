@@ -10,7 +10,7 @@ from repro.fock.chaos import run_scf_chaos
 from repro.integrals import class_batch
 from repro.integrals.engine import MDEngine, NonFiniteERIError, OSEngine
 from repro.integrals.oneelec import overlap
-from repro.runtime.faults import SCFFaultPlan, random_scf_plan
+from repro.runtime.faults import BuildFaults, SCFFaultPlan
 from repro.scf.checkpoint import (
     CheckpointCorruptionWarning,
     checkpoint_path,
@@ -387,24 +387,18 @@ class TestERIFaultSeam:
 
     def test_engine_without_reference_path_raises(self, water_basis):
         engine = OSEngine(water_basis)
-        assert not engine.supports_reference_path
         with pytest.raises(NonFiniteERIError, match="no rescue path"):
             engine._rescue_quartet(0, 0, 0, 0)
-
-    def test_force_reference_path_disables_batched(self, water_basis):
-        engine = MDEngine(water_basis)
-        assert engine.supports_reference_path
-        engine.force_reference_path()
-        assert engine.pair_cache is None
-        # its Fock builds no longer reach the class kernel
-        assert all(b.ops is None for b in engine.class_plan(1e-11).batches)
 
     def test_fault_plan_validation(self):
         with pytest.raises(ValueError, match="quartet_nan_rate"):
             SCFFaultPlan(quartet_nan_rate=1.5)
         with pytest.raises(ValueError, match="1-based"):
             SCFFaultPlan(fock_nan_iterations=(0,))
-        plan = random_scf_plan(3)
+        plan = SCFFaultPlan(
+            seed=3, quartet_nan_rate=0.01, fock_nan_iterations=(2,),
+            max_corruptions=64,
+        )
         assert plan.has_faults
         assert plan.describe()
 
@@ -416,6 +410,84 @@ class TestERIFaultSeam:
         again = state.corrupt_matrix(a, 2, "fock")
         assert np.isfinite(again).all()  # same (iteration, target): no re-fire
         assert np.isfinite(state.corrupt_matrix(a, 3, "fock")).all()
+
+
+class TestRowScopedReferenceRung:
+    """The ``reference_eri`` rung arms the per-row sentinel for the rest
+    of the run and leaves the engine on the class kernel.  Asserted by
+    counts, not wall clock."""
+
+    #: sentinel off at the start, so only the rung can arm it; a
+    #: non-finite F jumps straight to the ladder's last (here only) rung
+    CONFIG = GuardConfig(eri_sentinel=False, ladder=(Rung("reference_eri"),))
+    PLAN = SCFFaultPlan(seed=4, quartet_nan_rate=0.05, max_corruptions=20)
+
+    def test_flagged_rows_rescued_the_rest_stay_on_the_class_kernel(
+        self, monkeypatch
+    ):
+        clean = RHF(water()).run()
+        rhf = RHF(water(), guard=self.CONFIG, faults=self.PLAN)
+        nrows = rhf.engine.class_plan(rhf.tau).nquartets
+        # build 0 runs unarmed: its victims reach F, which trips the rung
+        unarmed = len(self.PLAN.activate().draw_build(nrows).rows)
+        assert unarmed > 0
+        swept, corrupted, rescued = [], [], []
+        kernel = class_batch.compute_class_rows
+        monkeypatch.setattr(
+            class_batch, "compute_class_rows",
+            lambda batch, rows: swept.append(len(rows)) or kernel(batch, rows),
+        )
+        hit = BuildFaults.corrupt_rows
+        monkeypatch.setattr(
+            BuildFaults, "corrupt_rows",
+            lambda self, blocks, row0:
+                corrupted.append(hit(self, blocks, row0)) or corrupted[-1],
+        )
+        rescue = rhf.engine._rescue_quartet
+        rhf.engine._rescue_quartet = lambda *q: rescued.append(q) or rescue(*q)
+        res = rhf.run()
+        assert res.converged
+        assert abs(res.energy - clean.energy) <= 1e-9
+        assert res.guard_summary["by_action"]["reference_eri"] == 1
+        # every row corrupted after arming: recomputed once, on eri_md
+        assert sum(corrupted) == self.PLAN.max_corruptions
+        assert len(rescued) == rhf.engine.eri_rescues == sum(corrupted) - unarmed
+        # ... and every computed row, rescued or not, came off the class kernel
+        assert sum(swept) == rhf.engine.quartets_computed
+        assert rhf.engine.pair_cache is not None
+        # armed for this run only
+        assert rhf.engine.finite_check is False
+
+    def test_rows_stored_before_arming_never_reach_f(self, tmp_path):
+        clean = RHF(water()).run()
+        rhf = RHF(
+            water(), guard=self.CONFIG, faults=self.PLAN,
+            integral_store=str(tmp_path / "store"),
+        )
+        res = rhf.run()  # build 0 finalizes a store holding NaN rows
+        assert res.converged
+        assert abs(res.energy - clean.energy) <= 1e-9
+        assert rhf.engine.integral_store is None
+        assert rhf.engine.quartets_served_from_store == 0
+
+    def test_restart_rearms_from_the_checkpoint_flag(self, tmp_path):
+        clean = RHF(water()).run()
+        RHF(
+            water(), guard=self.CONFIG, faults=self.PLAN, max_iter=3,
+            checkpoint_dir=str(tmp_path),
+        ).run()
+        assert load_latest_intact(tmp_path).guard["reference_eri"] is True
+        armed = []
+        rhf = RHF(
+            water(), guard=self.CONFIG, checkpoint_dir=str(tmp_path),
+            restart=True,
+            on_iteration=lambda it, e: armed.append(rhf.engine.finite_check),
+        )
+        res = rhf.run()
+        assert res.converged
+        assert abs(res.energy - clean.energy) <= 1e-9
+        assert armed and all(armed)
+        assert rhf.engine.finite_check is False
 
 
 class TestSCFChaosGate:

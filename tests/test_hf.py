@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metamorphic import permuted, rigid_motion
 from repro.chem.builders import h2, water
 from repro.chem.molecule import Molecule
 from repro.scf.hf import RHF
@@ -107,3 +108,25 @@ class TestValidation:
     def test_variational_bound(self, water_scf):
         """HF energy must be above the exact ground state (-76.4)."""
         assert -76.5 < water_scf.energy < -70.0
+
+
+class TestMetamorphic:
+    """Properties no golden number can pin: the energy of a molecule does
+    not depend on where it sits, how it is turned, or the order its
+    atoms are listed in (every shell index and class-plan row moves)."""
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])  # none permutes to itself
+    def test_energy_invariant_under_rigid_motion_and_permutation(self, seed):
+        ref = RHF(water()).run()
+        images = {
+            "rigid motion": rigid_motion(water(), seed),
+            "atom permutation": permuted(water(), seed),
+            "both": permuted(rigid_motion(water(), seed), seed + 100),
+        }
+        for what, mol in images.items():
+            res = RHF(mol).run()
+            assert res.converged, what
+            assert abs(res.energy - ref.energy) <= 1e-9, what
+        # the images really differ from the original
+        for mol in images.values():
+            assert not np.allclose(mol.coords, water().coords)

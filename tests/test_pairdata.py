@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_engine import ReferenceMDEngine
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.builders import water
@@ -90,8 +91,7 @@ class TestShellPairData:
 
     def test_unbatched_engine_matches_batched(self, water_basis):
         batched = MDEngine(water_basis)
-        seed = MDEngine(water_basis)
-        seed.force_reference_path()
+        seed = ReferenceMDEngine(water_basis)
         assert seed.pair_cache is None
         rng = np.random.default_rng(4)
         for _ in range(8):

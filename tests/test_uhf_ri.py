@@ -255,9 +255,14 @@ class TestUHFSharedLoop:
     def test_seeded_faults_rescued_under_the_guard(self):
         mol = water_cation()
         ref = UHF(mol, guard=True).run()
+        # capped: the reference_eri rung (it fires at iteration 7 here)
+        # keeps the class kernel, so quartet faults would keep landing
+        # on 5 % of every build to the end of the run; 50 is what the
+        # first seven iterations inject (48 blocks + the 2 matrices)
         plan = SCFFaultPlan(
             seed=5, quartet_nan_rate=0.05,
             fock_nan_iterations=(2,), density_nan_iterations=(3,),
+            max_corruptions=50,
         )
         driver = UHF(mol, guard=True, faults=plan)
         res = driver.run()
