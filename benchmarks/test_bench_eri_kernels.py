@@ -52,7 +52,8 @@ from repro.integrals.boys import boys_array
 from repro.integrals.class_batch import compute_class_rows
 from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
-from repro.obs.profile import PHASE_JK, profiling
+from repro.obs import PhaseProfiler, session
+from repro.obs.profile import PHASE_JK
 from repro.scf.fock import build_jk
 
 # the seed engine lives beside the other differential oracles
@@ -91,7 +92,8 @@ def _stored_iter2(basis, density, store_dir):
     engine = MDEngine(basis, store=store_dir)
     build_jk(engine, density)  # iteration 1: fills + finalizes the store
     computed0 = engine.quartets_computed
-    with profiling() as prof:
+    prof = PhaseProfiler()
+    with session(profiler=prof):
         t_iter2, j, k = _timed_build(engine, density)
     recomputed = engine.quartets_computed - computed0
     assert recomputed == 0, (

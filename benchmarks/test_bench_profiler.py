@@ -1,10 +1,10 @@
 """Profiler overhead: water/6-31G Fock builds with phase probes on vs off.
 
-The phase probes sit on the hottest path in the repo -- two context-
-manager entries per surviving ERI quartet (``eri_quartets`` and
-``jk_contraction``) -- so this benchmark is the acceptance gate for the
-observability work: profiling a healthy Fock build must cost <= 5% wall
-time.
+The phase probes sit on the hottest path in the repo -- one context-
+manager entry per kernel chunk (``eri_quartets``) and one per block-shape
+flush (``jk_contraction``) -- so this benchmark is the acceptance gate
+for the observability work: profiling a healthy Fock build must cost
+<= 5% wall time.
 
 Methodology: whole-SCF A/B timing cannot resolve a 5% gate on shared
 runners (run-to-run noise alone is ~6%), so the benchmark times single
@@ -27,7 +27,8 @@ from repro.chem.builders import water
 from repro.fock.reorder import reorder_basis
 from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
-from repro.obs.profile import PHASE_ERI, PhaseProfiler, set_profiler
+from repro.obs import PhaseProfiler, session
+from repro.obs.profile import PHASE_ERI
 from repro.scf.fock import build_jk
 from repro.scf.guess import core_guess
 from repro.scf.orthogonalization import orthogonalizer
@@ -47,11 +48,8 @@ def measure(quick: bool = False) -> tuple[dict, str]:
 
     def build(probed: bool):
         profiler = PhaseProfiler() if probed else None
-        prev = set_profiler(profiler)
-        try:
+        with session(profiler=profiler):
             return build_jk(engine, density), profiler
-        finally:
-            set_profiler(prev)
 
     walls, (jk_off, _), (jk_on, profiler) = on_off_walls(
         build, 3 if quick else ROUNDS

@@ -24,8 +24,8 @@ from repro.fock.cost import TaskCosts, quartet_cost_matrix
 from repro.fock.reorder import reorder_basis
 from repro.fock.screening_map import ScreeningMap
 from repro.integrals.schwarz import schwarz_model
-from repro.obs import get_tracer
-from repro.obs.profile import PHASE_SCHWARZ, get_profiler
+from repro.obs import get_profiler, get_tracer
+from repro.obs.profile import PHASE_SCHWARZ
 from repro.runtime.machine import LONESTAR, MachineConfig
 
 #: The paper's screening tolerance (Sec IV-A).

@@ -143,23 +143,26 @@ def _run_torture(args: argparse.Namespace) -> int:
     return _finish_chaos(args, tres, f"torture run: {len(tres.outcomes)} cases", notes)
 
 
-def _run_experiment(name: str) -> int:
-    from repro.bench import experiments as e
+#: experiment subcommand -> its function in :mod:`repro.bench.experiments`
+_EXPERIMENTS = {
+    "table2": "table2_molecules",
+    "table3": "table3_times",
+    "table4": "table4_speedup",
+    "table5": "table5_t_int",
+    "table6": "table6_volume",
+    "table7": "table7_calls",
+    "table8": "table8_load_balance",
+    "table9": "table9_purification",
+    "fig1": "figure1_footprint",
+    "fig2": "figure2_overhead",
+    "model": "model_analysis",
+}
 
-    dispatch = {
-        "table2": e.table2_molecules,
-        "table3": e.table3_times,
-        "table4": e.table4_speedup,
-        "table5": e.table5_t_int,
-        "table6": e.table6_volume,
-        "table7": e.table7_calls,
-        "table8": e.table8_load_balance,
-        "table9": e.table9_purification,
-        "fig1": e.figure1_footprint,
-        "fig2": e.figure2_overhead,
-        "model": e.model_analysis,
-    }
-    print(dispatch[name]().text)
+
+def _run_experiment(args: argparse.Namespace) -> int:
+    from repro.bench import experiments
+
+    print(getattr(experiments, _EXPERIMENTS[args.command])().text)
     return 0
 
 
@@ -239,9 +242,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
     from repro.fock.screening_map import ScreeningMap
     from repro.fock.simulate import SimCapture, simulate_gtfock
     from repro.integrals import schwarz_model
-    from repro.obs import Tracer, get_tracer
+    from repro.obs import Tracer, get_ledger, get_tracer
     from repro.obs.critpath import analyze
-    from repro.obs.manifest import get_ledger
 
     mol = molecule_by_name(args.molecule)
     basis = reorder_basis(BasisSet.build(mol, args.basis))
@@ -530,7 +532,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
     return _finish_chaos(args, cres, f"{cres.gate} run: {subject}", notes)
 
 
-def _run_info() -> int:
+def _run_info(args: argparse.Namespace) -> int:
     from repro.obs.manifest import provenance
 
     pv = provenance()
@@ -544,13 +546,8 @@ def _run_info() -> int:
 
 
 def _run_perf_profile(args: argparse.Namespace) -> int:
-    from repro.obs.manifest import get_ledger
-    from repro.obs.profile import (
-        PhaseProfiler,
-        hotspot_text,
-        profile_hotspots,
-        set_profiler,
-    )
+    from repro.obs import PhaseProfiler, get_ledger, session
+    from repro.obs.profile import hotspot_text, profile_hotspots
     from repro.scf import RHF
 
     mol = molecule_by_name(args.molecule)
@@ -561,25 +558,20 @@ def _run_perf_profile(args: argparse.Namespace) -> int:
         + ")"
     )
     profiler = PhaseProfiler(alloc=args.alloc)
-    prev = set_profiler(profiler)
-    try:
+    with session(profiler=profiler):
         result, hotspots = profile_hotspots(
             lambda: RHF(
                 mol, basis_name=args.basis, max_iter=args.max_iter
             ).run(),
             top=args.top,
         )
-    finally:
-        set_profiler(prev)
+        get_ledger().attach_profile(hotspots=hotspots)
     print(f"energy      = {result.energy:.8f} hartree")
     print(f"converged   = {result.converged} ({result.iterations} iterations)")
     print()
     print(profiler.table())
     print()
     print(hotspot_text(hotspots))
-    profiler.export_metrics()
-    get_ledger().attach_profile(profiler, hotspots)
-    profiler.close()
     return 0 if result.converged else 1
 
 
@@ -627,15 +619,7 @@ def _run_perf_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_perf(args: argparse.Namespace) -> int:
-    if args.perf_command == "profile":
-        return _run_perf_profile(args)
-    if args.perf_command == "check":
-        return _run_perf_check(args)
-    return _run_perf_history(args)
-
-
-def _run_list() -> int:
+def _run_list(args: argparse.Namespace) -> int:
     print("paper molecules :", ", ".join(sorted(PAPER_MOLECULES)))
     print("scaled stand-ins:", ", ".join(sorted(SCALED_MOLECULES)))
     print("demo molecules  :", ", ".join(DEMO_MOLECULES))
@@ -703,6 +687,7 @@ def main(argv: list[str] | None = None) -> int:
     p_scf = sub.add_parser(
         "scf", help="run RHF on a built-in molecule", parents=[obs_flags]
     )
+    p_scf.set_defaults(handler=_run_scf)
     p_scf.add_argument("molecule")
     p_scf.add_argument("--basis", default="sto-3g")
     p_scf.add_argument("--max-iter", type=int, default=100)
@@ -744,15 +729,15 @@ def main(argv: list[str] | None = None) -> int:
         "recovery (see docs/ROBUSTNESS.md)",
     )
 
-    for name in (
-        "table2", "table3", "table4", "table5", "table6", "table7",
-        "table8", "table9", "fig1", "fig2", "model",
-    ):
-        sub.add_parser(name, help=f"regenerate {name}", parents=[obs_flags])
+    for name in _EXPERIMENTS:
+        sub.add_parser(
+            name, help=f"regenerate {name}", parents=[obs_flags]
+        ).set_defaults(handler=_run_experiment)
 
     p_abl = sub.add_parser(
         "ablation", help="design-choice ablations", parents=[obs_flags]
     )
+    p_abl.set_defaults(handler=_run_ablation)
     p_abl.add_argument("kind", choices=["reorder", "steal", "grain"])
     p_abl.add_argument("--molecule", default="C24H12")
 
@@ -761,6 +746,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run a numeric Fock build and write an HTML run report",
         parents=[obs_flags],
     )
+    p_rep.set_defaults(handler=_run_report)
     p_rep.add_argument("molecule", nargs="?", default="water")
     p_rep.add_argument("--basis", default="6-31g")
     p_rep.add_argument("--nproc", type=int, default=4)
@@ -788,6 +774,7 @@ def main(argv: list[str] | None = None) -> int:
         "GTFock build (see docs/OBSERVABILITY.md)",
         parents=[obs_flags],
     )
+    p_an.set_defaults(handler=_run_analyze)
     p_an.add_argument("molecule", nargs="?", default="water")
     p_an.add_argument("--basis", default="sto-3g")
     p_an.add_argument(
@@ -827,6 +814,7 @@ def main(argv: list[str] | None = None) -> int:
         "the fault-free run (see docs/ROBUSTNESS.md)",
         parents=[obs_flags],
     )
+    p_chaos.set_defaults(handler=_run_chaos)
     p_chaos.add_argument("molecule", nargs="?", default="water")
     p_chaos.add_argument("--basis", default="sto-3g")
     p_chaos.add_argument("--nproc", type=int, default=4)
@@ -915,6 +903,7 @@ def main(argv: list[str] | None = None) -> int:
         "timeouts; see docs/ROBUSTNESS.md)",
         parents=[obs_flags],
     )
+    p_serve.set_defaults(handler=_run_serve)
     _queue_flag(p_serve)
     p_serve.add_argument(
         "--workers", type=int, default=3, metavar="N",
@@ -941,6 +930,7 @@ def main(argv: list[str] | None = None) -> int:
         "submit", help="enqueue an SCF job on the durable queue",
         parents=[obs_flags],
     )
+    p_sub.set_defaults(handler=_run_submit)
     p_sub.add_argument("molecule")
     p_sub.add_argument("--basis", default="sto-3g")
     _queue_flag(p_sub)
@@ -982,6 +972,7 @@ def main(argv: list[str] | None = None) -> int:
         "status", help="job table + per-state counts of the durable queue",
         parents=[obs_flags],
     )
+    p_stat.set_defaults(handler=_run_status)
     _queue_flag(p_stat)
     p_stat.add_argument(
         "--json", default=None, metavar="PATH",
@@ -992,6 +983,7 @@ def main(argv: list[str] | None = None) -> int:
         "cancel", help="cancel a queued/leased/running job",
         parents=[obs_flags],
     )
+    p_cancel.set_defaults(handler=_run_cancel)
     p_cancel.add_argument("job_id", type=int)
     _queue_flag(p_cancel)
 
@@ -1001,6 +993,7 @@ def main(argv: list[str] | None = None) -> int:
         "ended done",
         parents=[obs_flags],
     )
+    p_drain.set_defaults(handler=_run_drain)
     _queue_flag(p_drain)
     p_drain.add_argument(
         "--timeout", type=float, default=600.0, metavar="S",
@@ -1017,6 +1010,7 @@ def main(argv: list[str] | None = None) -> int:
         "ledger under a directory (see docs/ROBUSTNESS.md)",
         parents=[obs_flags],
     )
+    p_verify.set_defaults(handler=_run_verify)
     p_verify.add_argument("directory", metavar="DIR")
     p_verify.add_argument(
         "--json", default=None, metavar="PATH",
@@ -1029,6 +1023,7 @@ def main(argv: list[str] | None = None) -> int:
         "(see docs/ROBUSTNESS.md)",
         parents=[obs_flags],
     )
+    p_tort.set_defaults(handler=_run_torture)
     p_tort.add_argument(
         "--quick", action="store_true", help="CI subset of the suite"
     )
@@ -1056,6 +1051,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run a profiled RHF: phase wall/CPU table + cProfile hotspots",
         parents=[obs_flags],
     )
+    pp_prof.set_defaults(handler=_run_perf_profile)
     pp_prof.add_argument("molecule", nargs="?", default="water")
     pp_prof.add_argument("--basis", default="6-31g")
     pp_prof.add_argument("--max-iter", type=int, default=100)
@@ -1072,6 +1068,7 @@ def main(argv: list[str] | None = None) -> int:
         help="grade the BENCH_*.json trajectories; exit 1 on FAIL",
         parents=[obs_flags],
     )
+    pp_check.set_defaults(handler=_run_perf_check)
     pp_check.add_argument(
         "--history", action="append", metavar="PATH",
         help="BENCH history file (repeatable; default: every history of "
@@ -1099,6 +1096,7 @@ def main(argv: list[str] | None = None) -> int:
         help="print the tracked-metric trajectories",
         parents=[obs_flags],
     )
+    pp_hist.set_defaults(handler=_run_perf_history)
     pp_hist.add_argument(
         "--history", action="append", metavar="PATH",
         help="BENCH history file (repeatable)",
@@ -1112,10 +1110,10 @@ def main(argv: list[str] | None = None) -> int:
         "info",
         help="print the provenance block (versions, git SHA, CPU count)",
         parents=[obs_flags],
-    )
+    ).set_defaults(handler=_run_info)
     sub.add_parser(
         "list", help="list built-in molecules and bases", parents=[obs_flags]
-    )
+    ).set_defaults(handler=_run_list)
 
     args = parser.parse_args(argv)
 
@@ -1136,31 +1134,18 @@ def main(argv: list[str] | None = None) -> int:
             if not os.access(parent, os.W_OK):
                 parser.error(f"cannot write {path}: directory {parent!r} is not writable")
 
-    from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
+    from repro import obs
 
-    tracer = Tracer("repro") if args.trace else None
-    prev_tracer = set_tracer(tracer) if tracer is not None else None
-    prev_metrics = set_metrics(MetricsRegistry()) if args.metrics else None
-    profiler = None
-    prev_profiler = None
-    if getattr(args, "profile", False):
-        from repro.obs.profile import PhaseProfiler, set_profiler
-
-        profiler = PhaseProfiler()
-        prev_profiler = set_profiler(profiler)
+    profiler = obs.PhaseProfiler() if args.profile else None
     ledger = None
-    prev_ledger = None
-    run_dir = getattr(args, "run_dir", None)
-    if run_dir:
-        from repro.obs.manifest import RunLedger, set_ledger
-
+    if args.run_dir:
         config = {
             k: v for k, v in vars(args).items()
-            if k not in ("command", "trace", "metrics", "run_dir")
+            if k not in ("command", "handler", "trace", "metrics", "run_dir")
             and v is not None
         }
-        ledger = RunLedger(
-            run_dir,
+        ledger = obs.RunLedger(
+            args.run_dir,
             command=args.command,
             config=config,
             molecule=getattr(args, "molecule", None),
@@ -1168,75 +1153,31 @@ def main(argv: list[str] | None = None) -> int:
             seed=getattr(args, "seed", None),
             argv=list(argv) if argv is not None else None,
         )
-        prev_ledger = set_ledger(ledger)
-    rc = 1  # an escaping exception seals the ledger as a failed run
-    try:
-        if args.command == "scf":
-            rc = _run_scf(args)
-        elif args.command == "ablation":
-            rc = _run_ablation(args)
-        elif args.command == "report":
-            rc = _run_report(args)
-        elif args.command == "analyze":
-            rc = _run_analyze(args)
-        elif args.command == "chaos":
-            rc = _run_chaos(args)
-        elif args.command == "serve":
-            rc = _run_serve(args)
-        elif args.command == "submit":
-            rc = _run_submit(args)
-        elif args.command == "status":
-            rc = _run_status(args)
-        elif args.command == "cancel":
-            rc = _run_cancel(args)
-        elif args.command == "drain":
-            rc = _run_drain(args)
-        elif args.command == "verify":
-            rc = _run_verify(args)
-        elif args.command == "torture":
-            rc = _run_torture(args)
-        elif args.command == "perf":
-            rc = _run_perf(args)
-        elif args.command == "info":
-            rc = _run_info()
-        elif args.command == "list":
-            rc = _run_list()
-        else:
-            rc = _run_experiment(args.command)
-        return rc
-    except (UnknownNameError, EmptyPlanError) as exc:
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
-        rc = 2
-        return rc
-    finally:
-        if profiler is not None:
-            from repro.obs.profile import set_profiler
-
-            set_profiler(prev_profiler)
-            profiler.export_metrics()
-            if profiler.stats:
-                print("phase profile:", file=sys.stderr)
-                print(profiler.table(), file=sys.stderr)
-            profiler.close()
-        if ledger is not None:
-            from repro.obs.manifest import set_ledger
-
-            # attach before close: the summary carries the phase table
-            if profiler is not None and profiler.stats:
-                ledger.attach_profile(profiler)
-            ledger.close(rc)
-            set_ledger(prev_ledger)
-            print(f"run ledger written to {run_dir}", file=sys.stderr)
-        if tracer is not None:
-            set_tracer(prev_tracer)
-            tracer.write(args.trace)
-            print(f"trace written to {args.trace}", file=sys.stderr)
-        if prev_metrics is not None:
-            from repro.obs import get_metrics
-
-            get_metrics().write(args.metrics)
-            set_metrics(prev_metrics)
-            print(f"metrics written to {args.metrics}", file=sys.stderr)
+    # an escaping exception seals the ledger as a failed run; either way
+    # the session writes every artifact asked for before it hands back
+    with obs.session(
+        tracer=obs.Tracer("repro") if args.trace else None,
+        metrics=obs.MetricsRegistry() if args.metrics else None,
+        profiler=profiler,
+        ledger=ledger,
+        trace_path=args.trace,
+        metrics_path=args.metrics,
+    ) as sess:
+        try:
+            sess.exit_code = args.handler(args)
+        except (UnknownNameError, EmptyPlanError) as exc:
+            print(f"repro {args.command}: {exc}", file=sys.stderr)
+            sess.exit_code = 2
+    if profiler is not None and profiler.stats:
+        print("phase profile:", file=sys.stderr)
+        print(profiler.table(), file=sys.stderr)
+    if args.run_dir:
+        print(f"run ledger written to {args.run_dir}", file=sys.stderr)
+    if args.trace:
+        print(f"trace written to {args.trace}", file=sys.stderr)
+    if args.metrics:
+        print(f"metrics written to {args.metrics}", file=sys.stderr)
+    return sess.exit_code
 
 
 if __name__ == "__main__":

@@ -87,9 +87,9 @@ def run_centralized(
         Numeric-mode execution hook.
 
     Accounting is flushed every :data:`FLUSH_EVERY` accesses, at the
-    end, and before any hook runs: a hook sees the clocks, counters and
-    event ring it would see if every operation were charged as it
-    happens, and whatever it charges is picked up before the next pull.
+    end, and before any hook runs: a hook sees the clocks and counters
+    it would see if every operation were charged as it happens, and
+    whatever it charges is picked up before the next pull.
     """
     cfg = stats.config
     latency, service = cfg.latency, cfg.queue_service
@@ -123,11 +123,10 @@ def run_centralized(
     heap = [(t, p) for p, t in enumerate(clock)]
     heapq.heapify(heap)
     server_free = 0.0
-    #: buffered accesses: puller, seconds charged, its clock afterwards
+    #: buffered accesses: puller, seconds charged
     acc_p: list[int] = []
     acc_dt: list[float] = []
-    acc_t: list[float] = []
-    buffer_p, buffer_dt, buffer_t = acc_p.append, acc_dt.append, acc_t.append
+    buffer_p, buffer_dt = acc_p.append, acc_dt.append
     replace_top = heapq.heapreplace
 
     def flush(first: int, costs: list[float] | None = None) -> None:
@@ -135,7 +134,7 @@ def run_centralized(
         ``first`` -- and publish the clocks; ``costs`` are their tasks'
         compute seconds unless a hook had those charged one by one."""
         procs = np.array(acc_p, dtype=np.intp)
-        dt, t = np.array(acc_dt), np.array(acc_t)
+        dt = np.array(acc_dt)
         n = procs.size
         sl = slice(first, first + n)
         fetch = fetch_dt[sl]
@@ -151,7 +150,6 @@ def run_centralized(
             stream(np.ones(n, dtype=np.int64), calls[sl]),
             channel=np.tile(_ACCESS_CHANNELS, n)[keep],
             dt=stream(dt, fetch),
-            t=stream(t, t + fetch),
         )
         if costs is not None:
             costs = np.array(costs)
@@ -162,7 +160,6 @@ def run_centralized(
             np.add.at(executed_tasks, procs[: max(ntasks - first, 0)], 1)
         acc_p.clear()
         acc_dt.clear()
-        acc_t.clear()
         stats.clock[:nproc] = clock
 
     for lo in range(0, ntasks + nproc, FLUSH_EVERY):
@@ -175,7 +172,6 @@ def run_centralized(
             t += dt
             buffer_p(p)
             buffer_dt(dt)
-            buffer_t(t)
             if tid >= ntasks:  # counter exhausted: this process stops
                 clock[p] = t
                 heapq.heappop(heap)

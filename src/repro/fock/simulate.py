@@ -31,9 +31,16 @@ from repro.fock.partition import StaticPartition
 from repro.fock.prefetch import block_footprint, rank_footprints  # noqa: F401
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.stealing import StealingOutcome, run_work_stealing
-from repro.obs import Tracer, get_metrics, get_tracer
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    get_metrics,
+    get_profiler,
+    get_tracer,
+    session,
+)
 from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET
-from repro.obs.profile import PHASE_SIM_LOOP, get_profiler
+from repro.obs.profile import PHASE_SIM_LOOP
 from repro.obs.trace import NullTracer
 from repro.runtime.faults import FaultPlan, FaultState
 from repro.runtime.machine import LONESTAR, MachineConfig
@@ -324,13 +331,10 @@ def simulate_gtfock(
 
         def resimulate(enable_stealing=enable_stealing, **overrides) -> float:
             """Re-run this exact simulation under perturbed parameters."""
-            from repro.obs.metrics import set_metrics
-
             cfg = config.with_(**overrides) if overrides else config
             # a what-if re-simulation must not overwrite the primary
             # run's exported metrics: divert them to a throwaway registry
-            previous = set_metrics(None)
-            try:
+            with session(metrics=MetricsRegistry()):
                 res = simulate_gtfock(
                     basis,
                     screen,
@@ -342,8 +346,6 @@ def simulate_gtfock(
                     faults=faults,
                     tracer=NullTracer(),
                 )
-            finally:
-                set_metrics(previous)
             return res.t_fock_max
 
         capture.resimulate = resimulate

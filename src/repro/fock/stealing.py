@@ -219,7 +219,7 @@ def run_work_stealing(
         Do not bother stealing fewer than this many tasks: endgame
         single-task steals cost a D-buffer copy for near-zero work.
     tracer:
-        Observability sink (defaults to the process-wide tracer).  When
+        Observability sink (defaults to the current session's tracer).  When
         enabled, every executed task and batch becomes a virtual span on
         its rank's trace thread with *exact* scheduler times, and every
         steal / idle transition an instant event carrying victim, batch

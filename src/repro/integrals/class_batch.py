@@ -564,7 +564,8 @@ def jk_from_plan(
     per plan row and before any worker starts, so the same rows are hit
     at every thread count.
     """
-    from repro.obs.profile import PHASE_ERI, PHASE_JK, get_profiler
+    from repro.obs import get_profiler
+    from repro.obs.profile import PHASE_ERI, PHASE_JK
 
     n = engine.basis.nbf
     dflat = density_stack(density, n).reshape(-1, n * n)

@@ -43,7 +43,7 @@ from repro.integrals.eri_os import eri_shell_quartet_os
 from repro.integrals.pairdata import ShellPairData, eri_shell_quartet_batched
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 from repro.integrals.store import ERIStore
-from repro.obs import get_metrics
+from repro.obs import get_metrics, get_profiler
 
 #: bound on memoized class plans per engine (IncrementalFockBuilder
 #: cycles through a handful of effective thresholds per SCF run)
@@ -131,7 +131,7 @@ class ERIEngine(abc.ABC):
         if plan is not None:
             self._class_plans.move_to_end(tau)
             return plan
-        from repro.obs.profile import PHASE_CLASS_PLAN, get_profiler
+        from repro.obs.profile import PHASE_CLASS_PLAN
 
         with get_profiler().phase(PHASE_CLASS_PLAN):
             plan = build_class_plan(
@@ -176,7 +176,7 @@ class ERIEngine(abc.ABC):
     def schwarz(self) -> np.ndarray:
         """Shell-pair screening values sigma(M,N), cached."""
         if self._schwarz is None:
-            from repro.obs.profile import PHASE_SCHWARZ, get_profiler
+            from repro.obs.profile import PHASE_SCHWARZ
 
             with get_profiler().phase(PHASE_SCHWARZ):
                 self._schwarz = self._build_schwarz()

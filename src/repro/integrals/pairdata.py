@@ -154,7 +154,8 @@ class ShellPairData:
         key = (i, j)
         data = self._pairs.get(key)
         if data is None:
-            from repro.obs.profile import PHASE_PAIRDATA, get_profiler
+            from repro.obs import get_profiler
+            from repro.obs.profile import PHASE_PAIRDATA
 
             with get_profiler().phase(PHASE_PAIRDATA):
                 shells = self.basis.shells

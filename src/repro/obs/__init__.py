@@ -1,7 +1,7 @@
 """Unified observability: dual-clock tracing and labelled metrics.
 
 ``repro.obs`` is the substrate the evaluation stands on -- the paper's
-Tables VI-VIII and Figure 2 are all observability artifacts.  Two parts:
+Tables VI-VIII and Figure 2 are all observability artifacts.  Its parts:
 
 * :mod:`repro.obs.trace` -- :class:`Tracer` with nested host (wall-clock)
   spans and explicit-time virtual spans for simulated ranks, exported as
@@ -21,19 +21,36 @@ Tables VI-VIII and Figure 2 are all observability artifacts.  Two parts:
   run directories (``manifest.json`` / ``metrics.jsonl`` /
   ``summary.json``) and the loader behind ``repro report <rundir>``;
 * :mod:`repro.obs.regress` -- the regression observatory grading the
-  BENCH_*.json perf trajectories (``repro perf check``).
+  BENCH_*.json perf trajectories (``repro perf check``);
+* :mod:`repro.obs.ambient` -- the one ambient :class:`ObsSession`:
+  instrumented code reads its tracer / registry / profiler / ledger
+  through :func:`get_tracer` / :func:`get_metrics` / :func:`get_profiler`
+  / :func:`get_ledger`, and ``with repro.obs.session(...)`` is the one
+  way to install instruments and the one place they are torn down.
 
-Both default to process-wide singletons (:func:`get_tracer` /
-:func:`get_metrics`); the default tracer is a no-op so instrumented code
-pays nothing until ``--trace`` (or :func:`set_tracer`) turns it on.
+The default session holds no-op instruments (and one live registry), so
+instrumented code pays nothing until ``--trace`` / ``--profile`` /
+``--run-dir`` -- or a :func:`session` -- turns them on.
 
 See ``docs/OBSERVABILITY.md`` for the span schema and metric names.
 """
 
-from repro.obs.flight import (
-    CHANNELS,
-    FlightEvent,
-    FlightRecorder,
+from repro.obs.ambient import (
+    ObsSession,
+    get_ledger,
+    get_metrics,
+    get_profiler,
+    get_tracer,
+    session,
+)
+from repro.obs.flight import CHANNELS, FlightRecorder
+from repro.obs.manifest import (
+    LedgerError,
+    NullLedger,
+    RunLedger,
+    RunRecord,
+    load_run,
+    provenance,
 )
 from repro.obs.metrics import (
     Counter,
@@ -42,26 +59,8 @@ from repro.obs.metrics import (
     Metric,
     MetricsRegistry,
     export_commstats,
-    get_metrics,
-    set_metrics,
 )
-from repro.obs.manifest import (
-    LedgerError,
-    NullLedger,
-    RunLedger,
-    RunRecord,
-    get_ledger,
-    load_run,
-    provenance,
-    set_ledger,
-)
-from repro.obs.profile import (
-    NullProfiler,
-    PhaseProfiler,
-    get_profiler,
-    profiling,
-    set_profiler,
-)
+from repro.obs.profile import NullProfiler, PhaseProfiler
 from repro.obs.trace import (
     HOST_PID,
     NULL_TRACER,
@@ -69,43 +68,35 @@ from repro.obs.trace import (
     NullTracer,
     TraceEvent,
     Tracer,
-    get_tracer,
-    set_tracer,
-    tracing,
 )
 
 __all__ = [
+    "ObsSession",
+    "get_ledger",
+    "get_metrics",
+    "get_profiler",
+    "get_tracer",
+    "session",
     "CHANNELS",
-    "FlightEvent",
     "FlightRecorder",
+    "LedgerError",
+    "NullLedger",
+    "RunLedger",
+    "RunRecord",
+    "load_run",
+    "provenance",
     "Counter",
     "Gauge",
     "Histogram",
     "Metric",
     "MetricsRegistry",
     "export_commstats",
-    "get_metrics",
-    "set_metrics",
-    "LedgerError",
-    "NullLedger",
-    "RunLedger",
-    "RunRecord",
-    "get_ledger",
-    "load_run",
-    "provenance",
-    "set_ledger",
     "NullProfiler",
     "PhaseProfiler",
-    "get_profiler",
-    "profiling",
-    "set_profiler",
     "HOST_PID",
     "NULL_TRACER",
     "SIM_PID",
     "NullTracer",
     "TraceEvent",
     "Tracer",
-    "get_tracer",
-    "set_tracer",
-    "tracing",
 ]

@@ -593,7 +593,7 @@ class CritPathAnalysis:
 
     def export_metrics(self, registry=None) -> None:
         """Export ``repro_critpath_*`` gauges to the metrics registry."""
-        from repro.obs.metrics import get_metrics
+        from repro.obs.ambient import get_metrics
 
         reg = registry if registry is not None else get_metrics()
         d = self.decomposition

@@ -36,16 +36,11 @@ Two invariants make the recorder trustworthy (tested in
   count as one-sided GA calls (queue probes, steal transactions) live in
   the ``ops`` field and never contaminate the Table VI/VII counters.
 
-The recorder also keeps a bounded ring buffer of the most recent events
-(the "flight recorder" proper) for timeline views; overflow drops the
-oldest events and counts them in :attr:`FlightRecorder.dropped_events`.
+Timelines come from the :class:`~repro.obs.trace.Tracer`; the recorder
+keeps counters only.
 """
 
 from __future__ import annotations
-
-import itertools
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,28 +110,6 @@ def check_ranks(ranks, nproc: int) -> np.ndarray:
     return ranks
 
 
-@dataclass
-class FlightEvent:
-    """One entry of the bounded event ring."""
-
-    t: float
-    rank: int
-    channel: str
-    nbytes: int
-    ncalls: int
-    dt: float
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "rank": self.rank,
-            "channel": self.channel,
-            "bytes": self.nbytes,
-            "calls": self.ncalls,
-            "dt": self.dt,
-        }
-
-
 class _ChannelCounters:
     """Per-rank counters of one channel."""
 
@@ -150,27 +123,19 @@ class _ChannelCounters:
 
 
 class FlightRecorder:
-    """Per-rank, per-channel message/byte/time accounting + event ring.
+    """Per-rank, per-channel message/byte/time accounting.
 
     Parameters
     ----------
     nproc:
         Number of simulated ranks.
-    max_events:
-        Ring-buffer capacity; 0 disables event capture entirely (the
-        per-channel counter matrix is always maintained).
     """
 
-    def __init__(self, nproc: int, max_events: int = 4096):
+    def __init__(self, nproc: int):
         if nproc < 1:
             raise ValueError(f"need at least one rank, got {nproc}")
         self.nproc = nproc
-        self.max_events = int(max_events)
         self._channels: dict[str, _ChannelCounters] = {}
-        #: plain ``(t, rank, channel, nbytes, ncalls, dt)`` tuples: almost
-        #: every record is overwritten before anyone reads the ring
-        self._ring: deque[tuple] = deque(maxlen=max(self.max_events, 0))
-        self.dropped_events = 0
 
     # -- recording -----------------------------------------------------------
 
@@ -182,13 +147,7 @@ class FlightRecorder:
         return c
 
     def record(
-        self,
-        rank: int,
-        channel: str,
-        nbytes: int,
-        ncalls: int,
-        dt: float,
-        t: float = 0.0,
+        self, rank: int, channel: str, nbytes: int, ncalls: int, dt: float
     ) -> None:
         """Account a counted communication operation (a GA call)."""
         check_rank(rank, self.nproc)
@@ -196,24 +155,17 @@ class FlightRecorder:
         c.msgs[rank] += ncalls
         c.bytes[rank] += int(nbytes)
         c.time[rank] += dt
-        if self.max_events > 0:
-            if len(self._ring) == self.max_events:
-                self.dropped_events += 1
-            self._ring.append(
-                (float(t), rank, channel, int(nbytes), int(ncalls), dt)
-            )
 
-    def record_batch(self, ranks, channel, nbytes, ncalls, dt, t=0.0) -> None:
+    def record_batch(self, ranks, channel, nbytes, ncalls, dt) -> None:
         """Account a batch of counted operations, in array order.
 
         Leaves the recorder exactly as one :meth:`record` per entry
         would: counters accumulate in array order (``np.add.at`` is
         unbuffered, so a rank's float ``time`` sum rounds as it does op
-        by op), the ring keeps the last ``max_events`` entries and
-        ``dropped_events`` advances as if they had arrived one by one.
-        ``channel`` is one name for the whole batch, or per op an index
-        into :data:`CHANNELS` (ops of several channels interleaved in
-        event order); the other fields broadcast against ``ranks``.
+        by op).  ``channel`` is one name for the whole batch, or per op
+        an index into :data:`CHANNELS` (ops of several channels
+        interleaved in event order); the other fields broadcast against
+        ``ranks``.
         """
         ranks = check_ranks(ranks, self.nproc)
         n = ranks.size
@@ -222,33 +174,16 @@ class FlightRecorder:
         nbytes = np.broadcast_to(np.asarray(nbytes).astype(np.int64), n)
         ncalls = np.broadcast_to(np.asarray(ncalls, dtype=np.int64), n)
         dt = np.broadcast_to(np.asarray(dt, dtype=float), n)
-        #: the entries that can still be in the ring afterwards
-        tail = slice(max(0, n - self.max_events), n)
         if isinstance(channel, str):
             groups = [(channel, slice(None))]
-            names = itertools.repeat(channel)
         else:
             channel = np.asarray(channel)
             groups = [(CHANNELS[k], channel == k) for k in np.unique(channel)]
-            names = (CHANNELS[k] for k in channel[tail].tolist())
         for name, sel in groups:
             c = self._counters(name)
             np.add.at(c.msgs, ranks[sel], ncalls[sel])
             np.add.at(c.bytes, ranks[sel], nbytes[sel])
             np.add.at(c.time, ranks[sel], dt[sel])
-        if self.max_events > 0:
-            self.dropped_events += max(
-                0, len(self._ring) + n - self.max_events
-            )
-            t = np.broadcast_to(np.asarray(t, dtype=float), n)
-            self._ring.extend(zip(
-                t[tail].tolist(),
-                ranks[tail].tolist(),
-                names,
-                nbytes[tail].tolist(),
-                ncalls[tail].tolist(),
-                dt[tail].tolist(),
-            ))
 
     def record_op(self, rank: int, channel: str, nops: int = 1) -> None:
         """Account scheduler atomics that are *not* one-sided GA calls."""
@@ -267,9 +202,6 @@ class FlightRecorder:
         ordered = [ch for ch in CHANNELS if ch in seen]
         ordered += sorted(seen - set(CHANNELS))
         return ordered
-
-    def events(self) -> list[FlightEvent]:
-        return [FlightEvent(*entry) for entry in self._ring]
 
     def per_rank(self, channel: str, field: str = "bytes") -> np.ndarray:
         """Per-rank values of one channel (zeros if never recorded)."""
@@ -345,13 +277,11 @@ class FlightRecorder:
             "msgs": m_msgs.tolist(),
             "time": m_time.tolist(),
             "ops": m_ops.tolist(),
-            "events": [ev.to_json() for ev in self.events()],
-            "dropped_events": self.dropped_events,
         }
 
     def export_metrics(self, registry=None, prefix: str = "repro_flight"):
         """Export the channel matrix as labelled counters/gauges."""
-        from repro.obs.metrics import get_metrics
+        from repro.obs.ambient import get_metrics
 
         reg = registry if registry is not None else get_metrics()
         specs = (

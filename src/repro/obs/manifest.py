@@ -9,17 +9,18 @@ owns one **run directory** in the curv-embedding artifact layout
   :func:`provenance` block (package version, git SHA, numpy/scipy/python
   versions, CPU count, platform), stamped with a timezone-aware UTC
   start time.  A crash after this point still leaves a findable record.
-* ``metrics.jsonl`` -- *streamed* snapshots of the process-wide metrics
+* ``metrics.jsonl`` -- *streamed* snapshots of the current session's metrics
   registry, one JSON object per line: the SCF driver snapshots after
   every iteration, the Fock/report drivers after every build, and
   :meth:`RunLedger.close` always appends a ``final`` snapshot.
 * ``summary.json`` -- written at *close*: exit code, wall time, phase
   profile, hotspot table, and any result fields the command attached.
 
-The ledger is a process-wide singleton behind :func:`get_ledger` /
-:func:`set_ledger` (same pattern as the tracer, metrics registry, and
-phase profiler); the default :data:`NULL_LEDGER` makes every probe a
-no-op.  The CLI arms it with ``--run-dir PATH`` on every subcommand.
+The ledger is an attribute of the current ``repro.obs.session`` read
+through :func:`repro.obs.get_ledger` (same pattern as the tracer,
+metrics registry, and phase profiler); the default :data:`NULL_LEDGER`
+makes every probe a no-op.  The CLI arms it with ``--run-dir PATH`` on
+every subcommand.
 
 :func:`load_run` reads a persisted run directory back -- it is what lets
 ``repro report <rundir>`` render a report *after the fact* and what the
@@ -178,7 +179,7 @@ class RunLedger:
         """Append one metrics-registry snapshot line to ``metrics.jsonl``."""
         if self._closed:
             return
-        from repro.obs.metrics import get_metrics
+        from repro.obs.ambient import get_metrics
 
         reg = registry if registry is not None else get_metrics()
         record = {
@@ -199,8 +200,9 @@ class RunLedger:
         self.summary_extra.update(fields)
 
     def attach_profile(self, profiler=None, hotspots=None) -> None:
-        """Record a phase profile and/or hotspot table in the summary."""
-        if profiler is not None and profiler.enabled:
+        """Record a phase profile (one that saw a phase) and/or hotspot
+        table in the summary."""
+        if profiler is not None and profiler.stats:
             self.phases = profiler.to_json()
         if hotspots is not None:
             self.hotspots = hotspots.to_json()
@@ -256,22 +258,6 @@ class NullLedger(RunLedger):
 
 #: the shared disabled ledger; ``get_ledger()`` returns it by default
 NULL_LEDGER = NullLedger()
-
-_active: RunLedger = NULL_LEDGER
-
-
-def get_ledger() -> RunLedger:
-    """The process-wide active run ledger (the no-op one unless armed)."""
-    return _active
-
-
-def set_ledger(ledger: RunLedger | None) -> RunLedger:
-    """Install ``ledger`` (None restores the null one); returns the old."""
-    global _active
-    previous = _active
-    _active = ledger if ledger is not None else NULL_LEDGER
-    return previous
-
 
 # ---------------------------------------------------------------------------
 # loading persisted runs back

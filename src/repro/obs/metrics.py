@@ -12,9 +12,10 @@ the paper's Tables VI/VII/VIII -- into metrics verbatim: integer byte and
 call counters are exported without any float round-trip, so the table
 values recomputed from the export match the originals bit-for-bit.
 
-A module-level registry (:func:`get_metrics`) backs the package-wide
-instrumentation; recording into an unwatched registry is a couple of
-dict operations, cheap enough to leave always on.
+The current ``repro.obs.session``'s registry
+(:func:`repro.obs.get_metrics`) backs the package-wide instrumentation;
+recording into an unwatched registry is a couple of dict operations,
+cheap enough to leave always on.
 """
 
 from __future__ import annotations
@@ -254,6 +255,15 @@ def _fmt_float(value) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _or_current(registry: MetricsRegistry | None) -> MetricsRegistry:
+    """``registry``, or the current session's when none was passed."""
+    if registry is not None:
+        return registry
+    from repro.obs.ambient import get_metrics
+
+    return get_metrics()
+
+
 def export_commstats(
     stats: "CommStats",
     registry: MetricsRegistry | None = None,
@@ -267,7 +277,7 @@ def export_commstats(
     Table VII calls, Table VIII load balance) are exported as gauges
     computed by ``CommStats`` itself, so the two views cannot drift.
     """
-    reg = registry if registry is not None else get_metrics()
+    reg = _or_current(registry)
     per_proc = (
         ("bytes_total", "bytes moved (incl. local)", stats.bytes, True),
         ("calls_total", "one-sided GA calls", stats.calls, True),
@@ -315,7 +325,7 @@ def export_faults(
     (optional) a :class:`~repro.fock.stealing.StealingOutcome` whose
     death/re-execution counters are included when given.
     """
-    reg = registry if registry is not None else get_metrics()
+    reg = _or_current(registry)
     retries = reg.counter(
         f"{prefix}_retries_total", "transient-failure retries charged",
         labelnames=("proc",),
@@ -362,7 +372,7 @@ def export_service(
     supervisor's own tallies (``restarts=``, ``timeouts=``,
     ``leases_expired=``).
     """
-    reg = registry if registry is not None else get_metrics()
+    reg = _or_current(registry)
     jobs = reg.gauge(
         f"{prefix}_jobs", "jobs currently in each queue state",
         labelnames=("state",),
@@ -401,7 +411,7 @@ def export_integrity(
     exports non-zero checks and all-zero detections -- the observable
     proof that the detectors ran and found nothing.
     """
-    reg = registry if registry is not None else get_metrics()
+    reg = _or_current(registry)
     checks = reg.counter(
         f"{prefix}_checks_total", "integrity detector executions",
         labelnames=("detector",),
@@ -423,19 +433,3 @@ def export_integrity(
     for action, n in summary.get("recoveries", {}).items():
         recoveries.inc(int(n), action=action)
     return reg
-
-
-_registry = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-wide metrics registry backing package instrumentation."""
-    return _registry
-
-
-def set_metrics(registry: MetricsRegistry | None) -> MetricsRegistry:
-    """Install a fresh registry (None resets); returns the old one."""
-    global _registry
-    previous = _registry
-    _registry = registry if registry is not None else MetricsRegistry()
-    return previous

@@ -18,9 +18,10 @@ emitted as a host span (``cat="phase"``) into the active
 :class:`~repro.obs.trace.Tracer`, so Perfetto shows the phases next to
 the existing span schema.
 
-Like the tracer and the metrics registry, the profiler is a process-wide
-singleton behind :func:`get_profiler` / :func:`set_profiler`; the
-default :data:`NULL_PROFILER` makes every probe a no-op, so leaving the
+Like the tracer and the metrics registry, the profiler is an attribute
+of the current ``repro.obs.session`` read through
+:func:`repro.obs.get_profiler`; the default :data:`NULL_PROFILER` makes
+every probe a no-op, so leaving the
 instrumentation in the hot path costs essentially nothing when disabled
 (and <= 5% when enabled without ``alloc``, gated by
 ``benchmarks/test_bench_profiler.py``).
@@ -37,9 +38,8 @@ import cProfile
 import pstats
 import time
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 #: the canonical phase taxonomy (documented in docs/OBSERVABILITY.md);
 #: free-form names are allowed, these are the ones the pipeline emits
@@ -218,7 +218,7 @@ class PhaseProfiler:
         tracemalloc.reset_peak()
 
     def _mirror(self, name: str, wall: float) -> None:
-        from repro.obs.trace import get_tracer
+        from repro.obs.ambient import get_tracer
 
         tracer = get_tracer()
         if tracer.enabled:
@@ -258,7 +258,7 @@ class PhaseProfiler:
 
     def export_metrics(self, registry=None) -> None:
         """Dump the accumulated stats as ``repro_phase_*`` metrics."""
-        from repro.obs.metrics import get_metrics
+        from repro.obs.ambient import get_metrics
 
         reg = registry if registry is not None else get_metrics()
         wall = reg.counter(
@@ -325,33 +325,6 @@ class NullProfiler(PhaseProfiler):
 
 #: the shared disabled profiler; ``get_profiler()`` returns it by default
 NULL_PROFILER = NullProfiler()
-
-_active: PhaseProfiler = NULL_PROFILER
-
-
-def get_profiler() -> PhaseProfiler:
-    """The process-wide active phase profiler (no-op unless enabled)."""
-    return _active
-
-
-def set_profiler(profiler: PhaseProfiler | None) -> PhaseProfiler:
-    """Install ``profiler`` (None restores the null one); returns the old."""
-    global _active
-    previous = _active
-    _active = profiler if profiler is not None else NULL_PROFILER
-    return previous
-
-
-@contextmanager
-def profiling(profiler: PhaseProfiler | None = None) -> Iterator[PhaseProfiler]:
-    """Activate a phase profiler for the duration of a ``with`` block."""
-    profiler = profiler if profiler is not None else PhaseProfiler()
-    previous = set_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        set_profiler(previous)
-
 
 # ---------------------------------------------------------------------------
 # cProfile hotspot capture (opt-in: real profiling overhead)

@@ -35,7 +35,6 @@ from typing import Any
 import numpy as np
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.profile import get_profiler
 from repro.obs.validate import FAIL, PASS, WARN, ModelValidation
 
 # -- palette (see docs: reference data-viz palette) --------------------------
@@ -168,6 +167,48 @@ def _badge(status: str) -> str:
 
 def _esc(s: Any) -> str:
     return html.escape(str(s), quote=True)
+
+
+def _tiles(pairs) -> str:
+    """The headline-number row: one tile per ``(value, label)`` pair."""
+    return '<div class="tiles">' + "".join(
+        f'<div class="tile"><div class="v">{_esc(v)}</div>'
+        f'<div class="l">{_esc(label)}</div></div>'
+        for v, label in pairs
+    ) + "</div>"
+
+
+def _section(body: str) -> str:
+    """``body`` as one card of the page; no body, no card."""
+    return f"<section>{body}</section>" if body else ""
+
+
+def _page(
+    title: str, heading: str, subtitle: str, tiles, sections, footer: str,
+    gap: str = "\n",
+) -> str:
+    """The document every report page is: head + inline style, heading,
+    subtitle, an optional tile row, the sections and a footer, ``gap``
+    apart.  ``heading`` / ``subtitle`` / ``footer`` are HTML."""
+    blocks = ([_tiles(tiles)] if tiles else []) + list(sections)
+    blocks.append(f"<footer>{footer}</footer>")
+    return f"""<!DOCTYPE html>
+<html lang="en">
+<head>
+<meta charset="utf-8">
+<meta name="viewport" content="width=device-width, initial-scale=1">
+<title>{_esc(title)}</title>
+<style>{_CSS}</style>
+</head>
+<body>
+<main>
+<h1>{heading}</h1>
+<p class="subtitle">{subtitle}</p>
+{gap.join(blocks)}
+</main>
+</body>
+</html>
+"""
 
 
 def _fmt_bytes(n: float) -> str:
@@ -673,17 +714,12 @@ def critpath_section_html(cp: dict) -> str:
             (f"{path['explained_ratio']:.1%}", "path explains"),
             (str(len(path["hops"])), "cross-rank hops"),
         ]
-    tiles_html = "".join(
-        f'<div class="tile"><div class="v">{_esc(v)}</div>'
-        f'<div class="l">{_esc(label)}</div></div>'
-        for v, label in tiles
-    )
     parts = [
         "<h2>Critical path</h2>",
         '<p class="caption">Exact per-rank time decomposition '
         "(compute / comm / blocked / idle sums to the makespan per rank; "
         f"see docs/OBSERVABILITY.md#critical-path) {ok_badge}</p>",
-        f'<div class="tiles">{tiles_html}</div>',
+        _tiles(tiles),
     ]
     chains = cp.get("chains")
     if chains:
@@ -782,31 +818,16 @@ def render_critpath_report(analysis: Any) -> str:
     :class:`~repro.obs.critpath.CritPathAnalysis` (``repro analyze
     --report``)."""
     cp = analysis.to_json() if hasattr(analysis, "to_json") else analysis
-    title = (
-        f"critpath-{cp.get('molecule') or 'run'}-{cp.get('cores', 0)}c"
+    return _page(
+        f"critpath-{cp.get('molecule') or 'run'}-{cp.get('cores', 0)}c",
+        f"Critical-path analysis: {_esc(str(cp.get('molecule') or '?'))}",
+        f"{_esc(str(cp.get('algorithm', 'gtfock')))} @\n"
+        f"{cp.get('cores', 0)} simulated cores ({cp.get('nproc', 0)} ranks)",
+        None,
+        [_section(f"\n{critpath_section_html(cp)}\n")],
+        "self-contained report &mdash; no external assets; generated by\n"
+        "the repro critical-path analyzer (see docs/OBSERVABILITY.md)",
     )
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_esc(title)}</title>
-<style>{_CSS}</style>
-</head>
-<body>
-<main>
-<h1>Critical-path analysis: {_esc(str(cp.get('molecule') or '?'))}</h1>
-<p class="subtitle">{_esc(str(cp.get('algorithm', 'gtfock')))} @
-{cp.get('cores', 0)} simulated cores ({cp.get('nproc', 0)} ranks)</p>
-<section>
-{critpath_section_html(cp)}
-</section>
-<footer>self-contained report &mdash; no external assets; generated by
-the repro critical-path analyzer (see docs/OBSERVABILITY.md)</footer>
-</main>
-</body>
-</html>
-"""
 
 
 # -- the report --------------------------------------------------------------
@@ -860,53 +881,31 @@ def render_report(r: RunReport) -> str:
     """Render one :class:`RunReport` as a self-contained HTML page."""
     chans, m_bytes = r.flight.matrix("bytes")
     _, m_msgs = r.flight.matrix("msgs")
-    tiles = (
-        (r.molecule, "molecule"),
-        (r.basis_name, "basis"),
-        (str(r.nproc), "processes"),
-        (f"{r.nbf} / {r.nshells}", "functions / shells"),
-        (str(len(r.steals)), "steals"),
-        (f"{r.summary.get('makespan', 0.0):.3g} s", "makespan"),
-        (f"{r.load_balance:.3f}", "load balance"),
-        (f"{r.summary.get('avg_volume_mb', 0.0):.3f}", "MB / process"),
-    )
-    tiles_html = "".join(
-        f'<div class="tile"><div class="v">{_esc(v)}</div>'
-        f'<div class="l">{_esc(label)}</div></div>'
-        for v, label in tiles
-    )
 
     trace_html = ""
     if r.trace is not None:
         payload = base64.b64encode(r.trace.encode("utf-8")).decode("ascii")
         trace_html = (
-            "<section><h2>Trace</h2>"
+            "<h2>Trace</h2>"
             '<p class="caption">Chrome trace-event JSON of this run '
             "(host spans + per-rank virtual clocks). Download and open at "
             '<a href="https://ui.perfetto.dev">ui.perfetto.dev</a>.</p>'
             f'<a download="{_esc(r.title)}.trace.json" '
             f'href="data:application/json;base64,{payload}">'
             "download Perfetto trace"
-            f" ({_fmt_bytes(len(payload) * 3 // 4)})</a></section>"
+            f" ({_fmt_bytes(len(payload) * 3 // 4)})</a>"
         )
 
     notes_html = ""
     if r.notes:
         items = "".join(f"<li>{_esc(n)}</li>" for n in r.notes)
         notes_html = f'<ul class="caption">{items}</ul>'
-    dropped = r.flight.dropped_events
-    dropped_html = (
-        f'<p class="caption">{dropped} events dropped from the ring '
-        "buffer (oldest first); counters are unaffected.</p>"
-        if dropped
-        else ""
-    )
 
     recovery_html = ""
     if r.recovery is not None:
         rec = r.recovery
         inv_badge = _badge(PASS if rec.get("passed", False) else FAIL)
-        rec_tiles = (
+        rec_tiles = _tiles((
             (f"{rec.get('fock_error', 0.0):.2e}", "max |dF| vs fault-free"),
             (str(rec.get("dead_ranks", [])), "dead ranks"),
             (str(rec.get("reexecuted_tasks", 0)), "re-executed tasks"),
@@ -915,53 +914,22 @@ def render_report(r: RunReport) -> str:
             (str(rec.get("acks_lost_total", 0)), "acks lost"),
             (_fmt_bytes(rec.get("retry_bytes", 0)), "retry bytes"),
             (f"x{rec.get('slowdown', 1.0):.2f}", "makespan vs fault-free"),
-        )
-        rec_tiles_html = "".join(
-            f'<div class="tile"><div class="v">{_esc(v)}</div>'
-            f'<div class="l">{_esc(label)}</div></div>'
-            for v, label in rec_tiles
-        )
+        ))
         recovery_html = (
-            "<section><h2>Fault injection &amp; recovery</h2>"
+            "<h2>Fault injection &amp; recovery</h2>"
             f'<p class="caption">Plan: <code>{_esc(rec.get("plan", ""))}'
             "</code> &mdash; chaos invariant (faulted Fock matrix equals "
             f"the fault-free one to &le; {rec.get('tolerance', 1e-12):.0e}) "
             f"{inv_badge}</p>"
-            f'<div class="tiles">{rec_tiles_html}</div>'
+            f"{rec_tiles}"
             '<p class="caption">Recovery overhead is visible above: the '
             "<code>retry</code> heatmap column carries every re-sent "
             "payload and injected delay, and re-executed tasks inflate "
             "the survivors' compute bars. See docs/ROBUSTNESS.md for the "
-            "taxonomy and protocol.</p></section>"
+            "taxonomy and protocol.</p>"
         )
 
-    guard_html = ""
-    if r.scf_guard is not None:
-        guard_html = (
-            "<section>" + scf_guard_section_html(r.scf_guard) + "</section>"
-        )
-
-    integrity_html = ""
-    if r.integrity is not None:
-        integrity_html = (
-            "<section>" + integrity_section_html(r.integrity) + "</section>"
-        )
-
-    phases_html = ""
-    if r.phases or r.hotspots:
-        phases_html = (
-            "<section>"
-            + phase_section_html(r.phases or [], r.hotspots)
-            + "</section>"
-        )
-
-    critpath_html = ""
-    path_segments = None
-    if r.critpath is not None:
-        critpath_html = (
-            "<section>" + critpath_section_html(r.critpath) + "</section>"
-        )
-        path_segments = (r.critpath.get("path") or {}).get("segments")
+    path_segments = ((r.critpath or {}).get("path") or {}).get("segments")
 
     ops_chans = [c for c in chans if np.any(r.flight.per_rank(c, "ops"))]
     ops_html = ""
@@ -977,23 +945,8 @@ def render_report(r: RunReport) -> str:
             + _matrix_table(ops_chans, m_ops, lambda v: f"{int(v)}")
         )
 
-    doc = f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_esc(r.title)}</title>
-<style>{_CSS}</style>
-</head>
-<body>
-<main>
-<h1>Fock-build run report: {_esc(r.title)}</h1>
-<p class="subtitle">{_esc(r.molecule)} / {_esc(r.basis_name)} on
-{r.nproc} simulated processes &mdash; model validation
-{_badge(r.validation.status)}</p>
-<div class="tiles">{tiles_html}</div>
-
-<section>
+    sections = [
+        _section(f"""
 <h2>Communication volume by rank and channel</h2>
 <p class="caption">Bytes moved per rank on each flight-recorder channel
 (sequential scale, hover any cell for the value). Per-rank channel sums
@@ -1004,10 +957,8 @@ equal the run's Table VI counters exactly.</p>
 <p class="caption">one-sided calls:</p>
 {_matrix_table(chans, m_msgs, lambda v: f"{int(v)}")}
 </details>
-{dropped_html}
-</section>
-
-<section>
+"""),
+        _section(f"""
 <h2>Steal-event timeline</h2>
 <p class="caption">Each steal connects its victim (open marker) to the
 thief (filled marker) at the virtual time it happened; the gray track
@@ -1019,9 +970,8 @@ shows how long each rank stayed busy{
 <th>tasks</th></tr></thead><tbody>
 {''.join(f"<tr><td>{s.time:.6g}</td><td>r{s.thief}</td><td>r{s.victim}</td><td>{s.ntasks}</td></tr>" for s in r.steals)}
 </tbody></table></details>
-</section>
-
-<section>
+"""),
+        _section(f"""
 <h2>Load balance</h2>
 <div class="legend">
 <span><i class="sw" style="background: var(--series-1)"></i>compute</span>
@@ -1035,9 +985,8 @@ shows how long each rank stayed busy{
 <th>finish (s)</th></tr></thead><tbody>
 {''.join(f"<tr><td>r{p}</td><td>{r.comp_time[p]:.6g}</td><td>{r.comm_time[p]:.6g}</td><td>{r.finish_time[p]:.6g}</td></tr>" for p in range(r.nproc))}
 </tbody></table></details>
-</section>
-
-<section>
+"""),
+        _section(f"""
 <h2>Model vs measured (Sec III-G)</h2>
 <p class="caption">Performance-model predictions against flight-recorder
 measurements; a metric warns/fails when measured/model (folded to
@@ -1045,29 +994,36 @@ measurements; a metric warns/fails when measured/model (folded to
 {r.validation.s_measured:.2f} victims/process.</p>
 {validation_table_html(r.validation)}
 {notes_html}
-</section>
-
-{critpath_html}
-
-{recovery_html}
-
-{guard_html}
-
-{integrity_html}
-
-{phases_html}
-
-{ops_html and f'<section>{ops_html}</section>'}
-
-{trace_html}
-
-<footer>self-contained report &mdash; no external assets; generated by
-the repro flight recorder (see docs/OBSERVABILITY.md)</footer>
-</main>
-</body>
-</html>
-"""
-    return doc
+"""),
+        _section(critpath_section_html(r.critpath) if r.critpath else ""),
+        _section(recovery_html),
+        _section(scf_guard_section_html(r.scf_guard) if r.scf_guard else ""),
+        _section(integrity_section_html(r.integrity) if r.integrity else ""),
+        _section(phase_section_html(r.phases or [], r.hotspots)),
+        _section(ops_html),
+        _section(trace_html),
+    ]
+    return _page(
+        r.title,
+        f"Fock-build run report: {_esc(r.title)}",
+        f"{_esc(r.molecule)} / {_esc(r.basis_name)} on\n"
+        f"{r.nproc} simulated processes &mdash; model validation\n"
+        f"{_badge(r.validation.status)}",
+        (
+            (r.molecule, "molecule"),
+            (r.basis_name, "basis"),
+            (str(r.nproc), "processes"),
+            (f"{r.nbf} / {r.nshells}", "functions / shells"),
+            (str(len(r.steals)), "steals"),
+            (f"{r.summary.get('makespan', 0.0):.3g} s", "makespan"),
+            (f"{r.load_balance:.3f}", "load balance"),
+            (f"{r.summary.get('avg_volume_mb', 0.0):.3f}", "MB / process"),
+        ),
+        sections,
+        "self-contained report &mdash; no external assets; generated by\n"
+        "the repro flight recorder (see docs/OBSERVABILITY.md)",
+        gap="\n\n",
+    )
 
 
 # -- SCF convergence guard -----------------------------------------------------
@@ -1081,19 +1037,14 @@ def scf_guard_section_html(g: dict) -> str:
     """
     healthy = g.get("final_state", "healthy") == "healthy"
     state_badge = _badge(PASS if healthy else WARN)
-    tiles = (
+    tiles = _tiles((
         (str(g.get("events", 0)), "guard events"),
         (str(g.get("level", -1)), "ladder rung reached"),
         (_fmt_g(float(g.get("damping", 0.0))), "final damping"),
         (f"{float(g.get('level_shift', 0.0)):.3g} Ha", "final level shift"),
         (str(g.get("nonfinite", 0)), "non-finite events"),
         ("yes" if g.get("reference_eri") else "no", "reference ERI fallback"),
-    )
-    tiles_html = "".join(
-        f'<div class="tile"><div class="v">{_esc(v)}</div>'
-        f'<div class="l">{_esc(label)}</div></div>'
-        for v, label in tiles
-    )
+    ))
     by_state = g.get("by_state", {}) or {}
     by_action = g.get("by_action", {}) or {}
     counts_rows = "".join(
@@ -1125,8 +1076,7 @@ def scf_guard_section_html(g: dict) -> str:
         f"{state_badge} &mdash; metric names are listed in "
         "docs/OBSERVABILITY.md (<code>repro_scf_guard_*</code>); the "
         "remediation ladder is documented in docs/ROBUSTNESS.md.</p>"
-        f'<div class="tiles">{tiles_html}</div>'
-        f"{counts_html}{trail_html}"
+        f"{tiles}{counts_html}{trail_html}"
     )
 
 
@@ -1138,7 +1088,7 @@ def integrity_section_html(d: dict) -> str:
     """
     detections = int(d.get("detections_total", 0))
     state_badge = _badge(PASS if detections == 0 else WARN)
-    tiles = (
+    tiles = _tiles((
         (str(d.get("checks_total", 0)), "integrity checks run"),
         (str(detections), "corruptions detected"),
         (str(d.get("recoveries_total", 0)), "recoveries taken"),
@@ -1146,12 +1096,7 @@ def integrity_section_html(d: dict) -> str:
             str((d.get("injections") or {}).get("injections_total", 0)),
             "injections (chaos)",
         ),
-    )
-    tiles_html = "".join(
-        f'<div class="tile"><div class="v">{_esc(v)}</div>'
-        f'<div class="l">{_esc(label)}</div></div>'
-        for v, label in tiles
-    )
+    ))
     rows = "".join(
         f"<tr><td>{_esc(k)}</td><td>{v}</td><td>detector runs</td></tr>"
         for k, v in sorted((d.get("checks") or {}).items())
@@ -1178,8 +1123,7 @@ def integrity_section_html(d: dict) -> str:
         f"{state_badge} &mdash; metric names are "
         "<code>repro_integrity_*</code> (docs/OBSERVABILITY.md); threat "
         "model and recovery ladder in docs/ROBUSTNESS.md.</p>"
-        f'<div class="tiles">{tiles_html}</div>'
-        f"{counts_html}"
+        f"{tiles}{counts_html}"
     )
 
 
@@ -1192,20 +1136,6 @@ def render_torture_report(records: list[Any], title: str = "scf-torture") -> str
     npassed = sum(1 for rec in records if rec.get("passed"))
     nconv = sum(1 for rec in records if rec.get("converged"))
     all_pass = npassed == len(records)
-    tiles = (
-        (str(len(records)), "torture cases"),
-        (f"{npassed}/{len(records)}", "passed the guard gate"),
-        (str(nconv), "converged under guard"),
-        (
-            str(sum(len(rec.get("trail", [])) for rec in records)),
-            "guard events",
-        ),
-    )
-    tiles_html = "".join(
-        f'<div class="tile"><div class="v">{_esc(v)}</div>'
-        f'<div class="l">{_esc(label)}</div></div>'
-        for v, label in tiles
-    )
     rows = []
     for rec in records:
         vanilla = rec.get("vanilla_converged")
@@ -1243,22 +1173,23 @@ def render_torture_report(records: list[Any], title: str = "scf-torture") -> str
             f"</summary><p class=\"caption\">{detail_caption}</p>"
             f"<ul>{body}</ul></details>"
         )
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_esc(title)}</title>
-<style>{_CSS}</style>
-</head>
-<body>
-<main>
-<h1>SCF torture suite: {_esc(title)}</h1>
-<p class="subtitle">convergence-guard acceptance gate: every case
-converges or terminates with a classified GuardEvent trail
-{_badge(PASS if all_pass else FAIL)}</p>
-<div class="tiles">{tiles_html}</div>
-<section>
+    return _page(
+        title,
+        f"SCF torture suite: {_esc(title)}",
+        "convergence-guard acceptance gate: every case\n"
+        "converges or terminates with a classified GuardEvent trail\n"
+        f"{_badge(PASS if all_pass else FAIL)}",
+        (
+            (str(len(records)), "torture cases"),
+            (f"{npassed}/{len(records)}", "passed the guard gate"),
+            (str(nconv), "converged under guard"),
+            (
+                str(sum(len(rec.get("trail", [])) for rec in records)),
+                "guard events",
+            ),
+        ),
+        [
+            _section(f"""
 <h2>Cases</h2>
 <p class="caption">"vanilla" is the same driver configuration without
 the guard; "events" counts typed GuardEvents (classifications and
@@ -1266,17 +1197,12 @@ remediations). Ladder and classifier rules: docs/ROBUSTNESS.md.</p>
 <table><thead><tr><th>case</th><th>vanilla</th><th>guarded</th>
 <th>iters</th><th>energy (Ha)</th><th>events</th><th>gate</th>
 </tr></thead><tbody>{''.join(rows)}</tbody></table>
-</section>
-<section>
-<h2>Event trails</h2>
-{''.join(details)}
-</section>
-<footer>self-contained report &mdash; no external assets; generated by
-the repro SCF convergence guard (see docs/ROBUSTNESS.md)</footer>
-</main>
-</body>
-</html>
-"""
+"""),
+            _section(f"\n<h2>Event trails</h2>\n{''.join(details)}\n"),
+        ],
+        "self-contained report &mdash; no external assets; generated by\n"
+        "the repro SCF convergence guard (see docs/ROBUSTNESS.md)",
+    )
 
 
 # -- run driver --------------------------------------------------------------
@@ -1303,15 +1229,14 @@ def run_report(
     # heavy imports stay local: repro.obs must import before the runtime
     from repro.fock.chaos import build_inputs
     from repro.fock.gtfock import gtfock_build
-    from repro.model.perfmodel import PerfModel
+    from repro.obs.ambient import get_profiler, get_tracer
     from repro.obs.metrics import export_commstats
-    from repro.obs.trace import Tracer, get_tracer
-    from repro.obs.validate import validate_run
+    from repro.obs.trace import Tracer
     from repro.runtime.machine import LONESTAR
 
     if config is None:
         config = LONESTAR
-    engine, hcore, density, mol, basis = build_inputs(molecule, basis_name)
+    engine, hcore, density, mol, _ = build_inputs(molecule, basis_name)
 
     guard_summary = None
     if scf_guard:
@@ -1342,33 +1267,49 @@ def run_report(
         engine, hcore, density, nproc, tau=tau, config=config, tracer=tracer,
         capture=capture,
     )
+    # critical-path analysis of the same build (projection-only what-ifs:
+    # re-simulating a numeric build would recompute real ERIs)
+    analysis = analyze(capture, resim=False)
+    # a --profile profiler installed around this call shows up as the
+    # report's "Phase profile" section
+    profiler = get_profiler()
+    name = mol.name or mol.formula
+    report = _report_from_build(
+        result, f"{name}-{basis_name}-p{nproc}", name, basis_name, tracer,
+        "model tolerances are calibrated for small test molecules; "
+        "see docs/OBSERVABILITY.md for the threshold table",
+        scf_guard=guard_summary,
+        phases=profiler.to_json() if profiler.stats else None,
+        critpath=analysis.to_json(),
+    )
+    export_commstats(result.stats)
+    result.stats.flight.export_metrics()
+    analysis.export_metrics()
+    return report, result
+
+
+def _report_from_build(
+    result: Any, title: str, molecule: str, basis_name: str, tracer: Any,
+    note: str, **sections,
+) -> RunReport:
+    """The :class:`RunReport` of one numeric build: its accounting,
+    checked, and graded against the model; ``tracer``'s Chrome export is
+    what the page embeds, ``sections`` are the optional fields."""
+    from repro.model.perfmodel import PerfModel
+    from repro.obs.validate import validate_run
+
     stats = result.stats
     # the invariant the whole report stands on: per-rank channel sums
     # must equal the global counters exactly
     stats.flight.check_against(stats)
-    export_commstats(stats)
-    stats.flight.export_metrics()
-
-    # critical-path analysis of the same build (projection-only what-ifs:
-    # re-simulating a numeric build would recompute real ERIs)
-    analysis = analyze(capture, resim=False)
-    analysis.export_metrics()
-
     s_measured = result.outcome.avg_steals_per_proc
-    model = PerfModel.from_screening(result.screen, config, s=s_measured)
-    validation = validate_run(model, stats, s_measured=s_measured)
-
-    # a --profile profiler installed around this call shows up as the
-    # report's "Phase profile" section
-    profiler = get_profiler()
-    phases = profiler.to_json() if profiler.enabled and profiler.stats else None
-
-    title = f"{mol.name or mol.formula}-{basis_name}-p{nproc}"
-    report = RunReport(
+    model = PerfModel.from_screening(result.screen, stats.config, s=s_measured)
+    basis = result.screen.basis
+    return RunReport(
         title=title,
-        molecule=mol.name or mol.formula,
+        molecule=molecule,
         basis_name=basis_name,
-        nproc=nproc,
+        nproc=stats.nproc,
         nbf=basis.nbf,
         nshells=basis.nshells,
         flight=stats.flight,
@@ -1376,23 +1317,12 @@ def run_report(
         comm_time=stats.comm_time.copy(),
         finish_time=result.outcome.finish_time.copy(),
         steals=result.outcome.steals,
-        validation=validation,
+        validation=validate_run(model, stats, s_measured=s_measured),
         summary=stats.summary(),
-        trace=_trace_text(tracer),
-        notes=[
-            "model tolerances are calibrated for small test molecules; "
-            "see docs/OBSERVABILITY.md for the threshold table",
-        ],
-        scf_guard=guard_summary,
-        phases=phases,
-        critpath=analysis.to_json(),
+        trace="".join(tracer.chrome_chunks()) if tracer is not None else None,
+        notes=[note],
+        **sections,
     )
-    return report, result
-
-
-def _trace_text(tracer: Any) -> str | None:
-    """What :attr:`RunReport.trace` embeds: ``tracer``'s Chrome export."""
-    return "".join(tracer.chrome_chunks()) if tracer is not None else None
 
 
 def chaos_report(cres: Any, tracer: Any = None) -> RunReport:
@@ -1403,42 +1333,16 @@ def chaos_report(cres: Any, tracer: Any = None) -> RunReport:
     injection/recovery section (``recovery``), with the trace of
     ``tracer`` (the one the run was recorded on) embedded.
     """
-    from repro.model.perfmodel import PerfModel
-    from repro.obs.validate import validate_run
-
-    result = cres.faulty
-    stats = result.stats
-    stats.flight.check_against(stats)
-    s_measured = result.outcome.avg_steals_per_proc
-    model = PerfModel.from_screening(result.screen, stats.config, s=s_measured)
-    validation = validate_run(model, stats, s_measured=s_measured)
-    basis = result.screen.basis
-    # the gate's own payload (verdict, errors, tolerance) + the recovery
-    # overhead, whose ``plan`` entry is the plan's describe() string
-    recovery = {**cres.to_json(), **cres.overhead}
-    return RunReport(
-        title=(
-            f"{cres.molecule}-{cres.basis_name}-p{cres.nproc}"
-            f"-chaos-seed{cres.plan.seed}"
-        ),
-        molecule=cres.molecule,
-        basis_name=cres.basis_name,
-        nproc=cres.nproc,
-        nbf=basis.nbf,
-        nshells=basis.nshells,
-        flight=stats.flight,
-        comp_time=stats.comp_time.copy(),
-        comm_time=stats.comm_time.copy(),
-        finish_time=result.outcome.finish_time.copy(),
-        steals=result.outcome.steals,
-        validation=validation,
-        summary=stats.summary(),
-        trace=_trace_text(tracer),
-        notes=[
-            "this run executed under fault injection: model-vs-measured "
-            "deviations include recovery overhead by design",
-        ],
-        recovery=recovery,
+    return _report_from_build(
+        cres.faulty,
+        f"{cres.molecule}-{cres.basis_name}-p{cres.nproc}"
+        f"-chaos-seed{cres.plan.seed}",
+        cres.molecule, cres.basis_name, tracer,
+        "this run executed under fault injection: model-vs-measured "
+        "deviations include recovery overhead by design",
+        # the gate's own payload (verdict, errors, tolerance) + the recovery
+        # overhead, whose ``plan`` entry is the plan's describe() string
+        recovery={**cres.to_json(), **cres.overhead},
     )
 
 
@@ -1512,11 +1416,6 @@ def render_ledger_report(record: Any) -> str:
         tiles.append((f"{summary['energy']:.8f}", "energy (Ha)"))
     if "iterations" in summary:
         tiles.append((str(summary["iterations"]), "SCF iterations"))
-    tiles_html = "".join(
-        f'<div class="tile"><div class="v">{_esc(v)}</div>'
-        f'<div class="l">{_esc(label)}</div></div>'
-        for v, label in tiles
-    )
 
     prov_rows = "".join(
         f"<tr><td>{_esc(k)}</td><td><code>{_esc(v)}</code></td></tr>"
@@ -1527,47 +1426,22 @@ def render_ledger_report(record: Any) -> str:
         f"<tr><td>{_esc(k)}</td><td><code>{_esc(v)}</code></td></tr>"
         for k, v in sorted(config.items())
     )
-    phases = record.phases or []
-    hotspots = record.hotspots
-    profile_html = ""
-    if phases or hotspots:
-        profile_html = (
-            "<section>" + phase_section_html(phases, hotspots) + "</section>"
-        )
-    integrity_html = ""
-    if isinstance(summary.get("integrity"), dict):
-        integrity_html = (
-            "<section>"
-            + integrity_section_html(summary["integrity"])
-            + "</section>"
-        )
-    traj_html = _scf_trajectory_html(record.snapshots)
-    if traj_html:
-        traj_html = f"<section>{traj_html}</section>"
-
+    integrity = summary.get("integrity")
     exit_badge = (
         _badge(PASS if ok else FAIL)
         if exit_code is not None
         else '<span class="badge">&#9202; no summary (run interrupted?)</span>'
     )
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_esc(record.title)}</title>
-<style>{_CSS}</style>
-</head>
-<body>
-<main>
-<h1>Run ledger: {_esc(record.title)}</h1>
-<p class="subtitle">started {_esc(manifest.get('started_utc', '?'))},
-finished {_esc(summary.get('finished_utc', '&mdash;'))} &mdash;
-exit code {exit_code if exit_code is not None else '&mdash;'}
-{exit_badge}</p>
-<div class="tiles">{tiles_html}</div>
-
-<section>
+    return _page(
+        record.title,
+        f"Run ledger: {_esc(record.title)}",
+        f"started {_esc(manifest.get('started_utc', '?'))},\n"
+        f"finished {_esc(summary.get('finished_utc', '&mdash;'))} &mdash;\n"
+        f"exit code {exit_code if exit_code is not None else '&mdash;'}\n"
+        f"{exit_badge}",
+        tiles,
+        [
+            _section(f"""
 <h2>Provenance</h2>
 <p class="caption">Recorded in <code>manifest.json</code> when the run
 started; config hash <code>{_esc(manifest.get('config_hash', '?'))}</code>
@@ -1577,17 +1451,15 @@ is the SHA-256 of the canonicalized config below.</p>
 <details><summary>resolved config ({len(config)} keys)</summary>
 <table><thead><tr><th>key</th><th>value</th></tr></thead>
 <tbody>{config_rows}</tbody></table></details>
-</section>
-
-{traj_html}
-
-{integrity_html}
-
-{profile_html}
-
-<footer>self-contained report rendered from the run ledger at
-<code>{_esc(record.path)}</code> (see docs/OBSERVABILITY.md)</footer>
-</main>
-</body>
-</html>
-"""
+"""),
+            _section(_scf_trajectory_html(record.snapshots)),
+            _section(
+                integrity_section_html(integrity)
+                if isinstance(integrity, dict) else ""
+            ),
+            _section(phase_section_html(record.phases or [], record.hotspots)),
+        ],
+        "self-contained report rendered from the run ledger at\n"
+        f"<code>{_esc(record.path)}</code> (see docs/OBSERVABILITY.md)",
+        gap="\n\n",
+    )

@@ -17,11 +17,11 @@ Perfetto (https://ui.perfetto.dev) opens directly; ``write_jsonl(path)``
 streams the raw span records one JSON object per line.  ``write(path)``
 dispatches on the ``.jsonl`` extension.
 
-Instrumentation throughout the package calls :func:`get_tracer`, which
-returns the module-level :data:`NULL_TRACER` unless a real tracer has
-been installed with :func:`set_tracer` (or the ``tracing`` context
-manager) -- the null tracer makes every probe a no-op, so tracing costs
-essentially nothing when disabled.
+Instrumentation throughout the package calls
+:func:`repro.obs.get_tracer`, which returns the module-level
+:data:`NULL_TRACER` unless a real tracer has been installed with
+``repro.obs.session(tracer=...)`` -- the null tracer makes every probe a
+no-op, so tracing costs essentially nothing when disabled.
 """
 
 from __future__ import annotations
@@ -543,29 +543,3 @@ class NullTracer(Tracer):
 
 #: the shared disabled tracer; ``get_tracer()`` returns it by default
 NULL_TRACER = NullTracer()
-
-_active: Tracer = NULL_TRACER
-
-
-def get_tracer() -> Tracer:
-    """The process-wide active tracer (the no-op tracer unless enabled)."""
-    return _active
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer:
-    """Install ``tracer`` (None restores the null tracer); returns the old one."""
-    global _active
-    previous = _active
-    _active = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-@contextmanager
-def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
-    """Activate a tracer for the duration of a ``with`` block."""
-    tracer = tracer if tracer is not None else Tracer()
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)

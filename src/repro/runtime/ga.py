@@ -363,7 +363,7 @@ class SharedCounter:
         stats.remote_calls[proc] += 1
         stats.clock[proc] += dt
         stats.comm_time[proc] += dt
-        stats.flight.record(proc, CH_COUNTER, 0, 1, dt, t=float(stats.clock[proc]))
+        stats.flight.record(proc, CH_COUNTER, 0, 1, dt)
         out = self.value
         self.value += 1
         return out

@@ -117,17 +117,13 @@ class CommStats:
             self.clock[proc] += dt
             self.comm_time[proc] += dt
             self.faults.retries[proc] += 1
-            self.flight.record(
-                proc, CH_RETRY, int(nbytes), ncalls, dt, t=float(self.clock[proc])
-            )
+            self.flight.record(proc, CH_RETRY, int(nbytes), ncalls, dt)
         lost = self.faults.draw_ack_lost(proc, nfail) if want_acks else 0
         delay = self.faults.draw_delay(proc)
         if delay > 0.0:
             self.clock[proc] += delay
             self.comm_time[proc] += delay
-            self.flight.record(
-                proc, CH_RETRY, 0, 0, delay, t=float(self.clock[proc])
-            )
+            self.flight.record(proc, CH_RETRY, 0, 0, delay)
         return lost
 
     def charge_comm(
@@ -156,9 +152,7 @@ class CommStats:
         dt = self._comm_seconds(nbytes, ncalls, remote)
         self.clock[proc] += dt
         self.comm_time[proc] += dt
-        self.flight.record(
-            proc, channel, int(nbytes), ncalls, dt, t=float(self.clock[proc])
-        )
+        self.flight.record(proc, channel, int(nbytes), ncalls, dt)
         return dt
 
     def charge_comm_batch(
@@ -169,30 +163,28 @@ class CommStats:
         remote: bool = True,
         channel=CH_GA,
         dt=None,
-        t=None,
     ) -> None:
         """Account a batch of communication operations, in array order.
 
         Leaves ``self`` and the flight recorder exactly as one
         :meth:`charge_comm` per op would (``nbytes`` / ``ncalls``
-        broadcast against ``procs``; ``channel`` is one name, or per op
-        an index into :data:`~repro.obs.flight.CHANNELS`).  Two kinds of
-        batch are resolved op by op: with a fault state attached every
-        remote op draws from the seeded RNG, and a rank charged twice
-        needs its intermediate clock for the event ring.
+        broadcast against ``procs``, which may repeat ranks; ``channel``
+        is one name, or per op an index into
+        :data:`~repro.obs.flight.CHANNELS`).  With a fault state
+        attached a remote batch is resolved op by op: every op draws
+        from the seeded RNG.
 
         A scheduler that resolves its own clocks (the centralized
         counter loop: queueing delays and compute interleave with the
-        transfers) passes the seconds it charged per op as ``dt`` and
-        the rank's clock after each op as ``t``; such ops draw no
-        faults, may repeat ranks, and leave ``clock`` to the caller.
+        transfers) passes the seconds it charged per op as ``dt``; such
+        ops draw no faults and leave ``clock`` to the caller.
         """
         procs = check_ranks(procs, self.nproc)
         n = procs.size
         nbytes = np.broadcast_to(np.asarray(nbytes, dtype=float), n)
         ncalls = np.broadcast_to(np.asarray(ncalls, dtype=np.int64), n)
-        if t is None:
-            if (remote and self.faults is not None) or np.unique(procs).size < n:
+        if dt is None:
+            if remote and self.faults is not None:
                 channels = (
                     itertools.repeat(channel) if isinstance(channel, str)
                     else (CHANNELS[k] for k in channel)
@@ -203,8 +195,7 @@ class CommStats:
                     self.charge_comm(p, b, c, remote=remote, channel=ch)
                 return
             dt = self._comm_seconds(nbytes, ncalls, remote)
-            self.clock[procs] += dt
-            t = self.clock[procs]
+            np.add.at(self.clock, procs, dt)
         nbytes = nbytes.astype(np.int64)
         np.add.at(self.calls, procs, ncalls)
         np.add.at(self.bytes, procs, nbytes)
@@ -212,7 +203,7 @@ class CommStats:
             np.add.at(self.remote_calls, procs, ncalls)
             np.add.at(self.remote_bytes, procs, nbytes)
         np.add.at(self.comm_time, procs, dt)
-        self.flight.record_batch(procs, channel, nbytes, ncalls, dt, t)
+        self.flight.record_batch(procs, channel, nbytes, ncalls, dt)
 
     def charge_steal(
         self,
@@ -240,18 +231,14 @@ class CommStats:
                 self.remote_calls[proc] += ncalls
                 self.remote_bytes[proc] += int(nbytes)
                 self.faults.retries[proc] += 1
-                self.flight.record(
-                    proc, CH_RETRY, int(nbytes), ncalls, w, t=float(self.clock[proc])
-                )
+                self.flight.record(proc, CH_RETRY, int(nbytes), ncalls, w)
                 extra += w
         self.calls[proc] += ncalls
         self.bytes[proc] += int(nbytes)
         self.remote_calls[proc] += ncalls
         self.remote_bytes[proc] += int(nbytes)
         dt = self.config.transfer_time(nbytes, ncalls)
-        self.flight.record(
-            proc, channel, int(nbytes), ncalls, dt, t=float(self.clock[proc])
-        )
+        self.flight.record(proc, channel, int(nbytes), ncalls, dt)
         return dt + extra
 
     def charge_compute(self, proc: int, seconds: float) -> None:

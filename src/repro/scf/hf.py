@@ -24,15 +24,13 @@ from repro.chem.basis.basisset import BasisSet
 from repro.chem.molecule import Molecule
 from repro.integrals.engine import ERIEngine, MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
-from repro.obs import get_metrics, get_tracer
-from repro.obs.manifest import get_ledger
+from repro.obs import get_ledger, get_metrics, get_profiler, get_tracer
 from repro.obs.metrics import export_integrity
 from repro.obs.profile import (
     PHASE_DIAG,
     PHASE_DIIS,
     PHASE_FOCK,
     PHASE_PURIFY,
-    get_profiler,
 )
 from repro.runtime.faults import SCFFaultPlan
 from repro.runtime.sdc import IntegrityError, IntegrityMonitor, SDCFaultPlan

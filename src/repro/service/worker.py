@@ -194,8 +194,7 @@ def run_claimed_job(store: JobStore, job: Job, owner: str) -> str:
     is discarded, which is what makes re-execution after lease expiry
     idempotent.
     """
-    from repro.obs.manifest import RunLedger, set_ledger
-    from repro.obs.metrics import MetricsRegistry, set_metrics
+    from repro.obs import MetricsRegistry, RunLedger, session
 
     if not store.start(job.id, owner):
         return "lost"  # lease expired between claim and start
@@ -211,58 +210,56 @@ def run_claimed_job(store: JobStore, job: Job, owner: str) -> str:
             "job_id": job.id, "attempt": job.attempts + 1, "worker": owner,
         },
     )
-    prev_ledger = set_ledger(ledger)
-    prev_metrics = set_metrics(MetricsRegistry())
-    rc = 1
-    try:
-        if spec.get("kind", "scf") == "scf":
-            result = _run_scf_job(store, job, owner)
-        else:
-            result = _run_test_job(store, job, owner)
-        recorded = store.complete(job.id, owner, result)
-        ledger.add_summary(**result)
-        rc = 0 if recorded else 1
-        return "done" if recorded else "lost"
-    except LeaseLostError as exc:
-        ledger.add_summary(lease_lost=str(exc))
-        return "lost"
-    except MemoryError:
-        err = traceback.format_exc()
-        new_spec, rung = degrade_spec(spec)
-        detail = f"MemoryError; degraded: {rung}" if new_spec else err
-        state = store.fail(
-            job.id, owner, detail, retryable=True, new_spec=new_spec,
-            event="degraded" if new_spec else "retry",
-        )
-        ledger.add_summary(error="MemoryError", degraded=rung or None)
-        return state or "lost"
-    except IntegrityError:
-        # unrecoverable data corruption: the recovery ladder (recompute,
-        # rollback) already failed inside the run, so re-running against
-        # the same corrupt state cannot help -> quarantine for a human
-        state = store.fail(
-            job.id, owner, traceback.format_exc(), retryable=False,
-        )
-        ledger.add_summary(error="data corruption (quarantined)")
-        return state or "lost"
-    except (ValueError, TypeError):
-        # deterministic bad input: retrying cannot help -> quarantine
-        state = store.fail(
-            job.id, owner, traceback.format_exc(), retryable=False,
-        )
-        ledger.add_summary(error="poison input")
-        return state or "lost"
-    except Exception:
-        state = store.fail(
-            job.id, owner, traceback.format_exc(), retryable=True,
-        )
-        ledger.add_summary(error="crashed")
-        return state or "lost"
-    finally:
-        _CURRENT.clear()
-        set_metrics(prev_metrics)
-        set_ledger(prev_ledger)
-        ledger.close(rc)
+    # the ledger is sealed on every path below, its final snapshot read
+    # from this job's own registry
+    with session(metrics=MetricsRegistry(), ledger=ledger) as sess:
+        sess.exit_code = 1
+        try:
+            if spec.get("kind", "scf") == "scf":
+                result = _run_scf_job(store, job, owner)
+            else:
+                result = _run_test_job(store, job, owner)
+            recorded = store.complete(job.id, owner, result)
+            ledger.add_summary(**result)
+            sess.exit_code = 0 if recorded else 1
+            return "done" if recorded else "lost"
+        except LeaseLostError as exc:
+            ledger.add_summary(lease_lost=str(exc))
+            return "lost"
+        except MemoryError:
+            err = traceback.format_exc()
+            new_spec, rung = degrade_spec(spec)
+            detail = f"MemoryError; degraded: {rung}" if new_spec else err
+            state = store.fail(
+                job.id, owner, detail, retryable=True, new_spec=new_spec,
+                event="degraded" if new_spec else "retry",
+            )
+            ledger.add_summary(error="MemoryError", degraded=rung or None)
+            return state or "lost"
+        except IntegrityError:
+            # unrecoverable data corruption: the recovery ladder (recompute,
+            # rollback) already failed inside the run, so re-running against
+            # the same corrupt state cannot help -> quarantine for a human
+            state = store.fail(
+                job.id, owner, traceback.format_exc(), retryable=False,
+            )
+            ledger.add_summary(error="data corruption (quarantined)")
+            return state or "lost"
+        except (ValueError, TypeError):
+            # deterministic bad input: retrying cannot help -> quarantine
+            state = store.fail(
+                job.id, owner, traceback.format_exc(), retryable=False,
+            )
+            ledger.add_summary(error="poison input")
+            return state or "lost"
+        except Exception:
+            state = store.fail(
+                job.id, owner, traceback.format_exc(), retryable=True,
+            )
+            ledger.add_summary(error="crashed")
+            return state or "lost"
+        finally:
+            _CURRENT.clear()
 
 
 def worker_main(

@@ -36,12 +36,8 @@ from repro.integrals.class_batch import (
     orbit_weights,
 )
 from repro.integrals.engine import MDEngine, OSEngine, SyntheticERIEngine
-from repro.obs.profile import (
-    PHASE_ERI,
-    PHASE_JK,
-    PhaseProfiler,
-    set_profiler,
-)
+from repro.obs import session
+from repro.obs.profile import PHASE_ERI, PHASE_JK, PhaseProfiler
 from repro.scf.fock import build_jk
 
 
@@ -373,11 +369,8 @@ class TestProfilerAttribution:
         engine = MDEngine(basis)
         plan = engine.class_plan(1e-11)
         prof = PhaseProfiler()
-        set_profiler(prof)
-        try:
+        with session(profiler=prof):
             jk_from_plan(engine, d, plan, threads=threads)
-        finally:
-            set_profiler(None)
         assert prof.stats[PHASE_ERI].calls == len(plan.chunks())
         assert prof.stats[PHASE_JK].calls == len(plan.flushes())
         assert len(plan.flushes()) <= len(plan.chunks()) < plan.nquartets

@@ -180,15 +180,12 @@ class TestFaultyRuns:
 
 class TestMetricsExport:
     def test_gauges_exported(self, water_capture):
-        from repro.obs.metrics import MetricsRegistry, set_metrics
+        from repro.obs import MetricsRegistry, session
 
         reg = MetricsRegistry()
-        previous = set_metrics(reg)
-        try:
+        with session(metrics=reg):
             analysis = analyze(water_capture, resim=False)
             analysis.export_metrics()
-        finally:
-            set_metrics(previous)
         assert "repro_critpath_makespan_seconds" in reg
         assert "repro_critpath_idle_fraction" in reg
         assert "repro_critpath_blame_seconds" in reg

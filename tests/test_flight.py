@@ -84,21 +84,6 @@ class TestFlightRecorder:
         assert m.shape == (2, 2)
         assert m[0, chans.index(CH_GA)] == 10
 
-    def test_ring_buffer_overflow_counts_drops(self):
-        fr = FlightRecorder(1, max_events=4)
-        for i in range(7):
-            fr.record(0, CH_GA, i, 1, 0.0, t=float(i))
-        assert len(fr.events()) == 4
-        assert fr.dropped_events == 3
-        # counters see everything despite the drops
-        assert int(fr.per_rank(CH_GA, "msgs")[0]) == 7
-
-    def test_max_events_zero_disables_ring(self):
-        fr = FlightRecorder(1, max_events=0)
-        fr.record(0, CH_GA, 1, 1, 0.0)
-        assert fr.events() == []
-        assert int(fr.totals("msgs")[0]) == 1
-
     def test_check_against_names_drifting_rank(self):
         stats = CommStats(2, LONESTAR)
         stats.charge_comm(0, 100, channel=CH_GA)
@@ -107,13 +92,13 @@ class TestFlightRecorder:
             stats.flight.check_against(stats)
 
     def test_to_json_roundtrips(self):
-        fr = FlightRecorder(2, max_events=8)
-        fr.record(0, CH_STEAL_D, 64, 1, 0.5, t=1.0)
+        fr = FlightRecorder(2)
+        fr.record(0, CH_STEAL_D, 64, 1, 0.5)
         doc = json.loads(json.dumps(fr.to_json()))
         assert doc["nproc"] == 2
         assert doc["channels"] == [CH_STEAL_D]
         assert doc["bytes"][0][0] == 64
-        assert doc["events"][0]["channel"] == CH_STEAL_D
+        assert doc["time"][0][0] == 0.5
 
     def test_export_metrics(self):
         fr = FlightRecorder(2)
@@ -137,49 +122,41 @@ class TestFlightRecorder:
             FlightRecorder(0)
 
 
-def _flight_state(fr: FlightRecorder) -> dict:
-    doc = fr.to_json()
-    doc["events"] = fr.events()
-    return doc
-
-
 class TestBatchedRecording:
     """``record_batch`` / ``record_ops`` leave the recorder exactly as
     the one-op calls do, and no entry point takes an out-of-range rank."""
 
-    @pytest.mark.parametrize("max_events", [0, 5, 4096])
+    @pytest.mark.parametrize("n", [0, 5, 4096])  # ops in the batch
     @pytest.mark.parametrize("per_op_channels", [False, True])
-    def test_batch_equals_one_by_one(self, max_events, per_op_channels):
+    def test_batch_equals_one_by_one(self, n, per_op_channels):
         rng = np.random.default_rng(11)
-        n, nproc = 40, 4
+        nproc = 4
         ranks = rng.integers(0, nproc, n)  # ranks repeat inside the batch
         nbytes = rng.integers(0, 1000, n)
         ncalls = rng.integers(0, 4, n)
         dt = rng.random(n) * 1e-3
-        t = np.cumsum(dt)
         names = (CH_COUNTER, CH_TASK_GET, CH_RETRY)
         codes = rng.integers(0, 3, n)
-        one = FlightRecorder(nproc, max_events=max_events)
-        batch = FlightRecorder(nproc, max_events=max_events)
-        for fr in (one, batch):  # something already in the ring
-            fr.record(1, CH_GA, 8, 1, 0.5, t=0.25)
+        one = FlightRecorder(nproc)
+        batch = FlightRecorder(nproc)
+        for fr in (one, batch):  # something already recorded
+            fr.record(1, CH_GA, 8, 1, 0.5)
         for i in range(n):
             ch = names[codes[i]] if per_op_channels else CH_GA
             one.record(int(ranks[i]), ch, int(nbytes[i]), int(ncalls[i]),
-                       float(dt[i]), t=float(t[i]))
+                       float(dt[i]))
         if per_op_channels:
             lookup = np.array([CHANNELS.index(ch) for ch in names])
-            batch.record_batch(ranks, lookup[codes], nbytes, ncalls, dt, t)
+            batch.record_batch(ranks, lookup[codes], nbytes, ncalls, dt)
         else:
-            batch.record_batch(ranks, CH_GA, nbytes, ncalls, dt, t)
-        assert _flight_state(batch) == _flight_state(one)
-        assert batch.dropped_events == max(0, n + 1 - max_events) * (max_events > 0)
+            batch.record_batch(ranks, CH_GA, nbytes, ncalls, dt)
+        assert batch.to_json() == one.to_json()
 
     def test_scalars_broadcast_and_empty_batch_is_a_no_op(self):
         fr = FlightRecorder(3)
-        fr.record_batch(np.arange(3), CH_BARRIER, 0, 2, 1e-5, t=1e-5)
+        fr.record_batch(np.arange(3), CH_BARRIER, 0, 2, 1e-5)
         assert fr.per_rank(CH_BARRIER, "msgs").tolist() == [2, 2, 2]
-        assert [ev.ncalls for ev in fr.events()] == [2, 2, 2]
+        assert fr.per_rank(CH_BARRIER, "time").tolist() == [1e-5] * 3
         fr.record_batch([], CH_ALLREDUCE, 0, 1, 0.0)
         assert fr.channels() == [CH_BARRIER]
 
@@ -188,7 +165,7 @@ class TestBatchedRecording:
         for rank, nops in enumerate([4, 0, 2]):
             one.record_op(rank, CH_STEAL_TASK, nops)
         batch.record_ops(CH_STEAL_TASK, np.array([4, 0, 2]))
-        assert _flight_state(batch) == _flight_state(one)
+        assert batch.to_json() == one.to_json()
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_rank_is_rejected_not_wrapped(self, bad):
@@ -202,16 +179,13 @@ class TestBatchedRecording:
             lambda: fr.record_batch([0, bad, -7], CH_GA, 8, 1, 0.0),
             lambda: SharedCounter(stats).read_inc(bad),
             lambda: stats.charge_comm_batch([1, bad], 8.0),
-            lambda: stats.charge_comm_batch(
-                [1, bad], 8.0, dt=np.zeros(2), t=np.zeros(2)
-            ),
+            lambda: stats.charge_comm_batch([1, bad], 8.0, dt=np.zeros(2)),
         ]
         for call in calls:
             with pytest.raises(IndexError, match=rf"process {bad} out of range"):
                 call()
-        assert fr.channels() == [] and fr.events() == []
+        assert fr.channels() == [] and stats.flight.channels() == []
         assert not stats.calls.any() and not stats.clock.any()
-        assert stats.flight.events() == []
 
 
 class TestRuntimeTagging:
@@ -413,6 +387,66 @@ class TestRunReport:
             "Model vs measured", "table view", "prefers-color-scheme",
         ):
             assert needle in html
+
+    @pytest.mark.parametrize("page", ["run", "critpath", "torture", "ledger"])
+    def test_every_page_is_well_formed(self, water_report, page):
+        """All four pages come out of one skeleton: every element closes
+        in order, one ``<main>``, every ``<section>`` inside it."""
+        from html.parser import HTMLParser
+        from pathlib import Path
+
+        from repro.obs import RunRecord
+        from repro.obs import report as rep
+
+        report, _ = water_report
+        if page == "run":
+            html = rep.render_report(report)
+        elif page == "critpath":
+            html = rep.render_critpath_report(report.critpath)
+        elif page == "torture":
+            html = rep.render_torture_report([
+                {"case": "stretched <h2>", "description": "d", "passed": True,
+                 "converged": True, "status": "converged", "iterations": 9,
+                 "energy": -1.0, "trail": ["damp & shift"],
+                 "guard": {"level": 1}},
+                {"case": "aborted", "passed": False, "aborted": True,
+                 "abort_reason": "nan", "vanilla_converged": False},
+            ])
+        else:
+            html = rep.render_ledger_report(RunRecord(
+                Path("runs/r1"),
+                {"command": "scf", "molecule": "water", "config": {"a": 1},
+                 "provenance": {"python": "3"}, "started_utc": "t0"},
+                [{"label": "scf_iteration", "iteration": 1, "energy": -74.9,
+                  "wall_s": 0.1}],
+                {"exit_code": 0, "energy": -74.96, "phases": [
+                    {"name": "fock_build", "calls": 2, "wall_s": 0.2,
+                     "cpu_s": 0.2, "max_wall_s": 0.1}]},
+            ))
+
+        class Balance(HTMLParser):
+            def __init__(self):
+                super().__init__()
+                self.stack, self.seen = [], []
+
+            def handle_starttag(self, tag, attrs):
+                if tag != "meta":  # the one void element the pages use
+                    self.seen.append((tag, tuple(self.stack)))
+                    self.stack.append(tag)
+
+            def handle_endtag(self, tag):
+                assert self.stack and self.stack.pop() == tag, self.getpos()
+
+        parser = Balance()
+        parser.feed(html)
+        parser.close()
+        assert parser.stack == []
+        opened = [tag for tag, _ in parser.seen]
+        assert opened.count("main") == 1 and opened.count("footer") == 1
+        sections = [above for tag, above in parser.seen if tag == "section"]
+        assert sections and all(
+            above == ("html", "body", "main") for above in sections
+        )
 
     def test_write_report(self, water_report, tmp_path):
         from repro.obs.report import write_report

@@ -4,16 +4,15 @@ import json
 
 import pytest
 
+from repro.obs import get_ledger, session
 from repro.obs.manifest import (
     LedgerError,
     NullLedger,
     RunLedger,
     config_hash,
     find_runs,
-    get_ledger,
     load_run,
     provenance,
-    set_ledger,
     utc_now_iso,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -154,10 +153,7 @@ class TestSingleton:
 
     def test_set_and_restore(self, tmp_path):
         ledger = _make_run(tmp_path, close=False)
-        prev = set_ledger(ledger)
-        try:
+        with session(ledger=ledger):
             assert get_ledger() is ledger
-        finally:
-            set_ledger(prev)
-            ledger.close(0)
         assert isinstance(get_ledger(), NullLedger)
+        assert load_run(ledger.path).summary["exit_code"] == 0

@@ -22,13 +22,16 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NullTracer,
+    PhaseProfiler,
+    RunLedger,
     Tracer,
     export_commstats,
+    get_ledger,
     get_metrics,
+    get_profiler,
     get_tracer,
-    set_metrics,
-    set_tracer,
-    tracing,
+    load_run,
+    session,
 )
 from repro.obs.trace import _EXPORT_CHUNK, _coerce
 from repro.runtime.machine import LONESTAR
@@ -217,15 +220,14 @@ class TestTracer:
     def test_active_tracer_management(self):
         assert get_tracer() is NULL_TRACER
         tr = Tracer()
-        prev = set_tracer(tr)
-        try:
+        with pytest.raises(RuntimeError), session(tracer=tr):
             assert get_tracer() is tr
-        finally:
-            set_tracer(prev)
+            raise RuntimeError("boom")
         assert get_tracer() is NULL_TRACER
 
     def test_tracing_context_manager(self):
-        with tracing() as tr:
+        tr = Tracer()
+        with session(tracer=tr):
             assert get_tracer() is tr
             with get_tracer().span("inside"):
                 pass
@@ -376,7 +378,8 @@ class TestChromeSerializer:
 
         from repro.obs.report import render_report, run_report
 
-        with tracing(Tracer("numpy-args")) as tr:
+        tr = Tracer("numpy-args")
+        with session(tracer=tr):
             tr.instant("x", n=np.int64(3), x=np.float32(0.5),
                        flag=np.bool_(True))
             report, _ = run_report("h2", "sto-3g", nproc=2)
@@ -464,13 +467,88 @@ class TestMetrics:
         assert "n_total 7" in ppath.read_text()
 
     def test_global_registry_swap(self):
-        fresh = MetricsRegistry()
-        prev = set_metrics(fresh)
-        try:
+        fresh, prev = MetricsRegistry(), get_metrics()
+        with session(metrics=fresh):
             assert get_metrics() is fresh
-        finally:
-            set_metrics(prev)
         assert get_metrics() is prev
+
+
+class TestSession:
+    """``obs.session``: the one install / teardown / restore path."""
+
+    @staticmethod
+    def current():
+        return (get_tracer(), get_metrics(), get_profiler(), get_ledger())
+
+    def test_no_arguments_is_the_null_fast_path(self):
+        before = self.current()
+        with session() as sess:
+            assert self.current() == before
+            assert (sess.tracer, sess.metrics, sess.profiler, sess.ledger) \
+                == before
+        assert self.current() == before
+        assert get_tracer() is NULL_TRACER and not get_tracer().enabled
+        assert get_profiler().phase("a") is get_profiler().phase("b")
+        assert not get_profiler().enabled and not get_ledger().enabled
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_nesting_inherits_and_restores(self, raises):
+        outermost = self.current()
+        tr, reg, prof = Tracer(), MetricsRegistry(), PhaseProfiler()
+        with session(tracer=tr, metrics=reg):
+            outer = self.current()
+            assert outer == (tr, reg) + outermost[2:]
+            try:
+                with session(profiler=prof):  # tracer + registry inherited
+                    assert self.current() == (tr, reg, prof, outermost[3])
+                    if raises:
+                        raise RuntimeError("boom")
+            except RuntimeError:
+                assert raises
+            assert self.current() == outer
+            # the inner teardown exported into the registry it inherited
+            assert "repro_phase_calls_total" in reg
+        assert self.current() == outermost
+
+    def test_one_teardown_for_all_four_instruments(self, tmp_path):
+        """``--profile --metrics --trace --run-dir`` in one session: the
+        phase table reaches the registry *before* the ledger's final
+        snapshot and the metrics file are written from it."""
+        prof = PhaseProfiler()
+        ledger = RunLedger(tmp_path / "run", command="t", config={})
+        trace, prom = tmp_path / "t.json", tmp_path / "m.prom"
+        with session(
+            tracer=Tracer(), metrics=MetricsRegistry(), profiler=prof,
+            ledger=ledger, trace_path=str(trace), metrics_path=str(prom),
+        ) as sess:
+            with get_profiler().phase("work"), get_tracer().span("work"):
+                get_ledger().snapshot("mid")
+            sess.exit_code = 3
+        assert 'repro_phase_calls_total{phase="work"} 1' in prom.read_text()
+        names = [e["name"] for e in json.loads(trace.read_text())["traceEvents"]]
+        assert "work" in names
+        record = load_run(ledger.path)
+        assert record.summary["exit_code"] == 3
+        assert [p["name"] for p in record.summary["phases"]] == ["work"]
+        mid, final = record.snapshots
+        assert (mid["label"], final["label"]) == ("mid", "final")
+        assert "repro_phase_calls_total" not in mid["metrics"]
+        assert "repro_phase_calls_total" in final["metrics"]
+
+    def test_a_raising_body_still_tears_everything_down(self, tmp_path):
+        """The run is sealed as failed, and an ``alloc=True`` profiler
+        does not leave ``tracemalloc`` tracing (``repro perf profile
+        --alloc`` used to, when the run raised)."""
+        import tracemalloc
+
+        assert not tracemalloc.is_tracing()
+        ledger = RunLedger(tmp_path / "run", command="t", config={})
+        with pytest.raises(RuntimeError):
+            with session(profiler=PhaseProfiler(alloc=True), ledger=ledger):
+                assert tracemalloc.is_tracing()
+                raise RuntimeError("boom")
+        assert not tracemalloc.is_tracing()
+        assert load_run(ledger.path).summary["exit_code"] == 1
 
 
 class TestCommStatsBridge:
@@ -582,13 +660,9 @@ class TestScfTracing:
     def test_scf_iteration_spans_and_gauges(self):
         from repro.scf.hf import RHF
 
-        fresh = MetricsRegistry()
-        prev = set_metrics(fresh)
-        try:
-            with tracing() as tr:
-                result = RHF(water(), basis_name="sto-3g").run()
-        finally:
-            set_metrics(prev)
+        fresh, tr = MetricsRegistry(), Tracer()
+        with session(tracer=tr, metrics=fresh):
+            result = RHF(water(), basis_name="sto-3g").run()
         iters = [s for s in tr.spans() if s.name == "scf_iteration"]
         assert len(iters) == result.iterations
         inner = {s.name for s in tr.spans(cat="scf")}

@@ -4,18 +4,17 @@ import time
 
 import pytest
 
+from repro import obs
+from repro.obs import get_profiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     NULL_PROFILER,
     TRACE_MIRROR_MIN_WALL_S,
     PhaseProfiler,
-    get_profiler,
     hotspot_text,
     profile_hotspots,
-    profiling,
-    set_profiler,
 )
-from repro.obs.trace import Tracer, set_tracer
+from repro.obs.trace import Tracer
 
 
 class TestPhaseProfiler:
@@ -110,15 +109,12 @@ class TestPhaseProfiler:
 
     def test_tracer_mirror_respects_min_wall(self):
         tracer = Tracer("t")
-        prev = set_tracer(tracer)
-        try:
+        with obs.session(tracer=tracer):
             prof = PhaseProfiler()
             with prof.phase("long_enough"):
                 time.sleep(2 * TRACE_MIRROR_MIN_WALL_S)
             with prof.phase("blink"):
                 pass
-        finally:
-            set_tracer(prev)
         names = [ev.name for ev in tracer.events]
         assert "long_enough" in names
         assert "blink" not in names
@@ -134,15 +130,14 @@ class TestSingleton:
 
     def test_set_and_restore(self):
         prof = PhaseProfiler()
-        prev = set_profiler(prof)
-        try:
+        with pytest.raises(RuntimeError), obs.session(profiler=prof):
             assert get_profiler() is prof
-        finally:
-            set_profiler(prev)
+            raise RuntimeError("boom")
         assert get_profiler() is NULL_PROFILER
 
     def test_profiling_context(self):
-        with profiling() as prof:
+        prof = PhaseProfiler()
+        with obs.session(profiler=prof, metrics=MetricsRegistry()):
             assert get_profiler() is prof
             with get_profiler().phase("inside"):
                 pass

@@ -176,20 +176,22 @@ class TestChargeCommBatch:
         batch.flight.check_against(batch)
 
     def test_resolved_ops_record_what_the_caller_charged(self):
-        """A scheduler that owns the clock passes ``dt`` / ``t``: counted
-        and recorded as given, no fault draw, clock left alone."""
+        """A scheduler that owns the clock passes ``dt``: counted and
+        recorded as given, no fault draw, clock left alone."""
         faults = FaultPlan(seed=1, op_fail_rate=0.9).activate(2)
         rng_before = faults.rng.bit_generator.state
         stats = CommStats(2, LONESTAR, faults=faults)
         stats.charge_comm_batch(
             [1, 1, 0], [0.0, 64.0, 0.0], [1, 6, 1], channel="counter",
-            dt=np.array([3e-5, 1e-5, 3e-5]), t=np.array([3e-5, 4e-5, 6e-5]),
+            dt=np.array([3e-5, 1e-5, 3e-5]),
         )
         assert stats.calls.tolist() == [1, 7]
         assert stats.remote_bytes.tolist() == [0, 64]
         assert stats.comm_time.tolist() == [3e-5, 3e-5 + 1e-5]
         assert not stats.clock.any()
-        assert [ev.t for ev in stats.flight.events()] == [3e-5, 4e-5, 6e-5]
+        assert stats.flight.per_rank("counter", "time").tolist() == [
+            3e-5, 3e-5 + 1e-5
+        ]
         assert faults.rng.bit_generator.state == rng_before
         stats.flight.check_against(stats)
 

@@ -21,7 +21,7 @@ from repro.fock.stealing import (
 from repro.fock.timeline import Span, timeline_from_tracer
 from repro.obs import SIM_PID, Tracer
 from repro.obs.critpath import _SPAN_KINDS, PathSegment, rank_chains
-from repro.obs.flight import CH_FOCK_ACC, CH_GA, CH_TASK_GET, FlightRecorder
+from repro.obs.flight import CH_COUNTER, CH_FOCK_ACC, CH_GA, CH_TASK_GET
 from repro.runtime.faults import FaultPlan, random_plan
 from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
@@ -543,10 +543,8 @@ def _centralized_case(draw):
     return nproc, arrays, clocks, draw(st.sampled_from([1, 7, 64]))
 
 
-def _centralized_stats(nproc, clocks, max_events):
-    stats = CommStats(
-        nproc, LONESTAR, flight=FlightRecorder(nproc, max_events=max_events)
-    )
+def _centralized_stats(nproc, clocks):
+    stats = CommStats(nproc, LONESTAR)
     stats.clock[:] = clocks
     return stats
 
@@ -578,8 +576,6 @@ def _assert_same_run(ref_stats, ref, new_stats, new):
         new_ch, new_m = new_stats.flight.matrix(field)
         assert new_ch == ref_ch
         assert np.array_equal(new_m, ref_m), field
-    assert new_stats.flight.events() == ref_stats.flight.events()
-    assert new_stats.flight.dropped_events == ref_stats.flight.dropped_events
     new_stats.flight.check_against(new_stats)
 
 
@@ -587,17 +583,17 @@ class TestCentralizedAgainstReference:
     """The array-fed, batch-accounted loop against the heap-per-task,
     charge-as-you-go oracle in ``tests/reference_centralized.py``."""
 
-    @given(_centralized_case(), st.sampled_from([40, 4096]))
+    @given(_centralized_case())
     @settings(max_examples=120, deadline=None)
-    def test_array_fed_run_equals_the_oracle(self, case, max_events):
+    def test_array_fed_run_equals_the_oracle(self, case):
         nproc, arrays, clocks, flush_every = case
-        ref_stats = _centralized_stats(nproc, clocks, max_events)
+        ref_stats = _centralized_stats(nproc, clocks)
         ref = reference_centralized(
             list(range(arrays.ntasks)), nproc, ref_stats,
             lambda tid: float(arrays.cost[tid]),
             comm_of=_fetch_hook(ref_stats, arrays),
         )
-        new_stats = _centralized_stats(nproc, clocks, max_events)
+        new_stats = _centralized_stats(nproc, clocks)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(centralized, "FLUSH_EVERY", flush_every)
             new = run_centralized(arrays, nproc, new_stats)
@@ -611,24 +607,31 @@ class TestCentralizedAgainstReference:
             comm_calls=np.zeros(ntasks, dtype=np.int64), ntasks=ntasks,
             total_eris=0.0,
         )
-        stats = _centralized_stats(nproc, np.zeros(nproc), 16)
-        run_centralized(arrays, nproc, stats)
-        assert stats.flight.dropped_events == ntasks + nproc - 16
+        # the pending buffer overflows into several flushes
+        stats = _centralized_stats(nproc, np.zeros(nproc))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(centralized, "FLUSH_EVERY", 16)
+            out = run_centralized(arrays, nproc, stats)
+        assert out.counter_accesses == ntasks + nproc > 2 * 16
+        assert int(stats.flight.per_rank(CH_COUNTER, "msgs").sum()) == ntasks + nproc
         # equal clocks are served in rank order
-        stats = _centralized_stats(nproc, np.zeros(nproc), 4096)
-        run_centralized(arrays, nproc, stats)
-        assert [ev.rank for ev in stats.flight.events()[:nproc]] == list(range(nproc))
+        pulls = []
+        run_centralized(
+            arrays, nproc, _centralized_stats(nproc, np.zeros(nproc)),
+            on_task=lambda proc, tid: pulls.append(proc),
+        )
+        assert pulls[:nproc] == list(range(nproc))
         few = NWChemTaskArrays(
             arrays.cost[:2], arrays.comm_bytes[:2], arrays.comm_calls[:2], 2, 0.0
         )
-        out = run_centralized(few, nproc, _centralized_stats(nproc, np.zeros(nproc), 16))
+        out = run_centralized(few, nproc, _centralized_stats(nproc, np.zeros(nproc)))
         assert out.executed_tasks.tolist() == [1, 1, 0, 0, 0, 0]
         assert out.counter_accesses == 2 + nproc
 
     @pytest.mark.parametrize("as_arrays", [True, False])
     def test_accounting_is_flushed_before_every_hook(self, as_arrays):
         """Hooks that charge the clock -- their own rank's and another's
-        -- see today's clocks, counters and ring, and what they charge
+        -- see today's clocks and counters, and what they charge
         moves the dispatch order exactly as in the per-task loop."""
         rng = np.random.default_rng(5)
         nproc, ntasks = 5, 60
@@ -644,7 +647,8 @@ class TestCentralizedAgainstReference:
             def comm_of(proc, tid):
                 log.append((
                     "comm", proc, tid, stats.clock.tolist(),
-                    stats.calls.tolist(), len(stats.flight.events()),
+                    stats.calls.tolist(),
+                    stats.flight.totals("msgs").tolist(),
                 ))
                 if tid % 3 == 0:
                     stats.charge_comm(proc, 64.0, 2, channel=CH_GA)
@@ -660,7 +664,7 @@ class TestCentralizedAgainstReference:
                     )
             return comm_of, on_task
 
-        ref_stats = _centralized_stats(nproc, np.zeros(nproc), 4096)
+        ref_stats = _centralized_stats(nproc, np.zeros(nproc))
         ref_comm, ref_task = hooks(ref_stats, seen.setdefault("ref", []))
         fetch = _fetch_hook(ref_stats, arrays)
 
@@ -674,7 +678,7 @@ class TestCentralizedAgainstReference:
             lambda tid: float(arrays.cost[tid]),
             comm_of=ref_comm_of, on_task=ref_task,
         )
-        new_stats = _centralized_stats(nproc, np.zeros(nproc), 4096)
+        new_stats = _centralized_stats(nproc, np.zeros(nproc))
         comm_of, on_task = hooks(new_stats, seen.setdefault("new", []))
         if as_arrays:
             new = run_centralized(
@@ -691,11 +695,11 @@ class TestCentralizedAgainstReference:
 
     def test_callable_costs_without_hooks_are_batched_too(self):
         costs = [0.0, 1e-4, 2.5e-5] * 30
-        ref_stats = _centralized_stats(7, np.zeros(7), 32)
+        ref_stats = _centralized_stats(7, np.zeros(7))
         ref = reference_centralized(
             list(range(90)), 7, ref_stats, costs.__getitem__
         )
-        new_stats = _centralized_stats(7, np.zeros(7), 32)
+        new_stats = _centralized_stats(7, np.zeros(7))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(centralized, "FLUSH_EVERY", 16)
             new = run_centralized(list(range(90)), 7, new_stats, costs.__getitem__)

@@ -32,6 +32,7 @@ from repro.integrals.class_batch import (
     clear_jk_interrupt,
     interrupt_jk_threads,
 )
+from repro.obs import MetricsRegistry, load_run, session
 from repro.scf.checkpoint import load_latest_intact, prune_checkpoints
 from repro.scf.hf import RHF
 from repro.service.store import (
@@ -231,13 +232,22 @@ class TestWorkerPersonalities:
         baseline = RHF(water()).run()
         job = store.submit({"kind": "scf", "molecule": "water",
                             "basis": "sto-3g"})
-        assert self.run_one(store) == "done"
+        with session(metrics=MetricsRegistry()):  # nothing in the outer one
+            assert self.run_one(store) == "done"
         final = store.get(job.id)
         assert final.result["converged"]
         assert final.result["energy"] == baseline.energy
         assert final.result["resumed_from_iteration"] == 0
         # per-job run ledger exists and is linked from the job row
         assert (Path(final.job_dir) / "run" / "manifest.json").exists()
+        # ... and its final snapshot is this job's registry (it used to
+        # be read after the outer registry had been swapped back)
+        snaps = load_run(Path(final.job_dir) / "run").snapshots
+        last_iter = [s for s in snaps if s["label"] == "scf_iteration"][-1]
+        assert snaps[-1]["label"] == "final"
+        assert last_iter["metrics"] and (
+            set(snaps[-1]["metrics"]) >= set(last_iter["metrics"])
+        )
 
     def test_worker_main_drains(self, store, tmp_path):
         for _ in range(3):

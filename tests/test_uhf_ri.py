@@ -8,8 +8,7 @@ from repro.chem.builders import h2, water
 from repro.chem.molecule import Molecule
 from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import overlap
-from repro.obs.manifest import RunLedger, load_run, set_ledger
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs import MetricsRegistry, RunLedger, load_run, session
 from repro.runtime.faults import SCFFaultPlan
 from repro.runtime.sdc import flip_bit_in_file
 from repro.scf.checkpoint import (
@@ -211,13 +210,8 @@ class TestUHFSharedLoop:
     def test_ledger_rows_and_gauges(self, tmp_path):
         ledger = RunLedger(tmp_path / "run", command="scf", config={})
         registry = MetricsRegistry()
-        prev_ledger, prev_metrics = set_ledger(ledger), set_metrics(registry)
-        try:
+        with session(ledger=ledger, metrics=registry):
             res = UHF(h2(0.7414), multiplicity=3).run()
-        finally:
-            set_ledger(prev_ledger)
-            set_metrics(prev_metrics)
-        ledger.close(0)
         record = load_run(ledger.path)
         rows = [s for s in record.snapshots if s["label"] == "scf_iteration"]
         assert [r["iteration"] for r in rows] == [1, 2]
