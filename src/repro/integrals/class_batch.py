@@ -8,9 +8,9 @@ loop the same way:
 * **Class plan** (:func:`build_class_plan`): Schwarz-surviving canonical
   quartets are grouped by angular-momentum class -- the tuple
   ``(la, lb, lc, ld, pure flags, npp_bra, npp_ket)`` that fixes every
-  array shape of the MD kernel.  Each class stacks the unique bra/ket
-  :class:`~repro.integrals.pairdata.PairData` records into contiguous
-  tensors once, and records per-quartet slots into those stacks.
+  array shape of the MD kernel.  On its first kernel sweep a class
+  stacks the unique bra/ket :class:`~repro.integrals.pairdata.PairData`
+  records into contiguous tensors, with per-quartet slots into them.
 * **Class-batched kernel** (one sweep per chunk): a single
   :func:`~repro.integrals.pairdata.md_sweep` -- one tabulated
   ``boys_array`` and one compact
@@ -28,12 +28,17 @@ loop the same way:
 * **Threaded contraction** (:func:`jk_from_plan` ``threads=``): whole
   flushes are dealt cost-sorted across a thread pool, each worker
   accumulating into private J/K buffers that are reduced at the end.
+* **Supermatrix** (:class:`Supermatrix`): conventional SCF done
+  literally (Mitin, arxiv 1905.07779).  The first build a *ready*
+  :class:`~repro.integrals.store.ERIStore` serves resolves the plan's
+  chunks once and assembles them into two sparse matrices over flat
+  ``(ij)`` pairs; every later build on that engine is four sparse
+  mat-vecs against the flattened densities.
 
 Every engine builds J/K here.  A chunk's blocks come from one of two
-sources (:func:`_resolve_chunk`): *stored* (a ready
-:class:`~repro.integrals.store.ERIStore`) or *compute* -- the class
-kernel when the plan carries its operands, else a stack of per-row
-``engine._quartet`` blocks (Obara-Saika and synthetic).
+sources (:func:`_resolve_chunk`): *stored* (a ready store) or *compute*
+-- the class kernel when the plan has pair data, else a stack of
+per-row ``engine._quartet`` blocks (Obara-Saika and synthetic).
 
 Numerics agree with the per-quartet scatter oracle
 (``tests/reference_fock.py``) to summation order (tests pin <= 1e-10
@@ -49,6 +54,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -61,6 +67,9 @@ from repro.integrals.pairdata import (
     stack_pairs,
 )
 from repro.util.validation import check_symmetric
+
+if TYPE_CHECKING:  # imported by the assembly: direct SCF never pays for it
+    from scipy import sparse
 
 #: The 8 axis permutations of an (ab|cd) block under Eq (4)'s
 #: permutational symmetry.  This is the one shared definition --
@@ -126,11 +135,26 @@ def orbit_weights(quartets: np.ndarray) -> np.ndarray:
     P=Q, MN=PQ.  Summing ``w * image`` over all eight permutations
     counts every distinct image exactly once.
     """
-    q = np.asarray(quartets).reshape(-1, 4)
-    fixed = np.sum(
-        [(q[:, perm] == q).all(axis=1) for perm in EIGHT_PERMUTATIONS], axis=0
-    )
+    a, b, c, d = np.asarray(quartets).reshape(-1, 4).T
+    ab, cd = a == b, c == d
+    ac_bd, ad_bc = (a == c) & (b == d), (a == d) & (b == c)
+    # :data:`EIGHT_PERMUTATIONS` one by one: the identity, the swap
+    # within the bra, within the ket, both; bra <-> ket alone, after
+    # both swaps, and (twice) after one of them
+    fixed = 1 + ab + cd + (ab & cd) + ac_bd + ad_bc + 2 * (ac_bd & ad_bc)
     return 1.0 / fixed
+
+
+class KernelOperands(NamedTuple):
+    """What the class kernel sweeps for one batch: the stacked unique
+    bra/ket pair data, per-quartet slots into the stacks, and the
+    sweep's precomputed constants."""
+
+    ops: SweepOperands
+    bra: StackedPairs
+    ket: StackedPairs
+    bra_slots: np.ndarray
+    ket_slots: np.ndarray
 
 
 @dataclass
@@ -150,18 +174,17 @@ class ClassBatch:
     #: (6, nq) flat J/K index ``start_i * nbf + start_j`` of the first
     #: element of each :data:`_PAIR_AXES` block, per quartet
     pair_bases: np.ndarray
-    #: the class kernel's operands -- stacked pair data, per-quartet slots
-    #: into the stacks, precomputed constants; all ``None`` on a plan
-    #: built without pair data, whose rows come from ``engine._quartet``
-    bra: StackedPairs | None = None
-    ket: StackedPairs | None = None
-    bra_slots: np.ndarray | None = None
-    ket_slots: np.ndarray | None = None
-    ops: SweepOperands | None = field(repr=False, default=None)
+    #: the plan's pair data, which the class kernel sweeps; ``None`` on a
+    #: plan built without it, whose rows come from ``engine._quartet``
+    pair_cache: ShellPairData | None = field(repr=False, default=None)
     #: plan row of this batch's first quartet (seeded faults address rows)
     row0: int = 0
-    #: memoized store resolution: (store generation, offsets, positions)
-    _store_res: tuple = field(repr=False, default=None, compare=False)
+    _operands: KernelOperands | None = field(
+        repr=False, default=None, compare=False
+    )
+    _operands_lock: threading.Lock = field(
+        repr=False, default_factory=threading.Lock, compare=False
+    )
 
     @property
     def nq(self) -> int:
@@ -182,6 +205,27 @@ class ClassBatch:
         # the compact recursion holds C(L+4, 4) vectors per primitive quartet
         per_q = self.nprim * math.comb(self.lmax + 4, 4)
         return int(max(1, min(MAX_CHUNK_QUARTETS, MAX_R_WORK // max(per_q, 1))))
+
+    def operands(self) -> KernelOperands:
+        """The class kernel's operands, stacked on the first sweep (a
+        plan served entirely from a store never builds them) and built
+        once however many ``jk_threads`` workers ask."""
+        if self._operands is None:
+            with self._operands_lock:
+                if self._operands is None:
+                    self._operands = self._stack_operands()
+        return self._operands
+
+    def _stack_operands(self) -> KernelOperands:
+        pairs, ns = self.pair_cache, self.pair_cache.basis.nshells
+        bra_slots, bra_pairs = _slot_pairs(self.quartets[:, :2], ns)
+        ket_slots, ket_pairs = _slot_pairs(self.quartets[:, 2:], ns)
+        bra = stack_pairs([pairs.get(i, j) for i, j in bra_pairs])
+        ket = stack_pairs([pairs.get(i, j) for i, j in ket_pairs])
+        return KernelOperands(
+            SweepOperands.build(bra, ket, self.pure),
+            bra, ket, bra_slots, ket_slots,
+        )
 
 
 @dataclass
@@ -240,18 +284,12 @@ def _build_batch(
     sh = [basis.shells[i] for i in qarr[0]]
     lkey = tuple(s.l for s in sh)
     pure = tuple(s.pure for s in sh)
-    batch = ClassBatch(
+    return ClassBatch(
         lkey=lkey, pure=pure, dims=tuple(s.nbf for s in sh), lmax=sum(lkey),
         nprim=math.prod(s.nprim for s in sh),
         quartets=qarr, weights=weights, pair_bases=pair_bases,
+        pair_cache=pair_cache,
     )
-    if pair_cache is not None:
-        batch.bra_slots, bra_pairs = _slot_pairs(qarr[:, :2], basis.nshells)
-        batch.ket_slots, ket_pairs = _slot_pairs(qarr[:, 2:], basis.nshells)
-        batch.bra = stack_pairs([pair_cache.get(i, j) for i, j in bra_pairs])
-        batch.ket = stack_pairs([pair_cache.get(i, j) for i, j in ket_pairs])
-        batch.ops = SweepOperands.build(batch.bra, batch.ket, pure)
-    return batch
 
 
 def build_class_plan(
@@ -263,9 +301,9 @@ def build_class_plan(
 
     The tuples may be in any index order (:func:`orbit_weights` holds
     for arbitrary tuples).  ``pair_cache`` supplies (and memoizes) the
-    stacked :class:`~repro.integrals.pairdata.PairData` the class kernel
-    sweeps; an engine without that kernel passes ``None`` and gets a plan
-    whose rows resolve through its own ``_quartet``.
+    :class:`~repro.integrals.pairdata.PairData` each batch stacks on its
+    first kernel sweep; an engine without that kernel passes ``None`` and
+    gets a plan whose rows resolve through its own ``_quartet``.
     """
     if not isinstance(quartets, np.ndarray):
         quartets = list(quartets)
@@ -322,15 +360,28 @@ def compute_class_rows(batch: ClassBatch, rows) -> np.ndarray:
     one :func:`~repro.integrals.pairdata.md_sweep` over every primitive
     quartet of every selected shell quartet.
     """
+    ops, bra, ket, bra_slots, ket_slots = batch.operands()
     return md_sweep(
-        batch.ops, batch.bra, batch.ket,
-        batch.bra_slots[rows], batch.ket_slots[rows],
+        ops, bra, ket, bra_slots[rows], ket_slots[rows]
     ).reshape((-1,) + batch.dims)
 
 
 # ---------------------------------------------------------------------------
 # the six-block J/K contraction
 # ---------------------------------------------------------------------------
+
+
+def _weighted_flush(
+    flush: list[tuple[ClassBatch, int, int]], parts: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One flush of same-shape blocks as ``g = w (ab|cd)`` (``w`` the orbit
+    weight), stacked over its quartets, and their ``(6, nq)``
+    ``pair_bases``."""
+    g = np.concatenate(parts)
+    g *= np.concatenate([b.weights[lo:hi] for b, lo, hi in flush]).reshape(
+        -1, 1, 1, 1, 1
+    )
+    return g, np.concatenate([b.pair_bases[:, lo:hi] for b, lo, hi in flush], 1)
 
 
 def _contract_blocks(
@@ -343,8 +394,8 @@ def _contract_blocks(
 ) -> None:
     """Accumulate one flush of same-shape blocks into half-J / half-K.
 
-    With ``g = w (ab|cd)`` (``w`` the orbit weight) and symmetric D, the
-    eight permutation images of a quartet collapse to six blocks::
+    With ``g = w (ab|cd)`` and symmetric D, the eight permutation images
+    of a quartet collapse to six blocks::
 
         Jt[ab] += g D[cd]    Kt[ac] += g D[bd]    Kt[ad] += g D[bc]
         Jt[cd] += D[ab] g    Kt[bd] += D[ac] g    Kt[bc] += D[ad] g
@@ -354,11 +405,7 @@ def _contract_blocks(
     batched matmul against gathered density blocks and one ``bincount``
     scatter-add per density.
     """
-    g = np.concatenate(parts)
-    g *= np.concatenate([b.weights[lo:hi] for b, lo, hi in flush]).reshape(
-        -1, 1, 1, 1, 1
-    )
-    bases = np.concatenate([b.pair_bases[:, lo:hi] for b, lo, hi in flush], 1)
+    g, bases = _weighted_flush(flush, parts)
     dims = g.shape[1:]
     index = [
         base[:, None]
@@ -381,6 +428,134 @@ def _contract_blocks(
 
 
 # ---------------------------------------------------------------------------
+# the supermatrix: a ready store's integrals as two sparse matrices
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Supermatrix:
+    """A plan's integrals as two CSR matrices over flat ``(ij)`` pairs.
+
+    The six-block contraction is linear in D, so with ``d`` a flattened
+    density it is ``Jt = M_J d + M_J^T d`` and ``Kt = M_K d + M_K^T d``
+    where ``M_J[ab, cd] = g`` and ``M_K[ac, bd] + M_K[ad, bc] += g``
+    (``g = w (ab|cd)``, exact zeros dropped): four sparse mat-vecs per
+    build, whatever the plan's chunking.  It costs 12 bytes per
+    non-zero of RAM (float64 value + int32 column): 2x the bytes of the
+    store it was read from when half the stored integrals are exact
+    zeros (axis-aligned geometries), up to 4.5x when none are.
+    """
+
+    plan: ClassPlan
+    #: the store generation it was read at
+    generation: int
+    #: whether those reads were CRC-scrubbed (``store.verify_reads``)
+    verified: bool
+    #: plan rows the store served; the rest were computed at assembly
+    served: int
+    mj: sparse.csr_matrix
+    mk: sparse.csr_matrix
+
+    def serves(self, plan: ClassPlan, store) -> bool:
+        """Whether a build of ``plan`` over ``store`` may contract this."""
+        return (
+            self.plan is plan
+            and self.generation == store.generation
+            and (self.verified or not store.verify_reads)
+        )
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            a.nbytes for m in (self.mj, self.mk)
+            for a in (m.data, m.indices, m.indptr)
+        )
+
+    def contract(self, dflat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Half-J and half-K, ``(ndens, n*n)`` each, of a density stack."""
+        x = np.ascontiguousarray(dflat.T)
+        return tuple(
+            (m @ x + m.T @ x).T for m in (self.mj, self.mk)
+        )
+
+
+def _sparse_piece(
+    n: int, g: np.ndarray, bases: np.ndarray
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """One weighted flush as its ``(M_J, M_K)`` contributions."""
+    from scipy import sparse
+
+    size = g[0].size
+    nonzero = np.flatnonzero(g)
+    vals = g.ravel()[nonzero]
+    quartet, element = np.divmod(nonzero.astype(bases.dtype), size)
+    coords = np.unravel_index(np.arange(size), g.shape[1:])
+
+    def flat_index(block: int) -> np.ndarray:
+        # of every kept element within its quartet's _PAIR_AXES block
+        i, j = _PAIR_AXES[block]
+        within = (coords[i] * n + coords[j]).astype(bases.dtype)
+        return bases[block][quartet] + within[element]
+
+    def view(rows: int, cols: int) -> sparse.csr_matrix:
+        return sparse.coo_matrix(
+            (vals, (flat_index(rows), flat_index(cols))), shape=(n * n, n * n)
+        ).tocsr()
+
+    # J's (ab, cd); K's (ac, bd) + (ad, bc), coincidences summed
+    return view(0, 1), view(2, 3) + view(4, 5)
+
+
+def _fold(partial: list, piece=None) -> None:
+    """Push one CSR piece onto a stack of partial sums, adding it into
+    the sums below while they are no more than twice its size: the stack
+    stays logarithmic and every entry is moved O(log flushes) times,
+    where one running sum would re-copy itself at every flush.  With no
+    piece, collapse the stack to the one total."""
+    if piece is not None:
+        partial.append(piece)
+    while len(partial) > 1 and (
+        piece is None or partial[-2].nnz <= 2 * partial[-1].nnz
+    ):
+        top = partial.pop()  # popped, so each sum frees its operands
+        partial[-1] = partial[-1] + top
+
+
+def assemble_supermatrix(
+    engine, plan: ClassPlan, store, faults, eri_span, jk_span
+) -> tuple[Supermatrix, dict]:
+    """Resolve every chunk of ``plan`` once -- read, CRC-scrubbed when the
+    store verifies reads, bad or missing rows recomputed -- into a
+    :class:`Supermatrix`; also returns the source counts.
+
+    Each flush becomes one CSR piece that is folded into the partial
+    sums at once, so the transient is one stage of blocks, never a
+    whole-plan COO.  Single threaded: the matrices, hence every later
+    J/K, are bitwise the same at any ``jk_threads``.
+    """
+    from scipy import sparse
+
+    n = engine.basis.nbf
+    # seeded with the empty sum: a plan may have no flush at all
+    partial_j = [sparse.csr_matrix((n * n, n * n))]
+    partial_k = [partial_j[0]]
+    totals = dict.fromkeys(_COUNT_KEYS, 0)
+    for flush in plan.flushes():
+        parts = _resolve_flush(engine, flush, store, faults, eri_span, totals)
+        with jk_span:
+            piece_j, piece_k = _sparse_piece(n, *_weighted_flush(flush, parts))
+            _fold(partial_j, piece_j)
+            _fold(partial_k, piece_k)
+    with jk_span:
+        _fold(partial_j)
+        _fold(partial_k)
+    return Supermatrix(
+        plan=plan, generation=store.generation, verified=store.verify_reads,
+        served=totals["from_store"], mj=partial_j[0], mk=partial_k[0],
+    ), totals
+
+
+# ---------------------------------------------------------------------------
 # chunk resolution: two sources, stored and compute
 # ---------------------------------------------------------------------------
 
@@ -390,21 +565,10 @@ _COUNT_KEYS = ("computed", "from_store", "rescued", "crc_rescued",
                "corrupted")
 
 
-def _store_offsets(batch: ClassBatch, store) -> tuple:
-    """Per-row store ``(offsets, key positions)`` of a batch, memoized
-    per store generation (``(None, None)`` while the store is not ready)."""
-    res = batch._store_res
-    if res is None or res[0] != store.generation:
-        offs = store.offsets_for(batch.quartets)
-        pos = None if offs is None else store.positions_of(offs)
-        res = batch._store_res = (store.generation, offs, pos)
-    return res[1:]
-
-
 def _compute_rows(engine, batch: ClassBatch, rows: np.ndarray) -> np.ndarray:
     """Freshly computed blocks for ``rows``: one class-kernel sweep when
-    the plan carries its operands, else the engine's own blocks stacked."""
-    if batch.ops is not None:
+    the plan has pair data, else the engine's own blocks stacked."""
+    if batch.pair_cache is not None:
         return compute_class_rows(batch, rows)
     return np.stack(
         [engine._quartet(*quartet) for quartet in batch.quartets[rows].tolist()]
@@ -426,26 +590,24 @@ def _resolve_chunk(
     nrows = hi - lo
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     if store is not None and store.ready:
-        offs, pos = _store_offsets(batch, store)
-        if offs is not None:
-            sel = offs[lo:hi]
-            if (sel >= 0).all():
-                blocks = store.read_stacked(sel, batch.block_size, batch.dims)
-                if store.verify_reads:
-                    # rows whose bytes fail the finalize-time CRC are
-                    # not trusted: recompute them with the kernel that
-                    # filled the store (bitwise-identical values, so a
-                    # corrupted store never perturbs F)
-                    good = store.verify_stacked(sel, blocks, pos[lo:hi])
-                    if not good.all():
-                        bad = np.flatnonzero(~good)
-                        blocks[bad] = _compute_rows(engine, batch, lo + bad)
-                        counts["crc_rescued"] = len(bad)
-                counts["from_store"] = nrows
-                return blocks, counts
+        sel = store.offsets_for(batch.quartets[lo:hi])
+        if (sel >= 0).all():
+            blocks = store.read_stacked(sel, batch.block_size, batch.dims)
+            if store.verify_reads:
+                # rows whose bytes fail the finalize-time CRC are not
+                # trusted: recompute them with the kernel that filled
+                # the store (bitwise-identical values, so a corrupted
+                # store never perturbs F)
+                good = store.verify_stacked(sel, blocks)
+                if not good.all():
+                    bad = np.flatnonzero(~good)
+                    blocks[bad] = _compute_rows(engine, batch, lo + bad)
+                    counts["crc_rescued"] = len(bad)
+            counts["from_store"] = nrows
+            return blocks, counts
     blocks = _compute_rows(engine, batch, np.arange(lo, hi))
     counts["computed"] = nrows
-    if faults is not None and batch.ops is not None:
+    if faults is not None and batch.pair_cache is not None:
         counts["corrupted"] = faults.corrupt_rows(blocks, batch.row0 + lo)
     if engine.finite_check and not np.isfinite(blocks.sum()):
         finite = np.isfinite(blocks.reshape(nrows, -1)).all(axis=1)
@@ -470,13 +632,13 @@ def resolve_jk_threads(threads: int | None) -> int:
 
 
 #: set by :func:`interrupt_jk_threads` (a dying worker's SIGTERM handler):
-#: threaded J/K workers stop between chunks instead of draining their
-#: whole queue while the process is trying to exit
+#: a J/K build stops between chunks instead of draining its whole queue
+#: while the process is trying to exit
 _JK_INTERRUPT = threading.Event()
 
 
 def interrupt_jk_threads() -> None:
-    """Ask in-flight threaded J/K workers to stop at the next chunk edge."""
+    """Ask in-flight J/K builds to stop at the next chunk edge."""
     _JK_INTERRUPT.set()
 
 
@@ -515,6 +677,21 @@ class _Stopwatch:
         return False
 
 
+def _resolve_flush(engine, flush, store, faults, eri_span, totals) -> list:
+    """The resolved blocks of every chunk of ``flush``, ``eri_span``
+    around each resolution, source counts added to ``totals``."""
+    parts = []
+    for batch, lo, hi in flush:
+        if _JK_INTERRUPT.is_set():
+            raise JKInterrupted("J/K build interrupted between chunks")
+        with eri_span:
+            blocks, counts = _resolve_chunk(engine, batch, lo, hi, store, faults)
+        parts.append(blocks)
+        for key in _COUNT_KEYS:
+            totals[key] += counts[key]
+    return parts
+
+
 def _run_flushes(engine, dflat, flushes, store, faults, eri_span, jk_span):
     """One worker's share: private half-J/half-K buffers + source counts,
     ``eri_span`` around every chunk resolution, ``jk_span`` every flush."""
@@ -523,20 +700,20 @@ def _run_flushes(engine, dflat, flushes, store, faults, eri_span, jk_span):
     kt = np.zeros_like(dflat)
     totals = dict.fromkeys(_COUNT_KEYS, 0)
     for flush in flushes:
-        parts = []
-        for batch, lo, hi in flush:
-            if _JK_INTERRUPT.is_set():
-                raise JKInterrupted("J/K build interrupted between chunks")
-            with eri_span:
-                blocks, counts = _resolve_chunk(
-                    engine, batch, lo, hi, store, faults
-                )
-            parts.append(blocks)
-            for key in _COUNT_KEYS:
-                totals[key] += counts[key]
+        parts = _resolve_flush(engine, flush, store, faults, eri_span, totals)
         with jk_span:
             _contract_blocks(jt, kt, dflat, n, flush, parts)
     return jt, kt, totals
+
+
+def _tally(engine, totals: dict, faults) -> None:
+    """Fold a build's source counts into the engine's counters (by the
+    thread that owns the build)."""
+    engine.quartets_computed += totals["computed"]
+    engine.count_rescues(totals["rescued"])
+    engine.crc_rescues += totals["crc_rescued"]
+    if faults is not None:
+        engine.scf_faults.quartets_corrupted += totals["corrupted"]
 
 
 def jk_from_plan(
@@ -552,17 +729,22 @@ def jk_from_plan(
     ``(k, n, n)`` of them; a stack shares one pass over the integrals
     and returns stacked ``(k, n, n)`` J and K.
 
-    ``threads > 1`` deals the flushes, largest first, to the least-loaded
-    worker of a thread pool; every worker owns private accumulators
-    (reduced at the end) plus private phase timings, which are folded
-    into the active profiler as one ``eri_quartets`` sample per kernel
-    chunk and one ``jk_contraction`` sample per flush -- never per quartet.
+    An attached ``engine.integral_store`` that is *ready* serves the
+    build from the engine's :class:`Supermatrix`, assembled by the first
+    such build (and again only for another plan, a store generation
+    change or newly armed ``verify_reads``): no chunk is walked and
+    ``threads`` is not consulted.  Every other build -- direct, or
+    filling a store, which it then finalizes with ``tau`` -- is the
+    six-block contraction: ``threads > 1`` deals the flushes, largest
+    first, to the least-loaded worker of a thread pool; every worker
+    owns private accumulators (reduced at the end) plus private phase
+    timings, which are folded into the active profiler as one
+    ``eri_quartets`` sample per kernel chunk and one ``jk_contraction``
+    sample per flush -- never per quartet.
 
-    An attached ``engine.integral_store`` is read when ready and filled
-    (then finalized with ``tau``) when not; an attached
-    ``engine.scf_faults`` state has this build's corruptions drawn here,
-    per plan row and before any worker starts, so the same rows are hit
-    at every thread count.
+    An attached ``engine.scf_faults`` state has this build's corruptions
+    drawn here, per plan row and before any worker starts, so the same
+    rows are hit at every thread count.
     """
     from repro.obs import get_profiler
     from repro.obs.profile import PHASE_ERI, PHASE_JK
@@ -573,10 +755,30 @@ def jk_from_plan(
     faults = None
     if engine.scf_faults is not None:
         faults = engine.scf_faults.draw_build(plan.nquartets)
-    flushes = plan.flushes()
-    nthreads = resolve_jk_threads(threads)
     prof = get_profiler()
 
+    if store is not None and store.ready:
+        sm = engine.supermatrix
+        if sm is None or not sm.serves(plan, store):
+            # dropped first: an assembly that fails (MemoryError, an
+            # interrupt) leaves no half-built or stale matrix behind
+            engine.supermatrix = None
+            sm, totals = assemble_supermatrix(
+                engine, plan, store, faults,
+                prof.phase(PHASE_ERI), prof.phase(PHASE_JK),
+            )
+            _tally(engine, totals, faults)
+            engine.supermatrix = sm
+        with prof.phase(PHASE_JK):
+            jt, kt = sm.contract(dflat)
+        engine.quartets_served_from_store += sm.served
+        engine.last_jk_worker_stats = []
+        return _symmetrized(jt, kt, n, density)
+
+    # a store that stopped being ready (invalidated) takes its matrix along
+    engine.supermatrix = None
+    flushes = plan.flushes()
+    nthreads = resolve_jk_threads(threads)
     if nthreads <= 1 or len(flushes) <= 1:
         results = [_run_flushes(
             engine, dflat, flushes, store, faults,
@@ -611,18 +813,20 @@ def jk_from_plan(
             for (eri, jk), (_, _, totals) in zip(watches, results)
         ]
 
-    totals = {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS}
-    engine.quartets_computed += totals["computed"]
-    engine.count_rescues(totals["rescued"])
-    if faults is not None:
-        engine.scf_faults.quartets_corrupted += totals["corrupted"]
-    if store is not None:
-        engine.quartets_served_from_store += totals["from_store"]
-        engine.crc_rescues += totals["crc_rescued"]
-        if store.filling and store.pending_blocks:
-            store.finalize(tau)
-    jt = sum(r[0] for r in results).reshape(-1, n, n)
-    kt = sum(r[1] for r in results).reshape(-1, n, n)
+    _tally(
+        engine, {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS},
+        faults,
+    )
+    if store is not None and store.filling and store.pending_blocks:
+        store.finalize(tau)
+    return _symmetrized(
+        sum(r[0] for r in results), sum(r[1] for r in results), n, density
+    )
+
+
+def _symmetrized(jt, kt, n: int, density) -> tuple[np.ndarray, np.ndarray]:
+    """``J = 2 (Jt + Jt^T)``, ``K = Kt + Kt^T``, shaped like ``density``."""
+    jt, kt = jt.reshape(-1, n, n), kt.reshape(-1, n, n)
     j = 2.0 * (jt + jt.transpose(0, 2, 1))
     k = kt + kt.transpose(0, 2, 1)
     return (j, k) if np.ndim(density) == 3 else (j[0], k[0])

@@ -17,8 +17,9 @@ Engines provided:
 Fock builds go through :meth:`ERIEngine.class_plan` and
 :func:`repro.integrals.class_batch.jk_from_plan`, where an attached
 :class:`~repro.integrals.store.ERIStore` is the one reuse layer (ERIs are
-density-independent, so iterations after the first read the stored
-blocks); :meth:`ERIEngine.quartet` always computes.
+density-independent, so a ready store is read once into the engine's
+:class:`~repro.integrals.class_batch.Supermatrix` and every later build
+contracts that); :meth:`ERIEngine.quartet` always computes.
 ``quartets_computed`` counts only *real* computations (Table VII
 call-count benchmarks stay exact); store service is tallied separately
 in ``quartets_served_from_store``.
@@ -35,6 +36,7 @@ import numpy as np
 from repro.chem.basis.basisset import BasisSet
 from repro.integrals.class_batch import (
     ClassPlan,
+    Supermatrix,
     build_class_plan,
     canonical_quartet_array,
 )
@@ -79,6 +81,10 @@ class ERIEngine(abc.ABC):
         self.quartets_served_from_store = 0
         #: opt-in memory-mapped stored-integral layer (conventional SCF)
         self.integral_store: ERIStore | None = None
+        #: the ready store's integrals as sparse matrices, assembled by
+        #: the first build it serves (``jk_from_plan``); at most one,
+        #: dropped with the store
+        self.supermatrix: Supermatrix | None = None
         #: NaN/Inf sentinel on computed blocks (armed by the SCF guard,
         #: at the start of a run or by its ``reference_eri`` rung); off
         #: by default so the hot path carries zero extra cost
@@ -112,11 +118,18 @@ class ERIEngine(abc.ABC):
         """
         if not isinstance(store, ERIStore):
             store = ERIStore(store, self.basis)
+        # a store-backed run contracts scipy.sparse matrices: pay the
+        # import here, not inside its first served Fock build (and a
+        # direct run never pays it)
+        import scipy.sparse  # noqa: F401
+
+        self.supermatrix = None
         self.integral_store = store.open_or_fill()
         return self.integral_store
 
     def detach_store(self) -> None:
         self.integral_store = None
+        self.supermatrix = None
 
     def class_plan(self, tau: float) -> ClassPlan:
         """The class-batched execution plan for threshold ``tau``, memoized.

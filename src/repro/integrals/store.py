@@ -19,11 +19,13 @@ again on every Fock build.  This module is that storage layer:
   refilling starts from scratch.
 
 Lifecycle: ``open_or_fill()`` -> ``filling`` (first Fock build records
-computed blocks) -> ``finalize(tau)`` -> ``ready`` (all later builds read
-only).  The store is one of the two sources of the class-batched chunk
-resolver (:func:`repro.integrals.class_batch.jk_from_plan`; the other is
-compute), so SCF iterations >= 2 recompute zero ERIs (tracked by
-``quartets_served_from_store``).
+computed blocks) -> ``finalize(tau)`` -> ``ready``.  The store is one of
+the two sources of the class-batched chunk resolver
+(:mod:`repro.integrals.class_batch`; the other is compute): the first
+build a ready store serves reads every block once into the engine's
+sparse supermatrix and later builds contract that, so SCF iterations
+>= 2 recompute zero ERIs (tracked by ``quartets_served_from_store``)
+and re-read none.
 
 Cross-process safety (service workers share store directories):
 
@@ -40,12 +42,10 @@ Data integrity (store format v2): ``index.npz`` carries a per-block
 CRC-32 array (``crcs``) written at finalize, and the manifest carries a
 whole-file SHA-256 of ``blocks.bin`` (``blocks_sha256``).  With
 ``verify_reads`` enabled (the SCF ``integrity=`` knob arms it), every
-block is CRC-checked the *first* time it is served per attach
-(scrub-on-first-read): an intact block is marked verified and skips
-the check on later reads, so the steady-state cost is near zero, while
-a mismatching block is *not* served -- :meth:`verify_stacked` flags bad
-rows for the class-batched resolver to recompute -- and is never
-marked verified, so it is re-detected on every read.  The whole-file digest is only checked by the
+block is CRC-checked as it is read -- once per attach, at supermatrix
+assembly -- and a mismatching block is *not* served:
+:meth:`verify_stacked` flags bad rows for the class-batched resolver to
+recompute.  The whole-file digest is only checked by the
 offline ``repro verify`` audit, keeping attach cheap.  A manifest with
 a different store format version is invalidated with
 :class:`StoreInvalidatedWarning` and refilled cleanly.  Threat model
@@ -66,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.runtime.sdc import block_crc
+from repro.runtime.sdc import crc_rows
 
 try:
     import fcntl
@@ -110,8 +110,8 @@ class ERIStore:
 
     States: ``filling`` (accepting :meth:`record_batch`) and ``ready``
     (memory-mapped, read-only).  ``generation`` increments
-    whenever the readable content changes, so callers can memoize
-    offset resolutions against it.
+    whenever the readable content changes, so what was assembled from
+    one generation is never contracted against another.
     """
 
     def __init__(self, path: str | Path, basis: BasisSet):
@@ -125,13 +125,13 @@ class ERIStore:
         self._keys: np.ndarray | None = None  # sorted packed keys
         self._offsets: np.ndarray | None = None  # element offsets, key order
         self._crcs: np.ndarray | None = None  # per-block CRC-32, key order
-        self._verified: np.ndarray | None = None  # scrub-on-first-read marks
         self._flat: np.memmap | None = None
-        #: CRC-check every block on first read (armed by ``integrity=``)
+        #: CRC-check every block as it is read (armed by ``integrity=``)
         self.verify_reads = False
         self.crc_checks = 0
         self.crc_mismatches = 0
-        self._pending: dict[int, np.ndarray] = {}  # packed key -> flat block
+        #: recorded chunks, columnar: (packed keys, one flat block per row)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self._lock = threading.Lock()
         self._flock_depth = 0
         self._nshells = len(basis.shells)
@@ -223,7 +223,6 @@ class ERIStore:
             self._keys = idx["keys"]
             self._offsets = idx["offsets"]
             self._crcs = idx["crcs"]
-        self._verified = np.zeros(self._crcs.size, dtype=bool)
         self._flat = np.memmap(self.path / _BLOCKS, dtype=np.float64, mode="r")
         self.manifest = manifest
         self.ready = True
@@ -242,7 +241,6 @@ class ERIStore:
         self._keys = None
         self._offsets = None
         self._crcs = None
-        self._verified = None
         self.manifest = None
         with self._disk_lock():
             # manifest first: a crash mid-invalidate must never leave a
@@ -261,19 +259,45 @@ class ERIStore:
 
     @property
     def pending_blocks(self) -> int:
-        return len(self._pending)
+        return sum(len(keys) for keys, _ in self._pending)
 
     def record_batch(self, quartets: np.ndarray, blocks: np.ndarray) -> None:
         """Record a stacked chunk of canonical blocks while filling."""
         if not self.filling:
             return
         keys = self.pack_rows(quartets)
-        flat = np.ascontiguousarray(blocks, dtype=np.float64).reshape(
-            len(keys), -1
-        )
+        rows = np.array(blocks, dtype=np.float64).reshape(len(keys), -1)
         with self._lock:
-            for i, key in enumerate(keys):
-                self._pending.setdefault(int(key), flat[i].copy())
+            self._pending.append((keys, rows))
+
+    def _pending_columns(self):
+        """The recorded chunks as the on-disk columns: sorted unique keys
+        (a key recorded twice keeps its first block), block sizes, element
+        offsets, the blocks laid end to end in key order, their CRCs."""
+        keys = np.concatenate([k for k, _ in self._pending])
+        sizes = np.concatenate(
+            [np.full(len(k), rows.shape[1]) for k, rows in self._pending]
+        )
+        order = np.argsort(keys, kind="stable")
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = keys[order[1:]] != keys[order[:-1]]
+        order = order[first]
+        keys, sizes = keys[order], sizes[order]
+        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        # where each recorded row lands, in recording order (-1: dropped)
+        pos = np.full(first.size, -1)
+        pos[order] = np.arange(order.size)
+        flat = np.empty(int(sizes.sum()))
+        crcs = np.empty(order.size, dtype=np.uint32)
+        lo = 0
+        for k, rows in self._pending:
+            at = pos[lo:lo + len(k)]
+            lo += len(k)
+            if (at < 0).any():
+                rows, at = rows[at >= 0], at[at >= 0]
+            flat[offsets[at][:, None] + np.arange(rows.shape[1])] = rows
+            crcs[at] = crc_rows(rows)
+        return keys, sizes, offsets, flat, crcs
 
     def finalize(self, tau: float | None = None) -> None:
         """Write pending blocks to disk and switch to the ready state.
@@ -288,11 +312,6 @@ class ERIStore:
         with self._lock:
             if not self.filling or not self._pending:
                 return
-            items = sorted(self._pending.items())
-            keys = np.array([k for k, _ in items], dtype=np.int64)
-            sizes = np.array([b.size for _, b in items], dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            flat = np.concatenate([b for _, b in items])
             self.path.mkdir(parents=True, exist_ok=True)
             with self._disk_lock():
                 # another process may have finalized while this one was
@@ -302,9 +321,7 @@ class ERIStore:
                     self._pending.clear()
                     self._attach(existing)
                     return
-                crcs = np.array(
-                    [block_crc(b) for _, b in items], dtype=np.uint32
-                )
+                keys, sizes, offsets, flat, crcs = self._pending_columns()
                 tmp_blocks = self.path / (_BLOCKS + ".tmp")
                 flat.tofile(tmp_blocks)
                 os.replace(tmp_blocks, self.path / _BLOCKS)
@@ -316,7 +333,7 @@ class ERIStore:
                 manifest = {
                     "version": STORE_VERSION,
                     "basis_sha256": self.fingerprint,
-                    "blocks_sha256": hashlib.sha256(flat.tobytes()).hexdigest(),
+                    "blocks_sha256": hashlib.sha256(flat).hexdigest(),
                     "basis_name": self.basis.name,
                     "tau": None if tau is None else float(tau),
                     "nbf": int(self.basis.nbf),
@@ -359,38 +376,19 @@ class ERIStore:
         rows = self._flat[offsets[:, None] + np.arange(block_size)]
         return rows.reshape((len(offsets),) + tuple(dims))
 
-    def positions_of(self, offsets: np.ndarray) -> np.ndarray:
-        """Key positions of blocks at ``offsets`` (as :meth:`offsets_for`
-        returned them): ``_offsets`` is a cumulative sum, hence ascending,
-        so each offset maps back by binary search."""
-        return np.searchsorted(self._offsets, np.asarray(offsets, np.int64))
-
     def verify_stacked(
-        self,
-        offsets: np.ndarray,
-        blocks: np.ndarray,
-        positions: np.ndarray | None = None,
+        self, offsets: np.ndarray, blocks: np.ndarray
     ) -> np.ndarray:
-        """CRC-check blocks just gathered at ``offsets``; True where intact.
-
-        ``positions`` are the blocks' key positions (:meth:`positions_of`;
-        looked up here when not given).  Blocks already scrubbed this
-        attach skip the CRC; intact blocks are marked scrubbed; a
-        mismatch never is, so corruption stays visible on every read.
-        The class-batched resolver recomputes the rows flagged False.
+        """CRC-check blocks just gathered at ``offsets`` (as
+        :meth:`offsets_for` returned them); True where intact.  The
+        class-batched resolver recomputes the rows flagged False.
         """
-        pos = self.positions_of(offsets) if positions is None else positions
-        good = np.ones(len(offsets), dtype=bool)
-        todo = np.flatnonzero(~self._verified[pos])
-        if todo.size:
-            rows = np.ascontiguousarray(blocks, dtype=np.float64).reshape(
-                len(offsets), -1
-            )
-            for i in todo:
-                good[i] = block_crc(rows[i]) == int(self._crcs[pos[i]])
-            self._verified[pos[todo[good[todo]]]] = True
-            self.crc_checks += int(todo.size)
-            self.crc_mismatches += int((~good).sum())
+        # ``_offsets`` is a cumulative sum, hence ascending: each offset
+        # maps back to its key position by binary search
+        pos = np.searchsorted(self._offsets, np.asarray(offsets, np.int64))
+        good = crc_rows(blocks.reshape(len(pos), -1)) == self._crcs[pos]
+        self.crc_checks += len(pos)
+        self.crc_mismatches += int((~good).sum())
         return good
 
     def stats(self) -> dict:

@@ -63,16 +63,16 @@ class IntegrityError(RuntimeError):
 
 def block_crc(a: np.ndarray) -> int:
     """CRC-32 of one array's float64 bytes (payload/block framing)."""
-    return zlib.crc32(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return zlib.crc32(np.ascontiguousarray(a, dtype=np.float64).reshape(-1))
 
 
 def crc_rows(flat: np.ndarray) -> np.ndarray:
     """Per-row CRC-32 of a 2-D float64 array, as ``uint32``."""
     flat = np.ascontiguousarray(flat, dtype=np.float64)
-    out = np.empty(flat.shape[0], dtype=np.uint32)
-    for i in range(flat.shape[0]):
-        out[i] = zlib.crc32(flat[i].tobytes())
-    return out
+    # each row as one opaque item of the same contiguous buffer: zlib
+    # reads its bytes in place
+    rows = flat.view(f"V{8 * flat.shape[1]}").ravel()
+    return np.fromiter(map(zlib.crc32, rows), np.uint32, len(rows))
 
 
 def flip_bit_in_file(path: str | Path, rng: np.random.Generator) -> int:

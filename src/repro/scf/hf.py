@@ -119,14 +119,16 @@ class SCFDriver:
         When set, a directory for the memory-mapped stored-integral
         layer (:class:`~repro.integrals.store.ERIStore`): conventional
         SCF.  The first Fock build computes and records the screened
-        non-zero quartets; every later iteration reads them back with
-        zero ERI recomputation.  A store left by a previous run of the
-        *same* basis is reused directly; any mismatch invalidates it
-        (with a warning) and it is refilled.
+        non-zero quartets; the next reads them back once into a sparse
+        supermatrix (RAM: 2-4.5x the store's bytes) and every later
+        iteration is four sparse mat-vecs, with zero ERI recomputation.
+        A store left by a previous run of the *same* basis is reused
+        directly; any mismatch invalidates it (with a warning) and it
+        is refilled.
     jk_threads:
         Worker threads for the class-batched J/K contraction (default
         ``None`` = the ``REPRO_JK_THREADS`` environment variable, else
-        serial).
+        serial).  Builds served by a ready store do not consult it.
     checkpoint_dir:
         When set, snapshot the restartable state (density, energy
         history, DIIS window) to ``checkpoint_dir/scf_ckpt_NNNN.npz``

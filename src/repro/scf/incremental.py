@@ -73,8 +73,12 @@ class IncrementalFockBuilder:
             delta = density - self._d_last
             dmax = float(np.max(np.abs(delta)))
             if dmax > 0.0:
-                # quartet survives iff sigma*sigma * dmax > tau
-                eff_tau = self.tau / dmax
+                # quartet survives iff sigma*sigma * dmax > tau -- which
+                # only saves kernel work: a ready store has none left to
+                # save, and its full-build plan is already assembled
+                store = self.engine.integral_store
+                served = store is not None and store.ready
+                eff_tau = self.tau if served else self.tau / dmax
                 j, k = build_jk(self.engine, delta, eff_tau, self.threads)
                 self._g = self._g + 2.0 * j - k
         self.history.append(self.engine.quartets_computed - before)

@@ -6,11 +6,14 @@ session-scoped so the full suite stays fast.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import h2, methane, water
+from repro.integrals.class_batch import compute_class_rows
 from repro.integrals.engine import MDEngine, SyntheticERIEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.scf.fock import fock_matrix
@@ -26,6 +29,36 @@ def pair_block(matrix_fn, sh_a, sh_b, molecule=None, **kwargs):
         molecule=molecule or water(), shells=[sh_a, sh_b], name="pair"
     )
     return matrix_fn(basis, **kwargs)[..., : sh_a.nbf, sh_a.nbf :]
+
+
+def assert_store_holds_kernel_bits(engine, tau=1e-11):
+    """Every row of ``engine``'s plan at ``tau`` reads back from its ready
+    store bit for bit as the class kernel computes it (sha256 per class):
+    the blocks a served J/K is assembled from are the blocks a direct
+    build contracts, so the two differ by summation order only."""
+    store = engine.integral_store
+    assert store.ready
+    for batch in engine.class_plan(tau).batches:
+        offsets = store.offsets_for(batch.quartets)
+        assert (offsets >= 0).all()
+        stored = store.read_stacked(offsets, batch.block_size, batch.dims)
+        computed = compute_class_rows(batch, np.arange(batch.nq))
+        assert (
+            hashlib.sha256(stored.tobytes()).hexdigest()
+            == hashlib.sha256(computed.tobytes()).hexdigest()
+        )
+
+
+def supermatrix_arrays(engine):
+    """The CSR arrays of an engine's assembled supermatrix."""
+    sm = engine.supermatrix
+    return [a for m in (sm.mj, sm.mk) for a in (m.data, m.indices, m.indptr)]
+
+
+def assert_jk_close(jk, ref, tol=1e-12):
+    """(J, K) pairs equal to summation order."""
+    for got, want in zip(jk, ref):
+        assert np.abs(got - want).max() <= tol
 
 
 @pytest.fixture(scope="session")

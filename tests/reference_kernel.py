@@ -101,13 +101,13 @@ def reference_class_rows(batch: ClassBatch, rows) -> np.ndarray:
     one ``boys_array``/``r_tensor_batch`` evaluation and one einsum over
     every primitive quartet of every selected shell quartet.
     """
-    bra, ket = batch.bra, batch.ket
+    _, bra, ket, bra_slots, ket_slots = batch.operands()
     TT = bra.tt[:, None] + ket.tt[None, :]
     UU = bra.uu[:, None] + ket.uu[None, :]
     VV = bra.vv[:, None] + ket.vv[None, :]
     ket_sign = (-1.0) ** (ket.tt + ket.uu + ket.vv)
-    bs = batch.bra_slots[rows]
-    ks = batch.ket_slots[rows]
+    bs = bra_slots[rows]
+    ks = ket_slots[rows]
     cb, pb, Pb, Eb = bra.coef[bs], bra.p[bs], bra.P[bs], bra.E[bs]
     ck, pk, Pk, Ek = ket.coef[ks], ket.p[ks], ket.P[ks], ket.E[ks]
     nq, nb = pb.shape

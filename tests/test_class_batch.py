@@ -434,12 +434,42 @@ class TestClassPlanStructure:
         assert got.shape == (len(expected), 4)
         assert [tuple(row) for row in got.tolist()] == expected
 
+    def test_operands_are_stacked_lazily_and_once_under_threads(
+        self, monkeypatch
+    ):
+        """Kernel operands appear on a batch's first sweep; racing
+        ``jk_threads`` workers share the one build."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        engine = MDEngine(BasisSet.build(water(), "6-31g"))
+        batch = max(engine.class_plan(1e-11).batches, key=lambda b: b.nq)
+        assert batch._operands is None
+        real, calls = class_batch.ClassBatch._stack_operands, []
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(class_batch.ClassBatch, "_stack_operands", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(
+                    lambda _: batch.operands(), range(32), timeout=30
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        assert all(ops is got[0] for ops in got)
+
     def test_throwaway_pair_cache(self, water_basis):
         """No pair data -> a plan without class-kernel operands."""
         quartets = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)]
         plan = build_class_plan(water_basis, None, quartets)
         assert plan.nquartets == 3
-        assert all(b.ops is None and b.bra is None for b in plan.batches)
+        assert all(b.pair_cache is None for b in plan.batches)
         assert sorted(b.row0 for b in plan.batches) == sorted(
             np.cumsum([0] + [b.nq for b in plan.batches])[:-1].tolist()
         )

@@ -10,9 +10,11 @@ false alarms.
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
+from conftest import assert_jk_close, supermatrix_arrays
 
 from repro.chem.builders import water
 from repro.integrals.engine import MDEngine
@@ -188,6 +190,7 @@ class TestStoreIntegrity:
         self, filled_store, sto3g_basis
     ):
         store_dir, d, j_ref, k_ref = filled_store
+        clean_dir = shutil.copytree(store_dir, store_dir.parent / "clean")
         plan = SDCFaultPlan(seed=5, store_flips=3)
         state = plan.activate()
         assert state.corrupt_store_dir(store_dir) == 3
@@ -198,9 +201,15 @@ class TestStoreIntegrity:
         store = engine.integral_store
         assert store.crc_mismatches > 0
         assert engine.crc_rescues > 0
-        # recomputed blocks are bitwise what the clean engine produces
-        assert np.array_equal(j, j_ref)
-        assert np.array_equal(k, k_ref)
+        # recomputed blocks are bitwise what the clean engine produces:
+        # the supermatrix assembled over the corrupted store is the one
+        # assembled over a clean copy, bit for bit
+        assert_jk_close((j, k), (j_ref, k_ref))
+        clean = MDEngine(sto3g_basis, store=clean_dir)
+        assert_jk_close(build_jk(clean, d, tau=1e-11), (j_ref, k_ref))
+        for got, want in zip(supermatrix_arrays(engine),
+                             supermatrix_arrays(clean)):
+            assert np.array_equal(got, want)
 
     def test_unverified_read_accepts_corruption_silently(
         self, filled_store, sto3g_basis
@@ -208,6 +217,7 @@ class TestStoreIntegrity:
         # the hazard the CRC framing closes: without verify_reads the
         # flipped block flows straight into J/K
         store_dir, d, j_ref, k_ref = filled_store
+        clean_dir = shutil.copytree(store_dir, store_dir.parent / "clean")
         SDCFaultPlan(seed=5, store_flips=3).activate().corrupt_store_dir(
             store_dir
         )
@@ -215,7 +225,14 @@ class TestStoreIntegrity:
         engine.integral_store.open_or_fill()
         j, k = build_jk(engine, d, tau=1e-11)
         assert engine.integral_store.crc_mismatches == 0
-        assert not (np.array_equal(j, j_ref) and np.array_equal(k, k_ref))
+        clean = MDEngine(sto3g_basis, store=clean_dir)
+        build_jk(clean, d, tau=1e-11)
+        assert not all(
+            np.array_equal(got, want)
+            for got, want in zip(supermatrix_arrays(engine),
+                                 supermatrix_arrays(clean))
+        )
+        assert max(np.abs(j - j_ref).max(), np.abs(k - k_ref).max()) > 1e-12
 
     def test_verify_stacked_flags_exactly_the_bad_rows(
         self, filled_store, sto3g_basis
@@ -233,13 +250,14 @@ class TestStoreIntegrity:
         good = store.verify_stacked(offsets, tampered)
         assert not good[2] and good.sum() == 5
         assert store.crc_checks == 6
-        # scrub-on-first-read: intact rows are now marked and skipped,
-        # but the mismatching row is re-checked on every read
+        # no scrub marks: every call checks every row it is handed (a
+        # served run reads each block once per attach, at assembly)
         good = store.verify_stacked(offsets, tampered)
         assert not good[2] and good.sum() == 5
-        assert store.crc_checks == 7
+        assert store.crc_checks == 12
         good = store.verify_stacked(offsets, clean)
         assert good.all()
+        assert store.crc_checks == 18
         assert store.crc_mismatches == 2
 
     def test_version_mismatch_invalidates_with_reason(

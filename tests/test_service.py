@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.chem.builders import water
+from repro.integrals import class_batch
 from repro.integrals.class_batch import (
     JKInterrupted,
     clear_jk_interrupt,
@@ -219,6 +220,27 @@ class TestWorkerPersonalities:
         assert self.run_one(store) == "done"
         events = store.event_counts()
         assert events.get("degraded") == 2
+
+    def test_assembly_oom_sheds_the_store(self, store, tmp_path, monkeypatch):
+        """A MemoryError raised while the warm store's supermatrix is
+        assembled walks the same ladder: the retry runs direct SCF."""
+        store_dir = tmp_path / "eri"
+        baseline = RHF(water(), integral_store=str(store_dir)).run()
+
+        def oom(*args):
+            raise MemoryError("injected: no room for the supermatrix")
+
+        monkeypatch.setattr(class_batch, "_sparse_piece", oom)
+        job = store.submit(
+            {"kind": "scf", "molecule": "water", "store_dir": str(store_dir)},
+            max_attempts=5,
+        )
+        assert self.run_one(store) == "queued"
+        assert store.get(job.id).spec["store_dir"] is None
+        assert store.event_counts().get("degraded") == 1
+        assert self.run_one(store) == "done"
+        final = store.get(job.id)
+        assert abs(final.result["energy"] - baseline.energy) <= 1e-10
 
     def test_degrade_spec_ladder(self):
         spec = {"jk_threads": 4, "store_dir": "/tmp/eri"}

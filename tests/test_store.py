@@ -3,7 +3,10 @@
 A store must round-trip blocks bitwise across processes (simulated by
 fresh engines attaching to the same directory), refuse to serve a
 mismatched basis, record honest provenance, and give SCF iterations
->= 2 zero ERI recomputation -- verified by engine counters.
+>= 2 zero ERI recomputation -- verified by engine counters.  A ready
+store is contracted as a sparse supermatrix, so the bitwise property
+lives on the stored blocks (``assert_store_holds_kernel_bits``) and on
+served-vs-served builds; served vs direct J/K agree to summation order.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from conftest import assert_jk_close, assert_store_holds_kernel_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,8 +57,12 @@ class TestStoreLifecycle:
         j2, k2 = build_jk(engine, d)
         assert engine.quartets_computed == computed
         assert engine.quartets_served_from_store == computed
-        assert np.array_equal(j1, j2)
-        assert np.array_equal(k1, k2)
+        assert_store_holds_kernel_bits(engine)
+        assert_jk_close((j2, k2), (j1, k1))
+        j3, k3 = build_jk(engine, d)
+        assert engine.quartets_served_from_store == 2 * computed
+        assert np.array_equal(j2, j3)
+        assert np.array_equal(k2, k3)
 
     def test_bitwise_round_trip_across_engines(self, tmp_path, sto3g_basis):
         """A fresh engine attaching to the same directory reads the
@@ -69,14 +77,19 @@ class TestStoreLifecycle:
         j2, k2 = build_jk(reader, d)
         assert reader.quartets_computed == 0
         assert reader.quartets_served_from_store == writer.quartets_computed
-        assert np.array_equal(j1, j2)
-        assert np.array_equal(k1, k2)
+        assert_store_holds_kernel_bits(reader)
+        assert_jk_close((j2, k2), (j1, k1))
+        # the writer's own served build assembled from the same bytes
+        j3, k3 = build_jk(writer, d)
+        assert np.array_equal(j2, j3)
+        assert np.array_equal(k2, k3)
 
     @given(st.floats(-13.0, -6.0), st.sampled_from([1, 2]))
     @settings(max_examples=6, deadline=None)
     def test_round_trip_at_random_tau(self, log_tau, threads):
-        """At any threshold the warm build is bitwise the build that
-        filled the store, with zero recompute, serial and threaded."""
+        """At any threshold the warm build reads bitwise the blocks of the
+        build that filled the store, with zero recompute, serial and
+        threaded."""
         tau = 10.0 ** log_tau
         basis = BasisSet.build(water(), "6-31g")
         d = rand_density(np.random.default_rng(5), basis.nbf)
@@ -86,10 +99,10 @@ class TestStoreLifecycle:
             assert filler.integral_store.manifest["tau"] == tau
             warm = MDEngine(basis, store=tmp)
             j2, k2 = build_jk(warm, d, tau, threads=threads)
+            assert_store_holds_kernel_bits(warm, tau)
         assert warm.quartets_computed == 0
         assert warm.quartets_served_from_store == filler.quartets_computed > 0
-        assert np.array_equal(j1, j2)
-        assert np.array_equal(k1, k2)
+        assert_jk_close((j2, k2), (j1, k1))
 
 
 class TestInvalidation:
@@ -304,7 +317,10 @@ class TestProcessSafety:
             out, _ = p.communicate(timeout=120)
             assert p.returncode == 0
             energies.append(float(out.strip()))
-        assert energies[0] == energies[1]
+        # whichever process loses the race may attach to the winner's
+        # finalized store and take iteration 1 through the supermatrix:
+        # same integrals, another summation order
+        assert abs(energies[0] - energies[1]) <= 1e-10
         # the surviving store is valid for a third reader
         reader = ERIStore(tmp_path / "store", sto3g_basis).open_or_fill()
         assert reader.ready and reader.nblocks > 0

@@ -1,0 +1,244 @@
+"""Tests for the sparse supermatrix a ready integral store is served from.
+
+The first build a ready ``ERIStore`` serves assembles its blocks into two
+CSR matrices held on the engine; every later build is four sparse
+mat-vecs.  Served J/K must equal a storeless build to summation order,
+be bitwise reproducible across engines (processes) and thread settings,
+count every quartet's source once, and never outlive the store content
+they were assembled from.
+"""
+
+from __future__ import annotations
+
+import tempfile
+
+import numpy as np
+import pytest
+from conftest import assert_jk_close, supermatrix_arrays
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_class_batch import rand_basis, rand_density
+
+from repro.chem.basis.basisset import BasisSet
+from repro.chem.builders import water
+from repro.integrals import class_batch
+from repro.integrals.engine import MDEngine
+from repro.scf.fock import build_jk
+from repro.scf.hf import RHF
+
+
+@pytest.fixture
+def basis():
+    return BasisSet.build(water(), "6-31g")
+
+
+@pytest.fixture
+def warm_dir(tmp_path, basis):
+    """A store directory filled and finalized at tau = 1e-11."""
+    build_jk(MDEngine(basis, store=tmp_path / "store"), np.eye(basis.nbf))
+    return tmp_path / "store"
+
+
+class TestServedBuilds:
+    @given(
+        st.integers(0, 2**16), st.floats(-13.0, -6.0),
+        st.sampled_from([1, 2]), st.booleans(),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_served_equals_storeless_on_random_bases(
+        self, seed, log_tau, threads, stacked
+    ):
+        """Mixed s/p/d shells, random tau, one density or a (2, n, n)
+        stack: served == storeless <= 1e-12, and two served builds are
+        bitwise equal across engines and thread settings."""
+        rng = np.random.default_rng(seed)
+        tau = 10.0 ** log_tau
+        basis = rand_basis(rng, nshells=5)
+        n = basis.nbf
+        d = (
+            np.stack([rand_density(rng, n), rand_density(rng, n)])
+            if stacked else rand_density(rng, n)
+        )
+        direct = MDEngine(basis)
+        assume(direct.class_plan(tau).nquartets > 0)
+        ref = build_jk(direct, d, tau)
+        with tempfile.TemporaryDirectory() as tmp:
+            filler = MDEngine(basis, store=tmp)
+            build_jk(filler, d, tau, threads=threads)
+            served = build_jk(filler, d, tau, threads=threads)
+            fresh = MDEngine(basis, store=tmp)
+            again = build_jk(fresh, d, tau, threads=3 - threads)
+        assert fresh.quartets_computed == 0
+        assert fresh.quartets_served_from_store == direct.quartets_computed
+        assert fresh.last_jk_worker_stats == []
+        scale = max(1.0, np.abs(ref[0]).max(), np.abs(ref[1]).max())
+        assert_jk_close(served, ref, 1e-12 * scale)
+        assert served[0].shape == d.shape
+        for a, b in zip(served, again):
+            assert np.array_equal(a, b)
+
+    def test_mixed_sources_are_computed_once(self, tmp_path, basis):
+        """A plan tighter than the manifest tau: rows the store lacks are
+        computed at assembly, once, and never again."""
+        loose, tight = 1e-3, 1e-11
+        d = rand_density(np.random.default_rng(2), basis.nbf)
+        build_jk(MDEngine(basis, store=tmp_path), d, loose)
+        engine = MDEngine(basis, store=tmp_path)
+        stored = engine.integral_store.nblocks
+        nplan = engine.class_plan(tight).nquartets
+        assert 0 < stored < nplan
+        first = build_jk(engine, d, tight)
+        computed, served = engine.quartets_computed, engine.supermatrix.served
+        assert computed > 0 and served > 0
+        assert computed + served == nplan
+        assert engine.quartets_served_from_store == served
+        second = build_jk(engine, d, tight)
+        assert engine.quartets_computed == computed
+        assert engine.quartets_served_from_store == 2 * served
+        assert_jk_close(first, build_jk(MDEngine(basis), d, tight))
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    def test_served_plan_never_stacks_kernel_operands(self, warm_dir, basis):
+        engine = MDEngine(basis, store=warm_dir)
+        build_jk(engine, np.eye(basis.nbf))
+        build_jk(engine, np.eye(basis.nbf))
+        batches = engine.class_plan(1e-11).batches
+        assert all(b._operands is None for b in batches)
+        assert engine.quartets_computed == 0
+
+    def test_one_jk_sample_per_served_build(self, warm_dir, basis):
+        from repro.obs import session
+        from repro.obs.profile import PHASE_ERI, PHASE_JK, PhaseProfiler
+
+        engine = MDEngine(basis, store=warm_dir)
+        build_jk(engine, np.eye(basis.nbf))  # assembles
+        prof = PhaseProfiler()
+        with session(profiler=prof):
+            build_jk(engine, np.eye(basis.nbf))
+        assert prof.stats[PHASE_JK].calls == 1
+        assert PHASE_ERI not in prof.stats
+
+
+class TestLifetime:
+    """At most one supermatrix per engine, dropped with what it was
+    assembled from."""
+
+    def test_detach_invalidate_and_generation_drop_it(self, warm_dir, basis):
+        d = np.eye(basis.nbf)
+        engine = MDEngine(basis, store=warm_dir)
+        assert engine.supermatrix is None  # assembled on demand
+        build_jk(engine, d)
+        first = engine.supermatrix
+        build_jk(engine, d)
+        assert engine.supermatrix is first
+        # another plan replaces it: one lives at a time
+        build_jk(engine, d, 1e-9)
+        assert engine.supermatrix.plan is engine.class_plan(1e-9)
+        # a generation bump (the store re-attached under the engine)
+        store = engine.integral_store
+        build_jk(engine, d)
+        before = engine.supermatrix
+        store.open_or_fill()
+        build_jk(engine, d)
+        assert engine.supermatrix is not before
+        assert engine.supermatrix.generation == store.generation
+        # invalidate(): the next build fills, and holds no matrix
+        with pytest.warns(UserWarning, match="invalidated"):
+            store.invalidate("test")
+        computed = engine.quartets_computed
+        build_jk(engine, d)
+        assert engine.quartets_computed > computed
+        assert store.ready and engine.supermatrix is None
+        build_jk(engine, d)
+        assert engine.supermatrix is not None
+        # detach_store(): the guard's reference_eri rung
+        engine.detach_store()
+        assert engine.supermatrix is None
+
+    def test_newly_armed_verification_reassembles(self, warm_dir, basis):
+        d = np.eye(basis.nbf)
+        engine = MDEngine(basis, store=warm_dir)
+        store = engine.integral_store
+        build_jk(engine, d)
+        assert not engine.supermatrix.verified and store.crc_checks == 0
+        store.verify_reads = True
+        build_jk(engine, d)
+        assert engine.supermatrix.verified
+        assert store.crc_checks == store.nblocks
+        store.verify_reads = False  # a verified matrix serves either way
+        scrubbed = engine.supermatrix
+        build_jk(engine, d)
+        assert engine.supermatrix is scrubbed
+        assert store.crc_checks == store.nblocks
+
+    def test_memory_error_leaves_no_half_built_matrix(
+        self, warm_dir, basis, monkeypatch
+    ):
+        d = rand_density(np.random.default_rng(4), basis.nbf)
+        engine = MDEngine(basis, store=warm_dir)
+        build_jk(engine, d)
+        clean = supermatrix_arrays(engine)
+        engine.integral_store.open_or_fill()  # forces a re-assembly
+        real, calls = class_batch._sparse_piece, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError("injected allocation failure")
+            return real(*args)
+
+        monkeypatch.setattr(class_batch, "_sparse_piece", failing)
+        served = engine.quartets_served_from_store
+        with pytest.raises(MemoryError):
+            build_jk(engine, d)
+        assert engine.supermatrix is None
+        assert engine.quartets_served_from_store == served
+        monkeypatch.undo()
+        build_jk(engine, d)
+        for got, want in zip(supermatrix_arrays(engine), clean):
+            assert np.array_equal(got, want)
+
+
+class TestWarmRestart:
+    def test_crash_resume_is_bitwise_the_uninterrupted_warm_run(
+        self, tmp_path, warm_dir
+    ):
+        class Killed(Exception):
+            pass
+
+        def kill(iteration, energy):
+            if iteration == 4:
+                raise Killed
+
+        def driver(ckpt, **kw):
+            return RHF(
+                water(), "6-31g", integral_store=str(warm_dir),
+                checkpoint_dir=str(tmp_path / ckpt), **kw,
+            )
+
+        ref = driver("a").run()
+        with pytest.raises(Killed):
+            driver("b", on_iteration=kill).run()
+        resumed_driver = driver("b", restart=True)
+        res = resumed_driver.run()
+        assert resumed_driver.engine.quartets_computed == 0
+        assert res.iterations == ref.iterations
+        assert res.energy_history == ref.energy_history
+        assert np.array_equal(res.fock, ref.fock)
+        assert np.array_equal(res.density, ref.density)
+
+    def test_incremental_builder_keeps_the_one_plan(self, warm_dir):
+        """Over a ready store every build -- full or incremental -- is
+        the run's own plan, so nothing is re-planned or re-assembled."""
+        rhf = RHF(
+            water(), "6-31g", integral_store=str(warm_dir), incremental=True
+        )
+        plain = RHF(water(), "6-31g", integral_store=str(warm_dir)).run()
+        res = rhf.run()
+        assert res.converged
+        assert abs(res.energy - plain.energy) <= 1e-10
+        engine = rhf.engine
+        assert len(engine._class_plans) == 1
+        assert engine.supermatrix.plan is engine.class_plan(rhf.tau)
+        assert engine.quartets_computed == 0

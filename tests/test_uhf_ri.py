@@ -239,7 +239,9 @@ class TestUHFSharedLoop:
         warm_driver = UHF(mol, integral_store=store)
         warm = warm_driver.run()
         assert abs(filled.energy - ref.energy) <= 1e-8
-        assert warm.energy == ref.energy
+        # served builds contract the same blocks in another summation
+        # order (as the threaded fill above does)
+        assert abs(warm.energy - ref.energy) <= 1e-8
         assert warm_driver.engine.quartets_computed == 0
         assert warm_driver.engine.quartets_served_from_store > 0
         purified = UHF(mol, density_method="purify").run()
