@@ -8,12 +8,15 @@ install:
 test:
 	pytest tests/
 
-# the size needle: src/ total and the subtotals ROADMAP items 1, 4 and 5 track
+# the size needle: src/ total and the subtotals ROADMAP items 1, 2, 4 and 5 track
 loc:
 	@find src -name '*.py' | xargs cat | wc -l | xargs echo "src/ lines:"
 	@find src/repro/integrals src/repro/scf/fock.py \
 	  src/repro/scf/incremental.py -name '*.py' | xargs cat | wc -l \
 	  | xargs echo "integrals/ + scf/fock.py + scf/incremental.py lines:"
+	@cd src/repro/fock && cat gtfock.py nwchem.py tasks.py symmetry.py \
+	  cost.py | wc -l \
+	  | xargs echo "numeric builds + tasks (ROADMAP item 2) lines:"
 	@cd src/repro && cat scf/hf.py scf/uhf.py runtime/faults.py \
 	  runtime/sdc.py fock/chaos.py service/chaos.py scf/torture.py | wc -l \
 	  | xargs echo "SCF driver + fault families (ROADMAP item 4) lines:"

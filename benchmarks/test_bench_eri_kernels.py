@@ -19,7 +19,8 @@ one ``build_jk`` path:
 A second measurement (``eri_kernels_large``) runs benzene/6-31G through
 the class-batched and stored paths only (the reference kernel is
 impractical at that size); numerics are spot-checked on a sampled
-quartet subset against the per-quartet kernel (``engine.quartet``).
+quartet subset, each row against itself swept alone on a fresh engine
+(a one-row plan, ``tests/reference_engine.quartet_block``).
 
 Both measurements also time the layers under the class-batched build
 (``kernel_floor``): ``boys_ns_per_eval`` (per argument of one
@@ -62,7 +63,7 @@ from repro.scf.fock import build_jk
 
 # the seed engine lives beside the other differential oracles
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from reference_engine import ReferenceMDEngine  # noqa: E402
+from reference_engine import ReferenceMDEngine, quartet_block  # noqa: E402
 
 #: minimum acceptable class-batched-over-seed speedup in the full benchmark
 #: (the PR-7 issue targets >= 10x on water/6-31G)
@@ -201,7 +202,7 @@ def measure_large(quick: bool = False) -> tuple[dict, str]:
     """Benzene through the class-batched + stored paths (no seed timing).
 
     Numerics are verified on 64 randomly sampled surviving quartets
-    against the per-quartet batched kernel.  There is no smaller
+    against one-row plans on a fresh engine.  There is no smaller
     variant: ``quick`` only keeps the point out of the history.
     """
     basis_name = "6-31g"
@@ -216,7 +217,7 @@ def measure_large(quick: bool = False) -> tuple[dict, str]:
     quartets = engine.quartets_computed
 
     # spot-check: sampled rows computed through the class-batched kernel
-    # itself (compute_class_rows) vs the per-quartet batched kernel
+    # itself (compute_class_rows) vs each row alone (a one-row plan)
     ref = MDEngine(basis)
     plan = engine.class_plan(1e-11)
     batch_of = np.concatenate([
@@ -233,7 +234,7 @@ def measure_large(quick: bool = False) -> tuple[dict, str]:
         rows = row_of[pick[batch_of[pick] == bi]]
         blocks = compute_class_rows(batch, rows)
         for blk, (m, n, p, q) in zip(blocks, batch.quartets[rows]):
-            r = ref.quartet(int(m), int(n), int(p), int(q))
+            r = quartet_block(ref, int(m), int(n), int(p), int(q))
             sample_diff = max(sample_diff, float(np.max(np.abs(blk - r))))
 
     with tempfile.TemporaryDirectory(prefix="eri_store_") as store_dir:

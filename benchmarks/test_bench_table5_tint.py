@@ -61,11 +61,10 @@ def kernel_t_int(cluster: tuple, basis_name: str, repeats: int = 4) -> dict:
     for _ in range(repeats):
         t0 = time.process_time()
         n_eri = sum(
-            compute_class_rows(batch, np.arange(lo, hi)).size
-            for batch, lo, hi in chunks
+            compute_class_rows(batch, rows).size for batch, rows in chunks
         )
         times.append(time.process_time() - t0)
-    quartets = sum(hi - lo for _, lo, hi in chunks)
+    quartets = sum(rows.stop - rows.start for _, rows in chunks)
     best = min(times)
     return {
         "quartets": quartets,

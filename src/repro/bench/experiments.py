@@ -170,6 +170,7 @@ def table5_t_int(max_shell_pairs: int = 60) -> ExperimentReport:
 
     from repro.chem.basis.basisset import BasisSet
     from repro.chem.builders import alkane, graphene_flake
+    from repro.integrals.class_batch import build_class_plan, compute_rows
     from repro.integrals.engine import MDEngine, OSEngine
 
     data: dict = {}
@@ -182,11 +183,13 @@ def table5_t_int(max_shell_pairs: int = 60) -> ExperimentReport:
             tuple(rng.integers(0, basis.nshells, 4)) for _ in range(max_shell_pairs)
         ]
         for label, engine in (("MD", MDEngine(basis)), ("OS", OSEngine(basis))):
-            n_eri = 0
+            # MD sweeps the class kernel over the sampled quartets' plan;
+            # OS (no pair data) computes that plan's rows one by one
+            plan = build_class_plan(basis, engine.pair_cache, quartets)
             t0 = time.perf_counter()
-            for (m, n, p, q) in quartets:
-                blk = engine.quartet(int(m), int(n), int(p), int(q))
-                n_eri += blk.size
+            n_eri = sum(
+                compute_rows(engine, b, slice(None)).size for b in plan.batches
+            )
             dt = time.perf_counter() - t0
             per_engine[label] = dt / n_eri * 1e6  # us per ERI
         data[name] = per_engine

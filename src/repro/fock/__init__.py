@@ -41,13 +41,7 @@ from repro.fock.stealing import (
     run_work_stealing,
     victim_scan_order,
 )
-from repro.fock.symmetry import (
-    canonical_instance,
-    is_canonical_instance,
-    orbit_tuples,
-    symmetry_check,
-    task_computes,
-)
+from repro.fock.symmetry import symmetry_check, task_computes
 from repro.fock.timeline import (
     Span,
     Timeline,
@@ -56,10 +50,10 @@ from repro.fock.timeline import (
 )
 from repro.fock.tasks import (
     NWChemTask,
-    atom_quartet_shell_quartets,
     atom_sigma,
-    enumerate_task_quartets,
+    gtfock_task_rows,
     nwchem_task_list,
+    nwchem_task_rows,
 )
 
 __all__ = [
@@ -98,9 +92,6 @@ __all__ = [
     "StealingOutcome",
     "run_work_stealing",
     "victim_scan_order",
-    "canonical_instance",
-    "is_canonical_instance",
-    "orbit_tuples",
     "symmetry_check",
     "task_computes",
     "Span",
@@ -108,8 +99,8 @@ __all__ = [
     "timeline_from_tracer",
     "traced_work_stealing",
     "NWChemTask",
-    "atom_quartet_shell_quartets",
     "atom_sigma",
-    "enumerate_task_quartets",
+    "gtfock_task_rows",
     "nwchem_task_list",
+    "nwchem_task_rows",
 ]

@@ -1,20 +1,13 @@
 """Per-task work estimation: the task cost matrix (Sec III-B/III-G).
 
-``quartet_cost_matrix`` computes, for every shell-pair task ``(M, N)``,
-
-* the number of shell quartets the task actually computes
-  (parity-unique + Cauchy-Schwarz screened), and
-* the number of ERIs those quartets contain (what ``t_int`` multiplies).
-
-This is the quantity the timing-level simulation charges per task, and
-summing it gives the exact total work both algorithms share.
-
-The computation is fully vectorized: for each task row M, the surviving
-(P, Q) count factorizes as  ``#{(P,Q) : sigma(M,P) * sigma(N,Q) > tau}``
-with P restricted to M's parity-allowed set and Q to N's.  Sorting M's
-values once and binary-searching all of row N's thresholds gives
-O(nshells^2 * B) total work in NumPy primitives instead of the O(n^2 B^2)
-quartet loop.
+``quartet_cost_matrix`` counts, for every shell-pair task ``(M, N)``, the
+parity-unique, screened shell quartets it computes and the ERIs they
+hold (what ``t_int`` multiplies): the work the timing-level simulation
+charges per task.  For a task row M the surviving (P, Q) count factorizes
+as ``#{(P,Q) : sigma(M,P) * sigma(N,Q) > tau}`` with P restricted to M's
+parity-allowed set and Q to N's, so sorting M's values once and
+binary-searching row N's thresholds gives O(nshells^2 * B) NumPy work
+instead of the O(n^2 B^2) quartet loop.
 """
 
 from __future__ import annotations
@@ -23,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.chem.basis.basisset import BasisSet
 from repro.fock.screening_map import ScreeningMap
+from repro.fock.symmetry import symmetry_check, task_computes
 
 
 @dataclass
@@ -51,14 +44,7 @@ class TaskCosts:
 
 def parity_allowed(m: int, nshells: int) -> np.ndarray:
     """Boolean mask over P of SymmetryCheck(m, P) (see fock.symmetry)."""
-    p = np.arange(nshells)
-    mask = np.empty(nshells, dtype=bool)
-    below = p < m
-    above = p > m
-    mask[below] = (m + p[below]) % 2 == 0
-    mask[above] = (m + p[above]) % 2 == 1
-    mask[m] = True
-    return mask
+    return symmetry_check(m, np.arange(nshells))
 
 
 def quartet_cost_matrix(screen: ScreeningMap, exact_diagonal: bool = False) -> TaskCosts:
@@ -66,9 +52,10 @@ def quartet_cost_matrix(screen: ScreeningMap, exact_diagonal: bool = False) -> T
 
     Diagonal tasks (M == N) carry the extra ``P <= Q`` tie-break; they are
     approximated as half the unrestricted count unless
-    ``exact_diagonal=True`` (direct enumeration; only worth it for small
-    systems and tests).  There are only nshells of them among nshells^2
-    tasks, so the approximation is irrelevant for timing.
+    ``exact_diagonal=True`` (:func:`task_computes` over each diagonal
+    task's (P, Q) grid; only worth it for small systems and tests).
+    There are only nshells of them among nshells^2 tasks, so the
+    approximation is irrelevant for timing.
     """
     ns = screen.nshells
     sigma = screen.sigma
@@ -81,12 +68,9 @@ def quartet_cost_matrix(screen: ScreeningMap, exact_diagonal: bool = False) -> T
     weights: list[np.ndarray] = []
     for m in range(ns):
         mask = parity_allowed(m, ns) & sig[m] & (sigma[m] > 1e-300)
-        v = sigma[m, mask]
-        order = np.argsort(v)[::-1]
-        v = v[order]
-        w = (sizes[m] * sizes[mask][order])
-        vals.append(v)
-        weights.append(w)
+        order = np.argsort(sigma[m, mask])[::-1]
+        vals.append(sigma[m, mask][order])
+        weights.append(sizes[m] * sizes[mask][order])
 
     # Flat concatenation of every row's (value, weight) lists for the
     # ket side, with segment boundaries for per-row reduction.
@@ -122,37 +106,23 @@ def quartet_cost_matrix(screen: ScreeningMap, exact_diagonal: bool = False) -> T
             )
 
     # task-level gate: tasks failing SymmetryCheck(M, N) compute nothing
-    gate = np.array([parity_allowed(m, ns) for m in range(ns)])
+    gate = symmetry_check(np.arange(ns)[:, None], np.arange(ns))
     quartets *= gate
     eris *= gate
 
-    # diagonal tasks: P <= Q tie-break keeps roughly half the quartets
+    # diagonal tasks: the P <= Q tie-break keeps roughly half the quartets
     if exact_diagonal:
-        from repro.fock.tasks import enumerate_task_quartets
-
+        p = np.arange(ns)
         for m in range(ns):
-            cnt = 0.0
-            eri = 0.0
-            for (_mm, p, _nn, q) in enumerate_task_quartets(screen, m, m):
-                cnt += 1.0
-                eri += sizes[m] * sizes[p] * sizes[m] * sizes[q]
-            quartets[m, m] = cnt
-            eris[m, m] = eri
+            keep = (
+                task_computes(m, m, p[:, None], p)
+                & np.outer(sig[m], sig[m])
+                & (np.outer(sigma[m], sigma[m]) > tau)
+            )
+            quartets[m, m] = keep.sum()
+            eris[m, m] = sizes[m] ** 2 * (sizes @ keep @ sizes)
     else:
         quartets[np.diag_indices(ns)] *= 0.5
         eris[np.diag_indices(ns)] *= 0.5
 
     return TaskCosts(quartets=quartets, eris=eris)
-
-
-def total_unique_work(screen: ScreeningMap) -> tuple[float, float]:
-    """(total unique quartets, total ERIs) over the whole task grid."""
-    costs = quartet_cost_matrix(screen)
-    return costs.total_quartets, costs.total_eris
-
-
-def cost_matrix_for(
-    basis: BasisSet, sigma: np.ndarray, tau: float
-) -> TaskCosts:
-    """Convenience wrapper building the ScreeningMap internally."""
-    return quartet_cost_matrix(ScreeningMap(basis, sigma, tau))

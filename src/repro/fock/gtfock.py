@@ -1,30 +1,30 @@
 """The paper's algorithm: distributed Fock build, numeric mode (Algorithm 4).
 
 Runs the full GTFock pipeline on the simulated runtime with *real* data
-movement, so the resulting Fock matrix can be compared bit-for-bit
-against the sequential reference:
+movement, so the resulting Fock matrix can be compared against the
+sequential reference:
 
 1. static 2-D partition of shell-pair tasks over the process grid;
-2. per-process prefetch of the D footprint into a local buffer
-   (reads outside the prefetched footprint raise -- prefetch-sufficiency
-   is *checked*, not assumed);
-3. task execution through the work-stealing scheduler, accumulating into
-   local J/K buffers (thieves receive the victim's D buffer on steal);
-4. one final accumulate of each process's local contribution into the
-   distributed result, then ``F = Hcore + 2J - K``.
+2. per-process prefetch of the D footprint into a local buffer;
+3. task execution through the work-stealing scheduler: a task is the
+   class-plan rows it owns (:func:`~repro.fock.tasks.gtfock_task_rows`);
+   running it records them and checks each row's six D blocks against
+   the local buffer (prefetch-sufficiency is *checked*, not assumed;
+   thieves receive the victim's D buffer on steal);
+4. each surviving process contracts its rows against its local D in one
+   pass of the production kernel, then accumulates the result into the
+   distributed F once: ``F = Hcore + 2J - K``.
 
-Every phase is observable through :mod:`repro.obs`: the host build is a
-nested wall-clock span tree (setup / prefetch / schedule / flush, with
-one ``task(m,n)`` span per executed shell-pair task), while the
-simulated ranks get virtual-clock spans -- ``prefetch`` and ``flush``
-bracketed by the :class:`CommStats` clocks, plus the scheduler's own
-per-task/steal events -- one Perfetto row per rank.
+The host build is a wall-clock span tree (setup / prefetch / schedule /
+contract / flush, one ``task(m,n)`` span per executed task); the
+simulated ranks get virtual-clock ``prefetch`` / ``flush`` spans plus
+the scheduler's per-task/steal events -- one Perfetto row per rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from repro.fock.prefetch import (
 )
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.stealing import StealingOutcome, run_work_stealing
-from repro.fock.tasks import enumerate_task_quartets
+from repro.fock.tasks import gtfock_task_rows, task_plan
+from repro.integrals.class_batch import density_stack, jk_from_rows
 from repro.integrals.engine import ERIEngine
 from repro.obs import Tracer, get_tracer
 from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET, CH_STEAL_F, CH_TASK_GET
@@ -48,7 +49,11 @@ from repro.runtime.faults import FaultPlan, FaultState
 from repro.runtime.ga import GlobalArray
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.network import CommStats
-from repro.scf.fock import orbit_images
+
+#: the six D blocks a task reads for its quartet ``(MP|NQ)`` -- (N,Q),
+#: (P,Q), (M,Q), (P,N), (M,N), (M,P) -- as columns of the image, in the
+#: order a per-image scatter first reads them (fetches happen in it)
+_READS = (2, 3, 1, 3, 0, 3, 1, 2, 0, 2, 0, 1)
 
 
 class PrefetchMiss(RuntimeError):
@@ -66,44 +71,56 @@ class GTFockBuildResult:
     #: activated fault state when the build ran under fault injection
     faults: FaultState | None = None
 
-    @property
-    def quartets_computed(self) -> float:
-        return float(self.outcome.executed_tasks.sum())
-
 
 class _ProcessBuffers:
-    """Per-process local state: prefetched D, fetched mask, J/K buffers."""
+    """Per-process local state: fetched D and its mask, rows run."""
 
-    def __init__(self, nbf: int):
+    def __init__(self, basis, rank: int, ga_d: GlobalArray, on_demand: bool):
+        nbf = basis.nbf
         self.d_local = np.zeros((nbf, nbf))
         self.have = np.zeros((nbf, nbf), dtype=bool)
-        self.j = np.zeros((nbf, nbf))
-        self.k = np.zeros((nbf, nbf))
-        #: on-demand fetch of an unprefetched D block; only installed
-        #: under fault injection, where adopting a dead rank's orphaned
-        #: tasks legitimately needs D outside this rank's footprint
-        self.fetch: Callable[[slice, slice], np.ndarray] | None = None
+        self.offsets, self.slices = basis.offsets, basis.shell_slices
+        self.rank, self.ga_d = rank, ga_d
+        #: fetch missing D blocks on demand -- only under fault injection,
+        #: where adopting a dead rank's orphaned tasks legitimately needs D
+        #: outside this rank's footprint
+        self.on_demand = on_demand
+        #: the plan rows of every task this process ran
+        self.rows: list[np.ndarray] = []
 
-    def read_d(self, rows: slice, cols: slice) -> np.ndarray:
-        """Read a D block, exploiting D's symmetry like the real GTFock.
+    def fetch(self, rows: slice, cols: slice, channel: str) -> None:
+        self.d_local[rows, cols] = self.ga_d.get(
+            self.rank, rows.start, rows.stop, cols.start, cols.stop,
+            channel=channel,
+        )
+        self.have[rows, cols] = True
+
+    def check_reads(self, pairs: np.ndarray) -> None:
+        """Check the D blocks of shell ``pairs`` ``(k, 2)``, in read order.
 
         The prefetch regions store each needed block in at least one
-        orientation; the transpose is served from the mirrored block.
-        A miss in *both* orientations is a genuine coverage bug --
-        unless a fault-recovery fetcher is installed, in which case the
-        block is fetched on demand (and charged) instead.
+        orientation, like the real GTFock exploiting D's symmetry.  A
+        miss in *both* orientations is a genuine coverage bug -- unless
+        fetching on demand, in which case the block is fetched (and
+        charged) instead.
         """
-        if self.have[rows, cols].all():
-            return self.d_local[rows, cols]
-        if self.have[cols, rows].all():
-            return self.d_local[cols, rows].T
-        if self.fetch is not None:
-            self.d_local[rows, cols] = self.fetch(rows, cols)
-            self.have[rows, cols] = True
-            return self.d_local[rows, cols]
-        raise PrefetchMiss(
-            f"D[{rows}, {cols}] was not prefetched by this process"
-        )
+        # coverage comes in whole shell blocks: a block's first element
+        # stands for it
+        r, c = self.offsets[pairs[:, 0]], self.offsets[pairs[:, 1]]
+        for a, b in pairs[~(self.have[r, c] | self.have[c, r])].tolist():
+            rows, cols = self.slices[a], self.slices[b]
+            if self.have[rows, cols].all() or self.have[cols, rows].all():
+                continue  # fetched for an earlier read
+            if not self.on_demand:
+                raise PrefetchMiss(
+                    f"D[{rows}, {cols}] was not prefetched by this process"
+                )
+            self.fetch(rows, cols, CH_TASK_GET)
+
+    def local_density(self) -> np.ndarray:
+        """The D this process holds, each block mirrored from the
+        orientation it holds."""
+        return np.where(self.have, self.d_local, self.d_local.T)
 
     def merge_from(self, other: "_ProcessBuffers") -> None:
         """Copy a steal victim's D coverage into this process."""
@@ -150,6 +167,7 @@ def gtfock_build(
     nbf = basis.nbf
     if hcore.shape != (nbf, nbf) or density.shape != (nbf, nbf):
         raise ValueError("hcore/density shape does not match the basis")
+    density_stack(density, nbf)
     if isinstance(faults, FaultPlan):
         fstate: FaultState | None = faults.activate(nproc)
     else:
@@ -160,6 +178,8 @@ def gtfock_build(
         with tracer.span("setup", cat="fock"):
             if screen is None:
                 screen = ScreeningMap(basis, engine.schwarz(), tau)
+            plan = task_plan(engine, screen)
+            owners = gtfock_task_rows(plan, basis.nshells)
             part = StaticPartition.build(basis.nshells, nproc)
             rb, cb = part.matrix_bounds(basis)
             stats = CommStats(nproc, config, faults=fstate)
@@ -167,17 +187,11 @@ def gtfock_build(
             ga_d.load(density)
             ga_g = GlobalArray(stats, nbf, nbf, rb, cb)
             costs = quartet_cost_matrix(screen)
-            offsets = basis.offsets
-            bufs = [_ProcessBuffers(nbf) for _ in range(nproc)]
-            slices = basis.shell_slices
-            if fstate is not None:
-                for p in range(nproc):
-                    def fetch(rows, cols, p=p):
-                        return ga_d.get(
-                            p, rows.start, rows.stop, cols.start, cols.stop,
-                            channel=CH_TASK_GET,
-                        )
-                    bufs[p].fetch = fetch
+            offsets = basis.offsets.tolist()
+            bufs = [
+                _ProcessBuffers(basis, p, ga_d, on_demand=fstate is not None)
+                for p in range(nproc)
+            ]
 
         # -- prefetch phase (Algorithm 4, line 3) ----------------------------
         own_masks: list[np.ndarray] = []
@@ -189,12 +203,10 @@ def gtfock_build(
                 own_masks.append(footprint_element_mask(fp, basis))
                 boxes = footprint_bounding_boxes(fp)
                 for r0, r1, c0, c1 in boxes:
-                    fr0, fr1 = int(offsets[r0]), int(offsets[r1])
-                    fc0, fc1 = int(offsets[c0]), int(offsets[c1])
-                    bufs[p].d_local[fr0:fr1, fc0:fc1] = ga_d.get(
-                        p, fr0, fr1, fc0, fc1, channel=CH_PREFETCH_GET
+                    bufs[p].fetch(
+                        slice(offsets[r0], offsets[r1]),
+                        slice(offsets[c0], offsets[c1]), CH_PREFETCH_GET,
                     )
-                    bufs[p].have[fr0:fr1, fc0:fc1] = True
                 prefetch_time[p] = float(stats.clock[p]) - clock0
                 tracer.virtual_span(
                     "prefetch", p, clock0, float(stats.clock[p]), cat="comm",
@@ -211,22 +223,12 @@ def gtfock_build(
         def on_task(proc: int, task: tuple[int, int]) -> None:
             m, n = task
             with tracer.span(f"task({m},{n})", cat="task", proc=proc) as sp:
-                buf = bufs[proc]
-                nq = 0
-                for (mm, pp, nn, qq) in enumerate_task_quartets(screen, m, n):
-                    block = engine.quartet(mm, pp, nn, qq)
-                    nq += 1
-                    for (a, b, c, d), blk in orbit_images(
-                        (mm, pp, nn, qq), block
-                    ):
-                        sa, sb, sc, sd = (
-                            slices[a], slices[b], slices[c], slices[d]
-                        )
-                        dcd = buf.read_d(sc, sd)
-                        dbd = buf.read_d(sb, sd)
-                        buf.j[sa, sb] += np.einsum("abcd,cd->ab", blk, dcd)
-                        buf.k[sa, sc] += np.einsum("abcd,bd->ac", blk, dbd)
-                sp["quartets"] = nq
+                own = owners.of(m * basis.nshells + n)
+                bufs[proc].check_reads(
+                    owners.images[own][:, _READS].reshape(-1, 2)
+                )
+                bufs[proc].rows.append(owners.rows[own])
+                sp["quartets"] = int(own.stop - own.start)
 
         def on_steal(thief: int, victim: int) -> None:
             bufs[thief].merge_from(bufs[victim])
@@ -241,33 +243,33 @@ def gtfock_build(
             nbytes = int(bufs[victim].have.sum()) * config.element_size
             return stats.charge_steal(thief, nbytes, ncalls=1)
 
-        event_observer = None
-        if capture is not None:
-            event_observer = lambda action, time, key: capture.events.append(
-                (action, time, key)
+        with tracer.span("schedule", cat="fock"):
+            outcome = run_work_stealing(
+                [part.task_block(p).tasks() for p in range(nproc)],
+                cost_of, (part.prow, part.pcol), stats=stats,
+                steal_cost=steal_cost, on_task=on_task, on_steal=on_steal,
+                enable_stealing=enable_stealing, tracer=tracer, faults=fstate,
+                rng=fstate.rng if fstate is not None else None,
+                event_observer=None if capture is None
+                else lambda *event: capture.events.append(event),
             )
 
-        with tracer.span("schedule", cat="fock"):
-            queues = [part.task_block(p).tasks() for p in range(nproc)]
-            outcome = run_work_stealing(
-                queues,
-                cost_of,
-                (part.prow, part.pcol),
-                stats=stats,
-                steal_cost=steal_cost,
-                on_task=on_task,
-                on_steal=on_steal,
-                enable_stealing=enable_stealing,
-                tracer=tracer,
-                faults=fstate,
-                rng=fstate.rng if fstate is not None else None,
-                event_observer=event_observer,
-            )
+        # -- each surviving rank's rows against its local D ------------------
+        dead = set(outcome.dead_ranks)
+        local_g: dict[int, np.ndarray] = {}
+        with tracer.span("contract", cat="fock"):
+            for p in range(nproc):
+                # a dead rank's rows died with it; survivors re-ran them
+                if p not in dead and bufs[p].rows:
+                    j, k = jk_from_rows(
+                        engine, bufs[p].local_density(), plan,
+                        np.sort(np.concatenate(bufs[p].rows)),
+                    )
+                    local_g[p] = 2.0 * j - k
 
         # -- final flush (Algorithm 4, line 9) --------------------------------
         flush_time = np.zeros(nproc)
         with tracer.span("flush", cat="fock"):
-            dead = set(outcome.dead_ranks)
 
             def acc_bbox(p: int, g: np.ndarray, channel: str) -> None:
                 nz = np.nonzero(g)
@@ -282,13 +284,8 @@ def gtfock_build(
                     tag=tag, epoch=epoch,
                 )
 
-            for p in range(nproc):
-                if p in dead:
-                    # the rank's J/K buffers died with it; its work was
-                    # re-executed (and will be flushed) by survivors
-                    continue
+            for p, g in local_g.items():
                 clock0 = float(stats.clock[p])
-                g = 2.0 * bufs[p].j - bufs[p].k
                 if not g.any():
                     continue
                 # attribute the flush: contributions inside this process's
@@ -329,12 +326,4 @@ def gtfock_build(
         # no resimulate closure: re-running the numeric build recomputes
         # real ERIs -- the analyzer's what-ifs stay projection-only here
 
-    return GTFockBuildResult(
-        fock=fock,
-        stats=stats,
-        outcome=outcome,
-        partition=part,
-        screen=screen,
-        costs=costs,
-        faults=fstate,
-    )
+    return GTFockBuildResult(fock, stats, outcome, part, screen, costs, fstate)

@@ -7,7 +7,9 @@ The baseline the paper compares against:
 * tasks of **5 atom quartets** dispensed by a **centralized** dynamic
   scheduler (one shared atomic counter, one ``GetTask`` per task);
 * per task: fetch the 6 atom blocks of D it needs, compute its unique
-  screened shell quartets, accumulate the 6 atom blocks of F.
+  screened shell quartets -- the class-plan rows it owns
+  (:func:`~repro.fock.tasks.nwchem_task_rows`), contracted in one pass of
+  the production kernel -- and accumulate the atom blocks of F.
 
 No prefetching is possible because task placement is unknown a priori
 (the paper's second criticism), so every task pays its own communication.
@@ -21,13 +23,21 @@ import numpy as np
 
 from repro.fock.centralized import CentralizedOutcome, run_centralized
 from repro.fock.screening_map import ScreeningMap
-from repro.fock.tasks import NWChemTask, atom_quartet_shell_quartets, nwchem_task_list
+from repro.fock.tasks import nwchem_task_list, nwchem_task_rows, task_plan
+from repro.integrals.class_batch import (
+    EIGHT_PERMUTATIONS,
+    density_stack,
+    jk_from_rows,
+)
 from repro.integrals.engine import ERIEngine
 from repro.obs.flight import CH_FOCK_ACC, CH_TASK_GET
 from repro.runtime.ga import GlobalArray, block_bounds
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.network import CommStats
-from repro.scf.fock import orbit_images
+
+#: the F blocks a quartet updates, (a, b) and (a, c) of each of its eight
+#: images (a, b, c, d), as columns of the quartet in per-image scatter order
+_TOUCHED = tuple(i for p in EIGHT_PERMUTATIONS for i in (p[0], p[1], p[0], p[2]))
 
 
 @dataclass
@@ -47,15 +57,11 @@ def atom_function_ranges(basis) -> list[tuple[int, int]]:
             "NWChem's block-row-by-atom distribution requires the "
             "atom-ordered (unpermuted) basis"
         )
-    natoms = basis.molecule.natoms
-    offs = basis.offsets
-    ranges: list[tuple[int, int]] = []
-    for a in range(natoms):
-        sh = np.flatnonzero(atom_of == a)
-        if sh.size == 0:
-            raise ValueError(f"atom {a} has no shells")
-        ranges.append((int(offs[sh[0]]), int(offs[sh[-1] + 1])))
-    return ranges
+    first = np.searchsorted(atom_of, np.arange(basis.molecule.natoms + 1))
+    if (np.diff(first) == 0).any():
+        raise ValueError(f"atom {np.diff(first).argmin()} has no shells")
+    offs = basis.offsets[first].tolist()
+    return list(zip(offs[:-1], offs[1:]))
 
 
 def nwchem_build(
@@ -73,6 +79,7 @@ def nwchem_build(
     nbf = basis.nbf
     if hcore.shape != (nbf, nbf) or density.shape != (nbf, nbf):
         raise ValueError("hcore/density shape does not match the basis")
+    density_stack(density, nbf)
     if screen is None:
         screen = ScreeningMap(basis, engine.schwarz(), tau)
     if nproc > nbf:
@@ -87,62 +94,48 @@ def nwchem_build(
     ga_g = GlobalArray(stats, nbf, nbf, rb, cb)
 
     tasks = nwchem_task_list(screen, chunk=chunk)
-    shells_of_atom = basis.atom_shell_lists()
     aranges = atom_function_ranges(basis)
-    sizes = basis.shell_sizes().astype(float)
-    slices = basis.shell_slices
+    plan = task_plan(engine, screen)
+    owners = nwchem_task_rows(plan, screen, tasks, chunk)
+    atom_of, sizes = basis.atom_of_shell, basis.shell_sizes().astype(float)
     t_eri = config.t_int_nwchem  # one process per core
 
-    def quartets_of(task: NWChemTask):
-        for l_at in task.l_range():
-            yield from atom_quartet_shell_quartets(
-                screen, shells_of_atom, task.i_at, task.j_at, task.k_at, l_at
-            )
+    def cost_of(t: int) -> float:
+        n_eri = sizes[owners.images[owners.of(t)]].prod(axis=1).sum()
+        return float(n_eri) * t_eri + config.task_overhead
 
-    def cost_of(task: NWChemTask) -> float:
-        n_eri = 0.0
-        for (m, n, p, q) in quartets_of(task):
-            n_eri += sizes[m] * sizes[n] * sizes[p] * sizes[q]
-        return n_eri * t_eri + config.task_overhead
-
-    def comm_of(proc: int, task: NWChemTask) -> None:
+    def comm_of(proc: int, t: int) -> None:
         # fetch the D atom blocks this task's quartets touch (6 pairs per
         # atom quartet: IJ, KL, IK, JL, IL, JK); Algorithm 2 line 14.
+        task = tasks[t]
         for l_at in task.l_range():
             i, jj, k = task.i_at, task.j_at, task.k_at
             for (a, b) in ((i, jj), (k, l_at), (i, k), (jj, l_at), (i, l_at), (jj, k)):
                 (r0, r1), (c0, c1) = aranges[a], aranges[b]
                 ga_d.get(proc, r0, r1, c0, c1, channel=CH_TASK_GET)
 
-    # local accumulation buffer per process; flushed per task region
-    jbuf = [np.zeros((nbf, nbf)) for _ in range(nproc)]
-    kbuf = [np.zeros((nbf, nbf)) for _ in range(nproc)]
-
-    def on_task(proc: int, task: NWChemTask) -> None:
-        touched: set[tuple[int, int]] = set()
-        for (m, n, p, q) in quartets_of(task):
-            block = engine.quartet(m, n, p, q)
-            for (a, b, c, d), blk in orbit_images((m, n, p, q), block):
-                sa, sb, sc, sd = slices[a], slices[b], slices[c], slices[d]
-                jbuf[proc][sa, sb] += np.einsum("abcd,cd->ab", blk, density[sc, sd])
-                kbuf[proc][sa, sc] += np.einsum("abcd,bd->ac", blk, density[sb, sd])
-                touched.add((a, b))
-                touched.add((a, c))
-        # accumulate the updated F blocks back (Algorithm 2 line 16);
-        # aggregate per touched atom-pair block like NWChem's 6 updates
-        atom_pairs = {
-            (int(basis.atom_of_shell[a]), int(basis.atom_of_shell[b]))
-            for (a, b) in touched
-        }
-        for (a_at, b_at) in atom_pairs:
+    def on_task(proc: int, t: int) -> None:
+        own = owners.of(t)
+        if own.start == own.stop:
+            return
+        j, k = jk_from_rows(engine, density, plan, np.sort(owners.rows[own]))
+        g = 2.0 * j - k
+        # accumulate the updated F blocks back (Algorithm 2 line 16), one
+        # per touched atom pair like NWChem's 6 updates, visited in the
+        # order a per-quartet scatter first touches them: the clock sums
+        # follow the order of the accumulates
+        pairs = owners.images[own][:, _TOUCHED].reshape(-1, 2)
+        _, first = np.unique(
+            pairs[:, 0] * basis.nshells + pairs[:, 1], return_index=True
+        )
+        touched = set(map(tuple, pairs[np.sort(first)].tolist()))
+        for a_at, b_at in {(int(atom_of[a]), int(atom_of[b])) for a, b in touched}:
             (r0, r1), (c0, c1) = aranges[a_at], aranges[b_at]
-            g = 2.0 * jbuf[proc][r0:r1, c0:c1] - kbuf[proc][r0:r1, c0:c1]
-            ga_g.acc(proc, r0, c0, g, channel=CH_FOCK_ACC)
-            jbuf[proc][r0:r1, c0:c1] = 0.0
-            kbuf[proc][r0:r1, c0:c1] = 0.0
+            ga_g.acc(proc, r0, c0, g[r0:r1, c0:c1], channel=CH_FOCK_ACC)
 
     outcome = run_centralized(
-        tasks, nproc, stats, cost_of, comm_of=comm_of, on_task=on_task
+        range(len(tasks)), nproc, stats, cost_of, comm_of=comm_of,
+        on_task=on_task,
     )
     fock = hcore + ga_g.to_numpy()
     return NWChemBuildResult(

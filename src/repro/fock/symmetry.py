@@ -6,34 +6,31 @@ computed.  The paper enforces uniqueness with a parity *SymmetryCheck*
 on index pairs instead of triangular loop bounds, so that the task grid
 stays a full ``nshells x nshells`` rectangle that can be block-partitioned.
 
-:func:`symmetry_check` is the paper's parity tournament.  The full
-predicate :func:`task_computes` adds the tie-breaks needed for quartets
-with coincident indices (diagonal tasks computing both ``(MP|MQ)`` and
-its bra/ket mirror ``(MQ|MP)``); the test suite verifies by brute force
-that every permutational orbit is computed by *exactly one*
-(task, loop-point) across the whole task grid.
-
-:func:`canonical_instance` gives the equivalent orbit-representative view
-used by atom-quartet (NWChem-style) task schemes.
+:func:`symmetry_check` is the paper's parity tournament; :func:`task_computes`
+adds the tie-break for diagonal tasks, which would compute both
+``(MP|MQ)`` and its mirror ``(MQ|MP)``.  Both are elementwise over index
+arrays (:func:`repro.fock.tasks.gtfock_task_rows` applies them to every
+plan row's eight images at once); the test suite checks them against
+the scalar loops they replaced, and that every orbit is computed by
+*exactly one* (task, loop point) across the task grid.
 """
 
 from __future__ import annotations
 
+import numpy as np
 
-def symmetry_check(m: int, n: int) -> bool:
+
+def symmetry_check(m, n):
     """The paper's parity SymmetryCheck, extended with C(x, x) = True.
 
     For ``m != n`` exactly one of ``(m, n)`` / ``(n, m)`` passes:
     the larger-first orientation iff the index sum is even.
     """
-    if m == n:
-        return True
-    if m > n:
-        return (m + n) % 2 == 0
-    return (m + n) % 2 == 1
+    m, n = np.asarray(m), np.asarray(n)
+    return (m == n) | ((m + n) % 2 == (m < n))
 
 
-def task_computes(m: int, n: int, p: int, q: int) -> bool:
+def task_computes(m, n, p, q):
     """Does task ``(M,:|N,:)`` compute quartet ``(MP|NQ)``?
 
     True iff SymmetryCheck passes on (M,N), (M,P) and (N,Q) -- Algorithm 3
@@ -41,37 +38,7 @@ def task_computes(m: int, n: int, p: int, q: int) -> bool:
     mirror loop point (Q, P) would satisfy the same checks, so only
     ``P <= Q`` is kept.
     """
-    if not (symmetry_check(m, n) and symmetry_check(m, p) and symmetry_check(n, q)):
-        return False
-    if m == n and p > q:
-        return False
-    return True
-
-
-def orbit_tuples(
-    m: int, p: int, n: int, q: int
-) -> set[tuple[int, int, int, int]]:
-    """All distinct (bra1, bra2, ket1, ket2) instances of a quartet's orbit.
-
-    The quartet is written ``(MP|NQ)``: bra pair (m, p), ket pair (n, q).
-    """
-    out = set()
-    for b1, b2 in ((m, p), (p, m)):
-        for k1, k2 in ((n, q), (q, n)):
-            out.add((b1, b2, k1, k2))
-            out.add((k1, k2, b1, b2))
-    return out
-
-
-def canonical_instance(m: int, p: int, n: int, q: int) -> tuple[int, int, int, int]:
-    """Lexicographically smallest orbit instance (bra1, bra2, ket1, ket2).
-
-    A quartet-orbit representative rule independent of the parity trick;
-    used by the NWChem-style atom-quartet decomposition and by tests.
-    """
-    return min(orbit_tuples(m, p, n, q))
-
-
-def is_canonical_instance(m: int, p: int, n: int, q: int) -> bool:
-    """True iff (m, p, n, q) is its orbit's lexicographic representative."""
-    return (m, p, n, q) == canonical_instance(m, p, n, q)
+    return (
+        symmetry_check(m, n) & symmetry_check(m, p) & symmetry_check(n, q)
+        & ((np.asarray(m) != n) | (np.asarray(p) <= q))
+    )

@@ -1,60 +1,100 @@
-"""Task definitions for both Fock-build decompositions.
+"""Task definitions for both Fock-build decompositions, as class-plan rows.
 
 * **GTFock tasks** (Sec III-B): one task per shell pair ``(M,:|N,:)``,
-  computing the parity-unique, screened quartets ``(MP|NQ)``.
-  :func:`enumerate_task_quartets` is the numeric-mode equivalent of the
-  paper's Algorithm 3 (dotask).
+  computing the parity-unique, screened quartets ``(MP|NQ)`` (Algorithm
+  3).  :func:`gtfock_task_rows` gives each canonical row of the engine's
+  class plan to the task whose image ``(MP|NQ)`` passes
+  :func:`~repro.fock.symmetry.task_computes`.
 * **NWChem tasks** (Sec II-F, Algorithm 2): chunks of 5 atom quartets
-  from a fixed global enumeration over unique atom triplets, dispensed by
-  a centralized counter.  :func:`nwchem_task_list` materializes that
-  enumeration; :func:`atom_quartet_shell_quartets` expands one atom
-  quartet into the unique shell quartets it is responsible for.
+  from a fixed enumeration over unique atom triplets
+  (:func:`nwchem_task_list`).  :func:`nwchem_task_rows` gives each row to
+  the task of the atom quartet of its lexicographically smallest
+  *atom-canonical* image (``I >= J``, ``K >= L``, ``IJ >= KL``).
+
+Owners are computed once per plan, vectorised over the eight images;
+the per-task loops they replaced are the test suite's oracles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fock.screening_map import ScreeningMap
-from repro.fock.symmetry import symmetry_check, task_computes
+from repro.fock.symmetry import task_computes
+from repro.integrals.class_batch import EIGHT_PERMUTATIONS, ClassPlan
 
 
-# ---------------------------------------------------------------------------
-# GTFock shell-pair tasks
-# ---------------------------------------------------------------------------
+@dataclass
+class TaskRows:
+    """A class plan's rows grouped by the task owning each.
 
-
-def enumerate_task_quartets(
-    screen: ScreeningMap, m: int, n: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """Quartets ``(M, P, N, Q)`` computed by task ``(M,:|N,:)`` -- Algorithm 3.
-
-    Iterates P over Phi(M) and Q over Phi(N) (anything outside the
-    significant sets cannot pass the product test), applying the parity
-    uniqueness predicate and Cauchy-Schwarz screening.
-
-    Yields quartets as ``(M, P, N, Q)``: bra pair (M, P), ket pair (N, Q);
-    the ERI block to compute is ``(MP|NQ)``.
+    Task ``t`` owns plan rows ``rows[bounds[t]:bounds[t + 1]]``, in the
+    order the task's loops visit them; ``images`` holds, per entry of
+    ``rows``, the permutation image of the row's quartet the task
+    computes (GTFock ``(M, P, N, Q)``, NWChem ``(M, N, P, Q)``).
     """
-    if not symmetry_check(m, n):
-        return
-    sigma = screen.sigma
-    tau = screen.tau
-    for p in screen.phi[m]:
-        smp = sigma[m, p]
-        if smp * screen.sigma_max <= tau:
-            continue
-        for q in screen.phi[n]:
-            if smp * sigma[n, q] > tau and task_computes(m, n, int(p), int(q)):
-                yield (m, int(p), n, int(q))
+
+    rows: np.ndarray
+    images: np.ndarray
+    bounds: np.ndarray
+
+    def of(self, task: int) -> slice:
+        return slice(self.bounds[task], self.bounds[task + 1])
 
 
-def task_quartet_count(screen: ScreeningMap, m: int, n: int) -> int:
-    """Exact surviving-quartet count of one task (test/verification path)."""
-    return sum(1 for _ in enumerate_task_quartets(screen, m, n))
+#: the score of an image that may not own its row
+_NEVER = np.iinfo(np.int64).max
+
+
+def _owned_images(plan: ClassPlan, score) -> np.ndarray:
+    """Per plan row, the first of its eight images ``img`` (``(nrows, 4)``
+    int32 arrays) with the lowest ``score(img)`` (int64; :data:`_NEVER`
+    where the image may not own the row)."""
+    quartets = np.concatenate(
+        [b.quartets for b in plan.batches] + [np.empty((0, 4), np.int64)]
+    ).astype(np.int32)
+    best, low = np.empty_like(quartets), np.full(len(quartets), _NEVER)
+    for perm in EIGHT_PERMUTATIONS:
+        img = quartets[:, perm]
+        rank = score(img)
+        hit = rank < low
+        best[hit], low[hit] = img[hit], rank[hit]
+    return best
+
+
+def _grouped(images: np.ndarray, keys: tuple, ntasks: int) -> TaskRows:
+    """``images`` grouped by task (the last of ``keys``), ordered within
+    a task by the others, most significant last (:func:`np.lexsort`)."""
+    rows = np.lexsort(keys)
+    return TaskRows(
+        rows=rows, images=images[rows],
+        bounds=np.searchsorted(keys[-1][rows], np.arange(ntasks + 1)),
+    )
+
+
+def task_plan(engine, screen: ScreeningMap) -> ClassPlan:
+    """The engine's class plan holding the quartets of ``screen``'s tasks."""
+    if not np.array_equal(screen.sigma, engine.schwarz()):
+        raise ValueError("the screen must use the engine's Schwarz matrix")
+    return engine.class_plan(screen.tau)
+
+
+def gtfock_task_rows(plan: ClassPlan, nshells: int) -> TaskRows:
+    """``plan``'s rows by owning GTFock task ``M * nshells + N``: the task
+    whose image ``(MP|NQ)`` passes :func:`task_computes` (exactly one
+    distinct image does), rows in the task's ``(P, Q)`` loop order;
+    computed once per plan."""
+    if "gtfock" not in plan.derived:
+        own = _owned_images(plan, lambda img: np.where(task_computes(
+            img[:, 0], img[:, 2], img[:, 1], img[:, 3]
+        ), 0, _NEVER))
+        m, p, n, q = own.T.astype(np.int64)
+        plan.derived["gtfock"] = _grouped(
+            own, (q, p, m * nshells + n), nshells * nshells
+        )
+    return plan.derived["gtfock"]
 
 
 # ---------------------------------------------------------------------------
@@ -78,23 +118,12 @@ class NWChemTask:
 
 def atom_sigma(screen: ScreeningMap) -> np.ndarray:
     """Atom-pair screening values: max over the atoms' shell pairs."""
-    basis = screen.basis
-    natoms = basis.molecule.natoms
-    atom_of = basis.atom_of_shell
-    out = np.zeros((natoms, natoms))
-    sig = screen.sigma
-    # reduce shell-pair sigma to atom blocks
+    atom_of = screen.basis.atom_of_shell
     order = np.argsort(atom_of, kind="stable")
-    sorted_atoms = atom_of[order]
-    starts = np.searchsorted(sorted_atoms, np.arange(natoms))
-    bounds = np.append(starts, len(order))
-    groups = [order[bounds[a] : bounds[a + 1]] for a in range(natoms)]
-    for a in range(natoms):
-        rows = sig[groups[a]]
-        for b in range(a + 1):
-            v = float(rows[:, groups[b]].max()) if groups[b].size else 0.0
-            out[a, b] = out[b, a] = v
-    return out
+    starts = np.searchsorted(atom_of[order], np.arange(screen.basis.molecule.natoms))
+    blocks = np.maximum.reduceat(np.maximum.reduceat(
+        screen.sigma[np.ix_(order, order)], starts, axis=0), starts, axis=1)
+    return np.tril(blocks) + np.tril(blocks, -1).T  # the (I >= J) blocks
 
 
 def nwchem_task_list(
@@ -107,6 +136,8 @@ def nwchem_task_list(
     (NWChem's "5 atom quartets per task").  The list order *is* the
     dispatch order of the centralized scheduler.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be a positive atom-quartet count, got {chunk}")
     sig_at = atom_sigma(screen)
     tau_sig = screen.tau / max(float(sig_at.max()), 1e-300)
     natoms = sig_at.shape[0]
@@ -126,55 +157,28 @@ def nwchem_task_list(
     return tasks
 
 
-def atom_quartet_shell_quartets(
-    screen: ScreeningMap,
-    shells_of_atom: list[list[int]],
-    i_at: int,
-    j_at: int,
-    k_at: int,
-    l_at: int,
-) -> Iterator[tuple[int, int, int, int]]:
-    """Unique screened shell quartets owned by atom quartet (IJ|KL).
+def nwchem_task_rows(
+    plan: ClassPlan, screen: ScreeningMap, tasks: list[NWChemTask], chunk: int
+) -> TaskRows:
+    """``plan``'s rows by owning NWChem task (an index into ``tasks``, the
+    :func:`nwchem_task_list` of ``screen`` and ``chunk``): the task of
+    the atom quartet ``(I, J, K, L)`` of the row's smallest atom-canonical
+    image ``(M, N, P, Q)``, rows in the task's ``(L, M, N, P, Q)`` loop
+    order; computed once per plan and chunk."""
+    key = ("nwchem", chunk)
+    if key not in plan.derived:
+        atom_of = screen.basis.atom_of_shell
+        na, digits = screen.basis.molecule.natoms, screen.nshells ** np.arange(3, -1, -1)
 
-    The enumerated atom quartets (from :func:`nwchem_task_list`'s loop
-    structure) visit exactly one instance of every atom-level
-    permutational orbit.  A shell quartet instance (MN|PQ) with M in I,
-    N in J, P in K, Q in L is owned by this atom quartet iff it is the
-    lexicographically smallest instance of its *shell* orbit among those
-    whose atom tuple equals (I, J, K, L) position-wise.  Every shell
-    orbit has at least one instance over the enumerated atom
-    representative, so the union over atom quartets covers each shell
-    orbit exactly once (property-tested against the canonical
-    enumeration).
+        def score(img):  # lexicographic among the atom-canonical images
+            i, j, k, l = atom_of[img].T
+            canonical = (i >= j) & (k >= l) & ((i > k) | ((i == k) & (j >= l)))
+            return np.where(canonical, img.astype(np.int64) @ digits, _NEVER)
 
-    Yields ``(M, N, P, Q)`` meaning the ERI block (MN|PQ): bra (M, N),
-    ket (P, Q).
-    """
-    from repro.fock.symmetry import orbit_tuples
-
-    sigma = screen.sigma
-    tau = screen.tau
-    atom_of = screen.basis.atom_of_shell
-    target = (i_at, j_at, k_at, l_at)
-    for m in shells_of_atom[i_at]:
-        for n in shells_of_atom[j_at]:
-            smn = sigma[m, n]
-            if smn * screen.sigma_max <= tau:
-                continue
-            for p in shells_of_atom[k_at]:
-                for q in shells_of_atom[l_at]:
-                    if smn * sigma[p, q] <= tau:
-                        continue
-                    instances = [
-                        t
-                        for t in orbit_tuples(m, n, p, q)
-                        if (
-                            atom_of[t[0]],
-                            atom_of[t[1]],
-                            atom_of[t[2]],
-                            atom_of[t[3]],
-                        )
-                        == target
-                    ]
-                    if (m, n, p, q) == min(instances):
-                        yield (m, n, p, q)
+        own = _owned_images(plan, score)
+        i, j, k, l = atom_of[own].T
+        triples = [(t.i_at * na + t.j_at) * na + t.k_at for t in tasks]
+        task = np.searchsorted(triples, (i * na + j) * na + k) + l // chunk
+        m, n, p, q = own.T
+        plan.derived[key] = _grouped(own, (q, p, n, m, l, task), len(tasks))
+    return plan.derived[key]

@@ -21,7 +21,6 @@ from repro.integrals.pairdata import (
     ShellPairData,
     StackedPairs,
     build_pair_data,
-    eri_shell_quartet_batched,
     stack_pairs,
 )
 from repro.integrals.store import ERIStore, StoreInvalidatedWarning, basis_fingerprint
@@ -61,7 +60,6 @@ __all__ = [
     "stack_pairs",
     "build_pair_data",
     "eri_shell_quartet",
-    "eri_shell_quartet_batched",
     "eri_tensor",
     "dipole_integrals",
     "eri_shell_quartet_os",

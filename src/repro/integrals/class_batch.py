@@ -38,7 +38,10 @@ loop the same way:
 Every engine builds J/K here.  A chunk's blocks come from one of two
 sources (:func:`_resolve_chunk`): *stored* (a ready store) or *compute*
 -- the class kernel when the plan has pair data, else a stack of
-per-row ``engine._quartet`` blocks (Obara-Saika and synthetic).
+per-row ``engine._quartet`` blocks (Obara-Saika and synthetic).  A
+chunk is a slice of its class (:func:`jk_from_plan`, every row of the
+plan) or an index array of selected rows (:func:`jk_from_rows`, the
+rows of a GTFock rank or an NWChem task).
 
 Numerics agree with the per-quartet scatter oracle
 (``tests/reference_fock.py``) to summation order (tests pin <= 1e-10
@@ -73,7 +76,7 @@ if TYPE_CHECKING:  # imported by the assembly: direct SCF never pays for it
 
 #: The 8 axis permutations of an (ab|cd) block under Eq (4)'s
 #: permutational symmetry.  This is the one shared definition --
-#: ``repro.scf.fock`` imports it.
+#: the task owners of :mod:`repro.fock.tasks` import it.
 EIGHT_PERMUTATIONS: tuple[tuple[int, int, int, int], ...] = (
     (0, 1, 2, 3),
     (1, 0, 2, 3),
@@ -228,41 +231,65 @@ class ClassBatch:
         )
 
 
+#: one kernel work item: a class and the rows of it to resolve -- a
+#: ``slice`` of a whole-plan build or an index array of selected rows
+Chunk = tuple[ClassBatch, "slice | np.ndarray"]
+
+
+def _nrows(rows) -> int:
+    """Rows a chunk selects."""
+    return rows.stop - rows.start if isinstance(rows, slice) else rows.size
+
+
 @dataclass
 class ClassPlan:
     """The class-grouped execution plan of one screened quartet set."""
 
     batches: list[ClassBatch]
     nquartets: int
+    #: per-plan memo of structures other modules derive from the rows
+    #: alone (the task owning each row, :mod:`repro.fock.tasks`)
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def chunks(self) -> list[tuple[ClassBatch, int, int]]:
-        """All ``(batch, lo, hi)`` work items, largest classes first."""
+    def chunks(self, rows: np.ndarray | None = None) -> list[Chunk]:
+        """All work items, largest classes first: slices over every row,
+        or index arrays over the selected ``rows`` (sorted plan rows)."""
         out = []
-        for batch in self.batches:
-            step = batch.chunk_rows()
-            for lo in range(0, batch.nq, step):
-                out.append((batch, lo, min(lo + step, batch.nq)))
+        if rows is None:
+            for batch in self.batches:
+                step = batch.chunk_rows()
+                out += [(batch, slice(lo, min(lo + step, batch.nq)))
+                        for lo in range(0, batch.nq, step)]
+            return out
+        cuts = np.searchsorted(
+            rows, [b.row0 for b in self.batches] + [self.nquartets]
+        )
+        for i in np.flatnonzero(np.diff(cuts)):  # the classes selected
+            batch = self.batches[i]
+            step, mine = batch.chunk_rows(), rows[cuts[i]:cuts[i + 1]] - batch.row0
+            out += [(batch, mine[lo:lo + step]) for lo in range(0, mine.size, step)]
         return out
 
-    def flushes(self) -> list[list[tuple[ClassBatch, int, int]]]:
-        """The kernel chunks grouped into contraction flushes.
+    def flushes(self, rows: np.ndarray | None = None) -> list[list[Chunk]]:
+        """The kernel chunks (of ``rows``, or of every row) grouped into
+        contraction flushes.
 
         A flush is a run of same-shape chunks (any kernel class) holding
         at most :data:`MAX_STAGE_WORK` block elements -- or one chunk,
         if that alone is larger.
         """
         by_shape: dict[tuple, list] = {}
-        for chunk in self.chunks():
+        for chunk in self.chunks(rows):
             by_shape.setdefault(chunk[0].dims, []).append(chunk)
         out = []
         for chunks in by_shape.values():
             held = MAX_STAGE_WORK  # full: the first chunk opens a flush
-            for batch, lo, hi in chunks:
-                size = (hi - lo) * batch.block_size
+            for batch, sel in chunks:
+                size = _nrows(sel) * batch.block_size
                 if held + size > MAX_STAGE_WORK:
                     out.append([])
                     held = 0
-                out[-1].append((batch, lo, hi))
+                out[-1].append((batch, sel))
                 held += size
         return out
 
@@ -372,16 +399,16 @@ def compute_class_rows(batch: ClassBatch, rows) -> np.ndarray:
 
 
 def _weighted_flush(
-    flush: list[tuple[ClassBatch, int, int]], parts: list[np.ndarray]
+    flush: list[Chunk], parts: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """One flush of same-shape blocks as ``g = w (ab|cd)`` (``w`` the orbit
     weight), stacked over its quartets, and their ``(6, nq)``
     ``pair_bases``."""
     g = np.concatenate(parts)
-    g *= np.concatenate([b.weights[lo:hi] for b, lo, hi in flush]).reshape(
+    g *= np.concatenate([b.weights[rows] for b, rows in flush]).reshape(
         -1, 1, 1, 1, 1
     )
-    return g, np.concatenate([b.pair_bases[:, lo:hi] for b, lo, hi in flush], 1)
+    return g, np.concatenate([b.pair_bases[:, rows] for b, rows in flush], 1)
 
 
 def _contract_blocks(
@@ -389,7 +416,7 @@ def _contract_blocks(
     kt: np.ndarray,
     dflat: np.ndarray,
     n: int,
-    flush: list[tuple[ClassBatch, int, int]],
+    flush: list[Chunk],
     parts: list[np.ndarray],
 ) -> None:
     """Accumulate one flush of same-shape blocks into half-J / half-K.
@@ -565,9 +592,10 @@ _COUNT_KEYS = ("computed", "from_store", "rescued", "crc_rescued",
                "corrupted")
 
 
-def _compute_rows(engine, batch: ClassBatch, rows: np.ndarray) -> np.ndarray:
-    """Freshly computed blocks for ``rows``: one class-kernel sweep when
-    the plan has pair data, else the engine's own blocks stacked."""
+def compute_rows(engine, batch: ClassBatch, rows) -> np.ndarray:
+    """Freshly computed blocks for ``rows`` (a slice or an index array):
+    one class-kernel sweep when the plan has pair data, else the engine's
+    own ``_quartet`` blocks stacked."""
     if batch.pair_cache is not None:
         return compute_class_rows(batch, rows)
     return np.stack(
@@ -576,21 +604,23 @@ def _compute_rows(engine, batch: ClassBatch, rows: np.ndarray) -> np.ndarray:
 
 
 def _resolve_chunk(
-    engine, batch: ClassBatch, lo: int, hi: int, store, faults
+    engine, batch: ClassBatch, rows, store, faults
 ) -> tuple[np.ndarray, dict]:
-    """The stacked blocks for rows ``[lo, hi)`` and where they came from.
+    """The stacked blocks for ``rows`` of ``batch`` and where they came from.
 
     *Stored*: a ready store holding every row of the chunk serves it in
     one vectorized read.  *Compute*: otherwise the whole chunk is
     computed; ``faults`` (the build's pre-drawn seeded corruptions, or
-    None) hit class-kernel rows only, before the NaN/Inf sentinel whose
+    None; they ride whole-plan builds, whose chunks are slices) hit
+    class-kernel rows only, before the NaN/Inf sentinel whose
     per-quartet rescue repairs them, and a filling store records the
     result.
     """
-    nrows = hi - lo
+    quartets = batch.quartets[rows]
+    nrows = len(quartets)
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     if store is not None and store.ready:
-        sel = store.offsets_for(batch.quartets[lo:hi])
+        sel = store.offsets_for(quartets)
         if (sel >= 0).all():
             blocks = store.read_stacked(sel, batch.block_size, batch.dims)
             if store.verify_reads:
@@ -601,21 +631,23 @@ def _resolve_chunk(
                 good = store.verify_stacked(sel, blocks)
                 if not good.all():
                     bad = np.flatnonzero(~good)
-                    blocks[bad] = _compute_rows(engine, batch, lo + bad)
+                    blocks[bad] = compute_rows(
+                        engine, batch, np.arange(batch.nq)[rows][bad]
+                    )
                     counts["crc_rescued"] = len(bad)
             counts["from_store"] = nrows
             return blocks, counts
-    blocks = _compute_rows(engine, batch, np.arange(lo, hi))
+    blocks = compute_rows(engine, batch, rows)
     counts["computed"] = nrows
     if faults is not None and batch.pair_cache is not None:
-        counts["corrupted"] = faults.corrupt_rows(blocks, batch.row0 + lo)
+        counts["corrupted"] = faults.corrupt_rows(blocks, batch.row0 + rows.start)
     if engine.finite_check and not np.isfinite(blocks.sum()):
         finite = np.isfinite(blocks.reshape(nrows, -1)).all(axis=1)
         for i in np.flatnonzero(~finite):
-            blocks[i] = engine._rescue_quartet(*batch.quartets[lo + i].tolist())
+            blocks[i] = engine._rescue_quartet(*quartets[i].tolist())
             counts["rescued"] += 1
     if store is not None and store.filling:
-        store.record_batch(batch.quartets[lo:hi], blocks)
+        store.record_batch(quartets, blocks)
     return blocks, counts
 
 
@@ -681,11 +713,11 @@ def _resolve_flush(engine, flush, store, faults, eri_span, totals) -> list:
     """The resolved blocks of every chunk of ``flush``, ``eri_span``
     around each resolution, source counts added to ``totals``."""
     parts = []
-    for batch, lo, hi in flush:
+    for batch, rows in flush:
         if _JK_INTERRUPT.is_set():
             raise JKInterrupted("J/K build interrupted between chunks")
         with eri_span:
-            blocks, counts = _resolve_chunk(engine, batch, lo, hi, store, faults)
+            blocks, counts = _resolve_chunk(engine, batch, rows, store, faults)
         parts.append(blocks)
         for key in _COUNT_KEYS:
             totals[key] += counts[key]
@@ -787,7 +819,7 @@ def jk_from_plan(
         engine.last_jk_worker_stats = []
     else:
         # largest flush first, each to the least-loaded worker
-        costs = [sum(b.cost * (hi - lo) / b.nq for b, lo, hi in f)
+        costs = [sum(b.cost * _nrows(rows) / b.nq for b, rows in f)
                  for f in flushes]
         shares = [[] for _ in range(min(nthreads, len(flushes)))]
         loads = [0.0] * len(shares)
@@ -822,6 +854,27 @@ def jk_from_plan(
     return _symmetrized(
         sum(r[0] for r in results), sum(r[1] for r in results), n, density
     )
+
+
+def jk_from_rows(
+    engine, density: np.ndarray, plan: ClassPlan, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """J and K of the selected plan ``rows`` (sorted) alone: the numeric
+    distributed builds' pass over the rows of one GTFock rank or one
+    NWChem task.  Every block is computed -- no store, no seeded faults,
+    one thread -- through the chunk machinery of :func:`jk_from_plan`."""
+    from repro.obs import get_profiler
+    from repro.obs.profile import PHASE_ERI, PHASE_JK
+
+    n = engine.basis.nbf
+    prof = get_profiler()
+    jt, kt, totals = _run_flushes(
+        engine, density_stack(density, n).reshape(-1, n * n),
+        plan.flushes(rows), None, None,
+        prof.phase(PHASE_ERI), prof.phase(PHASE_JK),
+    )
+    _tally(engine, totals, None)
+    return _symmetrized(jt, kt, n, density)
 
 
 def _symmetrized(jt, kt, n: int, density) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,9 @@
 
 An engine supplies two things:
 
-* ``quartet(M, N, P, Q)`` -- the ERI block for four shell indices;
+* ERI blocks for the rows of its class plans -- the class-batched MD
+  kernel over the engine's ``pair_cache``, or, for an engine without
+  it, one ``_quartet(M, N, P, Q)`` block per row;
 * ``schwarz()`` -- the shell-pair screening matrix sigma.
 
 Engines provided:
@@ -19,10 +21,9 @@ Fock builds go through :meth:`ERIEngine.class_plan` and
 :class:`~repro.integrals.store.ERIStore` is the one reuse layer (ERIs are
 density-independent, so a ready store is read once into the engine's
 :class:`~repro.integrals.class_batch.Supermatrix` and every later build
-contracts that); :meth:`ERIEngine.quartet` always computes.
-``quartets_computed`` counts only *real* computations (Table VII
-call-count benchmarks stay exact); store service is tallied separately
-in ``quartets_served_from_store``.
+contracts that).  ``quartets_computed`` counts only *real* computations
+(Table VII call-count benchmarks stay exact); store service is tallied
+separately in ``quartets_served_from_store``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.integrals.class_batch import (
 )
 from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.eri_os import eri_shell_quartet_os
-from repro.integrals.pairdata import ShellPairData, eri_shell_quartet_batched
+from repro.integrals.pairdata import ShellPairData
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 from repro.integrals.store import ERIStore
 from repro.obs import get_metrics, get_profiler
@@ -101,8 +102,10 @@ class ERIEngine(abc.ABC):
         if store is not None:
             self.attach_store(store)
 
-    @abc.abstractmethod
-    def _quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray: ...
+    def _quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
+        """One ERI block (MN|PQ): how an engine without the class kernel
+        (no ``pair_cache``) resolves a plan row."""
+        raise NotImplementedError
 
     @abc.abstractmethod
     def _build_schwarz(self) -> np.ndarray: ...
@@ -157,19 +160,6 @@ class ERIEngine(abc.ABC):
             self._class_plans.popitem(last=False)
         return plan
 
-    def quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
-        """ERI block (MN|PQ) for shell indices in any order, basis-function
-        shape: always computed (the numeric distributed builders' entry),
-        with the NaN/Inf sentinel and per-quartet rescue when armed."""
-        self.quartets_computed += 1
-        block = self._quartet(m, n, p, q)
-        # sum-reduction sentinel: any NaN/Inf element makes the sum
-        # non-finite, without materialising a bool array per block
-        if self.finite_check and not np.isfinite(block.sum()):
-            block = self._rescue_quartet(m, n, p, q)
-            self.count_rescues(1)
-        return block
-
     def _rescue_quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
         """Last resort for a non-finite block; engines without an
         independent slow path have nothing to degrade to."""
@@ -199,7 +189,7 @@ class ERIEngine(abc.ABC):
 class MDEngine(ERIEngine):
     """Real ERIs via McMurchie-Davidson (production engine).
 
-    Quartets go through the batched primitive kernel fed by a per-basis
+    Plan rows go through the class-batched kernel fed by a per-basis
     :class:`~repro.integrals.pairdata.ShellPairData` cache; the
     per-primitive reference kernel (:mod:`repro.integrals.eri_md`) is
     the independent slow path a flagged block is rescued on.
@@ -214,14 +204,6 @@ class MDEngine(ERIEngine):
         super().__init__(basis, store=store)
         self.model_schwarz = model_schwarz
         self.pair_cache = ShellPairData(basis)
-
-    def _quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
-        sh = self.basis.shells
-        return eri_shell_quartet_batched(
-            sh[m], sh[n], sh[p], sh[q],
-            bra=self.pair_cache.get(m, n),
-            ket=self.pair_cache.get(p, q),
-        )
 
     def _rescue_quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
         """Graceful degradation at quartet granularity.

@@ -12,9 +12,8 @@ amortized over every quartet that pair participates in:
 * :func:`md_sweep` -- the kernel that flattens the bra x ket primitive
   loops of any number of quartets: one vectorized Boys/``r_tensor_batch``
   evaluation over *all* primitive quartets at once and two batched
-  matmuls.  :func:`eri_shell_quartet_batched` is its one-quartet case,
-  the class-batched Fock build (:mod:`repro.integrals.class_batch`) its
-  thousands-of-quartets case.
+  matmuls -- the class-batched Fock build's kernel
+  (:mod:`repro.integrals.class_batch`), one sweep per chunk of a class.
 
 Numerics are identical to the per-primitive path
 (:func:`repro.integrals.eri_md.eri_shell_quartet`) up to floating-point
@@ -284,26 +283,3 @@ def md_sweep(
         )
     return np.matmul(np.matmul(ops.bra_e[bs], rmat), ops.ket_e[ks])
 
-
-def eri_shell_quartet_batched(
-    sh_a: Shell,
-    sh_b: Shell,
-    sh_c: Shell,
-    sh_d: Shell,
-    bra: PairData | None = None,
-    ket: PairData | None = None,
-) -> np.ndarray:
-    """The ERI block ``(ab|cd)`` via one batched primitive evaluation.
-
-    Drop-in equivalent of
-    :func:`repro.integrals.eri_md.eri_shell_quartet`; pass precomputed
-    ``bra`` / ``ket`` :class:`PairData` (e.g. from a :class:`ShellPairData`
-    cache) to skip the pair expansion.  A one-quartet :func:`md_sweep`,
-    so it is bitwise the class-batched kernel's block.
-    """
-    shells = (sh_a, sh_b, sh_c, sh_d)
-    bra = stack_pairs([bra or build_pair_data(sh_a, sh_b)])
-    ket = stack_pairs([ket or build_pair_data(sh_c, sh_d)])
-    ops = SweepOperands.build(bra, ket, tuple(sh.pure for sh in shells))
-    slot = np.zeros(1, dtype=np.intp)
-    return md_sweep(ops, bra, ket, slot, slot).reshape([sh.nbf for sh in shells])

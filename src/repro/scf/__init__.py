@@ -23,7 +23,6 @@ from repro.scf.fock import (
     build_jk,
     fock_matrix,
     hf_electronic_energy,
-    orbit_images,
 )
 from repro.scf.guess import core_guess, gwh_guess, zero_guess
 from repro.scf.hf import RHF, SCFDriver, SCFOutcome, SCFResult
@@ -75,7 +74,6 @@ __all__ = [
     "build_jk",
     "fock_matrix",
     "hf_electronic_energy",
-    "orbit_images",
     "core_guess",
     "gwh_guess",
     "zero_guess",

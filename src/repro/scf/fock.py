@@ -7,51 +7,24 @@ each contracted into its six Fock blocks, assembled as
 
 ``F = H^core + 2J - K``          (Eq 3 of the paper).
 
-The scatter helper :func:`orbit_images` is what the numeric distributed
-builders replay per quartet, so numeric equality with this build is a
-test of *task coverage and data movement*.
+The numeric distributed builders (:mod:`repro.fock.gtfock`,
+:mod:`repro.fock.nwchem`) contract the same plan rows, grouped by the
+task owning each, so numeric equality with this build is a test of
+*task coverage and data movement*.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
-from repro.integrals.class_batch import EIGHT_PERMUTATIONS, jk_from_plan
+from repro.integrals.class_batch import jk_from_plan
 from repro.integrals.engine import ERIEngine
 
 __all__ = [
-    "EIGHT_PERMUTATIONS",
-    "orbit_images",
     "build_jk",
     "fock_matrix",
     "hf_electronic_energy",
 ]
-
-
-def orbit_images(
-    quartet: tuple[int, int, int, int], block: np.ndarray
-) -> Iterator[tuple[tuple[int, int, int, int], np.ndarray]]:
-    """Distinct shell-tuple images of a quartet with matching block transposes.
-
-    Yields each *distinct* (a, b, c, d) shell tuple in the permutational
-    orbit of ``quartet``, paired with the correspondingly transposed
-    integral block.  Deduplication by shell tuple is what makes
-    coincident-index quartets (e.g. (MM|PQ)) contribute exactly once.
-    """
-    seen: set[tuple[int, int, int, int]] = set()
-    for perm in EIGHT_PERMUTATIONS:
-        target = (
-            quartet[perm[0]],
-            quartet[perm[1]],
-            quartet[perm[2]],
-            quartet[perm[3]],
-        )
-        if target in seen:
-            continue
-        seen.add(target)
-        yield target, np.transpose(block, perm)
 
 
 def build_jk(

@@ -1,15 +1,17 @@
 """Brute-force dense J/K reference: no symmetry, no screening.
 
 Loops all ``nshells^4`` quartets; exponentially slower than the
-production path but with no shared logic beyond the quartet engine, so it
-independently validates symmetry exploitation and screening.  An oracle
-for ``tests/test_scf_fock.py`` -- keep the systems tiny.
+production path but with no shared logic beyond the engine's kernel
+(``quartet_blocks``), so it independently validates symmetry
+exploitation and screening.  An oracle for ``tests/test_scf_fock.py``
+-- keep the systems tiny.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from reference_engine import quartet_blocks
 from repro.integrals.engine import ERIEngine
 
 
@@ -27,11 +29,12 @@ def dense_fock_reference(
     k = np.zeros((n, n))
     ns = basis.nshells
     slices = basis.shell_slices
+    blocks = quartet_blocks(engine, np.ndindex(ns, ns, ns, ns))
     for m in range(ns):
         for nn in range(ns):
             for p in range(ns):
                 for q in range(ns):
-                    blk = engine.quartet(m, nn, p, q)
+                    blk = blocks[m, nn, p, q]
                     sm, sn, sp, sq = slices[m], slices[nn], slices[p], slices[q]
                     j[sm, sn] += np.einsum("abcd,cd->ab", blk, density[sp, sq])
                     k[sm, sp] += np.einsum("abcd,bd->ac", blk, density[sn, sq])

@@ -3,9 +3,10 @@
 Kept verbatim as the differential oracle for the one production path
 (class plan -> chunk resolver -> six-block contraction): enumerate the
 canonical screened shell quartets with three nested Python loops, ask
-the engine for each block, and scatter it to every distinct permutation
-image with two einsums per image.  Production code must not import this
-module.
+the engine for each block (``quartet_blocks``: one plan of them), and
+scatter it to every distinct permutation image (``orbit_images``, the
+scatter the numeric distributed builders replayed per quartet) with two
+einsums per image.  Production code must not import this module.
 """
 
 from __future__ import annotations
@@ -14,9 +15,33 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from reference_engine import quartet_blocks
 from repro.chem.basis.basisset import BasisSet
-from repro.integrals.class_batch import density_stack
-from repro.scf.fock import orbit_images
+from repro.integrals.class_batch import EIGHT_PERMUTATIONS, density_stack
+
+
+def orbit_images(
+    quartet: tuple[int, int, int, int], block: np.ndarray
+) -> Iterator[tuple[tuple[int, int, int, int], np.ndarray]]:
+    """Distinct shell-tuple images of a quartet with matching block transposes.
+
+    Yields each *distinct* (a, b, c, d) shell tuple in the permutational
+    orbit of ``quartet``, paired with the correspondingly transposed
+    integral block.  Deduplication by shell tuple is what makes
+    coincident-index quartets (e.g. (MM|PQ)) contribute exactly once.
+    """
+    seen: set[tuple[int, int, int, int]] = set()
+    for perm in EIGHT_PERMUTATIONS:
+        target = (
+            quartet[perm[0]],
+            quartet[perm[1]],
+            quartet[perm[2]],
+            quartet[perm[3]],
+        )
+        if target in seen:
+            continue
+        seen.add(target)
+        yield target, np.transpose(block, perm)
 
 
 def canonical_shell_quartets(
@@ -66,14 +91,16 @@ def scatter_quartet(
 def reference_build_jk(
     engine, density: np.ndarray, tau: float = 1e-11
 ) -> tuple[np.ndarray, np.ndarray]:
-    """J and K by the per-quartet loop: one ``engine.quartet`` call and
-    one :func:`scatter_quartet` per canonical quartet (and density)."""
+    """J and K by the per-quartet loop: one :func:`scatter_quartet` per
+    canonical quartet (and density) of its block."""
     basis = engine.basis
     dens = density_stack(density, basis.nbf)
     j = np.zeros(dens.shape)
     k = np.zeros(dens.shape)
-    for quartet in canonical_shell_quartets(engine.schwarz(), tau):
-        block = engine.quartet(*quartet)
+    quartets = list(canonical_shell_quartets(engine.schwarz(), tau))
+    blocks = quartet_blocks(engine, quartets)
+    for quartet in quartets:
+        block = blocks[quartet]
         for ji, ki, d in zip(j, k, dens):
             scatter_quartet(ji, ki, d, basis, quartet, block)
     return (j, k) if np.ndim(density) == 3 else (j[0], k[0])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_engine import ReferenceMDEngine
+from reference_engine import ReferenceMDEngine, quartet_block, quartet_blocks
 from reference_fock import (
     canonical_shell_quartets,
     reference_build_jk,
@@ -59,8 +59,10 @@ def oracle_jk(engine, density, quartets):
     """J/K of a quartet list through the per-quartet ``scatter_quartet``."""
     n = engine.basis.nbf
     j, k = np.zeros((n, n)), np.zeros((n, n))
+    quartets = [tuple(q) for q in quartets]
+    blocks = quartet_blocks(engine, quartets)
     for quartet in quartets:
-        block = engine.quartet(*quartet)
+        block = blocks[quartet]
         scatter_quartet(j, k, density, engine.basis, quartet, block)
     return j, k
 
@@ -191,7 +193,7 @@ class TestClassJKAgreement:
                 assert np.allclose(ki, k1, atol=1e-12, rtol=0)
 
     def test_class_rows_match_engine_quartets(self):
-        """compute_class_rows blocks == the per-quartet batched kernel."""
+        """compute_class_rows blocks == each quartet's one-row plan."""
         basis = BasisSet.build(water(), "6-31g")
         engine = MDEngine(basis)
         ref = MDEngine(basis)
@@ -200,7 +202,7 @@ class TestClassJKAgreement:
             rows = np.arange(min(batch.nq, 8))
             blocks = compute_class_rows(batch, rows)
             for blk, (m, n, p, q) in zip(blocks, batch.quartets[rows]):
-                expected = ref.quartet(int(m), int(n), int(p), int(q))
+                expected = quartet_block(ref, int(m), int(n), int(p), int(q))
                 assert np.allclose(blk, expected, atol=1e-12, rtol=0)
 
     def test_counts_computed_quartets_like_per_quartet_path(self):
@@ -273,9 +275,14 @@ class TestThreadedContraction:
         monkeypatch.setattr(class_batch, "MAX_STAGE_WORK", 100)
         flushes = plan.flushes()
         assert len(flushes) >= 2 * one_per_shape
-        assert any(f[0][1] > 0 or f[-1][2] < f[-1][0].nq for f in flushes)
-        assert sorted((id(b), lo, hi) for f in flushes for b, lo, hi in f) \
-            == sorted((id(b), lo, hi) for b, lo, hi in plan.chunks())
+        assert any(
+            f[0][1].start > 0 or f[-1][1].stop < f[-1][0].nq for f in flushes
+        )
+
+        def spans(chunks):
+            return sorted((id(b), rows.start, rows.stop) for b, rows in chunks)
+
+        assert spans(c for f in flushes for c in f) == spans(plan.chunks())
         j, k = jk_from_plan(engine, d, plan, threads=threads)
         assert np.allclose(j, j_ref, atol=1e-12, rtol=0)
         assert np.allclose(k, k_ref, atol=1e-12, rtol=0)

@@ -9,11 +9,41 @@ any process count, with and without stealing and reordering.
 import numpy as np
 import pytest
 
+from repro.chem.basis.basisset import BasisSet
+from repro.chem.builders import water_cluster
 from repro.fock.gtfock import PrefetchMiss, gtfock_build
 from repro.fock.nwchem import nwchem_build
 from repro.fock.reorder import reorder_basis
 from repro.integrals.engine import MDEngine, SyntheticERIEngine
+from repro.integrals.oneelec import core_hamiltonian, overlap
+from repro.obs.flight import CH_TASK_GET
+from repro.runtime.faults import FaultPlan
 from repro.scf.fock import fock_matrix
+from repro.scf.guess import core_guess
+from repro.scf.orthogonalization import orthogonalizer
+
+
+def dimer(spacing: float = 2.8):
+    """(H2O)2/6-31G -- p shells, many kernel classes: (engine, Hcore, D)."""
+    mol = water_cluster(2, 1, 1, spacing=spacing)
+    basis = BasisSet.build(mol, "6-31g")
+    h = core_hamiltonian(basis)
+    d = core_guess(h, orthogonalizer(overlap(basis)), mol.nelectrons // 2)
+    return MDEngine(basis), h, d
+
+
+@pytest.fixture(scope="module")
+def water_dimer():
+    """The dimer, one engine for every build (one plan, one set of task
+    owners), and its reference Fock matrix."""
+    engine, h, d = dimer()
+    return engine, h, d, fock_matrix(engine, h, d, 1e-11)
+
+
+def asymmetric(d):
+    out = d.copy()
+    out[np.triu_indices_from(out, 1)] += 0.1
+    return out
 
 
 class TestGTFockNumeric:
@@ -102,6 +132,11 @@ class TestGTFockNumeric:
                 2,
             )
 
+    def test_asymmetric_density_rejected(self, methane_engine, methane_matrices):
+        _s, h, _x, d = methane_matrices
+        with pytest.raises(ValueError, match="symmetric"):
+            gtfock_build(MDEngine(methane_engine.basis), h, asymmetric(d), 4)
+
 
 class TestNWChemNumeric:
     @pytest.mark.parametrize("nproc", [1, 3, 8])
@@ -141,3 +176,44 @@ class TestNWChemNumeric:
         a = gtfock_build(MDEngine(methane_engine.basis), h, d, 4, 1e-11)
         b = nwchem_build(MDEngine(methane_engine.basis), h, d, 4, 1e-11)
         assert np.allclose(a.fock, b.fock, atol=1e-11)
+
+    def test_asymmetric_density_rejected(self, methane_engine, methane_matrices):
+        _s, h, _x, d = methane_matrices
+        with pytest.raises(ValueError, match="symmetric"):
+            nwchem_build(MDEngine(methane_engine.basis), h, asymmetric(d), 2)
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_nonpositive_chunk_rejected(self, methane_engine, methane_matrices,
+                                        chunk):
+        _s, h, _x, d = methane_matrices
+        with pytest.raises(ValueError, match="chunk"):
+            nwchem_build(MDEngine(methane_engine.basis), h, d, 2, chunk=chunk)
+
+
+class TestWaterDimer631G:
+    """Both builders on a basis with p shells and many kernel classes,
+    equal to the sequential build to summation order."""
+
+    @pytest.mark.parametrize("nproc", [1, 4, 9])
+    def test_gtfock_matches_build_jk(self, water_dimer, nproc):
+        engine, h, d, ref = water_dimer
+        res = gtfock_build(engine, h, d, nproc, 1e-11)
+        assert np.abs(res.fock - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("nproc", [1, 3])
+    def test_nwchem_matches_build_jk(self, water_dimer, nproc):
+        engine, h, d, ref = water_dimer
+        res = nwchem_build(engine, h, d, nproc, 1e-11)
+        assert np.abs(res.fock - ref).max() <= 1e-12
+
+    def test_orphans_adopted_with_on_demand_fetches(self):
+        """Two waters 8 A apart: a rank's footprint no longer covers its
+        neighbours' tasks, so adopting a dead rank's orphans must fetch D
+        on demand -- and F is still the fault-free one."""
+        engine, h, d = dimer(spacing=8.0)
+        clean = gtfock_build(engine, h, d, 4)
+        plan = FaultPlan(seed=0, deaths={0: 0.3 * clean.outcome.makespan})
+        res = gtfock_build(engine, h, d, 4, faults=plan, screen=clean.screen)
+        assert res.outcome.dead_ranks == [0] and res.outcome.recoveries
+        assert res.stats.flight.per_rank(CH_TASK_GET, "bytes").sum() > 0
+        assert np.abs(res.fock - clean.fock).max() <= 1e-12

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_engine import quartet_block, quartet_blocks
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane, water
 from repro.integrals.engine import MDEngine, OSEngine, SyntheticERIEngine
@@ -15,13 +16,13 @@ class TestRealEngines:
         rng = np.random.default_rng(5)
         for _ in range(10):
             m, n, p, q = (int(i) for i in rng.integers(0, water_basis.nshells, 4))
-            assert np.allclose(md.quartet(m, n, p, q), os_.quartet(m, n, p, q),
-                               atol=1e-12)
+            assert np.allclose(quartet_block(md, m, n, p, q),
+                               quartet_block(os_, m, n, p, q), atol=1e-12)
 
     def test_quartet_counter(self, water_basis):
         eng = MDEngine(water_basis)
-        eng.quartet(0, 0, 0, 0)
-        eng.quartet(0, 1, 0, 1)
+        quartet_block(eng, 0, 0, 0, 0)
+        quartet_block(eng, 0, 1, 0, 1)
         assert eng.quartets_computed == 2
 
     def test_schwarz_cached(self, water_engine):
@@ -42,17 +43,17 @@ class TestSyntheticEngine:
         return SyntheticERIEngine(BasisSet.build(alkane(2), "sto-3g"))
 
     def test_permutational_symmetries(self, engine):
-        blk = engine.quartet(0, 3, 5, 7)
-        assert np.allclose(blk, engine.quartet(3, 0, 5, 7).transpose(1, 0, 2, 3))
-        assert np.allclose(blk, engine.quartet(0, 3, 7, 5).transpose(0, 1, 3, 2))
-        assert np.allclose(blk, engine.quartet(5, 7, 0, 3).transpose(2, 3, 0, 1))
+        blk = quartet_block(engine, 0, 3, 5, 7)
+        assert np.allclose(blk, quartet_block(engine, 3, 0, 5, 7).transpose(1, 0, 2, 3))
+        assert np.allclose(blk, quartet_block(engine, 0, 3, 7, 5).transpose(0, 1, 3, 2))
+        assert np.allclose(blk, quartet_block(engine, 5, 7, 0, 3).transpose(2, 3, 0, 1))
 
     def test_decays_with_distance(self, engine):
         b = engine.basis
         centers = b.centers
         far = int(np.argmax(np.linalg.norm(centers - centers[0], axis=1)))
-        v_near = np.abs(engine.quartet(0, 1, 0, 1)).max()
-        v_far = np.abs(engine.quartet(0, far, 0, far)).max()
+        v_near = np.abs(quartet_block(engine, 0, 1, 0, 1)).max()
+        v_far = np.abs(quartet_block(engine, 0, far, 0, far)).max()
         assert v_far < v_near
 
     def test_schwarz_is_true_bound(self, engine):
@@ -61,7 +62,7 @@ class TestSyntheticEngine:
         rng = np.random.default_rng(2)
         for _ in range(30):
             m, n, p, q = (int(i) for i in rng.integers(0, ns, 4))
-            blk = engine.quartet(m, n, p, q)
+            blk = quartet_block(engine, m, n, p, q)
             assert np.max(np.abs(blk)) <= sigma[m, n] * sigma[p, q] * (1 + 1e-9)
 
     def test_closed_form_coulomb_matches_contraction(self, engine):
@@ -73,11 +74,13 @@ class TestSyntheticEngine:
         # dense reference via small explicit loop over shell quartets
         j_ref = np.zeros((n, n))
         b = engine.basis
+        ns = b.nshells
+        blocks = quartet_blocks(engine, np.ndindex(ns, ns, ns, ns))
         for m in range(b.nshells):
             for nn in range(b.nshells):
                 for p in range(b.nshells):
                     for q in range(b.nshells):
-                        blk = engine.quartet(m, nn, p, q)
+                        blk = blocks[m, nn, p, q]
                         sm, sn, sp, sq = (b.shell_slice(s) for s in (m, nn, p, q))
                         j_ref[sm, sn] += np.einsum(
                             "abcd,cd->ab", blk, d[sp, sq]
@@ -91,11 +94,13 @@ class TestSyntheticEngine:
         d = d @ d.T / n
         k_ref = np.zeros((n, n))
         b = engine.basis
+        ns = b.nshells
+        blocks = quartet_blocks(engine, np.ndindex(ns, ns, ns, ns))
         for m in range(b.nshells):
             for nn in range(b.nshells):
                 for p in range(b.nshells):
                     for q in range(b.nshells):
-                        blk = engine.quartet(m, nn, p, q)
+                        blk = blocks[m, nn, p, q]
                         sm, sn, sp, sq = (b.shell_slice(s) for s in (m, nn, p, q))
                         k_ref[sm, sp] += np.einsum(
                             "abcd,bd->ac", blk, d[sn, sq]
@@ -106,4 +111,4 @@ class TestSyntheticEngine:
         b = BasisSet.build(water(), "sto-3g")
         e1 = SyntheticERIEngine(b, seed=9)
         e2 = SyntheticERIEngine(b, seed=9)
-        assert np.allclose(e1.quartet(0, 1, 2, 3), e2.quartet(0, 1, 2, 3))
+        assert np.allclose(quartet_block(e1, 0, 1, 2, 3), quartet_block(e2, 0, 1, 2, 3))

@@ -356,10 +356,13 @@ class TestERIFaultSeam:
         j_ref, k_ref = build_jk(clean, d)
         sweeps = []
         kernel = class_batch.compute_class_rows
-        monkeypatch.setattr(
-            class_batch, "compute_class_rows",
-            lambda batch, rows: sweeps.append(len(rows)) or kernel(batch, rows),
-        )
+
+        def counted(batch, rows):
+            blocks = kernel(batch, rows)
+            sweeps.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(class_batch, "compute_class_rows", counted)
         plan = SCFFaultPlan(
             seed=7, quartet_nan_rate=0.01, quartet_inf_rate=0.01,
             max_corruptions=12,
@@ -433,10 +436,13 @@ class TestRowScopedReferenceRung:
         assert unarmed > 0
         swept, corrupted, rescued = [], [], []
         kernel = class_batch.compute_class_rows
-        monkeypatch.setattr(
-            class_batch, "compute_class_rows",
-            lambda batch, rows: swept.append(len(rows)) or kernel(batch, rows),
-        )
+
+        def counted(batch, rows):
+            blocks = kernel(batch, rows)
+            swept.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(class_batch, "compute_class_rows", counted)
         hit = BuildFaults.corrupt_rows
         monkeypatch.setattr(
             BuildFaults, "corrupt_rows",

@@ -4,22 +4,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_engine import ReferenceMDEngine
+from reference_engine import ReferenceMDEngine, quartet_block
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.builders import water
+from repro.integrals.class_batch import build_class_plan, compute_class_rows
 from repro.integrals.engine import MDEngine, OSEngine
 from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.eri_os import eri_shell_quartet_os
-from repro.integrals.pairdata import (
-    ShellPairData,
-    build_pair_data,
-    eri_shell_quartet_batched,
-)
+from repro.integrals.pairdata import ShellPairData
 
 
-def rand_shell(rng, l, pure=False):
-    n = int(rng.integers(1, 4))
+def rand_shell(rng, l, pure=False, nprim=None):
+    n = nprim or int(rng.integers(1, 4))
     return Shell(
         l=l,
         exps=rng.uniform(0.2, 3.0, n),
@@ -30,8 +27,15 @@ def rand_shell(rng, l, pure=False):
     )
 
 
+def kernel_block(shells) -> np.ndarray:
+    """``(ab|cd)`` of four shells through the class kernel: a one-row
+    plan over a throwaway four-shell basis."""
+    basis = BasisSet(molecule=water(), shells=list(shells), name="quartet")
+    return quartet_block(MDEngine(basis), 0, 1, 2, 3)
+
+
 class TestBatchedKernel:
-    """The batched path must agree with the seed per-primitive path and
+    """The class kernel must agree with the seed per-primitive path and
     with the independent Obara-Saika formulation."""
 
     @given(st.integers(0, 1000))
@@ -40,7 +44,7 @@ class TestBatchedKernel:
         rng = np.random.default_rng(seed)
         ls = rng.integers(0, 3, 4)  # random s/p/d quartets
         shs = [rand_shell(rng, int(l)) for l in ls]
-        batched = eri_shell_quartet_batched(*shs)
+        batched = kernel_block(shs)
         reference = eri_shell_quartet(*shs)
         os_ = eri_shell_quartet_os(*shs)
         assert np.allclose(batched, reference, atol=1e-10, rtol=1e-10)
@@ -54,18 +58,23 @@ class TestBatchedKernel:
             rand_shell(rng, 2, pure=True),
             rand_shell(rng, 0),
         ]
-        batched = eri_shell_quartet_batched(*shs)
+        batched = kernel_block(shs)
         assert batched.shape == (5, 3, 5, 1)
         assert np.allclose(batched, eri_shell_quartet(*shs), atol=1e-12)
 
     def test_precomputed_pair_data_gives_same_block(self):
+        """A row swept with the rest of its class, over pair data the
+        whole class stacked, is bitwise the row swept alone."""
         rng = np.random.default_rng(9)
-        shs = [rand_shell(rng, l) for l in (1, 0, 2, 1)]
-        bra = build_pair_data(shs[0], shs[1])
-        ket = build_pair_data(shs[2], shs[3])
-        with_pairs = eri_shell_quartet_batched(*shs, bra=bra, ket=ket)
-        without = eri_shell_quartet_batched(*shs)
-        assert np.array_equal(with_pairs, without)
+        shs = [rand_shell(rng, l, nprim=2) for l in (1, 0, 1, 0, 1, 0)]
+        basis = BasisSet(molecule=water(), shells=shs, name="pairs")
+        quartets = [(m, n, p, q) for m in (0, 2, 4) for n in (1, 3, 5)
+                    for p in (0, 2, 4) for q in (1, 3, 5)]
+        (batch,) = build_class_plan(basis, ShellPairData(basis), quartets).batches
+        swept = compute_class_rows(batch, np.arange(batch.nq))
+        alone = MDEngine(basis)
+        for row, quartet in zip(swept, batch.quartets.tolist()):
+            assert np.array_equal(row, quartet_block(alone, *quartet))
 
 
 class TestShellPairData:
@@ -85,7 +94,7 @@ class TestShellPairData:
         ns = water_basis.nshells
         for m in range(ns):
             for n in range(m + 1):
-                eng.quartet(m, n, m, n)
+                quartet_block(eng, m, n, m, n)
         # ns*(ns+1)/2 distinct ordered pairs, each expanded exactly once
         assert eng.pair_cache.pairs_built == ns * (ns + 1) // 2
 
@@ -97,18 +106,20 @@ class TestShellPairData:
         for _ in range(8):
             m, n, p, q = (int(i) for i in rng.integers(0, water_basis.nshells, 4))
             assert np.allclose(
-                batched.quartet(m, n, p, q), seed.quartet(m, n, p, q), atol=1e-12
+                quartet_block(batched, m, n, p, q),
+                quartet_block(seed, m, n, p, q), atol=1e-12,
             )
 
 
 class TestEnginesThroughCacheLayer:
-    """``quartet()`` always computes, so call-count benchmarks stay exact."""
+    """A storeless plan row always computes, so call-count benchmarks
+    stay exact."""
 
     def test_counters_without_cache_match_seed_semantics(self, water_basis):
         eng = OSEngine(water_basis)
-        eng.quartet(0, 0, 0, 0)
-        eng.quartet(0, 1, 0, 1)
-        eng.quartet(0, 1, 0, 1)
+        quartet_block(eng, 0, 0, 0, 0)
+        quartet_block(eng, 0, 1, 0, 1)
+        quartet_block(eng, 0, 1, 0, 1)
         assert eng.quartets_computed == 3
         assert eng.quartets_served_from_store == 0
 

@@ -10,8 +10,8 @@ from repro.chem.builders import alkane, water
 from repro.fock.cost import parity_allowed, quartet_cost_matrix
 from repro.fock.partition import StaticPartition, TaskBlock
 from repro.fock.screening_map import ScreeningMap
+from reference_tasks import enumerate_task_quartets
 from repro.fock.symmetry import symmetry_check
-from repro.fock.tasks import enumerate_task_quartets
 from repro.integrals.schwarz import schwarz_model
 
 

@@ -20,13 +20,18 @@ from repro.fock.prefetch import (
     task_footprint_elements,
 )
 from repro.fock.screening_map import ScreeningMap
-from repro.fock.symmetry import canonical_instance
-from repro.fock.tasks import (
+from reference_tasks import (
     atom_quartet_shell_quartets,
-    atom_sigma,
+    canonical_instance,
     enumerate_task_quartets,
-    nwchem_task_list,
 )
+from repro.fock.tasks import (
+    atom_sigma,
+    gtfock_task_rows,
+    nwchem_task_list,
+    nwchem_task_rows,
+)
+from repro.integrals.class_batch import build_class_plan, canonical_quartet_array
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 
 
@@ -196,6 +201,38 @@ class TestTaskDecompositions:
         blk = methane_screen.sigma[np.ix_(soa[0], soa[1])]
         assert a_sig[0, 1] == pytest.approx(float(blk.max()))
         assert np.allclose(a_sig, a_sig.T)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(-9, -2), st.sampled_from([1, 2, 5]))
+    @settings(max_examples=15, deadline=None)
+    def test_plan_row_owners_match_generators(self, seed, tau_exp, chunk):
+        """On random screens every canonical plan row has exactly one
+        GTFock and one NWChem owner, and each task's rows are its
+        generator's quartets, in its loop order."""
+        basis = BasisSet.build(alkane(2), "sto-3g")
+        raw = 10.0 ** np.random.default_rng(seed).uniform(-8, 0, (basis.nshells,) * 2)
+        screen = ScreeningMap(basis, np.sqrt(raw * raw.T), 10.0**tau_exp)
+        plan = build_class_plan(
+            basis, None, canonical_quartet_array(screen.sigma, screen.tau)
+        )
+        ns = basis.nshells
+        gt = gtfock_task_rows(plan, ns)
+        tasks = nwchem_task_list(screen, chunk)
+        nw = nwchem_task_rows(plan, screen, tasks, chunk)
+        for owners in (gt, nw):
+            assert np.array_equal(np.sort(owners.rows), np.arange(plan.nquartets))
+        for m in range(ns):
+            for n in range(ns):
+                assert gt.images[gt.of(m * ns + n)].tolist() == [
+                    list(q) for q in enumerate_task_quartets(screen, m, n)
+                ]
+        soa = basis.atom_shell_lists()
+        for t, task in enumerate(tasks):
+            assert nw.images[nw.of(t)].tolist() == [
+                list(q) for l_at in task.l_range()
+                for q in atom_quartet_shell_quartets(
+                    screen, soa, task.i_at, task.j_at, task.k_at, l_at
+                )
+            ]
 
     def test_gtfock_screening_tightens(self, methane_screen):
         """Stricter tau yields a subset of quartets per task."""

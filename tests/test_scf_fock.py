@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from reference_dense_fock import dense_fock_reference
-from reference_fock import canonical_shell_quartets
-from repro.scf.fock import (
-    build_jk,
-    fock_matrix,
-    hf_electronic_energy,
-    orbit_images,
-)
+from reference_fock import canonical_shell_quartets, orbit_images
+from repro.scf.fock import build_jk, fock_matrix, hf_electronic_energy
 
 
 class TestOrbitImages:

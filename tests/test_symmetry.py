@@ -1,16 +1,13 @@
 """Tests for the parity SymmetryCheck and unique-quartet predicate."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fock.symmetry import (
-    canonical_instance,
-    is_canonical_instance,
-    orbit_tuples,
-    symmetry_check,
-    task_computes,
-)
+import reference_tasks as scalar
+from reference_tasks import canonical_instance, is_canonical_instance, orbit_tuples
+from repro.fock.symmetry import symmetry_check, task_computes
 
 
 class TestSymmetryCheck:
@@ -105,3 +102,16 @@ class TestTaskComputesCoverage:
         ]
         assert all(p <= q for p, q in passing)
         assert passing  # and there are some
+
+
+class TestArrayPredicates:
+    def test_match_scalar_oracles(self):
+        """Elementwise over index arrays == the scalar predicates."""
+        m, n, p, q = np.indices((7, 7, 7, 7)).reshape(4, -1)
+        assert symmetry_check(m, n).tolist() == [
+            scalar.symmetry_check(a, b) for a, b in zip(m.tolist(), n.tolist())
+        ]
+        assert task_computes(m, n, p, q).tolist() == [
+            scalar.task_computes(*t)
+            for t in zip(m.tolist(), n.tolist(), p.tolist(), q.tolist())
+        ]
