@@ -22,6 +22,14 @@ impractical at that size); numerics are spot-checked on a sampled
 quartet subset, each row against itself swept alone on a fresh engine
 (a one-row plan, ``tests/reference_engine.quartet_block``).
 
+Both measurements also count ``prim_quartets_swept``: the primitive
+quartets one build on a warm engine runs through Boys and the Hermite
+recursion (every ``r_tensor_batch`` argument, counted, not estimated).
+The family sweep runs them once per exponent-family quartet, so on a
+basis with sp shells the count is below the plan's per-row total
+(``sum(nq * nprim)``), which ``--quick`` asserts on water/STO-3G: a
+silent fall-back to per-class sweeps fails CI.
+
 Both measurements also time the layers under the class-batched build
 (``kernel_floor``): ``boys_ns_per_eval`` (per argument of one
 ``boys_array(4, .)`` sweep -- F_0..F_4 -- over 200 k arguments, 60 % of
@@ -53,8 +61,8 @@ import numpy as np
 from repro.bench.harness import format_table
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import benzene, water
+from repro.integrals import pairdata
 from repro.integrals.boys import boys_array
-from repro.integrals.class_batch import compute_class_rows
 from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.obs import PhaseProfiler, session
@@ -63,7 +71,11 @@ from repro.scf.fock import build_jk
 
 # the seed engine lives beside the other differential oracles
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from reference_engine import ReferenceMDEngine, quartet_block  # noqa: E402
+from reference_engine import (  # noqa: E402
+    ReferenceMDEngine,
+    class_rows,
+    quartet_block,
+)
 
 #: minimum acceptable class-batched-over-seed speedup in the full benchmark
 #: (the PR-7 issue targets >= 10x on water/6-31G)
@@ -121,6 +133,23 @@ def _stored_iter2(basis, density, store_dir):
     }, j, k
 
 
+def prim_quartets_swept(engine, density) -> int:
+    """Primitive quartets the Boys / Hermite pass sweeps in one build of
+    ``engine``'s (warm) plan: every ``r_tensor_batch`` argument."""
+    real, swept = pairdata.r_tensor_batch, [0]
+
+    def counted(lmax, ps, *args):
+        swept[0] += np.size(ps)
+        return real(lmax, ps, *args)
+
+    pairdata.r_tensor_batch = counted
+    try:
+        build_jk(engine, density)
+    finally:
+        pairdata.r_tensor_batch = real
+    return swept[0]
+
+
 def _best(fn, repeats: int = 3) -> float:
     times = []
     for _ in range(repeats):
@@ -172,6 +201,14 @@ def measure(quick: bool = False) -> tuple[dict, str]:
     class_diff = float(
         max(np.max(np.abs(j0 - jc)), np.max(np.abs(k0 - kc)))
     )
+    quartets = class_engine.quartets_computed  # before the counted build
+    swept = prim_quartets_swept(class_engine, d)
+    if quick:
+        per_row = sum(b.nq * b.nprim for b in class_engine.class_plan(1e-11).batches)
+        assert swept < per_row, (
+            f"{swept} primitive quartets swept, the plan's rows hold "
+            f"{per_row}: the kernel fell back to per-class sweeps"
+        )
 
     with tempfile.TemporaryDirectory(prefix="eri_store_") as store_dir:
         stored, js, ks = _stored_iter2(basis, d, store_dir)
@@ -185,9 +222,10 @@ def measure(quick: bool = False) -> tuple[dict, str]:
         "basis": basis_name,
         "nshells": basis.nshells,
         "nbf": basis.nbf,
-        "quartets": class_engine.quartets_computed,
+        "quartets": quartets,
         "t_seed_s": round(t_seed, 4),
         "t_class_s": round(t_class, 4),
+        "prim_quartets_swept": swept,
         "class_speedup": round(t_seed / t_class, 2),
         "class_max_abs_diff": class_diff,
         **stored,
@@ -215,9 +253,10 @@ def measure_large(quick: bool = False) -> tuple[dict, str]:
     engine = MDEngine(basis)
     t_class, _, _ = _timed_build(engine, d)
     quartets = engine.quartets_computed
+    swept = prim_quartets_swept(engine, d)
 
     # spot-check: sampled rows computed through the class-batched kernel
-    # itself (compute_class_rows) vs each row alone (a one-row plan)
+    # itself (a family sweep over them) vs each row alone (a one-row plan)
     ref = MDEngine(basis)
     plan = engine.class_plan(1e-11)
     batch_of = np.concatenate([
@@ -232,7 +271,7 @@ def measure_large(quick: bool = False) -> tuple[dict, str]:
     for bi in np.unique(batch_of[pick]):
         batch = plan.batches[bi]
         rows = row_of[pick[batch_of[pick] == bi]]
-        blocks = compute_class_rows(batch, rows)
+        blocks = class_rows(batch, rows)
         for blk, (m, n, p, q) in zip(blocks, batch.quartets[rows]):
             r = quartet_block(ref, int(m), int(n), int(p), int(q))
             sample_diff = max(sample_diff, float(np.max(np.abs(blk - r))))
@@ -248,6 +287,7 @@ def measure_large(quick: bool = False) -> tuple[dict, str]:
         "nbf": basis.nbf,
         "quartets": quartets,
         "t_class_s": round(t_class, 4),
+        "prim_quartets_swept": swept,
         **stored,
         "sample_max_abs_diff": sample_diff,
         **kernel_floor(basis, d),
@@ -273,6 +313,7 @@ def render_report(result: dict) -> str:
         title=(
             f"ERI kernels: water/{result['basis']} J+K build "
             f"({result['quartets']} quartets, "
+            f"{result['prim_quartets_swept']} primitive quartets swept, "
             f"class max |diff| {result['class_max_abs_diff']:.2e}, "
             f"stored iter-2 recomputed {result['store_iter2_recomputed']})"
         ),
@@ -294,6 +335,7 @@ def render_large_report(result: dict) -> str:
         title=(
             f"ERI kernels (large): benzene/{result['basis']} J+K build "
             f"({result['quartets']} quartets, "
+            f"{result['prim_quartets_swept']} primitive quartets swept, "
             f"sampled max |diff| {result['sample_max_abs_diff']:.2e}, "
             f"stored iter-2 recomputed {result['store_iter2_recomputed']})"
         ),

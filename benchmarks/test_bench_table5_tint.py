@@ -9,13 +9,15 @@ Two measurements:
   class-batched sweep every direct build, store fill and Schwarz pass
   runs -- in microseconds per shell quartet and per ERI on the two
   perfbench SCF systems, beside the paper's 4.76 us/ERI (ERD on
-  Lonestar), before and after the tabulated-Boys / compact-Hermite sweep.
+  Lonestar), before and after the family sweep (one Boys / Hermite
+  pass per exponent-family quartet, shared by the sp shells).
 
 "Before" is the parent commit measured on the same host by the same
 function (``kernel_t_int`` drives only ``MDEngine.class_plan`` and
-``compute_class_rows``, so ``PYTHONPATH=<parent>/src python
-test_bench_table5_tint.py`` prints that commit's numbers); the recorded
-values below are best-of-4 process times, single thread.  Not like for
+``compute_class_rows``: run that commit's copy of this script with
+``PYTHONPATH=<parent>/src`` -- ``compute_class_rows`` took one class's
+rows there and takes a family chunk here); the recorded values below
+are best-of-4 process times, single thread.  Not like for
 like: the paper's 4.76 us is compiled ERD on cc-pVDZ (d shells, deeper
 contractions); ours is NumPy on s/p-only STO-3G and 6-31G, where most
 ERIs sit in cheap low-L classes -- the per-shell-quartet column is the
@@ -45,10 +47,11 @@ SYSTEMS = (
     ("(H2O)4/6-31G", (4, 1, 1), "6-31g"),
 )
 
-#: parent commit 6fa477d on the reference host: (us / shell quartet, us / ERI)
+#: parent commit 482bd1e (per-class sweeps) on the reference host:
+#: (us / shell quartet, us / ERI)
 BEFORE = {
-    "(H2O)5/STO-3G": (14.4, 3.52),
-    "(H2O)4/6-31G": (4.30, 0.93),
+    "(H2O)5/STO-3G": (5.21, 1.27),
+    "(H2O)4/6-31G": (1.42, 0.31),
 }
 
 
@@ -61,10 +64,11 @@ def kernel_t_int(cluster: tuple, basis_name: str, repeats: int = 4) -> dict:
     for _ in range(repeats):
         t0 = time.process_time()
         n_eri = sum(
-            compute_class_rows(batch, rows).size for batch, rows in chunks
+            blocks.size for chunk in chunks
+            for blocks in compute_class_rows(chunk)
         )
         times.append(time.process_time() - t0)
-    quartets = sum(rows.stop - rows.start for _, rows in chunks)
+    quartets = sum(rows.size for chunk in chunks for _, rows in chunk)
     best = min(times)
     return {
         "quartets": quartets,
@@ -79,7 +83,7 @@ def render_kernel_table(results: dict) -> str:
     rows = [["paper: ERD on Lonestar (C24H12)", "", PAPER_T_INT_US, ""]]
     for label, res in results.items():
         before_q, before_eri = BEFORE[label]
-        rows.append([f"{label} before (6fa477d)", before_q, before_eri,
+        rows.append([f"{label} before (482bd1e)", before_q, before_eri,
                      round(before_eri / PAPER_T_INT_US, 2)])
         rows.append([f"{label} after", res["us_per_quartet"], res["us_per_eri"],
                      round(res["us_per_eri"] / PAPER_T_INT_US, 2)])

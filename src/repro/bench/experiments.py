@@ -188,7 +188,8 @@ def table5_t_int(max_shell_pairs: int = 60) -> ExperimentReport:
             plan = build_class_plan(basis, engine.pair_cache, quartets)
             t0 = time.perf_counter()
             n_eri = sum(
-                compute_rows(engine, b, slice(None)).size for b in plan.batches
+                blocks.size for chunk in plan.chunks()
+                for blocks in compute_rows(engine, chunk)
             )
             dt = time.perf_counter() - t0
             per_engine[label] = dt / n_eri * 1e6  # us per ERI

@@ -132,12 +132,13 @@ _KERNEL_FLOOR = (
 # kernel, and stored-integral (conventional SCF) mode: the first served
 # build (stored_iter2_s: read + supermatrix assembly), every later one
 # (stored_steady_s: four sparse mat-vecs, of which jk_contract_s is the
-# profiler's jk_contraction wall) and the RAM the matrices hold
+# profiler's jk_contraction wall), the RAM the matrices hold and the
+# primitive quartets one build sweeps (exact, so recorded, not graded)
 _family(
     "eri_kernels", "BENCH_eri.json",
     {"molecule": str, "basis": str, "t_seed_s": float,
      "store_iter2_recomputed": float, "t_class_threads2_s": float,
-     "supermatrix_mb": float},
+     "supermatrix_mb": float, "prim_quartets_swept": float},
     _rel("class_speedup", "x", "higher", warn=1.3, fail=2.0, quick=True),
     _bound("class_max_abs_diff", 1e-13, 1e-12, "Eh"),
     _rel("stored_iter2_s"), _rel("stored_steady_s"), _rel("t_class_s"),
@@ -151,7 +152,7 @@ _family(
     "eri_kernels_large", "BENCH_eri.json",
     {"molecule": str, "basis": str, "quartets": float,
      "stored_iter2_s": float, "t_class_threads2_s": float,
-     "supermatrix_mb": float},
+     "supermatrix_mb": float, "prim_quartets_swept": float},
     _rel("t_class_s"), _rel("jk_contract_s"), _rel("stored_steady_s"),
     _bound("sample_max_abs_diff", 1e-11, 1e-10, "Eh", quick=False),
     *_KERNEL_FLOOR,

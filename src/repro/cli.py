@@ -56,6 +56,7 @@ molecule sizes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -627,6 +628,16 @@ def _run_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _threshold(text: str) -> float:
+    """``--tau``: a finite screening threshold > 0."""
+    tau = float(text)
+    if not (math.isfinite(tau) and tau > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite threshold > 0, got {text!r}"
+        )
+    return tau
+
+
 def _obs_flags() -> argparse.ArgumentParser:
     """Shared observability flags for every subcommand."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -782,7 +793,7 @@ def main(argv: list[str] | None = None) -> int:
         help="total simulated cores (ranks = cores // cores_per_node)",
     )
     p_an.add_argument(
-        "--tau", type=float, default=1e-10, help="screening threshold"
+        "--tau", type=_threshold, default=1e-10, help="screening threshold"
     )
     p_an.add_argument(
         "--network-scale", type=float, default=2.0, metavar="F",

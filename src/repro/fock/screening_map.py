@@ -51,7 +51,7 @@ class ScreeningMap:
                 f"sigma is {self.sigma.shape[0]}x..., basis has "
                 f"{self.basis.nshells} shells"
             )
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN included
             raise ValueError(f"tau must be positive, got {self.tau}")
 
     @property

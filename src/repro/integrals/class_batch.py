@@ -6,42 +6,42 @@ restructure (arxiv 1708.00033) targets.  This module restructures the
 loop the same way:
 
 * **Class plan** (:func:`build_class_plan`): Schwarz-surviving canonical
-  quartets are grouped by angular-momentum class -- the tuple
-  ``(la, lb, lc, ld, pure flags, npp_bra, npp_ket)`` that fixes every
-  array shape of the MD kernel.  On its first kernel sweep a class
-  stacks the unique bra/ket :class:`~repro.integrals.pairdata.PairData`
-  records into contiguous tensors, with per-quartet slots into them.
-* **Class-batched kernel** (one sweep per chunk): a single
-  :func:`~repro.integrals.pairdata.md_sweep` -- one tabulated
-  ``boys_array`` and one compact
-  :func:`~repro.integrals.hermite.r_tensor_batch` recursion over *all*
-  primitive quartets of up to thousands of shell quartets, then two
-  batched matmuls with a leading quartet axis -- replacing thousands of
-  per-quartet kernel calls with a handful of large contractions.
-* **Six-block contraction** (:func:`_contract_blocks`): every resolved
-  chunk is staged with the other chunks of its *block shape* (``dims``
-  -- all the contraction's array shapes depend on; the kernel's class
-  key also carries primitive counts it does not care about) and each
-  stage is flushed with six batched ``np.matmul`` + ``np.bincount``
-  pairs -- the paper's six Fock blocks per unique quartet, weighted by
-  ``1/|stabiliser|`` instead of replaying up to eight permutation images.
+  quartets are grouped by class -- the tuple ``(la, lb, lc, ld, pure
+  flags, npp_bra, npp_ket, lmax_f)`` that fixes every array shape of the
+  MD kernel, ``lmax_f`` being the summed max L of the row's four
+  *exponent families* (:func:`~repro.integrals.pairdata.shell_families`).
+  Classes sharing ``lmax_f`` and the primitive-pair counts form a
+  :class:`FamilyGroup`; a class's rows are sorted by family quartet.
+* **Family-batched kernel** (one sweep per chunk): a chunk is a run of a
+  group's family quartets and every member class's rows there.  One
+  :func:`~repro.integrals.pairdata.md_sweep` runs ``boys_array`` and the
+  compact ``r_tensor_batch`` recursion *once per family quartet* -- the
+  sp shells of STO-3G and 6-31G share their primitive work -- then per
+  member one Hermite-row gather and two batched matmuls.  Group and
+  class operands are stacked on their first sweep.
+* **Six-block contraction** (:func:`_contract_blocks`): resolved blocks
+  are staged by *block shape* (``dims``) and each stage is flushed with
+  six batched ``np.matmul`` + ``np.bincount`` pairs -- the paper's six
+  Fock blocks per unique quartet, weighted by ``1/|stabiliser|`` instead
+  of replaying up to eight permutation images.
 * **Threaded contraction** (:func:`jk_from_plan` ``threads=``): whole
-  flushes are dealt cost-sorted across a thread pool, each worker
-  accumulating into private J/K buffers that are reduced at the end.
+  chunks are dealt cost-sorted across a thread pool, each worker
+  staging into private J/K buffers that are reduced at the end.
 * **Supermatrix** (:class:`Supermatrix`): conventional SCF done
   literally (Mitin, arxiv 1905.07779).  The first build a *ready*
-  :class:`~repro.integrals.store.ERIStore` serves resolves the plan's
-  chunks once and assembles them into two sparse matrices over flat
-  ``(ij)`` pairs; every later build on that engine is four sparse
-  mat-vecs against the flattened densities.
+  :class:`~repro.integrals.store.ERIStore` serves reads the plan once,
+  in one-shape chunks, into two sparse matrices over flat ``(ij)`` pairs;
+  every later build on that engine is four sparse mat-vecs.
 
 Every engine builds J/K here.  A chunk's blocks come from one of two
 sources (:func:`_resolve_chunk`): *stored* (a ready store) or *compute*
 -- the class kernel when the plan has pair data, else a stack of
-per-row ``engine._quartet`` blocks (Obara-Saika and synthetic).  A
-chunk is a slice of its class (:func:`jk_from_plan`, every row of the
-plan) or an index array of selected rows (:func:`jk_from_rows`, the
-rows of a GTFock rank or an NWChem task).
+per-row ``engine._quartet`` blocks (Obara-Saika and synthetic).  Either
+way everything row-addressed (store reads and records, seeded faults,
+the NaN sentinel) sees one ``(batch, rows, blocks)`` per member, ``rows``
+an index array into the class: every row of the plan
+(:func:`jk_from_plan`) or selected ones (:func:`jk_from_rows`, the rows
+of a GTFock rank or an NWChem task).
 
 Numerics agree with the per-quartet scatter oracle
 (``tests/reference_fock.py``) to summation order (tests pin <= 1e-10
@@ -57,17 +57,17 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.integrals.pairdata import (
+    FamilyOperands,
     ShellPairData,
-    StackedPairs,
     SweepOperands,
     md_sweep,
-    stack_pairs,
+    shell_families,
 )
 from repro.util.validation import check_symmetric
 
@@ -148,20 +148,50 @@ def orbit_weights(quartets: np.ndarray) -> np.ndarray:
     return 1.0 / fixed
 
 
-class KernelOperands(NamedTuple):
-    """What the class kernel sweeps for one batch: the stacked unique
-    bra/ket pair data, per-quartet slots into the stacks, and the
-    sweep's precomputed constants."""
-
-    ops: SweepOperands
-    bra: StackedPairs
-    ket: StackedPairs
-    bra_slots: np.ndarray
-    ket_slots: np.ndarray
+#: one lock for every lazy operand stack (each is built once per plan)
+_OPERANDS_LOCK = threading.Lock()
 
 
-@dataclass
-class ClassBatch:
+class _LazyOperands:
+    """Kernel operands stacked on the first sweep that needs them -- a
+    plan served entirely from a store never builds them -- and built
+    once however many ``jk_threads`` workers ask."""
+
+    _operands = None
+
+    def operands(self):
+        if self._operands is None:
+            with _OPERANDS_LOCK:
+                if self._operands is None:
+                    self._operands = self._stack_operands()
+        return self._operands
+
+
+@dataclass(eq=False)
+class FamilyGroup(_LazyOperands):
+    """The family quartets one family stage sweeps together: those of
+    the classes sharing a family max L and primitive-pair counts."""
+
+    #: summed max L of each family quartet's four families
+    lmax: int
+    #: primitive quartets per family quartet
+    nprim: int
+    #: (nfq, 4) int32: per family quartet the shells of one of its rows
+    quartets: np.ndarray
+    pair_cache: ShellPairData | None = field(repr=False, default=None)
+
+    def chunk_size(self) -> int:
+        """Family quartets per sweep under the :data:`MAX_R_WORK` budget."""
+        # the compact recursion holds C(L+4, 4) vectors per primitive quartet
+        per_fq = self.nprim * math.comb(self.lmax + 4, 4)
+        return int(max(1, min(MAX_CHUNK_QUARTETS, MAX_R_WORK // per_fq)))
+
+    def _stack_operands(self) -> FamilyOperands:
+        return FamilyOperands.build(self.pair_cache, self.quartets)
+
+
+@dataclass(eq=False)
+class ClassBatch(_LazyOperands):
     """All surviving quartets of one angular-momentum class."""
 
     lkey: tuple[int, int, int, int]
@@ -177,17 +207,15 @@ class ClassBatch:
     #: (6, nq) flat J/K index ``start_i * nbf + start_j`` of the first
     #: element of each :data:`_PAIR_AXES` block, per quartet
     pair_bases: np.ndarray
+    #: the family group the rows sweep in, and per row its family
+    #: quartet there (ascending: the rows are sorted by it)
+    group: FamilyGroup = field(repr=False)
+    fids: np.ndarray = field(repr=False)
     #: the plan's pair data, which the class kernel sweeps; ``None`` on a
     #: plan built without it, whose rows come from ``engine._quartet``
     pair_cache: ShellPairData | None = field(repr=False, default=None)
     #: plan row of this batch's first quartet (seeded faults address rows)
     row0: int = 0
-    _operands: KernelOperands | None = field(
-        repr=False, default=None, compare=False
-    )
-    _operands_lock: threading.Lock = field(
-        repr=False, default_factory=threading.Lock, compare=False
-    )
 
     @property
     def nq(self) -> int:
@@ -203,42 +231,12 @@ class ClassBatch:
         """Estimated primitive-quartet work (thread balancing)."""
         return float(self.nq) * self.nprim * (self.lmax + 1) ** 4
 
-    def chunk_rows(self) -> int:
-        """Quartets per sweep under the :data:`MAX_R_WORK` budget."""
-        # the compact recursion holds C(L+4, 4) vectors per primitive quartet
-        per_q = self.nprim * math.comb(self.lmax + 4, 4)
-        return int(max(1, min(MAX_CHUNK_QUARTETS, MAX_R_WORK // max(per_q, 1))))
-
-    def operands(self) -> KernelOperands:
-        """The class kernel's operands, stacked on the first sweep (a
-        plan served entirely from a store never builds them) and built
-        once however many ``jk_threads`` workers ask."""
-        if self._operands is None:
-            with self._operands_lock:
-                if self._operands is None:
-                    self._operands = self._stack_operands()
-        return self._operands
-
-    def _stack_operands(self) -> KernelOperands:
-        pairs, ns = self.pair_cache, self.pair_cache.basis.nshells
-        bra_slots, bra_pairs = _slot_pairs(self.quartets[:, :2], ns)
-        ket_slots, ket_pairs = _slot_pairs(self.quartets[:, 2:], ns)
-        bra = stack_pairs([pairs.get(i, j) for i, j in bra_pairs])
-        ket = stack_pairs([pairs.get(i, j) for i, j in ket_pairs])
-        return KernelOperands(
-            SweepOperands.build(bra, ket, self.pure),
-            bra, ket, bra_slots, ket_slots,
-        )
+    def _stack_operands(self) -> SweepOperands:
+        return SweepOperands.build(self.pair_cache, self.quartets, self.group.lmax)
 
 
-#: one kernel work item: a class and the rows of it to resolve -- a
-#: ``slice`` of a whole-plan build or an index array of selected rows
-Chunk = tuple[ClassBatch, "slice | np.ndarray"]
-
-
-def _nrows(rows) -> int:
-    """Rows a chunk selects."""
-    return rows.stop - rows.start if isinstance(rows, slice) else rows.size
+#: one class's share of a kernel work item: the class, an index array of rows
+Chunk = tuple[ClassBatch, np.ndarray]
 
 
 @dataclass
@@ -247,76 +245,95 @@ class ClassPlan:
 
     batches: list[ClassBatch]
     nquartets: int
+    #: each family group and its member batches, costliest first (a batch
+    #: points at its group, never back: no cycle keeps a dropped plan alive)
+    groups: dict[FamilyGroup, list[ClassBatch]]
     #: per-plan memo of structures other modules derive from the rows
     #: alone (the task owning each row, :mod:`repro.fock.tasks`)
     derived: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def chunks(self, rows: np.ndarray | None = None) -> list[Chunk]:
-        """All work items, largest classes first: slices over every row,
-        or index arrays over the selected ``rows`` (sorted plan rows)."""
+    def chunks(self, rows: np.ndarray | None = None) -> list[list[Chunk]]:
+        """The kernel work items, one family sweep each: at most
+        ``chunk_size()`` family quartets of a group with, per member
+        class, its rows there -- all of them, or those among ``rows``
+        (strictly increasing plan rows, else ``ValueError``)."""
+        selected = rows is not None
+        rows = self._checked(rows) if selected else np.arange(self.nquartets)
+        cuts = np.searchsorted(rows, [b.row0 for b in self.batches] + [self.nquartets])
+        picked = {
+            id(b): rows[lo:hi] - b.row0
+            for b, lo, hi in zip(self.batches, cuts[:-1], cuts[1:]) if hi > lo
+        }
         out = []
-        if rows is None:
-            for batch in self.batches:
-                step = batch.chunk_rows()
-                out += [(batch, slice(lo, min(lo + step, batch.nq)))
-                        for lo in range(0, batch.nq, step)]
-            return out
-        cuts = np.searchsorted(
-            rows, [b.row0 for b in self.batches] + [self.nquartets]
-        )
-        for i in np.flatnonzero(np.diff(cuts)):  # the classes selected
-            batch = self.batches[i]
-            step, mine = batch.chunk_rows(), rows[cuts[i]:cuts[i + 1]] - batch.row0
-            out += [(batch, mine[lo:lo + step]) for lo in range(0, mine.size, step)]
+        for group, batches in self.groups.items():
+            members = [(b, picked[id(b)]) for b in batches if id(b) in picked]
+            if not members:
+                continue
+            fids = [b.fids[sel] for b, sel in members]
+            need = (np.unique(np.concatenate(fids)) if selected
+                    else np.arange(len(group.quartets)))
+            edges = np.append(need[:: group.chunk_size()], need[-1] + 1)
+            cuts = [np.searchsorted(f, edges) for f in fids]
+            out += [
+                [(b, sel[c[i]:c[i + 1]])
+                 for (b, sel), c in zip(members, cuts) if c[i + 1] > c[i]]
+                for i in range(len(edges) - 1)
+            ]
         return out
 
-    def flushes(self, rows: np.ndarray | None = None) -> list[list[Chunk]]:
-        """The kernel chunks (of ``rows``, or of every row) grouped into
-        contraction flushes.
-
-        A flush is a run of same-shape chunks (any kernel class) holding
-        at most :data:`MAX_STAGE_WORK` block elements -- or one chunk,
-        if that alone is larger.
-        """
-        by_shape: dict[tuple, list] = {}
-        for chunk in self.chunks(rows):
-            by_shape.setdefault(chunk[0].dims, []).append(chunk)
-        out = []
-        for chunks in by_shape.values():
-            held = MAX_STAGE_WORK  # full: the first chunk opens a flush
-            for batch, sel in chunks:
-                size = _nrows(sel) * batch.block_size
-                if held + size > MAX_STAGE_WORK:
-                    out.append([])
-                    held = 0
-                out[-1].append((batch, sel))
-                held += size
-        return out
+    def _checked(self, rows) -> np.ndarray:
+        """``rows`` as an array, if strictly increasing plan rows."""
+        rows, n = np.asarray(rows), self.nquartets
+        if rows.size and not (
+            rows.ndim == 1 and np.issubdtype(rows.dtype, np.integer)
+            and 0 <= rows[0] and rows[-1] < n and (np.diff(rows) > 0).all()
+        ):
+            raise ValueError(f"rows must be strictly increasing plan rows in [0, {n})")
+        return rows.astype(np.int64).reshape(-1)
 
 
-def _slot_pairs(cols: np.ndarray, ns: int) -> tuple[np.ndarray, list]:
-    """Slots into the unique (i, j) shell pairs of ``cols``, and the pairs."""
-    keys, slots = np.unique(cols[:, 0] * ns + cols[:, 1], return_inverse=True)
-    return slots, list(zip(*(v.tolist() for v in divmod(keys, ns))))
+def _family_keys(
+    basis: BasisSet, pair_cache: ShellPairData | None, qarr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[FamilyGroup]]:
+    """Per row of ``qarr`` its class key and family quartet, numbered
+    group by group (group ``g`` holds ``gcut[g]:gcut[g + 1]``), and the
+    groups, each with one head row per family quartet."""
+    ang = np.array([s.l for s in basis.shells])
+    nprim = np.array([s.nprim for s in basis.shells])
+    shape = ang * 2 + np.array([s.pure for s in basis.shells])  # (l, pure)
+    family = shell_families(basis)
+    nfam, nshape = int(family.max()) + 1, int(shape.max()) + 1
+    npp = int(nprim.max()) ** 2 + 1
+    fam_l = np.zeros(nfam, dtype=np.int64)
+    np.maximum.at(fam_l, family, ang)
+    fam_l = fam_l[family]  # per shell
 
+    def pair_keys(a, b):  # family max L, primitive pairs, class, family pair
+        npp_ab = nprim[a] * nprim[b]
+        return (fam_l[a] + fam_l[b], npp_ab, (shape[a] * nshape + shape[b]) * npp
+                + npp_ab, family[a] * nfam + family[b])
 
-def _build_batch(
-    basis: BasisSet,
-    pair_cache: ShellPairData | None,
-    qarr: np.ndarray,
-    weights: np.ndarray,
-    pair_bases: np.ndarray,
-) -> ClassBatch:
-    """The batch of ``qarr``, whose rows all share one class key."""
-    sh = [basis.shells[i] for i in qarr[0]]
-    lkey = tuple(s.l for s in sh)
-    pure = tuple(s.pure for s in sh)
-    return ClassBatch(
-        lkey=lkey, pure=pure, dims=tuple(s.nbf for s in sh), lmax=sum(lkey),
-        nprim=math.prod(s.nprim for s in sh),
-        quartets=qarr, weights=weights, pair_bases=pair_bases,
-        pair_cache=pair_cache,
+    (l_bra, n_bra, c_bra, f_bra), (l_ket, n_ket, c_ket, f_ket) = (
+        pair_keys(qarr[:, 0], qarr[:, 1]), pair_keys(qarr[:, 2], qarr[:, 3])
     )
+    lmax_f = l_bra + l_ket
+    gkey = (lmax_f * npp + n_bra) * npp + n_ket
+    keys = (c_bra * (nshape * nshape * npp) + c_ket) * (2 * nshape) + lmax_f
+    fkey = f_bra * nfam**2 + f_ket
+    _, heads, fid = np.unique(fkey, return_index=True, return_inverse=True)
+    by_group = np.argsort(gkey[heads], kind="stable")  # family quartets
+    rank = np.empty_like(by_group)
+    rank[by_group] = np.arange(by_group.size)
+    fid, heads = rank[fid.reshape(-1)].astype(np.int32), heads[by_group]
+    gcut = np.append(np.flatnonzero(np.diff(gkey[heads], prepend=-1)), len(heads))
+    groups = [
+        FamilyGroup(
+            lmax=int(lmax_f[heads[lo]]), nprim=int(n_bra[heads[lo]] * n_ket[heads[lo]]),
+            quartets=qarr[heads[lo:hi]].astype(np.int32), pair_cache=pair_cache,
+        )
+        for lo, hi in zip(gcut[:-1].tolist(), gcut[1:].tolist())
+    ]
+    return keys, fid, gcut, groups
 
 
 def build_class_plan(
@@ -326,53 +343,54 @@ def build_class_plan(
 ) -> ClassPlan:
     """Group ``quartets`` (shell-index 4-tuples, or an (nq, 4) array) by class.
 
+    The class key is everything that fixes the kernel's array shapes
+    (see the module docstring); a class's rows are sorted by family
+    quartet, so a run of a group's family quartets is a run of every
+    member's rows.
+
     The tuples may be in any index order (:func:`orbit_weights` holds
     for arbitrary tuples).  ``pair_cache`` supplies (and memoizes) the
-    :class:`~repro.integrals.pairdata.PairData` each batch stacks on its
-    first kernel sweep; an engine without that kernel passes ``None`` and
+    :class:`~repro.integrals.pairdata.PairData` the operands stack on
+    their first sweep; an engine without that kernel passes ``None`` and
     gets a plan whose rows resolve through its own ``_quartet``.
     """
     if not isinstance(quartets, np.ndarray):
         quartets = list(quartets)
     qarr = np.asarray(quartets, dtype=np.int64).reshape(-1, 4)
-    shells = basis.shells
-    ang = np.array([s.l for s in shells])
-    pure = np.array([int(s.pure) for s in shells])
-    nprim = np.array([s.nprim for s in shells])
-    nang, npp = int(ang.max()) + 1, int(nprim.max()) ** 2 + 1
-
-    def pair_class(a, b):
-        shape = (ang[a] * nang + ang[b]) * 4 + pure[a] * 2 + pure[b]
-        return shape * npp + nprim[a] * nprim[b]
-
-    keys = (
-        pair_class(qarr[:, 0], qarr[:, 1]) * (4 * nang * nang * npp)
-        + pair_class(qarr[:, 2], qarr[:, 3])
-    )
-    _, inverse, counts = np.unique(
-        keys, return_inverse=True, return_counts=True
-    )
-    members = np.split(
-        np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1]
-    )
+    keys, fid, gcut, groups = _family_keys(basis, pair_cache, qarr)
+    # rows by class, then family quartet (then canonical order)
+    order = np.argsort(keys * gcut[-1] + fid, kind="stable")
+    keys, fid, quartets = keys[order], fid[order], qarr[order]
+    del order
+    cuts = np.append(np.flatnonzero(np.diff(keys, prepend=-1)), len(keys))
+    group_of = np.searchsorted(gcut, fid[cuts[:-1]], side="right") - 1
+    fid -= np.repeat(gcut[group_of], np.diff(cuts))  # within the group
     n = basis.nbf
-    starts = basis.offsets[qarr]
-    weights = orbit_weights(qarr)
-    pair_bases = np.stack(
-        [starts[:, i] * n + starts[:, j] for i, j in _PAIR_AXES]
-    ).astype(np.int32 if n * n < 2**31 else np.int64)
-    batches = [
-        _build_batch(
-            basis, pair_cache, qarr[rows], weights[rows], pair_bases[:, rows]
-        )
-        for rows in members if rows.size
-    ]
+    weights = orbit_weights(quartets)
+    offsets = basis.offsets.astype(np.int32 if n * n < 2**31 else np.int64)
+    pair_bases = np.empty((len(_PAIR_AXES), len(quartets)), offsets.dtype)
+    for base, (i, j) in zip(pair_bases, _PAIR_AXES):
+        np.multiply(offsets[quartets[:, i]], n, out=base)
+        base += offsets[quartets[:, j]]
+    # per-class copies, not views: small arrays fill the heap's free holes
+    # and the whole-plan arrays are released (scf_stored peak RSS -5 MB)
+    batches, shells = [], [(s.l, s.pure, s.nbf, s.nprim) for s in basis.shells]
+    for lo, hi, g in zip(cuts[:-1].tolist(), cuts[1:].tolist(), group_of):
+        lkey, pure, dims, nprim = zip(*(shells[i] for i in quartets[lo].tolist()))
+        batches.append(ClassBatch(
+            lkey=lkey, pure=pure, dims=dims, lmax=sum(lkey), nprim=math.prod(nprim),
+            quartets=quartets[lo:hi].copy(), weights=weights[lo:hi].copy(),
+            pair_bases=pair_bases[:, lo:hi].copy(),
+            group=groups[g], fids=fid[lo:hi].copy(), pair_cache=pair_cache,
+        ))
     batches.sort(key=lambda b: -b.cost)
     nquartets = 0
+    members: dict[FamilyGroup, list[ClassBatch]] = {}
     for batch in batches:
         batch.row0 = nquartets
         nquartets += batch.nq
-    return ClassPlan(batches=batches, nquartets=nquartets)
+        members.setdefault(batch.group, []).append(batch)
+    return ClassPlan(batches=batches, nquartets=nquartets, groups=members)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +398,18 @@ def build_class_plan(
 # ---------------------------------------------------------------------------
 
 
-def compute_class_rows(batch: ClassBatch, rows) -> np.ndarray:
-    """ERI blocks for ``rows`` of a class in one primitive sweep.
-
-    Returns the stacked, finalized blocks of shape ``(nrows, *dims)``:
-    one :func:`~repro.integrals.pairdata.md_sweep` over every primitive
-    quartet of every selected shell quartet.
-    """
-    ops, bra, ket, bra_slots, ket_slots = batch.operands()
-    return md_sweep(
-        ops, bra, ket, bra_slots[rows], ket_slots[rows]
-    ).reshape((-1,) + batch.dims)
+def compute_class_rows(chunk: list[Chunk]) -> list[np.ndarray]:
+    """ERI blocks ``(nrows, *dims)`` of every ``(batch, rows)`` of one
+    family sweep: one :func:`~repro.integrals.pairdata.md_sweep` over the
+    union of the rows' family quartets (the batches share a group)."""
+    group = chunk[0][0].group
+    fids = [batch.fids[rows] for batch, rows in chunk]
+    fq, at = np.unique(np.concatenate(fids), return_inverse=True)
+    at = np.split(at, np.cumsum([f.size for f in fids])[:-1])
+    blocks = md_sweep(group.lmax, group.operands(), fq, [
+        (batch.operands(), f, rows) for (batch, rows), f in zip(chunk, at)
+    ])
+    return [blk.reshape((-1,) + batch.dims) for blk, (batch, _) in zip(blocks, chunk)]
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +570,15 @@ def _fold(partial: list, piece=None) -> None:
 def assemble_supermatrix(
     engine, plan: ClassPlan, store, faults, eri_span, jk_span
 ) -> tuple[Supermatrix, dict]:
-    """Resolve every chunk of ``plan`` once -- read, CRC-scrubbed when the
+    """Resolve every row of ``plan`` once -- read, CRC-scrubbed when the
     store verifies reads, bad or missing rows recomputed -- into a
     :class:`Supermatrix`; also returns the source counts.
 
-    Each flush becomes one CSR piece that is folded into the partial
-    sums at once, so the transient is one stage of blocks, never a
-    whole-plan COO.  Single threaded: the matrices, hence every later
-    J/K, are bitwise the same at any ``jk_threads``.
+    The rows are read in one-shape chunks (:func:`_store_chunks`), each
+    flushed into one CSR piece that is folded into the partial sums at
+    once, so the transient is one chunk of blocks, never a whole-plan
+    COO.  Single threaded: the matrices, hence every later J/K, are
+    bitwise the same at any ``jk_threads``.
     """
     from scipy import sparse
 
@@ -567,12 +587,12 @@ def assemble_supermatrix(
     partial_j = [sparse.csr_matrix((n * n, n * n))]
     partial_k = [partial_j[0]]
     totals = dict.fromkeys(_COUNT_KEYS, 0)
-    for flush in plan.flushes():
-        parts = _resolve_flush(engine, flush, store, faults, eri_span, totals)
-        with jk_span:
-            piece_j, piece_k = _sparse_piece(n, *_weighted_flush(flush, parts))
-            _fold(partial_j, piece_j)
-            _fold(partial_k, piece_k)
+    for chunk in _store_chunks(plan):  # a flush each: nothing is held over
+        for flush, parts in _flushes(engine, [chunk], store, faults, eri_span, totals):
+            with jk_span:
+                piece_j, piece_k = _sparse_piece(n, *_weighted_flush(flush, parts))
+                _fold(partial_j, piece_j)
+                _fold(partial_k, piece_k)
     with jk_span:
         _fold(partial_j)
         _fold(partial_k)
@@ -592,63 +612,94 @@ _COUNT_KEYS = ("computed", "from_store", "rescued", "crc_rescued",
                "corrupted")
 
 
-def compute_rows(engine, batch: ClassBatch, rows) -> np.ndarray:
-    """Freshly computed blocks for ``rows`` (a slice or an index array):
-    one class-kernel sweep when the plan has pair data, else the engine's
-    own ``_quartet`` blocks stacked."""
-    if batch.pair_cache is not None:
-        return compute_class_rows(batch, rows)
-    return np.stack(
-        [engine._quartet(*quartet) for quartet in batch.quartets[rows].tolist()]
-    )
+def compute_rows(engine, chunk: list[Chunk]) -> list[np.ndarray]:
+    """Freshly computed blocks for every ``(batch, rows)`` of ``chunk``:
+    one family sweep per group of its members when the plan has pair
+    data, else the engine's own ``_quartet`` blocks stacked."""
+    if chunk[0][0].pair_cache is None:
+        return [
+            np.stack([engine._quartet(*q) for q in batch.quartets[rows].tolist()])
+            for batch, rows in chunk
+        ]
+    out = {}
+    for group in dict.fromkeys(batch.group for batch, _ in chunk):
+        mine = [i for i, (batch, _) in enumerate(chunk) if batch.group is group]
+        out.update(zip(mine, compute_class_rows([chunk[i] for i in mine])))
+    return [out[i] for i in range(len(chunk))]
 
 
 def _resolve_chunk(
-    engine, batch: ClassBatch, rows, store, faults
-) -> tuple[np.ndarray, dict]:
-    """The stacked blocks for ``rows`` of ``batch`` and where they came from.
+    engine, chunk: list[Chunk], store, faults
+) -> tuple[list, dict]:
+    """The stacked blocks of every ``(batch, rows)`` of ``chunk`` and
+    where they came from.
 
-    *Stored*: a ready store holding every row of the chunk serves it in
-    one vectorized read.  *Compute*: otherwise the whole chunk is
-    computed; ``faults`` (the build's pre-drawn seeded corruptions, or
-    None; they ride whole-plan builds, whose chunks are slices) hit
-    class-kernel rows only, before the NaN/Inf sentinel whose
-    per-quartet rescue repairs them, and a filling store records the
-    result.
+    *Stored*: a ready store holding every row of a one-shape chunk
+    serves it in one read (:func:`_read_stored`).  *Compute*: otherwise;
+    ``faults`` (the build's pre-drawn seeded corruptions, or None) hit
+    class-kernel rows only, before the NaN/Inf sentinel whose per-quartet
+    rescue repairs them, and a filling store records the result.
     """
-    quartets = batch.quartets[rows]
-    nrows = len(quartets)
     counts = dict.fromkeys(_COUNT_KEYS, 0)
-    if store is not None and store.ready:
-        sel = store.offsets_for(quartets)
+    quartets = [batch.quartets[rows] for batch, rows in chunk]
+    if store is not None and store.ready and len({b.dims for b, _ in chunk}) == 1:
+        sel = store.offsets_for(np.concatenate(quartets))
         if (sel >= 0).all():
-            blocks = store.read_stacked(sel, batch.block_size, batch.dims)
-            if store.verify_reads:
-                # rows whose bytes fail the finalize-time CRC are not
-                # trusted: recompute them with the kernel that filled
-                # the store (bitwise-identical values, so a corrupted
-                # store never perturbs F)
-                good = store.verify_stacked(sel, blocks)
-                if not good.all():
-                    bad = np.flatnonzero(~good)
-                    blocks[bad] = compute_rows(
-                        engine, batch, np.arange(batch.nq)[rows][bad]
-                    )
-                    counts["crc_rescued"] = len(bad)
-            counts["from_store"] = nrows
-            return blocks, counts
-    blocks = compute_rows(engine, batch, rows)
-    counts["computed"] = nrows
-    if faults is not None and batch.pair_cache is not None:
-        counts["corrupted"] = faults.corrupt_rows(blocks, batch.row0 + rows.start)
-    if engine.finite_check and not np.isfinite(blocks.sum()):
-        finite = np.isfinite(blocks.reshape(nrows, -1)).all(axis=1)
-        for i in np.flatnonzero(~finite):
-            blocks[i] = engine._rescue_quartet(*quartets[i].tolist())
-            counts["rescued"] += 1
-    if store is not None and store.filling:
-        store.record_batch(quartets, blocks)
-    return blocks, counts
+            return _read_stored(engine, store, chunk, sel, counts), counts
+    parts = compute_rows(engine, chunk)
+    for (batch, rows), q, blocks in zip(chunk, quartets, parts):
+        counts["computed"] += len(blocks)
+        if faults is not None and batch.pair_cache is not None:
+            counts["corrupted"] += faults.corrupt_rows(blocks, batch.row0 + rows)
+        if engine.finite_check and not np.isfinite(blocks.sum()):
+            finite = np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
+            for j in np.flatnonzero(~finite):
+                blocks[j] = engine._rescue_quartet(*q[j].tolist())
+                counts["rescued"] += 1
+        if store is not None and store.filling:
+            store.record_batch(q, blocks)
+    return parts, counts
+
+
+def _read_stored(engine, store, chunk: list[Chunk], sel, counts) -> list:
+    """The blocks of ``chunk`` (one block shape) at store offsets ``sel``,
+    read in one pass.  When the store verifies reads, rows failing the
+    finalize-time CRC are recomputed by the kernel that filled the store
+    (bitwise the same, so a corrupted store never perturbs F)."""
+    blocks = store.read_stacked(sel, chunk[0][0].block_size, chunk[0][0].dims)
+    counts["from_store"] += len(sel)
+    cuts = np.cumsum([rows.size for _, rows in chunk])[:-1]
+    parts = np.split(blocks, cuts)
+    if store.verify_reads:
+        bad = np.split(~store.verify_stacked(sel, blocks), cuts)
+        redo = [i for i, mask in enumerate(bad) if mask.any()]
+        if redo:
+            fresh = compute_rows(engine, [(chunk[i][0], chunk[i][1][bad[i]]) for i in redo])
+            for i, rescued in zip(redo, fresh):
+                parts[i][bad[i]] = rescued
+                counts["crc_rescued"] += len(rescued)
+    return parts
+
+
+def _store_chunks(plan: ClassPlan) -> list[list[Chunk]]:
+    """Every row of ``plan`` in chunks of one block shape and at most
+    :data:`MAX_STAGE_WORK` elements: how a ready store is read, one
+    vectorized read and one flush per chunk."""
+    by_dims: dict[tuple, list[ClassBatch]] = {}
+    for batch in plan.batches:
+        by_dims.setdefault(batch.dims, []).append(batch)
+    chunks: list[list[Chunk]] = []
+    for batches in by_dims.values():
+        step = held = max(1, MAX_STAGE_WORK // batches[0].block_size)
+        for batch in batches:
+            for lo in range(0, batch.nq, step):
+                rows = np.arange(lo, min(lo + step, batch.nq))
+                if held + rows.size > step:
+                    chunks.append([])
+                    held = 0
+                chunks[-1].append((batch, rows))
+                held += rows.size
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -709,30 +760,48 @@ class _Stopwatch:
         return False
 
 
-def _resolve_flush(engine, flush, store, faults, eri_span, totals) -> list:
-    """The resolved blocks of every chunk of ``flush``, ``eri_span``
-    around each resolution, source counts added to ``totals``."""
-    parts = []
-    for batch, rows in flush:
+def _flushes(engine, chunks, store, faults, eri_span, totals):
+    """Resolve ``chunks`` in order -- ``eri_span`` around each, source
+    counts added to ``totals`` -- and yield their blocks as contraction
+    flushes ``(members, parts)``.
+
+    Members are staged by block shape (``dims`` -- all the contraction's
+    array shapes depend on).  The stages together hold at most
+    :data:`MAX_STAGE_WORK` block elements (or one member, if that alone
+    is larger): a member that does not fit first flushes the fullest
+    stages.  What is staged when the chunks are done is flushed last.
+    """
+    stages: dict[tuple, list] = {}  # dims -> [elements, members, parts]
+    held = 0
+    for chunk in chunks:
         if _JK_INTERRUPT.is_set():
             raise JKInterrupted("J/K build interrupted between chunks")
         with eri_span:
-            blocks, counts = _resolve_chunk(engine, batch, rows, store, faults)
-        parts.append(blocks)
+            parts, counts = _resolve_chunk(engine, chunk, store, faults)
         for key in _COUNT_KEYS:
             totals[key] += counts[key]
-    return parts
+        for member, blocks in zip(chunk, parts):
+            while stages and held + blocks.size > MAX_STAGE_WORK:
+                size, *flush = stages.pop(max(stages, key=lambda d: stages[d][0]))
+                held -= size
+                yield flush
+            stage = stages.setdefault(member[0].dims, [0, [], []])
+            stage[0] += blocks.size
+            stage[1].append(member)
+            stage[2].append(blocks)
+            held += blocks.size
+    for _, *flush in stages.values():
+        yield flush
 
 
-def _run_flushes(engine, dflat, flushes, store, faults, eri_span, jk_span):
+def _run_chunks(engine, dflat, chunks, store, faults, eri_span, jk_span):
     """One worker's share: private half-J/half-K buffers + source counts,
     ``eri_span`` around every chunk resolution, ``jk_span`` every flush."""
     n = engine.basis.nbf
     jt = np.zeros_like(dflat)
     kt = np.zeros_like(dflat)
     totals = dict.fromkeys(_COUNT_KEYS, 0)
-    for flush in flushes:
-        parts = _resolve_flush(engine, flush, store, faults, eri_span, totals)
+    for flush, parts in _flushes(engine, chunks, store, faults, eri_span, totals):
         with jk_span:
             _contract_blocks(jt, kt, dflat, n, flush, parts)
     return jt, kt, totals
@@ -755,7 +824,7 @@ def jk_from_plan(
     tau: float | None = None,
     threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """J and K matrices from a class plan, one batched sweep per chunk.
+    """J and K matrices from a class plan, one family sweep per chunk.
 
     ``density`` is one symmetric ``(n, n)`` matrix or a stack
     ``(k, n, n)`` of them; a stack shares one pass over the integrals
@@ -767,12 +836,12 @@ def jk_from_plan(
     change or newly armed ``verify_reads``): no chunk is walked and
     ``threads`` is not consulted.  Every other build -- direct, or
     filling a store, which it then finalizes with ``tau`` -- is the
-    six-block contraction: ``threads > 1`` deals the flushes, largest
-    first, to the least-loaded worker of a thread pool; every worker
-    owns private accumulators (reduced at the end) plus private phase
-    timings, which are folded into the active profiler as one
-    ``eri_quartets`` sample per kernel chunk and one ``jk_contraction``
-    sample per flush -- never per quartet.
+    six-block contraction: ``threads > 1`` deals the kernel chunks,
+    largest first, to the least-loaded worker of a thread pool; every
+    worker stages and flushes its own blocks into private accumulators
+    (reduced at the end) and keeps private phase timings, folded into the
+    active profiler as one ``eri_quartets`` sample per kernel chunk and
+    one ``jk_contraction`` sample per flush -- never per quartet.
 
     An attached ``engine.scf_faults`` state has this build's corruptions
     drawn here, per plan row and before any worker starts, so the same
@@ -809,28 +878,27 @@ def jk_from_plan(
 
     # a store that stopped being ready (invalidated) takes its matrix along
     engine.supermatrix = None
-    flushes = plan.flushes()
+    chunks = plan.chunks()
     nthreads = resolve_jk_threads(threads)
-    if nthreads <= 1 or len(flushes) <= 1:
-        results = [_run_flushes(
-            engine, dflat, flushes, store, faults,
+    if nthreads <= 1 or len(chunks) <= 1:
+        results = [_run_chunks(
+            engine, dflat, chunks, store, faults,
             prof.phase(PHASE_ERI), prof.phase(PHASE_JK),
         )]
         engine.last_jk_worker_stats = []
     else:
-        # largest flush first, each to the least-loaded worker
-        costs = [sum(b.cost * _nrows(rows) / b.nq for b, rows in f)
-                 for f in flushes]
-        shares = [[] for _ in range(min(nthreads, len(flushes)))]
+        # largest chunk first, each to the least-loaded worker
+        costs = [sum(b.cost * rows.size / b.nq for b, rows in c) for c in chunks]
+        shares = [[] for _ in range(min(nthreads, len(chunks)))]
         loads = [0.0] * len(shares)
-        for i in sorted(range(len(flushes)), key=lambda i: -costs[i]):
+        for i in sorted(range(len(chunks)), key=lambda i: -costs[i]):
             worker = loads.index(min(loads))
-            shares[worker].append(flushes[i])
+            shares[worker].append(chunks[i])
             loads[worker] += costs[i]
         watches = [(_Stopwatch(), _Stopwatch()) for _ in shares]
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
             results = list(pool.map(
-                lambda share, watch: _run_flushes(
+                lambda share, watch: _run_chunks(
                     engine, dflat, share, store, faults, *watch
                 ),
                 shares, watches,
@@ -859,18 +927,19 @@ def jk_from_plan(
 def jk_from_rows(
     engine, density: np.ndarray, plan: ClassPlan, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """J and K of the selected plan ``rows`` (sorted) alone: the numeric
-    distributed builds' pass over the rows of one GTFock rank or one
-    NWChem task.  Every block is computed -- no store, no seeded faults,
-    one thread -- through the chunk machinery of :func:`jk_from_plan`."""
+    """J and K of the selected plan ``rows`` (strictly increasing, else
+    ``ValueError``) alone: the numeric distributed builds' pass over the
+    rows of one GTFock rank or one NWChem task.  Every block is computed
+    -- no store, no seeded faults, one thread -- through the chunk
+    machinery of :func:`jk_from_plan`."""
     from repro.obs import get_profiler
     from repro.obs.profile import PHASE_ERI, PHASE_JK
 
     n = engine.basis.nbf
     prof = get_profiler()
-    jt, kt, totals = _run_flushes(
+    jt, kt, totals = _run_chunks(
         engine, density_stack(density, n).reshape(-1, n * n),
-        plan.flushes(rows), None, None,
+        plan.chunks(rows), None, None,
         prof.phase(PHASE_ERI), prof.phase(PHASE_JK),
     )
     _tally(engine, totals, None)

@@ -29,6 +29,7 @@ separately in ``quartets_served_from_store``.
 from __future__ import annotations
 
 import abc
+import math
 from collections import OrderedDict
 from pathlib import Path
 
@@ -141,8 +142,11 @@ class ERIEngine(abc.ABC):
         set, so one plan serves every SCF iteration at a given ``tau``
         (a small LRU absorbs the incremental builder's varying effective
         thresholds).  Planning time lands in the ``class_plan`` profiler
-        phase.
+        phase.  ``tau`` must be finite and >= 0: a NaN one would screen
+        out every quartet.
         """
+        if not (math.isfinite(tau) and tau >= 0):
+            raise ValueError(f"tau must be a finite threshold >= 0, got {tau!r}")
         plan = self._class_plans.get(tau)
         if plan is not None:
             self._class_plans.move_to_end(tau)

@@ -1,4 +1,4 @@
-"""Shell-pair data caching and the batched McMurchie-Davidson ERI kernel.
+"""Shell-pair data caching and the two-stage McMurchie-Davidson ERI kernel.
 
 GTFock's central performance idea (Sec II-C/III of the paper) is that
 everything density-*independent* about a shell pair -- Gaussian product
@@ -9,11 +9,19 @@ amortized over every quartet that pair participates in:
 * :class:`PairData` / :class:`ShellPairData` -- the per-pair primitive
   records stacked into contiguous ndarrays, built lazily and cached per
   ordered shell-pair index so each pair is expanded exactly once.
+* **Exponent families** (:func:`shell_families`) -- the shells on one
+  centre with one exponent vector, like the s and p of a Pople ``SP``
+  entry.  Every member quartet of a *family quartet* has the same
+  primitive ``p``, ``P``, Boys arguments and Hermite integrals ``R``;
+  only E and the contraction coefficients tell the members apart.
 * :func:`md_sweep` -- the kernel that flattens the bra x ket primitive
-  loops of any number of quartets: one vectorized Boys/``r_tensor_batch``
-  evaluation over *all* primitive quartets at once and two batched
-  matmuls -- the class-batched Fock build's kernel
-  (:mod:`repro.integrals.class_batch`), one sweep per chunk of a class.
+  loops of any number of quartets, in two stages: a *family stage* (one
+  ``boys_array`` / ``r_tensor_batch`` per family quartet at the families'
+  max L, coefficient-free: :class:`FamilyOperands`) and a *member stage*
+  (per class one Hermite-row gather and two batched matmuls with E, into
+  which ``c_a c_b`` is folded: :class:`SweepOperands`).  It is the
+  class-batched Fock build's kernel (:mod:`repro.integrals.class_batch`),
+  one sweep per family chunk.
 
 Numerics are identical to the per-primitive path
 (:func:`repro.integrals.eri_md.eri_shell_quartet`) up to floating-point
@@ -22,6 +30,7 @@ summation order (agreement far below 1e-10; see tests/test_pairdata.py).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +71,9 @@ class PairData:
     P: np.ndarray
     #: E tensors stacked, shape (..., npp, ncart_a, ncart_b, nherm)
     E: np.ndarray
+    #: ``c_a c_b E`` on normalized basis functions, (..., npp, ab, nherm):
+    #: what the ERI kernel's member stage contracts
+    basis_e: np.ndarray
     #: flattened Hermite (t, u, v) indices, each shape (nherm,)
     tt: np.ndarray
     uu: np.ndarray
@@ -82,12 +94,24 @@ class PairData:
         """Memory held by the stacked arrays."""
         return sum(
             arr.nbytes for arr in (self.coef, self.p, self.P, self.E,
-                                   self.tt, self.uu, self.vv)
+                                   self.basis_e, self.tt, self.uu, self.vv)
         )
 
 
 #: a :class:`PairData` with the leading pair-slot axis
 StackedPairs = PairData
+
+
+def shell_families(basis: BasisSet) -> np.ndarray:
+    """The exponent family of every shell, numbered in order of first
+    appearance: shells share a family iff they sit on one centre with one
+    exponent vector (bitwise), so their primitive pairs share ``p``, ``P``
+    and with them the Boys arguments of every quartet."""
+    ids: dict[tuple[bytes, bytes], int] = {}
+    return np.array([
+        ids.setdefault((sh.center.tobytes(), sh.exps.tobytes()), len(ids))
+        for sh in basis.shells
+    ], dtype=np.int64)
 
 
 def build_pair_data(sh_a: Shell, sh_b: Shell) -> PairData:
@@ -129,7 +153,11 @@ def build_pair_data(sh_a: Shell, sh_b: Shell) -> PairData:
         * ez[az[:, None, None], bz[None, :, None], vv[None, None, :]],
         -1, 0,
     ))
-    return PairData(la=la, lb=lb, coef=coef, p=p, P=P, E=E, tt=tt, uu=uu, vv=vv)
+    to_basis = _basis_map(la, sh_a.pure, lb, sh_b.pure)
+    basis_e = np.matmul(to_basis, E.reshape(len(p), -1, tt.size)) * coef[:, None, None]
+    return PairData(
+        la=la, lb=lb, coef=coef, p=p, P=P, E=E, basis_e=basis_e, tt=tt, uu=uu, vv=vv
+    )
 
 
 class ShellPairData:
@@ -172,6 +200,13 @@ class ShellPairData:
         return sum(d.nbytes for d in self._pairs.values())
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_map(la: int, pure_a: bool, lb: int, pure_b: bool) -> np.ndarray:
+    """``(ab, ncart_a ncart_b)``: a pair's Cartesian products to its basis
+    functions (:func:`cartesian_to_basis` on both axes)."""
+    return np.kron(cartesian_to_basis(la, pure_a), cartesian_to_basis(lb, pure_b))
+
+
 def stack_pairs(records: list[PairData]) -> StackedPairs:
     """Stack class-uniform (same ``la``, ``lb`` and primitive-pair count)
     :class:`PairData` records along a new leading pair-slot axis."""
@@ -186,100 +221,121 @@ def stack_pairs(records: list[PairData]) -> StackedPairs:
         p=np.array([r.p for r in records]),
         P=np.array([r.P for r in records]),
         E=np.array([r.E for r in records]),
+        basis_e=np.array([r.basis_e for r in records]),
         tt=first.tt,
         uu=first.uu,
         vv=first.vv,
     )
 
 
+def _pair_slots(quartets: np.ndarray, ns: int):
+    """Per side of ``quartets`` (bra, ket): slots into its unique
+    ``(i, j)`` shell pairs, and those pairs."""
+    for cols in (quartets[:, :2], quartets[:, 2:]):
+        keys, slots = np.unique(cols[:, 0] * ns + cols[:, 1], return_inverse=True)
+        yield slots, list(zip(*(v.tolist() for v in divmod(keys, ns))))
+
+
+@dataclass(frozen=True)
+class FamilyOperands:
+    """What the family stage of :func:`md_sweep` reads: per family-pair
+    slot the primitive exponents ``(npairs, npp)`` and product centres
+    ``(3, npairs, npp)``, per family quartet its bra and ket slot.  Every
+    member shell pair of a family pair gives the same values."""
+
+    bra_p: np.ndarray
+    bra_P: np.ndarray
+    bra_slots: np.ndarray
+    ket_p: np.ndarray
+    ket_P: np.ndarray
+    ket_slots: np.ndarray
+
+    @classmethod
+    def build(cls, pairs: ShellPairData, quartets: np.ndarray) -> "FamilyOperands":
+        """Operands for family quartets given as one member row each."""
+        sides = []
+        for slots, ij in _pair_slots(quartets, pairs.basis.nshells):
+            records = [pairs.get(i, j) for i, j in ij]
+            P = np.moveaxis(np.array([r.P for r in records]), -1, 0)
+            sides += [np.array([r.p for r in records]), P.copy(), slots]
+        return cls(*sides)
+
+
 @dataclass(frozen=True)
 class SweepOperands:
-    """What :func:`md_sweep` needs of one (bra stack, ket stack) pairing
-    beyond the stacks, whichever quartets are swept."""
+    """What the member stage of :func:`md_sweep` reads of one class."""
 
-    #: rows of the compact Hermite tensor at (tuv)_bra + (tuv)_ket,
-    #: flattened (nherm_bra * nherm_ket,)
+    #: rows of the family stage's compact Hermite tensor (at the family
+    #: max L) at (tuv)_bra + (tuv)_ket, flattened (nherm_bra * nherm_ket,)
     rrows: np.ndarray
-    #: per pair slot, ``coef / p`` (bra side times 2 pi^{5/2}), (npairs, npp)
-    bra_w: np.ndarray
-    ket_w: np.ndarray
-    #: per pair slot, E on normalized basis functions as matmul operands:
-    #: (npairs, ab, herm x prim) and, with the ket sign (-1)^{t+u+v}
-    #: folded in, (npairs, herm x prim, cd)
+    #: per pair slot, ``c_a c_b E`` on normalized basis functions as
+    #: matmul operands: (npairs, ab, herm x prim) and, with the ket sign
+    #: (-1)^{t+u+v} folded in, (npairs, herm x prim, cd)
     bra_e: np.ndarray
     ket_e: np.ndarray
+    #: per row, its bra and ket pair slot
+    bra_slots: np.ndarray
+    ket_slots: np.ndarray
 
     @classmethod
     def build(
-        cls, bra: StackedPairs, ket: StackedPairs, pure: tuple[bool, ...]
+        cls, pairs: ShellPairData, quartets: np.ndarray, lmax: int
     ) -> "SweepOperands":
-        """Operands for shells of purity ``pure`` (a, b, c, d): E carries
-        :func:`cartesian_to_basis`, so the matmuls land on basis functions."""
-        lmax = bra.la + bra.lb + ket.la + ket.lb
-
-        def on_basis(stack, pure_a, pure_b):  # E as (pair, prim, herm, ab)
-            t = np.kron(
-                cartesian_to_basis(stack.la, pure_a),
-                cartesian_to_basis(stack.lb, pure_b),
-            )
-            flat = stack.E.reshape(stack.E.shape[:2] + (-1, stack.tt.size))
-            return np.tensordot(flat, t, axes=([2], [1]))
-
-        bra_e = on_basis(bra, *pure[:2]).transpose(0, 3, 2, 1)
-        ket_sign = (-1.0) ** (ket.tt + ket.uu + ket.vv)
-        ket_e = (on_basis(ket, *pure[2:]) * ket_sign[:, None]).transpose(0, 2, 1, 3)
+        """Operands for one class's rows ``quartets``, swept in a family
+        stage at ``lmax`` (``PairData.basis_e`` for E)."""
+        (bs, bra), (ks, ket) = _pair_slots(quartets, pairs.basis.nshells)
+        hb, hk = pairs.get(*bra[0]), pairs.get(*ket[0])
+        sign = (-1.0) ** (hk.tt + hk.uu + hk.vv)  # ket side; E is (pair, prim, ab, herm)
+        eb = np.array([pairs.get(i, j).basis_e for i, j in bra])
+        ek = np.array([pairs.get(i, j).basis_e for i, j in ket]) * sign
         return cls(
             rrows=hermite_lookup(lmax)[
-                bra.tt[:, None] + ket.tt[None, :],
-                bra.uu[:, None] + ket.uu[None, :],
-                bra.vv[:, None] + ket.vv[None, :],
+                hb.tt[:, None] + hk.tt, hb.uu[:, None] + hk.uu, hb.vv[:, None] + hk.vv
             ].ravel(),
-            bra_w=_TWO_PI_52 * bra.coef / bra.p,
-            ket_w=ket.coef / ket.p,
-            bra_e=bra_e.reshape(bra.npairs, bra_e.shape[1], -1),
-            ket_e=ket_e.reshape(ket.npairs, -1, ket_e.shape[3]),
+            bra_e=eb.transpose(0, 2, 3, 1).reshape(len(eb), eb.shape[2], -1),
+            ket_e=ek.transpose(0, 3, 1, 2).reshape(len(ek), -1, ek.shape[2]),
+            bra_slots=bs, ket_slots=ks,
         )
 
 
 def md_sweep(
-    ops: SweepOperands,
-    bra: StackedPairs,
-    ket: StackedPairs,
-    bs: np.ndarray,
-    ks: np.ndarray,
-) -> np.ndarray:
-    """ERI blocks ``(nq, ab, cd)`` over basis functions of the quartets
-    pairing bra slots ``bs`` with ket slots ``ks``, in one primitive sweep.
+    lmax: int, fam: FamilyOperands, fq: np.ndarray, members: list
+) -> list[np.ndarray]:
+    """ERI blocks ``(nrows, ab, cd)`` over basis functions of every member
+    of one family sweep.
 
-    One ``r_tensor_batch`` over every primitive quartet, carrying the
-    prefactor ``c_b c_k 2 pi^{5/2} / (p q sqrt(p + q))``, then
-    ``sum_{x,y,i,j} Eb R Ek`` as two batched matmuls ``(ab, ix) @ (ix, jy)
-    @ (jy, cd)``.  Each quartet's arithmetic is independent of the rest of
-    the sweep: a row recomputed alone is bitwise the row of a full sweep.
+    *Family stage*: one ``r_tensor_batch`` at ``lmax`` over every
+    primitive quartet of the family quartets ``fq``, carrying the
+    prefactor ``2 pi^{5/2} / (p q sqrt(p + q))``.  *Member stage*, per
+    member ``(ops, f, rows)`` -- class rows ``rows`` whose family quartets
+    sit at positions ``f`` of ``fq``: one 2-D gather of the member's
+    Hermite rows, then ``sum_{x,y,i,j} Eb R Ek`` as two batched matmuls
+    ``(ab, ix) @ (ix, jy) @ (jy, cd)``.  A row's block depends only on its
+    family quartet, so a row recomputed alone is bitwise the row of a
+    full sweep.
     """
-    pb = bra.p[bs][:, :, None]
-    qk = ket.p[ks][:, None, :]
-    nq, nb, nk = pb.shape[0], pb.shape[1], qk.shape[2]
-    lmax = bra.la + bra.lb + ket.la + ket.lb
+    fbs, fks = fam.bra_slots[fq], fam.ket_slots[fq]
+    pb = fam.bra_p[fbs][:, :, None]
+    qk = fam.ket_p[fks][:, None, :]
+    nf, nb, nk = pb.shape[0], pb.shape[1], qk.shape[2]
     psum = pb + qk
-    pref = ops.bra_w[bs][:, :, None] * ops.ket_w[ks][:, None, :]
-    pref /= np.sqrt(psum)
-    alpha = np.divide(pb * qk, psum, out=psum)
-    pq_vec = (
-        bra.P[bs].transpose(2, 0, 1)[:, :, :, None]
-        - ket.P[ks].transpose(2, 0, 1)[:, :, None, :]
-    )
-    r = r_tensor_batch(lmax, alpha.ravel(), pq_vec.reshape(3, -1).T, pref.ravel())
-    if lmax == 0:
-        rmat = r.reshape(nq, nb, nk)
-    else:
+    pq = pb * qk
+    pref = _TWO_PI_52 / (pq * np.sqrt(psum))
+    alpha = np.divide(pq, psum, out=psum)
+    pq_vec = fam.bra_P[:, fbs, :, None] - fam.ket_P[:, fks, None, :]
+    r = r_tensor_batch(
+        lmax, alpha.ravel(), pq_vec.reshape(3, -1).T, pref.ravel()
+    ).reshape(-1, nb * nk)  # rows: (hermite, family quartet)
+    out = []
+    for ops, f, rows in members:
         # one row gather, one transpose: (hb, hk, q, x, y) -> (q, hb x, hk y)
-        hb = bra.tt.size
+        hb = ops.bra_e.shape[2] // nb
         rmat = (
-            np.take(r, ops.rrows, axis=0)
-            .reshape(hb, -1, nq, nb, nk)
+            np.take(r, (ops.rrows[:, None] * nf + f).ravel(), axis=0)
+            .reshape(hb, -1, f.size, nb, nk)
             .transpose(2, 0, 3, 1, 4)
-            .reshape(nq, hb * nb, -1)
+            .reshape(f.size, hb * nb, -1)
         )
-    return np.matmul(np.matmul(ops.bra_e[bs], rmat), ops.ket_e[ks])
-
+        bra_e, ket_e = ops.bra_e[ops.bra_slots[rows]], ops.ket_e[ops.ket_slots[rows]]
+        out.append(np.matmul(np.matmul(bra_e, rmat), ket_e))
+    return out

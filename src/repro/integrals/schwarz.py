@@ -47,10 +47,10 @@ def _diagonal_bounds(
         pair_cache = ShellPairData(basis)
     sigma = np.zeros((basis.nshells, basis.nshells))
     plan = build_class_plan(basis, pair_cache, np.stack([m, n, m, n], axis=1))
-    for batch, rows in plan.chunks():
-        blocks = compute_class_rows(batch, rows)
-        diag = np.abs(np.einsum("qijij->qij", blocks)).reshape(len(blocks), -1)
-        sigma[tuple(batch.quartets[rows, :2].T)] = np.sqrt(diag.max(axis=1))
+    for chunk in plan.chunks():
+        for (batch, rows), blocks in zip(chunk, compute_class_rows(chunk)):
+            diag = np.abs(np.einsum("qijij->qij", blocks)).reshape(len(blocks), -1)
+            sigma[tuple(batch.quartets[rows, :2].T)] = np.sqrt(diag.max(axis=1))
     return sigma
 
 

@@ -369,14 +369,14 @@ class BuildFaults:
     #: position in the victim's block, as a fraction of the block size
     where: np.ndarray
 
-    def corrupt_rows(self, blocks: np.ndarray, row0: int) -> int:
+    def corrupt_rows(self, blocks: np.ndarray, rows: np.ndarray) -> int:
         """Corrupt in place the victims among the stacked ``blocks`` of
-        plan rows ``[row0, row0 + len(blocks))``; returns how many."""
-        lo, hi = np.searchsorted(self.rows, (row0, row0 + len(blocks)))
-        for i in range(lo, hi):
-            block = blocks[self.rows[i] - row0]
+        plan ``rows`` (ascending); returns how many."""
+        hit = np.flatnonzero(np.isin(self.rows, rows))
+        for i, at in zip(hit, np.searchsorted(rows, self.rows[hit])):
+            block = blocks[at]
             block.flat[int(self.where[i] * block.size)] = self.values[i]
-        return int(hi - lo)
+        return int(hit.size)
 
 
 class SeededFaultState:

@@ -11,9 +11,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from reference_engine import class_rows
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import h2, methane, water
-from repro.integrals.class_batch import compute_class_rows
 from repro.integrals.engine import MDEngine, SyntheticERIEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.scf.fock import fock_matrix
@@ -42,7 +42,7 @@ def assert_store_holds_kernel_bits(engine, tau=1e-11):
         offsets = store.offsets_for(batch.quartets)
         assert (offsets >= 0).all()
         stored = store.read_stacked(offsets, batch.block_size, batch.dims)
-        computed = compute_class_rows(batch, np.arange(batch.nq))
+        computed = class_rows(batch, np.arange(batch.nq))
         assert (
             hashlib.sha256(stored.tobytes()).hexdigest()
             == hashlib.sha256(computed.tobytes()).hexdigest()

@@ -6,7 +6,8 @@ kernel the production engine only *rescues* flagged rows on), and class
 plans carry no kernel operands, so rows resolve through ``_quartet``.
 :func:`quartet_block` is how tests ask any engine for one block: a
 one-row class plan through the production chunk resolver
-(:func:`quartet_blocks` for many at once).
+(:func:`quartet_blocks` for many at once); :func:`class_rows` sweeps
+rows of one class.
 Production code must not import this module.
 """
 
@@ -27,16 +28,23 @@ def quartet_blocks(engine, quartets) -> dict:
     rescued when the NaN/Inf sentinel is armed."""
     plan = class_batch.build_class_plan(engine.basis, engine.pair_cache, quartets)
     out = {}
-    for batch, rows in plan.chunks():
-        blocks, counts = class_batch._resolve_chunk(engine, batch, rows, None, None)
+    for chunk in plan.chunks():
+        parts, counts = class_batch._resolve_chunk(engine, chunk, None, None)
         class_batch._tally(engine, counts, None)
-        out.update(zip(map(tuple, batch.quartets[rows].tolist()), blocks))
+        for (batch, rows), blocks in zip(chunk, parts):
+            out.update(zip(map(tuple, batch.quartets[rows].tolist()), blocks))
     return out
 
 
 def quartet_block(engine, m: int, n: int, p: int, q: int) -> np.ndarray:
     """The block (MN|PQ) through a one-row plan."""
     return quartet_blocks(engine, [(m, n, p, q)])[(m, n, p, q)]
+
+
+def class_rows(batch, rows) -> np.ndarray:
+    """The class kernel's blocks for ``rows`` (a slice or an index array)
+    of one class: a family sweep over those rows' family quartets."""
+    return class_batch.compute_class_rows([(batch, rows)])[0]
 
 
 class ReferenceMDEngine(ERIEngine):

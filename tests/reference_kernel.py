@@ -8,8 +8,13 @@ the oracles of the differential tests in ``tests/test_reference_kernel.py``
 and of the analytic one-electron / dipole / Schwarz tests:
 
 * ``r_tensor_batch`` -- the dense ``(L+1)^4`` Hermite recursion;
-* ``reference_class_rows`` -- the parent ``compute_class_rows`` body
-  (gather, sign and prefactor passes over the full primitive tensor);
+* ``per_class_rows`` -- the per-class sweep exponent families replaced:
+  one Boys / ``r_tensor_batch`` pass per class at the class's own L,
+  contraction coefficients in the prefactor (``PerClassOperands.bra_w``)
+  rather than in E (``per_class_sweep``, the old ``md_sweep``);
+* ``reference_class_rows`` -- the ``compute_class_rows`` body before
+  that (gather, sign and prefactor passes over the full primitive
+  tensor);
 * ``eri_shell_quartet_batched`` / ``pair_bound`` -- the per-pair
   Schwarz diagonal through the per-quartet batched kernel;
 * ``overlap_block`` / ``kinetic_block`` / ``nuclear_attraction_block`` /
@@ -23,19 +28,145 @@ references, and everything here is about the sweep *around* them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell, cartesian_components, component_scale
+from repro.integrals import hermite
 from repro.integrals.boys import boys_array
 from repro.integrals.class_batch import ClassBatch
 from repro.integrals.eri_md import finalize_quartet
-from repro.integrals.hermite import e_coefficients, r_tensor
-from repro.integrals.pairdata import PairData, build_pair_data
-from repro.integrals.spherical import apply_transforms, transform_matrix
+from repro.integrals.hermite import e_coefficients, hermite_lookup, r_tensor
+from repro.integrals.pairdata import (
+    PairData,
+    StackedPairs,
+    _pair_slots,
+    build_pair_data,
+    stack_pairs,
+)
+from repro.integrals.spherical import (
+    apply_transforms,
+    cartesian_to_basis,
+    transform_matrix,
+)
 
 _TWO_PI_52 = 2.0 * math.pi**2.5
+
+
+def class_stacks(batch: ClassBatch):
+    """A class's unique bra / ket pair data stacked, and per-row slots
+    into the two stacks."""
+    pairs, ns = batch.pair_cache, batch.pair_cache.basis.nshells
+    (bra_slots, bra_pairs), (ket_slots, ket_pairs) = _pair_slots(batch.quartets, ns)
+    bra = stack_pairs([pairs.get(i, j) for i, j in bra_pairs])
+    ket = stack_pairs([pairs.get(i, j) for i, j in ket_pairs])
+    return bra, ket, bra_slots, ket_slots
+
+
+@dataclass(frozen=True)
+class PerClassOperands:
+    """What :func:`per_class_sweep` needs of one (bra stack, ket stack)
+    pairing beyond the stacks, whichever quartets are swept."""
+
+    #: rows of the compact Hermite tensor at (tuv)_bra + (tuv)_ket,
+    #: flattened (nherm_bra * nherm_ket,)
+    rrows: np.ndarray
+    #: per pair slot, ``coef / p`` (bra side times 2 pi^{5/2}), (npairs, npp)
+    bra_w: np.ndarray
+    ket_w: np.ndarray
+    #: per pair slot, E on normalized basis functions as matmul operands:
+    #: (npairs, ab, herm x prim) and, with the ket sign (-1)^{t+u+v}
+    #: folded in, (npairs, herm x prim, cd)
+    bra_e: np.ndarray
+    ket_e: np.ndarray
+
+    @classmethod
+    def build(
+        cls, bra: StackedPairs, ket: StackedPairs, pure: tuple[bool, ...]
+    ) -> "PerClassOperands":
+        """Operands for shells of purity ``pure`` (a, b, c, d): E carries
+        :func:`cartesian_to_basis`, so the matmuls land on basis functions."""
+        lmax = bra.la + bra.lb + ket.la + ket.lb
+
+        def on_basis(stack, pure_a, pure_b):  # E as (pair, prim, herm, ab)
+            t = np.kron(
+                cartesian_to_basis(stack.la, pure_a),
+                cartesian_to_basis(stack.lb, pure_b),
+            )
+            flat = stack.E.reshape(stack.E.shape[:2] + (-1, stack.tt.size))
+            return np.tensordot(flat, t, axes=([2], [1]))
+
+        bra_e = on_basis(bra, *pure[:2]).transpose(0, 3, 2, 1)
+        ket_sign = (-1.0) ** (ket.tt + ket.uu + ket.vv)
+        ket_e = (on_basis(ket, *pure[2:]) * ket_sign[:, None]).transpose(0, 2, 1, 3)
+        return cls(
+            rrows=hermite_lookup(lmax)[
+                bra.tt[:, None] + ket.tt[None, :],
+                bra.uu[:, None] + ket.uu[None, :],
+                bra.vv[:, None] + ket.vv[None, :],
+            ].ravel(),
+            bra_w=_TWO_PI_52 * bra.coef / bra.p,
+            ket_w=ket.coef / ket.p,
+            bra_e=bra_e.reshape(bra.npairs, bra_e.shape[1], -1),
+            ket_e=ket_e.reshape(ket.npairs, -1, ket_e.shape[3]),
+        )
+
+
+def per_class_sweep(
+    ops: PerClassOperands,
+    bra: StackedPairs,
+    ket: StackedPairs,
+    bs: np.ndarray,
+    ks: np.ndarray,
+) -> np.ndarray:
+    """ERI blocks ``(nq, ab, cd)`` over basis functions of the quartets
+    pairing bra slots ``bs`` with ket slots ``ks``, in one primitive sweep.
+
+    One ``r_tensor_batch`` over every primitive quartet, carrying the
+    prefactor ``c_b c_k 2 pi^{5/2} / (p q sqrt(p + q))``, then
+    ``sum_{x,y,i,j} Eb R Ek`` as two batched matmuls ``(ab, ix) @ (ix, jy)
+    @ (jy, cd)``.  Each quartet's arithmetic is independent of the rest of
+    the sweep: a row recomputed alone is bitwise the row of a full sweep.
+    """
+    pb = bra.p[bs][:, :, None]
+    qk = ket.p[ks][:, None, :]
+    nq, nb, nk = pb.shape[0], pb.shape[1], qk.shape[2]
+    lmax = bra.la + bra.lb + ket.la + ket.lb
+    psum = pb + qk
+    pref = ops.bra_w[bs][:, :, None] * ops.ket_w[ks][:, None, :]
+    pref /= np.sqrt(psum)
+    alpha = np.divide(pb * qk, psum, out=psum)
+    pq_vec = (
+        bra.P[bs].transpose(2, 0, 1)[:, :, :, None]
+        - ket.P[ks].transpose(2, 0, 1)[:, :, None, :]
+    )
+    r = hermite.r_tensor_batch(
+        lmax, alpha.ravel(), pq_vec.reshape(3, -1).T, pref.ravel()
+    )
+    if lmax == 0:
+        rmat = r.reshape(nq, nb, nk)
+    else:
+        # one row gather, one transpose: (hb, hk, q, x, y) -> (q, hb x, hk y)
+        hb = bra.tt.size
+        rmat = (
+            np.take(r, ops.rrows, axis=0)
+            .reshape(hb, -1, nq, nb, nk)
+            .transpose(2, 0, 3, 1, 4)
+            .reshape(nq, hb * nb, -1)
+        )
+    return np.matmul(np.matmul(ops.bra_e[bs], rmat), ops.ket_e[ks])
+
+
+def per_class_rows(batch: ClassBatch, rows) -> np.ndarray:
+    """ERI blocks ``(nrows, *dims)`` for ``rows`` of one class in one
+    per-class sweep, at the class's own L."""
+    bra, ket, bra_slots, ket_slots = class_stacks(batch)
+    ops = PerClassOperands.build(bra, ket, batch.pure)
+    return per_class_sweep(
+        ops, bra, ket, bra_slots[rows], ket_slots[rows]
+    ).reshape((-1,) + batch.dims)
 
 
 def r_tensor_batch(lmax: int, ps: np.ndarray, pqs: np.ndarray) -> np.ndarray:
@@ -101,7 +232,7 @@ def reference_class_rows(batch: ClassBatch, rows) -> np.ndarray:
     one ``boys_array``/``r_tensor_batch`` evaluation and one einsum over
     every primitive quartet of every selected shell quartet.
     """
-    _, bra, ket, bra_slots, ket_slots = batch.operands()
+    bra, ket, bra_slots, ket_slots = class_stacks(batch)
     TT = bra.tt[:, None] + ket.tt[None, :]
     UU = bra.uu[:, None] + ket.uu[None, :]
     VV = bra.vv[:, None] + ket.vv[None, :]

@@ -111,3 +111,12 @@ class TestCLI:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["definitely-not-a-command"])
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1", "0"])
+    def test_invalid_tau_exits_2_with_a_message(self, tau, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "water", f"--tau={tau}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tau: must be a finite threshold > 0" in err
+        assert "Traceback" not in err

@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_engine import ReferenceMDEngine, quartet_block, quartet_blocks
+from reference_engine import (
+    ReferenceMDEngine,
+    class_rows,
+    quartet_block,
+    quartet_blocks,
+)
 from reference_fock import (
     canonical_shell_quartets,
     reference_build_jk,
@@ -31,8 +36,8 @@ from repro.integrals.class_batch import (
     EIGHT_PERMUTATIONS,
     build_class_plan,
     canonical_quartet_array,
-    compute_class_rows,
     jk_from_plan,
+    jk_from_rows,
     orbit_weights,
 )
 from repro.integrals.engine import MDEngine, OSEngine, SyntheticERIEngine
@@ -193,14 +198,14 @@ class TestClassJKAgreement:
                 assert np.allclose(ki, k1, atol=1e-12, rtol=0)
 
     def test_class_rows_match_engine_quartets(self):
-        """compute_class_rows blocks == each quartet's one-row plan."""
+        """Class-kernel blocks == each quartet's one-row plan."""
         basis = BasisSet.build(water(), "6-31g")
         engine = MDEngine(basis)
         ref = MDEngine(basis)
         plan = engine.class_plan(1e-11)
         for batch in plan.batches[:4]:
             rows = np.arange(min(batch.nq, 8))
-            blocks = compute_class_rows(batch, rows)
+            blocks = class_rows(batch, rows)
             for blk, (m, n, p, q) in zip(blocks, batch.quartets[rows]):
                 expected = quartet_block(ref, int(m), int(n), int(p), int(q))
                 assert np.allclose(blk, expected, atol=1e-12, rtol=0)
@@ -214,6 +219,52 @@ class TestClassJKAgreement:
         build_jk(e_cls, d)
         reference_build_jk(e_ref, d)
         assert e_cls.quartets_computed == e_ref.quartets_computed
+
+
+class TestRowSelection:
+    """``jk_from_rows`` / ``ClassPlan.chunks(rows)`` take strictly
+    increasing plan rows: duplicates used to double-count, an
+    out-of-range row was dropped and a permutation hit an IndexError."""
+
+    @pytest.fixture(scope="class")
+    def dimer(self):
+        from repro.chem.builders import water_cluster
+
+        engine = MDEngine(BasisSet.build(water_cluster(2, 1, 1), "sto-3g"))
+        plan = engine.class_plan(1e-11)
+        d = rand_density(np.random.default_rng(41), engine.basis.nbf)
+        return engine, plan, d
+
+    @pytest.mark.parametrize("case", [
+        "duplicate", "out_of_range", "negative", "permuted", "two_d", "float",
+    ])
+    def test_invalid_rows_rejected(self, dimer, case):
+        engine, plan, d = dimer
+        n = plan.nquartets
+        rows = {
+            "duplicate": np.array([0, 1, 1, 5]),
+            "out_of_range": np.array([0, n]),
+            "negative": np.array([-1, 3]),
+            "permuted": np.arange(n)[::-1].copy(),
+            "two_d": np.arange(4).reshape(2, 2),
+            "float": np.array([0.0, 1.0]),
+        }[case]
+        with pytest.raises(ValueError, match="rows must be strictly increasing"):
+            plan.chunks(rows)
+        with pytest.raises(ValueError, match="rows must be strictly increasing"):
+            jk_from_rows(engine, d, plan, rows)
+
+    def test_selected_rows_partition_the_whole_build(self, dimer):
+        engine, plan, d = dimer
+        j_all, k_all = jk_from_plan(engine, d, plan)
+        rows = np.arange(plan.nquartets)
+        odd, even = rows[1::2], rows[::2]
+        j1, k1 = jk_from_rows(engine, d, plan, odd)
+        j2, k2 = jk_from_rows(engine, d, plan, even)
+        assert np.abs(j1 + j2 - j_all).max() <= 1e-12
+        assert np.abs(k1 + k2 - k_all).max() <= 1e-12
+        j0, k0 = jk_from_rows(engine, d, plan, np.empty(0, dtype=np.int64))
+        assert not j0.any() and not k0.any()
 
 
 class TestDistinctPerms:
@@ -266,24 +317,25 @@ class TestThreadedContraction:
         d = rand_density(np.random.default_rng(17), basis.nbf)
         engine = MDEngine(basis)
         plan = engine.class_plan(1e-11)
+        flushes = recorded_flushes(monkeypatch)
         j_ref, k_ref = jk_from_plan(engine, d, plan)
-        one_per_shape = len(plan.flushes())
+        one_per_shape = len(flushes)
         assert one_per_shape == len({b.dims for b in plan.batches})
-        # tiny sweeps -> several kernel chunks per class; a stage budget
+        # tiny sweeps -> several family chunks per group; a stage budget
         # of a sixth of the largest shape -> flushes end mid-class
         monkeypatch.setattr(class_batch, "MAX_R_WORK", 2_000)
         monkeypatch.setattr(class_batch, "MAX_STAGE_WORK", 100)
-        flushes = plan.flushes()
-        assert len(flushes) >= 2 * one_per_shape
-        assert any(
-            f[0][1].start > 0 or f[-1][1].stop < f[-1][0].nq for f in flushes
-        )
-
-        def spans(chunks):
-            return sorted((id(b), rows.start, rows.stop) for b, rows in chunks)
-
-        assert spans(c for f in flushes for c in f) == spans(plan.chunks())
+        flushes.clear()
         j, k = jk_from_plan(engine, d, plan, threads=threads)
+        assert len(flushes) >= 2 * one_per_shape
+        assert any(rows.size < b.nq for f in flushes for b, rows in f)
+
+        def each_row(members):
+            return sorted((id(b), r) for b, rows in members for r in rows.tolist())
+
+        assert each_row(m for f in flushes for m in f) == each_row(
+            m for chunk in plan.chunks() for m in chunk
+        )
         assert np.allclose(j, j_ref, atol=1e-12, rtol=0)
         assert np.allclose(k, k_ref, atol=1e-12, rtol=0)
 
@@ -369,20 +421,35 @@ class TestProfilerAttribution:
     flush -- never per quartet -- serial and threaded."""
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_eri_and_jk_phases_recorded_per_chunk(self, threads):
+    def test_eri_and_jk_phases_recorded_per_chunk(self, monkeypatch, threads):
         basis = BasisSet.build(water(), "sto-3g")
         rng = np.random.default_rng(31)
         d = rand_density(rng, basis.nbf)
         engine = MDEngine(basis)
         plan = engine.class_plan(1e-11)
+        flushes = recorded_flushes(monkeypatch)
         prof = PhaseProfiler()
         with session(profiler=prof):
             jk_from_plan(engine, d, plan, threads=threads)
         assert prof.stats[PHASE_ERI].calls == len(plan.chunks())
-        assert prof.stats[PHASE_JK].calls == len(plan.flushes())
-        assert len(plan.flushes()) <= len(plan.chunks()) < plan.nquartets
+        assert prof.stats[PHASE_JK].calls == len(flushes)
+        # one flush per block shape (and worker): never per quartet
+        assert len(flushes) <= threads * len({b.dims for b in plan.batches})
+        assert len(plan.chunks()) < plan.nquartets
         assert prof.stats[PHASE_ERI].wall_s > 0.0
         assert prof.stats[PHASE_JK].wall_s > 0.0
+
+
+def recorded_flushes(monkeypatch) -> list:
+    """The members of every contraction flush, as the build makes them."""
+    real, flushes = class_batch._contract_blocks, []
+
+    def contract(jt, kt, dflat, n, flush, parts):
+        flushes.append(list(flush))
+        return real(jt, kt, dflat, n, flush, parts)
+
+    monkeypatch.setattr(class_batch, "_contract_blocks", contract)
+    return flushes
 
 
 class TestFiniteCheckRescue:
@@ -399,10 +466,10 @@ class TestFiniteCheckRescue:
         real = cb.compute_class_rows
         poisoned = {"done": False}
 
-        def poison(batch, rows):
-            out = real(batch, rows)
+        def poison(chunk):
+            out = real(chunk)
             if not poisoned["done"]:
-                out[0] = np.nan
+                out[0][0] = np.nan
                 poisoned["done"] = True
             return out
 

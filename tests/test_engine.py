@@ -37,6 +37,32 @@ class TestRealEngines:
         assert np.all(s >= 0)
 
 
+class TestScreeningThreshold:
+    """A NaN threshold passes every ``<=`` test: it used to screen out
+    every quartet and "converge" to a wrong energy."""
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0])
+    def test_class_plan_rejects_invalid_tau(self, water_basis, tau):
+        engine = MDEngine(water_basis)
+        with pytest.raises(ValueError, match="tau must be a finite threshold"):
+            engine.class_plan(tau)
+        assert not engine._class_plans
+        assert engine.class_plan(0.0).nquartets > 0  # tau = 0 keeps all
+
+    def test_rhf_with_nan_tau_fails_loudly(self):
+        from repro.scf.hf import RHF
+
+        with pytest.raises(ValueError, match="tau must be a finite threshold"):
+            RHF(water(), tau=float("nan")).run()
+
+    @pytest.mark.parametrize("tau", [float("nan"), 0.0, -1.0])
+    def test_screening_map_rejects_non_positive_tau(self, water_engine, tau):
+        from repro.fock.screening_map import ScreeningMap
+
+        with pytest.raises(ValueError, match="tau must be positive"):
+            ScreeningMap(water_engine.basis, water_engine.schwarz(), tau)
+
+
 class TestSyntheticEngine:
     @pytest.fixture(scope="class")
     def engine(self):

@@ -357,9 +357,9 @@ class TestERIFaultSeam:
         sweeps = []
         kernel = class_batch.compute_class_rows
 
-        def counted(batch, rows):
-            blocks = kernel(batch, rows)
-            sweeps.append(len(blocks))
+        def counted(chunk):
+            blocks = kernel(chunk)
+            sweeps.append(sum(map(len, blocks)))
             return blocks
 
         monkeypatch.setattr(class_batch, "compute_class_rows", counted)
@@ -437,17 +437,17 @@ class TestRowScopedReferenceRung:
         swept, corrupted, rescued = [], [], []
         kernel = class_batch.compute_class_rows
 
-        def counted(batch, rows):
-            blocks = kernel(batch, rows)
-            swept.append(len(blocks))
+        def counted(chunk):
+            blocks = kernel(chunk)
+            swept.append(sum(map(len, blocks)))
             return blocks
 
         monkeypatch.setattr(class_batch, "compute_class_rows", counted)
         hit = BuildFaults.corrupt_rows
         monkeypatch.setattr(
             BuildFaults, "corrupt_rows",
-            lambda self, blocks, row0:
-                corrupted.append(hit(self, blocks, row0)) or corrupted[-1],
+            lambda self, blocks, rows:
+                corrupted.append(hit(self, blocks, rows)) or corrupted[-1],
         )
         rescue = rhf.engine._rescue_quartet
         rhf.engine._rescue_quartet = lambda *q: rescued.append(q) or rescue(*q)

@@ -1,14 +1,16 @@
 """Tests for shell-pair data caching and the batched ERI kernel."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_engine import ReferenceMDEngine, quartet_block
+from reference_engine import ReferenceMDEngine, class_rows, quartet_block
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.builders import water
-from repro.integrals.class_batch import build_class_plan, compute_class_rows
+from repro.integrals.class_batch import build_class_plan, canonical_quartet_array
 from repro.integrals.engine import MDEngine, OSEngine
 from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.eri_os import eri_shell_quartet_os
@@ -63,18 +65,24 @@ class TestBatchedKernel:
         assert np.allclose(batched, eri_shell_quartet(*shs), atol=1e-12)
 
     def test_precomputed_pair_data_gives_same_block(self):
-        """A row swept with the rest of its class, over pair data the
-        whole class stacked, is bitwise the row swept alone."""
+        """A row swept with the rest of its class -- over pair data the
+        whole class stacked, in a family sweep shared with the other
+        shell of each sp family -- is bitwise the row swept alone."""
         rng = np.random.default_rng(9)
-        shs = [rand_shell(rng, l, nprim=2) for l in (1, 0, 1, 0, 1, 0)]
+        shs = []
+        for _ in range(3):  # three sp families: a p and an s shell each
+            p = rand_shell(rng, 1, nprim=2)
+            shs += [p, replace(p, l=0, coefs=rng.uniform(0.3, 1.0, 2))]
         basis = BasisSet(molecule=water(), shells=shs, name="pairs")
-        quartets = [(m, n, p, q) for m in (0, 2, 4) for n in (1, 3, 5)
-                    for p in (0, 2, 4) for q in (1, 3, 5)]
-        (batch,) = build_class_plan(basis, ShellPairData(basis), quartets).batches
-        swept = compute_class_rows(batch, np.arange(batch.nq))
+        quartets = canonical_quartet_array(np.ones((6, 6)), 0.0)
+        plan = build_class_plan(basis, ShellPairData(basis), quartets)
+        assert {g.lmax for g in plan.groups} == {4}
+        assert sum(len(g.quartets) for g in plan.groups) < plan.nquartets
         alone = MDEngine(basis)
-        for row, quartet in zip(swept, batch.quartets.tolist()):
-            assert np.array_equal(row, quartet_block(alone, *quartet))
+        for batch in plan.batches:
+            swept = class_rows(batch, np.arange(batch.nq))
+            for row, quartet in zip(swept, batch.quartets.tolist()):
+                assert np.array_equal(row, quartet_block(alone, *quartet))
 
 
 class TestShellPairData:

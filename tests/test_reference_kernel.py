@@ -4,17 +4,22 @@ property sweep against references that share no code with it."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_engine import class_rows
 from reference_kernel import (
     dipole_block,
     kinetic_block,
     nuclear_attraction_block,
     overlap_block,
     pair_bound,
+    per_class_rows,
     reference_class_rows,
 )
 from scipy import special
@@ -35,7 +40,7 @@ from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.eri_os import eri_shell_quartet_os
 from repro.integrals.moments import dipole_integrals
 from repro.integrals.oneelec import kinetic, nuclear_attraction, overlap
-from repro.integrals.pairdata import ShellPairData
+from repro.integrals.pairdata import ShellPairData, shell_families
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 
 
@@ -46,6 +51,10 @@ def cartesian(basis: BasisSet) -> BasisSet:
         shells=[replace(sh, pure=False) for sh in basis.shells],
         name=basis.name + "-cart",
     )
+
+
+def sha256(blocks: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(blocks).tobytes()).hexdigest()
 
 
 def bases():
@@ -75,12 +84,12 @@ class TestClassRowsMatchReference:
         engine = MDEngine(BASES[name])
         plan = engine.class_plan(0.0)
         assert len({b.lmax for b in plan.batches}) > 1
-        for batch, sel in plan.chunks():
-            rows = np.arange(batch.nq)[sel]
-            new = compute_class_rows(batch, rows)
-            ref = reference_class_rows(batch, rows)
-            assert new.shape == ref.shape == (len(rows),) + batch.dims
-            assert np.abs(new - ref).max() <= 1e-13
+        for chunk in plan.chunks():
+            for (batch, sel), new in zip(chunk, compute_class_rows(chunk)):
+                rows = np.arange(batch.nq)[sel]
+                ref = reference_class_rows(batch, rows)
+                assert new.shape == ref.shape == (len(rows),) + batch.dims
+                assert np.abs(new - ref).max() <= 1e-13
 
     def test_random_contracted_quartets_up_to_l8(self):
         """50 seeded quartets of random s/p/d shells, (dd|dd) included:
@@ -99,7 +108,7 @@ class TestClassRowsMatchReference:
             )
             (batch,) = plan.batches
             seen_l.add(batch.lmax)
-            new = compute_class_rows(batch, np.arange(1))
+            new = class_rows(batch, np.arange(1))
             ref = reference_class_rows(batch, np.arange(1))
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(new - ref).max() <= 1e-13 * scale
@@ -111,15 +120,72 @@ class TestClassRowsMatchReference:
 
     def test_row_subset_is_bitwise_the_full_sweep(self):
         """A CRC rescue recomputes single rows of a stored chunk: they
-        must equal the rows of the whole-chunk sweep bit for bit."""
+        must equal the rows of the whole family sweep bit for bit, each
+        row alone and a subset of a member together (sha256)."""
         engine = MDEngine(BASES["water/6-31g"])
-        for batch, sel in engine.class_plan(1e-11).chunks()[:40]:
-            rows = np.arange(batch.nq)[sel]
-            full = compute_class_rows(batch, rows)
-            pick = rows[:: max(1, len(rows) // 3)]
-            assert np.array_equal(
-                compute_class_rows(batch, pick), full[pick - rows[0]]
-            )
+        for chunk in engine.class_plan(1e-11).chunks()[:40]:
+            for (batch, sel), full in zip(chunk, compute_class_rows(chunk)):
+                rows = np.arange(batch.nq)[sel]
+                pick = rows[:: max(1, len(rows) // 3)]
+                assert sha256(class_rows(batch, pick)) == sha256(
+                    full[pick - rows[0]]
+                )
+                assert sha256(class_rows(batch, rows[-1:])) == sha256(full[-1:])
+
+
+def family_basis(rng) -> BasisSet:
+    """Two or three centres, each with one to three shells of random
+    l <= 2 (pure or Cartesian d) on one exponent vector -- an exponent
+    family -- with their own contraction coefficients."""
+    shells = []
+    for centre in range(int(rng.integers(2, 4))):
+        n = int(rng.integers(1, 4))
+        exps, at = rng.uniform(0.2, 3.0, n), rng.uniform(-1.5, 1.5, 3)
+        for l in rng.integers(0, 3, int(rng.integers(1, 4))).tolist():
+            shells.append(Shell(
+                l=l, exps=exps, coefs=rng.uniform(0.3, 1.0, n), center=at,
+                atom_index=centre, pure=bool(l == 2 and rng.integers(0, 2)),
+            ))
+    return BasisSet(molecule=water(), shells=shells, name="families")
+
+
+class TestFamilySweep:
+    """The family sweep (one Boys/Hermite pass per exponent-family
+    quartet) vs the per-class sweep it replaced."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=5, deadline=None)
+    def test_matches_per_class_oracle_on_shared_exponents(self, seed):
+        rng = np.random.default_rng(seed)
+        basis = family_basis(rng)
+        plan = MDEngine(basis).class_plan(0.0)
+        for chunk in plan.chunks():
+            for (batch, sel), new in zip(chunk, compute_class_rows(chunk)):
+                rows = np.arange(batch.nq)[sel]
+                ref = per_class_rows(batch, rows)
+                assert np.abs(new - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+                # a row recomputed alone is the row of the whole sweep
+                i = int(rng.integers(len(rows)))
+                assert sha256(class_rows(batch, rows[i:i + 1])) == sha256(new[i])
+
+    def test_shared_families_shrink_the_sweep(self):
+        """water/6-31G: O 2sp and 3sp share their primitive work."""
+        basis = BASES["water/6-31g"]
+        assert len(set(shell_families(basis).tolist())) < basis.nshells
+        plan = MDEngine(basis).class_plan(1e-11)
+        assert sum(len(g.quartets) for g in plan.groups) < plan.nquartets
+
+    def test_basis_without_shared_families_stays_per_class(self):
+        """vdz-sim shares no exponent vector: the sweep differs from the
+        per-class one only by where the coefficients are multiplied."""
+        basis = BasisSet.build(water(), "vdz-sim")
+        assert len(set(shell_families(basis).tolist())) == basis.nshells
+        plan = MDEngine(basis).class_plan(1e-11)
+        assert sum(len(g.quartets) for g in plan.groups) == plan.nquartets
+        for chunk in plan.chunks():
+            for (batch, sel), new in zip(chunk, compute_class_rows(chunk)):
+                ref = per_class_rows(batch, np.arange(batch.nq)[sel])
+                assert np.abs(new - ref).max() <= 1e-14
 
 
 class TestOneElectronMatchReference:

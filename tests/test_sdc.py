@@ -9,6 +9,8 @@ false alarms.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import shutil
 
@@ -167,6 +169,10 @@ class TestCheckpointIntegrity:
 # -- store integrity ---------------------------------------------------------
 
 
+def sha256_hex(blocks: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(blocks).tobytes()).hexdigest()
+
+
 @pytest.fixture()
 def filled_store(tmp_path, sto3g_basis):
     rng = np.random.default_rng(23)
@@ -210,6 +216,33 @@ class TestStoreIntegrity:
         for got, want in zip(supermatrix_arrays(engine),
                              supermatrix_arrays(clean)):
             assert np.array_equal(got, want)
+
+    def test_crc_rescued_rows_are_bitwise_the_filled_ones(
+        self, filled_store, sto3g_basis
+    ):
+        """A rescued row is recomputed alone (a family sweep over its
+        own family quartet): its bytes are the bytes the whole-plan
+        sweep filled the store with (sha256 per member)."""
+        from repro.integrals import class_batch
+
+        store_dir, *_ = filled_store
+        clean = ERIStore(shutil.copytree(store_dir, store_dir.parent / "clean"),
+                         sto3g_basis).open_or_fill()
+        SDCFaultPlan(seed=5, store_flips=3).activate().corrupt_store_dir(store_dir)
+        engine = MDEngine(sto3g_basis, store=store_dir)
+        store = engine.integral_store
+        store.verify_reads = True
+        counts = dict.fromkeys(class_batch._COUNT_KEYS, 0)
+        for flush, parts in class_batch._flushes(
+            engine, class_batch._store_chunks(engine.class_plan(1e-11)), store,
+            None, contextlib.nullcontext(), counts,
+        ):
+            for (batch, rows), blocks in zip(flush, parts):
+                sel = clean.offsets_for(batch.quartets[rows])
+                filled = clean.read_stacked(sel, batch.block_size, batch.dims)
+                assert sha256_hex(blocks) == sha256_hex(filled)
+        assert counts["crc_rescued"] == store.crc_mismatches > 0
+        assert counts["computed"] == 0
 
     def test_unverified_read_accepts_corruption_silently(
         self, filled_store, sto3g_basis
