@@ -11,9 +11,9 @@ test:
 # the size needle: src/ total and the subtotals ROADMAP items 1, 2, 4 and 5 track
 loc:
 	@find src -name '*.py' | xargs cat | wc -l | xargs echo "src/ lines:"
-	@find src/repro/integrals src/repro/scf/fock.py \
-	  src/repro/scf/incremental.py -name '*.py' | xargs cat | wc -l \
-	  | xargs echo "integrals/ + scf/fock.py + scf/incremental.py lines:"
+	@find src/repro/integrals src/repro/scf/fock.py -name '*.py' \
+	  | xargs cat | wc -l \
+	  | xargs echo "ERI subtotal (integrals/ + scf/fock.py) lines:"
 	@cd src/repro/fock && cat gtfock.py nwchem.py tasks.py symmetry.py \
 	  cost.py | wc -l \
 	  | xargs echo "numeric builds + tasks (ROADMAP item 2) lines:"

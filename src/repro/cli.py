@@ -638,6 +638,14 @@ def _threshold(text: str) -> float:
     return tau
 
 
+def _positive_int(text: str) -> int:
+    """``--max-iter`` / ``--jk-threads``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _obs_flags() -> argparse.ArgumentParser:
     """Shared observability flags for every subcommand."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -701,7 +709,7 @@ def main(argv: list[str] | None = None) -> int:
     p_scf.set_defaults(handler=_run_scf)
     p_scf.add_argument("molecule")
     p_scf.add_argument("--basis", default="sto-3g")
-    p_scf.add_argument("--max-iter", type=int, default=100)
+    p_scf.add_argument("--max-iter", type=_positive_int, default=100)
     p_scf.add_argument(
         "--no-diis", action="store_true", help="disable DIIS acceleration"
     )
@@ -712,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
         "ERIs; see docs/PERFORMANCE.md)",
     )
     p_scf.add_argument(
-        "--jk-threads", type=int, default=None, metavar="N",
+        "--jk-threads", type=_positive_int, default=None, metavar="N",
         help="worker threads for the class-batched J/K contraction "
         "(default: REPRO_JK_THREADS or serial)",
     )
@@ -958,9 +966,9 @@ def main(argv: list[str] | None = None) -> int:
         "--lease", type=float, default=30.0, metavar="S",
         help="lease duration; renewed by heartbeat every SCF iteration",
     )
-    p_sub.add_argument("--max-iter", type=int, default=None)
+    p_sub.add_argument("--max-iter", type=_positive_int, default=None)
     p_sub.add_argument(
-        "--jk-threads", type=int, default=None, metavar="N",
+        "--jk-threads", type=_positive_int, default=None, metavar="N",
         help="threaded J/K contraction width (dropped to 1 on "
         "MemoryError retries)",
     )
@@ -1065,7 +1073,7 @@ def main(argv: list[str] | None = None) -> int:
     pp_prof.set_defaults(handler=_run_perf_profile)
     pp_prof.add_argument("molecule", nargs="?", default="water")
     pp_prof.add_argument("--basis", default="6-31g")
-    pp_prof.add_argument("--max-iter", type=int, default=100)
+    pp_prof.add_argument("--max-iter", type=_positive_int, default=100)
     pp_prof.add_argument(
         "--top", type=int, default=15, metavar="N",
         help="hotspot rows to keep (by cumulative time)",

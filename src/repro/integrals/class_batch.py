@@ -708,10 +708,20 @@ def _store_chunks(plan: ClassPlan) -> list[list[Chunk]]:
 
 
 def resolve_jk_threads(threads: int | None) -> int:
-    """Thread count for the J/K contraction (``REPRO_JK_THREADS`` default)."""
+    """Thread count for the J/K contraction (``REPRO_JK_THREADS`` default);
+    a count that is not an integer >= 1 is a ``ValueError`` naming its
+    source."""
+    name = "jk_threads"
     if threads is None:
-        threads = int(os.environ.get("REPRO_JK_THREADS", "1"))
-    return max(1, int(threads))
+        name = "REPRO_JK_THREADS"
+        threads = os.environ.get(name, "1")
+    try:
+        n = int(threads)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {threads!r}")
+    return n
 
 
 #: set by :func:`interrupt_jk_threads` (a dying worker's SIGTERM handler):

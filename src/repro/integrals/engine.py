@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import abc
 import math
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +44,9 @@ from repro.integrals.class_batch import (
 from repro.integrals.eri_md import eri_shell_quartet
 from repro.integrals.eri_os import eri_shell_quartet_os
 from repro.integrals.pairdata import ShellPairData
-from repro.integrals.schwarz import schwarz_matrix, schwarz_model
+from repro.integrals.schwarz import schwarz_matrix
 from repro.integrals.store import ERIStore
 from repro.obs import get_metrics, get_profiler
-
-#: bound on memoized class plans per engine (IncrementalFockBuilder
-#: cycles through a handful of effective thresholds per SCF run)
-_MAX_CLASS_PLANS = 8
 
 
 class NonFiniteERIError(RuntimeError):
@@ -98,8 +93,8 @@ class ERIEngine(abc.ABC):
         #: seeded numerical corruption of class-kernel rows (the ``scf``
         #: fault family); see :class:`repro.runtime.faults.SCFFaultState`
         self.scf_faults = None
-        #: memoized class-batched execution plans, keyed by tau
-        self._class_plans: OrderedDict[float, ClassPlan] = OrderedDict()
+        #: the memoized class-batched execution plan as ``(tau, plan)``
+        self._class_plan: tuple[float, ClassPlan] | None = None
         if store is not None:
             self.attach_store(store)
 
@@ -139,18 +134,16 @@ class ERIEngine(abc.ABC):
         """The class-batched execution plan for threshold ``tau``, memoized.
 
         Plans depend only on the basis and the Schwarz-screened quartet
-        set, so one plan serves every SCF iteration at a given ``tau``
-        (a small LRU absorbs the incremental builder's varying effective
-        thresholds).  Planning time lands in the ``class_plan`` profiler
+        set, so one plan serves every SCF iteration at a given ``tau``;
+        the engine keeps that one, and another ``tau`` re-plans and
+        replaces it.  Planning time lands in the ``class_plan`` profiler
         phase.  ``tau`` must be finite and >= 0: a NaN one would screen
         out every quartet.
         """
         if not (math.isfinite(tau) and tau >= 0):
             raise ValueError(f"tau must be a finite threshold >= 0, got {tau!r}")
-        plan = self._class_plans.get(tau)
-        if plan is not None:
-            self._class_plans.move_to_end(tau)
-            return plan
+        if self._class_plan is not None and self._class_plan[0] == tau:
+            return self._class_plan[1]
         from repro.obs.profile import PHASE_CLASS_PLAN
 
         with get_profiler().phase(PHASE_CLASS_PLAN):
@@ -159,9 +152,7 @@ class ERIEngine(abc.ABC):
                 self.pair_cache,
                 canonical_quartet_array(self.schwarz(), tau),
             )
-        self._class_plans[tau] = plan
-        while len(self._class_plans) > _MAX_CLASS_PLANS:
-            self._class_plans.popitem(last=False)
+        self._class_plan = (tau, plan)
         return plan
 
     def _rescue_quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
@@ -200,13 +191,9 @@ class MDEngine(ERIEngine):
     """
 
     def __init__(
-        self,
-        basis: BasisSet,
-        model_schwarz: bool = False,
-        store: str | Path | ERIStore | None = None,
+        self, basis: BasisSet, store: str | Path | ERIStore | None = None
     ):
         super().__init__(basis, store=store)
-        self.model_schwarz = model_schwarz
         self.pair_cache = ShellPairData(basis)
 
     def _rescue_quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
@@ -225,8 +212,7 @@ class MDEngine(ERIEngine):
         return block
 
     def _build_schwarz(self) -> np.ndarray:
-        build = schwarz_model if self.model_schwarz else schwarz_matrix
-        return build(self.basis, self.pair_cache)
+        return schwarz_matrix(self.basis, self.pair_cache)
 
 
 class OSEngine(ERIEngine):

@@ -26,7 +26,6 @@ from repro.scf.fock import (
 )
 from repro.scf.guess import core_guess, gwh_guess, zero_guess
 from repro.scf.hf import RHF, SCFDriver, SCFOutcome, SCFResult
-from repro.scf.incremental import IncrementalFockBuilder
 from repro.scf.properties import (
     DipoleMoment,
     OrbitalSummary,
@@ -81,7 +80,6 @@ __all__ = [
     "SCFDriver",
     "SCFOutcome",
     "SCFResult",
-    "IncrementalFockBuilder",
     "UHF",
     "UHFResult",
     "DipoleMoment",

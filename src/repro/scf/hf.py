@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.molecule import Molecule
+from repro.integrals.class_batch import resolve_jk_threads
 from repro.integrals.engine import ERIEngine, MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.obs import get_ledger, get_metrics, get_profiler, get_tracer
@@ -39,7 +40,6 @@ from repro.scf.diis import DIIS
 from repro.scf.fock import fock_matrix, hf_electronic_energy
 from repro.scf.guard import GuardConfig, GuardEvent, SCFGuard
 from repro.scf.guess import core_guess
-from repro.scf.incremental import IncrementalFockBuilder
 from repro.scf.orthogonalization import density_from_fock, orthogonalizer
 from repro.scf.purification import purify
 
@@ -111,10 +111,6 @@ class SCFDriver:
     density_method:
         ``"diagonalize"`` (Algorithm 1, line 8) or ``"purify"``
         (Sec IV-E's diagonalization-free path).
-    incremental:
-        Build the two-electron part from density differences
-        (:class:`~repro.scf.incremental.IncrementalFockBuilder`): late
-        iterations screen away almost all quartets.  RHF only.
     integral_store:
         When set, a directory for the memory-mapped stored-integral
         layer (:class:`~repro.integrals.store.ERIStore`): conventional
@@ -126,9 +122,12 @@ class SCFDriver:
         directly; any mismatch invalidates it (with a warning) and it
         is refilled.
     jk_threads:
-        Worker threads for the class-batched J/K contraction (default
-        ``None`` = the ``REPRO_JK_THREADS`` environment variable, else
-        serial).  Builds served by a ready store do not consult it.
+        Worker threads for the class-batched J/K contraction, >= 1
+        (default ``None`` = the ``REPRO_JK_THREADS`` environment
+        variable, else serial).  Builds served by a ready store do not
+        consult it, but a bad count is rejected at construction.
+    max_iter:
+        Iteration cap, >= 1.
     checkpoint_dir:
         When set, snapshot the restartable state (density, energy
         history, DIIS window) to ``checkpoint_dir/scf_ckpt_NNNN.npz``
@@ -187,7 +186,6 @@ class SCFDriver:
     tau: float = 1e-11
     use_diis: bool = True
     density_method: str = "diagonalize"
-    incremental: bool = False
     integral_store: str | None = None
     jk_threads: int | None = None
     max_iter: int = 100
@@ -206,6 +204,9 @@ class SCFDriver:
             raise ValueError(f"unknown density_method {self.density_method!r}")
         if self.restart and self.checkpoint_dir is None:
             raise ValueError("restart=True requires checkpoint_dir")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        resolve_jk_threads(self.jk_threads)
         if self.guard is True:
             self.guard = GuardConfig()
         elif self.guard is False:
@@ -219,10 +220,6 @@ class SCFDriver:
             self.engine.attach_store(self.integral_store)
         store = self.engine.integral_store
         self._store_warm_at_start = bool(store is not None and store.ready)
-
-    def _reset_fock_builder(self) -> None:
-        """Drop Fock-build state accumulated across iterations (a
-        stateless build has none)."""
 
     def _run(self, guess: list[np.ndarray] | None):
         """Iterate with the engine armed for this run only: the ERI
@@ -253,11 +250,10 @@ class SCFDriver:
             # flagged row on the reference kernel is exact and every
             # other row stays on the class kernel.  Arm the per-row
             # sentinel for the rest of the run (_run restores it) and
-            # drop what was built before it was armed: no stored row and
-            # no accumulated Fock reaches F unchecked
+            # detach the store: no row resolved before it was armed
+            # reaches F unchecked
             self.engine.finite_check = True
             self.engine.detach_store()
-            self._reset_fock_builder()
         return x
 
     def _new_density(self, f_eff, x, s, d, nocc: int, shift: float):
@@ -358,7 +354,6 @@ class SCFDriver:
         # DIIS window, no density step and no orbital energies
         diis = [DIIS() if self.use_diis and n else None for n in occ]
         windows = [w for w in diis if w is not None]
-        self._reset_fock_builder()
         history: list[float] = []
         e_old = np.inf
         fs = [h] * len(occ)
@@ -402,8 +397,6 @@ class SCFDriver:
                     if guard.nonfinite_exhausted():
                         raise guard.fail(it, "Fock matrix is non-finite")
                     x = self._apply_fallbacks(guard, s, x)
-                    # the accumulated Fock may carry the corruption
-                    self._reset_fock_builder()
                     with tracer.span("fock_rebuild", cat="scf"):
                         fs = self._focks(h, ds)
                     if not all(np.isfinite(f).all() for f in fs):
@@ -606,24 +599,15 @@ class RHF(SCFDriver):
                 f"{self.nocc} occupied orbitals exceed {self.basis.nbf} basis functions"
             )
         self._occupations = (self.nocc,)
-        self._builder: IncrementalFockBuilder | None = None
 
     def run(self, guess: np.ndarray | None = None) -> SCFResult:
         """Run the SCF iteration to convergence (Algorithm 1)."""
         return self._run(None if guess is None else [guess])
 
-    def _reset_fock_builder(self) -> None:
-        if self.incremental:
-            self._builder = IncrementalFockBuilder(
-                self.engine, tau=self.tau, threads=self.jk_threads
-            )
-
     def _guess(self, h: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
         return [core_guess(h, x, self.nocc)]
 
     def _focks(self, h: np.ndarray, ds: list[np.ndarray]) -> list[np.ndarray]:
-        if self._builder is not None:
-            return [self._builder.fock(h, ds[0])]
         return [
             fock_matrix(self.engine, h, ds[0], self.tau, threads=self.jk_threads)
         ]

@@ -51,9 +51,7 @@ class UHF(SCFDriver):
 
     ``multiplicity`` is 2S+1; the alpha/beta electron split follows from
     it and the total electron count.  Every other field is
-    :class:`~repro.scf.hf.SCFDriver`'s and behaves as on RHF, except
-    ``incremental=True``, which is rejected (the incremental builder
-    accumulates the closed-shell ``2J - K``).
+    :class:`~repro.scf.hf.SCFDriver`'s and behaves as on RHF.
     """
 
     max_iter: int = 200
@@ -73,8 +71,6 @@ class UHF(SCFDriver):
             raise ValueError(
                 f"multiplicity {self.multiplicity} impossible for {nel} electrons"
             )
-        if self.incremental:
-            raise ValueError("UHF does not support incremental=True")
         super().__post_init__()
         self.n_alpha = (nel + nunpaired) // 2
         self.n_beta = (nel - nunpaired) // 2

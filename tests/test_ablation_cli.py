@@ -120,3 +120,25 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "argument --tau: must be a finite threshold > 0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scf", "water", "--max-iter", "0"],
+        ["scf", "water", "--jk-threads", "0"],
+        ["scf", "water", "--jk-threads=-4"],
+        ["submit", "water", "--max-iter", "0"],
+        ["submit", "water", "--jk-threads", "0"],
+        ["perf", "profile", "water", "--max-iter", "-1"],
+    ])
+    def test_count_below_one_exits_2_with_a_message(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        """``--max-iter 0`` used to print the core-guess energy, and
+        ``--jk-threads 0`` to run serial, without a word."""
+        monkeypatch.chdir(tmp_path)  # where a parsed submit queues
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        flag = next(a for a in argv if a.startswith("--")).split("=")[0]
+        assert f"argument {flag}: must be an integer >= 1" in err
+        assert "Traceback" not in err

@@ -357,11 +357,21 @@ class TestPlanCaching:
         assert p1 is p2
         assert engine.class_plan(1e-9) is not p1
 
-    def test_plan_lru_bounded(self, water_basis):
-        engine = MDEngine(water_basis)
-        for i in range(12):
-            engine.class_plan(10.0 ** (-i - 3))
-        assert len(engine._class_plans) <= 8
+    def test_plan_lru_bounded(self, water_basis, tmp_path):
+        """The plan cache is bounded at one: another tau re-plans and
+        replaces the plan, and a ready store's supermatrix follows it."""
+        engine = MDEngine(water_basis, store=tmp_path)
+        d = rand_density(np.random.default_rng(3), water_basis.nbf)
+        build_jk(engine, d, 1e-11)  # fills the store
+        build_jk(engine, d, 1e-11)  # assembles the supermatrix
+        p1, sm1 = engine.class_plan(1e-11), engine.supermatrix
+        assert sm1.plan is p1
+        p2 = engine.class_plan(1e-9)
+        assert p2 is not p1 and engine._class_plan == (1e-9, p2)
+        assert engine.class_plan(1e-9) is p2
+        build_jk(engine, d, 1e-9)
+        assert engine.supermatrix is not sm1 and engine.supermatrix.plan is p2
+        assert engine.class_plan(1e-11) is not p1
 
     def test_plan_covers_all_screened_quartets(self, water_basis):
         engine = MDEngine(water_basis)

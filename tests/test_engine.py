@@ -7,6 +7,7 @@ from reference_engine import quartet_block, quartet_blocks
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane, water
 from repro.integrals.engine import MDEngine, OSEngine, SyntheticERIEngine
+from repro.integrals.schwarz import schwarz_model
 
 
 class TestRealEngines:
@@ -31,10 +32,15 @@ class TestRealEngines:
         assert s1 is s2
 
     def test_model_schwarz_option(self, water_basis):
-        eng = MDEngine(water_basis, model_schwarz=True)
-        s = eng.schwarz()
+        """The model screen is an option its callers (the CLI, the
+        ablations, the bench harness) take by calling ``schwarz_model``
+        directly: a symmetric bound that only decays off the diagonal."""
+        s = schwarz_model(water_basis)
         assert s.shape == (water_basis.nshells,) * 2
         assert np.all(s >= 0)
+        assert np.allclose(s, s.T, rtol=1e-15, atol=0)
+        diag = np.diag(s)
+        assert np.all(s <= np.sqrt(np.outer(diag, diag)) * (1 + 1e-15))
 
 
 class TestScreeningThreshold:
@@ -46,7 +52,7 @@ class TestScreeningThreshold:
         engine = MDEngine(water_basis)
         with pytest.raises(ValueError, match="tau must be a finite threshold"):
             engine.class_plan(tau)
-        assert not engine._class_plans
+        assert engine._class_plan is None
         assert engine.class_plan(0.0).nquartets > 0  # tau = 0 keeps all
 
     def test_rhf_with_nan_tau_fails_loudly(self):

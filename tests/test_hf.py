@@ -68,11 +68,11 @@ class TestConvergenceBehavior:
         assert res.homo_lumo_gap == eps[res.nocc] - eps[res.nocc - 1]
         assert res.homo_lumo_gap > 0.5
 
-    def test_incremental_builds_are_threaded(self):
-        """``jk_threads`` reaches the incremental builder's J/K builds,
-        not only the final Fock build."""
+    def test_jk_threads_reach_every_iteration_build(self):
+        """``jk_threads`` reaches every iteration's J/K build, not only
+        the final Fock build."""
         seen = []
-        rhf = RHF(water(), incremental=True, jk_threads=2, max_iter=2,
+        rhf = RHF(water(), jk_threads=2, max_iter=2,
                   on_iteration=lambda it, e: seen.append(
                       len(rhf.engine.last_jk_worker_stats)))
         rhf.run()
@@ -104,6 +104,26 @@ class TestValidation:
     def test_bad_density_method(self):
         with pytest.raises(ValueError):
             RHF(water(), density_method="magic")
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        """No iteration means no SCF energy: it used to return the
+        core-guess energy as an unconverged result."""
+        with pytest.raises(ValueError, match="max_iter"):
+            RHF(water(), max_iter=max_iter)
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_jk_threads_below_one_rejected(self, threads):
+        """A count below 1 used to run serial without a word."""
+        with pytest.raises(ValueError, match="jk_threads"):
+            RHF(water(), jk_threads=threads)
+
+    @pytest.mark.parametrize("value", ["two", "0", "1.5"])
+    def test_bad_jk_threads_env_rejected_by_name(self, monkeypatch, value):
+        """It used to die with a bare ``invalid literal for int()``."""
+        monkeypatch.setenv("REPRO_JK_THREADS", value)
+        with pytest.raises(ValueError, match="REPRO_JK_THREADS"):
+            RHF(water())
 
     def test_variational_bound(self, water_scf):
         """HF energy must be above the exact ground state (-76.4)."""

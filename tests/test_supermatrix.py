@@ -22,6 +22,7 @@ from test_class_batch import rand_basis, rand_density
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
 from repro.integrals import class_batch
+from repro.integrals import engine as engine_module
 from repro.integrals.engine import MDEngine
 from repro.scf.fock import build_jk
 from repro.scf.hf import RHF
@@ -228,17 +229,28 @@ class TestWarmRestart:
         assert np.array_equal(res.fock, ref.fock)
         assert np.array_equal(res.density, ref.density)
 
-    def test_incremental_builder_keeps_the_one_plan(self, warm_dir):
-        """Over a ready store every build -- full or incremental -- is
-        the run's own plan, so nothing is re-planned or re-assembled."""
-        rhf = RHF(
-            water(), "6-31g", integral_store=str(warm_dir), incremental=True
-        )
-        plain = RHF(water(), "6-31g", integral_store=str(warm_dir)).run()
+    def test_ready_store_run_plans_and_assembles_once(
+        self, warm_dir, monkeypatch
+    ):
+        """Every build of a ready-store RHF is the run's one plan: it is
+        planned once, assembled once and computes zero quartets."""
+        calls = {"plan": 0, "assemble": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(engine_module, "build_class_plan", "plan")
+        counted(class_batch, "assemble_supermatrix", "assemble")
+        rhf = RHF(water(), "6-31g", integral_store=str(warm_dir))
         res = rhf.run()
-        assert res.converged
-        assert abs(res.energy - plain.energy) <= 1e-10
+        assert res.converged and res.iterations > 2
+        assert calls == {"plan": 1, "assemble": 1}
         engine = rhf.engine
-        assert len(engine._class_plans) == 1
         assert engine.supermatrix.plan is engine.class_plan(rhf.tau)
         assert engine.quartets_computed == 0

@@ -274,5 +274,13 @@ class TestUHFSharedLoop:
         assert driver.engine.eri_rescues > 0
 
     def test_incremental_rejected_by_name(self):
-        with pytest.raises(ValueError, match="incremental"):
-            UHF(h2(0.7414), incremental=True)
+        """The delta-density builder is gone: neither driver has the
+        field, so asking for it names it."""
+        for driver in (UHF, RHF):
+            with pytest.raises(TypeError, match="incremental"):
+                driver(h2(0.7414), incremental=True)
+
+    def test_max_iter_below_one_rejected(self):
+        """It used to crash with an IndexError after the empty loop."""
+        with pytest.raises(ValueError, match="max_iter"):
+            UHF(h2(0.7414), max_iter=0)
