@@ -233,21 +233,12 @@ def gtfock_build(
         def on_steal(thief: int, victim: int) -> None:
             bufs[thief].merge_from(bufs[victim])
 
-        seen_victims: set[tuple[int, int]] = set()
-
-        def steal_cost(thief: int, victim: int) -> float:
-            # copy the victim's D buffer (Sec III-F), once per new victim
-            if (thief, victim) in seen_victims:
-                return 0.0
-            seen_victims.add((thief, victim))
-            nbytes = int(bufs[victim].have.sum()) * config.element_size
-            return stats.charge_steal(thief, nbytes, ncalls=1)
-
         with tracer.span("schedule", cat="fock"):
             outcome = run_work_stealing(
                 [part.task_block(p).tasks() for p in range(nproc)],
                 cost_of, (part.prow, part.pcol), stats=stats,
-                steal_cost=steal_cost, on_task=on_task, on_steal=on_steal,
+                d_copy_bytes=lambda v: int(bufs[v].have.sum()) * config.element_size,
+                on_task=on_task, on_steal=on_steal,
                 enable_stealing=enable_stealing, tracer=tracer, faults=fstate,
                 rng=fstate.rng if fstate is not None else None,
                 event_observer=None if capture is None

@@ -157,14 +157,12 @@ def _finalize(
     # slowest one; exported per rank so the observatory can watch the
     # balance story behind Table VIII, not just its summary ratio
     idle = t_max - finish
-    gauge = get_metrics().gauge(
+    get_metrics().gauge(
         "repro_sim_idle_seconds",
-        "Per-rank endgame idle time in the simulated Fock build "
-        "(makespan minus own finish)",
+        "Per-rank endgame idle time in the latest simulated Fock build "
+        "of each algorithm (makespan minus own finish)",
         labelnames=("proc", "algorithm"),
-    )
-    for p in range(stats.nproc):
-        gauge.set(float(idle[p]), proc=p, algorithm=algorithm)
+    ).set_all("proc", idle.tolist(), algorithm=algorithm)
     # the Fock phase ends at a barrier: average parallel overhead counts
     # everything that is not computation -- communication, scheduler
     # waits, and endgame idling behind the slowest process (the paper's
@@ -256,18 +254,8 @@ def simulate_gtfock(
     def cost_of(codes: np.ndarray) -> np.ndarray:
         return eris_flat[codes] * t_task + config.task_overhead
 
-    # "When a process steals from a new victim" (Sec III-F): the D-buffer
-    # copy is paid once per (thief, victim) pair; repeat steals from the
-    # same victim reuse the already-copied buffer.
-    seen_victims: set[tuple[int, int]] = set()
-
-    def steal_cost(thief: int, victim: int) -> float:
-        if (thief, victim) in seen_victims:
-            return 0.0
-        seen_victims.add((thief, victim))
-        nbytes = footprint_bytes[victim]
-        return stats.charge_steal(thief, nbytes, ncalls=1)
-
+    # a victim's D buffer is its prefetched footprint
+    d_bytes = footprint_bytes.tolist()
     queues = []
     for p in range(nproc):
         blk = part.task_block(p)
@@ -287,7 +275,7 @@ def simulate_gtfock(
             cost_of,
             (part.prow, part.pcol),
             stats=stats,
-            steal_cost=steal_cost,
+            d_copy_bytes=d_bytes.__getitem__,
             enable_stealing=enable_stealing,
             tracer=tracer,
             faults=fstate,

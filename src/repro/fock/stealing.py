@@ -12,12 +12,14 @@ whole queue is one event, split lazily when a thief interrupts it.  The
 and numeric builds (where the callback computes real ERIs into the
 executing process's buffers).
 
-State is array-backed: each rank's batch is a task sequence plus NumPy
-base-cost and cumulative-cost arrays with a live length (a steal takes
-the victim's tail as a view), and two per-rank vectors -- batch start
-time and a *stealability threshold* -- let an idle rank find its victim
-with one vectorised compare instead of probing queues one by one (see
-"Simulator hot path" in ``docs/PERFORMANCE.md``).
+Per-rank state is plain Python lists: each rank's batch is a task
+sequence plus NumPy base-cost and cumulative-cost arrays with a live
+length (a steal takes the victim's tail as a view), and a *stealability
+threshold* per rank turns "can this victim spare a task at time t" into
+one float compare.  Event times never decrease, so a rank that fails the
+compare keeps failing it until its batch is replaced: an idle rank looks
+for its victim in a sorted candidate list that drops such ranks as it
+meets them (see "Simulator hot path" in ``docs/PERFORMANCE.md``).
 
 Fault tolerance (``faults=``): the scheduler honors a
 :class:`~repro.runtime.faults.FaultState` -- stragglers execute their
@@ -34,6 +36,8 @@ after everyone drained wakes the earliest-idle survivor.  See
 
 from __future__ import annotations
 
+import gc
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -110,24 +114,6 @@ class StealingOutcome:
         return float(self.finish_time.max()) / avg if avg > 0 else 1.0
 
 
-class _Batch:
-    """One rank's live batch: ``tasks[:n]`` / ``costs[:n]`` / ``cum[:n]``.
-
-    ``costs`` are *base* costs; ``cum`` is their running sum scaled by
-    the executing rank's straggler slowdown (stolen tasks run at the
-    thief's rate, not the victim's).  A thief shrinks ``n`` and walks
-    away with views of the tail; ``n == 0`` means the rank is not
-    executing anything.
-    """
-
-    __slots__ = ("tasks", "costs", "cum", "n")
-
-    def __init__(self) -> None:
-        self.tasks: Any = ()
-        self.costs = self.cum = np.empty(0)
-        self.n = 0
-
-
 def victim_scan_order(proc: int, prow: int, pcol: int) -> list[int]:
     """Row-wise victim scan starting from the thief's own grid row."""
     gi, gj = divmod(proc, pcol)
@@ -140,22 +126,6 @@ def victim_scan_order(proc: int, prow: int, pcol: int) -> list[int]:
             if p != proc:
                 order.append(p)
     return order
-
-
-def in_scan_order(per_rank: np.ndarray, thief: int, pcol: int) -> np.ndarray:
-    """``per_rank`` values of all other ranks, in the thief's scan order.
-
-    ``victim_scan_order`` is four ascending runs of ranks -- the thief's
-    own row from its right neighbour to the row end, the row start up to
-    the thief, then the later rows and (wrapping) the earlier ones -- so
-    it is derived per steal attempt in O(p) instead of being stored for
-    every thief (O(p^2) ints).
-    """
-    row0 = thief - thief % pcol
-    return np.concatenate((
-        per_rank[thief + 1 : row0 + pcol], per_rank[row0:thief],
-        per_rank[row0 + pcol :], per_rank[:row0],
-    ))
 
 
 def scan_rank(index: int, thief: int, pcol: int, nproc: int) -> int:
@@ -174,7 +144,7 @@ def run_work_stealing(
     cost_of: Callable[[Any], Any],
     grid: tuple[int, int],
     stats: CommStats | None = None,
-    steal_cost: Callable[[int, int], float] | None = None,
+    d_copy_bytes: Callable[[int], float] | None = None,
     on_task: Callable[[int, Any], None] | None = None,
     on_steal: Callable[[int, int], None] | None = None,
     enable_stealing: bool = True,
@@ -203,9 +173,10 @@ def run_work_stealing(
     stats:
         Optional accounting whose per-process clocks give each process's
         start time (e.g. after prefetch); finish times are written back.
-    steal_cost:
-        ``steal_cost(thief, victim) -> seconds`` charged to the thief per
-        steal (D-buffer copy + queue atomics).  Zero if omitted.
+    d_copy_bytes:
+        ``d_copy_bytes(victim) -> bytes`` of its D buffer, which a thief
+        copies on its first steal from that victim (Sec III-F): charged
+        to ``stats`` (required) on ``steal_d``, delaying the stolen batch.
     on_task:
         Invoked as ``on_task(executing_proc, task)`` for every task, once
         per *execution* -- under fault injection a task lost to a rank
@@ -250,27 +221,39 @@ def run_work_stealing(
         raise ValueError(f"{len(queues)} queues for a {prow}x{pcol} grid")
     if not 0.0 < steal_fraction <= 1.0:
         raise ValueError("steal_fraction must be in (0, 1]")
+    if d_copy_bytes is not None and stats is None:
+        raise ValueError("d_copy_bytes needs stats to charge the copies to")
     min_avail = max(1, min_steal)
 
-    batches = [_Batch() for _ in range(nproc)]
-    #: per-rank batch start time, and the cumulative cost that must still
-    #: lie ahead of a thief's arrival for ``min_avail`` tasks to be
-    #: stealable behind the one in flight (-inf: nothing to steal)
-    start = np.zeros(nproc)
-    threshold = np.full(nproc, -np.inf)
+    #: rank p's live batch is ``tasks_of[p][:live[p]]`` with base costs
+    #: ``costs_of[p]`` and their running sum ``cum_of[p]``, scaled by p's
+    #: straggler slowdown (stolen tasks run at the thief's rate); a thief
+    #: lowers the victim's ``live`` and walks away with views of the tail
+    tasks_of: list[Any] = [()] * nproc
+    costs_of: list[Any] = [None] * nproc
+    cum_of: list[Any] = [None] * nproc
+    live = [0] * nproc
+    #: batch start time, and the cumulative cost that must still lie
+    #: ahead of a thief's arrival for ``min_avail`` tasks to be stealable
+    #: behind the one in flight (-inf: nothing to steal)
+    start = [0.0] * nproc
+    threshold = [-np.inf] * nproc
+    #: ascending ranks that may pass the stealability test; a rank that
+    #: fails it is dropped until its next batch begins
+    candidates: list[int] = []
     events = EventQueue(
         perturb=faults.perturb_event if faults is not None else None,
         observer=event_observer,
     )
-    finish = np.zeros(nproc)
-    executed_cost = np.zeros(nproc)
-    blocked_time = np.zeros(nproc)
-    initial_cost = np.zeros(nproc)
-    executed_tasks = np.zeros(nproc, dtype=np.int64)
-    queue_ops = np.zeros(nproc, dtype=np.int64)
+    finish = [0.0] * nproc
+    executed_cost = [0.0] * nproc
+    blocked_time = [0.0] * nproc
+    initial_cost = [0.0] * nproc
+    executed_tasks = [0] * nproc
+    queue_ops = [0] * nproc
     steals: list[StealRecord] = []
-    done = np.zeros(nproc, dtype=bool)
-    dead = np.zeros(nproc, dtype=bool)
+    done = [False] * nproc
+    dead = [False] * nproc
 
     track_faults = faults is not None
     #: per-rank (task, base_cost) execution history, for death recovery
@@ -279,30 +262,63 @@ def run_work_stealing(
     orphans: list[tuple[Any, float, bool]] = []
     recoveries: list[RecoveryRecord] = []
     reexecuted = 0
+    #: (thief, victim) pairs whose D copy is paid
+    copied: set[tuple[int, int]] = set()
 
     def set_threshold(p: int) -> None:
-        b = batches[p]
-        j = b.n - 1 - min_avail
-        threshold[p] = b.cum[j] if j >= 0 else -np.inf
+        j = live[p] - 1 - min_avail
+        threshold[p] = float(cum_of[p][j]) if j >= 0 else -np.inf
 
     def begin(p: int, tasks: Any, costs: np.ndarray, t0: float) -> float:
         """Start a batch on rank ``p`` at ``t0``; returns its base cost."""
-        b = batches[p]
         cum = costs.cumsum()
         n = len(cum)
         base = cum[-1] if n else 0.0
         if faults is not None:
             cum *= faults.compute_factor(p)
-        b.tasks, b.costs, b.cum, b.n = tasks, costs, cum, n
+        tasks_of[p], costs_of[p], cum_of[p], live[p] = tasks, costs, cum, n
         start[p] = t0
         set_threshold(p)
-        events.schedule(t0 + (cum[-1] if n else 0.0), p)
+        if threshold[p] > -np.inf:
+            i = bisect_left(candidates, p)
+            if i == len(candidates) or candidates[i] != p:
+                candidates.insert(i, p)
+        events.schedule(t0 + (float(cum[-1]) if n else 0.0), p)
         return base
 
     def completed_by(p: int, t: float) -> int:
         """Number of rank ``p``'s batch tasks fully executed by time t."""
-        b = batches[p]
-        return int(b.cum[: b.n].searchsorted(t - start[p] + 1e-15, side="right"))
+        cum = cum_of[p][: live[p]]
+        return int(cum.searchsorted(t - start[p] + 1e-15, side="right"))
+
+    def find_victim(p: int, t: float) -> tuple[int, int]:
+        """``(victim, probes)`` of thief ``p``'s scan at ``t`` (victim -1:
+        every other queue was probed and came back empty).  ``v`` can spare
+        ``min_avail`` tasks behind its in-flight one iff ``threshold[v] >
+        (t - start[v]) + 1e-15``; pop times never decrease, so a rank that
+        fails leaves the candidates until ``begin`` gives it a new batch.
+        """
+        perm = rng.permutation(nproc - 1) if rng is not None else None
+        # the row-wise scan order is four ascending runs of ranks
+        row0 = p - p % pcol
+        row1 = row0 + pcol
+        skipped = 0  # ranks in the runs before this one
+        for lo, hi in ((p + 1, row1), (row0, p), (row1, nproc), (0, row0)):
+            i = bisect_left(candidates, lo)
+            while i < len(candidates) and candidates[i] < hi:
+                v = candidates[i]
+                if threshold[v] > (t - start[v]) + 1e-15:
+                    if perm is None:
+                        return v, skipped + v - lo + 1
+                    # seeded tie-break: some rank is spare, so a walk down
+                    # the permuted scan order stops at its first spare one
+                    for k, pos in enumerate(perm.tolist()):
+                        v = scan_rank(pos, p, pcol, nproc)
+                        if threshold[v] > (t - start[v]) + 1e-15:
+                            return v, k + 1
+                del candidates[i]
+            skipped += hi - lo
+        return -1, nproc - 1
 
     for p, tasks in enumerate(queues):
         if isinstance(tasks, np.ndarray):
@@ -338,7 +354,7 @@ def run_work_stealing(
             blocked_time[p] += t - finish[p]
             if tracer.enabled:
                 tracer.virtual_span(
-                    "blocked", p, float(finish[p]), t, cat="sched"
+                    "blocked", p, finish[p], t, cat="sched"
                 )
         done[p] = False
         begin(p, tasks, np.array([x[1] for x in take], dtype=float), t)
@@ -350,7 +366,7 @@ def run_work_stealing(
 
     def kill(p: int, t: float) -> None:
         """Execute rank ``p``'s death at virtual time ``t``."""
-        b = batches[p]
+        n = live[p]
         dead[p] = True
         # everything this rank executed since its last (never-happened)
         # flush is lost with its memory; queued work is lost with it too
@@ -358,13 +374,13 @@ def run_work_stealing(
             (task, cost, True) for task, cost in history[p]
         ]
         history[p].clear()
-        if b.n:
+        if n:
             k = completed_by(p, t)
-            for i, (task, cost) in enumerate(zip(b.tasks[: b.n], b.costs[: b.n])):
+            for i, (task, cost) in enumerate(zip(tasks_of[p][:n], costs_of[p][:n])):
                 lost.append((task, cost, i < k))
             # the rank did burn real time on the partial batch
-            executed_cost[p] += min(max(t - start[p], 0.0), b.cum[b.n - 1])
-            b.n = 0
+            executed_cost[p] += min(max(t - start[p], 0.0), cum_of[p][n - 1])
+            live[p] = 0
             threshold[p] = -np.inf
         events.cancel(p)
         if not done[p]:
@@ -382,83 +398,78 @@ def run_work_stealing(
         ):
             if not orphans:
                 break
-            adopt_orphans(q, max(t, float(finish[q])))
+            adopt_orphans(q, max(t, finish[q]))
 
-    while True:
-        ev = events.pop()
-        if ev is None:
-            break
-        # event times come off the heap as NumPy scalars; every trace row
-        # below carries this one plain float (the exporter's fast path)
-        t, key = float(ev[0]), ev[1]
-        if isinstance(key, tuple) and key[0] == _DEATH:
-            kill(key[1], t)
-            continue
-        p = key
-        b = batches[p]
-        n = b.n
-        if n:
-            # the whole (possibly shrunk) batch has run to completion
-            tasks = b.tasks[:n]
-            executed_cost[p] += b.cum[n - 1]
-            executed_tasks[p] += n
-            if track_faults:
-                history[p].extend(zip(tasks, b.costs[:n]))
-            if on_task is not None:
-                for task in tasks:
-                    on_task(p, task)
-            if tracer.enabled:
-                t0 = float(start[p])
-                tracer.virtual_span("batch", p, t0, t, cat="sched", ntasks=n)
-                # handed over as views, not copies: a ``cum`` array is
-                # never written after ``begin`` built it, ``tasks`` is
-                # never written at all, and a later steal or death only
-                # shrinks the owner's ``n``
-                tracer.virtual_task_run(p, t0, b.cum[:n], tasks)
-            b.n = 0
-            threshold[p] = -np.inf
+    # the loop allocates O(events) long-lived containers (steal records,
+    # trace rows, captured events) and no reference cycles: the cyclic
+    # collector's full passes over that growing heap were most of the
+    # tracing tax, so it is paused and catches up once the loop ends
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while True:
+            ev = events.pop()
+            if ev is None:
+                break
+            # every trace row below carries this one plain float (the
+            # exporter's fast path), whatever number types the callbacks return
+            t, p = float(ev[0]), ev[1]
+            if type(p) is tuple:
+                kill(p[1], t)
+                continue
+            n = live[p]
+            if n:
+                # the whole (possibly shrunk) batch has run to completion
+                cum = cum_of[p]
+                executed_cost[p] += float(cum[n - 1])
+                executed_tasks[p] += n
+                if track_faults or on_task is not None or tracer.enabled:
+                    tasks = tasks_of[p][:n]
+                    if track_faults:
+                        history[p].extend(zip(tasks, costs_of[p][:n]))
+                    if on_task is not None:
+                        for task in tasks:
+                            on_task(p, task)
+                    if tracer.enabled:
+                        t0 = float(start[p])
+                        tracer.virtual_span("batch", p, t0, t, cat="sched", ntasks=n)
+                        # handed over as views, not copies: a ``cum`` array is
+                        # never written after ``begin`` built it, ``tasks`` is
+                        # never written at all, and a later steal or death only
+                        # shrinks the owner's ``live``
+                        tracer.virtual_task_run(p, t0, cum[:n], tasks)
+                live[p] = 0
+                threshold[p] = -np.inf
 
-        # orphaned work outranks stealing: it is the only copy left
-        if adopt_orphans(p, t):
-            continue
+            # orphaned work outranks stealing: it is the only copy left
+            if orphans and adopt_orphans(p, t):
+                continue
 
-        victim, probes = -1, 0
-        if enable_stealing and nproc > 1:
-            # a victim can spare ``min_avail`` tasks behind its in-flight
-            # one iff that much cumulative cost still lies past ``t``
-            spare = in_scan_order(threshold > (t - start) + 1e-15, p, pcol)
-            if rng is not None:
-                # seeded tie-break: scan a permutation of the row-wise order
-                perm = rng.permutation(nproc - 1)
-                spare = spare[perm]
-            first = int(spare.argmax())
-            if spare[first]:
-                probes = first + 1
-                victim = scan_rank(
-                    int(perm[first]) if rng is not None else first, p, pcol, nproc
-                )
-            else:
-                probes = nproc - 1
-            # every queue scanned before the victim's came back empty (a
-            # dead victim's queue no longer exists): one probe each
-            queue_ops[p] += probes
+            victim, probes = -1, 0
+            if enable_stealing and nproc > 1:
+                victim, probes = find_victim(p, t)
+                # every queue scanned before the victim's came back empty (a
+                # dead victim's queue no longer exists): one probe each
+                queue_ops[p] += probes
             if victim >= 0:
-                vb = batches[victim]
+                n = live[victim]
                 # the task in flight at time t cannot be stolen
-                avail = vb.n - (completed_by(victim, t) + 1)
-                cut = vb.n - max(1, int(avail * steal_fraction))
-                stolen_tasks = vb.tasks[cut : vb.n]
-                stolen_costs = vb.costs[cut : vb.n]
+                avail = n - (completed_by(victim, t) + 1)
+                cut = n - max(1, int(avail * steal_fraction))
+                stolen_tasks = tasks_of[victim][cut:n]
+                stolen_costs = costs_of[victim][cut:n]
                 # shrink the victim in place and reschedule its finish
-                vb.n = cut
+                live[victim] = cut
                 set_threshold(victim)
                 queue_ops[victim] += 1  # atomic update of victim queue
-                events.schedule(max(start[victim] + vb.cum[cut - 1], t), victim)
+                events.schedule(max(start[victim] + float(cum_of[victim][cut - 1]), t), victim)
                 if on_steal is not None:
                     on_steal(p, victim)
-                # the thief pays for copying the victim's D buffer
-                dt = steal_cost(p, victim) if steal_cost is not None else 0.0
-                if stats is not None and dt > 0:
+                # the thief copies the victim's D buffer, once per new victim
+                dt = 0.0
+                if d_copy_bytes is not None and (p, victim) not in copied:
+                    copied.add((p, victim))
+                    dt = stats.charge_steal(p, d_copy_bytes(victim), ncalls=1)
                     stats.comm_time[p] += dt
                 if tracer.enabled and dt > 0:
                     tracer.virtual_span(
@@ -466,37 +477,44 @@ def run_work_stealing(
                         victim=victim,
                     )
                 begin(p, stolen_tasks, stolen_costs, t + dt)
-                steals.append(StealRecord(t, p, victim, len(stolen_costs)))
-                tracer.virtual_instant(
-                    "steal", p, t, cat="sched",
-                    victim=victim, ntasks=len(stolen_costs), scans=probes,
-                )
-        if victim < 0:
-            done[p] = True
-            finish[p] = t
-            if tracer.enabled and enable_stealing:
-                tracer.virtual_instant("idle", p, t, cat="sched", scans=probes)
+                steals.append(StealRecord(t, p, victim, n - cut))
+                if tracer.enabled:
+                    tracer.virtual_instant(
+                        "steal", p, t, cat="sched",
+                        victim=victim, ntasks=n - cut, scans=probes,
+                    )
+            else:
+                done[p] = True
+                finish[p] = t
+                if tracer.enabled and enable_stealing:
+                    tracer.virtual_instant("idle", p, t, cat="sched", scans=probes)
+    finally:
+        if collecting:
+            gc.enable()
 
+    finish_time = np.array(finish)
+    executed = np.array(executed_cost, dtype=float)
+    ops = np.array(queue_ops, dtype=np.int64)
     if stats is not None:
-        stats.clock[:] = np.maximum(stats.clock, finish)
-        stats.comp_time += executed_cost
+        stats.clock[:] = np.maximum(stats.clock, finish_time)
+        stats.comp_time += executed
         # queue atomics reach the flight recorder once: each rank's
         # initial enqueue on ``queue``, every later one (probes, victim
         # updates, orphan pops) on ``steal_task``
         stats.flight.record_ops(CH_QUEUE, np.ones(nproc, dtype=np.int64))
-        if (queue_ops > 1).any():
-            stats.flight.record_ops(CH_STEAL_TASK, queue_ops - 1)
+        if (ops > 1).any():
+            stats.flight.record_ops(CH_STEAL_TASK, ops - 1)
 
     return StealingOutcome(
-        finish_time=finish,
-        executed_cost=executed_cost,
-        executed_tasks=executed_tasks,
+        finish_time=finish_time,
+        executed_cost=executed,
+        executed_tasks=np.array(executed_tasks, dtype=np.int64),
         steals=steals,
-        queue_ops=queue_ops,
-        dead_ranks=sorted(int(p) for p in np.flatnonzero(dead)),
+        queue_ops=ops,
+        dead_ranks=[p for p in range(nproc) if dead[p]],
         recoveries=recoveries,
         reexecuted_tasks=reexecuted,
         executed_history=history if track_faults else None,
-        blocked_time=blocked_time,
-        initial_cost=initial_cost,
+        blocked_time=np.array(blocked_time, dtype=float),
+        initial_cost=np.array(initial_cost, dtype=float),
     )

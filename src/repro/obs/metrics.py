@@ -109,6 +109,20 @@ class Gauge(Metric):
     def dec(self, amount: float = 1, **labels) -> None:
         self.inc(-amount, **labels)
 
+    def set_all(self, label: str, values: Sequence[float], **labels) -> None:
+        """Make the series matching ``labels`` exactly ``values``, the
+        i-th at ``label=i``: matching series past ``len(values)`` are
+        dropped, so a per-rank gauge describes the latest run rather
+        than the union of every run's ranks."""
+        key = _label_key(self, {**labels, label: 0})
+        at = self.labelnames.index(label)
+        fixed = [(i, v) for i, v in enumerate(key) if i != at]
+        for old in [k for k in self._series if all(k[i] == v for i, v in fixed)]:
+            del self._series[old]
+        head, tail = key[:at], key[at + 1 :]
+        for i, value in enumerate(values):
+            self._series[head + (str(i),) + tail] = value
+
     def value(self, **labels) -> float:
         return self._series.get(_label_key(self, labels), 0)
 

@@ -1,12 +1,15 @@
 """Reference work-stealing scheduler: the per-victim Python scan.
 
 This is the list-and-loop implementation that
-:func:`repro.fock.stealing.run_work_stealing` replaced with array-backed
-state and a vectorised victim search.  It is kept verbatim as the oracle
-of the differential tests in ``tests/test_schedulers.py``: an idle rank
-probes ``victim_scan_order`` one queue at a time (``stealable_after`` +
-``bisect`` + one ``record_op`` per probe), queues are Python lists, and
-every task span is one ``tracer.virtual_span`` call.
+:func:`repro.fock.stealing.run_work_stealing` replaced with flat per-rank
+state and a pruned candidate-list victim search.  It is kept as the
+oracle of the differential tests in ``tests/test_schedulers.py``: an
+idle rank probes ``victim_scan_order`` one queue at a time
+(``stealable_after`` + ``bisect`` + one ``record_op`` per probe), queues
+are Python lists, every task span is one ``tracer.virtual_span`` call,
+and each new (thief, victim) pair's D copy is charged by a
+``steal_cost`` closure, as the callers did before the scheduler owned
+that rule.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def reference_work_stealing(
     cost_of: Callable[[Any], float],
     grid: tuple[int, int],
     stats: CommStats | None = None,
-    steal_cost: Callable[[int, int], float] | None = None,
+    d_copy_bytes: Callable[[int], float] | None = None,
     on_task: Callable[[int, Any], None] | None = None,
     on_steal: Callable[[int, int], None] | None = None,
     enable_stealing: bool = True,
@@ -120,6 +123,14 @@ def reference_work_stealing(
     orphans: list[tuple[Any, float, bool]] = []
     recoveries: list[RecoveryRecord] = []
     reexecuted = 0
+    seen_victims: set[tuple[int, int]] = set()
+
+    def steal_cost(thief: int, victim: int) -> float:
+        # copy the victim's D buffer (Sec III-F), once per new victim
+        if (thief, victim) in seen_victims:
+            return 0.0
+        seen_victims.add((thief, victim))
+        return stats.charge_steal(thief, d_copy_bytes(victim), ncalls=1)
 
     def factor_of(p: int) -> float:
         return faults.compute_factor(p) if faults is not None else 1.0
@@ -286,7 +297,7 @@ def reference_work_stealing(
                 if on_steal is not None:
                     on_steal(p, victim)
                 # the thief pays for copying the victim's D buffer
-                dt = steal_cost(p, victim) if steal_cost is not None else 0.0
+                dt = steal_cost(p, victim) if d_copy_bytes is not None else 0.0
                 start = t + dt
                 if stats is not None and dt > 0:
                     stats.comm_time[p] += dt

@@ -419,6 +419,17 @@ class TestMetrics:
         g.dec(0.5)
         assert g.value() == 2.0
 
+    def test_gauge_set_all_replaces_the_matching_series(self):
+        g = Gauge("g", labelnames=("proc", "alg"))
+        g.set_all("proc", [1.0, 2.0, 3.0], alg="a")
+        g.set_all("proc", [9.0], alg="b")
+        g.set_all("proc", [4.0, 5.0], alg="a")
+        assert sorted(
+            (lbl["alg"], lbl["proc"], v) for _, lbl, v in g.samples()
+        ) == [("a", "0", 4.0), ("a", "1", 5.0), ("b", "0", 9.0)]
+        with pytest.raises(ValueError):
+            g.set_all("proc", [1.0])  # missing label
+
     def test_histogram(self):
         h = Histogram("h_seconds", buckets=(0.1, 1.0, 10.0))
         for v in (0.05, 0.5, 5.0, 50.0):

@@ -13,7 +13,6 @@ from repro.fock import centralized
 from repro.fock.centralized import run_centralized
 from repro.fock.nwchem_cost import NWChemTaskArrays
 from repro.fock.stealing import (
-    in_scan_order,
     run_work_stealing,
     scan_rank,
     victim_scan_order,
@@ -21,7 +20,7 @@ from repro.fock.stealing import (
 from repro.fock.timeline import Span, timeline_from_tracer
 from repro.obs import SIM_PID, Tracer
 from repro.obs.critpath import _SPAN_KINDS, PathSegment, rank_chains
-from repro.obs.flight import CH_COUNTER, CH_FOCK_ACC, CH_GA, CH_TASK_GET
+from repro.obs.flight import CH_COUNTER, CH_FOCK_ACC, CH_GA, CH_STEAL_D, CH_TASK_GET
 from repro.runtime.faults import FaultPlan, random_plan
 from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
@@ -42,22 +41,22 @@ class TestVictimScanOrder:
     @given(st.integers(1, 7), st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
     def test_arithmetic_order_matches_the_oracle(self, prow, pcol):
-        """1xp, px1, square and non-square grids: the order derived per
-        steal attempt is the precomputed list, for every thief."""
+        """1xp, px1, square and non-square grids: the order the seeded
+        scan derives per steal attempt is the precomputed list, for every
+        thief."""
         nproc = prow * pcol
-        ranks = np.arange(nproc)
         for thief in range(nproc):
             order = victim_scan_order(thief, prow, pcol)
-            assert in_scan_order(ranks, thief, pcol).tolist() == order
             assert [
                 scan_rank(i, thief, pcol, nproc) for i in range(nproc - 1)
             ] == order
 
 
-def _differential_case(seed):
-    """Random queues x grid x steal knobs x fault plan, from one seed."""
+def _differential_case(seed, grid=None, kind=None):
+    """Random queues x grid x steal knobs x fault plan, from one seed
+    (``grid`` and the fault ``kind`` can be pinned)."""
     rng = np.random.default_rng(seed)
-    prow, pcol = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    prow, pcol = grid or (int(rng.integers(1, 5)), int(rng.integers(1, 6)))
     nproc = prow * pcol
     costs = rng.uniform(0.05, 2.0, size=400)
     costs[rng.random(400) < 0.1] = 0.5  # exact ties on task boundaries
@@ -72,7 +71,7 @@ def _differential_case(seed):
         enable_stealing=bool(seed % 7),
     )
     plan = None
-    kind = seed % 4
+    kind = seed % 4 if kind is None else kind
     if kind and nproc > 1:
         plan = random_plan(
             seed, nproc, horizon=float(costs.mean() * lens.mean()) or 1.0,
@@ -88,20 +87,13 @@ def _run_scheduler(run, grid, queues, cost_of, knobs, plan, permute):
     stats = CommStats(nproc, LONESTAR, faults=fstate)
     stats.clock[:] = np.linspace(0.0, 0.2, nproc)
     tracer, log, recovered = Tracer(), [], []
-    seen = set()
-
-    def steal_cost(thief, victim):
-        if (thief, victim) in seen:
-            return 0.0
-        seen.add((thief, victim))
-        return stats.charge_steal(thief, 4096 * (victim + 1), ncalls=1)
-
     if fstate is not None:
         rng = fstate.rng
     else:
         rng = np.random.default_rng(5) if permute else None
     out = run(
-        queues, cost_of, grid, stats=stats, steal_cost=steal_cost,
+        queues, cost_of, grid, stats=stats,
+        d_copy_bytes=lambda victim: 4096 * (victim + 1),
         tracer=tracer, faults=fstate, rng=rng,
         on_recover=lambda p, tasks: recovered.append((p, len(tasks))),
         event_observer=lambda *ev: log.append(ev), **knobs,
@@ -122,15 +114,35 @@ def _assert_same_events(tr, ref_tr, rtol):
 
 
 class TestAgainstReferenceScan:
-    """The array-backed scheduler vs the per-victim Python scan it
+    """The candidate-list scheduler vs the per-victim Python scan it
     replaced (``tests/reference_stealing.py``): same decisions, same
     counters, times equal to rounding."""
 
     RTOL = 1e-12
+    #: production-shaped grids: the 3888-core grid and both degenerate ones
+    SHAPES = [(18, 18), (1, 24), (24, 1)]
 
     @pytest.mark.parametrize("seed", range(48))
     def test_same_schedule_counters_and_trace(self, seed):
-        grid, queues, costs, knobs, plan, permute = _differential_case(seed)
+        self._assert_matches_reference(*_differential_case(seed))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("kind", [0, 3], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("grid", SHAPES, ids=lambda g: f"{g[0]}x{g[1]}")
+    def test_production_grid_shapes(self, grid, kind, seed):
+        """Seed 1 scans a seeded permutation, seed 2 the row-wise order;
+        the faulted cases kill two ranks and slow one down."""
+        grid, queues, costs, knobs, plan, permute = _differential_case(
+            seed, grid=grid, kind=kind
+        )
+        out = self._assert_matches_reference(
+            grid, queues, costs, {**knobs, "enable_stealing": True}, plan,
+            permute,
+        )
+        assert len(out.steals) > grid[0] * grid[1] // 2
+        assert len(out.dead_ranks) == (2 if kind else 0)
+
+    def _assert_matches_reference(self, grid, queues, costs, knobs, plan, permute):
         ref, ref_stats, ref_tr, ref_log, ref_rec = _run_scheduler(
             reference_work_stealing, grid, [q.tolist() for q in queues],
             lambda c: float(costs[c]), knobs, plan, permute,
@@ -169,9 +181,15 @@ class TestAgainstReferenceScan:
                 assert [
                     [int(task) for task, _ in h] for h in out.executed_history
                 ] == [[task for task, _ in h] for h in ref.executed_history]
-            # flight recorder: ops / msgs / bytes per rank and channel
+            # the scheduler's D-copy rule == the caller's closure: counters,
+            # comm_time and every flight matrix bitwise
+            for field in ("calls", "bytes", "remote_calls", "remote_bytes",
+                          "comm_time"):
+                np.testing.assert_array_equal(
+                    getattr(stats, field), getattr(ref_stats, field), field
+                )
             assert stats.flight.channels() == ref_stats.flight.channels()
-            for field in ("ops", "msgs", "bytes"):
+            for field in ("ops", "msgs", "bytes", "time"):
                 np.testing.assert_array_equal(
                     stats.flight.matrix(field)[1], ref_stats.flight.matrix(field)[1]
                 )
@@ -183,6 +201,7 @@ class TestAgainstReferenceScan:
             )
             # trace: columnar task runs == per-call virtual_span
             _assert_same_events(tr, ref_tr, self.RTOL)
+        return out
 
     def test_cases_cover_the_fault_paths(self):
         """The seeds above really exercise deaths, adoption, stragglers,
@@ -200,6 +219,38 @@ class TestAgainstReferenceScan:
             seen["permuted"] += bool(out.steals) and (permute or plan is not None)
             seen["min2"] += bool(out.steals) and knobs["min_steal"] > 1
         assert all(n >= 5 for n in seen.values()), seen
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_pop_times_never_decrease_under_delays(self, seed):
+        """The candidate list drops a rank for good once it fails the
+        stealability test; that is only sound because every event is
+        scheduled at or after the time of the pop that caused it, delays
+        included."""
+        grid, queues, costs, knobs, _, _ = _differential_case(seed)
+        nproc = grid[0] * grid[1]
+        fstate = random_plan(
+            seed, nproc, horizon=float(costs.mean() * 20), ndeaths=min(1, nproc - 1),
+            nstragglers=1, delay_rate=0.5, delay_seconds=0.3,
+        ).activate(nproc)
+        delayed = []
+        perturb = fstate.perturb_event
+
+        def counting(time, key):
+            out = perturb(time, key)
+            delayed.append(out > time)
+            return out
+
+        fstate.perturb_event = counting
+        log = []
+        run_work_stealing(
+            queues, lambda c: costs[c], grid, faults=fstate, rng=fstate.rng,
+            event_observer=lambda *ev: log.append(ev), **knobs,
+        )
+        pops = [t for action, t, _ in log if action == "pop"]
+        assert pops == sorted(pops)
+        if len(delayed) >= 30:
+            assert any(delayed)
 
 
 def _event_chains(events, finish, nproc):
@@ -349,18 +400,32 @@ class TestWorkStealingConservation:
         assert out.load_balance_ratio() == pytest.approx(1.0)
 
     def test_steal_cost_charged(self):
-        charged = []
+        """The D copy is paid once per (thief, victim) pair, on the
+        ``steal_d`` channel, and delays the thief's stolen batch."""
+        asked = []
 
-        def steal_cost(thief, victim):
-            charged.append((thief, victim))
-            return 0.5
+        def d_copy_bytes(victim):
+            asked.append(victim)
+            return 8e6
 
-        queues = [[i for i in range(100)], []]
+        stats = CommStats(2, LONESTAR)
+        tracer = Tracer()
         out = run_work_stealing(
-            queues, lambda t: 1.0, (1, 2), steal_cost=steal_cost
+            [list(range(100)), []], lambda t: 1.0, (1, 2), stats=stats,
+            d_copy_bytes=d_copy_bytes, tracer=tracer,
         )
-        assert charged
-        assert out.steals
+        dt = LONESTAR.transfer_time(8e6, 1)
+        assert len(out.steals) > 1 and asked == [0]
+        assert stats.calls.tolist() == [0, 1]
+        assert stats.bytes.tolist() == [0, 8_000_000]
+        assert stats.comm_time.tolist() == [0.0, dt]
+        assert stats.flight.per_rank(CH_STEAL_D, "time").tolist() == [0.0, dt]
+        (copy,) = [e for e in tracer.events if e.name == "steal_copy"]
+        assert (copy.tid, copy.ts, copy.dur) == (1, 0.0, dt)
+        with pytest.raises(ValueError, match="needs stats"):
+            run_work_stealing(
+                [[0], []], lambda t: 1.0, (1, 2), d_copy_bytes=d_copy_bytes
+            )
 
     def test_in_flight_task_not_stolen(self):
         """A victim mid-task keeps that task."""
@@ -436,6 +501,23 @@ class TestStealBoundary:
         assert executed_by[("v", 0)] == 0
         assert executed_by[("v", 1)] == 0
         assert out.makespan == pytest.approx(20.0)
+
+    def test_arrival_as_the_last_task_starts_is_a_strict_miss(self):
+        """At t = 20 the victim's threshold (cum[1] = 20) equals
+        ``(t - start) + 1e-15`` exactly -- the 1e-15 is below half an
+        ulp of 20 -- and its last task is in flight: nothing to steal."""
+        executed_by = {}
+        queues = [[("v", 0), ("v", 1), ("v", 2)], [("t", 0)]]
+        out = run_work_stealing(
+            queues,
+            lambda task: 20.0 if task[0] == "t" else 10.0,
+            (1, 2),
+            on_task=lambda p, t: executed_by.setdefault(t, p),
+        )
+        assert not out.steals
+        assert [executed_by[("v", i)] for i in range(3)] == [0, 0, 0]
+        assert out.queue_ops.tolist() == [2, 2]  # enqueue + one empty probe each
+        assert out.makespan == pytest.approx(30.0)
 
     def test_boundary_shifts_under_straggler_fault(self):
         """Same arrival instant, but a straggler victim has only finished

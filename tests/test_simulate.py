@@ -10,6 +10,7 @@ from repro.fock.reorder import reorder_basis
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.simulate import simulate_gtfock, simulate_nwchem
 from repro.integrals.schwarz import schwarz_model
+from repro.obs import MetricsRegistry, session
 from repro.runtime.machine import LONESTAR
 
 
@@ -62,6 +63,25 @@ class TestGTFockTiming:
         basis, screen, costs = setup
         with pytest.raises(ValueError):
             simulate_gtfock(basis, screen, 0, costs=costs)
+
+    def test_idle_gauge_describes_the_latest_run(self, setup):
+        """A smaller run after a larger one leaves no stale rank series,
+        and another algorithm's series are left alone."""
+        basis, screen, costs = setup
+        with session(metrics=MetricsRegistry()) as obs:
+            simulate_gtfock(basis, screen, 192, costs=costs)  # 16 ranks
+            simulate_nwchem(basis, screen, 12, costs=costs)  # 12 ranks
+            last = simulate_gtfock(basis, screen, 48, costs=costs)  # 4 ranks
+            gauge = obs.metrics.get("repro_sim_idle_seconds")
+        idle: dict[str, dict[int, float]] = {}
+        for _, labels, value in gauge.samples():
+            idle.setdefault(labels["algorithm"], {})[int(labels["proc"])] = value
+        assert sorted(idle["gtfock"]) == [0, 1, 2, 3]
+        assert sorted(idle["nwchem"]) == list(range(12))
+        assert sum(idle["gtfock"].values()) / 4 == pytest.approx(
+            last.idle_seconds_avg, rel=1e-12
+        )
+        assert max(idle["gtfock"].values()) > 0
 
 
 class TestNWChemTiming:
