@@ -18,7 +18,7 @@ A plan that injects nothing is rejected up front
 * ``scf`` (:func:`run_scf_chaos`): *numerical* faults -- a seeded
   :class:`~repro.runtime.faults.SCFFaultPlan` corrupts class-kernel ERI
   quartet blocks with NaN/Inf inside the production Fock build and the
-  per-row sentinel rescues each one on the reference kernel.
+  per-row sentinel rescues each one on the Obara-Saika kernel.
 * ``sdc`` (:func:`run_sdc_chaos`): the *silent* variant -- a seeded
   :class:`~repro.runtime.sdc.SDCFaultPlan` bit-flips on-disk store
   blocks and checkpoint files, exponent-flips in-memory F/D elements,
@@ -237,7 +237,7 @@ class SCFChaosResult(FockGate):
 
     #: class-kernel ERI blocks the plan corrupted
     quartets_corrupted: int
-    #: corrupted blocks the sentinel recomputed on the reference kernel
+    #: corrupted blocks the sentinel recomputed on the Obara-Saika kernel
     eri_rescues: int
 
     gate = "scf chaos"

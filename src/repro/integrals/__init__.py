@@ -1,6 +1,6 @@
 """Gaussian integral engines: Boys, one-electron, ERIs, screening."""
 
-from repro.integrals.boys import boys, boys_array, boys_quadrature, boys_series, boys_single
+from repro.integrals.boys import boys, boys_array
 from repro.integrals.class_batch import (
     ClassBatch,
     ClassPlan,
@@ -11,11 +11,8 @@ from repro.integrals.engine import (
     ERIEngine,
     MDEngine,
     OSEngine,
-    SyntheticERIEngine,
 )
-from repro.integrals.eri_md import eri_shell_quartet, eri_tensor
 from repro.integrals.moments import dipole_integrals
-from repro.integrals.eri_os import eri_shell_quartet_os
 from repro.integrals.pairdata import (
     PairData,
     ShellPairData,
@@ -40,13 +37,9 @@ from repro.integrals.schwarz import (
 __all__ = [
     "boys",
     "boys_array",
-    "boys_quadrature",
-    "boys_series",
-    "boys_single",
     "ERIEngine",
     "MDEngine",
     "OSEngine",
-    "SyntheticERIEngine",
     "ClassBatch",
     "ClassPlan",
     "ERIStore",
@@ -59,10 +52,7 @@ __all__ = [
     "StackedPairs",
     "stack_pairs",
     "build_pair_data",
-    "eri_shell_quartet",
-    "eri_tensor",
     "dipole_integrals",
-    "eri_shell_quartet_os",
     "core_hamiltonian",
     "kinetic",
     "nuclear_attraction",

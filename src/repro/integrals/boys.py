@@ -12,13 +12,11 @@ Evaluation paths:
   highest order is a Taylor interpolation in a table built at import,
   lower orders follow from the stable *downward* recursion
   ``F_m = (2x F_{m+1} + e^{-x}) / (2m+1)``; asymptotic form for large x.
-* :func:`boys` -- scalar path of the per-primitive oracle kernels
-  (``eri_md`` / ``eri_os``): same recursion from the regularized lower
-  incomplete gamma function -- deliberately *not* the table, so the
-  oracles stay independent of the production kernel.
-* :func:`boys_series` -- Taylor/convergent series reference for small x.
-* :func:`boys_quadrature` -- brute-force numerical quadrature used only in
-  tests as an independent cross-check.
+* :func:`boys` -- the path of the Obara-Saika kernel (the MD kernel's
+  rescue) and of the oracles in ``tests/``: same recursion from the
+  regularized lower incomplete gamma function, vectorised over x --
+  deliberately *not* the table, so a rescue shares no Boys code with
+  the kernel it rescues.
 """
 
 from __future__ import annotations
@@ -36,42 +34,43 @@ from scipy import special
 _ASYMPTOTIC_X = 35.0
 
 
-def boys_single(m: int, x: float) -> float:
-    """F_m(x) for one order and one argument (scalar convenience path)."""
-    return float(boys(m, x)[m])
-
-
-def boys(mmax: int, x: float) -> np.ndarray:
-    """Boys function values ``F_0(x) .. F_mmax(x)`` as a length-(mmax+1) array.
+def boys(mmax: int, x) -> np.ndarray:
+    """Boys function values ``F_0(x) .. F_mmax(x)``, shape
+    ``(mmax + 1, *np.shape(x))``: a length-(mmax+1) array for a scalar.
 
     Parameters
     ----------
     mmax:
         Highest order needed (total angular momentum of the integral).
     x:
-        Non-negative argument.
+        Non-negative argument(s).
     """
     if mmax < 0:
         raise ValueError(f"mmax must be >= 0, got {mmax}")
-    if x < 0:
-        raise ValueError(f"Boys argument must be >= 0, got {x}")
-    out = np.empty(mmax + 1)
-    if x < 1e-13:
-        # F_m(0) = 1 / (2m + 1)
-        out[:] = 1.0 / (2.0 * np.arange(mmax + 1) + 1.0)
-        return out
-    if x > _ASYMPTOTIC_X:
-        out[0] = 0.5 * math.sqrt(math.pi / x)
-        for m in range(mmax):
-            out[m + 1] = out[m] * (2 * m + 1) / (2.0 * x)
-        return out
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if (flat < 0).any():
+        raise ValueError(f"Boys argument must be >= 0, got {flat.min()}")
+    out = np.empty((mmax + 1, flat.size))
+    small, large = flat < 1e-13, flat > _ASYMPTOTIC_X
+    mid = ~(small | large)
+    # F_m(0) = 1 / (2m + 1)
+    out[:, small] = 1.0 / (2.0 * np.arange(mmax + 1)[:, None] + 1.0)
+    xl = flat[large]
+    fm = np.empty((mmax + 1, xl.size))
+    fm[0] = 0.5 * np.sqrt(math.pi / xl)
+    for m in range(mmax):
+        fm[m + 1] = fm[m] * (2 * m + 1) / (2.0 * xl)
+    out[:, large] = fm
     # F_m(x) = Gamma(m+1/2) * P(m+1/2, x) / (2 x^{m+1/2})
-    a = mmax + 0.5
-    out[mmax] = special.gamma(a) * special.gammainc(a, x) / (2.0 * x**a)
-    emx = math.exp(-x)
+    xm, a = flat[mid], mmax + 0.5
+    fm = np.empty((mmax + 1, xm.size))
+    fm[mmax] = special.gamma(a) * special.gammainc(a, xm) / (2.0 * xm**a)
+    emx = np.exp(-xm)
     for m in range(mmax - 1, -1, -1):
-        out[m] = (2.0 * x * out[m + 1] + emx) / (2.0 * m + 1.0)
-    return out
+        fm[m] = (2.0 * xm * fm[m + 1] + emx) / (2.0 * m + 1.0)
+    out[:, mid] = fm
+    return out.reshape((mmax + 1,) + xs.shape)
 
 
 #: interpolation table of :func:`boys_array`: nodes every ``_STEP`` on
@@ -158,25 +157,3 @@ def boys_array(mmax: int, xs: np.ndarray) -> np.ndarray:
         _fill_tabulated(mmax, flat[small], sub)
         out[:, small] = sub
     return out.T
-
-
-def boys_series(m: int, x: float, terms: int = 200) -> float:
-    """Convergent series: F_m(x) = e^{-x} sum_k (2m-1)!! (2x)^k / (2m+2k+1)!!.
-
-    Reference implementation; converges for all x but is slow for large x.
-    """
-    acc = 0.0
-    term = 1.0 / (2.0 * m + 1.0)
-    for k in range(terms):
-        acc += term
-        term *= 2.0 * x / (2.0 * m + 2.0 * k + 3.0)
-        if term < 1e-18 * max(acc, 1.0):
-            break
-    return math.exp(-x) * acc
-
-
-def boys_quadrature(m: int, x: float, npts: int = 20001) -> float:
-    """Direct numerical quadrature of the defining integral (tests only)."""
-    t = np.linspace(0.0, 1.0, npts)
-    y = t ** (2 * m) * np.exp(-x * t * t)
-    return float(np.trapezoid(y, t))

@@ -35,13 +35,13 @@ loop the same way:
 
 Every engine builds J/K here.  A chunk's blocks come from one of two
 sources (:func:`_resolve_chunk`): *stored* (a ready store) or *compute*
--- the class kernel when the plan has pair data, else a stack of
-per-row ``engine._quartet`` blocks (Obara-Saika and synthetic).  Either
-way everything row-addressed (store reads and records, seeded faults,
-the NaN sentinel) sees one ``(batch, rows, blocks)`` per member, ``rows``
-an index array into the class: every row of the plan
-(:func:`jk_from_plan`) or selected ones (:func:`jk_from_rows`, the rows
-of a GTFock rank or an NWChem task).
+-- ``engine.compute_rows``, the one engine seam: the MD class kernel or
+the batched Obara-Saika kernel, which also recomputes the rows the
+NaN/Inf sentinel flags (``engine.rescue_rows``).  Everything
+row-addressed (store reads and records, seeded faults, the sentinel)
+sees one ``(batch, rows, blocks)`` per member, ``rows`` an index array
+into the class: every row of the plan (:func:`jk_from_plan`) or selected
+ones (:func:`jk_from_rows`, the rows of a GTFock rank or an NWChem task).
 
 Numerics agree with the per-quartet scatter oracle
 (``tests/reference_fock.py``) to summation order (tests pin <= 1e-10
@@ -211,8 +211,8 @@ class ClassBatch(_LazyOperands):
     #: quartet there (ascending: the rows are sorted by it)
     group: FamilyGroup = field(repr=False)
     fids: np.ndarray = field(repr=False)
-    #: the plan's pair data, which the class kernel sweeps; ``None`` on a
-    #: plan built without it, whose rows come from ``engine._quartet``
+    #: the plan's pair data, which the MD class kernel sweeps (``None``:
+    #: a plan no MD sweep may run on)
     pair_cache: ShellPairData | None = field(repr=False, default=None)
     #: plan row of this batch's first quartet (seeded faults address rows)
     row0: int = 0
@@ -351,8 +351,7 @@ def build_class_plan(
     The tuples may be in any index order (:func:`orbit_weights` holds
     for arbitrary tuples).  ``pair_cache`` supplies (and memoizes) the
     :class:`~repro.integrals.pairdata.PairData` the operands stack on
-    their first sweep; an engine without that kernel passes ``None`` and
-    gets a plan whose rows resolve through its own ``_quartet``.
+    their first sweep (``None``: a plan the MD kernel never sweeps).
     """
     if not isinstance(quartets, np.ndarray):
         quartets = list(quartets)
@@ -612,22 +611,6 @@ _COUNT_KEYS = ("computed", "from_store", "rescued", "crc_rescued",
                "corrupted")
 
 
-def compute_rows(engine, chunk: list[Chunk]) -> list[np.ndarray]:
-    """Freshly computed blocks for every ``(batch, rows)`` of ``chunk``:
-    one family sweep per group of its members when the plan has pair
-    data, else the engine's own ``_quartet`` blocks stacked."""
-    if chunk[0][0].pair_cache is None:
-        return [
-            np.stack([engine._quartet(*q) for q in batch.quartets[rows].tolist()])
-            for batch, rows in chunk
-        ]
-    out = {}
-    for group in dict.fromkeys(batch.group for batch, _ in chunk):
-        mine = [i for i, (batch, _) in enumerate(chunk) if batch.group is group]
-        out.update(zip(mine, compute_class_rows([chunk[i] for i in mine])))
-    return [out[i] for i in range(len(chunk))]
-
-
 def _resolve_chunk(
     engine, chunk: list[Chunk], store, faults
 ) -> tuple[list, dict]:
@@ -635,10 +618,11 @@ def _resolve_chunk(
     where they came from.
 
     *Stored*: a ready store holding every row of a one-shape chunk
-    serves it in one read (:func:`_read_stored`).  *Compute*: otherwise;
-    ``faults`` (the build's pre-drawn seeded corruptions, or None) hit
-    class-kernel rows only, before the NaN/Inf sentinel whose per-quartet
-    rescue repairs them, and a filling store records the result.
+    serves it in one read (:func:`_read_stored`).  *Compute*: otherwise,
+    ``engine.compute_rows``; ``faults`` (the build's pre-drawn seeded
+    corruptions, or None) hit class-kernel rows only, before the NaN/Inf
+    sentinel, which sends each member's non-finite rows to one
+    ``engine.rescue_rows`` call; a filling store records the result.
     """
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     quartets = [batch.quartets[rows] for batch, rows in chunk]
@@ -646,16 +630,15 @@ def _resolve_chunk(
         sel = store.offsets_for(np.concatenate(quartets))
         if (sel >= 0).all():
             return _read_stored(engine, store, chunk, sel, counts), counts
-    parts = compute_rows(engine, chunk)
+    parts = engine.compute_rows(chunk)
     for (batch, rows), q, blocks in zip(chunk, quartets, parts):
         counts["computed"] += len(blocks)
-        if faults is not None and batch.pair_cache is not None:
+        if faults is not None and engine.class_kernel:
             counts["corrupted"] += faults.corrupt_rows(blocks, batch.row0 + rows)
         if engine.finite_check and not np.isfinite(blocks.sum()):
-            finite = np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
-            for j in np.flatnonzero(~finite):
-                blocks[j] = engine._rescue_quartet(*q[j].tolist())
-                counts["rescued"] += 1
+            bad = ~np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
+            blocks[bad] = engine.rescue_rows(batch, rows[bad])
+            counts["rescued"] += int(bad.sum())
         if store is not None and store.filling:
             store.record_batch(q, blocks)
     return parts, counts
@@ -674,7 +657,7 @@ def _read_stored(engine, store, chunk: list[Chunk], sel, counts) -> list:
         bad = np.split(~store.verify_stacked(sel, blocks), cuts)
         redo = [i for i, mask in enumerate(bad) if mask.any()]
         if redo:
-            fresh = compute_rows(engine, [(chunk[i][0], chunk[i][1][bad[i]]) for i in redo])
+            fresh = engine.compute_rows([(chunk[i][0], chunk[i][1][bad[i]]) for i in redo])
             for i, rescued in zip(redo, fresh):
                 parts[i][bad[i]] = rescued
                 counts["crc_rescued"] += len(rescued)

@@ -2,19 +2,12 @@
 
 An engine supplies two things:
 
-* ERI blocks for the rows of its class plans -- the class-batched MD
-  kernel over the engine's ``pair_cache``, or, for an engine without
-  it, one ``_quartet(M, N, P, Q)`` block per row;
+* ``compute_rows(chunk)`` -- the ERI blocks of a chunk's class-plan
+  rows, on the engine's kernel: McMurchie-Davidson's class kernel
+  (:class:`MDEngine`, production) or the batched Obara-Saika kernel
+  (:class:`OSEngine`, Table V's comparator); MD rescues non-finite rows
+  on OS (``rescue_rows``);
 * ``schwarz()`` -- the shell-pair screening matrix sigma.
-
-Engines provided:
-
-* :class:`MDEngine` / :class:`OSEngine` -- real integrals
-  (McMurchie-Davidson / Obara-Saika).
-* :class:`SyntheticERIEngine` -- deterministic separable fake integrals
-  with the full 8-fold permutational symmetry and distance-based decay.
-  They admit *closed-form* J/K contractions, so distributed Fock builds
-  on medium-size systems can be validated exactly without O(n^4) work.
 
 Fock builds go through :meth:`ERIEngine.class_plan` and
 :func:`repro.integrals.class_batch.jk_from_plan`, where an attached
@@ -35,14 +28,16 @@ from pathlib import Path
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
+from repro.integrals import class_batch
 from repro.integrals.class_batch import (
+    Chunk,
+    ClassBatch,
     ClassPlan,
     Supermatrix,
     build_class_plan,
     canonical_quartet_array,
 )
-from repro.integrals.eri_md import eri_shell_quartet
-from repro.integrals.eri_os import eri_shell_quartet_os
+from repro.integrals.eri_os import os_class_rows
 from repro.integrals.pairdata import ShellPairData
 from repro.integrals.schwarz import schwarz_matrix
 from repro.integrals.store import ERIStore
@@ -61,6 +56,10 @@ class NonFiniteERIError(RuntimeError):
 class ERIEngine(abc.ABC):
     """Interface between integral generation and Fock construction."""
 
+    #: whether ``compute_rows`` is the production class kernel: seeded
+    #: ``scf`` faults corrupt only such rows
+    class_kernel = False
+
     def __init__(
         self,
         basis: BasisSet,
@@ -68,9 +67,9 @@ class ERIEngine(abc.ABC):
     ):
         self.basis = basis
         self._schwarz: np.ndarray | None = None
-        #: per-basis pair data of the class kernel (None: the engine has
-        #: no such kernel and its class plans resolve rows via _quartet)
-        self.pair_cache: ShellPairData | None = None
+        #: per-basis pair data of the class kernel: the Schwarz pass,
+        #: S/T/V and every class plan expand each shell pair once
+        self.pair_cache = ShellPairData(basis)
         #: number of quartet blocks actually computed (used by
         #: benchmarks/tests; store service is counted separately)
         self.quartets_computed = 0
@@ -86,7 +85,7 @@ class ERIEngine(abc.ABC):
         #: at the start of a run or by its ``reference_eri`` rung); off
         #: by default so the hot path carries zero extra cost
         self.finite_check = False
-        #: blocks rescued by the per-quartet reference-kernel fallback
+        #: non-finite blocks recomputed by ``rescue_rows``
         self.eri_rescues = 0
         #: store blocks that failed their CRC and were recomputed
         self.crc_rescues = 0
@@ -98,13 +97,20 @@ class ERIEngine(abc.ABC):
         if store is not None:
             self.attach_store(store)
 
-    def _quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
-        """One ERI block (MN|PQ): how an engine without the class kernel
-        (no ``pair_cache``) resolves a plan row."""
-        raise NotImplementedError
-
     @abc.abstractmethod
-    def _build_schwarz(self) -> np.ndarray: ...
+    def compute_rows(self, chunk: list[Chunk]) -> list[np.ndarray]:
+        """Freshly computed blocks ``(len(rows), *batch.dims)`` for every
+        ``(batch, rows)`` of ``chunk``."""
+
+    def rescue_rows(self, batch: ClassBatch, rows: np.ndarray) -> np.ndarray:
+        """The blocks of a class's non-finite ``rows`` recomputed on a
+        second kernel; an engine without one raises, naming the first."""
+        raise NonFiniteERIError(
+            tuple(batch.quartets[rows[0]].tolist()), "engine has no rescue path"
+        )
+
+    def _build_schwarz(self) -> np.ndarray:
+        return schwarz_matrix(self.basis, self.pair_cache)
 
     def attach_store(self, store: str | Path | ERIStore) -> ERIStore:
         """Attach a memory-mapped integral store to the Fock-build path.
@@ -155,11 +161,6 @@ class ERIEngine(abc.ABC):
         self._class_plan = (tau, plan)
         return plan
 
-    def _rescue_quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
-        """Last resort for a non-finite block; engines without an
-        independent slow path have nothing to degrade to."""
-        raise NonFiniteERIError((m, n, p, q), "engine has no rescue path")
-
     def count_rescues(self, n: int) -> None:
         """Tally ``n`` rescued blocks (by the thread that owns the build:
         threaded J/K workers report theirs through the chunk counts)."""
@@ -184,117 +185,39 @@ class ERIEngine(abc.ABC):
 class MDEngine(ERIEngine):
     """Real ERIs via McMurchie-Davidson (production engine).
 
-    Plan rows go through the class-batched kernel fed by a per-basis
-    :class:`~repro.integrals.pairdata.ShellPairData` cache; the
-    per-primitive reference kernel (:mod:`repro.integrals.eri_md`) is
-    the independent slow path a flagged block is rescued on.
+    Plan rows go through the class-batched kernel fed by the engine's
+    :class:`~repro.integrals.pairdata.ShellPairData`; a flagged row is
+    rescued on the batched Obara-Saika kernel, which shares no Boys or
+    Hermite code with it.
     """
 
-    def __init__(
-        self, basis: BasisSet, store: str | Path | ERIStore | None = None
-    ):
-        super().__init__(basis, store=store)
-        self.pair_cache = ShellPairData(basis)
+    class_kernel = True
 
-    def _rescue_quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
-        """Graceful degradation at quartet granularity.
+    def compute_rows(self, chunk: list[Chunk]) -> list[np.ndarray]:
+        """One family sweep per group of the chunk's members (a chunk of
+        the plan has one group; a store's CRC re-read may mix them)."""
+        out = {}
+        for group in dict.fromkeys(batch.group for batch, _ in chunk):
+            mine = [i for i, (batch, _) in enumerate(chunk) if batch.group is group]
+            out.update(zip(mine, class_batch.compute_class_rows([chunk[i] for i in mine])))
+        return [out[i] for i in range(len(chunk))]
 
-        A non-finite batched block is recomputed on the independent
-        per-primitive reference kernel (the two agree to ~3e-15 per
-        element, so a rescued build stays inside the 1e-12 chaos gate).
-        """
-        sh = self.basis.shells
-        block = eri_shell_quartet(sh[m], sh[n], sh[p], sh[q])
-        if not np.isfinite(block).all():
+    def rescue_rows(self, batch: ClassBatch, rows: np.ndarray) -> np.ndarray:
+        """Graceful degradation at row granularity: the rows recomputed
+        on Obara-Saika (the two agree to ~3e-15 per element, so a rescued
+        build stays inside the 1e-12 chaos gate)."""
+        blocks = os_class_rows(self.basis, batch, rows)
+        finite = np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
+        if not finite.all():
             raise NonFiniteERIError(
-                (m, n, p, q), "reference kernel is non-finite too"
+                tuple(batch.quartets[rows[np.argmin(finite)]].tolist()),
+                "Obara-Saika kernel is non-finite too",
             )
-        return block
-
-    def _build_schwarz(self) -> np.ndarray:
-        return schwarz_matrix(self.basis, self.pair_cache)
+        return blocks
 
 
 class OSEngine(ERIEngine):
     """Real ERIs via Obara-Saika (validation engine, Table V comparator)."""
 
-    def _quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
-        sh = self.basis.shells
-        return eri_shell_quartet_os(sh[m], sh[n], sh[p], sh[q])
-
-    def _build_schwarz(self) -> np.ndarray:
-        return schwarz_matrix(self.basis)
-
-
-class SyntheticERIEngine(ERIEngine):
-    """Deterministic symmetric fake ERIs with closed-form contractions.
-
-    ``(ij|kl) = u_i u_j u_k u_l + v_ij v_kl`` with
-    ``v_ij = w_i w_j exp(-gamma d_ij^2)`` (d = distance between the owning
-    shells' centers).  This satisfies all permutational symmetries of
-    Eq (4) exactly and decays with distance like real integrals, so
-    Cauchy-Schwarz screening behaves realistically.
-
-    Closed forms used by :meth:`coulomb_exact` / :meth:`exchange_exact`::
-
-        J = (u^T D u) u u^T + (sum_kl D_kl v_kl) V
-        K = (u^T D u) u u^T + V D V
-    """
-
-    def __init__(self, basis: BasisSet, gamma: float = 0.08, seed: int = 7):
-        super().__init__(basis)
-        rng = np.random.default_rng(seed)
-        n = basis.nbf
-        self.u = rng.uniform(0.05, 0.25, n)
-        w = rng.uniform(0.3, 1.0, n)
-        # function -> shell center map
-        centers = np.empty((n, 3))
-        for s in range(basis.nshells):
-            centers[basis.shell_slice(s)] = basis.shells[s].center
-        diff = centers[:, None, :] - centers[None, :, :]
-        d2 = np.einsum("ijd,ijd->ij", diff, diff)
-        self.v = w[:, None] * w[None, :] * np.exp(-gamma * d2)
-
-    def _quartet(self, m: int, n: int, p: int, q: int) -> np.ndarray:
-        b = self.basis
-        sm, sn, sp, sq = (b.shell_slice(s) for s in (m, n, p, q))
-        u = self.u
-        out = (
-            u[sm, None, None, None]
-            * u[None, sn, None, None]
-            * u[None, None, sp, None]
-            * u[None, None, None, sq]
-        )
-        out = out + self.v[sm, sn][:, :, None, None] * self.v[sp, sq][None, None, :, :]
-        return out
-
-    def _build_schwarz(self) -> np.ndarray:
-        # sigma(M,N) = max_{ij in MN} sqrt((ij|ij)); (ij|ij) = u_i^2 u_j^2 + v_ij^2
-        b = self.basis
-        fn = np.sqrt(self.u[:, None] ** 2 * self.u[None, :] ** 2 + self.v**2)
-        ns = b.nshells
-        sigma = np.empty((ns, ns))
-        offsets = b.offsets
-        for m in range(ns):
-            rows = fn[offsets[m] : offsets[m + 1]]
-            # reduce function rows to shell blocks along columns
-            col_max = np.maximum.reduceat(rows.max(axis=0), offsets[:-1])
-            sigma[m] = col_max
-        return sigma
-
-    # -- exact closed-form contractions (for validation) --------------------
-
-    def coulomb_exact(self, density: np.ndarray) -> np.ndarray:
-        """J_ij = sum_kl D_kl (kl|ij), computed in O(n^2)."""
-        s1 = float(self.u @ density @ self.u)
-        s2 = float(np.sum(density * self.v))
-        return s1 * np.outer(self.u, self.u) + s2 * self.v
-
-    def exchange_exact(self, density: np.ndarray) -> np.ndarray:
-        """K_ij = sum_kl D_kl (ki|lj), computed in O(n^2) + one matmul."""
-        s1 = float(self.u @ density @ self.u)
-        return s1 * np.outer(self.u, self.u) + self.v @ density @ self.v
-
-    def fock_exact(self, hcore: np.ndarray, density: np.ndarray) -> np.ndarray:
-        """F = Hcore + 2J - K with *no screening* (tau = 0 reference)."""
-        return hcore + 2.0 * self.coulomb_exact(density) - self.exchange_exact(density)
+    def compute_rows(self, chunk: list[Chunk]) -> list[np.ndarray]:
+        return [os_class_rows(self.basis, batch, rows) for batch, rows in chunk]

@@ -5,8 +5,9 @@ Two building blocks:
 * :func:`e_coefficients` -- the 1-D Hermite expansion coefficients
   ``E_t^{ij}`` that express a product of two Cartesian Gaussians as a sum
   of Hermite Gaussians (one array per Cartesian direction).
-* :func:`r_tensor` -- the Hermite Coulomb integrals ``R_{tuv}`` obtained
-  from Boys-function values by the standard upward recursion.
+* :func:`r_tensor_batch` -- the Hermite Coulomb integrals ``R_{tuv}``
+  obtained from Boys-function values by the standard upward recursion,
+  for a whole batch of composite centers.
 
 Everything downstream (overlap, kinetic, nuclear attraction, ERIs) is a
 contraction of these two objects.
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from repro.integrals.boys import boys, boys_array
+from repro.integrals.boys import boys_array
 
 
 def e_coefficients(la: int, lb: int, a, b, ab_dist: float) -> np.ndarray:
@@ -94,53 +95,6 @@ def hermite_lookup(lmax: int) -> np.ndarray:
     return lookup
 
 
-def r_tensor(lmax: int, p: float, pq: np.ndarray) -> np.ndarray:
-    """Hermite Coulomb integrals ``R_{tuv}`` with t+u+v <= lmax.
-
-    Parameters
-    ----------
-    lmax:
-        Maximum total Hermite order.
-    p:
-        The composite exponent (``p`` for nuclear attraction with the
-        nucleus at distance PQ; ``p q / (p + q)`` for ERIs).
-    pq:
-        The 3-vector from the composite center to the other center.
-
-    Returns
-    -------
-    R of shape (lmax+1, lmax+1, lmax+1); entries with t+u+v > lmax are 0.
-    """
-    x, y, z = (float(c) for c in pq)
-    r2 = x * x + y * y + z * z
-    fm = boys(lmax, p * r2)
-    # layer n stored at rn[n], seeded with R^{(n)}_{000} = (-2p)^n F_n
-    rn = np.zeros((lmax + 1, lmax + 1, lmax + 1, lmax + 1))
-    scale = 1.0
-    for n in range(lmax + 1):
-        rn[n, 0, 0, 0] = scale * fm[n]
-        scale *= -2.0 * p
-    for total in range(1, lmax + 1):
-        for n in range(lmax - total, -1, -1):
-            for t in range(total + 1):
-                for u in range(total - t + 1):
-                    v = total - t - u
-                    if t > 0:
-                        val = x * rn[n + 1, t - 1, u, v]
-                        if t > 1:
-                            val += (t - 1) * rn[n + 1, t - 2, u, v]
-                    elif u > 0:
-                        val = y * rn[n + 1, t, u - 1, v]
-                        if u > 1:
-                            val += (u - 1) * rn[n + 1, t, u - 2, v]
-                    else:
-                        val = z * rn[n + 1, t, u, v - 1]
-                        if v > 1:
-                            val += (v - 1) * rn[n + 1, t, u, v - 2]
-                    rn[n, t, u, v] = val
-    return rn[0]
-
-
 @functools.lru_cache(maxsize=None)
 def _compact_recursion(lmax: int) -> tuple[int, tuple[int, ...], tuple]:
     """Row layout and step list of :func:`r_tensor_batch`.
@@ -179,12 +133,14 @@ def r_tensor_batch(
 ) -> np.ndarray:
     """Hermite Coulomb integrals for a whole batch of composite centers.
 
-    The batched equivalent of :func:`r_tensor` for composite exponents
-    ``ps`` (nq,) and center differences ``pqs`` (nq, 3): one ``boys_array``
-    sweep, then the same upward recursion with each entry one contiguous
-    length-``nq`` vector -- over the compact set of auxiliaries only (70
-    rows instead of 5^4 at lmax = 4).  The loop count is independent of
-    the batch size, so the Python overhead is amortized over the sweep.
+    For composite exponents ``ps`` (nq,) -- ``p`` for nuclear attraction,
+    ``p q / (p + q)`` for ERIs -- and center differences ``pqs`` (nq, 3):
+    one ``boys_array`` sweep, then the upward recursion
+    ``R^{(n)}_{t+1,u,v} = t R^{(n+1)}_{t-1,u,v} + X R^{(n+1)}_{tuv}`` (and
+    likewise for u, v) with each entry one contiguous length-``nq``
+    vector -- over the compact set of auxiliaries only (70 rows instead
+    of 5^4 at lmax = 4).  The loop count is independent of the batch
+    size, so the Python overhead is amortized over the sweep.
 
     R is linear in the Boys values, so the per-center ``weights`` (nq,)
     scale the seeds ``R^{(n)}_{000}`` and with them every entry: callers

@@ -23,9 +23,10 @@ amortized over every quartet that pair participates in:
   class-batched Fock build's kernel (:mod:`repro.integrals.class_batch`),
   one sweep per family chunk.
 
-Numerics are identical to the per-primitive path
-(:func:`repro.integrals.eri_md.eri_shell_quartet`) up to floating-point
-summation order (agreement far below 1e-10; see tests/test_pairdata.py).
+Numerics agree with the per-primitive MD oracle
+(``tests/reference_eri.py``) and the batched Obara-Saika kernel
+(:mod:`repro.integrals.eri_os`) up to floating-point summation order
+(far below 1e-12; see tests/test_pairdata.py and tests/test_eri.py).
 """
 
 from __future__ import annotations

@@ -15,13 +15,7 @@ import math
 
 import numpy as np
 
-from repro.chem.basis.shells import (
-    Shell,
-    cartesian_components,
-    component_scale,
-    ncart,
-    nsph,
-)
+from repro.chem.basis.shells import cartesian_components, component_scale
 
 _SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -48,47 +42,9 @@ def transform_matrix(l: int) -> np.ndarray:
     raise NotImplementedError(f"spherical transform not implemented for l={l}")
 
 
-def shell_transform(shell: Shell) -> np.ndarray:
-    """Transform from this shell's Cartesian components to its basis functions.
-
-    Identity-shaped for Cartesian shells; the solid-harmonic matrix for
-    pure shells.
-    """
-    if shell.pure:
-        return transform_matrix(shell.l)
-    return np.eye(ncart(shell.l))
-
-
 def cartesian_to_basis(l: int, pure: bool) -> np.ndarray:
     """The ``(nbf, ncart)`` map from a shell's raw Cartesian components to
     its basis functions: per-component angular normalization, then the
     solid-harmonic transform if the shell is pure."""
     scale = np.array([component_scale(*c) for c in cartesian_components(l)])
     return (transform_matrix(l) if pure else np.eye(scale.size)) * scale
-
-
-def apply_transforms(block: np.ndarray, shells: tuple[Shell, ...]) -> np.ndarray:
-    """Apply per-axis shell transforms to a Cartesian integral block.
-
-    ``block`` has one axis per shell (2 axes for one-electron blocks,
-    4 for ERIs), each of Cartesian length; pure axes are contracted down
-    to spherical length.
-    """
-    if block.ndim != len(shells):
-        raise ValueError(
-            f"block rank {block.ndim} does not match {len(shells)} shells"
-        )
-    out = block
-    for axis, sh in enumerate(shells):
-        if sh.pure:
-            t = transform_matrix(sh.l)
-            out = np.tensordot(t, out, axes=([1], [axis]))
-            out = np.moveaxis(out, 0, axis)
-        elif out.shape[axis] != ncart(sh.l):
-            raise ValueError(
-                f"axis {axis} has length {out.shape[axis]}, expected {ncart(sh.l)}"
-            )
-    expected = tuple(nsph(sh.l) if sh.pure else ncart(sh.l) for sh in shells)
-    if out.shape != expected:
-        raise AssertionError(f"transformed shape {out.shape} != {expected}")
-    return out

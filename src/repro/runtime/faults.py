@@ -325,8 +325,8 @@ class SCFFaultPlan(SeededPlan):
 
     Corruption only targets the rows the class kernel computes inside the
     production Fock build (:func:`repro.integrals.class_batch.jk_from_plan`)
-    -- never stored rows, rescued rows or the reference per-primitive
-    kernel -- so the per-row rescue (and the guard's ``reference_eri``
+    -- never stored rows, or rows the Obara-Saika rescue kernel
+    recomputes -- so the per-row rescue (and the guard's ``reference_eri``
     rung, which arms it) genuinely repairs the build.
 
     Parameters

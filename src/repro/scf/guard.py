@@ -18,8 +18,9 @@ Three pieces:
   classifications: density damping -> level shifting -> DIIS reset ->
   canonical orthogonalization with a tightened linear-dependence
   threshold -> the per-row ERI sentinel armed for the rest of the run
-  (flagged rows recomputed on the reference kernel).  Remediation is never free and never silent: every activation
-  is a typed :class:`GuardEvent`, an obs metric
+  (flagged rows recomputed on the Obara-Saika kernel).  Remediation is
+  never free and never silent: every activation is a typed
+  :class:`GuardEvent`, an obs metric
   (``repro_scf_guard_*``), and a tracer instant;
 * :class:`SCFGuard` -- the per-run state machine the SCF drivers
   (:class:`~repro.scf.hf.RHF`, :class:`~repro.scf.uhf.UHF`) consult
@@ -183,7 +184,7 @@ class GuardConfig:
     eri_sentinel:
         Arm the per-quartet NaN/Inf sentinel on the ERI engine from the
         first iteration (non-finite batched blocks are recomputed on the
-        reference kernel; see ``ERIEngine.finite_check``).  When off, the
+        Obara-Saika kernel; see ``ERIEngine.finite_check``).  When off, the
         ``reference_eri`` rung still arms it once it fires.
     ladder:
         The remediation rungs, mildest first.

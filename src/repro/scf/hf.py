@@ -247,7 +247,7 @@ class SCFDriver:
             x = orthogonalizer(s, threshold=thr, canonical=True)
         if guard.consume_reference_eri():
             # row-scoped: ERIs are density independent, so recomputing a
-            # flagged row on the reference kernel is exact and every
+            # flagged row on the Obara-Saika kernel is exact and every
             # other row stays on the class kernel.  Arm the per-row
             # sentinel for the rest of the run (_run restores it) and
             # detach the store: no row resolved before it was armed

@@ -7,18 +7,28 @@ session-scoped so the full suite stays fast.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reference_engine import class_rows
+from reference_engine import SyntheticERIEngine, class_rows
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import h2, methane, water
-from repro.integrals.engine import MDEngine, SyntheticERIEngine
+from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.scf.fock import fock_matrix
 from repro.scf.guess import core_guess
 from repro.scf.orthogonalization import orthogonalizer
+
+
+def cartesian(basis: BasisSet) -> BasisSet:
+    """``basis`` with every pure shell forced Cartesian."""
+    return BasisSet(
+        molecule=basis.molecule,
+        shells=[replace(sh, pure=False) for sh in basis.shells],
+        name=basis.name + "-cart",
+    )
 
 
 def pair_block(matrix_fn, sh_a, sh_b, molecule=None, **kwargs):

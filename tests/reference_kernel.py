@@ -31,14 +31,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from reference_eri import apply_transforms, finalize_quartet, r_tensor
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell, cartesian_components, component_scale
 from repro.integrals import hermite
 from repro.integrals.boys import boys_array
 from repro.integrals.class_batch import ClassBatch
-from repro.integrals.eri_md import finalize_quartet
-from repro.integrals.hermite import e_coefficients, hermite_lookup, r_tensor
+from repro.integrals.hermite import e_coefficients, hermite_lookup
 from repro.integrals.pairdata import (
     PairData,
     StackedPairs,
@@ -46,11 +46,7 @@ from repro.integrals.pairdata import (
     build_pair_data,
     stack_pairs,
 )
-from repro.integrals.spherical import (
-    apply_transforms,
-    cartesian_to_basis,
-    transform_matrix,
-)
+from repro.integrals.spherical import cartesian_to_basis, transform_matrix
 
 _TWO_PI_52 = 2.0 * math.pi**2.5
 
@@ -276,7 +272,7 @@ def _finalize_class(out: np.ndarray, batch: ClassBatch) -> np.ndarray:
     """Batched component normalization + spherical transform.
 
     The stacked equivalent of
-    :func:`repro.integrals.eri_md.finalize_quartet`: scales broadcast
+    :func:`reference_eri.finalize_quartet`: scales broadcast
     over the leading quartet axis; each pure axis is contracted with the
     shared solid-harmonic matrix of its angular momentum.
     """
@@ -311,7 +307,7 @@ def eri_shell_quartet_batched(
     """The ERI block ``(ab|cd)`` via one batched primitive evaluation.
 
     Drop-in equivalent of
-    :func:`repro.integrals.eri_md.eri_shell_quartet`: same shapes, same
+    :func:`reference_eri.eri_shell_quartet`: same shapes, same
     normalization, same spherical handling.  Pass precomputed ``bra`` /
     ``ket`` :class:`PairData` (e.g. from a :class:`ShellPairData` cache)
     to skip the per-call pair expansion entirely.

@@ -90,7 +90,7 @@ class TestExperimentsSmoke:
     def test_table5_runs(self):
         from repro.bench.experiments import table5_t_int
 
-        rep = table5_t_int(max_shell_pairs=4)
+        rep = table5_t_int(nquartets=4)
         assert set(rep.data) == {"C24H12", "C10H22"}
         for vals in rep.data.values():
             assert vals["MD"] > 0 and vals["OS"] > 0

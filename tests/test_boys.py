@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.integrals.boys import (
-    boys,
-    boys_array,
-    boys_quadrature,
-    boys_series,
-    boys_single,
-)
+from reference_eri import boys_quadrature, boys_series, boys_single
+from repro.integrals.boys import boys, boys_array
 
 
 class TestKnownValues:

@@ -2,7 +2,7 @@
 
 The class-batched kernel, six-block contraction, and threaded driver
 must reproduce the per-quartet scatter oracle (``reference_fock``) on
-every engine -- batched MD, reference MD, Obara-Saika, synthetic --
+every engine -- batched MD, batched Obara-Saika, reference MD, synthetic --
 exactly to summation order across mixed s/p/d bases, and its profiler
 attribution must land one span per kernel chunk / per flush, not per
 quartet.
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from reference_engine import (
     ReferenceMDEngine,
+    SyntheticERIEngine,
     class_rows,
     quartet_block,
     quartet_blocks,
@@ -40,7 +41,7 @@ from repro.integrals.class_batch import (
     jk_from_rows,
     orbit_weights,
 )
-from repro.integrals.engine import MDEngine, OSEngine, SyntheticERIEngine
+from repro.integrals.engine import MDEngine, OSEngine
 from repro.obs import session
 from repro.obs.profile import PHASE_ERI, PHASE_JK, PhaseProfiler
 from repro.scf.fock import build_jk
@@ -111,15 +112,15 @@ def rand_density(rng, n):
     return (d + d.T) / 2.0
 
 
-#: every engine ``build_jk`` serves: the class kernel, and the three
-#: whose plans resolve rows through ``engine._quartet``
+#: every engine ``build_jk`` serves: the two batched kernels, and the
+#: test engines that stack one ``_quartet`` block per row
 ENGINES = {
     "md": MDEngine,
     "md-reference": ReferenceMDEngine,
     "os": OSEngine,
     "synthetic": SyntheticERIEngine,
 }
-FAST = ("md", "synthetic")
+FAST = ("md", "os", "synthetic")
 
 
 class TestClassJKAgreement:
@@ -464,8 +465,8 @@ def recorded_flushes(monkeypatch) -> list:
 
 class TestFiniteCheckRescue:
     def test_poisoned_chunk_is_rescued_per_quartet(self, monkeypatch):
-        """A NaN row in a batched sweep falls back to the reference
-        kernel for that quartet only, matching the clean build."""
+        """A NaN row in a batched sweep is recomputed on Obara-Saika,
+        that row only, matching the clean build."""
         import repro.integrals.class_batch as cb
 
         basis = BasisSet.build(water(), "sto-3g")
@@ -486,9 +487,13 @@ class TestFiniteCheckRescue:
         monkeypatch.setattr(cb, "compute_class_rows", poison)
         engine = MDEngine(basis)
         engine.finite_check = True
+        rescued = []
+        rescue = engine.rescue_rows
+        engine.rescue_rows = lambda batch, rows: rescued.append(rows) or rescue(batch, rows)
         j, k = build_jk(engine, d)
         assert poisoned["done"]
         assert engine.eri_rescues == 1
+        assert [rows.tolist() for rows in rescued] == [[0]]
         assert np.allclose(j, j_ref, atol=1e-10, rtol=0)
         assert np.allclose(k, k_ref, atol=1e-10, rtol=0)
 

@@ -9,12 +9,13 @@ any process count, with and without stealing and reordering.
 import numpy as np
 import pytest
 
+from reference_engine import SyntheticERIEngine
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water_cluster
 from repro.fock.gtfock import PrefetchMiss, gtfock_build
 from repro.fock.nwchem import nwchem_build
 from repro.fock.reorder import reorder_basis
-from repro.integrals.engine import MDEngine, SyntheticERIEngine
+from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.obs.flight import CH_TASK_GET
 from repro.runtime.faults import FaultPlan

@@ -1,4 +1,5 @@
-"""Tests for the ERI engines: MD vs OS cross-validation, symmetries, values."""
+"""Tests for the ERI kernels: the batched Obara-Saika kernel vs its
+per-primitive oracle, symmetries and known values (per-primitive MD)."""
 
 import math
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_eri import eri_shell_quartet, eri_shell_quartet_os, eri_tensor
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
-from repro.integrals.eri_md import eri_shell_quartet, eri_tensor
-from repro.integrals.eri_os import eri_shell_quartet_os
+from repro.chem.builders import water
+from repro.integrals.class_batch import build_class_plan
+from repro.integrals.eri_os import os_class_rows
 
 
 def rand_shell(rng, l, pure=False):
@@ -67,18 +70,30 @@ class TestKnownValues:
         assert val == pytest.approx(1.0 / r, rel=1e-8)
 
 
+def batched_os(shells) -> np.ndarray:
+    """The block (ab|cd) of four shells on the batched Obara-Saika kernel
+    (a one-row class plan)."""
+    basis = BasisSet(molecule=water(), shells=list(shells), name="rand")
+    (batch,) = build_class_plan(basis, None, [(0, 1, 2, 3)]).batches
+    return os_class_rows(basis, batch, np.arange(1))[0]
+
+
 class TestMDvsOS:
-    """The two independent formulations must agree to machine precision."""
+    """The batched Obara-Saika kernel vs the per-primitive one it
+    replaced (``reference_eri``); MD vs OS over whole plans is
+    ``tests/test_engine.py``."""
 
     @given(st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_random_quartets(self, seed):
         rng = np.random.default_rng(seed)
         ls = rng.integers(0, 3, 4)
-        shs = [rand_shell(rng, int(l)) for l in ls]
-        a = eri_shell_quartet(*shs)
-        b = eri_shell_quartet_os(*shs)
-        assert np.allclose(a, b, atol=1e-12, rtol=1e-10)
+        shs = [rand_shell(rng, int(l), pure=bool(l == 2 and rng.integers(0, 2)))
+               for l in ls]
+        a = eri_shell_quartet_os(*shs)
+        b = batched_os(shs)
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
 
     def test_pure_d_quartet(self):
         rng = np.random.default_rng(42)
@@ -89,8 +104,8 @@ class TestMDvsOS:
             rand_shell(rng, 0),
         ]
         a = eri_shell_quartet(*shs)
-        b = eri_shell_quartet_os(*shs)
-        assert a.shape == (5, 3, 5, 1)
+        b = batched_os(shs)
+        assert a.shape == b.shape == (5, 3, 5, 1)
         assert np.allclose(a, b, atol=1e-13)
 
 

@@ -13,10 +13,11 @@ import json
 import numpy as np
 import pytest
 
+from reference_engine import SyntheticERIEngine
 from repro.fock.gtfock import gtfock_build
 from repro.fock.nwchem import nwchem_build
 from repro.fock.simulate import simulate_gtfock, simulate_nwchem
-from repro.integrals.engine import MDEngine, SyntheticERIEngine
+from repro.integrals.engine import MDEngine
 from repro.obs.flight import (
     CH_ALLREDUCE,
     CH_BARRIER,

@@ -321,15 +321,31 @@ class TestOrthogonalizerHardening:
 
 def faulted_build(basis, density, plan, threads=1):
     """One sentinel-armed ``build_jk`` under ``plan``: J, K, the engine
-    and the quartets the sentinel sent to the reference kernel."""
+    and the quartets the sentinel sent to ``rescue_rows``."""
     engine = MDEngine(basis)
     engine.finite_check = True
     engine.scf_faults = plan.activate()
     rescued = []
-    rescue = engine._rescue_quartet
-    engine._rescue_quartet = lambda *q: rescued.append(q) or rescue(*q)
+    rescue = engine.rescue_rows
+    engine.rescue_rows = lambda batch, rows: rescued.extend(
+        map(tuple, batch.quartets[rows].tolist())
+    ) or rescue(batch, rows)
     j, k = build_jk(engine, density, threads=threads)
     return j, k, engine, sorted(rescued)
+
+
+#: the rows seeds 7 and 8 corrupt in ``test_seeded_faults_ride_the_class_path``,
+#: as the per-quartet rescue of the parent kernel recorded them
+SEED7_VICTIMS = [
+    (1, 0, 0, 0), (2, 2, 2, 0), (5, 1, 4, 4), (5, 2, 3, 0), (6, 2, 3, 1),
+    (7, 3, 2, 2), (7, 5, 2, 2), (7, 7, 7, 7), (8, 0, 2, 2), (8, 1, 5, 2),
+    (8, 2, 5, 3), (8, 3, 7, 2),
+]
+SEED8_VICTIMS = [
+    (2, 0, 2, 0), (3, 1, 2, 0), (5, 0, 4, 1), (5, 5, 1, 0), (6, 5, 4, 0),
+    (7, 4, 3, 2), (7, 4, 7, 1), (7, 5, 1, 0), (7, 6, 2, 2), (7, 6, 4, 0),
+    (7, 7, 4, 1), (8, 7, 4, 0),
+]
 
 
 class TestERIFaultSeam:
@@ -370,7 +386,7 @@ class TestERIFaultSeam:
         runs = [faulted_build(basis, d, plan, threads=t) for t in (1, 2, 1)]
         assert sum(sweeps) == 3 * clean.quartets_computed
         victims = runs[0][3]
-        assert len(victims) == len(set(victims)) == 12  # the cap, honoured
+        assert victims == SEED7_VICTIMS  # 12: the cap, honoured
         for j, k, engine, rescued in runs:
             assert rescued == victims
             assert engine.quartets_computed == clean.quartets_computed
@@ -381,17 +397,48 @@ class TestERIFaultSeam:
         assert len(runs[1][2].last_jk_worker_stats) == 2
         # another seed, other victims; a matrix-only plan, none at all
         other = SCFFaultPlan(seed=8, quartet_nan_rate=0.02, max_corruptions=12)
-        assert faulted_build(basis, d, other)[3] != victims
+        assert faulted_build(basis, d, other)[3] == SEED8_VICTIMS
         *_, engine, rescued = faulted_build(
             basis, d, SCFFaultPlan(seed=7, fock_nan_iterations=(1,))
         )
         assert rescued == [] and engine.scf_faults.quartets_corrupted == 0
         assert sum(sweeps) == 5 * clean.quartets_computed
 
+    def test_rescue_runs_once_per_chunk_member(self):
+        """A member's flagged rows go to one ``rescue_rows`` call, on the
+        Obara-Saika kernel: never one call per quartet."""
+        basis = BasisSet.build(water(), "6-31g")
+        d = np.eye(basis.nbf)
+        j_ref, k_ref = build_jk(MDEngine(basis), d)
+        engine = MDEngine(basis)
+        engine.finite_check = True
+        engine.scf_faults = SCFFaultPlan(seed=1, quartet_nan_rate=0.3).activate()
+        events, compute, rescue = [], engine.compute_rows, engine.rescue_rows
+        engine.compute_rows = lambda chunk: events.append("chunk") or compute(chunk)
+        engine.rescue_rows = lambda batch, rows: events.append(
+            (id(batch), len(rows))
+        ) or rescue(batch, rows)
+        j, k = build_jk(engine, d)
+        calls = [e for e in events if e != "chunk"]
+        rows = sum(n for _, n in calls)
+        assert rows == engine.eri_rescues == engine.scf_faults.quartets_corrupted
+        assert len(calls) < rows and max(n for _, n in calls) > 1
+        members: set = set()
+        for event in events:  # at most one call per member of a chunk
+            if event == "chunk":
+                members = set()
+            else:
+                assert event[0] not in members
+                members.add(event[0])
+        assert np.abs(j - j_ref).max() <= 1e-12
+        assert np.abs(k - k_ref).max() <= 1e-12
+
     def test_engine_without_reference_path_raises(self, water_basis):
         engine = OSEngine(water_basis)
-        with pytest.raises(NonFiniteERIError, match="no rescue path"):
-            engine._rescue_quartet(0, 0, 0, 0)
+        batch = max(engine.class_plan(1e-11).batches, key=lambda b: b.nq)
+        with pytest.raises(NonFiniteERIError, match="no rescue path") as err:
+            engine.rescue_rows(batch, np.array([1, 0]))
+        assert err.value.quartet == tuple(batch.quartets[1].tolist())
 
     def test_fault_plan_validation(self):
         with pytest.raises(ValueError, match="quartet_nan_rate"):
@@ -449,15 +496,17 @@ class TestRowScopedReferenceRung:
             lambda self, blocks, rows:
                 corrupted.append(hit(self, blocks, rows)) or corrupted[-1],
         )
-        rescue = rhf.engine._rescue_quartet
-        rhf.engine._rescue_quartet = lambda *q: rescued.append(q) or rescue(*q)
+        rescue = rhf.engine.rescue_rows
+        rhf.engine.rescue_rows = lambda batch, rows: rescued.append(
+            len(rows)
+        ) or rescue(batch, rows)
         res = rhf.run()
         assert res.converged
         assert abs(res.energy - clean.energy) <= 1e-9
         assert res.guard_summary["by_action"]["reference_eri"] == 1
-        # every row corrupted after arming: recomputed once, on eri_md
+        # every row corrupted after arming: recomputed once, on Obara-Saika
         assert sum(corrupted) == self.PLAN.max_corruptions
-        assert len(rescued) == rhf.engine.eri_rescues == sum(corrupted) - unarmed
+        assert sum(rescued) == rhf.engine.eri_rescues == sum(corrupted) - unarmed
         # ... and every computed row, rescued or not, came off the class kernel
         assert sum(swept) == rhf.engine.quartets_computed
         assert rhf.engine.pair_cache is not None

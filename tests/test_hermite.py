@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_eri import r_tensor
 from repro.integrals.boys import boys
-from repro.integrals.hermite import e_coefficients, hermite_index, r_tensor
+from repro.integrals.hermite import e_coefficients, hermite_index
 
 
 class TestECoefficients:

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_engine import ReferenceMDEngine, class_rows, quartet_block
+from reference_eri import eri_shell_quartet, eri_shell_quartet_os
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.builders import water
 from repro.integrals.class_batch import build_class_plan, canonical_quartet_array
 from repro.integrals.engine import MDEngine, OSEngine
-from repro.integrals.eri_md import eri_shell_quartet
-from repro.integrals.eri_os import eri_shell_quartet_os
 from repro.integrals.pairdata import ShellPairData
 
 
@@ -109,7 +108,7 @@ class TestShellPairData:
     def test_unbatched_engine_matches_batched(self, water_basis):
         batched = MDEngine(water_basis)
         seed = ReferenceMDEngine(water_basis)
-        assert seed.pair_cache is None
+        assert batched.class_kernel and not seed.class_kernel
         rng = np.random.default_rng(4)
         for _ in range(8):
             m, n, p, q = (int(i) for i in rng.integers(0, water_basis.nshells, 4))

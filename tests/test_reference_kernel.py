@@ -6,13 +6,19 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import cartesian
 from reference_engine import class_rows
+from reference_eri import (
+    boys_quadrature,
+    boys_series,
+    eri_shell_quartet,
+    eri_shell_quartet_os,
+)
 from reference_kernel import (
     dipole_block,
     kinetic_block,
@@ -27,30 +33,13 @@ from scipy import special
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.builders import methane, water
-from repro.integrals.boys import (
-    _ASYMPTOTIC_X,
-    _STEP,
-    boys_array,
-    boys_quadrature,
-    boys_series,
-)
+from repro.integrals.boys import _ASYMPTOTIC_X, _STEP, boys_array
 from repro.integrals.class_batch import build_class_plan, compute_class_rows
 from repro.integrals.engine import MDEngine
-from repro.integrals.eri_md import eri_shell_quartet
-from repro.integrals.eri_os import eri_shell_quartet_os
 from repro.integrals.moments import dipole_integrals
 from repro.integrals.oneelec import kinetic, nuclear_attraction, overlap
 from repro.integrals.pairdata import ShellPairData, shell_families
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
-
-
-def cartesian(basis: BasisSet) -> BasisSet:
-    """``basis`` with every pure shell forced Cartesian."""
-    return BasisSet(
-        molecule=basis.molecule,
-        shells=[replace(sh, pure=False) for sh in basis.shells],
-        name=basis.name + "-cart",
-    )
 
 
 def sha256(blocks: np.ndarray) -> str:

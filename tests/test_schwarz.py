@@ -5,7 +5,7 @@ import pytest
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane
-from repro.integrals.eri_md import eri_shell_quartet
+from reference_eri import eri_shell_quartet
 from reference_kernel import pair_bound
 
 from repro.integrals.schwarz import (

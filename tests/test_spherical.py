@@ -7,7 +7,8 @@ from conftest import pair_block
 
 from repro.chem.basis.shells import Shell
 from repro.integrals.oneelec import overlap
-from repro.integrals.spherical import apply_transforms, shell_transform, transform_matrix
+from reference_eri import apply_transforms, shell_transform
+from repro.integrals.spherical import transform_matrix
 
 
 def d_shell(pure, alpha=0.8, center=(0, 0, 0)):
