@@ -1,8 +1,8 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one table/figure of the paper's evaluation via
-:mod:`repro.bench.experiments` and prints it (run with ``-s`` to see the
-tables inline); the reports are also appended to
+``test_bench_paper.py`` regenerates each artifact of the registry
+:data:`repro.bench.experiments.ARTIFACTS` and prints it (run with ``-s``
+to see the tables inline); the reports are also appended to
 ``benchmarks/out/reports.txt``.
 """
 

@@ -1,20 +1,11 @@
-"""Benchmark harness: per-table experiment drivers and paper reference data."""
+"""Benchmark harness: the registry of the paper's artifacts and reference data."""
 
 from repro.bench.experiments import (
+    ARTIFACTS,
+    Column,
     ExperimentReport,
-    figure1_footprint,
-    figure2_overhead,
-    model_analysis,
+    Sweep,
     run_cell,
-    sweep,
-    table2_molecules,
-    table3_times,
-    table4_speedup,
-    table5_t_int,
-    table6_volume,
-    table7_calls,
-    table8_load_balance,
-    table9_purification,
 )
 from repro.bench.harness import (
     CORE_COUNTS,
@@ -25,31 +16,22 @@ from repro.bench.harness import (
     format_table,
     full_scale,
     molecule_setup,
+    paper_setup,
 )
 from repro.bench.paper_data import (
     FIGURE1,
     MEASURED_CONSTANTS,
-    SHAPE_TARGETS,
     TABLE1_MACHINE,
     TABLE2_MOLECULES,
     TABLE5_T_INT,
 )
 
 __all__ = [
+    "ARTIFACTS",
+    "Column",
     "ExperimentReport",
-    "figure1_footprint",
-    "figure2_overhead",
-    "model_analysis",
+    "Sweep",
     "run_cell",
-    "sweep",
-    "table2_molecules",
-    "table3_times",
-    "table4_speedup",
-    "table5_t_int",
-    "table6_volume",
-    "table7_calls",
-    "table8_load_balance",
-    "table9_purification",
     "CORE_COUNTS",
     "PAPER_TAU",
     "MoleculeSetup",
@@ -58,9 +40,9 @@ __all__ = [
     "format_table",
     "full_scale",
     "molecule_setup",
+    "paper_setup",
     "FIGURE1",
     "MEASURED_CONSTANTS",
-    "SHAPE_TARGETS",
     "TABLE1_MACHINE",
     "TABLE2_MOLECULES",
     "TABLE5_T_INT",

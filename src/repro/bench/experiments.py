@@ -1,14 +1,20 @@
-"""Per-table/figure experiment drivers (the reproduction's evaluation).
+"""The paper's evaluation (Sec IV) as one registry of artifacts.
 
-Each function regenerates one artifact of the paper's Section IV and
-returns both structured data and a formatted text report.  The
-``benchmarks/`` suite wraps these in pytest-benchmark targets; the
-``examples/`` scripts call them directly.
+:data:`ARTIFACTS` maps each table / figure name -- the ``repro``
+subcommand that prints it -- to a callable returning an
+:class:`ExperimentReport` (structured data + formatted text).  Tables
+III, IV, VI, VII, VIII and Figure 2 are :class:`Sweep` rows: one loop
+over the benchmark molecules and core counts, their columns declared as
+data and rendered by :meth:`Sweep.__call__`.  Tables II, V, IX, Figure
+1 and the Sec III-G model keep their own functions.  The paper's
+qualitative claims about each row are stated once, in
+``benchmarks/test_bench_paper.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -17,6 +23,7 @@ from repro.bench.harness import (
     MoleculeSetup,
     all_setups,
     format_table,
+    paper_setup,
 )
 from repro.bench.paper_data import FIGURE1, MEASURED_CONSTANTS, TABLE2_MOLECULES
 from repro.fock.partition import TaskBlock
@@ -30,7 +37,6 @@ from repro.model.perfmodel import PerfModel
 class ExperimentReport:
     """Structured result + rendered text for one table/figure."""
 
-    experiment: str
     data: dict
     text: str
 
@@ -58,12 +64,76 @@ def run_cell(setup: MoleculeSetup, algorithm: str, cores: int) -> FockSimResult:
     return _SIM_CACHE[key]
 
 
-def sweep(setup: MoleculeSetup, cores: tuple[int, ...] = CORE_COUNTS) -> dict:
-    """Both algorithms over the core sweep for one molecule."""
-    return {
-        alg: {c: run_cell(setup, alg, c) for c in cores}
-        for alg in ("gtfock", "nwchem")
-    }
+# ---------------------------------------------------------------------------
+# Sweep rows: molecules x core counts, one table row per cell
+# ---------------------------------------------------------------------------
+
+
+class Column(NamedTuple):
+    """One sweep column; ``fn(cells, cores)`` is its value at ``cores``,
+    where ``cells[alg][c]`` is the molecule's :class:`FockSimResult`."""
+
+    header: str
+    key: str | None  # data[molecule][key][cores]; None: printed only
+    fn: Callable[[dict, int], Any]
+    fmt: str | None = None  # this column's cell format, not the table's
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A table over every benchmark molecule x core count.
+
+    Only ``algorithms`` are simulated; ``title`` may name the sweep's
+    first core count as ``{base}``.
+    """
+
+    title: str
+    columns: tuple[Column, ...]
+    floatfmt: str = "{:.3f}"
+    algorithms: tuple[str, ...] = ("gtfock", "nwchem")
+
+    def __call__(self, cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentReport:
+        data: dict = {}
+        rows = []
+        for setup in all_setups():
+            cells = {
+                alg: {c: run_cell(setup, alg, c) for c in cores}
+                for alg in self.algorithms
+            }
+            mol = data[setup.name] = {}
+            for c in cores:
+                row = [setup.name, c]
+                for col in self.columns:
+                    v = col.fn(cells, c)
+                    if col.key is not None:
+                        mol.setdefault(col.key, {})[c] = v
+                    row.append(v if col.fmt is None else col.fmt.format(v))
+                rows.append(row)
+        text = format_table(
+            ["Molecule", "Cores", *(col.header for col in self.columns)],
+            rows,
+            title=self.title.format(base=cores[0]),
+            floatfmt=self.floatfmt,
+        )
+        return ExperimentReport(data, text)
+
+
+def _of(alg: str, attr: str) -> Callable[[dict, int], Any]:
+    """Column fn: one attribute of ``alg``'s result."""
+    return lambda cells, c: getattr(cells[alg][c], attr)
+
+
+def _speedup(alg: str) -> Callable[[dict, int], float]:
+    """Column fn: speedup over the fastest time at the first core count
+    (the paper divides both algorithms' times by NWChem's)."""
+    return lambda cells, c: min(
+        next(iter(runs.values())).t_fock_max for runs in cells.values()
+    ) / cells[alg][c].t_fock_max
+
+
+def _overhead_ratio(cells: dict, c: int) -> float:
+    g, n = cells["gtfock"][c].t_overhead_avg, cells["nwchem"][c].t_overhead_avg
+    return n / g if g > 0 else float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -92,64 +162,7 @@ def table2_molecules() -> ExperimentReport:
         title="Table II: test molecules (vdz-sim, tau=1e-10)"
         + f"\npaper (cc-pVDZ): {TABLE2_MOLECULES}",
     )
-    return ExperimentReport("table2", data, text)
-
-
-# ---------------------------------------------------------------------------
-# Tables III & IV -- Fock construction times and speedups
-# ---------------------------------------------------------------------------
-
-
-def table3_times(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentReport:
-    data: dict = {}
-    rows = []
-    for setup in all_setups():
-        res = sweep(setup, cores)
-        data[setup.name] = {
-            alg: {c: r.t_fock_max for c, r in res[alg].items()} for alg in res
-        }
-        for c in cores:
-            rows.append(
-                [
-                    setup.name,
-                    c,
-                    res["gtfock"][c].t_fock_max,
-                    res["nwchem"][c].t_fock_max,
-                ]
-            )
-    text = format_table(
-        ["Molecule", "Cores", "GTFock(s)", "NWChem(s)"],
-        rows,
-        title="Table III: Fock matrix construction time",
-    )
-    return ExperimentReport("table3", data, text)
-
-
-def table4_speedup(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentReport:
-    base = cores[0]
-    data: dict = {}
-    rows = []
-    for setup in all_setups():
-        res = sweep(setup, cores)
-        times = {
-            alg: {c: r.t_fock_max for c, r in res[alg].items()} for alg in res
-        }
-        # the paper computes both speedups against the fastest base-core
-        # time (NWChem's)
-        t0 = min(times["gtfock"][base], times["nwchem"][base])
-        sp = {
-            alg: {c: t0 / t for c, t in times[alg].items()} for alg in times
-        }
-        data[setup.name] = sp
-        for c in cores:
-            rows.append([setup.name, c, sp["gtfock"][c], sp["nwchem"][c]])
-    text = format_table(
-        ["Molecule", "Cores", "GTFock", "NWChem"],
-        rows,
-        title=f"Table IV: speedup vs fastest {base}-core time",
-        floatfmt="{:.1f}",
-    )
-    return ExperimentReport("table4", data, text)
+    return ExperimentReport(data, text)
 
 
 # ---------------------------------------------------------------------------
@@ -203,104 +216,7 @@ def table5_t_int(nquartets: int = 4000) -> ExperimentReport:
         rows,
         title="Table V: average time per ERI (our engines; paper: ERD 4.76us)",
     )
-    return ExperimentReport("table5", data, text)
-
-
-# ---------------------------------------------------------------------------
-# Tables VI & VII -- communication volume and GA calls
-# ---------------------------------------------------------------------------
-
-
-def table6_volume(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentReport:
-    data: dict = {}
-    rows = []
-    for setup in all_setups():
-        res = sweep(setup, cores)
-        data[setup.name] = {
-            alg: {c: r.comm_mb_per_proc for c, r in res[alg].items()} for alg in res
-        }
-        data[setup.name]["gtfock_steal_mb"] = {
-            c: _steal_mb(res["gtfock"][c]) for c in cores
-        }
-        data[setup.name]["gtfock_idle_frac"] = {
-            c: res["gtfock"][c].idle_fraction for c in cores
-        }
-        for c in cores:
-            rows.append(
-                [
-                    setup.name,
-                    c,
-                    res["gtfock"][c].comm_mb_per_proc,
-                    _steal_mb(res["gtfock"][c]),
-                    res["nwchem"][c].comm_mb_per_proc,
-                    f"{res['gtfock'][c].idle_fraction:.3f}",
-                ]
-            )
-    text = format_table(
-        ["Molecule", "Cores", "GTFock MB/proc", "  of it steal MB",
-         "NWChem MB/proc", "GTFock idle frac"],
-        rows,
-        title="Table VI: average communication volume per process",
-        floatfmt="{:.1f}",
-    )
-    return ExperimentReport("table6", data, text)
-
-
-def _steal_mb(r) -> float:
-    """Average per-process MB on the steal channels (flight recorder)."""
-    nbytes = sum(
-        v
-        for ch, v in r.comm_by_channel.items()
-        if ch in ("steal_d", "steal_f")
-    )
-    return nbytes / 1e6 / max(r.nproc, 1)
-
-
-def table7_calls(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentReport:
-    data: dict = {}
-    rows = []
-    for setup in all_setups():
-        res = sweep(setup, cores)
-        data[setup.name] = {
-            alg: {c: r.ga_calls_per_proc for c, r in res[alg].items()} for alg in res
-        }
-        for c in cores:
-            rows.append(
-                [
-                    setup.name,
-                    c,
-                    res["gtfock"][c].ga_calls_per_proc,
-                    res["nwchem"][c].ga_calls_per_proc,
-                ]
-            )
-    text = format_table(
-        ["Molecule", "Cores", "GTFock calls", "NWChem calls"],
-        rows,
-        title="Table VII: average one-sided calls per process",
-        floatfmt="{:.0f}",
-    )
-    return ExperimentReport("table7", data, text)
-
-
-# ---------------------------------------------------------------------------
-# Table VIII -- load balance
-# ---------------------------------------------------------------------------
-
-
-def table8_load_balance(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentReport:
-    data: dict = {}
-    rows = []
-    for setup in all_setups():
-        balances = {c: run_cell(setup, "gtfock", c).load_balance for c in cores}
-        data[setup.name] = balances
-        for c in cores:
-            rows.append([setup.name, c, balances[c]])
-    text = format_table(
-        ["Molecule", "Cores", "l = Tmax/Tavg"],
-        rows,
-        title="Table VIII: GTFock load balance ratio (1.0 = perfect)",
-    )
-    return ExperimentReport("table8", data, text)
+    return ExperimentReport(data, text)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +232,7 @@ def table9_purification(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentRepor
     """
     from repro.dist.hf_iteration import hf_iteration_breakdown
 
-    setup = next(s for s in all_setups() if "150" in s.name or "54" in s.name)
+    setup = paper_setup("C150H30")
     iters = MEASURED_CONSTANTS["purification_iterations_C150H30"]
     data: dict = {}
     rows = []
@@ -340,7 +256,7 @@ def table9_purification(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentRepor
         rows,
         title=f"Table IX: purification share, {setup.name} ({iters} iterations)",
     )
-    return ExperimentReport("table9", data, text)
+    return ExperimentReport(data, text)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +271,7 @@ def figure1_footprint() -> ExperimentReport:
     the 2500-task block (300:350,:|600:650,:) needs only ~80x more.
     We evaluate the same construction at matching relative positions.
     """
-    setup = next(s for s in all_setups() if "100" in s.name or "20H42" in s.name)
+    setup = paper_setup("C100H202")
     ns = setup.basis.nshells
     m = int(ns * 300 / 1206)
     n = int(ns * 600 / 1206)
@@ -383,38 +299,7 @@ def figure1_footprint() -> ExperimentReport:
         f"  ratio {ratio:.1f}x  (naive per-task scaling would be {ntasks}x; "
         f"paper reports ~{FIGURE1['block_over_single_ratio']:.0f}x for 2500 tasks)"
     )
-    return ExperimentReport("figure1", data, text)
-
-
-# ---------------------------------------------------------------------------
-# Figure 2 -- computation vs parallel overhead
-# ---------------------------------------------------------------------------
-
-
-def figure2_overhead(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentReport:
-    data: dict = {}
-    rows = []
-    for setup in all_setups():
-        res = sweep(setup, cores)
-        data[setup.name] = {
-            alg: {
-                c: {"t_comp": r.t_comp_avg, "t_ov": r.t_overhead_avg}
-                for c, r in res[alg].items()
-            }
-            for alg in res
-        }
-        for c in cores:
-            g, n = res["gtfock"][c], res["nwchem"][c]
-            ratio = n.t_overhead_avg / g.t_overhead_avg if g.t_overhead_avg > 0 else float("inf")
-            rows.append(
-                [setup.name, c, g.t_comp_avg, g.t_overhead_avg, n.t_comp_avg, n.t_overhead_avg, ratio]
-            )
-    text = format_table(
-        ["Molecule", "Cores", "GT Tcomp", "GT Tov", "NW Tcomp", "NW Tov", "Tov NW/GT"],
-        rows,
-        title="Figure 2: average computation vs parallel overhead time",
-    )
-    return ExperimentReport("figure2", data, text)
+    return ExperimentReport(data, text)
 
 
 # ---------------------------------------------------------------------------
@@ -447,4 +332,50 @@ def model_analysis(p_eval: int = 3888) -> ExperimentReport:
             "(paper: C96H24 needs ~50x faster integrals before comm dominates)"
         ),
     )
-    return ExperimentReport("model", data, text)
+    return ExperimentReport(data, text)
+
+
+# ---------------------------------------------------------------------------
+# the registry: subcommand name -> artifact, in the paper's order
+# ---------------------------------------------------------------------------
+
+ARTIFACTS: dict[str, Callable[..., ExperimentReport]] = {
+    "table2": table2_molecules,
+    "table3": Sweep("Table III: Fock matrix construction time", (
+        Column("GTFock(s)", "gtfock", _of("gtfock", "t_fock_max")),
+        Column("NWChem(s)", "nwchem", _of("nwchem", "t_fock_max")),
+    )),
+    "table4": Sweep("Table IV: speedup vs fastest {base}-core time", (
+        Column("GTFock", "gtfock", _speedup("gtfock")),
+        Column("NWChem", "nwchem", _speedup("nwchem")),
+    ), floatfmt="{:.1f}"),
+    "table5": table5_t_int,
+    "table6": Sweep("Table VI: average communication volume per process", (
+        Column("GTFock MB/proc", "gtfock", _of("gtfock", "comm_mb_per_proc")),
+        # MB per process on the steal channels (flight recorder)
+        Column("  of it steal MB", "gtfock_steal_mb", lambda cells, c: sum(
+            cells["gtfock"][c].comm_by_channel.get(ch, 0)
+            for ch in ("steal_d", "steal_f")
+        ) / 1e6 / max(cells["gtfock"][c].nproc, 1)),
+        Column("NWChem MB/proc", "nwchem", _of("nwchem", "comm_mb_per_proc")),
+        Column("GTFock idle frac", "gtfock_idle_frac",
+               _of("gtfock", "idle_fraction"), fmt="{:.3f}"),
+    ), floatfmt="{:.1f}"),
+    "table7": Sweep("Table VII: average one-sided calls per process", (
+        Column("GTFock calls", "gtfock", _of("gtfock", "ga_calls_per_proc")),
+        Column("NWChem calls", "nwchem", _of("nwchem", "ga_calls_per_proc")),
+    ), floatfmt="{:.0f}"),
+    "table8": Sweep("Table VIII: GTFock load balance ratio (1.0 = perfect)", (
+        Column("l = Tmax/Tavg", "gtfock", _of("gtfock", "load_balance")),
+    ), algorithms=("gtfock",)),
+    "table9": table9_purification,
+    "fig1": figure1_footprint,
+    "fig2": Sweep("Figure 2: average computation vs parallel overhead time", (
+        Column("GT Tcomp", "gtfock_t_comp", _of("gtfock", "t_comp_avg")),
+        Column("GT Tov", "gtfock_t_ov", _of("gtfock", "t_overhead_avg")),
+        Column("NW Tcomp", "nwchem_t_comp", _of("nwchem", "t_comp_avg")),
+        Column("NW Tov", "nwchem_t_ov", _of("nwchem", "t_overhead_avg")),
+        Column("Tov NW/GT", None, _overhead_ratio),
+    )),
+    "model": model_analysis,
+}

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 
+from repro.bench.paper_data import TABLE2_MOLECULES
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane, graphene_flake
 from repro.chem.molecule import Molecule
@@ -41,7 +42,8 @@ def full_scale() -> bool:
 
 
 def benchmark_molecules() -> dict[str, Molecule]:
-    """The four test systems (scaled by default, paper-size with REPRO_FULL).
+    """The four test systems (scaled by default, paper-size with REPRO_FULL),
+    in the order of ``paper_data.TABLE2_MOLECULES``.
 
     Keys carry both the benchmark molecule and the paper molecule it
     stands in for, e.g. ``"C24H12 (for C96H24)"`` in scaled mode.
@@ -139,6 +141,11 @@ def all_setups() -> list[MoleculeSetup]:
     return [molecule_setup(n, m) for n, m in benchmark_molecules().items()]
 
 
+def paper_setup(paper_molecule: str) -> MoleculeSetup:
+    """The setup run for one of the paper's molecules (a Table II name)."""
+    return dict(zip(TABLE2_MOLECULES, all_setups()))[paper_molecule]
+
+
 # ---------------------------------------------------------------------------
 # plain-text table rendering
 # ---------------------------------------------------------------------------
@@ -170,10 +177,3 @@ def _fmt(v, floatfmt: str) -> str:
         return floatfmt.format(v)
     return str(v)
 
-
-def geometric_speedups(times: dict[int, float], base_cores: int) -> dict[int, float]:
-    """Speedups relative to the time at ``base_cores`` (Table IV style)."""
-    if base_cores not in times:
-        raise KeyError(f"no timing at base core count {base_cores}")
-    t0 = times[base_cores]
-    return {c: t0 / t for c, t in times.items()}

@@ -1,9 +1,11 @@
 """Reference values reported by the paper, for side-by-side comparison.
 
 The available text of the paper has garbled numeric tables (OCR), so this
-module records (a) the hard numbers that survive in prose, and (b) the
-*shape targets* -- the qualitative relations the reproduction must show.
-EXPERIMENTS.md tracks paper-vs-measured against these.
+module records the hard numbers that survive in prose.  The qualitative
+relations the reproduction must show -- the paper's *shape claims* -- are
+the claim table of ``benchmarks/test_bench_paper.py``, one predicate per
+claim over an artifact of ``repro.bench.experiments.ARTIFACTS``.
+EXPERIMENTS.md tracks paper-vs-measured against both.
 """
 
 from __future__ import annotations
@@ -50,18 +52,3 @@ MEASURED_CONSTANTS = {
     "purification_percent_range": (1.0, 15.0),  # % of HF iteration time
 }
 
-#: The qualitative relations the reproduction must exhibit.
-SHAPE_TARGETS = [
-    "NWChem is faster at small core counts (better single-node t_int).",
-    "GTFock is faster at large core counts (Table III crossover).",
-    "GTFock speedup at max cores exceeds NWChem's for every molecule (Table IV).",
-    "GTFock parallel overhead is about an order of magnitude below NWChem's "
-    "(Figure 2), most pronounced for the screened-out alkane cases.",
-    "NWChem overhead becomes comparable to its compute time near p ~ 3000 "
-    "for the sparse cases (Figure 2 a, c, d).",
-    "GTFock communication volume and GA call counts are lower than NWChem's "
-    "for all cases (Tables VI, VII).",
-    "Work stealing keeps the load-balance ratio l close to 1 (Table VIII).",
-    "Purification costs 1-15% of the HF iteration (Table IX).",
-    "A 50x50 task block's D footprint is ~80x one task's, not 2500x (Figure 1).",
-]

@@ -60,6 +60,7 @@ import math
 import os
 import sys
 
+from repro.bench.experiments import ARTIFACTS
 from repro.chem.basis.basisset import BASIS_REGISTRY, BasisSet
 from repro.chem.builders import (
     DEMO_MOLECULES,
@@ -144,26 +145,8 @@ def _run_torture(args: argparse.Namespace) -> int:
     return _finish_chaos(args, tres, f"torture run: {len(tres.outcomes)} cases", notes)
 
 
-#: experiment subcommand -> its function in :mod:`repro.bench.experiments`
-_EXPERIMENTS = {
-    "table2": "table2_molecules",
-    "table3": "table3_times",
-    "table4": "table4_speedup",
-    "table5": "table5_t_int",
-    "table6": "table6_volume",
-    "table7": "table7_calls",
-    "table8": "table8_load_balance",
-    "table9": "table9_purification",
-    "fig1": "figure1_footprint",
-    "fig2": "figure2_overhead",
-    "model": "model_analysis",
-}
-
-
 def _run_experiment(args: argparse.Namespace) -> int:
-    from repro.bench import experiments
-
-    print(getattr(experiments, _EXPERIMENTS[args.command])().text)
+    print(ARTIFACTS[args.command]().text)
     return 0
 
 
@@ -748,7 +731,7 @@ def main(argv: list[str] | None = None) -> int:
         "recovery (see docs/ROBUSTNESS.md)",
     )
 
-    for name in _EXPERIMENTS:
+    for name in ARTIFACTS:
         sub.add_parser(
             name, help=f"regenerate {name}", parents=[obs_flags]
         ).set_defaults(handler=_run_experiment)

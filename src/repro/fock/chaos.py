@@ -414,13 +414,10 @@ def run_sdc_chaos(
        in-flight payload corruption -- every reject retransmitted, the
        final array exactly equal to the expected sum.
     """
+    from repro.obs.verify import VerifyReport, audit_checkpoints
     from repro.runtime.ga import GlobalArray, block_bounds
     from repro.runtime.network import CommStats
-    from repro.scf.checkpoint import (
-        checkpoint_paths,
-        load_checkpoint,
-        load_latest_intact,
-    )
+    from repro.scf.checkpoint import load_latest_intact
     from repro.scf.hf import RHF
 
     if plan is None:
@@ -471,12 +468,7 @@ def run_sdc_chaos(
         # verification, and an intact snapshot must still be loadable
         import warnings as _warnings
 
-        ckpt_detected = 0
-        for path in checkpoint_paths(ckpt_sdc):
-            try:
-                load_checkpoint(path, verify=True)
-            except Exception:
-                ckpt_detected += 1
+        ckpt_detected = audit_checkpoints(ckpt_sdc, VerifyReport(str(ckpt_sdc)))
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")
             checkpoint_intact = load_latest_intact(ckpt_sdc) is not None

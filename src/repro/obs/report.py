@@ -35,6 +35,7 @@ from typing import Any
 import numpy as np
 
 from repro.obs.flight import FlightRecorder
+from repro.obs.profile import _fmt_bytes
 from repro.obs.validate import FAIL, PASS, WARN, ModelValidation
 
 # -- palette (see docs: reference data-viz palette) --------------------------
@@ -209,15 +210,6 @@ def _page(
 </body>
 </html>
 """
-
-
-def _fmt_bytes(n: float) -> str:
-    n = float(n)
-    for unit in ("B", "kB", "MB", "GB"):
-        if abs(n) < 1000.0 or unit == "GB":
-            return f"{n:.0f} {unit}" if unit == "B" else f"{n:.2f} {unit}"
-        n /= 1000.0
-    return f"{n:.2f} GB"
 
 
 def _fmt_g(v: float) -> str:

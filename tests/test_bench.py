@@ -1,15 +1,16 @@
-"""Tests for the benchmark harness and experiment drivers (smoke level)."""
+"""Tests for the benchmark harness and the artifact registry."""
 
 import pytest
 
+from reference_experiments import REPLACED
 from repro.bench.harness import (
     CORE_COUNTS,
     benchmark_molecules,
     format_table,
-    geometric_speedups,
     molecule_setup,
+    paper_setup,
 )
-from repro.bench.paper_data import SHAPE_TARGETS, TABLE2_MOLECULES
+from repro.bench.paper_data import TABLE2_MOLECULES
 from repro.chem.builders import alkane
 
 
@@ -17,6 +18,11 @@ class TestHarness:
     def test_four_molecules(self):
         mols = benchmark_molecules()
         assert len(mols) == 4
+
+    def test_paper_setup_stands_in_for_its_table2_molecule(self):
+        for paper in TABLE2_MOLECULES:
+            name = paper_setup(paper).name
+            assert name == paper or name.endswith(f"(for {paper})")
 
     def test_setup_cached(self):
         m = alkane(6)
@@ -59,12 +65,6 @@ class TestHarness:
         assert "a" in lines[1] and "bb" in lines[1]
         assert len(lines) == 5
 
-    def test_geometric_speedups(self):
-        sp = geometric_speedups({12: 100.0, 48: 25.0}, 12)
-        assert sp[48] == pytest.approx(4.0)
-        with pytest.raises(KeyError):
-            geometric_speedups({12: 1.0}, 24)
-
 
 class TestPaperData:
     def test_table2_consistency(self):
@@ -75,9 +75,6 @@ class TestPaperData:
             assert d["atoms"] == nc + nh
             assert d["shells"] == 6 * nc + 3 * nh
             assert d["functions"] == 14 * nc + 5 * nh
-
-    def test_shape_targets_present(self):
-        assert len(SHAPE_TARGETS) >= 8
 
     def test_core_counts_span_paper_range(self):
         assert CORE_COUNTS[0] == 12
@@ -109,3 +106,48 @@ class TestExperimentsSmoke:
         a = run_cell(setup, "gtfock", 48)
         b = run_cell(setup, "gtfock", 48)
         assert a is b
+
+
+class TestRegistry:
+    """The sweep rows of ``ARTIFACTS`` against the functions they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(REPLACED))
+    def test_sweep_row_equals_the_function_it_replaced(self, name, monkeypatch):
+        from repro.bench.experiments import ARTIFACTS, Sweep
+
+        monkeypatch.delenv("REPRO_FULL", raising=False)  # the scaled four
+        row = ARTIFACTS[name]
+        assert isinstance(row, Sweep)
+        got, want = row(cores=(12, 48)), REPLACED[name](cores=(12, 48))
+        assert got.text == want.text
+        assert got.data == _registry_shape(name, want.data)
+
+    def test_table8_never_simulates_nwchem(self, monkeypatch):
+        from repro.bench import experiments
+
+        run_cell = experiments.run_cell
+        algorithms = set()
+
+        def spy(setup, algorithm, cores):
+            algorithms.add(algorithm)
+            return run_cell(setup, algorithm, cores)
+
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.setattr(experiments, "run_cell", spy)
+        experiments.ARTIFACTS["table8"](cores=(12, 48))
+        assert algorithms == {"gtfock"}
+
+
+def _registry_shape(name: str, data: dict) -> dict:
+    """A replaced function's data as ``data[molecule][key][cores]``."""
+    if name == "table8":
+        return {mol: {"gtfock": cells} for mol, cells in data.items()}
+    if name == "fig2":
+        return {
+            mol: {
+                f"{alg}_{q}": {c: v[q] for c, v in algs[alg].items()}
+                for alg in algs for q in ("t_comp", "t_ov")
+            }
+            for mol, algs in data.items()
+        }
+    return data
