@@ -14,8 +14,8 @@ loc:
 	@find src/repro/integrals src/repro/scf/fock.py -name '*.py' \
 	  | xargs cat | wc -l \
 	  | xargs echo "ERI subtotal (integrals/ + scf/fock.py) lines:"
-	@cd src/repro/fock && cat gtfock.py nwchem.py tasks.py symmetry.py \
-	  cost.py | wc -l \
+	@cd src/repro/fock && cat gtfock.py tasks.py symmetry.py cost.py \
+	  | wc -l \
 	  | xargs echo "numeric builds + tasks (ROADMAP item 2) lines:"
 	@cd src/repro && cat scf/hf.py scf/uhf.py runtime/faults.py \
 	  runtime/sdc.py fock/chaos.py service/chaos.py scf/torture.py | wc -l \
@@ -37,12 +37,9 @@ bench-full:
 
 examples:
 	python examples/quickstart.py
-	python examples/reordering_footprints.py
-	python examples/work_stealing_demo.py
 	python examples/purification_pipeline.py
 	python examples/heterogeneous_systems.py
 	python examples/beyond_rhf.py
-	python examples/scaling_study.py
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

@@ -9,8 +9,8 @@ Layers (bottom to top):
 * :mod:`repro.scf` -- reference Fock build, RHF, DIIS, purification;
 * :mod:`repro.runtime` -- the simulated distributed machine
   (Global-Arrays-style one-sided ops, alpha-beta network accounting);
-* :mod:`repro.fock` -- the paper's algorithm and the NWChem baseline,
-  numeric and timing-level;
+* :mod:`repro.fock` -- the paper's algorithm (numeric and timing-level)
+  and the NWChem baseline (timing-level);
 * :mod:`repro.dist` -- SUMMA and distributed purification;
 * :mod:`repro.model` -- the Sec III-G performance model;
 * :mod:`repro.obs` -- tracing (Perfetto export) and metrics across all
@@ -25,7 +25,7 @@ Quickstart::
 """
 
 from repro.chem import BasisSet, Molecule, alkane, graphene_flake, water
-from repro.fock import gtfock_build, nwchem_build, simulate_gtfock, simulate_nwchem
+from repro.fock import gtfock_build, simulate_gtfock, simulate_nwchem
 from repro.scf import RHF
 
 __version__ = "1.0.0"
@@ -38,7 +38,6 @@ __all__ = [
     "graphene_flake",
     "water",
     "gtfock_build",
-    "nwchem_build",
     "simulate_gtfock",
     "simulate_nwchem",
     "RHF",

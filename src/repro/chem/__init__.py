@@ -6,7 +6,6 @@ from repro.chem.builders import (
     SCALED_MOLECULES,
     alkane,
     benzene,
-    coronene,
     graphene_flake,
     h2,
     methane,
@@ -25,7 +24,6 @@ __all__ = [
     "SCALED_MOLECULES",
     "alkane",
     "benzene",
-    "coronene",
     "graphene_flake",
     "h2",
     "methane",

@@ -105,11 +105,6 @@ def graphene_flake(n: int, name: str | None = None) -> Molecule:
     return mol
 
 
-def coronene() -> Molecule:
-    """Coronene C24H12 (= ``graphene_flake(2)``), used in Table V."""
-    return graphene_flake(2, name="C24H12")
-
-
 # ---------------------------------------------------------------------------
 # alkanes
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Public surface:
 
-* numeric distributed builds -- :func:`gtfock_build` (the paper's
-  Algorithm 4) and :func:`nwchem_build` (the Algorithm 2 baseline), both
-  producing Fock matrices equal to the sequential reference;
+* the numeric distributed build -- :func:`gtfock_build` (the paper's
+  Algorithm 4), producing Fock matrices equal to the sequential
+  reference (the numeric Algorithm 2 baseline is the test oracle
+  ``tests/reference_nwchem.py``);
 * timing-level simulation -- :func:`simulate_gtfock` /
-  :func:`simulate_nwchem` for paper-scale molecules and core counts;
+  :func:`simulate_nwchem` (Algorithm 2 on per-task arrays) for
+  paper-scale molecules and core counts;
 * the building blocks: screening maps, parity symmetry checks, spatial
   shell reordering, static 2-D partitioning, prefetch footprints, task
   cost matrices, and the two schedulers.
@@ -22,7 +24,6 @@ from repro.fock.centralized import CentralizedOutcome, run_centralized
 from repro.fock.chaos import ChaosResult, run_chaos
 from repro.fock.cost import TaskCosts, parity_allowed, quartet_cost_matrix
 from repro.fock.gtfock import GTFockBuildResult, PrefetchMiss, gtfock_build
-from repro.fock.nwchem import NWChemBuildResult, nwchem_build
 from repro.fock.partition import StaticPartition, TaskBlock
 from repro.fock.prefetch import (
     Footprint,
@@ -30,7 +31,6 @@ from repro.fock.prefetch import (
     footprint_bounding_boxes,
     ga_calls_for_footprint,
     rank_footprints,
-    task_footprint_elements,
 )
 from repro.fock.reorder import bandwidth_of, cell_reordering, reorder_basis
 from repro.fock.screening_map import ScreeningMap
@@ -39,22 +39,9 @@ from repro.fock.stealing import (
     RecoveryRecord,
     StealingOutcome,
     run_work_stealing,
-    victim_scan_order,
 )
 from repro.fock.symmetry import symmetry_check, task_computes
-from repro.fock.timeline import (
-    Span,
-    Timeline,
-    timeline_from_tracer,
-    traced_work_stealing,
-)
-from repro.fock.tasks import (
-    NWChemTask,
-    atom_sigma,
-    gtfock_task_rows,
-    nwchem_task_list,
-    nwchem_task_rows,
-)
+from repro.fock.tasks import gtfock_task_rows
 
 __all__ = [
     "AblationRow",
@@ -71,8 +58,6 @@ __all__ = [
     "GTFockBuildResult",
     "PrefetchMiss",
     "gtfock_build",
-    "NWChemBuildResult",
-    "nwchem_build",
     "StaticPartition",
     "TaskBlock",
     "Footprint",
@@ -80,7 +65,6 @@ __all__ = [
     "footprint_bounding_boxes",
     "ga_calls_for_footprint",
     "rank_footprints",
-    "task_footprint_elements",
     "bandwidth_of",
     "cell_reordering",
     "reorder_basis",
@@ -91,16 +75,7 @@ __all__ = [
     "RecoveryRecord",
     "StealingOutcome",
     "run_work_stealing",
-    "victim_scan_order",
     "symmetry_check",
     "task_computes",
-    "Span",
-    "Timeline",
-    "timeline_from_tracer",
-    "traced_work_stealing",
-    "NWChemTask",
-    "atom_sigma",
     "gtfock_task_rows",
-    "nwchem_task_list",
-    "nwchem_task_rows",
 ]

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
-
 import numpy as np
 
 from repro.fock.nwchem_cost import NWChemTaskArrays
@@ -56,65 +54,41 @@ class CentralizedOutcome:
 
 
 def run_centralized(
-    tasks: Sequence[Any] | NWChemTaskArrays,
-    nproc: int,
-    stats: CommStats,
-    cost_of: Callable[[Any], float] | None = None,
-    comm_of: Callable[[int, Any], None] | None = None,
-    on_task: Callable[[int, Any], None] | None = None,
+    tasks: NWChemTaskArrays, nproc: int, stats: CommStats
 ) -> CentralizedOutcome:
-    """Execute a global ordered task list through a centralized counter.
+    """Execute Algorithm 2's global ordered task list through a
+    centralized counter.
 
     Parameters
     ----------
     tasks:
-        The global dispatch-ordered task list (Algorithm 2's id space),
-        costed through ``cost_of`` -- or a timing simulation's per-task
-        arrays: ``cost`` is the compute time, ``comm_bytes`` /
-        ``comm_calls`` are charged as remote ``task_get`` traffic before
-        the task runs, and hooks see the task's index.
+        A timing simulation's per-task arrays, in dispatch order:
+        ``cost`` is the compute time, ``comm_bytes`` / ``comm_calls`` are
+        charged as remote ``task_get`` traffic before the task runs.
     nproc:
         Number of pulling processes.
     stats:
         Accounting; clocks may be pre-charged and are advanced in place.
-    cost_of:
-        Compute cost (seconds) of one task on one process.
-    comm_of:
-        Per-task communication hook: ``comm_of(proc, task)`` should charge
-        the task's D fetches / F updates to ``stats`` (and, in numeric
-        mode, actually move the data).
-    on_task:
-        Numeric-mode execution hook.
 
-    Accounting is flushed every :data:`FLUSH_EVERY` accesses, at the
-    end, and before any hook runs: a hook sees the clocks and counters
-    it would see if every operation were charged as it happens, and
-    whatever it charges is picked up before the next pull.
+    Accounting is flushed every :data:`FLUSH_EVERY` accesses and at the
+    end.
     """
+    if stats.faults is not None:
+        raise ValueError(
+            "per-task arrays resolve their fetch times up front and "
+            "cannot draw transient faults"
+        )
     cfg = stats.config
     latency, service = cfg.latency, cfg.queue_service
-    if isinstance(tasks, NWChemTaskArrays):
-        if stats.faults is not None:
-            raise ValueError(
-                "per-task arrays resolve their fetch times up front and "
-                "cannot draw transient faults; charge them from comm_of"
-            )
-        ntasks, cost = tasks.ntasks, tasks.cost
-        nbytes, calls = tasks.comm_bytes, tasks.comm_calls
-        tasks = range(ntasks)
-    else:
-        ntasks = len(tasks)
-        cost = np.fromiter(map(cost_of, tasks), dtype=float, count=ntasks)
-        nbytes, calls = np.zeros(ntasks), np.zeros(ntasks, dtype=np.int64)
+    ntasks = tasks.ntasks
     # every process pulls once more after the last task, finds the
     # counter exhausted and stops: nproc trailing accesses that hand
     # out nothing (zero cost, zero fetch)
     cost, nbytes, calls = (
         np.concatenate((a, np.zeros(nproc, dtype=a.dtype)))
-        for a in (cost, nbytes, calls)
+        for a in (tasks.cost, tasks.comm_bytes, tasks.comm_calls)
     )
     fetch_dt = np.where(calls > 0, cfg.transfer_time(nbytes, calls), 0.0)
-    hooked = comm_of is not None or on_task is not None
     executed_cost = np.zeros(nproc)
     executed_tasks = np.zeros(nproc, dtype=np.int64)
 
@@ -129,10 +103,10 @@ def run_centralized(
     buffer_p, buffer_dt = acc_p.append, acc_dt.append
     replace_top = heapq.heapreplace
 
-    def flush(first: int, costs: list[float] | None = None) -> None:
+    def flush(first: int, costs: list[float]) -> None:
         """Charge the buffered accesses -- the earliest pulled task
-        ``first`` -- and publish the clocks; ``costs`` are their tasks'
-        compute seconds unless a hook had those charged one by one."""
+        ``first`` -- with their tasks' compute seconds ``costs``, and
+        publish the clocks."""
         procs = np.array(acc_p, dtype=np.intp)
         dt = np.array(acc_dt)
         n = procs.size
@@ -151,13 +125,12 @@ def run_centralized(
             channel=np.tile(_ACCESS_CHANNELS, n)[keep],
             dt=stream(dt, fetch),
         )
-        if costs is not None:
-            costs = np.array(costs)
-            if costs.min() < 0:
-                raise ValueError("negative compute time")
-            np.add.at(stats.comp_time, procs, costs)
-            np.add.at(executed_cost, procs, costs)
-            np.add.at(executed_tasks, procs[: max(ntasks - first, 0)], 1)
+        costs = np.array(costs)
+        if costs.min() < 0:
+            raise ValueError("negative compute time")
+        np.add.at(stats.comp_time, procs, costs)
+        np.add.at(executed_cost, procs, costs)
+        np.add.at(executed_tasks, procs[: max(ntasks - first, 0)], 1)
         acc_p.clear()
         acc_dt.clear()
         stats.clock[:nproc] = clock
@@ -177,24 +150,10 @@ def run_centralized(
                 heapq.heappop(heap)
                 continue
             t += fetch
-            if hooked:
-                clock[p] = t
-                flush(tid)
-                if comm_of is not None:
-                    comm_of(p, tasks[tid])
-                stats.charge_compute(p, c)
-                executed_cost[p] += c
-                executed_tasks[p] += 1
-                if on_task is not None:
-                    on_task(p, tasks[tid])
-                clock = stats.clock[:nproc].tolist()
-                t = clock[p]
-            else:
-                t += c
-                clock[p] = t
+            t += c
+            clock[p] = t
             replace_top(heap, (t, p))
-        if acc_p:
-            flush(lo + len(costs) - len(acc_p), None if hooked else costs)
+        flush(lo, costs)
 
     return CentralizedOutcome(
         finish_time=np.array(clock),

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fock.screening_map import ScreeningMap
-from repro.fock.tasks import atom_sigma
 
 
 @dataclass
@@ -44,6 +43,16 @@ class NWChemTaskArrays:
     ntasks: int
     #: exact total ERIs the costs were normalized to
     total_eris: float
+
+
+def atom_sigma(screen: ScreeningMap) -> np.ndarray:
+    """Atom-pair screening values: max over the atoms' shell pairs."""
+    atom_of = screen.basis.atom_of_shell
+    order = np.argsort(atom_of, kind="stable")
+    starts = np.searchsorted(atom_of[order], np.arange(screen.basis.molecule.natoms))
+    blocks = np.maximum.reduceat(np.maximum.reduceat(
+        screen.sigma[np.ix_(order, order)], starts, axis=0), starts, axis=1)
+    return np.tril(blocks) + np.tril(blocks, -1).T  # the (I >= J) blocks
 
 
 def _atom_pair_buckets(

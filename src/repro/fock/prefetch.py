@@ -86,11 +86,6 @@ def block_footprint(screen: ScreeningMap, block: TaskBlock) -> Footprint:
     )
 
 
-def task_footprint_elements(screen: ScreeningMap, m: int, n: int) -> int:
-    """D-footprint (elements) of a single task (M,:|N,:) -- Figure 1(a)."""
-    return block_footprint(screen, TaskBlock(m, m + 1, n, n + 1)).elements
-
-
 def footprint_element_mask(fp: Footprint, basis) -> np.ndarray:
     """Symmetrized element-level (nbf, nbf) mask of a footprint.
 

@@ -114,22 +114,11 @@ class StealingOutcome:
         return float(self.finish_time.max()) / avg if avg > 0 else 1.0
 
 
-def victim_scan_order(proc: int, prow: int, pcol: int) -> list[int]:
-    """Row-wise victim scan starting from the thief's own grid row."""
-    gi, gj = divmod(proc, pcol)
-    order = []
-    for r in range(prow):
-        row = (gi + r) % prow
-        for c in range(pcol):
-            col = (gj + c) % pcol if r == 0 else c
-            p = row * pcol + col
-            if p != proc:
-                order.append(p)
-    return order
-
-
 def scan_rank(index: int, thief: int, pcol: int, nproc: int) -> int:
-    """``victim_scan_order(thief, ...)[index]`` without building the list."""
+    """The ``index``-th victim of the row-wise scan that starts in the
+    thief's own grid row: the rest of that row (wrapping), then the ranks
+    of the following rows in rank order, wrapping past the last rank
+    (``tests/reference_stealing.py`` builds the whole list)."""
     row0 = thief - thief % pcol
     if index < pcol - 1:
         return row0 + (thief - row0 + 1 + index) % pcol

@@ -12,7 +12,6 @@ from repro.integrals.engine import (
     MDEngine,
     OSEngine,
 )
-from repro.integrals.moments import dipole_integrals
 from repro.integrals.pairdata import (
     PairData,
     ShellPairData,
@@ -30,7 +29,6 @@ from repro.integrals.oneelec import (
 from repro.integrals.schwarz import (
     schwarz_matrix,
     schwarz_model,
-    screening_stats,
     unique_significant_quartet_count,
 )
 
@@ -52,13 +50,11 @@ __all__ = [
     "StackedPairs",
     "stack_pairs",
     "build_pair_data",
-    "dipole_integrals",
     "core_hamiltonian",
     "kinetic",
     "nuclear_attraction",
     "overlap",
     "schwarz_matrix",
     "schwarz_model",
-    "screening_stats",
     "unique_significant_quartet_count",
 ]

@@ -718,10 +718,6 @@ def interrupt_jk_threads() -> None:
     _JK_INTERRUPT.set()
 
 
-def clear_jk_interrupt() -> None:
-    _JK_INTERRUPT.clear()
-
-
 class JKInterrupted(RuntimeError):
     """A J/K contraction was interrupted mid-build (job teardown)."""
 

@@ -5,8 +5,8 @@ These form the overlap matrix S (for the basis orthogonalization
 Algorithm 1 in the paper.  They are on every SCF run's wall clock, so
 they ride the ERI kernel's data: canonical shell pairs are grouped by
 class and every class is evaluated at once from its stacked
-:class:`~repro.integrals.pairdata.PairData` -- S and the dipoles straight
-from the Hermite ``E`` tensors, V with one ``r_tensor_batch`` sweep over
+:class:`~repro.integrals.pairdata.PairData` -- S straight from the
+Hermite ``E`` tensors, V with one ``r_tensor_batch`` sweep over
 (primitive pairs x nuclei), T from 1-D Hermite tables extended by two
 on the ket side.  ``tests/reference_kernel.py`` holds the per-component
 scalar loops as the oracle.
@@ -27,15 +27,15 @@ from repro.integrals.spherical import cartesian_to_basis
 
 
 def assemble_pair_classes(
-    basis: BasisSet, pairs: ShellPairData | None, class_blocks, ncomp: int = 1
+    basis: BasisSet, pairs: ShellPairData | None, class_blocks
 ) -> np.ndarray:
-    """Symmetric one-electron matrices, one shell-pair class at a time.
+    """A symmetric one-electron matrix, one shell-pair class at a time.
 
     ``class_blocks(stack, members)`` returns the raw Cartesian blocks
-    ``(ncomp, npairs, ncart_a, ncart_b)`` of the canonical pairs
-    ``members`` (``(npairs, 2)`` shell indices, ``i >= j``) stacked in
-    ``stack``; normalization, spherical transforms and the scatter into
-    ``(ncomp, nbf, nbf)`` happen here.  ``pairs`` supplies (and memoizes)
+    ``(npairs, ncart_a, ncart_b)`` of the canonical pairs ``members``
+    (``(npairs, 2)`` shell indices, ``i >= j``) stacked in ``stack``;
+    normalization, spherical transforms and the scatter into
+    ``(nbf, nbf)`` happen here.  ``pairs`` supplies (and memoizes)
     the pair data: the ERI engine's cache to share it, ``None`` for a
     throwaway one.
     """
@@ -47,16 +47,16 @@ def assemble_pair_classes(
         for j, sj in enumerate(shells[: i + 1]):
             key = (si.l, sj.l, si.pure, sj.pure, si.nprim * sj.nprim)
             classes.setdefault(key, []).append((i, j))
-    out = np.zeros((ncomp, basis.nbf, basis.nbf))
+    out = np.zeros((basis.nbf, basis.nbf))
     slices = basis.shell_slices
     for members in classes.values():
         ta, tb = (cartesian_to_basis(shells[s].l, shells[s].pure) for s in members[0])
         stack = stack_pairs([pairs.get(i, j) for i, j in members])
         blocks = class_blocks(stack, np.array(members))
         blocks = ta @ blocks @ tb.T
-        for (i, j), blk in zip(members, np.moveaxis(blocks, 1, 0)):
-            out[:, slices[j], slices[i]] = blk.transpose(0, 2, 1)
-            out[:, slices[i], slices[j]] = blk
+        for (i, j), blk in zip(members, blocks):
+            out[slices[j], slices[i]] = blk.T
+            out[slices[i], slices[j]] = blk
     return out
 
 
@@ -71,9 +71,9 @@ def overlap(basis: BasisSet, pairs: ShellPairData | None = None) -> np.ndarray:
     def blocks(stack, _members):
         return np.einsum(
             "sx,sxab->sab", overlap_prefactor(stack), stack.E[..., 0]
-        )[None]
+        )
 
-    return assemble_pair_classes(basis, pairs, blocks)[0]
+    return assemble_pair_classes(basis, pairs, blocks)
 
 
 def kinetic(basis: BasisSet, pairs: ShellPairData | None = None) -> np.ndarray:
@@ -110,9 +110,9 @@ def kinetic(basis: BasisSet, pairs: ShellPairData | None = None) -> np.ndarray:
             "sx,absx->sab",
             overlap_prefactor(stack),
             total.reshape(total.shape[:2] + stack.p.shape),
-        )[None]
+        )
 
-    return assemble_pair_classes(basis, pairs, blocks)[0]
+    return assemble_pair_classes(basis, pairs, blocks)
 
 
 def nuclear_attraction(
@@ -141,9 +141,9 @@ def nuclear_attraction(
             out.append(np.einsum(
                 "sxabh,hsx->sab", stack.E[sel], r.reshape(-1, *w.shape).sum(-1)
             ))
-        return np.concatenate(out)[None]
+        return np.concatenate(out)
 
-    return assemble_pair_classes(basis, pairs, blocks)[0]
+    return assemble_pair_classes(basis, pairs, blocks)
 
 
 def core_hamiltonian(

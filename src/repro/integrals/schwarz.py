@@ -84,19 +84,6 @@ def schwarz_model(
     return sigma
 
 
-def screening_stats(sigma: np.ndarray, tau: float) -> dict:
-    """Summary statistics of a screening matrix for reports."""
-    ns = sigma.shape[0]
-    sig_max = float(sigma.max())
-    significant = sigma >= tau / sig_max
-    return {
-        "nshells": ns,
-        "sigma_max": sig_max,
-        "n_significant_pairs": int(np.count_nonzero(significant)),
-        "fraction_significant": float(np.count_nonzero(significant)) / (ns * ns),
-    }
-
-
 def unique_significant_quartet_count(sigma: np.ndarray, tau: float) -> int:
     """Number of unique shell quartets surviving screening (Table II column).
 

@@ -3,7 +3,7 @@
 from repro.runtime.collectives import allreduce, barrier, broadcast, reduce_scatter
 from repro.runtime.event import EventQueue
 from repro.runtime.faults import FaultError, FaultPlan, FaultState, random_plan
-from repro.runtime.ga import GlobalArray, SharedCounter, block_bounds, grid_shape
+from repro.runtime.ga import GlobalArray, block_bounds, grid_shape
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.network import CommStats
 
@@ -18,7 +18,6 @@ __all__ = [
     "FaultState",
     "random_plan",
     "GlobalArray",
-    "SharedCounter",
     "block_bounds",
     "grid_shape",
     "LONESTAR",

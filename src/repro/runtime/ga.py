@@ -2,8 +2,9 @@
 
 The real GTFock phrases all communication as one-sided ``GA_Get`` /
 ``GA_Put`` / ``GA_Acc`` operations on 2-D block-distributed arrays, plus
-the ``NGA_Read_inc`` atomic counter NWChem's centralized scheduler is
-built on.  This module reproduces those semantics on a single host:
+the queueing model of the ``NGA_Read_inc`` atomic counter NWChem's
+centralized scheduler is built on.  This module reproduces those
+semantics on a single host:
 
 * data lives in one NumPy array (simulating the union of all process
   memories), partitioned by explicit row/column boundaries over a
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from repro.obs.flight import CH_COUNTER, CH_GA, CH_RETRY
+from repro.obs.flight import CH_GA, CH_RETRY
 from repro.runtime.network import CommStats
 from repro.runtime.sdc import block_crc
 
@@ -328,47 +329,6 @@ class GlobalArray:
         return self.data.copy()
 
 
-class SharedCounter:
-    """The Global Arrays ``NGA_Read_inc`` atomic counter.
-
-    NWChem's centralized dynamic scheduler is a single shared counter
-    that every process hits once per task; each access is atomic and
-    serializes at the owning process (Sec IV-C discusses the resulting
-    scheduler overhead: ~112k accesses for C100H202 at 3888 cores vs 349
-    per-queue accesses for GTFock's distributed queues).
-    """
-
-    def __init__(self, stats: CommStats, owner: int = 0):
-        self.stats = stats
-        self.owner = owner
-        self.value = 0
-        self.accesses = 0
-        #: time at which the counter's owner is next free (serialization)
-        self.server_free = 0.0
-
-    def read_inc(self, proc: int) -> int:
-        """Atomically fetch-and-increment; models queueing at the owner.
-
-        The caller pays a round-trip latency plus any queueing delay
-        behind other processes' outstanding increments.
-        """
-        stats = self.stats
-        stats._check(proc)
-        cfg = stats.config
-        dt, self.server_free = counter_service(
-            stats.clock[proc], self.server_free, cfg.latency, cfg.queue_service
-        )
-        self.accesses += 1
-        stats.calls[proc] += 1
-        stats.remote_calls[proc] += 1
-        stats.clock[proc] += dt
-        stats.comm_time[proc] += dt
-        stats.flight.record(proc, CH_COUNTER, 0, 1, dt)
-        out = self.value
-        self.value += 1
-        return out
-
-
 def counter_service(
     clock: float, server_free: float, latency: float, queue_service: float
 ) -> tuple[float, float]:
@@ -378,8 +338,8 @@ def counter_service(
     accesses already outstanding (``server_free`` is when the owner can
     take it), is served for ``queue_service`` and answered a latency
     after that.  ``dt`` is what the caller's clock pays.  Pure: the
-    scalar :meth:`SharedCounter.read_inc` and the centralized
-    scheduler's dispatch loop both resolve the counter through it.
+    centralized scheduler's dispatch loop resolves the counter through
+    it.
     """
     start = clock + latency
     if start < server_free:

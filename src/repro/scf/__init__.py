@@ -24,16 +24,9 @@ from repro.scf.fock import (
     fock_matrix,
     hf_electronic_energy,
 )
-from repro.scf.guess import core_guess, gwh_guess, zero_guess
+from repro.scf.guess import core_guess
 from repro.scf.hf import RHF, SCFDriver, SCFOutcome, SCFResult
-from repro.scf.properties import (
-    DipoleMoment,
-    OrbitalSummary,
-    dipole_moment,
-    mulliken_charges,
-    mulliken_populations,
-    orbital_summary,
-)
+from repro.scf.properties import OrbitalSummary, orbital_summary
 from repro.scf.orthogonalization import (
     LinearDependenceWarning,
     OrthoInfo,
@@ -47,8 +40,6 @@ from repro.scf.purification import (
     PurificationResult,
     canonical_step,
     initial_density,
-    mcweeny_refine,
-    mcweeny_step,
     purify,
 )
 
@@ -74,19 +65,13 @@ __all__ = [
     "fock_matrix",
     "hf_electronic_energy",
     "core_guess",
-    "gwh_guess",
-    "zero_guess",
     "RHF",
     "SCFDriver",
     "SCFOutcome",
     "SCFResult",
     "UHF",
     "UHFResult",
-    "DipoleMoment",
     "OrbitalSummary",
-    "dipole_moment",
-    "mulliken_charges",
-    "mulliken_populations",
     "orbital_summary",
     "density_from_coefficients",
     "density_from_fock",
@@ -94,7 +79,5 @@ __all__ = [
     "PurificationResult",
     "canonical_step",
     "initial_density",
-    "mcweeny_refine",
-    "mcweeny_step",
     "purify",
 ]

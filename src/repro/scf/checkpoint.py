@@ -237,12 +237,6 @@ def _validate_arrays(arrays: dict, path) -> None:
             )
 
 
-def latest_checkpoint(directory: str | Path) -> Path | None:
-    """Highest-iteration snapshot in ``directory``, or None."""
-    paths = checkpoint_paths(directory)
-    return paths[0] if paths else None
-
-
 def checkpoint_paths(directory: str | Path) -> list[Path]:
     """Every snapshot in ``directory``, newest (highest iteration) first."""
     directory = Path(directory)

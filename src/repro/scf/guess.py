@@ -11,23 +11,3 @@ def core_guess(hcore: np.ndarray, x: np.ndarray, nocc: int) -> np.ndarray:
     """Density from diagonalizing the core Hamiltonian (the classic guess)."""
     d, _eps, _c = density_from_fock(hcore, x, nocc)
     return d
-
-
-def gwh_guess(
-    hcore: np.ndarray, s: np.ndarray, x: np.ndarray, nocc: int, kappa: float = 1.75
-) -> np.ndarray:
-    """Generalized Wolfsberg-Helmholz guess.
-
-    ``H_ij = kappa/2 * S_ij * (H_ii + H_jj)`` off-diagonal; often better
-    than the bare core guess for molecules with several heavy atoms.
-    """
-    diag = np.diag(hcore)
-    h = 0.5 * kappa * s * (diag[:, None] + diag[None, :])
-    np.fill_diagonal(h, diag)
-    d, _eps, _c = density_from_fock(h, x, nocc)
-    return d
-
-
-def zero_guess(nbf: int) -> np.ndarray:
-    """All-zero density: the first Fock matrix is then exactly H^core."""
-    return np.zeros((nbf, nbf))

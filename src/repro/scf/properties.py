@@ -1,80 +1,10 @@
-"""Molecular properties from a converged SCF density.
-
-Not part of the paper's contribution, but part of any usable HF package:
-dipole moments (electronic + nuclear), Mulliken population analysis, and
-orbital-level summaries.  All take the closed-shell convention
-``D = C_occ C_occ^T`` used throughout this library (total electron
-density is ``2 D``).
-"""
+"""Orbital-level summaries of a converged SCF (``repro scf`` prints them)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.chem.basis.basisset import BasisSet
-from repro.integrals.moments import dipole_integrals
-from repro.util.validation import check_symmetric
-
-
-@dataclass(frozen=True)
-class DipoleMoment:
-    """Dipole moment in atomic units (1 a.u. = 2.5417 debye)."""
-
-    electronic: np.ndarray
-    nuclear: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.nuclear + self.electronic
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.total))
-
-    @property
-    def debye(self) -> float:
-        return self.magnitude * 2.541746
-
-
-def dipole_moment(
-    basis: BasisSet, density: np.ndarray, origin: np.ndarray | None = None
-) -> DipoleMoment:
-    """Molecular dipole ``mu = sum_A Z_A R_A - 2 tr(D r)``."""
-    check_symmetric(density, "density", tol=1e-8)
-    if origin is None:
-        origin = np.zeros(3)
-    ints = dipole_integrals(basis, origin)
-    electronic = -2.0 * np.array(
-        [float(np.sum(density * ints[k])) for k in range(3)]
-    )
-    mol = basis.molecule
-    z = mol.numbers.astype(float)
-    nuclear = (z[:, None] * (mol.coords - origin)).sum(axis=0)
-    return DipoleMoment(electronic=electronic, nuclear=nuclear)
-
-
-def mulliken_populations(
-    basis: BasisSet, density: np.ndarray, overlap: np.ndarray
-) -> np.ndarray:
-    """Per-atom Mulliken electron populations ``q_A = 2 sum_{i in A} (DS)_ii``."""
-    check_symmetric(density, "density", tol=1e-8)
-    ds_diag = np.einsum("ij,ji->i", density, overlap)
-    pops = np.zeros(basis.molecule.natoms)
-    for s in range(basis.nshells):
-        atom = int(basis.atom_of_shell[s])
-        sl = basis.shell_slice(s)
-        pops[atom] += 2.0 * float(ds_diag[sl.start : sl.stop].sum())
-    return pops
-
-
-def mulliken_charges(
-    basis: BasisSet, density: np.ndarray, overlap: np.ndarray
-) -> np.ndarray:
-    """Mulliken partial charges ``Z_A - q_A``."""
-    pops = mulliken_populations(basis, density, overlap)
-    return basis.molecule.numbers.astype(float) - pops
 
 
 @dataclass(frozen=True)

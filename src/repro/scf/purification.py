@@ -53,12 +53,6 @@ def initial_density(f_ortho: np.ndarray, nocc: int) -> np.ndarray:
     return (lam / n) * (mu * np.eye(n) - f_ortho) + theta * np.eye(n)
 
 
-def mcweeny_step(d: np.ndarray) -> np.ndarray:
-    """One McWeeny iteration  D <- 3 D^2 - 2 D^3."""
-    d2 = d @ d
-    return 3.0 * d2 - 2.0 * (d2 @ d)
-
-
 def canonical_step(d: np.ndarray) -> np.ndarray:
     """One trace-conserving (canonical) purification step.
 
@@ -99,21 +93,3 @@ def purify(
     err = float(np.linalg.norm(d @ d - d, "fro"))
     history.append(err)
     return PurificationResult(d, max_iter, err < tol, history)
-
-
-def mcweeny_refine(
-    d: np.ndarray, tol: float = 1e-12, max_iter: int = 50
-) -> PurificationResult:
-    """McWeeny refinement of an almost-idempotent density."""
-    check_square(d, "density")
-    history: list[float] = []
-    cur = d.copy()
-    for it in range(1, max_iter + 1):
-        err = float(np.linalg.norm(cur @ cur - cur, "fro"))
-        history.append(err)
-        if err < tol:
-            return PurificationResult(cur, it - 1, True, history)
-        cur = mcweeny_step(cur)
-    err = float(np.linalg.norm(cur @ cur - cur, "fro"))
-    history.append(err)
-    return PurificationResult(cur, max_iter, err < tol, history)

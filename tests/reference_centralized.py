@@ -7,8 +7,9 @@ verbatim as the oracles of the differential tests in
 
 * :func:`reference_centralized` pops a heap once per task and charges
   every operation as it happens through the scalar API
-  (``SharedCounter.read_inc`` -> ``comm_of`` -> ``charge_comm`` ->
-  ``charge_compute``), one ``FlightRecorder.record`` per operation;
+  (:meth:`SharedCounter.read_inc` -> ``comm_of`` -> ``charge_comm`` ->
+  ``charge_compute``), one ``FlightRecorder.record`` per operation; its
+  hooks also run the numeric NWChem build of ``tests/reference_nwchem.py``;
 * :func:`reference_task_arrays` builds the per-task estimate and scales
   it to one machine in a single pass, caching nothing.
 """
@@ -21,11 +22,52 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.fock.centralized import CentralizedOutcome
-from repro.fock.nwchem_cost import NWChemTaskArrays
+from repro.fock.nwchem_cost import NWChemTaskArrays, atom_sigma
 from repro.fock.screening_map import ScreeningMap
-from repro.fock.tasks import atom_sigma
-from repro.runtime.ga import SharedCounter
+from repro.obs.flight import CH_COUNTER
+from repro.runtime.ga import counter_service
 from repro.runtime.network import CommStats
+
+
+class SharedCounter:
+    """The Global Arrays ``NGA_Read_inc`` atomic counter.
+
+    NWChem's centralized dynamic scheduler is a single shared counter
+    that every process hits once per task; each access is atomic and
+    serializes at the owning process (Sec IV-C discusses the resulting
+    scheduler overhead: ~112k accesses for C100H202 at 3888 cores vs 349
+    per-queue accesses for GTFock's distributed queues).
+    """
+
+    def __init__(self, stats: CommStats, owner: int = 0):
+        self.stats = stats
+        self.owner = owner
+        self.value = 0
+        self.accesses = 0
+        #: time at which the counter's owner is next free (serialization)
+        self.server_free = 0.0
+
+    def read_inc(self, proc: int) -> int:
+        """Atomically fetch-and-increment; models queueing at the owner.
+
+        The caller pays a round-trip latency plus any queueing delay
+        behind other processes' outstanding increments.
+        """
+        stats = self.stats
+        stats._check(proc)
+        cfg = stats.config
+        dt, self.server_free = counter_service(
+            stats.clock[proc], self.server_free, cfg.latency, cfg.queue_service
+        )
+        self.accesses += 1
+        stats.calls[proc] += 1
+        stats.remote_calls[proc] += 1
+        stats.clock[proc] += dt
+        stats.comm_time[proc] += dt
+        stats.flight.record(proc, CH_COUNTER, 0, 1, dt)
+        out = self.value
+        self.value += 1
+        return out
 
 
 def reference_centralized(

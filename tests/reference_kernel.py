@@ -5,7 +5,7 @@ Kept verbatim (bar imports, and ``reference_class_rows`` /
 ``_finalize_class`` deriving the ``TT/UU/VV/ket_sign`` and
 ``scales/transforms`` constants that used to live on ``ClassBatch``) as
 the oracles of the differential tests in ``tests/test_reference_kernel.py``
-and of the analytic one-electron / dipole / Schwarz tests:
+and of the analytic one-electron / Schwarz tests:
 
 * ``r_tensor_batch`` -- the dense ``(L+1)^4`` Hermite recursion;
 * ``per_class_rows`` -- the per-class sweep exponent families replaced:
@@ -17,8 +17,8 @@ and of the analytic one-electron / dipole / Schwarz tests:
   tensor);
 * ``eri_shell_quartet_batched`` / ``pair_bound`` -- the per-pair
   Schwarz diagonal through the per-quartet batched kernel;
-* ``overlap_block`` / ``kinetic_block`` / ``nuclear_attraction_block`` /
-  ``dipole_block`` -- the per-component scalar one-electron loops.
+* ``overlap_block`` / ``kinetic_block`` / ``nuclear_attraction_block``
+  -- the per-component scalar one-electron loops.
 
 They share ``boys_array`` and ``e_coefficients`` with the production
 code on purpose: ``tests/test_boys.py`` gates those against independent
@@ -456,45 +456,3 @@ def _scale_components(block: np.ndarray, sh_a: Shell, sh_b: Shell) -> None:
     sa = np.array([component_scale(*c) for c in cartesian_components(sh_a.l)])
     sb = np.array([component_scale(*c) for c in cartesian_components(sh_b.l)])
     block *= sa[:, None] * sb[None, :]
-
-
-def dipole_block(
-    sh_a: Shell, sh_b: Shell, origin: np.ndarray
-) -> list[np.ndarray]:
-    """The three dipole blocks ``<a| (r - origin)_k |b>`` for one shell pair."""
-    comps_a = cartesian_components(sh_a.l)
-    comps_b = cartesian_components(sh_b.l)
-    origin = np.asarray(origin, dtype=float).reshape(3)
-    blocks = [np.zeros((len(comps_a), len(comps_b))) for _ in range(3)]
-    la, lb = sh_a.l, sh_b.l
-    A, B = sh_a.center, sh_b.center
-    for a, ca in zip(sh_a.exps, sh_a.norm_coefs):
-        for b, cb in zip(sh_b.exps, sh_b.norm_coefs):
-            p = a + b
-            P = (a * A + b * B) / p
-            pref = ca * cb * (math.pi / p) ** 1.5
-            # E arrays per direction with one extra Hermite order available
-            es = [
-                e_coefficients(la, lb, a, b, float(A[d] - B[d])) for d in range(3)
-            ]
-            for ia, ca_idx in enumerate(comps_a):
-                for ib, cb_idx in enumerate(comps_b):
-                    s1d = [
-                        es[d][ca_idx[d], cb_idx[d], 0] for d in range(3)
-                    ]
-                    for k in range(3):
-                        i, j = ca_idx[k], cb_idx[k]
-                        e1 = es[k][i, j, 1] if 1 <= i + j else 0.0
-                        m1d = e1 + (P[k] - origin[k]) * es[k][i, j, 0]
-                        others = 1.0
-                        for d in range(3):
-                            if d != k:
-                                others *= s1d[d]
-                        blocks[k][ia, ib] += pref * m1d * others
-    sa = np.array([component_scale(*c) for c in comps_a])
-    sb = np.array([component_scale(*c) for c in comps_b])
-    out = []
-    for k in range(3):
-        blocks[k] *= sa[:, None] * sb[None, :]
-        out.append(apply_transforms(blocks[k], (sh_a, sh_b)))
-    return out

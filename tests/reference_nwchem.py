@@ -1,15 +1,19 @@
 """NWChem's Fock-build algorithm, numeric mode (Sec II-F, Algorithm 2).
 
-The baseline the paper compares against:
+The test oracle that Algorithm 2's atom-quartet tasks cover every unique
+screened shell quartet exactly once and sum to ``build_jk``.  No command
+builds F this way: every Table III-VIII cell prices the baseline through
+``repro.fock.simulate.simulate_nwchem``'s per-task arrays.
 
 * F and D distributed in **block-row** fashion by atoms over all
   processes;
 * tasks of **5 atom quartets** dispensed by a **centralized** dynamic
-  scheduler (one shared atomic counter, one ``GetTask`` per task);
+  scheduler (one shared atomic counter, one ``GetTask`` per task), run
+  by the per-task loop ``reference_centralized.reference_centralized``;
 * per task: fetch the 6 atom blocks of D it needs, compute its unique
   screened shell quartets -- the class-plan rows it owns
-  (:func:`~repro.fock.tasks.nwchem_task_rows`), contracted in one pass of
-  the production kernel -- and accumulate the atom blocks of F.
+  (:func:`nwchem_task_rows`), contracted in one pass of the production
+  kernel -- and accumulate the atom blocks of F.
 
 No prefetching is possible because task placement is unknown a priori
 (the paper's second criticism), so every task pays its own communication.
@@ -21,11 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fock.centralized import CentralizedOutcome, run_centralized
+from reference_centralized import reference_centralized
+from repro.fock.centralized import CentralizedOutcome
+from repro.fock.nwchem_cost import atom_sigma
 from repro.fock.screening_map import ScreeningMap
-from repro.fock.tasks import nwchem_task_list, nwchem_task_rows, task_plan
+from repro.fock.tasks import _NEVER, TaskRows, _grouped, _owned_images, task_plan
 from repro.integrals.class_batch import (
     EIGHT_PERMUTATIONS,
+    ClassPlan,
     density_stack,
     jk_from_rows,
 )
@@ -38,6 +45,78 @@ from repro.runtime.network import CommStats
 #: the F blocks a quartet updates, (a, b) and (a, c) of each of its eight
 #: images (a, b, c, d), as columns of the quartet in per-image scatter order
 _TOUCHED = tuple(i for p in EIGHT_PERMUTATIONS for i in (p[0], p[1], p[0], p[2]))
+
+
+@dataclass(frozen=True)
+class NWChemTask:
+    """One NWChem task: up to 5 consecutive atom quartets (I,J,K, L-range)."""
+
+    i_at: int
+    j_at: int
+    k_at: int
+    l_lo: int
+    l_hi: int  # inclusive, as in Algorithm 2
+
+    def l_range(self) -> range:
+        return range(self.l_lo, self.l_hi + 1)
+
+
+def nwchem_task_list(
+    screen: ScreeningMap, chunk: int = 5
+) -> list[NWChemTask]:
+    """The global ordered task list of Algorithm 2.
+
+    Tasks enumerate unique triplets (I >= J, K <= I) with significant
+    (I, J), chunking the innermost L loop in strides of ``chunk``
+    (NWChem's "5 atom quartets per task").  The list order *is* the
+    dispatch order of the centralized scheduler.
+    """
+    if chunk < 1:
+        raise ValueError(f"chunk must be a positive atom-quartet count, got {chunk}")
+    sig_at = atom_sigma(screen)
+    tau_sig = screen.tau / max(float(sig_at.max()), 1e-300)
+    natoms = sig_at.shape[0]
+    tasks: list[NWChemTask] = []
+    for i_at in range(natoms):
+        for j_at in range(i_at + 1):
+            if sig_at[i_at, j_at] < tau_sig:
+                continue
+            for k_at in range(i_at + 1):
+                l_hi = j_at if k_at == i_at else k_at
+                for l_lo in range(0, l_hi + 1, chunk):
+                    tasks.append(
+                        NWChemTask(
+                            i_at, j_at, k_at, l_lo, min(l_lo + chunk - 1, l_hi)
+                        )
+                    )
+    return tasks
+
+
+def nwchem_task_rows(
+    plan: ClassPlan, screen: ScreeningMap, tasks: list[NWChemTask], chunk: int
+) -> TaskRows:
+    """``plan``'s rows by owning NWChem task (an index into ``tasks``, the
+    :func:`nwchem_task_list` of ``screen`` and ``chunk``): the task of
+    the atom quartet ``(I, J, K, L)`` of the row's smallest atom-canonical
+    image ``(M, N, P, Q)``, rows in the task's ``(L, M, N, P, Q)`` loop
+    order; computed once per plan and chunk."""
+    key = ("nwchem", chunk)
+    if key not in plan.derived:
+        atom_of = screen.basis.atom_of_shell
+        na, digits = screen.basis.molecule.natoms, screen.nshells ** np.arange(3, -1, -1)
+
+        def score(img):  # lexicographic among the atom-canonical images
+            i, j, k, l = atom_of[img].T
+            canonical = (i >= j) & (k >= l) & ((i > k) | ((i == k) & (j >= l)))
+            return np.where(canonical, img.astype(np.int64) @ digits, _NEVER)
+
+        own = _owned_images(plan, score)
+        i, j, k, l = atom_of[own].T
+        triples = [(t.i_at * na + t.j_at) * na + t.k_at for t in tasks]
+        task = np.searchsorted(triples, (i * na + j) * na + k) + l // chunk
+        m, n, p, q = own.T
+        plan.derived[key] = _grouped(own, (q, p, n, m, l, task), len(tasks))
+    return plan.derived[key]
 
 
 @dataclass
@@ -133,7 +212,7 @@ def nwchem_build(
             (r0, r1), (c0, c1) = aranges[a_at], aranges[b_at]
             ga_g.acc(proc, r0, c0, g[r0:r1, c0:c1], channel=CH_FOCK_ACC)
 
-    outcome = run_centralized(
+    outcome = reference_centralized(
         range(len(tasks)), nproc, stats, cost_of, comm_of=comm_of,
         on_task=on_task,
     )

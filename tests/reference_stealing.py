@@ -24,13 +24,26 @@ from repro.fock.stealing import (
     RecoveryRecord,
     StealingOutcome,
     StealRecord,
-    victim_scan_order,
 )
 from repro.obs import Tracer, get_tracer
 from repro.obs.flight import CH_QUEUE, CH_STEAL_TASK
 from repro.runtime.event import EventQueue
 from repro.runtime.faults import FaultState
 from repro.runtime.network import CommStats
+
+
+def victim_scan_order(proc: int, prow: int, pcol: int) -> list[int]:
+    """Row-wise victim scan starting from the thief's own grid row."""
+    gi, gj = divmod(proc, pcol)
+    order = []
+    for r in range(prow):
+        row = (gi + r) % prow
+        for c in range(pcol):
+            col = (gj + c) % pcol if r == 0 else c
+            p = row * pcol + col
+            if p != proc:
+                order.append(p)
+    return order
 
 
 class _ProcState:

@@ -12,7 +12,6 @@ from repro.chem.builders import (
     SCALED_MOLECULES,
     alkane,
     benzene,
-    coronene,
     graphene_flake,
     h2,
     methane,
@@ -32,7 +31,7 @@ class TestGrapheneFlake:
         assert sum(1 for s in m.symbols if s == "H") == nh
 
     def test_coronene_named(self):
-        assert coronene().formula == "C24H12"
+        assert graphene_flake(2).formula == "C24H12"
 
     def test_planar(self):
         z = graphene_flake(3).coords[:, 2]

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from reference_engine import SyntheticERIEngine
+from reference_nwchem import nwchem_build
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water_cluster
 from repro.fock.gtfock import PrefetchMiss, gtfock_build
-from repro.fock.nwchem import nwchem_build
 from repro.fock.reorder import reorder_basis
 from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap

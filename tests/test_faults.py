@@ -319,14 +319,14 @@ class TestSimulateUnderFaults:
 class TestCheckpointRestart:
     def test_bitwise_resume(self, tmp_path):
         from repro.chem.builders import water
-        from repro.scf.checkpoint import latest_checkpoint
+        from repro.scf.checkpoint import checkpoint_paths
         from repro.scf.hf import RHF
 
         mol = water()
         ref = RHF(mol, "sto-3g").run()
         ck = tmp_path / "ck"
         RHF(mol, "sto-3g", max_iter=3, checkpoint_dir=str(ck)).run()
-        assert latest_checkpoint(ck) is not None
+        assert checkpoint_paths(ck)
         resumed = RHF(
             mol, "sto-3g", checkpoint_dir=str(ck), restart=True
         ).run()
@@ -358,10 +358,10 @@ class TestCheckpointRestart:
         )
 
     def test_latest_checkpoint_empty(self, tmp_path):
-        from repro.scf.checkpoint import latest_checkpoint
+        from repro.scf.checkpoint import checkpoint_paths
 
-        assert latest_checkpoint(tmp_path) is None
-        assert latest_checkpoint(tmp_path / "missing") is None
+        assert checkpoint_paths(tmp_path) == []
+        assert checkpoint_paths(tmp_path / "missing") == []
 
     def test_restart_requires_dir(self):
         from repro.chem.builders import water

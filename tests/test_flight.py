@@ -3,7 +3,7 @@
 The load-bearing property is **exact decomposition**: summed over
 channels, the recorder's per-rank msgs/bytes equal ``CommStats.calls`` /
 ``CommStats.bytes`` -- every counted call is tagged exactly once.  These
-tests assert it for every producer (GlobalArray, SharedCounter,
+tests assert it for every producer (GlobalArray, the oracle's SharedCounter,
 collectives, both numeric builds, both timing simulations) and cover the
 model-validation pass and the HTML run report on top.
 """
@@ -13,9 +13,10 @@ import json
 import numpy as np
 import pytest
 
+from reference_centralized import SharedCounter
 from reference_engine import SyntheticERIEngine
+from reference_nwchem import nwchem_build
 from repro.fock.gtfock import gtfock_build
-from repro.fock.nwchem import nwchem_build
 from repro.fock.simulate import simulate_gtfock, simulate_nwchem
 from repro.integrals.engine import MDEngine
 from repro.obs.flight import (
@@ -44,7 +45,7 @@ from repro.obs.validate import (
     validate_run,
 )
 from repro.runtime.collectives import allreduce, barrier
-from repro.runtime.ga import GlobalArray, SharedCounter, block_bounds
+from repro.runtime.ga import GlobalArray, block_bounds
 from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
 

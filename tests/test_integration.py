@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from reference_nwchem import nwchem_build
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import h2, water
 from repro.dist.purification_dist import purify_distributed
 from repro.fock.gtfock import gtfock_build
-from repro.fock.nwchem import nwchem_build
 from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.runtime.machine import LONESTAR

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.scf.diis import DIIS
-from repro.scf.guess import core_guess, gwh_guess, zero_guess
+from repro.scf.guess import core_guess
 from repro.scf.orthogonalization import (
     density_from_coefficients,
     density_from_fock,
@@ -79,13 +79,9 @@ class TestDensityFormation:
 
 
 class TestGuesses:
-    def test_zero_guess(self):
-        assert np.count_nonzero(zero_guess(5)) == 0
-
-    def test_core_and_gwh_traces(self, water_matrices):
+    def test_core_guess_trace(self, water_matrices):
         s, h, x, _d = water_matrices
-        for guess in (core_guess(h, x, 5), gwh_guess(h, s, x, 5)):
-            assert np.trace(guess @ s) == pytest.approx(5.0, abs=1e-8)
+        assert np.trace(core_guess(h, x, 5) @ s) == pytest.approx(5.0, abs=1e-8)
 
 
 class TestDIIS:

@@ -17,7 +17,6 @@ from repro.fock.prefetch import (
     footprint_bounding_boxes,
     ga_calls_for_footprint,
     rank_footprints,
-    task_footprint_elements,
 )
 from repro.fock.screening_map import ScreeningMap
 from reference_tasks import (
@@ -25,12 +24,9 @@ from reference_tasks import (
     canonical_instance,
     enumerate_task_quartets,
 )
-from repro.fock.tasks import (
-    atom_sigma,
-    gtfock_task_rows,
-    nwchem_task_list,
-    nwchem_task_rows,
-)
+from reference_nwchem import nwchem_task_list, nwchem_task_rows
+from repro.fock.nwchem_cost import atom_sigma
+from repro.fock.tasks import gtfock_task_rows
 from repro.integrals.class_batch import build_class_plan, canonical_quartet_array
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 
@@ -59,7 +55,8 @@ class TestFootprint:
         blk = TaskBlock(5, 15, 10, 20)
         fp = block_footprint(screen, blk)
         per_task_sum = sum(
-            task_footprint_elements(screen, m, n) for (m, n) in blk.tasks()
+            block_footprint(screen, TaskBlock(m, m + 1, n, n + 1)).elements
+            for (m, n) in blk.tasks()
         )
         assert fp.elements < 0.25 * per_task_sum
 

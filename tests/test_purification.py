@@ -7,8 +7,6 @@ from repro.scf.orthogonalization import density_from_fock
 from repro.scf.purification import (
     canonical_step,
     initial_density,
-    mcweeny_refine,
-    mcweeny_step,
     purify,
 )
 
@@ -38,18 +36,6 @@ class TestInitialDensity:
 
 
 class TestSteps:
-    def test_mcweeny_fixes_idempotent(self):
-        d = np.diag([1.0, 1.0, 0.0])
-        assert np.allclose(mcweeny_step(d), d)
-
-    def test_mcweeny_contracts(self):
-        d = np.diag([0.9, 0.8, 0.1])
-        d2 = mcweeny_step(d)
-        def err(m):
-            return np.linalg.norm(m @ m - m)
-
-        assert err(d2) < err(d)
-
     def test_canonical_preserves_trace(self):
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
@@ -94,13 +80,3 @@ class TestPurify:
         assert res.converged
         assert res.iterations < 100
 
-
-class TestMcWeenyRefine:
-    def test_refines_perturbed_projector(self):
-        d_exact = np.diag([1.0] * 3 + [0.0] * 5)
-        rng = np.random.default_rng(12)
-        noise = rng.normal(size=(8, 8)) * 1e-3
-        d = d_exact + 0.5 * (noise + noise.T)
-        res = mcweeny_refine(d)
-        assert res.converged
-        assert np.allclose(res.density @ res.density, res.density, atol=1e-10)

@@ -20,7 +20,6 @@ from reference_eri import (
     eri_shell_quartet_os,
 )
 from reference_kernel import (
-    dipole_block,
     kinetic_block,
     nuclear_attraction_block,
     overlap_block,
@@ -36,7 +35,6 @@ from repro.chem.builders import methane, water
 from repro.integrals.boys import _ASYMPTOTIC_X, _STEP, boys_array
 from repro.integrals.class_batch import build_class_plan, compute_class_rows
 from repro.integrals.engine import MDEngine
-from repro.integrals.moments import dipole_integrals
 from repro.integrals.oneelec import kinetic, nuclear_attraction, overlap
 from repro.integrals.pairdata import ShellPairData, shell_families
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
@@ -179,13 +177,11 @@ class TestFamilySweep:
 
 class TestOneElectronMatchReference:
     @pytest.mark.parametrize("name", BASES)
-    def test_s_t_v_dipole_blocks(self, name):
+    def test_s_t_v_blocks(self, name):
         basis = BASES[name]
         mol = basis.molecule
         charges, positions = mol.numbers.astype(float), mol.coords
-        origin = np.array([0.3, -0.2, 0.5])
         s, t, v = overlap(basis), kinetic(basis), nuclear_attraction(basis)
-        dip = dipole_integrals(basis, origin)
         for i, sh_i in enumerate(basis.shells):
             si = basis.shell_slice(i)
             for j, sh_j in enumerate(basis.shells[: i + 1]):
@@ -194,7 +190,6 @@ class TestOneElectronMatchReference:
                     (s, overlap_block(sh_i, sh_j)),
                     (t, kinetic_block(sh_i, sh_j)),
                     (v, nuclear_attraction_block(sh_i, sh_j, charges, positions)),
-                    *zip(dip, dipole_block(sh_i, sh_j, origin)),
                 )
                 for full, ref in refs:
                     assert np.abs(full[si, sj] - ref).max() <= 1e-13

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.runtime.event import EventQueue
 from repro.runtime.faults import FaultPlan
-from repro.runtime.ga import GlobalArray, SharedCounter, block_bounds, grid_shape
+from reference_centralized import SharedCounter
+from repro.runtime.ga import GlobalArray, block_bounds, grid_shape
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.network import CommStats
 

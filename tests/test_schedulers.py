@@ -8,19 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_centralized import reference_centralized
-from reference_stealing import reference_work_stealing
+from reference_stealing import reference_work_stealing, victim_scan_order
 from repro.fock import centralized
 from repro.fock.centralized import run_centralized
 from repro.fock.nwchem_cost import NWChemTaskArrays
-from repro.fock.stealing import (
-    run_work_stealing,
-    scan_rank,
-    victim_scan_order,
-)
-from repro.fock.timeline import Span, timeline_from_tracer
+from repro.fock.stealing import run_work_stealing, scan_rank
 from repro.obs import SIM_PID, Tracer
 from repro.obs.critpath import _SPAN_KINDS, PathSegment, rank_chains
-from repro.obs.flight import CH_COUNTER, CH_FOCK_ACC, CH_GA, CH_STEAL_D, CH_TASK_GET
+from repro.obs.flight import CH_COUNTER, CH_STEAL_D, CH_TASK_GET
 from repro.runtime.faults import FaultPlan, random_plan
 from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
@@ -281,24 +276,6 @@ def _event_chains(events, finish, nproc):
     return chains
 
 
-def _event_timeline(events):
-    """``timeline_from_tracer`` as it read ``TraceEvent`` objects."""
-    spans = [Span(e.tid, e.ts, e.end, "work", str(e.args.get("task", "")))
-             for e in events if e.phase == "X" and e.cat == "task"]
-    spans += [Span(e.tid, e.ts, e.ts, "steal", f"from p{e.args['victim']}")
-              for e in events if e.phase == "i" and e.name == "steal"]
-    for e in events:
-        if e.phase == "X" and e.cat == "comm":
-            kind, detail = "comm", e.name
-            if e.name == "steal_copy":
-                kind, detail = "steal", f"copy from p{e.args.get('victim', '?')}"
-            spans.append(Span(e.tid, e.ts, e.end, kind, detail))
-    spans += [Span(e.tid, e.ts, e.end, "blocked", "await orphans")
-              for e in events
-              if e.phase == "X" and e.cat == "sched" and e.name == "blocked"]
-    return spans
-
-
 class TestColumnarTraceCapture:
     """A finished batch reaches the tracer as *views* of the scheduler's
     own cost and task arrays.  That is only sound if nothing writes to
@@ -354,7 +331,6 @@ class TestColumnarTraceCapture:
                 assert seg == ref_seg
         kinds = {seg.kind for chain in chains for seg in chain}
         assert {"compute", "steal", "blocked", "slack"} <= kinds
-        assert timeline_from_tracer(tr).spans == _event_timeline(tr.events)
 
 
 class TestWorkStealingConservation:
@@ -561,42 +537,36 @@ class TestStealBoundary:
         assert out.makespan == pytest.approx(20.0)
 
 
+def _tasks(cost) -> NWChemTaskArrays:
+    """Per-task arrays of compute seconds ``cost`` and no fetches."""
+    cost = np.asarray(cost, dtype=float)
+    return NWChemTaskArrays(
+        cost=cost, comm_bytes=np.zeros(cost.size),
+        comm_calls=np.zeros(cost.size, dtype=np.int64), ntasks=cost.size,
+        total_eris=0.0,
+    )
+
+
 class TestCentralized:
     def test_all_tasks_executed_once(self):
-        stats = CommStats(3, LONESTAR)
-        seen = []
-        out = run_centralized(
-            list(range(50)), 3, stats, lambda t: 0.01,
-            on_task=lambda p, t: seen.append(t),
-        )
-        assert sorted(seen) == list(range(50))
+        cost = 0.01 * np.arange(1, 51)
+        out = run_centralized(_tasks(cost), 3, CommStats(3, LONESTAR))
         assert out.executed_tasks.sum() == 50
+        assert out.executed_cost.sum() == pytest.approx(cost.sum())
         assert out.counter_accesses == 50 + 3  # one failed pull per process
 
     def test_single_process(self):
-        stats = CommStats(1, LONESTAR)
-        out = run_centralized(list(range(10)), 1, stats, lambda t: 1.0)
+        out = run_centralized(_tasks(np.ones(10)), 1, CommStats(1, LONESTAR))
         assert out.executed_cost[0] == pytest.approx(10.0)
 
     def test_load_spread_roughly_even(self):
-        stats = CommStats(4, LONESTAR)
-        out = run_centralized(list(range(400)), 4, stats, lambda t: 0.001)
+        out = run_centralized(_tasks(np.full(400, 0.001)), 4, CommStats(4, LONESTAR))
         assert out.executed_tasks.min() >= 80
-
-    def test_comm_hook_called_per_task(self):
-        stats = CommStats(2, LONESTAR)
-        hits = []
-        run_centralized(
-            list(range(7)), 2, stats, lambda t: 0.0,
-            comm_of=lambda p, t: hits.append(t),
-        )
-        assert sorted(hits) == list(range(7))
 
     def test_counter_serialization_dominates_tiny_tasks(self):
         """With zero-cost tasks, the makespan is the serialized counter."""
-        stats = CommStats(8, LONESTAR)
         ntasks = 200
-        out = run_centralized(list(range(ntasks)), 8, stats, lambda t: 0.0)
+        out = run_centralized(_tasks(np.zeros(ntasks)), 8, CommStats(8, LONESTAR))
         min_serial = ntasks * LONESTAR.queue_service
         assert out.makespan >= min_serial * 0.9
 
@@ -696,96 +666,17 @@ class TestCentralizedAgainstReference:
             out = run_centralized(arrays, nproc, stats)
         assert out.counter_accesses == ntasks + nproc > 2 * 16
         assert int(stats.flight.per_rank(CH_COUNTER, "msgs").sum()) == ntasks + nproc
-        # equal clocks are served in rank order
-        pulls = []
-        run_centralized(
-            arrays, nproc, _centralized_stats(nproc, np.zeros(nproc)),
-            on_task=lambda proc, tid: pulls.append(proc),
-        )
-        assert pulls[:nproc] == list(range(nproc))
+        # equal clocks are served in rank order: rank p pulls task p
+        first = _tasks(2.5e-5 * np.arange(1, nproc + 1))
+        stats = _centralized_stats(nproc, np.zeros(nproc))
+        out = run_centralized(first, nproc, stats)
+        assert out.executed_cost.tolist() == first.cost.tolist()
         few = NWChemTaskArrays(
             arrays.cost[:2], arrays.comm_bytes[:2], arrays.comm_calls[:2], 2, 0.0
         )
         out = run_centralized(few, nproc, _centralized_stats(nproc, np.zeros(nproc)))
         assert out.executed_tasks.tolist() == [1, 1, 0, 0, 0, 0]
         assert out.counter_accesses == 2 + nproc
-
-    @pytest.mark.parametrize("as_arrays", [True, False])
-    def test_accounting_is_flushed_before_every_hook(self, as_arrays):
-        """Hooks that charge the clock -- their own rank's and another's
-        -- see today's clocks and counters, and what they charge
-        moves the dispatch order exactly as in the per-task loop."""
-        rng = np.random.default_rng(5)
-        nproc, ntasks = 5, 60
-        arrays = NWChemTaskArrays(
-            cost=rng.choice([0.0, 2.5e-5, 1e-4], size=ntasks),
-            comm_bytes=8.0 * rng.integers(1, 500, size=ntasks),
-            comm_calls=rng.choice([0, 6], size=ntasks),
-            ntasks=ntasks, total_eris=0.0,
-        )
-        seen = {}
-
-        def hooks(stats, log):
-            def comm_of(proc, tid):
-                log.append((
-                    "comm", proc, tid, stats.clock.tolist(),
-                    stats.calls.tolist(),
-                    stats.flight.totals("msgs").tolist(),
-                ))
-                if tid % 3 == 0:
-                    stats.charge_comm(proc, 64.0, 2, channel=CH_GA)
-                if tid % 7 == 0:
-                    stats.charge_comm((proc + 1) % nproc, 8.0, channel=CH_GA)
-
-            def on_task(proc, tid):
-                log.append(("task", proc, tid, stats.clock.tolist(),
-                            stats.comp_time.tolist()))
-                if tid % 2:
-                    stats.charge_comm(
-                        proc, 16.0, remote=False, channel=CH_FOCK_ACC
-                    )
-            return comm_of, on_task
-
-        ref_stats = _centralized_stats(nproc, np.zeros(nproc))
-        ref_comm, ref_task = hooks(ref_stats, seen.setdefault("ref", []))
-        fetch = _fetch_hook(ref_stats, arrays)
-
-        def ref_comm_of(proc, tid):
-            if as_arrays:
-                fetch(proc, tid)
-            ref_comm(proc, tid)
-
-        ref = reference_centralized(
-            list(range(ntasks)), nproc, ref_stats,
-            lambda tid: float(arrays.cost[tid]),
-            comm_of=ref_comm_of, on_task=ref_task,
-        )
-        new_stats = _centralized_stats(nproc, np.zeros(nproc))
-        comm_of, on_task = hooks(new_stats, seen.setdefault("new", []))
-        if as_arrays:
-            new = run_centralized(
-                arrays, nproc, new_stats, comm_of=comm_of, on_task=on_task
-            )
-        else:
-            new = run_centralized(
-                list(range(ntasks)), nproc, new_stats,
-                lambda tid: float(arrays.cost[tid]),
-                comm_of=comm_of, on_task=on_task,
-            )
-        assert seen["new"] == seen["ref"]
-        _assert_same_run(ref_stats, ref, new_stats, new)
-
-    def test_callable_costs_without_hooks_are_batched_too(self):
-        costs = [0.0, 1e-4, 2.5e-5] * 30
-        ref_stats = _centralized_stats(7, np.zeros(7))
-        ref = reference_centralized(
-            list(range(90)), 7, ref_stats, costs.__getitem__
-        )
-        new_stats = _centralized_stats(7, np.zeros(7))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(centralized, "FLUSH_EVERY", 16)
-            new = run_centralized(list(range(90)), 7, new_stats, costs.__getitem__)
-        _assert_same_run(ref_stats, ref, new_stats, new)
 
     def test_negative_cost_and_fault_draws_are_rejected(self):
         arrays = NWChemTaskArrays(
@@ -794,11 +685,6 @@ class TestCentralizedAgainstReference:
         )
         with pytest.raises(ValueError, match="negative compute time"):
             run_centralized(arrays, 2, CommStats(2, LONESTAR))
-        with pytest.raises(ValueError, match="negative compute time"):
-            run_centralized(
-                [0, 1], 2, CommStats(2, LONESTAR), arrays.cost.__getitem__,
-                on_task=lambda p, t: None,
-            )
         faulty = CommStats(
             2, LONESTAR, faults=FaultPlan(seed=1, op_fail_rate=0.2).activate(2)
         )

@@ -11,7 +11,6 @@ from reference_kernel import pair_bound
 from repro.integrals.schwarz import (
     schwarz_matrix,
     schwarz_model,
-    screening_stats,
     unique_significant_quartet_count,
 )
 
@@ -79,12 +78,6 @@ class TestModelBound:
 
 
 class TestStatsAndCounts:
-    def test_screening_stats_keys(self, water_basis):
-        sigma = schwarz_matrix(water_basis)
-        st = screening_stats(sigma, 1e-10)
-        assert st["nshells"] == water_basis.nshells
-        assert 0 < st["fraction_significant"] <= 1
-
     def test_unique_count_no_screening(self):
         """tau=0 keeps all: count = npair(npair+1)/2 with npair=n(n+1)/2."""
         n = 6

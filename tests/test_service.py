@@ -30,7 +30,6 @@ from repro.chem.builders import water
 from repro.integrals import class_batch
 from repro.integrals.class_batch import (
     JKInterrupted,
-    clear_jk_interrupt,
     interrupt_jk_threads,
 )
 from repro.obs import MetricsRegistry, load_run, session
@@ -430,7 +429,7 @@ class TestSigtermTeardown:
             with pytest.raises(JKInterrupted):
                 engine_density.run()
         finally:
-            clear_jk_interrupt()
+            class_batch._JK_INTERRUPT.clear()
 
     def test_prune_checkpoints_keeps_newest(self, tmp_path):
         rhf = RHF(water(), checkpoint_dir=str(tmp_path / "ck"))

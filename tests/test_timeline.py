@@ -1,133 +1,55 @@
-"""Tests for execution-timeline recording and the discrete-event core."""
+"""Tests for the discrete-event core and the spans a traced work-stealing
+run leaves in its tracer (every task and steal at exact scheduler times)."""
 
 import pytest
 
-from repro.fock.timeline import Span, Timeline, traced_work_stealing
+from repro.fock.stealing import run_work_stealing
+from repro.obs import Tracer
 from repro.runtime.event import EventQueue
+
+
+def traced(queues, grid, **kwargs):
+    """Work stealing over queues of task costs, with a tracer attached."""
+    tracer = Tracer("work-stealing")
+    outcome = run_work_stealing(queues, lambda c: c, grid, tracer=tracer, **kwargs)
+    return outcome, tracer
+
+
+def work_spans(tracer, proc=None):
+    """``(rank, start, end)`` of every task span, sorted."""
+    return sorted(
+        (tid, ts, ts + dur)
+        for _, _, _, _, tid, ts, dur, _ in tracer.rows("X", cat="task")
+        if proc is None or tid == proc
+    )
 
 
 class TestTimeline:
     def test_spans_recorded_for_all_tasks(self):
-        queues = [[1.0, 2.0], [0.5], []]
-        outcome, tl = traced_work_stealing(
-            queues, cost_of=lambda c: c, grid=(1, 3)
-        )
-        work = [s for s in tl.spans if s.kind == "work"]
-        assert len(work) == 3
+        outcome, tracer = traced([[1.0, 2.0], [0.5], []], (1, 3))
+        assert len(work_spans(tracer)) == 3
         assert outcome.executed_tasks.sum() == 3
 
     def test_steal_events_marked(self):
-        queues = [[1.0] * 50, []]
-        _outcome, tl = traced_work_stealing(
-            queues, cost_of=lambda c: c, grid=(1, 2)
-        )
-        assert any(s.kind == "steal" for s in tl.spans)
+        _outcome, tracer = traced([[1.0] * 50, []], (1, 2))
+        assert list(tracer.rows("i", names=("steal",)))
 
     def test_busy_fraction_balanced(self):
-        queues = [[1.0] * 10, [1.0] * 10]
-        _outcome, tl = traced_work_stealing(
-            queues, cost_of=lambda c: c, grid=(1, 2)
-        )
-        assert tl.busy_fraction(0) == pytest.approx(1.0, abs=0.01)
-        assert tl.busy_fraction(1) == pytest.approx(1.0, abs=0.01)
-
-    def test_render_shapes(self):
-        queues = [[1.0, 1.0], [2.0]]
-        _outcome, tl = traced_work_stealing(
-            queues, cost_of=lambda c: c, grid=(1, 2)
-        )
-        art = tl.render(width=40)
-        lines = art.splitlines()
-        assert len(lines) == 3  # 2 procs + axis
-        assert "#" in lines[0]
-
-    def test_empty(self):
-        assert Timeline().render() == "(empty timeline)"
-        assert Timeline().makespan == 0.0
-
-    def test_span_duration(self):
-        s = Span(0, 1.0, 3.5, "work")
-        assert s.duration == pytest.approx(2.5)
+        outcome, tracer = traced([[1.0] * 10, [1.0] * 10], (1, 2))
+        for p in (0, 1):
+            busy = sum(end - start for _, start, end in work_spans(tracer, p))
+            assert busy / outcome.makespan == pytest.approx(1.0, abs=0.01)
 
     def test_makespan_matches_outcome(self):
-        queues = [[3.0, 1.0], [0.5, 0.5]]
-        outcome, tl = traced_work_stealing(
-            queues, cost_of=lambda c: c, grid=(1, 2)
-        )
-        # spans now carry exact scheduler times: the last work span ends
-        # at the slowest process's finish time
-        assert tl.makespan == pytest.approx(outcome.makespan)
+        # spans carry exact scheduler times: the last work span ends at
+        # the slowest process's finish time
+        outcome, tracer = traced([[3.0, 1.0], [0.5, 0.5]], (1, 2))
+        last = max(end for _, _, end in work_spans(tracer))
+        assert last == pytest.approx(outcome.makespan)
 
     def test_work_spans_carry_exact_start_times(self):
-        queues = [[2.0, 1.0], []]
-        _outcome, tl = traced_work_stealing(
-            queues, cost_of=lambda c: c, grid=(1, 2), enable_stealing=False
-        )
-        assert [(s.start, s.end) for s in tl.for_proc(0)] == [
-            (0.0, 2.0), (2.0, 3.0)
-        ]
-
-
-class TestRenderEdgeCases:
-    def test_empty_timeline(self):
-        tl = Timeline()
-        assert tl.render() == "(empty timeline)"
-        assert tl.makespan == 0.0
-        assert tl.busy_fraction(0) == 1.0
-
-    def test_zero_duration_spans_only(self):
-        # steal marks with no work at all: makespan 0, nothing to draw
-        tl = Timeline(spans=[Span(0, 0.0, 0.0, "steal", "from p1")])
-        assert tl.render() == "(empty timeline)"
-
-    def test_zero_duration_span_among_work(self):
-        tl = Timeline(
-            spans=[
-                Span(0, 0.0, 4.0, "work"),
-                Span(1, 2.0, 2.0, "steal", "from p0"),
-                Span(1, 2.0, 4.0, "work"),
-            ]
-        )
-        art = tl.render(width=20)
-        lines = art.splitlines()
-        assert len(lines) == 3  # 2 procs + axis
-        assert "#" in lines[0]
-        assert "#" in lines[1]
-
-    def test_single_process(self):
-        tl = Timeline(spans=[Span(0, 0.0, 1.0, "work")])
-        art = tl.render(width=10)
-        lines = art.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("p0")
-        assert "." not in lines[0].split("|")[1]  # fully busy
-        assert tl.busy_fraction(0) == pytest.approx(1.0)
-
-    def test_steal_mark_does_not_overwrite_work(self):
-        tl = Timeline(
-            spans=[
-                Span(0, 0.0, 10.0, "work"),
-                Span(0, 5.0, 5.0, "steal", "from p1"),
-            ]
-        )
-        row = tl.render(width=20).splitlines()[0]
-        assert "$" not in row  # work wins over steal marks
-
-    def test_render_intermediate_proc_without_spans(self):
-        tl = Timeline(spans=[Span(2, 0.0, 1.0, "work")])
-        lines = tl.render(width=12).splitlines()
-        assert len(lines) == 4  # p0..p2 + axis
-        assert set(lines[0].split("|")[1]) == {"."}
-
-    def test_blocked_span_renders_tilde(self):
-        tl = Timeline(
-            spans=[
-                Span(0, 0.0, 2.0, "work"),
-                Span(0, 2.0, 4.0, "blocked", "await orphans"),
-            ]
-        )
-        row = tl.render(width=20).splitlines()[0]
-        assert "~" in row
+        _outcome, tracer = traced([[2.0, 1.0], []], (1, 2), enable_stealing=False)
+        assert [(s, e) for _, s, e in work_spans(tracer, 0)] == [(0.0, 2.0), (2.0, 3.0)]
 
 
 class TestEventQueue:
