@@ -20,6 +20,10 @@ loc:
 	@cd src/repro && cat scf/hf.py scf/uhf.py runtime/faults.py \
 	  runtime/sdc.py fock/chaos.py service/chaos.py scf/torture.py | wc -l \
 	  | xargs echo "SCF driver + fault families (ROADMAP item 4) lines:"
+	@python -c "import ast; t = ast.parse(open('src/repro/scf/hf.py').read()); \
+	  f = next(n for c in t.body if getattr(c, 'name', '') == 'SCFDriver' \
+	  for n in c.body if getattr(n, 'name', '') == '_iterate'); \
+	  print('SCFDriver._iterate (ROADMAP item 8) lines:', f.end_lineno - f.lineno + 1)"
 	@cat src/repro/obs/*.py src/repro/bench/*.py benchmarks/*.py \
 	  src/repro/cli.py | wc -l \
 	  | xargs echo "obs/ + bench/ + benchmarks/ + cli.py (ROADMAP item 5) lines:"

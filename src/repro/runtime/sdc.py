@@ -288,13 +288,8 @@ class IntegrityMonitor:
     chaos gate.
     """
 
-    def __init__(
-        self,
-        overlap: np.ndarray | None = None,
-        nocc: int | None = None,
-    ):
+    def __init__(self, overlap: np.ndarray | None = None):
         self.overlap = overlap
-        self.nocc = nocc
         #: detector runs, keyed by detector name
         self.checks: dict[str, int] = {}
         #: corruptions detected, keyed by kind
@@ -341,32 +336,17 @@ class IntegrityMonitor:
             self.record_detection("fock_matrix")
         return ok
 
-    def check_density(
-        self, d: np.ndarray, iteration: int, nocc: int | None = None
-    ) -> bool:
+    def check_density(self, d: np.ndarray, iteration: int, nocc: int) -> bool:
         """D must be finite, symmetric, and carry Tr(D S) = n_occ
-        (``nocc``: this spin channel's count, default the monitor's)."""
+        (``nocc``: this spin channel's count)."""
         self.record_check("density_symmetry")
         ok = bool(np.isfinite(d).all()) and self._symmetry_ok(d)
-        if nocc is None:
-            nocc = self.nocc
-        if ok and self.overlap is not None and nocc is not None:
+        if ok and self.overlap is not None:
             self.record_check("density_trace")
             tr = float(np.sum(d * self.overlap.T))
             ok = abs(tr - nocc) <= TRACE_TOL * max(1.0, nocc)
         if not ok:
             self.record_detection("density_matrix")
-        return ok
-
-    def check_chunk_bound(
-        self, blocks: np.ndarray, bound: float, slack: float = 10.0
-    ) -> bool:
-        """Schwarz-bound detector: no ERI chunk element may exceed its
-        Cauchy-Schwarz bound (times ``slack`` for rounding headroom)."""
-        self.record_check("schwarz_bound")
-        ok = float(np.max(np.abs(blocks))) <= slack * bound if blocks.size else True
-        if not ok:
-            self.record_detection("eri_chunk")
         return ok
 
     # -- reporting -----------------------------------------------------------

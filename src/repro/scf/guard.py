@@ -554,19 +554,6 @@ class SCFGuard:
     def state_json(self) -> str:
         return json.dumps(self.state_dict())
 
-    @classmethod
-    def from_state_json(
-        cls,
-        text: str,
-        config: GuardConfig | None = None,
-        e_tol: float = 1e-9,
-        d_tol: float = 1e-7,
-        molecule: str = "",
-    ) -> "SCFGuard":
-        guard = cls(config, e_tol=e_tol, d_tol=d_tol, molecule=molecule)
-        guard.load_state(json.loads(text))
-        return guard
-
     # -- reporting -----------------------------------------------------------
 
     def summary(self) -> dict:

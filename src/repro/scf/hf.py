@@ -8,14 +8,20 @@ integrals, so the same driver runs on real or synthetic integrals.
 
 There is one iteration loop, :meth:`SCFDriver._iterate`, over a *spin
 stack*: a list with one density / Fock matrix per spin channel (one for
-:class:`RHF`, two for :class:`~repro.scf.uhf.UHF`).  Every cross-cutting
-step maps over the stack in one fixed order (``docs/ROBUSTNESS.md``,
-"One SCF loop"); a driver supplies only what is spin-specific.
+:class:`RHF`, two for :class:`~repro.scf.uhf.UHF`).  It reads as
+Algorithm 1: build F and check it (``_checked_focks``), the energy, DIIS,
+the new D and its check (``_checked_densities``), one frozen
+:class:`_Iteration` record that the gauges, ledger row, checkpoint and
+heartbeat read, the convergence test.  Each ``_checked_*`` step runs the
+seeded faults, the guard's finite rung and the integrity rung in one
+fixed order (``docs/ROBUSTNESS.md``, "One SCF loop") and returns the
+repaired stack or raises; a driver supplies only what is spin-specific.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,6 +52,8 @@ from repro.scf.purification import purify
 
 #: ``density_method`` values and the profiler phase each one runs under
 _DENSITY_PHASES = {"diagonalize": PHASE_DIAG, "purify": PHASE_PURIFY}
+#: what the guard's errors call each matrix kind
+_MATRIX = {"fock": "Fock matrix", "density": "density matrix"}
 
 
 @dataclass(kw_only=True)
@@ -92,8 +100,8 @@ class SCFDriver:
     and the one SCF loop both run.  A subclass sets ``_spin_labels``
     (the guard's matrix-label suffix per spin channel) and
     ``_occupations`` (occupied orbitals per channel) and implements
-    ``_guess``, ``_focks``, ``_electronic_energy``, ``_final_state``
-    and ``_result``.
+    ``_guess``, ``_focks``, ``_electronic_energy`` and ``_result``
+    (``_final_state`` defaults to one more Fock build).
 
     Parameters
     ----------
@@ -230,22 +238,105 @@ class SCFDriver:
             engine.finite_check, engine.scf_faults,
             store is not None and store.verify_reads,
         )
+        # seeded NaNs (scf family), then silent bit flips (sdc family)
+        faults = tuple(
+            plan.activate() if plan is not None and plan.has_faults else None
+            for plan in (self.faults, self.sdc_faults)
+        )
         try:
-            return self._iterate(guess)
+            if self.guard is not None:
+                engine.finite_check = self.guard.eri_sentinel
+            engine.scf_faults = faults[0]
+            if self.integrity and store is not None:
+                store.verify_reads = True
+            return self._iterate(guess, faults)
         finally:
             engine.finite_check, engine.scf_faults = before[:2]
             if store is not None:
                 store.verify_reads = before[2]
 
-    def _apply_fallbacks(
-        self, guard: SCFGuard, s: np.ndarray, x: np.ndarray
-    ) -> np.ndarray:
-        """Execute the guard's pending sticky fallbacks; returns the
-        orthogonalizer to continue with."""
-        thr = guard.consume_canonical_orth()
+    def _iterate(self, guess: list[np.ndarray] | None, faults: tuple):
+        """Algorithm 1 over the spin stack; each iteration is a span with
+        ``fock_build`` / ``diis`` / ``diagonalize`` or ``purify`` in it."""
+        run = self._start(guess, faults)
+        it, converged = run.start - 1, False
+        for it in range(run.start, self.max_iter + 1):
+            with get_tracer().span(
+                "scf_iteration", cat="scf", molecule=run.label, iteration=it
+            ) as sp:
+                run.fs = self._checked_focks(run, it)
+                energy = self._electronic_energy(run.h, run.fs, run.ds) + run.enuc
+                run.history.append(energy)
+                ds, discarded = self._checked_densities(
+                    run, it, self._extrapolated(run)
+                )
+                rec = self._record(run, it, energy, ds, discarded)
+                sp["energy"], sp["d_change"] = rec.energy, rec.d_change
+            if self.checkpoint_dir is not None:
+                path = save_checkpoint(
+                    self.checkpoint_dir, rec.iteration, run.ds, rec.energy,
+                    run.history, run.diis, guard=run.guard,
+                )
+                if run.faults[1] is not None:
+                    # the sdc family's bad disk: a snapshot may rot after
+                    # the atomic rename said it was durable
+                    run.faults[1].corrupt_file(path)
+            if self.on_iteration is not None:
+                # after the checkpoint: a lease heartbeat never vouches
+                # for progress that could still be lost
+                self.on_iteration(rec.iteration, rec.energy)
+            converged = rec.converged
+            if converged:
+                break
+        return self._finish(run, it, converged)
+
+    def _start(self, guess: list[np.ndarray] | None, faults: tuple) -> _Run:
+        """Set-up, then the latest intact snapshot when resuming."""
+        label = self.molecule.name or self.molecule.formula
+        with get_tracer().span("scf_setup", cat="scf", molecule=label):
+            # the engine's pair data: S, T, V, Schwarz and every class
+            # plan expand each shell pair once
+            pairs = self.engine.pair_cache
+            s = overlap(self.basis, pairs)
+            h = core_hamiltonian(self.basis, pairs)
+            x = orthogonalizer(s)
+            enuc = self.molecule.nuclear_repulsion()
+            ds = guess if guess is not None else self._guess(h, x)
+        run = _Run(
+            label=label, faults=faults, s=s, h=h, x=x, enuc=enuc, ds=ds,
+            guard=None if self.guard is None else SCFGuard(
+                self.guard, e_tol=self.e_tol, d_tol=self.d_tol, molecule=label
+            ),
+            monitor=IntegrityMonitor(overlap=s) if self.integrity else None,
+            # an empty spin channel (the beta space of an H atom) has no
+            # DIIS window, no density step and no orbital energies
+            diis=[DIIS() if self.use_diis and n else None
+                  for n in self._occupations],
+            eps=[None] * len(ds), coeffs=[None] * len(ds),
+        )
+        ck = load_latest_intact(self.checkpoint_dir) if self.restart else None
+        if ck is not None:
+            run.ds, run.start = ck.spin_densities, ck.iteration + 1
+            run.history = list(ck.energy_history)
+            windows = [w for w in run.diis if w is not None]
+            for w, (focks, errors) in zip(windows, ck.spin_windows):
+                w.load_state(focks, errors)
+            if run.guard is not None and ck.guard is not None:
+                # re-arms the sticky rungs: apply them to the rebuilt
+                # orthogonalizer and the engine's sentinel
+                run.guard.load_state(ck.guard)
+                self._apply_fallbacks(run)
+            get_tracer().instant(
+                "scf_restart", cat="scf", molecule=label, iteration=ck.iteration
+            )
+        return run
+
+    def _apply_fallbacks(self, run: _Run) -> None:
+        """Execute the guard's pending sticky fallbacks."""
+        thr = run.guard.consume_canonical_orth()
         if thr is not None:
-            x = orthogonalizer(s, threshold=thr, canonical=True)
-        if guard.consume_reference_eri():
+            run.x = orthogonalizer(run.s, threshold=thr, canonical=True)
+        if run.guard.consume_reference_eri():
             # row-scoped: ERIs are density independent, so recomputing a
             # flagged row on the Obara-Saika kernel is exact and every
             # other row stays on the class kernel.  Arm the per-row
@@ -254,7 +345,85 @@ class SCFDriver:
             # reaches F unchecked
             self.engine.finite_check = True
             self.engine.detach_store()
-        return x
+
+    def _corrupted(self, run: _Run, it: int, kind: str, mats: list) -> list:
+        """Seeded NaNs, then silent flips; each state fires at most once
+        per (iteration, kind), so on one spin channel."""
+        for state in run.faults:
+            if state is not None:
+                mats = [state.corrupt_matrix(m, it, kind) for m in mats]
+        return mats
+
+    def _finite(self, run: _Run, it: int, kind: str, mats: list) -> bool:
+        """The guard's NaN/Inf rung; a trip (arithmetic is broken, not
+        merely slow) climbs to the fallback rungs or aborts."""
+        # no short circuit: every bad channel is a guard event
+        if run.guard is None or all([
+            run.guard.check_matrix(kind + lab, m, it)
+            for lab, m in zip(self._spin_labels, mats)
+        ]):
+            return True
+        run.guard.on_nonfinite(it, kind)
+        if run.guard.nonfinite_exhausted():
+            raise run.guard.fail(it, f"{_MATRIX[kind]} is non-finite")
+        return False
+
+    def _intact(self, run: _Run, it: int, kind: str, mats: list) -> bool:
+        """The integrity rung's ABFT detectors, on every channel."""
+        if run.monitor is None:
+            return True
+        if kind == "fock":
+            return all([run.monitor.check_fock(f, it) for f in mats])
+        return all([
+            run.monitor.check_density(d, it, n)
+            for d, n in zip(mats, self._occupations)
+        ])
+
+    def _checked_focks(self, run: _Run, it: int) -> list[np.ndarray]:
+        """Build F; a tripped rung rebuilds it once (ERIs are density
+        independent, so bitwise the uncorrupted F) or raises."""
+        with get_tracer().span("fock_build", cat="scf"), \
+                get_profiler().phase(PHASE_FOCK):
+            fs = self._focks(run.h, run.ds)
+        fs = self._corrupted(run, it, "fock", fs)
+        for rung in (self._finite, self._intact):
+            if rung(run, it, "fock", fs):
+                continue
+            guarded = rung == self._finite
+            if guarded:
+                # the fallbacks apply to the rebuild; a DIIS reset is
+                # consumed by the DIIS step
+                self._apply_fallbacks(run)
+            else:
+                run.monitor.record_recovery("recompute")
+            with get_tracer().span("fock_rebuild", cat="scf"):
+                fs = self._focks(run.h, run.ds)
+            if guarded and not all(np.isfinite(f).all() for f in fs):
+                raise run.guard.fail(it, "Fock matrix is non-finite after rebuild")
+            if not guarded and not rung(run, it, "fock", fs):
+                raise IntegrityError(
+                    f"Fock matrix failed integrity checks after rebuild at "
+                    f"iteration {it}"
+                )
+        return fs
+
+    def _extrapolated(self, run: _Run) -> list[np.ndarray]:
+        """DIIS per occupied channel: the effective Fock stack."""
+        windows = [w for w in run.diis if w is not None]
+        if not windows:
+            return run.fs
+        if run.guard is not None and run.guard.consume_diis_reset():
+            for w in windows:
+                w.reset()
+        f_eff = []
+        with get_tracer().span("diis", cat="scf"), \
+                get_profiler().phase(PHASE_DIIS):
+            for w, f, d in zip(run.diis, run.fs, run.ds):
+                if w is not None:
+                    w.push(f, DIIS.error_vector(f, d, run.s, run.x))
+                    f = w.extrapolate()
+                f_eff.append(f)
+        return f_eff
 
     def _new_density(self, f_eff, x, s, d, nocc: int, shift: float):
         """One spin channel's density step: (density, eps, coefficients)."""
@@ -268,316 +437,181 @@ class SCFDriver:
             f_or = f_or + shift * (np.eye(f_or.shape[0]) - 0.5 * (p + p.T))
         return x @ purify(f_or, nocc).density @ x.T, None, None
 
-    def _iterate(self, guess: list[np.ndarray] | None):
-        """The SCF iteration (Algorithm 1) over the spin stack.
+    def _density_step(self, run: _Run, f_eff: list, shift: float) -> list:
+        """A new density per occupied channel; the orbitals go on ``run``."""
+        with get_tracer().span(self.density_method, cat="scf"), \
+                get_profiler().phase(_DENSITY_PHASES[self.density_method]):
+            ds, run.eps, run.coeffs = map(list, zip(*[
+                self._new_density(f, run.x, run.s, d, n, shift) if n
+                else (np.zeros_like(d), None, None)
+                for f, d, n in zip(f_eff, run.ds, self._occupations)
+            ]))
+        return ds
 
-        Each iteration is a nested wall-clock span (``fock_build`` /
-        ``diis`` / ``diagonalize`` or ``purify``) on the active tracer,
-        and the convergence trajectory (energy, energy/density change,
-        iteration count) is recorded as gauges labelled by molecule.
-        """
-        tracer = get_tracer()
-        metrics = get_metrics()
-        prof = get_profiler()
-        ledger = get_ledger()
-        mol_label = self.molecule.name or self.molecule.formula
-        g_energy = metrics.gauge(
-            "repro_scf_energy_hartree", "current total SCF energy",
-            labelnames=("molecule",),
+    def _checked_densities(self, run: _Run, it: int, f_eff: list):
+        """(D, discarded): the guard discards a non-finite D for the last
+        good one; the integrity rung recomputes D (bitwise after a
+        one-shot flip), then rolls back to the newest verified snapshot."""
+        shift = run.guard.level_shift if run.guard is not None else 0.0
+        ds = self._density_step(run, f_eff, shift)
+        ds = self._corrupted(run, it, "density", ds)
+        discarded = not self._finite(run, it, "density", ds)
+        if discarded:
+            run.guard.discard_iterate(it, "density")
+            ds = run.ds
+        if self._intact(run, it, "density", ds):
+            return ds, discarded
+        run.monitor.record_recovery("recompute")
+        ds = self._density_step(run, f_eff, shift)
+        if self._intact(run, it, "density", ds):
+            return ds, discarded
+        ck = None if self.checkpoint_dir is None else load_latest_intact(
+            self.checkpoint_dir
         )
-        g_de = metrics.gauge(
-            "repro_scf_energy_change", "last |dE| between iterations",
-            labelnames=("molecule",),
+        if ck is None or not self._intact(run, it, "density", ck.spin_densities):
+            raise IntegrityError(
+                f"density matrix failed integrity checks after recompute at "
+                f"iteration {it} and no verified checkpoint is available"
+            )
+        run.monitor.record_recovery("rollback")
+        return ck.spin_densities, discarded
+
+    def _record(self, run: _Run, it: int, energy: float, ds: list,
+                discarded: bool) -> _Iteration:
+        """Damp D and measure convergence into the record; the gauges, the
+        ledger row and the guard's observation read it."""
+        if run.guard is not None:
+            ds = [run.guard.damp(n, d) for n, d in zip(ds, run.ds)]
+        d_change = max(
+            float(np.max(np.abs(n - d))) for n, d in zip(ds, run.ds)
         )
-        g_dd = metrics.gauge(
-            "repro_scf_density_change", "last max|dD| between iterations",
-            labelnames=("molecule",),
+        # the previous energy is the history's (none before the first)
+        e_change = abs(
+            energy - (run.history[-2] if len(run.history) > 1 else np.inf)
         )
-        c_iters = metrics.counter(
+        run.ds = ds
+        rec = _Iteration(
+            iteration=it, energy=energy, e_change=e_change,
+            d_change=d_change, discarded=discarded,
+            converged=not discarded and d_change < self.d_tol
+            and e_change < self.e_tol,
+        )
+        metrics, mol = get_metrics(), {"molecule": run.label}
+        gauge = partial(metrics.gauge, labelnames=("molecule",))
+        metrics.counter(
             "repro_scf_iterations_total", "SCF iterations executed",
             labelnames=("molecule",),
+        ).inc(**mol)
+        gauge("repro_scf_energy_hartree", "current total SCF energy"
+              ).set(rec.energy, **mol)
+        gauge("repro_scf_density_change", "last max|dD| between iterations"
+              ).set(rec.d_change, **mol)
+        de = gauge("repro_scf_energy_change", "last |dE| between iterations")
+        if np.isfinite(rec.e_change):
+            de.set(float(rec.e_change), **mol)
+        get_ledger().snapshot(
+            "scf_iteration", iteration=rec.iteration, energy=rec.energy,
+            d_change=rec.d_change,
         )
-        engine = self.engine
-        occ, labels = self._occupations, self._spin_labels
-        guard: SCFGuard | None = None
-        if self.guard is not None:
-            guard = SCFGuard(
-                self.guard, e_tol=self.e_tol, d_tol=self.d_tol,
-                molecule=mol_label,
-            )
-            engine.finite_check = self.guard.eri_sentinel
-        # seeded NaNs (scf family), then silent bit flips (sdc family)
-        fault_states = [
-            plan.activate() if plan is not None and plan.has_faults else None
-            for plan in (self.faults, self.sdc_faults)
+        if run.guard is not None and not rec.discarded:
+            run.guard.observe(rec.iteration, rec.energy, rec.d_change)
+            self._apply_fallbacks(run)
+        return rec
+
+    def _finish(self, run: _Run, it: int, converged: bool):
+        """The final state, the run's ledger summary, the result."""
+        fs, e_elec, energy = self._final_state(run)
+        engine, metrics, guard = self.engine, get_metrics(), run.guard
+        walls = [
+            s["eri_wall"] + s["jk_wall"]
+            for s in getattr(engine, "last_jk_worker_stats", None) or []
         ]
-        engine.scf_faults, sdc_state = fault_states
-
-        def corrupt(mats: list[np.ndarray], which: str) -> list[np.ndarray]:
-            # each state fires at most once per (iteration, which), so
-            # on one spin channel
-            for state in fault_states:
-                if state is not None:
-                    mats = [state.corrupt_matrix(m, it, which) for m in mats]
-            return mats
-
-        def finite(mats: list[np.ndarray], which: str) -> bool:
-            # no short circuit: every bad channel is a guard event
-            return all([
-                guard.check_matrix(which + lab, m, it)
-                for lab, m in zip(labels, mats)
-            ])
-
-        def focks_intact(mats: list[np.ndarray]) -> bool:
-            return all([monitor.check_fock(f, it) for f in mats])
-
-        def densities_intact(mats: list[np.ndarray]) -> bool:
-            return all([
-                monitor.check_density(d, it, n) for d, n in zip(mats, occ)
-            ])
-
-        if self.integrity and engine.integral_store is not None:
-            engine.integral_store.verify_reads = True
-
-        with tracer.span("scf_setup", cat="scf", molecule=mol_label):
-            # the engine's pair data: S, T, V, Schwarz and every class
-            # plan expand each shell pair once
-            pairs = engine.pair_cache
-            s = overlap(self.basis, pairs)
-            h = core_hamiltonian(self.basis, pairs)
-            x = orthogonalizer(s)
-            enuc = self.molecule.nuclear_repulsion()
-            ds = guess if guess is not None else self._guess(h, x)
-
-        monitor = IntegrityMonitor(overlap=s) if self.integrity else None
-        # an empty spin channel (the beta space of an H atom) has no
-        # DIIS window, no density step and no orbital energies
-        diis = [DIIS() if self.use_diis and n else None for n in occ]
-        windows = [w for w in diis if w is not None]
-        history: list[float] = []
-        e_old = np.inf
-        fs = [h] * len(occ)
-        coeffs: list = [None] * len(occ)
-        eps: list = [None] * len(occ)
-        converged = False
-        start_it = 1
-        if self.restart:
-            ck = load_latest_intact(self.checkpoint_dir)
-            if ck is not None:
-                ds = ck.spin_densities
-                e_old = ck.energy
-                history = list(ck.energy_history)
-                for w, (focks, errors) in zip(windows, ck.spin_windows):
-                    w.load_state(focks, errors)
-                start_it = ck.iteration + 1
-                if guard is not None and ck.guard is not None:
-                    # re-arms the sticky rungs: apply them to the
-                    # rebuilt orthogonalizer and the engine's sentinel
-                    guard.load_state(ck.guard)
-                    x = self._apply_fallbacks(guard, s, x)
-                tracer.instant(
-                    "scf_restart", cat="scf", molecule=mol_label,
-                    iteration=ck.iteration,
-                )
-
-        it = start_it - 1
-        for it in range(start_it, self.max_iter + 1):
-            with tracer.span(
-                "scf_iteration", cat="scf", molecule=mol_label, iteration=it
-            ) as sp:
-                with tracer.span("fock_build", cat="scf"), \
-                        prof.phase(PHASE_FOCK):
-                    fs = self._focks(h, ds)
-                fs = corrupt(fs, "fock")
-                if guard is not None and not finite(fs, "fock"):
-                    # arithmetic is broken, not merely slow: jump to the
-                    # fallback rungs, apply them, rebuild the Focks once
-                    # (the DIIS reset is consumed by the DIIS step below)
-                    guard.on_nonfinite(it, "fock")
-                    if guard.nonfinite_exhausted():
-                        raise guard.fail(it, "Fock matrix is non-finite")
-                    x = self._apply_fallbacks(guard, s, x)
-                    with tracer.span("fock_rebuild", cat="scf"):
-                        fs = self._focks(h, ds)
-                    if not all(np.isfinite(f).all() for f in fs):
-                        raise guard.fail(
-                            it, "Fock matrix is non-finite after rebuild"
-                        )
-                if monitor is not None and not focks_intact(fs):
-                    # recovery rung 1: ERIs are density independent, so
-                    # one rebuild from the same density reproduces the
-                    # uncorrupted Fock bitwise
-                    monitor.record_recovery("recompute")
-                    with tracer.span("fock_rebuild", cat="scf"):
-                        fs = self._focks(h, ds)
-                    if not focks_intact(fs):
-                        raise IntegrityError(
-                            f"Fock matrix failed integrity checks after "
-                            f"rebuild at iteration {it}"
-                        )
-                energy = self._electronic_energy(h, fs, ds) + enuc
-                history.append(energy)
-                f_eff = fs
-                if windows:
-                    if guard is not None and guard.consume_diis_reset():
-                        for w in windows:
-                            w.reset()
-                    with tracer.span("diis", cat="scf"), \
-                            prof.phase(PHASE_DIIS):
-                        f_eff = [
-                            f if w is None else _extrapolated(w, f, d, s, x)
-                            for w, f, d in zip(diis, fs, ds)
-                        ]
-                shift = guard.level_shift if guard is not None else 0.0
-
-                def density_step():
-                    with tracer.span(self.density_method, cat="scf"), \
-                            prof.phase(_DENSITY_PHASES[self.density_method]):
-                        return map(list, zip(*[
-                            self._new_density(f, x, s, d, n, shift) if n
-                            else (np.zeros_like(d), None, None)
-                            for f, d, n in zip(f_eff, ds, occ)
-                        ]))
-
-                ds_new, eps, coeffs = density_step()
-                ds_new = corrupt(ds_new, "density")
-                discarded = False
-                if guard is not None and not finite(ds_new, "density"):
-                    guard.on_nonfinite(it, "density")
-                    if guard.nonfinite_exhausted():
-                        raise guard.fail(it, "density matrix is non-finite")
-                    guard.discard_iterate(it, "density")
-                    ds_new = ds  # keep the last good densities
-                    discarded = True
-                if monitor is not None and not densities_intact(ds_new):
-                    # recovery rung 1: redo the density step from the
-                    # same effective Focks (bitwise-identical when the
-                    # corruption was a one-shot memory flip)
-                    monitor.record_recovery("recompute")
-                    ds_new, eps, coeffs = density_step()
-                    if not densities_intact(ds_new):
-                        # rung 2: roll back to the last snapshot that
-                        # still passes both digest and ABFT validation
-                        ck = (
-                            load_latest_intact(self.checkpoint_dir)
-                            if self.checkpoint_dir is not None
-                            else None
-                        )
-                        if ck is not None and densities_intact(
-                            ck.spin_densities
-                        ):
-                            monitor.record_recovery("rollback")
-                            ds_new = ck.spin_densities
-                        else:
-                            raise IntegrityError(
-                                f"density matrix failed integrity checks "
-                                f"after recompute at iteration {it} and no "
-                                f"verified checkpoint is available"
-                            )
-                if guard is not None:
-                    ds_new = [guard.damp(n, d) for n, d in zip(ds_new, ds)]
-                d_change = max(
-                    float(np.max(np.abs(n - d))) for n, d in zip(ds_new, ds)
-                )
-                e_change = abs(energy - e_old)
-                e_old = energy
-                ds = ds_new
-                sp["energy"] = energy
-                sp["d_change"] = d_change
-                c_iters.inc(molecule=mol_label)
-                g_energy.set(energy, molecule=mol_label)
-                g_dd.set(d_change, molecule=mol_label)
-                if np.isfinite(e_change):
-                    g_de.set(float(e_change), molecule=mol_label)
-                ledger.snapshot(
-                    "scf_iteration", iteration=it,
-                    energy=energy, d_change=d_change,
-                )
-                if guard is not None and not discarded:
-                    guard.observe(it, energy, d_change)
-                    x = self._apply_fallbacks(guard, s, x)
-                if (
-                    not discarded
-                    and d_change < self.d_tol
-                    and e_change < self.e_tol
-                ):
-                    converged = True
-            if self.checkpoint_dir is not None:
-                ckpt_path = save_checkpoint(
-                    self.checkpoint_dir, it, ds, e_old, history, diis,
-                    guard=guard,
-                )
-                if sdc_state is not None:
-                    # the sdc family's bad-disk model: the snapshot may
-                    # rot *after* the atomic rename said it was durable
-                    sdc_state.corrupt_file(ckpt_path)
-            if self.on_iteration is not None:
-                # after the checkpoint is durable: a lease heartbeat here
-                # never vouches for progress that could still be lost
-                self.on_iteration(it, e_old)
-            if converged:
-                break
-
-        fs, e_elec, energy = self._final_state(h, ds, fs, history, enuc)
-        eri_store = {
-            "computed": int(engine.quartets_computed),
-            "from_store": int(engine.quartets_served_from_store),
-            "warm_start": self._store_warm_at_start,
-        }
-        worker_stats = getattr(engine, "last_jk_worker_stats", None) or []
-        balance = None
-        if len(worker_stats) > 1:
-            walls = [s["eri_wall"] + s["jk_wall"] for s in worker_stats]
-            mean = sum(walls) / len(walls)
-            if mean > 0:
-                balance = max(walls) / mean
-        jk_threads = {"workers": len(worker_stats), "balance": balance}
-        integrity_summary = None
-        if monitor is not None:
+        mean = sum(walls) / max(len(walls), 1)
+        extra = {}
+        if run.monitor is not None:
             store = engine.integral_store
             if store is not None:
                 # fold the store's CRC accounting into the run-wide
                 # integrity story: every mismatched block was recomputed
-                monitor.record_check("store_crc", store.crc_checks)
-                monitor.record_detection("store_block", store.crc_mismatches)
-                monitor.record_recovery("eri_recompute", store.crc_mismatches)
-            integrity_summary = monitor.summary()
-            if sdc_state is not None:
-                integrity_summary["injections"] = sdc_state.summary()
-            export_integrity(integrity_summary, registry=metrics)
-        extra = (
-            {} if integrity_summary is None
-            else {"integrity": integrity_summary}
-        )
-        ledger.add_summary(
-            molecule=mol_label, basis=self.basis_name,
+                run.monitor.record_check("store_crc", store.crc_checks)
+                run.monitor.record_detection("store_block", store.crc_mismatches)
+                run.monitor.record_recovery("eri_recompute", store.crc_mismatches)
+            extra["integrity"] = run.monitor.summary()
+            if run.faults[1] is not None:
+                extra["integrity"]["injections"] = run.faults[1].summary()
+            export_integrity(extra["integrity"], registry=metrics)
+        get_ledger().add_summary(
+            molecule=run.label, basis=self.basis_name,
             energy=energy, converged=converged, iterations=it,
-            eri_store=eri_store, jk_threads=jk_threads, **extra,
+            eri_store={
+                "computed": int(engine.quartets_computed),
+                "from_store": int(engine.quartets_served_from_store),
+                "warm_start": self._store_warm_at_start,
+            },
+            jk_threads={
+                "workers": len(walls),
+                "balance": max(walls) / mean
+                if len(walls) > 1 and mean > 0 else None,
+            },
+            **extra,
         )
         metrics.gauge(
             "repro_scf_converged", "1 if the last SCF run converged",
             labelnames=("molecule",),
-        ).set(int(converged), molecule=mol_label)
+        ).set(int(converged), molecule=run.label)
         return self._result(
-            fs, ds, eps, coeffs,
-            energy=energy,
-            electronic_energy=e_elec,
-            nuclear_repulsion=enuc,
-            converged=converged,
-            iterations=it,
-            energy_history=history,
+            fs, run.ds, run.eps, run.coeffs, energy=energy,
+            electronic_energy=e_elec, nuclear_repulsion=run.enuc,
+            converged=converged, iterations=it, energy_history=run.history,
             guard_events=list(guard.events) if guard is not None else [],
             guard_summary=guard.summary() if guard is not None else None,
-            integrity_summary=integrity_summary,
+            integrity_summary=extra.get("integrity"),
         )
 
+    def _final_state(self, run: _Run):
+        """(F, electronic, total energy): one more build from the final D."""
+        with get_tracer().span(
+            "final_fock_build", cat="scf", molecule=run.label
+        ), get_profiler().phase(PHASE_FOCK):
+            fs = self._focks(run.h, run.ds)
+        e_elec = self._electronic_energy(run.h, fs, run.ds)
+        return fs, e_elec, e_elec + run.enuc
 
-def _extrapolated(
-    window: DIIS, f: np.ndarray, d: np.ndarray, s: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Push this iteration's (F, error) pair; the DIIS-extrapolated F."""
-    window.push(f, DIIS.error_vector(f, d, s, x))
-    return window.extrapolate()
+
+@dataclass(frozen=True)
+class _Iteration:
+    """One completed iteration: what its span attributes, gauges, ledger
+    row, guard observation, checkpoint and heartbeat read."""
+
+    iteration: int
+    energy: float
+    e_change: float
+    d_change: float
+    discarded: bool
+    converged: bool
+
+
+@dataclass
+class _Run:
+    """One run's checkers, seeded fault states (scf, then sdc), fixed
+    matrices, and the iterate the loop's steps advance."""
+
+    label: str
+    guard: SCFGuard | None
+    monitor: IntegrityMonitor | None
+    faults: tuple
+    s: np.ndarray
+    h: np.ndarray
+    x: np.ndarray
+    enuc: float
+    ds: list[np.ndarray]
+    diis: list[DIIS | None]
+    eps: list
+    coeffs: list
+    #: the last iteration's Fock stack (None until one ran)
+    fs: list[np.ndarray] | None = None
+    history: list[float] = field(default_factory=list)
+    start: int = 1
 
 
 @dataclass
@@ -614,18 +648,6 @@ class RHF(SCFDriver):
 
     def _electronic_energy(self, h, fs, ds) -> float:
         return hf_electronic_energy(h, fs[0], ds[0])
-
-    def _final_state(self, h, ds, fs, history, enuc):
-        """Final energy with the converged density (one more build)."""
-        mol_label = self.molecule.name or self.molecule.formula
-        with get_tracer().span(
-            "final_fock_build", cat="scf", molecule=mol_label
-        ), get_profiler().phase(PHASE_FOCK):
-            f = fock_matrix(
-                self.engine, h, ds[0], self.tau, threads=self.jk_threads
-            )
-        e_elec = hf_electronic_energy(h, f, ds[0])
-        return [f], e_elec, e_elec + enuc
 
     def _result(self, fs, ds, eps, coeffs, **common) -> SCFResult:
         return SCFResult(

@@ -9,7 +9,8 @@ and spin-beta orbitals get separate Fock matrices
 built from the same screened symmetry-exploiting J/K machinery as RHF
 (both spin densities contracted in one pass over the integrals), and
 iterated by the same loop (:meth:`repro.scf.hf.SCFDriver._iterate`) as a
-two-channel spin stack.
+two-channel spin stack.  Its final state keeps the last iteration's Fock
+matrices and energy; a run resumed at ``max_iter`` builds them once.
 """
 
 from __future__ import annotations
@@ -115,9 +116,13 @@ class UHF(SCFDriver):
             np.sum((d_a + d_b) * h) + np.sum(d_a * f_a) + np.sum(d_b * f_b)
         )
 
-    def _final_state(self, h, ds, fs, history, enuc):
-        """The last iteration's Fock matrices and energy, as computed."""
-        return fs, history[-1] - enuc, history[-1]
+    def _final_state(self, run):
+        """The last iteration's Fock matrices and energy, as computed; a
+        run resumed at ``max_iter`` ran none, so it builds F once from
+        its densities."""
+        if run.fs is None:
+            return super()._final_state(run)
+        return run.fs, run.history[-1] - run.enuc, run.history[-1]
 
     def _result(self, fs, ds, eps, coeffs, **common) -> UHFResult:
         return UHFResult(

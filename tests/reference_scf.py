@@ -1,0 +1,335 @@
+"""The SCF loop as one body: the differential oracle of ``SCFDriver._iterate``.
+
+:func:`reference_run` is the loop the driver ran before Algorithm 1's
+steps became named methods -- five closures, a hand-written
+check-and-repair ladder per rung and matrix kind, the engine armed inside
+the loop and every per-iteration output spelled out in place.  It is kept
+as it was so ``tests/test_scf_loop.py`` can demand that the production
+loop's numbers, checkpoint bytes, guard trail and integrity summary equal
+it exactly.  It drives a driver's spin hooks (``_guess``, ``_focks``,
+``_electronic_energy``, ``_new_density``, ``_result``; ``_apply_fallbacks``
+and ``_final_state``, which take the run state, see the loop's locals
+through a namespace) and the same module globals of ``repro.scf.hf``;
+nothing in ``src/`` selects it.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from repro.obs import get_ledger, get_metrics, get_profiler, get_tracer
+from repro.obs.metrics import export_integrity
+from repro.obs.profile import PHASE_DIIS, PHASE_FOCK
+from repro.runtime.sdc import IntegrityError, IntegrityMonitor
+from repro.scf import hf
+from repro.scf.diis import DIIS
+from repro.scf.guard import SCFGuard
+
+
+def reference_run(driver: hf.SCFDriver, guess: list[np.ndarray] | None = None):
+    """Run ``driver`` through the one-body loop, with the engine armed
+    for this run only (restored however it ends)."""
+    engine, store = driver.engine, driver.engine.integral_store
+    before = (
+        engine.finite_check, engine.scf_faults,
+        store is not None and store.verify_reads,
+    )
+    try:
+        return _iterate(driver, guess)
+    finally:
+        engine.finite_check, engine.scf_faults = before[:2]
+        if store is not None:
+            store.verify_reads = before[2]
+
+
+def _apply_fallbacks(driver, guard, s, x):
+    """The driver's fallback hook on the loop's local state; returns the
+    orthogonalizer to continue with."""
+    state = SimpleNamespace(guard=guard, s=s, x=x)
+    driver._apply_fallbacks(state)
+    return state.x
+
+
+def _extrapolated(
+    window: DIIS, f: np.ndarray, d: np.ndarray, s: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    window.push(f, DIIS.error_vector(f, d, s, x))
+    return window.extrapolate()
+
+
+def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
+    tracer = get_tracer()
+    metrics = get_metrics()
+    prof = get_profiler()
+    ledger = get_ledger()
+    mol_label = self.molecule.name or self.molecule.formula
+    g_energy = metrics.gauge(
+        "repro_scf_energy_hartree", "current total SCF energy",
+        labelnames=("molecule",),
+    )
+    g_de = metrics.gauge(
+        "repro_scf_energy_change", "last |dE| between iterations",
+        labelnames=("molecule",),
+    )
+    g_dd = metrics.gauge(
+        "repro_scf_density_change", "last max|dD| between iterations",
+        labelnames=("molecule",),
+    )
+    c_iters = metrics.counter(
+        "repro_scf_iterations_total", "SCF iterations executed",
+        labelnames=("molecule",),
+    )
+    engine = self.engine
+    occ, labels = self._occupations, self._spin_labels
+    guard: SCFGuard | None = None
+    if self.guard is not None:
+        guard = SCFGuard(
+            self.guard, e_tol=self.e_tol, d_tol=self.d_tol,
+            molecule=mol_label,
+        )
+        engine.finite_check = self.guard.eri_sentinel
+    # seeded NaNs (scf family), then silent bit flips (sdc family)
+    fault_states = [
+        plan.activate() if plan is not None and plan.has_faults else None
+        for plan in (self.faults, self.sdc_faults)
+    ]
+    engine.scf_faults, sdc_state = fault_states
+
+    def corrupt(mats: list[np.ndarray], which: str) -> list[np.ndarray]:
+        # each state fires at most once per (iteration, which), so
+        # on one spin channel
+        for state in fault_states:
+            if state is not None:
+                mats = [state.corrupt_matrix(m, it, which) for m in mats]
+        return mats
+
+    def finite(mats: list[np.ndarray], which: str) -> bool:
+        # no short circuit: every bad channel is a guard event
+        return all([
+            guard.check_matrix(which + lab, m, it)
+            for lab, m in zip(labels, mats)
+        ])
+
+    def focks_intact(mats: list[np.ndarray]) -> bool:
+        return all([monitor.check_fock(f, it) for f in mats])
+
+    def densities_intact(mats: list[np.ndarray]) -> bool:
+        return all([
+            monitor.check_density(d, it, n) for d, n in zip(mats, occ)
+        ])
+
+    if self.integrity and engine.integral_store is not None:
+        engine.integral_store.verify_reads = True
+
+    with tracer.span("scf_setup", cat="scf", molecule=mol_label):
+        pairs = engine.pair_cache
+        s = hf.overlap(self.basis, pairs)
+        h = hf.core_hamiltonian(self.basis, pairs)
+        x = hf.orthogonalizer(s)
+        enuc = self.molecule.nuclear_repulsion()
+        ds = guess if guess is not None else self._guess(h, x)
+
+    monitor = IntegrityMonitor(overlap=s) if self.integrity else None
+    diis = [DIIS() if self.use_diis and n else None for n in occ]
+    windows = [w for w in diis if w is not None]
+    history: list[float] = []
+    e_old = np.inf
+    fs = [h] * len(occ)
+    coeffs: list = [None] * len(occ)
+    eps: list = [None] * len(occ)
+    converged = False
+    start_it = 1
+    if self.restart:
+        ck = hf.load_latest_intact(self.checkpoint_dir)
+        if ck is not None:
+            ds = ck.spin_densities
+            e_old = ck.energy
+            history = list(ck.energy_history)
+            for w, (focks, errors) in zip(windows, ck.spin_windows):
+                w.load_state(focks, errors)
+            start_it = ck.iteration + 1
+            if guard is not None and ck.guard is not None:
+                guard.load_state(ck.guard)
+                x = _apply_fallbacks(self, guard, s, x)
+            tracer.instant(
+                "scf_restart", cat="scf", molecule=mol_label,
+                iteration=ck.iteration,
+            )
+
+    it = start_it - 1
+    for it in range(start_it, self.max_iter + 1):
+        with tracer.span(
+            "scf_iteration", cat="scf", molecule=mol_label, iteration=it
+        ) as sp:
+            with tracer.span("fock_build", cat="scf"), \
+                    prof.phase(PHASE_FOCK):
+                fs = self._focks(h, ds)
+            fs = corrupt(fs, "fock")
+            if guard is not None and not finite(fs, "fock"):
+                guard.on_nonfinite(it, "fock")
+                if guard.nonfinite_exhausted():
+                    raise guard.fail(it, "Fock matrix is non-finite")
+                x = _apply_fallbacks(self, guard, s, x)
+                with tracer.span("fock_rebuild", cat="scf"):
+                    fs = self._focks(h, ds)
+                if not all(np.isfinite(f).all() for f in fs):
+                    raise guard.fail(
+                        it, "Fock matrix is non-finite after rebuild"
+                    )
+            if monitor is not None and not focks_intact(fs):
+                monitor.record_recovery("recompute")
+                with tracer.span("fock_rebuild", cat="scf"):
+                    fs = self._focks(h, ds)
+                if not focks_intact(fs):
+                    raise IntegrityError(
+                        f"Fock matrix failed integrity checks after "
+                        f"rebuild at iteration {it}"
+                    )
+            energy = self._electronic_energy(h, fs, ds) + enuc
+            history.append(energy)
+            f_eff = fs
+            if windows:
+                if guard is not None and guard.consume_diis_reset():
+                    for w in windows:
+                        w.reset()
+                with tracer.span("diis", cat="scf"), \
+                        prof.phase(PHASE_DIIS):
+                    f_eff = [
+                        f if w is None else _extrapolated(w, f, d, s, x)
+                        for w, f, d in zip(diis, fs, ds)
+                    ]
+            shift = guard.level_shift if guard is not None else 0.0
+
+            def density_step():
+                with tracer.span(self.density_method, cat="scf"), \
+                        prof.phase(hf._DENSITY_PHASES[self.density_method]):
+                    return map(list, zip(*[
+                        self._new_density(f, x, s, d, n, shift) if n
+                        else (np.zeros_like(d), None, None)
+                        for f, d, n in zip(f_eff, ds, occ)
+                    ]))
+
+            ds_new, eps, coeffs = density_step()
+            ds_new = corrupt(ds_new, "density")
+            discarded = False
+            if guard is not None and not finite(ds_new, "density"):
+                guard.on_nonfinite(it, "density")
+                if guard.nonfinite_exhausted():
+                    raise guard.fail(it, "density matrix is non-finite")
+                guard.discard_iterate(it, "density")
+                ds_new = ds
+                discarded = True
+            if monitor is not None and not densities_intact(ds_new):
+                monitor.record_recovery("recompute")
+                ds_new, eps, coeffs = density_step()
+                if not densities_intact(ds_new):
+                    ck = (
+                        hf.load_latest_intact(self.checkpoint_dir)
+                        if self.checkpoint_dir is not None
+                        else None
+                    )
+                    if ck is not None and densities_intact(
+                        ck.spin_densities
+                    ):
+                        monitor.record_recovery("rollback")
+                        ds_new = ck.spin_densities
+                    else:
+                        raise IntegrityError(
+                            f"density matrix failed integrity checks "
+                            f"after recompute at iteration {it} and no "
+                            f"verified checkpoint is available"
+                        )
+            if guard is not None:
+                ds_new = [guard.damp(n, d) for n, d in zip(ds_new, ds)]
+            d_change = max(
+                float(np.max(np.abs(n - d))) for n, d in zip(ds_new, ds)
+            )
+            e_change = abs(energy - e_old)
+            e_old = energy
+            ds = ds_new
+            sp["energy"] = energy
+            sp["d_change"] = d_change
+            c_iters.inc(molecule=mol_label)
+            g_energy.set(energy, molecule=mol_label)
+            g_dd.set(d_change, molecule=mol_label)
+            if np.isfinite(e_change):
+                g_de.set(float(e_change), molecule=mol_label)
+            ledger.snapshot(
+                "scf_iteration", iteration=it,
+                energy=energy, d_change=d_change,
+            )
+            if guard is not None and not discarded:
+                guard.observe(it, energy, d_change)
+                x = _apply_fallbacks(self, guard, s, x)
+            if (
+                not discarded
+                and d_change < self.d_tol
+                and e_change < self.e_tol
+            ):
+                converged = True
+        if self.checkpoint_dir is not None:
+            ckpt_path = hf.save_checkpoint(
+                self.checkpoint_dir, it, ds, e_old, history, diis,
+                guard=guard,
+            )
+            if sdc_state is not None:
+                sdc_state.corrupt_file(ckpt_path)
+        if self.on_iteration is not None:
+            self.on_iteration(it, e_old)
+        if converged:
+            break
+
+    fs, e_elec, energy = self._final_state(SimpleNamespace(
+        h=h, ds=ds, fs=fs, history=history, enuc=enuc, label=mol_label
+    ))
+    eri_store = {
+        "computed": int(engine.quartets_computed),
+        "from_store": int(engine.quartets_served_from_store),
+        "warm_start": self._store_warm_at_start,
+    }
+    worker_stats = getattr(engine, "last_jk_worker_stats", None) or []
+    balance = None
+    if len(worker_stats) > 1:
+        walls = [s["eri_wall"] + s["jk_wall"] for s in worker_stats]
+        mean = sum(walls) / len(walls)
+        if mean > 0:
+            balance = max(walls) / mean
+    jk_threads = {"workers": len(worker_stats), "balance": balance}
+    integrity_summary = None
+    if monitor is not None:
+        store = engine.integral_store
+        if store is not None:
+            monitor.record_check("store_crc", store.crc_checks)
+            monitor.record_detection("store_block", store.crc_mismatches)
+            monitor.record_recovery("eri_recompute", store.crc_mismatches)
+        integrity_summary = monitor.summary()
+        if sdc_state is not None:
+            integrity_summary["injections"] = sdc_state.summary()
+        export_integrity(integrity_summary, registry=metrics)
+    extra = (
+        {} if integrity_summary is None
+        else {"integrity": integrity_summary}
+    )
+    ledger.add_summary(
+        molecule=mol_label, basis=self.basis_name,
+        energy=energy, converged=converged, iterations=it,
+        eri_store=eri_store, jk_threads=jk_threads, **extra,
+    )
+    metrics.gauge(
+        "repro_scf_converged", "1 if the last SCF run converged",
+        labelnames=("molecule",),
+    ).set(int(converged), molecule=mol_label)
+    return self._result(
+        fs, ds, eps, coeffs,
+        energy=energy,
+        electronic_energy=e_elec,
+        nuclear_repulsion=enuc,
+        converged=converged,
+        iterations=it,
+        energy_history=history,
+        guard_events=list(guard.events) if guard is not None else [],
+        guard_summary=guard.summary() if guard is not None else None,
+        integrity_summary=integrity_summary,
+    )

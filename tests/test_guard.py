@@ -1,6 +1,8 @@
 """Tests for the SCF convergence guard: classifier, ladder, rescues,
 checkpoint persistence, orthogonalizer hardening, and the scf chaos gate."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -163,7 +165,8 @@ class TestGuardStateMachine:
         for i in range(1, 10):
             g.observe(i, -74.0 if i % 2 else -73.0, 0.8)
         g.canonical_threshold = 1e-6
-        g2 = SCFGuard.from_state_json(g.state_json())
+        g2 = SCFGuard(GuardConfig())
+        g2.load_state(json.loads(g.state_json()))
         assert g2.level == g.level
         assert g2.damping == g.damping
         assert g2.canonical_threshold == 1e-6

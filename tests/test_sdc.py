@@ -373,16 +373,16 @@ class TestIntegrityMonitor:
 
     def test_clean_matrices_pass(self):
         s, d = self._sd()
-        mon = IntegrityMonitor(overlap=s, nocc=2)
+        mon = IntegrityMonitor(overlap=s)
         f = 0.5 * (d + d.T) - np.eye(5)
         assert mon.check_fock(f, 1)
-        assert mon.check_density(d, 1)
+        assert mon.check_density(d, 1, 2)
         assert mon.detections_total == 0
         assert mon.checks_total > 0
 
     def test_exponent_flip_breaks_symmetry_detector(self):
         s, d = self._sd()
-        mon = IntegrityMonitor(overlap=s, nocc=2)
+        mon = IntegrityMonitor(overlap=s)
         state = SDCFaultPlan(seed=2, fock_flip_iterations=(1,)).activate()
         bad = state.corrupt_matrix(d.copy(), 1, "fock")
         assert not mon.check_fock(bad, 1)
@@ -390,30 +390,22 @@ class TestIntegrityMonitor:
 
     def test_trace_detector_catches_scaled_density(self):
         s, d = self._sd()
-        mon = IntegrityMonitor(overlap=s, nocc=2)
-        assert not mon.check_density(1.5 * d, 1)  # symmetric, wrong trace
+        mon = IntegrityMonitor(overlap=s)
+        assert not mon.check_density(1.5 * d, 1, 2)  # symmetric, wrong trace
         assert mon.detections.get("density_matrix") == 1
 
     def test_nonfinite_always_detected(self):
         s, d = self._sd()
-        mon = IntegrityMonitor(overlap=s, nocc=2)
+        mon = IntegrityMonitor(overlap=s)
         bad = d.copy()
         bad[0, 1] = np.inf
-        assert not mon.check_density(bad, 1)
-
-    def test_chunk_bound_detector(self):
-        mon = IntegrityMonitor()
-        blocks = np.full((3, 4), 0.5)
-        assert mon.check_chunk_bound(blocks, bound=1.0)
-        blocks[1, 2] = 1e9
-        assert not mon.check_chunk_bound(blocks, bound=1.0)
-        assert mon.detections.get("eri_chunk") == 1
+        assert not mon.check_density(bad, 1, 2)
 
     def test_metrics_export(self):
         s, d = self._sd()
-        mon = IntegrityMonitor(overlap=s, nocc=2)
-        mon.check_density(d, 1)
-        mon.check_density(1.5 * d, 2)
+        mon = IntegrityMonitor(overlap=s)
+        mon.check_density(d, 1, 2)
+        mon.check_density(1.5 * d, 2, 2)
         mon.record_recovery("recompute")
         reg = MetricsRegistry()
         export_integrity(mon.summary(), registry=reg)
@@ -550,32 +542,58 @@ class TestRunScopedArming:
 
 
 class TestFaultsCompose:
+    """The north star's composed fault: seeded quartet NaNs, a NaN'd
+    Fock, flipped Fock / density elements and flipped checkpoint files in
+    one stored-integral run that is also killed once."""
+
     def test_kill_bitflip_and_nan_in_one_rhf_run(self, tmp_path):
-        """The north star's composed fault: seeded quartet NaNs, a NaN'd
-        Fock, flipped Fock / density elements and flipped checkpoint
-        files in one stored-integral run that is also killed once."""
-        mol = water()
-        clean = RHF(mol, "6-31g").run()
+        # with snapshots 3-5 flipped the restart fell back to iteration 2,
+        # so both matrix flips fired again and were caught
+        self.check(
+            RHF, water(), "6-31g", tmp_path, kill_at=5,
+            detected={"density_matrix": 1, "fock_matrix": 1}, where="fock",
+        )
+
+    def test_kill_bitflip_and_nan_in_one_uhf_run(self, tmp_path):
+        # the water cation's SCF tail wanders by ~1e-11 Eh at the default
+        # tolerances, so it converges further and caps the quartet NaNs,
+        # which would otherwise land on 5 % of every build to the end.
+        # Snapshot 4 is flipped: the restart resumes after iteration 3,
+        # so only the density flip of iteration 4 fires again
+        self.check(
+            UHF, Molecule(atoms=water().atoms, charge=1), "sto-3g", tmp_path,
+            kill_at=4, detected={"density_matrix": 1}, where="fock_alpha",
+            tols={"e_tol": 1e-11, "d_tol": 1e-8}, cap={"max_corruptions": 30},
+        )
+
+    def check(self, driver_type, mol, basis, tmp_path, kill_at, detected,
+              where, tols=None, cap=None):
+        """Kill the faulted run at ``kill_at``, resume it, and demand the
+        clean energy, one classified non-finite event ``where`` and the
+        ``detected`` matrix flips, each repaired by one recompute."""
+        tols, cap = tols or {}, cap or {}
+        clean = driver_type(mol, basis, **tols).run()
 
         class Killed(Exception):
             pass
 
         def kill(iteration, energy):
-            if iteration == 5:
+            if iteration == kill_at:
                 raise Killed
 
         def driver(**kw):
-            return RHF(
-                mol, "6-31g", guard=True, integrity=True,
+            return driver_type(
+                mol, basis, guard=True, integrity=True,
                 faults=SCFFaultPlan(
-                    seed=5, quartet_nan_rate=0.05, fock_nan_iterations=(2,)
+                    seed=5, quartet_nan_rate=0.05, fock_nan_iterations=(2,),
+                    **cap,
                 ),
                 sdc_faults=SDCFaultPlan(
                     seed=3, checkpoint_flip_rate=0.34,
                     fock_flip_iterations=(3,), density_flip_iterations=(4,),
                 ),
                 integral_store=str(tmp_path / "store"),
-                checkpoint_dir=str(tmp_path / "ckpt"), **kw,
+                checkpoint_dir=str(tmp_path / "ckpt"), **tols, **kw,
             )
 
         first = driver(on_iteration=kill)
@@ -593,13 +611,13 @@ class TestFaultsCompose:
         assert res.guard_summary["nonfinite"] == 1
         assert [ev.detail.get("where") for ev in res.guard_events
                 if ev.classification == "non_finite"
-                and ev.action == "observe"] == ["fock"]
-        # ... and with snapshots 3-5 flipped the restart fell back to
-        # iteration 2, so both matrix flips fired again and were caught
+                and ev.action == "observe"] == [where]
+        # ... and each matrix flip after the snapshot the restart fell
+        # back to fired again and was caught
         s = res.integrity_summary
-        assert s["injections"]["matrices_corrupted"] == 2
-        assert s["detections"] == {"density_matrix": 1, "fock_matrix": 1}
-        assert s["recoveries"] == {"recompute": 2}
+        assert s["injections"]["matrices_corrupted"] == len(detected)
+        assert s["detections"] == detected
+        assert s["recoveries"] == {"recompute": len(detected)}
 
 
 class TestRHFSnapshotFormat:

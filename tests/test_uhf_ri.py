@@ -7,7 +7,7 @@ from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import h2, water
 from repro.chem.molecule import Molecule
 from repro.integrals.engine import MDEngine
-from repro.integrals.oneelec import overlap
+from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.obs import MetricsRegistry, RunLedger, load_run, session
 from repro.runtime.faults import SCFFaultPlan
 from repro.runtime.sdc import flip_bit_in_file
@@ -178,6 +178,26 @@ class TestUHFSharedLoop:
         # resumed from iteration 3: still the uninterrupted trajectory
         assert res.energy_history == ref.energy_history
         assert np.array_equal(res.density_alpha, ref.density_alpha)
+
+    @pytest.mark.parametrize("driver", [RHF, UHF])
+    def test_resumed_at_max_iter_builds_the_final_fock(self, driver, tmp_path):
+        """A snapshot at ``max_iter`` leaves no iteration to run: the
+        final Fock matrices are one build from its densities (UHF used to
+        return the core Hamiltonian, the loop's start value)."""
+        mol = water() if driver is RHF else water_cation()
+        kw = {"checkpoint_dir": str(tmp_path), "max_iter": 4}
+        driver(mol, **kw).run()
+        resumed = driver(mol, restart=True, **kw)
+        res = resumed.run()
+        assert res.iterations == 4 and not res.converged
+        ds = load_checkpoint(checkpoint_path(tmp_path, 4)).spin_densities
+        h = core_hamiltonian(resumed.basis, resumed.engine.pair_cache)
+        fs = resumed._focks(h, ds)
+        got = [res.fock] if driver is RHF else [res.fock_alpha, res.fock_beta]
+        assert all(np.array_equal(f, g) for f, g in zip(fs, got))
+        assert not np.array_equal(got[0], h)
+        e_elec = resumed._electronic_energy(h, fs, ds)
+        assert res.energy == e_elec + res.nuclear_repulsion
 
     def test_snapshot_is_spin_stacked(self, tmp_path):
         mol = water_cation()
