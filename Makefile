@@ -8,7 +8,8 @@ install:
 test:
 	pytest tests/
 
-# the size needle: src/ total and the subtotals ROADMAP items 1, 2, 4 and 5 track
+# the size needle: src/ total, the subtotals ROADMAP items 1, 2, 4 and 5 track,
+# and the options count (tests/test_reach.py's settable())
 loc:
 	@find src -name '*.py' | xargs cat | wc -l | xargs echo "src/ lines:"
 	@find src/repro/integrals src/repro/scf/fock.py -name '*.py' \
@@ -27,6 +28,9 @@ loc:
 	@cat src/repro/obs/*.py src/repro/bench/*.py benchmarks/*.py \
 	  src/repro/cli.py | wc -l \
 	  | xargs echo "obs/ + bench/ + benchmarks/ + cli.py (ROADMAP item 5) lines:"
+	@python -c "import sys; sys.path.insert(0, 'tests'); import test_reach; \
+	  print('settable values in src/ (defaulted parameters + init fields):', \
+	  len(test_reach.settable()))"
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -224,7 +224,7 @@ def table5_t_int(nquartets: int = 4000) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def table9_purification(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentReport:
+def table9_purification() -> ExperimentReport:
     """T_fock vs T_purification for the C150H30-class molecule.
 
     Extended with the dense-diagonalization alternative the paper
@@ -236,7 +236,7 @@ def table9_purification(cores: tuple[int, ...] = CORE_COUNTS) -> ExperimentRepor
     iters = MEASURED_CONSTANTS["purification_iterations_C150H30"]
     data: dict = {}
     rows = []
-    for c in cores:
+    for c in CORE_COUNTS:
         r = run_cell(setup, "gtfock", c)
         b = hf_iteration_breakdown(
             r, setup.basis.nbf, setup.config, purification_iterations=iters
@@ -307,7 +307,9 @@ def figure1_footprint() -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def model_analysis(p_eval: int = 3888) -> ExperimentReport:
+def model_analysis() -> ExperimentReport:
+    """The Sec III-G model at the largest paper core count."""
+    p_eval = CORE_COUNTS[-1]
     data: dict = {}
     rows = []
     for setup in all_setups():

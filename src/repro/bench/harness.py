@@ -86,39 +86,33 @@ def _alkane_like(mol: Molecule) -> bool:
     return nh == 2 * nc + 2
 
 
-_SETUP_CACHE: dict[tuple[str, str, str, float, bool], MoleculeSetup] = {}
+_SETUP_CACHE: dict[tuple[str, str], MoleculeSetup] = {}
 
 
-def molecule_setup(
-    name: str,
-    molecule: Molecule,
-    basis_name: str = "vdz-sim",
-    tau: float = PAPER_TAU,
-    reorder: bool = True,
-) -> MoleculeSetup:
-    """Build (and cache) screening + cost state for a molecule.
+def molecule_setup(name: str, molecule: Molecule) -> MoleculeSetup:
+    """Build (and cache) screening + cost state for a molecule: the
+    vdz-sim basis, reordered (Sec III-D), screened at :data:`PAPER_TAU`.
 
     The cache key includes the geometry hash, not just the formula:
     two geometry-distinct molecules with the same formula (conformers,
     scaled stand-ins) must not share screening/cost state.
     """
-    key = (molecule.formula, molecule.geometry_hash(), basis_name, tau, reorder)
+    key = (molecule.formula, molecule.geometry_hash())
     cached = _SETUP_CACHE.get(key)
     if cached is not None:
         return cached
     tracer = get_tracer()
     with tracer.span(
         "molecule_setup", cat="bench", molecule=name or molecule.formula,
-        basis=basis_name,
+        basis="vdz-sim",
     ):
         with tracer.span("basis_build", cat="bench"):
-            basis = BasisSet.build(molecule, basis_name)
-        if reorder:
-            with tracer.span("reorder", cat="bench"):
-                basis = reorder_basis(basis)
+            basis = BasisSet.build(molecule, "vdz-sim")
+        with tracer.span("reorder", cat="bench"):
+            basis = reorder_basis(basis)
         with tracer.span("screening", cat="bench"), \
                 get_profiler().phase(PHASE_SCHWARZ):
-            screen = ScreeningMap(basis, schwarz_model(basis), tau)
+            screen = ScreeningMap(basis, schwarz_model(basis), PAPER_TAU)
         with tracer.span("cost_matrix", cat="bench"):
             costs = quartet_cost_matrix(screen)
     # NWChem's primitive prescreening advantage is larger for alkanes

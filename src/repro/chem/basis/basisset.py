@@ -142,10 +142,6 @@ class BasisSet:
     def atom_of_shell(self) -> np.ndarray:
         return np.array([sh.atom_index for sh in self.shells], dtype=int)
 
-    def shells_on_atom(self, iat: int) -> list[int]:
-        """Shell indices centered on atom ``iat`` (in current order)."""
-        return [i for i, sh in enumerate(self.shells) if sh.atom_index == iat]
-
     def atom_shell_lists(self) -> list[list[int]]:
         """Per-atom shell index lists (used by atom-quartet task schemes)."""
         out: list[list[int]] = [[] for _ in range(self.molecule.natoms)]

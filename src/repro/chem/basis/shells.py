@@ -161,10 +161,6 @@ class Shell:
         return int(self.exps.size)
 
     @property
-    def ncart(self) -> int:
-        return ncart(self.l)
-
-    @property
     def nbf(self) -> int:
         """Number of basis functions this shell contributes."""
         return nsph(self.l) if self.pure else ncart(self.l)

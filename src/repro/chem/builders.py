@@ -35,7 +35,7 @@ TETRAHEDRAL = math.acos(-1.0 / 3.0)
 # ---------------------------------------------------------------------------
 
 
-def graphene_flake(n: int, name: str | None = None) -> Molecule:
+def graphene_flake(n: int) -> Molecule:
     """Hexagonal graphene flake ``C6n^2 H6n`` (circumcoronene series).
 
     ``n=2`` gives coronene C24H12; ``n=4`` gives C96H24; ``n=5`` gives
@@ -101,8 +101,7 @@ def graphene_flake(n: int, name: str | None = None) -> Molecule:
     nh = sum(1 for s in symbols if s == "H")
     if nh != 6 * n:
         raise AssertionError(f"flake has {nh} hydrogens, expected {6 * n}")
-    mol = Molecule.from_arrays(symbols, np.array(coords), name=name or f"C{expected}H{6*n}")
-    return mol
+    return Molecule.from_arrays(symbols, np.array(coords), name=f"C{expected}H{6*n}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +109,7 @@ def graphene_flake(n: int, name: str | None = None) -> Molecule:
 # ---------------------------------------------------------------------------
 
 
-def alkane(n: int, name: str | None = None) -> Molecule:
+def alkane(n: int) -> Molecule:
     """Linear zigzag alkane ``CnH2n+2``.
 
     ``n=10`` gives C10H22 (Table V); ``n=100`` gives C100H202 and
@@ -159,7 +158,7 @@ def alkane(n: int, name: str | None = None) -> Molecule:
     nh = len(symbols) - n
     if nh != 2 * n + 2:
         raise AssertionError(f"alkane has {nh} hydrogens, expected {2 * n + 2}")
-    return Molecule.from_arrays(symbols, np.array(coords), name=name or f"C{n}H{2*n+2}")
+    return Molecule.from_arrays(symbols, np.array(coords), name=f"C{n}H{2*n+2}")
 
 
 # ---------------------------------------------------------------------------

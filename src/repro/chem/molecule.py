@@ -93,10 +93,10 @@ class Molecule:
         cls,
         symbols: list[str],
         coords_angstrom: np.ndarray,
-        charge: int = 0,
         name: str = "",
     ) -> "Molecule":
-        """Build from parallel arrays of symbols and Angstrom coordinates."""
+        """Build a neutral molecule from parallel arrays of symbols and
+        Angstrom coordinates."""
         coords = np.asarray(coords_angstrom, dtype=float)
         if coords.shape != (len(symbols), 3):
             raise ValueError(
@@ -106,11 +106,12 @@ class Molecule:
             Atom(element(s).symbol, tuple(float(x) for x in xyz * BOHR_PER_ANGSTROM))
             for s, xyz in zip(symbols, coords)
         ]
-        return cls(atoms=atoms, charge=charge, name=name)
+        return cls(atoms=atoms, name=name)
 
     @classmethod
-    def from_xyz(cls, text: str, charge: int = 0, name: str = "") -> "Molecule":
-        """Parse standard XYZ format (count line, comment line, atom lines)."""
+    def from_xyz(cls, text: str) -> "Molecule":
+        """Parse standard XYZ format (count line, comment line, atom lines);
+        the comment line, unless it reads as an atom, names the molecule."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty XYZ input")
@@ -130,9 +131,9 @@ class Molecule:
                 raise ValueError(f"bad XYZ atom line: {ln!r}")
             symbols.append(parts[0])
             coords.append([float(parts[1]), float(parts[2]), float(parts[3])])
-        if not name and len(lines) > 1 and not _looks_like_atom_line(lines[1]):
-            name = lines[1].strip()
-        return cls.from_arrays(symbols, np.array(coords), charge=charge, name=name)
+        named = len(lines) > 1 and not _looks_like_atom_line(lines[1])
+        return cls.from_arrays(symbols, np.array(coords),
+                               name=lines[1].strip() if named else "")
 
     # -- basic properties ---------------------------------------------------
 
@@ -217,11 +218,11 @@ class Molecule:
 
     # -- output --------------------------------------------------------------
 
-    def to_xyz(self, comment: str | None = None) -> str:
-        """Serialize to standard XYZ text (Angstrom)."""
+    def to_xyz(self) -> str:
+        """Serialize to standard XYZ text (Angstrom), named in the comment line."""
         buf = io.StringIO()
         buf.write(f"{self.natoms}\n")
-        buf.write((comment if comment is not None else self.name) + "\n")
+        buf.write(self.name + "\n")
         for a, xyz in zip(self.atoms, self.coords_angstrom):
             buf.write(f"{a.symbol:<2s} {xyz[0]:15.8f} {xyz[1]:15.8f} {xyz[2]:15.8f}\n")
         return buf.getvalue()

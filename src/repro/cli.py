@@ -705,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
     p_scf.add_argument(
         "--jk-threads", type=_positive_int, default=None, metavar="N",
         help="worker threads for the class-batched J/K contraction "
-        "(default: REPRO_JK_THREADS or serial)",
+        "(default: serial)",
     )
     p_scf.add_argument(
         "--guard", action="store_true",

@@ -4,7 +4,7 @@ The paper motivates three mechanisms -- the initial static partition,
 the spatial shell reordering, and the work-stealing scheduler -- and its
 conclusion names "improved reordering schemes" and "smarter scheduling"
 as future work.  This module isolates each choice so its contribution can
-be measured independently:
+be measured independently, on the Lonestar machine (Table I):
 
 * :func:`reordering_ablation` -- none / natural-cell / Hilbert-cell
   ordering vs. communication footprint and simulated time;
@@ -29,7 +29,7 @@ from repro.fock.screening_map import ScreeningMap
 from repro.fock.simulate import simulate_gtfock
 from repro.fock.stealing import run_work_stealing
 from repro.integrals.schwarz import schwarz_model
-from repro.runtime.machine import LONESTAR, MachineConfig
+from repro.runtime.machine import LONESTAR
 
 
 @dataclass
@@ -42,14 +42,9 @@ class AblationRow:
         return f"{self.label}: {vals}"
 
 
-def reordering_ablation(
-    basis: BasisSet,
-    tau: float = 1e-10,
-    cores: int = 768,
-    config: MachineConfig = LONESTAR,
-    cell_size: float = 5.0,
-) -> list[AblationRow]:
-    """Compare shell orderings by footprint, bandwidth, and simulated time.
+def reordering_ablation(basis: BasisSet, cores: int = 768) -> list[AblationRow]:
+    """Compare shell orderings by footprint, bandwidth, and simulated time
+    (tau = 1e-10, 5-bohr cells).
 
     ``basis`` should be in an arbitrary (e.g. scrambled) order so the
     orderings have something to fix.
@@ -57,13 +52,13 @@ def reordering_ablation(
     rows = []
     variants = {
         "none": basis,
-        "natural": reorder_basis(basis, cell_size, "natural"),
-        "hilbert": reorder_basis(basis, cell_size, "hilbert"),
+        "natural": reorder_basis(basis, 5.0, "natural"),
+        "hilbert": reorder_basis(basis, 5.0, "hilbert"),
     }
     for label, b in variants.items():
-        screen = ScreeningMap(b, schwarz_model(b), tau)
+        screen = ScreeningMap(b, schwarz_model(b), 1e-10)
         costs = quartet_cost_matrix(screen)
-        nproc = max(1, cores // config.cores_per_node)
+        nproc = max(1, cores // LONESTAR.cores_per_node)
         part = StaticPartition.build(b.nshells, nproc)
         avg_fp = float(
             np.mean(
@@ -73,7 +68,7 @@ def reordering_ablation(
                 ]
             )
         )
-        sim = simulate_gtfock(b, screen, cores, config=config, costs=costs)
+        sim = simulate_gtfock(b, screen, cores, costs=costs)
         rows.append(
             AblationRow(
                 label,
@@ -92,27 +87,24 @@ def stealing_ablation(
     basis: BasisSet,
     screen: ScreeningMap,
     cores: int = 1944,
-    config: MachineConfig = LONESTAR,
-    fractions: tuple[float, ...] = (0.25, 0.5, 1.0),
 ) -> list[AblationRow]:
-    """Scheduler on/off and steal-fraction sweep."""
+    """Scheduler on/off, then steal fractions 1/4, 1/2 and 1."""
     costs = quartet_cost_matrix(screen)
     rows = [
         AblationRow(
             "no-stealing",
             _sim_metrics(
                 simulate_gtfock(
-                    basis, screen, cores, config=config, costs=costs,
-                    enable_stealing=False,
+                    basis, screen, cores, costs=costs, enable_stealing=False,
                 )
             ),
         )
     ]
-    for frac in fractions:
-        nproc = max(1, cores // config.cores_per_node)
+    for frac in (0.25, 0.5, 1.0):
+        nproc = max(1, cores // LONESTAR.cores_per_node)
         part = StaticPartition.build(basis.nshells, nproc)
         ns = basis.nshells
-        t_task = config.t_int_gtfock / config.cores_per_node
+        t_task = LONESTAR.t_int_gtfock / LONESTAR.cores_per_node
         eris = costs.eris.ravel()
         queues = []
         for p in range(nproc):
@@ -124,7 +116,7 @@ def stealing_ablation(
             queues.append(codes)
         out = run_work_stealing(
             queues,
-            lambda codes: eris[codes] * t_task + config.task_overhead,
+            lambda codes: eris[codes] * t_task + LONESTAR.task_overhead,
             (part.prow, part.pcol),
             steal_fraction=frac,
         )
@@ -145,7 +137,6 @@ def granularity_ablation(
     basis: BasisSet,
     screen: ScreeningMap,
     cores: int = 1944,
-    config: MachineConfig = LONESTAR,
     row_groups: tuple[int, ...] = (1, 4, 16),
 ) -> list[AblationRow]:
     """Coarsen tasks by grouping ``g`` consecutive task-grid rows.
@@ -155,9 +146,9 @@ def granularity_ablation(
     paper attributes to NWChem's 5-atom-quartet choice.
     """
     costs = quartet_cost_matrix(screen)
-    nproc = max(1, cores // config.cores_per_node)
+    nproc = max(1, cores // LONESTAR.cores_per_node)
     part = StaticPartition.build(basis.nshells, nproc)
-    t_task = config.t_int_gtfock / config.cores_per_node
+    t_task = LONESTAR.t_int_gtfock / LONESTAR.cores_per_node
     eris = costs.eris
     rows = []
     for g in row_groups:

@@ -109,6 +109,3 @@ class StaticPartition:
         rb = offs[self.row_shell_bounds]
         cb = offs[self.col_shell_bounds]
         return rb.astype(int), cb.astype(int)
-
-    def all_task_blocks(self) -> list[TaskBlock]:
-        return [self.task_block(p) for p in range(self.nproc)]

@@ -52,7 +52,6 @@ elementwise across mixed s/p/d bases; the water benchmark gate pins
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -250,7 +249,7 @@ class ClassPlan:
     groups: dict[FamilyGroup, list[ClassBatch]]
     #: per-plan memo of structures other modules derive from the rows
     #: alone (the task owning each row, :mod:`repro.fock.tasks`)
-    derived: dict = field(default_factory=dict, repr=False, compare=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chunks(self, rows: np.ndarray | None = None) -> list[list[Chunk]]:
         """The kernel work items, one family sweep each: at most
@@ -691,19 +690,16 @@ def _store_chunks(plan: ClassPlan) -> list[list[Chunk]]:
 
 
 def resolve_jk_threads(threads: int | None) -> int:
-    """Thread count for the J/K contraction (``REPRO_JK_THREADS`` default);
-    a count that is not an integer >= 1 is a ``ValueError`` naming its
-    source."""
-    name = "jk_threads"
+    """Thread count for the J/K contraction (``None``: serial); a count
+    that is not an integer >= 1 is a ``ValueError``."""
     if threads is None:
-        name = "REPRO_JK_THREADS"
-        threads = os.environ.get(name, "1")
+        return 1
     try:
         n = int(threads)
     except ValueError:
         n = 0
     if n < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {threads!r}")
+        raise ValueError(f"jk_threads must be an integer >= 1, got {threads!r}")
     return n
 
 

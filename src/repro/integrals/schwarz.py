@@ -62,9 +62,7 @@ def schwarz_matrix(
     return np.maximum(lower, lower.T)
 
 
-def schwarz_model(
-    basis: BasisSet, pair_cache: ShellPairData | None = None
-) -> np.ndarray:
+def schwarz_model(basis: BasisSet) -> np.ndarray:
     """Model sigma(M,N): exact diagonals + Gaussian-product distance decay.
 
     ``sigma(M,N) ~= sqrt(sigma(M,M) sigma(N,N)) * exp(-mu_MN r_MN^2)``
@@ -74,7 +72,7 @@ def schwarz_model(
     significant sets Phi(M) the parallel algorithm is built on.
     """
     shells = np.arange(basis.nshells)
-    diag = np.diag(_diagonal_bounds(basis, shells, shells, pair_cache))
+    diag = np.diag(_diagonal_bounds(basis, shells, shells, None))
     e = basis.min_exponents()
     centers = basis.centers
     mu = e[:, None] * e[None, :] / (e[:, None] + e[None, :])

@@ -50,6 +50,10 @@ offline ``repro verify`` audit, keeping attach cheap.  A manifest with
 a different store format version is invalidated with
 :class:`StoreInvalidatedWarning` and refilled cleanly.  Threat model
 and detector costs: ``docs/ROBUSTNESS.md`` ("Silent data corruption").
+
+This module is the one that knows the on-disk layout: the offline audit
+(:func:`is_store_dir`, :func:`audit_store_dir`) and the SDC fault
+injector read it through :func:`read_index` and :func:`blocks_file`.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import json
 import os
 import threading
 import warnings
+import zlib
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -79,6 +84,8 @@ _MANIFEST = "manifest.json"
 _INDEX = "index.npz"
 _BLOCKS = "blocks.bin"
 _LOCK = ".lock"
+#: the first format version with per-block CRCs and a whole-file digest
+_FRAMED_VERSION = 2
 
 
 def basis_fingerprint(basis: BasisSet) -> str:
@@ -405,3 +412,71 @@ class ERIStore:
             "crc_checks": int(self.crc_checks),
             "crc_mismatches": int(self.crc_mismatches),
         }
+
+
+# ---------------------------------------------------------------------------
+# the on-disk layout, for readers that do not attach
+# ---------------------------------------------------------------------------
+
+
+def read_index(path: str | Path) -> dict[str, np.ndarray]:
+    """A store's ``index.npz``: ``keys``, ``offsets``, ``sizes``, ``crcs``."""
+    with np.load(Path(path) / _INDEX) as idx:
+        return {name: idx[name] for name in idx.files}
+
+
+def blocks_file(path: str | Path) -> Path:
+    """The flat ``float64`` data file of the store at ``path``."""
+    return Path(path) / _BLOCKS
+
+
+def is_store_dir(path: str | Path) -> bool:
+    """A store directory: either data file exists, or a manifest that
+    fingerprints a basis (a run ledger's manifest does not)."""
+    path = Path(path)
+    if (path / _INDEX).exists() or (path / _BLOCKS).exists():
+        return True
+    try:
+        return "basis_sha256" in json.loads((path / _MANIFEST).read_text())
+    except (OSError, ValueError, TypeError):
+        return False
+
+
+def audit_store_dir(path: str | Path) -> tuple[list[str], int]:
+    """Verify one on-disk store bottom-up, without attaching.
+
+    The manifest parses and is integrity-framed (pre-v2 stores carry no
+    checksums: unverifiable), the index loads, ``blocks.bin`` holds
+    exactly ``nelements`` float64s and matches ``blocks_sha256``, and
+    every block matches its CRC-32.  Returns the problems found and the
+    number of blocks checked.
+    """
+    path = Path(path)
+    try:
+        manifest = json.loads((path / _MANIFEST).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        return [f"unreadable manifest: {exc}"], 0
+    version = manifest.get("version")
+    if not isinstance(version, int) or version < _FRAMED_VERSION:
+        return [f"format version {version!r} predates integrity framing "
+                "(no per-block checksums; refill to verify)"], 0
+    try:
+        index = read_index(path)
+        offsets, sizes, crcs = index["offsets"], index["sizes"], index["crcs"]
+    except Exception as exc:
+        return [f"unreadable index.npz: {exc}"], 0
+    try:
+        flat = np.fromfile(path / _BLOCKS, dtype=np.float64)
+    except OSError as exc:
+        return [f"unreadable blocks.bin: {exc}"], 0
+    nelements = int(manifest.get("nelements", -1))
+    if flat.size != nelements:
+        return [f"blocks.bin holds {flat.size} elements, manifest says "
+                f"{nelements}"], 0
+    problems = []
+    if hashlib.sha256(flat.tobytes()).hexdigest() != manifest.get("blocks_sha256"):
+        problems.append("blocks.bin sha256 != manifest digest")
+    for i, (lo, n) in enumerate(zip(offsets.tolist(), sizes.tolist())):
+        if zlib.crc32(flat[lo:lo + n].tobytes()) != int(crcs[i]):
+            problems.append(f"block {i} failed its CRC-32")
+    return problems, len(offsets)

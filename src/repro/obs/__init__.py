@@ -7,7 +7,7 @@ Tables VI-VIII and Figure 2 are all observability artifacts.  Its parts:
   spans and explicit-time virtual spans for simulated ranks, exported as
   Chrome trace-event JSON (open in Perfetto) or JSONL;
 * :mod:`repro.obs.metrics` -- :class:`MetricsRegistry` of labelled
-  Counters/Gauges/Histograms with JSON + Prometheus exposition, and the
+  Counters/Gauges with JSON + Prometheus exposition, and the
   :func:`export_commstats` bridge from the runtime's accounting;
 * :mod:`repro.obs.flight` -- the per-rank, per-channel
   :class:`FlightRecorder` every :class:`CommStats` charge flows through;
@@ -55,7 +55,6 @@ from repro.obs.manifest import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     Metric,
     MetricsRegistry,
     export_commstats,
@@ -87,7 +86,6 @@ __all__ = [
     "provenance",
     "Counter",
     "Gauge",
-    "Histogram",
     "Metric",
     "MetricsRegistry",
     "export_commstats",

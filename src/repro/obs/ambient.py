@@ -23,7 +23,7 @@ session -- see :func:`session`.
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.obs.manifest import NULL_LEDGER, RunLedger
@@ -42,7 +42,7 @@ class ObsSession:
     ledger: RunLedger
     #: what the session's ledger is sealed with; the block sets it, an
     #: escaping exception overrides it with 1
-    exit_code: int = 0
+    exit_code: int = field(default=0, init=False)
 
 
 _current = ObsSession(NULL_TRACER, MetricsRegistry(), NULL_PROFILER, NULL_LEDGER)

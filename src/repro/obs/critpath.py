@@ -393,11 +393,11 @@ class WhatIf:
     #: baseline makespan / projected makespan
     speedup: float
     #: makespan of an actual re-simulation under the perturbation
-    resim_makespan: float | None = None
+    resim_makespan: float | None = field(default=None, init=False)
     #: |projection - resim| / resim
-    rel_err: float | None = None
+    rel_err: float | None = field(default=None, init=False)
     #: "PASS" | "WARN" | "FAIL" when cross-checked, "PROJECTED" otherwise
-    verdict: str = "PROJECTED"
+    verdict: str = field(default="PROJECTED", init=False)
 
     def to_json(self) -> dict:
         return {
@@ -701,19 +701,18 @@ def analyze(
     capture: "SimCapture",
     resim: bool = True,
     network_scale: float = 2.0,
-    path: bool = True,
 ) -> CritPathAnalysis:
     """Run the full analyzer over a populated :class:`SimCapture`.
 
     ``resim`` toggles the what-if re-simulation cross-checks (each one
     re-runs the whole timing simulation; disable for cheap reports).
-    ``path`` can be disabled when the run was not traced.
+    The critical path is extracted only when the run was traced.
     """
     decomp = decompose(capture)
     chains = None
     cp = None
     tracer = capture.tracer
-    if path and tracer is not None and getattr(tracer, "enabled", False):
+    if tracer is not None and getattr(tracer, "enabled", False):
         chains = rank_chains(capture)
         cp = extract_path(capture, chains)
     whatifs = project_whatifs(

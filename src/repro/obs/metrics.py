@@ -1,4 +1,4 @@
-"""Labelled Counter/Gauge/Histogram metrics with JSON and Prometheus export.
+"""Labelled Counter/Gauge metrics with JSON and Prometheus export.
 
 A small, dependency-free metrics layer shaped like the Prometheus client
 model: a :class:`MetricsRegistry` owns named metrics, each metric owns
@@ -127,53 +127,6 @@ class Gauge(Metric):
         return self._series.get(_label_key(self, labels), 0)
 
 
-class Histogram(Metric):
-    """Cumulative-bucket histogram (Prometheus semantics)."""
-
-    kind = "histogram"
-
-    DEFAULT_BUCKETS = (
-        1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 60.0,
-    )
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] | None = None,
-    ):
-        super().__init__(name, help, labelnames)
-        bounds = tuple(buckets) if buckets is not None else self.DEFAULT_BUCKETS
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError("histogram buckets must be strictly increasing")
-        self.buckets = bounds
-
-    def observe(self, value: float, **labels) -> None:
-        key = _label_key(self, labels)
-        state = self._series.get(key)
-        if state is None:
-            state = {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
-            self._series[key] = state
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                state["counts"][i] += 1
-        state["sum"] += value
-        state["count"] += 1
-
-    def snapshot(self, **labels) -> dict:
-        state = self._series.get(_label_key(self, labels))
-        if state is None:
-            return {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
-        return {"counts": list(state["counts"]), "sum": state["sum"],
-                "count": state["count"]}
-
-    def to_json(self) -> dict:
-        doc = super().to_json()
-        doc["buckets"] = list(self.buckets)
-        return doc
-
-
 class MetricsRegistry:
     """Named metrics with get-or-create constructors and two exporters."""
 
@@ -208,12 +161,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Gauge:
         return self._get_or_create(Gauge, name, help, labelnames)
 
-    def histogram(
-        self, name: str, help: str = "", labelnames: Sequence[str] = (),
-        buckets: Sequence[float] | None = None,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labelnames, buckets=buckets)
-
     # -- exporters -----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -226,24 +173,9 @@ class MetricsRegistry:
             if metric.help:
                 lines.append(f"# HELP {name} {metric.help}")
             lines.append(f"# TYPE {name} {metric.kind}")
-            if isinstance(metric, Histogram):
-                for key, state in sorted(metric._series.items()):
-                    # bucket counts are cumulative by construction (observe
-                    # increments every bucket whose bound covers the value)
-                    for bound, n in zip(metric.buckets, state["counts"]):
-                        le = _render_labels(
-                            metric.labelnames + ("le",), key + (_fmt_float(bound),)
-                        )
-                        lines.append(f"{name}_bucket{le} {n}")
-                    le = _render_labels(metric.labelnames + ("le",), key + ("+Inf",))
-                    lines.append(f"{name}_bucket{le} {state['count']}")
-                    lbl = _render_labels(metric.labelnames, key)
-                    lines.append(f"{name}_sum{lbl} {_fmt_float(state['sum'])}")
-                    lines.append(f"{name}_count{lbl} {state['count']}")
-            else:
-                for key, value in sorted(metric._series.items()):
-                    lbl = _render_labels(metric.labelnames, key)
-                    lines.append(f"{name}{lbl} {_fmt_float(value)}")
+            for key, value in sorted(metric._series.items()):
+                lbl = _render_labels(metric.labelnames, key)
+                lines.append(f"{name}{lbl} {_fmt_float(value)}")
         return "\n".join(lines) + "\n"
 
     def write(self, path: str) -> None:
@@ -281,7 +213,6 @@ def _or_current(registry: MetricsRegistry | None) -> MetricsRegistry:
 def export_commstats(
     stats: "CommStats",
     registry: MetricsRegistry | None = None,
-    prefix: str = "repro_comm",
 ) -> MetricsRegistry:
     """Export every :class:`CommStats` counter into ``registry``.
 
@@ -302,7 +233,7 @@ def export_commstats(
         ("comp_time_seconds", "clock share spent computing", stats.comp_time, False),
     )
     for suffix, help_, values, is_counter in per_proc:
-        name = f"{prefix}_{suffix}"
+        name = f"repro_comm_{suffix}"
         if is_counter:
             metric = reg.counter(name, help_, labelnames=("proc",))
             for p in range(stats.nproc):
@@ -322,8 +253,8 @@ def export_commstats(
         ("makespan_seconds", "slowest virtual clock", summary["makespan"]),
     )
     for suffix, help_, value in aggregates:
-        reg.gauge(f"{prefix}_{suffix}", help_).set(value)
-    reg.gauge(f"{prefix}_processes", "simulated process count").set(stats.nproc)
+        reg.gauge(f"repro_comm_{suffix}", help_).set(value)
+    reg.gauge("repro_comm_processes", "simulated process count").set(stats.nproc)
     return reg
 
 
@@ -331,7 +262,6 @@ def export_faults(
     state,
     outcome=None,
     registry: MetricsRegistry | None = None,
-    prefix: str = "repro_faults",
 ) -> MetricsRegistry:
     """Export a run's fault-injection/recovery counters.
 
@@ -341,15 +271,15 @@ def export_faults(
     """
     reg = _or_current(registry)
     retries = reg.counter(
-        f"{prefix}_retries_total", "transient-failure retries charged",
+        "repro_faults_retries_total", "transient-failure retries charged",
         labelnames=("proc",),
     )
     acks = reg.counter(
-        f"{prefix}_acks_lost_total", "applied-but-unacknowledged accumulates",
+        "repro_faults_acks_lost_total", "applied-but-unacknowledged accumulates",
         labelnames=("proc",),
     )
     delay = reg.gauge(
-        f"{prefix}_delay_seconds", "injected message-delay virtual time",
+        "repro_faults_delay_seconds", "injected message-delay virtual time",
         labelnames=("proc",),
     )
     for p in range(state.nproc):
@@ -357,18 +287,18 @@ def export_faults(
         acks.inc(int(state.acks_lost[p]), proc=p)
         delay.set(float(state.delay_time[p]), proc=p)
     reg.gauge(
-        f"{prefix}_planned_deaths", "rank deaths in the fault plan"
+        "repro_faults_planned_deaths", "rank deaths in the fault plan"
     ).set(len(state.plan.deaths))
     if outcome is not None:
         reg.gauge(
-            f"{prefix}_dead_ranks", "ranks that died during the run"
+            "repro_faults_dead_ranks", "ranks that died during the run"
         ).set(len(outcome.dead_ranks))
         reg.gauge(
-            f"{prefix}_reexecuted_tasks",
+            "repro_faults_reexecuted_tasks",
             "tasks lost to rank death and re-executed by survivors",
         ).set(int(outcome.reexecuted_tasks))
         reg.gauge(
-            f"{prefix}_recoveries", "orphan-adoption events by survivors"
+            "repro_faults_recoveries", "orphan-adoption events by survivors"
         ).set(len(outcome.recoveries))
     return reg
 
@@ -376,7 +306,6 @@ def export_faults(
 def export_service(
     stats: dict,
     registry: MetricsRegistry | None = None,
-    prefix: str = "repro_service",
     **supervisor_counters: int,
 ) -> MetricsRegistry:
     """Export job-queue state as service gauges.
@@ -388,13 +317,13 @@ def export_service(
     """
     reg = _or_current(registry)
     jobs = reg.gauge(
-        f"{prefix}_jobs", "jobs currently in each queue state",
+        "repro_service_jobs", "jobs currently in each queue state",
         labelnames=("state",),
     )
     for state, n in stats.get("counts", {}).items():
         jobs.set(int(n), state=state)
     events = reg.counter(
-        f"{prefix}_events_total", "job state-transition events recorded",
+        "repro_service_events_total", "job state-transition events recorded",
         labelnames=("event",),
     )
     for event, n in stats.get("events", {}).items():
@@ -405,7 +334,7 @@ def export_service(
         ("leases_expired", "dead leases re-enqueued by the supervisor"),
     ):
         if name in supervisor_counters:
-            reg.gauge(f"{prefix}_{name}", help_).set(
+            reg.gauge(f"repro_service_{name}", help_).set(
                 int(supervisor_counters[name])
             )
     return reg
@@ -414,7 +343,6 @@ def export_service(
 def export_integrity(
     summary: dict,
     registry: MetricsRegistry | None = None,
-    prefix: str = "repro_integrity",
 ) -> MetricsRegistry:
     """Export a run's data-integrity counters.
 
@@ -427,20 +355,20 @@ def export_integrity(
     """
     reg = _or_current(registry)
     checks = reg.counter(
-        f"{prefix}_checks_total", "integrity detector executions",
+        "repro_integrity_checks_total", "integrity detector executions",
         labelnames=("detector",),
     )
     for detector, n in summary.get("checks", {}).items():
         checks.inc(int(n), detector=detector)
     detections = reg.counter(
-        f"{prefix}_corruptions_detected_total",
+        "repro_integrity_corruptions_detected_total",
         "corruptions caught by an integrity layer",
         labelnames=("kind",),
     )
     for kind, n in summary.get("detections", {}).items():
         detections.inc(int(n), kind=kind)
     recoveries = reg.counter(
-        f"{prefix}_recoveries_total",
+        "repro_integrity_recoveries_total",
         "recovery-ladder rungs taken after a detection",
         labelnames=("action",),
     )

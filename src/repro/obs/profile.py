@@ -65,13 +65,13 @@ class PhaseStat:
     """Accumulated cost of one named phase (inclusive of nested phases)."""
 
     name: str
-    calls: int = 0
-    wall_s: float = 0.0
-    cpu_s: float = 0.0
-    max_wall_s: float = 0.0
+    calls: int = field(default=0, init=False)
+    wall_s: float = field(default=0.0, init=False)
+    cpu_s: float = field(default=0.0, init=False)
+    max_wall_s: float = field(default=0.0, init=False)
     #: peak tracemalloc bytes observed while this phase was innermost
     #: (0 unless the profiler was built with ``alloc=True``)
-    alloc_peak_bytes: int = 0
+    alloc_peak_bytes: int = field(default=0, init=False)
 
     def to_json(self) -> dict:
         return {

@@ -173,7 +173,7 @@ class CheckReport:
     """All findings of one ``repro perf check`` invocation."""
 
     findings: list[Finding] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
+    skipped: list[str] = field(default_factory=list, init=False)
 
     @property
     def status(self) -> str:

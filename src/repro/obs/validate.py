@@ -163,7 +163,6 @@ def validate_run(
     model: "PerfModel",
     stats: "CommStats",
     s_measured: float = 0.0,
-    thresholds: dict[str, tuple[float, float]] | None = None,
 ) -> ModelValidation:
     """Compare a run's flight-recorder measurements against the model.
 
@@ -181,9 +180,7 @@ def validate_run(
         Average distinct victims per process
         (``StealingOutcome.avg_steals_per_proc``).
     """
-    th = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        th.update(thresholds)
+    th = DEFAULT_THRESHOLDS
     p = stats.nproc
     flight = stats.flight
     es = model.element_size

@@ -3,12 +3,12 @@
 Walks a directory tree and verifies every integrity-framed artifact the
 stack writes, *without* touching any of it:
 
-* **integral stores** (``manifest.json`` + ``index.npz`` +
-  ``blocks.bin``) -- manifest parses, the index is loadable, the data
-  file has exactly ``nelements`` float64s, every block's bytes match
-  its finalize-time CRC-32, and the whole file matches the manifest's
-  ``blocks_sha256``.  Pre-v2 stores carry no checksums and are flagged
-  as unverifiable (attach-time version gating refills them anyway);
+* **integral stores** -- any directory holding a store's manifest or
+  either of its data files, audited by
+  :func:`repro.integrals.store.audit_store_dir` (the one module that
+  knows the layout): manifest, index, element count, per-block CRC-32
+  and whole-file SHA-256.  A store missing a file is a finding, and
+  pre-v2 stores carry no checksums and are flagged as unverifiable;
 * **SCF checkpoints** (``scf_ckpt_NNNN.npz``) -- each snapshot loads,
   passes its payload digest, and carries finite, shape-consistent
   arrays (:func:`repro.scf.checkpoint.load_checkpoint` with
@@ -26,18 +26,13 @@ is findable offline, not only in the hot path.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from repro.integrals.store import audit_store_dir, is_store_dir
 from repro.obs.manifest import MANIFEST_NAME, REQUIRED_MANIFEST_FIELDS, load_run
 from repro.scf.checkpoint import checkpoint_paths, load_checkpoint
-
-_STORE_VERIFIED_MIN_VERSION = 2
 
 
 @dataclass
@@ -57,11 +52,11 @@ class VerifyReport:
     """Outcome of one offline audit."""
 
     root: str
-    stores_audited: int = 0
-    checkpoints_audited: int = 0
-    runs_audited: int = 0
-    blocks_checked: int = 0
-    findings: list[Finding] = field(default_factory=list)
+    stores_audited: int = field(default=0, init=False)
+    checkpoints_audited: int = field(default=0, init=False)
+    runs_audited: int = field(default=0, init=False)
+    blocks_checked: int = field(default=0, init=False)
+    findings: list[Finding] = field(default_factory=list, init=False)
 
     @property
     def clean(self) -> bool:
@@ -99,50 +94,11 @@ class VerifyReport:
 
 def audit_store(path: str | Path, report: VerifyReport) -> None:
     """Verify one on-disk integral store bottom-up (no attach needed)."""
-    path = Path(path)
     report.stores_audited += 1
-    try:
-        manifest = json.loads((path / "manifest.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        report.add(path, "store", f"unreadable manifest: {exc}")
-        return
-    version = manifest.get("version")
-    if not isinstance(version, int) or version < _STORE_VERIFIED_MIN_VERSION:
-        report.add(
-            path, "store",
-            f"format version {version!r} predates integrity framing "
-            "(no per-block checksums; refill to verify)",
-        )
-        return
-    try:
-        with np.load(path / "index.npz") as idx:
-            offsets = idx["offsets"]
-            sizes = idx["sizes"]
-            crcs = idx["crcs"]
-    except Exception as exc:
-        report.add(path, "store", f"unreadable index.npz: {exc}")
-        return
-    try:
-        flat = np.fromfile(path / "blocks.bin", dtype=np.float64)
-    except OSError as exc:
-        report.add(path, "store", f"unreadable blocks.bin: {exc}")
-        return
-    nelements = int(manifest.get("nelements", -1))
-    if flat.size != nelements:
-        report.add(
-            path, "store",
-            f"blocks.bin holds {flat.size} elements, manifest says "
-            f"{nelements}",
-        )
-        return
-    digest = hashlib.sha256(flat.tobytes()).hexdigest()
-    if digest != manifest.get("blocks_sha256"):
-        report.add(path, "store", "blocks.bin sha256 != manifest digest")
-    for i in range(len(offsets)):
-        block = flat[int(offsets[i]):int(offsets[i]) + int(sizes[i])]
-        report.blocks_checked += 1
-        if zlib.crc32(block.tobytes()) != int(crcs[i]):
-            report.add(path, "store", f"block {i} failed its CRC-32")
+    problems, nblocks = audit_store_dir(path)
+    report.blocks_checked += nblocks
+    for problem in problems:
+        report.add(path, "store", problem)
 
 
 def audit_checkpoints(path: str | Path, report: VerifyReport) -> int:
@@ -169,16 +125,8 @@ def audit_ledger(path: str | Path, report: VerifyReport) -> None:
         report.add(path, "ledger", str(exc))
 
 
-def _is_store_dir(path: Path) -> bool:
-    return (
-        (path / "manifest.json").exists()
-        and (path / "index.npz").exists()
-        and (path / "blocks.bin").exists()
-    )
-
-
 def _is_ledger_dir(path: Path) -> bool:
-    if not (path / MANIFEST_NAME).exists() or _is_store_dir(path):
+    if not (path / MANIFEST_NAME).exists():
         return False
     try:
         manifest = json.loads((path / MANIFEST_NAME).read_text())
@@ -200,7 +148,7 @@ def verify_tree(root: str | Path) -> VerifyReport:
         p for p in root.rglob("*") if p.is_dir()
     )
     for directory in dirs:
-        if _is_store_dir(directory):
+        if is_store_dir(directory):
             audit_store(directory, report)
         elif _is_ledger_dir(directory):
             audit_ledger(directory, report)

@@ -239,11 +239,6 @@ class FaultState:
         """Straggler slowdown multiplier for ``rank`` (1.0 = healthy)."""
         return float(self.plan.slowdown.get(rank, 1.0))
 
-    def death_time(self, rank: int) -> float | None:
-        """Virtual time at which ``rank`` dies, or None."""
-        t = self.plan.deaths.get(rank)
-        return float(t) if t is not None else None
-
     def draw_failures(self, rank: int) -> int:
         """Consecutive transient failures of one op before it succeeds.
 
@@ -493,7 +488,6 @@ def random_plan(
     horizon: float,
     ndeaths: int = 1,
     nstragglers: int = 1,
-    slow_factor: float = 3.0,
     op_fail_rate: float = 0.05,
     delay_rate: float = 0.05,
     delay_seconds: float = 100e-6,
@@ -516,7 +510,7 @@ def random_plan(
     nstrag = min(nstragglers, len(alive))
     stragglers = rng.choice(alive, size=nstrag, replace=False) if nstrag else []
     slowdown = {
-        int(p): float(rng.uniform(1.5, max(slow_factor, 1.5))) for p in stragglers
+        int(p): float(rng.uniform(1.5, 3.0)) for p in stragglers
     }
     return FaultPlan(
         seed=seed,

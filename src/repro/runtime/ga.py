@@ -207,12 +207,11 @@ class GlobalArray:
         self._charge(proc, r0, r1, c0, c1, channel)
         return self.data[r0:r1, c0:c1].copy()
 
-    def put(
-        self, proc: int, r0: int, c0: int, block: np.ndarray, channel: str = CH_GA
-    ) -> None:
-        """One-sided write (GA_Put).  Idempotent: retries are harmless."""
+    def put(self, proc: int, r0: int, c0: int, block: np.ndarray) -> None:
+        """One-sided write (GA_Put) on the ``ga`` channel.  Idempotent:
+        retries are harmless."""
         r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
-        self._charge(proc, r0, r1, c0, c1, channel)
+        self._charge(proc, r0, r1, c0, c1, CH_GA)
         self.data[r0:r1, c0:c1] = block
 
     def acc(

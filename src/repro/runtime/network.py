@@ -35,9 +35,9 @@ class CommStats:
     """Mutable per-process communication counters and clocks.
 
     Every charge carries a *channel* tag (see :mod:`repro.obs.flight`)
-    and is mirrored into the attached :class:`FlightRecorder`, so the
-    global Table VI/VII counters and the per-rank/per-channel breakdown
-    can never drift apart.
+    and is recorded once, in the :class:`FlightRecorder`; the Table VI/VII
+    counters :attr:`calls` / :attr:`bytes` are its per-rank sums over
+    channels, so the two views cannot drift apart.
 
     When a :class:`~repro.runtime.faults.FaultState` is attached, every
     remote charge first consults it: transient failures re-send the
@@ -51,7 +51,6 @@ class CommStats:
         self,
         nproc: int,
         config: MachineConfig,
-        flight: FlightRecorder | None = None,
         faults: FaultState | None = None,
     ):
         if nproc < 1:
@@ -64,9 +63,7 @@ class CommStats:
         self.config = config
         self.faults = faults
         #: per-rank/per-channel breakdown of everything charged below
-        self.flight = flight if flight is not None else FlightRecorder(nproc)
-        self.calls = np.zeros(nproc, dtype=np.int64)
-        self.bytes = np.zeros(nproc, dtype=np.int64)
+        self.flight = FlightRecorder(nproc)
         self.remote_calls = np.zeros(nproc, dtype=np.int64)
         self.remote_bytes = np.zeros(nproc, dtype=np.int64)
         #: virtual per-process clock (seconds)
@@ -75,6 +72,16 @@ class CommStats:
         self.comm_time = np.zeros(nproc)
         #: portion of the clock spent computing
         self.comp_time = np.zeros(nproc)
+
+    @property
+    def calls(self) -> np.ndarray:
+        """Per-rank one-sided calls (Table VII): the channels' ``msgs``, read-only."""
+        return _frozen(self.flight.totals("msgs"))
+
+    @property
+    def bytes(self) -> np.ndarray:
+        """Per-rank bytes moved (Table VI): the channels' ``bytes``, read-only."""
+        return _frozen(self.flight.totals("bytes"))
 
     def _check(self, proc: int) -> None:
         check_rank(proc, self.nproc)
@@ -110,8 +117,6 @@ class CommStats:
         nfail = self.faults.draw_failures(proc)
         for k in range(nfail):
             dt = self.config.transfer_time(nbytes, ncalls) + self.faults.backoff(k)
-            self.calls[proc] += ncalls
-            self.bytes[proc] += int(nbytes)
             self.remote_calls[proc] += ncalls
             self.remote_bytes[proc] += int(nbytes)
             self.clock[proc] += dt
@@ -144,8 +149,6 @@ class CommStats:
         self._check(proc)
         if remote and draw_faults and self.faults is not None:
             self.charge_fault_attempts(proc, nbytes, ncalls)
-        self.calls[proc] += ncalls
-        self.bytes[proc] += int(nbytes)
         if remote:
             self.remote_calls[proc] += ncalls
             self.remote_bytes[proc] += int(nbytes)
@@ -197,8 +200,6 @@ class CommStats:
             dt = self._comm_seconds(nbytes, ncalls, remote)
             np.add.at(self.clock, procs, dt)
         nbytes = nbytes.astype(np.int64)
-        np.add.at(self.calls, procs, ncalls)
-        np.add.at(self.bytes, procs, nbytes)
         if remote:
             np.add.at(self.remote_calls, procs, ncalls)
             np.add.at(self.remote_bytes, procs, nbytes)
@@ -210,7 +211,6 @@ class CommStats:
         proc: int,
         nbytes: float,
         ncalls: int = 1,
-        channel: str = CH_STEAL_D,
     ) -> float:
         """Account a steal transfer's counters; the scheduler applies the time.
 
@@ -226,19 +226,15 @@ class CommStats:
             nfail = self.faults.draw_failures(proc)
             for k in range(nfail):
                 w = self.config.transfer_time(nbytes, ncalls) + self.faults.backoff(k)
-                self.calls[proc] += ncalls
-                self.bytes[proc] += int(nbytes)
                 self.remote_calls[proc] += ncalls
                 self.remote_bytes[proc] += int(nbytes)
                 self.faults.retries[proc] += 1
                 self.flight.record(proc, CH_RETRY, int(nbytes), ncalls, w)
                 extra += w
-        self.calls[proc] += ncalls
-        self.bytes[proc] += int(nbytes)
         self.remote_calls[proc] += ncalls
         self.remote_bytes[proc] += int(nbytes)
         dt = self.config.transfer_time(nbytes, ncalls)
-        self.flight.record(proc, channel, int(nbytes), ncalls, dt)
+        self.flight.record(proc, CH_STEAL_D, int(nbytes), ncalls, dt)
         return dt + extra
 
     def charge_compute(self, proc: int, seconds: float) -> None:
@@ -283,3 +279,8 @@ class CommStats:
             "load_balance": self.load_balance(),
             "comm_fraction": float(self.comm_time.sum()) / busy if busy > 0 else 0.0,
         }
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values

@@ -180,21 +180,22 @@ class SDCFaultState(SeededFaultState):
     def corrupt_store_dir(self, path: str | Path) -> int:
         """Bit-flip ``store_flips`` distinct blocks of an on-disk ERI store.
 
-        Operates directly on ``blocks.bin`` using the offsets/sizes in
-        ``index.npz`` (no :class:`~repro.integrals.store.ERIStore`
-        needed), modelling a disk that rots under a finalized store.
-        Returns how many blocks were corrupted.
+        Operates directly on the data file using the block extents of
+        the index (read through :mod:`repro.integrals.store`, no
+        :class:`~repro.integrals.store.ERIStore` attach needed),
+        modelling a disk that rots under a finalized store.  Returns how
+        many blocks were corrupted.
         """
-        path = Path(path)
+        from repro.integrals.store import blocks_file, read_index
+
         if self.plan.store_flips <= 0:
             return 0
-        with np.load(path / "index.npz") as idx:
-            offsets = idx["offsets"]
-            sizes = idx["sizes"]
+        index = read_index(path)
+        offsets, sizes = index["offsets"], index["sizes"]
         nblocks = int(offsets.size)
         nflips = min(self.plan.store_flips, nblocks)
         victims = self.rng.choice(nblocks, size=nflips, replace=False)
-        with open(path / "blocks.bin", "r+b") as fh:
+        with open(blocks_file(path), "r+b") as fh:
             for b in victims:
                 if self._budget_left() == 0:
                     break

@@ -51,8 +51,7 @@ def build_jk(
     tau:
         Cauchy-Schwarz drop tolerance (the paper uses 1e-10).
     threads:
-        Worker threads for the contraction (``None`` reads
-        ``REPRO_JK_THREADS``, default 1).
+        Worker threads for the contraction (``None``: serial).
     """
     return jk_from_plan(
         engine, density, engine.class_plan(tau), tau=tau, threads=threads

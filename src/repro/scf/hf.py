@@ -131,9 +131,8 @@ class SCFDriver:
         is refilled.
     jk_threads:
         Worker threads for the class-batched J/K contraction, >= 1
-        (default ``None`` = the ``REPRO_JK_THREADS`` environment
-        variable, else serial).  Builds served by a ready store do not
-        consult it, but a bad count is rejected at construction.
+        (default ``None`` = serial).  Builds served by a ready store do
+        not consult it, but a bad count is rejected at construction.
     max_iter:
         Iteration cap, >= 1.
     checkpoint_dir:
@@ -609,9 +608,9 @@ class _Run:
     eps: list
     coeffs: list
     #: the last iteration's Fock stack (None until one ran)
-    fs: list[np.ndarray] | None = None
-    history: list[float] = field(default_factory=list)
-    start: int = 1
+    fs: list[np.ndarray] | None = field(default=None, init=False)
+    history: list[float] = field(default_factory=list, init=False)
+    start: int = field(default=1, init=False)
 
 
 @dataclass

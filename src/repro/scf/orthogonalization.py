@@ -114,15 +114,10 @@ def orthogonalizer_info(
 
 
 def orthogonalizer(
-    s: np.ndarray,
-    threshold: float = 1e-8,
-    canonical: bool = False,
-    cond_limit: float = 1e8,
+    s: np.ndarray, threshold: float = 1e-8, canonical: bool = False
 ) -> np.ndarray:
     """:func:`orthogonalizer_info` without the info (the common call)."""
-    return orthogonalizer_info(
-        s, threshold=threshold, canonical=canonical, cond_limit=cond_limit
-    )[0]
+    return orthogonalizer_info(s, threshold=threshold, canonical=canonical)[0]
 
 
 def density_from_coefficients(c_occ: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.chem.molecule import Molecule
 from repro.runtime.faults import GateResult, SCFFaultPlan
-from repro.scf.guard import GuardConfig, GuardError
+from repro.scf.guard import GuardError
 from repro.scf.hf import RHF
 
 
@@ -70,7 +70,6 @@ class TortureCase:
     name: str
     description: str
     make_molecule: Callable[[], Molecule]
-    basis_name: str = "sto-3g"
     use_diis: bool = True
     max_iter: int = 100
     faults: SCFFaultPlan | None = None
@@ -170,17 +169,14 @@ class TortureOutcome:
         return "classified" if self.classified else "UNEXPLAINED"
 
 
-def run_case(
-    case: TortureCase,
-    guard: GuardConfig | bool = True,
-    vanilla: bool = True,
-) -> TortureOutcome:
-    """Run one case under the guard (and optionally without, for contrast)."""
+def run_case(case: TortureCase, vanilla: bool = True) -> TortureOutcome:
+    """Run one case (STO-3G) under the guard (and optionally without, for
+    contrast)."""
     vanilla_converged = None
     if vanilla:
         res_v = RHF(
             case.make_molecule(),
-            basis_name=case.basis_name,
+            basis_name="sto-3g",
             use_diis=case.use_diis,
             max_iter=case.max_iter,
         ).run()
@@ -189,10 +185,10 @@ def run_case(
         )
     rhf = RHF(
         case.make_molecule(),
-        basis_name=case.basis_name,
+        basis_name="sto-3g",
         use_diis=case.use_diis,
         max_iter=case.max_iter,
-        guard=guard,
+        guard=True,
         faults=case.faults,
     )
     try:
@@ -278,16 +274,7 @@ class TortureResult(GateResult):
         ]
 
 
-def run_torture(
-    quick: bool = False,
-    guard: GuardConfig | bool = True,
-    vanilla: bool = True,
-    cases: tuple[TortureCase, ...] | None = None,
-) -> TortureResult:
+def run_torture(quick: bool = False, vanilla: bool = True) -> TortureResult:
     """Run the suite (the ``--quick`` subset in CI) and gate the outcomes."""
-    selected = cases if cases is not None else TORTURE_CASES
-    if quick:
-        selected = tuple(c for c in selected if c.quick)
-    return TortureResult(
-        [run_case(c, guard=guard, vanilla=vanilla) for c in selected]
-    )
+    selected = tuple(c for c in TORTURE_CASES if c.quick or not quick)
+    return TortureResult([run_case(c, vanilla=vanilla) for c in selected])

@@ -94,22 +94,16 @@ CREATE INDEX IF NOT EXISTS idx_events_job ON events (job_id, seq);
 """
 
 
-def backoff_delay(
-    attempt: int,
-    job_id: int,
-    base_s: float = 0.5,
-    cap_s: float = 60.0,
-    jitter: float = 0.25,
-) -> float:
+def backoff_delay(attempt: int, job_id: int, jitter: float = 0.25) -> float:
     """Exponential backoff with deterministic jitter.
 
-    ``base * 2**(attempt-1)`` capped at ``cap_s``, stretched by up to
+    ``0.5 s * 2**(attempt-1)`` capped at 60 s, stretched by up to
     ``jitter`` (fraction) derived from ``sha256(job_id:attempt)`` --
     deterministic so chaos runs with a fixed seed reproduce their
     retry schedule, but de-synchronized across jobs so a burst of
     simultaneous failures does not re-stampede the pool.
     """
-    delay = min(cap_s, base_s * (2.0 ** max(0, attempt - 1)))
+    delay = min(60.0, 0.5 * (2.0 ** max(0, attempt - 1)))
     digest = hashlib.sha256(f"{job_id}:{attempt}".encode()).digest()
     frac = int.from_bytes(digest[:8], "big") / 2**64
     return delay * (1.0 + jitter * frac)
@@ -136,10 +130,6 @@ class Job:
     error: str | None
     created_utc: str
     updated_utc: str
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
 
 
 class JobStore:
@@ -317,9 +307,9 @@ class JobStore:
             job_id = row["id"]
         return self.get(job_id)
 
-    def start(self, job_id: int, owner: str, now: float | None = None) -> bool:
+    def start(self, job_id: int, owner: str) -> bool:
         """``leased -> running`` (stamps ``started_at`` for the timeout)."""
-        now = time.time() if now is None else now
+        now = time.time()
         with self._tx() as conn:
             cur = conn.execute(
                 "UPDATE jobs SET state = 'running', started_at = ?,"
@@ -331,10 +321,9 @@ class JobStore:
                 self._event(conn, job_id, "started", owner)
         return bool(cur.rowcount)
 
-    def heartbeat(self, job_id: int, owner: str,
-                  now: float | None = None) -> bool:
+    def heartbeat(self, job_id: int, owner: str) -> bool:
         """Renew the lease; False means the lease was lost (stop working)."""
-        now = time.time() if now is None else now
+        now = time.time()
         with self._tx() as conn:
             cur = conn.execute(
                 "UPDATE jobs SET lease_expires = ? + lease_s, updated_utc = ?"

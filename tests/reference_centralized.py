@@ -60,7 +60,6 @@ class SharedCounter:
             stats.clock[proc], self.server_free, cfg.latency, cfg.queue_service
         )
         self.accesses += 1
-        stats.calls[proc] += 1
         stats.remote_calls[proc] += 1
         stats.clock[proc] += dt
         stats.comm_time[proc] += dt

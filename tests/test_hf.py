@@ -118,13 +118,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="jk_threads"):
             RHF(water(), jk_threads=threads)
 
-    @pytest.mark.parametrize("value", ["two", "0", "1.5"])
-    def test_bad_jk_threads_env_rejected_by_name(self, monkeypatch, value):
-        """It used to die with a bare ``invalid literal for int()``."""
-        monkeypatch.setenv("REPRO_JK_THREADS", value)
-        with pytest.raises(ValueError, match="REPRO_JK_THREADS"):
-            RHF(water())
-
     def test_variational_bound(self, water_scf):
         """HF energy must be above the exact ground state (-76.4)."""
         assert -76.5 < water_scf.energy < -70.0

@@ -19,7 +19,6 @@ from repro.obs import (
     SIM_PID,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullTracer,
     PhaseProfiler,
@@ -430,17 +429,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             g.set_all("proc", [1.0])  # missing label
 
-    def test_histogram(self):
-        h = Histogram("h_seconds", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 5.0, 50.0):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["counts"] == [1, 2, 3]  # cumulative
-        assert snap["count"] == 4
-        assert snap["sum"] == pytest.approx(55.55)
-        with pytest.raises(ValueError):
-            Histogram("bad", buckets=(1.0, 0.5))
-
     def test_registry_get_or_create(self):
         reg = MetricsRegistry()
         a = reg.counter("x_total", labelnames=("p",))
@@ -456,15 +444,10 @@ class TestMetrics:
         reg = MetricsRegistry()
         reg.counter("req_total", "requests", labelnames=("code",)).inc(3, code=200)
         reg.gauge("temp", "temperature").set(1.5)
-        h = reg.histogram("lat_seconds", buckets=(0.1, 1.0))
-        h.observe(0.05)
         text = reg.to_prometheus()
         assert "# TYPE req_total counter" in text
         assert 'req_total{code="200"} 3' in text
         assert "temp 1.5" in text
-        assert 'lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'lat_seconds_bucket{le="+Inf"} 1' in text
-        assert "lat_seconds_count 1" in text
 
     def test_write_json_and_prom(self, tmp_path):
         reg = MetricsRegistry()

@@ -720,6 +720,22 @@ class TestVerifyTree:
         report = verify_tree(tmp_path / "nope")
         assert not report.clean
 
+    @pytest.mark.parametrize("name", ["blocks.bin", "index.npz", "manifest.json"])
+    def test_store_missing_a_file_is_one_finding(self, filled_store, name, capsys):
+        """A store missing a data file used to be skipped: 0 stores
+        audited, verdict CLEAN."""
+        from repro.cli import main
+
+        store_dir, *_ = filled_store
+        (store_dir / name).unlink()
+        report = verify_tree(store_dir.parent)
+        assert report.stores_audited == 1
+        assert [(f.kind, f.path) for f in report.findings] == [
+            ("store", str(store_dir))]
+        assert name in report.findings[0].problem
+        assert main(["verify", str(store_dir.parent)]) == 1
+        assert "verdict: 1 finding(s)" in capsys.readouterr().out
+
     def test_pre_v2_store_flagged_unverifiable(self, filled_store):
         store_dir, *_ = filled_store
         manifest = json.loads((store_dir / "manifest.json").read_text())
