@@ -14,7 +14,7 @@ from repro.chem.builders import (
     water,
     water_cluster,
 )
-from repro.chem.elements import Element, atomic_number, element, symbol_of
+from repro.chem.elements import Element, atomic_number, element
 from repro.chem.molecule import Atom, Molecule
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Element",
     "atomic_number",
     "element",
-    "symbol_of",
     "Atom",
     "Molecule",
 ]

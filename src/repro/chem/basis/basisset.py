@@ -174,23 +174,6 @@ class BasisSet:
         )
         return new
 
-    def function_permutation(self) -> np.ndarray:
-        """Map from this set's function indices to atom-order function indices.
-
-        Entry ``k`` is the index, in the unpermuted (atom-order) basis, of
-        this basis's function ``k``.  Identity when ``order is None``.
-        Useful to compare matrices computed in reordered vs. original bases.
-        """
-        if self.order is None:
-            return np.arange(self.nbf)
-        original = BasisSet.build(self.molecule, self.name)
-        perm = np.empty(self.nbf, dtype=int)
-        for new_i, orig_i in enumerate(self.order):
-            src = original.shell_slice(int(orig_i))
-            dst = self.shell_slice(new_i)
-            perm[dst] = np.arange(src.start, src.stop)
-        return perm
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BasisSet({self.name!r}, nshells={self.nshells}, nbf={self.nbf}, "

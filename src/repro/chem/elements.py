@@ -79,8 +79,3 @@ def element(key: str | int) -> Element:
 def atomic_number(symbol: str) -> int:
     """Atomic number Z for a chemical symbol."""
     return element(symbol).number
-
-
-def symbol_of(number: int) -> str:
-    """Chemical symbol for an atomic number."""
-    return element(number).symbol

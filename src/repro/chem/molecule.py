@@ -1,15 +1,13 @@
-"""Molecule container and XYZ-format I/O.
+"""Molecule container.
 
 Coordinates are stored internally in **bohr** (atomic units), which is what
-the integral code consumes.  The XYZ format and the geometry builders use
-Angstrom, the conventional unit for molecular geometries, and convert on
-the way in/out.
+the integral code consumes.  The geometry builders use Angstrom, the
+conventional unit for molecular geometries, and convert on the way in.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +17,6 @@ from repro.chem.elements import (
     BOHR_PER_ANGSTROM,
     atomic_number,
     element,
-    symbol_of,
 )
 
 
@@ -108,33 +105,6 @@ class Molecule:
         ]
         return cls(atoms=atoms, name=name)
 
-    @classmethod
-    def from_xyz(cls, text: str) -> "Molecule":
-        """Parse standard XYZ format (count line, comment line, atom lines);
-        the comment line, unless it reads as an atom, names the molecule."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty XYZ input")
-        try:
-            n = int(lines[0].split()[0])
-            body = lines[2 : 2 + n]
-            if len(body) != n:
-                raise ValueError
-        except ValueError:
-            # tolerate headerless XYZ bodies (symbol x y z per line)
-            body = lines
-        symbols: list[str] = []
-        coords: list[list[float]] = []
-        for ln in body:
-            parts = ln.split()
-            if len(parts) < 4:
-                raise ValueError(f"bad XYZ atom line: {ln!r}")
-            symbols.append(parts[0])
-            coords.append([float(parts[1]), float(parts[2]), float(parts[3])])
-        named = len(lines) > 1 and not _looks_like_atom_line(lines[1])
-        return cls.from_arrays(symbols, np.array(coords),
-                               name=lines[1].strip() if named else "")
-
     # -- basic properties ---------------------------------------------------
 
     @property
@@ -205,43 +175,7 @@ class Molecule:
             e += float(np.sum(z[i] * z[i + 1 :] / d))
         return e
 
-    def min_interatomic_distance(self) -> float:
-        """Smallest pairwise nuclear distance in bohr (inf for 1 atom)."""
-        if self.natoms < 2:
-            return float("inf")
-        r = self.coords
-        best = float("inf")
-        for i in range(self.natoms - 1):
-            d = np.linalg.norm(r[i + 1 :] - r[i], axis=1)
-            best = min(best, float(d.min()))
-        return best
-
-    # -- output --------------------------------------------------------------
-
-    def to_xyz(self) -> str:
-        """Serialize to standard XYZ text (Angstrom), named in the comment line."""
-        buf = io.StringIO()
-        buf.write(f"{self.natoms}\n")
-        buf.write(self.name + "\n")
-        for a, xyz in zip(self.atoms, self.coords_angstrom):
-            buf.write(f"{a.symbol:<2s} {xyz[0]:15.8f} {xyz[1]:15.8f} {xyz[2]:15.8f}\n")
-        return buf.getvalue()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = self.name or self.formula
         return f"Molecule({label}, natoms={self.natoms}, charge={self.charge})"
 
-
-def _looks_like_atom_line(line: str) -> bool:
-    parts = line.split()
-    if len(parts) < 4:
-        return False
-    try:
-        [float(p) for p in parts[1:4]]
-    except ValueError:
-        return False
-    try:
-        symbol_of(atomic_number(parts[0]))
-    except KeyError:
-        return False
-    return True

@@ -70,19 +70,9 @@ class HFIterationBreakdown:
         return self.t_fock + self.t_purification
 
     @property
-    def t_iteration_diag(self) -> float:
-        """Fock build + dense diagonalization (the replaced alternative)."""
-        return self.t_fock + self.t_diagonalization
-
-    @property
     def purification_percent(self) -> float:
         """Purification's share of its iteration (Table IX's `%` column)."""
         return 100.0 * self.t_purification / self.t_iteration_purify
-
-    @property
-    def purify_speedup_over_diag(self) -> float:
-        """How much faster the density step is with purification."""
-        return self.t_diagonalization / self.t_purification
 
 
 def hf_iteration_breakdown(

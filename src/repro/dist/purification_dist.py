@@ -25,7 +25,7 @@ from repro.obs.flight import CH_ALLREDUCE, CH_GA
 from repro.runtime.ga import GlobalArray, block_bounds, grid_shape
 from repro.runtime.machine import LONESTAR, MachineConfig
 from repro.runtime.network import CommStats
-from repro.scf.purification import initial_density
+from repro.scf.purification import MAX_ITER, TOL, initial_density
 from repro.util.validation import check_symmetric
 
 from repro.dist.summa import (
@@ -113,8 +113,6 @@ def purify_distributed(
     nocc: int,
     nproc: int,
     config: MachineConfig = LONESTAR,
-    tol: float = 1e-10,
-    max_iter: int = 100,
 ) -> DistributedPurificationResult:
     """Canonical purification of D from F (orthogonal basis), distributed.
 
@@ -131,11 +129,11 @@ def purify_distributed(
     d.load(initial_density(f_ortho, nocc))
 
     history: list[float] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         d2 = summa_multiply(d, d, stats, config)
         err = _distributed_fro_norm(d2, d, stats, config)
         history.append(err)
-        if err < tol:
+        if err < TOL:
             stats.barrier()
             return DistributedPurificationResult(
                 d.to_numpy(), it - 1, True, history,
@@ -162,7 +160,7 @@ def purify_distributed(
     history.append(err)
     stats.barrier()
     return DistributedPurificationResult(
-        d.to_numpy(), max_iter, err < tol, history,
+        d.to_numpy(), MAX_ITER, err < TOL, history,
         float(stats.clock.max()), stats,
     )
 

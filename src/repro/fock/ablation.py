@@ -11,7 +11,10 @@ be measured independently, on the Lonestar machine (Table I):
 * :func:`stealing_ablation` -- scheduler on/off and steal-fraction sweep
   vs. load balance and makespan;
 * :func:`granularity_ablation` -- shell-pair tasks vs. coarser
-  row-block tasks (interpolating toward NWChem-style coarse tasks).
+  tiles of them (interpolating toward NWChem-style coarse tasks).
+
+The scheduler rows of the last two price one model of the tasks
+(:func:`_task_queues`), so they differ only in what they vary.
 """
 
 from __future__ import annotations
@@ -83,86 +86,77 @@ def reordering_ablation(basis: BasisSet, cores: int = 768) -> list[AblationRow]:
     return rows
 
 
+def _task_queues(
+    basis: BasisSet, screen: ScreeningMap, cores: int, group: int
+) -> tuple[list[np.ndarray], tuple[int, int]]:
+    """Per-rank task costs over the static partition, and its grid: what
+    every scheduler row prices.
+
+    A task is a ``group x group`` tile of a rank's shell-pair block (1:
+    the paper's granularity) and costs its ERIs x ``t_int`` per core plus
+    one ``task_overhead``, as in :func:`simulate_gtfock`.
+    """
+    eris = quartet_cost_matrix(screen).eris
+    nproc = max(1, cores // LONESTAR.cores_per_node)
+    part = StaticPartition.build(basis.nshells, nproc)
+    t_task = LONESTAR.t_int_gtfock / LONESTAR.cores_per_node
+    queues = []
+    for p in range(nproc):
+        blk = part.task_block(p)
+        tiles = eris[blk.row_lo:blk.row_hi, blk.col_lo:blk.col_hi]
+        for axis, n in enumerate(tiles.shape):
+            tiles = np.add.reduceat(tiles, np.arange(0, n, group), axis=axis)
+        queues.append(tiles.ravel() * t_task + LONESTAR.task_overhead)
+    return queues, (part.prow, part.pcol)
+
+
+def _costs(tasks: np.ndarray) -> np.ndarray:
+    """A queue of :func:`_task_queues` holds the task costs themselves."""
+    return tasks
+
+
 def stealing_ablation(
     basis: BasisSet,
     screen: ScreeningMap,
     cores: int = 1944,
 ) -> list[AblationRow]:
-    """Scheduler on/off, then steal fractions 1/4, 1/2 and 1."""
-    costs = quartet_cost_matrix(screen)
-    rows = [
-        AblationRow(
-            "no-stealing",
-            _sim_metrics(
-                simulate_gtfock(
-                    basis, screen, cores, costs=costs, enable_stealing=False,
-                )
-            ),
-        )
-    ]
+    """Scheduler off, then steal fractions 1/4, 1/2 and 1."""
+    queues, grid = _task_queues(basis, screen, cores, 1)
+    runs = {"no-stealing": run_work_stealing(
+        queues, _costs, grid, enable_stealing=False)}
     for frac in (0.25, 0.5, 1.0):
-        nproc = max(1, cores // LONESTAR.cores_per_node)
-        part = StaticPartition.build(basis.nshells, nproc)
-        ns = basis.nshells
-        t_task = LONESTAR.t_int_gtfock / LONESTAR.cores_per_node
-        eris = costs.eris.ravel()
-        queues = []
-        for p in range(nproc):
-            blk = part.task_block(p)
-            codes = (
-                np.arange(blk.row_lo, blk.row_hi)[:, None] * ns
-                + np.arange(blk.col_lo, blk.col_hi)[None, :]
-            ).ravel()
-            queues.append(codes)
-        out = run_work_stealing(
-            queues,
-            lambda codes: eris[codes] * t_task + LONESTAR.task_overhead,
-            (part.prow, part.pcol),
-            steal_fraction=frac,
-        )
-        rows.append(
-            AblationRow(
-                f"steal-{frac:g}",
-                {
-                    "makespan": out.makespan,
-                    "load_balance": out.load_balance_ratio(),
-                    "victims_per_proc": out.avg_steals_per_proc,
-                },
-            )
-        )
-    return rows
+        runs[f"steal-{frac:g}"] = run_work_stealing(
+            queues, _costs, grid, steal_fraction=frac)
+    return [
+        AblationRow(label, {
+            "makespan": out.makespan,
+            "load_balance": out.load_balance_ratio(),
+            "victims_per_proc": out.avg_steals_per_proc,
+        })
+        for label, out in runs.items()
+    ]
+
+
+#: task tiles of the granularity ablation: 1 x 1 is the paper's
+GROUPS = (1, 4, 16)
 
 
 def granularity_ablation(
     basis: BasisSet,
     screen: ScreeningMap,
     cores: int = 1944,
-    row_groups: tuple[int, ...] = (1, 4, 16),
 ) -> list[AblationRow]:
-    """Coarsen tasks by grouping ``g`` consecutive task-grid rows.
+    """Coarsen tasks into ``g x g`` tiles of the task grid, g in :data:`GROUPS`.
 
     ``g = 1`` is the paper's shell-pair granularity; larger g emulates
-    coarse tasks (fewer, bigger) and shows the load-balance cost the
-    paper attributes to NWChem's 5-atom-quartet choice.
+    coarse tasks (fewer, bigger, and paying fewer per-task overheads) and
+    shows the load-balance cost the paper attributes to NWChem's
+    5-atom-quartet choice.
     """
-    costs = quartet_cost_matrix(screen)
-    nproc = max(1, cores // LONESTAR.cores_per_node)
-    part = StaticPartition.build(basis.nshells, nproc)
-    t_task = LONESTAR.t_int_gtfock / LONESTAR.cores_per_node
-    eris = costs.eris
     rows = []
-    for g in row_groups:
-        queues = []
-        for p in range(nproc):
-            blk = part.task_block(p)
-            tasks = []
-            for r0 in range(blk.row_lo, blk.row_hi, g):
-                r1 = min(r0 + g, blk.row_hi)
-                for c0 in range(blk.col_lo, blk.col_hi, g):
-                    c1 = min(c0 + g, blk.col_hi)
-                    tasks.append(float(eris[r0:r1, c0:c1].sum()) * t_task)
-            queues.append(tasks)
-        out = run_work_stealing(queues, lambda c: c, (part.prow, part.pcol))
+    for g in GROUPS:
+        queues, grid = _task_queues(basis, screen, cores, g)
+        out = run_work_stealing(queues, _costs, grid)
         rows.append(
             AblationRow(
                 f"group-{g}x{g}",
@@ -174,11 +168,3 @@ def granularity_ablation(
             )
         )
     return rows
-
-
-def _sim_metrics(sim) -> dict:
-    return {
-        "makespan": sim.t_fock_max,
-        "load_balance": sim.load_balance,
-        "victims_per_proc": sim.steals_avg,
-    }

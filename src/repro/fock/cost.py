@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fock.screening_map import ScreeningMap
-from repro.fock.symmetry import symmetry_check, task_computes
+from repro.fock.symmetry import symmetry_check
 
 
 @dataclass
@@ -30,16 +30,8 @@ class TaskCosts:
     eris: np.ndarray
 
     @property
-    def total_quartets(self) -> float:
-        return float(self.quartets.sum())
-
-    @property
     def total_eris(self) -> float:
         return float(self.eris.sum())
-
-    def block_sum(self, rows: np.ndarray, cols: np.ndarray) -> float:
-        """Total ERIs of a rectangular task block."""
-        return float(self.eris[np.ix_(rows, cols)].sum())
 
 
 def parity_allowed(m: int, nshells: int) -> np.ndarray:
@@ -47,15 +39,13 @@ def parity_allowed(m: int, nshells: int) -> np.ndarray:
     return symmetry_check(m, np.arange(nshells))
 
 
-def quartet_cost_matrix(screen: ScreeningMap, exact_diagonal: bool = False) -> TaskCosts:
+def quartet_cost_matrix(screen: ScreeningMap) -> TaskCosts:
     """Cost matrices for every task under parity uniqueness + screening.
 
     Diagonal tasks (M == N) carry the extra ``P <= Q`` tie-break; they are
-    approximated as half the unrestricted count unless
-    ``exact_diagonal=True`` (:func:`task_computes` over each diagonal
-    task's (P, Q) grid; only worth it for small systems and tests).
-    There are only nshells of them among nshells^2 tasks, so the
-    approximation is irrelevant for timing.
+    approximated as half the unrestricted count.  There are only nshells
+    of them among nshells^2 tasks, so the approximation is irrelevant for
+    timing.
     """
     ns = screen.nshells
     sigma = screen.sigma
@@ -111,18 +101,7 @@ def quartet_cost_matrix(screen: ScreeningMap, exact_diagonal: bool = False) -> T
     eris *= gate
 
     # diagonal tasks: the P <= Q tie-break keeps roughly half the quartets
-    if exact_diagonal:
-        p = np.arange(ns)
-        for m in range(ns):
-            keep = (
-                task_computes(m, m, p[:, None], p)
-                & np.outer(sig[m], sig[m])
-                & (np.outer(sigma[m], sigma[m]) > tau)
-            )
-            quartets[m, m] = keep.sum()
-            eris[m, m] = sizes[m] ** 2 * (sizes @ keep @ sizes)
-    else:
-        quartets[np.diag_indices(ns)] *= 0.5
-        eris[np.diag_indices(ns)] *= 0.5
+    quartets[np.diag_indices(ns)] *= 0.5
+    eris[np.diag_indices(ns)] *= 0.5
 
     return TaskCosts(quartets=quartets, eris=eris)

@@ -136,7 +136,6 @@ def gtfock_build(
     nproc: int,
     tau: float = 1e-11,
     config: MachineConfig = LONESTAR,
-    enable_stealing: bool = True,
     screen: ScreeningMap | None = None,
     tracer: Tracer | None = None,
     faults: FaultPlan | FaultState | None = None,
@@ -151,10 +150,12 @@ def gtfock_build(
     ``faults`` runs the build under fault injection (stragglers, lossy
     one-sided ops with retry, rank deaths).  The build is engineered to
     produce the *same* Fock matrix regardless: retried accumulates are
-    tag-deduplicated, a dead rank's partial flush epoch is aborted, and
-    its orphaned tasks are re-executed by survivors (reading D on demand
-    where their prefetch footprint falls short).  Only the virtual-time
-    accounting, retry channel, and recovery records differ.
+    tag-deduplicated, and a dead rank's tasks are re-executed by
+    survivors (reading D on demand where their prefetch footprint falls
+    short).  Deaths happen inside the scheduler, before any flush, and
+    only survivors flush, so no rank dies mid-flush; each survivor's
+    flush is staged in an epoch and committed whole.  Only the
+    virtual-time accounting, retry channel, and recovery records differ.
 
     ``capture`` is an optional
     :class:`~repro.fock.simulate.SimCapture` that the build fills with
@@ -238,8 +239,7 @@ def gtfock_build(
                 [part.task_block(p).tasks() for p in range(nproc)],
                 cost_of, (part.prow, part.pcol), stats=stats,
                 d_copy_bytes=lambda v: int(bufs[v].have.sum()) * config.element_size,
-                on_task=on_task, on_steal=on_steal,
-                enable_stealing=enable_stealing, tracer=tracer, faults=fstate,
+                on_task=on_task, on_steal=on_steal, tracer=tracer, faults=fstate,
                 rng=fstate.rng if fstate is not None else None,
                 event_observer=None if capture is None
                 else lambda *event: capture.events.append(event),

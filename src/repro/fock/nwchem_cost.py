@@ -28,6 +28,11 @@ import numpy as np
 
 from repro.fock.screening_map import ScreeningMap
 
+#: consecutive atom quartets per task (Algorithm 2's granularity)
+CHUNK = 5
+#: value quantiles summarizing one atom pair's shell-pair Schwarz values
+NBUCKETS = 4
+
 
 @dataclass
 class NWChemTaskArrays:
@@ -56,7 +61,7 @@ def atom_sigma(screen: ScreeningMap) -> np.ndarray:
 
 
 def _atom_pair_buckets(
-    screen: ScreeningMap, pairs: np.ndarray, nbuckets: int
+    screen: ScreeningMap, pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bucket summaries (values, weights) per canonical atom pair.
 
@@ -69,8 +74,8 @@ def _atom_pair_buckets(
     groups = basis.atom_shell_lists()
     sigma = screen.sigma
     npairs = len(pairs)
-    v = np.zeros((npairs, nbuckets))
-    w = np.zeros((npairs, nbuckets))
+    v = np.zeros((npairs, NBUCKETS))
+    w = np.zeros((npairs, NBUCKETS))
     for idx, (a, b) in enumerate(pairs):
         sa = np.asarray(groups[a], dtype=int)
         sb = np.asarray(groups[b], dtype=int)
@@ -78,8 +83,8 @@ def _atom_pair_buckets(
         wts = np.outer(sizes[sa], sizes[sb]).ravel()
         order = np.argsort(vals)[::-1]
         vals, wts = vals[order], wts[order]
-        cuts = np.linspace(0, vals.size, nbuckets + 1).astype(int)
-        for b_i in range(nbuckets):
+        cuts = np.linspace(0, vals.size, NBUCKETS + 1).astype(int)
+        for b_i in range(NBUCKETS):
             lo, hi = cuts[b_i], cuts[b_i + 1]
             if hi > lo:
                 v[idx, b_i] = vals[lo]  # bucket max (descending order)
@@ -87,28 +92,23 @@ def _atom_pair_buckets(
     return v, w
 
 
-def nwchem_task_shape(
-    screen: ScreeningMap, chunk: int = 5, nbuckets: int = 4
-) -> NWChemTaskArrays:
+def nwchem_task_shape(screen: ScreeningMap) -> NWChemTaskArrays:
     """The machine-independent half of :func:`build_nwchem_task_arrays`.
 
     The task arrays of a unit machine: ``cost`` is the raw
     bucket-product ERI estimate, ``comm_bytes`` counts matrix elements
     and ``total_eris`` is the estimate's own total.  A function of the
-    screen, ``chunk`` and ``nbuckets`` only, so it is built once and
-    kept on the :class:`ScreeningMap`: one molecule's core sweep (and
-    every machine configuration) scales the same arrays.
+    screen only, so it is built once and kept on the
+    :class:`ScreeningMap`: one molecule's core sweep (and every machine
+    configuration) scales the same arrays.
     """
-    key = ("nwchem_task_shape", chunk, nbuckets)
-    shape = screen.derived.get(key)
+    shape = screen.derived.get("nwchem_task_shape")
     if shape is None:
-        shape = screen.derived[key] = _build_task_shape(screen, chunk, nbuckets)
+        shape = screen.derived["nwchem_task_shape"] = _build_task_shape(screen)
     return shape
 
 
-def _build_task_shape(
-    screen: ScreeningMap, chunk: int, nbuckets: int
-) -> NWChemTaskArrays:
+def _build_task_shape(screen: ScreeningMap) -> NWChemTaskArrays:
     basis = screen.basis
     sig_at = atom_sigma(screen)
     natoms = sig_at.shape[0]
@@ -126,7 +126,7 @@ def _build_task_shape(
             np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), 0, 0.0
         )
 
-    v, w = _atom_pair_buckets(screen, pairs, nbuckets)
+    v, w = _atom_pair_buckets(screen, pairs)
 
     # atom function sizes for communication volumes
     offs = basis.offsets
@@ -136,13 +136,13 @@ def _build_task_shape(
         fsizes[atom_of[s]] += offs[s + 1] - offs[s]
 
     # tasks: for bra pair index i (in canonical order), ket pair indices
-    # 0..i chunked by `chunk`.  Expand all (bra, ket) rows.
+    # 0..i chunked by CHUNK.  Expand all (bra, ket) rows.
     nket = np.arange(1, npairs + 1)
     bra = np.repeat(np.arange(npairs), nket)
     row_start = np.cumsum(nket) - nket
     ket = np.arange(bra.size) - row_start[bra]
-    ntask_of_bra = (nket + chunk - 1) // chunk
-    row_task = (np.cumsum(ntask_of_bra) - ntask_of_bra)[bra] + ket // chunk
+    ntask_of_bra = (nket + CHUNK - 1) // CHUNK
+    row_task = (np.cumsum(ntask_of_bra) - ntask_of_bra)[bra] + ket // CHUNK
     ntasks = int(ntask_of_bra.sum())
 
     # atom-level screening of each quartet row
@@ -187,8 +187,6 @@ def build_nwchem_task_arrays(
     total_eris: float,
     t_int: float,
     task_overhead: float,
-    chunk: int = 5,
-    nbuckets: int = 4,
     element_size: int = 8,
 ) -> NWChemTaskArrays:
     """All NWChem tasks with vectorized cost/communication estimates.
@@ -204,7 +202,7 @@ def build_nwchem_task_arrays(
     task_overhead:
         Fixed per-task bookkeeping seconds.
     """
-    shape = nwchem_task_shape(screen, chunk, nbuckets)
+    shape = nwchem_task_shape(screen)
     # normalize to the exact total ERI work, then convert to seconds
     scale = (total_eris / shape.total_eris) if shape.total_eris > 0 else 0.0
     return NWChemTaskArrays(

@@ -93,12 +93,6 @@ class StaticPartition:
             col_hi=int(self.col_shell_bounds[gj + 1]),
         )
 
-    def owner_of_task(self, m: int, n: int) -> int:
-        """Linear process id initially owning task (M, N)."""
-        gi = int(np.searchsorted(self.row_shell_bounds, m, side="right")) - 1
-        gj = int(np.searchsorted(self.col_shell_bounds, n, side="right")) - 1
-        return self.proc_id(gi, gj)
-
     def matrix_bounds(self, basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
         """Function-index boundaries for distributing F/D on this grid.
 

@@ -84,10 +84,6 @@ class ScreeningMap:
     def phi_size(self) -> np.ndarray:
         return np.array([len(p) for p in self.phi], dtype=int)
 
-    def quartet_survives(self, m: int, p: int, n: int, q: int) -> bool:
-        """Cauchy-Schwarz test for quartet (MP|NQ)."""
-        return self.sigma[m, p] * self.sigma[n, q] > self.tau
-
     # -- aggregate statistics for the performance model -----------------------
 
     @cached_property

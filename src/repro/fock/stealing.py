@@ -138,11 +138,9 @@ def run_work_stealing(
     on_steal: Callable[[int, int], None] | None = None,
     enable_stealing: bool = True,
     steal_fraction: float = 0.5,
-    min_steal: int = 1,
     tracer: Tracer | None = None,
     faults: FaultState | None = None,
     rng: np.random.Generator | None = None,
-    on_recover: Callable[[int, list[Any]], None] | None = None,
     event_observer: Callable[[str, float, Any], None] | None = None,
 ) -> StealingOutcome:
     """Simulate the work-stealing execution of per-process task queues.
@@ -175,9 +173,6 @@ def run_work_stealing(
         builds use it to copy the victim's local D buffer to the thief.
     enable_stealing:
         Switch stealing off to measure raw static-partition imbalance.
-    min_steal:
-        Do not bother stealing fewer than this many tasks: endgame
-        single-task steals cost a D-buffer copy for near-zero work.
     tracer:
         Observability sink (defaults to the current session's tracer).  When
         enabled, every executed task and batch becomes a virtual span on
@@ -194,10 +189,6 @@ def run_work_stealing(
         of the fixed row-wise scan, making contention patterns
         reproducible from the seed (chaos runs pass the fault state's
         generator).
-    on_recover:
-        Invoked as ``on_recover(rank, tasks)`` when a survivor adopts
-        orphaned tasks (numeric builds may prefetch the tasks' D blocks
-        here; the GTFock build instead falls back to on-demand fetches).
     event_observer:
         Forwarded to the :class:`EventQueue`; sees every schedule /
         cancel / pop in resolution order (dependency capture).
@@ -212,7 +203,6 @@ def run_work_stealing(
         raise ValueError("steal_fraction must be in (0, 1]")
     if d_copy_bytes is not None and stats is None:
         raise ValueError("d_copy_bytes needs stats to charge the copies to")
-    min_avail = max(1, min_steal)
 
     #: rank p's live batch is ``tasks_of[p][:live[p]]`` with base costs
     #: ``costs_of[p]`` and their running sum ``cum_of[p]``, scaled by p's
@@ -223,8 +213,8 @@ def run_work_stealing(
     cum_of: list[Any] = [None] * nproc
     live = [0] * nproc
     #: batch start time, and the cumulative cost that must still lie
-    #: ahead of a thief's arrival for ``min_avail`` tasks to be stealable
-    #: behind the one in flight (-inf: nothing to steal)
+    #: ahead of a thief's arrival for a task to be stealable behind the
+    #: one in flight (-inf: nothing to steal)
     start = [0.0] * nproc
     threshold = [-np.inf] * nproc
     #: ascending ranks that may pass the stealability test; a rank that
@@ -255,7 +245,7 @@ def run_work_stealing(
     copied: set[tuple[int, int]] = set()
 
     def set_threshold(p: int) -> None:
-        j = live[p] - 1 - min_avail
+        j = live[p] - 2
         threshold[p] = float(cum_of[p][j]) if j >= 0 else -np.inf
 
     def begin(p: int, tasks: Any, costs: np.ndarray, t0: float) -> float:
@@ -283,7 +273,7 @@ def run_work_stealing(
     def find_victim(p: int, t: float) -> tuple[int, int]:
         """``(victim, probes)`` of thief ``p``'s scan at ``t`` (victim -1:
         every other queue was probed and came back empty).  ``v`` can spare
-        ``min_avail`` tasks behind its in-flight one iff ``threshold[v] >
+        a task behind its in-flight one iff ``threshold[v] >
         (t - start[v]) + 1e-15``; pop times never decrease, so a rank that
         fails leaves the candidates until ``begin`` gives it a new batch.
         """
@@ -334,8 +324,6 @@ def run_work_stealing(
         nre = sum(1 for x in take if x[2])
         reexecuted += nre
         queue_ops[p] += 1  # atomic pop from the recovery pool
-        if on_recover is not None:
-            on_recover(p, tasks)
         if done[p] and t > finish[p]:
             # this rank had declared itself done at finish[p] and sat
             # idle until the death woke it: a genuine cross-rank blocked

@@ -691,16 +691,14 @@ def _store_chunks(plan: ClassPlan) -> list[list[Chunk]]:
 
 def resolve_jk_threads(threads: int | None) -> int:
     """Thread count for the J/K contraction (``None``: serial); a count
-    that is not an integer >= 1 is a ``ValueError``."""
+    that is not an integer >= 1 (a ``bool``, ``float`` or ``str`` is not)
+    is a ``ValueError``."""
     if threads is None:
         return 1
-    try:
-        n = int(threads)
-    except ValueError:
-        n = 0
-    if n < 1:
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) \
+            or threads < 1:
         raise ValueError(f"jk_threads must be an integer >= 1, got {threads!r}")
-    return n
+    return int(threads)
 
 
 #: set by :func:`interrupt_jk_threads` (a dying worker's SIGTERM handler):

@@ -120,18 +120,6 @@ class PerfModel:
             "overhead_ratio": self.overhead_ratio(p),
         }
 
-    def overhead_ratio_closed_form(self, p: int) -> float:
-        """Eq (11) in closed form (must equal :meth:`overhead_ratio`)."""
-        self._check_p(p)
-        w = self.element_size
-        pref = 8.0 * w * (1.0 + self.s) / (self.beta * self.t_int * self.B**2)
-        inner = (
-            4.0 * self.B
-            + 2.0 * (self.B - self.q) * math.sqrt(p) / self.nshells
-            + 2.0 * self.q * p / self.nshells**2
-        )
-        return pref * inner
-
     def max_parallelism_ratio(self) -> float:
         """Eq (12): L at p = nshells^2 (one task per process)."""
         return self.overhead_ratio(self.nshells**2)
@@ -139,40 +127,6 @@ class PerfModel:
     def efficiency(self, p: int) -> float:
         """E(p) = 1 / (1 + L(p)) under T(p) = T_comp + T_comm."""
         return 1.0 / (1.0 + self.overhead_ratio(p))
-
-    def isoefficiency_shells(self, p: int, l_target: float) -> float:
-        """nshells needed to hold L(p) = l_target: grows as O(sqrt(p)).
-
-        Solves the closed form for nshells at fixed p (quadratic in
-        1/nshells).
-        """
-        self._check_p(p)
-        if l_target <= 0:
-            raise ValueError("l_target must be positive")
-        w = self.element_size
-        pref = 8.0 * w * (1.0 + self.s) / (self.beta * self.t_int * self.B**2)
-        # pref*(4B + 2(B-q) sqrt(p)/n + 2 q p/n^2) = l_target; x = sqrt(p)/n
-        c0 = pref * 4.0 * self.B - l_target
-        c1 = pref * 2.0 * (self.B - self.q)
-        c2 = pref * 2.0 * self.q
-        if c2 <= 0:
-            if c1 <= 0:
-                raise ValueError("model has no communication terms to balance")
-            x = -c0 / c1
-        else:
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc < 0:
-                raise ValueError("target L unreachable (constant term too large)")
-            x = (-c1 + math.sqrt(disc)) / (2.0 * c2)
-        if x <= 0:
-            raise ValueError(
-                "target L is below the p-independent volume floor (4B term)"
-            )
-        return math.sqrt(p) / x
-
-    def crossover_t_int(self, p: int) -> float:
-        """The t_int at which L(p) = 1 (communication starts to dominate)."""
-        return self.t_int * self.overhead_ratio(p)
 
     def integral_speedup_to_crossover(self, p: int) -> float:
         """How much faster integrals must get before comm dominates at p.

@@ -187,13 +187,9 @@ class FlightRecorder:
             np.add.at(c.bytes, ranks[sel], nbytes[sel])
             np.add.at(c.time, ranks[sel], dt[sel])
 
-    def record_op(self, rank: int, channel: str, nops: int = 1) -> None:
-        """Account scheduler atomics that are *not* one-sided GA calls."""
-        check_rank(rank, self.nproc)
-        self._counters(channel).ops[rank] += nops
-
     def record_ops(self, channel: str, nops: np.ndarray) -> None:
-        """:meth:`record_op` for every rank at once: ``nops[rank]`` each."""
+        """Account scheduler atomics that are *not* one-sided GA calls:
+        ``nops[rank]`` on every rank."""
         self._counters(channel).ops += nops
 
     # -- queries -------------------------------------------------------------

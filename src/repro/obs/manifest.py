@@ -175,13 +175,13 @@ class RunLedger:
 
     # -- streaming -------------------------------------------------------
 
-    def snapshot(self, label: str, registry=None, **extra) -> None:
-        """Append one metrics-registry snapshot line to ``metrics.jsonl``."""
+    def snapshot(self, label: str, **extra) -> None:
+        """Append one snapshot line of the current session's metrics
+        registry to ``metrics.jsonl``."""
         if self._closed:
             return
         from repro.obs.ambient import get_metrics
 
-        reg = registry if registry is not None else get_metrics()
         record = {
             "seq": self._seq,
             "ts_utc": utc_now_iso(),
@@ -190,7 +190,7 @@ class RunLedger:
         }
         if extra:
             record.update(extra)
-        record["metrics"] = reg.to_json()
+        record["metrics"] = get_metrics().to_json()
         self._metrics_fh.write(json.dumps(record, default=str) + "\n")
         self._metrics_fh.flush()
         self._seq += 1
@@ -243,7 +243,7 @@ class NullLedger(RunLedger):
         self.phases = None
         self.hotspots = None
 
-    def snapshot(self, label: str, registry=None, **extra) -> None:
+    def snapshot(self, label: str, **extra) -> None:
         pass
 
     def add_summary(self, **fields) -> None:

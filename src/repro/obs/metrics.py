@@ -90,9 +90,6 @@ class Counter(Metric):
         key = _label_key(self, labels)
         self._series[key] = self._series.get(key, 0) + amount
 
-    def value(self, **labels) -> float:
-        return self._series.get(_label_key(self, labels), 0)
-
 
 class Gauge(Metric):
     """Set-to-current-value metric."""
@@ -105,9 +102,6 @@ class Gauge(Metric):
     def inc(self, amount: float = 1, **labels) -> None:
         key = _label_key(self, labels)
         self._series[key] = self._series.get(key, 0) + amount
-
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
 
     def set_all(self, label: str, values: Sequence[float], **labels) -> None:
         """Make the series matching ``labels`` exactly ``values``, the
@@ -122,9 +116,6 @@ class Gauge(Metric):
         head, tail = key[:at], key[at + 1 :]
         for i, value in enumerate(values):
             self._series[head + (str(i),) + tail] = value
-
-    def value(self, **labels) -> float:
-        return self._series.get(_label_key(self, labels), 0)
 
 
 class MetricsRegistry:
@@ -210,11 +201,9 @@ def _or_current(registry: MetricsRegistry | None) -> MetricsRegistry:
     return get_metrics()
 
 
-def export_commstats(
-    stats: "CommStats",
-    registry: MetricsRegistry | None = None,
-) -> MetricsRegistry:
-    """Export every :class:`CommStats` counter into ``registry``.
+def export_commstats(stats: "CommStats") -> MetricsRegistry:
+    """Export every :class:`CommStats` counter into the current session's
+    registry, and return it.
 
     Per-process integer counters (bytes, calls, and their remote splits)
     are exported as exact ints labelled by ``proc``; the virtual clocks
@@ -222,7 +211,9 @@ def export_commstats(
     Table VII calls, Table VIII load balance) are exported as gauges
     computed by ``CommStats`` itself, so the two views cannot drift.
     """
-    reg = _or_current(registry)
+    from repro.obs.ambient import get_metrics
+
+    reg = get_metrics()
     per_proc = (
         ("bytes_total", "bytes moved (incl. local)", stats.bytes, True),
         ("calls_total", "one-sided GA calls", stats.calls, True),
@@ -348,8 +339,8 @@ def export_integrity(
 
     ``summary`` is :meth:`repro.runtime.sdc.IntegrityMonitor.summary`:
     detector executions by detector name, corruptions detected by kind
-    (store block, checkpoint, GA payload, F/D matrix), and recoveries
-    taken by action (recompute, rollback, retransmit).  A healthy run
+    (store block, checkpoint, F/D matrix), and recoveries taken by
+    action (recompute, rollback, eri_recompute).  A healthy run
     exports non-zero checks and all-zero detections -- the observable
     proof that the detectors ran and found nothing.
     """

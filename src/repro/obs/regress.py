@@ -172,7 +172,7 @@ def grade_series(
 class CheckReport:
     """All findings of one ``repro perf check`` invocation."""
 
-    findings: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list, init=False)
     skipped: list[str] = field(default_factory=list, init=False)
 
     @property
@@ -289,14 +289,12 @@ def grade_entries(
 
 def grade(
     histories: list[str | Path],
-    specs: tuple[MetricSpec, ...] | None = None,
     quick: bool = False,
     window: int = DEFAULT_WINDOW,
     runs: str | Path | None = None,
 ) -> CheckReport:
-    """Grade every tracked metric over the given BENCH history files.
-
-    ``specs`` defaults to every row of the family table.  ``window``
+    """Grade every tracked metric (each row of the family table) over the
+    given BENCH history files.  ``window``
     bounds the baseline to the last K prior points so ancient history
     cannot mask a slow recent drift.  With ``runs`` set, ledger
     summaries under that root join the check: a completed run must have
@@ -305,9 +303,7 @@ def grade(
     entries: list[dict] = []
     for path in histories:
         entries.extend(load_history(path))
-    report = grade_entries(
-        entries, all_specs() if specs is None else specs, quick, window
-    )
+    report = grade_entries(entries, all_specs(), quick, window)
     if runs is not None:
         report.findings.extend(_grade_runs(runs))
     return report
@@ -386,17 +382,13 @@ def _grade_runs(root: str | Path) -> list[Finding]:
     return findings
 
 
-def history_text(
-    histories: list[str | Path],
-    specs: tuple[MetricSpec, ...] | None = None,
-    last: int = 6,
-) -> str:
+def history_text(histories: list[str | Path], last: int = 6) -> str:
     """Trajectory table for ``repro perf history``: last N points per metric."""
     entries: list[dict] = []
     for path in histories:
         entries.extend(load_history(path))
     lines = [f"{'metric':<44} {'n':>3}  trajectory (oldest -> newest)"]
-    for spec in all_specs() if specs is None else specs:
+    for spec in all_specs():
         values, _ = series_for(entries, spec)
         if not values:
             continue

@@ -244,25 +244,6 @@ class Tracer:
             ("X", name, cat, SIM_PID, proc, start, max(end - start, 0.0), args)
         )
 
-    def virtual_spans(
-        self, name: str, proc: int, starts, ends, cat: str = "sim", **columns
-    ) -> None:
-        """Bulk :meth:`virtual_span`: one span per ``(start, end)`` pair.
-
-        ``starts``/``ends`` are arrays of virtual seconds and every
-        keyword is a sequence holding that argument's value for each
-        span -- the same events, field for field, as that many single
-        calls.
-        """
-        starts = np.asarray(starts, dtype=float)
-        durs = np.maximum(np.asarray(ends, dtype=float) - starts, 0.0)
-        keys = tuple(columns)
-        vals = zip(*columns.values()) if keys else repeat(())
-        self._log.extend([
-            ("X", name, cat, SIM_PID, proc, t, d, dict(zip(keys, v)))
-            for t, d, v in zip(starts.tolist(), durs.tolist(), vals)
-        ])
-
     def virtual_task_run(self, proc: int, t0: float, cum, tasks) -> None:
         """Record a finished batch of back-to-back tasks on rank ``proc``.
 
@@ -529,9 +510,6 @@ class NullTracer(Tracer):
         pass
 
     def virtual_span(self, name, proc, start, end, cat="sim", **args) -> None:
-        pass
-
-    def virtual_spans(self, name, proc, starts, ends, cat="sim", **columns) -> None:
         pass
 
     def virtual_task_run(self, proc, t0, cum, tasks) -> None:

@@ -68,11 +68,9 @@ def declare(kind: str, default, label: str | None = None, **spec):
     * ``param`` -- a plain knob, >= ``least``; never a fault by itself.
 
     A truthy value of any kind but ``param`` makes the plan inject
-    something (``fault=False`` opts a field out).  ``show`` formats the
-    ``describe`` value from ``(value, plan)``; ``message`` replaces the
-    derived range-check text.
+    something.  ``show`` formats the ``describe`` value.
     """
-    spec = {"kind": kind, "label": label, "fault": kind != "param", **spec}
+    spec = {"kind": kind, "label": label, **spec}
     spec.setdefault("least", 0)
     spec.setdefault("show", "{:g}" if kind == "rate" else "{}")
     if kind == "per_rank":
@@ -121,13 +119,11 @@ class SeededPlan:
                             f">= {least}, got {x}"
                         )
             elif v < least:
-                raise ValueError(
-                    d.get("message") or f"{name} must be >= {least}, got {v}"
-                )
+                raise ValueError(f"{name} must be >= {least}, got {v}")
 
     @property
     def has_faults(self) -> bool:
-        return any(v for _, d, v in self._declared() if d["fault"])
+        return any(v for _, d, v in self._declared() if d["kind"] != "param")
 
     def require_faults(self) -> None:
         """Raise :class:`EmptyPlanError` unless the plan injects something."""
@@ -144,12 +140,24 @@ class SeededPlan:
             elif d["kind"] == "per_rank":
                 text = ",".join(d["item"].format(p, x) for p, x in sorted(v.items()))
             else:
-                text = d["show"].format(v, self)
+                text = d["show"].format(v)
             parts.append(f"{d['label']}={text}")
         return " ".join(parts)
 
 
-_NONNEGATIVE = "backoff_base and delay_seconds must be >= 0"
+#: the retry protocol: a one-sided op that failed ``k`` times in a row
+#: waits ``BACKOFF_BASE * BACKOFF_FACTOR**k`` before retrying, and gives up
+#: (:class:`FaultError`) after ``MAX_RETRIES`` consecutive failures
+MAX_RETRIES = 16
+BACKOFF_BASE = 20e-6
+BACKOFF_FACTOR = 2.0
+#: share of failed put/acc attempts whose mutation applied but whose
+#: acknowledgement was lost: a blind retry of a non-idempotent ``GA_Acc``
+#: would then double-apply -- unless the target deduplicates by tag (see
+#: :meth:`GlobalArray.acc`)
+ACK_LOSS_RATE = 0.5
+#: a delayed op (or scheduler event) waits ``uniform(0, DELAY_SECONDS)``
+DELAY_SECONDS = 100e-6
 
 
 @dataclass(frozen=True)
@@ -171,20 +179,13 @@ class FaultPlan(SeededPlan):
         ``>= 1``.
     op_fail_rate:
         Per-attempt probability that a remote one-sided op transiently
-        fails.  Failed attempts are retried with exponential backoff;
-        each retry re-sends the payload (counted on the ``retry``
-        channel) and waits ``backoff_base * backoff_factor**k``.
-    max_retries:
-        Give up (raise :class:`FaultError`) after this many consecutive
-        failures of one op -- the fault is no longer transient.
-    ack_loss_rate:
-        Fraction of failed put/acc attempts where the *mutation applied*
-        but the acknowledgement was lost.  A blind retry of a non-
-        idempotent ``GA_Acc`` would then double-apply -- unless the
-        target deduplicates by tag (see :meth:`GlobalArray.acc`).
-    delay_rate / delay_seconds:
+        fails.  Failed attempts are retried under the retry protocol
+        (:data:`MAX_RETRIES`, :data:`BACKOFF_BASE`,
+        :data:`BACKOFF_FACTOR`, :data:`ACK_LOSS_RATE`); each retry
+        re-sends the payload, counted on the ``retry`` channel.
+    delay_rate:
         With probability ``delay_rate``, an op (or a scheduler event) is
-        delayed by ``uniform(0, delay_seconds)`` of virtual time.
+        delayed by ``uniform(0, DELAY_SECONDS)`` of virtual time.
     """
 
     deaths: dict[int, float] = declare(
@@ -194,14 +195,9 @@ class FaultPlan(SeededPlan):
         "per_rank", dict, "slow", least=1, item="r{}x{:g}"
     )
     op_fail_rate: float = declare("rate", 0.0, "op_fail", below_one=True)
-    max_retries: int = declare("param", 16, least=1)
-    backoff_base: float = declare("param", 20e-6, message=_NONNEGATIVE)
-    backoff_factor: float = declare("param", 2.0, least=1)
-    ack_loss_rate: float = declare("rate", 0.5, fault=False)
     delay_rate: float = declare(
-        "rate", 0.0, "delay", show="{0:g}x{1.delay_seconds:g}s"
+        "rate", 0.0, "delay", show=f"{{:g}}x{DELAY_SECONDS:g}s"
     )
-    delay_seconds: float = declare("param", 100e-6, message=_NONNEGATIVE)
 
     def activate(self, nproc: int) -> "FaultState":
         """Instantiate the plan for an ``nproc``-rank run."""
@@ -242,8 +238,8 @@ class FaultState:
     def draw_failures(self, rank: int) -> int:
         """Consecutive transient failures of one op before it succeeds.
 
-        Raises :class:`FaultError` once ``max_retries`` attempts in a
-        row have failed -- the op is treated as permanently broken.
+        Raises :class:`FaultError` once :data:`MAX_RETRIES` attempts in
+        a row have failed -- the op is treated as permanently broken.
         """
         rate = self.plan.op_fail_rate
         if rate <= 0.0:
@@ -251,7 +247,7 @@ class FaultState:
         n = 0
         while self.rng.random() < rate:
             n += 1
-            if n >= self.plan.max_retries:
+            if n >= MAX_RETRIES:
                 raise FaultError(
                     f"rank {rank}: one-sided op failed {n} consecutive "
                     f"times (op_fail_rate={rate}); retries exhausted"
@@ -260,9 +256,9 @@ class FaultState:
 
     def draw_ack_lost(self, rank: int, nfailures: int) -> int:
         """How many of ``nfailures`` failed attempts applied their mutation."""
-        if nfailures <= 0 or self.plan.ack_loss_rate <= 0.0:
+        if nfailures <= 0:
             return 0
-        lost = int(self.rng.binomial(nfailures, self.plan.ack_loss_rate))
+        lost = int(self.rng.binomial(nfailures, ACK_LOSS_RATE))
         self.acks_lost[rank] += lost
         return lost
 
@@ -272,13 +268,13 @@ class FaultState:
             return 0.0
         if self.rng.random() >= self.plan.delay_rate:
             return 0.0
-        d = float(self.plan.delay_seconds * self.rng.random())
+        d = float(DELAY_SECONDS * self.rng.random())
         self.delay_time[rank] += d
         return d
 
     def backoff(self, attempt: int) -> float:
         """Exponential backoff wait before retry ``attempt`` (0-based)."""
-        return float(self.plan.backoff_base * self.plan.backoff_factor**attempt)
+        return float(BACKOFF_BASE * BACKOFF_FACTOR**attempt)
 
     def perturb_event(self, time: float, key) -> float:
         """Delayed-message jitter for scheduler events.
@@ -292,7 +288,7 @@ class FaultState:
             return time
         if self.rng.random() >= self.plan.delay_rate:
             return time
-        return time + float(self.plan.delay_seconds * self.rng.random())
+        return time + float(DELAY_SECONDS * self.rng.random())
 
     # -- reporting -----------------------------------------------------------
 
@@ -490,7 +486,6 @@ def random_plan(
     nstragglers: int = 1,
     op_fail_rate: float = 0.05,
     delay_rate: float = 0.05,
-    delay_seconds: float = 100e-6,
 ) -> FaultPlan:
     """Seeded random :class:`FaultPlan` for an ``nproc``-rank run.
 
@@ -518,7 +513,6 @@ def random_plan(
         deaths=deaths,
         op_fail_rate=op_fail_rate,
         delay_rate=delay_rate,
-        delay_seconds=delay_seconds,
     )
 
 

@@ -70,9 +70,6 @@ class GlobalArray:
     sdc:
         Optional :class:`~repro.runtime.sdc.SDCFaultState` that may
         corrupt accumulate payloads in flight.
-    monitor:
-        Optional :class:`~repro.runtime.sdc.IntegrityMonitor` that
-        tallies payload checks/detections/retransmits run-wide.
     """
 
     def __init__(
@@ -85,7 +82,6 @@ class GlobalArray:
         *,
         checksums: bool = False,
         sdc=None,
-        monitor=None,
     ):
         self.stats = stats
         self.rows = rows
@@ -107,7 +103,6 @@ class GlobalArray:
         self._staged: dict = {}
         self.checksums = checksums
         self.sdc = sdc
-        self.monitor = monitor
         #: accumulate payloads CRC-verified at the receiver
         self.checksum_checks = 0
         #: payloads rejected for a CRC mismatch (and retransmitted)
@@ -238,9 +233,9 @@ class GlobalArray:
           hazard the tags close.
         * ``epoch`` -- stage the addition into an open epoch (see
           :meth:`begin_epoch`) instead of applying it; only
-          :meth:`commit_epoch` makes it visible.  A rank that dies
-          mid-flush leaves an uncommitted epoch behind, so its partial
-          flush is never double-counted against the recovery re-flush.
+          :meth:`commit_epoch` makes it visible, all at once.  (The
+          GTFock build stages each survivor's flush this way; its ranks
+          die in the scheduler, before any flush, never mid-flush.)
 
         With ``checksums`` enabled, the payload's CRC-32 trailer is
         verified at the receiver before the addition is applied; a
@@ -261,8 +256,6 @@ class GlobalArray:
             wire = block
         if self.checksums:
             self.checksum_checks += 1
-            if self.monitor is not None:
-                self.monitor.record_check("ga_payload_crc")
             if block_crc(wire) != block_crc(block):
                 # receiver rejects the damaged payload; the clean one is
                 # retransmitted (charged as a retry) and applied instead
@@ -270,9 +263,6 @@ class GlobalArray:
                 self._charge(
                     proc, r0, r1, c0, c1, CH_RETRY, pad_bytes=pad
                 )
-                if self.monitor is not None:
-                    self.monitor.record_detection("ga_payload")
-                    self.monitor.record_recovery("retransmit")
                 wire = block
         block = wire
         if tag is not None:
@@ -309,11 +299,6 @@ class GlobalArray:
         for r0, c0, block in staged:
             self.data[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] += block
         return len(staged)
-
-    def abort_epoch(self, key) -> int:
-        """Discard an epoch's staged additions (e.g. its rank died
-        mid-flush); returns how many staged ops were dropped."""
-        return len(self._staged.pop(key, []))
 
     # -- whole-array helpers (no accounting; test/setup use) -------------------
 

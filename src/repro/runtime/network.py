@@ -163,18 +163,17 @@ class CommStats:
         procs,
         nbytes,
         ncalls=1,
-        remote: bool = True,
         channel=CH_GA,
         dt=None,
     ) -> None:
-        """Account a batch of communication operations, in array order.
+        """Account a batch of remote communication operations, in array order.
 
         Leaves ``self`` and the flight recorder exactly as one
         :meth:`charge_comm` per op would (``nbytes`` / ``ncalls``
         broadcast against ``procs``, which may repeat ranks; ``channel``
         is one name, or per op an index into
         :data:`~repro.obs.flight.CHANNELS`).  With a fault state
-        attached a remote batch is resolved op by op: every op draws
+        attached the batch is resolved op by op: every op draws
         from the seeded RNG.
 
         A scheduler that resolves its own clocks (the centralized
@@ -187,7 +186,7 @@ class CommStats:
         nbytes = np.broadcast_to(np.asarray(nbytes, dtype=float), n)
         ncalls = np.broadcast_to(np.asarray(ncalls, dtype=np.int64), n)
         if dt is None:
-            if remote and self.faults is not None:
+            if self.faults is not None:
                 channels = (
                     itertools.repeat(channel) if isinstance(channel, str)
                     else (CHANNELS[k] for k in channel)
@@ -195,14 +194,13 @@ class CommStats:
                 for p, b, c, ch in zip(
                     procs.tolist(), nbytes.tolist(), ncalls.tolist(), channels
                 ):
-                    self.charge_comm(p, b, c, remote=remote, channel=ch)
+                    self.charge_comm(p, b, c, channel=ch)
                 return
-            dt = self._comm_seconds(nbytes, ncalls, remote)
+            dt = self.config.transfer_time(nbytes, ncalls)
             np.add.at(self.clock, procs, dt)
         nbytes = nbytes.astype(np.int64)
-        if remote:
-            np.add.at(self.remote_calls, procs, ncalls)
-            np.add.at(self.remote_bytes, procs, nbytes)
+        np.add.at(self.remote_calls, procs, ncalls)
+        np.add.at(self.remote_bytes, procs, nbytes)
         np.add.at(self.comm_time, procs, dt)
         self.flight.record_batch(procs, channel, nbytes, ncalls, dt)
 

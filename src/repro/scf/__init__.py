@@ -10,7 +10,7 @@ from repro.scf.checkpoint import (
 )
 from repro.scf.diis import DIIS
 from repro.scf.guard import (
-    DEFAULT_LADDER,
+    LADDER,
     STATES,
     ConvergenceClassifier,
     GuardConfig,
@@ -49,7 +49,7 @@ __all__ = [
     "load_checkpoint",
     "load_latest_intact",
     "save_checkpoint",
-    "DEFAULT_LADDER",
+    "LADDER",
     "STATES",
     "ConvergenceClassifier",
     "GuardConfig",

@@ -12,6 +12,9 @@ from collections import deque
 
 import numpy as np
 
+#: (Fock, error) pairs the extrapolation window keeps
+MAX_VECTORS = 8
+
 
 class DIIS:
     """Direct Inversion in the Iterative Subspace.
@@ -20,12 +23,9 @@ class DIIS:
     next Fock matrix as the error-minimizing linear combination.
     """
 
-    def __init__(self, max_vectors: int = 8):
-        if max_vectors < 2:
-            raise ValueError("DIIS needs at least 2 stored vectors")
-        self.max_vectors = max_vectors
-        self._focks: deque[np.ndarray] = deque(maxlen=max_vectors)
-        self._errors: deque[np.ndarray] = deque(maxlen=max_vectors)
+    def __init__(self):
+        self._focks: deque[np.ndarray] = deque(maxlen=MAX_VECTORS)
+        self._errors: deque[np.ndarray] = deque(maxlen=MAX_VECTORS)
 
     @staticmethod
     def error_vector(

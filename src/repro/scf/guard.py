@@ -17,8 +17,10 @@ Three pieces:
   :class:`Rung` steps the guard escalates through on bad
   classifications: density damping -> level shifting -> DIIS reset ->
   canonical orthogonalization with a tightened linear-dependence
-  threshold -> the per-row ERI sentinel armed for the rest of the run
-  (flagged rows recomputed on the Obara-Saika kernel).  Remediation is
+  threshold -> reference ERIs (the integral store detached, so every
+  row is computed under the per-row ERI sentinel a guarded run arms from
+  its first iteration: flagged rows are recomputed on the Obara-Saika
+  kernel).  Remediation is
   never free and never silent: every activation is a typed
   :class:`GuardEvent`, an obs metric
   (``repro_scf_guard_*``), and a tracer instant;
@@ -32,7 +34,7 @@ Three pieces:
 The guard state round-trips through the PR-4 checkpoint format
 (:meth:`SCFGuard.state_dict` / :meth:`SCFGuard.load_state`), so a
 restarted run resumes with the same remediation -- including the sticky
-rungs (canonical orthogonalization, the armed ERI sentinel) that must be
+rungs (canonical orthogonalization, reference ERIs) that must be
 re-applied to the rebuilt ``X`` and engine.
 
 See ``docs/ROBUSTNESS.md`` ("Numerical robustness") for the classifier
@@ -141,10 +143,11 @@ class Rung:
         )
 
 
-#: the default ladder, exactly the staged order of docs/ROBUSTNESS.md:
-#: mild damping, stronger damping, level shift, DIIS reset, canonical
-#: orthogonalization with a tightened threshold, row-scoped reference ERIs
-DEFAULT_LADDER: tuple[Rung, ...] = (
+#: the remediation rungs, mildest first -- exactly the staged order of
+#: docs/ROBUSTNESS.md: mild damping, stronger damping, level shift, DIIS
+#: reset, canonical orthogonalization with a tightened threshold,
+#: row-scoped reference ERIs
+LADDER: tuple[Rung, ...] = (
     Rung("damp", {"factor": 0.3}),
     Rung("damp", {"factor": 0.6}),
     Rung("level_shift", {"shift": 0.25}),
@@ -155,63 +158,48 @@ DEFAULT_LADDER: tuple[Rung, ...] = (
 )
 
 
+#: iterations before anything but ``non_finite`` can be flagged
+MIN_HISTORY = 3
+#: consecutive healthy iterations before the guard relaxes (halves
+#: damping; level shift and sticky rungs are kept -- they do not move the
+#: SCF fixed point)
+HEALTHY_WINDOW = 4
+#: energy rise (hartree) over the window that flags ``diverging``
+DIVERGENCE_RISE = 0.5
+#: energy-difference magnitude below which sign flips are noise
+OSCILLATION_TOL = 1e-7
+#: the window counts as flat (``stagnating``) when its smallest density
+#: change exceeds this fraction of its largest
+STAGNATION_FACTOR = 0.95
+
+
 @dataclass(frozen=True)
 class GuardConfig:
-    """Tunables of the watchdog and ladder (all validated on build).
+    """The watchdog's settable tunables (validated on build); the rest of
+    its thresholds and the :data:`LADDER` are module constants.
 
     Parameters
     ----------
     window:
         History length (iterations) the classifier looks back over.
-    min_history:
-        Iterations before anything but ``non_finite`` can be flagged.
     patience:
         Consecutive bad classifications before escalating one rung.
-    healthy_window:
-        Consecutive healthy iterations before the guard relaxes (halves
-        damping; level shift and sticky rungs are kept -- they do not
-        move the SCF fixed point).
     max_nonfinite:
         Non-finite events tolerated before the run is aborted with a
         :class:`GuardError` (carrying the event trail).
-    divergence_rise:
-        Energy rise (hartree) over the window that flags ``diverging``.
-    oscillation_tol:
-        Energy-difference magnitude below which sign flips are noise.
-    stagnation_factor:
-        The window counts as flat (``stagnating``) when its smallest
-        density change exceeds this fraction of its largest.
-    eri_sentinel:
-        Arm the per-quartet NaN/Inf sentinel on the ERI engine from the
-        first iteration (non-finite batched blocks are recomputed on the
-        Obara-Saika kernel; see ``ERIEngine.finite_check``).  When off, the
-        ``reference_eri`` rung still arms it once it fires.
-    ladder:
-        The remediation rungs, mildest first.
+
+    A guarded run arms the per-quartet NaN/Inf sentinel on the ERI engine
+    from the first iteration: non-finite batched blocks are recomputed on
+    the Obara-Saika kernel (see ``ERIEngine.finite_check``).
     """
 
     window: int = 6
-    min_history: int = 3
     patience: int = 2
-    healthy_window: int = 4
     max_nonfinite: int = 3
-    divergence_rise: float = 0.5
-    oscillation_tol: float = 1e-7
-    stagnation_factor: float = 0.95
-    eri_sentinel: bool = True
-    ladder: tuple[Rung, ...] = DEFAULT_LADDER
 
     def __post_init__(self) -> None:
-        for name in ("window", "min_history", "patience", "healthy_window",
-                     "max_nonfinite"):
+        for name in ("window", "patience", "max_nonfinite"):
             check_positive(getattr(self, name), name)
-        check_positive(self.divergence_rise, "divergence_rise")
-        check_positive(self.oscillation_tol, "oscillation_tol")
-        require(
-            0.0 < self.stagnation_factor < 1.0,
-            f"stagnation_factor must be in (0, 1), got {self.stagnation_factor!r}",
-        )
-        require(len(self.ladder) > 0, "ladder must have at least one rung")
         require(
             self.window >= 3,
             f"window must be >= 3 to detect oscillation, got {self.window}",
@@ -240,7 +228,7 @@ class ConvergenceClassifier:
             d_changes and not np.isfinite(d_changes[-1])
         ):
             return NON_FINITE
-        if len(energies) < c.min_history:
+        if len(energies) < MIN_HISTORY:
             return HEALTHY
         e = np.asarray(energies[-c.window:], dtype=float)
         dd = np.asarray(d_changes[-c.window:], dtype=float)
@@ -252,11 +240,11 @@ class ConvergenceClassifier:
         if (
             diffs.size >= 2
             and np.all(diffs[-2:] > 0)
-            and float(e[-1] - e.min()) > c.divergence_rise
+            and float(e[-1] - e.min()) > DIVERGENCE_RISE
         ):
             return DIVERGING
         # oscillating: repeated sign flips of significant energy steps
-        sig = diffs[np.abs(diffs) > max(c.oscillation_tol, 10.0 * self.e_tol)]
+        sig = diffs[np.abs(diffs) > max(OSCILLATION_TOL, 10.0 * self.e_tol)]
         if sig.size >= 3 and not converged_scale:
             flips = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
             if flips >= 2:
@@ -265,7 +253,7 @@ class ConvergenceClassifier:
         if (
             dd.size >= c.window
             and not converged_scale
-            and float(dd.min()) > c.stagnation_factor * float(dd.max())
+            and float(dd.min()) > STAGNATION_FACTOR * float(dd.max())
         ):
             return STAGNATING
         return HEALTHY
@@ -395,10 +383,9 @@ class SCFGuard:
         the guard jumps past the convergence rungs to the fallback rungs
         (DIIS reset onward, ending at the ``reference_eri`` rung).
         """
-        ladder = self.config.ladder
         jump_to = next(
-            (i for i, r in enumerate(ladder) if r.action == "diis_reset"),
-            len(ladder) - 1,
+            (i for i, r in enumerate(LADDER) if r.action == "diis_reset"),
+            len(LADDER) - 1,
         )
         if self.level < jump_to:
             for lvl in range(self.level + 1, jump_to + 1):
@@ -434,7 +421,7 @@ class SCFGuard:
         if state == HEALTHY:
             self.bad_streak = 0
             self.healthy_streak += 1
-            if self.healthy_streak >= self.config.healthy_window:
+            if self.healthy_streak >= HEALTHY_WINDOW:
                 self._relax(iteration)
             return state
         self.healthy_streak = 0
@@ -446,12 +433,12 @@ class SCFGuard:
         return state
 
     def _escalate(self, iteration: int, classification: str) -> None:
-        if self.level + 1 >= len(self.config.ladder):
+        if self.level + 1 >= len(LADDER):
             return  # ladder exhausted; keep the strongest remediation active
         self._activate(self.level + 1, iteration, classification)
 
     def _activate(self, level: int, iteration: int, classification: str) -> None:
-        rung = self.config.ladder[level]
+        rung = LADDER[level]
         self.level = level
         if rung.action == "damp":
             self.damping = float(rung.params.get("factor", 0.5))

@@ -86,13 +86,6 @@ class SCFResult(SCFOutcome):
     #: doubly occupied orbitals (Tr(DS); Tr(D) only in an orthonormal basis)
     nocc: int = 0
 
-    @property
-    def homo_lumo_gap(self) -> float | None:
-        eps = self.orbital_energies
-        if eps is None or not 0 < self.nocc < eps.size:
-            return None
-        return float(eps[self.nocc] - eps[self.nocc - 1])
-
 
 @dataclass
 class SCFDriver:
@@ -244,7 +237,7 @@ class SCFDriver:
         )
         try:
             if self.guard is not None:
-                engine.finite_check = self.guard.eri_sentinel
+                engine.finite_check = True
             engine.scf_faults = faults[0]
             if self.integrity and store is not None:
                 store.verify_reads = True
@@ -338,11 +331,9 @@ class SCFDriver:
         if run.guard.consume_reference_eri():
             # row-scoped: ERIs are density independent, so recomputing a
             # flagged row on the Obara-Saika kernel is exact and every
-            # other row stays on the class kernel.  Arm the per-row
-            # sentinel for the rest of the run (_run restores it) and
-            # detach the store: no row resolved before it was armed
-            # reaches F unchecked
-            self.engine.finite_check = True
+            # other row stays on the class kernel.  The guard armed the
+            # per-row sentinel for the whole run (_run); detach the store
+            # so no row it serves reaches F unchecked
             self.engine.detach_store()
 
     def _corrupted(self, run: _Run, it: int, kind: str, mats: list) -> list:

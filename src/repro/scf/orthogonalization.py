@@ -19,6 +19,8 @@ import numpy as np
 from repro.obs import get_metrics
 from repro.util.validation import check_finite, check_symmetric
 
+#: ``cond(S)`` past which the orthogonalizer goes canonical
+COND_LIMIT = 1e8
 
 class LinearDependenceWarning(UserWarning):
     """The overlap matrix was ill-conditioned enough to drop directions."""
@@ -39,7 +41,6 @@ def orthogonalizer_info(
     s: np.ndarray,
     threshold: float = 1e-8,
     canonical: bool = False,
-    cond_limit: float = 1e8,
 ) -> tuple[np.ndarray, OrthoInfo]:
     """Transformation X with ``X^T S X = I``, plus what was done to get it.
 
@@ -52,12 +53,12 @@ def orthogonalizer_info(
         path only keeps the rest).
     canonical:
         Force canonical orthogonalization (columns may be fewer than nbf).
-    cond_limit:
-        Auto-switch to canonical orthogonalization (with a
-        :class:`LinearDependenceWarning`) once ``cond(S)`` exceeds this,
-        even if no eigenvalue falls below the drop threshold: a nearly
-        singular ``S^{-1/2}`` amplifies Fock-matrix noise by the full
-        condition number.
+
+    Auto-switches to canonical orthogonalization (with a
+    :class:`LinearDependenceWarning`) once ``cond(S)`` exceeds
+    :data:`COND_LIMIT`, even if no eigenvalue falls below the drop
+    threshold: a nearly singular ``S^{-1/2}`` amplifies Fock-matrix noise
+    by the full condition number.
     """
     check_symmetric(s, "overlap", tol=1e-8)
     check_finite(s, "overlap")
@@ -73,7 +74,7 @@ def orthogonalizer_info(
         "repro_scf_overlap_condition", "condition number of the overlap matrix"
     ).set(condition)
     keep = vals > threshold * vmax
-    auto_switch = not canonical and (not keep.all() or condition > cond_limit)
+    auto_switch = not canonical and (not keep.all() or condition > COND_LIMIT)
     if canonical or auto_switch:
         if not keep.any():
             raise ValueError(

@@ -18,6 +18,10 @@ import numpy as np
 
 from repro.util.validation import check_square, check_symmetric
 
+#: idempotency error ``||D^2 - D||_F`` that counts as converged
+TOL = 1e-10
+#: purification steps before giving up
+MAX_ITER = 100
 
 @dataclass
 class PurificationResult:
@@ -69,12 +73,7 @@ def canonical_step(d: np.ndarray) -> np.ndarray:
     return ((1.0 - 2.0 * c) * d + (1.0 + c) * d2 - d3) / (1.0 - c)
 
 
-def purify(
-    f_ortho: np.ndarray,
-    nocc: int,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> PurificationResult:
+def purify(f_ortho: np.ndarray, nocc: int) -> PurificationResult:
     """Canonical purification of the density from an orthogonal-basis Fock.
 
     Returns the idempotent density D' (orthogonal basis, trace = nocc);
@@ -83,13 +82,13 @@ def purify(
     check_symmetric(f_ortho, "fock", tol=1e-8)
     d = initial_density(f_ortho, nocc)
     history: list[float] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         err = float(np.linalg.norm(d @ d - d, "fro"))
         history.append(err)
-        if err < tol:
+        if err < TOL:
             return PurificationResult(d, it - 1, True, history)
         d = canonical_step(d)
         d = 0.5 * (d + d.T)
     err = float(np.linalg.norm(d @ d - d, "fro"))
     history.append(err)
-    return PurificationResult(d, max_iter, err < tol, history)
+    return PurificationResult(d, MAX_ITER, err < TOL, history)

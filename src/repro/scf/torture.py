@@ -128,6 +128,14 @@ TORTURE_CASES: tuple[TortureCase, ...] = (
         max_iter=60,
         faults=SCFFaultPlan(seed=5, fock_nan_iterations=(2, 4)),
     ),
+    TortureCase(
+        name="nan_density",
+        description="NaN injected into the density matrix at iteration 3",
+        make_molecule=lambda: stretched_water(1.0),
+        use_diis=True,
+        max_iter=60,
+        faults=SCFFaultPlan(seed=7, density_nan_iterations=(3,)),
+    ),
 )
 
 

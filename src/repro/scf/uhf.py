@@ -35,10 +35,6 @@ class UHFResult(SCFOutcome):
     orbital_energies_alpha: np.ndarray | None
     orbital_energies_beta: np.ndarray | None
 
-    @property
-    def spin_density(self) -> np.ndarray:
-        return self.density_alpha - self.density_beta
-
     def s_squared(self, s: np.ndarray, n_alpha: int, n_beta: int) -> float:
         """<S^2> expectation (exact value: Sz(Sz+1) for pure states)."""
         sz = 0.5 * (n_alpha - n_beta)

@@ -94,11 +94,15 @@ CREATE INDEX IF NOT EXISTS idx_events_job ON events (job_id, seq);
 """
 
 
-def backoff_delay(attempt: int, job_id: int, jitter: float = 0.25) -> float:
+#: the most a retry backoff is stretched, as a fraction of itself
+JITTER = 0.25
+
+
+def backoff_delay(attempt: int, job_id: int) -> float:
     """Exponential backoff with deterministic jitter.
 
     ``0.5 s * 2**(attempt-1)`` capped at 60 s, stretched by up to
-    ``jitter`` (fraction) derived from ``sha256(job_id:attempt)`` --
+    :data:`JITTER` (fraction) derived from ``sha256(job_id:attempt)`` --
     deterministic so chaos runs with a fixed seed reproduce their
     retry schedule, but de-synchronized across jobs so a burst of
     simultaneous failures does not re-stampede the pool.
@@ -106,7 +110,7 @@ def backoff_delay(attempt: int, job_id: int, jitter: float = 0.25) -> float:
     delay = min(60.0, 0.5 * (2.0 ** max(0, attempt - 1)))
     digest = hashlib.sha256(f"{job_id}:{attempt}".encode()).digest()
     frac = int.from_bytes(digest[:8], "big") / 2**64
-    return delay * (1.0 + jitter * frac)
+    return delay * (1.0 + JITTER * frac)
 
 
 @dataclass
@@ -278,14 +282,14 @@ class JobStore:
 
     # -- worker side ----------------------------------------------------
 
-    def claim(self, owner: str, now: float | None = None) -> Job | None:
+    def claim(self, owner: str) -> Job | None:
         """Atomically lease the best eligible queued job, or None.
 
         Eligibility: ``state = 'queued'`` and past its backoff
         (``not_before <= now``); best = highest priority, then oldest id
         (FIFO within a priority band).
         """
-        now = time.time() if now is None else now
+        now = time.time()
         with self._tx() as conn:
             row = conn.execute(
                 "SELECT id, lease_s FROM jobs"

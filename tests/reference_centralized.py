@@ -22,7 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.fock.centralized import CentralizedOutcome
-from repro.fock.nwchem_cost import NWChemTaskArrays, atom_sigma
+from repro.fock.nwchem_cost import CHUNK, NBUCKETS, NWChemTaskArrays, atom_sigma
 from repro.fock.screening_map import ScreeningMap
 from repro.obs.flight import CH_COUNTER
 from repro.runtime.ga import counter_service
@@ -167,8 +167,6 @@ def reference_task_arrays(
     total_eris: float,
     t_int: float,
     task_overhead: float,
-    chunk: int = 5,
-    nbuckets: int = 4,
     element_size: int = 8,
 ) -> NWChemTaskArrays:
     """All NWChem tasks with vectorized cost/communication estimates.
@@ -184,6 +182,7 @@ def reference_task_arrays(
     task_overhead:
         Fixed per-task bookkeeping seconds.
     """
+    chunk, nbuckets = CHUNK, NBUCKETS
     basis = screen.basis
     sig_at = atom_sigma(screen)
     natoms = sig_at.shape[0]

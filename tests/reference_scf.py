@@ -89,7 +89,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
             self.guard, e_tol=self.e_tol, d_tol=self.d_tol,
             molecule=mol_label,
         )
-        engine.finite_check = self.guard.eri_sentinel
+        engine.finite_check = True
     # seeded NaNs (scf family), then silent bit flips (sdc family)
     fault_states = [
         plan.activate() if plan is not None and plan.has_faults else None

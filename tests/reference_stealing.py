@@ -5,7 +5,7 @@ This is the list-and-loop implementation that
 state and a pruned candidate-list victim search.  It is kept as the
 oracle of the differential tests in ``tests/test_schedulers.py``: an
 idle rank probes ``victim_scan_order`` one queue at a time
-(``stealable_after`` + ``bisect`` + one ``record_op`` per probe), queues
+(``stealable_after`` + ``bisect`` + one ``_record_op`` per probe), queues
 are Python lists, every task span is one ``tracer.virtual_span`` call,
 and each new (thief, victim) pair's D copy is charged by a
 ``steal_cost`` closure, as the callers did before the scheduler owned
@@ -86,6 +86,13 @@ class _ProcState:
         return min(k + 1, len(self.tasks))
 
 
+def _record_op(flight, rank: int, channel: str) -> None:
+    """One scheduler atomic on one rank: ``record_ops`` for a single op."""
+    nops = np.zeros(flight.nproc, dtype=np.int64)
+    nops[rank] = 1
+    flight.record_ops(channel, nops)
+
+
 def reference_work_stealing(
     queues: list[list[Any]],
     cost_of: Callable[[Any], float],
@@ -96,11 +103,9 @@ def reference_work_stealing(
     on_steal: Callable[[int, int], None] | None = None,
     enable_stealing: bool = True,
     steal_fraction: float = 0.5,
-    min_steal: int = 1,
     tracer: Tracer | None = None,
     faults: FaultState | None = None,
     rng: np.random.Generator | None = None,
-    on_recover: Callable[[int, list[Any]], None] | None = None,
     event_observer: Callable[[str, float, Any], None] | None = None,
 ) -> StealingOutcome:
     """Same contract as :func:`repro.fock.stealing.run_work_stealing`."""
@@ -155,7 +160,7 @@ def reference_work_stealing(
         end = states[p].begin(list(queues[p]), costs, start, factor_of(p))
         queue_ops[p] += 1  # one atomic enqueue of the whole initial block
         if stats is not None:
-            stats.flight.record_op(p, CH_QUEUE)
+            _record_op(stats.flight, p, CH_QUEUE)
         events.schedule(end, p)
     if faults is not None:
         for p, t_death in faults.plan.deaths.items():
@@ -185,9 +190,7 @@ def reference_work_stealing(
         reexecuted += nre
         queue_ops[p] += 1  # atomic pop from the recovery pool
         if stats is not None:
-            stats.flight.record_op(p, CH_STEAL_TASK)
-        if on_recover is not None:
-            on_recover(p, tasks)
+            _record_op(stats.flight, p, CH_STEAL_TASK)
         if done[p] and t > finish[p]:
             # this rank had declared itself done at finish[p] and sat
             # idle until the death woke it: a genuine cross-rank blocked
@@ -283,7 +286,7 @@ def reference_work_stealing(
             for victim in order:
                 queue_ops[p] += 1  # probe the victim's queue
                 if stats is not None:
-                    stats.flight.record_op(p, CH_STEAL_TASK)
+                    _record_op(stats.flight, p, CH_STEAL_TASK)
                 probes += 1
                 vs = states[victim]
                 if dead[victim] or not vs.active:
@@ -292,7 +295,7 @@ def reference_work_stealing(
                     continue
                 lo = vs.stealable_after(t)
                 avail = len(vs.tasks) - lo
-                if avail < max(1, min_steal):
+                if avail < 1:
                     continue
                 nsteal = max(1, int(avail * steal_fraction))
                 cut = len(vs.tasks) - nsteal
@@ -304,7 +307,7 @@ def reference_work_stealing(
                 vs.cum = vs.cum[:cut]
                 queue_ops[victim] += 1  # atomic update of victim queue
                 if stats is not None:
-                    stats.flight.record_op(victim, CH_STEAL_TASK)
+                    _record_op(stats.flight, victim, CH_STEAL_TASK)
                 new_victim_end = vs.start + (vs.cum[-1] if vs.cum else 0.0)
                 events.schedule(max(new_victim_end, t), victim)
                 if on_steal is not None:

@@ -10,7 +10,10 @@ here so the oracle shares nothing with the array versions in
 * ``atom_quartet_shell_quartets`` -- the unique shell quartets one
   NWChem atom quartet owns;
 * ``orbit_tuples`` / ``canonical_instance`` / ``is_canonical_instance``
-  -- the scalar orbit helpers both relied on.
+  -- the scalar orbit helpers both relied on;
+* ``exact_diagonal`` -- a task cost matrix with its diagonal tasks
+  enumerated instead of halved (``repro.fock.cost.quartet_cost_matrix``'s
+  approximation).
 
 Production code must not import this module.
 """
@@ -83,6 +86,19 @@ def enumerate_task_quartets(
         for q in screen.phi[n]:
             if smp * sigma[n, q] > tau and task_computes(m, n, int(p), int(q)):
                 yield (m, int(p), n, int(q))
+
+
+def exact_diagonal(screen, costs):
+    """``costs`` (a ``TaskCosts``) with every diagonal task's quartets and
+    ERIs counted by :func:`enumerate_task_quartets`."""
+    sizes = screen.basis.shell_sizes()
+    quartets, eris = costs.quartets.copy(), costs.eris.copy()
+    for m in range(screen.nshells):
+        task = list(enumerate_task_quartets(screen, m, m))
+        quartets[m, m] = len(task)
+        eris[m, m] = sum(float(sizes[a] * sizes[b] * sizes[c] * sizes[d])
+                         for a, b, c, d in task)
+    return type(costs)(quartets, eris)
 
 
 def atom_quartet_shell_quartets(

@@ -11,9 +11,13 @@ from repro.fock.ablation import (
     reordering_ablation,
     stealing_ablation,
 )
+from repro.fock.cost import quartet_cost_matrix
+from repro.fock.partition import StaticPartition
 from repro.fock.reorder import reorder_basis
 from repro.fock.screening_map import ScreeningMap
+from repro.fock.stealing import run_work_stealing
 from repro.integrals.schwarz import schwarz_model
+from repro.runtime.machine import LONESTAR
 
 
 @pytest.fixture(scope="module")
@@ -54,17 +58,44 @@ class TestStealingAblation:
             assert by_label[f"steal-{frac:g}"]["load_balance"] <= static_l
 
 
+    def test_every_scheduler_row_prices_one_task_model(self, screen10):
+        """``no-stealing`` is the scheduler switched off over the queues
+        the steal rows run, and ``group-1x1`` is ``steal-0.5``: a task
+        costs its ERIs x t_int per core plus one task overhead."""
+        basis, screen = screen10
+        eris = quartet_cost_matrix(screen).eris
+        part = StaticPartition.build(basis.nshells, 768 // LONESTAR.cores_per_node)
+        t_task = LONESTAR.t_int_gtfock / LONESTAR.cores_per_node
+        queues = [
+            [float(eris[m, n]) * t_task + LONESTAR.task_overhead
+             for m, n in part.task_block(p).tasks()]
+            for p in range(part.nproc)
+        ]
+        static = run_work_stealing(
+            queues, float, (part.prow, part.pcol), enable_stealing=False)
+        steal = {r.label: r.metrics for r in stealing_ablation(basis, screen, cores=768)}
+        assert steal["no-stealing"] == {
+            "makespan": static.makespan,
+            "load_balance": static.load_balance_ratio(),
+            "victims_per_proc": 0.0,
+        }
+        grain = granularity_ablation(basis, screen, cores=768)[0]
+        assert grain.label == "group-1x1"
+        assert grain.metrics["makespan"] == steal["steal-0.5"]["makespan"]
+        assert grain.metrics["load_balance"] == steal["steal-0.5"]["load_balance"]
+
+
 class TestGranularityAblation:
     def test_coarser_tasks_fewer_count(self, screen10):
         basis, screen = screen10
-        rows = granularity_ablation(basis, screen, cores=768, row_groups=(1, 4))
+        rows = granularity_ablation(basis, screen, cores=768)
         assert rows[0].metrics["ntasks"] > rows[1].metrics["ntasks"]
 
     def test_work_conserved(self, screen10):
         """Total makespan*p stays in the same ballpark across granularity."""
         basis, screen = screen10
-        rows = granularity_ablation(basis, screen, cores=768, row_groups=(1, 16))
-        m1, m16 = rows[0].metrics["makespan"], rows[1].metrics["makespan"]
+        rows = granularity_ablation(basis, screen, cores=768)
+        m1, m16 = rows[0].metrics["makespan"], rows[-1].metrics["makespan"]
         assert 0.5 < m1 / m16 < 2.0
 
 

@@ -1,7 +1,8 @@
 """Property-based validation of the vectorized task cost matrix.
 
 For random synthetic screening matrices, the fully vectorized
-``quartet_cost_matrix`` (with exact diagonal handling) must agree with
+``quartet_cost_matrix`` (its diagonal tasks enumerated, see
+``reference_tasks.exact_diagonal``) must agree with
 brute-force enumeration of the task predicate -- over arbitrary value
 distributions and drop tolerances, not just chemically shaped ones.
 """
@@ -15,6 +16,7 @@ from repro.chem.builders import alkane
 from repro.fock.cost import quartet_cost_matrix
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.symmetry import symmetry_check, task_computes
+from reference_tasks import exact_diagonal
 
 
 def random_screen(seed: int, tau_exp: int) -> ScreeningMap:
@@ -55,7 +57,7 @@ def brute_force(screen: ScreeningMap) -> tuple[np.ndarray, np.ndarray]:
 @settings(max_examples=12, deadline=None)
 def test_cost_matrix_matches_brute_force(seed, tau_exp):
     screen = random_screen(seed, tau_exp)
-    costs = quartet_cost_matrix(screen, exact_diagonal=True)
+    costs = exact_diagonal(screen, quartet_cost_matrix(screen))
     bq, be = brute_force(screen)
     assert np.allclose(costs.quartets, bq)
     assert np.allclose(costs.eris, be)
@@ -66,9 +68,9 @@ def test_cost_matrix_uniform_sigma():
     basis = BasisSet.build(alkane(2), "sto-3g")
     ns = basis.nshells
     screen = ScreeningMap(basis, np.full((ns, ns), 0.5), 1e-6)
-    costs = quartet_cost_matrix(screen, exact_diagonal=True)
+    costs = exact_diagonal(screen, quartet_cost_matrix(screen))
     bq, _be = brute_force(screen)
     assert np.allclose(costs.quartets, bq)
     # and totals equal the unique-quartet count with no screening
     npair = ns * (ns + 1) // 2
-    assert costs.total_quartets == npair * (npair + 1) // 2
+    assert costs.quartets.sum() == npair * (npair + 1) // 2

@@ -73,9 +73,8 @@ class TestDistributedPurification:
         f = rng.normal(size=(16, 16))
         f = 0.5 * (f + f.T)
         nocc = 6
-        serial = purify(f, nocc, tol=1e-11, max_iter=200)
-        dist = purify_distributed(f, nocc, nproc=4, config=LONESTAR, tol=1e-11,
-                                  max_iter=200)
+        serial = purify(f, nocc)
+        dist = purify_distributed(f, nocc, nproc=4, config=LONESTAR)
         assert serial.converged and dist.converged
         assert np.allclose(dist.density, serial.density, atol=1e-8)
 

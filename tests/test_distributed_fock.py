@@ -56,15 +56,6 @@ class TestGTFockNumeric:
         res = gtfock_build(MDEngine(methane_engine.basis), h, d, nproc, 1e-11)
         assert np.allclose(res.fock, methane_fock_reference, atol=1e-11)
 
-    def test_without_stealing_same_result(
-        self, methane_engine, methane_matrices, methane_fock_reference
-    ):
-        _s, h, _x, d = methane_matrices
-        res = gtfock_build(
-            MDEngine(methane_engine.basis), h, d, 4, 1e-11, enable_stealing=False
-        )
-        assert np.allclose(res.fock, methane_fock_reference, atol=1e-11)
-
     def test_with_reordering(self, methane_mol, methane_engine):
         """Reordered-basis build maps back to the reference Fock."""
         from repro.integrals.oneelec import core_hamiltonian, overlap

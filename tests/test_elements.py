@@ -7,7 +7,6 @@ from repro.chem.elements import (
     BOHR_PER_ANGSTROM,
     atomic_number,
     element,
-    symbol_of,
 )
 
 
@@ -33,7 +32,7 @@ class TestElementLookup:
 
     def test_roundtrip(self):
         for z in range(1, 19):
-            assert atomic_number(symbol_of(z)) == z
+            assert atomic_number(element(z).symbol) == z
 
 
 class TestUnits:

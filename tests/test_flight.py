@@ -63,7 +63,7 @@ class TestFlightRecorder:
 
     def test_ops_do_not_touch_msgs_or_bytes(self):
         fr = FlightRecorder(2)
-        fr.record_op(1, CH_QUEUE, 5)
+        fr.record_ops(CH_QUEUE, np.array([0, 5]))
         assert fr.per_rank(CH_QUEUE, "ops").tolist() == [0, 5]
         assert fr.totals("msgs").tolist() == [0, 0]
         assert fr.totals("bytes").tolist() == [0, 0]
@@ -107,15 +107,11 @@ class TestFlightRecorder:
     def test_export_metrics(self):
         fr = FlightRecorder(2)
         fr.record(1, CH_PREFETCH_GET, 123, 2, 0.25)
-        fr.record_op(0, CH_QUEUE, 3)
+        fr.record_ops(CH_QUEUE, np.array([3, 0]))
         reg = fr.export_metrics(MetricsRegistry())
-        assert reg.get("repro_flight_bytes_total").value(
-            proc=1, channel=CH_PREFETCH_GET
-        ) == 123
-        assert reg.get("repro_flight_ops_total").value(
-            proc=0, channel=CH_QUEUE
-        ) == 3
         text = reg.to_prometheus()
+        assert 'repro_flight_bytes_total{proc="1",channel="prefetch_get"} 123' in text
+        assert 'repro_flight_ops_total{proc="0",channel="queue"} 3' in text
         assert 'repro_flight_msgs_total{proc="1",channel="prefetch_get"} 2' in text
 
     def test_bad_field_and_nproc(self):
@@ -164,13 +160,6 @@ class TestBatchedRecording:
         fr.record_batch([], CH_ALLREDUCE, 0, 1, 0.0)
         assert fr.channels() == [CH_BARRIER]
 
-    def test_record_ops_is_record_op_per_rank(self):
-        one, batch = FlightRecorder(3), FlightRecorder(3)
-        for rank, nops in enumerate([4, 0, 2]):
-            one.record_op(rank, CH_STEAL_TASK, nops)
-        batch.record_ops(CH_STEAL_TASK, np.array([4, 0, 2]))
-        assert batch.to_json() == one.to_json()
-
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_rank_is_rejected_not_wrapped(self, bad):
         """``proc = -1`` used to charge the last rank through NumPy
@@ -179,7 +168,6 @@ class TestBatchedRecording:
         stats = CommStats(3, LONESTAR)
         calls = [
             lambda: fr.record(bad, CH_GA, 8, 1, 0.0),
-            lambda: fr.record_op(bad, CH_QUEUE),
             lambda: fr.record_batch([0, bad, -7], CH_GA, 8, 1, 0.0),
             lambda: SharedCounter(stats).read_inc(bad),
             lambda: stats.charge_comm_batch([1, bad], 8.0),
@@ -263,19 +251,6 @@ class TestNumericBuildChannels:
             + flight.per_rank(CH_STEAL_TASK, "ops").sum()
         )
         assert total_ops == int(res.outcome.queue_ops.sum())
-
-    def test_gtfock_no_steal_run_has_no_steal_traffic(
-        self, methane_engine, methane_matrices, methane_fock_reference
-    ):
-        _s, h, _x, d = methane_matrices
-        res = gtfock_build(
-            MDEngine(methane_engine.basis), h, d, 4, 1e-11,
-            enable_stealing=False,
-        )
-        assert np.allclose(res.fock, methane_fock_reference, atol=1e-11)
-        flight = res.stats.flight
-        assert int(flight.per_rank(CH_STEAL_D, "bytes").sum()) == 0
-        assert int(flight.per_rank(CH_STEAL_F, "bytes").sum()) == 0
 
     def test_gtfock_split_flush_is_numerically_invisible(
         self, methane_engine, methane_matrices, methane_fock_reference

@@ -21,8 +21,9 @@ from repro.scf.checkpoint import (
     save_checkpoint,
 )
 from repro.scf.fock import build_jk
+from repro.scf import guard as guard_mod
 from repro.scf.guard import (
-    DEFAULT_LADDER,
+    LADDER,
     DIVERGING,
     HEALTHY,
     NON_FINITE,
@@ -101,8 +102,6 @@ class TestConfigAndEvents:
             GuardConfig(window=2)
         with pytest.raises(ValueError, match="patience"):
             GuardConfig(patience=0)
-        with pytest.raises(ValueError, match="ladder"):
-            GuardConfig(ladder=())
 
     def test_event_json_roundtrip(self):
         ev = GuardEvent(7, OSCILLATING, "damp", {"factor": 0.3})
@@ -132,10 +131,12 @@ class TestGuardStateMachine:
         assert "damp" in actions
 
     def test_relax_halves_damping_after_healthy_streak(self):
-        g = SCFGuard(GuardConfig(healthy_window=2))
+        g = SCFGuard(GuardConfig())
         g.damping = 0.4
-        g.observe(1, -74.0, 0.5)
-        g.observe(2, -74.5, 0.3)
+        for i, (e, dd) in enumerate(
+            zip([-74.0, -74.5, -74.7, -74.8], [0.5, 0.3, 0.1, 0.05]), 1
+        ):
+            g.observe(i, e, dd)
         assert g.damping == pytest.approx(0.2)
         assert any(ev.action == "relax" for ev in g.events)
 
@@ -144,7 +145,7 @@ class TestGuardStateMachine:
         assert not g.check_matrix("fock", np.array([[np.nan]]), 3)
         g.on_nonfinite(3, "fock")
         reset_rung = next(
-            i for i, r in enumerate(DEFAULT_LADDER) if r.action == "diis_reset"
+            i for i, r in enumerate(LADDER) if r.action == "diis_reset"
         )
         assert g.level == reset_rung
         assert g.consume_diis_reset()
@@ -310,7 +311,7 @@ class TestOrthogonalizerHardening:
         s = np.eye(3) * 1e-20
         s[0, 0] = 1.0
         with pytest.warns(LinearDependenceWarning):
-            x, info = orthogonalizer_info(s, threshold=1e-6, cond_limit=1e8)
+            x, info = orthogonalizer_info(s, threshold=1e-6)
         assert info.canonical
         assert info.n_kept == 1
         assert info.n_dropped == 2
@@ -466,24 +467,25 @@ class TestERIFaultSeam:
 
 
 class TestRowScopedReferenceRung:
-    """The ``reference_eri`` rung arms the per-row sentinel for the rest
-    of the run and leaves the engine on the class kernel.  Asserted by
-    counts, not wall clock."""
+    """A guarded run arms the per-row sentinel from its first iteration: a
+    corrupted row is recomputed on the Obara-Saika kernel and every other
+    row stays on the class kernel.  The ``reference_eri`` rung detaches
+    the integral store, so no row it would serve reaches F unchecked.
+    Asserted by counts, not wall clock."""
 
-    #: sentinel off at the start, so only the rung can arm it; a
-    #: non-finite F jumps straight to the ladder's last (here only) rung
-    CONFIG = GuardConfig(eri_sentinel=False, ladder=(Rung("reference_eri"),))
     PLAN = SCFFaultPlan(seed=4, quartet_nan_rate=0.05, max_corruptions=20)
+
+    @pytest.fixture
+    def one_rung(self, monkeypatch):
+        """A non-finite F jumps straight to the ladder's last rung; with
+        ``reference_eri`` the only one, the first trip takes it."""
+        monkeypatch.setattr(guard_mod, "LADDER", (Rung("reference_eri"),))
 
     def test_flagged_rows_rescued_the_rest_stay_on_the_class_kernel(
         self, monkeypatch
     ):
         clean = RHF(water()).run()
-        rhf = RHF(water(), guard=self.CONFIG, faults=self.PLAN)
-        nrows = rhf.engine.class_plan(rhf.tau).nquartets
-        # build 0 runs unarmed: its victims reach F, which trips the rung
-        unarmed = len(self.PLAN.activate().draw_build(nrows).rows)
-        assert unarmed > 0
+        rhf = RHF(water(), guard=True, faults=self.PLAN)
         swept, corrupted, rescued = [], [], []
         kernel = class_batch.compute_class_rows
 
@@ -506,45 +508,55 @@ class TestRowScopedReferenceRung:
         res = rhf.run()
         assert res.converged
         assert abs(res.energy - clean.energy) <= 1e-9
-        assert res.guard_summary["by_action"]["reference_eri"] == 1
-        # every row corrupted after arming: recomputed once, on Obara-Saika
+        # every corrupted row: recomputed once, on Obara-Saika
         assert sum(corrupted) == self.PLAN.max_corruptions
-        assert sum(rescued) == rhf.engine.eri_rescues == sum(corrupted) - unarmed
+        assert sum(rescued) == rhf.engine.eri_rescues == sum(corrupted)
         # ... and every computed row, rescued or not, came off the class kernel
         assert sum(swept) == rhf.engine.quartets_computed
         assert rhf.engine.pair_cache is not None
         # armed for this run only
         assert rhf.engine.finite_check is False
 
-    def test_rows_stored_before_arming_never_reach_f(self, tmp_path):
+    def _nan_store(self, path) -> str:
+        """A store an unguarded faulted run finalized with NaN rows in it."""
+        store = str(path / "store")
+        try:
+            RHF(water(), faults=self.PLAN, integral_store=store).run()
+        except np.linalg.LinAlgError:
+            pass  # its NaN Fock matrix has no eigenvectors
+        return store
+
+    def test_rows_stored_before_arming_never_reach_f(self, tmp_path, one_rung):
         clean = RHF(water()).run()
-        rhf = RHF(
-            water(), guard=self.CONFIG, faults=self.PLAN,
-            integral_store=str(tmp_path / "store"),
-        )
-        res = rhf.run()  # build 0 finalizes a store holding NaN rows
+        rhf = RHF(water(), guard=True, integral_store=self._nan_store(tmp_path))
+        res = rhf.run()
         assert res.converged
         assert abs(res.energy - clean.energy) <= 1e-9
+        assert res.guard_summary["by_action"]["reference_eri"] == 1
         assert rhf.engine.integral_store is None
-        assert rhf.engine.quartets_served_from_store == 0
 
-    def test_restart_rearms_from_the_checkpoint_flag(self, tmp_path):
+    def test_restart_rearms_from_the_checkpoint_flag(self, tmp_path, one_rung):
         clean = RHF(water()).run()
+        store = self._nan_store(tmp_path)
         RHF(
-            water(), guard=self.CONFIG, faults=self.PLAN, max_iter=3,
+            water(), guard=True, integral_store=store, max_iter=3,
             checkpoint_dir=str(tmp_path),
         ).run()
         assert load_latest_intact(tmp_path).guard["reference_eri"] is True
         armed = []
         rhf = RHF(
-            water(), guard=self.CONFIG, checkpoint_dir=str(tmp_path),
-            restart=True,
+            water(), guard=True, integral_store=store,
+            checkpoint_dir=str(tmp_path), restart=True,
             on_iteration=lambda it, e: armed.append(rhf.engine.finite_check),
         )
         res = rhf.run()
         assert res.converged
         assert abs(res.energy - clean.energy) <= 1e-9
         assert armed and all(armed)
+        # the flag detached the NaN store before the first rebuilt F: the
+        # restored trail holds the one trip, and no second one
+        assert rhf.engine.integral_store is None
+        assert res.guard_summary["by_action"]["reference_eri"] == 1
         assert rhf.engine.finite_check is False
 
 

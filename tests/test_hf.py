@@ -65,8 +65,7 @@ class TestConvergenceBehavior:
         res = rhf.run()
         eps = res.orbital_energies
         assert res.nocc == rhf.nocc == mol().nelectrons // 2
-        assert res.homo_lumo_gap == eps[res.nocc] - eps[res.nocc - 1]
-        assert res.homo_lumo_gap > 0.5
+        assert eps[res.nocc] - eps[res.nocc - 1] > 0.5
 
     def test_jk_threads_reach_every_iteration_build(self):
         """``jk_threads`` reaches every iteration's J/K build, not only
@@ -117,6 +116,15 @@ class TestValidation:
         """A count below 1 used to run serial without a word."""
         with pytest.raises(ValueError, match="jk_threads"):
             RHF(water(), jk_threads=threads)
+
+    @pytest.mark.parametrize("threads", [2.7, 2.0, True, "2"])
+    def test_jk_threads_that_are_not_integers_rejected(self, threads):
+        """``2.7`` used to run two threads, ``True`` one, ``"2"`` two."""
+        with pytest.raises(ValueError, match="jk_threads"):
+            RHF(water(), jk_threads=threads)
+
+    def test_numpy_integer_jk_threads_accepted(self):
+        assert RHF(water(), jk_threads=np.int64(2)).jk_threads == 2
 
     def test_variational_bound(self, water_scf):
         """HF energy must be above the exact ground state (-76.4)."""

@@ -50,10 +50,8 @@ class TestBreakdown:
     def test_purification_beats_diagonalization_at_scale(self):
         b = hf_iteration_breakdown(fake_fock(3888, 8.0), 2250, LONESTAR)
         assert b.t_purification < b.t_diagonalization
-        assert b.purify_speedup_over_diag > 1.0
 
     def test_iteration_sums(self):
         b = HFIterationBreakdown(12, 10.0, 1.0, 3.0)
         assert b.t_iteration_purify == pytest.approx(11.0)
-        assert b.t_iteration_diag == pytest.approx(13.0)
         assert b.purification_percent == pytest.approx(100.0 / 11.0)

@@ -38,7 +38,8 @@ class TestManifest:
         ledger = _make_run(tmp_path, argv=["scf", "water"], seed=7, close=False)
         reg = MetricsRegistry()
         reg.counter("repro_iterations_total").inc(3)
-        ledger.snapshot("scf_iteration", registry=reg, iteration=1, energy=-75.0)
+        with session(metrics=reg):
+            ledger.snapshot("scf_iteration", iteration=1, energy=-75.0)
         ledger.add_summary(energy=-75.0, converged=True)
         ledger.close(0)
 

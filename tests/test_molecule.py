@@ -1,7 +1,5 @@
 """Tests for repro.chem.molecule."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -47,10 +45,6 @@ class TestProperties:
     def test_formula_water(self):
         assert water().formula == "H2O"
 
-    def test_min_distance_single_atom(self):
-        m = Molecule.from_arrays(["H"], np.zeros((1, 3)))
-        assert m.min_interatomic_distance() == math.inf
-
 
 class TestNuclearRepulsion:
     def test_two_protons(self):
@@ -83,28 +77,3 @@ class TestNuclearRepulsion:
 
     def test_water_value_positive(self):
         assert water().nuclear_repulsion() > 0
-
-
-class TestXYZ:
-    def test_roundtrip(self):
-        m = water()
-        m2 = Molecule.from_xyz(m.to_xyz())
-        assert m2.symbols == m.symbols
-        assert np.allclose(m2.coords, m.coords, atol=1e-6)
-
-    def test_headerless(self):
-        text = "O 0 0 0\nH 1 0 0\nH 0 1 0"
-        m = Molecule.from_xyz(text)
-        assert m.natoms == 3
-
-    def test_comment_becomes_name(self):
-        text = "2\nmy dimer\nH 0 0 0\nH 0 0 0.7"
-        assert Molecule.from_xyz(text).name == "my dimer"
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            Molecule.from_xyz("")
-
-    def test_bad_atom_line_raises(self):
-        with pytest.raises(ValueError):
-            Molecule.from_xyz("1\nc\nH 0 0")

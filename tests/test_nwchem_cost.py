@@ -43,22 +43,6 @@ class TestTaskArrays:
         # tasks with zero calls move zero bytes
         assert np.all(arrays.comm_bytes[arrays.comm_calls == 0] == 0)
 
-    def test_chunking_changes_task_count(self, screen):
-        total = quartet_cost_matrix(screen).total_eris
-        a1 = build_nwchem_task_arrays(screen, total, 1e-6, 0.0, chunk=1)
-        a5 = build_nwchem_task_arrays(screen, total, 1e-6, 0.0, chunk=5)
-        assert a1.ntasks > a5.ntasks
-        assert a1.cost.sum() == pytest.approx(a5.cost.sum(), rel=1e-9)
-
-    def test_bucket_count_stability(self, screen):
-        """Totals are bucket-independent (normalization guarantees it) and
-        the cost distribution only sharpens with more buckets."""
-        total = quartet_cost_matrix(screen).total_eris
-        a2 = build_nwchem_task_arrays(screen, total, 1e-6, 0.0, nbuckets=2)
-        a8 = build_nwchem_task_arrays(screen, total, 1e-6, 0.0, nbuckets=8)
-        assert a2.cost.sum() == pytest.approx(a8.cost.sum(), rel=1e-9)
-        assert a2.ntasks == a8.ntasks
-
     def test_dense_3d_system(self):
         """A 3-D cluster (every pair significant) still enumerates fine."""
         basis = BasisSet.build(water_cluster(2, 2, 1), "vdz-sim")
@@ -73,12 +57,9 @@ class TestSharedTaskShape:
     """The machine-independent half is built once per screen; scaling it
     is bitwise the unsplit build kept in ``tests/reference_centralized.py``."""
 
-    @pytest.mark.parametrize("chunk,nbuckets", [(5, 4), (1, 2)])
-    def test_two_machines_off_one_cached_shape(
-        self, screen, chunk, nbuckets, monkeypatch
-    ):
+    def test_two_machines_off_one_cached_shape(self, screen, monkeypatch):
         total = quartet_cost_matrix(screen).total_eris
-        shape = nwchem_task_shape(screen, chunk, nbuckets)
+        shape = nwchem_task_shape(screen)
         # from here on the shape may only come from the cache
         monkeypatch.setattr(nwchem_cost, "_build_task_shape", None)
         machines = (
@@ -87,13 +68,13 @@ class TestSharedTaskShape:
                            element_size=4),
         )
         for cfg in machines:
-            knobs = dict(chunk=chunk, nbuckets=nbuckets,
-                         element_size=cfg.element_size)
             new = build_nwchem_task_arrays(
-                screen, total, cfg.t_int_nwchem, cfg.task_overhead, **knobs
+                screen, total, cfg.t_int_nwchem, cfg.task_overhead,
+                element_size=cfg.element_size,
             )
             ref = reference_task_arrays(
-                screen, total, cfg.t_int_nwchem, cfg.task_overhead, **knobs
+                screen, total, cfg.t_int_nwchem, cfg.task_overhead,
+                element_size=cfg.element_size,
             )
             assert new.ntasks == ref.ntasks == shape.ntasks
             assert new.total_eris == ref.total_eris
@@ -103,7 +84,6 @@ class TestSharedTaskShape:
 
     def test_cache_is_per_screen_and_per_knobs(self, screen):
         assert nwchem_task_shape(screen) is nwchem_task_shape(screen)
-        assert nwchem_task_shape(screen, chunk=2) is not nwchem_task_shape(screen)
         other = ScreeningMap(screen.basis, screen.sigma, screen.tau)
         assert nwchem_task_shape(other) is not nwchem_task_shape(screen)
         assert other == screen  # the memo is not part of the value

@@ -131,9 +131,6 @@ class TestTracer:
             if i % 3 == 1:
                 tr.virtual_span("w", proc=i % 5, start=0.1 * i, end=0.1 * i + 0.05,
                                 cat="task", task=str(i))
-            elif i % 6 == 2:  # a one-span bulk call
-                tr.virtual_spans("w", i % 5, [0.1 * i], [0.1 * i + 0.05],
-                                 cat="task", task=[str(i)])
             elif i % 6 == 5:  # a one-span columnar task run
                 tr.virtual_task_run(i % 5, 0.1 * i, np.array([0.05]), [i])
             else:
@@ -155,33 +152,6 @@ class TestTracer:
             json.dumps(tr.chrome_trace(), default=_coerce)
         )
         assert path.read_text() == json.dumps(tr.chrome_trace(), default=_coerce)
-
-    def test_bulk_virtual_spans_equal_single_calls(self):
-        starts = np.array([0.0, 1.5, 1.5, 4.0])
-        ends = np.array([1.5, 1.5, 4.0, 3.0])  # zero and negative lengths
-        labels = [str(i) for i in range(4)]
-        bulk, single = Tracer(), Tracer()
-        for tr in (bulk, single):
-            tr.virtual_instant("before", 1, 0.0)
-        bulk.virtual_spans("task", 7, starts, ends, cat="task", task=labels, k=range(4))
-        bulk.virtual_spans("bare", 2, starts[:2], ends[:2])
-        for i in range(4):
-            single.virtual_span("task", 7, starts[i], ends[i], cat="task",
-                                task=labels[i], k=i)
-        for i in range(2):
-            single.virtual_span("bare", 2, starts[i], ends[i])
-        bulk.virtual_spans("task", 7, [], [], task=[])
-        for tr in (bulk, single):
-            tr.virtual_instant("after", 1, 9.0)
-        # every reader sees the bulk call as that many single events
-        assert bulk.spans(cat="task") == single.spans(cat="task")
-        assert bulk.spans(pid=SIM_PID, names={"bare"}) == single.spans(names={"bare"})
-        assert bulk.instants() == single.instants()
-        assert bulk.chrome_trace() == single.chrome_trace()
-        assert bulk.events == single.events
-        bulk.virtual_spans("late", 0, [1.0], [2.0])  # appending after a read
-        single.virtual_span("late", 0, 1.0, 2.0)
-        assert bulk.events == single.events
 
     def test_task_run_equals_single_calls(self):
         """The scheduler's capture call: edges, durations and labels are
@@ -210,7 +180,6 @@ class TestTracer:
             sp["ignored"] = 1
         nt.instant("i")
         nt.virtual_span("v", 0, 0.0, 1.0)
-        nt.virtual_spans("v", 0, [0.0], [1.0], k=[1])
         nt.virtual_task_run(0, 0.0, np.array([1.0]), [1])
         nt.virtual_instant("vi", 0, 0.0)
         assert nt.events == []
@@ -270,12 +239,6 @@ _times = st.one_of(
 )
 _procs = st.one_of(st.integers(0, 5), st.integers(0, 5).map(np.int64),
                    st.booleans())
-_columns = st.integers(0, 3).flatmap(lambda n: st.tuples(
-    st.lists(_times, min_size=n, max_size=n),
-    st.lists(_times, min_size=n, max_size=n),
-    st.dictionaries(_text.filter(lambda k: k not in _RESERVED),
-                    st.lists(_values, min_size=n, max_size=n), max_size=2),
-))
 _task_runs = st.integers(0, 4).flatmap(lambda n: st.tuples(
     st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n).map(
         lambda costs: np.cumsum(costs) if costs else np.empty(0)),
@@ -293,7 +256,6 @@ _ops = st.one_of(
     st.tuples(st.just("instant"), _text, _args),
     st.tuples(st.just("virtual_span"), _text, _procs, _times, _times, _args),
     st.tuples(st.just("virtual_instant"), _text, _procs, _times, _args),
-    st.tuples(st.just("virtual_spans"), _text, _procs, _columns),
     st.tuples(st.just("virtual_task_run"), _procs, _times, _task_runs),
 )
 
@@ -347,9 +309,6 @@ class TestChromeSerializer:
             elif op == "virtual_instant":
                 name, proc, t, args = rest
                 tr.virtual_instant(name, proc, t, **args)
-            elif op == "virtual_spans":
-                name, proc, (starts, ends, columns) = rest
-                tr.virtual_spans(name, proc, starts, ends, **columns)
             else:
                 proc, t0, (cum, tasks) = rest
                 tr.virtual_task_run(proc, t0, cum, tasks)
@@ -390,15 +349,27 @@ class TestChromeSerializer:
         assert '"args": {"n": 3, "x": 0.5, "flag": true}' in path.read_text()
 
 
+def _value(metric, **labels):
+    """``metric``'s value at ``labels`` (0 when unset), from its samples."""
+    want = {k: str(v) for k, v in labels.items()}
+    return next((v for _, got, v in metric.samples() if got == want), 0)
+
+
+def _exported(stats):
+    """``export_commstats`` into a fresh registry."""
+    with session(metrics=MetricsRegistry()):
+        return export_commstats(stats)
+
+
 class TestMetrics:
     def test_counter(self):
         c = Counter("c_total", labelnames=("proc",))
         c.inc(proc=0)
         c.inc(5, proc=0)
         c.inc(2, proc=1)
-        assert c.value(proc=0) == 6
-        assert c.value(proc=1) == 2
-        assert c.value(proc=9) == 0
+        assert _value(c, proc=0) == 6
+        assert _value(c, proc=1) == 2
+        assert _value(c, proc=9) == 0
         with pytest.raises(ValueError):
             c.inc(-1, proc=0)
         with pytest.raises(ValueError):
@@ -408,15 +379,14 @@ class TestMetrics:
         c = Counter("c_total")
         c.inc(2**60)
         c.inc(3)
-        assert c.value() == 2**60 + 3
-        assert isinstance(c.value(), int)
+        assert _value(c) == 2**60 + 3
+        assert isinstance(_value(c), int)
 
     def test_gauge(self):
         g = Gauge("g")
         g.set(1.5)
         g.inc()
-        g.dec(0.5)
-        assert g.value() == 2.0
+        assert _value(g) == 2.5
 
     def test_gauge_set_all_replaces_the_matching_series(self):
         g = Gauge("g", labelnames=("proc", "alg"))
@@ -557,7 +527,7 @@ class TestCommStatsBridge:
 
     def test_table6_table7_counters_bit_for_bit(self):
         stats = self.make_stats()
-        reg = export_commstats(stats, MetricsRegistry())
+        reg = _exported(stats)
         nbytes = reg.get("repro_comm_bytes_total")
         calls = reg.get("repro_comm_calls_total")
         total_bytes = sum(v for _, _, v in nbytes.samples())
@@ -569,28 +539,28 @@ class TestCommStatsBridge:
         assert total_bytes / stats.nproc / 1e6 == stats.volume_mb_per_process()
         assert total_calls / stats.nproc == stats.calls_per_process()
         assert (
-            reg.get("repro_comm_volume_mb_per_process").value()
+            _value(reg.get("repro_comm_volume_mb_per_process"))
             == stats.volume_mb_per_process()
         )
         assert (
-            reg.get("repro_comm_calls_per_process").value()
+            _value(reg.get("repro_comm_calls_per_process"))
             == stats.calls_per_process()
         )
 
     def test_load_balance_exported(self):
         stats = self.make_stats()
-        reg = export_commstats(stats, MetricsRegistry())
-        assert reg.get("repro_comm_load_balance_ratio").value() == pytest.approx(
+        reg = _exported(stats)
+        assert _value(reg.get("repro_comm_load_balance_ratio")) == pytest.approx(
             stats.load_balance()
         )
         assert stats.summary()["load_balance"] == stats.load_balance()
 
     def test_per_proc_labels(self):
         stats = self.make_stats()
-        reg = export_commstats(stats, MetricsRegistry())
+        reg = _exported(stats)
         clock = reg.get("repro_comm_clock_seconds")
         for p in range(4):
-            assert clock.value(proc=p) == float(stats.clock[p])
+            assert _value(clock, proc=p) == float(stats.clock[p])
 
 
 class TestSchedulerTracing:
@@ -661,11 +631,11 @@ class TestScfTracing:
         assert len(iters) == result.iterations
         inner = {s.name for s in tr.spans(cat="scf")}
         assert {"scf_setup", "fock_build", "diis", "diagonalize"} <= inner
-        e = fresh.get("repro_scf_energy_hartree").value(molecule="H2O")
+        e = _value(fresh.get("repro_scf_energy_hartree"), molecule="H2O")
         assert e == pytest.approx(result.energy)
-        assert fresh.get("repro_scf_converged").value(molecule="H2O") == 1
+        assert _value(fresh.get("repro_scf_converged"), molecule="H2O") == 1
         assert (
-            fresh.get("repro_scf_iterations_total").value(molecule="H2O")
+            _value(fresh.get("repro_scf_iterations_total"), molecule="H2O")
             == result.iterations
         )
 

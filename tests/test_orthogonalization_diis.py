@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.scf.diis import DIIS
+from repro.scf.diis import DIIS, MAX_VECTORS
 from repro.scf.guess import core_guess
 from repro.scf.orthogonalization import (
     density_from_coefficients,
@@ -96,10 +96,10 @@ class TestDIIS:
             DIIS().extrapolate()
 
     def test_window_limit(self):
-        diis = DIIS(max_vectors=3)
+        diis = DIIS()
         for i in range(10):
             diis.push(np.eye(2) * i, np.eye(2) * (10 - i))
-        assert diis.size == 3
+        assert diis.size == MAX_VECTORS
 
     def test_exact_cancellation(self):
         """Two errors e and -e: DIIS finds the zero-error combination."""
@@ -110,10 +110,6 @@ class TestDIIS:
         diis.push(f2, -e)
         out = diis.extrapolate()
         assert np.allclose(out, 0.5 * (f1 + f2), atol=1e-10)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            DIIS(max_vectors=1)
 
     def test_error_vector_antisymmetric_source(self, water_matrices):
         s, h, x, d = water_matrices

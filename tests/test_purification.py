@@ -49,7 +49,7 @@ class TestPurify:
     def test_matches_diagonalization(self, nocc):
         """Purified density == aufbau projector when a gap exists."""
         f = random_fock(10, seed=7)
-        res = purify(f, nocc, tol=1e-12, max_iter=200)
+        res = purify(f, nocc)
         assert res.converged
         d_ref, _e, _c = density_from_fock(f, np.eye(10), nocc)
         assert np.allclose(res.density, d_ref, atol=1e-8)
@@ -76,7 +76,7 @@ class TestPurify:
     def test_paper_iteration_count_scale(self):
         """Convergence in tens of iterations (paper: ~45 for C150H30)."""
         f = random_fock(30, seed=11)
-        res = purify(f, 12, tol=1e-10)
+        res = purify(f, 12)
         assert res.converged
         assert res.iterations < 100
 

@@ -16,11 +16,13 @@ An ``__init__`` import is a re-export, not a use, and a word that only
 happens to be spelled like the def (a channel string, another class's
 attribute) does not count.
 
-**Every settable value is set, every member is used.**  Every defaulted
-parameter of a top-level function or of a method, and every defaulted
-``init`` field of a dataclass (or NamedTuple), in ``src/`` must be set by at
-least one call in ``src/``, ``benchmarks/``, ``examples/``, ``perfbench/`` or
-``tests/``: by keyword, or by enough positional arguments.  Calls are
+**Every settable value is set, every member is used -- and tests are not
+callers.**  Every defaulted parameter of a top-level function or of a
+method, and every defaulted ``init`` field of a dataclass (or NamedTuple),
+in ``src/`` must be set by at least one call in ``src/``, ``benchmarks/``,
+``examples/`` or ``perfbench/`` (the same users as above): by keyword, or by
+enough positional arguments.  An option only a test sets is a constant; a
+member only a test calls is test code.  Calls are
 matched by the callee's spelling (``f(...)``, ``x.f(...)``; a class's
 constructor is ``C(...)``, and ``super().__init__(...)`` inside a class is
 a call to its bases), so a call to any callable spelled alike counts.  The
@@ -40,7 +42,7 @@ and the call-through helpers ``stack.callback(f, *a, **kw)`` and
 ``benchmark.pedantic(f, args=(...), kwargs={...})`` count as the call of
 ``f`` they make.  Every method or property (dunders aside) must be loaded
 as an attribute, or named in a ``getattr`` / ``(owner, "name")`` pair,
-somewhere outside its own body, tests included.
+somewhere outside its own body by one of those users.
 
 ``make loc`` prints ``len(settable())``, the options count.
 """
@@ -53,10 +55,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 USERS = ("src", "benchmarks", "examples", "perfbench")
-CALLERS = USERS + ("tests",)
 
 
-def modules(dirs=CALLERS) -> dict:
+def modules(dirs=USERS) -> dict:
     """``{dotted module name: (path, tree)}`` for every file under ``dirs``."""
     out = {}
     for d in dirs:
@@ -96,7 +97,7 @@ def _bindings(tree, package: str) -> dict:
 
 
 def unreached() -> list[str]:
-    mods = modules(USERS)
+    mods = modules()
     packages = {m: m if p.name == "__init__.py" else m.rpartition(".")[0]
                 for m, (p, _) in mods.items()}
     binds = {m: _bindings(t, packages[m]) for m, (_, t) in mods.items()}
@@ -315,7 +316,7 @@ def _uses(tree, calls, everything, replaced, loads, bases) -> None:
 
 
 def unset_and_unused() -> list[str]:
-    mods = modules(CALLERS)
+    mods = modules()
     src = {m: v for m, v in mods.items() if m.startswith("repro")}
     calls = defaultdict(list)  # spelling -> every call so spelled
     everything = set()  # spellings whose every parameter counts as set

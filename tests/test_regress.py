@@ -10,6 +10,7 @@ from repro.obs.regress import (
     MetricSpec,
     extract,
     grade,
+    grade_entries,
     grade_series,
     history_text,
     load_history,
@@ -122,34 +123,38 @@ def _history_file(tmp_path, values, name="BENCH_x.json"):
     return path
 
 
+def _graded(path, specs, **kw):
+    """One history file graded against ``specs`` (``grade`` grades every
+    row of the family table)."""
+    return grade_entries(load_history(path), specs, **kw)
+
+
 class TestGrade:
     def test_exit_codes(self, tmp_path):
         specs = (_spec(),)
-        ok = grade([_history_file(tmp_path, [1.0, 1.0, 1.0])], specs=specs)
+        ok = _graded(_history_file(tmp_path, [1.0, 1.0, 1.0]), specs)
         assert ok.status == PASS
         assert ok.exit_code == 0
-        bad = grade(
-            [_history_file(tmp_path, [1.0, 1.0, 1.0, 9.0])], specs=specs
-        )
+        bad = _graded(_history_file(tmp_path, [1.0, 1.0, 1.0, 9.0]), specs)
         assert bad.status == FAIL
         assert bad.exit_code == 1
 
     def test_warn_does_not_fail_the_gate(self):
-        report = CheckReport(findings=[
-            grade_series(_spec(), [1.0, 1.0, 1.0, 1.45], ["t"] * 4)
-        ])
+        report = CheckReport()
+        report.findings.append(
+            grade_series(_spec(), [1.0, 1.0, 1.0, 1.45], ["t"] * 4))
         assert report.status == WARN
         assert report.exit_code == 0
 
     def test_quick_filters_specs(self, tmp_path):
         specs = (_spec(quick=False), _spec(key="u", quick=True))
         path = _history_file(tmp_path, [1.0, 1.0])
-        report = grade([path], specs=specs, quick=True)
+        report = _graded(path, specs, quick=True)
         graded_keys = {f.spec.key for f in report.findings}
         assert "t" not in graded_keys
 
     def test_missing_benchmark_is_skipped_not_failed(self):
-        report = grade([], specs=(_spec(),))
+        report = grade([])
         assert report.findings == []
         assert report.skipped
         assert report.exit_code == 0
@@ -157,9 +162,7 @@ class TestGrade:
     def test_window_limits_baseline(self, tmp_path):
         # old regression ages out of the window: the recent points rule
         values = [9.0] + [1.0] * 10
-        report = grade(
-            [_history_file(tmp_path, values)], specs=(_spec(),), window=4
-        )
+        report = _graded(_history_file(tmp_path, values), (_spec(),), window=4)
         assert report.findings[0].status == PASS
 
     def test_runs_join_the_gate(self, tmp_path):
@@ -168,14 +171,14 @@ class TestGrade:
         ledger = RunLedger(tmp_path / "runs" / "bad", command="scf")
         ledger.add_summary(converged=False)
         ledger.close(1)
-        report = grade([], specs=(), runs=tmp_path / "runs")
+        report = grade([], runs=tmp_path / "runs")
         assert report.status == FAIL
         labels = {f.spec.label for f in report.findings}
         assert "run:bad.exit_code" in labels
         assert "run:bad.converged" in labels
 
     def test_text_renders_counts(self, tmp_path):
-        report = grade([_history_file(tmp_path, [1.0, 1.0])], specs=(_spec(),))
+        report = _graded(_history_file(tmp_path, [1.0, 1.0]), (_spec(),))
         text = report.text()
         assert "bench.t" in text
         assert "pass" in text.lower()
@@ -191,7 +194,7 @@ class TestGrade:
         path.write_text(json.dumps({"history": [
             {"benchmark": "bench", "t": 0, "u": 1.0},
         ]}))
-        report = grade([path], specs=specs)
+        report = _graded(path, specs)
         assert report.status == PASS
         assert " <=0 " in report.text()
         assert " >=0.95 " in report.text()
@@ -224,10 +227,14 @@ class TestHistoryIO:
         assert len(stamps) == 2
 
     def test_history_text(self, tmp_path):
-        path = _history_file(tmp_path, [1.0, 1.1, 1.2])
-        text = history_text([path], specs=(_spec(),))
-        assert "bench.t" in text
-        assert "1.2" in text
+        path = tmp_path / "BENCH_fock.json"
+        path.write_text(json.dumps({"history": [
+            {"benchmark": "scf_guard", "overhead": v, "energy_matches": True}
+            for v in (0.01, 0.011, 0.012)
+        ]}))
+        text = history_text([path])
+        assert "scf_guard.overhead" in text
+        assert "0.012" in text
 
 
 class TestDefaultSpecs:

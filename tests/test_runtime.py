@@ -147,10 +147,9 @@ class TestChargeCommBatch:
         ),
         st.booleans(),
         st.booleans(),
-        st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_equals_one_by_one(self, ops, remote, unique_ranks, faulty):
+    def test_equals_one_by_one(self, ops, unique_ranks, faulty):
         if unique_ranks:  # the vectorised path: every rank at most once
             ops = list({op[0]: op for op in ops}.values())
         procs = [op[0] for op in ops]
@@ -169,10 +168,8 @@ class TestChargeCommBatch:
 
         one, batch = fresh(), fresh()
         for p, b, c in ops:
-            one.charge_comm(p, b, ncalls=c, remote=remote, channel="task_get")
-        batch.charge_comm_batch(
-            procs, nbytes, ncalls, remote=remote, channel="task_get"
-        )
+            one.charge_comm(p, b, ncalls=c, channel="task_get")
+        batch.charge_comm_batch(procs, nbytes, ncalls, channel="task_get")
         assert _stats_state(batch) == _stats_state(one)
 
     def test_resolved_ops_record_what_the_caller_charged(self):

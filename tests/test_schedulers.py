@@ -62,7 +62,6 @@ def _differential_case(seed, grid=None, kind=None):
     queues = [np.arange(bounds[p], bounds[p + 1]) % 400 for p in range(nproc)]
     knobs = dict(
         steal_fraction=float(rng.choice([0.25, 0.5, 1.0])),
-        min_steal=int(rng.integers(1, 4)),
         enable_stealing=bool(seed % 7),
     )
     plan = None
@@ -71,7 +70,6 @@ def _differential_case(seed, grid=None, kind=None):
         plan = random_plan(
             seed, nproc, horizon=float(costs.mean() * lens.mean()) or 1.0,
             ndeaths=min(kind - 1, nproc - 1), nstragglers=kind % 2,
-            delay_seconds=0.3,
         )
     return (prow, pcol), queues, costs, knobs, plan, bool(seed % 2)
 
@@ -81,7 +79,7 @@ def _run_scheduler(run, grid, queues, cost_of, knobs, plan, permute):
     fstate = plan.activate(nproc) if plan is not None else None
     stats = CommStats(nproc, LONESTAR, faults=fstate)
     stats.clock[:] = np.linspace(0.0, 0.2, nproc)
-    tracer, log, recovered = Tracer(), [], []
+    tracer, log = Tracer(), []
     if fstate is not None:
         rng = fstate.rng
     else:
@@ -90,10 +88,9 @@ def _run_scheduler(run, grid, queues, cost_of, knobs, plan, permute):
         queues, cost_of, grid, stats=stats,
         d_copy_bytes=lambda victim: 4096 * (victim + 1),
         tracer=tracer, faults=fstate, rng=rng,
-        on_recover=lambda p, tasks: recovered.append((p, len(tasks))),
         event_observer=lambda *ev: log.append(ev), **knobs,
     )
-    return out, stats, tracer, log, recovered
+    return out, stats, tracer, log
 
 
 def _assert_same_events(tr, ref_tr, rtol):
@@ -138,7 +135,7 @@ class TestAgainstReferenceScan:
         assert len(out.dead_ranks) == (2 if kind else 0)
 
     def _assert_matches_reference(self, grid, queues, costs, knobs, plan, permute):
-        ref, ref_stats, ref_tr, ref_log, ref_rec = _run_scheduler(
+        ref, ref_stats, ref_tr, ref_log = _run_scheduler(
             reference_work_stealing, grid, [q.tolist() for q in queues],
             lambda c: float(costs[c]), knobs, plan, permute,
         )
@@ -148,7 +145,7 @@ class TestAgainstReferenceScan:
             (queues, lambda codes: costs[codes]),
             ([q.tolist() for q in queues], lambda c: float(costs[c])),
         ):
-            out, stats, tr, log, rec = _run_scheduler(
+            out, stats, tr, log = _run_scheduler(
                 run_work_stealing, grid, new_queues, cost_of, knobs, plan,
                 permute,
             )
@@ -171,7 +168,6 @@ class TestAgainstReferenceScan:
             assert [(r.rank, r.ntasks, r.reexecuted) for r in out.recoveries] == [
                 (r.rank, r.ntasks, r.reexecuted) for r in ref.recoveries
             ]
-            assert rec == ref_rec
             if ref.executed_history is not None:
                 assert [
                     [int(task) for task, _ in h] for h in out.executed_history
@@ -200,8 +196,8 @@ class TestAgainstReferenceScan:
 
     def test_cases_cover_the_fault_paths(self):
         """The seeds above really exercise deaths, adoption, stragglers,
-        delayed events, permuted scans and min_steal > 1."""
-        seen = {"death": 0, "recover": 0, "steal": 0, "permuted": 0, "min2": 0}
+        delayed events and permuted scans."""
+        seen = {"death": 0, "recover": 0, "steal": 0, "permuted": 0}
         for seed in range(48):
             grid, queues, costs, knobs, plan, permute = _differential_case(seed)
             out, *_ = _run_scheduler(
@@ -212,7 +208,6 @@ class TestAgainstReferenceScan:
             seen["recover"] += bool(out.recoveries)
             seen["steal"] += bool(out.steals)
             seen["permuted"] += bool(out.steals) and (permute or plan is not None)
-            seen["min2"] += bool(out.steals) and knobs["min_steal"] > 1
         assert all(n >= 5 for n in seen.values()), seen
 
     @given(st.integers(0, 10_000))
@@ -226,7 +221,7 @@ class TestAgainstReferenceScan:
         nproc = grid[0] * grid[1]
         fstate = random_plan(
             seed, nproc, horizon=float(costs.mean() * 20), ndeaths=min(1, nproc - 1),
-            nstragglers=1, delay_rate=0.5, delay_seconds=0.3,
+            nstragglers=1, delay_rate=0.5,
         ).activate(nproc)
         delayed = []
         perturb = fstate.perturb_event
@@ -280,7 +275,7 @@ class TestColumnarTraceCapture:
     """A finished batch reaches the tracer as *views* of the scheduler's
     own cost and task arrays.  That is only sound if nothing writes to
     them afterwards, so this run has everything that touches a batch
-    later -- steals (``min_steal > 1``), stragglers (``cum *= factor`` in
+    later -- steals, stragglers (``cum *= factor`` in
     ``begin``), an early and a late rank death -- and reads the trace
     only once it is over."""
 
@@ -298,8 +293,8 @@ class TestColumnarTraceCapture:
             cost_of = lambda c: float(costs[c])
         plan = FaultPlan(
             seed=17, slowdown={0: 1.7, 2: 2.5}, deaths={4: 9.0, 1: 58.6})
-        knobs = dict(steal_fraction=0.5, min_steal=2, enable_stealing=True)
-        out, _, tracer, _, _ = _run_scheduler(
+        knobs = dict(steal_fraction=0.5, enable_stealing=True)
+        out, _, tracer, _ = _run_scheduler(
             run, self.GRID, queues, cost_of, knobs, plan, False)
         return out, tracer
 
@@ -448,7 +443,6 @@ class TestStealBoundary:
             lambda t: 10.0,
             (1, 2),
             on_task=lambda p, t: executed_by.setdefault(t, p),
-            min_steal=1,
         )
         assert executed_by[("v", 0)] == 0
         assert executed_by[("v", 1)] == 0  # in flight at t=10: not stealable

@@ -25,12 +25,6 @@ class TestScreeningMap:
         sig = alkane_screen.significant
         assert np.array_equal(sig, sig.T)
 
-    def test_quartet_survival_consistent(self, alkane_screen):
-        s = alkane_screen
-        m, p, n, q = 0, 1, 2, 3
-        expected = s.sigma[m, p] * s.sigma[n, q] > s.tau
-        assert s.quartet_survives(m, p, n, q) == expected
-
     def test_avg_phi_between_1_and_n(self, alkane_screen):
         assert 1.0 <= alkane_screen.avg_phi <= alkane_screen.nshells
 

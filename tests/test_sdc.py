@@ -309,7 +309,7 @@ class TestStoreIntegrity:
 
 
 class TestGAPayloadIntegrity:
-    def _ga(self, checksums, sdc=None, monitor=None):
+    def _ga(self, checksums, sdc=None):
         from repro.runtime.ga import GlobalArray, block_bounds
         from repro.runtime.machine import LONESTAR
         from repro.runtime.network import CommStats
@@ -319,7 +319,7 @@ class TestGAPayloadIntegrity:
         stats = CommStats(4, LONESTAR)
         ga = GlobalArray(
             stats, n, n, bounds, bounds,
-            checksums=checksums, sdc=sdc, monitor=monitor,
+            checksums=checksums, sdc=sdc,
         )
         return ga, stats, n
 
@@ -335,12 +335,10 @@ class TestGAPayloadIntegrity:
 
     def test_checksummed_acc_survives_payload_corruption(self):
         state = SDCFaultPlan(seed=1, payload_flip_rate=0.3).activate()
-        monitor = IntegrityMonitor()
-        ga, _stats, n = self._ga(True, sdc=state, monitor=monitor)
+        ga, _stats, n = self._ga(True, sdc=state)
         expected = self._drive(ga, n)
         assert state.payloads_corrupted > 0
         assert ga.checksum_rejects == state.payloads_corrupted
-        assert monitor.detections.get("ga_payload") == ga.checksum_rejects
         assert np.array_equal(ga.to_numpy(), expected)
 
     def test_unchecksummed_acc_is_silently_wrong(self):

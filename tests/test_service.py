@@ -35,7 +35,9 @@ from repro.integrals.class_batch import (
 from repro.obs import MetricsRegistry, load_run, session
 from repro.scf.checkpoint import load_latest_intact, prune_checkpoints
 from repro.scf.hf import RHF
+from repro.service import store as store_mod
 from repro.service.store import (
+    JITTER,
     STATES,
     TERMINAL_STATES,
     JobStore,
@@ -50,14 +52,32 @@ def store(tmp_path):
     return JobStore(tmp_path / "queue")
 
 
+class _Clock:
+    """The job store's wall clock, moved forward by hand: past a retry
+    backoff or a lease expiry without waiting for it."""
+
+    def __init__(self):
+        self.now = time.time()
+
+    def time(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = _Clock()
+    monkeypatch.setattr(store_mod, "time", fake)
+    return fake
+
+
 class TestBackoff:
     def test_deterministic(self):
         assert backoff_delay(3, 7) == backoff_delay(3, 7)
 
     def test_grows_exponentially_until_cap(self):
-        base = [backoff_delay(a, 1, jitter=0.0) for a in range(1, 6)]
-        assert base == [0.5, 1.0, 2.0, 4.0, 8.0]
-        assert backoff_delay(30, 1, jitter=0.0) == 60.0
+        for attempt, base in zip(range(1, 6), [0.5, 1.0, 2.0, 4.0, 8.0]):
+            assert base <= backoff_delay(attempt, 1) <= base * (1 + JITTER)
+        assert 60.0 <= backoff_delay(30, 1) <= 60.0 * (1 + JITTER)
 
     def test_jitter_bounded_and_desynchronized(self):
         delays = {backoff_delay(2, job_id) for job_id in range(20)}
@@ -82,13 +102,14 @@ class TestJobStoreTransitions:
         assert leased.lease_expires > time.time()
         assert store.claim("w2") is None  # nothing left
 
-    def test_backoff_delays_reclaim(self, store):
+    def test_backoff_delays_reclaim(self, store, clock):
         job = store.submit({"kind": "fail", "times": 9}, max_attempts=3)
         j = store.claim("w1")
         store.fail(j.id, "w1", "boom", retryable=True)
         assert store.get(job.id).state == "queued"
         assert store.claim("w1") is None  # still inside backoff
-        assert store.claim("w1", now=time.time() + 120).id == job.id
+        clock.now += 120
+        assert store.claim("w1").id == job.id
 
     def test_heartbeat_renews_only_for_owner(self, store):
         job = store.submit({"kind": "sleep"}, lease_s=5.0)
@@ -99,7 +120,7 @@ class TestJobStoreTransitions:
         assert store.get(j.id).lease_expires >= before
         assert not store.heartbeat(j.id, "intruder")
 
-    def test_complete_is_owner_guarded_idempotent(self, store):
+    def test_complete_is_owner_guarded_idempotent(self, store, clock):
         """The no-double-record guarantee: once a lease is reassigned,
         the stale worker's complete() is a no-op."""
         job = store.submit({"kind": "sleep"})
@@ -107,7 +128,8 @@ class TestJobStoreTransitions:
         store.start(j.id, "w1")
         # lease expires; supervisor re-enqueues; another worker reruns
         store.expire_leases(now=time.time() + 1e6)
-        j2 = store.claim("w2", now=time.time() + 2e6)
+        clock.now += 2e6
+        j2 = store.claim("w2")
         store.start(j2.id, "w2")
         assert store.complete(job.id, "w2", {"energy": -1.0})
         # the zombie original worker finally finishes: discarded
@@ -118,10 +140,11 @@ class TestJobStoreTransitions:
         done_events = [e for e in store.events_for(job.id) if e[0] == "done"]
         assert len(done_events) == 1
 
-    def test_quarantine_after_max_attempts(self, store):
+    def test_quarantine_after_max_attempts(self, store, clock):
         job = store.submit({"kind": "fail", "times": 99}, max_attempts=2)
         for _ in range(2):
-            j = store.claim("w1", now=time.time() + 1e6)
+            clock.now += 1e6
+            j = store.claim("w1")
             store.fail(j.id, "w1", "transient", retryable=True)
         final = store.get(job.id)
         assert final.state == "quarantined"
@@ -173,54 +196,57 @@ class TestJobStoreTransitions:
 
 
 class TestWorkerPersonalities:
-    def run_one(self, store, owner="w1"):
-        job = store.claim(owner, now=time.time() + 1e6)
+    def run_one(self, store, clock, owner="w1"):
+        clock.now += 1e6  # past any retry backoff
+        job = store.claim(owner)
         assert job is not None
         return run_claimed_job(store, job, owner)
 
-    def test_fail_retries_then_succeeds(self, store):
+    def test_fail_retries_then_succeeds(self, store, clock):
         job = store.submit({"kind": "fail", "times": 2}, max_attempts=5)
-        assert self.run_one(store) == "queued"
-        assert self.run_one(store) == "queued"
-        assert self.run_one(store) == "done"
+        assert self.run_one(store, clock) == "queued"
+        assert self.run_one(store, clock) == "queued"
+        assert self.run_one(store, clock) == "done"
         final = store.get(job.id)
         assert final.result["attempts_needed"] == 3
 
-    def test_poison_quarantined_with_traceback(self, store):
+    def test_poison_quarantined_with_traceback(self, store, clock):
         job = store.submit({"kind": "poison"}, max_attempts=5)
-        assert self.run_one(store) == "quarantined"
+        assert self.run_one(store, clock) == "quarantined"
         final = store.get(job.id)
         assert final.attempts == 1  # never retried
         assert "ValueError" in final.error
         assert "Traceback" in final.error
 
-    def test_unknown_molecule_or_basis_is_poison_not_a_retry(self, store):
+    def test_unknown_molecule_or_basis_is_poison_not_a_retry(self, store, clock):
         # a lookup miss is deterministic bad input: KeyError used to fall
         # through to the retry-forever branch
         for spec in ({"kind": "scf", "molecule": "watr"},
                      {"kind": "scf", "molecule": "water", "basis": "6-31"}):
             job = store.submit(spec, max_attempts=5)
-            assert self.run_one(store) == "quarantined"
+            assert self.run_one(store, clock) == "quarantined"
             final = store.get(job.id)
             assert final.attempts == 1  # never retried
             assert "UnknownNameError" in final.error and "known:" in final.error
             events = [ev for ev, _, _ in store.events_for(job.id)]
             assert "retry" not in events
 
-    def test_oom_walks_degradation_ladder(self, store):
+    def test_oom_walks_degradation_ladder(self, store, clock):
         job = store.submit(
             {"kind": "oom", "jk_threads": 4, "store_dir": "/tmp/eri"},
             max_attempts=5,
         )
-        assert self.run_one(store) == "queued"
+        assert self.run_one(store, clock) == "queued"
         assert store.get(job.id).spec["jk_threads"] == 1
-        assert self.run_one(store) == "queued"
+        assert self.run_one(store, clock) == "queued"
         assert store.get(job.id).spec["store_dir"] is None
-        assert self.run_one(store) == "done"
+        assert self.run_one(store, clock) == "done"
         events = store.event_counts()
         assert events.get("degraded") == 2
 
-    def test_assembly_oom_sheds_the_store(self, store, tmp_path, monkeypatch):
+    def test_assembly_oom_sheds_the_store(
+        self, store, clock, tmp_path, monkeypatch
+    ):
         """A MemoryError raised while the warm store's supermatrix is
         assembled walks the same ladder: the retry runs direct SCF."""
         store_dir = tmp_path / "eri"
@@ -234,10 +260,10 @@ class TestWorkerPersonalities:
             {"kind": "scf", "molecule": "water", "store_dir": str(store_dir)},
             max_attempts=5,
         )
-        assert self.run_one(store) == "queued"
+        assert self.run_one(store, clock) == "queued"
         assert store.get(job.id).spec["store_dir"] is None
         assert store.event_counts().get("degraded") == 1
-        assert self.run_one(store) == "done"
+        assert self.run_one(store, clock) == "done"
         final = store.get(job.id)
         assert abs(final.result["energy"] - baseline.energy) <= 1e-10
 
@@ -249,12 +275,12 @@ class TestWorkerPersonalities:
         assert spec["store_dir"] is None and "store_dir" in rung
         assert degrade_spec(spec) == (None, "")
 
-    def test_scf_job_records_energy(self, store):
+    def test_scf_job_records_energy(self, store, clock):
         baseline = RHF(water()).run()
         job = store.submit({"kind": "scf", "molecule": "water",
                             "basis": "sto-3g"})
         with session(metrics=MetricsRegistry()):  # nothing in the outer one
-            assert self.run_one(store) == "done"
+            assert self.run_one(store, clock) == "done"
         final = store.get(job.id)
         assert final.result["converged"]
         assert final.result["energy"] == baseline.energy
@@ -316,7 +342,7 @@ class TestCrashResume:
         assert resumed.iterations == baseline.iterations  # global numbering
         assert seen[0] == 4  # actually resumed: iterations 1-3 skipped
 
-    def test_sigkill_worker_lease_expiry_resume(self, tmp_path):
+    def test_sigkill_worker_lease_expiry_resume(self, tmp_path, clock):
         """The full service path: a real worker subprocess is SIGKILLed
         mid-SCF, the lease expires, the job is re-enqueued, and the
         resuming worker's energy matches the fault-free run bitwise."""
@@ -355,7 +381,8 @@ class TestCrashResume:
         assert "lease_expired" in events
         # a fresh worker claims (past the retry backoff) and resumes
         # from the intact checkpoint
-        j2 = store.claim("rescuer", now=far + 3600)
+        clock.now = far + 3600
+        j2 = store.claim("rescuer")
         assert j2.id == job.id
         assert run_claimed_job(store, j2, "rescuer") == "done"
         final = store.get(job.id)

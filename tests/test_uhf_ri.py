@@ -80,7 +80,8 @@ class TestUHF:
 
     def test_doublet_spin_density_integrates_to_one(self):
         res = UHF(h_atom()).run()
-        assert np.trace(res.spin_density) == pytest.approx(1.0, abs=1e-8)
+        spin_density = res.density_alpha - res.density_beta
+        assert np.trace(spin_density) == pytest.approx(1.0, abs=1e-8)
 
     def test_impossible_multiplicity_rejected(self):
         with pytest.raises(ValueError):
