@@ -161,7 +161,7 @@ _family(
 _family(
     "fock_table3", "BENCH_fock.json", {},
     _bound("molecules.*.ratio_gtfock_over_nwchem", 1.0, 1.5, "ratio"),
-    _rel("wall_s"),
+    _rel("wall_s"), _rel("setup_s", quick=True),
 )
 _family(
     "fock_chaos", "BENCH_fock.json", {"wall_s": float},

@@ -5,9 +5,13 @@ parity-unique, screened shell quartets it computes and the ERIs they
 hold (what ``t_int`` multiplies): the work the timing-level simulation
 charges per task.  For a task row M the surviving (P, Q) count factorizes
 as ``#{(P,Q) : sigma(M,P) * sigma(N,Q) > tau}`` with P restricted to M's
-parity-allowed set and Q to N's, so sorting M's values once and
-binary-searching row N's thresholds gives O(nshells^2 * B) NumPy work
-instead of the O(n^2 B^2) quartet loop.
+parity-allowed set and Q to N's: a ket pair ``(N, Q)`` is one threshold
+``tau / sigma(N, Q)`` on the bra value.  The F = O(nshells * B)
+thresholds of every ket pair are sorted once; per row M its ~B values
+are binary-searched among them, which makes every threshold's bra count
+a step function of its sorted position, expanded and summed per ket row
+N.  The matrix costs O(F log F + nshells * (B log F + F)) NumPy work
+instead of the O(nshells^2 B^2) quartet loop.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ class TaskCosts:
         return float(self.eris.sum())
 
 
-def parity_allowed(m: int, nshells: int) -> np.ndarray:
-    """Boolean mask over P of SymmetryCheck(m, P) (see fock.symmetry)."""
+def parity_allowed(m, nshells: int) -> np.ndarray:
+    """Boolean mask over P of SymmetryCheck(m, P) (see fock.symmetry);
+    one row per m for a column of m."""
     return symmetry_check(m, np.arange(nshells))
 
 
@@ -49,56 +54,38 @@ def quartet_cost_matrix(screen: ScreeningMap) -> TaskCosts:
     """
     ns = screen.nshells
     sigma = screen.sigma
-    tau = screen.tau
     sizes = screen.basis.shell_sizes().astype(float)
-    sig = screen.significant
+    # per row M: its significant, parity-allowed partners P
+    allowed = parity_allowed(np.arange(ns)[:, None], ns)
+    partners = allowed & screen.significant & (sigma > 1e-300)
+    weight = sizes[:, None] * sizes  # functions in the pair (M, P)
 
-    # Per row M: significant, parity-allowed partners and their values.
-    vals: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for m in range(ns):
-        mask = parity_allowed(m, ns) & sig[m] & (sigma[m] > 1e-300)
-        order = np.argsort(sigma[m, mask])[::-1]
-        vals.append(sigma[m, mask][order])
-        weights.append(sizes[m] * sizes[mask][order])
-
-    # Flat concatenation of every row's (value, weight) lists for the
-    # ket side, with segment boundaries for per-row reduction.
-    seg_len = np.array([v.size for v in vals], dtype=np.int64)
-    seg_start = np.concatenate([[0], np.cumsum(seg_len)])
-    flat_vals = np.concatenate(vals) if ns else np.empty(0)
-    flat_w = np.concatenate(weights) if ns else np.empty(0)
-    # reduceat only over non-empty segments (empty rows contribute zero)
-    nonempty_rows = np.flatnonzero(seg_len > 0)
-    nonempty_starts = seg_start[:-1][nonempty_rows]
+    # every ket pair (N, Q) as one threshold on the bra value, sorted once
+    seg, _ = np.nonzero(partners)
+    with np.errstate(divide="ignore"):
+        thresh = screen.tau / sigma[partners]
+    order = np.argsort(thresh, kind="stable")
+    thresh, seg, ket_w = thresh[order], seg[order], weight[partners][order]
+    nf = thresh.size
 
     quartets = np.zeros((ns, ns))
     eris = np.zeros((ns, ns))
-    with np.errstate(divide="ignore"):
-        flat_thresh = tau / flat_vals  # threshold on the bra value
     for m in range(ns):
-        v = vals[m]
-        if v.size == 0:
-            continue
-        w = weights[m]
-        prefix_cnt = np.arange(1, v.size + 1, dtype=float)
-        prefix_w = np.cumsum(w)
-        # v is sorted descending: count of v > t  ==  searchsorted(-v, -t, 'left')
-        k = np.searchsorted(-v, -flat_thresh, side="left")
-        cnt_contrib = np.where(k > 0, prefix_cnt[np.maximum(k - 1, 0)], 0.0)
-        w_contrib = np.where(k > 0, prefix_w[np.maximum(k - 1, 0)], 0.0)
-        if flat_vals.size and nonempty_rows.size:
-            quartets[m, nonempty_rows] = np.add.reduceat(
-                cnt_contrib, nonempty_starts
-            )
-            eris[m, nonempty_rows] = np.add.reduceat(
-                w_contrib * flat_w, nonempty_starts
-            )
+        v, w = sigma[m, partners[m]], weight[m, partners[m]]
+        # a threshold's bra count (and weight) is a step function of its
+        # sorted position, one step per bra value: the values above it
+        b = np.searchsorted(thresh, v)  # thresholds below each value
+        o = np.argsort(b)
+        steps = np.diff(b[o], prepend=0, append=nf)
+        w_above = np.cumsum(w[o][::-1])[::-1]  # integer-valued: exact sums
+        above = np.repeat(np.arange(v.size, -1, -1, dtype=float), steps)
+        above_w = np.repeat(np.append(w_above, 0.0), steps)
+        quartets[m] = np.bincount(seg, above, minlength=ns)
+        eris[m] = np.bincount(seg, above_w * ket_w, minlength=ns)
 
     # task-level gate: tasks failing SymmetryCheck(M, N) compute nothing
-    gate = symmetry_check(np.arange(ns)[:, None], np.arange(ns))
-    quartets *= gate
-    eris *= gate
+    quartets *= allowed
+    eris *= allowed
 
     # diagonal tasks: the P <= Q tie-break keeps roughly half the quartets
     quartets[np.diag_indices(ns)] *= 0.5

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.util.validation import check_square, check_symmetric
+from repro.util.validation import check_finite, check_square, check_symmetric
 
 
 @dataclass
@@ -45,6 +45,9 @@ class ScreeningMap:
 
     def __post_init__(self) -> None:
         check_square(self.sigma, "sigma")
+        check_finite(self.sigma, "sigma")
+        if (self.sigma < 0).any():
+            raise ValueError(f"sigma must be non-negative, got min {self.sigma.min()!r}")
         check_symmetric(self.sigma, "sigma", tol=1e-10)
         if self.sigma.shape[0] != self.basis.nshells:
             raise ValueError(

@@ -16,7 +16,6 @@ from repro.integrals.pairdata import (
     PairData,
     ShellPairData,
     StackedPairs,
-    build_pair_data,
     stack_pairs,
 )
 from repro.integrals.store import ERIStore, StoreInvalidatedWarning, basis_fingerprint
@@ -49,7 +48,6 @@ __all__ = [
     "ShellPairData",
     "StackedPairs",
     "stack_pairs",
-    "build_pair_data",
     "core_hamiltonian",
     "kinetic",
     "nuclear_attraction",

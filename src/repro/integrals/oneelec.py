@@ -47,11 +47,13 @@ def assemble_pair_classes(
         for j, sj in enumerate(shells[: i + 1]):
             key = (si.l, sj.l, si.pure, sj.pure, si.nprim * sj.nprim)
             classes.setdefault(key, []).append((i, j))
+    ordered = [ij for members in classes.values() for ij in members]
+    records = dict(zip(ordered, pairs.get_many(ordered)))
     out = np.zeros((basis.nbf, basis.nbf))
     slices = basis.shell_slices
     for members in classes.values():
         ta, tb = (cartesian_to_basis(shells[s].l, shells[s].pure) for s in members[0])
-        stack = stack_pairs([pairs.get(i, j) for i, j in members])
+        stack = stack_pairs([records[ij] for ij in members])
         blocks = class_blocks(stack, np.array(members))
         blocks = ta @ blocks @ tb.T
         for (i, j), blk in zip(members, blocks):

@@ -7,8 +7,9 @@ E-coefficient tensors -- should be computed *once per basis* and then
 amortized over every quartet that pair participates in:
 
 * :class:`PairData` / :class:`ShellPairData` -- the per-pair primitive
-  records stacked into contiguous ndarrays, built lazily and cached per
-  ordered shell-pair index so each pair is expanded exactly once.
+  records stacked into contiguous ndarrays, built lazily (a class of
+  pairs at a time) and cached per ordered shell-pair index so each pair
+  is expanded exactly once.
 * **Exponent families** (:func:`shell_families`) -- the shells on one
   centre with one exponent vector, like the s and p of a Pople ``SP``
   entry.  Every member quartet of a *family quartet* has the same
@@ -115,38 +116,36 @@ def shell_families(basis: BasisSet) -> np.ndarray:
     ], dtype=np.int64)
 
 
-def build_pair_data(sh_a: Shell, sh_b: Shell) -> PairData:
-    """Expand one shell pair into its stacked primitive records.
+def _expand_pairs(shells: list[Shell], ij: list[tuple[int, int]]) -> list[PairData]:
+    """Expand shell pairs ``ij`` that share ``(la, lb, nprim_a, nprim_b,
+    pure_a, pure_b)`` into their stacked primitive records, all at once.
 
-    This is the stacked-ndarray equivalent of the seed's per-call
-    ``_pair_hermite``; the E tensor of each primitive pair lands in one
-    slice of a single (npp, ncart_a, ncart_b, nherm) array.
+    Per pair the arithmetic is elementwise the one-pair expansion's (the
+    E tensor of each primitive pair lands in one slice of a
+    ``(npp, ncart_a, ncart_b, nherm)`` array); the records are views
+    into the group's arrays.
     """
+    sh_a, sh_b = shells[ij[0][0]], shells[ij[0][1]]
     la, lb = sh_a.l, sh_b.l
-    lab = la + lb
-    comps_a = cartesian_components(la)
-    comps_b = cartesian_components(lb)
-    hidx = hermite_index(lab)
-    tt = np.array([h[0] for h in hidx])
-    uu = np.array([h[1] for h in hidx])
-    vv = np.array([h[2] for h in hidx])
-    ax = np.array([c[0] for c in comps_a])
-    ay = np.array([c[1] for c in comps_a])
-    az = np.array([c[2] for c in comps_a])
-    bx = np.array([c[0] for c in comps_b])
-    by = np.array([c[1] for c in comps_b])
-    bz = np.array([c[2] for c in comps_b])
-    A, B = sh_a.center, sh_b.center
-    # all primitive pairs at once, a-major
-    a = np.repeat(sh_a.exps, sh_b.nprim)
-    b = np.tile(sh_b.exps, sh_a.nprim)
-    coef = np.repeat(sh_a.norm_coefs, sh_b.nprim) * np.tile(
-        sh_b.norm_coefs, sh_a.nprim
+    hidx = np.array(hermite_index(la + lb)).reshape(-1, 3)
+    tt, uu, vv = hidx.T.copy()
+    (ax, ay, az), (bx, by, bz) = (
+        np.array(cartesian_components(l)).reshape(-1, 3).T for l in (la, lb)
     )
+    A, B = (np.array([shells[k[side]].center for k in ij]) for side in (0, 1))
+    ea, eb = (np.array([shells[k[side]].exps for k in ij]) for side in (0, 1))
+    ca, cb = (np.array([shells[k[side]].norm_coefs for k in ij]) for side in (0, 1))
+    # all primitive pairs of every shell pair at once, a-major per pair
+    na, nb = sh_a.nprim, sh_b.nprim
+    a = np.repeat(ea, nb, axis=1)
+    b = np.tile(eb, (1, na))
+    coef = np.repeat(ca, nb, axis=1) * np.tile(cb, (1, na))
     p = a + b
-    P = (a[:, None] * A + b[:, None] * B) / p[:, None]
+    P = (a[..., None] * A[:, None] + b[..., None] * B[:, None]) / p[..., None]
+    npp = na * nb
     ex, ey, ez = (
-        e_coefficients(la, lb, a, b, float(A[d] - B[d])) for d in range(3)
+        e_coefficients(la, lb, a.ravel(), b.ravel(), np.repeat(A[:, d] - B[:, d], npp))
+        for d in range(3)
     )
     E = np.ascontiguousarray(np.moveaxis(
         ex[ax[:, None, None], bx[None, :, None], tt[None, None, :]]
@@ -155,10 +154,14 @@ def build_pair_data(sh_a: Shell, sh_b: Shell) -> PairData:
         -1, 0,
     ))
     to_basis = _basis_map(la, sh_a.pure, lb, sh_b.pure)
-    basis_e = np.matmul(to_basis, E.reshape(len(p), -1, tt.size)) * coef[:, None, None]
-    return PairData(
-        la=la, lb=lb, coef=coef, p=p, P=P, E=E, basis_e=basis_e, tt=tt, uu=uu, vv=vv
-    )
+    basis_e = np.matmul(to_basis, E.reshape(p.size, -1, tt.size)) * coef.reshape(-1, 1, 1)
+    E = E.reshape(len(ij), npp, *E.shape[1:])
+    basis_e = basis_e.reshape(len(ij), npp, *basis_e.shape[1:])
+    return [
+        PairData(la=la, lb=lb, coef=coef[k], p=p[k], P=P[k], E=E[k],
+                 basis_e=basis_e[k], tt=tt, uu=uu, vv=vv)
+        for k in range(len(ij))
+    ]
 
 
 class ShellPairData:
@@ -177,20 +180,26 @@ class ShellPairData:
         #: number of pair expansions actually performed (tests/metrics)
         self.pairs_built = 0
 
-    def get(self, i: int, j: int) -> PairData:
-        """The stacked pair data for shells ``(i, j)``, computed once."""
-        key = (i, j)
-        data = self._pairs.get(key)
-        if data is None:
+    def get_many(self, ij: list[tuple[int, int]]) -> list[PairData]:
+        """The stacked pair data for shell pairs ``ij``, each computed
+        once: the missing ones are expanded a class at a time, in one
+        ``pairdata_build`` phase."""
+        missing = [key for key in dict.fromkeys(ij) if key not in self._pairs]
+        if missing:
             from repro.obs import get_profiler
             from repro.obs.profile import PHASE_PAIRDATA
 
+            shells = self.basis.shells
+            classes: dict[tuple, list[tuple[int, int]]] = {}
+            for i, j in missing:
+                si, sj = shells[i], shells[j]
+                key = (si.l, sj.l, si.nprim, sj.nprim, si.pure, sj.pure)
+                classes.setdefault(key, []).append((i, j))
             with get_profiler().phase(PHASE_PAIRDATA):
-                shells = self.basis.shells
-                data = build_pair_data(shells[i], shells[j])
-            self._pairs[key] = data
-            self.pairs_built += 1
-        return data
+                for members in classes.values():
+                    self._pairs.update(zip(members, _expand_pairs(shells, members)))
+            self.pairs_built += len(missing)
+        return [self._pairs[key] for key in ij]
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -254,11 +263,12 @@ class FamilyOperands:
     @classmethod
     def build(cls, pairs: ShellPairData, quartets: np.ndarray) -> "FamilyOperands":
         """Operands for family quartets given as one member row each."""
+        (bs, bra), (ks, ket) = _pair_slots(quartets, pairs.basis.nshells)
+        records = pairs.get_many(bra + ket)
         sides = []
-        for slots, ij in _pair_slots(quartets, pairs.basis.nshells):
-            records = [pairs.get(i, j) for i, j in ij]
-            P = np.moveaxis(np.array([r.P for r in records]), -1, 0)
-            sides += [np.array([r.p for r in records]), P.copy(), slots]
+        for slots, side in ((bs, records[:len(bra)]), (ks, records[len(bra):])):
+            P = np.moveaxis(np.array([r.P for r in side]), -1, 0)
+            sides += [np.array([r.p for r in side]), P.copy(), slots]
         return cls(*sides)
 
 
@@ -285,10 +295,11 @@ class SweepOperands:
         """Operands for one class's rows ``quartets``, swept in a family
         stage at ``lmax`` (``PairData.basis_e`` for E)."""
         (bs, bra), (ks, ket) = _pair_slots(quartets, pairs.basis.nshells)
-        hb, hk = pairs.get(*bra[0]), pairs.get(*ket[0])
+        records = pairs.get_many(bra + ket)
+        hb, hk = records[0], records[len(bra)]
         sign = (-1.0) ** (hk.tt + hk.uu + hk.vv)  # ket side; E is (pair, prim, ab, herm)
-        eb = np.array([pairs.get(i, j).basis_e for i, j in bra])
-        ek = np.array([pairs.get(i, j).basis_e for i, j in ket]) * sign
+        eb = np.array([r.basis_e for r in records[:len(bra)]])
+        ek = np.array([r.basis_e for r in records[len(bra):]]) * sign
         return cls(
             rrows=hermite_lookup(lmax)[
                 hb.tt[:, None] + hk.tt, hb.uu[:, None] + hk.uu, hb.vv[:, None] + hk.vv

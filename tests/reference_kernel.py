@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from reference_eri import apply_transforms, finalize_quartet, r_tensor
+from reference_pairdata import build_pair_data
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell, cartesian_components, component_scale
@@ -43,7 +44,6 @@ from repro.integrals.pairdata import (
     PairData,
     StackedPairs,
     _pair_slots,
-    build_pair_data,
     stack_pairs,
 )
 from repro.integrals.spherical import cartesian_to_basis, transform_matrix
@@ -56,8 +56,8 @@ def class_stacks(batch: ClassBatch):
     into the two stacks."""
     pairs, ns = batch.pair_cache, batch.pair_cache.basis.nshells
     (bra_slots, bra_pairs), (ket_slots, ket_pairs) = _pair_slots(batch.quartets, ns)
-    bra = stack_pairs([pairs.get(i, j) for i, j in bra_pairs])
-    ket = stack_pairs([pairs.get(i, j) for i, j in ket_pairs])
+    bra = stack_pairs(pairs.get_many(bra_pairs))
+    ket = stack_pairs(pairs.get_many(ket_pairs))
     return bra, ket, bra_slots, ket_slots
 
 

@@ -79,7 +79,7 @@ class TestValidateEntry:
 
     def test_dotted_graded_key_must_resolve(self):
         with pytest.raises(ValueError, match="ratio_gtfock_over_nwchem"):
-            validate_entry({"benchmark": "fock_table3", "wall_s": 1.0,
+            validate_entry({"benchmark": "fock_table3", "wall_s": 1.0, "setup_s": 0.5,
                             "molecules": {"C24H12": {"max_cores": 3888}}})
 
 

@@ -4,11 +4,14 @@ For random synthetic screening matrices, the fully vectorized
 ``quartet_cost_matrix`` (its diagonal tasks enumerated, see
 ``reference_tasks.exact_diagonal``) must agree with
 brute-force enumeration of the task predicate -- over arbitrary value
-distributions and drop tolerances, not just chemically shaped ones.
+distributions and drop tolerances, not just chemically shaped ones --
+and be bitwise the per-row search it replaced (``reference_cost``).
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chem.basis.basisset import BasisSet
@@ -16,6 +19,7 @@ from repro.chem.builders import alkane
 from repro.fock.cost import quartet_cost_matrix
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.symmetry import symmetry_check, task_computes
+from reference_cost import row_loop_cost_matrix
 from reference_tasks import exact_diagonal
 
 
@@ -59,8 +63,8 @@ def test_cost_matrix_matches_brute_force(seed, tau_exp):
     screen = random_screen(seed, tau_exp)
     costs = exact_diagonal(screen, quartet_cost_matrix(screen))
     bq, be = brute_force(screen)
-    assert np.allclose(costs.quartets, bq)
-    assert np.allclose(costs.eris, be)
+    assert np.array_equal(costs.quartets, bq)
+    assert np.array_equal(costs.eris, be)
 
 
 def test_cost_matrix_uniform_sigma():
@@ -69,8 +73,52 @@ def test_cost_matrix_uniform_sigma():
     ns = basis.nshells
     screen = ScreeningMap(basis, np.full((ns, ns), 0.5), 1e-6)
     costs = exact_diagonal(screen, quartet_cost_matrix(screen))
-    bq, _be = brute_force(screen)
-    assert np.allclose(costs.quartets, bq)
+    bq, be = brute_force(screen)
+    assert np.array_equal(costs.quartets, bq)
+    assert np.array_equal(costs.eris, be)
     # and totals equal the unique-quartet count with no screening
     npair = ns * (ns + 1) // 2
     assert costs.quartets.sum() == npair * (npair + 1) // 2
+
+
+#: mixed s/p/d shells (vdz-sim) the oracle property draws its bases from
+SHELL_POOL = BasisSet.build(alkane(2), "vdz-sim")
+#: an exponent that stands for an absent pair (sigma = 0)
+ABSENT = -17
+
+
+@st.composite
+def screens(draw) -> ScreeningMap:
+    """Random symmetric sigma over 1-10 drawn shells: powers of two (so
+    products can equal tau exactly and the strict ``>`` decides), zeros
+    (rows with no partner), or arbitrary values in (0, 1]."""
+    ns = draw(st.integers(1, 10))
+    picks = draw(st.lists(st.integers(0, SHELL_POOL.nshells - 1),
+                          min_size=ns, max_size=ns))
+    pow2 = st.integers(ABSENT, 0).map(lambda e: 0.0 if e == ABSENT else math.ldexp(1.0, e))
+    cells = draw(st.lists(st.one_of(pow2, st.floats(1e-9, 1.0)),
+                          min_size=ns * ns, max_size=ns * ns))
+    lower = np.tril(np.array(cells).reshape(ns, ns))
+    basis = BasisSet(molecule=SHELL_POOL.molecule,
+                     shells=[SHELL_POOL.shells[i] for i in picks], name="drawn")
+    tau = math.ldexp(1.0, draw(st.integers(-30, 0)))
+    return ScreeningMap(basis, lower + np.tril(lower, -1).T, tau)
+
+
+def _screen(sigma, tau) -> ScreeningMap:
+    shells = SHELL_POOL.shells[: len(sigma)]
+    basis = BasisSet(molecule=SHELL_POOL.molecule, shells=shells, name="drawn")
+    return ScreeningMap(basis, np.array(sigma, dtype=float), tau)
+
+
+@given(screens())
+@example(_screen([[0.5]], 0.25))  # ns = 1, the product equals tau
+@example(_screen([[1.0]], 0.5))  # ns = 1, one surviving quartet
+@example(_screen([[0.0, 0.0, 0.0], [0.0, 0.5, 0.25], [0.0, 0.25, 1.0]], 0.125))
+@settings(max_examples=60, deadline=None)
+def test_cost_matrix_matches_row_loop_oracle(screen):
+    """Bitwise the per-row threshold search it replaced, ties and empty
+    rows included (shell 0 of the last example has no partner)."""
+    costs, oracle = quartet_cost_matrix(screen), row_loop_cost_matrix(screen)
+    assert np.array_equal(costs.quartets, oracle.quartets)
+    assert np.array_equal(costs.eris, oracle.eris)

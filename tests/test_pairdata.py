@@ -1,5 +1,6 @@
 """Tests for shell-pair data caching and the batched ERI kernel."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,17 @@ from hypothesis import strategies as st
 
 from reference_engine import ReferenceMDEngine, class_rows, quartet_block
 from reference_eri import eri_shell_quartet, eri_shell_quartet_os
+from reference_pairdata import build_pair_data
+from repro import obs
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
-from repro.chem.builders import water
+from repro.chem.builders import water, water_cluster
 from repro.integrals.class_batch import build_class_plan, canonical_quartet_array
 from repro.integrals.engine import MDEngine, OSEngine
+from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.integrals.pairdata import ShellPairData
+from repro.obs.profile import PHASE_PAIRDATA, PhaseProfiler
+from repro.scf.fock import build_jk
 
 
 def rand_shell(rng, l, pure=False, nprim=None):
@@ -87,11 +93,11 @@ class TestBatchedKernel:
 class TestShellPairData:
     def test_each_pair_built_once(self, water_basis):
         cache = ShellPairData(water_basis)
-        a = cache.get(1, 0)
-        b = cache.get(1, 0)
+        [a] = cache.get_many([(1, 0)])
+        [b] = cache.get_many([(1, 0)])
         assert a is b
         assert cache.pairs_built == 1
-        cache.get(0, 1)  # opposite orientation is a distinct record
+        cache.get_many([(0, 1)])  # opposite orientation is a distinct record
         assert cache.pairs_built == 2
         assert len(cache) == 2
         assert cache.nbytes > 0
@@ -116,6 +122,56 @@ class TestShellPairData:
                 quartet_block(batched, m, n, p, q),
                 quartet_block(seed, m, n, p, q), atol=1e-12,
             )
+
+
+def pair_digest(rec) -> str:
+    """sha256 over every array of a :class:`PairData` (shape, dtype, bytes)."""
+    h = hashlib.sha256(repr((rec.la, rec.lb)).encode())
+    for arr in (rec.coef, rec.p, rec.P, rec.E, rec.basis_e, rec.tt, rec.uu, rec.vv):
+        h.update(repr((arr.shape, arr.dtype.str)).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestBatchedPairData:
+    """``get_many`` expands the missing pairs a class at a time; every
+    record must be bitwise the one-pair expansion it replaced."""
+
+    def test_every_array_matches_one_pair_oracle(self):
+        rng = np.random.default_rng(12)
+        shs = []
+        for l, pure, nprim in [(0, False, 3), (1, False, 2), (2, False, 1),
+                               (2, True, 2), (2, True, 2), (1, False, 3)]:
+            shs.append(rand_shell(rng, l, pure=pure, nprim=nprim))
+        for _ in range(2):  # sp families: an s shell on a p shell's exponents
+            p = rand_shell(rng, 1, nprim=3)
+            shs += [p, replace(p, l=0, coefs=rng.uniform(0.3, 1.0, 3))]
+        basis = BasisSet(molecule=water(), shells=shs, name="mixed")
+        ij = [(i, j) for i in range(len(shs)) for j in range(len(shs))]  # both orientations
+        cache = ShellPairData(basis)
+        for (i, j), rec in zip(ij, cache.get_many(ij)):
+            assert pair_digest(rec) == pair_digest(build_pair_data(shs[i], shs[j])), (i, j)
+        assert cache.pairs_built == len(ij) == len(cache)
+
+    def test_pairs_built_on_the_direct_scf_system(self):
+        """(H2O)5/STO-3G: S, H^core, Schwarz and one J/K build expand
+        every canonical pair once, as the per-pair cache did (325)."""
+        eng = MDEngine(BasisSet.build(water_cluster(5, 1, 1), "sto-3g"))
+        ns = eng.basis.nshells
+        overlap(eng.basis, eng.pair_cache)
+        core_hamiltonian(eng.basis, eng.pair_cache)
+        build_jk(eng, np.eye(eng.basis.nbf))
+        assert eng.pair_cache.pairs_built == ns * (ns + 1) // 2 == 325
+
+    def test_one_phase_per_batch(self, water_basis):
+        cache, prof = ShellPairData(water_basis), PhaseProfiler()
+        ns = water_basis.nshells
+        with obs.session(profiler=prof):
+            cache.get_many([(i, j) for i in range(ns) for j in range(i + 1)])
+            cache.get_many([(1, 0), (2, 2)])  # all cached: no phase
+            cache.get_many([(0, 1), (0, 2)])
+        assert prof.stats[PHASE_PAIRDATA].calls == 2
+        assert cache.pairs_built == ns * (ns + 1) // 2 + 2
 
 
 class TestEnginesThroughCacheLayer:

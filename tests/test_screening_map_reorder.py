@@ -47,6 +47,16 @@ class TestScreeningMap:
         with pytest.raises(ValueError):
             ScreeningMap(alkane_screen.basis, np.ones((3, 3)), 1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])
+    def test_bad_sigma_rejected(self, bad):
+        """One bad pair value used to pass (NaN deviations compare False)
+        and turn the task cost matrix into garbage."""
+        basis = BasisSet.build(alkane(2), "sto-3g")
+        sigma = np.full((basis.nshells, basis.nshells), 0.5)
+        sigma[0, 3] = sigma[3, 0] = bad
+        with pytest.raises(ValueError, match="sigma"):
+            ScreeningMap(basis, sigma, 1e-6)
+
     def test_bad_tau_rejected(self, alkane_screen):
         with pytest.raises(ValueError):
             ScreeningMap(alkane_screen.basis, alkane_screen.sigma, 0.0)
