@@ -8,23 +8,21 @@ install:
 test:
 	pytest tests/
 
-# the size needle: src/ total, the subtotals ROADMAP items 1, 2, 4 and 5 track,
-# and the options count (tests/test_reach.py's settable())
+# the size needle: src/ total, the subtotals ROADMAP items 1/9, 2, 4, 5 and
+# 11 track, and the options count (tests/test_reach.py's settable())
 loc:
 	@find src -name '*.py' | xargs cat | wc -l | xargs echo "src/ lines:"
 	@find src/repro/integrals src/repro/scf/fock.py -name '*.py' \
 	  | xargs cat | wc -l \
-	  | xargs echo "ERI subtotal (integrals/ + scf/fock.py) lines:"
+	  | xargs echo "ERI subtotal (integrals/ + scf/fock.py, ROADMAP item 2) lines:"
 	@cd src/repro/fock && cat gtfock.py tasks.py symmetry.py cost.py \
 	  | wc -l \
-	  | xargs echo "numeric builds + tasks (ROADMAP item 2) lines:"
+	  | xargs echo "numeric builds + tasks (ROADMAP items 1/9) lines:"
 	@cd src/repro && cat scf/hf.py scf/uhf.py runtime/faults.py \
 	  runtime/sdc.py fock/chaos.py service/chaos.py scf/torture.py | wc -l \
 	  | xargs echo "SCF driver + fault families (ROADMAP item 4) lines:"
-	@python -c "import ast; t = ast.parse(open('src/repro/scf/hf.py').read()); \
-	  f = next(n for c in t.body if getattr(c, 'name', '') == 'SCFDriver' \
-	  for n in c.body if getattr(n, 'name', '') == '_iterate'); \
-	  print('SCFDriver._iterate (ROADMAP item 8) lines:', f.end_lineno - f.lineno + 1)"
+	@cat src/repro/obs/*.py | wc -l \
+	  | xargs echo "obs/ (ROADMAP item 11) lines:"
 	@cat src/repro/obs/*.py src/repro/bench/*.py benchmarks/*.py \
 	  src/repro/cli.py | wc -l \
 	  | xargs echo "obs/ + bench/ + benchmarks/ + cli.py (ROADMAP item 5) lines:"

@@ -25,7 +25,7 @@ from repro.fock.cost import TaskCosts, quartet_cost_matrix
 from repro.fock.reorder import reorder_basis
 from repro.fock.screening_map import ScreeningMap
 from repro.integrals.schwarz import schwarz_model
-from repro.obs import get_profiler, get_tracer
+from repro.obs import get_tracer, phase
 from repro.obs.profile import PHASE_SCHWARZ
 from repro.runtime.machine import LONESTAR, MachineConfig
 
@@ -110,8 +110,7 @@ def molecule_setup(name: str, molecule: Molecule) -> MoleculeSetup:
             basis = BasisSet.build(molecule, "vdz-sim")
         with tracer.span("reorder", cat="bench"):
             basis = reorder_basis(basis)
-        with tracer.span("screening", cat="bench"), \
-                get_profiler().phase(PHASE_SCHWARZ):
+        with phase(PHASE_SCHWARZ, cat="bench"):
             screen = ScreeningMap(basis, schwarz_model(basis), PAPER_TAU)
         with tracer.span("cost_matrix", cat="bench"):
             costs = quartet_cost_matrix(screen)

@@ -54,8 +54,8 @@ class ScreeningMap:
                 f"sigma is {self.sigma.shape[0]}x..., basis has "
                 f"{self.basis.nshells} shells"
             )
-        if not self.tau > 0:  # NaN included
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:  # NaN included
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     @property
     def nshells(self) -> int:
@@ -74,8 +74,13 @@ class ScreeningMap:
         coverage guarantee of Sec III-B (all six D blocks of a task's
         quartets lie inside the three fetch regions) relies on
         ``M in Phi(M)``, which holds for any realistic tau anyway.
+
+        An all-zero sigma is a valid screen (zero is a true Schwarz
+        bound): only the forced diagonal is significant, and no quartet
+        survives.
         """
-        out = self.sigma >= self.tau / self.sigma_max
+        m = self.sigma_max
+        out = self.sigma >= self.tau / m if m > 0 else np.zeros_like(self.sigma, bool)
         np.fill_diagonal(out, True)
         return out
 

@@ -35,8 +35,8 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     get_metrics,
-    get_profiler,
     get_tracer,
+    phase,
     session,
 )
 from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET
@@ -269,7 +269,7 @@ def simulate_gtfock(
             (action, time, key)
         )
 
-    with get_profiler().phase(PHASE_SIM_LOOP):
+    with phase(PHASE_SIM_LOOP):
         outcome = run_work_stealing(
             queues,
             cost_of,
@@ -378,7 +378,7 @@ def simulate_nwchem(
         element_size=config.element_size,
     )
     stats = CommStats(nproc, config)
-    with get_profiler().phase(PHASE_SIM_LOOP):
+    with phase(PHASE_SIM_LOOP):
         outcome = run_centralized(arrays, nproc, stats)
     return _finalize(
         "nwchem",

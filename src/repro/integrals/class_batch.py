@@ -68,6 +68,8 @@ from repro.integrals.pairdata import (
     md_sweep,
     shell_families,
 )
+from repro.obs import phase
+from repro.obs.profile import PHASE_ERI, PHASE_JK
 from repro.util.validation import check_symmetric
 
 if TYPE_CHECKING:  # imported by the assembly: direct SCF never pays for it
@@ -566,7 +568,7 @@ def _fold(partial: list, piece=None) -> None:
 
 
 def assemble_supermatrix(
-    engine, plan: ClassPlan, store, faults, eri_span, jk_span
+    engine, plan: ClassPlan, store, faults
 ) -> tuple[Supermatrix, dict]:
     """Resolve every row of ``plan`` once -- read, CRC-scrubbed when the
     store verifies reads, bad or missing rows recomputed -- into a
@@ -586,12 +588,12 @@ def assemble_supermatrix(
     partial_k = [partial_j[0]]
     totals = dict.fromkeys(_COUNT_KEYS, 0)
     for chunk in _store_chunks(plan):  # a flush each: nothing is held over
-        for flush, parts in _flushes(engine, [chunk], store, faults, eri_span, totals):
-            with jk_span:
+        for flush, parts in _flushes(engine, [chunk], store, faults, totals):
+            with phase(PHASE_JK):
                 piece_j, piece_k = _sparse_piece(n, *_weighted_flush(flush, parts))
                 _fold(partial_j, piece_j)
                 _fold(partial_k, piece_k)
-    with jk_span:
+    with phase(PHASE_JK):
         _fold(partial_j)
         _fold(partial_k)
     return Supermatrix(
@@ -726,26 +728,9 @@ def density_stack(density: np.ndarray, n: int) -> np.ndarray:
     return dens
 
 
-class _Stopwatch:
-    """A worker thread's private stand-in for a profiler phase span."""
-
-    def __init__(self):
-        self.wall = self.cpu = 0.0
-        self.calls = 0
-
-    def __enter__(self):
-        self.t0, self.c0 = time.perf_counter(), time.thread_time()
-
-    def __exit__(self, *exc):
-        self.wall += time.perf_counter() - self.t0
-        self.cpu += time.thread_time() - self.c0
-        self.calls += 1
-        return False
-
-
-def _flushes(engine, chunks, store, faults, eri_span, totals):
-    """Resolve ``chunks`` in order -- ``eri_span`` around each, source
-    counts added to ``totals`` -- and yield their blocks as contraction
+def _flushes(engine, chunks, store, faults, totals):
+    """Resolve ``chunks`` in order -- an ``eri_quartets`` phase each,
+    source counts added to ``totals`` -- and yield their blocks as contraction
     flushes ``(members, parts)``.
 
     Members are staged by block shape (``dims`` -- all the contraction's
@@ -759,7 +744,7 @@ def _flushes(engine, chunks, store, faults, eri_span, totals):
     for chunk in chunks:
         if _JK_INTERRUPT.is_set():
             raise JKInterrupted("J/K build interrupted between chunks")
-        with eri_span:
+        with phase(PHASE_ERI):
             parts, counts = _resolve_chunk(engine, chunk, store, faults)
         for key in _COUNT_KEYS:
             totals[key] += counts[key]
@@ -777,15 +762,15 @@ def _flushes(engine, chunks, store, faults, eri_span, totals):
         yield flush
 
 
-def _run_chunks(engine, dflat, chunks, store, faults, eri_span, jk_span):
+def _run_chunks(engine, dflat, chunks, store, faults):
     """One worker's share: private half-J/half-K buffers + source counts,
-    ``eri_span`` around every chunk resolution, ``jk_span`` every flush."""
+    a ``jk_contraction`` phase around every flush."""
     n = engine.basis.nbf
     jt = np.zeros_like(dflat)
     kt = np.zeros_like(dflat)
     totals = dict.fromkeys(_COUNT_KEYS, 0)
-    for flush, parts in _flushes(engine, chunks, store, faults, eri_span, totals):
-        with jk_span:
+    for flush, parts in _flushes(engine, chunks, store, faults, totals):
+        with phase(PHASE_JK):
             _contract_blocks(jt, kt, dflat, n, flush, parts)
     return jt, kt, totals
 
@@ -822,24 +807,20 @@ def jk_from_plan(
     six-block contraction: ``threads > 1`` deals the kernel chunks,
     largest first, to the least-loaded worker of a thread pool; every
     worker stages and flushes its own blocks into private accumulators
-    (reduced at the end) and keeps private phase timings, folded into the
-    active profiler as one ``eri_quartets`` sample per kernel chunk and
-    one ``jk_contraction`` sample per flush -- never per quartet.
+    (reduced at the end).  At any thread count the thread doing the
+    work records one ``eri_quartets`` phase per kernel chunk and one
+    ``jk_contraction`` phase per flush -- never per quartet.
 
     An attached ``engine.scf_faults`` state has this build's corruptions
     drawn here, per plan row and before any worker starts, so the same
     rows are hit at every thread count.
     """
-    from repro.obs import get_profiler
-    from repro.obs.profile import PHASE_ERI, PHASE_JK
-
     n = engine.basis.nbf
     dflat = density_stack(density, n).reshape(-1, n * n)
     store = engine.integral_store
     faults = None
     if engine.scf_faults is not None:
         faults = engine.scf_faults.draw_build(plan.nquartets)
-    prof = get_profiler()
 
     if store is not None and store.ready:
         sm = engine.supermatrix
@@ -847,13 +828,10 @@ def jk_from_plan(
             # dropped first: an assembly that fails (MemoryError, an
             # interrupt) leaves no half-built or stale matrix behind
             engine.supermatrix = None
-            sm, totals = assemble_supermatrix(
-                engine, plan, store, faults,
-                prof.phase(PHASE_ERI), prof.phase(PHASE_JK),
-            )
+            sm, totals = assemble_supermatrix(engine, plan, store, faults)
             _tally(engine, totals, faults)
             engine.supermatrix = sm
-        with prof.phase(PHASE_JK):
+        with phase(PHASE_JK):
             jt, kt = sm.contract(dflat)
         engine.quartets_served_from_store += sm.served
         engine.last_jk_worker_stats = []
@@ -864,10 +842,7 @@ def jk_from_plan(
     chunks = plan.chunks()
     nthreads = resolve_jk_threads(threads)
     if nthreads <= 1 or len(chunks) <= 1:
-        results = [_run_chunks(
-            engine, dflat, chunks, store, faults,
-            prof.phase(PHASE_ERI), prof.phase(PHASE_JK),
-        )]
+        results = [_run_chunks(engine, dflat, chunks, store, faults)]
         engine.last_jk_worker_stats = []
     else:
         # largest chunk first, each to the least-loaded worker
@@ -878,22 +853,16 @@ def jk_from_plan(
             worker = loads.index(min(loads))
             shares[worker].append(chunks[i])
             loads[worker] += costs[i]
-        watches = [(_Stopwatch(), _Stopwatch()) for _ in shares]
+
+        def timed_share(share):
+            t0 = time.perf_counter()
+            result = _run_chunks(engine, dflat, share, store, faults)
+            return result, time.perf_counter() - t0
+
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-            results = list(pool.map(
-                lambda share, watch: _run_chunks(
-                    engine, dflat, share, store, faults, *watch
-                ),
-                shares, watches,
-            ))
-        for eri, jk in watches:
-            prof.add_sample(PHASE_ERI, eri.wall, eri.cpu, eri.calls)
-            prof.add_sample(PHASE_JK, jk.wall, jk.cpu, jk.calls)
+            results, walls = zip(*pool.map(timed_share, shares))
         engine.last_jk_worker_stats = [
-            {"eri_wall": eri.wall, "eri_cpu": eri.cpu, "jk_wall": jk.wall,
-             "jk_cpu": jk.cpu, "calls": eri.calls, "flushes": jk.calls,
-             **totals}
-            for (eri, jk), (_, _, totals) in zip(watches, results)
+            {"wall": wall, **totals} for wall, (_, _, totals) in zip(walls, results)
         ]
 
     _tally(
@@ -915,15 +884,10 @@ def jk_from_rows(
     rows of one GTFock rank or one NWChem task.  Every block is computed
     -- no store, no seeded faults, one thread -- through the chunk
     machinery of :func:`jk_from_plan`."""
-    from repro.obs import get_profiler
-    from repro.obs.profile import PHASE_ERI, PHASE_JK
-
     n = engine.basis.nbf
-    prof = get_profiler()
     jt, kt, totals = _run_chunks(
         engine, density_stack(density, n).reshape(-1, n * n),
         plan.chunks(rows), None, None,
-        prof.phase(PHASE_ERI), prof.phase(PHASE_JK),
     )
     _tally(engine, totals, None)
     return _symmetrized(jt, kt, n, density)

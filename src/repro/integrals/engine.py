@@ -41,7 +41,7 @@ from repro.integrals.eri_os import os_class_rows
 from repro.integrals.pairdata import ShellPairData
 from repro.integrals.schwarz import schwarz_matrix
 from repro.integrals.store import ERIStore
-from repro.obs import get_metrics, get_profiler
+from repro.obs import get_metrics, phase
 
 
 class NonFiniteERIError(RuntimeError):
@@ -152,7 +152,7 @@ class ERIEngine(abc.ABC):
             return self._class_plan[1]
         from repro.obs.profile import PHASE_CLASS_PLAN
 
-        with get_profiler().phase(PHASE_CLASS_PLAN):
+        with phase(PHASE_CLASS_PLAN):
             plan = build_class_plan(
                 self.basis,
                 self.pair_cache,
@@ -177,7 +177,7 @@ class ERIEngine(abc.ABC):
         if self._schwarz is None:
             from repro.obs.profile import PHASE_SCHWARZ
 
-            with get_profiler().phase(PHASE_SCHWARZ):
+            with phase(PHASE_SCHWARZ):
                 self._schwarz = self._build_schwarz()
         return self._schwarz
 

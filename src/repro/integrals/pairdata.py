@@ -186,7 +186,7 @@ class ShellPairData:
         ``pairdata_build`` phase."""
         missing = [key for key in dict.fromkeys(ij) if key not in self._pairs]
         if missing:
-            from repro.obs import get_profiler
+            from repro.obs import phase
             from repro.obs.profile import PHASE_PAIRDATA
 
             shells = self.basis.shells
@@ -195,7 +195,7 @@ class ShellPairData:
                 si, sj = shells[i], shells[j]
                 key = (si.l, sj.l, si.nprim, sj.nprim, si.pure, sj.pure)
                 classes.setdefault(key, []).append((i, j))
-            with get_profiler().phase(PHASE_PAIRDATA):
+            with phase(PHASE_PAIRDATA):
                 for members in classes.values():
                     self._pairs.update(zip(members, _expand_pairs(shells, members)))
             self.pairs_built += len(missing)

@@ -25,8 +25,10 @@ Tables VI-VIII and Figure 2 are all observability artifacts.  Its parts:
 * :mod:`repro.obs.ambient` -- the one ambient :class:`ObsSession`:
   instrumented code reads its tracer / registry / profiler / ledger
   through :func:`get_tracer` / :func:`get_metrics` / :func:`get_profiler`
-  / :func:`get_ledger`, and ``with repro.obs.session(...)`` is the one
-  way to install instruments and the one place they are torn down.
+  / :func:`get_ledger`, ``with repro.obs.phase(name):`` is the one probe
+  a named region needs (profiler phase and tracer span from one
+  timing), and ``with repro.obs.session(...)`` is the one way to install
+  instruments and the one place they are torn down.
 
 The default session holds no-op instruments (and one live registry), so
 instrumented code pays nothing until ``--trace`` / ``--profile`` /
@@ -41,6 +43,7 @@ from repro.obs.ambient import (
     get_metrics,
     get_profiler,
     get_tracer,
+    phase,
     session,
 )
 from repro.obs.flight import CHANNELS, FlightRecorder
@@ -75,6 +78,7 @@ __all__ = [
     "get_metrics",
     "get_profiler",
     "get_tracer",
+    "phase",
     "session",
     "CHANNELS",
     "FlightRecorder",

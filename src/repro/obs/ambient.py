@@ -18,10 +18,16 @@ It installs the instruments it is given (the others are inherited from
 the enclosing session) and, however the block exits, tears down the
 ones it installed in one fixed order before restoring the outer
 session -- see :func:`session`.
+
+:func:`phase` is the one probe a named region needs: it times the
+region once and records it into whichever of the session's profiler
+and tracer are installed.
 """
 
 from __future__ import annotations
 
+import threading
+import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -29,7 +35,7 @@ from typing import Iterator
 from repro.obs.manifest import NULL_LEDGER, RunLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import NULL_PROFILER, PhaseProfiler
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import _NULL_SPAN, NULL_TRACER, HostSpan, Tracer
 
 
 @dataclass
@@ -43,6 +49,11 @@ class ObsSession:
     #: what the session's ledger is sealed with; the block sets it, an
     #: escaping exception overrides it with 1
     exit_code: int = field(default=0, init=False)
+    #: whether a :func:`phase` probe has anywhere to record
+    live: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.live = self.tracer.enabled or self.profiler.enabled
 
 
 _current = ObsSession(NULL_TRACER, MetricsRegistry(), NULL_PROFILER, NULL_LEDGER)
@@ -66,6 +77,51 @@ def get_profiler() -> PhaseProfiler:
 def get_ledger() -> RunLedger:
     """The current session's run ledger (no-op unless installed)."""
     return _current.ledger
+
+
+class _Phase(HostSpan):
+    """One :func:`phase` occurrence: a host span whose one timing also
+    goes to the profiler."""
+
+    __slots__ = ("profiler", "clock", "c0", "peak")
+
+    def __init__(self, sess: ObsSession, name: str, cat: str, attrs: dict):
+        super().__init__(sess.tracer, name, cat, attrs)
+        self.profiler = sess.profiler
+
+    def __enter__(self) -> dict:
+        # the main thread's CPU includes the helper threads it waits on;
+        # a worker thread's is its own
+        main = threading.current_thread() is threading.main_thread()
+        self.clock = time.process_time if main else time.thread_time
+        if main and self.profiler.alloc:
+            self.profiler.enter_alloc(self)
+        self.c0 = self.clock()
+        return super().__enter__()
+
+    def __exit__(self, *exc) -> bool:
+        # recorded however the body exits: a phase that raised still
+        # happened and its cost is still attributable
+        wall = time.perf_counter() - self.t0
+        self.profiler.record(self, wall, self.clock() - self.c0)
+        self._log(wall)
+        return False
+
+
+def phase(name: str, cat: str = "phase", **attrs):
+    """Time one occurrence of the named region, once, into the session.
+
+    The profiler (when installed) adds it to the ``name`` phase's
+    :class:`~repro.obs.profile.PhaseStat`; the tracer (when installed)
+    gets one host span with ``cat`` and ``attrs``.  Yields the attrs
+    dict, so the body can attach results (``sp["energy"] = e``).  With
+    neither installed this is one attribute check returning a shared
+    no-op.
+    """
+    sess = _current
+    if not sess.live:
+        return _NULL_SPAN
+    return _Phase(sess, name, cat, attrs)
 
 
 @contextmanager

@@ -3,28 +3,33 @@
 The ROADMAP's "next 10x on the ERI/Fock hot path" starts from the same
 place every serious restructure does (the Xeon Phi HF work restructured
 its loops *from hotspot profiles*): knowing where the Python wall-clock,
-CPU time, and allocations actually go.  :class:`PhaseProfiler` wraps the
-pipeline's named phases --
+CPU time, and allocations actually go.  The pipeline's named phases --
 
-``pairdata_build``, ``schwarz_screening``, ``eri_quartets``,
-``jk_contraction``, ``diagonalize``/``purify``, ``diis``,
-``fock_build``, ``sim_event_loop``
+``pairdata_build``, ``schwarz_screening``, ``class_plan``,
+``eri_quartets``, ``jk_contraction``, ``diagonalize``/``purify``,
+``diis``, ``fock_build``, ``sim_event_loop``
 
--- and accumulates, per phase: call count, inclusive wall seconds
-(``time.perf_counter``), inclusive CPU seconds (``time.process_time``),
-and (opt-in, ``alloc=True``) the peak ``tracemalloc`` allocation
-observed while the phase was innermost.  Each phase occurrence is also
-emitted as a host span (``cat="phase"``) into the active
-:class:`~repro.obs.trace.Tracer`, so Perfetto shows the phases next to
-the existing span schema.
+-- are each wired once, as ``with repro.obs.phase(name):``.  That one
+probe times the region once and records it into the current session:
+into this module's :class:`PhaseProfiler` when one is installed, and as
+one host span (``cat="phase"`` unless the call site names another) when
+a tracer is.  The profiler is an accumulator only: per phase, call
+count, inclusive wall seconds (``time.perf_counter``), inclusive CPU
+seconds, and (opt-in, ``alloc=True``) the peak ``tracemalloc``
+allocation observed while the phase was innermost.  CPU is
+``time.process_time`` on the main thread (so a phase that waits on
+helper threads counts their CPU) and ``time.thread_time`` on a worker
+thread; :meth:`PhaseProfiler.record` is safe from any thread, so the
+threaded J/K workers probe their own chunks and flushes, each on its
+own trace thread.  Allocation attribution follows the main thread only.
 
 Like the tracer and the metrics registry, the profiler is an attribute
 of the current ``repro.obs.session`` read through
-:func:`repro.obs.get_profiler`; the default :data:`NULL_PROFILER` makes
-every probe a no-op, so leaving the
-instrumentation in the hot path costs essentially nothing when disabled
-(and <= 5% when enabled without ``alloc``, gated by
-``benchmarks/test_bench_profiler.py``).
+:func:`repro.obs.get_profiler`.  With neither a profiler nor a tracer
+installed a probe is one attribute check returning a shared no-op, so
+leaving the instrumentation in the hot path costs essentially nothing
+when disabled (and <= 5% when enabled without ``alloc``, gated by
+``benchmarks/test_bench_profiler.py`` on a whole SCF).
 
 The opt-in **hotspot table** (:func:`profile_hotspots`) runs a callable
 under :mod:`cProfile` and extracts the top-N functions by cumulative
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import cProfile
 import pstats
-import time
+import threading
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -53,11 +58,6 @@ PHASE_PURIFY = "purify"
 PHASE_DIIS = "diis"
 PHASE_FOCK = "fock_build"
 PHASE_SIM_LOOP = "sim_event_loop"
-
-#: phase occurrences shorter than this are aggregated but not mirrored
-#: as tracer spans -- the per-quartet ERI/JK phases (thousands per Fock
-#: build) would otherwise flood the Perfetto timeline
-TRACE_MIRROR_MIN_WALL_S = 1e-4
 
 
 @dataclass
@@ -84,64 +84,9 @@ class PhaseStat:
         }
 
 
-class _PhaseSpan:
-    """Reusable context manager recording occurrences of one phase.
-
-    The profiler hands out one span per phase name and reuses it across
-    occurrences (the ERI/JK probes fire tens of thousands of times per
-    Fock build; allocating a fresh context manager each time is pure GC
-    pressure).  ``busy`` guards reentrant same-name nesting: a busy span
-    falls back to a fresh throwaway instance.
-    """
-
-    __slots__ = ("prof", "name", "t0", "c0", "peak", "busy", "stat")
-
-    def __init__(self, prof: "PhaseProfiler", name: str):
-        self.prof = prof
-        self.name = name
-        self.peak = 0
-        self.busy = False
-        self.stat: PhaseStat | None = None
-
-    def __enter__(self) -> "_PhaseSpan":
-        self.busy = True
-        prof = self.prof
-        if prof.alloc:
-            prof._enter_alloc(self)
-        self.t0 = time.perf_counter()
-        self.c0 = time.process_time()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        # record unconditionally: a phase that raises still happened and
-        # its cost is still attributable (exception safety is tested)
-        wall = time.perf_counter() - self.t0
-        cpu = time.process_time() - self.c0
-        prof = self.prof
-        stat = self.stat
-        if stat is None:
-            stat = prof.stats.get(self.name)
-            if stat is None:
-                stat = prof.stats[self.name] = PhaseStat(self.name)
-            self.stat = stat
-        stat.calls += 1
-        stat.wall_s += wall
-        if cpu > 0.0:
-            stat.cpu_s += cpu
-        if wall > stat.max_wall_s:
-            stat.max_wall_s = wall
-        if prof.alloc:
-            prof._exit_alloc(self, stat)
-        # mirror the phase as a host span on the active tracer (no-op on
-        # the null tracer; micro-phases stay aggregate-only)
-        if wall >= TRACE_MIRROR_MIN_WALL_S:
-            prof._mirror(self.name, wall)
-        self.busy = False
-        return False
-
-
 class PhaseProfiler:
-    """Collects per-phase wall/CPU/allocation statistics.
+    """Collects per-phase wall/CPU/allocation statistics: what every
+    ``repro.obs.phase`` probe of its session records into.
 
     Parameters
     ----------
@@ -158,8 +103,9 @@ class PhaseProfiler:
     def __init__(self, alloc: bool = False):
         self.stats: dict[str, PhaseStat] = {}
         self.alloc = alloc
-        self._spans: dict[str, _PhaseSpan] = {}
-        self._stack: list[_PhaseSpan] = []
+        self._lock = threading.Lock()
+        #: the open probes attributing allocations, innermost last
+        self._stack: list = []
         self._owns_tracemalloc = False
         if alloc and not tracemalloc.is_tracing():
             tracemalloc.start()
@@ -167,63 +113,44 @@ class PhaseProfiler:
 
     # -- recording -----------------------------------------------------------
 
-    def phase(self, name: str) -> _PhaseSpan:
-        """Context manager timing one occurrence of phase ``name``."""
-        span = self._spans.get(name)
-        if span is None:
-            span = self._spans[name] = _PhaseSpan(self, name)
-        elif span.busy:  # reentrant same-name nesting: throwaway instance
-            return _PhaseSpan(self, name)
-        return span
+    def record(self, probe, wall: float, cpu: float) -> None:
+        """Fold one finished ``repro.obs.phase`` occurrence into the stat
+        of ``probe.name``; safe to call from any thread."""
+        with self._lock:
+            stat = self.stats.get(probe.name)
+            if stat is None:
+                stat = self.stats[probe.name] = PhaseStat(probe.name)
+            stat.calls += 1
+            stat.wall_s += wall
+            if cpu > 0.0:
+                stat.cpu_s += cpu
+            if wall > stat.max_wall_s:
+                stat.max_wall_s = wall
+        if probe in self._stack:
+            self._exit_alloc(probe, stat)
 
-    def add_sample(
-        self, name: str, wall_s: float, cpu_s: float, calls: int = 1
-    ) -> None:
-        """Fold externally measured time into phase ``name``.
-
-        Worker threads of the class-batched J/K path time their own
-        chunks (``time.perf_counter`` / ``time.thread_time``) and the
-        coordinating thread folds the results in here -- the reusable
-        :class:`_PhaseSpan` machinery is deliberately not thread-safe,
-        so cross-thread attribution goes through this aggregate-only
-        door (no tracer mirroring, no allocation attribution).
-        """
-        stat = self.stats.get(name)
-        if stat is None:
-            stat = self.stats[name] = PhaseStat(name)
-        stat.calls += int(calls)
-        stat.wall_s += float(wall_s)
-        if cpu_s > 0.0:
-            stat.cpu_s += float(cpu_s)
-
-    def _enter_alloc(self, span: _PhaseSpan) -> None:
+    def enter_alloc(self, probe) -> None:
+        """Start attributing allocations to ``probe`` (main thread only:
+        the tracemalloc peak is process-wide)."""
         # bank the running peak on the phase being interrupted, then
         # reset so the nested phase sees only its own allocations
         if self._stack:
             outer = self._stack[-1]
             outer.peak = max(outer.peak, tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
-        span.peak = 0
-        self._stack.append(span)
+        probe.peak = 0
+        self._stack.append(probe)
 
-    def _exit_alloc(self, span: _PhaseSpan, stat: PhaseStat) -> None:
-        if self._stack and self._stack[-1] is span:
+    def _exit_alloc(self, probe, stat: PhaseStat) -> None:
+        if self._stack[-1] is probe:
             self._stack.pop()
-        elif span in self._stack:  # exception unwound past nested spans
-            while self._stack and self._stack[-1] is not span:
+        else:  # exception unwound past nested probes
+            while self._stack[-1] is not probe:
                 self._stack.pop()
             self._stack.pop()
-        peak = max(span.peak, tracemalloc.get_traced_memory()[1])
+        peak = max(probe.peak, tracemalloc.get_traced_memory()[1])
         stat.alloc_peak_bytes = max(stat.alloc_peak_bytes, int(peak))
         tracemalloc.reset_peak()
-
-    def _mirror(self, name: str, wall: float) -> None:
-        from repro.obs.ambient import get_tracer
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            end = time.perf_counter()
-            tracer.host_span_at(name, end - wall, end, cat="phase")
 
     def close(self) -> None:
         """Release resources (stops tracemalloc if this profiler started it)."""
@@ -286,37 +213,12 @@ class PhaseProfiler:
                 peak.set(s.alloc_peak_bytes, phase=s.name)
 
 
-class _NullPhaseSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhaseSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_PHASE_SPAN = _NullPhaseSpan()
-
-
 class NullProfiler(PhaseProfiler):
-    """Free-of-charge profiler: every probe is a no-op."""
+    """Free-of-charge profiler: records nothing."""
 
     enabled = False
 
-    def __init__(self):  # noqa: D401 - no tracemalloc, no state
-        self.stats = {}
-        self.alloc = False
-        self._spans = {}
-        self._stack = []
-        self._owns_tracemalloc = False
-
-    def phase(self, name: str):  # type: ignore[override]
-        return _NULL_PHASE_SPAN
-
-    def add_sample(
-        self, name: str, wall_s: float, cpu_s: float, calls: int = 1
-    ) -> None:
+    def record(self, probe, wall: float, cpu: float) -> None:
         pass
 
     def export_metrics(self, registry=None) -> None:

@@ -30,7 +30,6 @@ import json
 import re
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -160,6 +159,34 @@ def _task_spans(runs: list[_TaskRun]) -> tuple[np.ndarray, np.ndarray, list[str]
     return starts, np.maximum(ends - starts, 0.0), labels
 
 
+class HostSpan:
+    """One wall-clock span in flight: ``time.perf_counter`` at entry and
+    exit, one log row at exit, also when the body raises.  What
+    :meth:`Tracer.span` returns, and the base of ``repro.obs.phase``'s
+    probe, which hands the same timing to the profiler."""
+
+    __slots__ = ("tracer", "name", "cat", "args", "t0")
+
+    def __init__(self, tracer: "Tracer", name: str, cat: str, args: dict):
+        self.tracer, self.name, self.cat, self.args = tracer, name, cat, args
+
+    def __enter__(self) -> dict:
+        self.t0 = time.perf_counter()
+        return self.args
+
+    def __exit__(self, *exc) -> bool:
+        self._log(time.perf_counter() - self.t0)
+        return False
+
+    def _log(self, wall: float) -> None:
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer._log.append(
+                ("X", self.name, self.cat, HOST_PID, tracer._host_tid(),
+                 self.t0 - tracer._epoch, wall, self.args)
+            )
+
+
 class Tracer:
     """Collects host and virtual spans; thread-safe for host probes.
 
@@ -194,8 +221,7 @@ class Tracer:
 
     # -- host (wall-clock) probes -------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, cat: str = "host", **args) -> Iterator[dict]:
+    def span(self, name: str, cat: str = "host", **args) -> "HostSpan":
         """Record a nested wall-clock span around the ``with`` body.
 
         Yields the span's ``args`` dict so the body can attach results::
@@ -204,33 +230,12 @@ class Tracer:
                 f = build(...)
                 sp["nnz"] = int(np.count_nonzero(f))
         """
-        t0 = self._now()
-        try:
-            yield args
-        finally:
-            self._log.append(
-                ("X", name, cat, HOST_PID, self._host_tid(), t0,
-                 self._now() - t0, args)
-            )
+        return HostSpan(self, name, cat, args)
 
     def instant(self, name: str, cat: str = "host", **args) -> None:
         """Record a zero-duration wall-clock marker."""
         self._log.append(
             ("i", name, cat, HOST_PID, self._host_tid(), self._now(), 0.0, args)
-        )
-
-    def host_span_at(
-        self, name: str, start: float, end: float, cat: str = "host", **args
-    ) -> None:
-        """Record a completed host span from ``time.perf_counter()`` stamps.
-
-        For instrumentation that measures its own timing (the phase
-        profiler) and only reports the span after the fact; ``start`` and
-        ``end`` are absolute ``perf_counter`` values.
-        """
-        self._log.append(
-            ("X", name, cat, HOST_PID, self._host_tid(),
-             start - self._epoch, max(end - start, 0.0), args)
         )
 
     # -- virtual (simulated-clock) probes -----------------------------------
@@ -504,9 +509,6 @@ class NullTracer(Tracer):
         return _NULL_SPAN
 
     def instant(self, name: str, cat: str = "host", **args) -> None:
-        pass
-
-    def host_span_at(self, name, start, end, cat="host", **args) -> None:
         pass
 
     def virtual_span(self, name, proc, start, end, cat="sim", **args) -> None:

@@ -31,7 +31,7 @@ from repro.chem.molecule import Molecule
 from repro.integrals.class_batch import resolve_jk_threads
 from repro.integrals.engine import ERIEngine, MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
-from repro.obs import get_ledger, get_metrics, get_profiler, get_tracer
+from repro.obs import get_ledger, get_metrics, get_tracer, phase
 from repro.obs.metrics import export_integrity
 from repro.obs.profile import (
     PHASE_DIAG,
@@ -372,8 +372,7 @@ class SCFDriver:
     def _checked_focks(self, run: _Run, it: int) -> list[np.ndarray]:
         """Build F; a tripped rung rebuilds it once (ERIs are density
         independent, so bitwise the uncorrupted F) or raises."""
-        with get_tracer().span("fock_build", cat="scf"), \
-                get_profiler().phase(PHASE_FOCK):
+        with phase(PHASE_FOCK, cat="scf"):
             fs = self._focks(run.h, run.ds)
         fs = self._corrupted(run, it, "fock", fs)
         for rung in (self._finite, self._intact):
@@ -406,8 +405,7 @@ class SCFDriver:
             for w in windows:
                 w.reset()
         f_eff = []
-        with get_tracer().span("diis", cat="scf"), \
-                get_profiler().phase(PHASE_DIIS):
+        with phase(PHASE_DIIS, cat="scf"):
             for w, f, d in zip(run.diis, run.fs, run.ds):
                 if w is not None:
                     w.push(f, DIIS.error_vector(f, d, run.s, run.x))
@@ -429,8 +427,7 @@ class SCFDriver:
 
     def _density_step(self, run: _Run, f_eff: list, shift: float) -> list:
         """A new density per occupied channel; the orbitals go on ``run``."""
-        with get_tracer().span(self.density_method, cat="scf"), \
-                get_profiler().phase(_DENSITY_PHASES[self.density_method]):
+        with phase(_DENSITY_PHASES[self.density_method], cat="scf"):
             ds, run.eps, run.coeffs = map(list, zip(*[
                 self._new_density(f, run.x, run.s, d, n, shift) if n
                 else (np.zeros_like(d), None, None)
@@ -513,8 +510,7 @@ class SCFDriver:
         fs, e_elec, energy = self._final_state(run)
         engine, metrics, guard = self.engine, get_metrics(), run.guard
         walls = [
-            s["eri_wall"] + s["jk_wall"]
-            for s in getattr(engine, "last_jk_worker_stats", None) or []
+            s["wall"] for s in getattr(engine, "last_jk_worker_stats", None) or []
         ]
         mean = sum(walls) / max(len(walls), 1)
         extra = {}
@@ -560,9 +556,7 @@ class SCFDriver:
 
     def _final_state(self, run: _Run):
         """(F, electronic, total energy): one more build from the final D."""
-        with get_tracer().span(
-            "final_fock_build", cat="scf", molecule=run.label
-        ), get_profiler().phase(PHASE_FOCK):
+        with phase(PHASE_FOCK, cat="scf", molecule=run.label, final=True):
             fs = self._focks(run.h, run.ds)
         e_elec = self._electronic_energy(run.h, fs, run.ds)
         return fs, e_elec, e_elec + run.enuc

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.obs import get_ledger, get_metrics, get_profiler, get_tracer
+from repro.obs import get_ledger, get_metrics, get_tracer, phase
 from repro.obs.metrics import export_integrity
 from repro.obs.profile import PHASE_DIIS, PHASE_FOCK
 from repro.runtime.sdc import IntegrityError, IntegrityMonitor
@@ -62,7 +62,6 @@ def _extrapolated(
 def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
     tracer = get_tracer()
     metrics = get_metrics()
-    prof = get_profiler()
     ledger = get_ledger()
     mol_label = self.molecule.name or self.molecule.formula
     g_energy = metrics.gauge(
@@ -163,8 +162,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
         with tracer.span(
             "scf_iteration", cat="scf", molecule=mol_label, iteration=it
         ) as sp:
-            with tracer.span("fock_build", cat="scf"), \
-                    prof.phase(PHASE_FOCK):
+            with phase(PHASE_FOCK, cat="scf"):
                 fs = self._focks(h, ds)
             fs = corrupt(fs, "fock")
             if guard is not None and not finite(fs, "fock"):
@@ -194,8 +192,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
                 if guard is not None and guard.consume_diis_reset():
                     for w in windows:
                         w.reset()
-                with tracer.span("diis", cat="scf"), \
-                        prof.phase(PHASE_DIIS):
+                with phase(PHASE_DIIS, cat="scf"):
                     f_eff = [
                         f if w is None else _extrapolated(w, f, d, s, x)
                         for w, f, d in zip(diis, fs, ds)
@@ -203,8 +200,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
             shift = guard.level_shift if guard is not None else 0.0
 
             def density_step():
-                with tracer.span(self.density_method, cat="scf"), \
-                        prof.phase(hf._DENSITY_PHASES[self.density_method]):
+                with phase(hf._DENSITY_PHASES[self.density_method], cat="scf"):
                     return map(list, zip(*[
                         self._new_density(f, x, s, d, n, shift) if n
                         else (np.zeros_like(d), None, None)
@@ -292,7 +288,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
     worker_stats = getattr(engine, "last_jk_worker_stats", None) or []
     balance = None
     if len(worker_stats) > 1:
-        walls = [s["eri_wall"] + s["jk_wall"] for s in worker_stats]
+        walls = [s["wall"] for s in worker_stats]
         mean = sum(walls) / len(walls)
         if mean > 0:
             balance = max(walls) / mean

@@ -42,7 +42,7 @@ from repro.integrals.class_batch import (
     orbit_weights,
 )
 from repro.integrals.engine import MDEngine, OSEngine
-from repro.obs import session
+from repro.obs import Tracer, session
 from repro.obs.profile import PHASE_ERI, PHASE_JK, PhaseProfiler
 from repro.scf.fock import build_jk
 
@@ -431,7 +431,7 @@ class TestProfilerAttribution:
     """``eri_quartets`` lands per kernel chunk, ``jk_contraction`` per
     flush -- never per quartet -- serial and threaded."""
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_eri_and_jk_phases_recorded_per_chunk(self, monkeypatch, threads):
         basis = BasisSet.build(water(), "sto-3g")
         rng = np.random.default_rng(31)
@@ -439,9 +439,10 @@ class TestProfilerAttribution:
         engine = MDEngine(basis)
         plan = engine.class_plan(1e-11)
         flushes = recorded_flushes(monkeypatch)
-        prof = PhaseProfiler()
-        with session(profiler=prof):
+        prof, tracer = PhaseProfiler(), Tracer()
+        with session(profiler=prof, tracer=tracer):
             jk_from_plan(engine, d, plan, threads=threads)
+        # as many chunk phases as one thread records, whoever runs them
         assert prof.stats[PHASE_ERI].calls == len(plan.chunks())
         assert prof.stats[PHASE_JK].calls == len(flushes)
         # one flush per block shape (and worker): never per quartet
@@ -449,6 +450,17 @@ class TestProfilerAttribution:
         assert len(plan.chunks()) < plan.nquartets
         assert prof.stats[PHASE_ERI].wall_s > 0.0
         assert prof.stats[PHASE_JK].wall_s > 0.0
+        # each occurrence is one span, on the track of the thread that ran it
+        spans = tracer.spans()
+        for stat in prof.phases():
+            assert sum(s.name == stat.name for s in spans) == stat.calls
+        keys = [(s.name, s.tid, s.ts) for s in spans]
+        assert len(set(keys)) == len(keys)
+        tids = {s.tid for s in spans}
+        if threads == 1:
+            assert tids == {0}
+        else:  # each worker is its own track
+            assert len(tids) >= 2
 
 
 def recorded_flushes(monkeypatch) -> list:

@@ -11,12 +11,13 @@ and be bitwise the per-row search it replaced (``reference_cost``).
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane
-from repro.fock.cost import quartet_cost_matrix
+from repro.fock.cost import TaskCosts, quartet_cost_matrix
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.symmetry import symmetry_check, task_computes
 from reference_cost import row_loop_cost_matrix
@@ -115,10 +116,28 @@ def _screen(sigma, tau) -> ScreeningMap:
 @example(_screen([[0.5]], 0.25))  # ns = 1, the product equals tau
 @example(_screen([[1.0]], 0.5))  # ns = 1, one surviving quartet
 @example(_screen([[0.0, 0.0, 0.0], [0.0, 0.5, 0.25], [0.0, 0.25, 1.0]], 0.125))
+@example(_screen([[0.0]], 1.0))  # ns = 1, sigma = 0: no quartet survives
+@example(_screen(np.zeros((3, 3)), 2.0**-30))  # ns = 3, sigma = 0
 @settings(max_examples=60, deadline=None)
 def test_cost_matrix_matches_row_loop_oracle(screen):
     """Bitwise the per-row threshold search it replaced, ties and empty
-    rows included (shell 0 of the last example has no partner)."""
+    rows included (shell 0 of the third example has no partner, and no
+    shell of the last two)."""
     costs, oracle = quartet_cost_matrix(screen), row_loop_cost_matrix(screen)
     assert np.array_equal(costs.quartets, oracle.quartets)
     assert np.array_equal(costs.eris, oracle.eris)
+
+
+@pytest.mark.parametrize("ns", [1, 3])
+def test_all_zero_sigma_costs_nothing(ns):
+    """sigma = 0 everywhere: every task is empty, in the vectorized
+    matrix, the row-loop oracle and the brute-force enumeration alike."""
+    screen = _screen(np.zeros((ns, ns)), 1.0)
+    zeros = np.zeros((ns, ns))
+    for costs in (
+        exact_diagonal(screen, quartet_cost_matrix(screen)),
+        row_loop_cost_matrix(screen),
+        TaskCosts(*brute_force(screen)),
+    ):
+        assert np.array_equal(costs.quartets, zeros)
+        assert np.array_equal(costs.eris, zeros)

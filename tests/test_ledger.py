@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import get_ledger, session
+from repro.obs import get_ledger, phase, session
 from repro.obs.manifest import (
     LedgerError,
     NullLedger,
@@ -81,8 +81,9 @@ class TestManifest:
     def test_attach_profile(self, tmp_path):
         ledger = _make_run(tmp_path, close=False)
         prof = PhaseProfiler()
-        with prof.phase("fock_build"):
-            pass
+        with session(profiler=prof, metrics=MetricsRegistry()):
+            with phase("fock_build"):
+                pass
         ledger.attach_profile(prof)
         ledger.close(0)
         record = load_run(ledger.path)

@@ -30,6 +30,7 @@ from repro.obs import (
     get_profiler,
     get_tracer,
     load_run,
+    phase,
     session,
 )
 from repro.obs.trace import _EXPORT_CHUNK, _coerce
@@ -452,7 +453,7 @@ class TestSession:
                 == before
         assert self.current() == before
         assert get_tracer() is NULL_TRACER and not get_tracer().enabled
-        assert get_profiler().phase("a") is get_profiler().phase("b")
+        assert phase("a") is phase("b")
         assert not get_profiler().enabled and not get_ledger().enabled
 
     @pytest.mark.parametrize("raises", [False, True])
@@ -485,7 +486,7 @@ class TestSession:
             tracer=Tracer(), metrics=MetricsRegistry(), profiler=prof,
             ledger=ledger, trace_path=str(trace), metrics_path=str(prom),
         ) as sess:
-            with get_profiler().phase("work"), get_tracer().span("work"):
+            with phase("work"):
                 get_ledger().snapshot("mid")
             sess.exit_code = 3
         assert 'repro_phase_calls_total{phase="work"} 1' in prom.read_text()
@@ -624,13 +625,23 @@ class TestScfTracing:
     def test_scf_iteration_spans_and_gauges(self):
         from repro.scf.hf import RHF
 
-        fresh, tr = MetricsRegistry(), Tracer()
-        with session(tracer=tr, metrics=fresh):
+        fresh, tr, prof = MetricsRegistry(), Tracer(), PhaseProfiler()
+        with session(tracer=tr, metrics=fresh, profiler=prof):
             result = RHF(water(), basis_name="sto-3g").run()
         iters = [s for s in tr.spans() if s.name == "scf_iteration"]
         assert len(iters) == result.iterations
         inner = {s.name for s in tr.spans(cat="scf")}
         assert {"scf_setup", "fock_build", "diis", "diagonalize"} <= inner
+        # one probe per region: every phase occurrence is exactly one span
+        # (the SCF regions under cat "scf", the final build marked), and
+        # no region is recorded twice
+        spans = tr.spans()
+        for stat in prof.phases():
+            assert sum(s.name == stat.name for s in spans) == stat.calls
+        (final,) = [s for s in spans if s.args.get("final")]
+        assert (final.name, final.cat) == ("fock_build", "scf")
+        keys = [(s.name, s.tid, s.ts) for s in spans]
+        assert len(set(keys)) == len(keys)
         e = _value(fresh.get("repro_scf_energy_hartree"), molecule="H2O")
         assert e == pytest.approx(result.energy)
         assert _value(fresh.get("repro_scf_converged"), molecule="H2O") == 1

@@ -1,6 +1,10 @@
-"""Phase profiler: attribution, nesting, exception safety, hotspots."""
+"""Phase probes and profiler: attribution, nesting, exception safety,
+one timing per region, worker threads, hotspots."""
 
+import sys
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -9,7 +13,6 @@ from repro.obs import get_profiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     NULL_PROFILER,
-    TRACE_MIRROR_MIN_WALL_S,
     PhaseProfiler,
     hotspot_text,
     profile_hotspots,
@@ -17,12 +20,20 @@ from repro.obs.profile import (
 from repro.obs.trace import Tracer
 
 
+@contextmanager
+def profiled(alloc: bool = False, tracer: Tracer | None = None):
+    """A session with a fresh profiler (and registry) installed."""
+    prof = PhaseProfiler(alloc=alloc)
+    with obs.session(profiler=prof, tracer=tracer, metrics=MetricsRegistry()):
+        yield prof
+
+
 class TestPhaseProfiler:
     def test_accumulates_calls_and_wall(self):
-        prof = PhaseProfiler()
-        for _ in range(3):
-            with prof.phase("work"):
-                time.sleep(0.001)
+        with profiled() as prof:
+            for _ in range(3):
+                with obs.phase("work"):
+                    time.sleep(0.001)
         (stat,) = prof.phases()
         assert stat.name == "work"
         assert stat.calls == 3
@@ -31,66 +42,59 @@ class TestPhaseProfiler:
         assert stat.cpu_s >= 0.0
 
     def test_nested_phases_are_inclusive(self):
-        prof = PhaseProfiler()
-        with prof.phase("outer"):
-            with prof.phase("inner"):
-                time.sleep(0.002)
+        with profiled() as prof:
+            with obs.phase("outer"):
+                with obs.phase("inner"):
+                    time.sleep(0.002)
         stats = {s.name: s for s in prof.phases()}
         assert stats["outer"].wall_s >= stats["inner"].wall_s
 
     def test_reentrant_same_name_nesting(self):
-        prof = PhaseProfiler()
-        with prof.phase("p"):
-            with prof.phase("p"):
-                pass
+        with profiled() as prof:
+            with obs.phase("p"):
+                with obs.phase("p"):
+                    pass
         assert prof.stats["p"].calls == 2
 
     def test_exception_still_recorded(self):
-        prof = PhaseProfiler()
-        with pytest.raises(ValueError):
-            with prof.phase("doomed"):
-                raise ValueError("boom")
-        assert prof.stats["doomed"].calls == 1
-        # the span is reusable again after the exception
-        with prof.phase("doomed"):
-            pass
+        with profiled() as prof:
+            with pytest.raises(ValueError):
+                with obs.phase("doomed"):
+                    raise ValueError("boom")
+            assert prof.stats["doomed"].calls == 1
+            with obs.phase("doomed"):
+                pass
         assert prof.stats["doomed"].calls == 2
 
     def test_exception_unwinds_nested_alloc_stack(self):
-        prof = PhaseProfiler(alloc=True)
-        try:
+        with profiled(alloc=True) as prof:
             with pytest.raises(RuntimeError):
-                with prof.phase("outer"):
-                    with prof.phase("inner"):
+                with obs.phase("outer"):
+                    with obs.phase("inner"):
                         raise RuntimeError
             assert prof.stats["outer"].calls == 1
             assert prof.stats["inner"].calls == 1
             assert prof._stack == []
-        finally:
-            prof.close()
 
     def test_alloc_attribution(self):
-        prof = PhaseProfiler(alloc=True)
-        try:
-            with prof.phase("alloc_heavy"):
+        with profiled(alloc=True) as prof:
+            with obs.phase("alloc_heavy"):
                 blob = [bytes(200_000) for _ in range(5)]
             assert prof.stats["alloc_heavy"].alloc_peak_bytes > 500_000
             del blob
-        finally:
-            prof.close()
 
     def test_phases_sorted_by_wall_desc(self):
-        prof = PhaseProfiler()
-        with prof.phase("slow"):
-            time.sleep(0.004)
-        with prof.phase("fast"):
-            pass
+        with profiled() as prof:
+            with obs.phase("slow"):
+                time.sleep(0.004)
+            with obs.phase("fast"):
+                pass
         assert [s.name for s in prof.phases()] == ["slow", "fast"]
 
     def test_to_json_and_table(self):
-        prof = PhaseProfiler()
-        with prof.phase("x"):
-            pass
+        with profiled() as prof:
+            with obs.phase("x"):
+                pass
         (row,) = prof.to_json()
         assert row["name"] == "x"
         assert row["calls"] == 1
@@ -98,34 +102,79 @@ class TestPhaseProfiler:
         assert "(no phases recorded)" in PhaseProfiler().table()
 
     def test_export_metrics(self):
-        prof = PhaseProfiler()
-        with prof.phase("m"):
-            pass
+        with profiled() as prof:
+            with obs.phase("m"):
+                pass
         reg = MetricsRegistry()
         prof.export_metrics(reg)
         text = reg.to_prometheus()
         assert 'repro_phase_calls_total{phase="m"} 1' in text
         assert "repro_phase_wall_seconds_total" in text
 
-    def test_tracer_mirror_respects_min_wall(self):
+
+class TestOneProbe:
+    """``obs.phase`` times a region once and records it once per
+    installed instrument."""
+
+    def test_span_and_stat_share_one_timing(self):
+        tracer = Tracer("t")
+        with profiled(tracer=tracer) as prof:
+            with obs.phase("region", cat="scf", final=True) as sp:
+                sp["energy"] = -1.5
+            with obs.phase("blink"):
+                pass
+        region, blink = tracer.spans()
+        assert (region.name, region.cat) == ("region", "scf")
+        assert region.args == {"final": True, "energy": -1.5}
+        assert region.dur == prof.stats["region"].wall_s
+        # no threshold: a sub-microsecond region is a span as well
+        assert (blink.name, blink.cat) == ("blink", "phase")
+        assert blink.dur == prof.stats["blink"].wall_s
+
+    def test_tracer_alone_records_the_span(self):
         tracer = Tracer("t")
         with obs.session(tracer=tracer):
-            prof = PhaseProfiler()
-            with prof.phase("long_enough"):
-                time.sleep(2 * TRACE_MIRROR_MIN_WALL_S)
-            with prof.phase("blink"):
+            with obs.phase("region"):
                 pass
-        names = [ev.name for ev in tracer.events]
-        assert "long_enough" in names
-        assert "blink" not in names
+        assert [(e.name, e.cat) for e in tracer.spans()] == [("region", "phase")]
+        assert get_profiler().stats == {}
+
+    def test_worker_threads_record_on_their_own_tracks(self):
+        """More threads than cores, switching every microsecond: a lost
+        stat update would show in ``calls``."""
+        nthreads, probes = 3, 2000
+        tracer, barrier = Tracer("t"), threading.Barrier(nthreads)
+
+        def work():
+            barrier.wait(timeout=10)
+            for _ in range(probes):
+                with obs.phase("chunk"):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with profiled(tracer=tracer) as prof:
+                threads = [threading.Thread(target=work) for _ in range(nthreads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert prof.stats["chunk"].calls == nthreads * probes
+        tids = [e.tid for e in tracer.spans()]
+        assert len(tids) == nthreads * probes and len(set(tids)) == nthreads
 
 
 class TestSingleton:
     def test_default_is_null_and_free(self):
         assert get_profiler() is NULL_PROFILER
         assert not get_profiler().enabled
-        with get_profiler().phase("anything"):
-            pass
+        assert obs.phase("a") is obs.phase("b")
+        with obs.phase("anything") as sp:
+            sp["ignored"] = 1
         assert get_profiler().stats == {}
 
     def test_set_and_restore(self):
@@ -139,7 +188,7 @@ class TestSingleton:
         prof = PhaseProfiler()
         with obs.session(profiler=prof, metrics=MetricsRegistry()):
             assert get_profiler() is prof
-            with get_profiler().phase("inside"):
+            with obs.phase("inside"):
                 pass
         assert get_profiler() is NULL_PROFILER
         assert prof.stats["inside"].calls == 1

@@ -61,6 +61,18 @@ class TestScreeningMap:
         with pytest.raises(ValueError):
             ScreeningMap(alkane_screen.basis, alkane_screen.sigma, 0.0)
 
+    def test_infinite_tau_rejected(self, alkane_screen):
+        """tau = +inf used to pass and screen out every quartet."""
+        with pytest.raises(ValueError, match="tau"):
+            ScreeningMap(alkane_screen.basis, alkane_screen.sigma, np.inf)
+
+    def test_all_zero_sigma_keeps_only_the_diagonal(self, alkane_screen):
+        """A zero Schwarz bound is a true bound, not an error."""
+        ns = alkane_screen.nshells
+        screen = ScreeningMap(alkane_screen.basis, np.zeros((ns, ns)), 1e-10)
+        assert np.array_equal(screen.significant, np.eye(ns, dtype=bool))
+        assert screen.stats()["significant_pairs"] == ns
+
     def test_stats_keys(self, alkane_screen):
         st = alkane_screen.stats()
         assert {"A_avg_shell_size", "B_avg_phi", "q_avg_overlap"} <= set(st)

@@ -9,7 +9,6 @@ false alarms.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import shutil
@@ -235,7 +234,7 @@ class TestStoreIntegrity:
         counts = dict.fromkeys(class_batch._COUNT_KEYS, 0)
         for flush, parts in class_batch._flushes(
             engine, class_batch._store_chunks(engine.class_plan(1e-11)), store,
-            None, contextlib.nullcontext(), counts,
+            None, counts,
         ):
             for (batch, rows), blocks in zip(flush, parts):
                 sel = clean.offsets_for(batch.quartets[rows])
