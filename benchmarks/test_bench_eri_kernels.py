@@ -36,6 +36,10 @@ Both measurements also time the layers under the class-batched build
 them past the asymptotic switch like the water-cluster workloads), ``oneelec_s`` (S + H^core), ``schwarz_s``, and
 the class-batched build on a warm engine (plan memoized: what every
 direct-SCF iteration after the first pays) at 1 and 2 ``jk_threads``.
+The water measurement also records ``cold_import_s``: the median of 7
+``import repro`` walls, each in a fresh interpreter and timed by
+``perf_counter`` inside it (what every ``repro`` command and service
+worker pays before its first integral); it is measure-only.
 The threaded pair is measure-only: the sweep is NumPy passes over one chunk at a time, so
 two threads on a two-core host share memory bandwidth and trade the
 GIL between passes -- 1.05-1.3x is the ceiling seen here (docs/
@@ -51,13 +55,17 @@ with ``PYTHONPATH`` on a parent checkout's ``src`` measures that commit.
 
 from __future__ import annotations
 
+import os
 import pathlib
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
 import numpy as np
 
+import repro
 from repro.bench.harness import format_table
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import benzene, water
@@ -184,6 +192,25 @@ def kernel_floor(basis, density) -> dict:
     }
 
 
+def cold_import_s(runs: int = 7) -> float:
+    """Median wall of ``import repro`` in ``runs`` fresh interpreters, of
+    the ``repro`` this process imported (``PYTHONPATH`` on a parent
+    checkout's ``src`` measures that commit)."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import time; t0 = time.perf_counter(); import repro; "
+        "print(time.perf_counter() - t0)"
+    )
+    walls = [
+        float(subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout)
+        for _ in range(runs)
+    ]
+    return round(statistics.median(walls), 4)
+
+
 def measure(quick: bool = False) -> tuple[dict, str]:
     """One full measurement: reference kernel / class kernel / stored."""
     basis_name = "sto-3g" if quick else "6-31g"
@@ -231,6 +258,7 @@ def measure(quick: bool = False) -> tuple[dict, str]:
         **stored,
         "stored_max_abs_diff": stored_diff,
         **kernel_floor(basis, d),
+        "cold_import_s": cold_import_s(),
     }
     check_result(result, quick)
     return result, render_report(result)
@@ -306,6 +334,7 @@ def render_report(result: dict) -> str:
          round(result["t_seed_s"] / max(result["stored_steady_s"], 1e-12), 2)],
         ["  of which J/K contraction", result["jk_contract_s"], ""],
         *([label, result[key], ""] for label, key in FLOOR_ROWS),
+        ["cold `import repro` (median of 7)", result["cold_import_s"], ""],
     ]
     return format_table(
         ["kernel", "time [s]", "speedup"],

@@ -9,8 +9,9 @@ values, so both accuracy and speed matter here.
 Evaluation paths:
 
 * :func:`boys_array` -- production path (every batched kernel): the
-  highest order is a Taylor interpolation in a table built at import,
-  lower orders follow from the stable *downward* recursion
+  highest order is a Taylor interpolation in a table built at import
+  from a shipped top row (``boys_top.npy``: importing this module loads
+  no SciPy), lower orders follow from the stable *downward* recursion
   ``F_m = (2x F_{m+1} + e^{-x}) / (2m+1)``; asymptotic form for large x.
 * :func:`boys` -- the path of the Obara-Saika kernel (the MD kernel's
   rescue) and of the oracles in ``tests/``: same recursion from the
@@ -22,9 +23,9 @@ Evaluation paths:
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 #: Beyond this argument the asymptotic form
 #: ``F_m(x) ~ (2m-1)!! / 2^{m+1} sqrt(pi / x^{2m+1})`` is accurate to
@@ -62,10 +63,9 @@ def boys(mmax: int, x) -> np.ndarray:
     for m in range(mmax):
         fm[m + 1] = fm[m] * (2 * m + 1) / (2.0 * xl)
     out[:, large] = fm
-    # F_m(x) = Gamma(m+1/2) * P(m+1/2, x) / (2 x^{m+1/2})
-    xm, a = flat[mid], mmax + 0.5
+    xm = flat[mid]
     fm = np.empty((mmax + 1, xm.size))
-    fm[mmax] = special.gamma(a) * special.gammainc(a, xm) / (2.0 * xm**a)
+    fm[mmax] = _gamma_form(mmax, xm)
     emx = np.exp(-xm)
     for m in range(mmax - 1, -1, -1):
         fm[m] = (2.0 * xm * fm[m + 1] + emx) / (2.0 * m + 1.0)
@@ -83,16 +83,26 @@ _TERMS = 7
 _TABLE_MMAX = 32
 
 
+def _gamma_form(m: int, x: np.ndarray) -> np.ndarray:
+    """``F_m(x) = Gamma(m+1/2) P(m+1/2, x) / (2 x^{m+1/2})`` for x > 0."""
+    from scipy import special
+
+    a = m + 0.5
+    return special.gamma(a) * special.gammainc(a, x) / (2.0 * x**a)
+
+
 def _build_table(mmax: int) -> np.ndarray:
     """``table[m, k] = F_m(k * _STEP)`` for the orders a ``mmax`` sweep
-    reads: the top one from the gammainc formula of :func:`boys`, the
-    rest by downward recursion (which damps its error)."""
+    reads: the top one from :func:`_gamma_form` (shipped for
+    ``_TABLE_MMAX``), the rest by downward recursion (which damps its
+    error)."""
     xg = np.arange(round(_ASYMPTOTIC_X / _STEP) + 1) * _STEP
-    top, a = mmax + _TERMS - 1, mmax + _TERMS - 0.5
+    top = mmax + _TERMS - 1
     table = np.empty((top + 1, xg.size))
     table[top, 0] = 1.0 / (2 * top + 1)
     table[top, 1:] = (
-        special.gamma(a) * special.gammainc(a, xg[1:]) / (2.0 * xg[1:] ** a)
+        np.load(Path(__file__).with_name("boys_top.npy"))
+        if mmax == _TABLE_MMAX else _gamma_form(top, xg[1:])
     )
     emx = np.exp(-xg)
     for m in range(top - 1, -1, -1):

@@ -15,7 +15,8 @@ in a history and sit there politely:
   ``K`` points, with scatter estimated as ``sigma = 1.4826 * MAD`` (the
   normal-consistent median absolute deviation).  The latest point fails
   only when it is *both* beyond the calibrated ratio threshold *and*
-  several sigma outside the historical scatter, so a noisy-but-flat
+  several sigma outside the historical scatter (the fold
+  ``1 + k * sigma / median`` in the bad direction), so a noisy-but-flat
   series stays green while a genuine spike or drift trips;
 * statuses reuse the ``pass``/``warn``/``fail`` vocabulary of
   :mod:`repro.obs.validate`, and :func:`grade` returns a
@@ -150,12 +151,14 @@ def grade_series(
         )
     if spec.direction == "higher":
         ratio = baseline / latest if latest > 0 else float("inf")
-        beyond_warn = latest < baseline - 2.0 * sigma
-        beyond_fail = latest < baseline - 4.0 * sigma
     else:
         ratio = latest / baseline
-        beyond_warn = latest > baseline + 2.0 * sigma
-        beyond_fail = latest > baseline + 4.0 * sigma
+    # the band is a fold too, so a higher-is-better metric mirrors a lower
+    # one: baseline - 4 sigma would reach zero once sigma > baseline / 4,
+    # and then no drop could fail
+    band = sigma / baseline
+    beyond_warn = ratio > 1.0 + 2.0 * band
+    beyond_fail = ratio > 1.0 + 4.0 * band
     # a regression must clear BOTH the calibrated fold threshold and the
     # historical scatter band -- noise alone never trips the gate
     if ratio >= spec.fail and beyond_fail:

@@ -94,6 +94,18 @@ class TestGradeSeries:
         f = grade_series(spec, [5.0, 5.0, 5.0, 5.1], ["t"] * 4)
         assert f.status == PASS
 
+    def test_higher_band_wider_than_a_quarter_still_fails(self):
+        # sigma > median / 4: median - 4 sigma is below zero, yet a 10x
+        # drop must fail, as a 10x rise of a lower metric would
+        prior = [39.6, 41.1, 36.0, 29.6, 42.7, 72.1, 57.0, 77.6]
+        med, sigma = robust_baseline(prior)
+        assert med - 4.0 * sigma < 0
+        spec = _spec(direction="higher")
+        values = prior + [prior[-1] / 10.0]
+        assert grade_series(spec, values, ["t"] * 9).status == FAIL
+        values = prior + [30.0]
+        assert grade_series(spec, values, ["t"] * 9).status == PASS
+
     def test_no_baseline_yet_passes(self):
         f = grade_series(_spec(), [1.0], ["t"])
         assert f.status == PASS
