@@ -2,8 +2,8 @@
 
 The integrity layer buys its detection coverage with per-iteration ABFT
 checks (symmetry residuals on F and D, the Tr(D*S) electron-count
-check) plus CRC verification of every stored ERI block as the
-supermatrix is assembled -- all of which ride the SCF hot path.  On a healthy run over a
+check) plus one CRC per segment of the stored supermatrix as it is
+mapped -- all of which ride the SCF hot path.  On a healthy run over a
 warm store that cost must stay within the 5% bound of its ``fock_sdc``
 family row, and the detectors must raise zero false alarms.  The
 ``fock_sdc`` family of the BENCH runner (``python -m benchmarks

@@ -102,8 +102,8 @@ def _run_scf(args: argparse.Namespace) -> int:
     if store is not None:
         st = store.stats()
         print(
-            f"store       = {st['nblocks']} blocks, "
-            f"{st['nbytes'] / 2**20:.2f} MiB at {st['path']} "
+            f"store       = {st['nblocks']} blocks in {st['nsegments']} "
+            f"segments, {st['nbytes'] / 2**20:.2f} MiB at {st['path']} "
             f"(served {rhf.engine.quartets_served_from_store}, "
             f"computed {rhf.engine.quartets_computed})"
         )

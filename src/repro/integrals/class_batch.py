@@ -28,17 +28,17 @@ loop the same way:
   chunks are dealt cost-sorted across a thread pool, each worker
   staging into private J/K buffers that are reduced at the end.
 * **Supermatrix** (:class:`Supermatrix`): conventional SCF done
-  literally (Mitin, arxiv 1905.07779).  The first build a *ready*
-  :class:`~repro.integrals.store.ERIStore` serves reads the plan once,
-  in one-shape chunks, into two sparse matrices over flat ``(ij)`` pairs;
-  every later build on that engine is four sparse mat-vecs.
+  literally (Mitin, arxiv 1905.07779).  A filling
+  :class:`~repro.integrals.store.ERIStore` writes the plan's integrals
+  as two sparse matrices over flat ``(ij)`` pairs (:func:`pair_matrices`);
+  the first build it serves memory-maps them (:func:`map_supermatrix`),
+  and every build on that engine is four sparse mat-vecs.
 
-Every engine builds J/K here.  A chunk's blocks come from one of two
-sources (:func:`_resolve_chunk`): *stored* (a ready store) or *compute*
--- ``engine.compute_rows``, the one engine seam: the MD class kernel or
-the batched Obara-Saika kernel, which also recomputes the rows the
-NaN/Inf sentinel flags (``engine.rescue_rows``).  Everything
-row-addressed (store reads and records, seeded faults, the sentinel)
+Every engine builds J/K here.  A chunk's blocks are computed
+(:func:`_resolve_chunk`) by ``engine.compute_rows``, the one engine
+seam: the MD class kernel or the batched Obara-Saika kernel, which also
+recomputes the rows the NaN/Inf sentinel flags (``engine.rescue_rows``).
+Everything row-addressed (store records, seeded faults, the sentinel)
 sees one ``(batch, rows, blocks)`` per member, ``rows`` an index array
 into the class: every row of the plan (:func:`jk_from_plan`) or selected
 ones (:func:`jk_from_rows`, the rows of a GTFock rank or an NWChem task).
@@ -72,7 +72,7 @@ from repro.obs import phase
 from repro.obs.profile import PHASE_ERI, PHASE_JK
 from repro.util.validation import check_symmetric
 
-if TYPE_CHECKING:  # imported by the assembly: direct SCF never pays for it
+if TYPE_CHECKING:  # imported by a store-backed build: direct SCF never pays for it
     from scipy import sparse
 
 #: The 8 axis permutations of an (ab|cd) block under Eq (4)'s
@@ -223,11 +223,6 @@ class ClassBatch(_LazyOperands):
         return int(self.quartets.shape[0])
 
     @property
-    def block_size(self) -> int:
-        d = self.dims
-        return d[0] * d[1] * d[2] * d[3]
-
-    @property
     def cost(self) -> float:
         """Estimated primitive-quartet work (thread balancing)."""
         return float(self.nq) * self.nprim * (self.lmax + 1) ** 4
@@ -368,8 +363,8 @@ def build_class_plan(
     n = basis.nbf
     weights = orbit_weights(quartets)
     offsets = basis.offsets.astype(np.int32 if n * n < 2**31 else np.int64)
-    pair_bases = np.empty((len(_PAIR_AXES), len(quartets)), offsets.dtype)
-    for base, (i, j) in zip(pair_bases, _PAIR_AXES):
+    bases = np.empty((len(_PAIR_AXES), len(quartets)), offsets.dtype)
+    for base, (i, j) in zip(bases, _PAIR_AXES):
         np.multiply(offsets[quartets[:, i]], n, out=base)
         base += offsets[quartets[:, j]]
     # per-class copies, not views: small arrays fill the heap's free holes
@@ -380,7 +375,7 @@ def build_class_plan(
         batches.append(ClassBatch(
             lkey=lkey, pure=pure, dims=dims, lmax=sum(lkey), nprim=math.prod(nprim),
             quartets=quartets[lo:hi].copy(), weights=weights[lo:hi].copy(),
-            pair_bases=pair_bases[:, lo:hi].copy(),
+            pair_bases=bases[:, lo:hi].copy(),
             group=groups[g], fids=fid[lo:hi].copy(), pair_cache=pair_cache,
         ))
     batches.sort(key=lambda b: -b.cost)
@@ -474,7 +469,7 @@ def _contract_blocks(
 
 
 # ---------------------------------------------------------------------------
-# the supermatrix: a ready store's integrals as two sparse matrices
+# the supermatrix: a plan's integrals as two sparse matrices
 # ---------------------------------------------------------------------------
 
 
@@ -486,18 +481,18 @@ class Supermatrix:
     density it is ``Jt = M_J d + M_J^T d`` and ``Kt = M_K d + M_K^T d``
     where ``M_J[ab, cd] = g`` and ``M_K[ac, bd] + M_K[ad, bc] += g``
     (``g = w (ab|cd)``, exact zeros dropped): four sparse mat-vecs per
-    build, whatever the plan's chunking.  It costs 12 bytes per
-    non-zero of RAM (float64 value + int32 column): 2x the bytes of the
-    store it was read from when half the stored integrals are exact
-    zeros (axis-aligned geometries), up to 4.5x when none are.
+    build.  Every entry is one quartet's value or a sum of two of its
+    values; row ``(a, x)`` holds only quartets whose first shell has
+    ``a``.  A ready store's file holds the two matrices (12 bytes per
+    non-zero: float64 value, int32 column), served memory-mapped.
     """
 
     plan: ClassPlan
     #: the store generation it was read at
     generation: int
-    #: whether those reads were CRC-scrubbed (``store.verify_reads``)
+    #: whether its segments were CRC-checked (``store.verify_reads``)
     verified: bool
-    #: plan rows the store served; the rest were computed at assembly
+    #: plan rows the store served; the rest were computed
     served: int
     mj: sparse.csr_matrix
     mk: sparse.csr_matrix
@@ -525,114 +520,147 @@ class Supermatrix:
         )
 
 
-def _sparse_piece(
-    n: int, g: np.ndarray, bases: np.ndarray
+#: M_J's view of a block and M_K's two, as axis orders: rows, then columns
+_VIEWS = ((0, 1, 2, 3),), ((0, 2, 1, 3), (0, 3, 1, 2))
+
+
+def pair_matrices(
+    basis: BasisSet, pieces
 ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """One weighted flush as its ``(M_J, M_K)`` contributions."""
+    """``(M_J, M_K)`` of weighted same-shape blocks ``(quartets, g)``: one
+    COO -> CSR per matrix, M_K's built once M_J's is done.  Every element
+    is listed, so the two K views of an element that land on one entry
+    are summed there; exact zeros (and sums that cancel) are dropped
+    after, as the rows are sorted."""
     from scipy import sparse
 
-    size = g[0].size
-    nonzero = np.flatnonzero(g)
-    vals = g.ravel()[nonzero]
-    quartet, element = np.divmod(nonzero.astype(bases.dtype), size)
-    coords = np.unravel_index(np.arange(size), g.shape[1:])
+    n, offsets = basis.nbf, basis.offsets
+    idx = np.int32 if n * n < 2**31 else np.int64
 
-    def flat_index(block: int) -> np.ndarray:
-        # of every kept element within its quartet's _PAIR_AXES block
-        i, j = _PAIR_AXES[block]
-        within = (coords[i] * n + coords[j]).astype(bases.dtype)
-        return bases[block][quartet] + within[element]
+    def csr(views) -> sparse.csr_matrix:
+        size = sum(g.size for _, g in pieces) * len(views)
+        vals, rows, cols = np.empty(size), np.empty(size, idx), np.empty(size, idx)
+        lo = 0
+        for q, g in pieces:
+            first = offsets[q].astype(idx)
+            for perm in views:
+                t = g.transpose(0, *(1 + p for p in perm))
+                a, b, c, d = (first[:, p, None] + np.arange(m, dtype=idx)
+                              for p, m in zip(perm, t.shape[1:]))
+                at = slice(lo, lo + t.size)
+                vals[at] = t.ravel()
+                rows[at].reshape(t.shape)[...] = (a[:, :, None] * n + b[:, None])[..., None, None]
+                cols[at].reshape(t.shape)[...] = (c[:, :, None] * n + d[:, None])[:, None, None]
+                lo += t.size
+        m = sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
+        m.eliminate_zeros()
+        return m
 
-    def view(rows: int, cols: int) -> sparse.csr_matrix:
-        return sparse.coo_matrix(
-            (vals, (flat_index(rows), flat_index(cols))), shape=(n * n, n * n)
-        ).tocsr()
-
-    # J's (ab, cd); K's (ac, bd) + (ad, bc), coincidences summed
-    return view(0, 1), view(2, 3) + view(4, 5)
-
-
-def _fold(partial: list, piece=None) -> None:
-    """Push one CSR piece onto a stack of partial sums, adding it into
-    the sums below while they are no more than twice its size: the stack
-    stays logarithmic and every entry is moved O(log flushes) times,
-    where one running sum would re-copy itself at every flush.  With no
-    piece, collapse the stack to the one total."""
-    if piece is not None:
-        partial.append(piece)
-    while len(partial) > 1 and (
-        piece is None or partial[-2].nnz <= 2 * partial[-1].nnz
-    ):
-        top = partial.pop()  # popped, so each sum frees its operands
-        partial[-1] = partial[-1] + top
+    return csr(_VIEWS[0]), csr(_VIEWS[1])
 
 
-def assemble_supermatrix(
+def _computed_matrices(engine, chunks, faults, totals):
+    """``(M_J, M_K)`` of the rows of ``chunks``, computed (source counts
+    added to ``totals``)."""
+    pieces = [
+        (np.concatenate([b.quartets[rows] for b, rows in flush]),
+         _weighted_flush(flush, parts)[0])
+        for flush, parts in _flushes(engine, chunks, None, faults, totals)
+    ]
+    with phase(PHASE_JK):
+        return pair_matrices(engine.basis, pieces)
+
+
+def _mapped_matrices(engine, plan: ClassPlan, store, held, totals):
+    """The store's ``(M_J, M_K)``, memory-mapped, each segment that fails
+    its check rebuilt from the held plan rows of its shell -- or ``None``
+    if a rebuilt segment does not fit its slot (another kernel's zeros)."""
+    from scipy import sparse
+
+    cuts, nnzs = store.offsets_for()
+    arrays = store.read_stacked()
+    good = store.verify_stacked(arrays)
+    bad = np.flatnonzero(~np.logical_and(*good))  # segment s: rows of shell s
+    if bad.size:
+        first = np.concatenate([batch.quartets[:, 0] for batch in plan.batches])
+        rows = np.flatnonzero(held & np.isin(first, bad))
+        counts = dict.fromkeys(_COUNT_KEYS, 0)
+        fresh = _computed_matrices(engine, plan.chunks(rows), None, counts)
+        totals["crc_rescued"] += counts["computed"]
+        for (data, indices, indptr), nnz, ok, piece in zip(arrays, nnzs, good, fresh):
+            for s in np.flatnonzero(~ok):
+                r0, r1, z0, z1 = cuts[s], cuts[s + 1], nnz[s], nnz[s + 1]
+                lo, hi = piece.indptr[r0], piece.indptr[r1]
+                if hi - lo != z1 - z0:
+                    return None
+                data[z0:z1] = piece.data[lo:hi]
+                indices[z0:z1] = piece.indices[lo:hi]
+                indptr[r0:r1 + 1] = piece.indptr[r0:r1 + 1] - lo + z0
+    n2 = engine.basis.nbf ** 2
+    return tuple(sparse.csr_matrix(a, shape=(n2, n2)) for a in arrays)
+
+
+def map_supermatrix(
     engine, plan: ClassPlan, store, faults
 ) -> tuple[Supermatrix, dict]:
-    """Resolve every row of ``plan`` once -- read, CRC-scrubbed when the
-    store verifies reads, bad or missing rows recomputed -- into a
-    :class:`Supermatrix`; also returns the source counts.
+    """The :class:`Supermatrix` of ``plan`` over a ready ``store``, and the
+    source counts of the rows computed for it.
 
-    The rows are read in one-shape chunks (:func:`_store_chunks`), each
-    flushed into one CSR piece that is folded into the partial sums at
-    once, so the transient is one chunk of blocks, never a whole-plan
-    COO.  Single threaded: the matrices, hence every later J/K, are
-    bitwise the same at any ``jk_threads``.
+    A store all of whose rows ``plan`` has serves its own matrices,
+    memory-mapped; the plan rows it lacks (a plan tighter than its
+    ``tau``) are computed into a second pair added on.  A store holding
+    rows ``plan`` screens out (a looser plan) is not read at all -- its
+    entries cannot be told apart by quartet, and no screened-out row is
+    ever served -- so every plan row is computed, once.  Single
+    threaded: the matrices, hence every J/K, are bitwise the same at any
+    ``jk_threads``.
     """
-    from scipy import sparse
-
-    n = engine.basis.nbf
-    # seeded with the empty sum: a plan may have no flush at all
-    partial_j = [sparse.csr_matrix((n * n, n * n))]
-    partial_k = [partial_j[0]]
     totals = dict.fromkeys(_COUNT_KEYS, 0)
-    for chunk in _store_chunks(plan):  # a flush each: nothing is held over
-        for flush, parts in _flushes(engine, [chunk], store, faults, totals):
-            with phase(PHASE_JK):
-                piece_j, piece_k = _sparse_piece(n, *_weighted_flush(flush, parts))
-                _fold(partial_j, piece_j)
-                _fold(partial_k, piece_k)
-    with phase(PHASE_JK):
-        _fold(partial_j)
-        _fold(partial_k)
+    # a row is held (or, in another index order, its canonical image)
+    # iff the Schwarz screen at the store's tau keeps it
+    q = np.concatenate([b.quartets for b in plan.batches] + [np.zeros((0, 4), int)])
+    sigma, ns = engine.schwarz().ravel(), engine.basis.nshells
+    held = sigma[q[:, 0] * ns + q[:, 1]] * sigma[q[:, 2] * ns + q[:, 3]] > store.manifest["tau"]
+    matrices = None
+    if held.any() and held.sum() == store.nblocks:
+        matrices = _mapped_matrices(engine, plan, store, held, totals)
+    if matrices is None:
+        held[:] = False
+    missing = np.flatnonzero(~held)
+    if missing.size or matrices is None:
+        fresh = _computed_matrices(engine, plan.chunks(missing), faults, totals)
+        matrices = fresh if matrices is None else tuple(
+            a + b for a, b in zip(matrices, fresh)
+        )
     return Supermatrix(
         plan=plan, generation=store.generation, verified=store.verify_reads,
-        served=totals["from_store"], mj=partial_j[0], mk=partial_k[0],
+        served=plan.nquartets - missing.size, mj=matrices[0], mk=matrices[1],
     ), totals
 
 
 # ---------------------------------------------------------------------------
-# chunk resolution: two sources, stored and compute
+# drivers
 # ---------------------------------------------------------------------------
 
 
 #: where a resolved row came from (tallied per chunk, summed per build)
-_COUNT_KEYS = ("computed", "from_store", "rescued", "crc_rescued",
-               "corrupted")
+_COUNT_KEYS = ("computed", "rescued", "crc_rescued", "corrupted")
 
 
 def _resolve_chunk(
     engine, chunk: list[Chunk], store, faults
 ) -> tuple[list, dict]:
-    """The stacked blocks of every ``(batch, rows)`` of ``chunk`` and
-    where they came from.
+    """The stacked blocks of every ``(batch, rows)`` of ``chunk``, from
+    ``engine.compute_rows``, and the counts of how they were made.
 
-    *Stored*: a ready store holding every row of a one-shape chunk
-    serves it in one read (:func:`_read_stored`).  *Compute*: otherwise,
-    ``engine.compute_rows``; ``faults`` (the build's pre-drawn seeded
-    corruptions, or None) hit class-kernel rows only, before the NaN/Inf
-    sentinel, which sends each member's non-finite rows to one
-    ``engine.rescue_rows`` call; a filling store records the result.
+    ``faults`` (the build's pre-drawn seeded corruptions, or None) hit
+    class-kernel rows only, before the NaN/Inf sentinel, which sends
+    each member's non-finite rows to one ``engine.rescue_rows`` call; a
+    filling store records the result.
     """
     counts = dict.fromkeys(_COUNT_KEYS, 0)
-    quartets = [batch.quartets[rows] for batch, rows in chunk]
-    if store is not None and store.ready and len({b.dims for b, _ in chunk}) == 1:
-        sel = store.offsets_for(np.concatenate(quartets))
-        if (sel >= 0).all():
-            return _read_stored(engine, store, chunk, sel, counts), counts
     parts = engine.compute_rows(chunk)
-    for (batch, rows), q, blocks in zip(chunk, quartets, parts):
+    for (batch, rows), blocks in zip(chunk, parts):
         counts["computed"] += len(blocks)
         if faults is not None and engine.class_kernel:
             counts["corrupted"] += faults.corrupt_rows(blocks, batch.row0 + rows)
@@ -641,54 +669,8 @@ def _resolve_chunk(
             blocks[bad] = engine.rescue_rows(batch, rows[bad])
             counts["rescued"] += int(bad.sum())
         if store is not None and store.filling:
-            store.record_batch(q, blocks)
+            store.record_batch(batch.quartets[rows], blocks)
     return parts, counts
-
-
-def _read_stored(engine, store, chunk: list[Chunk], sel, counts) -> list:
-    """The blocks of ``chunk`` (one block shape) at store offsets ``sel``,
-    read in one pass.  When the store verifies reads, rows failing the
-    finalize-time CRC are recomputed by the kernel that filled the store
-    (bitwise the same, so a corrupted store never perturbs F)."""
-    blocks = store.read_stacked(sel, chunk[0][0].block_size, chunk[0][0].dims)
-    counts["from_store"] += len(sel)
-    cuts = np.cumsum([rows.size for _, rows in chunk])[:-1]
-    parts = np.split(blocks, cuts)
-    if store.verify_reads:
-        bad = np.split(~store.verify_stacked(sel, blocks), cuts)
-        redo = [i for i, mask in enumerate(bad) if mask.any()]
-        if redo:
-            fresh = engine.compute_rows([(chunk[i][0], chunk[i][1][bad[i]]) for i in redo])
-            for i, rescued in zip(redo, fresh):
-                parts[i][bad[i]] = rescued
-                counts["crc_rescued"] += len(rescued)
-    return parts
-
-
-def _store_chunks(plan: ClassPlan) -> list[list[Chunk]]:
-    """Every row of ``plan`` in chunks of one block shape and at most
-    :data:`MAX_STAGE_WORK` elements: how a ready store is read, one
-    vectorized read and one flush per chunk."""
-    by_dims: dict[tuple, list[ClassBatch]] = {}
-    for batch in plan.batches:
-        by_dims.setdefault(batch.dims, []).append(batch)
-    chunks: list[list[Chunk]] = []
-    for batches in by_dims.values():
-        step = held = max(1, MAX_STAGE_WORK // batches[0].block_size)
-        for batch in batches:
-            for lo in range(0, batch.nq, step):
-                rows = np.arange(lo, min(lo + step, batch.nq))
-                if held + rows.size > step:
-                    chunks.append([])
-                    held = 0
-                chunks[-1].append((batch, rows))
-                held += rows.size
-    return chunks
-
-
-# ---------------------------------------------------------------------------
-# drivers
-# ---------------------------------------------------------------------------
 
 
 def resolve_jk_threads(threads: int | None) -> int:
@@ -799,11 +781,12 @@ def jk_from_plan(
     and returns stacked ``(k, n, n)`` J and K.
 
     An attached ``engine.integral_store`` that is *ready* serves the
-    build from the engine's :class:`Supermatrix`, assembled by the first
-    such build (and again only for another plan, a store generation
-    change or newly armed ``verify_reads``): no chunk is walked and
-    ``threads`` is not consulted.  Every other build -- direct, or
-    filling a store, which it then finalizes with ``tau`` -- is the
+    build from the engine's :class:`Supermatrix`, mapped by the first
+    such build (:func:`map_supermatrix`; again only for another plan, a
+    store generation change or newly armed ``verify_reads``): no chunk
+    is walked and ``threads`` is not consulted.  Every other build --
+    direct, or filling a store, which it then finalizes with ``tau``
+    (the plan's threshold: a fill needs it) -- is the
     six-block contraction: ``threads > 1`` deals the kernel chunks,
     largest first, to the least-loaded worker of a thread pool; every
     worker stages and flushes its own blocks into private accumulators
@@ -825,10 +808,10 @@ def jk_from_plan(
     if store is not None and store.ready:
         sm = engine.supermatrix
         if sm is None or not sm.serves(plan, store):
-            # dropped first: an assembly that fails (MemoryError, an
+            # dropped first: a mapping that fails (MemoryError, an
             # interrupt) leaves no half-built or stale matrix behind
             engine.supermatrix = None
-            sm, totals = assemble_supermatrix(engine, plan, store, faults)
+            sm, totals = map_supermatrix(engine, plan, store, faults)
             _tally(engine, totals, faults)
             engine.supermatrix = sm
         with phase(PHASE_JK):
@@ -839,6 +822,8 @@ def jk_from_plan(
 
     # a store that stopped being ready (invalidated) takes its matrix along
     engine.supermatrix = None
+    if store is not None and store.filling and tau is None:
+        raise ValueError("filling an integral store needs the plan's tau")
     chunks = plan.chunks()
     nthreads = resolve_jk_threads(threads)
     if nthreads <= 1 or len(chunks) <= 1:

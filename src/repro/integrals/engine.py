@@ -12,9 +12,9 @@ An engine supplies two things:
 Fock builds go through :meth:`ERIEngine.class_plan` and
 :func:`repro.integrals.class_batch.jk_from_plan`, where an attached
 :class:`~repro.integrals.store.ERIStore` is the one reuse layer (ERIs are
-density-independent, so a ready store is read once into the engine's
-:class:`~repro.integrals.class_batch.Supermatrix` and every later build
-contracts that).  ``quartets_computed`` counts only *real* computations
+density-independent: a ready store holds the engine's
+:class:`~repro.integrals.class_batch.Supermatrix`, mapped once and
+contracted by every build).  ``quartets_computed`` counts only *real* computations
 (Table VII call-count benchmarks stay exact); store service is tallied
 separately in ``quartets_served_from_store``.
 """
@@ -77,9 +77,8 @@ class ERIEngine(abc.ABC):
         self.quartets_served_from_store = 0
         #: opt-in memory-mapped stored-integral layer (conventional SCF)
         self.integral_store: ERIStore | None = None
-        #: the ready store's integrals as sparse matrices, assembled by
-        #: the first build it serves (``jk_from_plan``); at most one,
-        #: dropped with the store
+        #: the ready store's integrals as sparse matrices, mapped by the
+        #: first build it serves; at most one, dropped with the store
         self.supermatrix: Supermatrix | None = None
         #: NaN/Inf sentinel on computed blocks (armed by the SCF guard,
         #: at the start of a run or by its ``reference_eri`` rung); off

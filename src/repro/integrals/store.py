@@ -2,58 +2,46 @@
 
 Mitin (arxiv 1905.07779) shows that for mid-size systems a *conventional*
 SCF -- compute the screened non-zero integrals once, store them, and
-re-read them every iteration -- beats direct SCF, whose ERI work is paid
-again on every Fock build.  This module is that storage layer:
+build every F straight from them -- beats direct SCF, whose ERI work is
+paid again on every Fock build.  This module is that storage layer:
 
-* :class:`ERIStore` persists canonical screened quartet blocks to a flat
-  ``float64`` file served back through ``np.memmap`` -- the OS page
-  cache keeps hot blocks in RAM with zero deserialization cost, and the
-  file stays usable across processes and sessions.
-* An ``index.npz`` maps packed canonical quartet keys to element offsets
-  (binary search at lookup; vectorized for whole class batches).
-* A ``manifest.json`` records provenance -- a SHA-256 fingerprint of the
+* :class:`ERIStore` records the canonical screened quartet blocks of the
+  build that fills it and, at ``finalize``, writes them as the matrices
+  they are contracted as: the ``data`` / ``indices`` / ``indptr`` arrays
+  of M_J and M_K (:class:`~repro.integrals.class_batch.Supermatrix`) end
+  to end in one file, ``supermatrix.bin``.  The first build it serves
+  memory-maps them (copy-on-write; the page cache shares them across
+  processes): nothing is read block by block or assembled, and later
+  builds re-read nothing.
+* ``manifest.json`` records provenance -- a SHA-256 fingerprint of the
   basis (angular momenta, purity, centers, exponents, normalized
-  coefficients), the screening threshold ``tau``, and shapes -- so a
-  store can never silently serve integrals for the wrong basis: a
-  fingerprint mismatch invalidates the store (with a warning) and
-  refilling starts from scratch.
+  coefficients), the screening ``tau`` (which fixes the quartets held)
+  and the layout.  A fingerprint or format-version mismatch invalidates
+  the store (:class:`StoreInvalidatedWarning`) and it is refilled.
 
-Lifecycle: ``open_or_fill()`` -> ``filling`` (first Fock build records
-computed blocks) -> ``finalize(tau)`` -> ``ready``.  The store is one of
-the two sources of the class-batched chunk resolver
-(:mod:`repro.integrals.class_batch`; the other is compute): the first
-build a ready store serves reads every block once into the engine's
-sparse supermatrix and later builds contract that, so SCF iterations
->= 2 recompute zero ERIs (tracked by ``quartets_served_from_store``)
-and re-read none.
+Lifecycle: ``open_or_fill()`` -> ``filling`` (the first Fock build
+records computed blocks) -> ``finalize(tau)`` -> ``ready``.  Every disk
+transition runs under an advisory ``flock`` on ``<store>/.lock``; the
+data file is staged as ``*.tmp`` and ``os.replace``'d into place with
+``manifest.json`` written **last**, so a crash mid-finalize never leaves
+a manifest describing partial data; a process that finds a valid store
+on disk when it comes to finalize attaches to it instead of clobbering it.
 
-Cross-process safety (service workers share store directories):
-
-* every disk transition (attach / finalize / invalidate) runs under an
-  advisory ``flock`` on ``<store>/.lock``;
-* finalize publishes atomically -- data files are staged as ``*.tmp``
-  and ``os.replace``'d into place, with ``manifest.json`` written
-  **last**, so a crash mid-finalize leaves a store with no (or the old)
-  manifest, never a manifest describing partial data;
-* a process that acquires the finalize lock and finds a valid store
-  already on disk re-attaches to it instead of clobbering it.
-
-Data integrity (store format v2): ``index.npz`` carries a per-block
-CRC-32 array (``crcs``) written at finalize, and the manifest carries a
-whole-file SHA-256 of ``blocks.bin`` (``blocks_sha256``).  With
-``verify_reads`` enabled (the SCF ``integrity=`` knob arms it), every
-block is CRC-checked as it is read -- once per attach, at supermatrix
-assembly -- and a mismatching block is *not* served:
-:meth:`verify_stacked` flags bad rows for the class-batched resolver to
-recompute.  The whole-file digest is only checked by the
-offline ``repro verify`` audit, keeping attach cheap.  A manifest with
-a different store format version is invalidated with
-:class:`StoreInvalidatedWarning` and refilled cleanly.  Threat model
-and detector costs: ``docs/ROBUSTNESS.md`` ("Silent data corruption").
-
-This module is the one that knows the on-disk layout: the offline audit
+Data integrity (format v3): each matrix is cut into *segments*, one per
+shell -- the rows ``(a, x)`` with ``a`` in it, which hold exactly the
+entries of the quartets whose first shell it is.  The manifest carries
+one CRC-32 per segment (its data, its indices, its own ``indptr``
+entries) and a whole-file SHA-256.  With ``verify_reads`` (armed by the
+SCF ``integrity=`` knob) each segment is CRC-checked as it is mapped;
+unverified, each is still checked to be a well-formed CSR slice, so a
+flipped bit can make a value wrong but never send a read outside the
+matrix.  A failed segment is rebuilt from its shell's plan rows.  The
+digest is checked by the offline ``repro verify`` audit only.  A v2
+store (a flat block file and a per-block index) is invalidated and
+refilled.  Threat model: ``docs/ROBUSTNESS.md`` ("Silent data
+corruption").  This module alone knows the layout: the audit
 (:func:`is_store_dir`, :func:`audit_store_dir`) and the SDC fault
-injector read it through :func:`read_index` and :func:`blocks_file`.
+injector (:func:`segment_extents`) read it here.
 """
 
 from __future__ import annotations
@@ -71,21 +59,23 @@ from pathlib import Path
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.runtime.sdc import crc_rows
+from repro.integrals.class_batch import orbit_weights, pair_matrices
 
 try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
-# v2: index.npz gains per-block CRC-32s, manifest gains blocks_sha256
-STORE_VERSION = 2
+# v3: the file is the supermatrix, one CRC-32 per segment
+STORE_VERSION = 3
 _MANIFEST = "manifest.json"
-_INDEX = "index.npz"
-_BLOCKS = "blocks.bin"
+_DATA = "supermatrix.bin"
 _LOCK = ".lock"
-#: the first format version with per-block CRCs and a whole-file digest
-_FRAMED_VERSION = 2
+#: the v2 format's files (flat blocks, per-block index), removed on invalidation
+_V2_FILES = ("blocks.bin", "index.npz")
+#: the matrices in file order, and each one's arrays
+_MATRICES = ("mj", "mk")
+_ARRAYS = ("data", "indices", "indptr")
 
 
 def basis_fingerprint(basis: BasisSet) -> str:
@@ -108,17 +98,59 @@ def basis_fingerprint(basis: BasisSet) -> str:
     return h.hexdigest()
 
 
+def _layout(manifest: dict) -> tuple[dict, list]:
+    """Where each ``(matrix, array)`` sits in the data file, as ``(byte
+    offset, dtype, count)`` (every array 8-byte aligned), and per segment
+    its matrix and the element ranges of its data, its indices and its
+    own ``indptr`` entries -- the segments of M_J first."""
+    index = np.dtype(manifest["index_dtype"])
+    rows = manifest["rows"]
+    arrays, segments, at = {}, [], 0
+    for m in _MATRICES:
+        nnz = manifest["nnz"][m]
+        for name, dtype, count in (
+            ("data", np.dtype(np.float64), nnz[-1]),
+            ("indices", index, nnz[-1]),
+            ("indptr", index, rows[-1] + 1),
+        ):
+            arrays[m, name] = (at, dtype, count)
+            at += -(-count * dtype.itemsize // 8) * 8
+        for r0, r1, z0, z1 in zip(rows[:-1], rows[1:], nnz[:-1], nnz[1:]):
+            # indptr[r0] ends the previous segment
+            segments.append((m, ((z0, z1), (z0, z1), (r0 + (r0 > 0), r1 + 1))))
+    return arrays, segments
+
+
+def _views(buf: np.ndarray, arrays: dict) -> dict:
+    """The typed arrays of a data file's bytes ``buf``."""
+    return {
+        key: buf[at:at + dtype.itemsize * count].view(dtype)
+        for key, (at, dtype, count) in arrays.items()
+    }
+
+
+def _segment_crcs(views: dict, segments: list) -> list[int]:
+    """One CRC-32 per segment, over its ranges of ``views``."""
+    out = []
+    for m, ranges in segments:
+        crc = 0
+        for name, (lo, hi) in zip(_ARRAYS, ranges):
+            crc = zlib.crc32(views[m, name][lo:hi], crc)
+        out.append(crc)
+    return out
+
+
 class StoreInvalidatedWarning(UserWarning):
     """An on-disk integral store did not match the requested basis."""
 
 
 class ERIStore:
-    """On-disk store of canonical screened ERI quartet blocks.
+    """On-disk store of a plan's integrals as its two CSR matrices.
 
     States: ``filling`` (accepting :meth:`record_batch`) and ``ready``
-    (memory-mapped, read-only).  ``generation`` increments
-    whenever the readable content changes, so what was assembled from
-    one generation is never contracted against another.
+    (memory-mapped, read-only).  ``generation`` increments whenever the
+    readable content changes, so what was mapped from one generation is
+    never contracted against another.
     """
 
     def __init__(self, path: str | Path, basis: BasisSet):
@@ -129,19 +161,14 @@ class ERIStore:
         self.generation = 0
         self.filling = False
         self.ready = False
-        self._keys: np.ndarray | None = None  # sorted packed keys
-        self._offsets: np.ndarray | None = None  # element offsets, key order
-        self._crcs: np.ndarray | None = None  # per-block CRC-32, key order
-        self._flat: np.memmap | None = None
-        #: CRC-check every block as it is read (armed by ``integrity=``)
+        #: CRC-check every segment as it is mapped (armed by ``integrity=``)
         self.verify_reads = False
         self.crc_checks = 0
         self.crc_mismatches = 0
-        #: recorded chunks, columnar: (packed keys, one flat block per row)
+        #: recorded chunks: (quartets, their stacked blocks)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self._lock = threading.Lock()
         self._flock_depth = 0
-        self._nshells = len(basis.shells)
         self._reject_reason = "stale or unreadable manifest"
 
     @contextlib.contextmanager
@@ -170,20 +197,13 @@ class ERIStore:
             self._flock_depth = 0
             os.close(fd)
 
-    # -- key packing --------------------------------------------------------
-
-    def pack_rows(self, quartets: np.ndarray) -> np.ndarray:
-        s = self._nshells
-        q = np.asarray(quartets, dtype=np.int64)
-        return ((q[:, 0] * s + q[:, 1]) * s + q[:, 2]) * s + q[:, 3]
-
     # -- lifecycle ----------------------------------------------------------
 
     def open_or_fill(self) -> "ERIStore":
         """Attach to an existing valid store, or start filling a new one.
 
-        An existing store whose manifest fingerprint does not match the
-        current basis is *invalidated*: its files are removed, a
+        An existing store whose manifest fingerprint or format version
+        does not match is *invalidated*: its files are removed, a
         :class:`StoreInvalidatedWarning` is emitted, and the store drops
         back to the filling state.
         """
@@ -217,20 +237,15 @@ class ERIStore:
                 f"store format version {version!r} != expected {STORE_VERSION}"
             )
             return None
+        data = self.path / _DATA
         if (
             manifest.get("basis_sha256") == self.fingerprint
-            and (self.path / _INDEX).exists()
-            and (self.path / _BLOCKS).exists()
+            and data.exists() and data.stat().st_size == manifest.get("nbytes")
         ):
             return manifest
         return None
 
     def _attach(self, manifest: dict) -> None:
-        with np.load(self.path / _INDEX) as idx:
-            self._keys = idx["keys"]
-            self._offsets = idx["offsets"]
-            self._crcs = idx["crcs"]
-        self._flat = np.memmap(self.path / _BLOCKS, dtype=np.float64, mode="r")
         self.manifest = manifest
         self.ready = True
         self.filling = False
@@ -244,15 +259,11 @@ class ERIStore:
             StoreInvalidatedWarning,
             stacklevel=2,
         )
-        self._flat = None
-        self._keys = None
-        self._offsets = None
-        self._crcs = None
         self.manifest = None
         with self._disk_lock():
             # manifest first: a crash mid-invalidate must never leave a
             # manifest describing files that are already gone
-            for name in (_MANIFEST, _INDEX, _BLOCKS):
+            for name in (_MANIFEST, _DATA, *_V2_FILES):
                 try:
                     (self.path / name).unlink(missing_ok=True)
                 except OSError:
@@ -266,56 +277,23 @@ class ERIStore:
 
     @property
     def pending_blocks(self) -> int:
-        return sum(len(keys) for keys, _ in self._pending)
+        return sum(len(q) for q, _ in self._pending)
 
     def record_batch(self, quartets: np.ndarray, blocks: np.ndarray) -> None:
         """Record a stacked chunk of canonical blocks while filling."""
         if not self.filling:
             return
-        keys = self.pack_rows(quartets)
-        rows = np.array(blocks, dtype=np.float64).reshape(len(keys), -1)
+        rows = (np.asarray(quartets, dtype=np.int64).reshape(-1, 4),
+                np.array(blocks, dtype=np.float64))
         with self._lock:
-            self._pending.append((keys, rows))
+            self._pending.append(rows)
 
-    def _pending_columns(self):
-        """The recorded chunks as the on-disk columns: sorted unique keys
-        (a key recorded twice keeps its first block), block sizes, element
-        offsets, the blocks laid end to end in key order, their CRCs."""
-        keys = np.concatenate([k for k, _ in self._pending])
-        sizes = np.concatenate(
-            [np.full(len(k), rows.shape[1]) for k, rows in self._pending]
-        )
-        order = np.argsort(keys, kind="stable")
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = keys[order[1:]] != keys[order[:-1]]
-        order = order[first]
-        keys, sizes = keys[order], sizes[order]
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        # where each recorded row lands, in recording order (-1: dropped)
-        pos = np.full(first.size, -1)
-        pos[order] = np.arange(order.size)
-        flat = np.empty(int(sizes.sum()))
-        crcs = np.empty(order.size, dtype=np.uint32)
-        lo = 0
-        for k, rows in self._pending:
-            at = pos[lo:lo + len(k)]
-            lo += len(k)
-            if (at < 0).any():
-                rows, at = rows[at >= 0], at[at >= 0]
-            flat[offsets[at][:, None] + np.arange(rows.shape[1])] = rows
-            crcs[at] = crc_rows(rows)
-        return keys, sizes, offsets, flat, crcs
-
-    def finalize(self, tau: float | None = None) -> None:
-        """Write pending blocks to disk and switch to the ready state.
-
-        Publication is atomic and ordered: ``blocks.bin`` and
-        ``index.npz`` are staged as ``*.tmp`` and ``os.replace``'d into
-        place first; ``manifest.json`` goes last.  A process killed at
-        any point mid-finalize therefore leaves either no manifest
-        (``open_or_fill`` refills from scratch) or a complete store --
-        never a manifest pointing at partial data.
-        """
+    def finalize(self, tau: float) -> None:
+        """Write the pending blocks to disk as the two CSR matrices of
+        the plan filled at ``tau`` and switch to the ready state: the
+        data file first (staged, then ``os.replace``'d), the manifest
+        last, so a process killed mid-finalize leaves no manifest or a
+        complete store, never a manifest pointing at partial data."""
         with self._lock:
             if not self.filling or not self._pending:
                 return
@@ -324,79 +302,118 @@ class ERIStore:
                 # another process may have finalized while this one was
                 # still filling: attach to its store, don't clobber it
                 existing = self._load_valid_manifest()
-                if existing is not None:
-                    self._pending.clear()
-                    self._attach(existing)
-                    return
-                keys, sizes, offsets, flat, crcs = self._pending_columns()
-                tmp_blocks = self.path / (_BLOCKS + ".tmp")
-                flat.tofile(tmp_blocks)
-                os.replace(tmp_blocks, self.path / _BLOCKS)
-                tmp_index = self.path / (_INDEX + ".tmp")
-                with open(tmp_index, "wb") as fh:
-                    np.savez(fh, keys=keys, offsets=offsets, sizes=sizes,
-                             crcs=crcs)
-                os.replace(tmp_index, self.path / _INDEX)
-                manifest = {
-                    "version": STORE_VERSION,
-                    "basis_sha256": self.fingerprint,
-                    "blocks_sha256": hashlib.sha256(flat).hexdigest(),
-                    "basis_name": self.basis.name,
-                    "tau": None if tau is None else float(tau),
-                    "nbf": int(self.basis.nbf),
-                    "nshells": self._nshells,
-                    "nblocks": int(keys.size),
-                    "nelements": int(flat.size),
-                    "created": datetime.now(timezone.utc).isoformat(),
-                }
-                tmp_manifest = self.path / (_MANIFEST + ".tmp")
-                tmp_manifest.write_text(json.dumps(manifest, indent=2) + "\n")
-                os.replace(tmp_manifest, self.path / _MANIFEST)
+                if existing is None:
+                    existing = self._write(tau)
                 self._pending.clear()
-                self._attach(manifest)
+                self._attach(existing)
+
+    def _write(self, tau: float) -> dict:
+        """Publish the pending blocks (a quartet recorded twice counts
+        once, with its first block) as M_J and M_K; their manifest."""
+        quartets = np.concatenate([q for q, _ in self._pending])
+        _, first = np.unique(np.ravel_multi_index(
+            quartets.T, (len(self.basis.shells),) * 4), return_index=True)
+        keep = np.zeros(len(quartets), dtype=bool)
+        keep[first] = True
+        by_dims, lo = {}, 0
+        for q, blocks in self._pending:
+            sel, lo = keep[lo:lo + len(q)], lo + len(q)
+            by_dims.setdefault(blocks.shape[1:], []).append(
+                (q, blocks) if sel.all() else (q[sel], blocks[sel]))
+        pieces = []
+        for members in by_dims.values():
+            q, g = (np.concatenate(a) for a in zip(*members))
+            g *= orbit_weights(q).reshape((-1,) + (1,) * (g.ndim - 1))
+            pieces.append((q, g))
+        mats = dict(zip(_MATRICES, pair_matrices(self.basis, pieces)))
+        rows = (self.basis.offsets * self.basis.nbf).tolist()  # a segment per shell
+        manifest = {
+            "version": STORE_VERSION,
+            "basis_sha256": self.fingerprint,
+            "basis_name": self.basis.name,
+            "tau": float(tau),
+            "nbf": int(self.basis.nbf),
+            "nshells": len(self.basis.shells),
+            "nblocks": int(first.size),
+            "index_dtype": np.result_type(*(getattr(m, a) for m in mats.values()
+                                            for a in ("indices", "indptr"))).name,
+            "rows": rows,
+            "nnz": {k: m.indptr[rows].tolist() for k, m in mats.items()},
+        }
+        arrays, segments = _layout(manifest)
+        views = {(k, a): getattr(mats[k], a).astype(dt, copy=False)
+                 for (k, a), (_, dt, _) in arrays.items()}
+        digest, tmp = hashlib.sha256(), self.path / (_DATA + ".tmp")
+        with open(tmp, "wb") as fh:
+            for view in views.values():  # each padded to 8 bytes
+                for chunk in (view, bytes(-view.nbytes % 8)):
+                    fh.write(chunk)
+                    digest.update(chunk)
+        os.replace(tmp, self.path / _DATA)
+        manifest.update(
+            crcs=_segment_crcs(views, segments), data_sha256=digest.hexdigest(),
+            nbytes=sum(-(-v.nbytes // 8) * 8 for v in views.values()),
+            created=datetime.now(timezone.utc).isoformat(),
+        )
+        tmp = self.path / (_MANIFEST + ".tmp")
+        tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+        os.replace(tmp, self.path / _MANIFEST)
+        return manifest
 
     # -- reading ------------------------------------------------------------
 
     @property
     def nblocks(self) -> int:
-        return 0 if self._keys is None else int(self._keys.size)
+        """Quartet blocks the store holds."""
+        return 0 if self.manifest is None else int(self.manifest["nblocks"])
+
+    @property
+    def nsegments(self) -> int:
+        return 0 if self.manifest is None else len(self.manifest["crcs"])
 
     @property
     def nbytes(self) -> int:
-        return 0 if self._flat is None else int(self._flat.size * 8)
+        return 0 if self.manifest is None else int(self.manifest["nbytes"])
 
-    def offsets_for(self, quartets: np.ndarray) -> np.ndarray | None:
-        """Element offsets for quartet rows; -1 where a key is missing."""
-        if not self.ready:
-            return None
-        keys = self.pack_rows(quartets)
-        pos = np.searchsorted(self._keys, keys)
-        pos = np.minimum(pos, self._keys.size - 1)
-        found = self._keys[pos] == keys
-        out = np.where(found, self._offsets[pos], -1)
-        return out
+    def offsets_for(self) -> tuple[list, list]:
+        """The segment map: the row cuts both matrices share (segment
+        ``s`` is the rows of shell ``s``) and per matrix its non-zero cuts."""
+        m = self.manifest
+        return m["rows"], [m["nnz"][k] for k in _MATRICES]
 
-    def read_stacked(
-        self, offsets: np.ndarray, block_size: int, dims: tuple
-    ) -> np.ndarray:
-        """Gather uniform-size blocks at ``offsets`` into one stacked array."""
-        rows = self._flat[offsets[:, None] + np.arange(block_size)]
-        return rows.reshape((len(offsets),) + tuple(dims))
+    def read_stacked(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(data, indices, indptr)`` of M_J and M_K, memory-mapped
+        copy-on-write: a patched segment stays private to the caller."""
+        buf = np.memmap(self.path / _DATA, dtype=np.uint8, mode="c")
+        views = _views(buf, _layout(self.manifest)[0])
+        return [tuple(views[m, a] for a in _ARRAYS) for m in _MATRICES]
 
-    def verify_stacked(
-        self, offsets: np.ndarray, blocks: np.ndarray
-    ) -> np.ndarray:
-        """CRC-check blocks just gathered at ``offsets`` (as
-        :meth:`offsets_for` returned them); True where intact.  The
-        class-batched resolver recomputes the rows flagged False.
-        """
-        # ``_offsets`` is a cumulative sum, hence ascending: each offset
-        # maps back to its key position by binary search
-        pos = np.searchsorted(self._offsets, np.asarray(offsets, np.int64))
-        good = crc_rows(blocks.reshape(len(pos), -1)) == self._crcs[pos]
-        self.crc_checks += len(pos)
-        self.crc_mismatches += int((~good).sum())
-        return good
+    def verify_stacked(self, arrays) -> list[np.ndarray]:
+        """Per matrix, True where a segment of :meth:`read_stacked`'s
+        ``arrays`` is intact: it matches its CRC-32 when reads are
+        verified, else it is a well-formed CSR slice (its ``indptr``
+        climbs from its first non-zero to its last, its columns are in
+        range).  The mapping rebuilds the segments flagged False."""
+        views = {(m, a): arr for m, triple in zip(_MATRICES, arrays)
+                 for a, arr in zip(_ARRAYS, triple)}
+        _, segments = _layout(self.manifest)
+        if self.verify_reads:
+            ok = np.equal(_segment_crcs(views, segments), self.manifest["crcs"])
+            self.crc_checks += ok.size
+        else:
+            ncols = self.manifest["rows"][-1]
+
+            def well_formed(m, nnz, own):
+                (z0, z1), ends = nnz, views[m, "indptr"][own[0]:own[1]]
+                cols = views[m, "indices"][z0:z1]
+                return bool(
+                    ends[-1] == z1 and (np.diff(ends, prepend=z0) >= 0).all()
+                    and (z1 == z0 or 0 <= cols.min() and cols.max() < ncols)
+                )
+
+            ok = np.array([well_formed(m, r[0], r[2]) for m, r in segments])
+        self.crc_mismatches += int((~ok).sum())
+        return np.split(ok, len(_MATRICES))
 
     def stats(self) -> dict:
         """Snapshot for reports/tests."""
@@ -405,6 +422,7 @@ class ERIStore:
             "ready": self.ready,
             "filling": self.filling,
             "nblocks": self.nblocks,
+            "nsegments": self.nsegments,
             "nbytes": self.nbytes,
             "pending_blocks": self.pending_blocks,
             "tau": None if self.manifest is None else self.manifest.get("tau"),
@@ -419,22 +437,24 @@ class ERIStore:
 # ---------------------------------------------------------------------------
 
 
-def read_index(path: str | Path) -> dict[str, np.ndarray]:
-    """A store's ``index.npz``: ``keys``, ``offsets``, ``sizes``, ``crcs``."""
-    with np.load(Path(path) / _INDEX) as idx:
-        return {name: idx[name] for name in idx.files}
-
-
-def blocks_file(path: str | Path) -> Path:
-    """The flat ``float64`` data file of the store at ``path``."""
-    return Path(path) / _BLOCKS
+def segment_extents(path: str | Path) -> tuple[Path, list]:
+    """The data file of the store at ``path`` and, per segment, the byte
+    ranges of its data, indices and ``indptr`` entries there."""
+    manifest = json.loads((Path(path) / _MANIFEST).read_text())
+    arrays, segments = _layout(manifest)
+    return Path(path) / _DATA, [
+        [(at + dtype.itemsize * lo, at + dtype.itemsize * hi)
+         for (at, dtype, _), (lo, hi) in zip(
+             (arrays[m, a] for a in _ARRAYS), ranges)]
+        for m, ranges in segments
+    ]
 
 
 def is_store_dir(path: str | Path) -> bool:
-    """A store directory: either data file exists, or a manifest that
-    fingerprints a basis (a run ledger's manifest does not)."""
+    """A store directory: a data file of either format exists, or a
+    manifest that fingerprints a basis (a run ledger's manifest does not)."""
     path = Path(path)
-    if (path / _INDEX).exists() or (path / _BLOCKS).exists():
+    if any((path / name).exists() for name in (_DATA, *_V2_FILES)):
         return True
     try:
         return "basis_sha256" in json.loads((path / _MANIFEST).read_text())
@@ -445,11 +465,10 @@ def is_store_dir(path: str | Path) -> bool:
 def audit_store_dir(path: str | Path) -> tuple[list[str], int]:
     """Verify one on-disk store bottom-up, without attaching.
 
-    The manifest parses and is integrity-framed (pre-v2 stores carry no
-    checksums: unverifiable), the index loads, ``blocks.bin`` holds
-    exactly ``nelements`` float64s and matches ``blocks_sha256``, and
-    every block matches its CRC-32.  Returns the problems found and the
-    number of blocks checked.
+    The manifest parses and is of this format (older stores predate
+    segments: refill them), ``supermatrix.bin`` holds exactly ``nbytes``
+    and matches ``data_sha256``, and every segment matches its CRC-32.
+    Returns the problems found and the number of segments checked.
     """
     path = Path(path)
     try:
@@ -457,26 +476,22 @@ def audit_store_dir(path: str | Path) -> tuple[list[str], int]:
     except (OSError, json.JSONDecodeError) as exc:
         return [f"unreadable manifest: {exc}"], 0
     version = manifest.get("version")
-    if not isinstance(version, int) or version < _FRAMED_VERSION:
-        return [f"format version {version!r} predates integrity framing "
-                "(no per-block checksums; refill to verify)"], 0
+    if version != STORE_VERSION:
+        return [f"format version {version!r} predates segments; refill"], 0
     try:
-        index = read_index(path)
-        offsets, sizes, crcs = index["offsets"], index["sizes"], index["crcs"]
-    except Exception as exc:
-        return [f"unreadable index.npz: {exc}"], 0
-    try:
-        flat = np.fromfile(path / _BLOCKS, dtype=np.float64)
-    except OSError as exc:
-        return [f"unreadable blocks.bin: {exc}"], 0
-    nelements = int(manifest.get("nelements", -1))
-    if flat.size != nelements:
-        return [f"blocks.bin holds {flat.size} elements, manifest says "
-                f"{nelements}"], 0
+        buf = np.fromfile(path / _DATA, dtype=np.uint8)
+        arrays, segments = _layout(manifest)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return [f"unreadable {_DATA}: {exc}"], 0
+    if buf.size != manifest.get("nbytes"):
+        return [f"{_DATA} holds {buf.size} bytes, manifest says "
+                f"{manifest.get('nbytes')}"], 0
     problems = []
-    if hashlib.sha256(flat.tobytes()).hexdigest() != manifest.get("blocks_sha256"):
-        problems.append("blocks.bin sha256 != manifest digest")
-    for i, (lo, n) in enumerate(zip(offsets.tolist(), sizes.tolist())):
-        if zlib.crc32(flat[lo:lo + n].tobytes()) != int(crcs[i]):
-            problems.append(f"block {i} failed its CRC-32")
-    return problems, len(offsets)
+    if hashlib.sha256(buf).hexdigest() != manifest.get("data_sha256"):
+        problems.append(f"{_DATA} sha256 != manifest digest")
+    for i, (got, want) in enumerate(
+        zip(_segment_crcs(_views(buf, arrays), segments), manifest["crcs"])
+    ):
+        if got != want:
+            problems.append(f"segment {i} failed its CRC-32")
+    return problems, len(segments)

@@ -4,11 +4,11 @@ Walks a directory tree and verifies every integrity-framed artifact the
 stack writes, *without* touching any of it:
 
 * **integral stores** -- any directory holding a store's manifest or
-  either of its data files, audited by
-  :func:`repro.integrals.store.audit_store_dir` (the one module that
-  knows the layout): manifest, index, element count, per-block CRC-32
-  and whole-file SHA-256.  A store missing a file is a finding, and
-  pre-v2 stores carry no checksums and are flagged as unverifiable;
+  a data file, audited by :func:`repro.integrals.store.audit_store_dir`
+  (the one module that knows the layout): manifest, data file size,
+  one CRC-32 per segment and the whole-file SHA-256.  A store missing a
+  file is a finding, and a store of an older format predates segments
+  and is flagged for a refill;
 * **SCF checkpoints** (``scf_ckpt_NNNN.npz``) -- each snapshot loads,
   passes its payload digest, and carries finite, shape-consistent
   arrays (:func:`repro.scf.checkpoint.load_checkpoint` with
@@ -55,7 +55,7 @@ class VerifyReport:
     stores_audited: int = field(default=0, init=False)
     checkpoints_audited: int = field(default=0, init=False)
     runs_audited: int = field(default=0, init=False)
-    blocks_checked: int = field(default=0, init=False)
+    segments_checked: int = field(default=0, init=False)
     findings: list[Finding] = field(default_factory=list, init=False)
 
     @property
@@ -68,7 +68,7 @@ class VerifyReport:
     def summary_lines(self) -> list[str]:
         lines = [
             f"audited {self.stores_audited} store(s) "
-            f"({self.blocks_checked} blocks), "
+            f"({self.segments_checked} segments), "
             f"{self.checkpoints_audited} checkpoint(s), "
             f"{self.runs_audited} run ledger(s) under {self.root}",
         ]
@@ -86,7 +86,7 @@ class VerifyReport:
             "stores_audited": self.stores_audited,
             "checkpoints_audited": self.checkpoints_audited,
             "runs_audited": self.runs_audited,
-            "blocks_checked": self.blocks_checked,
+            "segments_checked": self.segments_checked,
             "clean": self.clean,
             "findings": [f.to_dict() for f in self.findings],
         }
@@ -95,8 +95,8 @@ class VerifyReport:
 def audit_store(path: str | Path, report: VerifyReport) -> None:
     """Verify one on-disk integral store bottom-up (no attach needed)."""
     report.stores_audited += 1
-    problems, nblocks = audit_store_dir(path)
-    report.blocks_checked += nblocks
+    problems, nsegments = audit_store_dir(path)
+    report.segments_checked += nsegments
     for problem in problems:
         report.add(path, "store", problem)
 

@@ -3,14 +3,14 @@
 PR 4/5/9 made the stack survive *loud* failures: dead ranks, NaN
 numerics, killed workers.  This module covers the fourth leg -- silent
 corruption that still parses: a bit-flipped checkpoint file, a torn
-store block, a damaged accumulate payload, a memory flip in the Fock
+store segment, a damaged accumulate payload, a memory flip in the Fock
 matrix between iterations.  Nothing raises; the bytes are simply wrong.
 
 Two halves, mirroring :mod:`repro.runtime.faults`:
 
 * **Injection** -- :class:`SDCFaultPlan` / :class:`SDCFaultState`, a
   declarative seeded plan that flips bits in checkpoint files
-  post-write, on-disk ERI store blocks, GA accumulate payloads in
+  post-write, on-disk ERI store segments, GA accumulate payloads in
   flight, and in-memory F/D matrices between SCF iterations.  One
   seeded :class:`numpy.random.Generator` drives every draw, so a chaos
   run is reproducible from its seed alone.  In-memory matrix flips
@@ -31,7 +31,7 @@ Two halves, mirroring :mod:`repro.runtime.faults`:
 
 Checksums use CRC-32 (:func:`zlib.crc32` -- zero-dependency and
 C-speed; a production deployment would use hardware CRC32C, same
-framing) for per-block/per-payload framing and SHA-256 for whole-file
+framing) for per-segment/per-payload framing and SHA-256 for whole-file
 digests.  See ``docs/ROBUSTNESS.md`` ("Silent data corruption") for
 the threat model, detector costs, and the recovery ladder.
 """
@@ -57,22 +57,13 @@ class IntegrityError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# checksum helpers (shared by store framing, GA payloads, checkpoints)
+# checksum helpers (GA payloads, checkpoints)
 # ---------------------------------------------------------------------------
 
 
 def block_crc(a: np.ndarray) -> int:
     """CRC-32 of one array's float64 bytes (payload/block framing)."""
     return zlib.crc32(np.ascontiguousarray(a, dtype=np.float64).reshape(-1))
-
-
-def crc_rows(flat: np.ndarray) -> np.ndarray:
-    """Per-row CRC-32 of a 2-D float64 array, as ``uint32``."""
-    flat = np.ascontiguousarray(flat, dtype=np.float64)
-    # each row as one opaque item of the same contiguous buffer: zlib
-    # reads its bytes in place
-    rows = flat.view(f"V{8 * flat.shape[1]}").ravel()
-    return np.fromiter(map(zlib.crc32, rows), np.uint32, len(rows))
 
 
 def flip_bit_in_file(path: str | Path, rng: np.random.Generator) -> int:
@@ -114,7 +105,7 @@ class SDCFaultPlan(SeededPlan):
         bad-disk / torn-page model).  The file still exists and may
         still parse -- only the payload digest can tell.
     store_flips:
-        Number of distinct on-disk ERI store blocks to bit-flip (drawn
+        Number of distinct on-disk ERI store segments to bit-flip (drawn
         once per store, via :meth:`SDCFaultState.corrupt_store_dir`).
     payload_flip_rate:
         Per GA accumulate, the probability the payload is corrupted in
@@ -157,7 +148,7 @@ class SDCFaultState(SeededFaultState):
         super().__init__(plan)
         #: checkpoint files bit-flipped post-write
         self.files_corrupted = 0
-        #: on-disk store blocks bit-flipped
+        #: on-disk store segments bit-flipped
         self.blocks_corrupted = 0
         #: GA accumulate payloads corrupted in flight
         self.payloads_corrupted = 0
@@ -178,29 +169,30 @@ class SDCFaultState(SeededFaultState):
         return True
 
     def corrupt_store_dir(self, path: str | Path) -> int:
-        """Bit-flip ``store_flips`` distinct blocks of an on-disk ERI store.
+        """Bit-flip ``store_flips`` distinct segments of an on-disk ERI store.
 
-        Operates directly on the data file using the block extents of
-        the index (read through :mod:`repro.integrals.store`, no
-        :class:`~repro.integrals.store.ERIStore` attach needed),
+        Each victim segment takes one flip in a byte of its data, its
+        column indices or its row pointers (the array drawn first, among
+        those the segment has bytes in), located through
+        :func:`repro.integrals.store.segment_extents` -- no
+        :class:`~repro.integrals.store.ERIStore` attach needed --
         modelling a disk that rots under a finalized store.  Returns how
-        many blocks were corrupted.
+        many segments were corrupted.
         """
-        from repro.integrals.store import blocks_file, read_index
+        from repro.integrals.store import segment_extents
 
         if self.plan.store_flips <= 0:
             return 0
-        index = read_index(path)
-        offsets, sizes = index["offsets"], index["sizes"]
-        nblocks = int(offsets.size)
-        nflips = min(self.plan.store_flips, nblocks)
-        victims = self.rng.choice(nblocks, size=nflips, replace=False)
-        with open(blocks_file(path), "r+b") as fh:
-            for b in victims:
+        data_file, segments = segment_extents(path)
+        nflips = min(self.plan.store_flips, len(segments))
+        victims = self.rng.choice(len(segments), size=nflips, replace=False)
+        with open(data_file, "r+b") as fh:
+            for s in victims:
                 if self._budget_left() == 0:
                     break
-                elem = int(offsets[b] + self.rng.integers(int(sizes[b])))
-                byte = elem * 8 + int(self.rng.integers(8))
+                ranges = [r for r in segments[s] if r[1] > r[0]]
+                lo, hi = ranges[int(self.rng.integers(len(ranges)))]
+                byte = int(self.rng.integers(lo, hi))
                 fh.seek(byte)
                 old = fh.read(1)[0]
                 fh.seek(byte)
@@ -245,7 +237,7 @@ class SDCFaultState(SeededFaultState):
 def random_sdc_plan(seed: int) -> SDCFaultPlan:
     """Seeded random :class:`SDCFaultPlan` for ``repro chaos --family sdc``.
 
-    Corrupts a handful of store blocks, roughly a third of the written
+    Corrupts a handful of store segments, roughly a third of the written
     checkpoints, and one early Fock and density matrix each; the same
     seed always yields the same plan.
     """

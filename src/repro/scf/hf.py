@@ -116,9 +116,9 @@ class SCFDriver:
         When set, a directory for the memory-mapped stored-integral
         layer (:class:`~repro.integrals.store.ERIStore`): conventional
         SCF.  The first Fock build computes and records the screened
-        non-zero quartets; the next reads them back once into a sparse
-        supermatrix (RAM: 2-4.5x the store's bytes) and every later
-        iteration is four sparse mat-vecs, with zero ERI recomputation.
+        non-zero quartets and writes them as a sparse supermatrix; the
+        next maps it back and every iteration is four sparse mat-vecs,
+        with zero ERI recomputation.
         A store left by a previous run of the *same* basis is reused
         directly; any mismatch invalidates it (with a warning) and it
         is refilled.

@@ -75,8 +75,8 @@ def degrade_spec(spec: dict) -> tuple[dict | None, str]:
     is left to shed.  Ladder: threaded J/K -> serial (one set of
     private accumulators and staged blocks instead of one per thread),
     then drop the integral store -- a *filling* store holds every
-    pending block in RAM until ``finalize``, a *ready* one is contracted
-    through its sparse supermatrix, 12 bytes per non-zero -- and run
+    pending block in RAM until ``finalize``, which builds its sparse
+    supermatrix, 12 bytes per non-zero -- and run
     direct SCF, whose blocks are bitwise the stored ones.
     """
     if spec.get("jk_threads") and int(spec["jk_threads"]) > 1:

@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference_engine import SyntheticERIEngine, class_rows
+from reference_engine import SyntheticERIEngine
+from reference_supermatrix import assemble_supermatrix
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import h2, methane, water
 from repro.integrals.engine import MDEngine
@@ -42,21 +43,20 @@ def pair_block(matrix_fn, sh_a, sh_b, molecule=None, **kwargs):
 
 
 def assert_store_holds_kernel_bits(engine, tau=1e-11):
-    """Every row of ``engine``'s plan at ``tau`` reads back from its ready
-    store bit for bit as the class kernel computes it (sha256 per class):
-    the blocks a served J/K is assembled from are the blocks a direct
-    build contracts, so the two differ by summation order only."""
+    """The matrices ``engine``'s ready store holds are, array for array
+    (sha256), the supermatrix the v2 assembly folds from the class
+    kernel's blocks of the plan at ``tau``: a served J/K contracts the
+    integrals a direct build does, in another summation order."""
     store = engine.integral_store
     assert store.ready
-    for batch in engine.class_plan(tau).batches:
-        offsets = store.offsets_for(batch.quartets)
-        assert (offsets >= 0).all()
-        stored = store.read_stacked(offsets, batch.block_size, batch.dims)
-        computed = class_rows(batch, np.arange(batch.nq))
-        assert (
-            hashlib.sha256(stored.tobytes()).hexdigest()
-            == hashlib.sha256(computed.tobytes()).hexdigest()
-        )
+    mj, mk, _ = assemble_supermatrix(engine, engine.class_plan(tau))
+    want = [a for m in (mj, mk) for a in (m.data, m.indices, m.indptr)]
+    got = [a for arrays in store.read_stacked() for a in arrays]
+    assert [sha256(a) for a in got] == [sha256(a) for a in want]
+
+
+def sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
 def supermatrix_arrays(engine):

@@ -15,11 +15,21 @@ import shutil
 
 import numpy as np
 import pytest
-from conftest import assert_jk_close, supermatrix_arrays
+from conftest import (
+    assert_jk_close,
+    assert_store_holds_kernel_bits,
+    supermatrix_arrays,
+)
+from reference_supermatrix import kernel_blocks, write_v2_store
 
 from repro.chem.builders import water
 from repro.integrals.engine import MDEngine
-from repro.integrals.store import STORE_VERSION, ERIStore, StoreInvalidatedWarning
+from repro.integrals.store import (
+    STORE_VERSION,
+    ERIStore,
+    StoreInvalidatedWarning,
+    segment_extents,
+)
 from repro.obs.metrics import MetricsRegistry, export_integrity
 from repro.obs.verify import verify_tree
 from repro.runtime.sdc import (
@@ -181,15 +191,33 @@ def filled_store(tmp_path, sto3g_basis):
     return tmp_path / "store", d, j, k
 
 
+def flip_in_segment(store_dir, segment: int, array: int, seed: int) -> None:
+    """Flip one seeded bit of one byte of ``array`` (0 data, 1 indices,
+    2 indptr) of ``segment`` in a store's data file."""
+    data_file, segments = segment_extents(store_dir)
+    rng = np.random.default_rng(seed)
+    lo, hi = segments[segment][array]
+    byte = int(rng.integers(lo, hi))
+    raw = bytearray(data_file.read_bytes())
+    raw[byte] ^= 1 << int(rng.integers(8))
+    data_file.write_bytes(bytes(raw))
+
+
+def shell_rows(plan, shell: int) -> int:
+    """Plan rows whose first shell is ``shell``: a segment's quartets."""
+    return sum(int((b.quartets[:, 0] == shell).sum()) for b in plan.batches)
+
+
 class TestStoreIntegrity:
     def test_finalize_records_crcs_and_digest(self, filled_store, sto3g_basis):
         store_dir, *_ = filled_store
-        with np.load(store_dir / "index.npz") as idx:
-            assert idx["crcs"].dtype == np.uint32
-            assert len(idx["crcs"]) == len(idx["offsets"])
         manifest = json.loads((store_dir / "manifest.json").read_text())
         assert manifest["version"] == STORE_VERSION
-        assert len(manifest["blocks_sha256"]) == 64
+        # one CRC per segment: a segment per shell, in M_J and in M_K
+        assert len(manifest["crcs"]) == 2 * sto3g_basis.nshells
+        assert all(0 <= crc < 2**32 for crc in manifest["crcs"])
+        assert len(manifest["data_sha256"]) == 64
+        assert (store_dir / "supermatrix.bin").stat().st_size == manifest["nbytes"]
 
     def test_verified_read_rescues_corrupt_blocks(
         self, filled_store, sto3g_basis
@@ -204,11 +232,12 @@ class TestStoreIntegrity:
         engine.integral_store.verify_reads = True
         j, k = build_jk(engine, d, tau=1e-11)
         store = engine.integral_store
-        assert store.crc_mismatches > 0
-        assert engine.crc_rescues > 0
-        # recomputed blocks are bitwise what the clean engine produces:
-        # the supermatrix assembled over the corrupted store is the one
-        # assembled over a clean copy, bit for bit
+        # three distinct segments flipped, three detected
+        assert store.crc_mismatches == 3
+        assert engine.crc_rescues > 0 and engine.quartets_computed == 0
+        # rebuilt segments are bitwise what the clean store holds: the
+        # matrices mapped over the corrupted store are the ones mapped
+        # over a clean copy, bit for bit
         assert_jk_close((j, k), (j_ref, k_ref))
         clean = MDEngine(sto3g_basis, store=clean_dir)
         assert_jk_close(build_jk(clean, d, tau=1e-11), (j_ref, k_ref))
@@ -219,42 +248,87 @@ class TestStoreIntegrity:
     def test_crc_rescued_rows_are_bitwise_the_filled_ones(
         self, filled_store, sto3g_basis
     ):
-        """A rescued row is recomputed alone (a family sweep over its
-        own family quartet): its bytes are the bytes the whole-plan
-        sweep filled the store with (sha256 per member)."""
-        from repro.integrals import class_batch
-
+        """A failed segment is rebuilt from its shell's rows alone (a
+        family sweep over their family quartets): its bytes are the bytes
+        the whole-plan sweep filled the store with (sha256 per array),
+        and only its rows are recomputed."""
         store_dir, *_ = filled_store
         clean = ERIStore(shutil.copytree(store_dir, store_dir.parent / "clean"),
                          sto3g_basis).open_or_fill()
-        SDCFaultPlan(seed=5, store_flips=3).activate().corrupt_store_dir(store_dir)
+        flip_in_segment(store_dir, 2, 0, seed=1)  # M_J, shell 2
+        flip_in_segment(store_dir, sto3g_basis.nshells + 4, 1, seed=2)  # M_K, shell 4
         engine = MDEngine(sto3g_basis, store=store_dir)
         store = engine.integral_store
         store.verify_reads = True
-        counts = dict.fromkeys(class_batch._COUNT_KEYS, 0)
-        for flush, parts in class_batch._flushes(
-            engine, class_batch._store_chunks(engine.class_plan(1e-11)), store,
-            None, counts,
-        ):
-            for (batch, rows), blocks in zip(flush, parts):
-                sel = clean.offsets_for(batch.quartets[rows])
-                filled = clean.read_stacked(sel, batch.block_size, batch.dims)
-                assert sha256_hex(blocks) == sha256_hex(filled)
-        assert counts["crc_rescued"] == store.crc_mismatches > 0
-        assert counts["computed"] == 0
+        build_jk(engine, np.eye(sto3g_basis.nbf))
+        plan = engine.class_plan(1e-11)
+        assert store.crc_mismatches == 2
+        assert engine.crc_rescues == shell_rows(plan, 2) + shell_rows(plan, 4)
+        assert engine.quartets_computed == 0
+        want = [a for arrays in clean.read_stacked() for a in arrays]
+        assert [sha256_hex(a) for a in supermatrix_arrays(engine)] == [
+            sha256_hex(a) for a in want]
+
+    @pytest.mark.parametrize("array", [0, 1, 2], ids=["data", "indices", "indptr"])
+    def test_one_flip_rebuilds_only_its_segment(self, tmp_path, array):
+        """A flip in a segment's data, column indices or row pointers is
+        detected, only that segment is rebuilt, and the warm run's F is
+        sha256-equal to the clean warm run's."""
+        clean_dir, bad_dir = tmp_path / "clean", tmp_path / "bad"
+        RHF(water(), integral_store=str(clean_dir)).run()
+        shutil.copytree(clean_dir, bad_dir)
+        basis = BasisSet.build(water(), "sto-3g")
+        shell = basis.nshells - 1  # the last shell: the most rows
+        flip_in_segment(bad_dir, basis.nshells + shell, array, seed=array)
+        clean = RHF(water(), integral_store=str(clean_dir), integrity=True).run()
+        rhf = RHF(water(), integral_store=str(bad_dir), integrity=True)
+        res = rhf.run()
+        store = rhf.engine.integral_store
+        assert store.crc_mismatches == 1
+        assert rhf.engine.crc_rescues == shell_rows(rhf.engine.class_plan(rhf.tau), shell)
+        assert rhf.engine.quartets_computed == 0
+        assert res.integrity_summary["detections"] == {"store_block": 1}
+        assert sha256_hex(res.fock) == sha256_hex(clean.fock)
+        assert res.energy == clean.energy
+
+    def test_rebuilt_segment_that_does_not_fit_is_computed_instead(
+        self, filled_store, sto3g_basis
+    ):
+        """A rebuilt segment whose non-zeros are not the slot's (a rescue
+        kernel with other exact zeros than the filling one) cannot be
+        patched in: the build computes every plan row instead, once."""
+        store_dir, d, j_ref, k_ref = filled_store
+        flip_in_segment(store_dir, 3, 0, seed=3)
+        engine = MDEngine(sto3g_basis, store=store_dir)
+        engine.integral_store.verify_reads = True
+        real, calls = engine.compute_rows, []
+
+        def zero_rescue(chunk):  # the rescue is the first kernel call
+            calls.append(chunk)
+            parts = real(chunk)
+            return [0.0 * p for p in parts] if len(calls) == 1 else parts
+
+        engine.compute_rows = zero_rescue
+        j, k = build_jk(engine, d, tau=1e-11)
+        plan = engine.class_plan(1e-11)
+        assert engine.crc_rescues == shell_rows(plan, 3)
+        assert engine.quartets_computed == plan.nquartets
+        assert engine.supermatrix.served == engine.quartets_served_from_store == 0
+        assert_jk_close((j, k), (j_ref, k_ref))
 
     def test_unverified_read_accepts_corruption_silently(
         self, filled_store, sto3g_basis
     ):
-        # the hazard the CRC framing closes: without verify_reads the
-        # flipped block flows straight into J/K
+        # the hazard the CRC framing closes: without verify_reads a
+        # flipped value flows straight into J/K
         store_dir, d, j_ref, k_ref = filled_store
         clean_dir = shutil.copytree(store_dir, store_dir.parent / "clean")
-        SDCFaultPlan(seed=5, store_flips=3).activate().corrupt_store_dir(
-            store_dir
-        )
+        data_file, segments = segment_extents(store_dir)
+        lo, hi = segments[sto3g_basis.nshells - 1][0]  # M_J's last data
+        raw = bytearray(data_file.read_bytes())
+        raw[lo + 7] ^= 0x10  # an exponent bit of its first value
+        data_file.write_bytes(bytes(raw))
         engine = MDEngine(sto3g_basis, store=store_dir)
-        engine.integral_store.open_or_fill()
         j, k = build_jk(engine, d, tau=1e-11)
         assert engine.integral_store.crc_mismatches == 0
         clean = MDEngine(sto3g_basis, store=clean_dir)
@@ -266,31 +340,49 @@ class TestStoreIntegrity:
         )
         assert max(np.abs(j - j_ref).max(), np.abs(k - k_ref).max()) > 1e-12
 
+    def test_unverified_read_never_maps_a_malformed_segment(
+        self, filled_store, sto3g_basis
+    ):
+        """Unverified, a flipped column index or row pointer that would
+        point outside its segment or the matrix is caught by the shape
+        check and the segment rebuilt: a bad bit is a wrong value at
+        worst, never an out-of-bounds read."""
+        store_dir, d, j_ref, k_ref = filled_store
+        data_file, segments = segment_extents(store_dir)
+        raw = bytearray(data_file.read_bytes())
+        raw[segments[3][1][1] - 1] ^= 0x80  # an index's sign bit (M_J)
+        raw[segments[-1][2][0] + 1] ^= 0x40  # a row pointer's high byte (M_K)
+        data_file.write_bytes(bytes(raw))
+        engine = MDEngine(sto3g_basis, store=store_dir)
+        j, k = build_jk(engine, d, tau=1e-11)
+        assert engine.integral_store.crc_mismatches == 2
+        assert engine.integral_store.crc_checks == 0
+        assert_jk_close((j, k), (j_ref, k_ref))
+
     def test_verify_stacked_flags_exactly_the_bad_rows(
         self, filled_store, sto3g_basis
     ):
+        """The check is per segment -- the rows of one shell -- and every
+        call checks every segment it is handed."""
         store_dir, *_ = filled_store
         store = ERIStore(store_dir, sto3g_basis).open_or_fill()
         assert store.ready
-        offsets = store._offsets[:6].astype(np.int64)
-        sizes = np.diff(np.append(store._offsets, store._flat.size))
-        width = int(sizes[0])
-        assert np.all(sizes[:6] == width)  # uniform leading class
-        clean = store.read_stacked(offsets, width, (width,))
-        tampered = clean.copy()
-        tampered[2] *= 1.0000001
-        good = store.verify_stacked(offsets, tampered)
-        assert not good[2] and good.sum() == 5
-        assert store.crc_checks == 6
-        # no scrub marks: every call checks every row it is handed (a
-        # served run reads each block once per attach, at assembly)
-        good = store.verify_stacked(offsets, tampered)
-        assert not good[2] and good.sum() == 5
-        assert store.crc_checks == 12
-        good = store.verify_stacked(offsets, clean)
-        assert good.all()
-        assert store.crc_checks == 18
+        store.verify_reads = True
+        nshells = sto3g_basis.nshells
+        arrays = store.read_stacked()
+        (data, _, _), _ = arrays
+        rows, (nnz_j, _) = store.offsets_for()
+        data[nnz_j[2]] *= 1.0000001  # copy-on-write: the file is untouched
+        good_j, good_k = store.verify_stacked(arrays)
+        assert not good_j[2] and good_j.sum() == nshells - 1 and good_k.all()
+        assert store.crc_checks == 2 * nshells
+        good_j, good_k = store.verify_stacked(arrays)
+        assert not good_j[2]
+        assert store.crc_checks == 4 * nshells
+        assert all(g.all() for g in store.verify_stacked(store.read_stacked()))
+        assert store.crc_checks == 6 * nshells
         assert store.crc_mismatches == 2
+        assert rows == (sto3g_basis.offsets * sto3g_basis.nbf).tolist()
 
     def test_version_mismatch_invalidates_with_reason(
         self, filled_store, sto3g_basis
@@ -302,6 +394,42 @@ class TestStoreIntegrity:
         with pytest.warns(StoreInvalidatedWarning, match="format version"):
             store = ERIStore(store_dir, sto3g_basis).open_or_fill()
         assert store.filling and not store.ready
+
+
+class TestV2Store:
+    """A store written in the parent format (v2: flat blocks, per-block
+    index) is never misread: the audit names it, attaching refills it."""
+
+    @pytest.fixture()
+    def v2_dir(self, tmp_path, sto3g_basis):
+        engine = MDEngine(sto3g_basis)
+        plan = engine.class_plan(1e-11)
+        return write_v2_store(
+            tmp_path / "store", sto3g_basis, 1e-11, kernel_blocks(engine, plan)
+        )
+
+    def test_verify_says_it_predates_segments(self, v2_dir, capsys):
+        from repro.cli import main
+
+        report = verify_tree(v2_dir)
+        assert [f.problem for f in report.findings] == [
+            "format version 2 predates segments; refill"]
+        assert main(["verify", str(v2_dir)]) == 1
+        assert "predates segments; refill" in capsys.readouterr().out
+
+    def test_attaching_invalidates_and_refills(self, v2_dir, sto3g_basis):
+        d = rand_density(np.random.default_rng(3), sto3g_basis.nbf)
+        with pytest.warns(StoreInvalidatedWarning, match="format version 2"):
+            engine = MDEngine(sto3g_basis, store=v2_dir)
+        assert engine.integral_store.filling
+        assert not (v2_dir / "blocks.bin").exists()
+        assert not (v2_dir / "index.npz").exists()
+        j, k = build_jk(engine, d)
+        assert engine.quartets_computed == engine.class_plan(1e-11).nquartets
+        assert np.array_equal(j, build_jk(MDEngine(sto3g_basis), d)[0])
+        assert engine.integral_store.ready
+        assert verify_tree(v2_dir).clean
+        assert_store_holds_kernel_bits(engine)
 
 
 # -- GA payload integrity ----------------------------------------------------
@@ -690,7 +818,7 @@ class TestVerifyTree:
         report = verify_tree(tmp_path)
         assert report.clean
         assert report.stores_audited == 1
-        assert report.blocks_checked > 0
+        assert report.segments_checked == 2 * BasisSet.build(water(), "sto-3g").nshells
         assert report.checkpoints_audited == 1
 
     def test_corrupted_tree_is_found(self, filled_store, tmp_path):
@@ -707,8 +835,8 @@ class TestVerifyTree:
         assert not report.clean
         kinds = {f.kind for f in report.findings}
         assert kinds == {"store", "checkpoint"}
-        # 2 block CRCs + whole-file digest + 1 checkpoint
-        assert len(report.findings) >= 4
+        # 2 segment CRCs + whole-file digest + 1 checkpoint
+        assert len(report.findings) == 4
         payload = report.to_json()
         assert payload["clean"] is False
         assert len(payload["findings"]) == len(report.findings)
@@ -717,7 +845,7 @@ class TestVerifyTree:
         report = verify_tree(tmp_path / "nope")
         assert not report.clean
 
-    @pytest.mark.parametrize("name", ["blocks.bin", "index.npz", "manifest.json"])
+    @pytest.mark.parametrize("name", ["supermatrix.bin", "manifest.json"])
     def test_store_missing_a_file_is_one_finding(self, filled_store, name, capsys):
         """A store missing a data file used to be skipped: 0 stores
         audited, verdict CLEAN."""
@@ -740,7 +868,43 @@ class TestVerifyTree:
         (store_dir / "manifest.json").write_text(json.dumps(manifest))
         report = verify_tree(store_dir)
         assert not report.clean
-        assert "predates integrity framing" in report.findings[0].problem
+        assert "predates segments; refill" in report.findings[0].problem
+
+    def test_segment_cut_short_is_found(self, filled_store, capsys):
+        """A data file 8 bytes short (a torn last write) is a finding and
+        ``repro verify`` exits non-zero on it."""
+        from repro.cli import main
+
+        store_dir, *_ = filled_store
+        data = store_dir / "supermatrix.bin"
+        data.write_bytes(data.read_bytes()[:-8])
+        report = verify_tree(store_dir)
+        assert [f.kind for f in report.findings] == ["store"]
+        assert "bytes, manifest says" in report.findings[0].problem
+        assert main(["verify", str(store_dir)]) == 1
+        # and a job attaching it refills it rather than map past its end
+        with pytest.warns(StoreInvalidatedWarning, match="stale or unreadable"):
+            store = ERIStore(store_dir, BasisSet.build(water(), "sto-3g")).open_or_fill()
+        assert store.filling and not data.exists()
+
+    def test_flips_land_in_distinct_segments(self, filled_store, sto3g_basis):
+        """``store_flips`` flips hit that many distinct segments, so the
+        audit finds exactly that many failing CRCs, whichever of the
+        three arrays each flip drew."""
+        store_dir, *_ = filled_store
+        nseg = 2 * sto3g_basis.nshells
+        state = SDCFaultPlan(seed=8, store_flips=nseg).activate()
+        assert state.corrupt_store_dir(store_dir) == nseg
+        report = verify_tree(store_dir)
+        failed = [f for f in report.findings if "failed its CRC-32" in f.problem]
+        assert len(failed) == nseg
+
+    def test_chaos_system_has_a_segment_per_flip(self, filled_store):
+        """``repro chaos --family sdc`` corrupts water/STO-3G's store:
+        every seeded plan's flips fit in distinct segments."""
+        store_dir, *_ = filled_store
+        nseg = len(segment_extents(store_dir)[1])
+        assert all(random_sdc_plan(seed).store_flips <= nseg for seed in range(16))
 
 
 # -- the chaos gate ----------------------------------------------------------

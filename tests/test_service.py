@@ -248,14 +248,14 @@ class TestWorkerPersonalities:
         self, store, clock, tmp_path, monkeypatch
     ):
         """A MemoryError raised while the warm store's supermatrix is
-        assembled walks the same ladder: the retry runs direct SCF."""
+        mapped walks the same ladder: the retry runs direct SCF."""
         store_dir = tmp_path / "eri"
         baseline = RHF(water(), integral_store=str(store_dir)).run()
 
         def oom(*args):
             raise MemoryError("injected: no room for the supermatrix")
 
-        monkeypatch.setattr(class_batch, "_sparse_piece", oom)
+        monkeypatch.setattr(class_batch, "_mapped_matrices", oom)
         job = store.submit(
             {"kind": "scf", "molecule": "water", "store_dir": str(store_dir)},
             max_attempts=5,

@@ -105,6 +105,17 @@ class TestStoreLifecycle:
         assert_jk_close((j2, k2), (j1, k1))
 
 
+    def test_a_fill_needs_the_plans_tau(self, tmp_path, sto3g_basis):
+        """The store's tau says which quartets it holds: a filling build
+        without one is refused before any work."""
+        from repro.integrals.class_batch import jk_from_plan
+
+        engine = MDEngine(sto3g_basis, store=tmp_path / "store")
+        with pytest.raises(ValueError, match="needs the plan's tau"):
+            jk_from_plan(engine, np.eye(sto3g_basis.nbf), engine.class_plan(1e-11))
+        assert engine.quartets_computed == 0 and engine.integral_store.filling
+
+
 class TestInvalidation:
     def test_basis_change_invalidates_and_refills(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -202,8 +213,10 @@ _KEY = np.zeros((1, 4), dtype=np.int64)
 
 
 def _stored_value(store):
-    """The single element of the ``_KEY`` block, read back from disk."""
-    return store.read_stacked(store.offsets_for(_KEY), 1, (1, 1, 1, 1)).item()
+    """The single element of the ``_KEY`` block, read back from disk: M_J's
+    one entry is ``w (00|00)``, ``w = 1/8`` for a quartet of one shell."""
+    (data, _, _), _ = store.read_stacked()
+    return 8.0 * data.item()
 
 
 class TestProcessSafety:
@@ -234,8 +247,8 @@ class TestProcessSafety:
         with pytest.raises(OSError, match="simulated crash"):
             store.finalize(tau=1e-10)
         monkeypatch.undo()
-        # data files landed but no manifest: the store must NOT attach
-        assert (tmp_path / "store" / "blocks.bin").exists()
+        # the data file landed but no manifest: the store must NOT attach
+        assert (tmp_path / "store" / "supermatrix.bin").exists()
         assert not (tmp_path / "store" / "manifest.json").exists()
         fresh = ERIStore(tmp_path / "store", sto3g_basis).open_or_fill()
         assert fresh.filling and not fresh.ready
@@ -244,7 +257,7 @@ class TestProcessSafety:
         assert fresh.ready
         assert _stored_value(fresh) == 0.25
 
-    def test_crash_before_index_write_recovers(
+    def test_crash_before_data_write_recovers(
         self, tmp_path, sto3g_basis, monkeypatch
     ):
         import repro.integrals.store as store_mod
@@ -253,7 +266,7 @@ class TestProcessSafety:
         real_replace = store_mod.os.replace
 
         def crashing_replace(src, dst):
-            if str(dst).endswith("index.npz"):
+            if str(dst).endswith("supermatrix.bin"):
                 raise OSError("simulated crash mid-finalize")
             return real_replace(src, dst)
 

@@ -1,7 +1,7 @@
 """Tests for the sparse supermatrix a ready integral store is served from.
 
-The first build a ready ``ERIStore`` serves assembles its blocks into two
-CSR matrices held on the engine; every later build is four sparse
+A ready ``ERIStore`` holds the plan's two CSR matrices; the first build
+it serves maps them onto the engine, and every build is four sparse
 mat-vecs.  Served J/K must equal a storeless build to summation order,
 be bitwise reproducible across engines (processes) and thread settings,
 count every quartet's source once, and never outlive the store content
@@ -14,9 +14,15 @@ import tempfile
 
 import numpy as np
 import pytest
-from conftest import assert_jk_close, supermatrix_arrays
+from conftest import assert_jk_close, sha256, supermatrix_arrays
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_supermatrix import (
+    V2Store,
+    assemble_supermatrix,
+    kernel_blocks,
+    write_v2_store,
+)
 from test_class_batch import rand_basis, rand_density
 
 from repro.chem.basis.basisset import BasisSet
@@ -24,6 +30,7 @@ from repro.chem.builders import water
 from repro.integrals import class_batch
 from repro.integrals import engine as engine_module
 from repro.integrals.engine import MDEngine
+from repro.integrals.store import ERIStore
 from repro.scf.fock import build_jk
 from repro.scf.hf import RHF
 
@@ -121,6 +128,64 @@ class TestServedBuilds:
         assert PHASE_ERI not in prof.stats
 
 
+class TestAgainstV2Oracle:
+    """The v3 store maps the matrices the v2 store assembled, bit for bit
+    (``tests/reference_supermatrix.py`` keeps the v2 assembly)."""
+
+    @given(st.integers(0, 2**16), st.floats(-13.0, -6.0), st.floats(0.0, 5.0))
+    @settings(max_examples=5, deadline=None)
+    def test_mapped_matrices_equal_the_v2_assembly(self, seed, log_tau, tighter):
+        """Random s/p/d bases, a store filled at ``fill >= tau`` (equal,
+        or a plan tighter than the store: a mixed build): the mapped
+        M_J / M_K arrays are sha256-equal to the v2 assembly over a v2
+        store of the same fill, and each plan row has one source."""
+        rng = np.random.default_rng(seed)
+        basis = rand_basis(rng, nshells=5)
+        tau, fill = 10.0 ** log_tau, 10.0 ** (log_tau + tighter)
+        oracle = MDEngine(basis)
+        assume(oracle.class_plan(fill).nquartets > 0)
+        with tempfile.TemporaryDirectory() as tmp, \
+                tempfile.TemporaryDirectory() as tmp_v2:
+            build_jk(MDEngine(basis, store=tmp), np.eye(basis.nbf), fill)
+            warm = MDEngine(basis, store=tmp)
+            build_jk(warm, np.eye(basis.nbf), tau)
+            v2 = write_v2_store(tmp_v2, basis, fill, kernel_blocks(
+                oracle, oracle.class_plan(fill)))
+            mj, mk, _ = assemble_supermatrix(
+                oracle, oracle.class_plan(tau), V2Store(v2, basis))
+        want = [a for m in (mj, mk) for a in (m.data, m.indices, m.indptr)]
+        assert [sha256(a) for a in supermatrix_arrays(warm)] == [
+            sha256(a) for a in want]
+        nplan, stored = oracle.class_plan(tau).nquartets, warm.integral_store.nblocks
+        assert warm.supermatrix.served == stored
+        assert warm.quartets_computed == nplan - stored
+
+    def test_looser_plan_reads_nothing_and_computes_once(
+        self, warm_dir, basis, monkeypatch
+    ):
+        """A plan looser than the store's tau: the store's entries cannot
+        be unpicked by quartet, so it is not read at all -- no row the
+        plan screened out is served -- and every plan row is computed
+        once per engine, the J/K those of a direct build at that tau."""
+        reads = []
+        read = ERIStore.read_stacked
+        monkeypatch.setattr(
+            ERIStore, "read_stacked", lambda self: reads.append(1) or read(self))
+        d = rand_density(np.random.default_rng(6), basis.nbf)
+        engine = MDEngine(basis, store=warm_dir)
+        first = build_jk(engine, d, 0.1)
+        nplan = engine.class_plan(0.1).nquartets
+        assert nplan < engine.integral_store.nblocks
+        assert engine.quartets_computed == nplan
+        assert engine.supermatrix.served == engine.quartets_served_from_store == 0
+        second = build_jk(engine, d, 0.1)
+        assert engine.quartets_computed == nplan
+        assert reads == []
+        assert_jk_close(first, build_jk(MDEngine(basis), d, 0.1))
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+
 class TestLifetime:
     """At most one supermatrix per engine, dropped with what it was
     assembled from."""
@@ -166,12 +231,12 @@ class TestLifetime:
         store.verify_reads = True
         build_jk(engine, d)
         assert engine.supermatrix.verified
-        assert store.crc_checks == store.nblocks
+        assert store.crc_checks == store.nsegments == 2 * basis.nshells
         store.verify_reads = False  # a verified matrix serves either way
         scrubbed = engine.supermatrix
         build_jk(engine, d)
         assert engine.supermatrix is scrubbed
-        assert store.crc_checks == store.nblocks
+        assert store.crc_checks == store.nsegments
 
     def test_memory_error_leaves_no_half_built_matrix(
         self, warm_dir, basis, monkeypatch
@@ -180,16 +245,14 @@ class TestLifetime:
         engine = MDEngine(basis, store=warm_dir)
         build_jk(engine, d)
         clean = supermatrix_arrays(engine)
-        engine.integral_store.open_or_fill()  # forces a re-assembly
-        real, calls = class_batch._sparse_piece, []
+        engine.integral_store.open_or_fill()  # forces a re-mapping
+        real = class_batch._mapped_matrices
 
         def failing(*args):
-            calls.append(1)
-            if len(calls) == 3:
-                raise MemoryError("injected allocation failure")
-            return real(*args)
+            real(*args)
+            raise MemoryError("injected allocation failure")
 
-        monkeypatch.setattr(class_batch, "_sparse_piece", failing)
+        monkeypatch.setattr(class_batch, "_mapped_matrices", failing)
         served = engine.quartets_served_from_store
         with pytest.raises(MemoryError):
             build_jk(engine, d)
@@ -233,7 +296,7 @@ class TestWarmRestart:
         self, warm_dir, monkeypatch
     ):
         """Every build of a ready-store RHF is the run's one plan: it is
-        planned once, assembled once and computes zero quartets."""
+        planned once, mapped once and computes zero quartets."""
         calls = {"plan": 0, "assemble": 0}
 
         def counted(module, name, key):
@@ -246,7 +309,7 @@ class TestWarmRestart:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(engine_module, "build_class_plan", "plan")
-        counted(class_batch, "assemble_supermatrix", "assemble")
+        counted(class_batch, "map_supermatrix", "assemble")
         rhf = RHF(water(), "6-31g", integral_store=str(warm_dir))
         res = rhf.run()
         assert res.converged and res.iterations > 2
