@@ -56,9 +56,11 @@ molecule sizes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+import tempfile
 
 from repro.bench.experiments import ARTIFACTS
 from repro.chem.basis.basisset import BASIS_REGISTRY, BasisSet
@@ -133,16 +135,12 @@ def _run_scf(args: argparse.Namespace) -> int:
 
 
 def _run_torture(args: argparse.Namespace) -> int:
-    from repro.obs.report import render_torture_report
+    from repro.obs import get_ledger
     from repro.scf.torture import run_torture
 
     tres = run_torture(quick=args.quick, vanilla=not args.no_vanilla)
-    notes = ()
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(render_torture_report(tres.to_json()))
-        notes = (f"torture report written to {args.report}",)
-    return _finish_chaos(args, tres, f"torture run: {len(tres.outcomes)} cases", notes)
+    get_ledger().add_summary(torture=tres.to_json())
+    return _finish_chaos(args, tres, f"torture run: {len(tres.outcomes)} cases")
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
@@ -181,11 +179,13 @@ def _run_ablation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import run_report, write_report
+def _is_run_dir(name: str) -> bool:
+    """``repro report NAME``: a run directory to render, not a molecule."""
+    return os.path.isdir(name) or os.sep in name
 
-    if os.path.isdir(args.molecule) or os.sep in args.molecule:
-        # a run directory, not a molecule: render the persisted ledger
+
+def _run_report(args: argparse.Namespace) -> int:
+    if _is_run_dir(args.molecule):
         from repro.obs.manifest import LedgerError, load_run
         from repro.obs.report import render_ledger_report
 
@@ -199,17 +199,16 @@ def _run_report(args: argparse.Namespace) -> int:
         print(f"report for run {record.title} written to {args.out}")
         return 0
 
-    report, _result = run_report(
+    from repro.obs.report import run_report
+
+    validation = run_report(
         molecule=args.molecule,
         basis_name=args.basis,
         nproc=args.nproc,
-        with_trace=not args.no_embedded_trace,
         scf_guard=args.scf_guard,
     )
-    write_report(args.out, report)
-    print(report.validation.text())
-    print(f"report written to {args.out}")
-    if args.check and not report.validation.passed:
+    print(validation.text())
+    if args.check and not validation.passed:
         print(
             "model validation FAILED (a deviation exceeded its fail "
             "threshold; see docs/OBSERVABILITY.md)",
@@ -232,8 +231,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
     mol = molecule_by_name(args.molecule)
     basis = reorder_basis(BasisSet.build(mol, args.basis))
     screen = ScreeningMap(basis, schwarz_model(basis), args.tau)
-    # path extraction needs the run traced: use the ambient tracer when
-    # --trace armed one, otherwise a local throwaway
+    # path extraction needs the run traced: use the session's tracer
+    # when --trace / --report armed one, otherwise a local throwaway
     tracer = get_tracer()
     if not tracer.enabled:
         tracer = Tracer("analyze")
@@ -248,19 +247,15 @@ def _run_analyze(args: argparse.Namespace) -> int:
     )
     print(analysis.text())
     analysis.export_metrics()
-    get_ledger().add_summary(critpath=analysis.summary())
+    # ``critpath`` is what ``repro perf check --runs`` grades; the page's
+    # section reads the full analysis beside it
+    get_ledger().add_summary(
+        critpath=analysis.summary(), critpath_analysis=analysis.to_json()
+    )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(analysis.to_json(), fh, indent=2)
         print(f"analysis JSON written to {args.json}", file=sys.stderr)
-    if args.report:
-        from repro.obs.report import render_critpath_report
-
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(render_critpath_report(analysis))
-        print(
-            f"critical-path report written to {args.report}", file=sys.stderr
-        )
     if args.check:
         try:
             analysis.check()
@@ -455,21 +450,12 @@ def _run_drain(args: argparse.Namespace) -> int:
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
-    import tempfile
-
     from repro.fock.chaos import run_chaos, run_scf_chaos, run_sdc_chaos
-    from repro.obs import get_metrics, get_tracer
+    from repro.obs import get_ledger, get_metrics
     from repro.obs.metrics import export_faults
-    from repro.obs.report import chaos_report, write_report
-    from repro.obs.trace import Tracer
+    from repro.obs.report import record_build
     from repro.service import run_service_chaos
 
-    # runtime only: capture the faulted run for the report's embedded
-    # trace; reuse an installed (--trace) tracer so both outputs describe
-    # the same run
-    tracer = get_tracer() if get_tracer().enabled else None
-    if tracer is None and args.report:
-        tracer = Tracer("repro-chaos")
     queue = args.queue
     if args.family == "service" and queue is None:
         queue = tempfile.mkdtemp(prefix="repro-service-chaos-")
@@ -480,8 +466,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
     families = {
         "runtime": lambda: run_chaos(
             nproc=args.nproc, ndeaths=args.deaths, nstragglers=args.stragglers,
-            op_fail_rate=args.op_fail_rate, delay_rate=args.delay_rate,
-            tracer=tracer, **fock,
+            op_fail_rate=args.op_fail_rate, delay_rate=args.delay_rate, **fock,
         ),
         "scf": lambda: run_scf_chaos(
             quartet_nan_rate=args.quartet_nan_rate, **fock
@@ -494,6 +479,12 @@ def _run_chaos(args: argparse.Namespace) -> int:
         ),
     }
     cres = families[args.family]()
+    get_ledger().add_summary(chaos={
+        "gate": cres.gate,
+        "invariants": [[name, bool(held)] for name, held in cres.invariants()],
+        "details": cres.detail_lines(),
+        "result": cres.to_json(),
+    })
     notes = []
     if args.family == "service":
         subject = f"{cres.njobs} jobs on {cres.workers} workers, queue {queue}"
@@ -505,9 +496,11 @@ def _run_chaos(args: argparse.Namespace) -> int:
             export_faults(
                 cres.faulty.faults, cres.faulty.outcome, registry=get_metrics()
             )
-        if args.report:
-            write_report(args.report, chaos_report(cres, tracer))
-            notes.append(f"chaos report written to {args.report}")
+        record_build(
+            cres.faulty,
+            "this run executed under fault injection: model-vs-measured "
+            "deviations include recovery overhead by design",
+        )
     if args.family == "sdc" and args.workdir:
         notes.append(
             f"  corrupted work tree kept at {args.workdir} "
@@ -1136,18 +1129,50 @@ def main(argv: list[str] | None = None) -> int:
             if not os.access(parent, os.W_OK):
                 parser.error(f"cannot write {path}: directory {parent!r} is not writable")
 
+    # a command that asks for a page runs under a run directory (its
+    # --run-dir, else a scratch one the page never names) and the page is
+    # that directory, rendered once the session has sealed it
+    page = _page_path(args)
+    embed = page is not None and not getattr(args, "no_embedded_trace", False)
+    scratch = (
+        tempfile.TemporaryDirectory(prefix="repro-run-")
+        if page is not None and args.run_dir is None
+        else contextlib.nullcontext(args.run_dir)
+    )
+    with scratch as run_dir:
+        return _run_session(args, argv, run_dir, page, embed)
+
+
+def _page_path(args: argparse.Namespace) -> str | None:
+    """Where the command's HTML page goes, if it asked for one."""
+    if args.command == "report":
+        return None if _is_run_dir(args.molecule) else args.out
+    return getattr(args, "report", None)
+
+
+def _run_session(
+    args: argparse.Namespace,
+    argv: list[str] | None,
+    run_dir: str | None,
+    page: str | None,
+    embed: bool,
+) -> int:
+    """Run the handler under one ``obs.session``; write the page, if any,
+    from the run directory the session sealed."""
     from repro import obs
+    from repro.obs.report import TRACE_NAME
 
     profiler = obs.PhaseProfiler() if args.profile else None
+    tracer = obs.Tracer("repro") if args.trace or embed else None
     ledger = None
-    if args.run_dir:
+    if run_dir:
         config = {
             k: v for k, v in vars(args).items()
             if k not in ("command", "handler", "trace", "metrics", "run_dir")
             and v is not None
         }
         ledger = obs.RunLedger(
-            args.run_dir,
+            run_dir,
             command=args.command,
             config=config,
             molecule=getattr(args, "molecule", None),
@@ -1155,10 +1180,11 @@ def main(argv: list[str] | None = None) -> int:
             seed=getattr(args, "seed", None),
             argv=list(argv) if argv is not None else None,
         )
+    returned = False
     # an escaping exception seals the ledger as a failed run; either way
     # the session writes every artifact asked for before it hands back
     with obs.session(
-        tracer=obs.Tracer("repro") if args.trace else None,
+        tracer=tracer,
         metrics=obs.MetricsRegistry() if args.metrics else None,
         profiler=profiler,
         ledger=ledger,
@@ -1167,9 +1193,21 @@ def main(argv: list[str] | None = None) -> int:
     ) as sess:
         try:
             sess.exit_code = args.handler(args)
+            returned = True
+            if embed:
+                sess.ledger.add_summary(trace=TRACE_NAME)
         except (UnknownNameError, EmptyPlanError) as exc:
             print(f"repro {args.command}: {exc}", file=sys.stderr)
             sess.exit_code = 2
+    if page is not None and returned:
+        from repro.obs.manifest import load_run
+        from repro.obs.report import render_ledger_report
+
+        if embed:
+            tracer.write_chrome(os.path.join(run_dir, TRACE_NAME))
+        with open(page, "w", encoding="utf-8") as fh:
+            fh.write(render_ledger_report(load_run(run_dir)))
+        print(f"report written to {page}")
     if profiler is not None and profiler.stats:
         print("phase profile:", file=sys.stderr)
         print(profiler.table(), file=sys.stderr)

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.chem.builders import molecule_by_name
 from repro.fock.gtfock import GTFockBuildResult, gtfock_build
-from repro.obs import Tracer
 from repro.runtime.faults import (
     FaultPlan,
     GateResult,
@@ -176,14 +175,13 @@ def run_chaos(
     delay_rate: float = 0.05,
     tolerance: float = 1e-12,
     plan: FaultPlan | None = None,
-    tracer: Tracer | None = None,
 ) -> ChaosResult:
     """Run the fault-free/faulted build pair and compare.
 
     When ``plan`` is omitted, a :func:`random_plan` is derived from
     ``seed`` with the fault-free makespan as its horizon, so deaths land
-    mid-execution regardless of problem size.  ``tracer`` (optional)
-    captures the *faulted* run for report embedding.
+    mid-execution regardless of problem size.  Both builds record into
+    the session's tracer.
     """
     engine, hcore, density, mol, basis = build_inputs(molecule, basis_name)
     clean = gtfock_build(
@@ -203,7 +201,7 @@ def run_chaos(
     plan.require_faults()
     faulty = gtfock_build(
         engine, hcore, density, nproc, tau=tau, config=config,
-        screen=clean.screen, tracer=tracer, faults=plan,
+        screen=clean.screen, faults=plan,
     )
     fstate = faulty.faults
     overhead = dict(fstate.overhead_summary()) if fstate is not None else {}

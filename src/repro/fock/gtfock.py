@@ -43,7 +43,7 @@ from repro.fock.stealing import StealingOutcome, run_work_stealing
 from repro.fock.tasks import gtfock_task_rows, task_plan
 from repro.integrals.class_batch import density_stack, jk_from_rows
 from repro.integrals.engine import ERIEngine
-from repro.obs import Tracer, get_tracer
+from repro.obs import get_tracer
 from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET, CH_STEAL_F, CH_TASK_GET
 from repro.runtime.faults import FaultPlan, FaultState
 from repro.runtime.ga import GlobalArray
@@ -137,7 +137,6 @@ def gtfock_build(
     tau: float = 1e-11,
     config: MachineConfig = LONESTAR,
     screen: ScreeningMap | None = None,
-    tracer: Tracer | None = None,
     faults: FaultPlan | FaultState | None = None,
     capture: "SimCapture | None" = None,
 ) -> GTFockBuildResult:
@@ -160,10 +159,10 @@ def gtfock_build(
     ``capture`` is an optional
     :class:`~repro.fock.simulate.SimCapture` that the build fills with
     the raw per-rank accounting for the critical-path analyzer
-    (:func:`repro.obs.critpath.analyze`).
+    (:func:`repro.obs.critpath.analyze`).  The build records into the
+    session's tracer.
     """
-    if tracer is None:
-        tracer = get_tracer()
+    tracer = get_tracer()
     basis = engine.basis
     nbf = basis.nbf
     if hcore.shape != (nbf, nbf) or density.shape != (nbf, nbf):

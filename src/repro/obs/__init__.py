@@ -23,11 +23,10 @@ Tables VI-VIII and Figure 2 are all observability artifacts.  Its parts:
 * :mod:`repro.obs.regress` -- the regression observatory grading the
   BENCH_*.json perf trajectories (``repro perf check``);
 * :mod:`repro.obs.ambient` -- the one ambient :class:`ObsSession`:
-  instrumented code reads its tracer / registry / profiler / ledger
-  through :func:`get_tracer` / :func:`get_metrics` / :func:`get_profiler`
-  / :func:`get_ledger`, ``with repro.obs.phase(name):`` is the one probe
-  a named region needs (profiler phase and tracer span from one
-  timing), and ``with repro.obs.session(...)`` is the one way to install
+  instrumented code reads its tracer / registry / ledger through
+  :func:`get_tracer` / :func:`get_metrics` / :func:`get_ledger`,
+  ``with repro.obs.phase(name):`` is the one probe a named region
+  needs (profiler phase and tracer span from one timing), and ``with repro.obs.session(...)`` is the one way to install
   instruments and the one place they are torn down.
 
 The default session holds no-op instruments (and one live registry), so
@@ -41,7 +40,6 @@ from repro.obs.ambient import (
     ObsSession,
     get_ledger,
     get_metrics,
-    get_profiler,
     get_tracer,
     phase,
     session,
@@ -76,7 +74,6 @@ __all__ = [
     "ObsSession",
     "get_ledger",
     "get_metrics",
-    "get_profiler",
     "get_tracer",
     "phase",
     "session",

@@ -2,9 +2,10 @@
 
 Instrumented code never receives a tracer, registry, profiler or ledger
 as an argument -- it asks for the current one (:func:`get_tracer`,
-:func:`get_metrics`, :func:`get_profiler`, :func:`get_ledger`).  All
-four are attributes of one :class:`ObsSession`, and the current session
-is the only mutable module-level binding in ``repro.obs``.  The
+:func:`get_metrics`, :func:`get_ledger`; the profiler is reached
+through :func:`phase`).  All four are attributes of one
+:class:`ObsSession`, and the current session is the only mutable
+module-level binding in ``repro.obs``.  The
 process starts in a session of null instruments (every probe a no-op)
 plus one live :class:`MetricsRegistry`, so leaving the probes in the
 hot path costs an attribute read.
@@ -67,11 +68,6 @@ def get_tracer() -> Tracer:
 def get_metrics() -> MetricsRegistry:
     """The current session's metrics registry (always a live one)."""
     return _current.metrics
-
-
-def get_profiler() -> PhaseProfiler:
-    """The current session's phase profiler (no-op unless installed)."""
-    return _current.profiler
 
 
 def get_ledger() -> RunLedger:

@@ -24,8 +24,8 @@ threaded J/K workers probe their own chunks and flushes, each on its
 own trace thread.  Allocation attribution follows the main thread only.
 
 Like the tracer and the metrics registry, the profiler is an attribute
-of the current ``repro.obs.session`` read through
-:func:`repro.obs.get_profiler`.  With neither a profiler nor a tracer
+of the current ``repro.obs.session``, which :func:`repro.obs.phase`
+records into.  With neither a profiler nor a tracer
 installed a probe is one attribute check returning a shared no-op, so
 leaving the instrumentation in the hot path costs essentially nothing
 when disabled (and <= 5% when enabled without ``alloc``, gated by
@@ -225,7 +225,7 @@ class NullProfiler(PhaseProfiler):
         pass
 
 
-#: the shared disabled profiler; ``get_profiler()`` returns it by default
+#: the shared disabled profiler; the default session holds it
 NULL_PROFILER = NullProfiler()
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
-"""Self-contained HTML run reports for a Fock-build run.
+"""Self-contained HTML pages of a run directory.
 
-One run -> one HTML file, no external assets: inline CSS, inline SVG
-charts, and the Perfetto trace embedded as a base64 ``data:`` download
-link.  The report shows
+Every page is one rendering of a persisted run directory (the
+``manifest.json`` / ``metrics.jsonl`` / ``summary.json`` triple of
+:mod:`repro.obs.manifest`): :func:`render_ledger_report` is the only page
+function.  A command that asks for a page (``repro report MOLECULE``,
+``--report`` on ``chaos`` / ``analyze`` / ``torture``) runs under a run
+directory, records what its sections need in the summary, and the CLI
+renders that directory -- so ``repro report DIR`` re-renders the same
+page byte for byte, long after the process exited.
 
-* a rank x channel communication-volume heatmap (flight recorder),
-* the steal-event timeline over the virtual clock,
-* per-rank load-balance bars (compute vs communication time),
-* the model-vs-measured deviation table (Sec III-G validation) with
-  pass / warn / fail badges.
+The page picks its sections from the summary keys present (the key
+table is in docs/OBSERVABILITY.md): the numeric build's rank x channel
+communication heatmap, steal timeline, load balance and model-vs-measured
+table (``fock_build``), the critical path (``critpath_analysis``), the
+chaos gate and its recovery overhead (``chaos``), the torture cases
+(``torture``), the convergence guard, data integrity, phase profile and
+the embedded Perfetto trace.  No external assets: inline CSS, inline
+SVG, the trace as a base64 ``data:`` download link.
 
 Charts follow the repo's data-viz conventions: a single blue sequential
 ramp for magnitude, two fixed categorical slots for the compute/comm
@@ -18,10 +26,10 @@ selected per-token (``prefers-color-scheme`` plus a ``data-theme``
 override), native tooltips on every mark, and a table view beside every
 chart so no value is readable only through color.
 
-:func:`run_report` is the driver: it executes a numeric
-:func:`~repro.fock.gtfock.gtfock_build` under a tracer, checks the
-flight recorder's exact-decomposition invariant, validates the run
-against the performance model, and renders the page.
+:func:`run_report` is the numeric-build driver behind ``repro report
+MOLECULE``: it runs :func:`~repro.fock.gtfock.gtfock_build`, validates it
+against the performance model and records the ``fock_build`` and
+``critpath_analysis`` summary keys.
 """
 
 from __future__ import annotations
@@ -29,14 +37,15 @@ from __future__ import annotations
 import base64
 import html
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.obs.flight import FlightRecorder
 from repro.obs.profile import _fmt_bytes
 from repro.obs.validate import FAIL, PASS, WARN, ModelValidation
+
+#: the run directory's copy of the session trace, named by the summary
+TRACE_NAME = "trace.json"
 
 # -- palette (see docs: reference data-viz palette) --------------------------
 
@@ -46,6 +55,22 @@ SEQ_RAMP = (
     "#3987e5", "#2a78d6", "#256abf", "#1c5cab", "#184f95", "#104281",
     "#0d366b",
 )
+
+#: the dark-mode tokens, applied by ``prefers-color-scheme`` unless the
+#: page says ``data-theme="light"``, and by ``data-theme="dark"``
+_DARK = """
+  color-scheme: dark;
+  --surface-1: #1a1a19;
+  --page: #0d0d0d;
+  --text-primary: #ffffff;
+  --text-secondary: #c3c2b7;
+  --text-muted: #898781;
+  --grid: #2c2c2a;
+  --baseline: #383835;
+  --border: rgba(255, 255, 255, 0.10);
+  --series-1: #3987e5;
+  --series-2: #d95926;
+"""
 
 _CSS = """
 :root {
@@ -65,33 +90,9 @@ _CSS = """
   --status-critical: #d03b3b;
 }
 @media (prefers-color-scheme: dark) {
-  :root:where(:not([data-theme="light"])) {
-    color-scheme: dark;
-    --surface-1: #1a1a19;
-    --page: #0d0d0d;
-    --text-primary: #ffffff;
-    --text-secondary: #c3c2b7;
-    --text-muted: #898781;
-    --grid: #2c2c2a;
-    --baseline: #383835;
-    --border: rgba(255, 255, 255, 0.10);
-    --series-1: #3987e5;
-    --series-2: #d95926;
-  }
+  :root:where(:not([data-theme="light"])) {""" + _DARK + """}
 }
-:root[data-theme="dark"] {
-  color-scheme: dark;
-  --surface-1: #1a1a19;
-  --page: #0d0d0d;
-  --text-primary: #ffffff;
-  --text-secondary: #c3c2b7;
-  --text-muted: #898781;
-  --grid: #2c2c2a;
-  --baseline: #383835;
-  --border: rgba(255, 255, 255, 0.10);
-  --series-1: #3987e5;
-  --series-2: #d95926;
-}
+:root[data-theme="dark"] {""" + _DARK + """}
 * { box-sizing: border-box; }
 body {
   margin: 0;
@@ -184,32 +185,14 @@ def _section(body: str) -> str:
     return f"<section>{body}</section>" if body else ""
 
 
-def _page(
-    title: str, heading: str, subtitle: str, tiles, sections, footer: str,
-    gap: str = "\n",
-) -> str:
-    """The document every report page is: head + inline style, heading,
-    subtitle, an optional tile row, the sections and a footer, ``gap``
-    apart.  ``heading`` / ``subtitle`` / ``footer`` are HTML."""
-    blocks = ([_tiles(tiles)] if tiles else []) + list(sections)
-    blocks.append(f"<footer>{footer}</footer>")
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_esc(title)}</title>
-<style>{_CSS}</style>
-</head>
-<body>
-<main>
-<h1>{heading}</h1>
-<p class="subtitle">{subtitle}</p>
-{gap.join(blocks)}
-</main>
-</body>
-</html>
-"""
+def _table(head: list[str], rows) -> str:
+    """A table: the header cells, then one ``<tr>`` per row of cells
+    (all HTML)."""
+    th = "".join(f"<th>{h}</th>" for h in head)
+    body = "".join(
+        "<tr>" + "".join(f"<td>{c}</td>" for c in row) + "</tr>" for row in rows
+    )
+    return f"<table><thead><tr>{th}</tr></thead><tbody>{body}</tbody></table>"
 
 
 def _fmt_g(v: float) -> str:
@@ -231,6 +214,37 @@ def _seq_color(value: float, vmax: float) -> str:
 # -- charts ------------------------------------------------------------------
 
 
+def _svg_open(width: float, height: float, label: str) -> str:
+    return (
+        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
+        f'height="{height}" role="img" aria-label="{label}">'
+    )
+
+
+def _legend(pairs) -> str:
+    """A legend row: one swatch per ``(label, color)`` pair."""
+    return '<div class="legend">' + "".join(
+        f'<span><i class="sw" style="background: {color}"></i>{label}</span>'
+        for label, color in pairs
+    ) + "</div>"
+
+
+def _time_axis(left: float, plot_w: float, axis_y: float, tmax: float) -> str:
+    """The virtual-time x axis under a per-rank timeline: a baseline,
+    five ticks and its unit."""
+    ticks = "".join(
+        f'<text class="axis-label" x="{left + frac * plot_w}" '
+        f'y="{axis_y + 16}" text-anchor="middle">{tmax * frac:.3g}</text>'
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0)
+    )
+    return (
+        f'<line x1="{left}" y1="{axis_y}" x2="{left + plot_w}" '
+        f'y2="{axis_y}" stroke="var(--baseline)"/>{ticks}'
+        f'<text class="axis-label" x="{left + plot_w}" y="{axis_y - 6}" '
+        f'text-anchor="end">virtual seconds</text>'
+    )
+
+
 def heatmap_svg(chans: list[str], values: np.ndarray) -> str:
     """Rank x channel bytes heatmap (rows = ranks, sequential blue)."""
     nproc, nchan = values.shape
@@ -238,11 +252,7 @@ def heatmap_svg(chans: list[str], values: np.ndarray) -> str:
     width = left + nchan * cw + 8
     height = top + nproc * ch_px + 8
     vmax = float(values.max()) if values.size else 0.0
-    out = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" '
-        f'aria-label="bytes moved per rank and channel">'
-    ]
+    out = [_svg_open(width, height, "bytes moved per rank and channel")]
     for j, chan in enumerate(chans):
         x = left + j * cw + cw / 2
         out.append(
@@ -284,16 +294,17 @@ def steal_timeline_svg(
 ) -> str:
     """Steal events over the virtual clock, one row per rank.
 
-    ``path`` (critical-path segments as dicts with ``proc`` / ``start``
-    / ``end`` / ``kind``) overlays the chain that bounds the makespan on
-    the busy tracks.
+    ``steals`` are ``(time, thief, victim, ntasks)`` tuples; ``path``
+    (critical-path segments as dicts with ``proc`` / ``start`` / ``end``
+    / ``kind``) overlays the chain that bounds the makespan on the busy
+    tracks.
     """
     left, top, right, row_h = 44, 16, 12, 26
     plot_w = 640
     width = left + plot_w + right
     height = top + nproc * row_h + 34
     tmax = float(finish.max()) if finish.size else 0.0
-    tmax = max(tmax, max((s.time for s in steals), default=0.0), 1e-30)
+    tmax = max(tmax, max((s[0] for s in steals), default=0.0), 1e-30)
 
     def x_of(t: float) -> float:
         return left + (t / tmax) * plot_w
@@ -301,10 +312,7 @@ def steal_timeline_svg(
     def y_of(rank: int) -> float:
         return top + rank * row_h + row_h / 2
 
-    out = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="steal-event timeline">'
-    ]
+    out = [_svg_open(width, height, "steal-event timeline")]
     for p in range(nproc):
         y = y_of(p)
         out.append(
@@ -323,27 +331,13 @@ def steal_timeline_svg(
             f'stroke-linecap="round"><title>rank {p} busy until '
             f"{finish[p]:.3g} s</title></line>"
         )
-    axis_y = top + nproc * row_h + 8
-    out.append(
-        f'<line x1="{left}" y1="{axis_y}" x2="{left + plot_w}" '
-        f'y2="{axis_y}" stroke="var(--baseline)"/>'
-    )
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = left + frac * plot_w
-        out.append(
-            f'<text class="axis-label" x="{x}" y="{axis_y + 16}" '
-            f'text-anchor="middle">{tmax * frac:.3g}</text>'
-        )
-    out.append(
-        f'<text class="axis-label" x="{left + plot_w}" y="{axis_y - 6}" '
-        f'text-anchor="end">virtual seconds</text>'
-    )
-    for s in steals:
-        x = x_of(s.time)
-        y_t, y_v = y_of(s.thief), y_of(s.victim)
+    out.append(_time_axis(left, plot_w, top + nproc * row_h + 8, tmax))
+    for time, thief, victim, ntasks in steals:
+        x = x_of(time)
+        y_t, y_v = y_of(thief), y_of(victim)
         tip = (
-            f"<title>t={s.time:.3g} s: r{s.thief} stole {s.ntasks} tasks "
-            f"from r{s.victim}</title>"
+            f"<title>t={time:.3g} s: r{thief} stole {ntasks} tasks "
+            f"from r{victim}</title>"
         )
         out.append(
             f'<line x1="{x:.1f}" y1="{y_t}" x2="{x:.1f}" y2="{y_v}" '
@@ -389,11 +383,7 @@ def load_balance_svg(comp: np.ndarray, comm: np.ndarray) -> str:
     def h_of(v: float) -> float:
         return (v / vmax) * plot_h
 
-    out = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" '
-        f'aria-label="per-rank compute and communication time">'
-    ]
+    out = [_svg_open(width, height, "per-rank compute and communication time")]
     for frac in (0.0, 0.5, 1.0):
         y = top + plot_h - frac * plot_h
         out.append(
@@ -445,34 +435,24 @@ def load_balance_svg(comp: np.ndarray, comm: np.ndarray) -> str:
 
 
 def _matrix_table(chans: list[str], values: np.ndarray, fmt) -> str:
-    head = "".join(f"<th>{_esc(c)}</th>" for c in chans)
-    rows = []
-    for i in range(values.shape[0]):
-        cells = "".join(f"<td>{fmt(values[i, j])}</td>" for j in range(len(chans)))
-        rows.append(f"<tr><td>r{i}</td>{cells}</tr>")
-    return (
-        f"<table><thead><tr><th>rank</th>{head}</tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
+    return _table(
+        ["rank"] + [_esc(c) for c in chans],
+        ([f"r{i}"] + [fmt(v) for v in row] for i, row in enumerate(values)),
     )
 
 
-def validation_table_html(v: ModelValidation) -> str:
-    rows = []
-    for d in v.deviations:
-        rows.append(
-            "<tr>"
-            f"<td>{_esc(d.name)}</td>"
-            f"<td>{_fmt_g(d.predicted)}</td>"
-            f"<td>{_fmt_g(d.measured)}</td>"
-            f"<td>{d.ratio:.3f}</td>"
-            f"<td>&le; {_fmt_g(d.warn_at)} / {_fmt_g(d.fail_at)}</td>"
-            f"<td>{_badge(d.status)}</td>"
-            "</tr>"
-        )
-    return (
-        "<table><thead><tr><th>metric</th><th>model</th><th>measured</th>"
-        "<th>measured/model</th><th>tolerance (fold)</th><th>status</th>"
-        f"</tr></thead><tbody>{''.join(rows)}</tbody></table>"
+def validation_table_html(v: dict) -> str:
+    """The deviation table of :meth:`ModelValidation.to_json` ``v``."""
+    return _table(
+        ["metric", "model", "measured", "measured/model", "tolerance (fold)",
+         "status"],
+        (
+            [_esc(d["name"]), _fmt_g(d["predicted"]), _fmt_g(d["measured"]),
+             f"{d['ratio']:.3f}",
+             f"&le; {_fmt_g(d['warn_at'])} / {_fmt_g(d['fail_at'])}",
+             _badge(d["status"])]
+            for d in v["deviations"]
+        ),
     )
 
 
@@ -488,11 +468,7 @@ def phase_bars_svg(phases: list[dict]) -> str:
     width = left + plot_w + right
     height = 18 + len(phases) * row_h + 8
     vmax = max(max(p["wall_s"] for p in phases), 1e-12)
-    out = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" '
-        f'aria-label="wall and CPU time per phase">'
-    ]
+    out = [_svg_open(width, height, "wall and CPU time per phase")]
     for i, p in enumerate(phases):
         y = 18 + i * row_h
         name = p["name"]
@@ -525,51 +501,36 @@ def phase_bars_svg(phases: list[dict]) -> str:
 
 
 def phase_table_html(phases: list[dict]) -> str:
-    rows = []
-    for p in phases:
-        alloc = p.get("alloc_peak_bytes", 0)
-        rows.append(
-            "<tr>"
-            f"<td>{_esc(p['name'])}</td>"
-            f"<td>{p['calls']}</td>"
-            f"<td>{p['wall_s']:.4f}</td>"
-            f"<td>{p['cpu_s']:.4f}</td>"
-            f"<td>{p['max_wall_s']:.4f}</td>"
-            f"<td>{_fmt_bytes(alloc) if alloc else '&mdash;'}</td>"
-            "</tr>"
-        )
-    return (
-        "<table><thead><tr><th>phase</th><th>calls</th><th>wall (s)</th>"
-        "<th>CPU (s)</th><th>max (s)</th><th>peak alloc</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
+    return _table(
+        ["phase", "calls", "wall (s)", "CPU (s)", "max (s)", "peak alloc"],
+        (
+            [_esc(p["name"]), p["calls"], f"{p['wall_s']:.4f}",
+             f"{p['cpu_s']:.4f}", f"{p['max_wall_s']:.4f}",
+             _fmt_bytes(p["alloc_peak_bytes"])
+             if p.get("alloc_peak_bytes") else "&mdash;"]
+            for p in phases
+        ),
     )
 
 
 def hotspot_table_html(hotspots: dict) -> str:
     """The cProfile top-N table (``HotspotProfile.to_json()`` shape)."""
+    head = (
+        f"{hotspots.get('total_calls', 0)} calls, "
+        f"{hotspots.get('total_time', 0.0):.3f} s under cProfile"
+    )
     rows = []
     for h in hotspots.get("hotspots", []):
         where = h["func"] if h["file"] in ("~", "") else (
             f"{h['file']}:{h['line']}:{h['func']}"
         )
-        rows.append(
-            "<tr>"
-            f"<td><code>{_esc(where)}</code></td>"
-            f"<td>{h['ncalls']}</td>"
-            f"<td>{h['tottime']:.4f}</td>"
-            f"<td>{h['cumtime']:.4f}</td>"
-            "</tr>"
-        )
-    head = (
-        f"{hotspots.get('total_calls', 0)} calls, "
-        f"{hotspots.get('total_time', 0.0):.3f} s under cProfile"
-    )
+        rows.append([
+            f"<code>{_esc(where)}</code>", h["ncalls"], f"{h['tottime']:.4f}",
+            f"{h['cumtime']:.4f}",
+        ])
     return (
-        f'<p class="caption">{_esc(head)} (sorted by cumulative '
-        "time).</p>"
-        "<table><thead><tr><th>location</th><th>calls</th>"
-        "<th>self (s)</th><th>cumulative (s)</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
+        f'<p class="caption">{_esc(head)} (sorted by cumulative time).</p>'
+        + _table(["location", "calls", "self (s)", "cumulative (s)"], rows)
     )
 
 
@@ -587,11 +548,7 @@ def phase_section_html(
     ]
     if phases:
         parts.append(
-            '<div class="legend">'
-            '<span><i class="sw" style="background: var(--series-1)"></i>'
-            "wall</span>"
-            '<span><i class="sw" style="background: var(--series-2)"></i>'
-            "CPU</span></div>"
+            _legend((("wall", "var(--series-1)"), ("CPU", "var(--series-2)")))
         )
         parts.append(phase_bars_svg(phases))
         parts.append(
@@ -632,10 +589,7 @@ def critpath_waterfall_svg(
         (int(s["proc"]), float(s["start"]), float(s["end"]))
         for s in path or []
     }
-    out = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="per-rank waterfall">'
-    ]
+    out = [_svg_open(width, height, "per-rank waterfall")]
     for p, chain in enumerate(chains):
         y = top + p * row_h + (row_h - bar_h) / 2
         out.append(
@@ -664,30 +618,9 @@ def critpath_waterfall_svg(
                 f'width="{w:.2f}" height="{bar_h}" fill="{color}"'
                 f"{stroke}>{tip}</rect>"
             )
-    axis_y = top + nproc * row_h + 8
-    out.append(
-        f'<line x1="{left}" y1="{axis_y}" x2="{left + plot_w}" '
-        f'y2="{axis_y}" stroke="var(--baseline)"/>'
-    )
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = left + frac * plot_w
-        out.append(
-            f'<text class="axis-label" x="{x}" y="{axis_y + 16}" '
-            f'text-anchor="middle">{tmax * frac:.3g}</text>'
-        )
-    out.append(
-        f'<text class="axis-label" x="{left + plot_w}" y="{axis_y - 6}" '
-        f'text-anchor="end">virtual seconds</text>'
-    )
+    out.append(_time_axis(left, plot_w, top + nproc * row_h + 8, tmax))
     out.append("</svg>")
     return "".join(out)
-
-
-def _critpath_legend() -> str:
-    return '<div class="legend">' + "".join(
-        f'<span><i class="sw" style="background: {color}"></i>{kind}</span>'
-        for kind, color in CRITPATH_COLORS.items()
-    ) + "</div>"
 
 
 def critpath_section_html(cp: dict) -> str:
@@ -715,7 +648,7 @@ def critpath_section_html(cp: dict) -> str:
     ]
     chains = cp.get("chains")
     if chains:
-        parts.append(_critpath_legend())
+        parts.append(_legend(CRITPATH_COLORS.items()))
         parts.append(
             critpath_waterfall_svg(
                 chains,
@@ -728,176 +661,182 @@ def critpath_section_html(cp: dict) -> str:
             "bounds the makespan.</p>"
         )
     if path is not None:
-        blame_rows = "".join(
-            f"<tr><td>{_esc(b['kind'])}</td>"
-            f"<td>{b['seconds']:.6g}</td>"
-            f"<td>{b['seconds'] / d['makespan']:.1%}</td>"
-            f"<td>{b['count']}</td></tr>"
-            for b in path["blame"]
-        )
         parts.append(
             "<h2>Blame table</h2>"
             '<p class="caption">Critical-path seconds by segment kind '
             "&mdash; shrinking the top row is the only way to shrink the "
             "makespan.</p>"
-            "<table><thead><tr><th>kind</th><th>seconds</th>"
-            "<th>share of makespan</th><th>segments</th></tr></thead>"
-            f"<tbody>{blame_rows}</tbody></table>"
+            + _table(
+                ["kind", "seconds", "share of makespan", "segments"],
+                (
+                    [_esc(b["kind"]), f"{b['seconds']:.6g}",
+                     f"{b['seconds'] / d['makespan']:.1%}", b["count"]]
+                    for b in path["blame"]
+                ),
+            )
         )
     whatifs = cp.get("whatifs") or []
     if whatifs:
-        def _w_badge(v: str) -> str:
-            if v == "PASS":
-                return _badge(PASS)
-            if v == "WARN":
-                return _badge(WARN)
-            if v == "FAIL":
-                return _badge(FAIL)
-            return '<span class="badge">projected</span>'
+        def cell(value, fmt: str) -> str:
+            return "&mdash;" if value is None else format(value, fmt)
 
-        rows = ""
-        for w in whatifs:
-            resim = (
-                f"{w['resim_makespan']:.6g}"
-                if w.get("resim_makespan") is not None
-                else "&mdash;"
-            )
-            err = (
-                f"{w['rel_err']:.1%}"
-                if w.get("rel_err") is not None
-                else "&mdash;"
-            )
-            rows += (
-                f"<tr><td>{_esc(w['name'])}"
-                f'<div class="caption">{_esc(w["description"])}</div></td>'
-                f"<td>{w['speedup']:.2f}&times;</td>"
-                f"<td>{w['projected_makespan']:.6g}</td>"
-                f"<td>{resim}</td><td>{err}</td>"
-                f"<td>{_w_badge(w['verdict'])}</td></tr>"
-            )
         parts.append(
             "<h2>What-if projections</h2>"
             '<p class="caption">Differential replay of the recorded '
             "per-rank structure under perturbed parameters; cross-checked "
             "scenarios carry the projection-vs-resimulation error "
             "(&le;15% pass, &le;30% warn).</p>"
-            "<table><thead><tr><th>scenario</th><th>speedup</th>"
-            "<th>projected (s)</th><th>re-simulated (s)</th>"
-            "<th>error</th><th></th></tr></thead>"
-            f"<tbody>{rows}</tbody></table>"
+            + _table(
+                ["scenario", "speedup", "projected (s)", "re-simulated (s)",
+                 "error", ""],
+                (
+                    [f"{_esc(w['name'])}"
+                     f'<div class="caption">{_esc(w["description"])}</div>',
+                     f"{w['speedup']:.2f}&times;",
+                     f"{w['projected_makespan']:.6g}",
+                     cell(w.get("resim_makespan"), ".6g"),
+                     cell(w.get("rel_err"), ".1%"),
+                     # verdicts are PASS / WARN / FAIL or PROJECTED
+                     _badge(w["verdict"].lower())
+                     if w["verdict"].lower() in _BADGES
+                     else '<span class="badge">projected</span>']
+                    for w in whatifs
+                ),
+            )
         )
     ranks = d.get("ranks") or []
     if ranks:
-        rank_rows = "".join(
-            f"<tr><td>r{r['proc']}</td><td>{r['compute']:.6g}</td>"
-            f"<td>{r['comm_total']:.6g}</td><td>{r['blocked']:.6g}</td>"
-            f"<td>{r['idle']:.6g}</td><td>{r['end']:.6g}</td>"
-            f"<td>{r['residual']:.2e}</td></tr>"
-            for r in ranks
-        )
         parts.append(
             "<details><summary>per-rank decomposition</summary>"
-            "<table><thead><tr><th>rank</th><th>compute (s)</th>"
-            "<th>comm (s)</th><th>blocked (s)</th><th>idle (s)</th>"
-            "<th>end (s)</th><th>residual</th></tr></thead>"
-            f"<tbody>{rank_rows}</tbody></table></details>"
+            + _table(
+                ["rank", "compute (s)", "comm (s)", "blocked (s)", "idle (s)",
+                 "end (s)", "residual"],
+                (
+                    [f"r{r['proc']}", f"{r['compute']:.6g}",
+                     f"{r['comm_total']:.6g}", f"{r['blocked']:.6g}",
+                     f"{r['idle']:.6g}", f"{r['end']:.6g}",
+                     f"{r['residual']:.2e}"]
+                    for r in ranks
+                ),
+            )
+            + "</details>"
         )
     return "".join(parts)
 
 
-def render_critpath_report(analysis: Any) -> str:
-    """Standalone HTML page for one
-    :class:`~repro.obs.critpath.CritPathAnalysis` (``repro analyze
-    --report``)."""
-    cp = analysis.to_json() if hasattr(analysis, "to_json") else analysis
-    return _page(
-        f"critpath-{cp.get('molecule') or 'run'}-{cp.get('cores', 0)}c",
-        f"Critical-path analysis: {_esc(str(cp.get('molecule') or '?'))}",
-        f"{_esc(str(cp.get('algorithm', 'gtfock')))} @\n"
-        f"{cp.get('cores', 0)} simulated cores ({cp.get('nproc', 0)} ranks)",
-        None,
-        [_section(f"\n{critpath_section_html(cp)}\n")],
-        "self-contained report &mdash; no external assets; generated by\n"
-        "the repro critical-path analyzer (see docs/OBSERVABILITY.md)",
+# -- numeric build (``fock_build``) --------------------------------------------
+
+
+def fock_build_tiles(fb: dict) -> list[tuple[str, str]]:
+    return [
+        (str(fb["nproc"]), "processes"),
+        (f"{fb['nbf']} / {fb['nshells']}", "functions / shells"),
+        (str(len(fb["steals"])), "steals"),
+        (f"{fb['makespan']:.3g} s", "makespan"),
+        (f"{fb['load_balance']:.3f}", "load balance"),
+        (f"{fb['avg_volume_mb']:.3f}", "MB / process"),
+    ]
+
+
+def _flight_matrix(fb: dict, key: str) -> np.ndarray:
+    fl = fb["flight"]
+    return np.asarray(fl[key]).reshape(fb["nproc"], len(fl["channels"]))
+
+
+def fock_build_sections_html(fb: dict, path: list[dict] | None) -> list[str]:
+    """Communication heatmap, steal timeline, load balance and the
+    model-vs-measured table of one numeric build (``fock_build``);
+    ``path`` is the critical path to overlay on the steal timeline."""
+    chans = fb["flight"]["channels"]
+    m_bytes = _flight_matrix(fb, "bytes")
+    comp, comm, finish = (
+        np.asarray(fb[k], dtype=float)
+        for k in ("comp_time", "comm_time", "finish_time")
+    )
+    steal_table = _table(
+        ["t (s)", "thief", "victim", "tasks"],
+        ([f"{t:.6g}", f"r{thief}", f"r{victim}", n]
+         for t, thief, victim, n in fb["steals"]),
+    )
+    rank_table = _table(
+        ["rank", "compute (s)", "comm (s)", "finish (s)"],
+        ([f"r{p}", f"{comp[p]:.6g}", f"{comm[p]:.6g}", f"{finish[p]:.6g}"]
+         for p in range(fb["nproc"])),
+    )
+    v = fb["validation"]
+    notes = "".join(f"<li>{_esc(n)}</li>" for n in fb["notes"])
+    overlay = "; the thick overlay is the critical path" if path else ""
+    return [
+        "<h2>Communication volume by rank and channel</h2>"
+        '<p class="caption">Bytes moved per rank on each flight-recorder '
+        "channel (sequential scale, hover any cell for the value). Per-rank "
+        "channel sums equal the run's Table VI counters exactly.</p>"
+        f"{heatmap_svg(chans, m_bytes)}"
+        "<details><summary>table view (bytes and calls)</summary>"
+        f"{_matrix_table(chans, m_bytes, _fmt_bytes)}"
+        '<p class="caption">one-sided calls:</p>'
+        f"{_matrix_table(chans, _flight_matrix(fb, 'msgs'), _fmt_int)}"
+        "</details>",
+        "<h2>Steal-event timeline</h2>"
+        '<p class="caption">Each steal connects its victim (open marker) to '
+        "the thief (filled marker) at the virtual time it happened; the gray "
+        f"track shows how long each rank stayed busy{overlay}.</p>"
+        f"{steal_timeline_svg(fb['steals'], finish, fb['nproc'], path=path)}"
+        f"<details><summary>table view</summary>{steal_table}</details>",
+        "<h2>Load balance</h2>"
+        + _legend((
+            ("compute", "var(--series-1)"), ("communication", "var(--series-2)")
+        ))
+        + f"{load_balance_svg(comp, comm)}"
+        f'<p class="caption">l = max/mean clock = {fb["load_balance"]:.3f} '
+        "(Table VIII metric).</p>"
+        f"<details><summary>table view</summary>{rank_table}</details>",
+        "<h2>Model vs measured (Sec III-G)</h2>"
+        '<p class="caption">Performance-model predictions against '
+        "flight-recorder measurements; a metric warns/fails when "
+        "measured/model (folded to &ge;&nbsp;1) exceeds its documented "
+        f"tolerance. Measured s = {v['s_measured']:.2f} victims/process. "
+        f"{_badge(v['status'])}</p>"
+        f"{validation_table_html(v)}"
+        + (f'<ul class="caption">{notes}</ul>' if notes else ""),
+    ]
+
+
+def scheduler_atomics_html(fb: dict) -> str:
+    """Per-rank queue/steal-protocol operations of a numeric build."""
+    chans = fb["flight"]["channels"]
+    m_ops = _flight_matrix(fb, "ops")
+    keep = [j for j in range(len(chans)) if np.any(m_ops[:, j])]
+    if not keep:
+        return ""
+    return (
+        "<h2>Scheduler atomics</h2>"
+        '<p class="caption">Queue/steal-protocol operations per rank '
+        "(not one-sided GA calls; kept out of the Table VI/VII "
+        "counters).</p>"
+        + _matrix_table([chans[j] for j in keep], m_ops[:, keep], _fmt_int)
     )
 
 
-# -- the report --------------------------------------------------------------
+def _fmt_int(v: float) -> str:
+    return f"{int(v)}"
 
 
-@dataclass
-class RunReport:
-    """Everything one report page needs, decoupled from how it was run."""
-
-    title: str
-    molecule: str
-    basis_name: str
-    nproc: int
-    nbf: int
-    nshells: int
-    flight: FlightRecorder
-    comp_time: np.ndarray
-    comm_time: np.ndarray
-    finish_time: np.ndarray
-    steals: list[Any]
-    validation: ModelValidation
-    summary: dict
-    #: the run's Chrome trace-event JSON, as ``Tracer.chrome_chunks``
-    #: writes it; embedded verbatim as the download link
-    trace: str | None = None
-    notes: list[str] = field(default_factory=list)
-    #: fault-injection/recovery summary (chaos runs only); see
-    #: ``docs/ROBUSTNESS.md`` for the fields
-    recovery: dict | None = None
-    #: SCF convergence-guard summary (guarded SCF runs only):
-    #: :meth:`repro.scf.guard.SCFGuard.summary` plus a ``trail`` list
-    scf_guard: dict | None = None
-    #: data-integrity summary (``integrity=`` runs only):
-    #: :meth:`repro.runtime.sdc.IntegrityMonitor.summary`
-    integrity: dict | None = None
-    #: phase-profiler stats (``PhaseProfiler.to_json()``) when a profiler
-    #: was installed (``--profile``); None otherwise
-    phases: list[dict] | None = None
-    #: cProfile top-N (``HotspotProfile.to_json()``); None unless captured
-    hotspots: dict | None = None
-    #: critical-path analysis (``CritPathAnalysis.to_json()``) when the
-    #: build filled a :class:`~repro.fock.simulate.SimCapture`
-    critpath: dict | None = None
-
-    @property
-    def load_balance(self) -> float:
-        return float(self.summary.get("load_balance", 1.0))
+# -- chaos gates (``chaos``) and the torture suite (``torture``) -------------
 
 
-def render_report(r: RunReport) -> str:
-    """Render one :class:`RunReport` as a self-contained HTML page."""
-    chans, m_bytes = r.flight.matrix("bytes")
-    _, m_msgs = r.flight.matrix("msgs")
-
-    trace_html = ""
-    if r.trace is not None:
-        payload = base64.b64encode(r.trace.encode("utf-8")).decode("ascii")
-        trace_html = (
-            "<h2>Trace</h2>"
-            '<p class="caption">Chrome trace-event JSON of this run '
-            "(host spans + per-rank virtual clocks). Download and open at "
-            '<a href="https://ui.perfetto.dev">ui.perfetto.dev</a>.</p>'
-            f'<a download="{_esc(r.title)}.trace.json" '
-            f'href="data:application/json;base64,{payload}">'
-            "download Perfetto trace"
-            f" ({_fmt_bytes(len(payload) * 3 // 4)})</a>"
-        )
-
-    notes_html = ""
-    if r.notes:
-        items = "".join(f"<li>{_esc(n)}</li>" for n in r.notes)
-        notes_html = f'<ul class="caption">{items}</ul>'
-
-    recovery_html = ""
-    if r.recovery is not None:
-        rec = r.recovery
-        inv_badge = _badge(PASS if rec.get("passed", False) else FAIL)
-        rec_tiles = _tiles((
+def recovery_section_html(result: dict) -> str:
+    """The runtime family's fault-injection & recovery tiles; ``result``
+    is :meth:`~repro.fock.chaos.ChaosResult.to_json`, whose overhead
+    ``plan`` entry is the plan's describe() string."""
+    rec = {**result, **result["overhead"]}
+    return (
+        "<h2>Fault injection &amp; recovery</h2>"
+        f'<p class="caption">Plan: <code>{_esc(rec.get("plan", ""))}'
+        "</code> &mdash; chaos invariant (faulted Fock matrix equals "
+        f"the fault-free one to &le; {rec.get('tolerance', 1e-12):.0e}) "
+        f"{_badge(PASS if rec.get('passed', False) else FAIL)}</p>"
+        + _tiles((
             (f"{rec.get('fock_error', 0.0):.2e}", "max |dF| vs fault-free"),
             (str(rec.get("dead_ranks", [])), "dead ranks"),
             (str(rec.get("reexecuted_tasks", 0)), "re-executed tasks"),
@@ -907,118 +846,109 @@ def render_report(r: RunReport) -> str:
             (_fmt_bytes(rec.get("retry_bytes", 0)), "retry bytes"),
             (f"x{rec.get('slowdown', 1.0):.2f}", "makespan vs fault-free"),
         ))
-        recovery_html = (
-            "<h2>Fault injection &amp; recovery</h2>"
-            f'<p class="caption">Plan: <code>{_esc(rec.get("plan", ""))}'
-            "</code> &mdash; chaos invariant (faulted Fock matrix equals "
-            f"the fault-free one to &le; {rec.get('tolerance', 1e-12):.0e}) "
-            f"{inv_badge}</p>"
-            f"{rec_tiles}"
-            '<p class="caption">Recovery overhead is visible above: the '
-            "<code>retry</code> heatmap column carries every re-sent "
-            "payload and injected delay, and re-executed tasks inflate "
-            "the survivors' compute bars. See docs/ROBUSTNESS.md for the "
-            "taxonomy and protocol.</p>"
-        )
-
-    path_segments = ((r.critpath or {}).get("path") or {}).get("segments")
-
-    ops_chans = [c for c in chans if np.any(r.flight.per_rank(c, "ops"))]
-    ops_html = ""
-    if ops_chans:
-        m_ops = np.stack(
-            [r.flight.per_rank(c, "ops") for c in ops_chans], axis=1
-        )
-        ops_html = (
-            "<h2>Scheduler atomics</h2>"
-            '<p class="caption">Queue/steal-protocol operations per rank '
-            "(not one-sided GA calls; kept out of the Table VI/VII "
-            "counters).</p>"
-            + _matrix_table(ops_chans, m_ops, lambda v: f"{int(v)}")
-        )
-
-    sections = [
-        _section(f"""
-<h2>Communication volume by rank and channel</h2>
-<p class="caption">Bytes moved per rank on each flight-recorder channel
-(sequential scale, hover any cell for the value). Per-rank channel sums
-equal the run's Table VI counters exactly.</p>
-{heatmap_svg(chans, m_bytes)}
-<details><summary>table view (bytes and calls)</summary>
-{_matrix_table(chans, m_bytes, lambda v: _fmt_bytes(v))}
-<p class="caption">one-sided calls:</p>
-{_matrix_table(chans, m_msgs, lambda v: f"{int(v)}")}
-</details>
-"""),
-        _section(f"""
-<h2>Steal-event timeline</h2>
-<p class="caption">Each steal connects its victim (open marker) to the
-thief (filled marker) at the virtual time it happened; the gray track
-shows how long each rank stayed busy{
-    "; the thick overlay is the critical path" if path_segments else ""}.</p>
-{steal_timeline_svg(r.steals, r.finish_time, r.nproc, path=path_segments)}
-<details><summary>table view</summary>
-<table><thead><tr><th>t (s)</th><th>thief</th><th>victim</th>
-<th>tasks</th></tr></thead><tbody>
-{''.join(f"<tr><td>{s.time:.6g}</td><td>r{s.thief}</td><td>r{s.victim}</td><td>{s.ntasks}</td></tr>" for s in r.steals)}
-</tbody></table></details>
-"""),
-        _section(f"""
-<h2>Load balance</h2>
-<div class="legend">
-<span><i class="sw" style="background: var(--series-1)"></i>compute</span>
-<span><i class="sw" style="background: var(--series-2)"></i>communication</span>
-</div>
-{load_balance_svg(r.comp_time, r.comm_time)}
-<p class="caption">l = max/mean clock = {r.load_balance:.3f}
-(Table VIII metric).</p>
-<details><summary>table view</summary>
-<table><thead><tr><th>rank</th><th>compute (s)</th><th>comm (s)</th>
-<th>finish (s)</th></tr></thead><tbody>
-{''.join(f"<tr><td>r{p}</td><td>{r.comp_time[p]:.6g}</td><td>{r.comm_time[p]:.6g}</td><td>{r.finish_time[p]:.6g}</td></tr>" for p in range(r.nproc))}
-</tbody></table></details>
-"""),
-        _section(f"""
-<h2>Model vs measured (Sec III-G)</h2>
-<p class="caption">Performance-model predictions against flight-recorder
-measurements; a metric warns/fails when measured/model (folded to
-&ge;&nbsp;1) exceeds its documented tolerance. Measured s =
-{r.validation.s_measured:.2f} victims/process.</p>
-{validation_table_html(r.validation)}
-{notes_html}
-"""),
-        _section(critpath_section_html(r.critpath) if r.critpath else ""),
-        _section(recovery_html),
-        _section(scf_guard_section_html(r.scf_guard) if r.scf_guard else ""),
-        _section(integrity_section_html(r.integrity) if r.integrity else ""),
-        _section(phase_section_html(r.phases or [], r.hotspots)),
-        _section(ops_html),
-        _section(trace_html),
-    ]
-    return _page(
-        r.title,
-        f"Fock-build run report: {_esc(r.title)}",
-        f"{_esc(r.molecule)} / {_esc(r.basis_name)} on\n"
-        f"{r.nproc} simulated processes &mdash; model validation\n"
-        f"{_badge(r.validation.status)}",
-        (
-            (r.molecule, "molecule"),
-            (r.basis_name, "basis"),
-            (str(r.nproc), "processes"),
-            (f"{r.nbf} / {r.nshells}", "functions / shells"),
-            (str(len(r.steals)), "steals"),
-            (f"{r.summary.get('makespan', 0.0):.3g} s", "makespan"),
-            (f"{r.load_balance:.3f}", "load balance"),
-            (f"{r.summary.get('avg_volume_mb', 0.0):.3f}", "MB / process"),
-        ),
-        sections,
-        "self-contained report &mdash; no external assets; generated by\n"
-        "the repro flight recorder (see docs/OBSERVABILITY.md)",
-        gap="\n\n",
+        + '<p class="caption">Recovery overhead is visible above: the '
+        "<code>retry</code> heatmap column carries every re-sent "
+        "payload and injected delay, and re-executed tasks inflate "
+        "the survivors' compute bars. See docs/ROBUSTNESS.md for the "
+        "taxonomy and protocol.</p>"
     )
 
 
+def gate_section_html(g: dict) -> str:
+    """A chaos family's gate: one row per invariant with its PASS/FAIL
+    badge, then the family's detail lines."""
+    invariants = g["invariants"]
+    passed = all(held for _, held in invariants)
+    items = "".join(f"<li><code>{_esc(line)}</code></li>" for line in g["details"])
+    return (
+        f"<h2>Chaos gate: {_esc(g['gate'])}</h2>"
+        f'<p class="caption">{len(invariants)} invariants '
+        f"{_badge(PASS if passed else FAIL)} &mdash; every gate is "
+        "tabulated in docs/ROBUSTNESS.md.</p>"
+        + _table(
+            ["invariant", "status"],
+            ([_esc(name), _badge(PASS if held else FAIL)]
+             for name, held in invariants),
+        )
+        + f'<ul class="caption">{items}</ul>'
+    )
+
+
+def torture_tiles(records: list[dict]) -> list[tuple[str, str]]:
+    npassed = sum(1 for rec in records if rec.get("passed"))
+    return [
+        (str(len(records)), "torture cases"),
+        (f"{npassed}/{len(records)}", "passed the guard gate"),
+        (str(sum(1 for rec in records if rec.get("converged"))),
+         "converged under guard"),
+        (str(sum(len(rec.get("trail", [])) for rec in records)),
+         "guard events"),
+    ]
+
+
+def torture_sections_html(records: list[dict]) -> list[str]:
+    """The cases table and the event trails of an SCF torture run;
+    ``records`` is :meth:`repro.scf.torture.TortureResult.to_json`."""
+    rows = []
+    details = []
+    for rec in records:
+        vanilla = rec.get("vanilla_converged")
+        vanilla_s = "&mdash;" if vanilla is None else ("ok" if vanilla else "FAIL")
+        energy = rec.get("energy")
+        energy_s = f"{energy:.6f}" if energy is not None else "&mdash;"
+        lines = rec.get("trail", [])
+        rows.append([
+            _esc(rec.get("case", "")), vanilla_s, _esc(rec.get("status", "")),
+            rec.get("iterations", 0), energy_s, len(lines),
+            _badge(PASS if rec.get("passed") else FAIL),
+        ])
+        body = (
+            "".join(f"<li><code>{_esc(ln)}</code></li>" for ln in lines)
+            or "<li>no guard events (healthy run)</li>"
+        )
+        caption = _esc(rec.get("description", ""))
+        if rec.get("aborted"):
+            caption += (
+                f" &mdash; aborted: <code>{_esc(rec.get('abort_reason', ''))}"
+                "</code>"
+            )
+        guard = rec.get("guard") or {}
+        details.append(
+            f"<details><summary>{_esc(rec.get('case', ''))} "
+            f"({len(lines)} events, rung {guard.get('level', '&mdash;')})"
+            f'</summary><p class="caption">{caption}</p>'
+            f"<ul>{body}</ul></details>"
+        )
+    return [
+        "<h2>Cases</h2>"
+        '<p class="caption">"vanilla" is the same driver configuration '
+        'without the guard; "events" counts typed GuardEvents '
+        "(classifications and remediations). Ladder and classifier rules: "
+        "docs/ROBUSTNESS.md.</p>"
+        + _table(
+            ["case", "vanilla", "guarded", "iters", "energy (Ha)", "events",
+             "gate"],
+            rows,
+        ),
+        f"<h2>Event trails</h2>{''.join(details)}",
+    ]
+
+
 # -- SCF convergence guard -----------------------------------------------------
+
+
+def _counts_table(what: str, groups, empty: str) -> str:
+    """One ``(name, count, kind)`` row per entry of each ``(counts,
+    kind)`` group, names sorted within a group; ``empty`` is the caption
+    shown when no group has an entry."""
+    rows = [
+        [_esc(k), v, kind]
+        for counts, kind in groups
+        for k, v in sorted((counts or {}).items())
+    ]
+    if not rows:
+        return f'<p class="caption">{empty}</p>'
+    return _table([what, "count", "kind"], rows)
 
 
 def scf_guard_section_html(g: dict) -> str:
@@ -1037,21 +967,11 @@ def scf_guard_section_html(g: dict) -> str:
         (str(g.get("nonfinite", 0)), "non-finite events"),
         ("yes" if g.get("reference_eri") else "no", "reference ERI fallback"),
     ))
-    by_state = g.get("by_state", {}) or {}
-    by_action = g.get("by_action", {}) or {}
-    counts_rows = "".join(
-        f"<tr><td>{_esc(k)}</td><td>{v}</td><td>classification</td></tr>"
-        for k, v in sorted(by_state.items())
-    ) + "".join(
-        f"<tr><td>{_esc(k)}</td><td>{v}</td><td>remediation</td></tr>"
-        for k, v in sorted(by_action.items())
-    )
-    counts_html = (
-        "<table><thead><tr><th>event</th><th>count</th><th>kind</th></tr>"
-        f"</thead><tbody>{counts_rows}</tbody></table>"
-        if counts_rows
-        else '<p class="caption">no bad classifications: the iteration '
-        "was never touched.</p>"
+    counts_html = _counts_table(
+        "event",
+        ((g.get("by_state"), "classification"),
+         (g.get("by_action"), "remediation")),
+        "no bad classifications: the iteration was never touched.",
     )
     trail = g.get("trail", []) or []
     trail_html = ""
@@ -1089,21 +1009,11 @@ def integrity_section_html(d: dict) -> str:
             "injections (chaos)",
         ),
     ))
-    rows = "".join(
-        f"<tr><td>{_esc(k)}</td><td>{v}</td><td>detector runs</td></tr>"
-        for k, v in sorted((d.get("checks") or {}).items())
-    ) + "".join(
-        f"<tr><td>{_esc(k)}</td><td>{v}</td><td>detection</td></tr>"
-        for k, v in sorted((d.get("detections") or {}).items())
-    ) + "".join(
-        f"<tr><td>{_esc(k)}</td><td>{v}</td><td>recovery</td></tr>"
-        for k, v in sorted((d.get("recoveries") or {}).items())
-    )
-    counts_html = (
-        "<table><thead><tr><th>name</th><th>count</th><th>kind</th></tr>"
-        f"</thead><tbody>{rows}</tbody></table>"
-        if rows
-        else '<p class="caption">no detectors ran.</p>'
+    counts_html = _counts_table(
+        "name",
+        ((d.get("checks"), "detector runs"), (d.get("detections"), "detection"),
+         (d.get("recoveries"), "recovery")),
+        "no detectors ran.",
     )
     return (
         "<h2>Data integrity</h2>"
@@ -1119,223 +1029,105 @@ def integrity_section_html(d: dict) -> str:
     )
 
 
-def render_torture_report(records: list[Any]) -> str:
-    """Self-contained HTML page for an SCF torture-suite run.
-
-    ``records`` is :meth:`repro.scf.torture.TortureResult.to_json` output: one
-    dict per case with ``case`` / ``status`` / ``passed`` / ``trail``.
-    """
-    npassed = sum(1 for rec in records if rec.get("passed"))
-    nconv = sum(1 for rec in records if rec.get("converged"))
-    all_pass = npassed == len(records)
-    rows = []
-    for rec in records:
-        vanilla = rec.get("vanilla_converged")
-        vanilla_s = "&mdash;" if vanilla is None else ("ok" if vanilla else "FAIL")
-        energy = rec.get("energy")
-        energy_s = f"{energy:.6f}" if energy is not None else "&mdash;"
-        rows.append(
-            "<tr>"
-            f"<td>{_esc(rec.get('case', ''))}</td>"
-            f"<td>{vanilla_s}</td>"
-            f"<td>{_esc(rec.get('status', ''))}</td>"
-            f"<td>{rec.get('iterations', 0)}</td>"
-            f"<td>{energy_s}</td>"
-            f"<td>{len(rec.get('trail', []))}</td>"
-            f"<td>{_badge(PASS if rec.get('passed') else FAIL)}</td>"
-            "</tr>"
-        )
-    details = []
-    for rec in records:
-        lines = rec.get("trail", [])
-        guard = rec.get("guard") or {}
-        body = (
-            "".join(f"<li><code>{_esc(ln)}</code></li>" for ln in lines)
-            or "<li>no guard events (healthy run)</li>"
-        )
-        detail_caption = _esc(rec.get("description", ""))
-        if rec.get("aborted"):
-            detail_caption += (
-                f" &mdash; aborted: <code>{_esc(rec.get('abort_reason', ''))}"
-                "</code>"
-            )
-        details.append(
-            f"<details><summary>{_esc(rec.get('case', ''))} "
-            f"({len(lines)} events, rung {guard.get('level', '&mdash;')})"
-            f"</summary><p class=\"caption\">{detail_caption}</p>"
-            f"<ul>{body}</ul></details>"
-        )
-    return _page(
-        "scf-torture",
-        "SCF torture suite: scf-torture",
-        "convergence-guard acceptance gate: every case\n"
-        "converges or terminates with a classified GuardEvent trail\n"
-        f"{_badge(PASS if all_pass else FAIL)}",
-        (
-            (str(len(records)), "torture cases"),
-            (f"{npassed}/{len(records)}", "passed the guard gate"),
-            (str(nconv), "converged under guard"),
-            (
-                str(sum(len(rec.get("trail", [])) for rec in records)),
-                "guard events",
-            ),
-        ),
-        [
-            _section(f"""
-<h2>Cases</h2>
-<p class="caption">"vanilla" is the same driver configuration without
-the guard; "events" counts typed GuardEvents (classifications and
-remediations). Ladder and classifier rules: docs/ROBUSTNESS.md.</p>
-<table><thead><tr><th>case</th><th>vanilla</th><th>guarded</th>
-<th>iters</th><th>energy (Ha)</th><th>events</th><th>gate</th>
-</tr></thead><tbody>{''.join(rows)}</tbody></table>
-"""),
-            _section(f"\n<h2>Event trails</h2>\n{''.join(details)}\n"),
-        ],
-        "self-contained report &mdash; no external assets; generated by\n"
-        "the repro SCF convergence guard (see docs/ROBUSTNESS.md)",
-    )
-
-
 # -- run driver --------------------------------------------------------------
+
+
+def record_build(result: Any, note: str) -> ModelValidation:
+    """Grade one numeric build against the performance model and record
+    it as the run's ``fock_build`` summary key (JSON-native values).
+
+    ``result`` is a :class:`~repro.fock.gtfock.GTFockBuildResult`;
+    ``note`` is the caption line under the model table.  Returns the
+    validation, for the caller's ``--check``.
+    """
+    from repro.model.perfmodel import PerfModel
+    from repro.obs.ambient import get_ledger
+    from repro.obs.validate import validate_run
+
+    stats, outcome = result.stats, result.outcome
+    s_measured = outcome.avg_steals_per_proc
+    model = PerfModel.from_screening(result.screen, stats.config, s=s_measured)
+    validation = validate_run(model, stats, s_measured=s_measured)
+    summary = stats.summary()
+    basis = result.screen.basis
+    get_ledger().add_summary(fock_build={
+        "nproc": int(stats.nproc),
+        "nbf": int(basis.nbf),
+        "nshells": int(basis.nshells),
+        "flight": stats.flight.to_json(),
+        "comp_time": stats.comp_time.tolist(),
+        "comm_time": stats.comm_time.tolist(),
+        "finish_time": outcome.finish_time.tolist(),
+        "steals": [
+            [float(s.time), int(s.thief), int(s.victim), int(s.ntasks)]
+            for s in outcome.steals
+        ],
+        "makespan": float(summary["makespan"]),
+        "load_balance": float(summary["load_balance"]),
+        "avg_volume_mb": float(summary["avg_volume_mb"]),
+        "validation": validation.to_json(),
+        "notes": [note],
+    })
+    return validation
 
 
 def run_report(
     molecule: str = "water",
     basis_name: str = "6-31g",
     nproc: int = 4,
-    with_trace: bool = True,
     scf_guard: bool = False,
-) -> tuple[RunReport, Any]:
-    """Run a numeric GTFock build (tau = 1e-11, the Lonestar machine) and
-    assemble its :class:`RunReport`.
+) -> ModelValidation:
+    """Run a numeric GTFock build (tau = 1e-11, the Lonestar machine) on
+    the session's tracer and record it in the session's run ledger:
+    ``fock_build`` (:func:`record_build`) and the build's
+    ``critpath_analysis``.
 
     With ``scf_guard=True`` a guarded RHF run of the same system is
     executed first and its convergence-guard summary (plus the event
-    trail) lands in the report's "Convergence guard" section.
+    trail) is recorded as ``scf_guard``.
 
-    Returns ``(report, build_result)``; render with
-    :func:`render_report` or persist via :func:`write_report`.
+    Returns the build's validation; the page is
+    :func:`render_ledger_report` of the run directory.
     """
     # heavy imports stay local: repro.obs must import before the runtime
     from repro.fock.chaos import build_inputs
     from repro.fock.gtfock import gtfock_build
-    from repro.obs.ambient import get_profiler, get_tracer
+    from repro.fock.simulate import SimCapture
+    from repro.obs.ambient import get_ledger
+    from repro.obs.critpath import analyze
     from repro.obs.metrics import export_commstats
-    from repro.obs.trace import Tracer
 
     engine, hcore, density, mol, _ = build_inputs(molecule, basis_name)
-
-    guard_summary = None
+    ledger = get_ledger()
     if scf_guard:
         from repro.scf.hf import RHF
 
         scf_result = RHF(mol, basis_name=basis_name, guard=True).run()
-        guard_summary = dict(scf_result.guard_summary or {})
-        guard_summary["trail"] = [
-            ev.describe() for ev in scf_result.guard_events
-        ]
-        guard_summary["converged"] = bool(scf_result.converged)
-        guard_summary["iterations"] = scf_result.iterations
-
-    # reuse an installed (e.g. --trace) tracer so its output and the
-    # embedded trace are the same run; otherwise record one locally
-    ambient = get_tracer()
-    if ambient.enabled:
-        tracer = ambient
-    elif with_trace:
-        tracer = Tracer("repro-report")
-    else:
-        tracer = None
-    from repro.fock.simulate import SimCapture
-    from repro.obs.critpath import analyze
+        ledger.add_summary(scf_guard={
+            **(scf_result.guard_summary or {}),
+            "trail": [ev.describe() for ev in scf_result.guard_events],
+            "converged": bool(scf_result.converged),
+            "iterations": scf_result.iterations,
+        })
 
     capture = SimCapture()
-    result = gtfock_build(
-        engine, hcore, density, nproc, tracer=tracer, capture=capture,
-    )
+    result = gtfock_build(engine, hcore, density, nproc, capture=capture)
     # critical-path analysis of the same build (projection-only what-ifs:
     # re-simulating a numeric build would recompute real ERIs)
     analysis = analyze(capture, resim=False)
-    # a --profile profiler installed around this call shows up as the
-    # report's "Phase profile" section
-    profiler = get_profiler()
-    name = mol.name or mol.formula
-    report = _report_from_build(
-        result, f"{name}-{basis_name}-p{nproc}", name, basis_name, tracer,
+    validation = record_build(
+        result,
         "model tolerances are calibrated for small test molecules; "
         "see docs/OBSERVABILITY.md for the threshold table",
-        scf_guard=guard_summary,
-        phases=profiler.to_json() if profiler.stats else None,
-        critpath=analysis.to_json(),
     )
+    ledger.add_summary(critpath_analysis=analysis.to_json())
     export_commstats(result.stats)
     result.stats.flight.export_metrics()
     analysis.export_metrics()
-    return report, result
+    return validation
 
 
-def _report_from_build(
-    result: Any, title: str, molecule: str, basis_name: str, tracer: Any,
-    note: str, **sections,
-) -> RunReport:
-    """The :class:`RunReport` of one numeric build: its accounting,
-    graded against the model; ``tracer``'s Chrome export is what the
-    page embeds, ``sections`` are the optional fields."""
-    from repro.model.perfmodel import PerfModel
-    from repro.obs.validate import validate_run
-
-    stats = result.stats
-    s_measured = result.outcome.avg_steals_per_proc
-    model = PerfModel.from_screening(result.screen, stats.config, s=s_measured)
-    basis = result.screen.basis
-    return RunReport(
-        title=title,
-        molecule=molecule,
-        basis_name=basis_name,
-        nproc=stats.nproc,
-        nbf=basis.nbf,
-        nshells=basis.nshells,
-        flight=stats.flight,
-        comp_time=stats.comp_time.copy(),
-        comm_time=stats.comm_time.copy(),
-        finish_time=result.outcome.finish_time.copy(),
-        steals=result.outcome.steals,
-        validation=validate_run(model, stats, s_measured=s_measured),
-        summary=stats.summary(),
-        trace="".join(tracer.chrome_chunks()) if tracer is not None else None,
-        notes=[note],
-        **sections,
-    )
-
-
-def chaos_report(cres: Any, tracer: Any = None) -> RunReport:
-    """Assemble a :class:`RunReport` for a chaos run's *faulted* build.
-
-    ``cres`` is a :class:`~repro.fock.chaos.ChaosResult`; the report is
-    the ordinary run report of the faulted build plus the fault-
-    injection/recovery section (``recovery``), with the trace of
-    ``tracer`` (the one the run was recorded on) embedded.
-    """
-    return _report_from_build(
-        cres.faulty,
-        f"{cres.molecule}-{cres.basis_name}-p{cres.nproc}"
-        f"-chaos-seed{cres.plan.seed}",
-        cres.molecule, cres.basis_name, tracer,
-        "this run executed under fault injection: model-vs-measured "
-        "deviations include recovery overhead by design",
-        # the gate's own payload (verdict, errors, tolerance) + the recovery
-        # overhead, whose ``plan`` entry is the plan's describe() string
-        recovery={**cres.to_json(), **cres.overhead},
-    )
-
-
-def write_report(path: str, report: RunReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
-
-
-# -- run-ledger report -------------------------------------------------------
+# -- the page ------------------------------------------------------------------
 
 
 def _scf_trajectory_html(snapshots: list[dict]) -> str:
@@ -1354,38 +1146,60 @@ def _scf_trajectory_html(snapshots: list[dict]) -> str:
         d_change = s.get("d_change")
         e_cell = f"{e:.10f}" if e is not None else "&mdash;"
         d_cell = f"{d_change:.3e}" if d_change is not None else "&mdash;"
-        rows.append(
-            "<tr>"
-            f"<td>{s.get('iteration', '&mdash;')}</td>"
-            f"<td>{e_cell}</td>"
-            f"<td>{de}</td>"
-            f"<td>{d_cell}</td>"
-            f"<td>{s.get('wall_s', 0.0):.3f}</td>"
-            "</tr>"
-        )
+        rows.append([
+            s.get("iteration", "&mdash;"), e_cell, de, d_cell,
+            f"{s.get('wall_s', 0.0):.3f}",
+        ])
     return (
         "<h2>SCF trajectory</h2>"
         '<p class="caption">One ledger snapshot per SCF iteration '
         "(streamed to <code>metrics.jsonl</code> as the run executed).</p>"
-        "<table><thead><tr><th>iter</th><th>energy (Ha)</th>"
-        "<th>&Delta;E</th><th>max |&Delta;D|</th><th>wall (s)</th>"
-        f"</tr></thead><tbody>{''.join(rows)}</tbody></table>"
+        + _table(
+            ["iter", "energy (Ha)", "&Delta;E", "max |&Delta;D|", "wall (s)"],
+            rows,
+        )
+    )
+
+
+
+def _trace_html(record: Any) -> str:
+    """The download link of the run directory's trace file, embedded."""
+    name = (record.summary or {}).get("trace")
+    path = record.path / name if name else None
+    if path is None or not path.is_file():
+        return ""
+    payload = base64.b64encode(path.read_bytes()).decode("ascii")
+    return (
+        "<h2>Trace</h2>"
+        '<p class="caption">Chrome trace-event JSON of this run '
+        "(host spans + per-rank virtual clocks). Download and open at "
+        '<a href="https://ui.perfetto.dev">ui.perfetto.dev</a>.</p>'
+        f'<a download="{_esc(record.title)}.trace.json" '
+        f'href="data:application/json;base64,{payload}">'
+        "download Perfetto trace"
+        f" ({_fmt_bytes(len(payload) * 3 // 4)})</a>"
     )
 
 
 def render_ledger_report(record: Any) -> str:
     """Render a persisted run directory (:class:`RunRecord`) as HTML.
 
-    After-the-fact counterpart of :func:`render_report`: everything on
-    the page comes from the ledger artifacts (``manifest.json`` /
-    ``metrics.jsonl`` / ``summary.json``), so ``repro report <rundir>``
-    works long after the process that wrote them exited.
+    Everything on the page comes from the directory: the header, tiles
+    and Provenance from ``manifest.json``, the SCF trajectory from
+    ``metrics.jsonl``, and one section per ``summary.json`` key present
+    (``fock_build``, ``critpath_analysis``, ``chaos``, ``torture``,
+    ``scf_guard``, ``integrity``, ``phases`` / ``hotspots``, ``trace``).
+    The page names no path, so the same directory renders the same bytes
+    wherever it lives.
     """
     manifest = record.manifest
     summary = record.summary or {}
     prov = manifest.get("provenance", {})
     exit_code = summary.get("exit_code")
-    ok = exit_code == 0
+    fb = summary.get("fock_build")
+    cp = summary.get("critpath_analysis")
+    gate = summary.get("chaos")
+    torture = summary.get("torture")
 
     tiles = [
         (str(manifest.get("command", "?")), "command"),
@@ -1400,50 +1214,85 @@ def render_ledger_report(record: Any) -> str:
         tiles.append((f"{summary['energy']:.8f}", "energy (Ha)"))
     if "iterations" in summary:
         tiles.append((str(summary["iterations"]), "SCF iterations"))
+    if fb:
+        tiles += fock_build_tiles(fb)
+    if torture is not None:
+        tiles += torture_tiles(torture)
 
-    prov_rows = "".join(
-        f"<tr><td>{_esc(k)}</td><td><code>{_esc(v)}</code></td></tr>"
-        for k, v in prov.items()
-    )
     config = manifest.get("config", {})
-    config_rows = "".join(
-        f"<tr><td>{_esc(k)}</td><td><code>{_esc(v)}</code></td></tr>"
-        for k, v in sorted(config.items())
+
+    def fields(head: str, pairs) -> str:
+        return _table(
+            [head, "value"], ([_esc(k), f"<code>{_esc(v)}</code>"] for k, v in pairs)
+        )
+
+    sections = [
+        "<h2>Provenance</h2>"
+        '<p class="caption">Recorded in <code>manifest.json</code> when the '
+        "run started; config hash "
+        f"<code>{_esc(manifest.get('config_hash', '?'))}</code> is the "
+        "SHA-256 of the canonicalized config below.</p>"
+        + fields("field", prov.items())
+        + f"<details><summary>resolved config ({len(config)} keys)</summary>"
+        + fields("key", sorted(config.items()))
+        + "</details>",
+        _scf_trajectory_html(record.snapshots),
+    ]
+    if fb:
+        path = ((cp or {}).get("path") or {}).get("segments")
+        sections += fock_build_sections_html(fb, path)
+    if cp:
+        sections.append(critpath_section_html(cp))
+    if gate:
+        if gate["gate"] == "chaos":  # the runtime family: recovery tiles
+            sections.append(recovery_section_html(gate["result"]))
+        sections.append(gate_section_html(gate))
+    if torture is not None:
+        sections += torture_sections_html(torture)
+    for key, section in (
+        ("scf_guard", scf_guard_section_html),
+        ("integrity", integrity_section_html),
+    ):
+        if isinstance(summary.get(key), dict):
+            sections.append(section(summary[key]))
+    sections += [
+        phase_section_html(record.phases, record.hotspots),
+        scheduler_atomics_html(fb) if fb else "",
+        _trace_html(record),
+    ]
+
+    if exit_code is None:
+        exit_badge = (
+            '<span class="badge">&#9202; no summary (run interrupted?)</span>'
+        )
+    else:
+        exit_badge = _badge(PASS if exit_code == 0 else FAIL)
+    body = "\n".join(
+        [_tiles(tiles)]
+        + [_section(s) for s in sections if s]
+        + [
+            "<footer>self-contained report rendered from a run directory "
+            "(manifest.json, metrics.jsonl, summary.json; see "
+            "docs/OBSERVABILITY.md)</footer>"
+        ]
     )
-    integrity = summary.get("integrity")
-    exit_badge = (
-        _badge(PASS if ok else FAIL)
-        if exit_code is not None
-        else '<span class="badge">&#9202; no summary (run interrupted?)</span>'
-    )
-    return _page(
-        record.title,
-        f"Run ledger: {_esc(record.title)}",
-        f"started {_esc(manifest.get('started_utc', '?'))},\n"
-        f"finished {_esc(summary.get('finished_utc', '&mdash;'))} &mdash;\n"
-        f"exit code {exit_code if exit_code is not None else '&mdash;'}\n"
-        f"{exit_badge}",
-        tiles,
-        [
-            _section(f"""
-<h2>Provenance</h2>
-<p class="caption">Recorded in <code>manifest.json</code> when the run
-started; config hash <code>{_esc(manifest.get('config_hash', '?'))}</code>
-is the SHA-256 of the canonicalized config below.</p>
-<table><thead><tr><th>field</th><th>value</th></tr></thead>
-<tbody>{prov_rows}</tbody></table>
-<details><summary>resolved config ({len(config)} keys)</summary>
-<table><thead><tr><th>key</th><th>value</th></tr></thead>
-<tbody>{config_rows}</tbody></table></details>
-"""),
-            _section(_scf_trajectory_html(record.snapshots)),
-            _section(
-                integrity_section_html(integrity)
-                if isinstance(integrity, dict) else ""
-            ),
-            _section(phase_section_html(record.phases or [], record.hotspots)),
-        ],
-        "self-contained report rendered from the run ledger at\n"
-        f"<code>{_esc(record.path)}</code> (see docs/OBSERVABILITY.md)",
-        gap="\n\n",
-    )
+    return f"""<!DOCTYPE html>
+<html lang="en">
+<head>
+<meta charset="utf-8">
+<meta name="viewport" content="width=device-width, initial-scale=1">
+<title>{_esc(record.title)}</title>
+<style>{_CSS}</style>
+</head>
+<body>
+<main>
+<h1>Run ledger: {_esc(record.title)}</h1>
+<p class="subtitle">started {_esc(manifest.get('started_utc', '?'))},
+finished {_esc(summary.get('finished_utc', '&mdash;'))} &mdash;
+exit code {exit_code if exit_code is not None else '&mdash;'}
+{exit_badge}</p>
+{body}
+</main>
+</body>
+</html>
+"""

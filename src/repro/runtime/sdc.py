@@ -66,16 +66,54 @@ def block_crc(a: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(a, dtype=np.float64).reshape(-1))
 
 
-def flip_bit_in_file(path: str | Path, rng: np.random.Generator) -> int:
-    """Flip one seeded-random bit of a file in place; returns the offset."""
+def flip_bit_in_file(
+    path: str | Path,
+    rng: np.random.Generator,
+    spans: list[tuple[int, int]] | None = None,
+) -> int:
+    """Flip one seeded-random bit of a file in place; returns the offset.
+
+    With ``spans`` (``[lo, hi)`` byte ranges) the byte is drawn from
+    those ranges only, with one draw over their concatenation.
+    """
     path = Path(path)
     data = bytearray(path.read_bytes())
-    if not data:
+    if spans is None:
+        spans = [(0, len(data))]
+    total = sum(hi - lo for lo, hi in spans)
+    if not total:
         raise ValueError(f"cannot corrupt empty file {path}")
-    pos = int(rng.integers(len(data)))
+    pos = int(rng.integers(total))
+    for lo, hi in spans:
+        if pos < hi - lo:
+            pos += lo
+            break
+        pos -= hi - lo
     data[pos] ^= 1 << int(rng.integers(8))
     path.write_bytes(bytes(data))
     return pos
+
+
+def zip_member_spans(path: str | Path) -> list[tuple[int, int]]:
+    """The byte range of every member's stored data in a zip file (an
+    ``.npz`` checkpoint): what each entry's CRC-32 covers.
+
+    A flip outside them -- in a local header's extra field, say -- lands
+    in bytes ``zipfile`` never reads.
+    """
+    import struct
+    import zipfile
+
+    spans = []
+    with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
+        for info in zf.infolist():
+            # local header: 30 fixed bytes, then name and extra fields,
+            # whose lengths are the last two 2-byte fields
+            fh.seek(info.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            lo = info.header_offset + 30 + name_len + extra_len
+            spans.append((lo, lo + info.compress_size))
+    return spans
 
 
 def _flip_exponent_bit(x: float, rng: np.random.Generator) -> float:
@@ -154,17 +192,21 @@ class SDCFaultState(SeededFaultState):
         self.payloads_corrupted = 0
 
     def corrupt_file(self, path: str | Path) -> bool:
-        """Maybe flip one bit of a just-written file; True if it fired.
+        """Maybe flip one bit of a just-written checkpoint; True if it
+        fired.
 
-        The draw consumes the rng whether or not corruption fires, so
-        an sdc run is reproducible from the plan's seed alone.
+        The bit lands in a member's data, which the entry CRC and
+        ``payload_sha256`` cover (as :meth:`corrupt_store_dir` draws
+        from ``segment_extents``).  The draw consumes the rng whether or
+        not corruption fires, so an sdc run is reproducible from the
+        plan's seed alone.
         """
         if self.plan.checkpoint_flip_rate <= 0.0:
             return False
         fire = self.rng.random() < self.plan.checkpoint_flip_rate
         if not fire or self._budget_left() == 0:
             return False
-        flip_bit_in_file(path, self.rng)
+        flip_bit_in_file(path, self.rng, spans=zip_member_spans(path))
         self.files_corrupted += 1
         return True
 

@@ -7,7 +7,7 @@ session-scoped so the full suite stays fast.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -156,3 +156,110 @@ def synthetic_density(synthetic_engine):
     n = synthetic_engine.basis.nbf
     a = rng.normal(size=(n, n)) / n
     return a @ a.T
+
+
+# -- report sources ------------------------------------------------------------
+
+#: the summary keys the report's own sections read (JSON-native by contract)
+PAGE_KEYS = ("fock_build", "critpath_analysis", "chaos", "torture")
+
+#: synthetic torture records: a markup-hostile case name, an aborted case
+TORTURE_RECORDS = [
+    {"case": "stretched <h2>", "description": "d", "passed": True,
+     "converged": True, "status": "converged", "iterations": 9,
+     "energy": -1.0, "trail": ["damp & shift"], "guard": {"level": 1}},
+    {"case": "aborted", "passed": False, "aborted": True,
+     "abort_reason": "nan", "vanilla_converged": False},
+]
+
+
+@dataclass
+class ReportSource:
+    """One page source run end to end through the CLI (water/STO-3G,
+    p = 4): its run directory, the page the command wrote, the
+    parent-style page of the same run's data (``reference_report``),
+    and every field the run recorded through ``add_summary``."""
+
+    run_dir: object
+    page: object
+    oracle: str
+    recorded: dict
+
+
+def _run_source(name: str, tmp, monkeypatch) -> ReportSource:
+    import json
+
+    import reference_report as ref
+    from repro.cli import main
+    from repro.fock.chaos import run_chaos
+    from repro.obs.manifest import RunLedger, load_run
+    from repro.scf import torture
+
+    run_dir, page, js = tmp / name, tmp / f"{name}.html", tmp / f"{name}.json"
+    recorded: dict = {}
+    add_summary = RunLedger.add_summary
+
+    def recording(self, **fields):
+        recorded.update(fields)
+        add_summary(self, **fields)
+
+    monkeypatch.setattr(RunLedger, "add_summary", recording)
+    common = ["--run-dir", str(run_dir)]
+    if name == "run":
+        assert main(["report", "water", "--basis", "sto-3g", "--nproc", "4",
+                     "--profile", "--out", str(page), *common]) == 0
+        rep, _ = ref.run_report("water", "sto-3g", nproc=4)
+        rep.phases = load_run(run_dir).phases
+        oracle = ref.render_report(rep)
+    elif name == "critpath":
+        assert main(["analyze", "water", "--basis", "sto-3g", "--report",
+                     str(page), "--json", str(js), *common]) == 0
+        oracle = ref.render_critpath_report(json.loads(js.read_text()))
+    elif name == "chaos":
+        assert main(["chaos", "water", "--basis", "sto-3g", "--nproc", "4",
+                     "--seed", "7", "--deaths", "1", "--report", str(page),
+                     "--json", str(js), *common]) == 0
+        oracle = ref.render_report(ref.chaos_report(
+            run_chaos("water", "sto-3g", nproc=4, seed=7, ndeaths=1)
+        ))
+    elif name == "torture":
+        class Synthetic(torture.TortureResult):
+            def invariants(self):
+                return [(r["case"], r["passed"]) for r in TORTURE_RECORDS]
+
+            def detail_lines(self):
+                return []
+
+            def to_json(self):
+                return TORTURE_RECORDS
+
+        monkeypatch.setattr(
+            torture, "run_torture", lambda **kw: Synthetic(outcomes=[])
+        )
+        # the aborted record fails the gate: exit 1, page still written
+        assert main(["torture", "--report", str(page), *common]) == 1
+        oracle = ref.render_torture_report(TORTURE_RECORDS)
+    else:  # a ledgered SCF run, rendered after the fact
+        assert main(["scf", "water", "--basis", "sto-3g", "--profile",
+                     "--integrity", *common]) == 0
+        assert main(["report", str(run_dir), "--out", str(page)]) == 0
+        oracle = ref.render_ledger_report(load_run(run_dir))
+    return ReportSource(run_dir, page, oracle, recorded)
+
+
+@pytest.fixture(scope="session")
+def report_source(tmp_path_factory):
+    """``report_source(name)``: one of the five page sources (``run``,
+    ``critpath``, ``chaos``, ``torture``, ``ledger``), run once per
+    session."""
+    cache: dict[str, ReportSource] = {}
+
+    def get(name: str) -> ReportSource:
+        if name not in cache:
+            with pytest.MonkeyPatch.context() as mp:
+                cache[name] = _run_source(
+                    name, tmp_path_factory.mktemp(f"page-{name}"), mp
+                )
+        return cache[name]
+
+    return get

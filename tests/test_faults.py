@@ -391,8 +391,12 @@ class TestChaosCLI:
         payload = json.loads(summary.read_text())
         assert payload["passed"] is True
         assert payload["fock_error"] <= 1e-12
+        # the page is the rendered run directory: the faulted build's
+        # sections, its recovery tiles and the gate's invariant rows
         html = report.read_text()
         assert "Fault injection" in html and "retry" in html
+        assert "<h2>Chaos gate: chaos</h2>" in html
+        assert html.count('<span class="badge badge-pass">') >= 3
 
     def test_every_family_finishes_through_one_tail(self, tmp_path, capsys):
         """A broken invariant: exit 1, the family's failure line on

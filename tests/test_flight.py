@@ -332,25 +332,25 @@ class TestValidation:
 
 
 class TestRunReport:
-    @pytest.fixture(scope="class")
-    def water_report(self):
-        from repro.obs.report import run_report
+    """The numeric-build page: ``repro report water --basis sto-3g
+    --nproc 4`` rendered from its run directory
+    (``conftest.report_source``)."""
 
-        report, result = run_report("water", "sto-3g", nproc=4)
-        return report, result
-
-    def test_acceptance_water(self, water_report):
+    def test_acceptance_water(self, report_source):
         """The ISSUE's acceptance shape on the cheap basis (6-31g in CI)."""
-        report, result = water_report
+        from repro.obs import load_run
+
+        fb = load_run(report_source("run").run_dir).summary["fock_build"]
         # Table VI volume deviation within the documented tolerance
-        assert report.validation.get("volume_mb").status != FAIL
-        assert len(report.steals) > 0
+        volume = next(
+            d for d in fb["validation"]["deviations"]
+            if d["name"] == "volume_mb"
+        )
+        assert volume["status"] != FAIL
+        assert len(fb["steals"]) > 0
 
-    def test_html_self_contained(self, water_report, tmp_path):
-        from repro.obs.report import render_report
-
-        report, _ = water_report
-        html = render_report(report)
+    def test_html_self_contained(self, report_source):
+        html = report_source("run").page.read_text()
         assert "<svg" in html and "</html>" in html
         # no external assets: every src/href is inline, data:, or anchor
         for marker in ('src="http', "src='http", '<link', '<script src'):
@@ -362,41 +362,16 @@ class TestRunReport:
         ):
             assert needle in html
 
-    @pytest.mark.parametrize("page", ["run", "critpath", "torture", "ledger"])
-    def test_every_page_is_well_formed(self, water_report, page):
-        """All four pages come out of one skeleton: every element closes
-        in order, one ``<main>``, every ``<section>`` inside it."""
+    @pytest.mark.parametrize(
+        "page", ["run", "critpath", "chaos", "torture", "ledger"]
+    )
+    def test_every_page_is_well_formed(self, report_source, page):
+        """Every source's page comes out of the one renderer: every
+        element closes in order, one ``<main>``, every ``<section>``
+        inside it."""
         from html.parser import HTMLParser
-        from pathlib import Path
 
-        from repro.obs import RunRecord
-        from repro.obs import report as rep
-
-        report, _ = water_report
-        if page == "run":
-            html = rep.render_report(report)
-        elif page == "critpath":
-            html = rep.render_critpath_report(report.critpath)
-        elif page == "torture":
-            html = rep.render_torture_report([
-                {"case": "stretched <h2>", "description": "d", "passed": True,
-                 "converged": True, "status": "converged", "iterations": 9,
-                 "energy": -1.0, "trail": ["damp & shift"],
-                 "guard": {"level": 1}},
-                {"case": "aborted", "passed": False, "aborted": True,
-                 "abort_reason": "nan", "vanilla_converged": False},
-            ])
-        else:
-            html = rep.render_ledger_report(RunRecord(
-                Path("runs/r1"),
-                {"command": "scf", "molecule": "water", "config": {"a": 1},
-                 "provenance": {"python": "3"}, "started_utc": "t0"},
-                [{"label": "scf_iteration", "iteration": 1, "energy": -74.9,
-                  "wall_s": 0.1}],
-                {"exit_code": 0, "energy": -74.96, "phases": [
-                    {"name": "fock_build", "calls": 2, "wall_s": 0.2,
-                     "cpu_s": 0.2, "max_wall_s": 0.1}]},
-            ))
+        html = report_source(page).page.read_text()
 
         class Balance(HTMLParser):
             def __init__(self):
@@ -422,10 +397,5 @@ class TestRunReport:
             above == ("html", "body", "main") for above in sections
         )
 
-    def test_write_report(self, water_report, tmp_path):
-        from repro.obs.report import write_report
-
-        report, _ = water_report
-        out = tmp_path / "report.html"
-        write_report(str(out), report)
-        assert out.stat().st_size > 10_000
+    def test_write_report(self, report_source):
+        assert report_source("run").page.stat().st_size > 10_000

@@ -27,7 +27,6 @@ from repro.obs import (
     export_commstats,
     get_ledger,
     get_metrics,
-    get_profiler,
     get_tracer,
     load_run,
     phase,
@@ -36,6 +35,13 @@ from repro.obs import (
 from repro.obs.trace import _EXPORT_CHUNK, _coerce
 from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
+
+
+def get_profiler():
+    """The current session's profiler: a session given no instruments
+    inherits every one of the enclosing session's."""
+    with session() as sess:
+        return sess.profiler
 
 
 def assert_properly_nested(spans):
@@ -328,24 +334,33 @@ class TestChromeSerializer:
         text = "".join(tr.chrome_chunks())
         assert text == json.dumps(tr.chrome_trace(), default=_coerce)
 
-    def test_report_embeds_the_exported_text(self, tmp_path):
+    def test_report_embeds_the_exported_text(self, tmp_path, monkeypatch):
         """NumPy span arguments that ``write_chrome`` accepts used to make
-        ``render_report`` raise (``json.dumps`` without the ``_coerce``
-        hook): the report now embeds the serializer's own text."""
+        the report page raise (``json.dumps`` without the ``_coerce``
+        hook): the page embeds the serializer's own text, the same bytes
+        ``--trace`` writes."""
         import base64
         import re
 
-        from repro.obs.report import render_report, run_report
+        from repro.cli import main
+        from repro.fock import chaos
+        from repro.obs import get_tracer
 
-        tr = Tracer("numpy-args")
-        with session(tracer=tr):
-            tr.instant("x", n=np.int64(3), x=np.float32(0.5),
-                       flag=np.bool_(True))
-            report, _ = run_report("h2", "sto-3g", nproc=2)
-        html = render_report(report)
-        payload = re.search(r"data:application/json;base64,([^\"]+)", html)
-        path = tmp_path / "t.json"
-        tr.write_chrome(str(path))
+        build_inputs = chaos.build_inputs
+
+        def with_numpy_args(*args):
+            get_tracer().instant(
+                "x", n=np.int64(3), x=np.float32(0.5), flag=np.bool_(True)
+            )
+            return build_inputs(*args)
+
+        monkeypatch.setattr(chaos, "build_inputs", with_numpy_args)
+        page, path = tmp_path / "r.html", tmp_path / "t.json"
+        assert main(["report", "h2", "--basis", "sto-3g", "--nproc", "2",
+                     "--trace", str(path), "--out", str(page)]) == 0
+        payload = re.search(
+            r"data:application/json;base64,([^\"]+)", page.read_text()
+        )
         assert base64.b64decode(payload.group(1)).decode() == path.read_text()
         assert '"args": {"n": 3, "x": 0.5, "flag": true}' in path.read_text()
 
@@ -598,7 +613,8 @@ class TestSchedulerTracing:
         h = core_hamiltonian(basis)
         d = np.eye(basis.nbf) * 0.3
         tr = Tracer()
-        res = gtfock_build(engine, h, d, nproc=4, tracer=tr)
+        with session(tracer=tr):
+            res = gtfock_build(engine, h, d, nproc=4)
         virt = tr.spans(pid=SIM_PID)
         assert virt, "expected virtual spans"
         for p in range(4):

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 import pytest
 
 from repro import obs
-from repro.obs import get_profiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     NULL_PROFILER,
@@ -18,6 +17,13 @@ from repro.obs.profile import (
     profile_hotspots,
 )
 from repro.obs.trace import Tracer
+
+
+def get_profiler():
+    """The current session's profiler: a session given no instruments
+    inherits every one of the enclosing session's."""
+    with obs.session() as sess:
+        return sess.profiler
 
 
 @contextmanager

@@ -38,6 +38,7 @@ from repro.runtime.sdc import (
     SDCFaultPlan,
     flip_bit_in_file,
     random_sdc_plan,
+    zip_member_spans,
 )
 from repro.scf.checkpoint import (
     CheckpointCorruptionWarning,
@@ -683,11 +684,14 @@ class TestFaultsCompose:
         # the water cation's SCF tail wanders by ~1e-11 Eh at the default
         # tolerances, so it converges further and caps the quartet NaNs,
         # which would otherwise land on 5 % of every build to the end.
-        # Snapshot 4 is flipped: the restart resumes after iteration 3,
-        # so only the density flip of iteration 4 fires again
+        # Snapshots 3 and 4 are flipped: the restart resumes after
+        # iteration 2, so the Fock flip of iteration 3 and the density
+        # flip of iteration 4 fire again (snapshot 3's flip once landed
+        # in a zip64 extra field no reader checks, and it resumed there)
         self.check(
             UHF, Molecule(atoms=water().atoms, charge=1), "sto-3g", tmp_path,
-            kill_at=4, detected={"density_matrix": 1}, where="fock_alpha",
+            kill_at=4, detected={"density_matrix": 1, "fock_matrix": 1},
+            where="fock_alpha",
             tols={"e_tol": 1e-11, "d_tol": 1e-8}, cap={"max_corruptions": 30},
         )
 
@@ -912,10 +916,20 @@ class TestVerifyTree:
 
 class TestSDCChaosGate:
     def test_sdc_chaos_gate_passes(self, tmp_path):
+        self.assert_gate_passes(3, tmp_path)
+
+    def test_sdc_chaos_gate_passes_at_seed_0(self, tmp_path):
+        """Seed 0's one checkpoint flip used to land in a zip64 extra
+        field of a local header, which ``zipfile`` never reads: injected
+        1, detected 0.  Flips now land in the members' data."""
+        self.assert_gate_passes(0, tmp_path)
+
+    @staticmethod
+    def assert_gate_passes(seed, tmp_path):
         from repro.fock.chaos import run_sdc_chaos
 
         res = run_sdc_chaos(
-            molecule="water", basis_name="sto-3g", seed=3,
+            molecule="water", basis_name="sto-3g", seed=seed,
             workdir=tmp_path / "work",
         )
         assert res.injections_total > 0
@@ -930,6 +944,24 @@ class TestSDCChaosGate:
         # the planted rot
         report = verify_tree(tmp_path / "work")
         assert not report.clean
+
+    def test_checkpoint_flips_land_in_member_data(self, tmp_path):
+        """Every flip ``corrupt_file`` plants lies in a span the entry
+        CRC covers, so loading the snapshot always fails."""
+        ckpt = save_checkpoint(tmp_path, 1, np.eye(3), -1.0, [-1.0])
+        clean = ckpt.read_bytes()
+        spans = zip_member_spans(ckpt)
+        for seed in range(12):
+            ckpt.write_bytes(clean)
+            state = SDCFaultPlan(seed=seed, checkpoint_flip_rate=1.0).activate()
+            assert state.corrupt_file(ckpt)
+            (pos,) = [
+                i for i, (a, b) in enumerate(zip(clean, ckpt.read_bytes()))
+                if a != b
+            ]
+            assert any(lo <= pos < hi for lo, hi in spans)
+            with pytest.raises(Exception):
+                load_checkpoint(ckpt)
 
     def test_flip_bit_in_file_changes_exactly_one_bit(self, tmp_path):
         path = tmp_path / "blob.bin"
