@@ -26,16 +26,17 @@ def measure(quick: bool = False) -> tuple[dict, str]:
     t0 = time.perf_counter()
     cres = run_chaos("water", "sto-3g", nproc=4, seed=SEED, ndeaths=1)
     wall = time.perf_counter() - t0
-    ov = cres.overhead
+    p = cres.payload
+    ov = p["overhead"]
     entry = {
         "benchmark": "fock_chaos",
         "wall_s": round(wall, 3),
-        "molecule": cres.molecule,
-        "basis": cres.basis_name,
-        "nproc": cres.nproc,
+        "molecule": p["molecule"],
+        "basis": p["basis"],
+        "nproc": p["nproc"],
         "seed": SEED,
-        "plan": cres.plan.describe(),
-        "fock_error": cres.fock_error,
+        "plan": ov["plan"],
+        "fock_error": p["fock_error"],
         "passed": cres.passed,
         "makespan_clean_s": ov["makespan_clean"],
         "makespan_faulty_s": ov["makespan_faulty"],

@@ -139,8 +139,8 @@ def _run_torture(args: argparse.Namespace) -> int:
     from repro.scf.torture import run_torture
 
     tres = run_torture(quick=args.quick, vanilla=not args.no_vanilla)
-    get_ledger().add_summary(torture=tres.to_json())
-    return _finish_chaos(args, tres, f"torture run: {len(tres.outcomes)} cases")
+    get_ledger().add_summary(torture=tres.payload)
+    return _finish_chaos(args, tres, f"torture run: {len(tres.payload)} cases")
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
@@ -279,7 +279,7 @@ def _finish_chaos(args: argparse.Namespace, cres, header: str, notes=()) -> int:
         print(note)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(cres.to_json(), fh, indent=2, sort_keys=True)
+            json.dump(cres.payload, fh, indent=2, sort_keys=True)
         print(f"{cres.gate} summary written to {args.json}")
     if not cres.passed:
         print(cres.failure_line(), file=sys.stderr)
@@ -451,9 +451,7 @@ def _run_drain(args: argparse.Namespace) -> int:
 
 def _run_chaos(args: argparse.Namespace) -> int:
     from repro.fock.chaos import run_chaos, run_scf_chaos, run_sdc_chaos
-    from repro.obs import get_ledger, get_metrics
-    from repro.obs.metrics import export_faults
-    from repro.obs.report import record_build
+    from repro.obs import get_ledger
     from repro.service import run_service_chaos
 
     queue = args.queue
@@ -481,26 +479,17 @@ def _run_chaos(args: argparse.Namespace) -> int:
     cres = families[args.family]()
     get_ledger().add_summary(chaos={
         "gate": cres.gate,
-        "invariants": [[name, bool(held)] for name, held in cres.invariants()],
-        "details": cres.detail_lines(),
-        "result": cres.to_json(),
+        "invariants": [[name, bool(held)] for name, held in cres.invariants],
+        "details": list(cres.details),
+        "result": cres.payload,
     })
-    notes = []
+    p, notes = cres.payload, []
     if args.family == "service":
-        subject = f"{cres.njobs} jobs on {cres.workers} workers, queue {queue}"
+        subject = f"{p['njobs']} jobs on {p['workers']} workers, queue {queue}"
     else:
-        subject = f"{cres.molecule}/{cres.basis_name}"
+        subject = f"{p['molecule']}/{p['basis']}"
     if args.family == "runtime":
-        subject += f" on {cres.nproc} simulated processes"
-        if cres.faulty.faults is not None:
-            export_faults(
-                cres.faulty.faults, cres.faulty.outcome, registry=get_metrics()
-            )
-        record_build(
-            cres.faulty,
-            "this run executed under fault injection: model-vs-measured "
-            "deviations include recovery overhead by design",
-        )
+        subject += f" on {p['nproc']} simulated processes"
     if args.family == "sdc" and args.workdir:
         notes.append(
             f"  corrupted work tree kept at {args.workdir} "

@@ -21,7 +21,7 @@ from repro.fock.ablation import (
     stealing_ablation,
 )
 from repro.fock.centralized import CentralizedOutcome, run_centralized
-from repro.fock.chaos import ChaosResult, run_chaos
+from repro.fock.chaos import run_chaos
 from repro.fock.cost import TaskCosts, parity_allowed, quartet_cost_matrix
 from repro.fock.gtfock import GTFockBuildResult, PrefetchMiss, gtfock_build
 from repro.fock.partition import StaticPartition, TaskBlock
@@ -50,7 +50,6 @@ __all__ = [
     "stealing_ablation",
     "CentralizedOutcome",
     "run_centralized",
-    "ChaosResult",
     "run_chaos",
     "TaskCosts",
     "parity_allowed",

@@ -1,11 +1,11 @@
 """Chaos harness: prove the Fock build survives injected faults.
 
 Three families, one shape: run the workload fault-free, run it again
-under a seeded plan, and hold the pair to the family's gate -- the one
-``invariants()`` list of its result class (a :class:`FockGate`), from
-which ``passed``, the failure line and the PASS/FAIL summary derive.
-A plan that injects nothing is rejected up front
-(:class:`~repro.runtime.faults.EmptyPlanError`).
+under a seeded plan, and hold the pair's ``--json`` payload to the
+family's gate -- a pure ``<family>_gate(payload, plan)`` that states
+its invariants and detail lines once and returns a
+:class:`~repro.runtime.faults.GateResult`.  A plan that injects nothing
+is rejected up front (:class:`~repro.runtime.faults.EmptyPlanError`).
 
 * ``runtime`` (:func:`run_chaos`): the numeric GTFock build under a
   :class:`~repro.runtime.faults.FaultPlan` (stragglers, lossy one-sided
@@ -33,103 +33,37 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.chem.builders import molecule_by_name
-from repro.fock.gtfock import GTFockBuildResult, gtfock_build
+from repro.fock.gtfock import gtfock_build
 from repro.runtime.faults import (
     FaultPlan,
     GateResult,
     SCFFaultPlan,
+    landed,
     random_plan,
 )
-from repro.runtime.machine import LONESTAR, MachineConfig
+from repro.runtime.machine import LONESTAR
 from repro.runtime.sdc import SDCFaultPlan, random_sdc_plan
 from repro.scf.fock import fock_matrix, hf_electronic_energy
 
 
-@dataclass(kw_only=True)
-class FockGate(GateResult):
-    """What the three Fock-build gates share: each compares a faulted-
-    and-recovered build against the fault-free one."""
+def _shared(mol, basis_name, plan, tolerance, fock_error, energy_error) -> dict:
+    """The ``--json`` keys every Fock-build family leads with.
 
-    molecule: str
-    basis_name: str
-    plan: FaultPlan | SCFFaultPlan | SDCFaultPlan
-    #: max |F_faulted - F_clean| over all elements (sdc: of the final
-    #: Fock matrices)
-    fock_error: float
-    #: |E_faulted - E_clean| of the one-iteration electronic energy
-    #: (sdc: of the converged total energies)
-    energy_error: float
-    tolerance: float = 1e-12
-
-    #: the ``--json`` keys every Fock-build family leads with
-    _shared_keys = (
-        "molecule", "basis", "seed", "fock_error", "energy_error", "tolerance",
-    )
-
-    @property
-    def basis(self) -> str:
-        return self.basis_name
-
-    @property
-    def seed(self) -> int:
-        return self.plan.seed
-
-    def _fock_matches(self) -> tuple[str, bool]:
-        return ("max |dF| <= tolerance", self.fock_error <= self.tolerance)
-
-    def family_lines(self) -> list[str]:
-        """The family's own measurements, after the shared lines."""
-        raise NotImplementedError
-
-    def detail_lines(self) -> list[str]:
-        return [
-            f"plan: {self.plan.describe()}",
-            f"max |dF| = {self.fock_error:.3e}  |dE| = "
-            f"{self.energy_error:.3e} Ha (tolerance {self.tolerance:.0e})",
-            *self.family_lines(),
-        ]
-
-
-@dataclass
-class ChaosResult(FockGate):
-    """Fault-free vs faulted build comparison, plus recovery overhead."""
-
-    nproc: int
-    clean: GTFockBuildResult
-    faulty: GTFockBuildResult
-    #: recovery-overhead summary (retries, re-executions, time ratio)
-    overhead: dict = field(default_factory=dict)
-
-    gate = "chaos"
-    json_keys = FockGate._shared_keys + ("nproc", "passed", "overhead")
-
-    def invariants(self) -> list[tuple[str, bool]]:
-        o = self.overhead
-        landed = (
-            len(o.get("dead_ranks", ())) + o.get("retries_total", 0)
-            + len(self.plan.slowdown) + bool(o.get("delay_time_total"))
-        )
-        return [self.landed(landed), self._fock_matches()]
-
-    def family_lines(self) -> list[str]:
-        o = self.overhead
-        return [
-            f"dead ranks: {o.get('dead_ranks', [])}  "
-            f"re-executed tasks: {o.get('reexecuted_tasks', 0)}  "
-            f"recoveries: {o.get('recoveries', 0)}",
-            f"retries: {o.get('retries_total', 0)}  "
-            f"acks lost: {o.get('acks_lost_total', 0)}  "
-            f"retry bytes: {o.get('retry_bytes', 0)}",
-            f"makespan: {o.get('makespan_clean', 0.0):.4g} s clean -> "
-            f"{o.get('makespan_faulty', 0.0):.4g} s under faults "
-            f"(x{o.get('slowdown', 1.0):.2f})",
-        ]
+    ``fock_error`` is max |F_faulted - F_clean| over all elements and
+    ``energy_error`` |E_faulted - E_clean| of the one-iteration
+    electronic energy (sdc: of the final Fock matrices and the converged
+    total energies).
+    """
+    return {
+        "molecule": mol.name or mol.formula, "basis": basis_name,
+        "seed": plan.seed, "fock_error": fock_error,
+        "energy_error": energy_error, "tolerance": tolerance,
+    }
 
 
 def _errors(hcore, density, faulted, clean) -> dict:
@@ -141,6 +75,19 @@ def _errors(hcore, density, faulted, clean) -> dict:
             - hf_electronic_energy(hcore, clean, density)
         ),
     }
+
+
+def _fock_matches(p: dict) -> tuple[str, bool]:
+    return ("max |dF| <= tolerance", p["fock_error"] <= p["tolerance"])
+
+
+def _fock_lines(p: dict, plan) -> list[str]:
+    """The detail lines every Fock-build family leads with."""
+    return [
+        f"plan: {plan.describe()}",
+        f"max |dF| = {p['fock_error']:.3e}  |dE| = "
+        f"{p['energy_error']:.3e} Ha (tolerance {p['tolerance']:.0e})",
+    ]
 
 
 def build_inputs(molecule: str, basis_name: str):
@@ -166,8 +113,6 @@ def run_chaos(
     molecule: str = "water",
     basis_name: str = "sto-3g",
     nproc: int = 4,
-    tau: float = 1e-11,
-    config: MachineConfig = LONESTAR,
     seed: int = 0,
     ndeaths: int = 1,
     nstragglers: int = 1,
@@ -175,24 +120,26 @@ def run_chaos(
     delay_rate: float = 0.05,
     tolerance: float = 1e-12,
     plan: FaultPlan | None = None,
-) -> ChaosResult:
+) -> GateResult:
     """Run the fault-free/faulted build pair and compare.
 
     When ``plan`` is omitted, a :func:`random_plan` is derived from
     ``seed`` with the fault-free makespan as its horizon, so deaths land
     mid-execution regardless of problem size.  Both builds record into
-    the session's tracer.
+    the session's tracer; the faulted one is also graded and recorded as
+    the run's ``fock_build`` summary key, and its fault counters are
+    exported to the session's metrics.
     """
+    from repro.obs.metrics import export_faults
+    from repro.obs.report import record_build
+
     engine, hcore, density, mol, basis = build_inputs(molecule, basis_name)
-    clean = gtfock_build(
-        engine, hcore, density, nproc, tau=tau, config=config
-    )
-    horizon = float(clean.outcome.makespan)
+    clean = gtfock_build(engine, hcore, density, nproc)
     if plan is None:
         plan = random_plan(
             seed,
             nproc,
-            horizon,
+            float(clean.outcome.makespan),
             ndeaths=ndeaths,
             nstragglers=nstragglers,
             op_fail_rate=op_fail_rate,
@@ -200,11 +147,15 @@ def run_chaos(
         )
     plan.require_faults()
     faulty = gtfock_build(
-        engine, hcore, density, nproc, tau=tau, config=config,
-        screen=clean.screen, faults=plan,
+        engine, hcore, density, nproc, screen=clean.screen, faults=plan
     )
-    fstate = faulty.faults
-    overhead = dict(fstate.overhead_summary()) if fstate is not None else {}
+    export_faults(faulty.faults, faulty.outcome)
+    record_build(
+        faulty,
+        "this run executed under fault injection: model-vs-measured "
+        "deviations include recovery overhead by design",
+    )
+    overhead = faulty.faults.overhead_summary()
     t_clean = float(clean.stats.clock.max())
     t_faulty = float(faulty.stats.clock.max())
     overhead.update(
@@ -216,57 +167,42 @@ def run_chaos(
         makespan_faulty=t_faulty,
         slowdown=t_faulty / t_clean if t_clean > 0 else 1.0,
     )
-    return ChaosResult(
-        molecule=mol.name or mol.formula,
-        basis_name=basis_name,
-        nproc=nproc,
-        plan=plan,
-        clean=clean,
-        faulty=faulty,
-        tolerance=tolerance,
-        overhead=overhead,
-        **_errors(hcore, density, faulty.fock, clean.fock),
+    errors = _errors(hcore, density, faulty.fock, clean.fock)
+    return runtime_gate({
+        **_shared(mol, basis_name, plan, tolerance, **errors),
+        "nproc": nproc, "overhead": overhead,
+    }, plan)
+
+
+def runtime_gate(payload: dict, plan: FaultPlan) -> GateResult:
+    """The ``runtime`` family's gate: a fault landed, and F survived it."""
+    o = payload["overhead"]
+    faults = (
+        len(o["dead_ranks"]) + o["retries_total"] + len(plan.slowdown)
+        + bool(o["delay_time_total"])
     )
-
-
-@dataclass
-class SCFChaosResult(FockGate):
-    """Clean vs NaN-corrupted-and-rescued Fock build comparison."""
-
-    #: class-kernel ERI blocks the plan corrupted
-    quartets_corrupted: int
-    #: corrupted blocks the sentinel recomputed on the Obara-Saika kernel
-    eri_rescues: int
-
-    gate = "scf chaos"
-    json_keys = ("family",) + FockGate._shared_keys + (
-        "quartets_corrupted", "eri_rescues", "passed",
-    )
-
-    def invariants(self) -> list[tuple[str, bool]]:
-        return [
-            self.landed(self.quartets_corrupted),
-            self._fock_matches(),
-            ("every corrupted block rescued",
-             self.eri_rescues >= self.quartets_corrupted),
-        ]
-
-    def family_lines(self) -> list[str]:
-        return [
-            f"corrupted quartet blocks: {self.quartets_corrupted}  "
-            f"rescued on reference kernel: {self.eri_rescues}",
-        ]
+    return GateResult.stamped("chaos", [landed(faults), _fock_matches(payload)], [
+        *_fock_lines(payload, plan),
+        f"dead ranks: {o['dead_ranks']}  "
+        f"re-executed tasks: {o['reexecuted_tasks']}  "
+        f"recoveries: {o['recoveries']}",
+        f"retries: {o['retries_total']}  "
+        f"acks lost: {o['acks_lost_total']}  "
+        f"retry bytes: {o['retry_bytes']}",
+        f"makespan: {o['makespan_clean']:.4g} s clean -> "
+        f"{o['makespan_faulty']:.4g} s under faults "
+        f"(x{o['slowdown']:.2f})",
+    ], payload)
 
 
 def run_scf_chaos(
     molecule: str = "water",
     basis_name: str = "sto-3g",
-    tau: float = 1e-11,
     seed: int = 0,
     quartet_nan_rate: float = 0.05,
     tolerance: float = 1e-12,
     plan: SCFFaultPlan | None = None,
-) -> SCFChaosResult:
+) -> GateResult:
     """The ``scf`` fault family's invariant gate.
 
     Builds the Fock matrix twice from identical inputs on the MD engine,
@@ -277,7 +213,7 @@ def run_scf_chaos(
     reference kernel) with ``max |dF| <= tolerance``.
     """
     engine, hcore, density, mol, basis = build_inputs(molecule, basis_name)
-    clean = fock_matrix(engine, hcore, density, tau)
+    clean = fock_matrix(engine, hcore, density)
     if plan is None:
         plan = SCFFaultPlan(
             seed=seed,
@@ -289,108 +225,38 @@ def run_scf_chaos(
     fstate = plan.activate()
     faulty_engine.scf_faults = fstate
     faulty_engine.finite_check = True
-    rescued = fock_matrix(faulty_engine, hcore, density, tau)
-    return SCFChaosResult(
-        molecule=mol.name or mol.formula,
-        basis_name=basis_name,
-        plan=plan,
-        quartets_corrupted=fstate.quartets_corrupted,
-        eri_rescues=faulty_engine.eri_rescues,
-        tolerance=tolerance,
-        **_errors(hcore, density, rescued, clean),
-    )
+    rescued = fock_matrix(faulty_engine, hcore, density)
+    errors = _errors(hcore, density, rescued, clean)
+    return scf_gate({
+        "family": "scf", **_shared(mol, basis_name, plan, tolerance, **errors),
+        "quartets_corrupted": fstate.quartets_corrupted,
+        "eri_rescues": faulty_engine.eri_rescues,
+    }, plan)
 
 
-@dataclass
-class SDCChaosResult(FockGate):
-    """Clean vs silently-corrupted-and-recovered SCF run comparison.
-
-    ``injected`` / ``detected`` count corruptions per kind
-    (``store_block``, ``checkpoint``, ``matrix``, ``ga_payload``);
-    ``silent[k] = max(0, injected[k] - detected[k])`` and the gate
-    demands every ``silent`` entry be zero -- a corruption nobody
-    noticed is exactly the failure mode this family exists to rule out.
-    """
-
-    injected: dict = field(default_factory=dict)
-    detected: dict = field(default_factory=dict)
-    #: detections on the fault-free integrity-on run (must be zero)
-    false_positives: int = 0
-    #: max |GA - expected| after checksummed accumulates under payload
-    #: corruption (must be exactly zero: rejects are retransmitted)
-    ga_error: float = 0.0
-    #: an intact snapshot survived the checkpoint bit flips
-    checkpoint_intact: bool = False
-    #: :meth:`IntegrityMonitor.summary` of the corrupted run
-    integrity_summary: dict | None = None
-    #: fault-free warm-store wall time, integrity off / on
-    wall_off_s: float = 0.0
-    wall_on_s: float = 0.0
-
-    gate = "sdc chaos"
-    json_keys = ("family",) + FockGate._shared_keys + (
-        "injected", "detected", "silent", "false_positives", "ga_error",
-        "checkpoint_intact", "overhead", "passed",
-    )
-
-    @property
-    def injections_total(self) -> int:
-        return sum(self.injected.values())
-
-    @property
-    def silent(self) -> dict:
-        return {
-            kind: max(0, n - self.detected.get(kind, 0))
-            for kind, n in self.injected.items()
-        }
-
-    @property
-    def silent_total(self) -> int:
-        return sum(self.silent.values())
-
-    @property
-    def overhead(self) -> float:
-        """Fractional integrity overhead on the fault-free warm run."""
-        if self.wall_off_s <= 0:
-            return 0.0
-        return self.wall_on_s / self.wall_off_s - 1.0
-
-    def invariants(self) -> list[tuple[str, bool]]:
-        return [
-            self.landed(self.injections_total),
-            ("no silent corruption", self.silent_total == 0),
-            ("no false positive on the clean run", self.false_positives == 0),
-            self._fock_matches(),
-            ("|dE| <= tolerance", self.energy_error <= self.tolerance),
-            ("GA exact after retransmits", self.ga_error == 0.0),
-            ("an intact checkpoint survives", self.checkpoint_intact),
-        ]
-
-    def family_lines(self) -> list[str]:
-        silent = self.silent
-        return [
-            f"{kind}: injected {self.injected.get(kind, 0)}  "
-            f"detected {self.detected.get(kind, 0)}  "
-            + ("SILENT %d" % silent[kind] if silent.get(kind) else "silent 0")
-            for kind in sorted(set(self.injected) | set(self.detected))
-        ] + [
-            f"false positives on clean run: {self.false_positives}",
-            f"GA after retransmits: max error {self.ga_error:.3e}  "
-            f"intact checkpoint survives: {self.checkpoint_intact}",
-            f"integrity overhead (fault-free, warm store): "
-            f"{self.overhead * 100:.1f}%",
-        ]
+def scf_gate(payload: dict, plan: SCFFaultPlan) -> GateResult:
+    """The ``scf`` family's gate: every corrupted class-kernel block was
+    rescued (recomputed on the Obara-Saika kernel), and F matches."""
+    corrupted, rescued = payload["quartets_corrupted"], payload["eri_rescues"]
+    return GateResult.stamped("scf chaos", [
+        landed(corrupted),
+        _fock_matches(payload),
+        ("every corrupted block rescued", rescued >= corrupted),
+    ], [
+        *_fock_lines(payload, plan),
+        f"corrupted quartet blocks: {corrupted}  "
+        f"rescued on reference kernel: {rescued}",
+    ], payload)
 
 
 def run_sdc_chaos(
     molecule: str = "water",
     basis_name: str = "6-31g",
-    tau: float = 1e-11,
     seed: int = 0,
     tolerance: float = 1e-12,
     plan: SDCFaultPlan | None = None,
     workdir: str | Path | None = None,
-) -> SDCChaosResult:
+) -> GateResult:
     """The ``sdc`` fault family's zero-silent-acceptance gate.
 
     Five phases in one work directory (a temporary one unless
@@ -409,8 +275,9 @@ def run_sdc_chaos(
        to the clean run's to ``tolerance`` (all recoveries recompute
        bitwise-identical data) and an intact snapshot still loadable;
     5. a checksummed :class:`~repro.runtime.ga.GlobalArray` under
-       in-flight payload corruption -- every reject retransmitted, the
-       final array exactly equal to the expected sum.
+       in-flight payload corruption at the plan's ``payload_flip_rate``
+       -- every reject retransmitted, the final array exactly equal to
+       the expected sum.
     """
     from repro.obs.verify import VerifyReport, audit_checkpoints
     from repro.runtime.ga import GlobalArray, block_bounds
@@ -434,8 +301,7 @@ def run_sdc_chaos(
 
         def make_rhf(ckpt_dir=None, integrity=False, sdc=None):
             return RHF(
-                mol, basis_name=basis_name, tau=tau,
-                integral_store=str(store_dir),
+                mol, basis_name=basis_name, integral_store=str(store_dir),
                 checkpoint_dir=None if ckpt_dir is None else str(ckpt_dir),
                 integrity=integrity, sdc_faults=sdc,
             )
@@ -472,7 +338,9 @@ def run_sdc_chaos(
             checkpoint_intact = load_latest_intact(ckpt_sdc) is not None
 
         # 5. checksummed GA accumulates under in-flight corruption
-        ga_plan = SDCFaultPlan(seed=plan.seed, payload_flip_rate=0.25)
+        ga_plan = SDCFaultPlan(
+            seed=plan.seed, payload_flip_rate=plan.payload_flip_rate
+        )
         ga_state = ga_plan.activate()
         rng = np.random.default_rng(plan.seed)
         n = 12
@@ -504,24 +372,57 @@ def run_sdc_chaos(
             ),
             "ga_payload": int(ga.checksum_rejects),
         }
-        return SDCChaosResult(
-            molecule=mol.name or mol.formula,
-            basis_name=basis_name,
-            plan=plan,
-            fock_error=float(
-                np.max(np.abs(sdc_result.fock - clean.fock))
+        return sdc_gate({
+            "family": "sdc",
+            **_shared(
+                mol, basis_name, plan, tolerance,
+                fock_error=float(np.max(np.abs(sdc_result.fock - clean.fock))),
+                energy_error=abs(sdc_result.energy - clean.energy),
             ),
-            energy_error=abs(sdc_result.energy - clean.energy),
-            injected=injected,
-            detected=detected,
-            false_positives=int(false_positives),
-            ga_error=ga_error,
-            checkpoint_intact=checkpoint_intact,
-            integrity_summary=summary,
-            wall_off_s=wall_off,
-            wall_on_s=wall_on,
-            tolerance=tolerance,
-        )
+            "injected": injected,
+            "detected": detected,
+            "false_positives": int(false_positives),
+            "ga_error": ga_error,
+            "checkpoint_intact": checkpoint_intact,
+            # fractional integrity overhead on the fault-free warm run
+            "overhead": wall_on / wall_off - 1.0 if wall_off > 0 else 0.0,
+        }, plan)
     finally:
         if tmp is not None:
             tmp.cleanup()
+
+
+def sdc_gate(payload: dict, plan: SDCFaultPlan) -> GateResult:
+    """The ``sdc`` family's gate: zero silent acceptances.
+
+    ``injected`` / ``detected`` count corruptions per kind
+    (``store_block``, ``checkpoint``, ``matrix``, ``ga_payload``); the
+    gate adds ``silent[k] = max(0, injected[k] - detected[k])`` to the
+    payload and demands every entry be zero -- a corruption nobody
+    noticed is exactly the failure mode this family exists to rule out.
+    """
+    injected, detected = payload["injected"], payload["detected"]
+    silent = {k: max(0, n - detected.get(k, 0)) for k, n in injected.items()}
+    p = {**payload, "silent": silent}
+    return GateResult.stamped("sdc chaos", [
+        landed(sum(injected.values())),
+        ("no silent corruption", sum(silent.values()) == 0),
+        ("no false positive on the clean run", p["false_positives"] == 0),
+        _fock_matches(p),
+        ("|dE| <= tolerance", p["energy_error"] <= p["tolerance"]),
+        ("GA exact after retransmits", p["ga_error"] == 0.0),
+        ("an intact checkpoint survives", p["checkpoint_intact"]),
+    ], [
+        *_fock_lines(p, plan),
+        *(
+            f"{kind}: injected {injected.get(kind, 0)}  "
+            f"detected {detected.get(kind, 0)}  "
+            + ("SILENT %d" % silent[kind] if silent.get(kind) else "silent 0")
+            for kind in sorted(set(injected) | set(detected))
+        ),
+        f"false positives on clean run: {p['false_positives']}",
+        f"GA after retransmits: max error {p['ga_error']:.3e}  "
+        f"intact checkpoint survives: {p['checkpoint_intact']}",
+        f"integrity overhead (fault-free, warm store): "
+        f"{p['overhead'] * 100:.1f}%",
+    ], p)

@@ -47,7 +47,7 @@ from repro.obs import get_tracer
 from repro.obs.flight import CH_FOCK_ACC, CH_PREFETCH_GET, CH_STEAL_F, CH_TASK_GET
 from repro.runtime.faults import FaultPlan, FaultState
 from repro.runtime.ga import GlobalArray
-from repro.runtime.machine import LONESTAR, MachineConfig
+from repro.runtime.machine import LONESTAR
 from repro.runtime.network import CommStats
 
 #: the six D blocks a task reads for its quartet ``(MP|NQ)`` -- (N,Q),
@@ -135,7 +135,6 @@ def gtfock_build(
     density: np.ndarray,
     nproc: int,
     tau: float = 1e-11,
-    config: MachineConfig = LONESTAR,
     screen: ScreeningMap | None = None,
     faults: FaultPlan | FaultState | None = None,
     capture: "SimCapture | None" = None,
@@ -163,6 +162,7 @@ def gtfock_build(
     session's tracer.
     """
     tracer = get_tracer()
+    config = LONESTAR
     basis = engine.basis
     nbf = basis.nbf
     if hcore.shape != (nbf, nbf) or density.shape != (nbf, nbf):

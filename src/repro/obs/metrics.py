@@ -249,18 +249,17 @@ def export_commstats(stats: "CommStats") -> MetricsRegistry:
     return reg
 
 
-def export_faults(
-    state,
-    outcome=None,
-    registry: MetricsRegistry | None = None,
-) -> MetricsRegistry:
-    """Export a run's fault-injection/recovery counters.
+def export_faults(state, outcome=None) -> MetricsRegistry:
+    """Export a run's fault-injection/recovery counters to the current
+    session's registry.
 
     ``state`` is a :class:`~repro.runtime.faults.FaultState`; ``outcome``
     (optional) a :class:`~repro.fock.stealing.StealingOutcome` whose
     death/re-execution counters are included when given.
     """
-    reg = _or_current(registry)
+    from repro.obs.ambient import get_metrics
+
+    reg = get_metrics()
     retries = reg.counter(
         "repro_faults_retries_total", "transient-failure retries charged",
         labelnames=("proc",),

@@ -827,8 +827,8 @@ def _fmt_int(v: float) -> str:
 
 def recovery_section_html(result: dict) -> str:
     """The runtime family's fault-injection & recovery tiles; ``result``
-    is :meth:`~repro.fock.chaos.ChaosResult.to_json`, whose overhead
-    ``plan`` entry is the plan's describe() string."""
+    is the :func:`~repro.fock.chaos.runtime_gate` record's payload, whose
+    overhead ``plan`` entry is the plan's describe() string."""
     rec = {**result, **result["overhead"]}
     return (
         "<h2>Fault injection &amp; recovery</h2>"
@@ -888,7 +888,8 @@ def torture_tiles(records: list[dict]) -> list[tuple[str, str]]:
 
 def torture_sections_html(records: list[dict]) -> list[str]:
     """The cases table and the event trails of an SCF torture run;
-    ``records`` is :meth:`repro.scf.torture.TortureResult.to_json`."""
+    ``records`` is the :func:`repro.scf.torture.torture_gate` record's
+    payload."""
     rows = []
     details = []
     for rec in records:

@@ -16,12 +16,13 @@ of a simulated run:
 * :func:`random_plan` -- a seeded random plan generator used by the
   ``repro chaos`` CLI and the chaos benchmark.
 
-A fault family is declared once, on three bases every family shares:
+A fault family is declared once, on two bases every family shares:
 :class:`SeededPlan` (each plan field carries its kind and ``describe``
 label; validation, ``has_faults`` and ``describe`` are loops over the
-fields), :class:`SeededFaultState` (rng, corruption budget, fire-once
-matrix faults) and :class:`GateResult` (one ``invariants()`` list per
-gate; ``passed``, the failure line and the PASS/FAIL line derive from it).
+fields) and :class:`SeededFaultState` (rng, corruption budget, fire-once
+matrix faults).  Every gate returns one :class:`GateResult` record: its
+invariants, detail lines and ``--json`` payload; ``passed``, the failure
+line and the PASS/FAIL line derive from the invariants.
 
 Consumers: :class:`~repro.runtime.network.CommStats` charges retries and
 delays, :class:`~repro.runtime.ga.GlobalArray` models ack-lost
@@ -516,37 +517,34 @@ def random_plan(
     )
 
 
+@dataclass(frozen=True)
 class GateResult:
-    """What a chaos gate returns.  A family's result dataclass sets
-    ``gate`` (its display name), declares its fields and its ``--json``
-    key tuple, and states its gate ONCE, as :meth:`invariants`;
-    ``passed``, the failure line and the PASS/FAIL summary line derive
-    from that list, so they cannot disagree and a failure names every
-    invariant that broke."""
+    """What every chaos gate returns: one record per run.
 
-    gate = ""
-    json_keys: tuple[str, ...] = ()
+    ``invariants`` is the gate stated ONCE, ``(name, held)`` per
+    condition; ``details`` are the family's measurements, one printable
+    line each; ``payload`` is the family's ``--json`` document.  A
+    family's ``<family>_gate`` function builds it from the payload, so
+    ``passed``, the failure line and the PASS/FAIL summary line -- all
+    derived from ``invariants`` -- cannot disagree, and a failure names
+    every invariant that broke.
+    """
 
-    def invariants(self) -> list[tuple[str, bool]]:
-        """``(name, held)`` for every condition the gate demands."""
-        raise NotImplementedError
+    #: display name ("chaos", "scf chaos", ..., "torture")
+    gate: str
+    invariants: tuple[tuple[str, bool], ...]
+    details: tuple[str, ...]
+    payload: dict | list
 
-    def detail_lines(self) -> list[str]:
-        """The family's measurements, one printable line each."""
-        raise NotImplementedError
-
-    @staticmethod
-    def landed(n: int) -> tuple[str, bool]:
-        """The invariant every family shares: the plan asked for faults
-        and at least one landed -- surviving nothing proves nothing."""
-        return ("at least one planned fault landed", n > 0)
-
-    @property
-    def family(self) -> str:
-        return self.gate.split()[0]
+    @classmethod
+    def stamped(cls, gate: str, invariants, details, payload: dict) -> "GateResult":
+        """The record of a gate whose payload carries its verdict as
+        ``passed``."""
+        passed = all(held for _, held in invariants)
+        return cls(gate, tuple(invariants), tuple(details), {**payload, "passed": passed})
 
     def broken(self) -> list[str]:
-        return [name for name, held in self.invariants() if not held]
+        return [name for name, held in self.invariants if not held]
 
     @property
     def passed(self) -> bool:
@@ -555,13 +553,13 @@ class GateResult:
     def summary_lines(self) -> list[str]:
         broken = self.broken()
         verdict = "FAIL: " + "; ".join(broken) if broken else "PASS"
-        return self.detail_lines() + [
-            f"{len(self.invariants())} invariants -> {verdict}"
-        ]
+        return [*self.details, f"{len(self.invariants)} invariants -> {verdict}"]
 
     def failure_line(self) -> str:
         return f"{self.gate} invariant FAILED: " + "; ".join(self.broken())
 
-    def to_json(self) -> dict:
-        """The ``--json`` payload: the declared keys, read off the result."""
-        return {key: getattr(self, key) for key in self.json_keys}
+
+def landed(n: int) -> tuple[str, bool]:
+    """The invariant every fault family shares: the plan asked for faults
+    and at least one landed -- surviving nothing proves nothing."""
+    return ("at least one planned fault landed", n > 0)

@@ -288,7 +288,7 @@ def random_sdc_plan(seed: int) -> SDCFaultPlan:
         seed=seed,
         checkpoint_flip_rate=0.34,
         store_flips=int(rng.integers(2, 5)),
-        payload_flip_rate=0.05,
+        payload_flip_rate=0.25,
         fock_flip_iterations=(int(rng.integers(2, 4)),),
         density_flip_iterations=(int(rng.integers(4, 6)),),
         max_corruptions=64,

@@ -565,7 +565,3 @@ class SCFGuard:
             "by_action": by_action,
             "final_state": last_state,
         }
-
-    def trail(self) -> list[str]:
-        """Human-readable event trail (one line per event)."""
-        return [ev.describe() for ev in self.events]

@@ -18,7 +18,7 @@ cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -139,47 +139,10 @@ TORTURE_CASES: tuple[TortureCase, ...] = (
 )
 
 
-@dataclass
-class TortureOutcome:
-    """What one torture case did under (and without) the guard."""
-
-    case: TortureCase
-    converged: bool
-    energy: float
-    iterations: int
-    aborted: bool
-    abort_reason: str
-    guard_summary: dict | None
-    trail: list[str] = field(default_factory=list)
-    #: the same case without the guard (None when not run)
-    vanilla_converged: bool | None = None
-
-    @property
-    def classified(self) -> bool:
-        """A non-empty typed event trail explains the outcome."""
-        return bool(self.trail) or self.aborted
-
-    @property
-    def passed(self) -> bool:
-        """The acceptance gate: converge, or fail *with an explanation*."""
-        if self.converged:
-            return bool(np.isfinite(self.energy))
-        return self.classified and bool(
-            self.aborted or np.isfinite(self.energy)
-        )
-
-    @property
-    def status(self) -> str:
-        if self.converged:
-            return "converged"
-        if self.aborted:
-            return "aborted(classified)"
-        return "classified" if self.classified else "UNEXPLAINED"
-
-
-def run_case(case: TortureCase, vanilla: bool = True) -> TortureOutcome:
+def run_case(case: TortureCase, vanilla: bool = True) -> dict:
     """Run one case (STO-3G) under the guard (and optionally without, for
-    contrast)."""
+    contrast); returns its ``repro torture --json`` record, not yet
+    judged (:func:`torture_gate` adds ``status`` and ``passed``)."""
     vanilla_converged = None
     if vanilla:
         res_v = RHF(
@@ -201,88 +164,70 @@ def run_case(case: TortureCase, vanilla: bool = True) -> TortureOutcome:
     )
     try:
         res = rhf.run()
+        converged, energy, iterations = bool(res.converged), res.energy, res.iterations
+        aborted, reason, guard, events = False, "", res.guard_summary, res.guard_events
     except GuardError as exc:
-        return TortureOutcome(
-            case=case,
-            converged=False,
-            energy=float("nan"),
-            iterations=0,
-            aborted=True,
-            abort_reason=str(exc),
-            guard_summary=None,
-            trail=[ev.describe() for ev in exc.events],
-            vanilla_converged=vanilla_converged,
+        converged, energy, iterations = False, float("nan"), 0
+        aborted, reason, guard, events = True, str(exc), None, exc.events
+    return {
+        "case": case.name,
+        "description": case.description,
+        "vanilla_converged": vanilla_converged,
+        "converged": converged,
+        "energy": float(energy) if np.isfinite(energy) else None,
+        "iterations": iterations,
+        "aborted": aborted,
+        "abort_reason": reason,
+        "guard": guard,
+        "trail": [ev.describe() for ev in events],
+    }
+
+
+def _judged(r: dict) -> dict:
+    """``r`` with its ``status`` and ``passed``: the acceptance gate is
+    converge, or fail *with an explanation* (a classified abort or a
+    non-empty typed event trail) and a finite energy."""
+    classified = bool(r["trail"]) or r["aborted"]
+    finite = r["energy"] is not None
+    if r["converged"]:
+        status, passed = "converged", finite
+    elif r["aborted"]:
+        status, passed = "aborted(classified)", True
+    else:
+        status = "classified" if classified else "UNEXPLAINED"
+        passed = classified and finite
+    return {**r, "status": status, "passed": passed}
+
+
+def torture_gate(records: list[dict]) -> GateResult:
+    """The suite's gate: one invariant per case, and a fixed-width
+    summary table, one line per case."""
+    records = [_judged(r) for r in records]
+    lines = [
+        f"{'case':<24} {'vanilla':<8} {'guarded':<20} {'iters':>5} "
+        f"{'energy (Ha)':>14}  events",
+        "-" * 86,
+    ]
+    for r in records:
+        v = r["vanilla_converged"]
+        vanilla = "-" if v is None else ("ok" if v else "FAIL")
+        energy = "nan" if r["energy"] is None else f"{r['energy']:.6f}"
+        lines.append(
+            f"{r['case']:<24} {vanilla:<8} {r['status']:<20} "
+            f"{r['iterations']:>5} {energy:>14}  {len(r['trail'])}"
         )
-    return TortureOutcome(
-        case=case,
-        converged=bool(res.converged),
-        energy=float(res.energy),
-        iterations=res.iterations,
-        aborted=False,
-        abort_reason="",
-        guard_summary=res.guard_summary,
-        trail=[ev.describe() for ev in res.guard_events],
-        vanilla_converged=vanilla_converged,
+    return GateResult(
+        "torture",
+        tuple(
+            (f"{r['case']} converges or ends classified", r["passed"])
+            for r in records
+        ),
+        (*lines, "-" * 86),
+        records,
     )
 
 
-@dataclass
-class TortureResult(GateResult):
-    """The suite's gate: one invariant per case, through the tail every
-    chaos family uses (``repro torture``'s verdict, ``--json``, exit code)."""
-
-    outcomes: list[TortureOutcome]
-
-    gate = "torture"
-
-    def invariants(self) -> list[tuple[str, bool]]:
-        return [
-            (f"{o.case.name} converges or ends classified", o.passed)
-            for o in self.outcomes
-        ]
-
-    def detail_lines(self) -> list[str]:
-        """Fixed-width summary table, one line per case."""
-        lines = [
-            f"{'case':<24} {'vanilla':<8} {'guarded':<20} {'iters':>5} "
-            f"{'energy (Ha)':>14}  events",
-            "-" * 86,
-        ]
-        for o in self.outcomes:
-            vanilla = (
-                "-" if o.vanilla_converged is None
-                else ("ok" if o.vanilla_converged else "FAIL")
-            )
-            energy = f"{o.energy:.6f}" if np.isfinite(o.energy) else "nan"
-            lines.append(
-                f"{o.case.name:<24} {vanilla:<8} {o.status:<20} "
-                f"{o.iterations:>5} {energy:>14}  {len(o.trail)}"
-            )
-        return lines + ["-" * 86]
-
-    def to_json(self) -> list[dict]:
-        """JSON-friendly outcome records (the ``repro torture --json``
-        payload and the torture report's input)."""
-        return [
-            {
-                "case": o.case.name,
-                "description": o.case.description,
-                "vanilla_converged": o.vanilla_converged,
-                "converged": o.converged,
-                "status": o.status,
-                "passed": o.passed,
-                "energy": o.energy if np.isfinite(o.energy) else None,
-                "iterations": o.iterations,
-                "aborted": o.aborted,
-                "abort_reason": o.abort_reason,
-                "guard": o.guard_summary,
-                "trail": o.trail,
-            }
-            for o in self.outcomes
-        ]
-
-
-def run_torture(quick: bool = False, vanilla: bool = True) -> TortureResult:
+def run_torture(quick: bool = False, vanilla: bool = True) -> GateResult:
     """Run the suite (the ``--quick`` subset in CI) and gate the outcomes."""
     selected = tuple(c for c in TORTURE_CASES if c.quick or not quick)
-    return TortureResult([run_case(c, vanilla=vanilla) for c in selected])
+    return torture_gate([run_case(c, vanilla=vanilla) for c in selected])

@@ -35,4 +35,4 @@ from repro.service.store import (  # noqa: F401
 )
 from repro.service.worker import LeaseLostError, worker_main  # noqa: F401
 from repro.service.supervisor import ServeResult, serve  # noqa: F401
-from repro.service.chaos import ServiceChaosResult, run_service_chaos  # noqa: F401
+from repro.service.chaos import run_service_chaos  # noqa: F401

@@ -24,67 +24,42 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.runtime.faults import EmptyPlanError, GateResult
+from repro.runtime.faults import EmptyPlanError, GateResult, landed
 from repro.service.store import JobStore
 from repro.service.supervisor import serve
 
 
-@dataclass
-class ServiceChaosResult(GateResult):
-    """Outcome of one seeded service-chaos run."""
+#: per-job limits of the submitted jobs, and the pool's drain limits
+TIMEOUT_S = 120.0
+MAX_ATTEMPTS = 6
+WALL_LIMIT_S = 300.0
+POLL_S = 0.2
 
-    njobs: int
-    workers: int
-    seed: int
-    kills_planned: int
-    kills_done: int
-    wall_s: float
-    jobs_per_min: float
-    counts: dict[str, int]
-    requeues: int
-    double_records: int
-    energy_errors: dict[int, float] = field(default_factory=dict)
-    max_energy_error: float = 0.0
-    tolerance: float = 1e-12
-    worker_restarts: int = 0
 
-    gate = "service chaos"
-    json_keys = (
-        "family", "njobs", "workers", "seed", "kills_planned", "kills_done",
-        "wall_s", "jobs_per_min", "counts", "requeues", "double_records",
-        "max_energy_error", "tolerance", "worker_restarts", "passed",
-    )
-
-    @property
-    def all_done(self) -> bool:
-        return self.counts.get("done", 0) == self.njobs
-
-    def invariants(self) -> list[tuple[str, bool]]:
-        return [
-            self.landed(self.kills_done),
-            ("every job done", self.all_done),
-            ("no job recorded done twice", self.double_records == 0),
-            ("max |dE| <= tolerance", self.max_energy_error <= self.tolerance),
-        ]
-
-    def detail_lines(self) -> list[str]:
-        return [
-            f"jobs         = {self.njobs} submitted, "
-            f"{self.counts.get('done', 0)} done "
-            f"({self.jobs_per_min:.1f} jobs/min)",
-            f"kills        = {self.kills_done}/{self.kills_planned} "
-            f"(seed {self.seed}), worker restarts {self.worker_restarts}",
-            f"requeues     = {self.requeues} "
-            f"(lease expiry / retry re-enqueues)",
-            f"max |dE|     = {self.max_energy_error:.3e} "
-            f"(tolerance {self.tolerance:.0e})",
-            f"double records = {self.double_records}",
-        ]
+def service_gate(payload: dict) -> GateResult:
+    """The ``service`` family's gate over one run's ``--json`` payload."""
+    p = payload
+    done = p["counts"].get("done", 0)
+    return GateResult.stamped("service chaos", [
+        landed(p["kills_done"]),
+        ("every job done", done == p["njobs"]),
+        ("no job recorded done twice", p["double_records"] == 0),
+        ("max |dE| <= tolerance", p["max_energy_error"] <= p["tolerance"]),
+    ], [
+        f"jobs         = {p['njobs']} submitted, {done} done "
+        f"({p['jobs_per_min']:.1f} jobs/min)",
+        f"kills        = {p['kills_done']}/{p['kills_planned']} "
+        f"(seed {p['seed']}), worker restarts {p['worker_restarts']}",
+        f"requeues     = {p['requeues']} "
+        f"(lease expiry / retry re-enqueues)",
+        f"max |dE|     = {p['max_energy_error']:.3e} "
+        f"(tolerance {p['tolerance']:.0e})",
+        f"double records = {p['double_records']}",
+    ], payload)
 
 
 class _SeededKiller:
@@ -127,12 +102,8 @@ def run_service_chaos(
     basis: str = "6-31g",
     tolerance: float = 1e-12,
     lease_s: float = 2.0,
-    timeout_s: float = 120.0,
-    max_attempts: int = 6,
     kill_window: tuple[float, float] = (0.5, 4.0),
-    wall_limit_s: float = 300.0,
-    poll_s: float = 0.2,
-) -> ServiceChaosResult:
+) -> GateResult:
     """Run the seeded kill scenario; see the module docstring for the gate.
 
     The fault-free baseline energy is computed inline (one uninterrupted
@@ -157,15 +128,15 @@ def run_service_chaos(
     for _ in range(njobs):
         job = store.submit(
             {"kind": "scf", "molecule": molecule, "basis": basis},
-            lease_s=lease_s, timeout_s=timeout_s, max_attempts=max_attempts,
+            lease_s=lease_s, timeout_s=TIMEOUT_S, max_attempts=MAX_ATTEMPTS,
         )
         job_ids.append(job.id)
 
     killer = _SeededKiller(kills, seed, kill_window)
     t0 = time.time()
     outcome = serve(
-        queue_dir, workers=workers, poll_s=poll_s, drain=True,
-        wall_limit_s=wall_limit_s, install_signals=False, on_tick=killer,
+        queue_dir, workers=workers, poll_s=POLL_S, drain=True,
+        wall_limit_s=WALL_LIMIT_S, install_signals=False, on_tick=killer,
     )
     wall = time.time() - t0
 
@@ -190,19 +161,19 @@ def run_service_chaos(
         max_err = max(energy_errors.values(), default=0.0)
     else:
         max_err = float("inf")  # a lost job can never pass the gate
-    return ServiceChaosResult(
-        njobs=njobs,
-        workers=workers,
-        seed=seed,
-        kills_planned=kills,
-        kills_done=killer.done,
-        wall_s=wall,
-        jobs_per_min=(njobs / wall * 60.0) if wall > 0 else 0.0,
-        counts=counts,
-        requeues=requeues,
-        double_records=double_records,
-        energy_errors=energy_errors,
-        max_energy_error=max_err,
-        tolerance=tolerance,
-        worker_restarts=outcome.worker_restarts,
-    )
+    return service_gate({
+        "family": "service",
+        "njobs": njobs,
+        "workers": workers,
+        "seed": seed,
+        "kills_planned": kills,
+        "kills_done": killer.done,
+        "wall_s": wall,
+        "jobs_per_min": (njobs / wall * 60.0) if wall > 0 else 0.0,
+        "counts": counts,
+        "requeues": requeues,
+        "double_records": double_records,
+        "max_energy_error": max_err,
+        "tolerance": tolerance,
+        "worker_restarts": outcome.worker_restarts,
+    })

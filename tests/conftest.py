@@ -191,8 +191,10 @@ def _run_source(name: str, tmp, monkeypatch) -> ReportSource:
 
     import reference_report as ref
     from repro.cli import main
-    from repro.fock.chaos import run_chaos
+    from repro.fock import chaos
+    from repro.fock.gtfock import gtfock_build
     from repro.obs.manifest import RunLedger, load_run
+    from repro.runtime.faults import GateResult
     from repro.scf import torture
 
     run_dir, page, js = tmp / name, tmp / f"{name}.html", tmp / f"{name}.json"
@@ -219,23 +221,18 @@ def _run_source(name: str, tmp, monkeypatch) -> ReportSource:
         assert main(["chaos", "water", "--basis", "sto-3g", "--nproc", "4",
                      "--seed", "7", "--deaths", "1", "--report", str(page),
                      "--json", str(js), *common]) == 0
-        oracle = ref.render_report(ref.chaos_report(
-            run_chaos("water", "sto-3g", nproc=4, seed=7, ndeaths=1)
+        builds = []  # the harness's clean and faulted builds, in order
+        monkeypatch.setattr(chaos, "gtfock_build", lambda *a, **kw: (
+            builds.append(gtfock_build(*a, **kw)) or builds[-1]
         ))
+        cres = chaos.run_chaos("water", "sto-3g", nproc=4, seed=7, ndeaths=1)
+        oracle = ref.render_report(ref.chaos_report(builds[-1], cres.payload))
     elif name == "torture":
-        class Synthetic(torture.TortureResult):
-            def invariants(self):
-                return [(r["case"], r["passed"]) for r in TORTURE_RECORDS]
-
-            def detail_lines(self):
-                return []
-
-            def to_json(self):
-                return TORTURE_RECORDS
-
-        monkeypatch.setattr(
-            torture, "run_torture", lambda **kw: Synthetic(outcomes=[])
+        synthetic = GateResult(
+            "torture", tuple((r["case"], r["passed"]) for r in TORTURE_RECORDS),
+            (), TORTURE_RECORDS,
         )
+        monkeypatch.setattr(torture, "run_torture", lambda **kw: synthetic)
         # the aborted record fails the gate: exit 1, page still written
         assert main(["torture", "--report", str(page), *common]) == 1
         oracle = ref.render_torture_report(TORTURE_RECORDS)

@@ -2,9 +2,10 @@
 at-a-time gate breakage, and the empty-plan rejection.
 
 The goldens (``docs/fault_family_goldens.json``) were written by
-:func:`collect_goldens` under the *parent* commit's ``PYTHONPATH`` and
-are reproduced here by the declarations that replaced the hand-written
-plans and gates; the function only touches names both commits have.
+:func:`collect_goldens` under the *parent* commit's ``PYTHONPATH`` (its
+version of the function, spelled for that commit's gate classes) and
+are reproduced here by the declarations and gate functions that
+replaced the hand-written plans and result classes.
 Regenerate with ``PYTHONPATH=src:tests python -c "import
 test_fault_families as t; t.write_goldens()"``.
 """
@@ -13,22 +14,23 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
 from repro.cli import main
 from repro.fock.chaos import (
-    ChaosResult,
-    SCFChaosResult,
-    SDCChaosResult,
     run_chaos,
     run_scf_chaos,
     run_sdc_chaos,
+    runtime_gate,
+    scf_gate,
+    sdc_gate,
 )
 from repro.runtime.faults import FaultPlan, SCFFaultPlan, random_plan
 from repro.runtime.sdc import SDCFaultPlan, random_sdc_plan
-from repro.service.chaos import ServiceChaosResult
+from repro.scf.torture import TORTURE_CASES, run_case, torture_gate
+from repro.service.chaos import service_gate
 
 GOLDENS = pathlib.Path(__file__).parent.parent / "docs" / "fault_family_goldens.json"
 
@@ -58,9 +60,26 @@ def _scf_inline(seed: int) -> SCFFaultPlan:
     )
 
 
+def _service_payload() -> dict:
+    """``run_service_chaos``'s payload over one queued job, with the
+    worker pool stubbed out: the key set without the SIGKILLs."""
+    import tempfile
+    from types import SimpleNamespace
+    from unittest import mock
+
+    from repro.service.chaos import run_service_chaos
+
+    stub = mock.patch(
+        "repro.service.chaos.serve",
+        lambda *a, **kw: SimpleNamespace(worker_restarts=0),
+    )
+    with stub, tempfile.TemporaryDirectory() as tmp:
+        return run_service_chaos(tmp, njobs=1, basis="sto-3g").payload
+
+
 def collect_goldens() -> dict:
     """describe() strings, validation messages, and each family's
-    ``to_json()`` key set + seeded integer fields."""
+    ``--json`` key set + seeded integer fields."""
     out = {"describe": {}, "messages": {}, "json": {}}
     for seed in range(5):
         out["describe"][f"random_plan({seed}, 4, 1.0)"] = random_plan(
@@ -81,7 +100,7 @@ def collect_goldens() -> dict:
             cls(**kwargs)
         out["messages"][f"{cls.__name__}({kwargs})"] = str(err.value)
     for seed in range(3):
-        j = run_chaos("water", "sto-3g", nproc=4, seed=seed).to_json()
+        j = run_chaos("water", "sto-3g", nproc=4, seed=seed).payload
         out["json"][f"runtime seed {seed}"] = {
             "keys": sorted(j), "overhead_keys": sorted(j["overhead"]),
             "plan": j["overhead"]["plan"], "passed": j["passed"],
@@ -89,13 +108,13 @@ def collect_goldens() -> dict:
             "reexecuted_tasks": j["overhead"]["reexecuted_tasks"],
             "retries_total": j["overhead"]["retries_total"],
         }
-        j = run_scf_chaos("water", "sto-3g", seed=seed).to_json()
+        j = run_scf_chaos("water", "sto-3g", seed=seed).payload
         out["json"][f"scf seed {seed}"] = {
             "keys": sorted(j), "passed": j["passed"],
             "quartets_corrupted": j["quartets_corrupted"],
             "eri_rescues": j["eri_rescues"],
         }
-    j = run_sdc_chaos("water", "sto-3g", seed=3).to_json()
+    j = run_sdc_chaos("water", "sto-3g", seed=3).payload
     out["json"]["sdc seed 3"] = {
         "keys": sorted(j), "passed": j["passed"],
         **{k: j[k] for k in (
@@ -103,7 +122,16 @@ def collect_goldens() -> dict:
             "checkpoint_intact", "ga_error",
         )},
     }
-    out["json"]["service"] = {"keys": sorted(GOOD["service"].to_json())}
+    out["json"]["service"] = {"keys": sorted(_service_payload())}
+    (case,) = [c for c in TORTURE_CASES if c.name == "nan_fock"]
+    (j,) = torture_gate([run_case(case, vanilla=False)]).payload
+    out["json"]["torture nan_fock"] = {
+        "keys": sorted(j),
+        **{k: j[k] for k in (
+            "case", "status", "passed", "converged", "aborted", "iterations",
+            "guard", "trail",
+        )},
+    }
     return out
 
 
@@ -111,34 +139,55 @@ def write_goldens() -> None:
     GOLDENS.write_text(json.dumps(collect_goldens(), indent=1, sort_keys=True) + "\n")
 
 
-# -- (b) one constructed, passing result per family ---------------------------
+# -- (b) one constructed, passing record per family ---------------------------
 
-_FOCK = dict(molecule="H2O", basis_name="sto-3g", fock_error=0.0, energy_error=0.0)
+_FOCK = dict(
+    molecule="H2O", basis="sto-3g", seed=1, fock_error=0.0, energy_error=0.0,
+    tolerance=1e-12,
+)
+_OVERHEAD = dict(
+    dead_ranks=[1], retries_total=0, acks_lost_total=0, delay_time_total=0.0,
+    reexecuted_tasks=2, recoveries=1, retry_bytes=0, makespan_clean=1.0,
+    makespan_faulty=1.5, slowdown=1.5, plan="seed=1 deaths=r1@0.5s",
+)
+#: per family: its gate function, its plan (None: the gate takes none)
+#: and a passing payload
 GOOD = {
-    "runtime": ChaosResult(
-        plan=FaultPlan(seed=1, deaths={1: 0.5}), nproc=4, clean=None,
-        faulty=None, overhead={"dead_ranks": [1], "retries_total": 0}, **_FOCK,
-    ),
-    "scf": SCFChaosResult(
-        plan=_scf_inline(1), quartets_corrupted=6, eri_rescues=6, **_FOCK,
-    ),
-    "sdc": SDCChaosResult(
-        plan=random_sdc_plan(1), injected={"matrix": 2},
-        detected={"matrix": 2},
-        checkpoint_intact=True, **_FOCK,
-    ),
-    "service": ServiceChaosResult(
-        njobs=2, workers=2, seed=0, kills_planned=1, kills_done=1,
-        wall_s=1.0, jobs_per_min=120.0, counts={"done": 2}, requeues=1,
-        double_records=0,
-    ),
+    "runtime": (runtime_gate, FaultPlan(seed=1, deaths={1: 0.5}), {
+        **_FOCK, "nproc": 4, "overhead": _OVERHEAD,
+    }),
+    "scf": (scf_gate, _scf_inline(1), {
+        "family": "scf", **_FOCK, "quartets_corrupted": 6, "eri_rescues": 6,
+    }),
+    "sdc": (sdc_gate, random_sdc_plan(1), {
+        "family": "sdc", **_FOCK, "injected": {"matrix": 2},
+        "detected": {"matrix": 2}, "false_positives": 0, "ga_error": 0.0,
+        "checkpoint_intact": True, "overhead": 0.0,
+    }),
+    "service": (service_gate, None, {
+        "family": "service", "njobs": 2, "workers": 2, "seed": 0,
+        "kills_planned": 1, "kills_done": 1, "wall_s": 1.0,
+        "jobs_per_min": 120.0, "counts": {"done": 2}, "requeues": 1,
+        "double_records": 0, "max_energy_error": 0.0, "tolerance": 1e-12,
+        "worker_restarts": 0,
+    }),
 }
 
-#: per family, per invariant (in ``invariants()`` order): the one field
-#: change that breaks it and nothing else
+
+def good(family: str, **update):
+    """``family``'s gate over its passing payload with ``update`` applied
+    (an update's ``plan`` swaps the plan instead)."""
+    gate, plan, payload = GOOD[family]
+    plan = update.pop("plan", plan)
+    payload = {**payload, **update}
+    return gate(payload) if plan is None else gate(payload, plan)
+
+
+#: per family, per invariant (in ``invariants`` order): the one payload
+#: update that breaks it and nothing else
 BREAKERS = {
     "runtime": [
-        dict(plan=FaultPlan(seed=1), overhead={}),
+        dict(plan=FaultPlan(seed=1), overhead={**_OVERHEAD, "dead_ranks": []}),
         dict(fock_error=1e-9),
     ],
     "scf": [
@@ -171,47 +220,41 @@ CASES = [
 class TestGateStatedOnce:
     @pytest.mark.parametrize("family", sorted(GOOD))
     def test_constructed_result_passes(self, family):
-        res = GOOD[family]
+        res = good(family)
         assert res.passed and res.broken() == []
+        assert res.payload["passed"] is True
         assert res.summary_lines()[-1].endswith("-> PASS")
         # every invariant has its breaker below: a new one needs a new row
-        assert len(res.invariants()) == len(BREAKERS[family])
-        assert res.invariants()[0][0] == "at least one planned fault landed"
+        assert len(res.invariants) == len(BREAKERS[family])
+        assert res.invariants[0][0] == "at least one planned fault landed"
 
     @pytest.mark.parametrize("family, index", CASES)
     def test_each_invariant_breaks_singly(self, family, index):
-        """Fails at the parent for sdc ``checkpoint_intact`` / ``ga_error``
-        / zero injections: ``passed`` tested them, ``failure_line`` did not."""
-        res = replace(GOOD[family], **BREAKERS[family][index])
-        name = res.invariants()[index][0]
+        res = good(family, **BREAKERS[family][index])
+        name = res.invariants[index][0]
         assert res.broken() == [name]
         assert res.passed is False
-        assert res.to_json()["passed"] is False
+        assert res.payload["passed"] is False
         assert res.failure_line() == f"{res.gate} invariant FAILED: {name}"
         assert res.summary_lines()[-1].endswith(f"-> FAIL: {name}")
 
     def test_torture_gate_names_the_failed_case(self):
-        from repro.scf.torture import (
-            TORTURE_CASES,
-            TortureOutcome,
-            TortureResult,
-        )
-
-        def outcome(case, converged):
-            return TortureOutcome(
-                case=case, converged=converged, energy=-1.0, iterations=3,
-                aborted=False, abort_reason="", guard_summary=None,
+        a, b = (
+            dict(
+                case=c.name, description=c.description, vanilla_converged=None,
+                converged=True, energy=-1.0, iterations=3, aborted=False,
+                abort_reason="", guard=None, trail=[],
             )
-
-        a, b = TORTURE_CASES[:2]
-        good = TortureResult([outcome(a, True), outcome(b, True)])
-        assert good.passed and len(good.to_json()) == 2
-        bad = TortureResult([outcome(a, True), outcome(b, False)])
+            for c in TORTURE_CASES[:2]
+        )
+        passing = torture_gate([a, b])
+        assert passing.passed and len(passing.payload) == 2
+        bad = torture_gate([a, {**b, "converged": False}])
         assert not bad.passed
         assert bad.failure_line() == (
-            f"torture invariant FAILED: {b.name} converges or ends classified"
+            f"torture invariant FAILED: {b['case']} converges or ends classified"
         )
-        assert bad.to_json()[1]["status"] == "UNEXPLAINED"
+        assert bad.payload[1]["status"] == "UNEXPLAINED"
 
 
 class TestParityGoldens:
@@ -268,7 +311,7 @@ PLANS = {"runtime": FaultPlan, "scf": SCFFaultPlan, "sdc": SDCFaultPlan}
 def family_table() -> list[str]:
     """``docs/ROBUSTNESS.md``'s family table: plan fields from the
     :func:`~repro.runtime.faults.declare` metadata, invariants from each
-    gate's ``invariants()`` names.  Print with ``PYTHONPATH=src:tests
+    gate's ``invariants`` names.  Print with ``PYTHONPATH=src:tests
     python -c "import test_fault_families as t;
     print('\\n'.join(t.family_table()))"``."""
     rows = [
@@ -285,7 +328,7 @@ def family_table() -> list[str]:
         rows.append(
             f"| `{family}` | {', '.join(f'`{n}`' for n in names)} "
             f"| {SURFACES[family]} "
-            f"| {'; '.join(n for n, _ in GOOD[family].invariants())} |"
+            f"| {'; '.join(n for n, _ in good(family).invariants)} |"
             .replace("|dF|", "\\|dF\\|").replace("|dE|", "\\|dE\\|")
         )
     return rows

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.fock.chaos import run_chaos
+from repro.fock.gtfock import gtfock_build
 from repro.fock.stealing import run_work_stealing
 from repro.obs.flight import CH_FOCK_ACC, CH_RETRY, CH_STEAL_F, CHANNELS
 from repro.runtime.event import EventQueue
@@ -250,32 +251,49 @@ class TestFaultTolerantStealing:
         assert faulted.executed_history is not None
 
 
+def _chaos_builds(monkeypatch, **kw):
+    """``run_chaos`` on water plus its faulted build and that build's plan,
+    recorded off the harness's own ``gtfock_build`` calls."""
+    from repro.fock import chaos
+
+    calls = []
+
+    def recording(*a, **k):
+        calls.append((k.get("faults"), gtfock_build(*a, **k)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(chaos, "gtfock_build", recording)
+    res = run_chaos("water", "sto-3g", nproc=4, **kw)
+    (no_plan, _), (plan, faulty) = calls
+    assert no_plan is None  # the first build is the fault-free one
+    return res, plan, faulty
+
+
 class TestChaosInvariant:
     """The tentpole acceptance test: for seeded fault plans including a
     rank death, the numeric build completes and F matches the fault-free
     build to <= 1e-12."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_fock_matches_fault_free(self, seed):
-        res = run_chaos(
-            "water", "sto-3g", nproc=4, seed=seed, ndeaths=1
-        )
-        assert res.plan.deaths  # the plan really kills a rank
-        assert res.fock_error <= 1e-12
-        assert res.energy_error <= 1e-10
-        assert res.passed
+    def test_fock_matches_fault_free(self, seed, monkeypatch):
+        res, plan, _ = _chaos_builds(monkeypatch, seed=seed, ndeaths=1)
+        p, o = res.payload, res.payload["overhead"]
+        assert plan.deaths  # the plan really kills a rank
+        assert p["fock_error"] <= 1e-12
+        assert p["energy_error"] <= 1e-10
+        assert res.passed and p["passed"]
         # recovery overhead is measurable, never silent
-        assert res.overhead["dead_ranks"] == sorted(res.plan.deaths)
-        assert res.overhead["makespan_faulty"] >= res.overhead["makespan_clean"]
+        assert o["dead_ranks"] == sorted(plan.deaths)
+        assert o["makespan_faulty"] >= o["makespan_clean"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_no_rank_dies_mid_flush(self, seed):
+    def test_no_rank_dies_mid_flush(self, seed, monkeypatch):
         """Deaths fire inside the scheduler and only survivors flush: a
         dead rank charges no F accumulate on either flush channel."""
-        res = run_chaos("water", "sto-3g", nproc=4, seed=seed)
-        dead = res.faulty.outcome.dead_ranks
+        _, _, faulty = _chaos_builds(monkeypatch, seed=seed)
+        dead = faulty.outcome.dead_ranks
         assert dead
-        flight = res.faulty.stats.flight
+        flight = faulty.stats.flight
         assert flight.per_rank(CH_FOCK_ACC, "bytes").sum() > 0  # survivors flushed
         for channel in (CH_FOCK_ACC, CH_STEAL_F):
             assert not flight.per_rank(channel, "bytes")[dead].any(), channel
@@ -287,14 +305,14 @@ class TestChaosInvariant:
         )
         res = run_chaos("water", "sto-3g", nproc=4, plan=plan)
         assert res.passed
-        assert res.overhead["dead_ranks"] == [1, 2]
-        assert res.overhead["retries_total"] > 0
+        assert res.payload["overhead"]["dead_ranks"] == [1, 2]
+        assert res.payload["overhead"]["retries_total"] > 0
 
-    def test_chaos_run_deterministic(self):
-        a = run_chaos("water", "sto-3g", nproc=4, seed=5)
-        b = run_chaos("water", "sto-3g", nproc=4, seed=5)
-        np.testing.assert_array_equal(a.faulty.fock, b.faulty.fock)
-        assert a.overhead == b.overhead
+    def test_chaos_run_deterministic(self, monkeypatch):
+        a, _, fa = _chaos_builds(monkeypatch, seed=5)
+        b, _, fb = _chaos_builds(monkeypatch, seed=5)
+        np.testing.assert_array_equal(fa.fock, fb.fock)
+        assert a == b
 
 
 class TestSimulateUnderFaults:
@@ -400,7 +418,7 @@ class TestChaosCLI:
 
     def test_every_family_finishes_through_one_tail(self, tmp_path, capsys):
         """A broken invariant: exit 1, the family's failure line on
-        stderr, and the family's ``to_json()`` in the ``--json`` file."""
+        stderr, and the family's payload in the ``--json`` file."""
         import json
 
         from repro.cli import main
@@ -439,11 +457,11 @@ class TestChaosCLI:
             run_service_chaos(tmp_path / "queue", molecule="C999")
 
     def test_export_faults_metrics(self):
-        from repro.obs.metrics import MetricsRegistry, export_faults
+        from repro.obs import MetricsRegistry, session
 
-        res = run_chaos("water", "sto-3g", nproc=4, seed=1)
         reg = MetricsRegistry()
-        export_faults(res.faulty.faults, res.faulty.outcome, registry=reg)
+        with session(metrics=reg):
+            run_chaos("water", "sto-3g", nproc=4, seed=1)
         text = reg.to_prometheus()
         assert "repro_faults_retries_total" in text
         assert "repro_faults_dead_ranks" in text

@@ -563,7 +563,8 @@ class TestRowScopedReferenceRung:
 class TestSCFChaosGate:
     def test_scf_chaos_gate_passes(self):
         res = run_scf_chaos(seed=0, quartet_nan_rate=0.05)
-        assert res.quartets_corrupted > 0
-        assert res.eri_rescues >= res.quartets_corrupted
-        assert res.fock_error <= 1e-12
+        p = res.payload
+        assert p["quartets_corrupted"] > 0
+        assert p["eri_rescues"] >= p["quartets_corrupted"]
+        assert p["fock_error"] <= 1e-12
         assert res.passed

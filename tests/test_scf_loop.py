@@ -23,7 +23,7 @@ from repro.chem.builders import water
 from repro.chem.molecule import Molecule
 from repro.fock.chaos import run_sdc_chaos
 from repro.obs import MetricsRegistry, RunLedger, Tracer, load_run, session
-from repro.runtime.faults import SCFFaultPlan
+from repro.runtime.faults import GateResult, SCFFaultPlan
 from repro.runtime.sdc import IntegrityError, SDCFaultPlan
 from repro.scf.guard import GuardConfig, GuardError
 from repro.scf.hf import RHF, SCFDriver
@@ -147,8 +147,17 @@ RUNS = {
     ).run(),
 }
 
-#: wall-clock fields of the sdc gate's result
-TIMED = {"wall_off_s", "wall_on_s"}
+
+def untimed(res):
+    """``res`` without wall-clock values: the sdc gate record's integrity
+    overhead (a payload entry, and the detail line printing it)."""
+    if not isinstance(res, GateResult):
+        return res
+    payload = {k: v for k, v in res.payload.items() if k != "overhead"}
+    details = tuple(
+        line for line in res.details if not line.startswith("integrity overhead")
+    )
+    return dataclasses.replace(res, details=details, payload=payload)
 
 
 def fingerprint(run, tmp):
@@ -159,7 +168,7 @@ def fingerprint(run, tmp):
         warnings.simplefilter("ignore")
         with session(tracer=tracer, metrics=registry, ledger=ledger):
             try:
-                res = run(tmp)
+                res = untimed(run(tmp))
             except (GuardError, IntegrityError) as exc:
                 return {
                     "raised": (type(exc).__name__, str(exc)),
@@ -169,7 +178,7 @@ def fingerprint(run, tmp):
     return {
         "result": {
             f.name: _plain(getattr(res, f.name))
-            for f in dataclasses.fields(res) if f.name not in TIMED
+            for f in dataclasses.fields(res)
         },
         "checkpoints": {
             str(p.relative_to(tmp)): hashlib.sha256(p.read_bytes()).hexdigest()

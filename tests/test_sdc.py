@@ -924,6 +924,19 @@ class TestSDCChaosGate:
         1, detected 0.  Flips now land in the members' data."""
         self.assert_gate_passes(0, tmp_path)
 
+    def test_ga_phase_draws_at_the_plans_payload_rate(self):
+        """A plan with no ``payload_flip_rate`` corrupts no accumulate
+        (the GA phase used a fixed 0.25 whatever the plan said)."""
+        from repro.fock.chaos import run_sdc_chaos
+
+        res = run_sdc_chaos(
+            molecule="water", basis_name="sto-3g",
+            plan=SDCFaultPlan(seed=0, store_flips=2),
+        )
+        assert res.payload["injected"]["ga_payload"] == 0
+        assert res.payload["injected"]["store_block"] == 2
+        assert res.passed
+
     @staticmethod
     def assert_gate_passes(seed, tmp_path):
         from repro.fock.chaos import run_sdc_chaos
@@ -932,13 +945,14 @@ class TestSDCChaosGate:
             molecule="water", basis_name="sto-3g", seed=seed,
             workdir=tmp_path / "work",
         )
-        assert res.injections_total > 0
-        assert res.silent_total == 0
-        assert res.false_positives == 0
-        assert res.energy_error <= 1e-12
-        assert res.fock_error <= 1e-12
-        assert res.ga_error == 0.0
-        assert res.checkpoint_intact
+        p = res.payload
+        assert sum(p["injected"].values()) > 0
+        assert sum(p["silent"].values()) == 0
+        assert p["false_positives"] == 0
+        assert p["energy_error"] <= 1e-12
+        assert p["fock_error"] <= 1e-12
+        assert p["ga_error"] == 0.0
+        assert p["checkpoint_intact"]
         assert res.passed
         # the kept work tree is auditable offline, and the audit finds
         # the planted rot
