@@ -8,8 +8,8 @@ install:
 test:
 	pytest tests/
 
-# the size needle: src/ total, the subtotals ROADMAP items 1/9, 2, 4, 5, 10
-# and 11 track, and the options count (tests/test_reach.py's settable())
+# the size needle: src/ total, the subtotals ROADMAP items 1/9, 2, 4 and 5
+# track, and the options count (tests/test_reach.py's settable())
 loc:
 	@find src -name '*.py' | xargs cat | wc -l | xargs echo "src/ lines:"
 	@find src/repro/integrals src/repro/scf/fock.py -name '*.py' \
@@ -22,9 +22,9 @@ loc:
 	  runtime/sdc.py fock/chaos.py service/chaos.py scf/torture.py | wc -l \
 	  | xargs echo "SCF driver + fault families (ROADMAP item 4) lines:"
 	@cat src/repro/obs/*.py | wc -l \
-	  | xargs echo "obs/ (ROADMAP item 11) lines:"
+	  | xargs echo "obs/ (part of ROADMAP item 5) lines:"
 	@cat src/repro/obs/report.py | wc -l \
-	  | xargs echo "obs/report.py (ROADMAP item 10) lines:"
+	  | xargs echo "obs/report.py (part of ROADMAP item 5) lines:"
 	@cat src/repro/obs/*.py src/repro/bench/*.py benchmarks/*.py \
 	  src/repro/cli.py | wc -l \
 	  | xargs echo "obs/ + bench/ + benchmarks/ + cli.py (ROADMAP item 5) lines:"

@@ -11,7 +11,9 @@ geometry): a direct class-batched SCF of ~1 s whose every phase fires
 kernel chunk and one ``jk_contraction`` probe per flush in each Fock
 build, DIIS and the density step.  A single warm ``build_jk`` (28 ms,
 the previous workload) put the gate inside the scheduler noise of a
-shared runner; a whole run measures what a user pays.
+shared runner; a whole run measures what a user pays.  The entry also
+records the quartets that run computes (``quartets_computed``, exact:
+the density-change screen of the incremental build shows there).
 
 Methodology: the two configurations run interleaved round by round so
 both see the same machine drift, and the min of each is taken
@@ -39,11 +41,15 @@ ROUNDS = 10
 def measure(quick: bool = False) -> tuple[dict, str]:
     """Interleaved min-of-N SCF wall times with probes off and on."""
     mol = water_cluster(5, 1, 1)
+    computed = set()
 
     def run(probed: bool):
         profiler = PhaseProfiler() if probed else None
         with session(profiler=profiler, metrics=MetricsRegistry()):
-            return RHF(mol, basis_name="sto-3g").run(), profiler
+            rhf = RHF(mol, basis_name="sto-3g")
+            res = rhf.run()
+        computed.add(rhf.engine.quartets_computed)
+        return res, profiler
 
     walls, (off, _), (on, profiler) = on_off_walls(run, 3 if quick else ROUNDS)
     quartets = next(
@@ -58,11 +64,13 @@ def measure(quick: bool = False) -> tuple[dict, str]:
         "basis": "sto-3g",
         **walls,
         "quartets_profiled": int(quartets),
+        "quartets_computed": int(computed.pop()),
         "fock_matches": fock_matches,
     }
     # probes are observation, not perturbation
     assert fock_matches, "profiler changed the SCF result"
     assert quartets > 0, "probes never fired"
+    assert not computed, "runs computed different quartet counts"
     return entry, (
         "phase_profiler: (H2O)5/sto-3g RHF overhead "
         f"{entry['overhead']:+.1%} (off {entry['wall_off_s']}s, "

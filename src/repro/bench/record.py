@@ -225,6 +225,8 @@ _family(
     "phase_profiler", "BENCH_fock.json", {"wall_off_s": float},
     _bound("overhead", 0.05, 0.05, "frac"),
     _rel("wall_on_s"),
+    # the quartets its RHF computes: an exact count, so any rise is real
+    _rel("quartets_computed", "quartets", warn=1.01, fail=1.05, quick=True),
 )
 
 

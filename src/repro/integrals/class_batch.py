@@ -40,8 +40,10 @@ seam: the MD class kernel or the batched Obara-Saika kernel, which also
 recomputes the rows the NaN/Inf sentinel flags (``engine.rescue_rows``).
 Everything row-addressed (store records, seeded faults, the sentinel)
 sees one ``(batch, rows, blocks)`` per member, ``rows`` an index array
-into the class: every row of the plan (:func:`jk_from_plan`) or selected
-ones (:func:`jk_from_rows`, the rows of a GTFock rank or an NWChem task).
+into the class: the plan rows whose Schwarz bound times the density
+passes ``tau`` (:func:`jk_from_plan`, :func:`density_rows`; a store fill
+takes every row) or selected ones (:func:`jk_from_rows`, the rows of a
+GTFock rank or an NWChem task).
 
 Numerics agree with the per-quartet scatter oracle
 (``tests/reference_fock.py``) to summation order (tests pin <= 1e-10
@@ -744,6 +746,36 @@ def _flushes(engine, chunks, store, faults, totals):
         yield flush
 
 
+def density_rows(engine, plan: ClassPlan, dens: np.ndarray, tau: float):
+    """The plan rows a computed build of the density stack ``dens``
+    contracts -- ``sigma_MN sigma_PQ w >= tau``, ``w`` the largest block
+    maximum of |D| (over the stack) on the six shell pairs the quartet
+    touches: MN, PQ, MP, NQ, MQ, NP -- or ``None`` for every row.
+
+    As ``|(ab|cd)| <= sigma_MN sigma_PQ``, a dropped quartet moves each
+    element of its six half-J / half-K blocks by less than ``tau`` times
+    its orbit weight times the size of the block it contracts over.  The
+    rows' pair indices and ``sigma sigma`` are memoized on the plan.
+    """
+    sigma, ns = engine.schwarz(), engine.basis.nshells
+    memo = plan.derived.get("density_rows")
+    if memo is None or memo[0] is not sigma:
+        q = np.concatenate([b.quartets for b in plan.batches] + [np.zeros((0, 4), int)])
+        pairs = np.stack([q[:, i] * ns + q[:, j] for i, j in _PAIR_AXES]).astype(np.int32)
+        memo = plan.derived["density_rows"] = (
+            sigma, pairs, sigma.ravel()[pairs[0]] * sigma.ravel()[pairs[1]],
+        )
+    _, pairs, sigsig = memo
+    starts = engine.basis.offsets[:-1]
+    blocks = np.maximum.reduceat(np.abs(dens).max(axis=0), starts, axis=0)
+    blocks = np.maximum.reduceat(blocks, starts, axis=1).ravel()
+    w = blocks[pairs[0]]
+    for p in pairs[1:]:
+        np.maximum(w, blocks[p], out=w)
+    keep = sigsig * w >= tau
+    return None if keep.all() else np.flatnonzero(keep)
+
+
 def _run_chunks(engine, dflat, chunks, store, faults):
     """One worker's share: private half-J/half-K buffers + source counts,
     a ``jk_contraction`` phase around every flush."""
@@ -787,7 +819,9 @@ def jk_from_plan(
     is walked and ``threads`` is not consulted.  Every other build --
     direct, or filling a store, which it then finalizes with ``tau``
     (the plan's threshold: a fill needs it) -- is the
-    six-block contraction: ``threads > 1`` deals the kernel chunks,
+    six-block contraction.  A direct build computes only the rows
+    :func:`density_rows` keeps at ``tau`` (``None``: every row); a
+    fill computes every row.  ``threads > 1`` deals the kernel chunks,
     largest first, to the least-loaded worker of a thread pool; every
     worker stages and flushes its own blocks into private accumulators
     (reduced at the end).  At any thread count the thread doing the
@@ -796,7 +830,8 @@ def jk_from_plan(
 
     An attached ``engine.scf_faults`` state has this build's corruptions
     drawn here, per plan row and before any worker starts, so the same
-    rows are hit at every thread count.
+    rows are hit at every thread count; a victim on a row the density
+    screen drops never fires.
     """
     n = engine.basis.nbf
     dflat = density_stack(density, n).reshape(-1, n * n)
@@ -822,9 +857,12 @@ def jk_from_plan(
 
     # a store that stopped being ready (invalidated) takes its matrix along
     engine.supermatrix = None
-    if store is not None and store.filling and tau is None:
+    filling = store is not None and store.filling
+    if filling and tau is None:
         raise ValueError("filling an integral store needs the plan's tau")
-    chunks = plan.chunks()
+    chunks = plan.chunks(None if filling or tau is None else density_rows(
+        engine, plan, dflat.reshape(-1, n, n), tau
+    ))
     nthreads = resolve_jk_threads(threads)
     if nthreads <= 1 or len(chunks) <= 1:
         results = [_run_chunks(engine, dflat, chunks, store, faults)]
@@ -854,7 +892,7 @@ def jk_from_plan(
         engine, {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS},
         faults,
     )
-    if store is not None and store.filling and store.pending_blocks:
+    if filling and store.pending_blocks:
         store.finalize(tau)
     return _symmetrized(
         sum(r[0] for r in results), sum(r[1] for r in results), n, density

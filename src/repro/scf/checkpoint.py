@@ -23,6 +23,11 @@ float64 unless noted, ``n`` basis functions, ``m`` DIIS vectors held):
   (:meth:`repro.scf.guard.SCFGuard.state_dict` as JSON), so a restarted
   run resumes with the same damping / level shift / sticky fallbacks.
   Absent in pre-guard snapshots; loading those yields ``guard=None``.
+* ``base_fock`` / ``base_density`` -- the Fock matrix and density of the
+  iteration's build, which a direct SCF's next build increments
+  (``F = F_base + G(D - D_base)``), laid out like ``density``.  Written
+  only when the run keeps a base (a direct build, not after a rollback);
+  a snapshot without them restarts with a full build.
 
 * ``payload_sha256`` -- SHA-256 digest over every other entry's bytes,
   written at save time and verified on load.  Absent in pre-integrity
@@ -102,11 +107,23 @@ class Checkpoint:
     iteration: int
     density: np.ndarray
     energy: float
+    #: the ``(base_fock, base_density)`` arrays (None: not stored)
+    base: tuple[np.ndarray, np.ndarray] | None
     energy_history: list[float] = field(default_factory=list)
     diis_focks: list[np.ndarray] = field(default_factory=list)
     diis_errors: list[np.ndarray] = field(default_factory=list)
     #: convergence-guard remediation state (None in pre-guard snapshots)
     guard: dict | None = None
+
+    @property
+    def spin_base(self) -> tuple[list, list] | None:
+        """The incremental build's base as (F, D) stacks, one matrix per
+        spin channel -- or None: the next build is a full one."""
+        if self.base is None:
+            return None
+        return tuple(
+            [a] if self.density.ndim == 2 else list(a) for a in self.base
+        )
 
     @property
     def spin_densities(self) -> list[np.ndarray]:
@@ -133,6 +150,8 @@ def save_checkpoint(
     energy_history: list[float],
     diis=None,
     guard=None,
+    *,
+    base,
 ) -> Path:
     """Atomically write iteration state; returns the snapshot path.
 
@@ -141,16 +160,18 @@ def save_checkpoint(
     them (None marks a channel without a window); a single channel is
     written in the bare one-channel layout.  ``guard`` (optional) is an
     :class:`~repro.scf.guard.SCFGuard` whose remediation state is
-    persisted alongside the numerical state.
+    persisted alongside the numerical state; ``base`` is the
+    ``(focks, densities)`` spin stacks the next incremental build adds to
+    (None: the run keeps none).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if isinstance(density, np.ndarray) and density.ndim == 2:
         density, diis = [density], [diis]
     n = density[0].shape[0]
+    stacked = len(density) > 1  # else the bare layout: no spin axis
     windows = [w.state_arrays() for w in diis or () if w is not None]
     m = len(windows[0][0]) if windows else 0
-    stacked = len(density) > 1  # else the bare layout: no spin axis
     shape = ((len(windows),) if stacked else ()) + (m, n, n)
     focks, errors = (
         np.reshape([w[i] for w in windows], shape) for i in (0, 1)
@@ -166,6 +187,11 @@ def save_checkpoint(
     }
     if guard is not None:
         payload["guard_json"] = np.str_(guard.state_json())
+    if base is not None:
+        for key, mats in zip(("base_fock", "base_density"), base):
+            payload[key] = np.asarray(
+                np.stack(mats) if stacked else mats[0], dtype=np.float64
+            )
     payload[_DIGEST_KEY] = np.str_(payload_digest(payload))
     path = checkpoint_path(directory, iteration)
     tmp = path.with_suffix(".npz.tmp")
@@ -202,6 +228,8 @@ def load_checkpoint(path: str | Path, verify: bool = True) -> Checkpoint:
         iteration=int(arrays["iteration"]),
         density=arrays["density"],
         energy=float(arrays["energy"]),
+        base=(arrays["base_fock"], arrays["base_density"])
+        if "base_fock" in arrays else None,
         energy_history=[float(e) for e in arrays["energy_history"]],
         diis_focks=list(arrays["diis_focks"]),
         diis_errors=list(arrays["diis_errors"]),
@@ -217,8 +245,14 @@ def _validate_arrays(arrays: dict, path) -> None:
             f"density shape {density.shape} is not square in {path}"
         )
     n = density.shape[-1]
-    for name in ("density", "energy", "energy_history"):
-        if not np.isfinite(arrays[name]).all():
+    for name in ("base_fock", "base_density"):
+        if name in arrays and arrays[name].shape != density.shape:
+            raise CheckpointIntegrityError(
+                f"'{name}' shape {arrays[name].shape} does not match the "
+                f"density's {density.shape} in {path}"
+            )
+    for name in ("density", "energy", "energy_history", "base_fock", "base_density"):
+        if name in arrays and not np.isfinite(arrays[name]).all():
             raise CheckpointIntegrityError(
                 f"non-finite values in '{name}' of {path}"
             )

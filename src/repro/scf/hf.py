@@ -54,6 +54,11 @@ from repro.scf.purification import purify
 _DENSITY_PHASES = {"diagonalize": PHASE_DIAG, "purify": PHASE_PURIFY}
 #: what the guard's errors call each matrix kind
 _MATRIX = {"fock": "Fock matrix", "density": "density matrix"}
+#: a direct SCF builds F from scratch at iterations 1, 1 + N_FULL, ...
+#: and increments in between (``SCFDriver._built_focks``).  Longer than
+#: the 10- and 17-iteration water-cluster runs, so neither pays a full
+#: sweep before its final build (docs/PERFORMANCE.md, "Incremental build")
+N_FULL = 20
 
 
 @dataclass(kw_only=True)
@@ -93,8 +98,9 @@ class SCFDriver:
     and the one SCF loop both run.  A subclass sets ``_spin_labels``
     (the guard's matrix-label suffix per spin channel) and
     ``_occupations`` (occupied orbitals per channel) and implements
-    ``_guess``, ``_focks``, ``_electronic_energy`` and ``_result``
-    (``_final_state`` defaults to one more Fock build).
+    ``_guess``, ``_focks`` (the Fock stack ``F_base + G(D)`` from one
+    base per channel), ``_electronic_energy`` and ``_result``
+    (``_final_state`` defaults to one more, full, Fock build).
 
     Parameters
     ----------
@@ -267,7 +273,7 @@ class SCFDriver:
             if self.checkpoint_dir is not None:
                 path = save_checkpoint(
                     self.checkpoint_dir, rec.iteration, run.ds, rec.energy,
-                    run.history, run.diis, guard=run.guard,
+                    run.history, run.diis, guard=run.guard, base=run.base,
                 )
                 if run.faults[1] is not None:
                     # the sdc family's bad disk: a snapshot may rot after
@@ -309,7 +315,7 @@ class SCFDriver:
         ck = load_latest_intact(self.checkpoint_dir) if self.restart else None
         if ck is not None:
             run.ds, run.start = ck.spin_densities, ck.iteration + 1
-            run.history = list(ck.energy_history)
+            run.history, run.base = list(ck.energy_history), ck.spin_base
             windows = [w for w in run.diis if w is not None]
             for w, (focks, errors) in zip(windows, ck.spin_windows):
                 w.load_state(focks, errors)
@@ -369,11 +375,27 @@ class SCFDriver:
             for d, n in zip(mats, self._occupations)
         ])
 
+    def _built_focks(self, run: _Run, full: bool) -> list[np.ndarray]:
+        """F from the run's base: ``F_base + G(D - D_base)``, the base
+        being the last build's F and D.  A full build (base H, D_base = 0)
+        when ``full``, without a base, or on a store-backed engine, which
+        keeps none: a served build is a mat-vec and a fill needs every row."""
+        direct = self.engine.integral_store is None
+        if full or run.base is None or not direct:
+            fs = self._focks([run.h] * len(run.ds), run.ds)
+        else:
+            fs = self._focks(run.base[0], [
+                d - b for d, b in zip(run.ds, run.base[1])
+            ])
+        run.base = (fs, run.ds) if direct else None
+        return fs
+
     def _checked_focks(self, run: _Run, it: int) -> list[np.ndarray]:
-        """Build F; a tripped rung rebuilds it once (ERIs are density
-        independent, so bitwise the uncorrupted F) or raises."""
+        """Build F, from scratch every :data:`N_FULL` iterations; a tripped
+        rung rebuilds it once from scratch (ERIs are density independent,
+        so the uncorrupted F) or raises."""
         with phase(PHASE_FOCK, cat="scf"):
-            fs = self._focks(run.h, run.ds)
+            fs = self._built_focks(run, full=(it - 1) % N_FULL == 0)
         fs = self._corrupted(run, it, "fock", fs)
         for rung in (self._finite, self._intact):
             if rung(run, it, "fock", fs):
@@ -386,7 +408,7 @@ class SCFDriver:
             else:
                 run.monitor.record_recovery("recompute")
             with get_tracer().span("fock_rebuild", cat="scf"):
-                fs = self._focks(run.h, run.ds)
+                fs = self._built_focks(run, full=True)
             if guarded and not all(np.isfinite(f).all() for f in fs):
                 raise run.guard.fail(it, "Fock matrix is non-finite after rebuild")
             if not guarded and not rung(run, it, "fock", fs):
@@ -445,7 +467,7 @@ class SCFDriver:
         discarded = not self._finite(run, it, "density", ds)
         if discarded:
             run.guard.discard_iterate(it, "density")
-            ds = run.ds
+            ds, run.base = run.ds, None
         if self._intact(run, it, "density", ds):
             return ds, discarded
         run.monitor.record_recovery("recompute")
@@ -461,6 +483,7 @@ class SCFDriver:
                 f"iteration {it} and no verified checkpoint is available"
             )
         run.monitor.record_recovery("rollback")
+        run.base = None
         return ck.spin_densities, discarded
 
     def _record(self, run: _Run, it: int, energy: float, ds: list,
@@ -555,9 +578,10 @@ class SCFDriver:
         )
 
     def _final_state(self, run: _Run):
-        """(F, electronic, total energy): one more build from the final D."""
+        """(F, electronic, total energy): one more, full, build from the
+        final D."""
         with phase(PHASE_FOCK, cat="scf", molecule=run.label, final=True):
-            fs = self._focks(run.h, run.ds)
+            fs = self._built_focks(run, full=True)
         e_elec = self._electronic_energy(run.h, fs, run.ds)
         return fs, e_elec, e_elec + run.enuc
 
@@ -594,6 +618,9 @@ class _Run:
     coeffs: list
     #: the last iteration's Fock stack (None until one ran)
     fs: list[np.ndarray] | None = field(default=None, init=False)
+    #: (F, D) stacks of the last build, which the next one increments
+    #: (None: the next build is a full one)
+    base: tuple[list, list] | None = field(default=None, init=False)
     history: list[float] = field(default_factory=list, init=False)
     start: int = field(default=1, init=False)
 
@@ -625,10 +652,10 @@ class RHF(SCFDriver):
     def _guess(self, h: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
         return [core_guess(h, x, self.nocc)]
 
-    def _focks(self, h: np.ndarray, ds: list[np.ndarray]) -> list[np.ndarray]:
-        return [
-            fock_matrix(self.engine, h, ds[0], self.tau, threads=self.jk_threads)
-        ]
+    def _focks(self, bases: list, ds: list[np.ndarray]) -> list[np.ndarray]:
+        return [fock_matrix(
+            self.engine, bases[0], ds[0], self.tau, threads=self.jk_threads
+        )]
 
     def _electronic_energy(self, h, fs, ds) -> float:
         return hf_electronic_energy(h, fs[0], ds[0])

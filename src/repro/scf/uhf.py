@@ -10,7 +10,8 @@ built from the same screened symmetry-exploiting J/K machinery as RHF
 (both spin densities contracted in one pass over the integrals), and
 iterated by the same loop (:meth:`repro.scf.hf.SCFDriver._iterate`) as a
 two-channel spin stack.  Its final state keeps the last iteration's Fock
-matrices and energy; a run resumed at ``max_iter`` builds them once.
+matrices and energy (on a direct run, possibly an increment: see
+``SCFDriver._built_focks``); a run resumed at ``max_iter`` builds them once.
 """
 
 from __future__ import annotations
@@ -94,17 +95,15 @@ class UHF(SCFDriver):
             d_b = c[:, : self.n_beta] @ c[:, : self.n_beta].T
         return [d_a, d_b]
 
-    def _fock_pair(self, h, d_a, d_b) -> tuple[np.ndarray, np.ndarray]:
-        """``F_s = h + J(D_a) + J(D_b) - K(D_s)`` for both spins from one
-        pass over the integrals (J is linear in D; an empty beta space
+    def _focks(self, bases: list, ds: list[np.ndarray]) -> list[np.ndarray]:
+        """``F_s = base_s + J(D_a) + J(D_b) - K(D_s)`` for both spins from
+        one pass over the integrals (J is linear in D; an empty beta space
         contributes nothing and is left out of the stack)."""
-        dens = np.stack([d_a, d_b] if self.n_beta > 0 else [d_a])
+        dens = np.stack(ds if self.n_beta > 0 else ds[:1])
         j, k = build_jk(self.engine, dens, self.tau, threads=self.jk_threads)
-        f = h + j.sum(axis=0)
-        return f - k[0], (f - k[1] if self.n_beta > 0 else f)
-
-    def _focks(self, h: np.ndarray, ds: list[np.ndarray]) -> list[np.ndarray]:
-        return list(self._fock_pair(h, *ds))
+        j = j.sum(axis=0)
+        return [bases[0] + j - k[0], bases[1] + j - k[1] if self.n_beta > 0
+                else bases[1] + j]
 
     def _electronic_energy(self, h, fs, ds) -> float:
         (f_a, f_b), (d_a, d_b) = fs, ds

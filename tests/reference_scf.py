@@ -6,11 +6,14 @@ check-and-repair ladder per rung and matrix kind, the engine armed inside
 the loop and every per-iteration output spelled out in place.  It is kept
 as it was so ``tests/test_scf_loop.py`` can demand that the production
 loop's numbers, checkpoint bytes, guard trail and integrity summary equal
-it exactly.  It drives a driver's spin hooks (``_guess``, ``_focks``,
-``_electronic_energy``, ``_new_density``, ``_result``; ``_apply_fallbacks``
-and ``_final_state``, which take the run state, see the loop's locals
-through a namespace) and the same module globals of ``repro.scf.hf``;
-nothing in ``src/`` selects it.
+it exactly.  It drives a driver's spin hooks (``_guess``,
+``_electronic_energy``, ``_new_density``, ``_result``; ``_built_focks``,
+``_apply_fallbacks`` and ``_final_state``, which take the run state, see
+the loop's locals through a namespace) and the same module globals of
+``repro.scf.hf``; nothing in ``src/`` selects it.  It keeps the
+incremental build's schedule in its own words: a full build every
+``hf.N_FULL`` iterations, for a rebuild and after a discarded or rolled
+back density.
 """
 
 from __future__ import annotations
@@ -131,6 +134,13 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
         ds = guess if guess is not None else self._guess(h, x)
 
     monitor = IntegrityMonitor(overlap=s) if self.integrity else None
+    # the (F, D) the next build increments, as ``_built_focks`` keeps it
+    built = SimpleNamespace(h=h, base=None)
+
+    def build(full: bool) -> list[np.ndarray]:
+        built.ds = ds
+        return self._built_focks(built, full)
+
     diis = [DIIS() if self.use_diis and n else None for n in occ]
     windows = [w for w in diis if w is not None]
     history: list[float] = []
@@ -146,6 +156,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
             ds = ck.spin_densities
             e_old = ck.energy
             history = list(ck.energy_history)
+            built.base = ck.spin_base
             for w, (focks, errors) in zip(windows, ck.spin_windows):
                 w.load_state(focks, errors)
             start_it = ck.iteration + 1
@@ -163,7 +174,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
             "scf_iteration", cat="scf", molecule=mol_label, iteration=it
         ) as sp:
             with phase(PHASE_FOCK, cat="scf"):
-                fs = self._focks(h, ds)
+                fs = build(full=(it - 1) % hf.N_FULL == 0)
             fs = corrupt(fs, "fock")
             if guard is not None and not finite(fs, "fock"):
                 guard.on_nonfinite(it, "fock")
@@ -171,7 +182,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
                     raise guard.fail(it, "Fock matrix is non-finite")
                 x = _apply_fallbacks(self, guard, s, x)
                 with tracer.span("fock_rebuild", cat="scf"):
-                    fs = self._focks(h, ds)
+                    fs = build(full=True)
                 if not all(np.isfinite(f).all() for f in fs):
                     raise guard.fail(
                         it, "Fock matrix is non-finite after rebuild"
@@ -179,7 +190,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
             if monitor is not None and not focks_intact(fs):
                 monitor.record_recovery("recompute")
                 with tracer.span("fock_rebuild", cat="scf"):
-                    fs = self._focks(h, ds)
+                    fs = build(full=True)
                 if not focks_intact(fs):
                     raise IntegrityError(
                         f"Fock matrix failed integrity checks after "
@@ -216,6 +227,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
                     raise guard.fail(it, "density matrix is non-finite")
                 guard.discard_iterate(it, "density")
                 ds_new = ds
+                built.base = None
                 discarded = True
             if monitor is not None and not densities_intact(ds_new):
                 monitor.record_recovery("recompute")
@@ -231,6 +243,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
                     ):
                         monitor.record_recovery("rollback")
                         ds_new = ck.spin_densities
+                        built.base = None
                     else:
                         raise IntegrityError(
                             f"density matrix failed integrity checks "
@@ -268,7 +281,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
         if self.checkpoint_dir is not None:
             ckpt_path = hf.save_checkpoint(
                 self.checkpoint_dir, it, ds, e_old, history, diis,
-                guard=guard,
+                guard=guard, base=built.base,
             )
             if sdc_state is not None:
                 sdc_state.corrupt_file(ckpt_path)
@@ -278,7 +291,8 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
             break
 
     fs, e_elec, energy = self._final_state(SimpleNamespace(
-        h=h, ds=ds, fs=fs, history=history, enuc=enuc, label=mol_label
+        h=h, ds=ds, fs=fs, history=history, enuc=enuc, label=mol_label,
+        base=built.base,
     ))
     eri_store = {
         "computed": int(engine.quartets_computed),

@@ -17,6 +17,8 @@ from repro.fock.gtfock import PrefetchMiss, gtfock_build
 from repro.fock.reorder import reorder_basis
 from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
+from reference_schwarz_jk import schwarz_only_fock
+
 from repro.obs.flight import CH_TASK_GET
 from repro.runtime.faults import FaultPlan
 from repro.scf.fock import fock_matrix
@@ -36,9 +38,11 @@ def dimer(spacing: float = 2.8):
 @pytest.fixture(scope="module")
 def water_dimer():
     """The dimer, one engine for every build (one plan, one set of task
-    owners), and its reference Fock matrix."""
+    owners), and its reference Fock matrix: every Schwarz survivor, as
+    the numeric builds contract every row they own (``build_jk`` also
+    drops the rows whose sigma sigma |D| is below tau)."""
     engine, h, d = dimer()
-    return engine, h, d, fock_matrix(engine, h, d, 1e-11)
+    return engine, h, d, schwarz_only_fock(engine, h, d, 1e-11)
 
 
 def asymmetric(d):

@@ -362,7 +362,7 @@ class TestCheckpointRestart:
         d = rng.normal(size=(4, 4))
         diis = DIIS()
         diis.push(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
-        path = save_checkpoint(tmp_path, 7, d, -1.5, [-1.0, -1.5], diis)
+        path = save_checkpoint(tmp_path, 7, d, -1.5, [-1.0, -1.5], diis, base=None)
         assert path.name == "scf_ckpt_0007.npz"
         assert not list(tmp_path.glob("*.tmp"))  # atomic write cleaned up
         ck = load_checkpoint(path)

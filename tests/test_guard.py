@@ -238,7 +238,7 @@ class TestCheckpointGuardPersistence:
         for i in range(1, 8):
             g.observe(i, -74.0 if i % 2 else -73.0, 0.8)
         d = np.eye(3)
-        save_checkpoint(tmp_path, 4, d, -74.0, [-73.0, -74.0], guard=g)
+        save_checkpoint(tmp_path, 4, d, -74.0, [-73.0, -74.0], guard=g, base=None)
         ck = load_checkpoint(checkpoint_path(tmp_path, 4))
         assert ck.guard is not None
         g2 = SCFGuard(GuardConfig())
@@ -246,13 +246,13 @@ class TestCheckpointGuardPersistence:
         assert g2.level == g.level and g2.damping == g.damping
 
     def test_pre_guard_checkpoints_still_load(self, tmp_path):
-        save_checkpoint(tmp_path, 1, np.eye(2), -1.0, [-1.0])
+        save_checkpoint(tmp_path, 1, np.eye(2), -1.0, [-1.0], base=None)
         ck = load_checkpoint(checkpoint_path(tmp_path, 1))
         assert ck.guard is None
 
     def test_corrupted_latest_falls_back_to_intact(self, tmp_path):
-        save_checkpoint(tmp_path, 1, np.eye(2), -1.0, [-1.0])
-        save_checkpoint(tmp_path, 2, 2 * np.eye(2), -2.0, [-1.0, -2.0])
+        save_checkpoint(tmp_path, 1, np.eye(2), -1.0, [-1.0], base=None)
+        save_checkpoint(tmp_path, 2, 2 * np.eye(2), -2.0, [-1.0, -2.0], base=None)
         # truncate the newest snapshot mid-file
         newest = checkpoint_path(tmp_path, 2)
         newest.write_bytes(newest.read_bytes()[:40])
@@ -261,7 +261,7 @@ class TestCheckpointGuardPersistence:
         assert ck is not None and ck.iteration == 1
 
     def test_all_corrupt_returns_none(self, tmp_path):
-        save_checkpoint(tmp_path, 1, np.eye(2), -1.0, [-1.0])
+        save_checkpoint(tmp_path, 1, np.eye(2), -1.0, [-1.0], base=None)
         checkpoint_path(tmp_path, 1).write_bytes(b"not a zipfile")
         with pytest.warns(CheckpointCorruptionWarning):
             assert load_latest_intact(tmp_path) is None

@@ -49,6 +49,7 @@ from repro.scf.checkpoint import (
 )
 from repro.scf.fock import build_jk
 from repro.scf.guard import GuardConfig, GuardError
+from repro.scf import hf
 from repro.scf.hf import RHF
 from repro.scf.uhf import UHF
 
@@ -114,7 +115,8 @@ class TestCheckpointIntegrity:
         rng = np.random.default_rng(iteration)
         d = rand_density(rng, n) if density is None else density
         return save_checkpoint(
-            tmp_path, iteration, d, -1.0 - iteration, [-1.0, -1.0 - iteration]
+            tmp_path, iteration, d, -1.0 - iteration, [-1.0, -1.0 - iteration],
+            base=None,
         )
 
     def test_round_trip_verifies(self, tmp_path):
@@ -544,10 +546,25 @@ class TestIntegrityMonitor:
 # -- SCF recovery ladder -----------------------------------------------------
 
 
+def full_build_at(driver_type, iterations):
+    """``driver_type`` with a full Fock build at ``iterations``.  A
+    repaired F is rebuilt from scratch where a clean direct run
+    increments, so the clean run with that schedule is the trajectory a
+    repaired run must reproduce."""
+
+    class FullBuildAt(driver_type):
+        def _checked_focks(self, run, it):
+            if it in iterations:
+                run.base = None
+            return super()._checked_focks(run, it)
+
+    return FullBuildAt
+
+
 class TestSCFRecovery:
     def test_matrix_flips_recovered_bitwise(self, tmp_path):
         mol = water()
-        clean = RHF(mol, basis_name="sto-3g").run()
+        clean = full_build_at(RHF, (2,))(mol, basis_name="sto-3g").run()
         plan = SDCFaultPlan(
             seed=4, fock_flip_iterations=(2,), density_flip_iterations=(3,)
         )
@@ -562,6 +579,7 @@ class TestSCFRecovery:
         assert s["detections"].get("density_matrix", 0) >= 1
         assert s["recoveries"].get("recompute", 0) >= 2
         # recompute is bitwise: the trajectory is the clean trajectory
+        # with the rebuilt F's full build
         assert res.energy == clean.energy
         assert np.array_equal(res.fock, clean.fock)
 
@@ -603,7 +621,7 @@ class TestUHFRecovery:
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_matrix_flips_detected_and_recovered(self, name):
         make, kw, fock_it, density_it = self.SYSTEMS[name]
-        clean = UHF(make(), integrity=True, **kw).run()
+        clean = full_build_at(UHF, (fock_it,))(make(), integrity=True, **kw).run()
         assert clean.converged
         assert clean.integrity_summary["detections_total"] == 0
         assert clean.integrity_summary["checks_total"] > 0
@@ -699,9 +717,14 @@ class TestFaultsCompose:
               where, tols=None, cap=None):
         """Kill the faulted run at ``kill_at``, resume it, and demand the
         clean energy, one classified non-finite event ``where`` and the
-        ``detected`` matrix flips, each repaired by one recompute."""
+        ``detected`` matrix flips, each repaired by one recompute.  The
+        faulted run serves a store, so it builds every F from scratch; so
+        does the clean reference (``N_FULL = 1``): increments move where
+        the UHF's slow tail stops by more than the tolerance."""
         tols, cap = tols or {}, cap or {}
-        clean = driver_type(mol, basis, **tols).run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hf, "N_FULL", 1)
+            clean = driver_type(mol, basis, **tols).run()
 
         class Killed(Exception):
             pass
@@ -770,6 +793,8 @@ class TestRHFSnapshotFormat:
             "energy_history": ("f", (3,)),
             "diis_focks": ("f", (3, n, n)),
             "diis_errors": ("f", (3, n, n)),
+            "base_fock": ("f", (n, n)),
+            "base_density": ("f", (n, n)),
         }
         assert guard_state["level"] == -1
         # without a guard or DIIS: no guard key, empty (0, n, n) windows
@@ -777,8 +802,9 @@ class TestRHFSnapshotFormat:
             checkpoint_dir=str(tmp_path / "bare")).run()
         with np.load(tmp_path / "bare" / "scf_ckpt_0001.npz") as z:
             assert sorted(z.files) == [
-                "density", "diis_errors", "diis_focks", "energy",
-                "energy_history", "iteration", "payload_sha256",
+                "base_density", "base_fock", "density", "diis_errors",
+                "diis_focks", "energy", "energy_history", "iteration",
+                "payload_sha256",
             ]
             assert z["diis_focks"].shape == (0, n, n)
             assert z["iteration"].dtype == np.int64
@@ -817,7 +843,7 @@ class TestVerifyTree:
     def test_clean_tree_is_clean(self, filled_store, tmp_path):
         rng = np.random.default_rng(0)
         save_checkpoint(
-            tmp_path / "ckpt", 1, rand_density(rng, 4), -1.0, [-1.0]
+            tmp_path / "ckpt", 1, rand_density(rng, 4), -1.0, [-1.0], base=None
         )
         report = verify_tree(tmp_path)
         assert report.clean
@@ -829,7 +855,7 @@ class TestVerifyTree:
         store_dir, *_ = filled_store
         rng = np.random.default_rng(0)
         path = save_checkpoint(
-            tmp_path / "ckpt", 1, rand_density(rng, 4), -1.0, [-1.0]
+            tmp_path / "ckpt", 1, rand_density(rng, 4), -1.0, [-1.0], base=None
         )
         SDCFaultPlan(seed=6, store_flips=2).activate().corrupt_store_dir(
             store_dir
@@ -962,7 +988,7 @@ class TestSDCChaosGate:
     def test_checkpoint_flips_land_in_member_data(self, tmp_path):
         """Every flip ``corrupt_file`` plants lies in a span the entry
         CRC covers, so loading the snapshot always fails."""
-        ckpt = save_checkpoint(tmp_path, 1, np.eye(3), -1.0, [-1.0])
+        ckpt = save_checkpoint(tmp_path, 1, np.eye(3), -1.0, [-1.0], base=None)
         clean = ckpt.read_bytes()
         spans = zip_member_spans(ckpt)
         for seed in range(12):
