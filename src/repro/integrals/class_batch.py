@@ -28,22 +28,23 @@ loop the same way:
   chunks are dealt cost-sorted across a thread pool, each worker
   staging into private J/K buffers that are reduced at the end.
 * **Supermatrix** (:class:`Supermatrix`): conventional SCF done
-  literally (Mitin, arxiv 1905.07779).  A filling
-  :class:`~repro.integrals.store.ERIStore` writes the plan's integrals
-  as two sparse matrices over flat ``(ij)`` pairs (:func:`pair_matrices`);
-  the first build it serves memory-maps them (:func:`map_supermatrix`),
-  and every build on that engine is four sparse mat-vecs.
+  literally (Mitin, arxiv 1905.07779).  The build that fills an
+  :class:`~repro.integrals.store.ERIStore` keeps the weighted blocks it
+  contracts and turns them into the plan's two sparse matrices over flat
+  ``(ij)`` pairs (:func:`pair_matrices`), which the store writes; the
+  first build it serves memory-maps them (:func:`map_supermatrix`), and
+  every build on that engine is four sparse mat-vecs.
 
 Every engine builds J/K here.  A chunk's blocks are computed
 (:func:`_resolve_chunk`) by ``engine.compute_rows``, the one engine
 seam: the MD class kernel or the batched Obara-Saika kernel, which also
 recomputes the rows the NaN/Inf sentinel flags (``engine.rescue_rows``).
-Everything row-addressed (store records, seeded faults, the sentinel)
-sees one ``(batch, rows, blocks)`` per member, ``rows`` an index array
-into the class: the plan rows whose Schwarz bound times the density
-passes ``tau`` (:func:`jk_from_plan`, :func:`density_rows`; a store fill
-takes every row) or selected ones (:func:`jk_from_rows`, the rows of a
-GTFock rank or an NWChem task).
+Everything row-addressed (seeded faults, the sentinel) sees one
+``(batch, rows, blocks)`` per member, ``rows`` an index array into the
+class: the plan rows whose Schwarz bound times the density passes
+``tau`` (:func:`jk_from_plan`, :func:`density_rows`; a store fill takes
+every row) or selected ones (:func:`jk_from_rows`, the rows of a GTFock
+rank or an NWChem task).
 
 Numerics agree with the per-quartet scatter oracle
 (``tests/reference_fock.py``) to summation order (tests pin <= 1e-10
@@ -432,10 +433,11 @@ def _contract_blocks(
     kt: np.ndarray,
     dflat: np.ndarray,
     n: int,
-    flush: list[Chunk],
-    parts: list[np.ndarray],
+    g: np.ndarray,
+    bases: np.ndarray,
 ) -> None:
-    """Accumulate one flush of same-shape blocks into half-J / half-K.
+    """Accumulate one flush of same-shape blocks into half-J / half-K:
+    ``g`` and ``bases`` as :func:`_weighted_flush` makes them.
 
     With ``g = w (ab|cd)`` and symmetric D, the eight permutation images
     of a quartet collapse to six blocks::
@@ -448,7 +450,6 @@ def _contract_blocks(
     batched matmul against gathered density blocks and one ``bincount``
     scatter-add per density.
     """
-    g, bases = _weighted_flush(flush, parts)
     dims = g.shape[1:]
     index = [
         base[:, None]
@@ -486,7 +487,8 @@ class Supermatrix:
     build.  Every entry is one quartet's value or a sum of two of its
     values; row ``(a, x)`` holds only quartets whose first shell has
     ``a``.  A ready store's file holds the two matrices (12 bytes per
-    non-zero: float64 value, int32 column), served memory-mapped.
+    non-zero: float64 value, int32 column), served memory-mapped; they
+    serve every row of ``plan``.
     """
 
     plan: ClassPlan
@@ -494,8 +496,6 @@ class Supermatrix:
     generation: int
     #: whether its segments were CRC-checked (``store.verify_reads``)
     verified: bool
-    #: plan rows the store served; the rest were computed
-    served: int
     mj: sparse.csr_matrix
     mk: sparse.csr_matrix
 
@@ -561,22 +561,27 @@ def pair_matrices(
     return csr(_VIEWS[0]), csr(_VIEWS[1])
 
 
-def _computed_matrices(engine, chunks, faults, totals):
+def _piece(flush: list[Chunk], g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A flush as :func:`pair_matrices` takes it: its quartets and ``g``."""
+    return np.concatenate([b.quartets[rows] for b, rows in flush]), g
+
+
+def _computed_matrices(engine, chunks, totals):
     """``(M_J, M_K)`` of the rows of ``chunks``, computed (source counts
     added to ``totals``)."""
     pieces = [
-        (np.concatenate([b.quartets[rows] for b, rows in flush]),
-         _weighted_flush(flush, parts)[0])
-        for flush, parts in _flushes(engine, chunks, None, faults, totals)
+        _piece(flush, _weighted_flush(flush, parts)[0])
+        for flush, parts in _flushes(engine, chunks, None, totals)
     ]
     with phase(PHASE_JK):
         return pair_matrices(engine.basis, pieces)
 
 
-def _mapped_matrices(engine, plan: ClassPlan, store, held, totals):
+def _mapped_matrices(engine, plan: ClassPlan, store):
     """The store's ``(M_J, M_K)``, memory-mapped, each segment that fails
-    its check rebuilt from the held plan rows of its shell -- or ``None``
-    if a rebuilt segment does not fit its slot (another kernel's zeros)."""
+    its check rebuilt from the plan rows of its shell (CRC rescues) -- or
+    ``None`` if a rebuilt segment does not fit its slot (another kernel's
+    exact zeros)."""
     from scipy import sparse
 
     cuts, nnzs = store.offsets_for()
@@ -585,10 +590,10 @@ def _mapped_matrices(engine, plan: ClassPlan, store, held, totals):
     bad = np.flatnonzero(~np.logical_and(*good))  # segment s: rows of shell s
     if bad.size:
         first = np.concatenate([batch.quartets[:, 0] for batch in plan.batches])
-        rows = np.flatnonzero(held & np.isin(first, bad))
         counts = dict.fromkeys(_COUNT_KEYS, 0)
-        fresh = _computed_matrices(engine, plan.chunks(rows), None, counts)
-        totals["crc_rescued"] += counts["computed"]
+        fresh = _computed_matrices(
+            engine, plan.chunks(np.flatnonzero(np.isin(first, bad))), counts)
+        engine.crc_rescues += counts["computed"]
         for (data, indices, indptr), nnz, ok, piece in zip(arrays, nnzs, good, fresh):
             for s in np.flatnonzero(~ok):
                 r0, r1, z0, z1 = cuts[s], cuts[s + 1], nnz[s], nnz[s + 1]
@@ -602,42 +607,22 @@ def _mapped_matrices(engine, plan: ClassPlan, store, held, totals):
     return tuple(sparse.csr_matrix(a, shape=(n2, n2)) for a in arrays)
 
 
-def map_supermatrix(
-    engine, plan: ClassPlan, store, faults
-) -> tuple[Supermatrix, dict]:
-    """The :class:`Supermatrix` of ``plan`` over a ready ``store``, and the
-    source counts of the rows computed for it.
-
-    A store all of whose rows ``plan`` has serves its own matrices,
-    memory-mapped; the plan rows it lacks (a plan tighter than its
-    ``tau``) are computed into a second pair added on.  A store holding
-    rows ``plan`` screens out (a looser plan) is not read at all -- its
-    entries cannot be told apart by quartet, and no screened-out row is
-    ever served -- so every plan row is computed, once.  Single
-    threaded: the matrices, hence every J/K, are bitwise the same at any
-    ``jk_threads``.
+def map_supermatrix(engine, plan: ClassPlan, store) -> Supermatrix | None:
+    """The :class:`Supermatrix` of ``plan`` over a ``store`` filled at the
+    plan's tau: its matrices, memory-mapped, with every segment that fails
+    its check rebuilt in place.  A rebuilt segment that does not fit its
+    slot invalidates the store (``None``: the build fills it again).
+    Single threaded: the matrices, hence every J/K, are bitwise the same
+    at any ``jk_threads``.
     """
-    totals = dict.fromkeys(_COUNT_KEYS, 0)
-    # a row is held (or, in another index order, its canonical image)
-    # iff the Schwarz screen at the store's tau keeps it
-    q = np.concatenate([b.quartets for b in plan.batches] + [np.zeros((0, 4), int)])
-    sigma, ns = engine.schwarz().ravel(), engine.basis.nshells
-    held = sigma[q[:, 0] * ns + q[:, 1]] * sigma[q[:, 2] * ns + q[:, 3]] > store.manifest["tau"]
-    matrices = None
-    if held.any() and held.sum() == store.nblocks:
-        matrices = _mapped_matrices(engine, plan, store, held, totals)
+    matrices = _mapped_matrices(engine, plan, store)
     if matrices is None:
-        held[:] = False
-    missing = np.flatnonzero(~held)
-    if missing.size or matrices is None:
-        fresh = _computed_matrices(engine, plan.chunks(missing), faults, totals)
-        matrices = fresh if matrices is None else tuple(
-            a + b for a, b in zip(matrices, fresh)
-        )
+        store.invalidate("a rebuilt segment does not fit its slot")
+        return None
     return Supermatrix(
         plan=plan, generation=store.generation, verified=store.verify_reads,
-        served=plan.nquartets - missing.size, mj=matrices[0], mk=matrices[1],
-    ), totals
+        mj=matrices[0], mk=matrices[1],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -646,19 +631,16 @@ def map_supermatrix(
 
 
 #: where a resolved row came from (tallied per chunk, summed per build)
-_COUNT_KEYS = ("computed", "rescued", "crc_rescued", "corrupted")
+_COUNT_KEYS = ("computed", "rescued", "corrupted")
 
 
-def _resolve_chunk(
-    engine, chunk: list[Chunk], store, faults
-) -> tuple[list, dict]:
+def _resolve_chunk(engine, chunk: list[Chunk], faults) -> tuple[list, dict]:
     """The stacked blocks of every ``(batch, rows)`` of ``chunk``, from
     ``engine.compute_rows``, and the counts of how they were made.
 
     ``faults`` (the build's pre-drawn seeded corruptions, or None) hit
     class-kernel rows only, before the NaN/Inf sentinel, which sends
-    each member's non-finite rows to one ``engine.rescue_rows`` call; a
-    filling store records the result.
+    each member's non-finite rows to one ``engine.rescue_rows`` call.
     """
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     parts = engine.compute_rows(chunk)
@@ -670,8 +652,6 @@ def _resolve_chunk(
             bad = ~np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
             blocks[bad] = engine.rescue_rows(batch, rows[bad])
             counts["rescued"] += int(bad.sum())
-        if store is not None and store.filling:
-            store.record_batch(batch.quartets[rows], blocks)
     return parts, counts
 
 
@@ -712,7 +692,7 @@ def density_stack(density: np.ndarray, n: int) -> np.ndarray:
     return dens
 
 
-def _flushes(engine, chunks, store, faults, totals):
+def _flushes(engine, chunks, faults, totals):
     """Resolve ``chunks`` in order -- an ``eri_quartets`` phase each,
     source counts added to ``totals`` -- and yield their blocks as contraction
     flushes ``(members, parts)``.
@@ -729,7 +709,7 @@ def _flushes(engine, chunks, store, faults, totals):
         if _JK_INTERRUPT.is_set():
             raise JKInterrupted("J/K build interrupted between chunks")
         with phase(PHASE_ERI):
-            parts, counts = _resolve_chunk(engine, chunk, store, faults)
+            parts, counts = _resolve_chunk(engine, chunk, faults)
         for key in _COUNT_KEYS:
             totals[key] += counts[key]
         for member, blocks in zip(chunk, parts):
@@ -776,16 +756,21 @@ def density_rows(engine, plan: ClassPlan, dens: np.ndarray, tau: float):
     return None if keep.all() else np.flatnonzero(keep)
 
 
-def _run_chunks(engine, dflat, chunks, store, faults):
+def _run_chunks(engine, dflat, chunks, pieces, faults):
     """One worker's share: private half-J/half-K buffers + source counts,
-    a ``jk_contraction`` phase around every flush."""
+    a ``jk_contraction`` phase around every flush.  A store fill passes a
+    ``pieces`` list: each flush appends its quartets and the weighted
+    blocks it contracted (:func:`_piece`)."""
     n = engine.basis.nbf
     jt = np.zeros_like(dflat)
     kt = np.zeros_like(dflat)
     totals = dict.fromkeys(_COUNT_KEYS, 0)
-    for flush, parts in _flushes(engine, chunks, store, faults, totals):
+    for flush, parts in _flushes(engine, chunks, faults, totals):
         with phase(PHASE_JK):
-            _contract_blocks(jt, kt, dflat, n, flush, parts)
+            g, bases = _weighted_flush(flush, parts)
+            _contract_blocks(jt, kt, dflat, n, g, bases)
+        if pieces is not None:
+            pieces.append(_piece(flush, g))
     return jt, kt, totals
 
 
@@ -794,7 +779,6 @@ def _tally(engine, totals: dict, faults) -> None:
     thread that owns the build)."""
     engine.quartets_computed += totals["computed"]
     engine.count_rescues(totals["rescued"])
-    engine.crc_rescues += totals["crc_rescued"]
     if faults is not None:
         engine.scf_faults.quartets_corrupted += totals["corrupted"]
 
@@ -803,30 +787,33 @@ def jk_from_plan(
     engine,
     density: np.ndarray,
     plan: ClassPlan,
-    tau: float | None = None,
+    tau: float,
     threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """J and K matrices from a class plan, one family sweep per chunk.
+    """J and K matrices from a class plan (screened at ``tau``), one family
+    sweep per chunk.
 
     ``density`` is one symmetric ``(n, n)`` matrix or a stack
     ``(k, n, n)`` of them; a stack shares one pass over the integrals
     and returns stacked ``(k, n, n)`` J and K.
 
-    An attached ``engine.integral_store`` that is *ready* serves the
-    build from the engine's :class:`Supermatrix`, mapped by the first
-    such build (:func:`map_supermatrix`; again only for another plan, a
-    store generation change or newly armed ``verify_reads``): no chunk
-    is walked and ``threads`` is not consulted.  Every other build --
-    direct, or filling a store, which it then finalizes with ``tau``
-    (the plan's threshold: a fill needs it) -- is the
-    six-block contraction.  A direct build computes only the rows
-    :func:`density_rows` keeps at ``tau`` (``None``: every row); a
-    fill computes every row.  ``threads > 1`` deals the kernel chunks,
-    largest first, to the least-loaded worker of a thread pool; every
-    worker stages and flushes its own blocks into private accumulators
-    (reduced at the end).  At any thread count the thread doing the
-    work records one ``eri_quartets`` phase per kernel chunk and one
-    ``jk_contraction`` phase per flush -- never per quartet.
+    An attached ``engine.integral_store`` that is *ready* at ``tau``
+    serves the build from the engine's :class:`Supermatrix`, mapped by
+    the first such build (:func:`map_supermatrix`; again only for another
+    plan, a store generation change or newly armed ``verify_reads``): no
+    chunk is walked and ``threads`` is not consulted.  A ready store at
+    another tau, or one :func:`map_supermatrix` cannot patch, is
+    invalidated and this build fills it.  Every other build -- direct,
+    or filling a store -- is the six-block contraction.  A direct build
+    computes only the rows :func:`density_rows` keeps at ``tau``; a fill
+    computes every row, keeps the weighted blocks it contracts, and
+    hands the store their :func:`pair_matrices` to finalize at ``tau``.
+    ``threads > 1`` deals the kernel chunks, largest first, to the
+    least-loaded worker of a thread pool; every worker stages and
+    flushes its own blocks into private accumulators (reduced at the
+    end).  At any thread count the thread doing the work records one
+    ``eri_quartets`` phase per kernel chunk and one ``jk_contraction``
+    phase per flush -- never per quartet.
 
     An attached ``engine.scf_faults`` state has this build's corruptions
     drawn here, per plan row and before any worker starts, so the same
@@ -840,32 +827,32 @@ def jk_from_plan(
     if engine.scf_faults is not None:
         faults = engine.scf_faults.draw_build(plan.nquartets)
 
+    if store is not None and store.ready and store.manifest["tau"] != tau:
+        store.invalidate(f"filled at tau {store.manifest['tau']!r}, "
+                         f"this build's is {tau!r}")
     if store is not None and store.ready:
         sm = engine.supermatrix
         if sm is None or not sm.serves(plan, store):
             # dropped first: a mapping that fails (MemoryError, an
             # interrupt) leaves no half-built or stale matrix behind
             engine.supermatrix = None
-            sm, totals = map_supermatrix(engine, plan, store, faults)
-            _tally(engine, totals, faults)
-            engine.supermatrix = sm
-        with phase(PHASE_JK):
-            jt, kt = sm.contract(dflat)
-        engine.quartets_served_from_store += sm.served
-        engine.last_jk_worker_stats = []
-        return _symmetrized(jt, kt, n, density)
+            sm = engine.supermatrix = map_supermatrix(engine, plan, store)
+        if sm is not None:
+            with phase(PHASE_JK):
+                jt, kt = sm.contract(dflat)
+            engine.quartets_served_from_store += plan.nquartets
+            engine.last_jk_worker_stats = []
+            return _symmetrized(jt, kt, n, density)
 
     # a store that stopped being ready (invalidated) takes its matrix along
     engine.supermatrix = None
-    filling = store is not None and store.filling
-    if filling and tau is None:
-        raise ValueError("filling an integral store needs the plan's tau")
-    chunks = plan.chunks(None if filling or tau is None else density_rows(
+    pieces = [] if store is not None and store.filling else None
+    chunks = plan.chunks(None if pieces is not None else density_rows(
         engine, plan, dflat.reshape(-1, n, n), tau
     ))
     nthreads = resolve_jk_threads(threads)
     if nthreads <= 1 or len(chunks) <= 1:
-        results = [_run_chunks(engine, dflat, chunks, store, faults)]
+        results = [_run_chunks(engine, dflat, chunks, pieces, faults)]
         engine.last_jk_worker_stats = []
     else:
         # largest chunk first, each to the least-loaded worker
@@ -879,7 +866,7 @@ def jk_from_plan(
 
         def timed_share(share):
             t0 = time.perf_counter()
-            result = _run_chunks(engine, dflat, share, store, faults)
+            result = _run_chunks(engine, dflat, share, pieces, faults)
             return result, time.perf_counter() - t0
 
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
@@ -892,7 +879,8 @@ def jk_from_plan(
         engine, {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS},
         faults,
     )
-    if filling and store.pending_blocks:
+    if pieces:
+        store.record_batch(*pair_matrices(engine.basis, pieces), plan.nquartets)
         store.finalize(tau)
     return _symmetrized(
         sum(r[0] for r in results), sum(r[1] for r in results), n, density

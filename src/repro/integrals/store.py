@@ -5,22 +5,24 @@ SCF -- compute the screened non-zero integrals once, store them, and
 build every F straight from them -- beats direct SCF, whose ERI work is
 paid again on every Fock build.  This module is that storage layer:
 
-* :class:`ERIStore` records the canonical screened quartet blocks of the
-  build that fills it and, at ``finalize``, writes them as the matrices
-  they are contracted as: the ``data`` / ``indices`` / ``indptr`` arrays
-  of M_J and M_K (:class:`~repro.integrals.class_batch.Supermatrix`) end
-  to end in one file, ``supermatrix.bin``.  The first build it serves
-  memory-maps them (copy-on-write; the page cache shares them across
-  processes): nothing is read block by block or assembled, and later
-  builds re-read nothing.
+* :class:`ERIStore` is a file format for two matrices: the M_J and M_K
+  (:class:`~repro.integrals.class_batch.Supermatrix`) of the plan whose
+  build filled it.  That build makes them (the J/K build is the only
+  code that turns computed rows into matrices) and stages them with
+  :meth:`~ERIStore.record_batch`; ``finalize`` writes their ``data`` /
+  ``indices`` / ``indptr`` arrays end to end in one file,
+  ``supermatrix.bin``.  The first build it serves memory-maps them
+  (copy-on-write; the page cache shares them across processes): nothing
+  is read block by block or assembled, and later builds re-read nothing.
 * ``manifest.json`` records provenance -- a SHA-256 fingerprint of the
   basis (angular momenta, purity, centers, exponents, normalized
   coefficients), the screening ``tau`` (which fixes the quartets held)
   and the layout.  A fingerprint or format-version mismatch invalidates
-  the store (:class:`StoreInvalidatedWarning`) and it is refilled.
+  the store (:class:`StoreInvalidatedWarning`) and it is refilled; so
+  does a build at another ``tau``: one directory holds one (basis, tau).
 
 Lifecycle: ``open_or_fill()`` -> ``filling`` (the first Fock build
-records computed blocks) -> ``finalize(tau)`` -> ``ready``.  Every disk
+stages its matrices) -> ``finalize(tau)`` -> ``ready``.  Every disk
 transition runs under an advisory ``flock`` on ``<store>/.lock``; the
 data file is staged as ``*.tmp`` and ``os.replace``'d into place with
 ``manifest.json`` written **last**, so a crash mid-finalize never leaves
@@ -35,10 +37,11 @@ entries) and a whole-file SHA-256.  With ``verify_reads`` (armed by the
 SCF ``integrity=`` knob) each segment is CRC-checked as it is mapped;
 unverified, each is still checked to be a well-formed CSR slice, so a
 flipped bit can make a value wrong but never send a read outside the
-matrix.  A failed segment is rebuilt from its shell's plan rows.  The
-digest is checked by the offline ``repro verify`` audit only.  A v2
-store (a flat block file and a per-block index) is invalidated and
-refilled.  Threat model: ``docs/ROBUSTNESS.md`` ("Silent data
+matrix.  A failed segment is rebuilt from its shell's plan rows; one
+that does not fit its slot invalidates the store, refilled by the build
+that found it.  The digest is checked by the offline ``repro verify``
+audit only.  A v2 store (a flat block file and a per-block index) is
+invalidated and refilled.  Threat model: ``docs/ROBUSTNESS.md`` ("Silent data
 corruption").  This module alone knows the layout: the audit
 (:func:`is_store_dir`, :func:`audit_store_dir`) and the SDC fault
 injector (:func:`segment_extents`) read it here.
@@ -50,7 +53,6 @@ import contextlib
 import hashlib
 import json
 import os
-import threading
 import warnings
 import zlib
 from datetime import datetime, timezone
@@ -59,7 +61,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.integrals.class_batch import orbit_weights, pair_matrices
 
 try:
     import fcntl
@@ -165,9 +166,8 @@ class ERIStore:
         self.verify_reads = False
         self.crc_checks = 0
         self.crc_mismatches = 0
-        #: recorded chunks: (quartets, their stacked blocks)
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self._lock = threading.Lock()
+        #: the staged fill: M_J, M_K and how many quartets they hold
+        self._staged: tuple | None = None
         self._flock_depth = 0
         self._reject_reason = "stale or unreadable manifest"
 
@@ -270,62 +270,38 @@ class ERIStore:
                     pass
         self.ready = False
         self.filling = True
-        self._pending.clear()
+        self._staged = None
         self.generation += 1
 
     # -- filling ------------------------------------------------------------
 
-    @property
-    def pending_blocks(self) -> int:
-        return sum(len(q) for q, _ in self._pending)
-
-    def record_batch(self, quartets: np.ndarray, blocks: np.ndarray) -> None:
-        """Record a stacked chunk of canonical blocks while filling."""
-        if not self.filling:
-            return
-        rows = (np.asarray(quartets, dtype=np.int64).reshape(-1, 4),
-                np.array(blocks, dtype=np.float64))
-        with self._lock:
-            self._pending.append(rows)
+    def record_batch(self, mj, mk, nblocks: int) -> None:
+        """Stage the filling build's CSR ``M_J`` and ``M_K``, of ``nblocks``
+        quartets, for :meth:`finalize`."""
+        if self.filling:
+            self._staged = (mj, mk, int(nblocks))
 
     def finalize(self, tau: float) -> None:
-        """Write the pending blocks to disk as the two CSR matrices of
-        the plan filled at ``tau`` and switch to the ready state: the
-        data file first (staged, then ``os.replace``'d), the manifest
-        last, so a process killed mid-finalize leaves no manifest or a
-        complete store, never a manifest pointing at partial data."""
-        with self._lock:
-            if not self.filling or not self._pending:
-                return
-            self.path.mkdir(parents=True, exist_ok=True)
-            with self._disk_lock():
-                # another process may have finalized while this one was
-                # still filling: attach to its store, don't clobber it
-                existing = self._load_valid_manifest()
-                if existing is None:
-                    existing = self._write(tau)
-                self._pending.clear()
-                self._attach(existing)
+        """Write the staged matrices to disk as the plan filled at ``tau``
+        and switch to the ready state: the data file first (staged, then
+        ``os.replace``'d), the manifest last, so a process killed
+        mid-finalize leaves no manifest or a complete store, never a
+        manifest pointing at partial data."""
+        if not self.filling or self._staged is None:
+            return
+        with self._disk_lock():
+            # another process may have finalized while this one was still
+            # filling: attach to its store at this tau, don't clobber it
+            existing = self._load_valid_manifest()
+            if existing is None or existing["tau"] != tau:
+                existing = self._write(tau)
+            self._staged = None
+            self._attach(existing)
 
     def _write(self, tau: float) -> dict:
-        """Publish the pending blocks (a quartet recorded twice counts
-        once, with its first block) as M_J and M_K; their manifest."""
-        quartets = np.concatenate([q for q, _ in self._pending])
-        _, first = np.unique(np.ravel_multi_index(
-            quartets.T, (len(self.basis.shells),) * 4), return_index=True)
-        keep = np.zeros(len(quartets), dtype=bool)
-        keep[first] = True
-        by_dims, lo = {}, 0
-        for q, blocks in self._pending:
-            sel, lo = keep[lo:lo + len(q)], lo + len(q)
-            by_dims.setdefault(blocks.shape[1:], []).append(
-                (q, blocks) if sel.all() else (q[sel], blocks[sel]))
-        pieces = []
-        for members in by_dims.values():
-            q, g = (np.concatenate(a) for a in zip(*members))
-            g *= orbit_weights(q).reshape((-1,) + (1,) * (g.ndim - 1))
-            pieces.append((q, g))
-        mats = dict(zip(_MATRICES, pair_matrices(self.basis, pieces)))
+        """Publish the staged M_J and M_K; their manifest."""
+        mj, mk, nblocks = self._staged
+        mats = dict(zip(_MATRICES, (mj, mk)))
         rows = (self.basis.offsets * self.basis.nbf).tolist()  # a segment per shell
         manifest = {
             "version": STORE_VERSION,
@@ -334,7 +310,7 @@ class ERIStore:
             "tau": float(tau),
             "nbf": int(self.basis.nbf),
             "nshells": len(self.basis.shells),
-            "nblocks": int(first.size),
+            "nblocks": nblocks,
             "index_dtype": np.result_type(*(getattr(m, a) for m in mats.values()
                                             for a in ("indices", "indptr"))).name,
             "rows": rows,
@@ -424,7 +400,6 @@ class ERIStore:
             "nblocks": self.nblocks,
             "nsegments": self.nsegments,
             "nbytes": self.nbytes,
-            "pending_blocks": self.pending_blocks,
             "tau": None if self.manifest is None else self.manifest.get("tau"),
             "verify_reads": self.verify_reads,
             "crc_checks": int(self.crc_checks),

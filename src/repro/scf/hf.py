@@ -99,8 +99,9 @@ class SCFDriver:
     (the guard's matrix-label suffix per spin channel) and
     ``_occupations`` (occupied orbitals per channel) and implements
     ``_guess``, ``_focks`` (the Fock stack ``F_base + G(D)`` from one
-    base per channel), ``_electronic_energy`` and ``_result``
-    (``_final_state`` defaults to one more, full, Fock build).
+    base per channel), ``_electronic_energy`` and ``_result``.  A run's
+    final F and energy are one more, full, Fock build from its final D
+    (``_final_state``).
 
     Parameters
     ----------
@@ -125,9 +126,9 @@ class SCFDriver:
         non-zero quartets and writes them as a sparse supermatrix; the
         next maps it back and every iteration is four sparse mat-vecs,
         with zero ERI recomputation.
-        A store left by a previous run of the *same* basis is reused
-        directly; any mismatch invalidates it (with a warning) and it
-        is refilled.
+        A store left by a previous run of the *same* basis and ``tau``
+        is reused directly; any mismatch invalidates it (with a warning)
+        and it is refilled.
     jk_threads:
         Worker threads for the class-batched J/K contraction, >= 1
         (default ``None`` = serial).  Builds served by a ready store do
@@ -224,8 +225,6 @@ class SCFDriver:
         self.basis = self.engine.basis
         if self.integral_store is not None and self.engine.integral_store is None:
             self.engine.attach_store(self.integral_store)
-        store = self.engine.integral_store
-        self._store_warm_at_start = bool(store is not None and store.ready)
 
     def _run(self, guess: list[np.ndarray] | None):
         """Iterate with the engine armed for this run only: the ERI
@@ -300,6 +299,7 @@ class SCFDriver:
             x = orthogonalizer(s)
             enuc = self.molecule.nuclear_repulsion()
             ds = guess if guess is not None else self._guess(h, x)
+        store = self.engine.integral_store
         run = _Run(
             label=label, faults=faults, s=s, h=h, x=x, enuc=enuc, ds=ds,
             guard=None if self.guard is None else SCFGuard(
@@ -311,6 +311,8 @@ class SCFDriver:
             diis=[DIIS() if self.use_diis and n else None
                   for n in self._occupations],
             eps=[None] * len(ds), coeffs=[None] * len(ds),
+            warm_start=bool(store is not None and store.ready
+                            and store.manifest["tau"] == self.tau),
         )
         ck = load_latest_intact(self.checkpoint_dir) if self.restart else None
         if ck is not None:
@@ -555,7 +557,7 @@ class SCFDriver:
             eri_store={
                 "computed": int(engine.quartets_computed),
                 "from_store": int(engine.quartets_served_from_store),
-                "warm_start": self._store_warm_at_start,
+                "warm_start": run.warm_start,
             },
             jk_threads={
                 "workers": len(walls),
@@ -616,6 +618,8 @@ class _Run:
     diis: list[DIIS | None]
     eps: list
     coeffs: list
+    #: whether the first build found the store ready at the run's tau
+    warm_start: bool
     #: the last iteration's Fock stack (None until one ran)
     fs: list[np.ndarray] | None = field(default=None, init=False)
     #: (F, D) stacks of the last build, which the next one increments

@@ -9,9 +9,8 @@ and spin-beta orbitals get separate Fock matrices
 built from the same screened symmetry-exploiting J/K machinery as RHF
 (both spin densities contracted in one pass over the integrals), and
 iterated by the same loop (:meth:`repro.scf.hf.SCFDriver._iterate`) as a
-two-channel spin stack.  Its final state keeps the last iteration's Fock
-matrices and energy (on a direct run, possibly an increment: see
-``SCFDriver._built_focks``); a run resumed at ``max_iter`` builds them once.
+two-channel spin stack.  Its final Fock matrices and energy are, as
+RHF's, one full build from the final densities.
 """
 
 from __future__ import annotations
@@ -110,14 +109,6 @@ class UHF(SCFDriver):
         return 0.5 * float(
             np.sum((d_a + d_b) * h) + np.sum(d_a * f_a) + np.sum(d_b * f_b)
         )
-
-    def _final_state(self, run):
-        """The last iteration's Fock matrices and energy, as computed; a
-        run resumed at ``max_iter`` ran none, so it builds F once from
-        its densities."""
-        if run.fs is None:
-            return super()._final_state(run)
-        return run.fs, run.history[-1] - run.enuc, run.history[-1]
 
     def _result(self, fs, ds, eps, coeffs, **common) -> UHFResult:
         return UHFResult(

@@ -74,10 +74,10 @@ def degrade_spec(spec: dict) -> tuple[dict | None, str]:
     Returns ``(new_spec, description)`` or ``(None, "")`` when nothing
     is left to shed.  Ladder: threaded J/K -> serial (one set of
     private accumulators and staged blocks instead of one per thread),
-    then drop the integral store -- a *filling* store holds every
-    pending block in RAM until ``finalize``, which builds its sparse
-    supermatrix, 12 bytes per non-zero -- and run
-    direct SCF, whose blocks are bitwise the stored ones.
+    then drop the integral store -- the build that fills it keeps every
+    weighted block it contracts in RAM, then builds the sparse
+    supermatrix from them, 12 bytes per non-zero -- and run direct SCF,
+    whose blocks are bitwise the stored ones.
     """
     if spec.get("jk_threads") and int(spec["jk_threads"]) > 1:
         new = dict(spec)

@@ -34,7 +34,7 @@ def quartet_blocks(engine, quartets) -> dict:
     plan = class_batch.build_class_plan(engine.basis, engine.pair_cache, quartets)
     out = {}
     for chunk in plan.chunks():
-        parts, counts = class_batch._resolve_chunk(engine, chunk, None, None)
+        parts, counts = class_batch._resolve_chunk(engine, chunk, None)
         class_batch._tally(engine, counts, None)
         for (batch, rows), blocks in zip(chunk, parts):
             out.update(zip(map(tuple, batch.quartets[rows].tolist()), blocks))

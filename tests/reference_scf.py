@@ -84,6 +84,10 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
         labelnames=("molecule",),
     )
     engine = self.engine
+    # whether the first build finds the store ready at the run's tau
+    store = engine.integral_store
+    warm_start = bool(store is not None and store.ready
+                      and store.manifest["tau"] == self.tau)
     occ, labels = self._occupations, self._spin_labels
     guard: SCFGuard | None = None
     if self.guard is not None:
@@ -297,7 +301,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
     eri_store = {
         "computed": int(engine.quartets_computed),
         "from_store": int(engine.quartets_served_from_store),
-        "warm_start": self._store_warm_at_start,
+        "warm_start": warm_start,
     }
     worker_stats = getattr(engine, "last_jk_worker_stats", None) or []
     balance = None

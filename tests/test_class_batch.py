@@ -42,6 +42,7 @@ from repro.integrals.class_batch import (
     orbit_weights,
 )
 from repro.integrals.engine import MDEngine, OSEngine
+from repro.integrals.store import StoreInvalidatedWarning
 from repro.obs import Tracer, session
 from repro.obs.profile import PHASE_ERI, PHASE_JK, PhaseProfiler
 from repro.scf.fock import build_jk
@@ -182,7 +183,7 @@ class TestClassJKAgreement:
         d = rand_density(np.random.default_rng(3), water_basis.nbf)
         d[0, 1] += 1e-3
         with pytest.raises(ValueError, match="not symmetric"):
-            jk_from_plan(engine, d, engine.class_plan(1e-11))
+            jk_from_plan(engine, d, engine.class_plan(1e-11), 1e-11)
 
     def test_stacked_densities_match_per_density_calls(self, water_basis):
         rng = np.random.default_rng(19)
@@ -257,7 +258,7 @@ class TestRowSelection:
 
     def test_selected_rows_partition_the_whole_build(self, dimer):
         engine, plan, d = dimer
-        j_all, k_all = jk_from_plan(engine, d, plan)
+        j_all, k_all = jk_from_plan(engine, d, plan, 0.0)
         rows = np.arange(plan.nquartets)
         odd, even = rows[1::2], rows[::2]
         j1, k1 = jk_from_rows(engine, d, plan, odd)
@@ -306,8 +307,8 @@ class TestThreadedContraction:
         d = rand_density(rng, basis.nbf)
         engine = MDEngine(basis)
         plan = engine.class_plan(1e-11)
-        j1, k1 = jk_from_plan(engine, d, plan, threads=1)
-        j4, k4 = jk_from_plan(engine, d, plan, threads=4)
+        j1, k1 = jk_from_plan(engine, d, plan, 0.0, threads=1)
+        j4, k4 = jk_from_plan(engine, d, plan, 0.0, threads=4)
         assert np.allclose(j1, j4, atol=1e-12, rtol=0)
         assert np.allclose(k1, k4, atol=1e-12, rtol=0)
 
@@ -319,7 +320,7 @@ class TestThreadedContraction:
         engine = MDEngine(basis)
         plan = engine.class_plan(1e-11)
         flushes = recorded_flushes(monkeypatch)
-        j_ref, k_ref = jk_from_plan(engine, d, plan)
+        j_ref, k_ref = jk_from_plan(engine, d, plan, 0.0)
         one_per_shape = len(flushes)
         assert one_per_shape == len({b.dims for b in plan.batches})
         # tiny sweeps -> several family chunks per group; a stage budget
@@ -327,7 +328,7 @@ class TestThreadedContraction:
         monkeypatch.setattr(class_batch, "MAX_R_WORK", 2_000)
         monkeypatch.setattr(class_batch, "MAX_STAGE_WORK", 100)
         flushes.clear()
-        j, k = jk_from_plan(engine, d, plan, threads=threads)
+        j, k = jk_from_plan(engine, d, plan, 0.0, threads=threads)
         assert len(flushes) >= 2 * one_per_shape
         assert any(rows.size < b.nq for f in flushes for b, rows in f)
 
@@ -360,7 +361,8 @@ class TestPlanCaching:
 
     def test_plan_lru_bounded(self, water_basis, tmp_path):
         """The plan cache is bounded at one: another tau re-plans and
-        replaces the plan, and a ready store's supermatrix follows it."""
+        replaces the plan, and the store refilled at that tau maps a
+        supermatrix of the new plan."""
         engine = MDEngine(water_basis, store=tmp_path)
         d = rand_density(np.random.default_rng(3), water_basis.nbf)
         build_jk(engine, d, 1e-11)  # fills the store
@@ -370,6 +372,9 @@ class TestPlanCaching:
         p2 = engine.class_plan(1e-9)
         assert p2 is not p1 and engine._class_plan == (1e-9, p2)
         assert engine.class_plan(1e-9) is p2
+        with pytest.warns(StoreInvalidatedWarning, match="tau"):
+            build_jk(engine, d, 1e-9)  # refills the store at 1e-9
+        assert engine.supermatrix is None
         build_jk(engine, d, 1e-9)
         assert engine.supermatrix is not sm1 and engine.supermatrix.plan is p2
         assert engine.class_plan(1e-11) is not p1
@@ -390,7 +395,7 @@ class TestPlanCaching:
 def jk_of_quartets(engine, density, quartets):
     """J/K contribution of an explicit quartet list (any index order)."""
     plan = build_class_plan(engine.basis, engine.pair_cache, quartets)
-    return jk_from_plan(engine, density, plan)
+    return jk_from_plan(engine, density, plan, 0.0)
 
 
 class TestJKForQuartets:
@@ -441,7 +446,7 @@ class TestProfilerAttribution:
         flushes = recorded_flushes(monkeypatch)
         prof, tracer = PhaseProfiler(), Tracer()
         with session(profiler=prof, tracer=tracer):
-            jk_from_plan(engine, d, plan, threads=threads)
+            jk_from_plan(engine, d, plan, 0.0, threads=threads)
         # as many chunk phases as one thread records, whoever runs them
         assert prof.stats[PHASE_ERI].calls == len(plan.chunks())
         assert prof.stats[PHASE_JK].calls == len(flushes)
@@ -465,13 +470,13 @@ class TestProfilerAttribution:
 
 def recorded_flushes(monkeypatch) -> list:
     """The members of every contraction flush, as the build makes them."""
-    real, flushes = class_batch._contract_blocks, []
+    real, flushes = class_batch._weighted_flush, []
 
-    def contract(jt, kt, dflat, n, flush, parts):
+    def weighted(flush, parts):
         flushes.append(list(flush))
-        return real(jt, kt, dflat, n, flush, parts)
+        return real(flush, parts)
 
-    monkeypatch.setattr(class_batch, "_contract_blocks", contract)
+    monkeypatch.setattr(class_batch, "_weighted_flush", weighted)
     return flushes
 
 

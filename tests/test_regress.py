@@ -314,6 +314,38 @@ class TestGradeRuns:
         )
         assert self._findings(tmp_path)["store_zero_recompute"].status == PASS
 
+    def test_a_store_at_another_tau_is_no_warm_start(self, tmp_path):
+        """An RHF at a tau its store was not filled at refills the store:
+        its summary says it did not start warm, so the zero-recompute flag
+        is not graded; the next run at that tau starts warm and passes."""
+        import warnings
+
+        from repro.chem.builders import water
+        from repro.integrals.store import StoreInvalidatedWarning
+        from repro.obs import RunLedger, load_run, session
+        from repro.obs.regress import _grade_runs
+        from repro.scf.hf import RHF
+
+        store = str(tmp_path / "store")
+        RHF(water(), integral_store=store).run()
+        for name in ("refill", "warm"):
+            ledger = RunLedger(tmp_path / "runs" / name, command="scf",
+                               config={"molecule": "water"}, molecule="water")
+            with session(ledger=ledger), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                RHF(water(), integral_store=store, tau=1e-5).run()
+            ledger.close(0)
+            refilled = any(w.category is StoreInvalidatedWarning for w in caught)
+            assert refilled == (name == "refill")
+            summary = load_run(tmp_path / "runs" / name).summary["eri_store"]
+            assert summary["warm_start"] == (name == "warm")
+            assert (summary["computed"] > 0) == (name == "refill")
+        findings = _grade_runs(tmp_path / "runs")
+        assert findings and all(f.status == PASS for f in findings)
+        assert [f.spec.benchmark for f in findings
+                if f.spec.key == "store_zero_recompute"] == ["run:warm"]
+
     def test_cold_store_not_gated(self, tmp_path):
         self._run_dir(
             tmp_path, "cold",

@@ -28,6 +28,7 @@ from repro.integrals.store import (
     STORE_VERSION,
     ERIStore,
     StoreInvalidatedWarning,
+    audit_store_dir,
     segment_extents,
 )
 from repro.obs.metrics import MetricsRegistry, export_integrity
@@ -294,12 +295,14 @@ class TestStoreIntegrity:
         assert sha256_hex(res.fock) == sha256_hex(clean.fock)
         assert res.energy == clean.energy
 
-    def test_rebuilt_segment_that_does_not_fit_is_computed_instead(
+    def test_unpatchable_segment_is_refilled_in_the_same_build(
         self, filled_store, sto3g_basis
     ):
         """A rebuilt segment whose non-zeros are not the slot's (a rescue
         kernel with other exact zeros than the filling one) cannot be
-        patched in: the build computes every plan row instead, once."""
+        patched in: the store is invalidated and the same build refills
+        it, computing every plan row once, so a fresh engine computes
+        nothing and its CRC checks pass."""
         store_dir, d, j_ref, k_ref = filled_store
         flip_in_segment(store_dir, 3, 0, seed=3)
         engine = MDEngine(sto3g_basis, store=store_dir)
@@ -312,12 +315,22 @@ class TestStoreIntegrity:
             return [0.0 * p for p in parts] if len(calls) == 1 else parts
 
         engine.compute_rows = zero_rescue
-        j, k = build_jk(engine, d, tau=1e-11)
+        with pytest.warns(StoreInvalidatedWarning, match="does not fit"):
+            j, k = build_jk(engine, d, tau=1e-11)
         plan = engine.class_plan(1e-11)
         assert engine.crc_rescues == shell_rows(plan, 3)
         assert engine.quartets_computed == plan.nquartets
-        assert engine.supermatrix.served == engine.quartets_served_from_store == 0
-        assert_jk_close((j, k), (j_ref, k_ref))
+        assert engine.quartets_served_from_store == 0
+        assert engine.integral_store.ready and engine.supermatrix is None
+        # the refill is the build that filled the store first, bit for bit
+        assert np.array_equal(j, j_ref) and np.array_equal(k, k_ref)
+        assert audit_store_dir(store_dir) == ([], 2 * sto3g_basis.nshells)
+        fresh = MDEngine(sto3g_basis, store=store_dir)
+        fresh.integral_store.verify_reads = True
+        assert_jk_close(build_jk(fresh, d, tau=1e-11), (j_ref, k_ref))
+        assert fresh.quartets_computed == fresh.crc_rescues == 0
+        assert fresh.integral_store.crc_checks == 2 * sto3g_basis.nshells
+        assert fresh.integral_store.crc_mismatches == 0
 
     def test_unverified_read_accepts_corruption_silently(
         self, filled_store, sto3g_basis

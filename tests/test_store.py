@@ -11,7 +11,9 @@ served-vs-served builds; served vs direct J/K agree to summation order.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 import tempfile
 from datetime import datetime
 
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
+from repro.integrals.class_batch import pair_matrices
 from repro.integrals.engine import MDEngine
 from repro.integrals.store import (
     STORE_VERSION,
@@ -104,19 +107,53 @@ class TestStoreLifecycle:
         assert warm.quartets_served_from_store == filler.quartets_computed > 0
         assert_jk_close((j2, k2), (j1, k1))
 
-
-    def test_a_fill_needs_the_plans_tau(self, tmp_path, sto3g_basis):
-        """The store's tau says which quartets it holds: a filling build
-        without one is refused before any work."""
-        from repro.integrals.class_batch import jk_from_plan
-
-        engine = MDEngine(sto3g_basis, store=tmp_path / "store")
-        with pytest.raises(ValueError, match="needs the plan's tau"):
-            jk_from_plan(engine, np.eye(sto3g_basis.nbf), engine.class_plan(1e-11))
-        assert engine.quartets_computed == 0 and engine.integral_store.filling
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_the_file_is_the_same_at_any_thread_count(self, tmp_path, threads):
+        """A fill's ``supermatrix.bin`` and manifest (but its ``created``
+        stamp) are sha256-equal at every ``threads``: workers append their
+        flushes to one list in any order (a lost one would change the
+        file; the switch interval is shortened to interleave them), and
+        each matrix entry sums at most the two K views of one quartet."""
+        basis = BasisSet.build(water(), "6-31g")
+        d = rand_density(np.random.default_rng(29), basis.nbf)
+        files = []
+        for name, nthreads in (("serial", None), ("threaded", threads)):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                build_jk(MDEngine(basis, store=tmp_path / name), d,
+                         threads=nthreads)
+            finally:
+                sys.setswitchinterval(interval)
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            del manifest["created"]
+            files.append((
+                hashlib.sha256((tmp_path / name / "supermatrix.bin").read_bytes())
+                .hexdigest(), manifest,
+            ))
+        assert files[0] == files[1]
 
 
 class TestInvalidation:
+    def test_another_tau_refills_the_store(self, tmp_path, sto3g_basis):
+        """tau is part of a store's identity: a build at another tau
+        invalidates the store, naming both values, and fills it at its
+        own; a fresh engine at that tau then computes nothing."""
+        d = rand_density(np.random.default_rng(31), sto3g_basis.nbf)
+        build_jk(MDEngine(sto3g_basis, store=tmp_path), d, 1e-11)
+        engine = MDEngine(sto3g_basis, store=tmp_path)
+        with pytest.warns(StoreInvalidatedWarning, match=r"1e-11.*1e-05"):
+            j, k = build_jk(engine, d, 1e-5)
+        plan = engine.class_plan(1e-5)
+        assert engine.quartets_computed == plan.nquartets
+        assert engine.quartets_served_from_store == 0
+        assert engine.integral_store.manifest["tau"] == 1e-5
+        assert engine.integral_store.nblocks == plan.nquartets
+        fresh = MDEngine(sto3g_basis, store=tmp_path)
+        assert_jk_close(build_jk(fresh, d, 1e-5), (j, k))
+        assert fresh.quartets_computed == 0
+        assert fresh.quartets_served_from_store == plan.nquartets
+
     def test_basis_change_invalidates_and_refills(self, tmp_path):
         rng = np.random.default_rng(11)
         small = BasisSet.build(water(), "sto-3g")
@@ -172,7 +209,7 @@ class TestManifestProvenance:
         assert stats["ready"] and not stats["filling"]
         assert stats["nblocks"] == engine.quartets_computed
         assert stats["nbytes"] > 0
-        assert stats["pending_blocks"] == 0
+        assert stats["tau"] == 1e-11
 
 
 class TestStoredSCF:
@@ -208,13 +245,20 @@ class TestStoredSCF:
         assert second.engine.quartets_served_from_store > 0
 
 
-#: the one (ss|ss) quartet the process-safety tests record, as a plan row
+#: the one (ss|ss) quartet the process-safety tests stage, as a plan row
 _KEY = np.zeros((1, 4), dtype=np.int64)
 
 
+def _stage(store, value: float) -> None:
+    """Stage the matrices of a store holding only ``_KEY``, whose block is
+    ``value``: M_J's one entry is ``w (00|00)``, ``w = 1/8`` for a quartet
+    of one shell."""
+    piece = (_KEY, np.full((1, 1, 1, 1, 1), value / 8.0))
+    store.record_batch(*pair_matrices(store.basis, [piece]), 1)
+
+
 def _stored_value(store):
-    """The single element of the ``_KEY`` block, read back from disk: M_J's
-    one entry is ``w (00|00)``, ``w = 1/8`` for a quartet of one shell."""
+    """The single element of the ``_KEY`` block, read back from disk."""
     (data, _, _), _ = store.read_stacked()
     return 8.0 * data.item()
 
@@ -224,7 +268,7 @@ class TestProcessSafety:
 
     def _filled_store(self, tmp_path, basis, name="store"):
         store = ERIStore(tmp_path / name, basis).open_or_fill()
-        store.record_batch(_KEY, np.full((1, 1, 1, 1, 1), 0.25))
+        _stage(store, 0.25)
         return store
 
     def test_crash_before_manifest_write_recovers(
@@ -252,7 +296,7 @@ class TestProcessSafety:
         assert not (tmp_path / "store" / "manifest.json").exists()
         fresh = ERIStore(tmp_path / "store", sto3g_basis).open_or_fill()
         assert fresh.filling and not fresh.ready
-        fresh.record_batch(_KEY, np.full((1, 1, 1, 1, 1), 0.25))
+        _stage(fresh, 0.25)
         fresh.finalize(tau=1e-10)
         assert fresh.ready
         assert _stored_value(fresh) == 0.25
@@ -289,7 +333,7 @@ class TestProcessSafety:
         loser = ERIStore(tmp_path / "store", sto3g_basis)
         # simulate "was already filling when the winner finalized"
         loser.filling = True
-        loser.record_batch(_KEY, np.full((1, 1, 1, 1, 1), 99.0))
+        _stage(loser, 99.0)
         loser.finalize(tau=1e-10)
         assert loser.ready
         # the winner's bytes survived; the loser's 99.0 was discarded

@@ -30,8 +30,13 @@ from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
 from repro.integrals import class_batch
 from repro.integrals import engine as engine_module
+from repro.integrals.class_batch import (
+    build_class_plan,
+    canonical_quartet_array,
+    jk_from_plan,
+)
 from repro.integrals.engine import MDEngine
-from repro.integrals.store import ERIStore
+from repro.integrals.store import ERIStore, StoreInvalidatedWarning
 from repro.scf.fock import build_jk
 from repro.scf.hf import RHF
 
@@ -86,26 +91,26 @@ class TestServedBuilds:
         for a, b in zip(served, again):
             assert np.array_equal(a, b)
 
-    def test_mixed_sources_are_computed_once(self, tmp_path, basis):
-        """A plan tighter than the manifest tau: rows the store lacks are
-        computed at assembly, once, and never again."""
+    def test_tighter_tau_refills_once(self, tmp_path, basis):
+        """A plan tighter than the manifest tau: the store is refilled at
+        the plan's tau, every row computed once, and never again."""
         loose, tight = 1e-3, 1e-11
         d = rand_density(np.random.default_rng(2), basis.nbf)
         build_jk(MDEngine(basis, store=tmp_path), d, loose)
         engine = MDEngine(basis, store=tmp_path)
-        stored = engine.integral_store.nblocks
         nplan = engine.class_plan(tight).nquartets
-        assert 0 < stored < nplan
-        first = build_jk(engine, d, tight)
-        computed, served = engine.quartets_computed, engine.supermatrix.served
-        assert computed > 0 and served > 0
-        assert computed + served == nplan
-        assert engine.quartets_served_from_store == served
+        assert 0 < engine.integral_store.nblocks < nplan
+        with pytest.warns(StoreInvalidatedWarning, match="tau"):
+            first = build_jk(engine, d, tight)
+        assert engine.quartets_computed == engine.integral_store.nblocks == nplan
+        assert engine.quartets_served_from_store == 0
         second = build_jk(engine, d, tight)
-        assert engine.quartets_computed == computed
-        assert engine.quartets_served_from_store == 2 * served
+        third = build_jk(engine, d, tight)
+        assert engine.quartets_computed == nplan
+        assert engine.quartets_served_from_store == 2 * nplan
         assert_jk_close(first, build_jk(MDEngine(basis), d, tight))
-        for a, b in zip(first, second):
+        assert_jk_close(second, first)
+        for a, b in zip(second, third):
             assert np.array_equal(a, b)
 
     def test_served_plan_never_stacks_kernel_operands(self, warm_dir, basis):
@@ -133,59 +138,60 @@ class TestAgainstV2Oracle:
     """The v3 store maps the matrices the v2 store assembled, bit for bit
     (``tests/reference_supermatrix.py`` keeps the v2 assembly)."""
 
-    @given(st.integers(0, 2**16), st.floats(-13.0, -6.0), st.floats(0.0, 5.0))
+    @given(st.integers(0, 2**16), st.floats(-13.0, -6.0))
     @settings(max_examples=5, deadline=None)
-    def test_mapped_matrices_equal_the_v2_assembly(self, seed, log_tau, tighter):
-        """Random s/p/d bases, a store filled at ``fill >= tau`` (equal,
-        or a plan tighter than the store: a mixed build): the mapped
+    def test_mapped_matrices_equal_the_v2_assembly(self, seed, log_tau):
+        """Random s/p/d bases, a store filled at ``tau``: the mapped
         M_J / M_K arrays are sha256-equal to the v2 assembly over a v2
-        store of the same fill, and each plan row has one source."""
+        store of the same fill, and every plan row is served."""
         rng = np.random.default_rng(seed)
         basis = rand_basis(rng, nshells=5)
-        tau, fill = 10.0 ** log_tau, 10.0 ** (log_tau + tighter)
+        tau = 10.0 ** log_tau
         oracle = MDEngine(basis)
-        assume(oracle.class_plan(fill).nquartets > 0)
+        assume(oracle.class_plan(tau).nquartets > 0)
         with tempfile.TemporaryDirectory() as tmp, \
                 tempfile.TemporaryDirectory() as tmp_v2:
-            build_jk(MDEngine(basis, store=tmp), np.eye(basis.nbf), fill)
+            build_jk(MDEngine(basis, store=tmp), np.eye(basis.nbf), tau)
             warm = MDEngine(basis, store=tmp)
             build_jk(warm, np.eye(basis.nbf), tau)
-            v2 = write_v2_store(tmp_v2, basis, fill, kernel_blocks(
-                oracle, oracle.class_plan(fill)))
+            v2 = write_v2_store(tmp_v2, basis, tau, kernel_blocks(
+                oracle, oracle.class_plan(tau)))
             mj, mk, _ = assemble_supermatrix(
                 oracle, oracle.class_plan(tau), V2Store(v2, basis))
         want = [a for m in (mj, mk) for a in (m.data, m.indices, m.indptr)]
         assert [sha256(a) for a in supermatrix_arrays(warm)] == [
             sha256(a) for a in want]
-        nplan, stored = oracle.class_plan(tau).nquartets, warm.integral_store.nblocks
-        assert warm.supermatrix.served == stored
-        assert warm.quartets_computed == nplan - stored
+        assert warm.quartets_computed == 0
+        assert warm.quartets_served_from_store == oracle.class_plan(tau).nquartets
 
-    def test_looser_plan_reads_nothing_and_computes_once(
+    def test_looser_plan_reads_nothing_and_refills(
         self, warm_dir, basis, monkeypatch
     ):
-        """A plan looser than the store's tau: the store's entries cannot
-        be unpicked by quartet, so it is not read at all -- no row the
-        plan screened out is served -- and every plan row is computed
-        once per engine, the J/K those of every plan row at that tau."""
+        """A plan looser than the store's tau: the store is not read --
+        no row the plan screened out is ever served -- but refilled with
+        every plan row, computed once; its J/K are those of every plan
+        row at that tau, and the next build maps the new store."""
         reads = []
         read = ERIStore.read_stacked
         monkeypatch.setattr(
             ERIStore, "read_stacked", lambda self: reads.append(1) or read(self))
         d = rand_density(np.random.default_rng(6), basis.nbf)
         engine = MDEngine(basis, store=warm_dir)
-        first = build_jk(engine, d, 0.1)
+        stored = engine.integral_store.nblocks
+        with pytest.warns(StoreInvalidatedWarning, match="tau"):
+            first = build_jk(engine, d, 0.1)
         nplan = engine.class_plan(0.1).nquartets
-        assert nplan < engine.integral_store.nblocks
-        assert engine.quartets_computed == nplan
-        assert engine.supermatrix.served == engine.quartets_served_from_store == 0
+        assert nplan < stored and reads == []
+        assert engine.quartets_computed == engine.integral_store.nblocks == nplan
+        assert engine.quartets_served_from_store == 0
         second = build_jk(engine, d, 0.1)
         assert engine.quartets_computed == nplan
-        assert reads == []
+        assert engine.quartets_served_from_store == nplan and reads == [1]
         direct = MDEngine(basis)
-        assert_jk_close(first, schwarz_only_jk(direct, d, direct.class_plan(0.1)))
-        for a, b in zip(first, second):
+        reference = schwarz_only_jk(direct, d, direct.class_plan(0.1))
+        for a, b in zip(first, reference):
             assert np.array_equal(a, b)
+        assert_jk_close(second, first)
 
 
 class TestLifetime:
@@ -200,9 +206,11 @@ class TestLifetime:
         first = engine.supermatrix
         build_jk(engine, d)
         assert engine.supermatrix is first
-        # another plan replaces it: one lives at a time
-        build_jk(engine, d, 1e-9)
-        assert engine.supermatrix.plan is engine.class_plan(1e-9)
+        # another plan of the store's tau replaces it: one lives at a time
+        other = build_class_plan(basis, engine.pair_cache, canonical_quartet_array(
+            engine.schwarz(), 1e-11))
+        jk_from_plan(engine, d, other, 1e-11)
+        assert engine.supermatrix.plan is other
         # a generation bump (the store re-attached under the engine)
         store = engine.integral_store
         build_jk(engine, d)
