@@ -3,7 +3,8 @@
 Runs the analyzer end to end on a simulated GTFock build (water/STO-3G,
 48 cores): exact per-rank time decomposition, critical-path extraction,
 and the network-2x / steal-off what-if projections cross-checked against
-re-simulation.  The ``fock_critpath`` family of the BENCH runner
+re-simulation.  The build runs untraced: the analyzer reads the
+scheduler's own record.  The ``fock_critpath`` family of the BENCH runner
 (``python -m benchmarks fock_critpath [--quick]``): wall time, explained
 ratio, idle fraction, worst what-if error.
 """
@@ -19,7 +20,6 @@ from repro.fock.screening_map import ScreeningMap
 from repro.fock.simulate import SimCapture, simulate_gtfock
 from repro.integrals import schwarz_model
 from repro.obs.critpath import analyze
-from repro.obs.trace import Tracer
 
 
 CORES = 48
@@ -33,8 +33,7 @@ def measure(quick: bool = False) -> tuple[dict, str]:
     screen = ScreeningMap(basis, schwarz_model(basis), 1e-10)
     capture = SimCapture()
     simulate_gtfock(
-        basis, screen, CORES, tracer=Tracer("bench-critpath"),
-        capture=capture, molecule_name=mol.name,
+        basis, screen, CORES, capture=capture, molecule_name=mol.name
     )
     analysis = analyze(capture, resim=True, network_scale=2.0)
     wall = time.perf_counter() - t0

@@ -225,21 +225,14 @@ def _run_analyze(args: argparse.Namespace) -> int:
     from repro.fock.screening_map import ScreeningMap
     from repro.fock.simulate import SimCapture, simulate_gtfock
     from repro.integrals import schwarz_model
-    from repro.obs import Tracer, get_ledger, get_tracer
+    from repro.obs import get_ledger
     from repro.obs.critpath import analyze
 
     mol = molecule_by_name(args.molecule)
     basis = reorder_basis(BasisSet.build(mol, args.basis))
     screen = ScreeningMap(basis, schwarz_model(basis), args.tau)
-    # path extraction needs the run traced: use the session's tracer
-    # when --trace / --report armed one, otherwise a local throwaway
-    tracer = get_tracer()
-    if not tracer.enabled:
-        tracer = Tracer("analyze")
     capture = SimCapture()
-    simulate_gtfock(
-        basis, screen, args.cores, tracer=tracer, capture=capture
-    )
+    simulate_gtfock(basis, screen, args.cores, capture=capture)
     analysis = analyze(
         capture,
         resim=not args.no_resim,

@@ -239,7 +239,6 @@ def gtfock_build(
                 cost_of, (part.prow, part.pcol), stats=stats,
                 d_copy_bytes=lambda v: int(bufs[v].have.sum()) * config.element_size,
                 on_task=on_task, on_steal=on_steal, tracer=tracer, faults=fstate,
-                rng=fstate.rng if fstate is not None else None,
                 event_observer=None if capture is None
                 else lambda *event: capture.events.append(event),
             )
@@ -312,7 +311,6 @@ def gtfock_build(
         capture.finish = stats.clock.copy()
         capture.prefetch_time = prefetch_time
         capture.flush_time = flush_time
-        capture.tracer = tracer
         # no resimulate closure: re-running the numeric build recomputes
         # real ERIs -- the analyzer's what-ifs stay projection-only here
 

@@ -103,10 +103,12 @@ class SimCapture:
     A mutable container the caller hands to :func:`simulate_gtfock` (or
     :func:`repro.fock.gtfock.gtfock_build`) via ``capture=``; the
     simulation fills it with the accounting objects the analyzer in
-    :mod:`repro.obs.critpath` consumes.  Deliberately *not* part of
+    :mod:`repro.obs.critpath` consumes: the comm accounting, the
+    scheduler's outcome (whose segment record and death times the
+    critical path is built from), and the prefetch and flush phase times
+    around it.  No trace is needed.  Deliberately *not* part of
     :class:`FockSimResult`: the result must stay ``asdict``-serializable
-    while the capture holds live objects (tracer, closures, numpy
-    arrays).
+    while the capture holds live objects (closures, numpy arrays).
 
     Attributes are populated by the run; all default to ``None``/empty
     so a partially filled capture fails loudly in the analyzer rather
@@ -127,8 +129,6 @@ class SimCapture:
         self.prefetch_time: np.ndarray | None = None
         #: per-rank virtual seconds spent in the final F flush
         self.flush_time: np.ndarray | None = None
-        #: tracer that recorded the run's virtual spans (may be a no-op)
-        self.tracer: Tracer | None = None
         #: event-resolution log: ``(action, time, key)`` in pop order
         self.events: list[tuple[str, float, Any]] = []
         #: re-run the identical simulation under perturbed parameters;
@@ -279,7 +279,6 @@ def simulate_gtfock(
             enable_stealing=enable_stealing,
             tracer=tracer,
             faults=fstate,
-            rng=fstate.rng if fstate is not None else None,
             event_observer=event_observer,
         )
 
@@ -315,7 +314,6 @@ def simulate_gtfock(
         capture.finish = finish.copy()
         capture.prefetch_time = prefetch_time
         capture.flush_time = flush_time
-        capture.tracer = tracer
 
         def resimulate(enable_stealing=enable_stealing, **overrides) -> float:
             """Re-run this exact simulation under perturbed parameters."""

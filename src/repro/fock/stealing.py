@@ -12,6 +12,12 @@ whole queue is one event, split lazily when a thief interrupts it.  The
 and numeric builds (where the callback computes real ERIs into the
 executing process's buffers).
 
+The outcome records the schedule itself, traced or not: every executed
+batch, paid D copy and blocked wait as one ``(proc, start, end, kind,
+detail)`` tuple of raw values, and each dead rank's death time.
+:mod:`repro.obs.critpath` builds its chains from that record; the
+tracer's spans carry the same times for export only.
+
 Per-rank state is plain Python lists: each rank's batch is a task
 sequence plus NumPy base-cost and cumulative-cost arrays with a live
 length (a steal takes the victim's tail as a view), and a *stealability
@@ -71,7 +77,7 @@ class RecoveryRecord:
 
 @dataclass
 class StealingOutcome:
-    """What the scheduler run produced."""
+    """What the scheduler run produced, its own timeline included."""
 
     #: wall-clock (virtual) completion time per process
     finish_time: np.ndarray
@@ -79,24 +85,36 @@ class StealingOutcome:
     executed_cost: np.ndarray
     #: number of tasks executed per process
     executed_tasks: np.ndarray
+    #: per-rank idle-blocked wait: time spent done-and-parked before being
+    #: woken to adopt a dead rank's orphans (zero outside fault injection)
+    blocked_time: np.ndarray
+    #: per-rank base cost of the *initial* static-partition queue -- what
+    #: each rank would compute with stealing disabled (the critical-path
+    #: analyzer's steal-off what-if replays this)
+    initial_cost: np.ndarray
     steals: list[StealRecord] = field(default_factory=list)
     #: per-process local queue accesses (atomic ops on local queues)
     queue_ops: np.ndarray | None = None
-    #: ranks that died during the run (fault injection)
-    dead_ranks: list[int] = field(default_factory=list)
+    #: the schedule, in the order it happened: one ``(proc, start, end,
+    #: kind, detail)`` per executed batch (``"compute"``, its task count),
+    #: paid D copy (``"steal"``, the victim) and blocked wait
+    #: (``"blocked"``, None) -- what :mod:`repro.obs.critpath` chains
+    segments: list[tuple[int, float, float, str, int | None]] = field(
+        default_factory=list
+    )
+    #: virtual death time of every rank that died (fault injection)
+    deaths: dict[int, float] = field(default_factory=dict)
     #: orphan adoptions by survivors (fault injection)
     recoveries: list[RecoveryRecord] = field(default_factory=list)
     #: tasks executed by a dead rank whose results were lost + re-executed
     reexecuted_tasks: int = 0
     #: per-rank task execution history (only kept under fault injection)
     executed_history: list[list[Any]] | None = None
-    #: per-rank idle-blocked wait: time spent done-and-parked before being
-    #: woken to adopt a dead rank's orphans (zero outside fault injection)
-    blocked_time: np.ndarray | None = None
-    #: per-rank base cost of the *initial* static-partition queue -- what
-    #: each rank would compute with stealing disabled (the critical-path
-    #: analyzer's steal-off what-if replays this)
-    initial_cost: np.ndarray | None = None
+
+    @property
+    def dead_ranks(self) -> list[int]:
+        """Ranks that died during the run, ascending."""
+        return sorted(self.deaths)
 
     @property
     def makespan(self) -> float:
@@ -140,7 +158,6 @@ def run_work_stealing(
     steal_fraction: float = 0.5,
     tracer: Tracer | None = None,
     faults: FaultState | None = None,
-    rng: np.random.Generator | None = None,
     event_observer: Callable[[str, float, Any], None] | None = None,
 ) -> StealingOutcome:
     """Simulate the work-stealing execution of per-process task queues.
@@ -182,19 +199,18 @@ def run_work_stealing(
     faults:
         Activated fault plan: straggler slowdowns scale batch costs,
         delayed messages perturb completion events, and rank deaths
-        orphan the dead rank's unflushed tasks back into the pool.
-    rng:
-        Seeded generator for steal tie-breaks: when given, each steal
-        attempt scans a seeded permutation of the victim order instead
-        of the fixed row-wise scan, making contention patterns
-        reproducible from the seed (chaos runs pass the fault state's
-        generator).
+        orphan the dead rank's unflushed tasks back into the pool.  Its
+        seeded generator also breaks steal ties: each steal attempt
+        scans a seeded permutation of the victim order instead of the
+        fixed row-wise scan, so contention patterns are reproducible
+        from the plan's seed.
     event_observer:
         Forwarded to the :class:`EventQueue`; sees every schedule /
         cancel / pop in resolution order (dependency capture).
     """
     if tracer is None:
         tracer = get_tracer()
+    rng = faults.rng if faults is not None else None
     prow, pcol = grid
     nproc = prow * pcol
     if len(queues) != nproc:
@@ -231,8 +247,9 @@ def run_work_stealing(
     executed_tasks = [0] * nproc
     queue_ops = [0] * nproc
     steals: list[StealRecord] = []
+    segments: list[tuple[int, float, float, str, int | None]] = []
+    deaths: dict[int, float] = {}
     done = [False] * nproc
-    dead = [False] * nproc
 
     track_faults = faults is not None
     #: per-rank (task, base_cost) execution history, for death recovery
@@ -315,7 +332,7 @@ def run_work_stealing(
     def adopt_orphans(p: int, t: float) -> bool:
         """Rank ``p`` takes a block from the orphan pool at time ``t``."""
         nonlocal reexecuted
-        if not orphans or dead[p]:
+        if not orphans or p in deaths:
             return False
         n = max(1, int(len(orphans) * steal_fraction))
         take = orphans[-n:]
@@ -329,6 +346,7 @@ def run_work_stealing(
             # idle until the death woke it: a genuine cross-rank blocked
             # wait (the only start-time dependency between ranks)
             blocked_time[p] += t - finish[p]
+            segments.append((p, finish[p], t, "blocked", None))
             if tracer.enabled:
                 tracer.virtual_span(
                     "blocked", p, finish[p], t, cat="sched"
@@ -344,7 +362,7 @@ def run_work_stealing(
     def kill(p: int, t: float) -> None:
         """Execute rank ``p``'s death at virtual time ``t``."""
         n = live[p]
-        dead[p] = True
+        deaths[p] = t
         # everything this rank executed since its last (never-happened)
         # flush is lost with its memory; queued work is lost with it too
         lost: list[tuple[Any, float, bool]] = [
@@ -370,7 +388,7 @@ def run_work_stealing(
         # wake idle survivors: a death after the pool drained would
         # otherwise strand its orphans forever
         for q in sorted(
-            (q for q in range(nproc) if done[q] and not dead[q]),
+            (q for q in range(nproc) if done[q] and q not in deaths),
             key=lambda q: finish[q],
         ):
             if not orphans:
@@ -400,6 +418,8 @@ def run_work_stealing(
                 cum = cum_of[p]
                 executed_cost[p] += float(cum[n - 1])
                 executed_tasks[p] += n
+                t0 = start[p]
+                segments.append((p, t0, t, "compute", n))
                 if track_faults or on_task is not None or tracer.enabled:
                     tasks = tasks_of[p][:n]
                     if track_faults:
@@ -408,7 +428,6 @@ def run_work_stealing(
                         for task in tasks:
                             on_task(p, task)
                     if tracer.enabled:
-                        t0 = float(start[p])
                         tracer.virtual_span("batch", p, t0, t, cat="sched", ntasks=n)
                         # handed over as views, not copies: a ``cum`` array is
                         # never written after ``begin`` built it, ``tasks`` is
@@ -448,12 +467,15 @@ def run_work_stealing(
                     copied.add((p, victim))
                     dt = stats.charge_steal(p, d_copy_bytes(victim), ncalls=1)
                     stats.comm_time[p] += dt
-                if tracer.enabled and dt > 0:
-                    tracer.virtual_span(
-                        "steal_copy", p, t, float(t + dt), cat="comm",
-                        victim=victim,
-                    )
-                begin(p, stolen_tasks, stolen_costs, t + dt)
+                t_copied = float(t + dt)
+                if dt > 0:
+                    segments.append((p, t, t_copied, "steal", victim))
+                    if tracer.enabled:
+                        tracer.virtual_span(
+                            "steal_copy", p, t, t_copied, cat="comm",
+                            victim=victim,
+                        )
+                begin(p, stolen_tasks, stolen_costs, t_copied)
                 steals.append(StealRecord(t, p, victim, n - cut))
                 if tracer.enabled:
                     tracer.virtual_instant(
@@ -488,7 +510,8 @@ def run_work_stealing(
         executed_tasks=np.array(executed_tasks, dtype=np.int64),
         steals=steals,
         queue_ops=ops,
-        dead_ranks=[p for p in range(nproc) if dead[p]],
+        segments=segments,
+        deaths=deaths,
         recoveries=recoveries,
         reexecuted_tasks=reexecuted,
         executed_history=history if track_faults else None,

@@ -13,12 +13,14 @@ observability stack cannot:
    1e-9 on fault-free runs (fault injection legitimately introduces
    message-delay slack, which is reported, not hidden).
 
-2. **Which chain of segments bounds the makespan?**  The critical path
-   is walked backwards from the slowest rank; a ``blocked`` segment (a
-   done rank parked until a death wakes it to adopt orphans -- the only
-   cross-rank start dependency the scheduler has) hops the walk to the
-   dead rank's chain.  The ranked blame table aggregates path seconds by
-   segment kind.
+2. **Which chain of segments bounds the makespan?**  Each rank's chain
+   is the scheduler's own record of its schedule (no trace is read, so
+   an untraced run has one too).  The critical path is walked backwards
+   from the slowest rank; a ``blocked`` segment (a done rank parked
+   until a death wakes it to adopt orphans -- the only cross-rank start
+   dependency the scheduler has) hops the walk to the chain of the rank
+   that died at its end time.  The ranked blame table aggregates path
+   seconds by segment kind.
 
 3. **What would a knob change buy?**  Differential what-if projections
    replay the *recorded* per-rank structure under perturbed parameters
@@ -41,7 +43,6 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from repro.obs.flight import CH_PREFETCH_GET, CHANNELS
-from repro.obs.trace import SIM_PID
 
 if TYPE_CHECKING:
     from repro.fock.simulate import SimCapture
@@ -49,7 +50,7 @@ if TYPE_CHECKING:
 #: decomposition tolerance: per-rank segments must sum to the rank's end
 #: time within this on fault-free runs
 DECOMP_TOL = 1e-9
-#: timestamp matching tolerance when joining tracer spans to event times
+#: time tolerance of the chains: a shorter gap between segments is no slack
 _T_EPS = 1e-9
 
 #: what-if verdict thresholds: projection vs re-simulation relative error
@@ -163,11 +164,7 @@ def decompose(capture: "SimCapture") -> Decomposition:
     nproc = capture.nproc
     end = np.asarray(capture.finish, dtype=float)
     makespan = float(end.max())
-    blocked = (
-        outcome.blocked_time
-        if outcome.blocked_time is not None
-        else np.zeros(nproc)
-    )
+    blocked = outcome.blocked_time
     per_channel = {
         ch: stats.flight.per_rank(ch, "time") for ch in CHANNELS
     }
@@ -229,43 +226,31 @@ class PathSegment(NamedTuple):
         }
 
 
-#: tracer span name -> path segment kind
-_SPAN_KINDS = {
-    "prefetch": "prefetch",
-    "flush": "flush",
-    "steal_copy": "steal",
-    "batch": "compute",
-    "blocked": "blocked",
-}
-
-
 def rank_chains(capture: "SimCapture") -> list[list[PathSegment]]:
     """Chronological segment chain per rank, gaps filled with ``slack``.
 
-    Built from the run's virtual tracer spans; requires the capture's
-    tracer to have been enabled during the run (``repro analyze`` and
-    the HTML report install one).  Each rank's chain covers
+    Built from the scheduler's own record (``capture.outcome.segments``:
+    compute batches, D copies, blocked waits) plus each rank's prefetch
+    ``[0, prefetch]`` and flush ``[end - flush, end]``; a zero-length
+    phase is no segment.  No trace is read.  Each rank's chain covers
     ``[0, end(p)]`` completely.
     """
-    tracer = capture.tracer
-    if tracer is None or not getattr(tracer, "enabled", False):
-        raise ValueError(
-            "critical-path extraction needs the run traced: pass an "
-            "enabled Tracer to the simulation that filled the capture"
-        )
     end = np.asarray(capture.finish, dtype=float).tolist()
     raw: list[list[PathSegment]] = [[] for _ in range(capture.nproc)]
-    # per-task spans duplicate their batch span: never expanded
-    for _, name, _, _, tid, ts, dur, args in tracer.rows(
-        "X", pid=SIM_PID, names=_SPAN_KINDS
-    ):
-        detail = ""
-        if name == "steal_copy":
-            detail = f"D copy from p{args.get('victim', '?')}"
-        elif name == "batch":
-            detail = f"{args.get('ntasks', '?')} tasks"
-        raw[tid].append(
-            PathSegment(tid, ts, ts + dur, _SPAN_KINDS[name], detail))
+    for p, t in enumerate(np.asarray(capture.prefetch_time).tolist()):
+        if t > 0:
+            raw[p].append(PathSegment(p, 0.0, t, "prefetch"))
+    for p, t in enumerate(np.asarray(capture.flush_time).tolist()):
+        if t > 0:
+            raw[p].append(PathSegment(p, end[p] - t, end[p], "flush"))
+    for p, t0, t1, kind, detail in capture.outcome.segments:
+        if kind == "compute":
+            text = f"{detail} tasks"
+        elif kind == "steal":
+            text = f"D copy from p{detail}"
+        else:
+            text = ""
+        raw[p].append(PathSegment(p, t0, t1, kind, text))
     chains: list[list[PathSegment]] = []
     for p, segs in enumerate(raw):
         segs.sort(key=itemgetter(1, 2))  # start, then end
@@ -333,20 +318,17 @@ def extract_path(
     Within a rank the chain is sequential, so every segment before the
     cursor is on the path.  The only cross-rank start dependency the
     scheduler has is orphan adoption: a ``blocked`` segment ends exactly
-    at a rank death, so the walk hops to the dead rank's chain there and
-    continues before the death.  Fault-free runs never hop: the path is
-    the bounding rank's whole chain and ``explained_ratio == 1``.
+    at a rank death, so the walk hops to the chain of the rank whose
+    recorded death time that is and continues before the death.
+    Fault-free runs never hop: the path is the bounding rank's whole
+    chain and ``explained_ratio == 1``.
     """
     if chains is None:
         chains = rank_chains(capture)
     end = np.asarray(capture.finish, dtype=float)
     makespan = float(end.max())
     bounding = int(end.argmax())
-    deaths = (
-        capture.tracer.instants(name="death")
-        if capture.tracer is not None
-        else []
-    )
+    deaths = capture.outcome.deaths
     path: list[PathSegment] = []
     hops: list[tuple[int, int, float]] = []
     rank, cursor = bounding, makespan
@@ -361,19 +343,13 @@ def extract_path(
                 break
         if hop_from is None:
             break
-        dead = next(
-            (
-                ev
-                for ev in deaths
-                if abs(ev.ts - hop_from.end) <= _T_EPS
-            ),
-            None,
-        )
-        if dead is None or (dead.tid, hop_from.end) in visited:
-            break  # cause not traced (or cyclic); stop cleanly
-        visited.add((dead.tid, hop_from.end))
-        hops.append((rank, dead.tid, hop_from.end))
-        rank, cursor = dead.tid, float(dead.ts)
+        cursor = hop_from.end
+        dead = next((q for q, t in deaths.items() if t == cursor), None)
+        if dead is None or (dead, cursor) in visited:
+            break  # no death at that time (or cyclic); stop cleanly
+        visited.add((dead, cursor))
+        hops.append((rank, dead, cursor))
+        rank = dead
     path.reverse()
     return CriticalPath(segments=path, makespan=makespan, hops=hops)
 
@@ -447,6 +423,7 @@ def project_whatifs(
     config = capture.config
     outcome = capture.outcome
     can_resim = resim and capture.resimulate is not None
+    pf = np.asarray(capture.prefetch_time, dtype=float)
 
     # -- network alpha-beta scaled by `network_scale` (slower) --------------
     f = float(network_scale)
@@ -470,40 +447,37 @@ def project_whatifs(
     out.append(w)
 
     # -- stealing disabled ---------------------------------------------------
-    if outcome.initial_cost is not None:
-        pf = np.asarray(capture.prefetch_time, dtype=float)
-        fl = np.asarray(capture.flush_time, dtype=float)
-        proj = float(np.max(pf + np.asarray(outcome.initial_cost) + fl))
-        w = WhatIf(
-            name="no_stealing",
+    fl = np.asarray(capture.flush_time, dtype=float)
+    proj = float(np.max(pf + outcome.initial_cost + fl))
+    w = WhatIf(
+        name="no_stealing",
+        description=(
+            "work stealing disabled: each rank computes exactly its "
+            "initial static-partition queue, then flushes"
+        ),
+        projected_makespan=proj,
+        speedup=base / proj if proj > 0 else 1.0,
+    )
+    if can_resim:
+        w = _graded(w, capture.resimulate(enable_stealing=False))
+    out.append(w)
+
+    # -- perfect static balance (projection only) ---------------------------
+    mean_cost = float(np.mean(outcome.initial_cost))
+    proj = float(np.max(pf + mean_cost + fl))
+    out.append(
+        WhatIf(
+            name="perfect_balance",
             description=(
-                "work stealing disabled: each rank computes exactly its "
-                "initial static-partition queue, then flushes"
+                "oracle static partition: total compute spread evenly, "
+                "no steal traffic (lower bound on balance gains)"
             ),
             projected_makespan=proj,
             speedup=base / proj if proj > 0 else 1.0,
         )
-        if can_resim:
-            w = _graded(w, capture.resimulate(enable_stealing=False))
-        out.append(w)
-
-        # -- perfect static balance (projection only) -----------------------
-        mean_cost = float(np.mean(outcome.initial_cost))
-        proj = float(np.max(pf + mean_cost + fl))
-        out.append(
-            WhatIf(
-                name="perfect_balance",
-                description=(
-                    "oracle static partition: total compute spread evenly, "
-                    "no steal traffic (lower bound on balance gains)"
-                ),
-                projected_makespan=proj,
-                speedup=base / proj if proj > 0 else 1.0,
-            )
-        )
+    )
 
     # -- prefetch coalesced into one GA call (projection only) ---------------
-    pf = np.asarray(capture.prefetch_time, dtype=float)
     pf_bytes = capture.stats.flight.per_rank(CH_PREFETCH_GET, "bytes")
     new_pf = np.where(
         pf > 0, config.latency + pf_bytes / config.bandwidth, 0.0
@@ -536,8 +510,8 @@ class CritPathAnalysis:
     cores: int
     nproc: int
     decomposition: Decomposition
-    chains: list[list[PathSegment]] | None
-    path: CriticalPath | None
+    chains: list[list[PathSegment]]
+    path: CriticalPath
     whatifs: list[WhatIf]
 
     def check(self) -> None:
@@ -558,9 +532,7 @@ class CritPathAnalysis:
             "idle_fraction": self.decomposition.idle_fraction,
             "max_residual": self.decomposition.max_residual,
             "decomposition_ok": self.decomposition.ok,
-            "explained_ratio": (
-                self.path.explained_ratio if self.path is not None else None
-            ),
+            "explained_ratio": self.path.explained_ratio,
             "whatif_max_rel_err": max(
                 (w.rel_err for w in self.whatifs if w.rel_err is not None),
                 default=None,
@@ -582,13 +554,9 @@ class CritPathAnalysis:
             "cores": self.cores,
             "nproc": self.nproc,
             "decomposition": self.decomposition.to_json(),
-            "path": self.path.to_json() if self.path is not None else None,
+            "path": self.path.to_json(),
             "whatifs": [w.to_json() for w in self.whatifs],
-            "chains": (
-                [[s.to_json() for s in chain] for chain in self.chains]
-                if self.chains is not None
-                else None
-            ),
+            "chains": [[s.to_json() for s in chain] for chain in self.chains],
         }
 
     def export_metrics(self, registry=None) -> None:
@@ -609,18 +577,17 @@ class CritPathAnalysis:
             "repro_critpath_max_residual_seconds",
             "Largest per-rank decomposition residual (0 means exact)",
         ).set(d.max_residual)
-        if self.path is not None:
-            reg.gauge(
-                "repro_critpath_explained_ratio",
-                "Fraction of the makespan covered by the critical path",
-            ).set(self.path.explained_ratio)
-            blame = reg.gauge(
-                "repro_critpath_blame_seconds",
-                "Critical-path seconds attributed to each segment kind",
-                labelnames=("kind",),
-            )
-            for kind, seconds, _count in self.path.blame():
-                blame.set(seconds, kind=kind)
+        reg.gauge(
+            "repro_critpath_explained_ratio",
+            "Fraction of the makespan covered by the critical path",
+        ).set(self.path.explained_ratio)
+        blame = reg.gauge(
+            "repro_critpath_blame_seconds",
+            "Critical-path seconds attributed to each segment kind",
+            labelnames=("kind",),
+        )
+        for kind, seconds, _count in self.path.blame():
+            blame.set(seconds, kind=kind)
         speedup = reg.gauge(
             "repro_critpath_whatif_speedup",
             "Projected makespan speedup under each what-if scenario",
@@ -666,20 +633,19 @@ class CritPathAnalysis:
             lines.append(
                 f"  ... ({len(d.ranks) - len(shown)} faster ranks elided)"
             )
-        if self.path is not None:
-            lines += [
-                "",
-                f"critical path: {len(self.path.segments)} segments, "
-                f"{len(self.path.hops)} cross-rank hops, "
-                f"explains {self.path.explained_ratio:.1%} of the makespan",
-                "blame table (path seconds by kind):",
-            ]
-            for kind, seconds, count in self.path.blame():
-                share = seconds / d.makespan if d.makespan > 0 else 0.0
-                lines.append(
-                    f"  {kind:<10} {seconds * 1e3:>9.3f} ms  {share:>6.1%}"
-                    f"  ({count} segments)"
-                )
+        lines += [
+            "",
+            f"critical path: {len(self.path.segments)} segments, "
+            f"{len(self.path.hops)} cross-rank hops, "
+            f"explains {self.path.explained_ratio:.1%} of the makespan",
+            "blame table (path seconds by kind):",
+        ]
+        for kind, seconds, count in self.path.blame():
+            share = seconds / d.makespan if d.makespan > 0 else 0.0
+            lines.append(
+                f"  {kind:<10} {seconds * 1e3:>9.3f} ms  {share:>6.1%}"
+                f"  ({count} segments)"
+            )
         if self.whatifs:
             lines += ["", "what-if projections:"]
             for w in self.whatifs:
@@ -706,15 +672,12 @@ def analyze(
 
     ``resim`` toggles the what-if re-simulation cross-checks (each one
     re-runs the whole timing simulation; disable for cheap reports).
-    The critical path is extracted only when the run was traced.
+    The critical path comes from the scheduler's record, so a run needs
+    no tracer to have one.
     """
     decomp = decompose(capture)
-    chains = None
-    cp = None
-    tracer = capture.tracer
-    if tracer is not None and getattr(tracer, "enabled", False):
-        chains = rank_chains(capture)
-        cp = extract_path(capture, chains)
+    chains = rank_chains(capture)
+    cp = extract_path(capture, chains)
     whatifs = project_whatifs(
         capture, decomp, resim=resim, network_scale=network_scale
     )

@@ -304,10 +304,6 @@ class Tracer:
         """Complete spans, optionally of one category / pid / set of names."""
         return [TraceEvent(*row) for row in self.rows("X", cat, pid, names)]
 
-    def instants(self, name: str | None = None) -> list[TraceEvent]:
-        names = None if name is None else (name,)
-        return [TraceEvent(*row) for row in self.rows("i", names=names)]
-
     # -- export --------------------------------------------------------------
 
     def _chrome_meta(self) -> list[dict]:

@@ -105,7 +105,6 @@ def reference_work_stealing(
     steal_fraction: float = 0.5,
     tracer: Tracer | None = None,
     faults: FaultState | None = None,
-    rng: np.random.Generator | None = None,
     event_observer: Callable[[str, float, Any], None] | None = None,
 ) -> StealingOutcome:
     """Same contract as :func:`repro.fock.stealing.run_work_stealing`."""
@@ -133,6 +132,7 @@ def reference_work_stealing(
     scan_orders = [victim_scan_order(p, prow, pcol) for p in range(nproc)]
     done = np.zeros(nproc, dtype=bool)
     dead = np.zeros(nproc, dtype=bool)
+    deaths: dict[int, float] = {}
 
     track_faults = faults is not None
     #: per-rank (task, base_cost) execution history, for death recovery
@@ -213,6 +213,7 @@ def reference_work_stealing(
         """Execute rank ``p``'s death at virtual time ``t``."""
         st = states[p]
         dead[p] = True
+        deaths[p] = t
         # everything this rank executed since its last (never-happened)
         # flush is lost with its memory; queued work is lost with it too
         lost: list[tuple[Any, float, bool]] = [
@@ -281,8 +282,8 @@ def reference_work_stealing(
         probes = 0
         if enable_stealing:
             order = scan_orders[p]
-            if rng is not None:
-                order = [order[i] for i in rng.permutation(len(order))]
+            if faults is not None:
+                order = [order[i] for i in faults.rng.permutation(len(order))]
             for victim in order:
                 queue_ops[p] += 1  # probe the victim's queue
                 if stats is not None:
@@ -346,7 +347,7 @@ def reference_work_stealing(
         executed_tasks=executed_tasks,
         steals=steals,
         queue_ops=queue_ops,
-        dead_ranks=sorted(int(p) for p in np.flatnonzero(dead)),
+        deaths=deaths,
         recoveries=recoveries,
         reexecuted_tasks=reexecuted,
         executed_history=history if track_faults else None,

@@ -16,16 +16,17 @@ from repro.obs.critpath import (
     extract_path,
     rank_chains,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import NullTracer, Tracer
 from repro.runtime.faults import random_plan
 
 
-def _capture(mol, cores=48, basis_name="sto-3g", faults=None, **kw):
+def _capture(mol, cores=48, basis_name="sto-3g", faults=None, tracer=None,
+             **kw):
     basis = reorder_basis(BasisSet.build(mol, basis_name))
     screen = ScreeningMap(basis, schwarz_model(basis), 1e-10)
     capture = SimCapture()
     simulate_gtfock(
-        basis, screen, cores, tracer=Tracer("test-critpath"),
+        basis, screen, cores, tracer=tracer or Tracer("test-critpath"),
         capture=capture, molecule_name=mol.name, faults=faults, **kw,
     )
     return capture
@@ -158,24 +159,44 @@ class TestFaultyRuns:
 
         The survivors' blocked wait must be charged explicitly, and the
         critical path must hop from a blocked segment into the dead
-        rank's chain at the death instant.
+        rank's chain at its recorded death time.
         """
-        from repro.runtime.faults import FaultPlan
+        _assert_hops_to_the_dead_bounding_rank(tracer=None)
 
-        clean = _capture(water())
-        finish = np.asarray(clean.finish, dtype=float)
-        plan = FaultPlan(
-            seed=0,
-            deaths={int(finish.argmax()): float(finish.max()) * 0.99},
-        )
-        capture = _capture(water(), faults=plan)
-        decomp = decompose(capture)
-        assert any(r.blocked > 0 for r in decomp.ranks)
-        path = extract_path(capture)
-        assert len(path.hops) >= 1
-        _waiting, dead, _when = path.hops[0]
-        assert dead == int(finish.argmax())
-        assert any(s.kind == "blocked" for s in path.segments)
+
+def _assert_hops_to_the_dead_bounding_rank(tracer):
+    from repro.runtime.faults import FaultPlan
+
+    clean = _capture(water())
+    finish = np.asarray(clean.finish, dtype=float)
+    plan = FaultPlan(
+        seed=0,
+        deaths={int(finish.argmax()): float(finish.max()) * 0.99},
+    )
+    capture = _capture(water(), faults=plan, tracer=tracer)
+    decomp = decompose(capture)
+    assert any(r.blocked > 0 for r in decomp.ranks)
+    path = extract_path(capture)
+    assert len(path.hops) >= 1
+    _waiting, dead, when = path.hops[0]
+    assert dead == int(finish.argmax())
+    assert when == capture.outcome.deaths[dead]
+    assert any(s.kind == "blocked" for s in path.segments)
+
+
+class TestUntracedRuns:
+    def test_untraced_run_has_the_traced_runs_path(self, water_capture):
+        """The chains are the scheduler's record, not the trace: a run
+        simulated under a ``NullTracer`` gets the whole analysis."""
+        analysis = analyze(
+            _capture(water(), tracer=NullTracer()), resim=False)
+        assert analysis.path.hops == []
+        assert analysis.path.explained_ratio == 1.0
+        assert analysis.to_json() == analyze(
+            water_capture, resim=False).to_json()
+
+    def test_untraced_hop_reaches_the_dead_rank(self):
+        _assert_hops_to_the_dead_bounding_rank(tracer=NullTracer())
 
 
 class TestMetricsExport:

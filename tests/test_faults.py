@@ -234,7 +234,7 @@ class TestFaultTolerantStealing:
                 [[i for i in range(40)], [], [], []],
                 lambda t: 1.0,
                 (2, 2),
-                rng=np.random.default_rng(seed),
+                faults=FaultPlan(seed=seed).activate(4),
             ).steals
             return [(s.thief, s.victim, s.ntasks) for s in steals]
 

@@ -97,6 +97,18 @@ def test_no_embedded_trace_and_scratch_directory(tmp_path):
     assert "repro-run-" not in html
 
 
+def test_untraced_report_has_a_critical_path(tmp_path):
+    """The analyzer reads the scheduler's record, not the trace: a page
+    built without a tracer still carries the build's critical path."""
+    run_dir = tmp_path / "run"
+    assert main(["report", "water", "--no-embedded-trace",
+                 "--out", str(tmp_path / "r.html"),
+                 "--run-dir", str(run_dir)]) == 0
+    cp = load_run(run_dir).summary["critpath_analysis"]
+    assert cp["path"]["explained_ratio"] == pytest.approx(1.0)
+    assert len(cp["chains"]) == 4 and all(cp["chains"])
+
+
 @pytest.mark.parametrize("family", ["scf", "sdc"])
 def test_every_chaos_family_writes_its_gate(family, tmp_path, capsys):
     """``--report`` used to be ignored for every family but runtime."""

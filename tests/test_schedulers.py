@@ -14,7 +14,7 @@ from repro.fock.centralized import run_centralized
 from repro.fock.nwchem_cost import NWChemTaskArrays
 from repro.fock.stealing import run_work_stealing, scan_rank
 from repro.obs import SIM_PID, Tracer
-from repro.obs.critpath import _SPAN_KINDS, PathSegment, rank_chains
+from repro.obs.critpath import PathSegment, rank_chains
 from repro.obs.flight import CH_COUNTER, CH_STEAL_D, CH_TASK_GET
 from repro.runtime.faults import FaultPlan, random_plan
 from repro.runtime.machine import LONESTAR
@@ -76,18 +76,18 @@ def _differential_case(seed, grid=None, kind=None):
 
 def _run_scheduler(run, grid, queues, cost_of, knobs, plan, permute):
     nproc = grid[0] * grid[1]
+    # a permuted clean run: a plan that injects nothing, for its seeded
+    # tie-break generator
+    if plan is None and permute:
+        plan = FaultPlan(seed=5)
     fstate = plan.activate(nproc) if plan is not None else None
     stats = CommStats(nproc, LONESTAR, faults=fstate)
     stats.clock[:] = np.linspace(0.0, 0.2, nproc)
     tracer, log = Tracer(), []
-    if fstate is not None:
-        rng = fstate.rng
-    else:
-        rng = np.random.default_rng(5) if permute else None
     out = run(
         queues, cost_of, grid, stats=stats,
         d_copy_bytes=lambda victim: 4096 * (victim + 1),
-        tracer=tracer, faults=fstate, rng=rng,
+        tracer=tracer, faults=fstate,
         event_observer=lambda *ev: log.append(ev), **knobs,
     )
     return out, stats, tracer, log
@@ -163,7 +163,7 @@ class TestAgainstReferenceScan:
                 np.testing.assert_allclose(
                     getattr(out, field), getattr(ref, field), rtol=self.RTOL
                 )
-            assert out.dead_ranks == ref.dead_ranks
+            assert out.deaths == ref.deaths
             assert out.reexecuted_tasks == ref.reexecuted_tasks
             assert [(r.rank, r.ntasks, r.reexecuted) for r in out.recoveries] == [
                 (r.rank, r.ntasks, r.reexecuted) for r in ref.recoveries
@@ -234,7 +234,7 @@ class TestAgainstReferenceScan:
         fstate.perturb_event = counting
         log = []
         run_work_stealing(
-            queues, lambda c: costs[c], grid, faults=fstate, rng=fstate.rng,
+            queues, lambda c: costs[c], grid, faults=fstate,
             event_observer=lambda *ev: log.append(ev), **knobs,
         )
         pops = [t for action, t, _ in log if action == "pop"]
@@ -243,9 +243,20 @@ class TestAgainstReferenceScan:
             assert any(delayed)
 
 
+#: tracer span name -> path segment kind
+_SPAN_KINDS = {
+    "prefetch": "prefetch",
+    "flush": "flush",
+    "steal_copy": "steal",
+    "batch": "compute",
+    "blocked": "blocked",
+}
+
+
 def _event_chains(events, finish, nproc):
-    """``critpath.rank_chains`` as it read the trace before the columnar
-    log: one ``TraceEvent`` and one ``PathSegment`` per span, then a sort."""
+    """``critpath.rank_chains`` as it read the run's trace back, before the
+    scheduler recorded its own segments: one ``TraceEvent`` and one
+    ``PathSegment`` per virtual span, then a sort."""
     raw = [[] for _ in range(nproc)]
     for ev in events:
         if ev.phase != "X" or ev.pid != SIM_PID or ev.name not in _SPAN_KINDS:
@@ -315,9 +326,13 @@ class TestColumnarTraceCapture:
         _assert_same_events(tr, ref_tr, 1e-12)
 
     def test_chains_and_timeline_from_rows_equal_the_event_readers(self):
+        """The chains built from the scheduler's segment record equal the
+        ones read back from the same run's trace."""
         out, tr = self._run(run_work_stealing)
+        nproc = len(out.finish_time)
         capture = SimpleNamespace(
-            tracer=tr, finish=out.finish_time, nproc=len(out.finish_time))
+            outcome=out, finish=out.finish_time, nproc=nproc,
+            prefetch_time=np.zeros(nproc), flush_time=np.zeros(nproc))
         chains = rank_chains(capture)
         oracle = _event_chains(tr.events, out.finish_time, capture.nproc)
         assert [len(c) for c in chains] == [len(c) for c in oracle]
@@ -326,6 +341,89 @@ class TestColumnarTraceCapture:
                 assert seg == ref_seg
         kinds = {seg.kind for chain in chains for seg in chain}
         assert {"compute", "steal", "blocked", "slack"} <= kinds
+
+
+def _sim_run(molecule, cores, faults=None):
+    """A traced ``simulate_gtfock`` capture on ``molecule``/STO-3G."""
+    from repro.chem import builders
+    from repro.chem.basis.basisset import BasisSet
+    from repro.fock.reorder import reorder_basis
+    from repro.fock.screening_map import ScreeningMap
+    from repro.fock.simulate import SimCapture, simulate_gtfock
+    from repro.integrals.schwarz import schwarz_model
+
+    mol = getattr(builders, molecule)()
+    basis = reorder_basis(BasisSet.build(mol, "sto-3g"))
+    screen = ScreeningMap(basis, schwarz_model(basis), 1e-10)
+    capture, tracer = SimCapture(), Tracer()
+    simulate_gtfock(
+        basis, screen, cores, tracer=tracer, capture=capture, faults=faults
+    )
+    return capture, tracer
+
+
+def _build_run(inputs, nproc, faults=None):
+    """A ``gtfock_build`` capture, traced by its session's tracer."""
+    from repro.fock.gtfock import gtfock_build
+    from repro.fock.simulate import SimCapture
+    from repro.obs import session
+
+    capture, tracer = SimCapture(), Tracer()
+    with session(tracer=tracer):
+        gtfock_build(*inputs, nproc, faults=faults, capture=capture)
+    return capture, tracer
+
+
+@pytest.fixture(scope="module")
+def water_631g():
+    """(engine, hcore, density) of water/6-31G."""
+    from repro.fock.chaos import build_inputs
+
+    return build_inputs("water", "6-31g")[:3]
+
+
+#: (runner, molecule, cores or ranks, faults): None is fault-free, an int
+#: the seed of a ``random_plan`` over the clean makespan, "late-death" the
+#: bounding rank killed at 99 % of it
+_CHAIN_CASES = (
+    [("sim", "water", 48, None), ("sim", "water", 192, None),
+     ("sim", "benzene", 192, None), ("sim", "benzene", 768, None)]
+    + [("sim", "water", 48, seed) for seed in range(6)]
+    + [("sim", "water", 48, "late-death")]
+    + [("build", "water", 4, None), ("build", "water", 9, None)]
+    + [("build", "water", 4, seed) for seed in range(3)]
+)
+
+
+class TestChainsFromTheRecord:
+    """``critpath.rank_chains`` builds its chains from the scheduler's own
+    segment record and the capture's prefetch / flush times; the oracle
+    reads the same run's trace back (``_event_chains``)."""
+
+    @pytest.mark.parametrize(
+        "case", _CHAIN_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_chains_equal_the_trace_readers(self, case, water_631g):
+        runner, molecule, n, faults = case
+        if runner == "sim":
+            run = lambda plan=None: _sim_run(molecule, n, plan)
+        else:
+            run = lambda plan=None: _build_run(water_631g, n, plan)
+        plan = None
+        if faults is not None:
+            clean, _ = run()
+            finish = np.asarray(clean.finish)
+            if faults == "late-death":
+                plan = FaultPlan(seed=0, deaths={
+                    int(finish.argmax()): float(finish.max()) * 0.99})
+            else:
+                plan = random_plan(faults, clean.nproc, float(finish.max()))
+        capture, tracer = run(plan)
+        chains = rank_chains(capture)
+        assert chains == _event_chains(
+            tracer.events, capture.finish, capture.nproc)
+        assert bool(capture.outcome.deaths) == (plan is not None)
+        if faults == "late-death":
+            assert any(s.kind == "blocked" for c in chains for s in c)
 
 
 class TestWorkStealingConservation:
