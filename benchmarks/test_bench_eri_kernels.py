@@ -130,15 +130,13 @@ def _stored_iter2(basis, density, store_dir):
         f"stored mode recomputed {recomputed} quartets in iterations 2-3 "
         f"(expected 0)"
     )
-    # (a checkout that predates the supermatrix holds none)
-    supermatrix = getattr(engine, "supermatrix", None)
+    supermatrix = engine.integral_store.supermatrix
     return {
         "stored_iter2_s": round(t_iter2, 4),
         "stored_steady_s": round(t_steady, 5),
         "jk_contract_s": round(prof.stats[PHASE_JK].wall_s, 5),
         "store_iter2_recomputed": recomputed,
-        "supermatrix_mb": round(
-            0.0 if supermatrix is None else supermatrix.nbytes / 1e6, 3),
+        "supermatrix_mb": round(supermatrix.nbytes / 1e6, 3),
     }, j, k
 
 

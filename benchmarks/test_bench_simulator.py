@@ -58,18 +58,9 @@ def _setup(key: str):
 
 
 def _footprints(setup, nproc: int):
-    """Every rank's prefetch ``(elements, calls)``, the way this ``src/``
-    computes them: all ranks at once, or (older trees) mask by mask."""
+    """Every rank's prefetch ``(elements, calls)``, all ranks at once."""
     part = StaticPartition.build(setup.basis.nshells, nproc)
-    if hasattr(prefetch, "rank_footprints"):
-        return prefetch.rank_footprints(setup.screen, part)
-    out = []
-    for p in range(nproc):
-        fp = prefetch.block_footprint(setup.screen, part.task_block(p))
-        out.append((fp.elements, prefetch.ga_calls_for_footprint(
-            fp, part.row_shell_bounds, part.col_shell_bounds
-        )))
-    return out
+    return prefetch.rank_footprints(setup.screen, part)
 
 
 def run_nwchem_bench(quick: bool, rounds: int) -> dict:

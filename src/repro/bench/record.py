@@ -130,7 +130,7 @@ _KERNEL_FLOOR = (
 
 # -- ERI kernel trajectory: class kernel vs the reference (per-primitive)
 # kernel, and stored-integral (conventional SCF) mode: the first served
-# build (stored_iter2_s: plan + supermatrix mapping), every later one
+# build (stored_iter2_s: the supermatrix mapping), every later one
 # (stored_steady_s: four sparse mat-vecs, of which jk_contract_s is the
 # profiler's jk_contraction wall), the RAM the matrices hold and the
 # primitive quartets one build sweeps (exact, so recorded, not graded)

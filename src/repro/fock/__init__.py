@@ -29,7 +29,6 @@ from repro.fock.prefetch import (
     Footprint,
     block_footprint,
     footprint_bounding_boxes,
-    ga_calls_for_footprint,
     rank_footprints,
 )
 from repro.fock.reorder import bandwidth_of, cell_reordering, reorder_basis
@@ -62,7 +61,6 @@ __all__ = [
     "Footprint",
     "block_footprint",
     "footprint_bounding_boxes",
-    "ga_calls_for_footprint",
     "rank_footprints",
     "bandwidth_of",
     "cell_reordering",

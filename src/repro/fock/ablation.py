@@ -26,7 +26,7 @@ import numpy as np
 from repro.chem.basis.basisset import BasisSet
 from repro.fock.cost import quartet_cost_matrix
 from repro.fock.partition import StaticPartition
-from repro.fock.prefetch import block_footprint
+from repro.fock.prefetch import rank_footprints
 from repro.fock.reorder import bandwidth_of, reorder_basis
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.simulate import simulate_gtfock
@@ -63,14 +63,7 @@ def reordering_ablation(basis: BasisSet, cores: int = 768) -> list[AblationRow]:
         costs = quartet_cost_matrix(screen)
         nproc = max(1, cores // LONESTAR.cores_per_node)
         part = StaticPartition.build(b.nshells, nproc)
-        avg_fp = float(
-            np.mean(
-                [
-                    block_footprint(screen, part.task_block(p)).elements
-                    for p in range(nproc)
-                ]
-            )
-        )
+        avg_fp = float(np.mean(rank_footprints(screen, part)[0]))
         sim = simulate_gtfock(b, screen, cores, costs=costs)
         rows.append(
             AblationRow(

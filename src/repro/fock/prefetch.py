@@ -122,25 +122,6 @@ def footprint_bounding_boxes(fp: Footprint) -> list[tuple[int, int, int, int]]:
     return boxes
 
 
-def ga_calls_for_footprint(
-    fp: Footprint, row_bounds: np.ndarray, col_bounds: np.ndarray
-) -> int:
-    """Number of one-sided GA calls to fetch a footprint.
-
-    One call per (fetch-region bounding box, owner process) intersection,
-    mirroring strided GA gets against a 2-D blocked array with
-    shell-block boundaries ``row_bounds``/``col_bounds`` (shell indices).
-    """
-    calls = 0
-    for r0, r1, c0, c1 in footprint_bounding_boxes(fp):
-        gi0 = int(np.searchsorted(row_bounds, r0, side="right")) - 1
-        gi1 = int(np.searchsorted(row_bounds, r1 - 1, side="right")) - 1
-        gj0 = int(np.searchsorted(col_bounds, c0, side="right")) - 1
-        gj1 = int(np.searchsorted(col_bounds, c1 - 1, side="right")) - 1
-        calls += (gi1 - gi0 + 1) * (gj1 - gj0 + 1)
-    return calls
-
-
 def _block_span(bounds: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """How many blocks of ``bounds`` each index range ``[lo, hi)`` overlaps."""
     first = np.searchsorted(bounds, lo, side="right")
@@ -153,8 +134,9 @@ def rank_footprints(
     """``(elements, prefetch_calls)`` of every rank's task block at once.
 
     Equal, rank by rank, to ``block_footprint(screen,
-    part.task_block(p)).elements`` and :func:`ga_calls_for_footprint`
-    of that footprint, but a function of the rank's block indices: no
+    part.task_block(p)).elements`` and to one GA call per (bounding box of
+    :func:`footprint_bounding_boxes`, owner block) intersection of that
+    footprint, but a function of the rank's block indices: no
     per-rank ``(nshells, nshells)`` mask is built, only per-row-block
     and per-column-block summaries of shape ``(prow | pcol, nshells)``.
 

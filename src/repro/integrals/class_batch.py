@@ -32,8 +32,9 @@ loop the same way:
   :class:`~repro.integrals.store.ERIStore` keeps the weighted blocks it
   contracts and turns them into the plan's two sparse matrices over flat
   ``(ij)`` pairs (:func:`pair_matrices`), which the store writes; the
-  first build it serves memory-maps them (:func:`map_supermatrix`), and
-  every build on that engine is four sparse mat-vecs.
+  first build it serves memory-maps them (:func:`map_supermatrix`) into
+  the store's one slot, and every build over that store is four sparse
+  mat-vecs, with no plan and no Schwarz matrix.
 
 Every engine builds J/K here.  A chunk's blocks are computed
 (:func:`_resolve_chunk`) by ``engine.compute_rows``, the one engine
@@ -487,25 +488,14 @@ class Supermatrix:
     build.  Every entry is one quartet's value or a sum of two of its
     values; row ``(a, x)`` holds only quartets whose first shell has
     ``a``.  A ready store's file holds the two matrices (12 bytes per
-    non-zero: float64 value, int32 column), served memory-mapped; they
-    serve every row of ``plan``.
+    non-zero: float64 value, int32 column), served memory-mapped from the
+    store's one slot (``ERIStore.supermatrix``).
     """
 
-    plan: ClassPlan
-    #: the store generation it was read at
-    generation: int
     #: whether its segments were CRC-checked (``store.verify_reads``)
     verified: bool
     mj: sparse.csr_matrix
     mk: sparse.csr_matrix
-
-    def serves(self, plan: ClassPlan, store) -> bool:
-        """Whether a build of ``plan`` over ``store`` may contract this."""
-        return (
-            self.plan is plan
-            and self.generation == store.generation
-            and (self.verified or not store.verify_reads)
-        )
 
     @property
     def nbytes(self) -> int:
@@ -577,11 +567,11 @@ def _computed_matrices(engine, chunks, totals):
         return pair_matrices(engine.basis, pieces)
 
 
-def _mapped_matrices(engine, plan: ClassPlan, store):
+def _mapped_matrices(engine, store):
     """The store's ``(M_J, M_K)``, memory-mapped, each segment that fails
-    its check rebuilt from the plan rows of its shell (CRC rescues) -- or
-    ``None`` if a rebuilt segment does not fit its slot (another kernel's
-    exact zeros)."""
+    its check rebuilt from the rows of its shell in the plan at the
+    manifest's tau, planned only then (CRC rescues) -- or ``None`` if a
+    rebuilt segment does not fit its slot (another kernel's exact zeros)."""
     from scipy import sparse
 
     cuts, nnzs = store.offsets_for()
@@ -589,6 +579,7 @@ def _mapped_matrices(engine, plan: ClassPlan, store):
     good = store.verify_stacked(arrays)
     bad = np.flatnonzero(~np.logical_and(*good))  # segment s: rows of shell s
     if bad.size:
+        plan = engine.class_plan(store.manifest["tau"])
         first = np.concatenate([batch.quartets[:, 0] for batch in plan.batches])
         counts = dict.fromkeys(_COUNT_KEYS, 0)
         fresh = _computed_matrices(
@@ -607,22 +598,18 @@ def _mapped_matrices(engine, plan: ClassPlan, store):
     return tuple(sparse.csr_matrix(a, shape=(n2, n2)) for a in arrays)
 
 
-def map_supermatrix(engine, plan: ClassPlan, store) -> Supermatrix | None:
-    """The :class:`Supermatrix` of ``plan`` over a ``store`` filled at the
-    plan's tau: its matrices, memory-mapped, with every segment that fails
-    its check rebuilt in place.  A rebuilt segment that does not fit its
-    slot invalidates the store (``None``: the build fills it again).
-    Single threaded: the matrices, hence every J/K, are bitwise the same
-    at any ``jk_threads``.
+def map_supermatrix(engine, store) -> Supermatrix | None:
+    """The :class:`Supermatrix` of a ready ``store``: its matrices,
+    memory-mapped, with every segment that fails its check rebuilt in
+    place.  A rebuilt segment that does not fit its slot invalidates the
+    store (``None``: the build fills it again).  Single threaded: the
+    matrices, hence every J/K, are bitwise the same at any ``jk_threads``.
     """
-    matrices = _mapped_matrices(engine, plan, store)
+    matrices = _mapped_matrices(engine, store)
     if matrices is None:
         store.invalidate("a rebuilt segment does not fit its slot")
         return None
-    return Supermatrix(
-        plan=plan, generation=store.generation, verified=store.verify_reads,
-        mj=matrices[0], mk=matrices[1],
-    )
+    return Supermatrix(verified=store.verify_reads, mj=matrices[0], mk=matrices[1])
 
 
 # ---------------------------------------------------------------------------
@@ -786,11 +773,11 @@ def _tally(engine, totals: dict, faults) -> None:
 def jk_from_plan(
     engine,
     density: np.ndarray,
-    plan: ClassPlan,
     tau: float,
     threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """J and K matrices from a class plan (screened at ``tau``), one family
+    """J and K matrices over the engine's class plan at ``tau``
+    (:meth:`~repro.integrals.engine.ERIEngine.class_plan`), one family
     sweep per chunk.
 
     ``density`` is one symmetric ``(n, n)`` matrix or a stack
@@ -798,54 +785,57 @@ def jk_from_plan(
     and returns stacked ``(k, n, n)`` J and K.
 
     An attached ``engine.integral_store`` that is *ready* at ``tau``
-    serves the build from the engine's :class:`Supermatrix`, mapped by
-    the first such build (:func:`map_supermatrix`; again only for another
-    plan, a store generation change or newly armed ``verify_reads``): no
-    chunk is walked and ``threads`` is not consulted.  A ready store at
-    another tau, or one :func:`map_supermatrix` cannot patch, is
-    invalidated and this build fills it.  Every other build -- direct,
-    or filling a store -- is the six-block contraction.  A direct build
-    computes only the rows :func:`density_rows` keeps at ``tau``; a fill
-    computes every row, keeps the weighted blocks it contracts, and
-    hands the store their :func:`pair_matrices` to finalize at ``tau``.
-    ``threads > 1`` deals the kernel chunks, largest first, to the
-    least-loaded worker of a thread pool; every worker stages and
-    flushes its own blocks into private accumulators (reduced at the
-    end).  At any thread count the thread doing the work records one
-    ``eri_quartets`` phase per kernel chunk and one ``jk_contraction``
-    phase per flush -- never per quartet.
+    serves the build from the store's :class:`Supermatrix`, mapped by
+    the first such build (:func:`map_supermatrix`; again only once the
+    store's content changes or ``verify_reads`` is armed over an
+    unverified mapping): nothing is planned, no chunk is walked and
+    ``threads`` is not consulted.  A ready store at another tau, or one
+    :func:`map_supermatrix` cannot patch, is invalidated and this build
+    fills it.  Every other build -- direct, or filling a store -- is the
+    six-block contraction over the plan.  A direct build computes only
+    the rows :func:`density_rows` keeps at ``tau``; a fill computes every
+    row, keeps the weighted blocks it contracts, and hands the store
+    their :func:`pair_matrices` to finalize at ``tau``.  ``threads > 1``
+    deals the kernel chunks, largest first, to the least-loaded worker
+    of a thread pool; every worker stages and flushes its own blocks
+    into private accumulators (reduced at the end).  At any thread count
+    the thread doing the work records one ``eri_quartets`` phase per
+    kernel chunk and one ``jk_contraction`` phase per flush -- never per
+    quartet.
 
     An attached ``engine.scf_faults`` state has this build's corruptions
     drawn here, per plan row and before any worker starts, so the same
     rows are hit at every thread count; a victim on a row the density
-    screen drops never fires.
+    screen drops never fires.  A served build draws over the store's
+    rows (the filling plan's), so later builds keep their ordinals.
     """
     n = engine.basis.nbf
     dflat = density_stack(density, n).reshape(-1, n * n)
     store = engine.integral_store
-    faults = None
-    if engine.scf_faults is not None:
-        faults = engine.scf_faults.draw_build(plan.nquartets)
-
     if store is not None and store.ready and store.manifest["tau"] != tau:
         store.invalidate(f"filled at tau {store.manifest['tau']!r}, "
                          f"this build's is {tau!r}")
-    if store is not None and store.ready:
-        sm = engine.supermatrix
-        if sm is None or not sm.serves(plan, store):
+    served = store is not None and store.ready
+    faults = None
+    if engine.scf_faults is not None:
+        faults = engine.scf_faults.draw_build(
+            store.nblocks if served else engine.class_plan(tau).nquartets)
+
+    if served:
+        sm = store.supermatrix
+        if sm is None or store.verify_reads and not sm.verified:
             # dropped first: a mapping that fails (MemoryError, an
             # interrupt) leaves no half-built or stale matrix behind
-            engine.supermatrix = None
-            sm = engine.supermatrix = map_supermatrix(engine, plan, store)
+            store.supermatrix = None
+            sm = store.supermatrix = map_supermatrix(engine, store)
         if sm is not None:
             with phase(PHASE_JK):
                 jt, kt = sm.contract(dflat)
-            engine.quartets_served_from_store += plan.nquartets
+            engine.quartets_served_from_store += store.nblocks
             engine.last_jk_worker_stats = []
             return _symmetrized(jt, kt, n, density)
 
-    # a store that stopped being ready (invalidated) takes its matrix along
-    engine.supermatrix = None
+    plan = engine.class_plan(tau)
     pieces = [] if store is not None and store.filling else None
     chunks = plan.chunks(None if pieces is not None else density_rows(
         engine, plan, dflat.reshape(-1, n, n), tau

@@ -9,14 +9,15 @@ An engine supplies two things:
   on OS (``rescue_rows``);
 * ``schwarz()`` -- the shell-pair screening matrix sigma.
 
-Fock builds go through :meth:`ERIEngine.class_plan` and
-:func:`repro.integrals.class_batch.jk_from_plan`, where an attached
-:class:`~repro.integrals.store.ERIStore` is the one reuse layer (ERIs are
-density-independent: a ready store holds the engine's
+Fock builds go through :func:`repro.integrals.class_batch.jk_from_plan`,
+where an attached :class:`~repro.integrals.store.ERIStore` is the one
+reuse layer (ERIs are density-independent: a ready store holds its own
 :class:`~repro.integrals.class_batch.Supermatrix`, mapped once and
-contracted by every build).  ``quartets_computed`` counts only *real* computations
-(Table VII call-count benchmarks stay exact); store service is tallied
-separately in ``quartets_served_from_store``.
+contracted by every build, which then needs neither
+:meth:`ERIEngine.class_plan` nor the Schwarz matrix).
+``quartets_computed`` counts only *real* computations (Table VII
+call-count benchmarks stay exact); store service is tallied separately
+in ``quartets_served_from_store``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.integrals.class_batch import (
     Chunk,
     ClassBatch,
     ClassPlan,
-    Supermatrix,
     build_class_plan,
     canonical_quartet_array,
 )
@@ -77,9 +77,9 @@ class ERIEngine(abc.ABC):
         self.quartets_served_from_store = 0
         #: opt-in memory-mapped stored-integral layer (conventional SCF)
         self.integral_store: ERIStore | None = None
-        #: the ready store's integrals as sparse matrices, mapped by the
-        #: first build it serves; at most one, dropped with the store
-        self.supermatrix: Supermatrix | None = None
+        #: per pool worker of the last J/K build, its wall and source
+        #: counts (``[]``: a serial or served build)
+        self.last_jk_worker_stats: list[dict] = []
         #: NaN/Inf sentinel on computed blocks (armed by the SCF guard,
         #: at the start of a run or by its ``reference_eri`` rung); off
         #: by default so the hot path carries zero extra cost
@@ -127,13 +127,11 @@ class ERIEngine(abc.ABC):
         # direct run never pays it)
         import scipy.sparse  # noqa: F401
 
-        self.supermatrix = None
         self.integral_store = store.open_or_fill()
         return self.integral_store
 
     def detach_store(self) -> None:
         self.integral_store = None
-        self.supermatrix = None
 
     def class_plan(self, tau: float) -> ClassPlan:
         """The class-batched execution plan for threshold ``tau``, memoized.

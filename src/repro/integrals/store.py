@@ -12,8 +12,9 @@ paid again on every Fock build.  This module is that storage layer:
   :meth:`~ERIStore.record_batch`; ``finalize`` writes their ``data`` /
   ``indices`` / ``indptr`` arrays end to end in one file,
   ``supermatrix.bin``.  The first build it serves memory-maps them
-  (copy-on-write; the page cache shares them across processes): nothing
-  is read block by block or assembled, and later builds re-read nothing.
+  (copy-on-write; the page cache shares them across processes) into the
+  store's one slot: nothing is read block by block or assembled, and
+  later builds re-read nothing, plan nothing and screen nothing.
 * ``manifest.json`` records provenance -- a SHA-256 fingerprint of the
   basis (angular momenta, purity, centers, exponents, normalized
   coefficients), the screening ``tau`` (which fixes the quartets held)
@@ -37,9 +38,10 @@ entries) and a whole-file SHA-256.  With ``verify_reads`` (armed by the
 SCF ``integrity=`` knob) each segment is CRC-checked as it is mapped;
 unverified, each is still checked to be a well-formed CSR slice, so a
 flipped bit can make a value wrong but never send a read outside the
-matrix.  A failed segment is rebuilt from its shell's plan rows; one
-that does not fit its slot invalidates the store, refilled by the build
-that found it.  The digest is checked by the offline ``repro verify``
+matrix.  A failed segment is rebuilt from its shell's rows of the plan
+at the manifest's ``tau``, the only time a served build plans; one that
+does not fit its slot invalidates the store, refilled by the build that
+found it.  The digest is checked by the offline ``repro verify``
 audit only.  A v2 store (a flat block file and a per-block index) is
 invalidated and refilled.  Threat model: ``docs/ROBUSTNESS.md`` ("Silent data
 corruption").  This module alone knows the layout: the audit
@@ -149,9 +151,10 @@ class ERIStore:
     """On-disk store of a plan's integrals as its two CSR matrices.
 
     States: ``filling`` (accepting :meth:`record_batch`) and ``ready``
-    (memory-mapped, read-only).  ``generation`` increments whenever the
-    readable content changes, so what was mapped from one generation is
-    never contracted against another.
+    (memory-mapped, read-only).  ``supermatrix`` is the one slot for the
+    mapping a build serves from; the readable content changes only in
+    ``_attach`` and :meth:`invalidate`, and both empty the slot, so a
+    mapping is never contracted against other content.
     """
 
     def __init__(self, path: str | Path, basis: BasisSet):
@@ -159,7 +162,9 @@ class ERIStore:
         self.basis = basis
         self.fingerprint = basis_fingerprint(basis)
         self.manifest: dict | None = None
-        self.generation = 0
+        #: the ready content mapped as a ``class_batch.Supermatrix`` by
+        #: the first build it serves (``None``: not mapped yet)
+        self.supermatrix = None
         self.filling = False
         self.ready = False
         #: CRC-check every segment as it is mapped (armed by ``integrity=``)
@@ -246,10 +251,9 @@ class ERIStore:
         return None
 
     def _attach(self, manifest: dict) -> None:
-        self.manifest = manifest
+        self.manifest, self.supermatrix = manifest, None
         self.ready = True
         self.filling = False
-        self.generation += 1
 
     def invalidate(self, reason: str) -> None:
         """Discard on-disk content and return to the filling state."""
@@ -259,7 +263,7 @@ class ERIStore:
             StoreInvalidatedWarning,
             stacklevel=2,
         )
-        self.manifest = None
+        self.manifest = self.supermatrix = None
         with self._disk_lock():
             # manifest first: a crash mid-invalidate must never leave a
             # manifest describing files that are already gone
@@ -271,7 +275,6 @@ class ERIStore:
         self.ready = False
         self.filling = True
         self._staged = None
-        self.generation += 1
 
     # -- filling ------------------------------------------------------------
 

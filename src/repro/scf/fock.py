@@ -36,15 +36,16 @@ def build_jk(
     """Coulomb and exchange matrices over the screened canonical quartets.
 
     One path for every engine (:mod:`repro.integrals.class_batch`): the
-    engine's memoized class plan, then the mapped matrices of an
-    attached integral store filled at ``tau``, or each chunk's blocks
-    computed and one six-block density contraction per block shape,
-    optionally threaded (a fill at ``tau`` of an attached store).
+    mapped matrices of an attached integral store filled at ``tau``, or,
+    over the engine's memoized class plan, each chunk's blocks computed
+    and one six-block density contraction per block shape, optionally
+    threaded (a fill at ``tau`` of an attached store).
 
     Parameters
     ----------
     engine:
-        ERI engine (provides the class plan and the Schwarz matrix).
+        ERI engine (provides the store, the class plan and the Schwarz
+        matrix).
     density:
         Symmetric density matrix D, shape (nbf, nbf) -- or a stack
         (k, nbf, nbf) of them, contracted in one pass over the integrals
@@ -54,9 +55,7 @@ def build_jk(
     threads:
         Worker threads for the contraction (``None``: serial).
     """
-    return jk_from_plan(
-        engine, density, engine.class_plan(tau), tau=tau, threads=threads
-    )
+    return jk_from_plan(engine, density, tau=tau, threads=threads)
 
 
 def fock_matrix(

@@ -534,9 +534,7 @@ class SCFDriver:
         """The final state, the run's ledger summary, the result."""
         fs, e_elec, energy = self._final_state(run)
         engine, metrics, guard = self.engine, get_metrics(), run.guard
-        walls = [
-            s["wall"] for s in getattr(engine, "last_jk_worker_stats", None) or []
-        ]
+        walls = [s["wall"] for s in engine.last_jk_worker_stats]
         mean = sum(walls) / max(len(walls), 1)
         extra = {}
         if run.monitor is not None:

@@ -60,8 +60,8 @@ def sha256(a: np.ndarray) -> str:
 
 
 def supermatrix_arrays(engine):
-    """The CSR arrays of an engine's assembled supermatrix."""
-    sm = engine.supermatrix
+    """The CSR arrays of the supermatrix mapped in an engine's store."""
+    sm = engine.integral_store.supermatrix
     return [a for m in (sm.mj, sm.mk) for a in (m.data, m.indices, m.indptr)]
 
 

@@ -13,6 +13,7 @@ from repro.fock.ablation import (
 )
 from repro.fock.cost import quartet_cost_matrix
 from repro.fock.partition import StaticPartition
+from repro.fock.prefetch import block_footprint
 from repro.fock.reorder import reorder_basis
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.stealing import run_work_stealing
@@ -33,9 +34,14 @@ def screen10():
     return basis, ScreeningMap(basis, schwarz_model(basis), 1e-10)
 
 
+@pytest.fixture(scope="module")
+def reorder_rows(scrambled_basis):
+    return reordering_ablation(scrambled_basis, cores=192)
+
+
 class TestReorderingAblation:
-    def test_orderings_reduce_footprint(self, scrambled_basis):
-        rows = reordering_ablation(scrambled_basis, cores=192)
+    def test_orderings_reduce_footprint(self, reorder_rows):
+        rows = reorder_rows
         by_label = {r.label: r.metrics for r in rows}
         assert set(by_label) == {"none", "natural", "hilbert"}
         assert (
@@ -46,6 +52,20 @@ class TestReorderingAblation:
             by_label["natural"]["comm_mb_per_proc"]
             < by_label["none"]["comm_mb_per_proc"]
         )
+
+
+    def test_mean_footprint_is_the_per_rank_mean(self, scrambled_basis, reorder_rows):
+        """``avg_footprint_elements`` is, exactly, the mean over ranks of
+        each rank's :func:`block_footprint` on the ordering's screen."""
+        nproc = 192 // LONESTAR.cores_per_node
+        for row in reorder_rows:
+            b = scrambled_basis if row.label == "none" else reorder_basis(
+                scrambled_basis, 5.0, row.label)
+            screen = ScreeningMap(b, schwarz_model(b), 1e-10)
+            part = StaticPartition.build(b.nshells, nproc)
+            want = np.mean([block_footprint(screen, part.task_block(p)).elements
+                            for p in range(nproc)])
+            assert row.metrics["avg_footprint_elements"] == float(want)
 
 
 class TestStealingAblation:

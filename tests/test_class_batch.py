@@ -183,7 +183,7 @@ class TestClassJKAgreement:
         d = rand_density(np.random.default_rng(3), water_basis.nbf)
         d[0, 1] += 1e-3
         with pytest.raises(ValueError, match="not symmetric"):
-            jk_from_plan(engine, d, engine.class_plan(1e-11), 1e-11)
+            jk_from_plan(engine, d, 1e-11)
 
     def test_stacked_densities_match_per_density_calls(self, water_basis):
         rng = np.random.default_rng(19)
@@ -233,7 +233,7 @@ class TestRowSelection:
         from repro.chem.builders import water_cluster
 
         engine = MDEngine(BasisSet.build(water_cluster(2, 1, 1), "sto-3g"))
-        plan = engine.class_plan(1e-11)
+        plan = engine.class_plan(0.0)
         d = rand_density(np.random.default_rng(41), engine.basis.nbf)
         return engine, plan, d
 
@@ -258,7 +258,7 @@ class TestRowSelection:
 
     def test_selected_rows_partition_the_whole_build(self, dimer):
         engine, plan, d = dimer
-        j_all, k_all = jk_from_plan(engine, d, plan, 0.0)
+        j_all, k_all = jk_from_plan(engine, d, 0.0)
         rows = np.arange(plan.nquartets)
         odd, even = rows[1::2], rows[::2]
         j1, k1 = jk_from_rows(engine, d, plan, odd)
@@ -306,9 +306,8 @@ class TestThreadedContraction:
         rng = np.random.default_rng(11)
         d = rand_density(rng, basis.nbf)
         engine = MDEngine(basis)
-        plan = engine.class_plan(1e-11)
-        j1, k1 = jk_from_plan(engine, d, plan, 0.0, threads=1)
-        j4, k4 = jk_from_plan(engine, d, plan, 0.0, threads=4)
+        j1, k1 = jk_from_plan(engine, d, 0.0, threads=1)
+        j4, k4 = jk_from_plan(engine, d, 0.0, threads=4)
         assert np.allclose(j1, j4, atol=1e-12, rtol=0)
         assert np.allclose(k1, k4, atol=1e-12, rtol=0)
 
@@ -318,9 +317,9 @@ class TestThreadedContraction:
         basis = BasisSet.build(water(), "6-31g")
         d = rand_density(np.random.default_rng(17), basis.nbf)
         engine = MDEngine(basis)
-        plan = engine.class_plan(1e-11)
+        plan = engine.class_plan(0.0)
         flushes = recorded_flushes(monkeypatch)
-        j_ref, k_ref = jk_from_plan(engine, d, plan, 0.0)
+        j_ref, k_ref = jk_from_plan(engine, d, 0.0)
         one_per_shape = len(flushes)
         assert one_per_shape == len({b.dims for b in plan.batches})
         # tiny sweeps -> several family chunks per group; a stage budget
@@ -328,7 +327,7 @@ class TestThreadedContraction:
         monkeypatch.setattr(class_batch, "MAX_R_WORK", 2_000)
         monkeypatch.setattr(class_batch, "MAX_STAGE_WORK", 100)
         flushes.clear()
-        j, k = jk_from_plan(engine, d, plan, 0.0, threads=threads)
+        j, k = jk_from_plan(engine, d, 0.0, threads=threads)
         assert len(flushes) >= 2 * one_per_shape
         assert any(rows.size < b.nq for f in flushes for b, rows in f)
 
@@ -361,22 +360,23 @@ class TestPlanCaching:
 
     def test_plan_lru_bounded(self, water_basis, tmp_path):
         """The plan cache is bounded at one: another tau re-plans and
-        replaces the plan, and the store refilled at that tau maps a
-        supermatrix of the new plan."""
+        replaces the plan, and the store refilled at that tau maps a new
+        supermatrix into its slot."""
         engine = MDEngine(water_basis, store=tmp_path)
+        store = engine.integral_store
         d = rand_density(np.random.default_rng(3), water_basis.nbf)
         build_jk(engine, d, 1e-11)  # fills the store
-        build_jk(engine, d, 1e-11)  # assembles the supermatrix
-        p1, sm1 = engine.class_plan(1e-11), engine.supermatrix
-        assert sm1.plan is p1
+        build_jk(engine, d, 1e-11)  # maps the supermatrix
+        p1, sm1 = engine.class_plan(1e-11), store.supermatrix
+        assert sm1 is not None
         p2 = engine.class_plan(1e-9)
         assert p2 is not p1 and engine._class_plan == (1e-9, p2)
         assert engine.class_plan(1e-9) is p2
         with pytest.warns(StoreInvalidatedWarning, match="tau"):
             build_jk(engine, d, 1e-9)  # refills the store at 1e-9
-        assert engine.supermatrix is None
+        assert store.supermatrix is None and store.manifest["tau"] == 1e-9
         build_jk(engine, d, 1e-9)
-        assert engine.supermatrix is not sm1 and engine.supermatrix.plan is p2
+        assert store.supermatrix is not None and store.supermatrix is not sm1
         assert engine.class_plan(1e-11) is not p1
 
     def test_plan_covers_all_screened_quartets(self, water_basis):
@@ -395,7 +395,7 @@ class TestPlanCaching:
 def jk_of_quartets(engine, density, quartets):
     """J/K contribution of an explicit quartet list (any index order)."""
     plan = build_class_plan(engine.basis, engine.pair_cache, quartets)
-    return jk_from_plan(engine, density, plan, 0.0)
+    return jk_from_rows(engine, density, plan, np.arange(plan.nquartets))
 
 
 class TestJKForQuartets:
@@ -442,11 +442,11 @@ class TestProfilerAttribution:
         rng = np.random.default_rng(31)
         d = rand_density(rng, basis.nbf)
         engine = MDEngine(basis)
-        plan = engine.class_plan(1e-11)
+        plan = engine.class_plan(0.0)
         flushes = recorded_flushes(monkeypatch)
         prof, tracer = PhaseProfiler(), Tracer()
         with session(profiler=prof, tracer=tracer):
-            jk_from_plan(engine, d, plan, 0.0, threads=threads)
+            jk_from_plan(engine, d, 0.0, threads=threads)
         # as many chunk phases as one thread records, whoever runs them
         assert prof.stats[PHASE_ERI].calls == len(plan.chunks())
         assert prof.stats[PHASE_JK].calls == len(flushes)

@@ -82,12 +82,12 @@ class TestScreenAgainstSchwarzOnly:
     def test_dropped_rows_stay_within_the_bound(self, seed, tau):
         rng = np.random.default_rng(seed)
         engine = MDEngine(rand_basis(rng, nshells=5))
-        plan = engine.class_plan(1e-12)
+        plan = engine.class_plan(tau)
         d = graded_density(rng, engine.basis.nbf)
         kept = density_rows(engine, plan, d[None], tau)
         dropped = np.ones(plan.nquartets, bool)
         dropped[np.arange(plan.nquartets) if kept is None else kept] = False
-        j, k = jk_from_plan(engine, d, plan, tau=tau)
+        j, k = jk_from_plan(engine, d, tau=tau)
         j_ref, k_ref = schwarz_only_jk(MDEngine(engine.basis), d, plan)
         assert engine.quartets_computed == plan.nquartets - dropped.sum()
         bj, bk = screen_bound(engine, plan, dropped, tau)
@@ -138,13 +138,13 @@ class TestScreenAgainstSchwarzOnly:
 
     def test_victims_on_dropped_rows_never_fire(self):
         engine = MDEngine(BasisSet.build(water_cluster(2, 1, 1), "sto-3g"))
-        plan = engine.class_plan(1e-11)
+        plan = engine.class_plan(1e-6)
         d = graded_density(np.random.default_rng(2), engine.basis.nbf)
         kept = density_rows(engine, plan, d[None], 1e-6)
         fault = SCFFaultPlan(seed=4, quartet_nan_rate=0.05)
         victims = fault.activate().draw_build(plan.nquartets).rows
         engine.scf_faults, engine.finite_check = fault.activate(), True
-        jk_from_plan(engine, d, plan, tau=1e-6)
+        jk_from_plan(engine, d, tau=1e-6)
         hit = np.intersect1d(victims, kept).size
         assert 0 < hit < victims.size
         assert engine.scf_faults.quartets_corrupted == hit == engine.eri_rescues

@@ -15,7 +15,6 @@ from repro.fock.partition import StaticPartition, TaskBlock
 from repro.fock.prefetch import (
     block_footprint,
     footprint_bounding_boxes,
-    ga_calls_for_footprint,
     rank_footprints,
 )
 from repro.fock.screening_map import ScreeningMap
@@ -35,6 +34,24 @@ from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 def screen():
     basis = BasisSet.build(alkane(10), "vdz-sim")
     return ScreeningMap(basis, schwarz_model(basis), 1e-10)
+
+
+def ga_calls_for_footprint(fp, row_bounds, col_bounds) -> int:
+    """Number of one-sided GA calls to fetch a footprint: the oracle of
+    ``rank_footprints``'s call counts.
+
+    One call per (fetch-region bounding box, owner process) intersection,
+    mirroring strided GA gets against a 2-D blocked array with
+    shell-block boundaries ``row_bounds``/``col_bounds`` (shell indices).
+    """
+    calls = 0
+    for r0, r1, c0, c1 in footprint_bounding_boxes(fp):
+        gi0 = int(np.searchsorted(row_bounds, r0, side="right")) - 1
+        gi1 = int(np.searchsorted(row_bounds, r1 - 1, side="right")) - 1
+        gj0 = int(np.searchsorted(col_bounds, c0, side="right")) - 1
+        gj1 = int(np.searchsorted(col_bounds, c1 - 1, side="right")) - 1
+        calls += (gi1 - gi0 + 1) * (gj1 - gj0 + 1)
+    return calls
 
 
 class TestFootprint:

@@ -321,7 +321,7 @@ class TestStoreIntegrity:
         assert engine.crc_rescues == shell_rows(plan, 3)
         assert engine.quartets_computed == plan.nquartets
         assert engine.quartets_served_from_store == 0
-        assert engine.integral_store.ready and engine.supermatrix is None
+        assert engine.integral_store.ready and engine.integral_store.supermatrix is None
         # the refill is the build that filled the store first, bit for bit
         assert np.array_equal(j, j_ref) and np.array_equal(k, k_ref)
         assert audit_store_dir(store_dir) == ([], 2 * sto3g_basis.nshells)

@@ -1,11 +1,11 @@
 """Tests for the sparse supermatrix a ready integral store is served from.
 
 A ready ``ERIStore`` holds the plan's two CSR matrices; the first build
-it serves maps them onto the engine, and every build is four sparse
-mat-vecs.  Served J/K must equal a storeless build to summation order,
+it serves maps them into the store's one slot, and every build is four
+sparse mat-vecs, with no plan and no Schwarz matrix.  Served J/K must equal a storeless build to summation order,
 be bitwise reproducible across engines (processes) and thread settings,
 count every quartet's source once, and never outlive the store content
-they were assembled from.
+they were mapped from.
 """
 
 from __future__ import annotations
@@ -27,16 +27,12 @@ from reference_supermatrix import (
 from test_class_batch import rand_basis, rand_density
 
 from repro.chem.basis.basisset import BasisSet
-from repro.chem.builders import water
+from repro.chem.builders import water, water_cluster
 from repro.integrals import class_batch
 from repro.integrals import engine as engine_module
-from repro.integrals.class_batch import (
-    build_class_plan,
-    canonical_quartet_array,
-    jk_from_plan,
-)
 from repro.integrals.engine import MDEngine
 from repro.integrals.store import ERIStore, StoreInvalidatedWarning
+from repro.runtime.faults import SCFFaultPlan
 from repro.scf.fock import build_jk
 from repro.scf.hf import RHF
 
@@ -121,6 +117,20 @@ class TestServedBuilds:
         assert all(b._operands is None for b in batches)
         assert engine.quartets_computed == 0
 
+    def test_served_build_draws_its_faults_without_planning(self, warm_dir, basis):
+        """A seeded ``scf`` fault state on a served build: one build
+        ordinal drawn over the store's rows, nothing planned, nothing
+        computed or corrupted; the next computed build draws ordinal 1."""
+        engine = MDEngine(basis, store=warm_dir)
+        engine.scf_faults = SCFFaultPlan(seed=1, quartet_nan_rate=0.01).activate()
+        build_jk(engine, np.eye(basis.nbf))
+        assert engine.scf_faults.builds == 1 and engine._class_plan is None
+        assert engine.quartets_computed == engine.scf_faults.quartets_corrupted == 0
+        engine.detach_store()
+        engine.finite_check = True
+        build_jk(engine, np.eye(basis.nbf))
+        assert engine.scf_faults.builds == 2 and engine.quartets_computed > 0
+
     def test_one_jk_sample_per_served_build(self, warm_dir, basis):
         from repro.obs import session
         from repro.obs.profile import PHASE_ERI, PHASE_JK, PhaseProfiler
@@ -195,57 +205,53 @@ class TestAgainstV2Oracle:
 
 
 class TestLifetime:
-    """At most one supermatrix per engine, dropped with what it was
-    assembled from."""
+    """One supermatrix per store, in the store's one slot, emptied
+    whenever the store's readable content changes."""
 
-    def test_detach_invalidate_and_generation_drop_it(self, warm_dir, basis):
+    def test_attach_and_invalidate_empty_the_slot(self, warm_dir, basis):
         d = np.eye(basis.nbf)
         engine = MDEngine(basis, store=warm_dir)
-        assert engine.supermatrix is None  # assembled on demand
-        build_jk(engine, d)
-        first = engine.supermatrix
-        build_jk(engine, d)
-        assert engine.supermatrix is first
-        # another plan of the store's tau replaces it: one lives at a time
-        other = build_class_plan(basis, engine.pair_cache, canonical_quartet_array(
-            engine.schwarz(), 1e-11))
-        jk_from_plan(engine, d, other, 1e-11)
-        assert engine.supermatrix.plan is other
-        # a generation bump (the store re-attached under the engine)
         store = engine.integral_store
+        assert store.supermatrix is None  # mapped on demand
         build_jk(engine, d)
-        before = engine.supermatrix
+        first = store.supermatrix
+        build_jk(engine, d)
+        assert store.supermatrix is first
+        # re-attaching (the store re-opened under the engine) empties it
         store.open_or_fill()
+        assert store.ready and store.supermatrix is None
         build_jk(engine, d)
-        assert engine.supermatrix is not before
-        assert engine.supermatrix.generation == store.generation
-        # invalidate(): the next build fills, and holds no matrix
+        assert store.supermatrix is not None and store.supermatrix is not first
+        # invalidate(): the next build fills, and the slot stays empty
+        # until the build after it maps the new content
         with pytest.warns(UserWarning, match="invalidated"):
             store.invalidate("test")
+        assert store.supermatrix is None
         computed = engine.quartets_computed
         build_jk(engine, d)
         assert engine.quartets_computed > computed
-        assert store.ready and engine.supermatrix is None
+        assert store.ready and store.supermatrix is None
         build_jk(engine, d)
-        assert engine.supermatrix is not None
-        # detach_store(): the guard's reference_eri rung
+        assert store.supermatrix is not None
+        # detach_store() (the guard's reference_eri rung): the engine
+        # reaches neither the store nor its mapping
         engine.detach_store()
-        assert engine.supermatrix is None
+        assert engine.integral_store is None
 
     def test_newly_armed_verification_reassembles(self, warm_dir, basis):
         d = np.eye(basis.nbf)
         engine = MDEngine(basis, store=warm_dir)
         store = engine.integral_store
         build_jk(engine, d)
-        assert not engine.supermatrix.verified and store.crc_checks == 0
+        assert not store.supermatrix.verified and store.crc_checks == 0
         store.verify_reads = True
         build_jk(engine, d)
-        assert engine.supermatrix.verified
+        assert store.supermatrix.verified
         assert store.crc_checks == store.nsegments == 2 * basis.nshells
         store.verify_reads = False  # a verified matrix serves either way
-        scrubbed = engine.supermatrix
+        scrubbed = store.supermatrix
         build_jk(engine, d)
-        assert engine.supermatrix is scrubbed
+        assert store.supermatrix is scrubbed
         assert store.crc_checks == store.nsegments
 
     def test_memory_error_leaves_no_half_built_matrix(
@@ -266,7 +272,7 @@ class TestLifetime:
         served = engine.quartets_served_from_store
         with pytest.raises(MemoryError):
             build_jk(engine, d)
-        assert engine.supermatrix is None
+        assert engine.integral_store.supermatrix is None
         assert engine.quartets_served_from_store == served
         monkeypatch.undo()
         build_jk(engine, d)
@@ -302,12 +308,23 @@ class TestWarmRestart:
         assert np.array_equal(res.fock, ref.fock)
         assert np.array_equal(res.density, ref.density)
 
-    def test_ready_store_run_plans_and_assembles_once(
-        self, warm_dir, monkeypatch
+    @pytest.mark.parametrize("system", ["water", "water4"])
+    def test_ready_store_run_plans_nothing_and_maps_once(
+        self, system, tmp_path, monkeypatch
     ):
-        """Every build of a ready-store RHF is the run's one plan: it is
-        planned once, mapped once and computes zero quartets."""
-        calls = {"plan": 0, "assemble": 0}
+        """A warm stored RHF serves every build from its store: no class
+        plan, no Schwarz matrix, one mapping and zero quartets computed.
+        ``water4`` is the stored benchmark's run: (H2O)4/6-31G in its
+        seed-0 geometry with checkpoints, integrity checks and the guard."""
+        mol, kw = {
+            "water": (water(), {}),
+            "water4": (water_cluster(4, 1, 1), dict(
+                checkpoint_dir=str(tmp_path / "ckpt"), integrity=True, guard=True)),
+        }[system]
+        basis = BasisSet.build(mol, "6-31g")
+        store_dir = tmp_path / "store"
+        build_jk(MDEngine(basis, store=store_dir), np.eye(basis.nbf))
+        calls = {"plan": 0, "schwarz": 0, "map": 0}
 
         def counted(module, name, key):
             real = getattr(module, name)
@@ -319,11 +336,13 @@ class TestWarmRestart:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(engine_module, "build_class_plan", "plan")
-        counted(class_batch, "map_supermatrix", "assemble")
-        rhf = RHF(water(), "6-31g", integral_store=str(warm_dir))
+        counted(engine_module, "schwarz_matrix", "schwarz")
+        counted(class_batch, "map_supermatrix", "map")
+        rhf = RHF(mol, "6-31g", integral_store=str(store_dir), **kw)
         res = rhf.run()
         assert res.converged and res.iterations > 2
-        assert calls == {"plan": 1, "assemble": 1}
+        assert calls == {"plan": 0, "schwarz": 0, "map": 1}
         engine = rhf.engine
-        assert engine.supermatrix.plan is engine.class_plan(rhf.tau)
         assert engine.quartets_computed == 0
+        assert engine.quartets_served_from_store > 0
+        assert engine.quartets_served_from_store % engine.integral_store.nblocks == 0
