@@ -15,20 +15,23 @@ shared runner; a whole run measures what a user pays.  The entry also
 records the quartets that run computes (``quartets_computed``, exact:
 the density-change screen of the incremental build shows there).
 
-Methodology: the two configurations run interleaved round by round so
-both see the same machine drift, and the min of each is taken
-(scheduler noise is one-sided; :func:`benchmarks.overhead.on_off_walls`).
-Each run builds its own RHF, so Schwarz, pair data and the plan are
-timed too.  The ``phase_profiler`` family of the BENCH runner
-(``python -m benchmarks phase_profiler [--quick]``), so ``repro perf
-check`` watches the probe cost over time; ``--quick`` uses fewer rounds.
+Methodology: the two configurations run interleaved round by round,
+alternating which goes first, so both see the same machine drift, and
+the min of each is taken (scheduler noise is one-sided).  Each run
+builds its own RHF, so Schwarz, pair data and the plan are timed too.
+The profiler's own cost cannot be one of its phases, so unlike the
+guard and integrity budgets (a phase share of one run) it is a
+difference of two walls.  The ``phase_profiler`` family of the BENCH
+runner (``python -m benchmarks phase_profiler [--quick]``), so ``repro
+perf check`` watches the probe cost over time; ``--quick`` uses fewer
+rounds.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import time
 
-from benchmarks.overhead import on_off_walls
+import numpy as np
 
 from repro.chem.builders import water_cluster
 from repro.obs import MetricsRegistry, PhaseProfiler, session
@@ -41,20 +44,21 @@ ROUNDS = 10
 def measure(quick: bool = False) -> tuple[dict, str]:
     """Interleaved min-of-N SCF wall times with probes off and on."""
     mol = water_cluster(5, 1, 1)
-    computed = set()
-
-    def run(probed: bool):
-        profiler = PhaseProfiler() if probed else None
-        with session(profiler=profiler, metrics=MetricsRegistry()):
-            rhf = RHF(mol, basis_name="sto-3g")
-            res = rhf.run()
-        computed.add(rhf.engine.quartets_computed)
-        return res, profiler
-
-    walls, (off, _), (on, profiler) = on_off_walls(run, 3 if quick else ROUNDS)
-    quartets = next(
-        (p.calls for p in profiler.phases() if p.name == PHASE_ERI), 0
-    )
+    rounds = 3 if quick else ROUNDS
+    walls: dict[bool, list[float]] = {False: [], True: []}
+    last, computed = {}, set()
+    for i in range(rounds):
+        for probed in (False, True) if i % 2 == 0 else (True, False):
+            t0 = time.perf_counter()
+            profiler = PhaseProfiler() if probed else None
+            with session(profiler=profiler, metrics=MetricsRegistry()):
+                rhf = RHF(mol, basis_name="sto-3g")
+                last[probed] = rhf.run(), profiler
+            computed.add(rhf.engine.quartets_computed)
+            walls[probed].append(time.perf_counter() - t0)
+    (off, _), (on, profiler) = last[False], last[True]
+    t_off, t_on = min(walls[False]), min(walls[True])
+    assert PHASE_ERI in profiler.stats, "probes never fired"
     fock_matches = bool(
         np.array_equal(off.fock, on.fock) and off.energy == on.energy
     )
@@ -62,14 +66,16 @@ def measure(quick: bool = False) -> tuple[dict, str]:
         "benchmark": "phase_profiler",
         "molecule": "(H2O)5",
         "basis": "sto-3g",
-        **walls,
-        "quartets_profiled": int(quartets),
+        "rounds": rounds,
+        "wall_off_s": round(t_off, 4),
+        "wall_on_s": round(t_on, 4),
+        "overhead": round(t_on / t_off - 1.0, 4),
+        "quartets_profiled": profiler.stats[PHASE_ERI].calls,
         "quartets_computed": int(computed.pop()),
         "fock_matches": fock_matches,
     }
     # probes are observation, not perturbation
     assert fock_matches, "profiler changed the SCF result"
-    assert quartets > 0, "probes never fired"
     assert not computed, "runs computed different quartet counts"
     return entry, (
         "phase_profiler: (H2O)5/sto-3g RHF overhead "

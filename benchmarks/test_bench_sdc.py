@@ -1,33 +1,34 @@
-"""Integrity-layer overhead: RHF water/6-31G, detectors on vs off.
+"""Integrity-layer overhead: its phase share of one RHF water/6-31G run.
 
 The integrity layer buys its detection coverage with per-iteration ABFT
 checks (symmetry residuals on F and D, the Tr(D*S) electron-count
 check) plus one CRC per segment of the stored supermatrix as it is
-mapped -- all of which ride the SCF hot path.  On a healthy run over a
-warm store that cost must stay within the 5% bound of its ``fock_sdc``
-family row, and the detectors must raise zero false alarms.  The
-``fock_sdc`` family of the BENCH runner (``python -m benchmarks
-fock_sdc [--quick]``); ``--quick`` runs one round.
+mapped, each call in an ``integrity`` phase (the CRC share is gross of
+the well-formedness check it replaces).  On a healthy run over a warm
+store their summed wall over the run's wall must stay within the 5%
+bound of the ``fock_sdc`` family row, and the detectors must raise zero
+false alarms.  ``python -m benchmarks fock_sdc [--quick]``: one run is
+the measurement, so ``--quick`` measures the same.
 """
 
 from __future__ import annotations
 
 import tempfile
+import time
 
-from benchmarks.overhead import on_off_walls
 from repro.chem.builders import water
+from repro.obs import MetricsRegistry, PhaseProfiler, session
+from repro.obs.profile import PHASE_INTEGRITY
 from repro.scf.hf import RHF
-
-ROUNDS = 4
 
 
 def measure(quick: bool = False) -> tuple[dict, str]:
-    """Best-of-N wall times for integrity off/on over one warm store.
+    """The integrity phases' share of one run over a warm store.
 
-    The store is filled once (untimed) so both configurations measure
-    the stored-integral steady state -- the configuration the CRC
-    framing actually taxes.  ``passed`` is the detectors' verdict (same
-    energy, no false alarm); the overhead has its own family row.
+    The store is filled once (untimed), so the profiled run measures the
+    stored-integral steady state the CRC framing taxes.  A last run,
+    integrity off and untimed, gives ``energy_matches``; ``passed`` is
+    the detectors' verdict (same energy, no false alarm).
     """
     with tempfile.TemporaryDirectory(prefix="repro-bench-sdc-") as work:
 
@@ -38,13 +39,21 @@ def measure(quick: bool = False) -> tuple[dict, str]:
             ).run()
 
         scf(False)  # fill + finalize, untimed
-        walls, res_off, res_on = on_off_walls(scf, 1 if quick else ROUNDS)
+        profiler = PhaseProfiler()
+        with session(profiler=profiler, metrics=MetricsRegistry()):
+            t0 = time.perf_counter()
+            res_on = scf(True)
+            wall = time.perf_counter() - t0
+        res_off = scf(False)
+    integrity_s = profiler.wall(PHASE_INTEGRITY)
     summary = res_on.integrity_summary
     entry = {
         "benchmark": "fock_sdc",
         "molecule": "water",
         "basis": "6-31g",
-        **walls,
+        "wall_s": round(wall, 4),
+        "integrity_s": round(integrity_s, 6),
+        "overhead": round(integrity_s / wall, 4),
         "iterations": res_on.iterations,
         "energy": round(res_on.energy, 10),
         "checks": summary["checks_total"],
@@ -55,8 +64,7 @@ def measure(quick: bool = False) -> tuple[dict, str]:
         entry["energy_matches"] and entry["false_positives"] == 0
     )
     return entry, (
-        "fock_sdc: water/6-31g integrity overhead "
-        f"{entry['overhead']:+.1%} (off {entry['wall_off_s']}s, "
-        f"on {entry['wall_on_s']}s, {entry['checks']} checks, "
+        f"fock_sdc: water/6-31g integrity share {entry['overhead']:.2%} "
+        f"({integrity_s:.4f}s of {wall:.3f}s, {entry['checks']} checks, "
         f"{entry['false_positives']} false positives)"
     )

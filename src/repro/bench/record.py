@@ -207,16 +207,16 @@ _family(
     _rel("jobs_per_min", "jobs/min", "higher"),
     _rel("wall_s"),
 )
-# -- probes on a healthy run: free (<= 5%) and invisible (same energy) --
+# -- probes on a healthy run: free (<= 5% of wall_s) and invisible --
 _family(
     "scf_guard", "BENCH_fock.json",
-    {"wall_off_s": float, "wall_on_s": float},
+    {"wall_s": float, "guard_s": float},
     _flag("energy_matches"),
     _bound("overhead", 0.05, 0.05, "frac"),
 )
 _family(
     "fock_sdc", "BENCH_fock.json",
-    {"wall_off_s": float, "wall_on_s": float},
+    {"wall_s": float, "integrity_s": float},
     _flag("passed"), _flag("energy_matches"),
     _bound("false_positives", 0.5, 0.5),
     _bound("overhead", 0.05, 0.05, "frac"),

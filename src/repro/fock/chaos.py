@@ -33,12 +33,16 @@ from __future__ import annotations
 
 import tempfile
 import time
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro.chem.builders import molecule_by_name
 from repro.fock.gtfock import gtfock_build
+from repro.obs import MetricsRegistry, PhaseProfiler, session
+from repro.obs.profile import PHASE_INTEGRITY
 from repro.runtime.faults import (
     FaultPlan,
     GateResult,
@@ -265,9 +269,9 @@ def run_sdc_chaos(
 
     1. a clean stored-integral SCF run fills ``store/`` and writes
        clean checkpoints -- the trajectory baseline;
-    2. fault-free integrity control: the same run, warm store, with
-       integrity off then on -- wall-clock overhead plus the
-       zero-false-positive check;
+    2. fault-free integrity control: the same run, warm store,
+       integrity on -- the zero-false-positive check, and its
+       ``integrity`` phases' share of its wall (``overhead``);
     3. the plan bit-flips on-disk store blocks;
     4. the corrupted run: same inputs, ``integrity=True``, sdc faults
        flipping F/D elements in memory and checkpoint files post-write,
@@ -298,25 +302,19 @@ def run_sdc_chaos(
     ckpt_sdc = workdir / "ckpt-sdc"
     try:
         mol = molecule_by_name(molecule)
-
-        def make_rhf(ckpt_dir=None, integrity=False, sdc=None):
-            return RHF(
-                mol, basis_name=basis_name, integral_store=str(store_dir),
-                checkpoint_dir=None if ckpt_dir is None else str(ckpt_dir),
-                integrity=integrity, sdc_faults=sdc,
-            )
+        rhf = partial(RHF, mol, basis_name=basis_name, integral_store=str(store_dir))
 
         # 1. clean baseline (fills + finalizes the store)
-        clean = make_rhf(ckpt_dir=ckpt_clean).run()
+        clean = rhf(checkpoint_dir=str(ckpt_clean)).run()
 
-        # 2. fault-free control on the warm store: overhead + the
-        #    false-positive gate (detections here must be zero)
-        t0 = time.perf_counter()
-        make_rhf().run()
-        wall_off = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        control = make_rhf(integrity=True).run()
-        wall_on = time.perf_counter() - t0
+        # 2. fault-free control on the warm store: the false-positive gate
+        #    (detections here must be zero) and the integrity share of
+        #    its wall, profiled into a private registry
+        profiler = PhaseProfiler()
+        with session(profiler=profiler, metrics=MetricsRegistry()):
+            t0 = time.perf_counter()
+            control = rhf(integrity=True).run()
+            wall = time.perf_counter() - t0
         false_positives = control.integrity_summary["detections_total"]
 
         # 3. silently rot the on-disk store
@@ -324,17 +322,15 @@ def run_sdc_chaos(
         store_state.corrupt_store_dir(store_dir)
 
         # 4. the corrupted run: detectors armed, sdc matrix/file faults
-        sdc_result = make_rhf(ckpt_dir=ckpt_sdc, integrity=True, sdc=plan).run()
+        sdc_result = rhf(checkpoint_dir=str(ckpt_sdc), integrity=True, sdc_faults=plan).run()
         summary = sdc_result.integrity_summary
         detections, injections = summary["detections"], summary["injections"]
 
         # offline checkpoint audit: every flipped file must fail
         # verification, and an intact snapshot must still be loadable
-        import warnings as _warnings
-
         ckpt_detected = audit_checkpoints(ckpt_sdc, VerifyReport(str(ckpt_sdc)))
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             checkpoint_intact = load_latest_intact(ckpt_sdc) is not None
 
         # 5. checksummed GA accumulates under in-flight corruption
@@ -384,8 +380,8 @@ def run_sdc_chaos(
             "false_positives": int(false_positives),
             "ga_error": ga_error,
             "checkpoint_intact": checkpoint_intact,
-            # fractional integrity overhead on the fault-free warm run
-            "overhead": wall_on / wall_off - 1.0 if wall_off > 0 else 0.0,
+            # the integrity layer's share of the fault-free warm run
+            "overhead": profiler.wall(PHASE_INTEGRITY) / wall,
         }, plan)
     finally:
         if tmp is not None:

@@ -59,6 +59,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -73,7 +74,7 @@ from repro.integrals.pairdata import (
     shell_families,
 )
 from repro.obs import phase
-from repro.obs.profile import PHASE_ERI, PHASE_JK
+from repro.obs.profile import PHASE_ERI, PHASE_GUARD, PHASE_INTEGRITY, PHASE_JK
 from repro.util.validation import check_symmetric
 
 if TYPE_CHECKING:  # imported by a store-backed build: direct SCF never pays for it
@@ -576,7 +577,9 @@ def _mapped_matrices(engine, store):
 
     cuts, nnzs = store.offsets_for()
     arrays = store.read_stacked()
-    good = store.verify_stacked(arrays)
+    # a probe when CRCs are verified (gross of the check they replace)
+    with phase(PHASE_INTEGRITY) if store.verify_reads else nullcontext():
+        good = store.verify_stacked(arrays)
     bad = np.flatnonzero(~np.logical_and(*good))  # segment s: rows of shell s
     if bad.size:
         plan = engine.class_plan(store.manifest["tau"])
@@ -635,10 +638,13 @@ def _resolve_chunk(engine, chunk: list[Chunk], faults) -> tuple[list, dict]:
         counts["computed"] += len(blocks)
         if faults is not None and engine.class_kernel:
             counts["corrupted"] += faults.corrupt_rows(blocks, batch.row0 + rows)
-        if engine.finite_check and not np.isfinite(blocks.sum()):
-            bad = ~np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
-            blocks[bad] = engine.rescue_rows(batch, rows[bad])
-            counts["rescued"] += int(bad.sum())
+    if engine.finite_check:
+        with phase(PHASE_GUARD):  # the sentinel the guard arms
+            for (batch, rows), blocks in zip(chunk, parts):
+                if not np.isfinite(blocks.sum()):
+                    bad = ~np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
+                    blocks[bad] = engine.rescue_rows(batch, rows[bad])
+                    counts["rescued"] += int(bad.sum())
     return parts, counts
 
 

@@ -7,7 +7,8 @@ CPU time, and allocations actually go.  The pipeline's named phases --
 
 ``pairdata_build``, ``schwarz_screening``, ``class_plan``,
 ``eri_quartets``, ``jk_contraction``, ``diagonalize``/``purify``,
-``diis``, ``fock_build``, ``sim_event_loop``
+``diis``, ``fock_build``, ``sim_event_loop`` and the probes ``guard``
+and ``integrity``
 
 -- are each wired once, as ``with repro.obs.phase(name):``.  That one
 probe times the region once and records it into the current session:
@@ -58,6 +59,10 @@ PHASE_PURIFY = "purify"
 PHASE_DIIS = "diis"
 PHASE_FOCK = "fock_build"
 PHASE_SIM_LOOP = "sim_event_loop"
+#: the probes' phases: never nested in one another, so their walls add
+#: up to what the guard / integrity layer cost a run (:meth:`PhaseProfiler.wall`)
+PHASE_GUARD = "guard"
+PHASE_INTEGRITY = "integrity"
 
 
 @dataclass
@@ -166,6 +171,10 @@ class PhaseProfiler:
 
     def to_json(self) -> list[dict]:
         return [s.to_json() for s in self.phases()]
+
+    def wall(self, *names: str) -> float:
+        """Summed wall seconds of the named phases (0 for one never seen)."""
+        return sum(self.stats[n].wall_s for n in names if n in self.stats)
 
     def table(self) -> str:
         """Fixed-width console rendering of the phase table."""

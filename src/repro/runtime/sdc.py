@@ -363,7 +363,7 @@ class IntegrityMonitor:
         residual = float(np.max(np.abs(a - a.T)))
         return residual <= SYM_TOL * max(1.0, float(np.max(np.abs(a))))
 
-    def check_fock(self, f: np.ndarray, iteration: int) -> bool:
+    def check_fock(self, f: np.ndarray) -> bool:
         """F must be finite and symmetric (F = F^T is exact in RHF)."""
         self.record_check("fock_symmetry")
         ok = bool(np.isfinite(f).all()) and self._symmetry_ok(f)
@@ -371,7 +371,7 @@ class IntegrityMonitor:
             self.record_detection("fock_matrix")
         return ok
 
-    def check_density(self, d: np.ndarray, iteration: int, nocc: int) -> bool:
+    def check_density(self, d: np.ndarray, nocc: int) -> bool:
         """D must be finite, symmetric, and carry Tr(D S) = n_occ
         (``nocc``: this spin channel's count)."""
         self.record_check("density_symmetry")

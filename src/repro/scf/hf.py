@@ -34,10 +34,7 @@ from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.obs import get_ledger, get_metrics, get_tracer, phase
 from repro.obs.metrics import export_integrity
 from repro.obs.profile import (
-    PHASE_DIAG,
-    PHASE_DIIS,
-    PHASE_FOCK,
-    PHASE_PURIFY,
+    PHASE_DIAG, PHASE_DIIS, PHASE_FOCK, PHASE_GUARD, PHASE_INTEGRITY, PHASE_PURIFY,
 )
 from repro.runtime.faults import SCFFaultPlan
 from repro.runtime.sdc import IntegrityError, IntegrityMonitor, SDCFaultPlan
@@ -355,12 +352,12 @@ class SCFDriver:
     def _finite(self, run: _Run, it: int, kind: str, mats: list) -> bool:
         """The guard's NaN/Inf rung; a trip (arithmetic is broken, not
         merely slow) climbs to the fallback rungs or aborts."""
-        # no short circuit: every bad channel is a guard event
-        if run.guard is None or all([
-            run.guard.check_matrix(kind + lab, m, it)
-            for lab, m in zip(self._spin_labels, mats)
-        ]):
+        if run.guard is None:
             return True
+        with phase(PHASE_GUARD):  # no short circuit: every bad channel is a guard event
+            if all([run.guard.check_matrix(kind + lab, m, it)
+                    for lab, m in zip(self._spin_labels, mats)]):
+                return True
         run.guard.on_nonfinite(it, kind)
         if run.guard.nonfinite_exhausted():
             raise run.guard.fail(it, f"{_MATRIX[kind]} is non-finite")
@@ -370,12 +367,13 @@ class SCFDriver:
         """The integrity rung's ABFT detectors, on every channel."""
         if run.monitor is None:
             return True
-        if kind == "fock":
-            return all([run.monitor.check_fock(f, it) for f in mats])
-        return all([
-            run.monitor.check_density(d, it, n)
-            for d, n in zip(mats, self._occupations)
-        ])
+        with phase(PHASE_INTEGRITY):
+            if kind == "fock":
+                return all([run.monitor.check_fock(f) for f in mats])
+            return all([
+                run.monitor.check_density(d, n)
+                for d, n in zip(mats, self._occupations)
+            ])
 
     def _built_focks(self, run: _Run, full: bool) -> list[np.ndarray]:
         """F from the run's base: ``F_base + G(D - D_base)``, the base
@@ -493,7 +491,8 @@ class SCFDriver:
         """Damp D and measure convergence into the record; the gauges, the
         ledger row and the guard's observation read it."""
         if run.guard is not None:
-            ds = [run.guard.damp(n, d) for n, d in zip(ds, run.ds)]
+            with phase(PHASE_GUARD):
+                ds = [run.guard.damp(n, d) for n, d in zip(ds, run.ds)]
         d_change = max(
             float(np.max(np.abs(n - d))) for n, d in zip(ds, run.ds)
         )
@@ -526,8 +525,9 @@ class SCFDriver:
             d_change=rec.d_change,
         )
         if run.guard is not None and not rec.discarded:
-            run.guard.observe(rec.iteration, rec.energy, rec.d_change)
-            self._apply_fallbacks(run)
+            with phase(PHASE_GUARD):
+                run.guard.observe(rec.iteration, rec.energy, rec.d_change)
+                self._apply_fallbacks(run)
         return rec
 
     def _finish(self, run: _Run, it: int, converged: bool):

@@ -13,7 +13,9 @@ the loop's locals through a namespace) and the same module globals of
 ``repro.scf.hf``; nothing in ``src/`` selects it.  It keeps the
 incremental build's schedule in its own words: a full build every
 ``hf.N_FULL`` iterations, for a rebuild and after a discarded or rolled
-back density.
+back density -- and the probes' phases: every guard check, damp and
+observation runs in a ``guard`` phase, every ABFT check in an
+``integrity`` one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from repro.obs import get_ledger, get_metrics, get_tracer, phase
 from repro.obs.metrics import export_integrity
-from repro.obs.profile import PHASE_DIIS, PHASE_FOCK
+from repro.obs.profile import PHASE_DIIS, PHASE_FOCK, PHASE_GUARD, PHASE_INTEGRITY
 from repro.runtime.sdc import IntegrityError, IntegrityMonitor
 from repro.scf import hf
 from repro.scf.diis import DIIS
@@ -113,18 +115,21 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
 
     def finite(mats: list[np.ndarray], which: str) -> bool:
         # no short circuit: every bad channel is a guard event
-        return all([
-            guard.check_matrix(which + lab, m, it)
-            for lab, m in zip(labels, mats)
-        ])
+        with phase(PHASE_GUARD):
+            return all([
+                guard.check_matrix(which + lab, m, it)
+                for lab, m in zip(labels, mats)
+            ])
 
     def focks_intact(mats: list[np.ndarray]) -> bool:
-        return all([monitor.check_fock(f, it) for f in mats])
+        with phase(PHASE_INTEGRITY):
+            return all([monitor.check_fock(f) for f in mats])
 
     def densities_intact(mats: list[np.ndarray]) -> bool:
-        return all([
-            monitor.check_density(d, it, n) for d, n in zip(mats, occ)
-        ])
+        with phase(PHASE_INTEGRITY):
+            return all([
+                monitor.check_density(d, n) for d, n in zip(mats, occ)
+            ])
 
     if self.integrity and engine.integral_store is not None:
         engine.integral_store.verify_reads = True
@@ -255,7 +260,8 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
                             f"verified checkpoint is available"
                         )
             if guard is not None:
-                ds_new = [guard.damp(n, d) for n, d in zip(ds_new, ds)]
+                with phase(PHASE_GUARD):
+                    ds_new = [guard.damp(n, d) for n, d in zip(ds_new, ds)]
             d_change = max(
                 float(np.max(np.abs(n - d))) for n, d in zip(ds_new, ds)
             )
@@ -274,8 +280,9 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
                 energy=energy, d_change=d_change,
             )
             if guard is not None and not discarded:
-                guard.observe(it, energy, d_change)
-                x = _apply_fallbacks(self, guard, s, x)
+                with phase(PHASE_GUARD):
+                    guard.observe(it, energy, d_change)
+                    x = _apply_fallbacks(self, guard, s, x)
             if (
                 not discarded
                 and d_change < self.d_tol

@@ -22,8 +22,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 def _guard_entry(**over):
     entry = {
         "benchmark": "scf_guard",
-        "wall_off_s": 1.0,
-        "wall_on_s": 1.02,
+        "wall_s": 1.0,
+        "guard_s": 0.02,
         "overhead": 0.02,
         "energy_matches": True,
     }
@@ -46,8 +46,8 @@ class TestValidateEntry:
             validate_entry(entry)
 
     def test_mistyped_field_is_named(self):
-        with pytest.raises(ValueError, match="'wall_on_s'"):
-            validate_entry(_guard_entry(wall_on_s="fast"))
+        with pytest.raises(ValueError, match="'guard_s'"):
+            validate_entry(_guard_entry(guard_s="fast"))
 
     def test_bool_is_not_a_float(self):
         with pytest.raises(ValueError, match="'overhead'"):

@@ -9,14 +9,18 @@ from contextlib import contextmanager
 import pytest
 
 from repro import obs
+from repro.chem.builders import water
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     NULL_PROFILER,
+    PHASE_GUARD,
+    PHASE_INTEGRITY,
     PhaseProfiler,
     hotspot_text,
     profile_hotspots,
 )
 from repro.obs.trace import Tracer
+from repro.scf.hf import RHF
 
 
 def get_profiler():
@@ -172,6 +176,37 @@ class TestOneProbe:
         assert prof.stats["chunk"].calls == nthreads * probes
         tids = [e.tid for e in tracer.spans()]
         assert len(tids) == nthreads * probes and len(set(tids)) == nthreads
+
+
+class TestProbePhases:
+    """The guard and the integrity layer each run in a phase of their
+    own, only when armed, so a probe's cost is its share of one run."""
+
+    def test_each_probe_records_its_phase_only_when_armed(self, tmp_path):
+        store = str(tmp_path / "store")
+        RHF(water(), integral_store=store).run()  # fill: the next run is warm
+        drivers = {
+            "plain": RHF(water()),
+            "guarded": RHF(water(), guard=True),
+            "stored, integrity": RHF(water(), integral_store=store, integrity=True),
+        }
+        seen, iterations = {}, {}
+        for name, driver in drivers.items():
+            with profiled() as prof:
+                iterations[name] = driver.run().iterations
+            seen[name] = {
+                p: prof.stats[p].calls
+                for p in (PHASE_GUARD, PHASE_INTEGRITY) if p in prof.stats
+            }
+            probes = prof.wall(PHASE_GUARD, PHASE_INTEGRITY)
+            assert probes == sum(prof.stats[p].wall_s for p in seen[name])
+        assert seen["plain"] == {}
+        assert seen["guarded"].keys() == {PHASE_GUARD}
+        # F, D, damp and observe each iteration, plus the ERI sentinel
+        assert seen["guarded"][PHASE_GUARD] > 4 * iterations["guarded"]
+        # the F and D checks each iteration, one CRC pass as the store maps
+        n = iterations["stored, integrity"]
+        assert seen["stored, integrity"] == {PHASE_INTEGRITY: 2 * n + 1}
 
 
 class TestSingleton:

@@ -516,8 +516,8 @@ class TestIntegrityMonitor:
         s, d = self._sd()
         mon = IntegrityMonitor(overlap=s)
         f = 0.5 * (d + d.T) - np.eye(5)
-        assert mon.check_fock(f, 1)
-        assert mon.check_density(d, 1, 2)
+        assert mon.check_fock(f)
+        assert mon.check_density(d, 2)
         assert mon.detections_total == 0
         assert mon.checks_total > 0
 
@@ -526,13 +526,13 @@ class TestIntegrityMonitor:
         mon = IntegrityMonitor(overlap=s)
         state = SDCFaultPlan(seed=2, fock_flip_iterations=(1,)).activate()
         bad = state.corrupt_matrix(d.copy(), 1, "fock")
-        assert not mon.check_fock(bad, 1)
+        assert not mon.check_fock(bad)
         assert mon.detections.get("fock_matrix") == 1
 
     def test_trace_detector_catches_scaled_density(self):
         s, d = self._sd()
         mon = IntegrityMonitor(overlap=s)
-        assert not mon.check_density(1.5 * d, 1, 2)  # symmetric, wrong trace
+        assert not mon.check_density(1.5 * d, 2)  # symmetric, wrong trace
         assert mon.detections.get("density_matrix") == 1
 
     def test_nonfinite_always_detected(self):
@@ -540,13 +540,13 @@ class TestIntegrityMonitor:
         mon = IntegrityMonitor(overlap=s)
         bad = d.copy()
         bad[0, 1] = np.inf
-        assert not mon.check_density(bad, 1, 2)
+        assert not mon.check_density(bad, 2)
 
     def test_metrics_export(self):
         s, d = self._sd()
         mon = IntegrityMonitor(overlap=s)
-        mon.check_density(d, 1, 2)
-        mon.check_density(1.5 * d, 2, 2)
+        mon.check_density(d, 2)
+        mon.check_density(1.5 * d, 2)
         mon.record_recovery("recompute")
         reg = MetricsRegistry()
         export_integrity(mon.summary(), registry=reg)
@@ -976,6 +976,23 @@ class TestSDCChaosGate:
         assert res.payload["injected"]["store_block"] == 2
         assert res.passed
 
+    def test_runs_three_rhfs(self, monkeypatch):
+        """Clean, control, corrupted: the overhead is the control run's
+        own integrity share, so no integrity-off run is timed against it."""
+        from repro.fock.chaos import run_sdc_chaos
+
+        armed = []
+        run = hf.SCFDriver._run
+
+        def counted(driver, guess):
+            armed.append(driver.integrity)
+            return run(driver, guess)
+
+        monkeypatch.setattr(hf.SCFDriver, "_run", counted)
+        res = run_sdc_chaos(molecule="water", basis_name="sto-3g", seed=3)
+        assert armed == [False, True, True]
+        assert res.passed
+
     @staticmethod
     def assert_gate_passes(seed, tmp_path):
         from repro.fock.chaos import run_sdc_chaos
@@ -992,6 +1009,7 @@ class TestSDCChaosGate:
         assert p["fock_error"] <= 1e-12
         assert p["ga_error"] == 0.0
         assert p["checkpoint_intact"]
+        assert p["overhead"] >= 0
         assert res.passed
         # the kept work tree is auditable offline, and the audit finds
         # the planted rot
