@@ -13,7 +13,10 @@ build, DIIS and the density step.  A single warm ``build_jk`` (28 ms,
 the previous workload) put the gate inside the scheduler noise of a
 shared runner; a whole run measures what a user pays.  The entry also
 records the quartets that run computes (``quartets_computed``, exact:
-the density-change screen of the incremental build shows there).
+the density-change screen of the incremental build shows there).  The
+store budget is patched to 0 (``hf.STORE_BUDGET``), so the run stays
+direct: on its default private store one build would compute, and the
+other builds probe no kernel chunk.
 
 Methodology: the two configurations run interleaved round by round,
 alternating which goes first, so both see the same machine drift, and
@@ -30,12 +33,14 @@ rounds.
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.chem.builders import water_cluster
 from repro.obs import MetricsRegistry, PhaseProfiler, session
 from repro.obs.profile import PHASE_ERI
+from repro.scf import hf
 from repro.scf.hf import RHF
 
 ROUNDS = 10
@@ -51,7 +56,8 @@ def measure(quick: bool = False) -> tuple[dict, str]:
         for probed in (False, True) if i % 2 == 0 else (True, False):
             t0 = time.perf_counter()
             profiler = PhaseProfiler() if probed else None
-            with session(profiler=profiler, metrics=MetricsRegistry()):
+            with session(profiler=profiler, metrics=MetricsRegistry()), \
+                    mock.patch.object(hf, "STORE_BUDGET", 0):
                 rhf = RHF(mol, basis_name="sto-3g")
                 last[probed] = rhf.run(), profiler
             computed.add(rhf.engine.quartets_computed)

@@ -95,10 +95,10 @@ EIGHT_PERMUTATIONS: tuple[tuple[int, int, int, int], ...] = (
 )
 
 #: budget (float64 elements) for the compact Hermite recursion rows of
-#: one sweep (2 MiB).  A bound on peak memory -- every other temporary of
+#: one sweep (1 MiB).  A bound on peak memory -- every other temporary of
 #: a sweep scales with it -- not a speed knob: the sweep time is flat from
-#: 2^17 to 2^22 (docs/PERFORMANCE.md, "Kernel hot path")
-MAX_R_WORK = 1 << 18
+#: 2^17 to 2^22 (docs/PERFORMANCE.md, "Kernel hot path", "Chunk budget")
+MAX_R_WORK = 1 << 17
 
 #: hard cap on shell quartets per chunk (index/scatter array sizes)
 MAX_CHUNK_QUARTETS = 8192
@@ -281,6 +281,10 @@ class ClassPlan:
                 for i in range(len(edges) - 1)
             ]
         return out
+
+    def stored_bytes(self, nbf: int) -> int:
+        """Bound on a fill's bytes: 12 per element of a block's 3 views, 16 per indptr row."""
+        return 36 * sum(b.nq * math.prod(b.dims) for b in self.batches) + 16 * (nbf * nbf + 1)
 
     def _checked(self, rows) -> np.ndarray:
         """``rows`` as an array, if strictly increasing plan rows."""
@@ -753,7 +757,7 @@ def _run_chunks(engine, dflat, chunks, pieces, faults):
     """One worker's share: private half-J/half-K buffers + source counts,
     a ``jk_contraction`` phase around every flush.  A store fill passes a
     ``pieces`` list: each flush appends its quartets and the weighted
-    blocks it contracted (:func:`_piece`)."""
+    blocks it contracted (:func:`_piece`; a private fill, served after, contracts none)."""
     n = engine.basis.nbf
     jt = np.zeros_like(dflat)
     kt = np.zeros_like(dflat)
@@ -761,7 +765,8 @@ def _run_chunks(engine, dflat, chunks, pieces, faults):
     for flush, parts in _flushes(engine, chunks, faults, totals):
         with phase(PHASE_JK):
             g, bases = _weighted_flush(flush, parts)
-            _contract_blocks(jt, kt, dflat, n, g, bases)
+            if pieces is None or not engine.integral_store.private:
+                _contract_blocks(jt, kt, dflat, n, g, bases)
         if pieces is not None:
             pieces.append(_piece(flush, g))
     return jt, kt, totals
@@ -801,7 +806,7 @@ def jk_from_plan(
     six-block contraction over the plan.  A direct build computes only
     the rows :func:`density_rows` keeps at ``tau``; a fill computes every
     row, keeps the weighted blocks it contracts, and hands the store
-    their :func:`pair_matrices` to finalize at ``tau``.  ``threads > 1``
+    their :func:`pair_matrices` to finalize at ``tau`` (then served, if private).  ``threads > 1``
     deals the kernel chunks, largest first, to the least-loaded worker
     of a thread pool; every worker stages and flushes its own blocks
     into private accumulators (reduced at the end).  At any thread count
@@ -827,19 +832,8 @@ def jk_from_plan(
         faults = engine.scf_faults.draw_build(
             store.nblocks if served else engine.class_plan(tau).nquartets)
 
-    if served:
-        sm = store.supermatrix
-        if sm is None or store.verify_reads and not sm.verified:
-            # dropped first: a mapping that fails (MemoryError, an
-            # interrupt) leaves no half-built or stale matrix behind
-            store.supermatrix = None
-            sm = store.supermatrix = map_supermatrix(engine, store)
-        if sm is not None:
-            with phase(PHASE_JK):
-                jt, kt = sm.contract(dflat)
-            engine.quartets_served_from_store += store.nblocks
-            engine.last_jk_worker_stats = []
-            return _symmetrized(jt, kt, n, density)
+    if served and (jk := _served(engine, store, dflat, n, density)) is not None:
+        return jk
 
     plan = engine.class_plan(tau)
     pieces = [] if store is not None and store.filling else None
@@ -878,9 +872,27 @@ def jk_from_plan(
     if pieces:
         store.record_batch(*pair_matrices(engine.basis, pieces), plan.nquartets)
         store.finalize(tau)
+        if store.private:
+            return _served(engine, store, dflat, n, density)
     return _symmetrized(
         sum(r[0] for r in results), sum(r[1] for r in results), n, density
     )
+
+
+def _served(engine, store, dflat, n: int, density):
+    """J and K from ``store``'s mapped slot (:func:`map_supermatrix`), or ``None``."""
+    engine.last_jk_worker_stats = []
+    sm = store.supermatrix
+    if sm is None or store.verify_reads and not sm.verified:
+        # dropped first: a mapping that fails (MemoryError, an
+        # interrupt) leaves no half-built or stale matrix behind
+        store.supermatrix = None
+        sm = store.supermatrix = map_supermatrix(engine, store)
+    if sm is not None:
+        with phase(PHASE_JK):
+            jt, kt = sm.contract(dflat)
+        engine.quartets_served_from_store += store.nblocks
+        return _symmetrized(jt, kt, n, density)
 
 
 def jk_from_rows(

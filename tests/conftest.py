@@ -18,6 +18,7 @@ from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import h2, methane, water
 from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
+from repro.scf import hf
 from repro.scf.fock import fock_matrix
 from repro.scf.guess import core_guess
 from repro.scf.orthogonalization import orthogonalizer
@@ -69,6 +70,14 @@ def assert_jk_close(jk, ref, tol=1e-12):
     """(J, K) pairs equal to summation order."""
     for got, want in zip(jk, ref):
         assert np.abs(got - want).max() <= tol
+
+
+@pytest.fixture
+def direct_scf(monkeypatch):
+    """SCF runs without a store of their own stay direct (a store budget
+    of 0): the incremental build, and seeded kernel faults or threaded
+    J/K on every build, not on a private store's one fill."""
+    monkeypatch.setattr(hf, "STORE_BUDGET", 0)
 
 
 @pytest.fixture(scope="session")

@@ -170,9 +170,12 @@ from repro.fock.reorder import reorder_basis
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.simulate import simulate_gtfock
 from repro.integrals.schwarz import schwarz_model
-from repro.scf import RHF
+from repro.scf import RHF, hf
 
-assert round(RHF(water(), "sto-3g").run().energy, 8) == -74.96292825
+rhf = RHF(water(), "sto-3g")
+assert not scipy_modules(), f"constructing an RHF loaded SciPy: {scipy_modules()}"
+hf.STORE_BUDGET = 0  # above the budget, a run is direct
+assert round(rhf.run().energy, 8) == -74.96292825
 basis = reorder_basis(BasisSet.build(alkane(2), "vdz-sim"))
 simulate_gtfock(basis, ScreeningMap(basis, schwarz_model(basis), 1e-10), 12)
 assert not scipy_modules(), f"loaded SciPy: {scipy_modules()}"
@@ -190,9 +193,10 @@ assert "scipy.special" in sys.modules, "boys() did not import scipy.special"
 
 
 def test_cold_paths_load_no_scipy():
-    """Import, a direct RHF and a simulated GTFock cell load no SciPy;
-    ``attach_store`` (scipy.sparse) and ``boys`` (scipy.special) are the
-    two deliberate users."""
+    """Import, constructing an RHF, a direct RHF and a simulated GTFock
+    cell load no SciPy; ``attach_store`` (scipy.sparse, also by a run's
+    private store) and ``boys`` (scipy.special) are the two deliberate
+    users."""
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}

@@ -177,6 +177,7 @@ def snapshot_dir(src, dst, upto: int):
     return dst
 
 
+@pytest.mark.usefixtures("direct_scf")
 class TestIncrementalRestart:
     @pytest.mark.parametrize("name", list(RUNS))
     def test_restart_from_every_snapshot_is_bitwise(self, name, tmp_path):
@@ -221,3 +222,19 @@ class TestIncrementalRestart:
             checkpoint_dir=str(tmp_path / "ck")).run()
         with np.load(checkpoint_paths(tmp_path / "ck")[0]) as z:
             assert not any(k.startswith("base_") for k in z.files)
+
+
+class TestPrivateStoreRestart:
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_restart_from_every_snapshot_is_bitwise(self, name, tmp_path):
+        """At the default budget each run, and each restart, fills its own
+        private store in its first build and is served from it after: the
+        fill is served too, so a restart's refill changes no bit."""
+        make = RUNS[name]
+        driver = make(checkpoint_dir=str(tmp_path / "ref"))
+        ref = driver.run()
+        assert driver.eri_store["private"]
+        for it in range(1, ref.iterations):
+            ck = snapshot_dir(tmp_path / "ref", tmp_path / f"at{it}", it)
+            res = make(checkpoint_dir=str(ck), restart=True).run()
+            assert outcome(res) == outcome(ref), f"restart after {it}"

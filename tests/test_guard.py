@@ -481,6 +481,7 @@ class TestRowScopedReferenceRung:
         ``reference_eri`` the only one, the first trip takes it."""
         monkeypatch.setattr(guard_mod, "LADDER", (Rung("reference_eri"),))
 
+    @pytest.mark.usefixtures("direct_scf")
     def test_flagged_rows_rescued_the_rest_stay_on_the_class_kernel(
         self, monkeypatch
     ):

@@ -67,6 +67,7 @@ class TestConvergenceBehavior:
         assert res.nocc == rhf.nocc == mol().nelectrons // 2
         assert eps[res.nocc] - eps[res.nocc - 1] > 0.5
 
+    @pytest.mark.usefixtures("direct_scf")
     def test_jk_threads_reach_every_iteration_build(self):
         """``jk_threads`` reaches every iteration's J/K build, not only
         the final Fock build."""

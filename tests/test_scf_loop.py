@@ -25,6 +25,7 @@ from repro.fock.chaos import run_sdc_chaos
 from repro.obs import MetricsRegistry, RunLedger, Tracer, load_run, session
 from repro.runtime.faults import GateResult, SCFFaultPlan
 from repro.runtime.sdc import IntegrityError, SDCFaultPlan
+from repro.scf import hf
 from repro.scf.guard import GuardConfig, GuardError
 from repro.scf.hf import RHF, SCFDriver
 from repro.scf.uhf import UHF
@@ -198,9 +199,7 @@ def fingerprint(run, tmp):
     }
 
 
-@pytest.mark.parametrize("name", list(RUNS))
-def test_loop_matches_the_one_body_oracle(name, tmp_path, monkeypatch):
-    run = RUNS[name]
+def assert_matches_the_oracle(run, tmp_path, monkeypatch):
     (tmp_path / "loop").mkdir()
     (tmp_path / "oracle").mkdir()
     new = fingerprint(run, tmp_path / "loop")
@@ -208,3 +207,19 @@ def test_loop_matches_the_one_body_oracle(name, tmp_path, monkeypatch):
         SCFDriver, "_run", lambda self, guess: reference_run(self, guess)
     )
     assert fingerprint(run, tmp_path / "oracle") == new
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_loop_matches_the_one_body_oracle(name, tmp_path, monkeypatch):
+    """Direct runs (no store budget): the incremental build's schedule."""
+    monkeypatch.setattr(hf, "STORE_BUDGET", 0)
+    assert_matches_the_oracle(RUNS[name], tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", [
+    "uhf-guarded-faulted", "rhf-rolled-back", "rhf-resumed-at-max-iter",
+    "rhf-purified-guarded-faulted",
+])
+def test_private_store_runs_match_the_oracle(name, tmp_path, monkeypatch):
+    """The same runs at the default budget, each on a private store."""
+    assert_matches_the_oracle(RUNS[name], tmp_path, monkeypatch)

@@ -732,11 +732,13 @@ class TestFaultsCompose:
         clean energy, one classified non-finite event ``where`` and the
         ``detected`` matrix flips, each repaired by one recompute.  The
         faulted run serves a store, so it builds every F from scratch; so
-        does the clean reference (``N_FULL = 1``): increments move where
-        the UHF's slow tail stops by more than the tolerance."""
+        does the clean reference (``N_FULL = 1``, direct: no store
+        budget): increments, or the sparse mat-vec of a private store,
+        move where the UHF's slow tail stops by more than the tolerance."""
         tols, cap = tols or {}, cap or {}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hf, "N_FULL", 1)
+            mp.setattr(hf, "STORE_BUDGET", 0)
             clean = driver_type(mol, basis, **tols).run()
 
         class Killed(Exception):
@@ -786,6 +788,7 @@ class TestFaultsCompose:
 
 
 class TestRHFSnapshotFormat:
+    @pytest.mark.usefixtures("direct_scf")  # a direct run keeps its base F / D
     def test_keys_dtypes_and_shapes_are_pinned(self, tmp_path):
         """The one-channel layout documented in ``scf/checkpoint.py``: a
         service job checkpointed by an older commit must keep resuming,

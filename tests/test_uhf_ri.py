@@ -51,6 +51,7 @@ class TestUHF:
         assert res.converged
         assert res.energy == pytest.approx(-0.466582, abs=1e-5)
 
+    @pytest.mark.usefixtures("direct_scf")
     def test_final_fock_is_one_full_build(self):
         """As RHF's, a direct UHF's final F is one full build from its
         final densities, never the last iteration's increment, and its
@@ -203,6 +204,7 @@ class TestUHFSharedLoop:
         assert res.energy_history == ref.energy_history
         assert np.array_equal(res.density_alpha, ref.density_alpha)
 
+    @pytest.mark.usefixtures("direct_scf")  # _focks after the run is direct
     @pytest.mark.parametrize("driver", [RHF, UHF])
     def test_resumed_at_max_iter_builds_the_final_fock(self, driver, tmp_path):
         """A snapshot at ``max_iter`` leaves no iteration to run: the
