@@ -22,10 +22,7 @@ from repro.service.chaos import run_service_chaos
 
 def measure(quick: bool = False) -> tuple[dict, str]:
     """One measurement: a seeded service-chaos run, summarized."""
-    # the quick run's 4 jobs drain in ~2 s on a fast host, before the
-    # default window's seeded delay: its kill is drawn early instead (one
-    # that falls due before any lease is held waits for the first lease)
-    sized = dict(njobs=4, kills=1, kill_window=(0.2, 1.0)) if quick else {}
+    sized = dict(njobs=4, kills=1) if quick else {}
     queue = tempfile.mkdtemp(prefix="repro-bench-service-")
     cres = run_service_chaos(
         queue, workers=3, seed=0, molecule="water", basis="6-31g", **sized

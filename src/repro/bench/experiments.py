@@ -178,8 +178,8 @@ def table5_t_int(nquartets: int = 4000) -> ExperimentReport:
     same molecules (STO-3G): both engines' ``compute_rows`` over one
     seeded sample of ``nquartets`` screened canonical rows (tau = 1e-11,
     the rows of ``engine.class_plan``), planned as one class plan so
-    both kernels batch them by class as a build does.  Best of two
-    passes, so operands stacked by a first pass are not charged per ERI.
+    both kernels batch them by class as a build does (the plan expands
+    the pair data, before either is timed).  Best of two passes.
     """
     import time
 

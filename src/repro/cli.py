@@ -846,7 +846,7 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos.add_argument(
         "--service-basis", default="6-31g", metavar="NAME",
         help="(service family) basis for the submitted jobs (6-31g "
-        "default: jobs must outlive the kill window to be interesting)",
+        "default: jobs must run long enough to be killed mid-iteration)",
     )
     p_chaos.add_argument(
         "--quartet-nan-rate", type=float, default=0.05,

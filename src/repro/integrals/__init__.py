@@ -12,12 +12,7 @@ from repro.integrals.engine import (
     MDEngine,
     OSEngine,
 )
-from repro.integrals.pairdata import (
-    PairData,
-    ShellPairData,
-    StackedPairs,
-    stack_pairs,
-)
+from repro.integrals.pairdata import PairData, ShellPairData
 from repro.integrals.store import ERIStore, StoreInvalidatedWarning, basis_fingerprint
 from repro.integrals.oneelec import (
     core_hamiltonian,
@@ -46,8 +41,6 @@ __all__ = [
     "jk_from_plan",
     "PairData",
     "ShellPairData",
-    "StackedPairs",
-    "stack_pairs",
     "core_hamiltonian",
     "kinetic",
     "nuclear_attraction",

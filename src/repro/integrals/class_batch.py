@@ -17,8 +17,8 @@ loop the same way:
   :func:`~repro.integrals.pairdata.md_sweep` runs ``boys_array`` and the
   compact ``r_tensor_batch`` recursion *once per family quartet* -- the
   sp shells of STO-3G and 6-31G share their primitive work -- then per
-  member one Hermite-row gather and two batched matmuls.  Group and
-  class operands are stacked on their first sweep.
+  member one Hermite-row gather and two batched matmuls, both stages
+  gathering straight from the pair data's stacks at the plan's slots.
 * **Six-block contraction** (:func:`_contract_blocks`): resolved blocks
   are staged by *block shape* (``dims``) and each stage is flushed with
   six batched ``np.matmul`` + ``np.bincount`` pairs -- the paper's six
@@ -61,20 +61,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
-from repro.integrals.pairdata import (
-    FamilyOperands,
-    ShellPairData,
-    SweepOperands,
-    md_sweep,
-    shell_families,
-)
+from repro.integrals.pairdata import ShellPairData, md_sweep, shell_families
 from repro.obs import phase
-from repro.obs.profile import PHASE_ERI, PHASE_GUARD, PHASE_INTEGRITY, PHASE_JK
+from repro.obs.profile import PHASE_ERI, PHASE_GUARD, PHASE_INTEGRITY, PHASE_JK, PHASE_STORE_FILL
 from repro.util.validation import check_symmetric
 
 if TYPE_CHECKING:  # imported by a store-backed build: direct SCF never pays for it
@@ -154,50 +148,30 @@ def orbit_weights(quartets: np.ndarray) -> np.ndarray:
     return 1.0 / fixed
 
 
-#: one lock for every lazy operand stack (each is built once per plan)
-_OPERANDS_LOCK = threading.Lock()
-
-
-class _LazyOperands:
-    """Kernel operands stacked on the first sweep that needs them -- a
-    plan served entirely from a store never builds them -- and built
-    once however many ``jk_threads`` workers ask."""
-
-    _operands = None
-
-    def operands(self):
-        if self._operands is None:
-            with _OPERANDS_LOCK:
-                if self._operands is None:
-                    self._operands = self._stack_operands()
-        return self._operands
-
-
 @dataclass(eq=False)
-class FamilyGroup(_LazyOperands):
+class FamilyGroup:
     """The family quartets one family stage sweeps together: those of
     the classes sharing a family max L and primitive-pair counts."""
 
     #: summed max L of each family quartet's four families
     lmax: int
-    #: primitive quartets per family quartet
-    nprim: int
+    #: primitive pairs of each family quartet's bra and ket
+    npp: tuple[int, int]
     #: (nfq, 4) int32: per family quartet the shells of one of its rows
     quartets: np.ndarray
-    pair_cache: ShellPairData | None = field(repr=False, default=None)
+    #: (2, nfq): per family quartet its bra and ket pair's slot in the
+    #: primitive tables (``ShellPairData.prims``; ``None``: no pair data)
+    slots: np.ndarray | None = field(repr=False)
 
     def chunk_size(self) -> int:
         """Family quartets per sweep under the :data:`MAX_R_WORK` budget."""
         # the compact recursion holds C(L+4, 4) vectors per primitive quartet
-        per_fq = self.nprim * math.comb(self.lmax + 4, 4)
+        per_fq = math.prod(self.npp) * math.comb(self.lmax + 4, 4)
         return int(max(1, min(MAX_CHUNK_QUARTETS, MAX_R_WORK // per_fq)))
-
-    def _stack_operands(self) -> FamilyOperands:
-        return FamilyOperands.build(self.pair_cache, self.quartets)
 
 
 @dataclass(eq=False)
-class ClassBatch(_LazyOperands):
+class ClassBatch:
     """All surviving quartets of one angular-momentum class."""
 
     lkey: tuple[int, int, int, int]
@@ -218,10 +192,14 @@ class ClassBatch(_LazyOperands):
     group: FamilyGroup = field(repr=False)
     fids: np.ndarray = field(repr=False)
     #: the plan's pair data, which the MD class kernel sweeps (``None``:
-    #: a plan no MD sweep may run on)
-    pair_cache: ShellPairData | None = field(repr=False, default=None)
+    #: a plan no MD sweep may run on, and no slots below)
+    pair_cache: ShellPairData | None = field(repr=False)
+    #: the bra's and the ket's pair class (``pair_cache.stacks``), and
+    #: (2, nq) per row its bra and ket pair's slot in those stacks
+    pair_classes: tuple[int, int] | None = field(repr=False)
+    slots: np.ndarray | None = field(repr=False)
     #: plan row of this batch's first quartet (seeded faults address rows)
-    row0: int = 0
+    row0: int = field(default=0, init=False)
 
     @property
     def nq(self) -> int:
@@ -231,9 +209,6 @@ class ClassBatch(_LazyOperands):
     def cost(self) -> float:
         """Estimated primitive-quartet work (thread balancing)."""
         return float(self.nq) * self.nprim * (self.lmax + 1) ** 4
-
-    def _stack_operands(self) -> SweepOperands:
-        return SweepOperands.build(self.pair_cache, self.quartets, self.group.lmax)
 
 
 #: one class's share of a kernel work item: the class, an index array of rows
@@ -331,10 +306,13 @@ def _family_keys(
     rank[by_group] = np.arange(by_group.size)
     fid, heads = rank[fid.reshape(-1)].astype(np.int32), heads[by_group]
     gcut = np.append(np.flatnonzero(np.diff(gkey[heads], prepend=-1)), len(heads))
+    head = qarr[heads]
+    slots = None if pair_cache is None else pair_cache.sides(head, pair_cache.pslot)
     groups = [
         FamilyGroup(
-            lmax=int(lmax_f[heads[lo]]), nprim=int(n_bra[heads[lo]] * n_ket[heads[lo]]),
-            quartets=qarr[heads[lo:hi]].astype(np.int32), pair_cache=pair_cache,
+            lmax=int(lmax_f[heads[lo]]), npp=(int(n_bra[heads[lo]]), int(n_ket[heads[lo]])),
+            quartets=head[lo:hi].astype(np.int32),
+            slots=None if slots is None else slots[:, lo:hi],
         )
         for lo, hi in zip(gcut[:-1].tolist(), gcut[1:].tolist())
     ]
@@ -354,13 +332,16 @@ def build_class_plan(
     member's rows.
 
     The tuples may be in any index order (:func:`orbit_weights` holds
-    for arbitrary tuples).  ``pair_cache`` supplies (and memoizes) the
-    :class:`~repro.integrals.pairdata.PairData` the operands stack on
-    their first sweep (``None``: a plan the MD kernel never sweeps).
+    for arbitrary tuples).  ``pair_cache`` expands (once) every pair the
+    rows name, and each batch and family group gets its rows' slots into
+    its stacks, one gather over the whole plan (``None``: a plan the MD
+    kernel never sweeps).
     """
     if not isinstance(quartets, np.ndarray):
         quartets = list(quartets)
     qarr = np.asarray(quartets, dtype=np.int64).reshape(-1, 4)
+    if pair_cache is not None:
+        pair_cache.expand(qarr[:, 0::2].ravel(), qarr[:, 1::2].ravel())
     keys, fid, gcut, groups = _family_keys(basis, pair_cache, qarr)
     # rows by class, then family quartet (then canonical order)
     order = np.argsort(keys * gcut[-1] + fid, kind="stable")
@@ -376,16 +357,22 @@ def build_class_plan(
     for base, (i, j) in zip(bases, _PAIR_AXES):
         np.multiply(offsets[quartets[:, i]], n, out=base)
         base += offsets[quartets[:, j]]
+    slots = classes = None
+    if pair_cache is not None:
+        slots = pair_cache.sides(quartets, pair_cache.slot)
+        classes = pair_cache.sides(quartets[cuts[:-1]], pair_cache.klass).T.tolist()
     # per-class copies, not views: small arrays fill the heap's free holes
     # and the whole-plan arrays are released (scf_stored peak RSS -5 MB)
     batches, shells = [], [(s.l, s.pure, s.nbf, s.nprim) for s in basis.shells]
-    for lo, hi, g in zip(cuts[:-1].tolist(), cuts[1:].tolist(), group_of):
+    for k, (lo, hi, g) in enumerate(zip(cuts[:-1].tolist(), cuts[1:].tolist(), group_of)):
         lkey, pure, dims, nprim = zip(*(shells[i] for i in quartets[lo].tolist()))
         batches.append(ClassBatch(
             lkey=lkey, pure=pure, dims=dims, lmax=sum(lkey), nprim=math.prod(nprim),
             quartets=quartets[lo:hi].copy(), weights=weights[lo:hi].copy(),
             pair_bases=bases[:, lo:hi].copy(),
             group=groups[g], fids=fid[lo:hi].copy(), pair_cache=pair_cache,
+            pair_classes=None if slots is None else tuple(classes[k]),
+            slots=None if slots is None else slots[:, lo:hi].copy(),
         ))
     batches.sort(key=lambda b: -b.cost)
     nquartets = 0
@@ -406,12 +393,12 @@ def compute_class_rows(chunk: list[Chunk]) -> list[np.ndarray]:
     """ERI blocks ``(nrows, *dims)`` of every ``(batch, rows)`` of one
     family sweep: one :func:`~repro.integrals.pairdata.md_sweep` over the
     union of the rows' family quartets (the batches share a group)."""
-    group = chunk[0][0].group
+    first = chunk[0][0]
     fids = [batch.fids[rows] for batch, rows in chunk]
     fq, at = np.unique(np.concatenate(fids), return_inverse=True)
     at = np.split(at, np.cumsum([f.size for f in fids])[:-1])
-    blocks = md_sweep(group.lmax, group.operands(), fq, [
-        (batch.operands(), f, rows) for (batch, rows), f in zip(chunk, at)
+    blocks = md_sweep(first.pair_cache, first.group, fq, [
+        (batch, f, rows) for (batch, rows), f in zip(chunk, at)
     ])
     return [blk.reshape((-1,) + batch.dims) for blk, (batch, _) in zip(blocks, chunk)]
 
@@ -521,39 +508,101 @@ class Supermatrix:
 _VIEWS = ((0, 1, 2, 3),), ((0, 2, 1, 3), (0, 3, 1, 2))
 
 
-def pair_matrices(
-    basis: BasisSet, pieces
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """``(M_J, M_K)`` of weighted same-shape blocks ``(quartets, g)``: one
-    COO -> CSR per matrix, M_K's built once M_J's is done.  Every element
-    is listed, so the two K views of an element that land on one entry
-    are summed there; exact zeros (and sums that cancel) are dropped
-    after, as the rows are sorted."""
-    from scipy import sparse
+class CSRArrays(NamedTuple):
+    """One CSR matrix as its three arrays (what the store writes)."""
 
-    n, offsets = basis.nbf, basis.offsets
-    idx = np.int32 if n * n < 2**31 else np.int64
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
 
-    def csr(views) -> sparse.csr_matrix:
-        size = sum(g.size for _, g in pieces) * len(views)
-        vals, rows, cols = np.empty(size), np.empty(size, idx), np.empty(size, idx)
-        lo = 0
-        for q, g in pieces:
-            first = offsets[q].astype(idx)
-            for perm in views:
-                t = g.transpose(0, *(1 + p for p in perm))
-                a, b, c, d = (first[:, p, None] + np.arange(m, dtype=idx)
-                              for p, m in zip(perm, t.shape[1:]))
-                at = slice(lo, lo + t.size)
-                vals[at] = t.ravel()
-                rows[at].reshape(t.shape)[...] = (a[:, :, None] * n + b[:, None])[..., None, None]
-                cols[at].reshape(t.shape)[...] = (c[:, :, None] * n + d[:, None])[:, None, None]
-                lo += t.size
-        m = sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
-        m.eliminate_zeros()
-        return m
 
-    return csr(_VIEWS[0]), csr(_VIEWS[1])
+def pair_matrices(basis: BasisSet, pieces) -> tuple[CSRArrays, CSRArrays]:
+    """``(M_J, M_K)`` of weighted same-shape blocks ``(quartets, g)`` of
+    distinct canonical quartets, written straight in row and column
+    order, exact zeros dropped.  Each view of a quartet is one block of
+    its matrix; M_K's two views of a quartet share one only when P = Q,
+    where they are summed first (two terms: exact in either order).  The
+    arrays, dtypes included, are those of a COO -> CSR assembly that sums
+    duplicates and eliminates zeros (``tests/reference_pair_matrices.py``)."""
+    return tuple(_csr_in_order(basis, pieces, views) for views in _VIEWS)
+
+
+def _csr_in_order(basis: BasisSet, pieces, views) -> CSRArrays:
+    """One matrix of :func:`pair_matrices`: the blocks of ``views``.
+
+    Rows ``(a, b)`` of one shell pair (A, B) share their columns: for each
+    column shell C in order, each function ``c`` of C and, for each of
+    (A, B)'s blocks (C, D) in order of D, the functions of D.  So, the
+    blocks sorted by shell, a block's element ``(i, j, k, l)`` sits
+    ``start + k * stride + l`` into its row, ``stride`` the summed widths
+    of the (A, B, C, .) blocks: every element is written to its slot,
+    then the zeros are squeezed out."""
+    n, offsets, ns = basis.nbf, basis.offsets, basis.nshells
+    size = np.diff(offsets)
+    ncoo = sum(g.size for _, g in pieces) * len(views)
+    idx = np.int32 if max(ncoo, n * n) < 2**31 else np.int64
+    key = np.concatenate([((q[:, 0] * ns + q[:, 1]) * ns + q[:, 2]) * ns + q[:, 3]
+                          for q, _ in _view_blocks(pieces, views, False)] + [np.zeros(0, int)])
+    order = np.argsort(key)  # ns^4 < 2^63
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        raise ValueError("pair_matrices needs distinct canonical quartets")
+    rpc, d4 = np.divmod(key, ns)
+    del key
+    d4 = size[d4]
+    width = size[rpc % ns] * d4
+    before_w, before_d = np.cumsum(width) - width, np.cumsum(d4) - d4
+    # runs of one (row pair, column shell), and of one row pair
+    run_c = np.flatnonzero(np.diff(rpc, prepend=-1))
+    rp = rpc[run_c] // ns
+    run_rp = run_c[np.diff(rp, prepend=-1) != 0]
+    len_c, len_rp = (np.diff(r, append=len(rpc)) for r in (run_c, run_rp))
+    del rpc
+    start, stride = np.empty((2, len(order)), np.int64)
+    start[order] = (np.repeat(before_w[run_c] - before_d[run_c], len_c) + before_d
+                    - np.repeat(before_w[run_rp], len_rp))
+    stride[order] = np.repeat(np.add.reduceat(d4, run_c), len_c)
+    rowlen = np.zeros((ns, ns), np.int64)
+    rowlen.flat[np.unique(rp)] = np.add.reduceat(width, run_rp)
+    del order, d4, width, before_w, before_d
+    shell = np.repeat(np.arange(ns), size)
+    rowptr = np.zeros(n * n + 1, np.int64)
+    np.cumsum(rowlen[shell[:, None], shell].ravel(), out=rowptr[1:])
+    data, cols = np.empty(rowptr[-1]), np.empty(rowptr[-1], idx)
+    lo = 0
+    for q, t in _view_blocks(pieces, views, True):
+        at = slice(lo, lo + len(q))
+        lo += len(q)
+        a, b, c, d = (offsets[q[:, i], None] + np.arange(m) for i, m in enumerate(t.shape[1:]))
+        row = rowptr[a[:, :, None] * n + b[:, None, :]] + start[at, None, None]
+        col = np.arange(c.shape[1])[:, None] * stride[at, None, None] + np.arange(d.shape[1])
+        slots = row[:, :, :, None, None] + col[:, None, None]
+        data[slots.ravel()] = t.ravel()
+        cols[slots] = (c[:, :, None] * n + d[:, None, :])[:, None, None]
+    del start, stride
+    keep = data != 0
+    # per row its kept entries (a row of no entries starts where the next one does)
+    counts = np.zeros(n * n + 1, idx)
+    full = np.flatnonzero(rowptr[1:] > rowptr[:-1])
+    counts[full + 1] = np.add.reduceat(keep, rowptr[full], dtype=idx)
+    data = data[keep]
+    return CSRArrays(data, cols[keep], np.cumsum(counts, dtype=idx))
+
+
+def _view_blocks(pieces, views, values: bool):
+    """The blocks of ``views`` of ``pieces``, piece by piece: their shells
+    and (if ``values``) their elements, both in (row, row, column,
+    column) order.  M_K's second view of a quartet with P = Q is summed
+    into its first, ``(ac|bd) + (ad|bc)``, and has no block of its own."""
+    for q, g in pieces:
+        if len(views) == 2:
+            apart = q[:, 2] != q[:, 3]
+            second = g[apart].transpose(0, *(1 + i for i in views[1])) if values else None
+            yield q[apart][:, views[1]], second
+            if values and not apart.all():
+                g = g.copy()
+                g[~apart] += g[~apart].swapaxes(3, 4)
+        yield q[:, views[0]], g.transpose(0, *(1 + i for i in views[0])) if values else None
 
 
 def _piece(flush: list[Chunk], g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -643,12 +692,15 @@ def _resolve_chunk(engine, chunk: list[Chunk], faults) -> tuple[list, dict]:
         if faults is not None and engine.class_kernel:
             counts["corrupted"] += faults.corrupt_rows(blocks, batch.row0 + rows)
     if engine.finite_check:
-        with phase(PHASE_GUARD):  # the sentinel the guard arms
-            for (batch, rows), blocks in zip(chunk, parts):
-                if not np.isfinite(blocks.sum()):
+        # the sentinel the guard arms: one test per chunk, per-row masks
+        # only when it fails
+        with phase(PHASE_GUARD):
+            if not np.isfinite(np.sum([blocks.sum() for blocks in parts])):
+                for (batch, rows), blocks in zip(chunk, parts):
                     bad = ~np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
-                    blocks[bad] = engine.rescue_rows(batch, rows[bad])
-                    counts["rescued"] += int(bad.sum())
+                    if bad.any():
+                        blocks[bad] = engine.rescue_rows(batch, rows[bad])
+                        counts["rescued"] += int(bad.sum())
     return parts, counts
 
 
@@ -870,8 +922,10 @@ def jk_from_plan(
         faults,
     )
     if pieces:
-        store.record_batch(*pair_matrices(engine.basis, pieces), plan.nquartets)
-        store.finalize(tau)
+        with phase(PHASE_STORE_FILL):
+            store.record_batch(*pair_matrices(engine.basis, pieces), plan.nquartets)
+            pieces.clear()
+            store.finalize(tau)
         if store.private:
             return _served(engine, store, dflat, n, density)
     return _symmetrized(

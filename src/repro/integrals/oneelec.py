@@ -4,8 +4,8 @@ These form the overlap matrix S (for the basis orthogonalization
 ``X = U s^{-1/2}``) and the core Hamiltonian ``H^core = T + V`` of
 Algorithm 1 in the paper.  They are on every SCF run's wall clock, so
 they ride the ERI kernel's data: canonical shell pairs are grouped by
-class and every class is evaluated at once from its stacked
-:class:`~repro.integrals.pairdata.PairData` -- S straight from the
+class and every class is evaluated at once from its
+:class:`~repro.integrals.pairdata.PairData` stacks -- S straight from the
 Hermite ``E`` tensors, V with one ``r_tensor_batch`` sweep over
 (primitive pairs x nuclei), T from 1-D Hermite tables extended by two
 on the ket side.  ``tests/reference_kernel.py`` holds the per-component
@@ -22,7 +22,7 @@ from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import cartesian_components
 from repro.integrals.class_batch import MAX_R_WORK
 from repro.integrals.hermite import e_coefficients, r_tensor_batch
-from repro.integrals.pairdata import ShellPairData, StackedPairs, stack_pairs
+from repro.integrals.pairdata import PairData, ShellPairData
 from repro.integrals.spherical import cartesian_to_basis
 
 
@@ -36,33 +36,30 @@ def assemble_pair_classes(
     (``(npairs, 2)`` shell indices, ``i >= j``) stacked in ``stack``;
     normalization, spherical transforms and the scatter into
     ``(nbf, nbf)`` happen here.  ``pairs`` supplies (and memoizes)
-    the pair data: the ERI engine's cache to share it, ``None`` for a
-    throwaway one.
+    the pair data, whose class stacks are read at the members' slots:
+    the ERI engine's, to share it, ``None`` for a throwaway one.
     """
     if pairs is None:
         pairs = ShellPairData(basis)
+    i, j = np.tril_indices(basis.nshells)
+    pairs.expand(i, j)
+    klass = pairs.klass[i, j]
     shells = basis.shells
-    classes: dict[tuple, list] = {}
-    for i, si in enumerate(shells):
-        for j, sj in enumerate(shells[: i + 1]):
-            key = (si.l, sj.l, si.pure, sj.pure, si.nprim * sj.nprim)
-            classes.setdefault(key, []).append((i, j))
-    ordered = [ij for members in classes.values() for ij in members]
-    records = dict(zip(ordered, pairs.get_many(ordered)))
     out = np.zeros((basis.nbf, basis.nbf))
     slices = basis.shell_slices
-    for members in classes.values():
+    for k in np.unique(klass).tolist():
+        members = np.stack([i[klass == k], j[klass == k]], axis=1)
         ta, tb = (cartesian_to_basis(shells[s].l, shells[s].pure) for s in members[0])
-        stack = stack_pairs([records[ij] for ij in members])
-        blocks = class_blocks(stack, np.array(members))
+        stack = pairs.stacks[k].take(pairs.slot[members[:, 0], members[:, 1]])
+        blocks = class_blocks(stack, members)
         blocks = ta @ blocks @ tb.T
-        for (i, j), blk in zip(members, blocks):
-            out[slices[j], slices[i]] = blk.T
-            out[slices[i], slices[j]] = blk
+        for (a, b), blk in zip(members.tolist(), blocks):
+            out[slices[b], slices[a]] = blk.T
+            out[slices[a], slices[b]] = blk
     return out
 
 
-def overlap_prefactor(stack: StackedPairs) -> np.ndarray:
+def overlap_prefactor(stack: PairData) -> np.ndarray:
     """``c_a c_b (pi / p)^{3/2}`` per primitive pair, (npairs, npp)."""
     return stack.coef * (math.pi / stack.p) ** 1.5
 

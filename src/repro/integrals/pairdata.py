@@ -1,4 +1,4 @@
-"""Shell-pair data caching and the two-stage McMurchie-Davidson ERI kernel.
+"""Shell-pair data and the two-stage McMurchie-Davidson ERI kernel.
 
 GTFock's central performance idea (Sec II-C/III of the paper) is that
 everything density-*independent* about a shell pair -- Gaussian product
@@ -6,10 +6,12 @@ exponents, product centers, contraction prefactors, and the Hermite
 E-coefficient tensors -- should be computed *once per basis* and then
 amortized over every quartet that pair participates in:
 
-* :class:`PairData` / :class:`ShellPairData` -- the per-pair primitive
-  records stacked into contiguous ndarrays, built lazily (a class of
-  pairs at a time) and cached per ordered shell-pair index so each pair
-  is expanded exactly once.
+* :class:`ShellPairData` -- per basis, one :class:`PairData` stack per
+  *pair class* (the ordered shell pairs sharing ``(la, lb, pure_a,
+  pure_b, npp)``, everything that fixes their array shapes) and a shell
+  pair -> slot table.  Pairs are expanded lazily, on first use, each
+  once; a class plan carries every row's slots, so the kernel gathers
+  straight from the stacks.
 * **Exponent families** (:func:`shell_families`) -- the shells on one
   centre with one exponent vector, like the s and p of a Pople ``SP``
   entry.  Every member quartet of a *family quartet* has the same
@@ -18,11 +20,12 @@ amortized over every quartet that pair participates in:
 * :func:`md_sweep` -- the kernel that flattens the bra x ket primitive
   loops of any number of quartets, in two stages: a *family stage* (one
   ``boys_array`` / ``r_tensor_batch`` per family quartet at the families'
-  max L, coefficient-free: :class:`FamilyOperands`) and a *member stage*
-  (per class one Hermite-row gather and two batched matmuls with E, into
-  which ``c_a c_b`` is folded: :class:`SweepOperands`).  It is the
-  class-batched Fock build's kernel (:mod:`repro.integrals.class_batch`),
-  one sweep per family chunk.
+  max L, coefficient-free, over the primitive tables
+  :attr:`ShellPairData.prims`) and a *member stage* (per class one
+  Hermite-row gather and two batched matmuls with E, into which
+  ``c_a c_b`` is folded: :attr:`PairData.bra_e` / :attr:`PairData.ket_e`).
+  It is the class-batched Fock build's kernel
+  (:mod:`repro.integrals.class_batch`), one sweep per family chunk.
 
 Numerics agree with the per-primitive MD oracle
 (``tests/reference_eri.py``) and the batched Obara-Saika kernel
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,29 +56,28 @@ _TWO_PI_52 = 2.0 * math.pi**2.5
 
 @dataclass(frozen=True)
 class PairData:
-    """Stacked density-independent primitive data for one shell pair.
+    """The stacked density-independent primitive data of one pair class.
 
-    All arrays share the primitive-pair axis of length
-    ``npp = nprim_a * nprim_b``.  A *stack* (:func:`stack_pairs`) is the
-    same record with one more leading axis on every array -- the unique
-    shell pairs of one angular-momentum class, which must therefore
-    share ``(la, lb, npp)`` -- so a whole class batch gathers its bra (or
-    ket) primitive data with one fancy-index read.
+    Every per-pair array has a leading pair-slot axis of length
+    ``npairs``, then the primitive-pair axis of length ``npp = nprim_a *
+    nprim_b`` (a-major per pair).
     """
 
     la: int
     lb: int
-    #: contraction coefficient products ``c_a c_b``, shape (..., npp)
+    #: contraction coefficient products ``c_a c_b``, shape (npairs, npp)
     coef: np.ndarray
-    #: composite exponents ``p = a + b``, shape (..., npp)
+    #: composite exponents ``p = a + b``, shape (npairs, npp)
     p: np.ndarray
-    #: Gaussian product centers ``P``, shape (..., npp, 3)
+    #: Gaussian product centers ``P``, shape (npairs, npp, 3)
     P: np.ndarray
-    #: E tensors stacked, shape (..., npp, ncart_a, ncart_b, nherm)
+    #: E tensors, shape (npairs, npp, ncart_a, ncart_b, nherm)
     E: np.ndarray
-    #: ``c_a c_b E`` on normalized basis functions, (..., npp, ab, nherm):
-    #: what the ERI kernel's member stage contracts
-    basis_e: np.ndarray
+    #: ``c_a c_b E`` on normalized basis functions as the kernel's member
+    #: stage contracts it: (npairs, ab, herm x prim) on the bra side and,
+    #: with the ket sign (-1)^{t+u+v} folded in, (npairs, herm x prim, ab)
+    bra_e: np.ndarray
+    ket_e: np.ndarray
     #: flattened Hermite (t, u, v) indices, each shape (nherm,)
     tt: np.ndarray
     uu: np.ndarray
@@ -88,20 +90,16 @@ class PairData:
 
     @property
     def npairs(self) -> int:
-        """Pair slots of a stack."""
+        """Pair slots of the stack."""
         return int(self.p.shape[0])
 
-    @property
-    def nbytes(self) -> int:
-        """Memory held by the stacked arrays."""
-        return sum(
-            arr.nbytes for arr in (self.coef, self.p, self.P, self.E,
-                                   self.basis_e, self.tt, self.uu, self.vv)
-        )
+    def take(self, slots: np.ndarray) -> "PairData":
+        """The stack of the pairs at ``slots``, in that order."""
+        return replace(self, **{k: getattr(self, k)[slots] for k in _PER_PAIR})
 
 
-#: a :class:`PairData` with the leading pair-slot axis
-StackedPairs = PairData
+#: the :class:`PairData` arrays with a pair-slot axis
+_PER_PAIR = ("coef", "p", "P", "E", "bra_e", "ket_e")
 
 
 def shell_families(basis: BasisSet) -> np.ndarray:
@@ -116,14 +114,13 @@ def shell_families(basis: BasisSet) -> np.ndarray:
     ], dtype=np.int64)
 
 
-def _expand_pairs(shells: list[Shell], ij: list[tuple[int, int]]) -> list[PairData]:
+def _expand_pairs(shells: list[Shell], ij: list[tuple[int, int]]) -> PairData:
     """Expand shell pairs ``ij`` that share ``(la, lb, nprim_a, nprim_b,
-    pure_a, pure_b)`` into their stacked primitive records, all at once.
+    pure_a, pure_b)`` into one stack, all at once.
 
     Per pair the arithmetic is elementwise the one-pair expansion's (the
     E tensor of each primitive pair lands in one slice of a
-    ``(npp, ncart_a, ncart_b, nherm)`` array); the records are views
-    into the group's arrays.
+    ``(npp, ncart_a, ncart_b, nherm)`` array).
     """
     sh_a, sh_b = shells[ij[0][0]], shells[ij[0][1]]
     la, lb = sh_a.l, sh_b.l
@@ -155,59 +152,94 @@ def _expand_pairs(shells: list[Shell], ij: list[tuple[int, int]]) -> list[PairDa
     ))
     to_basis = _basis_map(la, sh_a.pure, lb, sh_b.pure)
     basis_e = np.matmul(to_basis, E.reshape(p.size, -1, tt.size)) * coef.reshape(-1, 1, 1)
-    E = E.reshape(len(ij), npp, *E.shape[1:])
-    basis_e = basis_e.reshape(len(ij), npp, *basis_e.shape[1:])
-    return [
-        PairData(la=la, lb=lb, coef=coef[k], p=p[k], P=P[k], E=E[k],
-                 basis_e=basis_e[k], tt=tt, uu=uu, vv=vv)
-        for k in range(len(ij))
-    ]
+    basis_e = basis_e.reshape(len(ij), npp, *basis_e.shape[1:])  # (pair, prim, ab, herm)
+    ket_e = basis_e * (-1.0) ** (tt + uu + vv)
+    return PairData(
+        la=la, lb=lb, coef=coef, p=p, P=P, E=E.reshape(len(ij), npp, *E.shape[1:]),
+        bra_e=basis_e.transpose(0, 2, 3, 1).reshape(len(ij), basis_e.shape[2], -1),
+        ket_e=ket_e.transpose(0, 3, 1, 2).reshape(len(ij), -1, basis_e.shape[2]),
+        tt=tt, uu=uu, vv=vv,
+    )
 
 
 class ShellPairData:
-    """Per-basis cache of :class:`PairData`, built once per ordered pair.
+    """Per-basis pair data: one :class:`PairData` stack per pair class,
+    each ordered shell pair expanded once, on first use.
 
-    Keys are ordered shell-index pairs ``(i, j)`` -- the E tensor of
-    ``(j, i)`` is not a plain transpose of ``(i, j)``, so the two
-    orientations are cached independently.  With the canonical-quartet
-    ordering used by every Fock builder, only the ``i >= j`` half is ever
-    materialized in practice.
+    ``(i, j)`` and ``(j, i)`` are distinct pairs -- the E tensor of
+    ``(j, i)`` is not a plain transpose of ``(i, j)`` -- but with the
+    canonical-quartet ordering used by every Fock builder only the
+    ``i >= j`` half is ever expanded in practice.  Beside the class stacks
+    it keeps, per primitive-pair count, the family stage's primitive
+    table: every expanded pair's ``p`` and ``P``.
     """
 
     def __init__(self, basis: BasisSet):
         self.basis = basis
-        self._pairs: dict[tuple[int, int], PairData] = {}
+        ns = basis.nshells
+        #: per ordered shell pair: its pair class (an index into
+        #: ``stacks``), its slot in that stack and its slot in the
+        #: primitive table of its ``npp`` (``-1``: not expanded yet)
+        self.klass = np.full((ns, ns), -1, dtype=np.int32)
+        self.slot = np.full((ns, ns), -1, dtype=np.int32)
+        self.pslot = np.full((ns, ns), -1, dtype=np.int32)
+        self.stacks: list[PairData] = []
+        #: npp -> ``p`` (npairs, npp) and ``P`` (3, npairs, npp) of every
+        #: expanded pair with ``npp`` primitive pairs
+        self.prims: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._classes: dict[tuple, int] = {}
         #: number of pair expansions actually performed (tests/metrics)
         self.pairs_built = 0
 
-    def get_many(self, ij: list[tuple[int, int]]) -> list[PairData]:
-        """The stacked pair data for shell pairs ``ij``, each computed
-        once: the missing ones are expanded a class at a time, in one
-        ``pairdata_build`` phase."""
-        missing = [key for key in dict.fromkeys(ij) if key not in self._pairs]
-        if missing:
-            from repro.obs import phase
-            from repro.obs.profile import PHASE_PAIRDATA
+    def expand(self, i: np.ndarray, j: np.ndarray) -> None:
+        """Expand the ordered shell pairs ``(i[k], j[k])`` not expanded yet,
+        one group of ``(la, lb, nprim_a, nprim_b, pure_a, pure_b)`` at a
+        time, in one ``pairdata_build`` phase, each appended to its class
+        stack and its primitive table."""
+        ns = self.basis.nshells
+        keys = np.asarray(i, dtype=np.int64) * ns + np.asarray(j, dtype=np.int64)
+        missing = np.unique(keys[self.klass.ravel()[keys] < 0])
+        if not missing.size:
+            return
+        from repro.obs import phase
+        from repro.obs.profile import PHASE_PAIRDATA
 
-            shells = self.basis.shells
-            classes: dict[tuple, list[tuple[int, int]]] = {}
-            for i, j in missing:
-                si, sj = shells[i], shells[j]
-                key = (si.l, sj.l, si.nprim, sj.nprim, si.pure, sj.pure)
-                classes.setdefault(key, []).append((i, j))
-            with phase(PHASE_PAIRDATA):
-                for members in classes.values():
-                    self._pairs.update(zip(members, _expand_pairs(shells, members)))
-            self.pairs_built += len(missing)
-        return [self._pairs[key] for key in ij]
+        shells = self.basis.shells
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        for a, b in zip(*(v.tolist() for v in divmod(missing, ns))):
+            sa, sb = shells[a], shells[b]
+            groups.setdefault((sa.l, sb.l, sa.pure, sb.pure, sa.nprim, sb.nprim), []).append((a, b))
+        with phase(PHASE_PAIRDATA):
+            for key, members in groups.items():
+                self._append(key[:4] + (key[4] * key[5],), members,
+                             _expand_pairs(shells, members))
+        self.pairs_built += missing.size
 
-    def __len__(self) -> int:
-        return len(self._pairs)
+    def _append(self, key: tuple, members: list, new: PairData) -> None:
+        """File the freshly expanded stack ``new`` of ``members`` under its
+        class ``key`` and its primitive table."""
+        a, b = np.array(members).T
+        k = self._classes.setdefault(key, len(self.stacks))
+        if k == len(self.stacks):
+            self.stacks.append(new.take(slice(0, 0)))
+        old = self.stacks[k]
+        self.stacks[k] = replace(old, **{
+            name: np.concatenate([getattr(old, name), getattr(new, name)]) for name in _PER_PAIR
+        })
+        self.klass[a, b], self.slot[a, b] = k, old.npairs + np.arange(new.npairs)
+        p, P = self.prims.get(new.npp, (new.p[:0], np.empty((3, 0, new.npp))))
+        self.pslot[a, b] = len(p) + np.arange(new.npairs)
+        self.prims[new.npp] = (
+            np.concatenate([p, new.p]),
+            np.concatenate([P, np.moveaxis(new.P, -1, 0)], axis=1),
+        )
 
-    @property
-    def nbytes(self) -> int:
-        """Total memory held by all cached pair records."""
-        return sum(d.nbytes for d in self._pairs.values())
+    @staticmethod
+    def sides(quartets: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """(2, nq): the entries of a pair table (``klass``, ``slot`` or
+        ``pslot``) of each quartet's bra and ket pair."""
+        return np.stack([table[quartets[:, 0], quartets[:, 1]],
+                         table[quartets[:, 2], quartets[:, 3]]])
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,137 +249,61 @@ def _basis_map(la: int, pure_a: bool, lb: int, pure_b: bool) -> np.ndarray:
     return np.kron(cartesian_to_basis(la, pure_a), cartesian_to_basis(lb, pure_b))
 
 
-def stack_pairs(records: list[PairData]) -> StackedPairs:
-    """Stack class-uniform (same ``la``, ``lb`` and primitive-pair count)
-    :class:`PairData` records along a new leading pair-slot axis."""
-    first = records[0]
-    for rec in records[1:]:
-        if (rec.la, rec.lb, rec.npp) != (first.la, first.lb, first.npp):
-            raise ValueError("stack_pairs requires class-uniform pairs")
-    return PairData(
-        la=first.la,
-        lb=first.lb,
-        coef=np.array([r.coef for r in records]),
-        p=np.array([r.p for r in records]),
-        P=np.array([r.P for r in records]),
-        E=np.array([r.E for r in records]),
-        basis_e=np.array([r.basis_e for r in records]),
-        tt=first.tt,
-        uu=first.uu,
-        vv=first.vv,
+@functools.lru_cache(maxsize=None)
+def _hermite_rows(lbra: int, lket: int, lmax: int) -> np.ndarray:
+    """Rows of the compact Hermite tensor at ``lmax`` at (tuv)_bra +
+    (tuv)_ket, flattened ``(nherm_bra * nherm_ket,)``."""
+    (bt, bu, bv), (kt, ku, kv) = (
+        np.array(hermite_index(l)).reshape(-1, 3).T for l in (lbra, lket)
     )
-
-
-def _pair_slots(quartets: np.ndarray, ns: int):
-    """Per side of ``quartets`` (bra, ket): slots into its unique
-    ``(i, j)`` shell pairs, and those pairs."""
-    for cols in (quartets[:, :2], quartets[:, 2:]):
-        keys, slots = np.unique(cols[:, 0] * ns + cols[:, 1], return_inverse=True)
-        yield slots, list(zip(*(v.tolist() for v in divmod(keys, ns))))
-
-
-@dataclass(frozen=True)
-class FamilyOperands:
-    """What the family stage of :func:`md_sweep` reads: per family-pair
-    slot the primitive exponents ``(npairs, npp)`` and product centres
-    ``(3, npairs, npp)``, per family quartet its bra and ket slot.  Every
-    member shell pair of a family pair gives the same values."""
-
-    bra_p: np.ndarray
-    bra_P: np.ndarray
-    bra_slots: np.ndarray
-    ket_p: np.ndarray
-    ket_P: np.ndarray
-    ket_slots: np.ndarray
-
-    @classmethod
-    def build(cls, pairs: ShellPairData, quartets: np.ndarray) -> "FamilyOperands":
-        """Operands for family quartets given as one member row each."""
-        (bs, bra), (ks, ket) = _pair_slots(quartets, pairs.basis.nshells)
-        records = pairs.get_many(bra + ket)
-        sides = []
-        for slots, side in ((bs, records[:len(bra)]), (ks, records[len(bra):])):
-            P = np.moveaxis(np.array([r.P for r in side]), -1, 0)
-            sides += [np.array([r.p for r in side]), P.copy(), slots]
-        return cls(*sides)
-
-
-@dataclass(frozen=True)
-class SweepOperands:
-    """What the member stage of :func:`md_sweep` reads of one class."""
-
-    #: rows of the family stage's compact Hermite tensor (at the family
-    #: max L) at (tuv)_bra + (tuv)_ket, flattened (nherm_bra * nherm_ket,)
-    rrows: np.ndarray
-    #: per pair slot, ``c_a c_b E`` on normalized basis functions as
-    #: matmul operands: (npairs, ab, herm x prim) and, with the ket sign
-    #: (-1)^{t+u+v} folded in, (npairs, herm x prim, cd)
-    bra_e: np.ndarray
-    ket_e: np.ndarray
-    #: per row, its bra and ket pair slot
-    bra_slots: np.ndarray
-    ket_slots: np.ndarray
-
-    @classmethod
-    def build(
-        cls, pairs: ShellPairData, quartets: np.ndarray, lmax: int
-    ) -> "SweepOperands":
-        """Operands for one class's rows ``quartets``, swept in a family
-        stage at ``lmax`` (``PairData.basis_e`` for E)."""
-        (bs, bra), (ks, ket) = _pair_slots(quartets, pairs.basis.nshells)
-        records = pairs.get_many(bra + ket)
-        hb, hk = records[0], records[len(bra)]
-        sign = (-1.0) ** (hk.tt + hk.uu + hk.vv)  # ket side; E is (pair, prim, ab, herm)
-        eb = np.array([r.basis_e for r in records[:len(bra)]])
-        ek = np.array([r.basis_e for r in records[len(bra):]]) * sign
-        return cls(
-            rrows=hermite_lookup(lmax)[
-                hb.tt[:, None] + hk.tt, hb.uu[:, None] + hk.uu, hb.vv[:, None] + hk.vv
-            ].ravel(),
-            bra_e=eb.transpose(0, 2, 3, 1).reshape(len(eb), eb.shape[2], -1),
-            ket_e=ek.transpose(0, 3, 1, 2).reshape(len(ek), -1, ek.shape[2]),
-            bra_slots=bs, ket_slots=ks,
-        )
+    return hermite_lookup(lmax)[
+        bt[:, None] + kt, bu[:, None] + ku, bv[:, None] + kv
+    ].ravel()
 
 
 def md_sweep(
-    lmax: int, fam: FamilyOperands, fq: np.ndarray, members: list
+    pairs: ShellPairData, group, fq: np.ndarray, members: list
 ) -> list[np.ndarray]:
     """ERI blocks ``(nrows, ab, cd)`` over basis functions of every member
     of one family sweep.
 
-    *Family stage*: one ``r_tensor_batch`` at ``lmax`` over every
-    primitive quartet of the family quartets ``fq``, carrying the
-    prefactor ``2 pi^{5/2} / (p q sqrt(p + q))``.  *Member stage*, per
-    member ``(ops, f, rows)`` -- class rows ``rows`` whose family quartets
-    sit at positions ``f`` of ``fq``: one 2-D gather of the member's
-    Hermite rows, then ``sum_{x,y,i,j} Eb R Ek`` as two batched matmuls
-    ``(ab, ix) @ (ix, jy) @ (jy, cd)``.  A row's block depends only on its
-    family quartet, so a row recomputed alone is bitwise the row of a
+    *Family stage*: one ``r_tensor_batch`` at the family group's ``lmax``
+    over every primitive quartet of its family quartets ``fq``, carrying
+    the prefactor ``2 pi^{5/2} / (p q sqrt(p + q))``; ``p`` and ``P`` are
+    gathered from the primitive tables at the group's slots.  *Member
+    stage*, per member ``(batch, f, rows)`` -- class rows ``rows`` whose
+    family quartets sit at positions ``f`` of ``fq``: one 2-D gather of
+    the member's Hermite rows, then ``sum_{x,y,i,j} Eb R Ek`` as two
+    batched matmuls ``(ab, ix) @ (ix, jy) @ (jy, cd)``, E gathered from
+    the class stacks at the batch's slots.  A row's block depends only on
+    its family quartet, so a row recomputed alone is bitwise the row of a
     full sweep.
     """
-    fbs, fks = fam.bra_slots[fq], fam.ket_slots[fq]
-    pb = fam.bra_p[fbs][:, :, None]
-    qk = fam.ket_p[fks][:, None, :]
+    (bra_p, bra_P), (ket_p, ket_P) = (pairs.prims[n] for n in group.npp)
+    fbs, fks = group.slots[:, fq]
+    pb = bra_p[fbs][:, :, None]
+    qk = ket_p[fks][:, None, :]
     nf, nb, nk = pb.shape[0], pb.shape[1], qk.shape[2]
     psum = pb + qk
     pq = pb * qk
     pref = _TWO_PI_52 / (pq * np.sqrt(psum))
     alpha = np.divide(pq, psum, out=psum)
-    pq_vec = fam.bra_P[:, fbs, :, None] - fam.ket_P[:, fks, None, :]
+    pq_vec = bra_P[:, fbs, :, None] - ket_P[:, fks, None, :]
     r = r_tensor_batch(
-        lmax, alpha.ravel(), pq_vec.reshape(3, -1).T, pref.ravel()
+        group.lmax, alpha.ravel(), pq_vec.reshape(3, -1).T, pref.ravel()
     ).reshape(-1, nb * nk)  # rows: (hermite, family quartet)
     out = []
-    for ops, f, rows in members:
+    for batch, f, rows in members:
+        bra, ket = (pairs.stacks[k] for k in batch.pair_classes)
         # one row gather, one transpose: (hb, hk, q, x, y) -> (q, hb x, hk y)
-        hb = ops.bra_e.shape[2] // nb
+        hb = bra.tt.size
+        rrows = _hermite_rows(bra.la + bra.lb, ket.la + ket.lb, group.lmax)
         rmat = (
-            np.take(r, (ops.rrows[:, None] * nf + f).ravel(), axis=0)
+            np.take(r, (rrows[:, None] * nf + f).ravel(), axis=0)
             .reshape(hb, -1, f.size, nb, nk)
             .transpose(2, 0, 3, 1, 4)
             .reshape(f.size, hb * nb, -1)
         )
-        bra_e, ket_e = ops.bra_e[ops.bra_slots[rows]], ops.ket_e[ops.ket_slots[rows]]
+        bra_e, ket_e = bra.bra_e[batch.slots[0, rows]], ket.ket_e[batch.slots[1, rows]]
         out.append(np.matmul(np.matmul(bra_e, rmat), ket_e))
     return out

@@ -45,7 +45,6 @@ def _diagonal_bounds(
     """
     if pair_cache is None:
         pair_cache = ShellPairData(basis)
-    pair_cache.get_many(list(zip(m.tolist(), n.tolist())))  # one expansion pass
     sigma = np.zeros((basis.nshells, basis.nshells))
     plan = build_class_plan(basis, pair_cache, np.stack([m, n, m, n], axis=1))
     for chunk in plan.chunks():

@@ -6,7 +6,7 @@ its loops *from hotspot profiles*): knowing where the Python wall-clock,
 CPU time, and allocations actually go.  The pipeline's named phases --
 
 ``pairdata_build``, ``schwarz_screening``, ``class_plan``,
-``eri_quartets``, ``jk_contraction``, ``diagonalize``/``purify``,
+``eri_quartets``, ``jk_contraction``, ``store_fill``, ``diagonalize``/``purify``,
 ``diis``, ``fock_build``, ``sim_event_loop`` and the probes ``guard``
 and ``integrity``
 
@@ -54,6 +54,8 @@ PHASE_SCHWARZ = "schwarz_screening"
 PHASE_CLASS_PLAN = "class_plan"
 PHASE_ERI = "eri_quartets"
 PHASE_JK = "jk_contraction"
+#: a store fill's CSR assembly and ``finalize`` (after its contraction)
+PHASE_STORE_FILL = "store_fill"
 PHASE_DIAG = "diagonalize"
 PHASE_PURIFY = "purify"
 PHASE_DIIS = "diis"

@@ -2,7 +2,7 @@
 
 The execution-layer analogue of ``repro chaos`` (simulator rank deaths):
 submit real SCF jobs to a real worker pool, SIGKILL live workers at
-seeded times while their jobs are mid-iteration, and verify the paper's
+seeded points of the run while their jobs are mid-iteration, and verify the paper's
 resilience claim end to end:
 
 * every submitted job still reaches ``done`` (lease expiry re-enqueues,
@@ -15,8 +15,9 @@ resilience claim end to end:
 * at least one seeded kill landed on a lease-holding worker (a run
   that killed nobody proved nothing).
 
-The kill schedule is a seeded draw (delay per kill), so a chaos run is
-reproducible the way every fault plan in this package is.
+The kill schedule is a seeded draw (per kill, how many jobs are done
+when it falls due), so a chaos run is reproducible the way every fault
+plan in this package is, and its kills land however fast the jobs run.
 """
 
 from __future__ import annotations
@@ -63,21 +64,20 @@ def service_gate(payload: dict) -> GateResult:
 
 
 class _SeededKiller:
-    """SIGKILL a lease-holding worker at each seeded delay."""
+    """SIGKILL a lease-holding worker at each seeded point of the run's
+    progress: kill ``i`` falls due once ``due[i]`` jobs are done, drawn
+    from the first half of the queue, so it lands while jobs still run
+    however fast they are."""
 
-    def __init__(self, kills: int, seed: int, window: tuple[float, float]):
+    def __init__(self, kills: int, seed: int, njobs: int):
         rng = np.random.default_rng(seed)
-        lo, hi = window
-        self.delays = sorted(rng.uniform(lo, hi, size=kills).tolist())
+        self.due = sorted(rng.integers(0, max(1, njobs // 2), size=kills).tolist())
         self.done = 0
-        self.t0: float | None = None
 
     def __call__(self, store: JobStore, pool) -> None:
-        if self.t0 is None:
-            self.t0 = time.time()
-        if self.done >= len(self.delays):
+        if self.done >= len(self.due):
             return
-        if time.time() - self.t0 < self.delays[self.done]:
+        if store.counts().get("done", 0) < self.due[self.done]:
             return
         # kill a worker that actually holds a lease: that is the
         # "mid-iteration" crash the gate is about
@@ -102,7 +102,6 @@ def run_service_chaos(
     basis: str = "6-31g",
     tolerance: float = 1e-12,
     lease_s: float = 2.0,
-    kill_window: tuple[float, float] = (0.5, 4.0),
 ) -> GateResult:
     """Run the seeded kill scenario; see the module docstring for the gate.
 
@@ -132,7 +131,7 @@ def run_service_chaos(
         )
         job_ids.append(job.id)
 
-    killer = _SeededKiller(kills, seed, kill_window)
+    killer = _SeededKiller(kills, seed, njobs)
     t0 = time.time()
     outcome = serve(
         queue_dir, workers=workers, poll_s=POLL_S, drain=True,

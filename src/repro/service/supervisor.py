@@ -139,7 +139,7 @@ def serve(
     """Run the worker pool until drained (``drain=True``) or signalled.
 
     ``on_tick(store, pool)`` is an optional per-tick hook -- the chaos
-    harness uses it to SIGKILL workers at seeded times without any
+    harness uses it to SIGKILL workers at seeded points without any
     wall-clock racing against the supervisor loop.  ``wall_limit_s``
     bounds the run (CI safety net); hitting it returns with
     ``drained=False`` rather than hanging a pipeline forever.

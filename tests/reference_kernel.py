@@ -31,8 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import reference_operands
 from reference_eri import apply_transforms, finalize_quartet, r_tensor
-from reference_pairdata import build_pair_data
+from reference_pairdata import OnePair, build_pair_data
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell, cartesian_components, component_scale
@@ -40,12 +41,6 @@ from repro.integrals import hermite
 from repro.integrals.boys import boys_array
 from repro.integrals.class_batch import ClassBatch
 from repro.integrals.hermite import e_coefficients, hermite_lookup
-from repro.integrals.pairdata import (
-    PairData,
-    StackedPairs,
-    _pair_slots,
-    stack_pairs,
-)
 from repro.integrals.spherical import cartesian_to_basis, transform_matrix
 
 _TWO_PI_52 = 2.0 * math.pi**2.5
@@ -54,11 +49,7 @@ _TWO_PI_52 = 2.0 * math.pi**2.5
 def class_stacks(batch: ClassBatch):
     """A class's unique bra / ket pair data stacked, and per-row slots
     into the two stacks."""
-    pairs, ns = batch.pair_cache, batch.pair_cache.basis.nshells
-    (bra_slots, bra_pairs), (ket_slots, ket_pairs) = _pair_slots(batch.quartets, ns)
-    bra = stack_pairs(pairs.get_many(bra_pairs))
-    ket = stack_pairs(pairs.get_many(ket_pairs))
-    return bra, ket, bra_slots, ket_slots
+    return reference_operands.class_stacks(batch.pair_cache.basis, batch.quartets)
 
 
 @dataclass(frozen=True)
@@ -80,7 +71,7 @@ class PerClassOperands:
 
     @classmethod
     def build(
-        cls, bra: StackedPairs, ket: StackedPairs, pure: tuple[bool, ...]
+        cls, bra: OnePair, ket: OnePair, pure: tuple[bool, ...]
     ) -> "PerClassOperands":
         """Operands for shells of purity ``pure`` (a, b, c, d): E carries
         :func:`cartesian_to_basis`, so the matmuls land on basis functions."""
@@ -112,8 +103,8 @@ class PerClassOperands:
 
 def per_class_sweep(
     ops: PerClassOperands,
-    bra: StackedPairs,
-    ket: StackedPairs,
+    bra: OnePair,
+    ket: OnePair,
     bs: np.ndarray,
     ks: np.ndarray,
 ) -> np.ndarray:
@@ -301,15 +292,15 @@ def eri_shell_quartet_batched(
     sh_b: Shell,
     sh_c: Shell,
     sh_d: Shell,
-    bra: PairData | None = None,
-    ket: PairData | None = None,
+    bra: OnePair | None = None,
+    ket: OnePair | None = None,
 ) -> np.ndarray:
     """The ERI block ``(ab|cd)`` via one batched primitive evaluation.
 
     Drop-in equivalent of
     :func:`reference_eri.eri_shell_quartet`: same shapes, same
     normalization, same spherical handling.  Pass precomputed ``bra`` /
-    ``ket`` :class:`PairData` (e.g. from a :class:`ShellPairData` cache)
+    ``ket`` :class:`OnePair` records (``build_pair_data``)
     to skip the per-call pair expansion entirely.
     """
     if bra is None:

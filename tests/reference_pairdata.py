@@ -1,17 +1,47 @@
-"""The one-pair expansion that ``ShellPairData.get_many``'s class-at-a-time
-expansion replaced: the oracle every :class:`PairData` array is checked
+"""The one-pair expansion that ``ShellPairData``'s class-at-a-time
+expansion replaced: the oracle every array of a pair's slot in its
+:class:`~repro.integrals.pairdata.PairData` class stack is checked
 against bitwise (tests/test_pairdata.py)."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.chem.basis.shells import Shell, cartesian_components
 from repro.integrals.hermite import e_coefficients, hermite_index
-from repro.integrals.pairdata import PairData, _basis_map
+from repro.integrals.pairdata import _basis_map
 
 
-def build_pair_data(sh_a: Shell, sh_b: Shell) -> PairData:
+@dataclass(frozen=True)
+class OnePair:
+    """One shell pair's primitive records (or, with a leading pair-slot
+    axis on every array but the Hermite indices, a stack of them)."""
+
+    la: int
+    lb: int
+    #: ``c_a c_b``, ``p``, ``P`` (npp, 3) and E (npp, ncart_a, ncart_b, nherm)
+    coef: np.ndarray
+    p: np.ndarray
+    P: np.ndarray
+    E: np.ndarray
+    #: ``c_a c_b E`` on normalized basis functions, (npp, ab, nherm)
+    basis_e: np.ndarray
+    tt: np.ndarray
+    uu: np.ndarray
+    vv: np.ndarray
+
+    @property
+    def npp(self) -> int:
+        return int(self.p.shape[-1])
+
+    @property
+    def npairs(self) -> int:
+        return int(self.p.shape[0])
+
+
+def build_pair_data(sh_a: Shell, sh_b: Shell) -> OnePair:
     """Expand one shell pair into its stacked primitive records.
 
     This is the stacked-ndarray equivalent of the seed's per-call
@@ -52,6 +82,6 @@ def build_pair_data(sh_a: Shell, sh_b: Shell) -> PairData:
     ))
     to_basis = _basis_map(la, sh_a.pure, lb, sh_b.pure)
     basis_e = np.matmul(to_basis, E.reshape(len(p), -1, tt.size)) * coef[:, None, None]
-    return PairData(
+    return OnePair(
         la=la, lb=lb, coef=coef, p=p, P=P, E=E, basis_e=basis_e, tt=tt, uu=uu, vv=vv
     )

@@ -540,35 +540,30 @@ class TestClassPlanStructure:
         assert got.shape == (len(expected), 4)
         assert [tuple(row) for row in got.tolist()] == expected
 
-    def test_operands_are_stacked_lazily_and_once_under_threads(
-        self, monkeypatch
-    ):
-        """Kernel operands appear on a batch's first sweep; racing
-        ``jk_threads`` workers share the one build."""
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-
+    def test_operands_are_stacked_lazily_and_once_under_threads(self):
+        """The kernel's operands are the pair data's class stacks: nothing
+        is expanded before the first plan, every pair the plan names is
+        expanded with it, once, and ``jk_threads`` workers sweeping it
+        only read the stacks at the plan's slots."""
         engine = MDEngine(BasisSet.build(water(), "6-31g"))
-        batch = max(engine.class_plan(1e-11).batches, key=lambda b: b.nq)
-        assert batch._operands is None
-        real, calls = class_batch.ClassBatch._stack_operands, []
-
-        def counted(self):
-            calls.append(1)
-            return real(self)
-
-        monkeypatch.setattr(class_batch.ClassBatch, "_stack_operands", counted)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(
-                    lambda _: batch.operands(), range(32), timeout=30
-                ))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(calls) == 1
-        assert all(ops is got[0] for ops in got)
+        assert engine.pair_cache.pairs_built == 0
+        plan = engine.class_plan(1e-11)
+        pairs = engine.pair_cache
+        built, stacks = pairs.pairs_built, list(pairs.stacks)
+        assert built == len({tuple(q) for b in plan.batches
+                             for q in np.concatenate([b.quartets[:, :2], b.quartets[:, 2:]])})
+        for batch in plan.batches:
+            bra, ket = (pairs.stacks[k] for k in batch.pair_classes)
+            assert np.array_equal(batch.slots[0], pairs.slot[tuple(batch.quartets[:, :2].T)])
+            assert np.array_equal(batch.slots[1], pairs.slot[tuple(batch.quartets[:, 2:].T)])
+            assert batch.slots[0].max() < bra.npairs and batch.slots[1].max() < ket.npairs
+        d = np.eye(engine.basis.nbf)
+        threaded = jk_from_plan(engine, d, 1e-11, threads=4)
+        serial = jk_from_plan(engine, d, 1e-11)
+        assert pairs.pairs_built == built
+        assert all(a is b for a, b in zip(pairs.stacks, stacks))
+        for a, b in zip(threaded, serial):
+            assert np.allclose(a, b, atol=1e-12)
 
     def test_throwaway_pair_cache(self, water_basis):
         """No pair data -> a plan without class-kernel operands."""

@@ -93,14 +93,15 @@ class TestBatchedKernel:
 class TestShellPairData:
     def test_each_pair_built_once(self, water_basis):
         cache = ShellPairData(water_basis)
-        [a] = cache.get_many([(1, 0)])
-        [b] = cache.get_many([(1, 0)])
-        assert a is b
+        cache.expand([1], [0])
+        k, slot = cache.klass[1, 0], cache.slot[1, 0]
+        stack = cache.stacks[k]
+        cache.expand([1, 1], [0, 0])
+        assert cache.stacks[k] is stack and cache.slot[1, 0] == slot
         assert cache.pairs_built == 1
-        cache.get_many([(0, 1)])  # opposite orientation is a distinct record
+        cache.expand([0], [1])  # opposite orientation is a distinct record
         assert cache.pairs_built == 2
-        assert len(cache) == 2
-        assert cache.nbytes > 0
+        assert (cache.klass >= 0).sum() == 2
 
     def test_md_engine_reuses_pair_cache(self, water_basis):
         eng = MDEngine(water_basis)
@@ -124,18 +125,39 @@ class TestShellPairData:
             )
 
 
-def pair_digest(rec) -> str:
-    """sha256 over every array of a :class:`PairData` (shape, dtype, bytes)."""
-    h = hashlib.sha256(repr((rec.la, rec.lb)).encode())
-    for arr in (rec.coef, rec.p, rec.P, rec.E, rec.basis_e, rec.tt, rec.uu, rec.vv):
+def pair_digest(arrays) -> str:
+    """sha256 over arrays (shape, dtype, bytes)."""
+    h = hashlib.sha256()
+    for arr in arrays:
         h.update(repr((arr.shape, arr.dtype.str)).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
+def oracle_slot(rec) -> list[np.ndarray]:
+    """A one-pair record as its slot of a class stack and its primitive
+    table hold it: E contracted bra-side and, sign folded, ket-side."""
+    ab = rec.basis_e.shape[1]
+    sign = (-1.0) ** (rec.tt + rec.uu + rec.vv)
+    return [rec.coef, rec.p, rec.P, rec.E,
+            rec.basis_e.transpose(1, 2, 0).reshape(ab, -1),
+            (rec.basis_e * sign).transpose(2, 0, 1).reshape(-1, ab),
+            rec.tt, rec.uu, rec.vv, rec.p, rec.P.T]
+
+
+def cache_slot(cache, i: int, j: int) -> list[np.ndarray]:
+    """Pair ``(i, j)``'s arrays, read from its class stack and table."""
+    stack, s = cache.stacks[cache.klass[i, j]], cache.slot[i, j]
+    p, P = cache.prims[stack.npp]
+    return [stack.coef[s], stack.p[s], stack.P[s], stack.E[s], stack.bra_e[s],
+            stack.ket_e[s], stack.tt, stack.uu, stack.vv,
+            p[cache.pslot[i, j]], P[:, cache.pslot[i, j]]]
+
+
 class TestBatchedPairData:
-    """``get_many`` expands the missing pairs a class at a time; every
-    record must be bitwise the one-pair expansion it replaced."""
+    """``ShellPairData.expand`` expands the missing pairs a class at a
+    time; every array of a pair's slot must be bitwise the one-pair
+    expansion it replaced."""
 
     def test_every_array_matches_one_pair_oracle(self):
         rng = np.random.default_rng(12)
@@ -149,9 +171,12 @@ class TestBatchedPairData:
         basis = BasisSet(molecule=water(), shells=shs, name="mixed")
         ij = [(i, j) for i in range(len(shs)) for j in range(len(shs))]  # both orientations
         cache = ShellPairData(basis)
-        for (i, j), rec in zip(ij, cache.get_many(ij)):
-            assert pair_digest(rec) == pair_digest(build_pair_data(shs[i], shs[j])), (i, j)
-        assert cache.pairs_built == len(ij) == len(cache)
+        cache.expand(*np.array(ij[::2]).T)  # two passes: stacks grow
+        cache.expand(*np.array(ij).T)
+        for i, j in ij:
+            assert pair_digest(cache_slot(cache, i, j)) == pair_digest(
+                oracle_slot(build_pair_data(shs[i], shs[j]))), (i, j)
+        assert cache.pairs_built == len(ij) == (cache.klass >= 0).sum()
 
     def test_pairs_built_on_the_direct_scf_system(self):
         """(H2O)5/STO-3G: S, H^core, Schwarz and one J/K build expand
@@ -167,9 +192,9 @@ class TestBatchedPairData:
         cache, prof = ShellPairData(water_basis), PhaseProfiler()
         ns = water_basis.nshells
         with obs.session(profiler=prof):
-            cache.get_many([(i, j) for i in range(ns) for j in range(i + 1)])
-            cache.get_many([(1, 0), (2, 2)])  # all cached: no phase
-            cache.get_many([(0, 1), (0, 2)])
+            cache.expand(*np.tril_indices(ns))
+            cache.expand([1, 2], [0, 2])  # all expanded: no phase
+            cache.expand([0, 0], [1, 2])
         assert prof.stats[PHASE_PAIRDATA].calls == 2
         assert cache.pairs_built == ns * (ns + 1) // 2 + 2
 

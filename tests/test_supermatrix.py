@@ -17,6 +17,8 @@ import pytest
 from conftest import assert_jk_close, sha256, supermatrix_arrays
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_operands import reference_compute_rows
+from reference_pair_matrices import reference_pair_matrices
 from reference_schwarz_jk import schwarz_only_jk
 from reference_supermatrix import (
     V2Store,
@@ -113,8 +115,7 @@ class TestServedBuilds:
         engine = MDEngine(basis, store=warm_dir)
         build_jk(engine, np.eye(basis.nbf))
         build_jk(engine, np.eye(basis.nbf))
-        batches = engine.class_plan(1e-11).batches
-        assert all(b._operands is None for b in batches)
+        assert engine.pair_cache.pairs_built == 0  # nothing to stack
         assert engine.quartets_computed == 0
 
     def test_served_build_draws_its_faults_without_planning(self, warm_dir, basis):
@@ -202,6 +203,60 @@ class TestAgainstV2Oracle:
         for a, b in zip(first, reference):
             assert np.array_equal(a, b)
         assert_jk_close(second, first)
+
+
+class TestFillAgainstReplacedCode:
+    """A fill's kernel blocks and CSR arrays are bitwise what the code they
+    replaced made: the per-class operand copies
+    (``tests/reference_operands.py``) and the COO -> CSR assembly
+    (``tests/reference_pair_matrices.py``)."""
+
+    @given(st.integers(0, 2**16), st.booleans())
+    @settings(max_examples=6, deadline=None)
+    def test_blocks_and_csr_equal_the_replaced_code(self, seed, zeros):
+        """Random s/p/d bases (pure and Cartesian d), every canonical
+        quartet (M = N and P = Q among them): each chunk's blocks equal
+        the per-class sweep's, and ``pair_matrices``' data / indices /
+        indptr, dtypes included, SciPy's -- with ``zeros``, of blocks
+        with exact zeros and (P = Q) K views that cancel exactly."""
+        rng = np.random.default_rng(seed)
+        basis = rand_basis(rng, nshells=4)
+        plan = MDEngine(basis).class_plan(0.0)
+        pieces = []
+        for chunk in plan.chunks():
+            got = class_batch.compute_class_rows(chunk)
+            for a, b in zip(got, reference_compute_rows(basis, chunk)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            for (batch, rows), blocks in zip(chunk, got):
+                q = batch.quartets[rows]
+                g = blocks * batch.weights[rows].reshape(-1, 1, 1, 1, 1)
+                if zeros:
+                    g[rng.random(g.shape) < 0.2] = 0.0
+                    same = q[:, 2] == q[:, 3]
+                    if same.any():
+                        g[same] -= g[same].swapaxes(3, 4)
+                pieces.append((q, g))
+        quartets = np.concatenate([q for q, _ in pieces])
+        assert (quartets[:, 0] == quartets[:, 1]).any()
+        assert (quartets[:, 2] == quartets[:, 3]).any()
+        for got, want in zip(class_batch.pair_matrices(basis, pieces),
+                             reference_pair_matrices(basis, pieces)):
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_no_blocks_give_empty_matrices(self, basis):
+        for got, want in zip(class_batch.pair_matrices(basis, []),
+                             reference_pair_matrices(basis, [])):
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_repeated_blocks_are_refused(self, basis):
+        q = np.array([[1, 0, 1, 0]])
+        g = np.ones((1, *(basis.shells[i].nbf for i in q[0])))
+        with pytest.raises(ValueError, match="distinct"):
+            class_batch.pair_matrices(basis, [(q, g), (q, g)])
 
 
 class TestLifetime:
