@@ -6,27 +6,33 @@ and each call runs in a ``guard`` phase.  Their summed wall over the
 run's wall, from one profiled run, must stay within the 5% bound of the
 ``scf_guard`` family row; an untimed guard-off run gives the graded
 ``energy_matches``.  ``python -m benchmarks scf_guard [--quick]``: one
-run is the measurement, so ``--quick`` measures the same.
+run is the measurement, so ``--quick`` measures the same.  The store
+budget is patched to 0 (``hf.STORE_BUDGET``), so both runs stay direct
+and the per-chunk ERI sentinel runs in every build: on the default
+private store it would run in the fill only.
 """
 
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 from repro.chem.builders import water
 from repro.obs import MetricsRegistry, PhaseProfiler, session
 from repro.obs.profile import PHASE_GUARD
+from repro.scf import hf
 from repro.scf.hf import RHF
 
 
 def measure(quick: bool = False) -> tuple[dict, str]:
-    """The guard phases' share of one guarded run's wall."""
+    """The guard phases' share of one guarded direct run's wall."""
     profiler = PhaseProfiler()
-    with session(profiler=profiler, metrics=MetricsRegistry()):
-        t0 = time.perf_counter()
-        res_on = RHF(water(), basis_name="6-31g", guard=True).run()
-        wall = time.perf_counter() - t0
-    res_off = RHF(water(), basis_name="6-31g").run()
+    with mock.patch.object(hf, "STORE_BUDGET", 0):
+        with session(profiler=profiler, metrics=MetricsRegistry()):
+            t0 = time.perf_counter()
+            res_on = RHF(water(), basis_name="6-31g", guard=True).run()
+            wall = time.perf_counter() - t0
+        res_off = RHF(water(), basis_name="6-31g").run()
     guard_s = profiler.wall(PHASE_GUARD)
     entry = {
         "benchmark": "scf_guard",

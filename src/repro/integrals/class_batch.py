@@ -31,10 +31,11 @@ loop the same way:
   literally (Mitin, arxiv 1905.07779).  The build that fills an
   :class:`~repro.integrals.store.ERIStore` keeps the weighted blocks it
   contracts and turns them into the plan's two sparse matrices over flat
-  ``(ij)`` pairs (:func:`pair_matrices`), which the store writes; the
-  first build it serves memory-maps them (:func:`map_supermatrix`) into
-  the store's one slot, and every build over that store is four sparse
-  mat-vecs, with no plan and no Schwarz matrix.
+  ``(ij)`` pairs (:func:`pair_matrices`), which the store writes (a
+  private store holds them); the first build it serves memory-maps them
+  (:func:`map_supermatrix`) into the store's one slot, and every build
+  over that store is four sparse mat-vecs, with no plan and no Schwarz
+  matrix.
 
 Every engine builds J/K here.  A chunk's blocks are computed
 (:func:`_resolve_chunk`) by ``engine.compute_rows``, the one engine
@@ -481,13 +482,22 @@ class Supermatrix:
     values; row ``(a, x)`` holds only quartets whose first shell has
     ``a``.  A ready store's file holds the two matrices (12 bytes per
     non-zero: float64 value, int32 column), served memory-mapped from the
-    store's one slot (``ERIStore.supermatrix``).
+    store's one slot (``ERIStore.supermatrix``); a private store holds
+    the filling build's matrices there.
     """
 
-    #: whether its segments were CRC-checked (``store.verify_reads``)
+    #: whether its segments were CRC-checked (``store.verify_reads``), or
+    #: held since the fill (never read back from a medium)
     verified: bool
     mj: sparse.csr_matrix
     mk: sparse.csr_matrix
+
+    @classmethod
+    def of(cls, verified: bool, mj, mk) -> "Supermatrix":
+        """Of M_J's and M_K's ``(data, indices, indptr)``, a row and a column per pair."""
+        from scipy import sparse
+
+        return cls(verified, *(sparse.csr_matrix(m, shape=(len(m[2]) - 1,) * 2) for m in (mj, mk)))
 
     @property
     def nbytes(self) -> int:
@@ -622,12 +632,10 @@ def _computed_matrices(engine, chunks, totals):
 
 
 def _mapped_matrices(engine, store):
-    """The store's ``(M_J, M_K)``, memory-mapped, each segment that fails
+    """The store's M_J and M_K arrays, memory-mapped, each segment that fails
     its check rebuilt from the rows of its shell in the plan at the
     manifest's tau, planned only then (CRC rescues) -- or ``None`` if a
     rebuilt segment does not fit its slot (another kernel's exact zeros)."""
-    from scipy import sparse
-
     cuts, nnzs = store.offsets_for()
     arrays = store.read_stacked()
     # a probe when CRCs are verified (gross of the check they replace)
@@ -650,8 +658,7 @@ def _mapped_matrices(engine, store):
                 data[z0:z1] = piece.data[lo:hi]
                 indices[z0:z1] = piece.indices[lo:hi]
                 indptr[r0:r1 + 1] = piece.indptr[r0:r1 + 1] - lo + z0
-    n2 = engine.basis.nbf ** 2
-    return tuple(sparse.csr_matrix(a, shape=(n2, n2)) for a in arrays)
+    return arrays
 
 
 def map_supermatrix(engine, store) -> Supermatrix | None:
@@ -661,11 +668,11 @@ def map_supermatrix(engine, store) -> Supermatrix | None:
     store (``None``: the build fills it again).  Single threaded: the
     matrices, hence every J/K, are bitwise the same at any ``jk_threads``.
     """
-    matrices = _mapped_matrices(engine, store)
-    if matrices is None:
+    arrays = _mapped_matrices(engine, store)
+    if arrays is None:
         store.invalidate("a rebuilt segment does not fit its slot")
         return None
-    return Supermatrix(verified=store.verify_reads, mj=matrices[0], mk=matrices[1])
+    return Supermatrix.of(store.verify_reads, *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +702,7 @@ def _resolve_chunk(engine, chunk: list[Chunk], faults) -> tuple[list, dict]:
         # the sentinel the guard arms: one test per chunk, per-row masks
         # only when it fails
         with phase(PHASE_GUARD):
-            if not np.isfinite(np.sum([blocks.sum() for blocks in parts])):
+            if not math.isfinite(sum([blocks.sum() for blocks in parts])):
                 for (batch, rows), blocks in zip(chunk, parts):
                     bad = ~np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
                     if bad.any():

@@ -21,6 +21,8 @@ paid again on every Fock build.  This module is that storage layer:
   and the layout.  A fingerprint or format-version mismatch invalidates
   the store (:class:`StoreInvalidatedWarning`) and it is refilled; so
   does a build at another ``tau``: one directory holds one (basis, tau).
+* A *private* store (``path=None``, a default SCF's scratch store) is
+  filled the same way but never written: no directory, lock or file.
 
 Lifecycle: ``open_or_fill()`` -> ``filling`` (the first Fock build
 stages its matrices) -> ``finalize(tau)`` -> ``ready``.  Every disk
@@ -55,8 +57,6 @@ import contextlib
 import hashlib
 import json
 import os
-import shutil
-import tempfile
 import warnings
 import zlib
 from datetime import datetime, timezone
@@ -76,8 +76,6 @@ STORE_VERSION = 3
 _MANIFEST = "manifest.json"
 _DATA = "supermatrix.bin"
 _LOCK = ".lock"
-#: a private store's liveness: its run holds a shared ``flock`` on it
-_HELD = ".held"
 #: the v2 format's files (flat blocks, per-block index), removed on invalidation
 _V2_FILES = ("blocks.bin", "index.npz")
 #: the matrices in file order, and each one's arrays
@@ -159,22 +157,25 @@ class ERIStore:
     mapping a build serves from; the readable content changes only in
     ``_attach`` and :meth:`invalidate`, and both empty the slot, so a
     mapping is never contracted against other content.
+
+    With ``path=None`` the store is *private*: a run's scratch store
+    (``SCFDriver._run``), refilled by every restart, whose ``finalize``
+    puts the staged matrices in the slot.
     """
 
-    def __init__(self, path: str | Path, basis: BasisSet):
-        self.path = Path(path)
+    def __init__(self, path: str | Path | None, basis: BasisSet):
+        self.path = None if path is None else Path(path)
+        self.private = path is None
         self.basis = basis
         self.fingerprint = basis_fingerprint(basis)
         self.manifest: dict | None = None
-        #: the ready content mapped as a ``class_batch.Supermatrix`` by
-        #: the first build it serves (``None``: not mapped yet)
+        #: the ready content as a ``class_batch.Supermatrix``: mapped by the
+        #: first build it serves, or held since the fill (``None``: neither yet)
         self.supermatrix = None
         self.filling = False
         self.ready = False
         #: CRC-check every segment as it is mapped (armed by ``integrity=``)
         self.verify_reads = False
-        #: a run's scratch store, refilled by every restart (``SCFDriver._run``)
-        self.private = False
         self.crc_checks = 0
         self.crc_mismatches = 0
         #: the staged fill: M_J, M_K and how many quartets they hold
@@ -216,18 +217,18 @@ class ERIStore:
         An existing store whose manifest fingerprint or format version
         does not match is *invalidated*: its files are removed, a
         :class:`StoreInvalidatedWarning` is emitted, and the store drops
-        back to the filling state.
+        back to the filling state.  A private store starts filling.
         """
-        self.path.mkdir(parents=True, exist_ok=True)
-        with self._disk_lock():
-            if (self.path / _MANIFEST).exists():
-                manifest = self._load_valid_manifest()
-                if manifest is not None:
-                    self._attach(manifest)
-                    return self
-                self.invalidate(self._reject_reason)
-            self.filling = True
-            self.ready = False
+        if not self.private:
+            with self._disk_lock():
+                if (self.path / _MANIFEST).exists():
+                    manifest = self._load_valid_manifest()
+                    if manifest is not None:
+                        self._attach(manifest)
+                        return self
+                    self.invalidate(self._reject_reason)
+        self.filling = True
+        self.ready = False
         return self
 
     def _load_valid_manifest(self) -> dict | None:
@@ -295,8 +296,17 @@ class ERIStore:
         and switch to the ready state: the data file first (staged, then
         ``os.replace``'d), the manifest last, so a process killed
         mid-finalize leaves no manifest or a complete store, never a
-        manifest pointing at partial data."""
+        manifest pointing at partial data.  A private store holds them in
+        its slot instead, verified: nothing is read back from a medium."""
         if not self.filling or self._staged is None:
+            return
+        if self.private:
+            from repro.integrals.class_batch import Supermatrix
+
+            mj, mk, nblocks = self._staged
+            held = Supermatrix.of(True, mj, mk)
+            self._attach({"tau": tau, "nblocks": nblocks, "nbytes": held.nbytes})
+            self._staged, self.supermatrix = None, held
             return
         with self._disk_lock():
             # another process may have finalized while this one was still
@@ -354,7 +364,7 @@ class ERIStore:
 
     @property
     def nsegments(self) -> int:
-        return 0 if self.manifest is None else len(self.manifest["crcs"])
+        return 0 if self.manifest is None else len(self.manifest.get("crcs", ()))
 
     @property
     def nbytes(self) -> int:
@@ -432,35 +442,6 @@ def segment_extents(path: str | Path) -> tuple[Path, list]:
              (arrays[m, a] for a in _ARRAYS), ranges)]
         for m, ranges in segments
     ]
-
-
-def sweep_private_stores() -> None:
-    """Delete the private stores (``repro-store-*`` in the temp directory)
-    whose run is gone: a SIGKILL skips a run's cleanup, and drops its lock."""
-    for path in Path(tempfile.gettempdir()).glob("repro-store-*") if fcntl else ():
-        with contextlib.suppress(OSError), open(path / _HELD, "rb") as held:
-            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)  # fails while held
-            shutil.rmtree(path, ignore_errors=True)
-
-
-@contextlib.contextmanager
-def private_store(engine):
-    """``engine`` with a private :class:`ERIStore` attached for the body,
-    in a new temp directory its run holds (a shared ``flock`` on
-    ``.held``) until the exit detaches and deletes it."""
-    if fcntl is None:
-        raise OSError("a private store is held by an flock")
-    sweep_private_stores()
-    path = Path(tempfile.mkdtemp(prefix="repro-store-"))
-    try:
-        with open(path / _HELD, "wb") as held:
-            fcntl.flock(held, fcntl.LOCK_SH)
-            engine.attach_store(path).private = True
-            yield
-    finally:
-        if engine.integral_store is not None and engine.integral_store.private:
-            engine.detach_store()
-        shutil.rmtree(path, ignore_errors=True)
 
 
 def is_store_dir(path: str | Path) -> bool:

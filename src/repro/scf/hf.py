@@ -20,8 +20,6 @@ repaired stack or raises; a driver supplies only what is spin-specific.
 
 from __future__ import annotations
 
-import contextlib
-import shutil
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -33,7 +31,7 @@ from repro.chem.molecule import Molecule
 from repro.integrals.class_batch import resolve_jk_threads
 from repro.integrals.engine import ERIEngine, MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
-from repro.integrals.store import private_store
+from repro.integrals.store import ERIStore
 from repro.obs import get_ledger, get_metrics, get_tracer, phase
 from repro.obs.metrics import export_integrity
 from repro.obs.profile import (
@@ -130,8 +128,8 @@ class SCFDriver:
         with zero ERI recomputation.
         A store left by a previous run of the *same* basis and ``tau``
         is reused directly; any mismatch invalidates it (with a warning)
-        and it is refilled.  Unset, ``run`` keeps them in a private store it deletes
-        after, if the plan bounds them within :data:`STORE_BUDGET`; else it is direct.
+        and it is refilled.  Unset, ``run`` holds them in memory for the run (a
+        private store) if the plan bounds them within :data:`STORE_BUDGET`; else it is direct.
     jk_threads:
         Worker threads for the class-batched J/K contraction, >= 1
         (default ``None`` = serial).  Builds served by a ready store do
@@ -236,35 +234,33 @@ class SCFDriver:
         engine = self.engine
         bound = None if engine.integral_store else \
             engine.class_plan(self.tau).stored_bytes(self.basis.nbf)
-        self.eri_store = {"private": False, "bound": bound}
-        with contextlib.ExitStack() as scratch:
-            if bound is not None and bound <= STORE_BUDGET:
-                try:
-                    scratch.enter_context(private_store(engine))
-                    self.eri_store["private"] = True
-                except (OSError, MemoryError) as exc:  # no room for it: direct
-                    self.eri_store["dropped"] = repr(exc)
-            store = engine.integral_store
-            before = (
-                engine.finite_check, engine.scf_faults,
-                store is not None and store.verify_reads,
-            )
-            # seeded NaNs (scf family), then silent bit flips (sdc family)
-            faults = tuple(
-                plan.activate() if plan is not None and plan.has_faults else None
-                for plan in (self.faults, self.sdc_faults)
-            )
-            try:
-                if self.guard is not None:
-                    engine.finite_check = True
-                engine.scf_faults = faults[0]
-                if self.integrity and store is not None:
-                    store.verify_reads = True
-                return self._iterate(guess, faults)
-            finally:
-                engine.finite_check, engine.scf_faults = before[:2]
-                if store is not None:
-                    store.verify_reads = before[2]
+        private = bound is not None and bound <= STORE_BUDGET
+        self.eri_store = {"private": private, "bound": bound}
+        if private:
+            engine.attach_store(ERIStore(None, self.basis))
+        store = engine.integral_store
+        before = (
+            engine.finite_check, engine.scf_faults,
+            store is not None and store.verify_reads,
+        )
+        # seeded NaNs (scf family), then silent bit flips (sdc family)
+        faults = tuple(
+            plan.activate() if plan is not None and plan.has_faults else None
+            for plan in (self.faults, self.sdc_faults)
+        )
+        try:
+            if self.guard is not None:
+                engine.finite_check = True
+            engine.scf_faults = faults[0]
+            if self.integrity and store is not None:
+                store.verify_reads = True
+            return self._iterate(guess, faults)
+        finally:
+            engine.finite_check, engine.scf_faults = before[:2]
+            if store is not None:
+                store.verify_reads = before[2]
+            if private:
+                engine.detach_store()
 
     def _iterate(self, guess: list[np.ndarray] | None, faults: tuple):
         """Algorithm 1 over the spin stack; each iteration is a span with
@@ -408,16 +404,15 @@ class SCFDriver:
         return fs
 
     def _full_focks(self, run: _Run) -> list[np.ndarray]:
-        """F from scratch.  A private store that runs out of memory or disk
-        as it is filled or mapped is dropped, and the build redone direct."""
+        """F from scratch.  A private store that runs out of memory as it
+        is filled is dropped, and the build redone direct."""
         try:
             return self._focks([run.h] * len(run.ds), run.ds)
-        except (OSError, MemoryError) as exc:
+        except MemoryError as exc:
             store = self.engine.integral_store
             if store is None or not store.private:
                 raise
             self.engine.detach_store()
-            shutil.rmtree(store.path, ignore_errors=True)
             self.eri_store.update(private=False, dropped=repr(exc))
         return self._focks([run.h] * len(run.ds), run.ds)
 

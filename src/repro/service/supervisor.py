@@ -17,6 +17,7 @@ recovery paths a lease-based queue needs:
 * **Worker respawn**: any worker process that exits -- crash, kill,
   chaos injection -- is replaced with a fresh one (with a new owner
   name, so a stale lease can never be renewed by its successor).
+  A killed worker leaves no store behind: a private one is in memory.
 
 Workers are real subprocesses (``python -m repro.service._worker_entry``), not
 forks: no inherited sqlite handles, no inherited signal state, and the
@@ -84,16 +85,10 @@ class _Pool:
         return owner
 
     def reap(self) -> list[str]:
-        """Owners whose process has exited (removed from the pool); if any,
-        the private integral stores no live run holds are deleted: a
-        SIGKILL skips a run's cleanup."""
+        """Owners whose process has exited (removed from the pool)."""
         dead = [o for o, p in self.procs.items() if p.poll() is not None]
         for owner in dead:
             del self.procs[owner]
-        if dead:
-            from repro.integrals.store import sweep_private_stores
-
-            sweep_private_stores()
         return dead
 
     def kill_job_owner(self, owner: str, grace_s: float) -> bool:

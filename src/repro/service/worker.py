@@ -28,8 +28,8 @@ Crash-tolerance mechanics:
 * **Graceful degradation.**  A ``MemoryError`` retry re-enqueues the job
   with a degraded spec (:func:`degrade_spec`): first the threaded J/K
   is dropped to serial, then the integral store is dropped (the default
-  path: a private store if it fits the budget, else direct SCF; a
-  private store out of memory is dropped by the run itself).
+  path: a private store, in memory, if it fits the budget, else direct
+  SCF; a private store out of memory is dropped by the run itself).
 * **Clean teardown.**  SIGTERM (supervisor timeout or shutdown)
   interrupts threaded J/K workers at the next chunk edge (a job starts
   no child process, so there is no pool to reap), releases the current

@@ -20,12 +20,11 @@ observation runs in a ``guard`` phase, every ABFT check in an
 
 from __future__ import annotations
 
-import contextlib
 from types import SimpleNamespace
 
 import numpy as np
 
-from repro.integrals.store import private_store
+from repro.integrals.store import ERIStore
 from repro.obs import get_ledger, get_metrics, get_tracer, phase
 from repro.obs.metrics import export_integrity
 from repro.obs.profile import PHASE_DIIS, PHASE_FOCK, PHASE_GUARD, PHASE_INTEGRITY
@@ -39,26 +38,27 @@ def reference_run(driver: hf.SCFDriver, guess: list[np.ndarray] | None = None):
     """Run ``driver`` through the one-body loop, with the engine armed
     for this run only (restored however it ends) -- and, without a store
     of its own and with the plan's bound on the stored bytes within the
-    budget, a private store deleted when it ends."""
+    budget, a private store detached when it ends."""
     engine = driver.engine
     bound = None if engine.integral_store else \
         engine.class_plan(driver.tau).stored_bytes(driver.basis.nbf)
-    driver.eri_store = {"private": False, "bound": bound}
-    with contextlib.ExitStack() as scratch:
-        if bound is not None and bound <= hf.STORE_BUDGET:
-            scratch.enter_context(private_store(engine))
-            driver.eri_store["private"] = True
-        store = engine.integral_store
-        before = (
-            engine.finite_check, engine.scf_faults,
-            store is not None and store.verify_reads,
-        )
-        try:
-            return _iterate(driver, guess)
-        finally:
-            engine.finite_check, engine.scf_faults = before[:2]
-            if store is not None:
-                store.verify_reads = before[2]
+    private = bound is not None and bound <= hf.STORE_BUDGET
+    driver.eri_store = {"private": private, "bound": bound}
+    if private:
+        engine.attach_store(ERIStore(None, driver.basis))
+    store = engine.integral_store
+    before = (
+        engine.finite_check, engine.scf_faults,
+        store is not None and store.verify_reads,
+    )
+    try:
+        return _iterate(driver, guess)
+    finally:
+        engine.finite_check, engine.scf_faults = before[:2]
+        if store is not None:
+            store.verify_reads = before[2]
+        if private:
+            engine.detach_store()
 
 
 def _apply_fallbacks(driver, guard, s, x):

@@ -2,18 +2,14 @@
 
 Before its first build such a run bounds the bytes a fill would store
 (``ClassPlan.stored_bytes``).  At or under ``hf.STORE_BUDGET`` it attaches
-a private :class:`~repro.integrals.store.ERIStore` in a new temporary
-directory, holds a shared ``flock`` on its ``.held`` file, and deletes it
-however the run ends; above, it runs direct.  A process killed before its
-cleanup drops its lock but leaves the directory; the next private store's
-creation removes it.  A private store that cannot be made, filled or
-mapped (no disk, no memory) is dropped and the run goes on direct.
+a private :class:`~repro.integrals.store.ERIStore`: no directory, lock or
+file, the filling build's supermatrix held in memory and detached however
+the run ends; above, it runs direct.  A private fill that runs out of
+memory is dropped and the run goes on direct.
 """
 
 from __future__ import annotations
 
-import errno
-import fcntl
 import tempfile
 
 import numpy as np
@@ -21,20 +17,21 @@ import pytest
 
 from repro.chem.builders import water
 from repro.integrals import class_batch
-from repro.integrals import store as store_mod
 from repro.scf import hf
 from repro.scf.hf import RHF
 
 
 @pytest.fixture
 def tmp(tmp_path, monkeypatch):
-    """The temporary directory the runs of one test make their stores in."""
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    return tmp_path
+    """The temporary directory of the runs of one test."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    return tmp
 
 
-def private_stores(tmp) -> list:
-    return sorted(tmp.glob("repro-store-*"))
+def entries(tmp) -> list:
+    return sorted(tmp.iterdir())
 
 
 def bound_of(rhf: RHF) -> int:
@@ -53,7 +50,7 @@ class TestPathRule:
         # every build recomputed its screened rows
         assert rhf.engine.quartets_computed > res.iterations * 0.5 * \
             rhf.engine.class_plan(rhf.tau).nquartets
-        assert private_stores(tmp) == []
+        assert entries(tmp) == []
 
     def test_a_bound_at_the_budget_stores_once(self, tmp, monkeypatch):
         direct = RHF(water(), "6-31g")
@@ -71,7 +68,7 @@ class TestPathRule:
         assert rhf.engine.integral_store is None  # detached after the run
         assert res.iterations == ref.iterations
         assert abs(res.energy - ref.energy) <= 1e-10
-        assert private_stores(tmp) == []
+        assert entries(tmp) == []
 
     def test_a_user_store_is_not_bounded(self, tmp, tmp_path):
         rhf = RHF(water(), integral_store=str(tmp_path / "store"))
@@ -79,49 +76,49 @@ class TestPathRule:
         assert rhf.eri_store["private"] is False
         assert rhf.eri_store["bound"] is None
         assert rhf.eri_store["bytes"] == rhf.engine.integral_store.nbytes > 0
-        assert private_stores(tmp) == []
+        assert entries(tmp) == []
 
 
 class TestLifetime:
+    """A private store is held in the run's memory: no run, however it
+    ends, makes an entry in the temporary directory, and none leaves its
+    store attached."""
+
     def test_a_converged_run_leaves_nothing(self, tmp):
-        seen = []
-        res = RHF(
-            water(), on_iteration=lambda it, e: seen.append(private_stores(tmp))
-        ).run()
+        seen, held = [], []
+
+        def look(it, energy):
+            seen.append(entries(tmp))
+            held.append(rhf.engine.integral_store.stats())
+
+        rhf = RHF(water(), on_iteration=look)
+        res = rhf.run()
         assert res.converged and len(seen) == res.iterations
-        assert all(len(stores) == 1 for stores in seen)
-        assert private_stores(tmp) == []
+        assert rhf.eri_store["private"] is True
+        assert seen == [[]] * res.iterations and entries(tmp) == []
+        assert rhf.engine.integral_store is None
+        # the held matrices, no segments: nothing is framed on a medium
+        assert held[-1]["ready"] and held[-1]["nsegments"] == 0
+        assert held[-1]["nbytes"] == rhf.eri_store["bytes"] > 0
 
     @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
     def test_an_aborted_run_leaves_nothing(self, tmp, exc):
         def abort(it, energy):
-            assert len(private_stores(tmp)) == 1
+            assert entries(tmp) == []
             if it == 3:
                 raise exc("stop")
 
         rhf = RHF(water(), on_iteration=abort)
         with pytest.raises(exc, match="stop"):
             rhf.run()
-        assert private_stores(tmp) == []
+        assert rhf.eri_store["private"] is True
+        assert entries(tmp) == []
         assert rhf.engine.integral_store is None
-
-    def test_the_next_store_removes_those_no_run_holds(self, tmp):
-        gone = tmp / "repro-store-orphan"
-        gone.mkdir()
-        (gone / ".held").touch()
-        (gone / "supermatrix.bin").write_bytes(b"\0" * 64)
-        # a live run's store, whatever its process's pid namespace: held
-        live = tmp / "repro-store-alive"
-        live.mkdir()
-        with open(live / ".held", "wb") as held:
-            fcntl.flock(held, fcntl.LOCK_SH)
-            RHF(water()).run()
-        assert private_stores(tmp) == [live]
 
 
 class TestDroppedStore:
-    """Out of disk or memory, a private store is dropped: the run goes on
-    direct, says why in ``eri_store`` and leaves nothing behind."""
+    """Out of memory, a private store is dropped: the run goes on direct,
+    says why in ``eri_store`` and leaves nothing behind."""
 
     @pytest.fixture
     def direct(self, monkeypatch):
@@ -129,40 +126,20 @@ class TestDroppedStore:
             m.setattr(hf, "STORE_BUDGET", 0)
             return RHF(water(), "6-31g").run()
 
-    def check(self, rhf, direct, tmp, dropped):
+    def test_no_memory_to_assemble_the_fill(self, direct, tmp, monkeypatch):
+        def oom(*args):
+            raise MemoryError("injected: no room for the supermatrix")
+
+        # the fill's assembly: a direct build assembles nothing
+        monkeypatch.setattr(class_batch, "pair_matrices", oom)
+        rhf = RHF(water(), "6-31g")
         res = rhf.run()
         assert res.converged and res.iterations == direct.iterations
         assert abs(res.energy - direct.energy) <= 1e-10
         assert rhf.eri_store["private"] is False
-        assert dropped in rhf.eri_store["dropped"]
+        assert "MemoryError" in rhf.eri_store["dropped"]
         assert rhf.engine.integral_store is None
-        assert private_stores(tmp) == []
-
-    def test_an_unusable_temp_dir(self, direct, tmp, monkeypatch, capsys):
-        # a path through a regular file: unwritable even for root
-        (tmp / "file").touch()
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp / "file"))
-        self.check(RHF(water(), "6-31g"), direct, tmp, "NotADirectoryError")
-        from repro.cli import main
-
-        assert main(["scf", "water"]) == 0
-        assert "integrals   = direct (private store dropped: NotADirectoryError" \
-            in capsys.readouterr().out
-
-    def test_a_full_disk_while_the_fill_is_written(self, direct, tmp, monkeypatch):
-        def enospc(self, tau):
-            (self.path / "supermatrix.bin.tmp").write_bytes(b"\0" * 64)
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(store_mod.ERIStore, "_write", enospc)
-        self.check(RHF(water(), "6-31g"), direct, tmp, "No space left")
-
-    def test_no_memory_to_map_the_fill(self, direct, tmp, monkeypatch):
-        def oom(*args):
-            raise MemoryError("injected: no room for the supermatrix")
-
-        monkeypatch.setattr(class_batch, "_mapped_matrices", oom)
-        self.check(RHF(water(), "6-31g"), direct, tmp, "MemoryError")
+        assert entries(tmp) == []
 
     def test_a_user_store_is_not_dropped(self, tmp, tmp_path, monkeypatch):
         def oom(*args):

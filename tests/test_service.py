@@ -20,7 +20,6 @@ import json
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -390,42 +389,6 @@ class TestCrashResume:
         assert final.result["energy"] == baseline.energy  # bitwise
         done_events = [e for e in store.events_for(job.id) if e[0] == "done"]
         assert len(done_events) == 1  # executed-and-recorded exactly once
-
-
-class _Stop(Exception):
-    pass
-
-
-class TestPrivateStoreOfAKilledWorker:
-    def test_is_swept_within_two_poll_ticks(self, tmp_path, monkeypatch):
-        """A worker SIGKILLed while its SCF holds a private integral store
-        skips the run's cleanup; the supervisor's next reap deletes it."""
-        tmp = tmp_path / "tmp"
-        tmp.mkdir()
-        monkeypatch.setenv("TMPDIR", str(tmp))  # the workers' temporary dir
-        monkeypatch.setattr(tempfile, "tempdir", None)  # and the supervisor's
-        store = JobStore(tmp_path / "queue")
-        # a lease that outlives the test: the killed job is not re-run
-        store.submit({"kind": "scf", "molecule": "benzene"}, lease_s=600.0)
-        after_kill: list[list] = []
-
-        def on_tick(store, pool):
-            stores = sorted(tmp.glob("repro-store-*"))
-            if after_kill:
-                after_kill.append(stores)
-                if len(after_kill) == 3:
-                    raise _Stop
-            elif stores:
-                for proc in pool.procs.values():
-                    proc.send_signal(signal.SIGKILL)
-                after_kill.append(stores)
-
-        with pytest.raises(_Stop):
-            serve(tmp_path / "queue", workers=1, poll_s=0.1, wall_limit_s=60,
-                  install_signals=False, on_tick=on_tick)
-        assert after_kill, "no private store appeared"
-        assert after_kill[0] and after_kill[2] == []
-        assert sorted(tmp.glob("repro-store-*")) == []
 
 
 class TestTimeoutEnforcement:
