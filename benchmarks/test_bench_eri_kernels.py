@@ -13,10 +13,12 @@ one ``build_jk`` path:
   store (``stored_fill_s``, measure-only: its ``finalize`` writes the
   sparse supermatrix), iteration 2
   (``stored_iter2_s``: the first served build = mapping the
-  supermatrix, one CRC per segment when verified) and iteration 3
-  (``stored_steady_s``: four sparse mat-vecs, what every later iteration
-  costs) must recompute **zero** quartets; ``supermatrix_mb`` is the
-  size of the mapped matrices.
+  supermatrix, one CRC per segment when verified) and the five after it
+  (``stored_steady_s``, their median: four sparse mat-vecs, what every
+  later iteration costs) must recompute **zero** quartets;
+  ``supermatrix_mb`` is the size of the mapped matrices and
+  ``stored_fill_peak_mb`` the ``tracemalloc`` peak of a filling build on
+  a fresh engine (Schwarz, plan, kernel and the CSR slots it writes).
 
 A second measurement (``eri_kernels_large``) runs benzene/6-31G through
 the class-batched and stored paths only (the reference kernel is
@@ -64,6 +66,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -86,6 +89,9 @@ from reference_engine import (  # noqa: E402
     class_rows,
     quartet_block,
 )
+
+#: served builds whose median is ``stored_steady_s`` / ``jk_contract_s``
+STEADY_BUILDS = 5
 
 #: minimum acceptable class-batched-over-seed speedup in the full benchmark
 #: (the PR-7 issue targets >= 10x on water/6-31G)
@@ -114,35 +120,51 @@ def _stored_iter2(basis, density, store_dir):
 
     Returns ``(timings, j, k)``, J/K of the iteration-2 build and
     ``timings`` holding ``stored_fill_s`` (iteration 1 on a fresh engine:
-    Schwarz, plan, kernel, contraction, CSR assembly and finalize --
+    Schwarz, plan, kernel, contraction, CSR slots and finalize --
     what a cold conventional SCF pays before its first F),
     ``stored_iter2_s``, ``stored_steady_s``
-    (iteration 3), ``jk_contract_s`` (the profiler's ``jk_contraction``
-    wall of iteration 3: with zero recompute and nothing left to read,
-    what a conventional-SCF iteration costs), ``store_iter2_recomputed``
-    and ``supermatrix_mb``.
+    (iterations 3-7, median), ``jk_contract_s`` (the median of their
+    profiler ``jk_contraction`` walls: with zero recompute and nothing
+    left to read, what a conventional-SCF iteration costs),
+    ``store_iter2_recomputed`` and ``supermatrix_mb``.
     """
     engine = MDEngine(basis, store=store_dir)
     t_fill, _, _ = _timed_build(engine, density)  # iteration 1: fills + finalizes
     computed0 = engine.quartets_computed
     t_iter2, j, k = _timed_build(engine, density)
-    prof = PhaseProfiler()
-    with session(profiler=prof):
-        t_steady, _, _ = _timed_build(engine, density)
+    steady, contract = [], []
+    for _ in range(STEADY_BUILDS):
+        prof = PhaseProfiler()
+        with session(profiler=prof):
+            steady.append(_timed_build(engine, density)[0])
+        contract.append(prof.stats[PHASE_JK].wall_s)
     recomputed = engine.quartets_computed - computed0
     assert recomputed == 0, (
-        f"stored mode recomputed {recomputed} quartets in iterations 2-3 "
+        f"stored mode recomputed {recomputed} quartets in iterations 2-{2 + STEADY_BUILDS} "
         f"(expected 0)"
     )
     supermatrix = engine.integral_store.supermatrix
     return {
         "stored_fill_s": round(t_fill, 4),
         "stored_iter2_s": round(t_iter2, 4),
-        "stored_steady_s": round(t_steady, 5),
-        "jk_contract_s": round(prof.stats[PHASE_JK].wall_s, 5),
+        "stored_steady_s": round(statistics.median(steady), 5),
+        "jk_contract_s": round(statistics.median(contract), 5),
         "store_iter2_recomputed": recomputed,
         "supermatrix_mb": round(supermatrix.nbytes / 1e6, 3),
     }, j, k
+
+
+def stored_fill_peak_mb(basis, density) -> float:
+    """``tracemalloc`` peak [MB] of one filling build on a fresh engine:
+    Schwarz, plan, kernel, contraction and the store's CSR arrays."""
+    with tempfile.TemporaryDirectory(prefix="eri_store_") as store_dir:
+        engine = MDEngine(basis, store=store_dir)
+        tracemalloc.start()
+        try:
+            build_jk(engine, density)
+            return round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
+        finally:
+            tracemalloc.stop()
 
 
 def prim_quartets_swept(engine, density) -> int:
@@ -243,6 +265,7 @@ def measure(quick: bool = False) -> tuple[dict, str]:
 
     with tempfile.TemporaryDirectory(prefix="eri_store_") as store_dir:
         stored, js, ks = _stored_iter2(basis, d, store_dir)
+    stored["stored_fill_peak_mb"] = stored_fill_peak_mb(basis, d)
     stored_diff = float(
         max(np.max(np.abs(j0 - js)), np.max(np.abs(k0 - ks)))
     )
@@ -310,6 +333,7 @@ def measure_large(quick: bool = False) -> tuple[dict, str]:
 
     with tempfile.TemporaryDirectory(prefix="eri_store_") as store_dir:
         stored, _, _ = _stored_iter2(basis, d, store_dir)
+    stored["stored_fill_peak_mb"] = stored_fill_peak_mb(basis, d)
 
     result = {
         "benchmark": "eri_kernels_large",
@@ -332,9 +356,10 @@ def render_report(result: dict) -> str:
         ["reference per-primitive", result["t_seed_s"], 1.0],
         ["class-batched", result["t_class_s"], result["class_speedup"]],
         ["stored iter 1 (fill)", result["stored_fill_s"], ""],
+        ["  its tracemalloc peak [MB]", result["stored_fill_peak_mb"], ""],
         ["stored iter 2 (map)", result["stored_iter2_s"],
          round(result["t_seed_s"] / max(result["stored_iter2_s"], 1e-12), 2)],
-        [f"stored steady ({result['supermatrix_mb']} MB supermatrix)",
+        [f"stored steady, median of {STEADY_BUILDS} ({result['supermatrix_mb']} MB supermatrix)",
          result["stored_steady_s"],
          round(result["t_seed_s"] / max(result["stored_steady_s"], 1e-12), 2)],
         ["  of which J/K contraction", result["jk_contract_s"], ""],
@@ -358,8 +383,9 @@ def render_large_report(result: dict) -> str:
     rows = [
         ["class-batched", result["t_class_s"]],
         ["stored iter 1 (fill)", result["stored_fill_s"]],
+        ["  its tracemalloc peak [MB]", result["stored_fill_peak_mb"]],
         ["stored iter 2 (map)", result["stored_iter2_s"]],
-        [f"stored steady ({result['supermatrix_mb']} MB supermatrix)",
+        [f"stored steady, median of {STEADY_BUILDS} ({result['supermatrix_mb']} MB supermatrix)",
          result["stored_steady_s"]],
         ["  of which J/K contraction", result["jk_contract_s"]],
         *([label, result[key]] for label, key in FLOOR_ROWS),

@@ -132,8 +132,10 @@ _KERNEL_FLOOR = (
 # kernel, and stored-integral (conventional SCF) mode: the first served
 # build (stored_iter2_s: the supermatrix mapping), every later one
 # (stored_steady_s: four sparse mat-vecs, of which jk_contract_s is the
-# profiler's jk_contraction wall), the RAM the matrices hold and the
-# primitive quartets one build sweeps (exact, so recorded, not graded)
+# profiler's jk_contraction wall; medians of 5), the traced peak of a
+# cold fill (stored_fill_peak_mb: allocations, so machine independent),
+# the RAM the matrices hold and the primitive quartets one build sweeps
+# (exact, so recorded, not graded)
 _family(
     "eri_kernels", "BENCH_eri.json",
     {"molecule": str, "basis": str, "t_seed_s": float,
@@ -142,7 +144,7 @@ _family(
     _rel("class_speedup", "x", "higher", warn=1.3, fail=2.0, quick=True),
     _bound("class_max_abs_diff", 1e-13, 1e-12, "Eh"),
     _rel("stored_iter2_s"), _rel("stored_steady_s"), _rel("t_class_s"),
-    _rel("jk_contract_s"),
+    _rel("jk_contract_s"), _rel("stored_fill_peak_mb", "MB", quick=True),
     *_KERNEL_FLOOR,
 )
 # larger systems where timing the seed kernel is impractical: the class
@@ -154,6 +156,7 @@ _family(
      "stored_iter2_s": float, "t_class_threads2_s": float,
      "supermatrix_mb": float, "prim_quartets_swept": float},
     _rel("t_class_s"), _rel("jk_contract_s"), _rel("stored_steady_s"),
+    _rel("stored_fill_peak_mb", "MB"),
     _bound("sample_max_abs_diff", 1e-11, 1e-10, "Eh", quick=False),
     *_KERNEL_FLOOR,
 )

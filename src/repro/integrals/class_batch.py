@@ -29,10 +29,11 @@ loop the same way:
   staging into private J/K buffers that are reduced at the end.
 * **Supermatrix** (:class:`Supermatrix`): conventional SCF done
   literally (Mitin, arxiv 1905.07779).  The build that fills an
-  :class:`~repro.integrals.store.ERIStore` keeps the weighted blocks it
-  contracts and turns them into the plan's two sparse matrices over flat
-  ``(ij)`` pairs (:func:`pair_matrices`), which the store writes (a
-  private store holds them); the first build it serves memory-maps them
+  :class:`~repro.integrals.store.ERIStore` lays out the plan's two
+  sparse matrices over flat ``(ij)`` pairs before its first chunk and
+  writes the weighted blocks it contracts straight into their slots
+  (:class:`SlotFill`); the store writes them (a private store holds
+  them), and the first build it serves memory-maps them
   (:func:`map_supermatrix`) into the store's one slot, and every build
   over that store is four sparse mat-vecs, with no plan and no Schwarz
   matrix.
@@ -101,6 +102,10 @@ MAX_CHUNK_QUARTETS = 8192
 #: budget (float64 elements) of resolved integral blocks staged for one
 #: contraction flush; a flush's temporaries are about twice its blocks
 MAX_STAGE_WORK = 1 << 19
+
+#: block elements a fill writes into their slots at once: its index
+#: temporaries take 8 bytes an element, and the heap keeps what they peak at
+SLOT_WORK = 1 << 14
 
 #: block-axis pairs of the six Fock blocks a quartet (ab|cd) touches,
 #: as (rows, columns) of the three matrix views J(ab|cd), K(ac|bd), K(ad|bc)
@@ -225,6 +230,9 @@ class ClassPlan:
     #: each family group and its member batches, costliest first (a batch
     #: points at its group, never back: no cycle keeps a dropped plan alive)
     groups: dict[FamilyGroup, list[ClassBatch]]
+    #: per plan row its index in the quartets the plan was built from: in
+    #: :func:`canonical_quartet_array` order, M_J's block order
+    ranks: np.ndarray = field(repr=False)
     #: per-plan memo of structures other modules derive from the rows
     #: alone (the task owning each row, :mod:`repro.fock.tasks`)
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -347,7 +355,7 @@ def build_class_plan(
     # rows by class, then family quartet (then canonical order)
     order = np.argsort(keys * gcut[-1] + fid, kind="stable")
     keys, fid, quartets = keys[order], fid[order], qarr[order]
-    del order
+    order = order.astype(np.int32 if len(order) < 2**31 else np.int64)
     cuts = np.append(np.flatnonzero(np.diff(keys, prepend=-1)), len(keys))
     group_of = np.searchsorted(gcut, fid[cuts[:-1]], side="right") - 1
     fid -= np.repeat(gcut[group_of], np.diff(cuts))  # within the group
@@ -375,14 +383,16 @@ def build_class_plan(
             pair_classes=None if slots is None else tuple(classes[k]),
             slots=None if slots is None else slots[:, lo:hi].copy(),
         ))
-    batches.sort(key=lambda b: -b.cost)
+    by_cost = sorted(range(len(batches)), key=lambda k: -batches[k].cost)
+    batches = [batches[k] for k in by_cost]
+    ranks = np.concatenate([order[cuts[k]:cuts[k + 1]] for k in by_cost] + [order[:0]])
     nquartets = 0
     members: dict[FamilyGroup, list[ClassBatch]] = {}
     for batch in batches:
         batch.row0 = nquartets
         nquartets += batch.nq
         members.setdefault(batch.group, []).append(batch)
-    return ClassPlan(batches=batches, nquartets=nquartets, groups=members)
+    return ClassPlan(batches=batches, nquartets=nquartets, groups=members, ranks=ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +524,9 @@ class Supermatrix:
         )
 
 
-#: M_J's view of a block and M_K's two, as axis orders: rows, then columns
-_VIEWS = ((0, 1, 2, 3),), ((0, 2, 1, 3), (0, 3, 1, 2))
+#: the views of a block, M_J's and then M_K's two, as axis orders: rows,
+#: then columns
+_VIEWS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
 class CSRArrays(NamedTuple):
@@ -526,109 +537,201 @@ class CSRArrays(NamedTuple):
     indptr: np.ndarray
 
 
-def pair_matrices(basis: BasisSet, pieces) -> tuple[CSRArrays, CSRArrays]:
-    """``(M_J, M_K)`` of weighted same-shape blocks ``(quartets, g)`` of
-    distinct canonical quartets, written straight in row and column
-    order, exact zeros dropped.  Each view of a quartet is one block of
-    its matrix; M_K's two views of a quartet share one only when P = Q,
-    where they are summed first (two terms: exact in either order).  The
-    arrays, dtypes included, are those of a COO -> CSR assembly that sums
-    duplicates and eliminates zeros (``tests/reference_pair_matrices.py``)."""
-    return tuple(_csr_in_order(basis, pieces, views) for views in _VIEWS)
-
-
-def _csr_in_order(basis: BasisSet, pieces, views) -> CSRArrays:
-    """One matrix of :func:`pair_matrices`: the blocks of ``views``.
-
-    Rows ``(a, b)`` of one shell pair (A, B) share their columns: for each
-    column shell C in order, each function ``c`` of C and, for each of
-    (A, B)'s blocks (C, D) in order of D, the functions of D.  So, the
-    blocks sorted by shell, a block's element ``(i, j, k, l)`` sits
-    ``start + k * stride + l`` into its row, ``stride`` the summed widths
-    of the (A, B, C, .) blocks: every element is written to its slot,
-    then the zeros are squeezed out."""
-    n, offsets, ns = basis.nbf, basis.offsets, basis.nshells
-    size = np.diff(offsets)
-    ncoo = sum(g.size for _, g in pieces) * len(views)
-    idx = np.int32 if max(ncoo, n * n) < 2**31 else np.int64
-    key = np.concatenate([((q[:, 0] * ns + q[:, 1]) * ns + q[:, 2]) * ns + q[:, 3]
-                          for q, _ in _view_blocks(pieces, views, False)] + [np.zeros(0, int)])
-    order = np.argsort(key)  # ns^4 < 2^63
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        raise ValueError("pair_matrices needs distinct canonical quartets")
+def _row_layout(size: np.ndarray, key: np.ndarray):
+    """Where one segment's blocks of one matrix go, by their shells' keys
+    ``(B * ns + C) * ns + D`` (rows of the segment's shell A and of B,
+    columns of C and D), strictly increasing (else ``ValueError``): per
+    block its start in its rows and its stride, per B the length of the
+    rows ``(a, b)``.  Rows of one pair (A, B) share their columns: per
+    column shell C, per ``c``, the functions of each (C, D) block in order
+    of D -- so element ``(i, j, k, l)`` sits ``start + k * stride + l``
+    into its row."""
+    if (np.diff(key) <= 0).any():
+        raise ValueError("a fill needs distinct canonical quartets")
+    ns = len(size)
     rpc, d4 = np.divmod(key, ns)
-    del key
     d4 = size[d4]
     width = size[rpc % ns] * d4
     before_w, before_d = np.cumsum(width) - width, np.cumsum(d4) - d4
-    # runs of one (row pair, column shell), and of one row pair
+    # runs of one (row shell, column shell), and of one row shell
     run_c = np.flatnonzero(np.diff(rpc, prepend=-1))
     rp = rpc[run_c] // ns
-    run_rp = run_c[np.diff(rp, prepend=-1) != 0]
-    len_c, len_rp = (np.diff(r, append=len(rpc)) for r in (run_c, run_rp))
-    del rpc
-    start, stride = np.empty((2, len(order)), np.int64)
-    start[order] = (np.repeat(before_w[run_c] - before_d[run_c], len_c) + before_d
-                    - np.repeat(before_w[run_rp], len_rp))
-    stride[order] = np.repeat(np.add.reduceat(d4, run_c), len_c)
-    rowlen = np.zeros((ns, ns), np.int64)
-    rowlen.flat[np.unique(rp)] = np.add.reduceat(width, run_rp)
-    del order, d4, width, before_w, before_d
-    shell = np.repeat(np.arange(ns), size)
-    rowptr = np.zeros(n * n + 1, np.int64)
-    np.cumsum(rowlen[shell[:, None], shell].ravel(), out=rowptr[1:])
-    data, cols = np.empty(rowptr[-1]), np.empty(rowptr[-1], idx)
-    lo = 0
-    for q, t in _view_blocks(pieces, views, True):
-        at = slice(lo, lo + len(q))
-        lo += len(q)
-        a, b, c, d = (offsets[q[:, i], None] + np.arange(m) for i, m in enumerate(t.shape[1:]))
-        row = rowptr[a[:, :, None] * n + b[:, None, :]] + start[at, None, None]
-        col = np.arange(c.shape[1])[:, None] * stride[at, None, None] + np.arange(d.shape[1])
-        slots = row[:, :, :, None, None] + col[:, None, None]
-        data[slots.ravel()] = t.ravel()
-        cols[slots] = (c[:, :, None] * n + d[:, None, :])[:, None, None]
-    del start, stride
-    keep = data != 0
-    # per row its kept entries (a row of no entries starts where the next one does)
-    counts = np.zeros(n * n + 1, idx)
-    full = np.flatnonzero(rowptr[1:] > rowptr[:-1])
-    counts[full + 1] = np.add.reduceat(keep, rowptr[full], dtype=idx)
-    data = data[keep]
-    return CSRArrays(data, cols[keep], np.cumsum(counts, dtype=idx))
+    new_rp = np.diff(rp, prepend=-1) != 0
+    run_rp = run_c[new_rp]
+    len_c, len_rp = (np.diff(r, append=len(key)) for r in (run_c, run_rp))
+    before_d += np.repeat(before_w[run_c] - before_d[run_c], len_c)
+    before_d -= np.repeat(before_w[run_rp], len_rp)
+    rowlen = np.zeros(ns, np.int64)
+    rowlen[rp[new_rp]] = np.add.reduceat(width, run_rp)
+    return before_d, np.repeat(np.add.reduceat(d4, run_c), len_c), rowlen
 
 
-def _view_blocks(pieces, views, values: bool):
-    """The blocks of ``views`` of ``pieces``, piece by piece: their shells
-    and (if ``values``) their elements, both in (row, row, column,
-    column) order.  M_K's second view of a quartet with P = Q is summed
-    into its first, ``(ac|bd) + (ad|bc)``, and has no block of its own."""
-    for q, g in pieces:
-        if len(views) == 2:
-            apart = q[:, 2] != q[:, 3]
-            second = g[apart].transpose(0, *(1 + i for i in views[1])) if values else None
-            yield q[apart][:, views[1]], second
-            if values and not apart.all():
-                g = g.copy()
-                g[~apart] += g[~apart].swapaxes(3, 4)
-        yield q[:, views[0]], g.transpose(0, *(1 + i for i in views[0])) if values else None
+class SlotFill:
+    """M_J and M_K (:class:`Supermatrix`) of a plan's rows (all, or the
+    strictly increasing ``rows``) as CSR arrays laid out before any block
+    is computed: :meth:`write` puts each flush's weighted blocks straight
+    into their slots, :meth:`matrices` squeezes out the exact zeros.  The
+    arrays, dtypes included, are a COO -> CSR assembly's that sums
+    duplicates -- M_K's two views of a quartet share a block when P = Q,
+    summed first (two terms: exact in either order) -- and drops zeros
+    (``tests/reference_pair_matrices.py``).  Every slot has one writer,
+    so threads may write flushes concurrently.
+
+    A slot holds a value: the rows ``(a, b)`` of one shell pair share
+    their columns, written once into the pair's *pattern*.  Layout and
+    squeeze run a *segment* at a time, the rows ``(a, x)`` of one shell,
+    which hold the quartets whose first shell it is.  M_J's blocks in
+    order are the rows in canonical order, which the plan's ranks give
+    without a sort: the plan must be of distinct quartets in
+    :func:`canonical_quartet_array` order (else ``ValueError``).
+    """
+
+    def __init__(self, basis: BasisSet, plan: ClassPlan, rows: np.ndarray | None):
+        self.basis, n, ns, nplan = basis, basis.nbf, basis.nshells, plan.nquartets
+        size = np.diff(basis.offsets)
+        q = np.concatenate([b.quartets for b in plan.batches] + [np.zeros((0, 4), int)],
+                           dtype=np.int32)
+        at = np.arange(nplan) if rows is None else rows
+        canon = np.full(nplan, -1)
+        canon[plan.ranks[at]] = at
+        canon = canon[canon >= 0]
+        cuts = np.searchsorted(q[canon, 0], np.arange(ns + 1))
+
+        def key(view, r):  # of its blocks' shells after the first
+            _, i, k, l = _VIEWS[view]
+            return (q[r, i].astype(np.int64) * ns + q[r, k]) * ns + q[r, l]
+
+        # per view and plan row its block's start in its rows and its
+        # stride; per matrix and shell pair (A, B) the length of its rows
+        self.start = np.zeros((3, nplan), np.min_scalar_type(n * n))
+        self.stride = np.zeros((3, nplan), np.min_scalar_type(n))
+        self.width = np.zeros((2, ns, ns), np.int64)
+        for s in range(ns):
+            at = canon[cuts[s]:cuts[s + 1]]
+            for m, views in enumerate([[(0, at)], [(1, at), (2, at[q[at, 2] != q[at, 3]])]]):
+                blocks = np.concatenate([key(v, r) for v, r in views])
+                where = np.concatenate([v * nplan + r for v, r in views])
+                if m:  # M_K's blocks are not in canonical order
+                    order = np.argsort(blocks)
+                    blocks, where = blocks[order], where[order]
+                start, stride, self.width[m, s] = _row_layout(size, blocks)
+                self.start.flat[where], self.stride.flat[where] = start, stride
+        shell = np.repeat(np.arange(ns), size)
+        self.rowptr = [np.append(0, np.cumsum(w[shell[:, None], shell])) for w in self.width]
+        # per matrix the index dtype of a COO -> CSR over its views' elements
+        self.idx = [np.int32 if max(k * self.rowptr[0][-1], n * n) < 2**31 else np.int64
+                    for k in (1, 2)]
+        # per shell pair the slot of its first row and where its pattern
+        # starts (laid end to end); per shell A the slots rows (a, .) take
+        first = basis.offsets[:-1, None] * n + basis.offsets[:-1]
+        self.row0 = np.array([rowptr[first] for rowptr in self.rowptr])
+        self.base = (np.cumsum(self.width.reshape(2, -1), axis=1).reshape(self.width.shape)
+                     - self.width)
+        self.arow = self.width @ size
+        self.pattern = self.data = None
+        self._lock = threading.Lock()
+
+    def write(self, flush: list[Chunk], g: np.ndarray) -> None:
+        """Put one flush's ``g = w (ab|cd)`` (:func:`_weighted_flush`) in
+        its slots, :data:`SLOT_WORK` elements at a time."""
+        self._allocate()
+        rows = np.concatenate([b.row0 + r for b, r in flush])
+        q = np.concatenate([b.quartets[r] for b, r in flush])
+        step = max(1, SLOT_WORK // math.prod(g.shape[1:]))
+        for at in (slice(lo, lo + step) for lo in range(0, len(g), step)):
+            part = q[at], rows[at], g[at]
+            self._put(0, *part)
+            same = part[0][:, 2] == part[0][:, 3]
+            if same.any():  # M_K's two views share one block: (ac|bd) + (ad|bc)
+                gs = part[2][same]
+                self._put(1, part[0][same], part[1][same], gs + gs.swapaxes(3, 4))
+                part = tuple(a[~same] for a in part)
+            self._put(1, *part)
+            self._put(2, *part)
+
+    def _allocate(self) -> None:
+        """The slots and patterns, once: by the first write, not beside the
+        kernel's first stage."""
+        with self._lock:
+            if self.data is None:
+                cols = np.min_scalar_type(self.basis.nbf**2)
+                self.pattern = [np.empty(w.sum(), cols) for w in self.width]
+                self.data = [np.empty(rowptr[-1]) for rowptr in self.rowptr]
+
+    def _put(self, view: int, q: np.ndarray, rows: np.ndarray, g: np.ndarray) -> None:
+        """One view of same-shape blocks: values into their slots, columns
+        into their shell pairs' patterns.  Element ``(p, r, s, u)`` of a
+        view's block is ``p`` rows ``(a, .)``, ``r`` rows ``(a, b)`` and
+        ``s`` strides past its first, plus ``u``."""
+        (i, j, k, l), n, offsets = _VIEWS[view], self.basis.nbf, self.basis.offsets
+        t, m = g.transpose(0, i + 1, j + 1, k + 1, l + 1), int(view > 0)
+        pair = q[:, i] * self.basis.nshells + q[:, j]
+        p, r, s, u = (np.arange(dim) for dim in t.shape[1:])
+        start = self.start[view].take(rows)[:, None, None]
+        su = self.stride[view].take(rows)[:, None, None] * s[:, None] + u
+        pr = (self.row0[m].take(pair)[:, None, None] + start
+              + self.arow[m].take(q[:, i])[:, None, None] * p[:, None]
+              + self.width[m].take(pair)[:, None, None] * r)
+        self.data[m][pr[..., None, None] + su[:, None, None]] = t
+        self.pattern[m][self.base[m].take(pair)[:, None, None] + start + su] = (
+            (offsets.take(q[:, k]) * n + offsets.take(q[:, l]))[:, None, None] + s[:, None] * n + u)
+
+    def matrices(self) -> tuple[CSRArrays, CSRArrays]:
+        """M_J and M_K once every row is written: each matrix's non-zero
+        values moved down in place, segment by segment, then its columns
+        written at their final size from the patterns."""
+        self._allocate()
+        self.start = self.stride = None
+        size = np.diff(self.basis.offsets)
+        shell = np.repeat(np.arange(len(size)), size)
+        out = []
+        for m in range(2):
+            indptr, bits = self._squeezed(m)
+            indices, z = np.empty(len(self.data[m]), self.idx[m]), 0
+            for s, keep in enumerate(bits):
+                # rows (a, x) of shell s: x's columns are the pattern of (s, shell(x))
+                length = self.width[m, s, shell]
+                at = np.repeat(self.base[m, s, shell] - np.cumsum(length) + length, length)
+                cols = np.tile(self.pattern[m][at + np.arange(len(at))], size[s])
+                cols = cols[np.unpackbits(keep, count=len(cols)).view(bool)]
+                indices[z:z + len(cols)] = cols
+                z += len(cols)
+            self.pattern[m] = None
+            out.append(CSRArrays(self.data[m], indices, indptr))
+        self.data = self.rowptr = None
+        return tuple(out)
+
+    def _squeezed(self, m: int) -> tuple[np.ndarray, list]:
+        """Matrix ``m``'s non-zero values moved down in place (its data
+        shrunk to them): its ``indptr``, and per segment the kept bits."""
+        data, rowptr, idx = self.data[m], self.rowptr[m], self.idx[m]
+        n, offsets = self.basis.nbf, self.basis.offsets
+        counts = np.zeros(n * n + 1, idx)
+        bits, z = [], 0
+        for r0, r1 in zip(offsets[:-1] * n, offsets[1:] * n):
+            lo, hi = rowptr[r0], rowptr[r1]
+            keep = data[lo:hi] != 0
+            # per row its kept entries (a row of no entries starts where the next one does)
+            full = r0 + np.flatnonzero(rowptr[r0 + 1:r1 + 1] > rowptr[r0:r1])
+            if full.size:
+                counts[full + 1] = np.add.reduceat(keep, rowptr[full] - lo, dtype=idx)
+            kept = data[lo:hi][keep]
+            data[z:z + len(kept)] = kept
+            z += len(kept)
+            bits.append(np.packbits(keep))
+        data.resize(z, refcheck=False)
+        return np.cumsum(counts, dtype=idx), bits
 
 
-def _piece(flush: list[Chunk], g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A flush as :func:`pair_matrices` takes it: its quartets and ``g``."""
-    return np.concatenate([b.quartets[rows] for b, rows in flush]), g
-
-
-def _computed_matrices(engine, chunks, totals):
-    """``(M_J, M_K)`` of the rows of ``chunks``, computed (source counts
-    added to ``totals``)."""
-    pieces = [
-        _piece(flush, _weighted_flush(flush, parts)[0])
-        for flush, parts in _flushes(engine, chunks, None, totals)
-    ]
+def _computed_matrices(engine, plan: ClassPlan, rows: np.ndarray, totals):
+    """``(M_J, M_K)`` of the plan ``rows``, computed (source counts added
+    to ``totals``)."""
+    fill = SlotFill(engine.basis, plan, rows)
+    for flush, parts in _flushes(engine, plan.chunks(rows), None, totals):
+        with phase(PHASE_JK):
+            fill.write(flush, _weighted_flush(flush, parts)[0])
     with phase(PHASE_JK):
-        return pair_matrices(engine.basis, pieces)
+        return fill.matrices()
 
 
 def _mapped_matrices(engine, store):
@@ -646,8 +749,7 @@ def _mapped_matrices(engine, store):
         plan = engine.class_plan(store.manifest["tau"])
         first = np.concatenate([batch.quartets[:, 0] for batch in plan.batches])
         counts = dict.fromkeys(_COUNT_KEYS, 0)
-        fresh = _computed_matrices(
-            engine, plan.chunks(np.flatnonzero(np.isin(first, bad))), counts)
+        fresh = _computed_matrices(engine, plan, np.flatnonzero(np.isin(first, bad)), counts)
         engine.crc_rescues += counts["computed"]
         for (data, indices, indptr), nnz, ok, piece in zip(arrays, nnzs, good, fresh):
             for s in np.flatnonzero(~ok):
@@ -812,11 +914,11 @@ def density_rows(engine, plan: ClassPlan, dens: np.ndarray, tau: float):
     return None if keep.all() else np.flatnonzero(keep)
 
 
-def _run_chunks(engine, dflat, chunks, pieces, faults):
+def _run_chunks(engine, dflat, chunks, fill, faults):
     """One worker's share: private half-J/half-K buffers + source counts,
-    a ``jk_contraction`` phase around every flush.  A store fill passes a
-    ``pieces`` list: each flush appends its quartets and the weighted
-    blocks it contracted (:func:`_piece`; a private fill, served after, contracts none)."""
+    a ``jk_contraction`` phase around every flush.  A store fill passes its
+    :class:`SlotFill`: each flush writes the weighted blocks it contracted
+    into their slots (a private fill, served after, contracts none)."""
     n = engine.basis.nbf
     jt = np.zeros_like(dflat)
     kt = np.zeros_like(dflat)
@@ -824,10 +926,11 @@ def _run_chunks(engine, dflat, chunks, pieces, faults):
     for flush, parts in _flushes(engine, chunks, faults, totals):
         with phase(PHASE_JK):
             g, bases = _weighted_flush(flush, parts)
-            if pieces is None or not engine.integral_store.private:
+            parts.clear()  # the stage's blocks: g holds them now
+            if fill is None or not engine.integral_store.private:
                 _contract_blocks(jt, kt, dflat, n, g, bases)
-        if pieces is not None:
-            pieces.append(_piece(flush, g))
+            if fill is not None:
+                fill.write(flush, g)
     return jt, kt, totals
 
 
@@ -864,8 +967,10 @@ def jk_from_plan(
     fills it.  Every other build -- direct, or filling a store -- is the
     six-block contraction over the plan.  A direct build computes only
     the rows :func:`density_rows` keeps at ``tau``; a fill computes every
-    row, keeps the weighted blocks it contracts, and hands the store
-    their :func:`pair_matrices` to finalize at ``tau`` (then served, if private).  ``threads > 1``
+    row, writes the weighted blocks it contracts into the slots of a
+    :class:`SlotFill` laid out from the plan before the first chunk, and
+    hands the store its matrices to finalize at ``tau`` (then served, if
+    private).  ``threads > 1``
     deals the kernel chunks, largest first, to the least-loaded worker
     of a thread pool; every worker stages and flushes its own blocks
     into private accumulators (reduced at the end).  At any thread count
@@ -895,13 +1000,16 @@ def jk_from_plan(
         return jk
 
     plan = engine.class_plan(tau)
-    pieces = [] if store is not None and store.filling else None
-    chunks = plan.chunks(None if pieces is not None else density_rows(
+    fill = None
+    if store is not None and store.filling and plan.nquartets:
+        with phase(PHASE_STORE_FILL):
+            fill = SlotFill(engine.basis, plan, None)
+    chunks = plan.chunks(None if fill is not None else density_rows(
         engine, plan, dflat.reshape(-1, n, n), tau
     ))
     nthreads = resolve_jk_threads(threads)
     if nthreads <= 1 or len(chunks) <= 1:
-        results = [_run_chunks(engine, dflat, chunks, pieces, faults)]
+        results = [_run_chunks(engine, dflat, chunks, fill, faults)]
         engine.last_jk_worker_stats = []
     else:
         # largest chunk first, each to the least-loaded worker
@@ -915,7 +1023,7 @@ def jk_from_plan(
 
         def timed_share(share):
             t0 = time.perf_counter()
-            result = _run_chunks(engine, dflat, share, pieces, faults)
+            result = _run_chunks(engine, dflat, share, fill, faults)
             return result, time.perf_counter() - t0
 
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
@@ -928,10 +1036,9 @@ def jk_from_plan(
         engine, {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS},
         faults,
     )
-    if pieces:
+    if fill is not None:
         with phase(PHASE_STORE_FILL):
-            store.record_batch(*pair_matrices(engine.basis, pieces), plan.nquartets)
-            pieces.clear()
+            store.record_batch(*fill.matrices(), plan.nquartets)
             store.finalize(tau)
         if store.private:
             return _served(engine, store, dflat, n, density)

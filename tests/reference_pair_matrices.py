@@ -1,5 +1,5 @@
-"""The COO assembly ``pair_matrices`` replaced: the oracle its CSR arrays
-are checked against, dtypes included (tests/test_supermatrix.py).
+"""The COO assembly of a fill's M_J and M_K: the oracle a ``SlotFill``'s
+CSR arrays are checked against, dtypes included (tests/test_supermatrix.py).
 
 Every element of every view is listed with its (row, column); SciPy's
 COO -> CSR conversion sums the two K views of an element that land on
@@ -43,4 +43,4 @@ def reference_pair_matrices(
         m.eliminate_zeros()
         return m
 
-    return csr(_VIEWS[0]), csr(_VIEWS[1])
+    return csr(_VIEWS[:1]), csr(_VIEWS[1:])

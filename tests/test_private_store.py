@@ -130,8 +130,8 @@ class TestDroppedStore:
         def oom(*args):
             raise MemoryError("injected: no room for the supermatrix")
 
-        # the fill's assembly: a direct build assembles nothing
-        monkeypatch.setattr(class_batch, "pair_matrices", oom)
+        # the fill's scatter into its slots: a direct build writes none
+        monkeypatch.setattr(class_batch.SlotFill, "write", oom)
         rhf = RHF(water(), "6-31g")
         res = rhf.run()
         assert res.converged and res.iterations == direct.iterations
@@ -157,13 +157,15 @@ def test_the_bound_covers_a_fill_without_zeros():
     no element is an exact zero: the matrices of all-ones blocks."""
     from repro.chem.basis.basisset import BasisSet
     from repro.chem.builders import water_cluster
-    from repro.integrals.class_batch import pair_matrices
+    from repro.integrals.class_batch import SlotFill
     from repro.integrals.engine import MDEngine
 
     for mol, basis in ((water(), "sto-3g"), (water_cluster(2, 1, 1), "6-31g")):
         engine = MDEngine(BasisSet.build(mol, basis))
         plan = engine.class_plan(1e-11)
-        pieces = [(b.quartets, np.ones((b.nq, *b.dims))) for b in plan.batches]
-        mj, mk = pair_matrices(engine.basis, pieces)
+        fill = SlotFill(engine.basis, plan, None)
+        for b in plan.batches:
+            fill.write([(b, np.arange(b.nq))], np.ones((b.nq, *b.dims)))
+        mj, mk = fill.matrices()
         stored = sum(a.nbytes for m in (mj, mk) for a in (m.data, m.indices, m.indptr))
         assert stored <= plan.stored_bytes(engine.basis.nbf)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
-from repro.integrals.class_batch import pair_matrices
+from repro.integrals.class_batch import SlotFill, build_class_plan
 from repro.integrals.engine import MDEngine
 from repro.integrals.store import (
     STORE_VERSION,
@@ -253,8 +253,10 @@ def _stage(store, value: float) -> None:
     """Stage the matrices of a store holding only ``_KEY``, whose block is
     ``value``: M_J's one entry is ``w (00|00)``, ``w = 1/8`` for a quartet
     of one shell."""
-    piece = (_KEY, np.full((1, 1, 1, 1, 1), value / 8.0))
-    store.record_batch(*pair_matrices(store.basis, [piece]), 1)
+    plan = build_class_plan(store.basis, None, _KEY)
+    fill = SlotFill(store.basis, plan, None)
+    fill.write([(plan.batches[0], np.arange(1))], np.full((1, 1, 1, 1, 1), value / 8.0))
+    store.record_batch(*fill.matrices(), 1)
 
 
 def _stored_value(store):

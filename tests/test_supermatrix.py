@@ -10,7 +10,9 @@ they were mapped from.
 
 from __future__ import annotations
 
+import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +207,29 @@ class TestAgainstV2Oracle:
         assert_jk_close(second, first)
 
 
+def _random_flushes(rng, members, rows):
+    """Weighted blocks ``((batch, rows), g)`` of a plan as a fill's
+    flushes ``(members, g)``: only the plan ``rows`` (``None``: all),
+    each member cut at random, the parts shuffled and runs of one shape
+    joined at random."""
+    parts = []
+    for (batch, at), g in members:
+        if rows is not None:
+            keep = np.isin(batch.row0 + at, rows)
+            at, g = at[keep], g[keep]
+        cuts = [0, *np.sort(rng.integers(0, len(at) + 1, size=2)), len(at)]
+        parts += [((batch, at[lo:hi]), g[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    flushes = []
+    for i in rng.permutation(len(parts)):
+        member, g = parts[i]
+        if flushes and flushes[-1][0][0][0].dims == member[0].dims and rng.random() < 0.5:
+            flushes[-1][0].append(member)
+            flushes[-1][1].append(g)
+        else:
+            flushes.append(([member], [g]))
+    return [(flush, np.concatenate(gs)) for flush, gs in flushes]
+
+
 class TestFillAgainstReplacedCode:
     """A fill's kernel blocks and CSR arrays are bitwise what the code they
     replaced made: the per-class operand copies
@@ -216,13 +241,15 @@ class TestFillAgainstReplacedCode:
     def test_blocks_and_csr_equal_the_replaced_code(self, seed, zeros):
         """Random s/p/d bases (pure and Cartesian d), every canonical
         quartet (M = N and P = Q among them): each chunk's blocks equal
-        the per-class sweep's, and ``pair_matrices``' data / indices /
-        indptr, dtypes included, SciPy's -- with ``zeros``, of blocks
-        with exact zeros and (P = Q) K views that cancel exactly."""
+        the per-class sweep's, and a :class:`SlotFill`'s data / indices /
+        indptr, dtypes included, SciPy's -- over every row and over a
+        random subset (a CRC rescue's), the flushes cut and shuffled at
+        random; with ``zeros``, of blocks with exact zeros and (P = Q) K
+        views that cancel exactly."""
         rng = np.random.default_rng(seed)
         basis = rand_basis(rng, nshells=4)
         plan = MDEngine(basis).class_plan(0.0)
-        pieces = []
+        members = []
         for chunk in plan.chunks():
             got = class_batch.compute_class_rows(chunk)
             for a, b in zip(got, reference_compute_rows(basis, chunk)):
@@ -235,28 +262,74 @@ class TestFillAgainstReplacedCode:
                     same = q[:, 2] == q[:, 3]
                     if same.any():
                         g[same] -= g[same].swapaxes(3, 4)
-                pieces.append((q, g))
-        quartets = np.concatenate([q for q, _ in pieces])
+                members.append(((batch, rows), g))
+        quartets = np.concatenate([b.quartets for b in plan.batches])
         assert (quartets[:, 0] == quartets[:, 1]).any()
         assert (quartets[:, 2] == quartets[:, 3]).any()
-        for got, want in zip(class_batch.pair_matrices(basis, pieces),
-                             reference_pair_matrices(basis, pieces)):
-            for name in ("data", "indices", "indptr"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        subset = np.flatnonzero(rng.random(plan.nquartets) < 0.4)
+        for rows in (None, subset):
+            fill = class_batch.SlotFill(basis, plan, rows)
+            pieces = []
+            for flush, g in _random_flushes(rng, members, rows):
+                fill.write(flush, g)
+                pieces.append((np.concatenate([b.quartets[r] for b, r in flush]), g))
+            for got, want in zip(fill.matrices(), reference_pair_matrices(basis, pieces)):
+                for name in ("data", "indices", "indptr"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_no_blocks_give_empty_matrices(self, basis):
-        for got, want in zip(class_batch.pair_matrices(basis, []),
+        plan = class_batch.build_class_plan(basis, None, np.zeros((0, 4), int))
+        for got, want in zip(class_batch.SlotFill(basis, plan, None).matrices(),
                              reference_pair_matrices(basis, [])):
             for name in ("data", "indices", "indptr"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_repeated_blocks_are_refused(self, basis):
-        q = np.array([[1, 0, 1, 0]])
-        g = np.ones((1, *(basis.shells[i].nbf for i in q[0])))
+        plan = class_batch.build_class_plan(basis, None, [(1, 0, 1, 0), (1, 0, 1, 0)])
         with pytest.raises(ValueError, match="distinct"):
-            class_batch.pair_matrices(basis, [(q, g), (q, g)])
+            class_batch.SlotFill(basis, plan, None)
+
+    def test_threads_write_the_serial_fills_bytes(self, tmp_path):
+        """Four fill threads on two cores, the switch interval shortened:
+        the store file is byte for byte the serial fill's (each slot has
+        one writer, and the first write allocates the slots once)."""
+        basis = BasisSet.build(water_cluster(2, 1, 1), "6-31g")
+        files, interval = [], sys.getswitchinterval()
+        for threads in (None, 4):
+            store = tmp_path / f"threads{threads}"
+            sys.setswitchinterval(1e-6)
+            try:
+                build_jk(MDEngine(basis, store=store), np.eye(basis.nbf), threads=threads)
+            finally:
+                sys.setswitchinterval(interval)
+            files.append((store / "supermatrix.bin").read_bytes())
+        assert files[0] == files[1]
+
+    def test_a_cold_fill_holds_its_matrices_once(self, tmp_path):
+        """The ``tracemalloc`` peak of a cold (H2O)3/6-31G fill, planned
+        first, stays at or under the plan's bytes + the final CSR bytes +
+        one :data:`MAX_STAGE_WORK` stage: the fill writes each block into
+        its slot, never holding its blocks, a full-size copy and the
+        squeezed matrices at once (that assembly peaked at 14.7 MiB
+        against this 12.1 MiB bound; at (H2O)2 the kernel's temporaries
+        set the peak either way)."""
+        basis = BasisSet.build(water_cluster(3, 1, 1), "6-31g")
+        engine = MDEngine(basis, store=tmp_path / "store")
+        plan = engine.class_plan(1e-11)
+        tracemalloc.start()
+        try:
+            build_jk(engine, np.eye(basis.nbf))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            a.nbytes for part in [*plan.batches, *plan.groups]
+            for a in vars(part).values() if isinstance(a, np.ndarray)
+        )
+        bound = held + engine.integral_store.nbytes + 8 * class_batch.MAX_STAGE_WORK
+        assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 class TestLifetime:
