@@ -11,9 +11,10 @@ one ``build_jk`` path:
 * **stored**: conventional-SCF mode through an on-disk
   :class:`~repro.integrals.store.ERIStore` -- iteration 1 fills the
   store (``stored_fill_s``, measure-only: its ``finalize`` writes the
-  sparse supermatrix), iteration 2
-  (``stored_iter2_s``: the first served build = mapping the
-  supermatrix, one CRC per segment when verified) and the five after it
+  sparse supermatrix, which the same build maps -- one CRC per segment
+  when verified -- and is served from), iteration 2
+  (``stored_iter2_s``: four sparse mat-vecs over the mapping the fill
+  left in the store's slot) and the five after it
   (``stored_steady_s``, their median: four sparse mat-vecs, what every
   later iteration costs) must recompute **zero** quartets;
   ``supermatrix_mb`` is the size of the mapped matrices and
@@ -120,8 +121,9 @@ def _stored_iter2(basis, density, store_dir):
 
     Returns ``(timings, j, k)``, J/K of the iteration-2 build and
     ``timings`` holding ``stored_fill_s`` (iteration 1 on a fresh engine:
-    Schwarz, plan, kernel, contraction, CSR slots and finalize --
-    what a cold conventional SCF pays before its first F),
+    Schwarz, plan, kernel, CSR slots, finalize and the served build from
+    the file it wrote -- what a cold conventional SCF pays before its
+    first F),
     ``stored_iter2_s``, ``stored_steady_s``
     (iterations 3-7, median), ``jk_contract_s`` (the median of their
     profiler ``jk_contraction`` walls: with zero recompute and nothing
@@ -156,7 +158,8 @@ def _stored_iter2(basis, density, store_dir):
 
 def stored_fill_peak_mb(basis, density) -> float:
     """``tracemalloc`` peak [MB] of one filling build on a fresh engine:
-    Schwarz, plan, kernel, contraction and the store's CSR arrays."""
+    Schwarz, plan, kernel and the store's CSR arrays (their mapping is
+    not the heap's)."""
     with tempfile.TemporaryDirectory(prefix="eri_store_") as store_dir:
         engine = MDEngine(basis, store=store_dir)
         tracemalloc.start()

@@ -31,12 +31,12 @@ loop the same way:
   literally (Mitin, arxiv 1905.07779).  The build that fills an
   :class:`~repro.integrals.store.ERIStore` lays out the plan's two
   sparse matrices over flat ``(ij)`` pairs before its first chunk and
-  writes the weighted blocks it contracts straight into their slots
-  (:class:`SlotFill`); the store writes them (a private store holds
-  them), and the first build it serves memory-maps them
-  (:func:`map_supermatrix`) into the store's one slot, and every build
-  over that store is four sparse mat-vecs, with no plan and no Schwarz
-  matrix.
+  writes the weighted blocks it computes straight into their slots
+  (:class:`SlotFill`), contracting none; the store writes them (a
+  private store holds them), the filling build itself memory-maps the
+  file (:func:`map_supermatrix`) into the store's one slot, and every
+  build over that store, the filling one included, is four sparse
+  mat-vecs, with no plan and no Schwarz matrix.
 
 Every engine builds J/K here.  A chunk's blocks are computed
 (:func:`_resolve_chunk`) by ``engine.compute_rows``, the one engine
@@ -723,17 +723,6 @@ class SlotFill:
         return np.cumsum(counts, dtype=idx), bits
 
 
-def _computed_matrices(engine, plan: ClassPlan, rows: np.ndarray, totals):
-    """``(M_J, M_K)`` of the plan ``rows``, computed (source counts added
-    to ``totals``)."""
-    fill = SlotFill(engine.basis, plan, rows)
-    for flush, parts in _flushes(engine, plan.chunks(rows), None, totals):
-        with phase(PHASE_JK):
-            fill.write(flush, _weighted_flush(flush, parts)[0])
-    with phase(PHASE_JK):
-        return fill.matrices()
-
-
 def _mapped_matrices(engine, store):
     """The store's M_J and M_K arrays, memory-mapped, each segment that fails
     its check rebuilt from the rows of its shell in the plan at the
@@ -748,8 +737,7 @@ def _mapped_matrices(engine, store):
     if bad.size:
         plan = engine.class_plan(store.manifest["tau"])
         first = np.concatenate([batch.quartets[:, 0] for batch in plan.batches])
-        counts = dict.fromkeys(_COUNT_KEYS, 0)
-        fresh = _computed_matrices(engine, plan, np.flatnonzero(np.isin(first, bad)), counts)
+        fresh, counts = _filled(engine, plan, np.flatnonzero(np.isin(first, bad)), None, None)
         engine.crc_rescues += counts["computed"]
         for (data, indices, indptr), nnz, ok, piece in zip(arrays, nnzs, good, fresh):
             for s in np.flatnonzero(~ok):
@@ -915,23 +903,67 @@ def density_rows(engine, plan: ClassPlan, dens: np.ndarray, tau: float):
 
 
 def _run_chunks(engine, dflat, chunks, fill, faults):
-    """One worker's share: private half-J/half-K buffers + source counts,
-    a ``jk_contraction`` phase around every flush.  A store fill passes its
-    :class:`SlotFill`: each flush writes the weighted blocks it contracted
-    into their slots (a private fill, served after, contracts none)."""
+    """One worker's share, a ``jk_contraction`` phase around every flush:
+    its source counts and its private half-J/half-K buffers -- or, writing
+    each flush into a :class:`SlotFill`'s slots instead, ``None`` ones."""
     n = engine.basis.nbf
-    jt = np.zeros_like(dflat)
-    kt = np.zeros_like(dflat)
+    jt = kt = None
+    if fill is None:
+        jt, kt = np.zeros_like(dflat), np.zeros_like(dflat)
     totals = dict.fromkeys(_COUNT_KEYS, 0)
     for flush, parts in _flushes(engine, chunks, faults, totals):
         with phase(PHASE_JK):
             g, bases = _weighted_flush(flush, parts)
             parts.clear()  # the stage's blocks: g holds them now
-            if fill is None or not engine.integral_store.private:
+            if fill is None:
                 _contract_blocks(jt, kt, dflat, n, g, bases)
-            if fill is not None:
+            else:
                 fill.write(flush, g)
     return jt, kt, totals
+
+
+def _dealt(engine, dflat, chunks, fill, faults, threads):
+    """:func:`_run_chunks` over ``chunks``, its buffers (``None`` for a
+    fill) and counts summed over the workers.  ``threads > 1`` deals the
+    chunks, largest first, to the least-loaded worker of a thread pool
+    (each worker's wall and counts go to ``engine.last_jk_worker_stats``)."""
+    nthreads = resolve_jk_threads(threads)
+    if nthreads <= 1 or len(chunks) <= 1:
+        results = [_run_chunks(engine, dflat, chunks, fill, faults)]
+        engine.last_jk_worker_stats = []
+    else:
+        costs = [sum(b.cost * rows.size / b.nq for b, rows in c) for c in chunks]
+        shares = [[] for _ in range(min(nthreads, len(chunks)))]
+        loads = [0.0] * len(shares)
+        for i in sorted(range(len(chunks)), key=lambda i: -costs[i]):
+            worker = loads.index(min(loads))
+            shares[worker].append(chunks[i])
+            loads[worker] += costs[i]
+
+        def timed_share(share):
+            t0 = time.perf_counter()
+            result = _run_chunks(engine, dflat, share, fill, faults)
+            return result, time.perf_counter() - t0
+
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            results, walls = zip(*pool.map(timed_share, shares))
+        engine.last_jk_worker_stats = [
+            {"wall": wall, **totals} for wall, (_, _, totals) in zip(walls, results)
+        ]
+    totals = {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS}
+    if fill is not None:
+        return None, None, totals
+    return sum(r[0] for r in results), sum(r[1] for r in results), totals
+
+
+def _filled(engine, plan: ClassPlan, rows, faults, threads):
+    """``(M_J, M_K)`` of the plan ``rows`` (``None``: all), computed into a
+    :class:`SlotFill` (a store fill, or a CRC rescue), and their source counts."""
+    with phase(PHASE_STORE_FILL):
+        fill = SlotFill(engine.basis, plan, rows)
+    totals = _dealt(engine, None, plan.chunks(rows), fill, faults, threads)[2]
+    with phase(PHASE_STORE_FILL):
+        return fill.matrices(), totals
 
 
 def _tally(engine, totals: dict, faults) -> None:
@@ -963,20 +995,15 @@ def jk_from_plan(
     store's content changes or ``verify_reads`` is armed over an
     unverified mapping): nothing is planned, no chunk is walked and
     ``threads`` is not consulted.  A ready store at another tau, or one
-    :func:`map_supermatrix` cannot patch, is invalidated and this build
-    fills it.  Every other build -- direct, or filling a store -- is the
-    six-block contraction over the plan.  A direct build computes only
-    the rows :func:`density_rows` keeps at ``tau``; a fill computes every
-    row, writes the weighted blocks it contracts into the slots of a
-    :class:`SlotFill` laid out from the plan before the first chunk, and
-    hands the store its matrices to finalize at ``tau`` (then served, if
-    private).  ``threads > 1``
-    deals the kernel chunks, largest first, to the least-loaded worker
-    of a thread pool; every worker stages and flushes its own blocks
-    into private accumulators (reduced at the end).  At any thread count
-    the thread doing the work records one ``eri_quartets`` phase per
-    kernel chunk and one ``jk_contraction`` phase per flush -- never per
-    quartet.
+    :func:`map_supermatrix` cannot patch, is invalidated and refilled.  A
+    fill computes every row into a :class:`SlotFill` (:func:`_filled`),
+    contracting none, and the store it finalizes at ``tau`` serves it.  A
+    direct build is the six-block contraction of the rows
+    :func:`density_rows` keeps at ``tau``.  ``threads > 1`` deals either's
+    kernel chunks across a thread pool (:func:`_dealt`).  At any thread
+    count the thread doing the work records one ``eri_quartets`` phase
+    per kernel chunk and one ``jk_contraction`` phase per flush -- never
+    per quartet.
 
     An attached ``engine.scf_faults`` state has this build's corruptions
     drawn here, per plan row and before any worker starts, so the same
@@ -996,55 +1023,24 @@ def jk_from_plan(
         faults = engine.scf_faults.draw_build(
             store.nblocks if served else engine.class_plan(tau).nquartets)
 
-    if served and (jk := _served(engine, store, dflat, n, density)) is not None:
-        return jk
-
-    plan = engine.class_plan(tau)
-    fill = None
-    if store is not None and store.filling and plan.nquartets:
+    while True:
+        if store is not None and store.ready:
+            if (jk := _served(engine, store, dflat, n, density)) is not None:
+                return jk
+        plan = engine.class_plan(tau)
+        if store is None or not store.filling or not plan.nquartets:
+            break
+        mats, totals = _filled(engine, plan, None, faults, threads)
+        _tally(engine, totals, faults)
         with phase(PHASE_STORE_FILL):
-            fill = SlotFill(engine.basis, plan, None)
-    chunks = plan.chunks(None if fill is not None else density_rows(
-        engine, plan, dflat.reshape(-1, n, n), tau
-    ))
-    nthreads = resolve_jk_threads(threads)
-    if nthreads <= 1 or len(chunks) <= 1:
-        results = [_run_chunks(engine, dflat, chunks, fill, faults)]
-        engine.last_jk_worker_stats = []
-    else:
-        # largest chunk first, each to the least-loaded worker
-        costs = [sum(b.cost * rows.size / b.nq for b, rows in c) for c in chunks]
-        shares = [[] for _ in range(min(nthreads, len(chunks)))]
-        loads = [0.0] * len(shares)
-        for i in sorted(range(len(chunks)), key=lambda i: -costs[i]):
-            worker = loads.index(min(loads))
-            shares[worker].append(chunks[i])
-            loads[worker] += costs[i]
-
-        def timed_share(share):
-            t0 = time.perf_counter()
-            result = _run_chunks(engine, dflat, share, fill, faults)
-            return result, time.perf_counter() - t0
-
-        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-            results, walls = zip(*pool.map(timed_share, shares))
-        engine.last_jk_worker_stats = [
-            {"wall": wall, **totals} for wall, (_, _, totals) in zip(walls, results)
-        ]
-
-    _tally(
-        engine, {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS},
-        faults,
-    )
-    if fill is not None:
-        with phase(PHASE_STORE_FILL):
-            store.record_batch(*fill.matrices(), plan.nquartets)
+            store.record_batch(*mats, plan.nquartets)
+            del mats  # written (or held) by the store: no copy beside its mapping
             store.finalize(tau)
-        if store.private:
-            return _served(engine, store, dflat, n, density)
-    return _symmetrized(
-        sum(r[0] for r in results), sum(r[1] for r in results), n, density
-    )
+
+    chunks = plan.chunks(density_rows(engine, plan, dflat.reshape(-1, n, n), tau))
+    jt, kt, totals = _dealt(engine, dflat, chunks, None, faults, threads)
+    _tally(engine, totals, faults)
+    return _symmetrized(jt, kt, n, density)
 
 
 def _served(engine, store, dflat, n: int, density):

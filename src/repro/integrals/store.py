@@ -11,10 +11,11 @@ paid again on every Fock build.  This module is that storage layer:
   code that turns computed rows into matrices) and stages them with
   :meth:`~ERIStore.record_batch`; ``finalize`` writes their ``data`` /
   ``indices`` / ``indptr`` arrays end to end in one file,
-  ``supermatrix.bin``.  The first build it serves memory-maps them
-  (copy-on-write; the page cache shares them across processes) into the
-  store's one slot: nothing is read block by block or assembled, and
-  later builds re-read nothing, plan nothing and screen nothing.
+  ``supermatrix.bin``.  The filling build is served from that file, as
+  every later one is: the first memory-maps it (copy-on-write; the page
+  cache shares it across processes) into the store's one slot, nothing
+  is read block by block or assembled, and later builds re-read nothing,
+  plan nothing and screen nothing.
 * ``manifest.json`` records provenance -- a SHA-256 fingerprint of the
   basis (angular momenta, purity, centers, exponents, normalized
   coefficients), the screening ``tau`` (which fixes the quartets held)
@@ -22,7 +23,8 @@ paid again on every Fock build.  This module is that storage layer:
   the store (:class:`StoreInvalidatedWarning`) and it is refilled; so
   does a build at another ``tau``: one directory holds one (basis, tau).
 * A *private* store (``path=None``, a default SCF's scratch store) is
-  filled the same way but never written: no directory, lock or file.
+  filled the same way but never written: no directory, lock or file; it
+  serves from the matrices it holds.
 
 Lifecycle: ``open_or_fill()`` -> ``filling`` (the first Fock build
 stages its matrices) -> ``finalize(tau)`` -> ``ready``.  Every disk

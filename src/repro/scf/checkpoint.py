@@ -36,10 +36,10 @@ float64 unless noted, ``n`` basis functions, ``m`` DIIS vectors held):
 That is the one-channel (RHF) layout, unchanged since the guard and
 integrity keys were added.  A run with several spin channels (UHF:
 alpha, beta) writes the same keys *spin-stacked*: ``density`` gains a
-leading spin axis, ``(k, n, n)``, and the DIIS entries hold one window
-per occupied channel, ``(k_occ, m, n, n)`` in spin order (an empty
-channel -- the beta space of an H atom -- keeps no window); digest and
-validation rules are the same.
+leading spin axis, ``(k, n, n)``, and the DIIS entries hold the one
+window's stacks of the occupied channels, ``(k_occ, m, n, n)`` in spin
+order (an empty channel -- the beta space of an H atom -- is left out);
+digest and validation rules are the same.
 
 Writes are atomic (tmp file + ``os.replace``), so a rank dying mid-write
 never corrupts the latest complete snapshot.  Reads are defensive
@@ -131,11 +131,14 @@ class Checkpoint:
         return [self.density] if self.density.ndim == 2 else list(self.density)
 
     @property
-    def spin_windows(self) -> list[tuple]:
-        """One ``(focks, errors)`` DIIS window per occupied channel."""
+    def diis_window(self) -> tuple[list, list]:
+        """The DIIS ``(focks, errors)`` window as the driver keeps it:
+        oldest first, each entry a ``(k_occ, n, n)`` stack of the occupied
+        channels."""
+        mats = (self.diis_focks, self.diis_errors)
         if self.density.ndim == 2:
-            return [(self.diis_focks, self.diis_errors)]
-        return list(zip(self.diis_focks, self.diis_errors))
+            return tuple([m[None] for m in a] for a in mats)
+        return tuple(list(np.stack(a, axis=1)) if a else [] for a in mats)
 
 
 def checkpoint_path(directory: str | Path, iteration: int) -> Path:
@@ -155,10 +158,11 @@ def save_checkpoint(
 ) -> Path:
     """Atomically write iteration state; returns the snapshot path.
 
-    ``density`` and ``diis`` are one matrix and one
-    :class:`~repro.scf.diis.DIIS` (or None), or spin-aligned lists of
-    them (None marks a channel without a window); a single channel is
-    written in the bare one-channel layout.  ``guard`` (optional) is an
+    ``density`` is one matrix or a list of them, one per spin channel
+    (a single channel is written in the bare one-channel layout);
+    ``diis`` is the run's :class:`~repro.scf.diis.DIIS` (or None), whose
+    entries are one matrix or a stack of the occupied channels'.
+    ``guard`` (optional) is an
     :class:`~repro.scf.guard.SCFGuard` whose remediation state is
     persisted alongside the numerical state; ``base`` is the
     ``(focks, densities)`` spin stacks the next incremental build adds to
@@ -167,14 +171,13 @@ def save_checkpoint(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if isinstance(density, np.ndarray) and density.ndim == 2:
-        density, diis = [density], [diis]
+        density = [density]
     n = density[0].shape[0]
     stacked = len(density) > 1  # else the bare layout: no spin axis
-    windows = [w.state_arrays() for w in diis or () if w is not None]
-    m = len(windows[0][0]) if windows else 0
-    shape = ((len(windows),) if stacked else ()) + (m, n, n)
     focks, errors = (
-        np.reshape([w[i] for w in windows], shape) for i in (0, 1)
+        np.stack(mats, axis=1) if stacked and mats
+        else np.reshape(mats, ((0,) if stacked else ()) + (len(mats), n, n))
+        for mats in (diis.state_arrays() if diis is not None else ([], []))
     )
     density = np.stack(density) if stacked else density[0]
     payload = {

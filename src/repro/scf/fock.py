@@ -36,10 +36,10 @@ def build_jk(
     """Coulomb and exchange matrices over the screened canonical quartets.
 
     One path for every engine (:mod:`repro.integrals.class_batch`): the
-    mapped matrices of an attached integral store filled at ``tau``, or,
-    over the engine's memoized class plan, each chunk's blocks computed
-    and one six-block density contraction per block shape, optionally
-    threaded (a fill at ``tau`` of an attached store).
+    mapped matrices of an attached integral store filled at ``tau`` (by
+    this build, if it was not), or, over the engine's memoized class
+    plan, each chunk's blocks computed and one six-block density
+    contraction per block shape, optionally threaded.
 
     Parameters
     ----------

@@ -316,10 +316,9 @@ class SCFDriver:
                 self.guard, e_tol=self.e_tol, d_tol=self.d_tol, molecule=label
             ),
             monitor=IntegrityMonitor(overlap=s) if self.integrity else None,
-            # an empty spin channel (the beta space of an H atom) has no
-            # DIIS window, no density step and no orbital energies
-            diis=[DIIS() if self.use_diis and n else None
-                  for n in self._occupations],
+            # one DIIS window over the occupied channels: an empty one (the
+            # beta space of an H atom) has no DIIS, density step or orbitals
+            diis=DIIS() if self.use_diis and any(self._occupations) else None,
             eps=[None] * len(ds), coeffs=[None] * len(ds),
             warm_start=bool(store is not None and store.ready
                             and store.manifest["tau"] == self.tau),
@@ -328,9 +327,8 @@ class SCFDriver:
         if ck is not None:
             run.ds, run.start = ck.spin_densities, ck.iteration + 1
             run.history, run.base = list(ck.energy_history), ck.spin_base
-            windows = [w for w in run.diis if w is not None]
-            for w, (focks, errors) in zip(windows, ck.spin_windows):
-                w.load_state(focks, errors)
+            if run.diis is not None:
+                run.diis.load_state(*ck.diis_window)
             if run.guard is not None and ck.guard is not None:
                 # re-arms the sticky rungs: apply them to the rebuilt
                 # orthogonalizer and the engine's sentinel
@@ -445,20 +443,19 @@ class SCFDriver:
         return fs
 
     def _extrapolated(self, run: _Run) -> list[np.ndarray]:
-        """DIIS per occupied channel: the effective Fock stack."""
-        windows = [w for w in run.diis if w is not None]
-        if not windows:
+        """The effective Fock stack: DIIS over the occupied channels as one
+        stack, so one coefficient set from their summed error overlaps."""
+        if run.diis is None:
             return run.fs
         if run.guard is not None and run.guard.consume_diis_reset():
-            for w in windows:
-                w.reset()
-        f_eff = []
+            run.diis.reset()
+        occ, f_eff = [i for i, n in enumerate(self._occupations) if n], list(run.fs)
         with phase(PHASE_DIIS, cat="scf"):
-            for w, f, d in zip(run.diis, run.fs, run.ds):
-                if w is not None:
-                    w.push(f, DIIS.error_vector(f, d, run.s, run.x))
-                    f = w.extrapolate()
-                f_eff.append(f)
+            run.diis.push(np.stack([run.fs[i] for i in occ]), np.stack([
+                DIIS.error_vector(run.fs[i], run.ds[i], run.s, run.x) for i in occ
+            ]))
+            for i, f in zip(occ, run.diis.extrapolate()):
+                f_eff[i] = f
         return f_eff
 
     def _new_density(self, f_eff, x, s, d, nocc: int, shift: float):
@@ -637,7 +634,7 @@ class _Run:
     x: np.ndarray
     enuc: float
     ds: list[np.ndarray]
-    diis: list[DIIS | None]
+    diis: DIIS | None
     eps: list
     coeffs: list
     #: whether the first build found the store ready at the run's tau

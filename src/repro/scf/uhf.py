@@ -51,7 +51,6 @@ class UHF(SCFDriver):
     :class:`~repro.scf.hf.SCFDriver`'s and behaves as on RHF.
     """
 
-    max_iter: int = 200
     multiplicity: int | None = None
     #: symmetry-breaking mix of the beta HOMO/LUMO at the guess (radians);
     #: nonzero values let UHF escape spin-restricted saddle points

@@ -70,10 +70,18 @@ def _apply_fallbacks(driver, guard, s, x):
 
 
 def _extrapolated(
-    window: DIIS, f: np.ndarray, d: np.ndarray, s: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    window.push(f, DIIS.error_vector(f, d, s, x))
-    return window.extrapolate()
+    window: DIIS, fs: list, ds: list, occ, s: np.ndarray, x: np.ndarray
+) -> list[np.ndarray]:
+    """One DIIS step over the stack of the occupied channels: one set of
+    coefficients for all of them."""
+    at, f_eff = [i for i, n in enumerate(occ) if n], list(fs)
+    window.push(
+        np.stack([fs[i] for i in at]),
+        np.stack([DIIS.error_vector(fs[i], ds[i], s, x) for i in at]),
+    )
+    for i, f in zip(at, window.extrapolate()):
+        f_eff[i] = f
+    return f_eff
 
 
 def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
@@ -162,8 +170,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
         built.ds = ds
         return self._built_focks(built, full)
 
-    diis = [DIIS() if self.use_diis and n else None for n in occ]
-    windows = [w for w in diis if w is not None]
+    diis = DIIS() if self.use_diis and any(occ) else None
     history: list[float] = []
     e_old = np.inf
     fs = [h] * len(occ)
@@ -178,8 +185,8 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
             e_old = ck.energy
             history = list(ck.energy_history)
             built.base = ck.spin_base
-            for w, (focks, errors) in zip(windows, ck.spin_windows):
-                w.load_state(focks, errors)
+            if diis is not None:
+                diis.load_state(*ck.diis_window)
             start_it = ck.iteration + 1
             if guard is not None and ck.guard is not None:
                 guard.load_state(ck.guard)
@@ -220,15 +227,11 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
             energy = self._electronic_energy(h, fs, ds) + enuc
             history.append(energy)
             f_eff = fs
-            if windows:
+            if diis is not None:
                 if guard is not None and guard.consume_diis_reset():
-                    for w in windows:
-                        w.reset()
+                    diis.reset()
                 with phase(PHASE_DIIS, cat="scf"):
-                    f_eff = [
-                        f if w is None else _extrapolated(w, f, d, s, x)
-                        for w, f, d in zip(diis, fs, ds)
-                    ]
+                    f_eff = _extrapolated(diis, fs, ds, occ, s, x)
             shift = guard.level_shift if guard is not None else 0.0
 
             def density_step():

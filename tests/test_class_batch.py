@@ -361,22 +361,25 @@ class TestPlanCaching:
     def test_plan_lru_bounded(self, water_basis, tmp_path):
         """The plan cache is bounded at one: another tau re-plans and
         replaces the plan, and the store refilled at that tau maps a new
-        supermatrix into its slot."""
+        supermatrix into its slot, in the build that refills it."""
         engine = MDEngine(water_basis, store=tmp_path)
         store = engine.integral_store
         d = rand_density(np.random.default_rng(3), water_basis.nbf)
-        build_jk(engine, d, 1e-11)  # fills the store
-        build_jk(engine, d, 1e-11)  # maps the supermatrix
+        build_jk(engine, d, 1e-11)  # fills the store and maps the supermatrix
         p1, sm1 = engine.class_plan(1e-11), store.supermatrix
         assert sm1 is not None
+        build_jk(engine, d, 1e-11)
+        assert store.supermatrix is sm1
         p2 = engine.class_plan(1e-9)
         assert p2 is not p1 and engine._class_plan == (1e-9, p2)
         assert engine.class_plan(1e-9) is p2
         with pytest.warns(StoreInvalidatedWarning, match="tau"):
             build_jk(engine, d, 1e-9)  # refills the store at 1e-9
-        assert store.supermatrix is None and store.manifest["tau"] == 1e-9
+        assert store.manifest["tau"] == 1e-9
+        sm2 = store.supermatrix
+        assert sm2 is not None and sm2 is not sm1
         build_jk(engine, d, 1e-9)
-        assert store.supermatrix is not None and store.supermatrix is not sm1
+        assert store.supermatrix is sm2
         assert engine.class_plan(1e-11) is not p1
 
     def test_plan_covers_all_screened_quartets(self, water_basis):

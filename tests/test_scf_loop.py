@@ -80,16 +80,19 @@ def killed_and_restarted(tmp):
 
 
 def guarded_faulted_uhf(tmp):
-    """A guarded UHF whose seeded faults climb to the reference_eri rung."""
+    """A guarded UHF whose seeded faults climb to the reference_eri rung:
+    three non-finite trips (Fock, density, Fock), one rung each from the
+    DIIS reset."""
     plan = SCFFaultPlan(
-        seed=5, quartet_nan_rate=0.05, fock_nan_iterations=(2,),
+        seed=5, quartet_nan_rate=0.05, fock_nan_iterations=(2, 4),
         density_nan_iterations=(3,), max_corruptions=50,
     )
     res = UHF(
         water_cation(), guard=True, faults=plan,
         checkpoint_dir=str(tmp / "ckpt"),
     ).run()
-    assert res.guard_summary["reference_eri"]
+    assert [(e.iteration, e.classification) for e in res.guard_events
+            if e.action == "reference_eri"] == [(4, "non_finite")]
     return res
 
 

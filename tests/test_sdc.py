@@ -301,8 +301,9 @@ class TestStoreIntegrity:
         """A rebuilt segment whose non-zeros are not the slot's (a rescue
         kernel with other exact zeros than the filling one) cannot be
         patched in: the store is invalidated and the same build refills
-        it, computing every plan row once, so a fresh engine computes
-        nothing and its CRC checks pass."""
+        it, computing every plan row once, and is served from the refill,
+        so a fresh engine computes nothing, its CRC checks pass and it
+        builds the same J/K, bit for bit."""
         store_dir, d, j_ref, k_ref = filled_store
         flip_in_segment(store_dir, 3, 0, seed=3)
         engine = MDEngine(sto3g_basis, store=store_dir)
@@ -320,17 +321,60 @@ class TestStoreIntegrity:
         plan = engine.class_plan(1e-11)
         assert engine.crc_rescues == shell_rows(plan, 3)
         assert engine.quartets_computed == plan.nquartets
-        assert engine.quartets_served_from_store == 0
-        assert engine.integral_store.ready and engine.integral_store.supermatrix is None
-        # the refill is the build that filled the store first, bit for bit
+        assert engine.quartets_served_from_store == plan.nquartets
+        store = engine.integral_store
+        assert store.ready and store.supermatrix is not None
+        # the refill's CRCs pass: the one mismatch is the flipped segment
+        assert store.crc_mismatches == 1
+        # served from the refill: the build that filled the store first, bit for bit
         assert np.array_equal(j, j_ref) and np.array_equal(k, k_ref)
         assert audit_store_dir(store_dir) == ([], 2 * sto3g_basis.nshells)
         fresh = MDEngine(sto3g_basis, store=store_dir)
         fresh.integral_store.verify_reads = True
-        assert_jk_close(build_jk(fresh, d, tau=1e-11), (j_ref, k_ref))
+        j_fresh, k_fresh = build_jk(fresh, d, tau=1e-11)
+        assert np.array_equal(j_fresh, j_ref) and np.array_equal(k_fresh, k_ref)
         assert fresh.quartets_computed == fresh.crc_rescues == 0
         assert fresh.integral_store.crc_checks == 2 * sto3g_basis.nshells
         assert fresh.integral_store.crc_mismatches == 0
+
+    def test_a_fill_whose_file_cannot_be_mapped_is_refilled(
+        self, filled_store, sto3g_basis, tmp_path, monkeypatch
+    ):
+        """A fill is served from the file it wrote.  Another process
+        changing that file between ``finalize`` and the mapping (a flipped
+        bit, rebuilt with other exact zeros) cannot hand ``None`` up: the
+        store is invalidated and the same build fills it again and is
+        served from the refill."""
+        _, d, j_ref, k_ref = filled_store
+        store_dir = tmp_path / "refilled"
+        engine = MDEngine(sto3g_basis, store=store_dir)
+        engine.integral_store.verify_reads = True
+        real_finalize, real_rows = ERIStore.finalize, engine.compute_rows
+        finalized, calls = [], []
+
+        def finalize(self, tau):
+            real_finalize(self, tau)
+            if not finalized:
+                flip_in_segment(store_dir, 3, 0, seed=3)
+            finalized.append(tau)
+
+        def compute_rows(chunk):  # the rescue, the first call after a finalize: zeros
+            calls.append(len(finalized))
+            parts = real_rows(chunk)
+            return [0.0 * p for p in parts] if calls.count(1) == 1 == calls[-1] else parts
+
+        monkeypatch.setattr(ERIStore, "finalize", finalize)
+        engine.compute_rows = compute_rows
+        with pytest.warns(StoreInvalidatedWarning, match="does not fit"):
+            j, k = build_jk(engine, d, tau=1e-11)
+        plan = engine.class_plan(1e-11)
+        assert finalized == [1e-11, 1e-11]
+        assert engine.crc_rescues == shell_rows(plan, 3)
+        assert engine.quartets_computed == 2 * plan.nquartets
+        assert engine.quartets_served_from_store == plan.nquartets
+        assert engine.integral_store.crc_mismatches == 1
+        assert np.array_equal(j, j_ref) and np.array_equal(k, k_ref)
+        assert audit_store_dir(store_dir) == ([], 2 * sto3g_basis.nshells)
 
     def test_unverified_read_accepts_corruption_silently(
         self, filled_store, sto3g_basis
@@ -442,7 +486,8 @@ class TestV2Store:
         assert not (v2_dir / "index.npz").exists()
         j, k = build_jk(engine, d)
         assert engine.quartets_computed == engine.class_plan(1e-11).nquartets
-        assert np.array_equal(j, build_jk(MDEngine(sto3g_basis), d)[0])
+        assert np.array_equal(j, build_jk(MDEngine(sto3g_basis, store=v2_dir), d)[0])
+        assert_jk_close((j, k), build_jk(MDEngine(sto3g_basis), d))
         assert engine.integral_store.ready
         assert verify_tree(v2_dir).clean
         assert_store_holds_kernel_bits(engine)
@@ -712,9 +757,10 @@ class TestFaultsCompose:
         )
 
     def test_kill_bitflip_and_nan_in_one_uhf_run(self, tmp_path):
-        # the water cation's SCF tail wanders by ~1e-11 Eh at the default
-        # tolerances, so it converges further and caps the quartet NaNs,
-        # which would otherwise land on 5 % of every build to the end.
+        # converged past the default tolerances, so the clean-energy check
+        # compares two converged energies, not two stopping points; the
+        # quartet NaNs are capped, or a reference_eri rung (it detaches the
+        # store) would let them land on 5 % of every build to the end.
         # Snapshots 3 and 4 are flipped: the restart resumes after
         # iteration 2, so the Fock flip of iteration 3 and the density
         # flip of iteration 4 fire again (snapshot 3's flip once landed
@@ -731,15 +777,11 @@ class TestFaultsCompose:
         """Kill the faulted run at ``kill_at``, resume it, and demand the
         clean energy, one classified non-finite event ``where`` and the
         ``detected`` matrix flips, each repaired by one recompute.  The
-        faulted run serves a store, so it builds every F from scratch; so
-        does the clean reference (``N_FULL = 1``, direct: no store
-        budget): increments, or the sparse mat-vec of a private store,
-        move where the UHF's slow tail stops by more than the tolerance."""
+        clean reference is the default run: its private store and the
+        faulted run's user store both serve every build from the class
+        kernel's matrices (bar the rows the sentinel rescued)."""
         tols, cap = tols or {}, cap or {}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hf, "N_FULL", 1)
-            mp.setattr(hf, "STORE_BUDGET", 0)
-            clean = driver_type(mol, basis, **tols).run()
+        clean = driver_type(mol, basis, **tols).run()
 
         class Killed(Exception):
             pass

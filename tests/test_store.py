@@ -19,12 +19,13 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from conftest import assert_jk_close, assert_store_holds_kernel_bits
+from conftest import assert_jk_close, assert_store_holds_kernel_bits, sha256
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
+from repro.chem.molecule import Molecule
 from repro.integrals.class_batch import SlotFill, build_class_plan
 from repro.integrals.engine import MDEngine
 from repro.integrals.store import (
@@ -35,6 +36,7 @@ from repro.integrals.store import (
 )
 from repro.scf.fock import build_jk
 from repro.scf.hf import RHF
+from repro.scf.uhf import UHF
 
 
 def rand_density(rng, n):
@@ -49,6 +51,9 @@ def sto3g_basis():
 
 class TestStoreLifecycle:
     def test_fill_finalize_then_zero_recompute(self, tmp_path, sto3g_basis):
+        """The filling build is served from the file it wrote, as every
+        later build is: bitwise the next build's J/K, and the direct
+        build's to summation order."""
         rng = np.random.default_rng(3)
         d = rand_density(rng, sto3g_basis.nbf)
         engine = MDEngine(sto3g_basis, store=tmp_path / "store")
@@ -57,13 +62,16 @@ class TestStoreLifecycle:
         assert engine.integral_store.ready
         computed = engine.quartets_computed
         assert computed > 0
+        assert engine.quartets_served_from_store == computed
         j2, k2 = build_jk(engine, d)
         assert engine.quartets_computed == computed
-        assert engine.quartets_served_from_store == computed
-        assert_store_holds_kernel_bits(engine)
-        assert_jk_close((j2, k2), (j1, k1))
-        j3, k3 = build_jk(engine, d)
         assert engine.quartets_served_from_store == 2 * computed
+        assert_store_holds_kernel_bits(engine)
+        assert np.array_equal(j1, j2)
+        assert np.array_equal(k1, k2)
+        assert_jk_close((j1, k1), build_jk(MDEngine(sto3g_basis), d))
+        j3, k3 = build_jk(engine, d)
+        assert engine.quartets_served_from_store == 3 * computed
         assert np.array_equal(j2, j3)
         assert np.array_equal(k2, k3)
 
@@ -137,8 +145,9 @@ class TestStoreLifecycle:
 class TestInvalidation:
     def test_another_tau_refills_the_store(self, tmp_path, sto3g_basis):
         """tau is part of a store's identity: a build at another tau
-        invalidates the store, naming both values, and fills it at its
-        own; a fresh engine at that tau then computes nothing."""
+        invalidates the store, naming both values, fills it at its own and
+        is served from it; a fresh engine at that tau then computes
+        nothing and builds the same J/K, bit for bit."""
         d = rand_density(np.random.default_rng(31), sto3g_basis.nbf)
         build_jk(MDEngine(sto3g_basis, store=tmp_path), d, 1e-11)
         engine = MDEngine(sto3g_basis, store=tmp_path)
@@ -146,11 +155,14 @@ class TestInvalidation:
             j, k = build_jk(engine, d, 1e-5)
         plan = engine.class_plan(1e-5)
         assert engine.quartets_computed == plan.nquartets
-        assert engine.quartets_served_from_store == 0
+        assert engine.quartets_served_from_store == plan.nquartets
         assert engine.integral_store.manifest["tau"] == 1e-5
         assert engine.integral_store.nblocks == plan.nquartets
         fresh = MDEngine(sto3g_basis, store=tmp_path)
-        assert_jk_close(build_jk(fresh, d, 1e-5), (j, k))
+        j_warm, k_warm = build_jk(fresh, d, 1e-5)
+        assert np.array_equal(j, j_warm)
+        assert np.array_equal(k, k_warm)
+        assert_jk_close((j, k), build_jk(MDEngine(sto3g_basis), d, 1e-5))
         assert fresh.quartets_computed == 0
         assert fresh.quartets_served_from_store == plan.nquartets
 
@@ -169,9 +181,10 @@ class TestInvalidation:
         assert engine.quartets_computed > 0
         manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
         assert manifest["basis_sha256"] == basis_fingerprint(big)
-        j_ref, k_ref = build_jk(MDEngine(big), d2)
-        assert np.array_equal(j_stored, j_ref)
-        assert np.array_equal(k_stored, k_ref)
+        j_warm, k_warm = build_jk(MDEngine(big, store=tmp_path / "store"), d2)
+        assert np.array_equal(j_stored, j_warm)
+        assert np.array_equal(k_stored, k_warm)
+        assert_jk_close((j_stored, k_stored), build_jk(MDEngine(big), d2))
 
     def test_unreadable_manifest_invalidates(self, tmp_path, sto3g_basis):
         rng = np.random.default_rng(13)
@@ -216,7 +229,8 @@ class TestStoredSCF:
     def test_rhf_iterations_after_first_recompute_nothing(self, tmp_path):
         """The acceptance criterion: conventional SCF through
         ``RHF(integral_store=...)`` computes each screened quartet exactly
-        once -- every iteration >= 2 is served entirely from the store."""
+        once -- every Fock build is served entirely from the store, the
+        first from the file it has just written."""
         scf = RHF(water(), integral_store=str(tmp_path / "store"))
         result = scf.run()
         assert result.converged
@@ -224,11 +238,35 @@ class TestStoredSCF:
         engine = scf.engine
         # each unique screened quartet computed exactly once, ever
         assert engine.quartets_computed == engine.integral_store.nblocks
-        # every Fock build after the first (iterations 2..N plus the
-        # final post-convergence build) is a full sweep served from disk
+        # every Fock build (iterations 1..N plus the final
+        # post-convergence build) is a full sweep served from disk
         assert engine.quartets_served_from_store == (
-            result.iterations * engine.quartets_computed
+            (result.iterations + 1) * engine.quartets_computed
         )
+
+    @pytest.mark.parametrize("driver, mol, basis", [
+        (RHF, water(), "6-31g"),
+        (UHF, Molecule(atoms=water().atoms, charge=1, name="H2O+"), "sto-3g"),
+    ], ids=["rhf-water-631g", "uhf-water-cation"])
+    def test_cold_run_is_its_warm_rerun(self, tmp_path, driver, mol, basis):
+        """A cold run on a user store is served from the store its first
+        build fills: its F and D are sha256-equal to its warm rerun's and
+        to the default run's (a private store), at the same energy and
+        iteration count."""
+        store, drivers, results = str(tmp_path / "store"), [], []
+        for kw in ({"integral_store": store}, {"integral_store": store}, {}):
+            drivers.append(driver(mol, basis, **kw))  # attaches the store as it is
+            results.append(drivers[-1].run())
+        cold, warm, default = drivers
+        assert cold.engine.quartets_computed == cold.engine.integral_store.nblocks > 0
+        assert warm.engine.quartets_computed == 0
+        assert default.eri_store["private"]
+        arrays = ["fock", "density"] if driver is RHF else [
+            "fock_alpha", "fock_beta", "density_alpha", "density_beta"]
+        digests = [[sha256(getattr(res, a)) for a in arrays] for res in results]
+        assert digests[0] == digests[1] == digests[2]
+        assert len({(res.energy, res.iterations) for res in results}) == 1
+        assert results[0].converged
 
     def test_stored_scf_energy_matches_direct(self, tmp_path):
         direct = RHF(water()).run()

@@ -93,7 +93,8 @@ class TestServedBuilds:
 
     def test_tighter_tau_refills_once(self, tmp_path, basis):
         """A plan tighter than the manifest tau: the store is refilled at
-        the plan's tau, every row computed once, and never again."""
+        the plan's tau, every row computed once, and never again; the
+        refilling build is served from the refill, as the next ones are."""
         loose, tight = 1e-3, 1e-11
         d = rand_density(np.random.default_rng(2), basis.nbf)
         build_jk(MDEngine(basis, store=tmp_path), d, loose)
@@ -103,15 +104,14 @@ class TestServedBuilds:
         with pytest.warns(StoreInvalidatedWarning, match="tau"):
             first = build_jk(engine, d, tight)
         assert engine.quartets_computed == engine.integral_store.nblocks == nplan
-        assert engine.quartets_served_from_store == 0
+        assert engine.quartets_served_from_store == nplan
         second = build_jk(engine, d, tight)
         third = build_jk(engine, d, tight)
         assert engine.quartets_computed == nplan
-        assert engine.quartets_served_from_store == 2 * nplan
+        assert engine.quartets_served_from_store == 3 * nplan
         assert_jk_close(first, build_jk(MDEngine(basis), d, tight))
-        assert_jk_close(second, first)
-        for a, b in zip(second, third):
-            assert np.array_equal(a, b)
+        for a, b, c in zip(first, second, third):
+            assert np.array_equal(a, b) and np.array_equal(b, c)
 
     def test_served_plan_never_stacks_kernel_operands(self, warm_dir, basis):
         engine = MDEngine(basis, store=warm_dir)
@@ -182,29 +182,30 @@ class TestAgainstV2Oracle:
     ):
         """A plan looser than the store's tau: the store is not read --
         no row the plan screened out is ever served -- but refilled with
-        every plan row, computed once; its J/K are those of every plan
-        row at that tau, and the next build maps the new store."""
+        every plan row, computed once.  The one read is of the file the
+        refill just wrote, which serves this build and the next; its J/K
+        are those of every plan row at that tau."""
         reads = []
         read = ERIStore.read_stacked
         monkeypatch.setattr(
-            ERIStore, "read_stacked", lambda self: reads.append(1) or read(self))
+            ERIStore, "read_stacked",
+            lambda self: reads.append(self.nblocks) or read(self))
         d = rand_density(np.random.default_rng(6), basis.nbf)
         engine = MDEngine(basis, store=warm_dir)
         stored = engine.integral_store.nblocks
         with pytest.warns(StoreInvalidatedWarning, match="tau"):
             first = build_jk(engine, d, 0.1)
         nplan = engine.class_plan(0.1).nquartets
-        assert nplan < stored and reads == []
+        assert nplan < stored and reads == [nplan]
         assert engine.quartets_computed == engine.integral_store.nblocks == nplan
-        assert engine.quartets_served_from_store == 0
+        assert engine.quartets_served_from_store == nplan
         second = build_jk(engine, d, 0.1)
         assert engine.quartets_computed == nplan
-        assert engine.quartets_served_from_store == nplan and reads == [1]
+        assert engine.quartets_served_from_store == 2 * nplan and reads == [nplan]
         direct = MDEngine(basis)
-        reference = schwarz_only_jk(direct, d, direct.class_plan(0.1))
-        for a, b in zip(first, reference):
+        assert_jk_close(first, schwarz_only_jk(direct, d, direct.class_plan(0.1)))
+        for a, b in zip(first, second):
             assert np.array_equal(a, b)
-        assert_jk_close(second, first)
 
 
 def _random_flushes(rng, members, rows):
@@ -331,6 +332,30 @@ class TestFillAgainstReplacedCode:
         bound = held + engine.integral_store.nbytes + 8 * class_batch.MAX_STAGE_WORK
         assert peak <= bound, (peak / 2**20, bound / 2**20)
 
+    def test_a_fill_maps_its_file_with_its_arrays_released(
+        self, tmp_path, monkeypatch
+    ):
+        """The build that fills a user store is served from the file it
+        wrote, and maps it with the fill's CSR arrays already released:
+        the heap never holds the matrices beside their mapping."""
+        basis = BasisSet.build(water_cluster(2, 1, 1), "6-31g")
+        engine = MDEngine(basis, store=tmp_path / "store")
+        engine.class_plan(1e-11)
+        read, traced = ERIStore.read_stacked, []
+
+        def read_stacked(self):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return read(self)
+
+        monkeypatch.setattr(ERIStore, "read_stacked", read_stacked)
+        tracemalloc.start()
+        try:
+            build_jk(engine, np.eye(basis.nbf))
+        finally:
+            tracemalloc.stop()
+        nbytes = engine.integral_store.nbytes
+        assert len(traced) == 1 and traced[0] < nbytes / 4, (traced, nbytes)
+
 
 class TestLifetime:
     """One supermatrix per store, in the store's one slot, emptied
@@ -350,17 +375,18 @@ class TestLifetime:
         assert store.ready and store.supermatrix is None
         build_jk(engine, d)
         assert store.supermatrix is not None and store.supermatrix is not first
-        # invalidate(): the next build fills, and the slot stays empty
-        # until the build after it maps the new content
+        # invalidate(): the next build fills, and maps the new content
+        # into the slot it serves from
         with pytest.warns(UserWarning, match="invalidated"):
             store.invalidate("test")
         assert store.supermatrix is None
         computed = engine.quartets_computed
         build_jk(engine, d)
         assert engine.quartets_computed > computed
-        assert store.ready and store.supermatrix is None
+        refilled = store.supermatrix
+        assert store.ready and refilled is not None and refilled is not first
         build_jk(engine, d)
-        assert store.supermatrix is not None
+        assert store.supermatrix is refilled
         # detach_store() (the guard's reference_eri rung): the engine
         # reaches neither the store nor its mapping
         engine.detach_store()
