@@ -38,7 +38,9 @@ silent fall-back to per-class sweeps fails CI.
 Both measurements also time the layers under the class-batched build
 (``kernel_floor``): ``boys_ns_per_eval`` (per argument of one
 ``boys_array(4, .)`` sweep -- F_0..F_4 -- over 200 k arguments, 60 % of
-them past the asymptotic switch like the water-cluster workloads), ``oneelec_s`` (S + H^core), ``schwarz_s``, and
+them past the asymptotic switch like the water-cluster workloads),
+``oneelec_s`` (S + H^core: ``overlap`` and ``core_hamiltonian``, the
+calls an SCF set-up makes), ``schwarz_s``, and
 the class-batched build on a warm engine (plan memoized: what every
 direct-SCF iteration after the first pays) at 1 and 2 ``jk_threads``.
 The water measurement also records ``cold_import_s``: the median of 7

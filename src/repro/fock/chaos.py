@@ -100,15 +100,16 @@ def build_inputs(molecule: str, basis_name: str):
     from repro.chem.basis.basisset import BasisSet
     from repro.fock.reorder import reorder_basis
     from repro.integrals.engine import MDEngine
-    from repro.integrals.oneelec import core_hamiltonian, overlap
+    from repro.integrals.oneelec import one_electron
     from repro.scf.guess import core_guess
     from repro.scf.orthogonalization import orthogonalizer
 
     mol = molecule_by_name(molecule)
     basis = reorder_basis(BasisSet.build(mol, basis_name))
     engine = MDEngine(basis)
-    hcore = core_hamiltonian(basis)
-    x = orthogonalizer(overlap(basis))
+    s, t, v = one_electron(basis)
+    hcore = t + v
+    x = orthogonalizer(s)
     density = core_guess(hcore, x, mol.nelectrons // 2)
     return engine, hcore, density, mol, basis
 

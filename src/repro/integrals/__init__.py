@@ -16,8 +16,7 @@ from repro.integrals.pairdata import PairData, ShellPairData
 from repro.integrals.store import ERIStore, StoreInvalidatedWarning, basis_fingerprint
 from repro.integrals.oneelec import (
     core_hamiltonian,
-    kinetic,
-    nuclear_attraction,
+    one_electron,
     overlap,
 )
 from repro.integrals.schwarz import (
@@ -42,8 +41,7 @@ __all__ = [
     "PairData",
     "ShellPairData",
     "core_hamiltonian",
-    "kinetic",
-    "nuclear_attraction",
+    "one_electron",
     "overlap",
     "schwarz_matrix",
     "schwarz_model",

@@ -631,15 +631,20 @@ class SlotFill:
         self.pattern = self.data = None
         self._lock = threading.Lock()
 
-    def write(self, flush: list[Chunk], g: np.ndarray) -> None:
-        """Put one flush's ``g = w (ab|cd)`` (:func:`_weighted_flush`) in
-        its slots, :data:`SLOT_WORK` elements at a time."""
+    def write(self, flush: list[Chunk], parts: list[np.ndarray]) -> None:
+        """Put one flush's weighted blocks ``w (ab|cd)``, one stack per
+        member, in their slots, :data:`SLOT_WORK` elements at a time: a
+        window across members is the only copy."""
         self._allocate()
         rows = np.concatenate([b.row0 + r for b, r in flush])
         q = np.concatenate([b.quartets[r] for b, r in flush])
-        step = max(1, SLOT_WORK // math.prod(g.shape[1:]))
-        for at in (slice(lo, lo + step) for lo in range(0, len(g), step)):
-            part = q[at], rows[at], g[at]
+        starts = np.cumsum([0] + [len(g) for g in parts])
+        step = max(1, SLOT_WORK // math.prod(parts[0].shape[1:]))
+        for lo in range(0, len(q), step):
+            hi = min(lo + step, len(q))
+            k0, k1 = np.searchsorted(starts, lo, "right") - 1, np.searchsorted(starts, hi)
+            g = [p[max(lo - s, 0):hi - s] for p, s in zip(parts[k0:k1], starts[k0:k1])]
+            part = q[lo:hi], rows[lo:hi], g[0] if len(g) == 1 else np.concatenate(g)
             self._put(0, *part)
             same = part[0][:, 2] == part[0][:, 3]
             if same.any():  # M_K's two views share one block: (ac|bd) + (ad|bc)
@@ -913,12 +918,15 @@ def _run_chunks(engine, dflat, chunks, fill, faults):
     totals = dict.fromkeys(_COUNT_KEYS, 0)
     for flush, parts in _flushes(engine, chunks, faults, totals):
         with phase(PHASE_JK):
-            g, bases = _weighted_flush(flush, parts)
-            parts.clear()  # the stage's blocks: g holds them now
             if fill is None:
+                g, bases = _weighted_flush(flush, parts)
+                parts.clear()  # the stage's blocks: g holds them now
                 _contract_blocks(jt, kt, dflat, n, g, bases)
-            else:
-                fill.write(flush, g)
+            else:  # each member's blocks weighted in place, no stacked copy
+                for (batch, rows), blocks in zip(flush, parts):
+                    blocks *= batch.weights[rows].reshape(-1, 1, 1, 1, 1)
+                fill.write(flush, parts)
+                parts.clear()
     return jt, kt, totals
 
 

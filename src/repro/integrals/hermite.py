@@ -51,7 +51,7 @@ def e_coefficients(la: int, lb: int, a, b, ab_dist: float) -> np.ndarray:
     arg = -mu * ab_dist * ab_dist
     # math.exp per pair: np.exp may round the last bit differently
     E[0, 0, 0] = (
-        math.exp(arg) if np.ndim(arg) == 0 else [math.exp(x) for x in arg]
+        math.exp(arg) if np.ndim(arg) == 0 else list(map(math.exp, arg.tolist()))
     )
     # build up i with j = 0
     for i in range(1, la + 1):

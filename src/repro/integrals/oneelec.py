@@ -2,14 +2,19 @@
 
 These form the overlap matrix S (for the basis orthogonalization
 ``X = U s^{-1/2}``) and the core Hamiltonian ``H^core = T + V`` of
-Algorithm 1 in the paper.  They are on every SCF run's wall clock, so
-they ride the ERI kernel's data: canonical shell pairs are grouped by
-class and every class is evaluated at once from its
-:class:`~repro.integrals.pairdata.PairData` stacks -- S straight from the
-Hermite ``E`` tensors, V with one ``r_tensor_batch`` sweep over
-(primitive pairs x nuclei), T from 1-D Hermite tables extended by two
-on the ket side.  ``tests/reference_kernel.py`` holds the per-component
-scalar loops as the oracle.
+Algorithm 1 in the paper.  They are on every SCF run's wall clock -- a
+warm stored run serves its Fock builds in a few ms each -- so they take
+one pass of their own and no ERI pair data: canonical shell pairs are
+grouped by ``(la, lb, pure_a, pure_b)`` and every group's primitive pairs
+are gathered by index arithmetic over per-shell exponent and coefficient
+tables.  One ``e_coefficients(la, lb + 2)`` table per direction gives S,
+T (the ket side extended by two) and the Hermite ``E`` of V, which is one
+``r_tensor_batch`` over (primitive pairs x nuclei); segment sums,
+the spherical transform and one scatter finish each group.  The ERI
+engine's :class:`~repro.integrals.pairdata.ShellPairData` stays Schwarz's
+and the class plan's.  ``tests/reference_oneelec.py`` (the class-stack
+assembly this replaced) and ``tests/reference_kernel.py`` (per-component
+scalar loops) are the oracles.
 """
 
 from __future__ import annotations
@@ -21,134 +26,107 @@ import numpy as np
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import cartesian_components
 from repro.integrals.class_batch import MAX_R_WORK
-from repro.integrals.hermite import e_coefficients, r_tensor_batch
-from repro.integrals.pairdata import PairData, ShellPairData
+from repro.integrals.hermite import e_coefficients, hermite_index, r_tensor_batch
 from repro.integrals.spherical import cartesian_to_basis
+from repro.obs import phase
+from repro.obs.profile import PHASE_ONE_ELECTRON
 
 
-def assemble_pair_classes(
-    basis: BasisSet, pairs: ShellPairData | None, class_blocks
-) -> np.ndarray:
-    """A symmetric one-electron matrix, one shell-pair class at a time.
-
-    ``class_blocks(stack, members)`` returns the raw Cartesian blocks
-    ``(npairs, ncart_a, ncart_b)`` of the canonical pairs ``members``
-    (``(npairs, 2)`` shell indices, ``i >= j``) stacked in ``stack``;
-    normalization, spherical transforms and the scatter into
-    ``(nbf, nbf)`` happen here.  ``pairs`` supplies (and memoizes)
-    the pair data, whose class stacks are read at the members' slots:
-    the ERI engine's, to share it, ``None`` for a throwaway one.
-    """
-    if pairs is None:
-        pairs = ShellPairData(basis)
-    i, j = np.tril_indices(basis.nshells)
-    pairs.expand(i, j)
-    klass = pairs.klass[i, j]
-    shells = basis.shells
-    out = np.zeros((basis.nbf, basis.nbf))
-    slices = basis.shell_slices
-    for k in np.unique(klass).tolist():
-        members = np.stack([i[klass == k], j[klass == k]], axis=1)
-        ta, tb = (cartesian_to_basis(shells[s].l, shells[s].pure) for s in members[0])
-        stack = pairs.stacks[k].take(pairs.slot[members[:, 0], members[:, 1]])
-        blocks = class_blocks(stack, members)
-        blocks = ta @ blocks @ tb.T
-        for (a, b), blk in zip(members.tolist(), blocks):
-            out[slices[b], slices[a]] = blk.T
-            out[slices[a], slices[b]] = blk
+def _one_pass(basis: BasisSet, hcore: bool) -> np.ndarray:
+    """``[S]``, or ``[S, T, V]`` when ``hcore``, stacked ``(m, nbf, nbf)``."""
+    with phase(PHASE_ONE_ELECTRON):
+        shells = basis.shells
+        nprim = np.array([sh.nprim for sh in shells])
+        first = np.cumsum(nprim) - nprim
+        exps = np.concatenate([sh.exps for sh in shells])
+        coefs = np.concatenate([sh.norm_coefs for sh in shells])
+        centers = np.array([sh.center for sh in shells])
+        kind = np.array([2 * sh.l + sh.pure for sh in shells])
+        out = np.zeros((3 if hcore else 1, basis.nbf, basis.nbf))
+        i, j = np.tril_indices(basis.nshells)
+        group = kind[i] * (kind.max() + 1) + kind[j]
+        for g in np.unique(group).tolist():
+            si, sj = i[group == g], j[group == g]
+            (la, pa), (lb, pb) = (divmod(int(kind[s[0]]), 2) for s in (si, sj))
+            # every primitive pair of the group on one axis, a-major per pair
+            npp = nprim[si] * nprim[sj]
+            seg = np.cumsum(npp) - npp
+            pair = np.repeat(np.arange(si.size), npp)
+            q, nb = np.arange(npp.sum()) - seg[pair], nprim[sj][pair]
+            ia, ib = first[si][pair] + q // nb, first[sj][pair] + q % nb
+            a, b, coef = exps[ia], exps[ib], coefs[ia] * coefs[ib]
+            A, B = centers[si][pair], centers[sj][pair]
+            e = [e_coefficients(la, lb + 2 * hcore, a, b, A[:, d] - B[:, d]) for d in range(3)]
+            # per direction the tables at the Cartesian components' (i, j)
+            ca, cb = (np.array(cartesian_components(l)).reshape(-1, 3).T[..., None]
+                      for l in (la, lb))
+            ij = [(ca[d], cb[d].T) for d in range(3)]
+            s1d = [e[d][i_, j_, 0] for d, (i_, j_) in enumerate(ij)]  # (na, nb, prim)
+            pref = coef * (math.pi / (a + b)) ** 1.5
+            vals = [s1d[0] * s1d[1] * s1d[2] * pref]
+            if hcore:
+                # D_x^2 on the ket: 4b^2 G_{j+2} - 2b(2j+1) G_j + j(j-1) G_{j-2}
+                # (the last coefficient vanishes where j - 2 would not exist)
+                tx, ty, tz = (
+                    -2.0 * b * b * e[d][i_, j_ + 2, 0] + b * (2 * j_ + 1)[..., None] * s1d[d]
+                    - (0.5 * j_ * (j_ - 1))[..., None] * e[d][i_, np.maximum(j_ - 2, 0), 0]
+                    for d, (i_, j_) in enumerate(ij)
+                )
+                sx, sy, sz = s1d
+                vals.append((tx * sy * sz + sx * ty * sz + sx * sy * tz) * pref)
+                vals.append(_attraction(basis.molecule, la + lb, e, ij, a, b, A, B, coef))
+            sums = np.add.reduceat(np.stack(vals), seg, axis=-1)  # (m, na, nb, pair)
+            ta, tb = cartesian_to_basis(la, bool(pa)), cartesian_to_basis(lb, bool(pb))
+            blocks = ta @ np.moveaxis(sums, -1, 1) @ tb.T  # (m, pair, a, b)
+            rows = basis.offsets[si][:, None, None] + np.arange(ta.shape[0])[:, None]
+            cols = basis.offsets[sj][:, None, None] + np.arange(tb.shape[0])
+            out[:, cols.swapaxes(1, 2), rows.swapaxes(1, 2)] = blocks.swapaxes(2, 3)
+            out[:, rows, cols] = blocks
     return out
 
 
-def overlap_prefactor(stack: PairData) -> np.ndarray:
-    """``c_a c_b (pi / p)^{3/2}`` per primitive pair, (npairs, npp)."""
-    return stack.coef * (math.pi / stack.p) ** 1.5
+def _attraction(molecule, lab: int, e: list, ij: list, a, b, A, B, coef) -> np.ndarray:
+    """V per primitive pair, ``(na, nb, prim)``: the Hermite ``E`` from the
+    1-D tables ``e`` at the components ``ij``, contracted with ``R`` summed
+    over the nuclei -- one ``r_tensor_batch`` per chunk of primitive pairs
+    (at most :data:`MAX_R_WORK` primitive pairs x nuclei x Hermite rows)."""
+    herm = np.array(hermite_index(lab)).T
+    charges = molecule.numbers.astype(float)
+    p = a + b
+    P = (a[:, None] * A + b[:, None] * B) / p[:, None]
+    # -Z_C c_a c_b 2 pi / p rides the Hermite seeds
+    weights = (-2.0 * math.pi * coef / p)[:, None] * charges
+    out = []
+    step = max(1, MAX_R_WORK // (charges.size * math.comb(lab + 4, 4)))
+    for lo in range(0, p.size, step):
+        sel = slice(lo, lo + step)
+        hx, hy, hz = (
+            e[d][..., sel][i_[..., None], j_[..., None], herm[d]]
+            for d, (i_, j_) in enumerate(ij)
+        )
+        w = weights[sel]
+        r = r_tensor_batch(
+            lab, np.broadcast_to(p[sel, None], w.shape), P[sel, None, :] - molecule.coords,
+            w.ravel(),
+        )
+        out.append(np.einsum("abhx,hx->abx", hx * hy * hz, r.reshape(-1, *w.shape).sum(-1)))
+    return np.concatenate(out, axis=-1)
 
 
-def overlap(basis: BasisSet, pairs: ShellPairData | None = None) -> np.ndarray:
+def one_electron(basis: BasisSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S, kinetic energy T (blocks ``-1/2 <a|del^2|b>``) and nuclear
+    attraction V (the -Z sign included), shape (nbf, nbf) each, from one
+    pass."""
+    s, t, v = _one_pass(basis, True)
+    return s, t, v
+
+
+def overlap(basis: BasisSet) -> np.ndarray:
     """Full overlap matrix S, shape (nbf, nbf)."""
-
-    def blocks(stack, _members):
-        return np.einsum(
-            "sx,sxab->sab", overlap_prefactor(stack), stack.E[..., 0]
-        )
-
-    return assemble_pair_classes(basis, pairs, blocks)
+    return _one_pass(basis, False)[0]
 
 
-def kinetic(basis: BasisSet, pairs: ShellPairData | None = None) -> np.ndarray:
-    """Full kinetic-energy matrix T, blocks ``-1/2 <a|del^2|b>``."""
-    shells = basis.shells
-
-    def blocks(stack, members):
-        # 1-D tables E_0^{i,j} with j up to lb + 2, every primitive pair
-        # of the class along one flat axis (a-major like the pair data)
-        sa = [shells[i] for i in members[:, 0]]
-        sb = [shells[j] for j in members[:, 1]]
-        a = np.concatenate([np.repeat(s.exps, t.nprim) for s, t in zip(sa, sb)])
-        b = np.concatenate([np.tile(t.exps, s.nprim) for s, t in zip(sa, sb)])
-        ab = np.repeat(
-            [s.center - t.center for s, t in zip(sa, sb)], stack.npp, axis=0
-        )
-        ca = np.array(cartesian_components(stack.la))[:, None, :]
-        cb = np.array(cartesian_components(stack.lb))[None, :, :]
-        s1d, t1d = [], []
-        for d in range(3):
-            e0 = e_coefficients(stack.la, stack.lb + 2, a, b, ab[:, d])[:, :, 0]
-            i, j = ca[..., d], cb[..., d]
-            s1d.append(e0[i, j])
-            # D_x^2 on the ket: 4b^2 G_{j+2} - 2b(2j+1) G_j + j(j-1) G_{j-2}
-            # (the last coefficient vanishes where j - 2 would not exist)
-            t1d.append(
-                -2.0 * b * b * e0[i, j + 2]
-                + b * (2 * j + 1)[..., None] * e0[i, j]
-                - (0.5 * j * (j - 1))[..., None] * e0[i, np.maximum(j - 2, 0)]
-            )
-        (sx, sy, sz), (tx, ty, tz) = s1d, t1d
-        total = tx * sy * sz + sx * ty * sz + sx * sy * tz  # (na, nb, flat)
-        return np.einsum(
-            "sx,absx->sab",
-            overlap_prefactor(stack),
-            total.reshape(total.shape[:2] + stack.p.shape),
-        )
-
-    return assemble_pair_classes(basis, pairs, blocks)
-
-
-def nuclear_attraction(
-    basis: BasisSet, pairs: ShellPairData | None = None
-) -> np.ndarray:
-    """Full nuclear-attraction matrix V (includes the -Z sign)."""
-    charges = basis.molecule.numbers.astype(float)
-    positions = basis.molecule.coords
-
-    def blocks(stack, _members):
-        lab = stack.la + stack.lb
-        # -Z_C c_a c_b 2 pi / p rides the Hermite seeds: R summed over the
-        # nuclei is one (nherm, prim) table per pair to contract
-        weights = (-2.0 * math.pi * stack.coef / stack.p)[..., None] * charges
-        out = []
-        step = max(1, MAX_R_WORK // (stack.npp * len(charges) * math.comb(lab + 4, 4)))
-        for lo in range(0, stack.npairs, step):
-            sel = slice(lo, lo + step)
-            w = weights[sel]
-            r = r_tensor_batch(
-                lab,
-                np.broadcast_to(stack.p[sel, :, None], w.shape),
-                stack.P[sel, :, None, :] - positions,
-                w.ravel(),
-            )
-            out.append(np.einsum(
-                "sxabh,hsx->sab", stack.E[sel], r.reshape(-1, *w.shape).sum(-1)
-            ))
-        return np.concatenate(out)
-
-    return assemble_pair_classes(basis, pairs, blocks)
-
-
-def core_hamiltonian(
-    basis: BasisSet, pairs: ShellPairData | None = None
-) -> np.ndarray:
+def core_hamiltonian(basis: BasisSet) -> np.ndarray:
     """H^core = T + V (line 2 of Algorithm 1 in the paper)."""
-    if pairs is None:
-        pairs = ShellPairData(basis)
-    return kinetic(basis, pairs) + nuclear_attraction(basis, pairs)
+    _, t, v = one_electron(basis)
+    return t + v

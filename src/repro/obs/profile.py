@@ -5,7 +5,7 @@ place every serious restructure does (the Xeon Phi HF work restructured
 its loops *from hotspot profiles*): knowing where the Python wall-clock,
 CPU time, and allocations actually go.  The pipeline's named phases --
 
-``pairdata_build``, ``schwarz_screening``, ``class_plan``,
+``one_electron``, ``pairdata_build``, ``schwarz_screening``, ``class_plan``,
 ``eri_quartets``, ``jk_contraction``, ``store_fill``, ``diagonalize``/``purify``,
 ``diis``, ``fock_build``, ``sim_event_loop`` and the probes ``guard``
 and ``integrity``
@@ -50,6 +50,8 @@ from typing import Any, Callable
 #: the canonical phase taxonomy (documented in docs/OBSERVABILITY.md);
 #: free-form names are allowed, these are the ones the pipeline emits
 PHASE_PAIRDATA = "pairdata_build"
+#: S, T and V (:mod:`repro.integrals.oneelec`), one pass per call
+PHASE_ONE_ELECTRON = "one_electron"
 PHASE_SCHWARZ = "schwarz_screening"
 PHASE_CLASS_PLAN = "class_plan"
 PHASE_ERI = "eri_quartets"

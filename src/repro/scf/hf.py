@@ -301,11 +301,8 @@ class SCFDriver:
         """Set-up, then the latest intact snapshot when resuming."""
         label = self.molecule.name or self.molecule.formula
         with get_tracer().span("scf_setup", cat="scf", molecule=label):
-            # the engine's pair data: S, T, V, Schwarz and every class
-            # plan expand each shell pair once
-            pairs = self.engine.pair_cache
-            s = overlap(self.basis, pairs)
-            h = core_hamiltonian(self.basis, pairs)
+            s = overlap(self.basis)
+            h = core_hamiltonian(self.basis)
             x = orthogonalizer(s)
             enuc = self.molecule.nuclear_repulsion()
             ds = guess if guess is not None else self._guess(h, x)

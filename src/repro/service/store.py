@@ -388,8 +388,8 @@ class JobStore:
         Returns the resulting state (``"queued"`` or ``"quarantined"``),
         or None when the guarded transition matched
         nothing (lease already lost).  ``owner=None`` bypasses the owner
-        guard -- reserved for the supervisor's expiry/timeout paths,
-        which act on leases that are provably dead.  ``new_spec``
+        guard -- reserved for the supervisor's timeout path, which acts
+        on a lease it is about to kill.  ``new_spec``
         replaces the job spec on the retry (the degradation ladder).
         """
         now = time.time() if now is None else now
@@ -440,29 +440,25 @@ class JobStore:
 
     # -- supervisor side ------------------------------------------------
 
-    def expire_leases(self, now: float | None = None) -> list[int]:
-        """Re-enqueue (or quarantine) every job whose lease has expired.
+    def expire_leases(self, now: float | None = None, dead: tuple | list = ()) -> list[int]:
+        """Re-enqueue (or quarantine) every job whose lease has expired or
+        whose owner is one of the ``dead`` workers (their process exited).
 
-        The supervisor calls this every tick; it is the recovery path
-        for workers that died (SIGKILL, OOM kill, power loss) or hung
-        (stopped heartbeating).  Returns the affected job ids.
+        The supervisor calls this every tick with the workers it reaped;
+        it is the recovery path for workers that died (SIGKILL, OOM kill,
+        power loss: at once) or hung (stopped heartbeating: by TTL).  Each
+        job is failed under its owner's guard.  Returns the job ids.
         """
         now = time.time() if now is None else now
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT id FROM jobs WHERE state IN ('leased', 'running')"
-                " AND lease_expires IS NOT NULL AND lease_expires < ?",
-                (now,),
-            ).fetchall()
-        expired = []
-        for row in rows:
-            state = self.fail(
-                row["id"], None, "lease expired (worker died or hung)",
-                retryable=True, now=now, event="lease_expired",
-            )
-            if state is not None:
-                expired.append(row["id"])
-        return expired
+        rows = self._connect().execute(
+            "SELECT id, lease_owner FROM jobs WHERE state IN ('leased', 'running')"
+            f" AND (lease_expires < ? OR lease_owner IN ({', '.join('?' * len(dead))}))",
+            (now, *dead),
+        ).fetchall()
+        return [row["id"] for row in rows if self.fail(
+            row["id"], row["lease_owner"], "lease expired (worker died or hung)",
+            retryable=True, now=now, event="lease_expired",
+        ) is not None]
 
     def timeout_job(self, job_id: int, now: float | None = None) -> str | None:
         """Charge a wall-clock timeout against a running job."""

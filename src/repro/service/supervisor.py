@@ -6,9 +6,10 @@ crash and be restarted without losing work.  Its loop enforces the three
 recovery paths a lease-based queue needs:
 
 * **Lease expiry** (:meth:`JobStore.expire_leases`): a worker that was
-  SIGKILLed, OOM-killed, or hung stops heartbeating; its job is
-  re-enqueued with backoff and resumed by another worker from the
-  latest intact checkpoint.
+  SIGKILLed or OOM-killed gives its job back the tick its exit is
+  reaped, one that hung when it stops heartbeating past its lease; the
+  job is re-enqueued with backoff and resumed by another worker from
+  the latest intact checkpoint.
 * **Wall-clock timeouts**: a *running* job past its ``timeout_s`` budget
   is charged a timeout attempt and its worker is killed
   SIGTERM-then-SIGKILL.  SIGTERM gives the worker's handler a grace
@@ -165,7 +166,8 @@ def serve(
     try:
         while not stopping["flag"]:
             now = time.time()
-            expired = store.expire_leases(now)
+            dead = pool.reap()
+            expired = store.expire_leases(now, dead)
             expired_total += len(expired)
             if verbose and expired:
                 print(f"re-enqueued expired leases: {expired}", flush=True)
@@ -184,7 +186,6 @@ def serve(
                         )
                     if job.lease_owner:
                         pool.kill_job_owner(job.lease_owner, grace_s)
-            dead = pool.reap()
             finished = drain and store.drained()
             if dead and not finished and not stopping["flag"]:
                 for _owner in dead:

@@ -17,7 +17,7 @@ from reference_supermatrix import assemble_supermatrix
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import h2, methane, water
 from repro.integrals.engine import MDEngine
-from repro.integrals.oneelec import core_hamiltonian, overlap
+from repro.integrals.oneelec import core_hamiltonian, one_electron, overlap
 from repro.scf import hf
 from repro.scf.fock import fock_matrix
 from repro.scf.guess import core_guess
@@ -31,6 +31,16 @@ def cartesian(basis: BasisSet) -> BasisSet:
         shells=[replace(sh, pure=False) for sh in basis.shells],
         name=basis.name + "-cart",
     )
+
+
+def kinetic(basis):
+    """T of ``basis`` (the one pass's second matrix)."""
+    return one_electron(basis)[1]
+
+
+def nuclear_attraction(basis):
+    """V of ``basis`` (the one pass's third matrix)."""
+    return one_electron(basis)[2]
 
 
 def pair_block(matrix_fn, sh_a, sh_b, molecule=None, **kwargs):

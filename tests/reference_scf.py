@@ -155,9 +155,8 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
         engine.integral_store.verify_reads = True
 
     with tracer.span("scf_setup", cat="scf", molecule=mol_label):
-        pairs = engine.pair_cache
-        s = hf.overlap(self.basis, pairs)
-        h = hf.core_hamiltonian(self.basis, pairs)
+        s = hf.overlap(self.basis)
+        h = hf.core_hamiltonian(self.basis)
         x = hf.orthogonalizer(s)
         enuc = self.molecule.nuclear_repulsion()
         ds = guess if guess is not None else self._guess(h, x)

@@ -1,19 +1,22 @@
-"""Tests for one-electron integrals: S, T, V against analytic references."""
+"""Tests for one-electron integrals: S, T, V against analytic references
+and against the class-stack assembly the one pass replaced."""
 
 import math
 
 import numpy as np
 import pytest
+import reference_oneelec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import pair_block
+from conftest import kinetic, nuclear_attraction, pair_block
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.basis.shells import Shell
 from repro.chem.molecule import Atom, Molecule
 from repro.integrals.oneelec import (
     core_hamiltonian,
-    kinetic,
-    nuclear_attraction,
+    one_electron,
     overlap,
 )
 
@@ -150,3 +153,52 @@ class TestTranslationInvariance:
             sha.at(sha.center + shift, 0), shb.at(shb.center + shift, 0)
         )
         assert np.allclose(blk1, blk2, atol=1e-13)
+
+
+_coord = st.floats(-2.0, 2.0, allow_nan=False)
+_shell = st.builds(
+    lambda l, pure, prims, center: Shell(
+        l=l, exps=np.array([e for e, _ in prims]), coefs=np.array([c for _, c in prims]),
+        center=np.array(center), atom_index=0, pure=pure,
+    ),
+    st.integers(0, 2), st.booleans(),
+    st.lists(st.tuples(st.floats(0.05, 20.0), st.floats(0.1, 1.0)), min_size=1, max_size=6),
+    st.tuples(_coord, _coord, _coord),
+)
+_nuclei = st.lists(
+    st.tuples(st.sampled_from(["H", "C", "O"]), st.tuples(_coord, _coord, _coord)),
+    min_size=1, max_size=3,
+)
+
+
+class TestOnePassAgainstReplacedCode:
+    """The one pass against ``tests/reference_oneelec.py`` (the ERI pair
+    data's class stacks, three passes per class) on random shells: s, p
+    and d, pure and Cartesian, 1-6 primitives, random centres and nuclei."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shells=st.lists(_shell, min_size=1, max_size=5), nuclei=_nuclei)
+    def test_matches_the_class_stack_assembly(self, shells, nuclei):
+        # the k-th nucleus 5 bohr further along x: never coincident
+        atoms = [Atom(s, (x + 5.0 * k, y, z)) for k, (s, (x, y, z)) in enumerate(nuclei)]
+        basis = BasisSet(molecule=Molecule(atoms=atoms), shells=shells, name="random")
+        s, t, v = one_electron(basis)
+        assert np.abs(s - reference_oneelec.overlap(basis)).max() <= 1e-13
+        assert np.abs(t - reference_oneelec.kinetic(basis)).max() <= 1e-13
+        assert np.abs(v - reference_oneelec.nuclear_attraction(basis)).max() <= 1e-13
+        assert np.array_equal(overlap(basis), s)
+        assert np.array_equal(core_hamiltonian(basis), t + v)
+
+    @settings(max_examples=25, deadline=None)
+    @given(shells=st.lists(_shell, min_size=1, max_size=4), shift=st.tuples(_coord, _coord, _coord))
+    def test_s_and_t_are_translation_invariant(self, shells, shift):
+        """A rigid translation moves S and T by round-off only: their
+        arithmetic sees the centres through ``A - B``."""
+        mol = Molecule(atoms=[Atom("H", (0.0, 0.0, 0.0))])
+        moved = [sh.at(sh.center + np.array(shift), 0) for sh in shells]
+        (s, t, _), (s2, t2, _) = (
+            one_electron(BasisSet(molecule=mol, shells=shs, name="random"))
+            for shs in (shells, moved)
+        )
+        assert np.abs(s2 - s).max() <= 1e-12
+        assert np.abs(t2 - t).max() <= 1e-12

@@ -179,12 +179,14 @@ class TestBatchedPairData:
         assert cache.pairs_built == len(ij) == (cache.klass >= 0).sum()
 
     def test_pairs_built_on_the_direct_scf_system(self):
-        """(H2O)5/STO-3G: S, H^core, Schwarz and one J/K build expand
-        every canonical pair once, as the per-pair cache did (325)."""
+        """(H2O)5/STO-3G: Schwarz and one J/K build expand every
+        canonical pair once, as the per-pair cache did (325); S and
+        H^core expand none."""
         eng = MDEngine(BasisSet.build(water_cluster(5, 1, 1), "sto-3g"))
         ns = eng.basis.nshells
-        overlap(eng.basis, eng.pair_cache)
-        core_hamiltonian(eng.basis, eng.pair_cache)
+        overlap(eng.basis)
+        core_hamiltonian(eng.basis)
+        assert eng.pair_cache.pairs_built == 0
         build_jk(eng, np.eye(eng.basis.nbf))
         assert eng.pair_cache.pairs_built == ns * (ns + 1) // 2 == 325
 

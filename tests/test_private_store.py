@@ -165,7 +165,7 @@ def test_the_bound_covers_a_fill_without_zeros():
         plan = engine.class_plan(1e-11)
         fill = SlotFill(engine.basis, plan, None)
         for b in plan.batches:
-            fill.write([(b, np.arange(b.nq))], np.ones((b.nq, *b.dims)))
+            fill.write([(b, np.arange(b.nq))], [np.ones((b.nq, *b.dims))])
         mj, mk = fill.matrices()
         stored = sum(a.nbytes for m in (mj, mk) for a in (m.data, m.indices, m.indptr))
         assert stored <= plan.stored_bytes(engine.basis.nbf)

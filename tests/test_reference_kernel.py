@@ -35,7 +35,7 @@ from repro.chem.builders import methane, water
 from repro.integrals.boys import _ASYMPTOTIC_X, _STEP, boys_array
 from repro.integrals.class_batch import build_class_plan, compute_class_rows
 from repro.integrals.engine import MDEngine
-from repro.integrals.oneelec import kinetic, nuclear_attraction, overlap
+from repro.integrals.oneelec import one_electron, overlap
 from repro.integrals.pairdata import ShellPairData, shell_families
 from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 
@@ -181,7 +181,8 @@ class TestOneElectronMatchReference:
         basis = BASES[name]
         mol = basis.molecule
         charges, positions = mol.numbers.astype(float), mol.coords
-        s, t, v = overlap(basis), kinetic(basis), nuclear_attraction(basis)
+        s, t, v = one_electron(basis)
+        assert np.array_equal(overlap(basis), s)
         for i, sh_i in enumerate(basis.shells):
             si = basis.shell_slice(i)
             for j, sh_j in enumerate(basis.shells[: i + 1]):
@@ -211,16 +212,17 @@ class TestOneElectronMatchReference:
         )
 
     def test_engine_shares_one_pair_cache(self):
-        """S, T, V, Schwarz and the class plan expand each pair once."""
+        """Schwarz and the class plan expand each pair once; S, T and V
+        expand none."""
         basis = BASES["water/6-31g"]
         engine = MDEngine(basis)
-        overlap(basis, engine.pair_cache)
-        npairs = basis.nshells * (basis.nshells + 1) // 2
-        assert engine.pair_cache.pairs_built == npairs
-        kinetic(basis, engine.pair_cache)
-        nuclear_attraction(basis, engine.pair_cache)
+        overlap(basis)
+        one_electron(basis)
+        assert engine.pair_cache.pairs_built == 0
         before = engine.quartets_computed
         engine.schwarz()
+        npairs = basis.nshells * (basis.nshells + 1) // 2
+        assert engine.pair_cache.pairs_built == npairs
         engine.class_plan(1e-11)
         assert engine.pair_cache.pairs_built == npairs
         assert engine.quartets_computed == before  # Schwarz is not a build

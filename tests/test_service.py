@@ -111,6 +111,21 @@ class TestJobStoreTransitions:
         clock.now += 120
         assert store.claim("w1").id == job.id
 
+    def test_reap_releases_only_the_dead_owners_jobs(self, store):
+        """A reaped owner's job is re-enqueued at once, as a TTL expiry
+        would (one attempt, ``lease_expired``); a live owner's -- the
+        ``hang`` personality: alive, not heartbeating -- waits for its TTL."""
+        a = store.submit({"kind": "sleep"}, lease_s=30.0)
+        b = store.submit({"kind": "sleep", "hang": True}, lease_s=30.0)
+        store.claim("dead")
+        store.claim("alive")
+        now = time.time()
+        assert store.expire_leases(now, ["dead"]) == [a.id]
+        assert store.get(a.id).state == "queued" and store.get(a.id).attempts == 1
+        assert [e[0] for e in store.events_for(a.id)][-1] == "lease_expired"
+        assert store.get(b.id).state == "leased"
+        assert store.expire_leases(now + 31.0) == [b.id]
+
     def test_heartbeat_renews_only_for_owner(self, store):
         job = store.submit({"kind": "sleep"}, lease_s=5.0)
         j = store.claim("w1")
@@ -389,6 +404,40 @@ class TestCrashResume:
         assert final.result["energy"] == baseline.energy  # bitwise
         done_events = [e for e in store.events_for(job.id) if e[0] == "done"]
         assert len(done_events) == 1  # executed-and-recorded exactly once
+
+
+class TestReapReleases:
+    def test_killed_workers_job_is_leased_again_within_two_ticks(self, tmp_path):
+        """A worker SIGKILLed mid-job gives its job back the tick the
+        supervisor reaps its exit, not when its 30 s lease would run out:
+        the job is re-enqueued within two poll ticks of the kill (one
+        attempt charged, event ``lease_expired``) and the respawned worker
+        leases it again and finishes it."""
+        store = JobStore(tmp_path / "queue")
+        job = store.submit({"kind": "sleep", "seconds": 1.0}, lease_s=30.0)
+        ticks = {"n": 0, "killed": None, "released": None}
+
+        def on_tick(store, pool):
+            ticks["n"] += 1
+            j = store.get(job.id)
+            if ticks["killed"] is None and j.state == "running":
+                proc = pool.procs[j.lease_owner]
+                proc.send_signal(signal.SIGKILL)
+                proc.wait()
+                ticks["killed"] = ticks["n"]
+            elif ticks["killed"] is not None and ticks["released"] is None \
+                    and "lease_expired" in [e[0] for e in store.events_for(job.id)]:
+                ticks["released"] = ticks["n"]
+
+        result = serve(tmp_path / "queue", workers=1, poll_s=0.2, drain=True,
+                       wall_limit_s=20, install_signals=False, on_tick=on_tick)
+        assert ticks["killed"] is not None
+        assert ticks["released"] is not None
+        assert ticks["released"] - ticks["killed"] <= 2
+        final = store.get(job.id)
+        assert result.drained and final.state == "done" and final.attempts == 1
+        leases = [e for e in store.events_for(job.id) if e[0] == "leased"]
+        assert len(leases) == 2 and leases[0][1] != leases[1][1]
 
 
 class TestTimeoutEnforcement:

@@ -293,7 +293,7 @@ def _stage(store, value: float) -> None:
     of one shell."""
     plan = build_class_plan(store.basis, None, _KEY)
     fill = SlotFill(store.basis, plan, None)
-    fill.write([(plan.batches[0], np.arange(1))], np.full((1, 1, 1, 1, 1), value / 8.0))
+    fill.write([(plan.batches[0], np.arange(1))], [np.full((1, 1, 1, 1, 1), value / 8.0)])
     store.record_batch(*fill.matrices(), 1)
 
 

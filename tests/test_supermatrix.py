@@ -210,7 +210,7 @@ class TestAgainstV2Oracle:
 
 def _random_flushes(rng, members, rows):
     """Weighted blocks ``((batch, rows), g)`` of a plan as a fill's
-    flushes ``(members, g)``: only the plan ``rows`` (``None``: all),
+    flushes ``(members, parts)``: only the plan ``rows`` (``None``: all),
     each member cut at random, the parts shuffled and runs of one shape
     joined at random."""
     parts = []
@@ -228,7 +228,7 @@ def _random_flushes(rng, members, rows):
             flushes[-1][1].append(g)
         else:
             flushes.append(([member], [g]))
-    return [(flush, np.concatenate(gs)) for flush, gs in flushes]
+    return flushes
 
 
 class TestFillAgainstReplacedCode:
@@ -271,9 +271,10 @@ class TestFillAgainstReplacedCode:
         for rows in (None, subset):
             fill = class_batch.SlotFill(basis, plan, rows)
             pieces = []
-            for flush, g in _random_flushes(rng, members, rows):
-                fill.write(flush, g)
-                pieces.append((np.concatenate([b.quartets[r] for b, r in flush]), g))
+            for flush, parts in _random_flushes(rng, members, rows):
+                fill.write(flush, parts)
+                pieces.append((np.concatenate([b.quartets[r] for b, r in flush]),
+                               np.concatenate(parts)))
             for got, want in zip(fill.matrices(), reference_pair_matrices(basis, pieces)):
                 for name in ("data", "indices", "indptr"):
                     a, b = getattr(got, name), getattr(want, name)
@@ -461,6 +462,16 @@ class TestWarmRestart:
         assert res.energy_history == ref.energy_history
         assert np.array_equal(res.fock, ref.fock)
         assert np.array_equal(res.density, ref.density)
+
+    def test_warm_run_expands_no_pair_data(self, tmp_path):
+        """S, T and V take their own pass: a warm stored RHF, which plans
+        nothing and builds no Schwarz matrix, expands no ERI pair data."""
+        basis = BasisSet.build(water(), "6-31g")
+        build_jk(MDEngine(basis, store=tmp_path / "store"), np.eye(basis.nbf))
+        rhf = RHF(water(), "6-31g", integral_store=str(tmp_path / "store"))
+        assert rhf.run().converged
+        assert rhf.engine.quartets_computed == 0
+        assert rhf.engine.pair_cache.pairs_built == 0
 
     @pytest.mark.parametrize("system", ["water", "water4"])
     def test_ready_store_run_plans_nothing_and_maps_once(

@@ -59,7 +59,7 @@ class TestUHF:
         energy is that F's."""
         uhf = UHF(water_cation())
         res = uhf.run()
-        h = core_hamiltonian(uhf.basis, uhf.engine.pair_cache)
+        h = core_hamiltonian(uhf.basis)
         ds = [res.density_alpha, res.density_beta]
         full = uhf._focks([h, h], ds)
         assert [sha256(f) for f in (res.fock_alpha, res.fock_beta)] == [
@@ -130,7 +130,7 @@ class TestUHF:
         res, ref = UHF(mol, **kw).run(), ThreeSweepUHF(mol, **kw).run()
         assert abs(res.energy - ref.energy) <= 1e-10
         new, old = UHF(mol, **kw), ThreeSweepUHF(mol, **kw)
-        h = core_hamiltonian(new.basis, new.engine.pair_cache)
+        h = core_hamiltonian(new.basis)
         ds = new._guess(h, orthogonalizer(overlap(new.basis)))
         f_new, f_old = new._focks([h, h], ds), old._focks([h, h], ds)
         # the guess keeps every plan row of these small systems
@@ -218,7 +218,7 @@ class TestUHFSharedLoop:
         res = resumed.run()
         assert res.iterations == 4 and not res.converged
         ds = load_checkpoint(checkpoint_path(tmp_path, 4)).spin_densities
-        h = core_hamiltonian(resumed.basis, resumed.engine.pair_cache)
+        h = core_hamiltonian(resumed.basis)
         fs = resumed._focks([h] * len(ds), ds)
         got = [res.fock] if driver is RHF else [res.fock_alpha, res.fock_beta]
         assert all(np.array_equal(f, g) for f, g in zip(fs, got))
