@@ -15,8 +15,10 @@ one ``build_jk`` path:
   when verified -- and is served from), iteration 2
   (``stored_iter2_s``: four sparse mat-vecs over the mapping the fill
   left in the store's slot) and the five after it
-  (``stored_steady_s``, their median: four sparse mat-vecs, what every
-  later iteration costs) must recompute **zero** quartets;
+  (``stored_steady_s``, their median: four sparse mat-vecs over the
+  folded P and K', what a served J/K costs) must recompute **zero**
+  quartets; ``stored_fock_steady_s`` is the median served ``fock_matrix``
+  (two mat-vecs over P: what every RHF iteration costs);
   ``supermatrix_mb`` is the size of the mapped matrices and
   ``stored_fill_peak_mb`` the ``tracemalloc`` peak of a filling build on
   a fresh engine (Schwarz, plan, kernel and the CSR slots it writes).
@@ -83,6 +85,7 @@ from repro.integrals.engine import MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.obs import PhaseProfiler, session
 from repro.obs.profile import PHASE_JK
+from repro.scf.fock import fock_matrix
 from repro.scf.fock import build_jk
 
 # the seed engine lives beside the other differential oracles
@@ -127,7 +130,9 @@ def _stored_iter2(basis, density, store_dir):
     the file it wrote -- what a cold conventional SCF pays before its
     first F),
     ``stored_iter2_s``, ``stored_steady_s``
-    (iterations 3-7, median), ``jk_contract_s`` (the median of their
+    (iterations 3-7, median), ``stored_fock_steady_s`` (the median of five
+    served ``fock_matrix`` walls: what an RHF iteration pays for F),
+    ``jk_contract_s`` (the median of their
     profiler ``jk_contraction`` walls: with zero recompute and nothing
     left to read, what a conventional-SCF iteration costs),
     ``store_iter2_recomputed`` and ``supermatrix_mb``.
@@ -147,11 +152,18 @@ def _stored_iter2(basis, density, store_dir):
         f"stored mode recomputed {recomputed} quartets in iterations 2-{2 + STEADY_BUILDS} "
         f"(expected 0)"
     )
+    hcore = np.zeros_like(density)
+    fock = []
+    for _ in range(STEADY_BUILDS):
+        t0 = time.perf_counter()
+        fock_matrix(engine, hcore, density)
+        fock.append(time.perf_counter() - t0)
     supermatrix = engine.integral_store.supermatrix
     return {
         "stored_fill_s": round(t_fill, 4),
         "stored_iter2_s": round(t_iter2, 4),
         "stored_steady_s": round(statistics.median(steady), 5),
+        "stored_fock_steady_s": round(statistics.median(fock), 5),
         "jk_contract_s": round(statistics.median(contract), 5),
         "store_iter2_recomputed": recomputed,
         "supermatrix_mb": round(supermatrix.nbytes / 1e6, 3),
@@ -368,6 +380,8 @@ def render_report(result: dict) -> str:
          result["stored_steady_s"],
          round(result["t_seed_s"] / max(result["stored_steady_s"], 1e-12), 2)],
         ["  of which J/K contraction", result["jk_contract_s"], ""],
+        [f"stored fock_matrix (G), median of {STEADY_BUILDS}", result["stored_fock_steady_s"],
+         round(result["t_seed_s"] / max(result["stored_fock_steady_s"], 1e-12), 2)],
         *([label, result[key], ""] for label, key in FLOOR_ROWS),
         ["cold `import repro` (median of 7)", result["cold_import_s"], ""],
     ]
@@ -393,6 +407,7 @@ def render_large_report(result: dict) -> str:
         [f"stored steady, median of {STEADY_BUILDS} ({result['supermatrix_mb']} MB supermatrix)",
          result["stored_steady_s"]],
         ["  of which J/K contraction", result["jk_contract_s"]],
+        [f"stored fock_matrix (G), median of {STEADY_BUILDS}", result["stored_fock_steady_s"]],
         *([label, result[key]] for label, key in FLOOR_ROWS),
     ]
     return format_table(

@@ -131,8 +131,9 @@ _KERNEL_FLOOR = (
 # -- ERI kernel trajectory: class kernel vs the reference (per-primitive)
 # kernel, and stored-integral (conventional SCF) mode: the first served
 # build (stored_iter2_s: the supermatrix mapping), every later one
-# (stored_steady_s: four sparse mat-vecs, of which jk_contract_s is the
-# profiler's jk_contraction wall; medians of 5), the traced peak of a
+# (stored_steady_s: J and K served, of which jk_contract_s is the
+# profiler's jk_contraction wall; stored_fock_steady_s: a served RHF F,
+# two mat-vecs over the folded P; medians of 5), the traced peak of a
 # cold fill (stored_fill_peak_mb: allocations, so machine independent),
 # the RAM the matrices hold and the primitive quartets one build sweeps
 # (exact, so recorded, not graded)
@@ -143,8 +144,8 @@ _family(
      "supermatrix_mb": float, "prim_quartets_swept": float},
     _rel("class_speedup", "x", "higher", warn=1.3, fail=2.0, quick=True),
     _bound("class_max_abs_diff", 1e-13, 1e-12, "Eh"),
-    _rel("stored_iter2_s"), _rel("stored_steady_s"), _rel("t_class_s"),
-    _rel("jk_contract_s"), _rel("stored_fill_peak_mb", "MB", quick=True),
+    _rel("stored_iter2_s"), _rel("stored_steady_s"), _rel("stored_fock_steady_s"),
+    _rel("t_class_s"), _rel("jk_contract_s"), _rel("stored_fill_peak_mb", "MB", quick=True),
     *_KERNEL_FLOOR,
 )
 # larger systems where timing the seed kernel is impractical: the class

@@ -59,6 +59,7 @@ import argparse
 import contextlib
 import math
 import os
+import shutil
 import sys
 import tempfile
 
@@ -457,8 +458,8 @@ def _run_chaos(args: argparse.Namespace) -> int:
     from repro.obs import get_ledger
     from repro.service import run_service_chaos
 
-    queue = args.queue
-    if args.family == "service" and queue is None:
+    queue, made = args.queue, args.family == "service" and args.queue is None
+    if made:
         queue = tempfile.mkdtemp(prefix="repro-service-chaos-")
     fock = dict(
         molecule=args.molecule, basis_name=args.basis, seed=args.seed,
@@ -479,7 +480,11 @@ def _run_chaos(args: argparse.Namespace) -> int:
             tolerance=args.tolerance, lease_s=args.lease,
         ),
     }
-    cres = families[args.family]()
+    try:
+        cres = families[args.family]()
+    finally:
+        if made:  # a queue this run made is its own to remove; --queue's is kept
+            shutil.rmtree(queue, ignore_errors=True)
     get_ledger().add_summary(chaos={
         "gate": cres.gate,
         "invariants": [[name, bool(held)] for name, held in cres.invariants],
@@ -488,7 +493,8 @@ def _run_chaos(args: argparse.Namespace) -> int:
     })
     p, notes = cres.payload, []
     if args.family == "service":
-        subject = f"{p['njobs']} jobs on {p['workers']} workers, queue {queue}"
+        subject = (f"{p['njobs']} jobs on {p['workers']} workers, queue {queue} "
+                   + ("(removed)" if made else "(kept)"))
     else:
         subject = f"{p['molecule']}/{p['basis']}"
     if args.family == "runtime":

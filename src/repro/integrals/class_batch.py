@@ -28,15 +28,18 @@ loop the same way:
   chunks are dealt cost-sorted across a thread pool, each worker
   staging into private J/K buffers that are reduced at the end.
 * **Supermatrix** (:class:`Supermatrix`): conventional SCF done
-  literally (Mitin, arxiv 1905.07779).  The build that fills an
-  :class:`~repro.integrals.store.ERIStore` lays out the plan's two
-  sparse matrices over flat ``(ij)`` pairs before its first chunk and
-  writes the weighted blocks it computes straight into their slots
-  (:class:`SlotFill`), contracting none; the store writes them (a
+  literally (Mitin, arxiv 1905.07779), folded as Raffenetti's P
+  supermatrix.  The build that fills an
+  :class:`~repro.integrals.store.ERIStore` lays out, before its first
+  chunk, the canonical position of every view of every block's index
+  orbit over flat ``(ij)`` pairs, and adds the weighted blocks it
+  computes straight into them (:class:`SlotFill`), contracting none:
+  ``P = 4 J' - K'`` and ``K'`` on one pattern.  The store writes them (a
   private store holds them), the filling build itself memory-maps the
   file (:func:`map_supermatrix`) into the store's one slot, and every
-  build over that store, the filling one included, is four sparse
-  mat-vecs, with no plan and no Schwarz matrix.
+  build over that store, the filling one included, is sparse mat-vecs --
+  two for an RHF's ``G = 2J - K``, four for J and K -- with no plan and no
+  Schwarz matrix.
 
 Every engine builds J/K here.  A chunk's blocks are computed
 (:func:`_resolve_chunk`) by ``engine.compute_rows``, the one engine
@@ -230,9 +233,6 @@ class ClassPlan:
     #: each family group and its member batches, costliest first (a batch
     #: points at its group, never back: no cycle keeps a dropped plan alive)
     groups: dict[FamilyGroup, list[ClassBatch]]
-    #: per plan row its index in the quartets the plan was built from: in
-    #: :func:`canonical_quartet_array` order, M_J's block order
-    ranks: np.ndarray = field(repr=False)
     #: per-plan memo of structures other modules derive from the rows
     #: alone (the task owning each row, :mod:`repro.fock.tasks`)
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -267,8 +267,27 @@ class ClassPlan:
         return out
 
     def stored_bytes(self, nbf: int) -> int:
-        """Bound on a fill's bytes: 12 per element of a block's 3 views, 16 per indptr row."""
-        return 36 * sum(b.nq * math.prod(b.dims) for b in self.batches) + 16 * (nbf * nbf + 1)
+        """Bound on a fill's bytes: 20 per position its terms fold into --
+        every canonical element orbit of each row's quartet and of its
+        exchange partners (AC|BD) and (AD|BC), a quartet counted once --
+        and 8 per indptr row."""
+        q = np.concatenate([b.quartets for b in self.batches] + [np.zeros((0, 4), int)])
+        ns = int(q.max(initial=0)) + 1
+        size = np.zeros(ns, np.int64)
+        for b in self.batches:
+            size[b.quartets] = b.dims
+
+        def key(a, b, c, d):  # of the orbit of (ab|cd)
+            bra, ket = (np.maximum(x, y) * ns + np.minimum(x, y) for x, y in ((a, b), (c, d)))
+            return np.maximum(bra, ket) * ns * ns + np.minimum(bra, ket)
+
+        a, b, c, d = q.T.astype(np.int64)
+        keys = np.sort(np.concatenate([key(a, b, c, d), key(a, c, b, d), key(a, d, b, c)]))
+        bra, ket = np.divmod(keys[np.diff(keys, prepend=-1) != 0], ns * ns)
+        # a shell pair's function pairs, one per orbit where its shells are equal
+        pb, pk = (np.where(x == y, size[x] * (size[x] + 1) // 2, size[x] * size[y])
+                  for x, y in (np.divmod(bra, ns), np.divmod(ket, ns)))
+        return 20 * int(np.where(bra == ket, pb * (pb + 1) // 2, pb * pk).sum()) + 8 * (nbf**2 + 2)
 
     def _checked(self, rows) -> np.ndarray:
         """``rows`` as an array, if strictly increasing plan rows."""
@@ -355,7 +374,6 @@ def build_class_plan(
     # rows by class, then family quartet (then canonical order)
     order = np.argsort(keys * gcut[-1] + fid, kind="stable")
     keys, fid, quartets = keys[order], fid[order], qarr[order]
-    order = order.astype(np.int32 if len(order) < 2**31 else np.int64)
     cuts = np.append(np.flatnonzero(np.diff(keys, prepend=-1)), len(keys))
     group_of = np.searchsorted(gcut, fid[cuts[:-1]], side="right") - 1
     fid -= np.repeat(gcut[group_of], np.diff(cuts))  # within the group
@@ -385,14 +403,13 @@ def build_class_plan(
         ))
     by_cost = sorted(range(len(batches)), key=lambda k: -batches[k].cost)
     batches = [batches[k] for k in by_cost]
-    ranks = np.concatenate([order[cuts[k]:cuts[k + 1]] for k in by_cost] + [order[:0]])
     nquartets = 0
     members: dict[FamilyGroup, list[ClassBatch]] = {}
     for batch in batches:
         batch.row0 = nquartets
         nquartets += batch.nq
         members.setdefault(batch.group, []).append(batch)
-    return ClassPlan(batches=batches, nquartets=nquartets, groups=members, ranks=ranks)
+    return ClassPlan(batches=batches, nquartets=nquartets, groups=members)
 
 
 # ---------------------------------------------------------------------------
@@ -482,45 +499,55 @@ def _contract_blocks(
 
 @dataclass
 class Supermatrix:
-    """A plan's integrals as two CSR matrices over flat ``(ij)`` pairs.
+    """A plan's integrals, folded, as two CSR matrices on one pattern over
+    flat ``(ij)`` pairs.
 
     The six-block contraction is linear in D, so with ``d`` a flattened
     density it is ``Jt = M_J d + M_J^T d`` and ``Kt = M_K d + M_K^T d``
     where ``M_J[ab, cd] = g`` and ``M_K[ac, bd] + M_K[ad, bc] += g``
-    (``g = w (ab|cd)``, exact zeros dropped): four sparse mat-vecs per
-    build.  Every entry is one quartet's value or a sum of two of its
-    values; row ``(a, x)`` holds only quartets whose first shell has
-    ``a``.  A ready store's file holds the two matrices (12 bytes per
-    non-zero: float64 value, int32 column), served memory-mapped from the
-    store's one slot (``ERIStore.supermatrix``); a private store holds
-    the filling build's matrices there.
+    (``g = w (ab|cd)``).  Both end in ``J = 2 (Jt + Jt^T)``, ``K = Kt +
+    Kt^T`` over a symmetric D, so an entry may sit at any of the 8
+    positions of its index orbit: :class:`SlotFill` sums each at the
+    orbit's canonical one (Raffenetti's P supermatrix) -- each pair larger
+    index first, the row the pair of the larger pair of shells (of one
+    pair of shells, the larger pair) -- where both matrices share their
+    pattern.  ``p = 4 J' - K'`` (``'``: folded)
+    gives ``G = 2J - K``, what an RHF build needs, in two sparse
+    mat-vecs; ``k = K'`` gives K, and ``J = (G + K) / 2``.  Row ``(a,
+    x)`` holds only quartets whose first shell has ``a``.  A ready
+    store's file holds the two (20 bytes per non-zero: two float64
+    values, an int32 column), served memory-mapped from the store's one
+    slot (``ERIStore.supermatrix``); a private store holds the filling
+    build's there.
     """
 
     #: whether its segments were CRC-checked (``store.verify_reads``), or
     #: held since the fill (never read back from a medium)
     verified: bool
-    mj: sparse.csr_matrix
-    mk: sparse.csr_matrix
+    p: sparse.csr_matrix
+    k: sparse.csr_matrix
 
     @classmethod
-    def of(cls, verified: bool, mj, mk) -> "Supermatrix":
-        """Of M_J's and M_K's ``(data, indices, indptr)``, a row and a column per pair."""
+    def of(cls, verified: bool, arrays: "Folded") -> "Supermatrix":
+        """Of a fill's :class:`Folded` arrays, a row and a column per pair."""
         from scipy import sparse
 
-        return cls(verified, *(sparse.csr_matrix(m, shape=(len(m[2]) - 1,) * 2) for m in (mj, mk)))
+        shape = (len(arrays.indptr) - 1,) * 2
+        return cls(verified, *(
+            sparse.csr_matrix((data, arrays.indices, arrays.indptr), shape=shape)
+            for data in (arrays.p, arrays.k)
+        ))
 
     @property
     def nbytes(self) -> int:
-        return sum(
-            a.nbytes for m in (self.mj, self.mk)
-            for a in (m.data, m.indices, m.indptr)
-        )
+        return sum(a.nbytes for a in (self.p.data, self.k.data, self.p.indices, self.p.indptr))
 
-    def contract(self, dflat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Half-J and half-K, ``(ndens, n*n)`` each, of a density stack."""
+    def contract(self, dflat: np.ndarray, exchange: bool) -> tuple[np.ndarray, ...]:
+        """Half-G and (``exchange``) half-K, ``(ndens, n*n)`` each, of a
+        density stack: ``P d + P^T d`` and ``K' d + K'^T d``."""
         x = np.ascontiguousarray(dflat.T)
         return tuple(
-            (m @ x + m.T @ x).T for m in (self.mj, self.mk)
+            (m @ x + m.T @ x).T for m in ((self.p, self.k) if exchange else (self.p,))
         )
 
 
@@ -529,10 +556,12 @@ class Supermatrix:
 _VIEWS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
-class CSRArrays(NamedTuple):
-    """One CSR matrix as its three arrays (what the store writes)."""
+class Folded(NamedTuple):
+    """A fill's :class:`Supermatrix` as its CSR arrays (what the store writes):
+    the values of P and of K' on one pattern."""
 
-    data: np.ndarray
+    p: np.ndarray
+    k: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
 
@@ -566,75 +595,126 @@ def _row_layout(size: np.ndarray, key: np.ndarray):
     return before_d, np.repeat(np.add.reduceat(d4, run_c), len_c), rowlen
 
 
-class SlotFill:
-    """M_J and M_K (:class:`Supermatrix`) of a plan's rows (all, or the
-    strictly increasing ``rows``) as CSR arrays laid out before any block
-    is computed: :meth:`write` puts each flush's weighted blocks straight
-    into their slots, :meth:`matrices` squeezes out the exact zeros.  The
-    arrays, dtypes included, are a COO -> CSR assembly's that sums
-    duplicates -- M_K's two views of a quartet share a block when P = Q,
-    summed first (two terms: exact in either order) -- and drops zeros
-    (``tests/reference_pair_matrices.py``).  Every slot has one writer,
-    so threads may write flushes concurrently.
+def _targets(q: np.ndarray, view: int) -> tuple[np.ndarray, tuple]:
+    """Per canonical quartet of ``q`` (rows of shells (A, B, C, D)) how
+    its block's axes in ``view``'s order are reordered to its orbit's
+    canonical shells -- each pair's larger shell first (A is at least C
+    and D, so only the columns' pair can swap), then the larger pair --
+    as a row of :data:`_TURNS` ``[view]``, and those four shells."""
+    a, r, x, y = (q[:, v] for v in _VIEWS[view])
+    hi, lo = np.maximum(x, y), np.minimum(x, y)
+    turn = (a == hi) & (r < lo)  # the column pair is the larger
+    return (x < y) + 2 * turn, (np.where(turn, hi, a), np.where(turn, lo, r),
+                                np.where(turn, a, hi), np.where(turn, r, lo))
 
-    A slot holds a value: the rows ``(a, b)`` of one shell pair share
-    their columns, written once into the pair's *pattern*.  Layout and
-    squeeze run a *segment* at a time, the rows ``(a, x)`` of one shell,
-    which hold the quartets whose first shell it is.  M_J's blocks in
-    order are the rows in canonical order, which the plan's ranks give
-    without a sort: the plan must be of distinct quartets in
-    :func:`canonical_quartet_array` order (else ``ValueError``).
+
+#: per view the four axis orders :func:`_targets` picks from
+_TURNS = [np.array([(i, j, k, l), (i, j, l, k), (k, l, i, j), (l, k, i, j)])
+          for i, j, k, l in _VIEWS]
+
+
+class SlotFill:
+    """The :class:`Supermatrix` of a plan's rows (all, or the strictly
+    increasing ``rows``) as CSR arrays laid out before any block is
+    computed: :meth:`write` adds each flush's weighted blocks into their
+    folded positions, :meth:`folded` finishes P and K'.
+
+    The layout holds the *target* of every view of every row: the block's
+    orbit as a canonical quartet, whose elements the view's block fills one
+    for one once its axes are reordered (:func:`_targets`).  Each target is
+    laid out as M_J's blocks were: the rows ``(a, b)`` of one shell pair
+    share their columns, written once into the pair's *pattern*, and layout
+    and fold run a *segment* at a time, the rows ``(a, x)`` of one shell.
+    A target's largest shell is its rows' first quartet's, so a segment's
+    positions take terms only from the plan rows whose first shell it is.
+
+    Sums come out the same at any thread count: a position holds one
+    M_J term (from its own quartet) and at most two M_K terms, one from
+    each of the two quartets whose exchange views share its orbit -- a
+    quartet's two views that share one (``P = Q`` or ``M = N``) are summed
+    before they are written -- and a sum of two terms is exact in either
+    order.  A target whose equal shells repeat an orbit in its grid
+    folds those repeats into one position in :meth:`folded`, in a fixed
+    order.  The plan rows must be distinct quartets (else ``ValueError``).
     """
 
     def __init__(self, basis: BasisSet, plan: ClassPlan, rows: np.ndarray | None):
         self.basis, n, ns, nplan = basis, basis.nbf, basis.nshells, plan.nquartets
         size = np.diff(basis.offsets)
         q = np.concatenate([b.quartets for b in plan.batches] + [np.zeros((0, 4), int)],
-                           dtype=np.int32)
-        at = np.arange(nplan) if rows is None else rows
-        canon = np.full(nplan, -1)
-        canon[plan.ranks[at]] = at
-        canon = canon[canon >= 0]
-        cuts = np.searchsorted(q[canon, 0], np.arange(ns + 1))
-
-        def key(view, r):  # of its blocks' shells after the first
-            _, i, k, l = _VIEWS[view]
-            return (q[r, i].astype(np.int64) * ns + q[r, k]) * ns + q[r, l]
-
-        # per view and plan row its block's start in its rows and its
-        # stride; per matrix and shell pair (A, B) the length of its rows
+                           dtype=np.min_scalar_type(ns), casting="unsafe")
+        at = np.arange(nplan, dtype=np.int32) if rows is None else rows
+        a, b, c, d = q[at].T
+        if not ((a >= b) & (c >= d) & ((a > c) | (a == c) & (b >= d))).all():
+            raise ValueError("a fill needs distinct canonical quartets")
+        # the rows by segment (first shell); per view its rows: every row's
+        # M_J view and first M_K view (both M_K views summed where they share
+        # a target), the rest's second
+        at = at[np.argsort(a, kind="stable")]
+        qs = q[at]
+        two = (qs[:, 0] != qs[:, 1]) & (qs[:, 2] != qs[:, 3])
+        views = [(at, qs), (at, qs), (at[two], qs[two])]
+        key = np.int32 if ns**4 < 2**31 else np.int64
+        keys = [((w.astype(key) * ns + x) * ns + y) * ns + z
+                for w, x, y, z in (_targets(vq, v)[1] for v, (_, vq) in enumerate(views))]
+        cuts = [np.searchsorted(x[:, 0], np.arange(ns + 1)) for _, x in views]
         self.start = np.zeros((3, nplan), np.min_scalar_type(n * n))
         self.stride = np.zeros((3, nplan), np.min_scalar_type(n))
-        self.width = np.zeros((2, ns, ns), np.int64)
-        for s in range(ns):
-            at = canon[cuts[s]:cuts[s + 1]]
-            for m, views in enumerate([[(0, at)], [(1, at), (2, at[q[at, 2] != q[at, 3]])]]):
-                blocks = np.concatenate([key(v, r) for v, r in views])
-                where = np.concatenate([v * nplan + r for v, r in views])
-                if m:  # M_K's blocks are not in canonical order
-                    order = np.argsort(blocks)
-                    blocks, where = blocks[order], where[order]
-                start, stride, self.width[m, s] = _row_layout(size, blocks)
-                self.start.flat[where], self.stride.flat[where] = start, stride
+        self.width = np.zeros((ns, ns), np.int64)
+        # per segment its targets' columns, once, into their shell pairs'
+        # patterns (laid end to end), and its targets whose grids repeat an
+        # orbit, folded in `folded`
+        patterns, repeats = [], []
+        for s in range(ns):  # a segment's targets come from its rows alone
+            parts = [k[c[s]:c[s + 1]] for k, c in zip(keys, cuts)]
+            # the targets, sorted, and each view's: a sort of the keys with
+            # each one's place in their low bits
+            k = np.concatenate(parts).astype(np.int64) - s * ns**3
+            bits = len(k).bit_length()
+            order = np.sort(k << bits | np.arange(len(k)))
+            new = np.diff(order >> bits, prepend=-1) != 0
+            order &= (1 << bits) - 1
+            if np.count_nonzero(new[order < len(parts[0])]) < len(parts[0]):
+                raise ValueError("a fill needs distinct canonical quartets")
+            targets, mine, k[order] = k[order][new], order[new] < len(parts[0]), np.cumsum(new) - 1
+            start, stride, self.width[s] = _row_layout(size, targets)
+            for v, ((r, _), c, i) in enumerate(zip(
+                    views, cuts, np.split(k, np.cumsum([len(p) for p in parts])[:-1]))):
+                self.start[v, r[c[s]:c[s + 1]]], self.stride[v, r[c[s]:c[s + 1]]] = (
+                    start[i], stride[i])
+            y, z, w = targets // ns**2, targets // ns % ns, targets % ns
+            # per column of a target no row's M_J view writes, the target and
+            # its (z, w) in it
+            cols = size[z] * size[w] * ~mine
+            t = np.repeat(np.arange(len(y), dtype=np.int32), cols)
+            zz, ww = np.divmod(np.arange(len(t)) - np.repeat(np.cumsum(cols) - cols, cols),
+                               size[w[t]])
+            pattern = np.empty(self.width[s].sum(), np.min_scalar_type(n * n))
+            base = np.cumsum(self.width[s]) - self.width[s]
+            pattern[base[y[t]] + start[t] + stride[t] * zz + ww] = (
+                basis.offsets[z[t]] * n + basis.offsets[w[t]] + zz * n + ww)
+            patterns.append(pattern)
+            rep = (y == s) | (z == w) | (z == s) & (y == w)
+            repeats.append(tuple(a.astype(np.min_scalar_type(max(ns, n * n))) for a in (
+                np.stack([np.full(rep.sum(), s), y[rep], z[rep], w[rep]], axis=1),
+                start[rep], stride[rep])))
         shell = np.repeat(np.arange(ns), size)
-        self.rowptr = [np.append(0, np.cumsum(w[shell[:, None], shell])) for w in self.width]
-        # per matrix the index dtype of a COO -> CSR over its views' elements
-        self.idx = [np.int32 if max(k * self.rowptr[0][-1], n * n) < 2**31 else np.int64
-                    for k in (1, 2)]
+        self.rowptr = np.append(0, np.cumsum(self.width[shell[:, None], shell]))
+        self.idx = np.int32 if max(self.rowptr[-1], n * n) < 2**31 else np.int64
         # per shell pair the slot of its first row and where its pattern
-        # starts (laid end to end); per shell A the slots rows (a, .) take
-        first = basis.offsets[:-1, None] * n + basis.offsets[:-1]
-        self.row0 = np.array([rowptr[first] for rowptr in self.rowptr])
-        self.base = (np.cumsum(self.width.reshape(2, -1), axis=1).reshape(self.width.shape)
-                     - self.width)
+        # starts; per shell A the slots rows (a, .) take
+        self.row0 = self.rowptr[basis.offsets[:-1, None] * n + basis.offsets[:-1]]
+        self.base = np.cumsum(self.width).reshape(ns, ns) - self.width
         self.arow = self.width @ size
-        self.pattern = self.data = None
+        self.pattern = np.concatenate(patterns)
+        self.repeats = tuple(np.concatenate(r) for r in zip(*repeats))
+        self.jk = None
         self._lock = threading.Lock()
 
     def write(self, flush: list[Chunk], parts: list[np.ndarray]) -> None:
-        """Put one flush's weighted blocks ``w (ab|cd)``, one stack per
-        member, in their slots, :data:`SLOT_WORK` elements at a time: a
-        window across members is the only copy."""
+        """Add one flush's weighted blocks ``w (ab|cd)``, one stack per
+        member, into their positions, :data:`SLOT_WORK` elements at a time:
+        a window across members is the only copy."""
         self._allocate()
         rows = np.concatenate([b.row0 + r for b, r in flush])
         q = np.concatenate([b.quartets[r] for b, r in flush])
@@ -644,115 +724,155 @@ class SlotFill:
             hi = min(lo + step, len(q))
             k0, k1 = np.searchsorted(starts, lo, "right") - 1, np.searchsorted(starts, hi)
             g = [p[max(lo - s, 0):hi - s] for p, s in zip(parts[k0:k1], starts[k0:k1])]
-            part = q[lo:hi], rows[lo:hi], g[0] if len(g) == 1 else np.concatenate(g)
-            self._put(0, *part)
-            same = part[0][:, 2] == part[0][:, 3]
-            if same.any():  # M_K's two views share one block: (ac|bd) + (ad|bc)
-                gs = part[2][same]
-                self._put(1, part[0][same], part[1][same], gs + gs.swapaxes(3, 4))
-                part = tuple(a[~same] for a in part)
-            self._put(1, *part)
-            self._put(2, *part)
+            qw, rw, gw = q[lo:hi], rows[lo:hi], g[0] if len(g) == 1 else np.concatenate(g)
+            self._put(0, qw, rw, gw)
+            # M_K's two views share a target where P = Q or M = N: the first
+            # view then writes both, (ab|cd) + (ab|dc) or (ab|cd) + (ba|cd)
+            cd, ab = qw[:, 2] == qw[:, 3], qw[:, 0] == qw[:, 1]
+            g1 = gw.copy() if (cd | ab).any() else gw
+            for same, axes in ((cd, (3, 4)), (ab & ~cd, (1, 2))):
+                if same.any():
+                    g1[same] += gw[same].swapaxes(*axes)
+            self._put(1, qw, rw, g1)
+            two = ~(ab | cd)
+            self._put(2, qw[two], rw[two], gw[two])
 
     def _allocate(self) -> None:
-        """The slots and patterns, once: by the first write, not beside the
-        kernel's first stage."""
+        """The positions' M_J and M_K sums, once: by the first write, not
+        beside the kernel's first stage."""
         with self._lock:
-            if self.data is None:
-                cols = np.min_scalar_type(self.basis.nbf**2)
-                self.pattern = [np.empty(w.sum(), cols) for w in self.width]
-                self.data = [np.empty(rowptr[-1]) for rowptr in self.rowptr]
+            if self.jk is None:
+                self.jk = [np.zeros(self.rowptr[-1]) for _ in range(2)]
 
     def _put(self, view: int, q: np.ndarray, rows: np.ndarray, g: np.ndarray) -> None:
-        """One view of same-shape blocks: values into their slots, columns
-        into their shell pairs' patterns.  Element ``(p, r, s, u)`` of a
-        view's block is ``p`` rows ``(a, .)``, ``r`` rows ``(a, b)`` and
-        ``s`` strides past its first, plus ``u``."""
-        (i, j, k, l), n, offsets = _VIEWS[view], self.basis.nbf, self.basis.offsets
-        t, m = g.transpose(0, i + 1, j + 1, k + 1, l + 1), int(view > 0)
-        pair = q[:, i] * self.basis.nshells + q[:, j]
-        p, r, s, u = (np.arange(dim) for dim in t.shape[1:])
-        start = self.start[view].take(rows)[:, None, None]
-        su = self.stride[view].take(rows)[:, None, None] * s[:, None] + u
-        pr = (self.row0[m].take(pair)[:, None, None] + start
-              + self.arow[m].take(q[:, i])[:, None, None] * p[:, None]
-              + self.width[m].take(pair)[:, None, None] * r)
-        self.data[m][pr[..., None, None] + su[:, None, None]] = t
-        self.pattern[m][self.base[m].take(pair)[:, None, None] + start + su] = (
-            (offsets.take(q[:, k]) * n + offsets.take(q[:, l]))[:, None, None] + s[:, None] * n + u)
+        """One view of same-shape blocks: M_J's values into their positions,
+        M_K's added (one thread at a time).  The block's axes, in its
+        target's order, step over rows ``(a, .)``, rows ``(a, b)``, its
+        stride and one position."""
+        n, offsets = self.basis.nbf, self.basis.offsets
+        if view:  # M_K's: the target's shells, and the axis order they take
+            turn, x = _targets(q, view)
+            x = np.stack(x, axis=1).astype(np.intp)
+        else:  # M_J's blocks are their targets, in order
+            x = q.astype(np.intp)
+        pair = x[:, 0] * self.basis.nshells + x[:, 1]
+        steps = np.stack([self.arow.take(x[:, 0]), self.width.take(pair),
+                          self.stride[view].take(rows), np.ones(len(rows), np.intp)], axis=1)
+        if view:
+            np.put_along_axis(steps, _TURNS[view][turn], steps.copy(), axis=1)
+        else:  # and write its columns into its shell pair's pattern
+            s, u = np.arange(g.shape[3])[:, None], np.arange(g.shape[4])
+            self.pattern[(self.base.take(pair) + self.start[0].take(rows))[:, None, None]
+                         + steps[:, 2, None, None] * s + u] = (
+                (offsets.take(x[:, 2]) * n + offsets.take(x[:, 3]))[:, None, None] + s * n + u)
+        # per axis (m, 1, dim) steps; the slots are their outer sum
+        a, b, c, d = (steps[:, i, None, None] * np.arange(dim) for i, dim in enumerate(g.shape[1:]))
+        first = self.row0.take(pair) + self.start[view].take(rows)
+        slots = ((first[:, None, None] + a.swapaxes(1, 2) + b)[..., None, None]
+                 + (c.swapaxes(1, 2) + d)[:, None, None])
+        if view:
+            with self._lock:
+                np.add.at(self.jk[1], slots.ravel(), g.ravel())
+        else:
+            self.jk[0][slots] = g
 
-    def matrices(self) -> tuple[CSRArrays, CSRArrays]:
-        """M_J and M_K once every row is written: each matrix's non-zero
-        values moved down in place, segment by segment, then its columns
-        written at their final size from the patterns."""
+    def folded(self) -> Folded:
+        """P and K' once every row is written: each target's repeated
+        orbits folded into one position, ``P = 4 J' - K'`` in place, then
+        both arrays' positions that are both zero squeezed out, segment by
+        segment, and the columns written at their final size."""
         self._allocate()
         self.start = self.stride = None
-        size = np.diff(self.basis.offsets)
-        shell = np.repeat(np.arange(len(size)), size)
-        out = []
-        for m in range(2):
-            indptr, bits = self._squeezed(m)
-            indices, z = np.empty(len(self.data[m]), self.idx[m]), 0
-            for s, keep in enumerate(bits):
-                # rows (a, x) of shell s: x's columns are the pattern of (s, shell(x))
-                length = self.width[m, s, shell]
-                at = np.repeat(self.base[m, s, shell] - np.cumsum(length) + length, length)
-                cols = np.tile(self.pattern[m][at + np.arange(len(at))], size[s])
-                cols = cols[np.unpackbits(keep, count=len(cols)).view(bool)]
-                indices[z:z + len(cols)] = cols
-                z += len(cols)
-            self.pattern[m] = None
-            out.append(CSRArrays(self.data[m], indices, indptr))
-        self.data = self.rowptr = None
-        return tuple(out)
-
-    def _squeezed(self, m: int) -> tuple[np.ndarray, list]:
-        """Matrix ``m``'s non-zero values moved down in place (its data
-        shrunk to them): its ``indptr``, and per segment the kept bits."""
-        data, rowptr, idx = self.data[m], self.rowptr[m], self.idx[m]
+        pf, kf = self.jk
+        self._fold_repeats(pf, kf)
+        pf *= 4.0
+        pf -= kf
         n, offsets = self.basis.nbf, self.basis.offsets
-        counts = np.zeros(n * n + 1, idx)
-        bits, z = [], 0
-        for r0, r1 in zip(offsets[:-1] * n, offsets[1:] * n):
-            lo, hi = rowptr[r0], rowptr[r1]
-            keep = data[lo:hi] != 0
+        size = np.diff(offsets)
+        shell = np.repeat(np.arange(len(size)), size)
+        counts, z = np.zeros(n * n + 1, self.idx), 0
+        indices = np.empty(len(pf), self.idx)
+        for s, (r0, r1) in enumerate(zip(offsets[:-1] * n, offsets[1:] * n)):
+            lo, hi = self.rowptr[r0], self.rowptr[r1]
+            keep = (pf[lo:hi] != 0) | (kf[lo:hi] != 0)
             # per row its kept entries (a row of no entries starts where the next one does)
-            full = r0 + np.flatnonzero(rowptr[r0 + 1:r1 + 1] > rowptr[r0:r1])
+            full = r0 + np.flatnonzero(self.rowptr[r0 + 1:r1 + 1] > self.rowptr[r0:r1])
             if full.size:
-                counts[full + 1] = np.add.reduceat(keep, rowptr[full] - lo, dtype=idx)
-            kept = data[lo:hi][keep]
-            data[z:z + len(kept)] = kept
-            z += len(kept)
-            bits.append(np.packbits(keep))
-        data.resize(z, refcheck=False)
-        return np.cumsum(counts, dtype=idx), bits
+                counts[full + 1] = np.add.reduceat(keep, self.rowptr[full] - lo, dtype=self.idx)
+            for a in (pf, kf):
+                kept = a[lo:hi][keep]
+                a[z:z + len(kept)] = kept
+            # rows (a, x) of shell s: x's columns are the pattern of (s, shell(x))
+            length = self.width[s, shell]
+            at = np.repeat(self.base[s, shell] - np.cumsum(length) + length, length)
+            cols = np.tile(self.pattern[at + np.arange(len(at))], size[s])[keep]
+            indices[z:z + len(cols)] = cols
+            z += len(cols)
+        self.jk = self.pattern = None
+        for a in (pf, kf, indices):
+            a.resize(z, refcheck=False)
+        return Folded(pf, kf, indices, np.cumsum(counts, dtype=self.idx))
+
+    def _fold_repeats(self, *sums: np.ndarray) -> None:
+        """Each repeat of an orbit in a target's grid -- equal shells of a
+        pair, or two equal pairs, give an orbit more than one element --
+        added into the one whose pairs are in canonical order, in grid
+        order, and zeroed, :data:`SLOT_WORK` elements at a time."""
+        sh, start, stride = (a.astype(np.intp) for a in self.repeats)
+        ns, size = self.basis.nshells, np.diff(self.basis.offsets)
+        pair, dims = sh[:, 0] * ns + sh[:, 1], size[sh]
+        first = self.row0.take(pair) + start
+        steps = np.stack([self.arow[sh[:, 0]], self.width.take(pair), stride], axis=1)
+        equal = np.stack([sh[:, 0] == sh[:, 1], sh[:, 2] == sh[:, 3],
+                          (sh[:, 0] == sh[:, 2]) & (sh[:, 1] == sh[:, 3])], axis=1)
+        count = dims.prod(axis=1)
+        for chunk in np.array_split(np.arange(len(sh)), -(-count.sum() // SLOT_WORK) or 1):
+            t = np.repeat(chunk, count[chunk])
+            e = np.arange(len(t)) - np.repeat(np.cumsum(count[chunk]) - count[chunk], count[chunk])
+            e, u = np.divmod(e, dims[t, 3])
+            e, s = np.divmod(e, dims[t, 2])
+            p, r = np.divmod(e, dims[t, 1])
+
+            def slot(p, r, s, u):
+                return first[t] + steps[t, 0] * p + steps[t, 1] * r + steps[t, 2] * s + u
+
+            own = slot(p, r, s, u)
+            pairs, ket, both = equal[t].T
+            p, r = np.where(pairs, np.maximum(p, r), p), np.where(pairs, np.minimum(p, r), r)
+            s, u = np.where(ket, np.maximum(s, u), s), np.where(ket, np.minimum(s, u), u)
+            swap = both & ((p < s) | (p == s) & (r < u))
+            p, r, s, u = (np.where(swap, b, a) for a, b in ((p, s), (r, u), (s, p), (u, r)))
+            home = slot(p, r, s, u)
+            moved = own != home
+            for a in sums:
+                np.add.at(a, home[moved], a[own[moved]])
+                a[own[moved]] = 0.0
 
 
-def _mapped_matrices(engine, store):
-    """The store's M_J and M_K arrays, memory-mapped, each segment that fails
-    its check rebuilt from the rows of its shell in the plan at the
-    manifest's tau, planned only then (CRC rescues) -- or ``None`` if a
-    rebuilt segment does not fit its slot (another kernel's exact zeros)."""
-    cuts, nnzs = store.offsets_for()
+def _mapped_matrices(engine, store) -> Folded | None:
+    """The store's :class:`Folded` arrays, memory-mapped, each segment that
+    fails its check rebuilt from the rows of its shell in the plan at the
+    manifest's tau, planned only then (CRC rescues): the fold keeps a
+    segment's terms in it -- or ``None`` if a rebuilt segment does not fit
+    its slot (another kernel's exact zeros)."""
+    cuts, nnz = store.offsets_for()
     arrays = store.read_stacked()
     # a probe when CRCs are verified (gross of the check they replace)
     with phase(PHASE_INTEGRITY) if store.verify_reads else nullcontext():
-        good = store.verify_stacked(arrays)
-    bad = np.flatnonzero(~np.logical_and(*good))  # segment s: rows of shell s
+        bad = np.flatnonzero(~store.verify_stacked(arrays))  # segment s: rows of shell s
     if bad.size:
         plan = engine.class_plan(store.manifest["tau"])
         first = np.concatenate([batch.quartets[:, 0] for batch in plan.batches])
         fresh, counts = _filled(engine, plan, np.flatnonzero(np.isin(first, bad)), None, None)
         engine.crc_rescues += counts["computed"]
-        for (data, indices, indptr), nnz, ok, piece in zip(arrays, nnzs, good, fresh):
-            for s in np.flatnonzero(~ok):
-                r0, r1, z0, z1 = cuts[s], cuts[s + 1], nnz[s], nnz[s + 1]
-                lo, hi = piece.indptr[r0], piece.indptr[r1]
-                if hi - lo != z1 - z0:
-                    return None
-                data[z0:z1] = piece.data[lo:hi]
-                indices[z0:z1] = piece.indices[lo:hi]
-                indptr[r0:r1 + 1] = piece.indptr[r0:r1 + 1] - lo + z0
+        for s in bad:
+            r0, r1, z0, z1 = cuts[s], cuts[s + 1], nnz[s], nnz[s + 1]
+            lo, hi = fresh.indptr[r0], fresh.indptr[r1]
+            if hi - lo != z1 - z0:
+                return None
+            for got, want in zip(arrays[:3], fresh[:3]):
+                got[z0:z1] = want[lo:hi]
+            arrays.indptr[r0:r1 + 1] = fresh.indptr[r0:r1 + 1] - lo + z0
     return arrays
 
 
@@ -767,7 +887,7 @@ def map_supermatrix(engine, store) -> Supermatrix | None:
     if arrays is None:
         store.invalidate("a rebuilt segment does not fit its slot")
         return None
-    return Supermatrix.of(store.verify_reads, *arrays)
+    return Supermatrix.of(store.verify_reads, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -965,13 +1085,14 @@ def _dealt(engine, dflat, chunks, fill, faults, threads):
 
 
 def _filled(engine, plan: ClassPlan, rows, faults, threads):
-    """``(M_J, M_K)`` of the plan ``rows`` (``None``: all), computed into a
-    :class:`SlotFill` (a store fill, or a CRC rescue), and their source counts."""
+    """The :class:`Folded` arrays of the plan ``rows`` (``None``: all),
+    computed into a :class:`SlotFill` (a store fill, or a CRC rescue), and
+    their source counts."""
     with phase(PHASE_STORE_FILL):
         fill = SlotFill(engine.basis, plan, rows)
     totals = _dealt(engine, None, plan.chunks(rows), fill, faults, threads)[2]
     with phase(PHASE_STORE_FILL):
-        return fill.matrices(), totals
+        return fill.folded(), totals
 
 
 def _tally(engine, totals: dict, faults) -> None:
@@ -988,14 +1109,17 @@ def jk_from_plan(
     density: np.ndarray,
     tau: float,
     threads: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    g_only: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """J and K matrices over the engine's class plan at ``tau``
     (:meth:`~repro.integrals.engine.ERIEngine.class_plan`), one family
     sweep per chunk.
 
     ``density`` is one symmetric ``(n, n)`` matrix or a stack
     ``(k, n, n)`` of them; a stack shares one pass over the integrals
-    and returns stacked ``(k, n, n)`` J and K.
+    and returns stacked ``(k, n, n)`` J and K.  With ``g_only`` (an RHF
+    build) a served build returns ``(G, None)``, ``G = 2J - K`` from two
+    mat-vecs over P, and a computed one J and K as ever.
 
     An attached ``engine.integral_store`` that is *ready* at ``tau``
     serves the build from the store's :class:`Supermatrix`, mapped by
@@ -1033,16 +1157,16 @@ def jk_from_plan(
 
     while True:
         if store is not None and store.ready:
-            if (jk := _served(engine, store, dflat, n, density)) is not None:
-                return jk
+            if (out := _served(engine, store, dflat, n, density, g_only)) is not None:
+                return out
         plan = engine.class_plan(tau)
         if store is None or not store.filling or not plan.nquartets:
             break
-        mats, totals = _filled(engine, plan, None, faults, threads)
+        arrays, totals = _filled(engine, plan, None, faults, threads)
         _tally(engine, totals, faults)
         with phase(PHASE_STORE_FILL):
-            store.record_batch(*mats, plan.nquartets)
-            del mats  # written (or held) by the store: no copy beside its mapping
+            store.record_batch(arrays, plan.nquartets)
+            del arrays  # written (or held) by the store: no copy beside its mapping
             store.finalize(tau)
 
     chunks = plan.chunks(density_rows(engine, plan, dflat.reshape(-1, n, n), tau))
@@ -1051,8 +1175,9 @@ def jk_from_plan(
     return _symmetrized(jt, kt, n, density)
 
 
-def _served(engine, store, dflat, n: int, density):
-    """J and K from ``store``'s mapped slot (:func:`map_supermatrix`), or ``None``."""
+def _served(engine, store, dflat, n: int, density, g_only: bool):
+    """J and K -- or ``(G, None)`` -- from ``store``'s mapped slot
+    (:func:`map_supermatrix`), or ``None``."""
     engine.last_jk_worker_stats = []
     sm = store.supermatrix
     if sm is None or store.verify_reads and not sm.verified:
@@ -1062,9 +1187,12 @@ def _served(engine, store, dflat, n: int, density):
         sm = store.supermatrix = map_supermatrix(engine, store)
     if sm is not None:
         with phase(PHASE_JK):
-            jt, kt = sm.contract(dflat)
+            halves = sm.contract(dflat, exchange=not g_only)
         engine.quartets_served_from_store += store.nblocks
-        return _symmetrized(jt, kt, n, density)
+        # G = Gt + Gt^T, K = Kt + Kt^T, and J = (G + K) / 2
+        g, *k = (_shaped(h + h.transpose(0, 2, 1), density)
+                 for h in (half.reshape(-1, n, n) for half in halves))
+        return (g, None) if g_only else (0.5 * (g + k[0]), k[0])
 
 
 def jk_from_rows(
@@ -1089,4 +1217,9 @@ def _symmetrized(jt, kt, n: int, density) -> tuple[np.ndarray, np.ndarray]:
     jt, kt = jt.reshape(-1, n, n), kt.reshape(-1, n, n)
     j = 2.0 * (jt + jt.transpose(0, 2, 1))
     k = kt + kt.transpose(0, 2, 1)
-    return (j, k) if np.ndim(density) == 3 else (j[0], k[0])
+    return _shaped(j, density), _shaped(k, density)
+
+
+def _shaped(stack: np.ndarray, density) -> np.ndarray:
+    """A ``(k, n, n)`` stack, or its one matrix for an ``(n, n)`` density."""
+    return stack if np.ndim(density) == 3 else stack[0]

@@ -120,14 +120,17 @@ class ERIEngine(abc.ABC):
         this engine's basis; otherwise it is invalidated (with a
         warning) and refilled from the next Fock build.
         """
+        from repro.obs.profile import PHASE_STORE_ATTACH
+
         if not isinstance(store, ERIStore):
             store = ERIStore(store, self.basis)
-        # a store-backed run contracts scipy.sparse matrices: pay the
-        # import here, not inside its first served Fock build (and a
-        # direct run never pays it)
-        import scipy.sparse  # noqa: F401
+        with phase(PHASE_STORE_ATTACH):
+            # a store-backed run contracts scipy.sparse matrices: pay the
+            # import here, not inside its first served Fock build (and a
+            # direct run never pays it)
+            import scipy.sparse  # noqa: F401
 
-        self.integral_store = store.open_or_fill()
+            self.integral_store = store.open_or_fill()
         return self.integral_store
 
     def detach_store(self) -> None:

@@ -5,13 +5,14 @@ SCF -- compute the screened non-zero integrals once, store them, and
 build every F straight from them -- beats direct SCF, whose ERI work is
 paid again on every Fock build.  This module is that storage layer:
 
-* :class:`ERIStore` is a file format for two matrices: the M_J and M_K
+* :class:`ERIStore` is a file format for the folded supermatrix
   (:class:`~repro.integrals.class_batch.Supermatrix`) of the plan whose
-  build filled it.  That build makes them (the J/K build is the only
-  code that turns computed rows into matrices) and stages them with
-  :meth:`~ERIStore.record_batch`; ``finalize`` writes their ``data`` /
-  ``indices`` / ``indptr`` arrays end to end in one file,
-  ``supermatrix.bin``.  The filling build is served from that file, as
+  build filled it: two value arrays on one CSR pattern, ``P = 4 J' -
+  K'`` (an RHF build's ``G = 2J - K``) and ``K'``.  That build makes them
+  (the J/K build is the only code that turns computed rows into
+  matrices) and stages them with :meth:`~ERIStore.record_batch`;
+  ``finalize`` writes the ``p`` / ``k`` / ``indices`` / ``indptr`` arrays
+  end to end in one file, ``supermatrix.bin``.  The filling build is served from that file, as
   every later one is: the first memory-maps it (copy-on-write; the page
   cache shares it across processes) into the store's one slot, nothing
   is read block by block or assembled, and later builds re-read nothing,
@@ -34,11 +35,12 @@ data file is staged as ``*.tmp`` and ``os.replace``'d into place with
 a manifest describing partial data; a process that finds a valid store
 on disk when it comes to finalize attaches to it instead of clobbering it.
 
-Data integrity (format v3): each matrix is cut into *segments*, one per
+Data integrity (format v4): the pattern is cut into *segments*, one per
 shell -- the rows ``(a, x)`` with ``a`` in it, which hold exactly the
-entries of the quartets whose first shell it is.  The manifest carries
-one CRC-32 per segment (its data, its indices, its own ``indptr``
-entries) and a whole-file SHA-256.  With ``verify_reads`` (armed by the
+folded entries of the quartets whose first shell it is (that shell holds
+a quartet's largest index, so its terms fold within its rows).  The
+manifest carries one CRC-32 per segment (its P and K' values, its
+indices, its own ``indptr`` entries) and a whole-file SHA-256.  With ``verify_reads`` (armed by the
 SCF ``integrity=`` knob) each segment is CRC-checked as it is mapped;
 unverified, each is still checked to be a well-formed CSR slice, so a
 flipped bit can make a value wrong but never send a read outside the
@@ -46,8 +48,9 @@ matrix.  A failed segment is rebuilt from its shell's rows of the plan
 at the manifest's ``tau``, the only time a served build plans; one that
 does not fit its slot invalidates the store, refilled by the build that
 found it.  The digest is checked by the offline ``repro verify``
-audit only.  A v2 store (a flat block file and a per-block index) is
-invalidated and refilled.  Threat model: ``docs/ROBUSTNESS.md`` ("Silent data
+audit only.  A store of an older format -- v3 (the unfolded M_J and
+M_K) or v2 (a flat block file and a per-block index) -- is invalidated
+and refilled.  Threat model: ``docs/ROBUSTNESS.md`` ("Silent data
 corruption").  This module alone knows the layout: the audit
 (:func:`is_store_dir`, :func:`audit_store_dir`) and the SDC fault
 injector (:func:`segment_extents`) read it here.
@@ -73,16 +76,16 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
-# v3: the file is the supermatrix, one CRC-32 per segment
-STORE_VERSION = 3
+# v4: the file is the folded supermatrix (P and K' on one pattern), one
+# CRC-32 per segment
+STORE_VERSION = 4
 _MANIFEST = "manifest.json"
 _DATA = "supermatrix.bin"
 _LOCK = ".lock"
 #: the v2 format's files (flat blocks, per-block index), removed on invalidation
 _V2_FILES = ("blocks.bin", "index.npz")
-#: the matrices in file order, and each one's arrays
-_MATRICES = ("mj", "mk")
-_ARRAYS = ("data", "indices", "indptr")
+#: the arrays in file order (``class_batch.Folded``'s fields)
+_ARRAYS = ("p", "k", "indices", "indptr")
 
 
 def basis_fingerprint(basis: BasisSet) -> str:
@@ -106,43 +109,40 @@ def basis_fingerprint(basis: BasisSet) -> str:
 
 
 def _layout(manifest: dict) -> tuple[dict, list]:
-    """Where each ``(matrix, array)`` sits in the data file, as ``(byte
-    offset, dtype, count)`` (every array 8-byte aligned), and per segment
-    its matrix and the element ranges of its data, its indices and its
-    own ``indptr`` entries -- the segments of M_J first."""
+    """Where each array sits in the data file, as ``(byte offset, dtype,
+    count)`` (every array 8-byte aligned), and per segment the element
+    ranges of its P values, its K' values, its indices and its own
+    ``indptr`` entries."""
     index = np.dtype(manifest["index_dtype"])
-    rows = manifest["rows"]
-    arrays, segments, at = {}, [], 0
-    for m in _MATRICES:
-        nnz = manifest["nnz"][m]
-        for name, dtype, count in (
-            ("data", np.dtype(np.float64), nnz[-1]),
-            ("indices", index, nnz[-1]),
-            ("indptr", index, rows[-1] + 1),
-        ):
-            arrays[m, name] = (at, dtype, count)
-            at += -(-count * dtype.itemsize // 8) * 8
-        for r0, r1, z0, z1 in zip(rows[:-1], rows[1:], nnz[:-1], nnz[1:]):
-            # indptr[r0] ends the previous segment
-            segments.append((m, ((z0, z1), (z0, z1), (r0 + (r0 > 0), r1 + 1))))
-    return arrays, segments
+    rows, nnz = manifest["rows"], manifest["nnz"]
+    arrays, at = {}, 0
+    for name, dtype, count in zip(
+        _ARRAYS, (np.dtype(np.float64),) * 2 + (index,) * 2, (nnz[-1],) * 3 + (rows[-1] + 1,)
+    ):
+        arrays[name] = (at, dtype, count)
+        at += -(-count * dtype.itemsize // 8) * 8
+    # indptr[r0] ends the previous segment
+    return arrays, [
+        ((z0, z1),) * 3 + ((r0 + (r0 > 0), r1 + 1),)
+        for r0, r1, z0, z1 in zip(rows[:-1], rows[1:], nnz[:-1], nnz[1:])
+    ]
 
 
 def _views(buf: np.ndarray, arrays: dict) -> dict:
     """The typed arrays of a data file's bytes ``buf``."""
     return {
-        key: buf[at:at + dtype.itemsize * count].view(dtype)
-        for key, (at, dtype, count) in arrays.items()
+        name: buf[at:at + dtype.itemsize * count].view(dtype)
+        for name, (at, dtype, count) in arrays.items()
     }
 
 
 def _segment_crcs(views: dict, segments: list) -> list[int]:
     """One CRC-32 per segment, over its ranges of ``views``."""
     out = []
-    for m, ranges in segments:
+    for ranges in segments:
         crc = 0
         for name, (lo, hi) in zip(_ARRAYS, ranges):
-            crc = zlib.crc32(views[m, name][lo:hi], crc)
+            crc = zlib.crc32(views[name][lo:hi], crc)
         out.append(crc)
     return out
 
@@ -180,7 +180,8 @@ class ERIStore:
         self.verify_reads = False
         self.crc_checks = 0
         self.crc_mismatches = 0
-        #: the staged fill: M_J, M_K and how many quartets they hold
+        #: the staged fill: its ``class_batch.Folded`` arrays and how many
+        #: quartets they hold
         self._staged: tuple | None = None
         self._flock_depth = 0
         self._reject_reason = "stale or unreadable manifest"
@@ -287,11 +288,11 @@ class ERIStore:
 
     # -- filling ------------------------------------------------------------
 
-    def record_batch(self, mj, mk, nblocks: int) -> None:
-        """Stage the filling build's CSR ``M_J`` and ``M_K``, of ``nblocks``
-        quartets, for :meth:`finalize`."""
+    def record_batch(self, arrays, nblocks: int) -> None:
+        """Stage the filling build's folded CSR ``arrays``
+        (``class_batch.Folded``), of ``nblocks`` quartets, for :meth:`finalize`."""
         if self.filling:
-            self._staged = (mj, mk, int(nblocks))
+            self._staged = (arrays, int(nblocks))
 
     def finalize(self, tau: float) -> None:
         """Write the staged matrices to disk as the plan filled at ``tau``
@@ -305,8 +306,8 @@ class ERIStore:
         if self.private:
             from repro.integrals.class_batch import Supermatrix
 
-            mj, mk, nblocks = self._staged
-            held = Supermatrix.of(True, mj, mk)
+            arrays, nblocks = self._staged
+            held = Supermatrix.of(True, arrays)
             self._attach({"tau": tau, "nblocks": nblocks, "nbytes": held.nbytes})
             self._staged, self.supermatrix = None, held
             return
@@ -320,9 +321,8 @@ class ERIStore:
             self._attach(existing)
 
     def _write(self, tau: float) -> dict:
-        """Publish the staged M_J and M_K; their manifest."""
-        mj, mk, nblocks = self._staged
-        mats = dict(zip(_MATRICES, (mj, mk)))
+        """Publish the staged arrays; their manifest."""
+        staged, nblocks = self._staged
         rows = (self.basis.offsets * self.basis.nbf).tolist()  # a segment per shell
         manifest = {
             "version": STORE_VERSION,
@@ -332,14 +332,13 @@ class ERIStore:
             "nbf": int(self.basis.nbf),
             "nshells": len(self.basis.shells),
             "nblocks": nblocks,
-            "index_dtype": np.result_type(*(getattr(m, a) for m in mats.values()
-                                            for a in ("indices", "indptr"))).name,
+            "index_dtype": np.result_type(staged.indices, staged.indptr).name,
             "rows": rows,
-            "nnz": {k: m.indptr[rows].tolist() for k, m in mats.items()},
+            "nnz": staged.indptr[rows].tolist(),
         }
         arrays, segments = _layout(manifest)
-        views = {(k, a): getattr(mats[k], a).astype(dt, copy=False)
-                 for (k, a), (_, dt, _) in arrays.items()}
+        views = {name: getattr(staged, name).astype(dt, copy=False)
+                 for name, (_, dt, _) in arrays.items()}
         digest, tmp = hashlib.sha256(), self.path / (_DATA + ".tmp")
         with open(tmp, "wb") as fh:
             for view in views.values():  # each padded to 8 bytes
@@ -373,26 +372,25 @@ class ERIStore:
         return 0 if self.manifest is None else int(self.manifest["nbytes"])
 
     def offsets_for(self) -> tuple[list, list]:
-        """The segment map: the row cuts both matrices share (segment
-        ``s`` is the rows of shell ``s``) and per matrix its non-zero cuts."""
-        m = self.manifest
-        return m["rows"], [m["nnz"][k] for k in _MATRICES]
+        """The segment map: the row cuts (segment ``s`` is the rows of
+        shell ``s``) and the non-zero cuts."""
+        return self.manifest["rows"], self.manifest["nnz"]
 
-    def read_stacked(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``(data, indices, indptr)`` of M_J and M_K, memory-mapped
-        copy-on-write: a patched segment stays private to the caller."""
+    def read_stacked(self):
+        """The ``class_batch.Folded`` arrays, memory-mapped copy-on-write:
+        a patched segment stays private to the caller."""
+        from repro.integrals.class_batch import Folded
+
         buf = np.memmap(self.path / _DATA, dtype=np.uint8, mode="c")
-        views = _views(buf, _layout(self.manifest)[0])
-        return [tuple(views[m, a] for a in _ARRAYS) for m in _MATRICES]
+        return Folded(**_views(buf, _layout(self.manifest)[0]))
 
-    def verify_stacked(self, arrays) -> list[np.ndarray]:
-        """Per matrix, True where a segment of :meth:`read_stacked`'s
-        ``arrays`` is intact: it matches its CRC-32 when reads are
-        verified, else it is a well-formed CSR slice (its ``indptr``
-        climbs from its first non-zero to its last, its columns are in
-        range).  The mapping rebuilds the segments flagged False."""
-        views = {(m, a): arr for m, triple in zip(_MATRICES, arrays)
-                 for a, arr in zip(_ARRAYS, triple)}
+    def verify_stacked(self, arrays) -> np.ndarray:
+        """True where a segment of :meth:`read_stacked`'s ``arrays`` is
+        intact: it matches its CRC-32 when reads are verified, else it is
+        a well-formed CSR slice (its ``indptr`` climbs from its first
+        non-zero to its last, its columns are in range).  The mapping
+        rebuilds the segments flagged False."""
+        views = dict(zip(_ARRAYS, arrays))
         _, segments = _layout(self.manifest)
         if self.verify_reads:
             ok = np.equal(_segment_crcs(views, segments), self.manifest["crcs"])
@@ -400,17 +398,17 @@ class ERIStore:
         else:
             ncols = self.manifest["rows"][-1]
 
-            def well_formed(m, nnz, own):
-                (z0, z1), ends = nnz, views[m, "indptr"][own[0]:own[1]]
-                cols = views[m, "indices"][z0:z1]
+            def well_formed(nnz, own):
+                (z0, z1), ends = nnz, views["indptr"][own[0]:own[1]]
+                cols = views["indices"][z0:z1]
                 return bool(
                     ends[-1] == z1 and (np.diff(ends, prepend=z0) >= 0).all()
                     and (z1 == z0 or 0 <= cols.min() and cols.max() < ncols)
                 )
 
-            ok = np.array([well_formed(m, r[0], r[2]) for m, r in segments])
+            ok = np.array([well_formed(r[0], r[3]) for r in segments], dtype=bool)
         self.crc_mismatches += int((~ok).sum())
-        return np.split(ok, len(_MATRICES))
+        return ok
 
     def stats(self) -> dict:
         """Snapshot for reports/tests."""
@@ -435,14 +433,13 @@ class ERIStore:
 
 def segment_extents(path: str | Path) -> tuple[Path, list]:
     """The data file of the store at ``path`` and, per segment, the byte
-    ranges of its data, indices and ``indptr`` entries there."""
+    ranges of its P values, K' values, indices and ``indptr`` entries there."""
     manifest = json.loads((Path(path) / _MANIFEST).read_text())
     arrays, segments = _layout(manifest)
     return Path(path) / _DATA, [
         [(at + dtype.itemsize * lo, at + dtype.itemsize * hi)
-         for (at, dtype, _), (lo, hi) in zip(
-             (arrays[m, a] for a in _ARRAYS), ranges)]
-        for m, ranges in segments
+         for (at, dtype, _), (lo, hi) in zip((arrays[a] for a in _ARRAYS), ranges)]
+        for ranges in segments
     ]
 
 
@@ -461,8 +458,8 @@ def is_store_dir(path: str | Path) -> bool:
 def audit_store_dir(path: str | Path) -> tuple[list[str], int]:
     """Verify one on-disk store bottom-up, without attaching.
 
-    The manifest parses and is of this format (older stores predate
-    segments: refill them), ``supermatrix.bin`` holds exactly ``nbytes``
+    The manifest parses and is of this format (refill an older one),
+    ``supermatrix.bin`` holds exactly ``nbytes``
     and matches ``data_sha256``, and every segment matches its CRC-32.
     Returns the problems found and the number of segments checked.
     """
@@ -473,7 +470,7 @@ def audit_store_dir(path: str | Path) -> tuple[list[str], int]:
         return [f"unreadable manifest: {exc}"], 0
     version = manifest.get("version")
     if version != STORE_VERSION:
-        return [f"format version {version!r} predates segments; refill"], 0
+        return [f"format version {version!r} predates v{STORE_VERSION}; refill"], 0
     try:
         buf = np.fromfile(path / _DATA, dtype=np.uint8)
         arrays, segments = _layout(manifest)

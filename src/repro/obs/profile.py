@@ -6,7 +6,7 @@ its loops *from hotspot profiles*): knowing where the Python wall-clock,
 CPU time, and allocations actually go.  The pipeline's named phases --
 
 ``one_electron``, ``pairdata_build``, ``schwarz_screening``, ``class_plan``,
-``eri_quartets``, ``jk_contraction``, ``store_fill``, ``diagonalize``/``purify``,
+``eri_quartets``, ``jk_contraction``, ``store_attach``, ``store_fill``, ``diagonalize``/``purify``,
 ``diis``, ``fock_build``, ``sim_event_loop`` and the probes ``guard``
 and ``integrity``
 
@@ -58,6 +58,8 @@ PHASE_ERI = "eri_quartets"
 PHASE_JK = "jk_contraction"
 #: a store fill's CSR assembly and ``finalize`` (after its contraction)
 PHASE_STORE_FILL = "store_fill"
+#: attaching an integral store: its ``import scipy.sparse``, then opening it
+PHASE_STORE_ATTACH = "store_attach"
 PHASE_DIAG = "diagonalize"
 PHASE_PURIFY = "purify"
 PHASE_DIIS = "diis"

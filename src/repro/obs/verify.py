@@ -7,8 +7,8 @@ stack writes, *without* touching any of it:
   a data file, audited by :func:`repro.integrals.store.audit_store_dir`
   (the one module that knows the layout): manifest, data file size,
   one CRC-32 per segment and the whole-file SHA-256.  A store missing a
-  file is a finding, and a store of an older format predates segments
-  and is flagged for a refill;
+  file is a finding, and a store of an older format is flagged for a
+  refill;
 * **SCF checkpoints** (``scf_ckpt_NNNN.npz``) -- each snapshot loads,
   passes its payload digest, and carries finite, shape-consistent
   arrays (:func:`repro.scf.checkpoint.load_checkpoint` with

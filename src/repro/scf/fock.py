@@ -65,9 +65,11 @@ def fock_matrix(
     tau: float = 1e-11,
     threads: int | None = None,
 ) -> np.ndarray:
-    """Closed-shell Fock matrix F = H^core + 2J - K (Eq 3)."""
-    j, k = build_jk(engine, density, tau, threads=threads)
-    return hcore + 2.0 * j - k
+    """Closed-shell Fock matrix F = H^core + 2J - K (Eq 3).  A build served
+    from a store adds ``G = 2J - K`` from its folded P alone (two sparse
+    mat-vecs); a computed one forms ``H + 2J - K`` from J and K."""
+    jg, k = jk_from_plan(engine, density, tau=tau, threads=threads, g_only=True)
+    return hcore + jg if k is None else hcore + 2.0 * jg - k
 
 
 def hf_electronic_energy(

@@ -123,9 +123,9 @@ class SCFDriver:
         When set, a directory for the memory-mapped stored-integral
         layer (:class:`~repro.integrals.store.ERIStore`): conventional
         SCF.  The first Fock build computes and records the screened
-        non-zero quartets and writes them as a sparse supermatrix; the
-        next maps it back and every iteration is four sparse mat-vecs,
-        with zero ERI recomputation.
+        non-zero quartets and writes them as a folded sparse supermatrix;
+        the next maps it back and every iteration is two sparse mat-vecs
+        (``G = 2J - K`` from the folded P), with zero ERI recomputation.
         A store left by a previous run of the *same* basis and ``tau``
         is reused directly; any mismatch invalidates it (with a warning)
         and it is refilled.  Unset, ``run`` holds them in memory for the run (a

@@ -76,9 +76,9 @@ def degrade_spec(spec: dict) -> tuple[dict | None, str]:
     Returns ``(new_spec, description)`` or ``(None, "")`` when nothing
     is left to shed.  Ladder: threaded J/K -> serial (one set of
     private accumulators and staged blocks instead of one per thread),
-    then drop the integral store -- the build that fills it keeps every
-    weighted block it contracts in RAM, then builds the sparse
-    supermatrix from them, 12 bytes per non-zero -- and take the default
+    then drop the integral store -- the build that fills it adds every
+    weighted block it computes into the folded supermatrix's positions
+    in RAM, 16 bytes each, and writes 20 bytes per non-zero -- and take the default
     path: a private store when the plan's bound fits the budget, else
     direct SCF, whose blocks are bitwise the stored ones.
     """

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from reference_engine import SyntheticERIEngine
+from reference_fold import assert_fold_matches
 from reference_supermatrix import assemble_supermatrix
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import h2, methane, water
@@ -54,16 +55,15 @@ def pair_block(matrix_fn, sh_a, sh_b, molecule=None, **kwargs):
 
 
 def assert_store_holds_kernel_bits(engine, tau=1e-11):
-    """The matrices ``engine``'s ready store holds are, array for array
-    (sha256), the supermatrix the v2 assembly folds from the class
-    kernel's blocks of the plan at ``tau``: a served J/K contracts the
+    """The arrays ``engine``'s ready store holds are the COO fold of the
+    M_J / M_K the v2 assembly makes from the class kernel's blocks of the
+    plan at ``tau``, pattern bitwise and values to summation order
+    (``reference_fold.assert_fold_matches``): a served J/K contracts the
     integrals a direct build does, in another summation order."""
     store = engine.integral_store
     assert store.ready
     mj, mk, _ = assemble_supermatrix(engine, engine.class_plan(tau))
-    want = [a for m in (mj, mk) for a in (m.data, m.indices, m.indptr)]
-    got = [a for arrays in store.read_stacked() for a in arrays]
-    assert [sha256(a) for a in got] == [sha256(a) for a in want]
+    assert_fold_matches(store.read_stacked(), engine.basis, mj, mk)
 
 
 def sha256(a: np.ndarray) -> str:
@@ -71,9 +71,10 @@ def sha256(a: np.ndarray) -> str:
 
 
 def supermatrix_arrays(engine):
-    """The CSR arrays of the supermatrix mapped in an engine's store."""
+    """The CSR arrays of the supermatrix mapped in an engine's store: P's
+    and K''s values, their indices and indptr."""
     sm = engine.integral_store.supermatrix
-    return [a for m in (sm.mj, sm.mk) for a in (m.data, m.indices, m.indptr)]
+    return [sm.p.data, sm.k.data, sm.p.indices, sm.p.indptr]
 
 
 def assert_jk_close(jk, ref, tol=1e-12):

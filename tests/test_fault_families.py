@@ -270,6 +270,41 @@ class TestParityGoldens:
         assert fresh[section] == golden[section]
 
 
+class TestServiceChaosQueue:
+    """``repro chaos --family service`` removes a queue it made itself and
+    keeps one passed with ``--queue``; the summary line says which."""
+
+    @pytest.fixture()
+    def queues(self, tmp_path, monkeypatch):
+        """The queue each run was handed, its gate stubbed (no workers)."""
+        import tempfile
+
+        import repro.service
+
+        seen = []
+
+        def stub(queue, **_):
+            seen.append(pathlib.Path(queue))
+            (seen[-1] / "jobs.sqlite").write_bytes(b"stub")
+            return good("service")
+
+        monkeypatch.setattr(repro.service, "run_service_chaos", stub)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return seen
+
+    def test_a_made_queue_is_removed(self, queues, tmp_path, capsys):
+        assert main(["chaos", "water", "--family", "service"]) == 0
+        assert queues[0].parent == tmp_path and not queues[0].exists()
+        assert f"queue {queues[0]} (removed)" in capsys.readouterr().out
+
+    def test_a_given_queue_is_kept(self, queues, tmp_path, capsys):
+        mine = tmp_path / "mine"
+        mine.mkdir()
+        assert main(["chaos", "water", "--family", "service", "--queue", str(mine)]) == 0
+        assert queues == [mine] and (mine / "jobs.sqlite").exists()
+        assert f"queue {mine} (kept)" in capsys.readouterr().out
+
+
 class TestEmptyPlanIsBadInput:
     """(c) a gate that would inject nothing is rejected, not passed."""
 

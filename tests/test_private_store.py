@@ -11,9 +11,13 @@ memory is dropped and the run goes on direct.
 from __future__ import annotations
 
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_class_batch import rand_basis
 
 from repro.chem.builders import water
 from repro.integrals import class_batch
@@ -153,8 +157,9 @@ class TestDroppedStore:
 
 
 def test_the_bound_covers_a_fill_without_zeros():
-    """The bound is an upper bound on the bytes a fill writes, even when
-    no element is an exact zero: the matrices of all-ones blocks."""
+    """The bound is an upper bound on the bytes a fill writes (each array
+    padded to 8 bytes, as the file holds it), even when no element is an
+    exact zero: the folded arrays of all-ones blocks."""
     from repro.chem.basis.basisset import BasisSet
     from repro.chem.builders import water_cluster
     from repro.integrals.class_batch import SlotFill
@@ -166,6 +171,40 @@ def test_the_bound_covers_a_fill_without_zeros():
         fill = SlotFill(engine.basis, plan, None)
         for b in plan.batches:
             fill.write([(b, np.arange(b.nq))], [np.ones((b.nq, *b.dims))])
-        mj, mk = fill.matrices()
-        stored = sum(a.nbytes for m in (mj, mk) for a in (m.data, m.indices, m.indptr))
+        stored = sum(-(-a.nbytes // 8) * 8 for a in fill.folded())
         assert stored <= plan.stored_bytes(engine.basis.nbf)
+
+
+@given(st.integers(0, 2**16), st.floats(-13.0, -6.0))
+@settings(max_examples=5, deadline=None)
+def test_the_bound_covers_the_file_on_random_bases(seed, log_tau):
+    """Random s/p/d shells (pure and Cartesian d) at a random tau: the bound
+    is at or over the bytes of the file a fill writes."""
+    from repro.integrals.engine import MDEngine
+    from repro.scf.fock import build_jk
+
+    basis, tau = rand_basis(np.random.default_rng(seed), nshells=5), 10.0 ** log_tau
+    with tempfile.TemporaryDirectory() as store:
+        engine = MDEngine(basis, store=store)
+        build_jk(engine, np.eye(basis.nbf), tau)
+        written = (Path(store) / "supermatrix.bin").stat().st_size
+    assert written <= engine.class_plan(tau).stored_bytes(basis.nbf)
+
+
+@pytest.mark.parametrize("system", [
+    ("water", (), "sto-3g"), ("water_cluster", (5, 1, 1), "sto-3g"),
+    ("water_cluster", (4, 1, 1), "6-31g"),
+], ids=["water/sto-3g", "(h2o)5/sto-3g", "(h2o)4/6-31g"])
+def test_the_bound_covers_each_gate_systems_file(system, tmp_path):
+    """On the stored gate systems the bound is at or over the file's bytes."""
+    from repro.chem import builders
+    from repro.chem.basis.basisset import BasisSet
+    from repro.integrals.engine import MDEngine
+    from repro.scf.fock import build_jk
+
+    builder, args, basis_name = system
+    basis = BasisSet.build(getattr(builders, builder)(*args), basis_name)
+    engine = MDEngine(basis, store=tmp_path / "store")
+    build_jk(engine, np.eye(basis.nbf))
+    written = (tmp_path / "store" / "supermatrix.bin").stat().st_size
+    assert written <= engine.class_plan(1e-11).stored_bytes(basis.nbf)

@@ -15,6 +15,7 @@ from repro.obs.profile import (
     NULL_PROFILER,
     PHASE_GUARD,
     PHASE_INTEGRITY,
+    PHASE_STORE_ATTACH,
     PhaseProfiler,
     hotspot_text,
     profile_hotspots,
@@ -207,6 +208,14 @@ class TestProbePhases:
         # the F and D checks each iteration, one CRC pass as the store maps
         n = iterations["stored, integrity"]
         assert seen["stored, integrity"] == {PHASE_INTEGRITY: 2 * n + 1}
+
+
+def test_attaching_a_store_is_a_phase():
+    """A default RHF attaches its private store -- and imports
+    ``scipy.sparse`` -- inside its run, in one ``store_attach`` phase."""
+    with profiled() as prof:
+        RHF(water()).run()
+    assert prof.stats[PHASE_STORE_ATTACH].calls == 1
 
 
 class TestSingleton:

@@ -196,8 +196,8 @@ def filled_store(tmp_path, sto3g_basis):
 
 
 def flip_in_segment(store_dir, segment: int, array: int, seed: int) -> None:
-    """Flip one seeded bit of one byte of ``array`` (0 data, 1 indices,
-    2 indptr) of ``segment`` in a store's data file."""
+    """Flip one seeded bit of one byte of ``array`` (0 P, 1 K', 2 indices,
+    3 indptr) of ``segment`` in a store's data file."""
     data_file, segments = segment_extents(store_dir)
     rng = np.random.default_rng(seed)
     lo, hi = segments[segment][array]
@@ -217,8 +217,8 @@ class TestStoreIntegrity:
         store_dir, *_ = filled_store
         manifest = json.loads((store_dir / "manifest.json").read_text())
         assert manifest["version"] == STORE_VERSION
-        # one CRC per segment: a segment per shell, in M_J and in M_K
-        assert len(manifest["crcs"]) == 2 * sto3g_basis.nshells
+        # one CRC per segment: a segment per shell, over P, K', indices, indptr
+        assert len(manifest["crcs"]) == sto3g_basis.nshells
         assert all(0 <= crc < 2**32 for crc in manifest["crcs"])
         assert len(manifest["data_sha256"]) == 64
         assert (store_dir / "supermatrix.bin").stat().st_size == manifest["nbytes"]
@@ -259,8 +259,8 @@ class TestStoreIntegrity:
         store_dir, *_ = filled_store
         clean = ERIStore(shutil.copytree(store_dir, store_dir.parent / "clean"),
                          sto3g_basis).open_or_fill()
-        flip_in_segment(store_dir, 2, 0, seed=1)  # M_J, shell 2
-        flip_in_segment(store_dir, sto3g_basis.nshells + 4, 1, seed=2)  # M_K, shell 4
+        flip_in_segment(store_dir, 2, 0, seed=1)  # P, shell 2
+        flip_in_segment(store_dir, 4, 2, seed=2)  # indices, shell 4
         engine = MDEngine(sto3g_basis, store=store_dir)
         store = engine.integral_store
         store.verify_reads = True
@@ -269,13 +269,14 @@ class TestStoreIntegrity:
         assert store.crc_mismatches == 2
         assert engine.crc_rescues == shell_rows(plan, 2) + shell_rows(plan, 4)
         assert engine.quartets_computed == 0
-        want = [a for arrays in clean.read_stacked() for a in arrays]
+        want = list(clean.read_stacked())
         assert [sha256_hex(a) for a in supermatrix_arrays(engine)] == [
             sha256_hex(a) for a in want]
 
-    @pytest.mark.parametrize("array", [0, 1, 2], ids=["data", "indices", "indptr"])
+    @pytest.mark.parametrize("array", [0, 1, 2, 3], ids=["data", "exchange", "indices", "indptr"])
     def test_one_flip_rebuilds_only_its_segment(self, tmp_path, array):
-        """A flip in a segment's data, column indices or row pointers is
+        """A flip in a segment's P values (``data``), K' values
+        (``exchange``), column indices or row pointers is
         detected, only that segment is rebuilt, and the warm run's F is
         sha256-equal to the clean warm run's."""
         clean_dir, bad_dir = tmp_path / "clean", tmp_path / "bad"
@@ -283,7 +284,7 @@ class TestStoreIntegrity:
         shutil.copytree(clean_dir, bad_dir)
         basis = BasisSet.build(water(), "sto-3g")
         shell = basis.nshells - 1  # the last shell: the most rows
-        flip_in_segment(bad_dir, basis.nshells + shell, array, seed=array)
+        flip_in_segment(bad_dir, shell, array, seed=array)
         clean = RHF(water(), integral_store=str(clean_dir), integrity=True).run()
         rhf = RHF(water(), integral_store=str(bad_dir), integrity=True)
         res = rhf.run()
@@ -328,13 +329,13 @@ class TestStoreIntegrity:
         assert store.crc_mismatches == 1
         # served from the refill: the build that filled the store first, bit for bit
         assert np.array_equal(j, j_ref) and np.array_equal(k, k_ref)
-        assert audit_store_dir(store_dir) == ([], 2 * sto3g_basis.nshells)
+        assert audit_store_dir(store_dir) == ([], sto3g_basis.nshells)
         fresh = MDEngine(sto3g_basis, store=store_dir)
         fresh.integral_store.verify_reads = True
         j_fresh, k_fresh = build_jk(fresh, d, tau=1e-11)
         assert np.array_equal(j_fresh, j_ref) and np.array_equal(k_fresh, k_ref)
         assert fresh.quartets_computed == fresh.crc_rescues == 0
-        assert fresh.integral_store.crc_checks == 2 * sto3g_basis.nshells
+        assert fresh.integral_store.crc_checks == sto3g_basis.nshells
         assert fresh.integral_store.crc_mismatches == 0
 
     def test_a_fill_whose_file_cannot_be_mapped_is_refilled(
@@ -374,7 +375,7 @@ class TestStoreIntegrity:
         assert engine.quartets_served_from_store == plan.nquartets
         assert engine.integral_store.crc_mismatches == 1
         assert np.array_equal(j, j_ref) and np.array_equal(k, k_ref)
-        assert audit_store_dir(store_dir) == ([], 2 * sto3g_basis.nshells)
+        assert audit_store_dir(store_dir) == ([], sto3g_basis.nshells)
 
     def test_unverified_read_accepts_corruption_silently(
         self, filled_store, sto3g_basis
@@ -384,7 +385,7 @@ class TestStoreIntegrity:
         store_dir, d, j_ref, k_ref = filled_store
         clean_dir = shutil.copytree(store_dir, store_dir.parent / "clean")
         data_file, segments = segment_extents(store_dir)
-        lo, hi = segments[sto3g_basis.nshells - 1][0]  # M_J's last data
+        lo, hi = segments[sto3g_basis.nshells - 1][0]  # the last segment's P
         raw = bytearray(data_file.read_bytes())
         raw[lo + 7] ^= 0x10  # an exponent bit of its first value
         data_file.write_bytes(bytes(raw))
@@ -410,8 +411,8 @@ class TestStoreIntegrity:
         store_dir, d, j_ref, k_ref = filled_store
         data_file, segments = segment_extents(store_dir)
         raw = bytearray(data_file.read_bytes())
-        raw[segments[3][1][1] - 1] ^= 0x80  # an index's sign bit (M_J)
-        raw[segments[-1][2][0] + 1] ^= 0x40  # a row pointer's high byte (M_K)
+        raw[segments[3][2][1] - 1] ^= 0x80  # an index's sign bit (shell 3)
+        raw[segments[-1][3][0] + 1] ^= 0x40  # a row pointer's high byte (the last shell)
         data_file.write_bytes(bytes(raw))
         engine = MDEngine(sto3g_basis, store=store_dir)
         j, k = build_jk(engine, d, tau=1e-11)
@@ -430,17 +431,15 @@ class TestStoreIntegrity:
         store.verify_reads = True
         nshells = sto3g_basis.nshells
         arrays = store.read_stacked()
-        (data, _, _), _ = arrays
-        rows, (nnz_j, _) = store.offsets_for()
-        data[nnz_j[2]] *= 1.0000001  # copy-on-write: the file is untouched
-        good_j, good_k = store.verify_stacked(arrays)
-        assert not good_j[2] and good_j.sum() == nshells - 1 and good_k.all()
+        rows, nnz = store.offsets_for()
+        arrays.k[nnz[2]] *= 1.0000001  # copy-on-write: the file is untouched
+        good = store.verify_stacked(arrays)
+        assert not good[2] and good.sum() == nshells - 1
+        assert store.crc_checks == nshells
+        assert not store.verify_stacked(arrays)[2]
         assert store.crc_checks == 2 * nshells
-        good_j, good_k = store.verify_stacked(arrays)
-        assert not good_j[2]
-        assert store.crc_checks == 4 * nshells
-        assert all(g.all() for g in store.verify_stacked(store.read_stacked()))
-        assert store.crc_checks == 6 * nshells
+        assert store.verify_stacked(store.read_stacked()).all()
+        assert store.crc_checks == 3 * nshells
         assert store.crc_mismatches == 2
         assert rows == (sto3g_basis.offsets * sto3g_basis.nbf).tolist()
 
@@ -473,9 +472,9 @@ class TestV2Store:
 
         report = verify_tree(v2_dir)
         assert [f.problem for f in report.findings] == [
-            "format version 2 predates segments; refill"]
+            "format version 2 predates v4; refill"]
         assert main(["verify", str(v2_dir)]) == 1
-        assert "predates segments; refill" in capsys.readouterr().out
+        assert "predates v4; refill" in capsys.readouterr().out
 
     def test_attaching_invalidates_and_refills(self, v2_dir, sto3g_basis):
         d = rand_density(np.random.default_rng(3), sto3g_basis.nbf)
@@ -906,7 +905,7 @@ class TestVerifyTree:
         report = verify_tree(tmp_path)
         assert report.clean
         assert report.stores_audited == 1
-        assert report.segments_checked == 2 * BasisSet.build(water(), "sto-3g").nshells
+        assert report.segments_checked == BasisSet.build(water(), "sto-3g").nshells
         assert report.checkpoints_audited == 1
 
     def test_corrupted_tree_is_found(self, filled_store, tmp_path):
@@ -956,7 +955,7 @@ class TestVerifyTree:
         (store_dir / "manifest.json").write_text(json.dumps(manifest))
         report = verify_tree(store_dir)
         assert not report.clean
-        assert "predates segments; refill" in report.findings[0].problem
+        assert "predates v4; refill" in report.findings[0].problem
 
     def test_segment_cut_short_is_found(self, filled_store, capsys):
         """A data file 8 bytes short (a torn last write) is a finding and
@@ -978,9 +977,9 @@ class TestVerifyTree:
     def test_flips_land_in_distinct_segments(self, filled_store, sto3g_basis):
         """``store_flips`` flips hit that many distinct segments, so the
         audit finds exactly that many failing CRCs, whichever of the
-        three arrays each flip drew."""
+        four arrays each flip drew."""
         store_dir, *_ = filled_store
-        nseg = 2 * sto3g_basis.nshells
+        nseg = sto3g_basis.nshells
         state = SDCFaultPlan(seed=8, store_flips=nseg).activate()
         assert state.corrupt_store_dir(store_dir) == nseg
         report = verify_tree(store_dir)

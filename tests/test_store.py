@@ -22,6 +22,8 @@ import pytest
 from conftest import assert_jk_close, assert_store_holds_kernel_bits, sha256
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_fold import write_v3_store
+from reference_supermatrix import assemble_supermatrix
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import water
@@ -32,6 +34,7 @@ from repro.integrals.store import (
     STORE_VERSION,
     ERIStore,
     StoreInvalidatedWarning,
+    audit_store_dir,
     basis_fingerprint,
 )
 from repro.scf.fock import build_jk
@@ -186,6 +189,27 @@ class TestInvalidation:
         assert np.array_equal(k_stored, k_warm)
         assert_jk_close((j_stored, k_stored), build_jk(MDEngine(big), d2))
 
+    def test_a_v3_store_is_refilled_never_misread(self, tmp_path, sto3g_basis):
+        """A store in the parent format (v3: the unfolded M_J and M_K, as
+        ``tests/reference_fold.write_v3_store`` writes it) is flagged by
+        the audit and invalidated on attach, with a warning naming its
+        version; the next build computes every plan row, its J/K are the
+        direct build's, and the directory then holds a v4 store."""
+        engine = MDEngine(sto3g_basis)
+        plan = engine.class_plan(1e-11)
+        mj, mk, _ = assemble_supermatrix(engine, plan)
+        write_v3_store(tmp_path / "store", sto3g_basis, 1e-11, mj, mk, plan.nquartets)
+        assert audit_store_dir(tmp_path / "store") == (["format version 3 predates v4; refill"], 0)
+        d = rand_density(np.random.default_rng(41), sto3g_basis.nbf)
+        with pytest.warns(StoreInvalidatedWarning, match="format version 3"):
+            stored = MDEngine(sto3g_basis, store=tmp_path / "store")
+        j, k = build_jk(stored, d)
+        assert stored.quartets_computed == plan.nquartets
+        assert_jk_close((j, k), build_jk(MDEngine(sto3g_basis), d))
+        manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
+        assert manifest["version"] == STORE_VERSION == 4
+        assert audit_store_dir(tmp_path / "store") == ([], sto3g_basis.nshells)
+
     def test_unreadable_manifest_invalidates(self, tmp_path, sto3g_basis):
         rng = np.random.default_rng(13)
         d = rand_density(rng, sto3g_basis.nbf)
@@ -288,19 +312,19 @@ _KEY = np.zeros((1, 4), dtype=np.int64)
 
 
 def _stage(store, value: float) -> None:
-    """Stage the matrices of a store holding only ``_KEY``, whose block is
-    ``value``: M_J's one entry is ``w (00|00)``, ``w = 1/8`` for a quartet
-    of one shell."""
+    """Stage the arrays of a store holding only ``_KEY``, whose block is
+    ``value``: with ``g = w (00|00)``, ``w = 1/8`` for a quartet of one
+    shell, M_J's one term is ``g`` and M_K's ``2 g``, so P's one entry is
+    ``4 g - 2 g = value / 4``."""
     plan = build_class_plan(store.basis, None, _KEY)
     fill = SlotFill(store.basis, plan, None)
     fill.write([(plan.batches[0], np.arange(1))], [np.full((1, 1, 1, 1, 1), value / 8.0)])
-    store.record_batch(*fill.matrices(), 1)
+    store.record_batch(fill.folded(), 1)
 
 
 def _stored_value(store):
     """The single element of the ``_KEY`` block, read back from disk."""
-    (data, _, _), _ = store.read_stacked()
-    return 8.0 * data.item()
+    return 4.0 * store.read_stacked().p.item()
 
 
 class TestProcessSafety:

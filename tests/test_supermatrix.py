@@ -1,9 +1,11 @@
 """Tests for the sparse supermatrix a ready integral store is served from.
 
-A ready ``ERIStore`` holds the plan's two CSR matrices; the first build
-it serves maps them into the store's one slot, and every build is four
-sparse mat-vecs, with no plan and no Schwarz matrix.  Served J/K must equal a storeless build to summation order,
-be bitwise reproducible across engines (processes) and thread settings,
+A ready ``ERIStore`` holds the plan's folded supermatrix, P and K' on one
+CSR pattern; the first build it serves maps them into the store's one
+slot, and every build is sparse mat-vecs (two for an RHF's G, four for J
+and K), with no plan and no Schwarz matrix.  Served J/K must equal a
+storeless build to summation order, be bitwise reproducible across
+engines (processes) and thread settings,
 count every quartet's source once, and never outlive the store content
 they were mapped from.
 """
@@ -16,9 +18,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_jk_close, sha256, supermatrix_arrays
+from conftest import assert_jk_close, supermatrix_arrays
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_fold import assert_fold_matches, reference_fold, unfolded_jk
 from reference_operands import reference_compute_rows
 from reference_pair_matrices import reference_pair_matrices
 from reference_schwarz_jk import schwarz_only_jk
@@ -148,34 +151,42 @@ class TestServedBuilds:
 
 
 class TestAgainstV2Oracle:
-    """The v3 store maps the matrices the v2 store assembled, bit for bit
-    (``tests/reference_supermatrix.py`` keeps the v2 assembly)."""
+    """The v4 store maps the COO fold of the matrices the v2 store
+    assembled, bit for bit (``tests/reference_supermatrix.py`` keeps the
+    v2 assembly, ``tests/reference_fold.py`` the fold)."""
 
     @given(st.integers(0, 2**16), st.floats(-13.0, -6.0))
     @settings(max_examples=5, deadline=None)
     def test_mapped_matrices_equal_the_v2_assembly(self, seed, log_tau):
-        """Random s/p/d bases, a store filled at ``tau``: the mapped
-        M_J / M_K arrays are sha256-equal to the v2 assembly over a v2
-        store of the same fill, and every plan row is served."""
+        """Random s/p/d bases (pure and Cartesian d), a store filled at
+        ``tau``: the mapped P / K' arrays are the COO fold of the v2
+        assembly's M_J / M_K over a v2 store of the same fill (pattern
+        bitwise, values to summation order), every plan row is served, and
+        for a random symmetric D the served G is ``2J - K`` and J, K are
+        the four unfolded mat-vecs' to summation order."""
         rng = np.random.default_rng(seed)
         basis = rand_basis(rng, nshells=5)
         tau = 10.0 ** log_tau
+        d = rand_density(rng, basis.nbf)
         oracle = MDEngine(basis)
         assume(oracle.class_plan(tau).nquartets > 0)
         with tempfile.TemporaryDirectory() as tmp, \
                 tempfile.TemporaryDirectory() as tmp_v2:
             build_jk(MDEngine(basis, store=tmp), np.eye(basis.nbf), tau)
             warm = MDEngine(basis, store=tmp)
-            build_jk(warm, np.eye(basis.nbf), tau)
+            j, k = build_jk(warm, d, tau)
+            g, none = class_batch.jk_from_plan(warm, d, tau, g_only=True)
             v2 = write_v2_store(tmp_v2, basis, tau, kernel_blocks(
                 oracle, oracle.class_plan(tau)))
             mj, mk, _ = assemble_supermatrix(
                 oracle, oracle.class_plan(tau), V2Store(v2, basis))
-        want = [a for m in (mj, mk) for a in (m.data, m.indices, m.indptr)]
-        assert [sha256(a) for a in supermatrix_arrays(warm)] == [
-            sha256(a) for a in want]
+        assert_fold_matches(class_batch.Folded(*supermatrix_arrays(warm)), basis, mj, mk)
+        ref = unfolded_jk(mj, mk, d)
+        scale = max(1.0, *(np.abs(m).max() for m in ref))
+        assert none is None and np.abs(g - (2.0 * ref[0] - ref[1])).max() <= 1e-12 * scale
+        assert_jk_close((j, k), ref, 1e-12 * scale)
         assert warm.quartets_computed == 0
-        assert warm.quartets_served_from_store == oracle.class_plan(tau).nquartets
+        assert warm.quartets_served_from_store == 2 * oracle.class_plan(tau).nquartets
 
     def test_looser_plan_reads_nothing_and_refills(
         self, warm_dir, basis, monkeypatch
@@ -234,16 +245,17 @@ def _random_flushes(rng, members, rows):
 class TestFillAgainstReplacedCode:
     """A fill's kernel blocks and CSR arrays are bitwise what the code they
     replaced made: the per-class operand copies
-    (``tests/reference_operands.py``) and the COO -> CSR assembly
-    (``tests/reference_pair_matrices.py``)."""
+    (``tests/reference_operands.py``), and the COO -> CSR assembly
+    (``tests/reference_pair_matrices.py``) folded by the COO fold
+    (``tests/reference_fold.py``)."""
 
     @given(st.integers(0, 2**16), st.booleans())
     @settings(max_examples=6, deadline=None)
     def test_blocks_and_csr_equal_the_replaced_code(self, seed, zeros):
         """Random s/p/d bases (pure and Cartesian d), every canonical
         quartet (M = N and P = Q among them): each chunk's blocks equal
-        the per-class sweep's, and a :class:`SlotFill`'s data / indices /
-        indptr, dtypes included, SciPy's -- over every row and over a
+        the per-class sweep's, and a :class:`SlotFill`'s P / K' / indices /
+        indptr, dtypes included, the COO fold of SciPy's -- over every row and over a
         random subset (a CRC rescue's), the flushes cut and shuffled at
         random; with ``zeros``, of blocks with exact zeros and (P = Q) K
         views that cancel exactly."""
@@ -275,18 +287,41 @@ class TestFillAgainstReplacedCode:
                 fill.write(flush, parts)
                 pieces.append((np.concatenate([b.quartets[r] for b, r in flush]),
                                np.concatenate(parts)))
-            for got, want in zip(fill.matrices(), reference_pair_matrices(basis, pieces)):
-                for name in ("data", "indices", "indptr"):
-                    a, b = getattr(got, name), getattr(want, name)
-                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert_fold_matches(fill.folded(), basis, *reference_pair_matrices(basis, pieces))
+
+    @given(st.integers(0, 2**16))
+    @settings(max_examples=4, deadline=None)
+    def test_a_segment_folds_from_its_shells_rows(self, seed):
+        """Every position folded into segment A (the rows ``(a, x)``) takes
+        its terms from plan rows whose first shell is A: the COO fold of A's
+        rows alone lies in segment A, and the fill of A's rows alone (a CRC
+        rescue) is bitwise the whole fill's segment A."""
+        rng = np.random.default_rng(seed)
+        basis = rand_basis(rng, nshells=4)
+        engine = MDEngine(basis)
+        plan = engine.class_plan(0.0)
+        pieces = [(q, g * class_batch.orbit_weights(q).reshape(-1, 1, 1, 1, 1))
+                  for q, g in kernel_blocks(engine, plan)]
+        whole, _ = class_batch._filled(engine, plan, None, None, None)
+        first = np.concatenate([b.quartets[:, 0] for b in plan.batches])
+        cuts = basis.offsets * basis.nbf
+        for shell, (r0, r1) in enumerate(zip(cuts[:-1], cuts[1:])):
+            mine = reference_pair_matrices(
+                basis, [(q[q[:, 0] == shell], g[q[:, 0] == shell]) for q, g in pieces])
+            folded, _ = reference_fold(basis, *mine)
+            assert folded.indptr[r0] == 0 and folded.indptr[r1] == len(folded.p)
+            part, _ = class_batch._filled(
+                engine, plan, np.flatnonzero(first == shell), None, None)
+            assert_fold_matches(part, basis, *mine)
+            lo, hi = whole.indptr[r0], whole.indptr[r1]
+            assert np.array_equal(part.indptr[r0:r1 + 1], whole.indptr[r0:r1 + 1] - lo)
+            for a, b in zip(part[:3], whole[:3]):
+                assert np.array_equal(a, b[lo:hi])
 
     def test_no_blocks_give_empty_matrices(self, basis):
         plan = class_batch.build_class_plan(basis, None, np.zeros((0, 4), int))
-        for got, want in zip(class_batch.SlotFill(basis, plan, None).matrices(),
-                             reference_pair_matrices(basis, [])):
-            for name in ("data", "indices", "indptr"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert_fold_matches(class_batch.SlotFill(basis, plan, None).folded(), basis,
+                            *reference_pair_matrices(basis, []))
 
     def test_repeated_blocks_are_refused(self, basis):
         plan = class_batch.build_class_plan(basis, None, [(1, 0, 1, 0), (1, 0, 1, 0)])
@@ -402,7 +437,7 @@ class TestLifetime:
         store.verify_reads = True
         build_jk(engine, d)
         assert store.supermatrix.verified
-        assert store.crc_checks == store.nsegments == 2 * basis.nshells
+        assert store.crc_checks == store.nsegments == basis.nshells
         store.verify_reads = False  # a verified matrix serves either way
         scrubbed = store.supermatrix
         build_jk(engine, d)
