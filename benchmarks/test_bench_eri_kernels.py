@@ -44,15 +44,13 @@ them past the asymptotic switch like the water-cluster workloads),
 ``oneelec_s`` (S + H^core: ``overlap`` and ``core_hamiltonian``, the
 calls an SCF set-up makes), ``schwarz_s``, and
 the class-batched build on a warm engine (plan memoized: what every
-direct-SCF iteration after the first pays) at 1 and 2 ``jk_threads``.
+direct-SCF iteration after the first pays), ``t_class_threads1_s`` --
+the build runs on one thread; the key keeps the name its trajectory
+started under.
 The water measurement also records ``cold_import_s``: the median of 7
 ``import repro`` walls, each in a fresh interpreter and timed by
 ``perf_counter`` inside it (what every ``repro`` command and service
 worker pays before its first integral); it is measure-only.
-The threaded pair is measure-only: the sweep is NumPy passes over one chunk at a time, so
-two threads on a two-core host share memory bandwidth and trade the
-GIL between passes -- 1.05-1.3x is the ceiling seen here (docs/
-PERFORMANCE.md, "Kernel hot path"); it is recorded, never graded.
 
 The ``eri_kernels`` and ``eri_kernels_large`` families of the BENCH
 runner (``python -m benchmarks eri_kernels eri_kernels_large
@@ -106,8 +104,7 @@ CLASS_SPEEDUP_FLOOR = 10.0
 
 #: report rows of :func:`kernel_floor`
 FLOOR_ROWS = (
-    ("class-batched, warm plan, 1 thread", "t_class_threads1_s"),
-    ("class-batched, warm plan, 2 threads", "t_class_threads2_s"),
+    ("class-batched, warm plan", "t_class_threads1_s"),
     ("S + Hcore", "oneelec_s"),
     ("Schwarz", "schwarz_s"),
     ("boys_array(4, .) [ns/argument]", "boys_ns_per_eval"),
@@ -221,17 +218,13 @@ def kernel_floor(basis, density) -> dict:
     warm = MDEngine(basis)
     build_jk(warm, density)  # Schwarz, pair data and the class plan
 
-    def threaded(threads):
-        return _best(lambda: build_jk(warm, density, threads=threads))
-
     return {
         "boys_ns_per_eval": round(
             1e9 * _best(lambda: boys_array(4, xs)) / xs.size, 2),
         "oneelec_s": round(
             _best(lambda: (overlap(basis), core_hamiltonian(basis))), 4),
         "schwarz_s": round(_best(lambda: MDEngine(basis).schwarz()), 4),
-        "t_class_threads1_s": round(threaded(1), 4),
-        "t_class_threads2_s": round(threaded(2), 4),
+        "t_class_threads1_s": round(_best(lambda: build_jk(warm, density)), 4),
     }
 
 

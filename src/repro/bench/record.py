@@ -120,9 +120,8 @@ def _family(name: str, history: str, fields: dict, *specs: MetricSpec):
 
 
 # the layers under the class-batched build: tabulated Boys, S + Hcore and
-# Schwarz on the stacked pair data, the warm-plan sweep.  The 2-thread
-# twin t_class_threads2_s is recorded but measure-only: on a two-core
-# host it swings 3x between runs of one commit
+# Schwarz on the stacked pair data, the warm-plan build (one thread; the
+# key keeps the name its trajectory started under)
 _KERNEL_FLOOR = (
     _rel("boys_ns_per_eval", "ns"), _rel("oneelec_s"), _rel("schwarz_s"),
     _rel("t_class_threads1_s"),
@@ -140,7 +139,7 @@ _KERNEL_FLOOR = (
 _family(
     "eri_kernels", "BENCH_eri.json",
     {"molecule": str, "basis": str, "t_seed_s": float,
-     "store_iter2_recomputed": float, "t_class_threads2_s": float,
+     "store_iter2_recomputed": float,
      "supermatrix_mb": float, "prim_quartets_swept": float},
     _rel("class_speedup", "x", "higher", warn=1.3, fail=2.0, quick=True),
     _bound("class_max_abs_diff", 1e-13, 1e-12, "Eh"),
@@ -154,7 +153,7 @@ _family(
 _family(
     "eri_kernels_large", "BENCH_eri.json",
     {"molecule": str, "basis": str, "quartets": float,
-     "stored_iter2_s": float, "t_class_threads2_s": float,
+     "stored_iter2_s": float,
      "supermatrix_mb": float, "prim_quartets_swept": float},
     _rel("t_class_s"), _rel("jk_contract_s"), _rel("stored_steady_s"),
     _rel("stored_fill_peak_mb", "MB"),

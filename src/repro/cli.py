@@ -96,7 +96,6 @@ def _run_scf(args: argparse.Namespace) -> int:
         max_iter=args.max_iter,
         guard=guard,
         integral_store=args.store,
-        jk_threads=args.jk_threads,
         integrity=args.integrity,
     )
     result = rhf.run()
@@ -332,8 +331,6 @@ def _run_submit(args: argparse.Namespace) -> int:
     # a name no worker could resolve is rejected here, not enqueued
     BasisSet.build(molecule_by_name(args.molecule), args.basis)
     spec: dict = {"kind": "scf", "molecule": args.molecule, "basis": args.basis}
-    if args.jk_threads is not None:
-        spec["jk_threads"] = args.jk_threads
     if args.store:
         spec["store_dir"] = args.store
     if args.guard:
@@ -613,7 +610,7 @@ def _threshold(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """``--max-iter`` / ``--jk-threads``: an integer >= 1."""
+    """``--max-iter``: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
@@ -692,11 +689,6 @@ def main(argv: list[str] | None = None) -> int:
         help="directory for the memory-mapped stored-integral layer "
         "(conventional SCF: iterations after the first recompute zero "
         "ERIs; see docs/PERFORMANCE.md)",
-    )
-    p_scf.add_argument(
-        "--jk-threads", type=_positive_int, default=None, metavar="N",
-        help="worker threads for the class-batched J/K contraction "
-        "(default: serial)",
     )
     p_scf.add_argument(
         "--guard", action="store_true",
@@ -941,11 +933,6 @@ def main(argv: list[str] | None = None) -> int:
         help="lease duration; renewed by heartbeat every SCF iteration",
     )
     p_sub.add_argument("--max-iter", type=_positive_int, default=None)
-    p_sub.add_argument(
-        "--jk-threads", type=_positive_int, default=None, metavar="N",
-        help="threaded J/K contraction width (dropped to 1 on "
-        "MemoryError retries)",
-    )
     p_sub.add_argument(
         "--store", default=None, metavar="DIR",
         help="shared stored-integral directory (cross-process file "

@@ -24,9 +24,6 @@ loop the same way:
   six batched ``np.matmul`` + ``np.bincount`` pairs -- the paper's six
   Fock blocks per unique quartet, weighted by ``1/|stabiliser|`` instead
   of replaying up to eight permutation images.
-* **Threaded contraction** (:func:`jk_from_plan` ``threads=``): whole
-  chunks are dealt cost-sorted across a thread pool, each worker
-  staging into private J/K buffers that are reduced at the end.
 * **Supermatrix** (:class:`Supermatrix`): conventional SCF done
   literally (Mitin, arxiv 1905.07779), folded as Raffenetti's P
   supermatrix.  The build that fills an
@@ -61,9 +58,6 @@ elementwise across mixed s/p/d bases; the water benchmark gate pins
 from __future__ import annotations
 
 import math
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -216,7 +210,7 @@ class ClassBatch:
 
     @property
     def cost(self) -> float:
-        """Estimated primitive-quartet work (thread balancing)."""
+        """Estimated primitive-quartet work (orders the plan's batches)."""
         return float(self.nq) * self.nprim * (self.lmax + 1) ** 4
 
 
@@ -628,12 +622,12 @@ class SlotFill:
     A target's largest shell is its rows' first quartet's, so a segment's
     positions take terms only from the plan rows whose first shell it is.
 
-    Sums come out the same at any thread count: a position holds one
-    M_J term (from its own quartet) and at most two M_K terms, one from
-    each of the two quartets whose exchange views share its orbit -- a
-    quartet's two views that share one (``P = Q`` or ``M = N``) are summed
-    before they are written -- and a sum of two terms is exact in either
-    order.  A target whose equal shells repeat an orbit in its grid
+    Sums come out the same in any row order (a CRC rescue's subset of
+    rows included): a position holds one M_J term (from its own quartet)
+    and at most two M_K terms, one from each of the two quartets whose
+    exchange views share its orbit -- a quartet's two views that share one
+    (``P = Q`` or ``M = N``) are summed before they are written -- and a
+    sum of two terms is exact in either order.  A target whose equal shells repeat an orbit in its grid
     folds those repeats into one position in :meth:`folded`, in a fixed
     order.  The plan rows must be distinct quartets (else ``ValueError``).
     """
@@ -709,7 +703,6 @@ class SlotFill:
         self.pattern = np.concatenate(patterns)
         self.repeats = tuple(np.concatenate(r) for r in zip(*repeats))
         self.jk = None
-        self._lock = threading.Lock()
 
     def write(self, flush: list[Chunk], parts: list[np.ndarray]) -> None:
         """Add one flush's weighted blocks ``w (ab|cd)``, one stack per
@@ -740,15 +733,13 @@ class SlotFill:
     def _allocate(self) -> None:
         """The positions' M_J and M_K sums, once: by the first write, not
         beside the kernel's first stage."""
-        with self._lock:
-            if self.jk is None:
-                self.jk = [np.zeros(self.rowptr[-1]) for _ in range(2)]
+        if self.jk is None:
+            self.jk = [np.zeros(self.rowptr[-1]) for _ in range(2)]
 
     def _put(self, view: int, q: np.ndarray, rows: np.ndarray, g: np.ndarray) -> None:
         """One view of same-shape blocks: M_J's values into their positions,
-        M_K's added (one thread at a time).  The block's axes, in its
-        target's order, step over rows ``(a, .)``, rows ``(a, b)``, its
-        stride and one position."""
+        M_K's added.  The block's axes, in its target's order, step over
+        rows ``(a, .)``, rows ``(a, b)``, its stride and one position."""
         n, offsets = self.basis.nbf, self.basis.offsets
         if view:  # M_K's: the target's shells, and the axis order they take
             turn, x = _targets(q, view)
@@ -771,8 +762,7 @@ class SlotFill:
         slots = ((first[:, None, None] + a.swapaxes(1, 2) + b)[..., None, None]
                  + (c.swapaxes(1, 2) + d)[:, None, None])
         if view:
-            with self._lock:
-                np.add.at(self.jk[1], slots.ravel(), g.ravel())
+            np.add.at(self.jk[1], slots.ravel(), g.ravel())
         else:
             self.jk[0][slots] = g
 
@@ -863,7 +853,7 @@ def _mapped_matrices(engine, store) -> Folded | None:
     if bad.size:
         plan = engine.class_plan(store.manifest["tau"])
         first = np.concatenate([batch.quartets[:, 0] for batch in plan.batches])
-        fresh, counts = _filled(engine, plan, np.flatnonzero(np.isin(first, bad)), None, None)
+        fresh, counts = _filled(engine, plan, np.flatnonzero(np.isin(first, bad)), None)
         engine.crc_rescues += counts["computed"]
         for s in bad:
             r0, r1, z0, z1 = cuts[s], cuts[s + 1], nnz[s], nnz[s + 1]
@@ -880,8 +870,7 @@ def map_supermatrix(engine, store) -> Supermatrix | None:
     """The :class:`Supermatrix` of a ready ``store``: its matrices,
     memory-mapped, with every segment that fails its check rebuilt in
     place.  A rebuilt segment that does not fit its slot invalidates the
-    store (``None``: the build fills it again).  Single threaded: the
-    matrices, hence every J/K, are bitwise the same at any ``jk_threads``.
+    store (``None``: the build fills it again).
     """
     arrays = _mapped_matrices(engine, store)
     if arrays is None:
@@ -926,33 +915,6 @@ def _resolve_chunk(engine, chunk: list[Chunk], faults) -> tuple[list, dict]:
     return parts, counts
 
 
-def resolve_jk_threads(threads: int | None) -> int:
-    """Thread count for the J/K contraction (``None``: serial); a count
-    that is not an integer >= 1 (a ``bool``, ``float`` or ``str`` is not)
-    is a ``ValueError``."""
-    if threads is None:
-        return 1
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) \
-            or threads < 1:
-        raise ValueError(f"jk_threads must be an integer >= 1, got {threads!r}")
-    return int(threads)
-
-
-#: set by :func:`interrupt_jk_threads` (a dying worker's SIGTERM handler):
-#: a J/K build stops between chunks instead of draining its whole queue
-#: while the process is trying to exit
-_JK_INTERRUPT = threading.Event()
-
-
-def interrupt_jk_threads() -> None:
-    """Ask in-flight J/K builds to stop at the next chunk edge."""
-    _JK_INTERRUPT.set()
-
-
-class JKInterrupted(RuntimeError):
-    """A J/K contraction was interrupted mid-build (job teardown)."""
-
-
 def density_stack(density: np.ndarray, n: int) -> np.ndarray:
     """One ``(n, n)`` density or a stack ``(k, n, n)`` of them as a
     contiguous float64 stack, each checked symmetric (the six-block
@@ -977,8 +939,6 @@ def _flushes(engine, chunks, faults, totals):
     stages: dict[tuple, list] = {}  # dims -> [elements, members, parts]
     held = 0
     for chunk in chunks:
-        if _JK_INTERRUPT.is_set():
-            raise JKInterrupted("J/K build interrupted between chunks")
         with phase(PHASE_ERI):
             parts, counts = _resolve_chunk(engine, chunk, faults)
         for key in _COUNT_KEYS:
@@ -1028,9 +988,9 @@ def density_rows(engine, plan: ClassPlan, dens: np.ndarray, tau: float):
 
 
 def _run_chunks(engine, dflat, chunks, fill, faults):
-    """One worker's share, a ``jk_contraction`` phase around every flush:
-    its source counts and its private half-J/half-K buffers -- or, writing
-    each flush into a :class:`SlotFill`'s slots instead, ``None`` ones."""
+    """``chunks`` resolved in order, a ``jk_contraction`` phase around every
+    flush: their source counts and half-J/half-K buffers -- or, writing each
+    flush into a :class:`SlotFill`'s slots instead, ``None`` ones."""
     n = engine.basis.nbf
     jt = kt = None
     if fill is None:
@@ -1050,54 +1010,20 @@ def _run_chunks(engine, dflat, chunks, fill, faults):
     return jt, kt, totals
 
 
-def _dealt(engine, dflat, chunks, fill, faults, threads):
-    """:func:`_run_chunks` over ``chunks``, its buffers (``None`` for a
-    fill) and counts summed over the workers.  ``threads > 1`` deals the
-    chunks, largest first, to the least-loaded worker of a thread pool
-    (each worker's wall and counts go to ``engine.last_jk_worker_stats``)."""
-    nthreads = resolve_jk_threads(threads)
-    if nthreads <= 1 or len(chunks) <= 1:
-        results = [_run_chunks(engine, dflat, chunks, fill, faults)]
-        engine.last_jk_worker_stats = []
-    else:
-        costs = [sum(b.cost * rows.size / b.nq for b, rows in c) for c in chunks]
-        shares = [[] for _ in range(min(nthreads, len(chunks)))]
-        loads = [0.0] * len(shares)
-        for i in sorted(range(len(chunks)), key=lambda i: -costs[i]):
-            worker = loads.index(min(loads))
-            shares[worker].append(chunks[i])
-            loads[worker] += costs[i]
-
-        def timed_share(share):
-            t0 = time.perf_counter()
-            result = _run_chunks(engine, dflat, share, fill, faults)
-            return result, time.perf_counter() - t0
-
-        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-            results, walls = zip(*pool.map(timed_share, shares))
-        engine.last_jk_worker_stats = [
-            {"wall": wall, **totals} for wall, (_, _, totals) in zip(walls, results)
-        ]
-    totals = {key: sum(r[2][key] for r in results) for key in _COUNT_KEYS}
-    if fill is not None:
-        return None, None, totals
-    return sum(r[0] for r in results), sum(r[1] for r in results), totals
-
-
-def _filled(engine, plan: ClassPlan, rows, faults, threads):
+def _filled(engine, plan: ClassPlan, rows, faults):
     """The :class:`Folded` arrays of the plan ``rows`` (``None``: all),
     computed into a :class:`SlotFill` (a store fill, or a CRC rescue), and
     their source counts."""
     with phase(PHASE_STORE_FILL):
         fill = SlotFill(engine.basis, plan, rows)
-    totals = _dealt(engine, None, plan.chunks(rows), fill, faults, threads)[2]
+    totals = _run_chunks(engine, None, plan.chunks(rows), fill, faults)[2]
     with phase(PHASE_STORE_FILL):
         return fill.folded(), totals
 
 
 def _tally(engine, totals: dict, faults) -> None:
-    """Fold a build's source counts into the engine's counters (by the
-    thread that owns the build)."""
+    """Fold a build's source counts into the engine's counters -- after its
+    last chunk, so a build that raises leaves them untouched."""
     engine.quartets_computed += totals["computed"]
     engine.count_rescues(totals["rescued"])
     if faults is not None:
@@ -1108,7 +1034,6 @@ def jk_from_plan(
     engine,
     density: np.ndarray,
     tau: float,
-    threads: int | None = None,
     g_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """J and K matrices over the engine's class plan at ``tau``
@@ -1125,23 +1050,21 @@ def jk_from_plan(
     serves the build from the store's :class:`Supermatrix`, mapped by
     the first such build (:func:`map_supermatrix`; again only once the
     store's content changes or ``verify_reads`` is armed over an
-    unverified mapping): nothing is planned, no chunk is walked and
-    ``threads`` is not consulted.  A ready store at another tau, or one
-    :func:`map_supermatrix` cannot patch, is invalidated and refilled.  A
-    fill computes every row into a :class:`SlotFill` (:func:`_filled`),
+    unverified mapping): nothing is planned and no chunk is walked.  A
+    ready store at another tau, or one :func:`map_supermatrix` cannot
+    patch, is invalidated and refilled.  A fill computes every row into a :class:`SlotFill` (:func:`_filled`),
     contracting none, and the store it finalizes at ``tau`` serves it.  A
     direct build is the six-block contraction of the rows
-    :func:`density_rows` keeps at ``tau``.  ``threads > 1`` deals either's
-    kernel chunks across a thread pool (:func:`_dealt`).  At any thread
-    count the thread doing the work records one ``eri_quartets`` phase
-    per kernel chunk and one ``jk_contraction`` phase per flush -- never
-    per quartet.
+    :func:`density_rows` keeps at ``tau``.  Either walks its kernel chunks
+    in plan order on the calling thread (:func:`_run_chunks`), recording
+    one ``eri_quartets`` phase per kernel chunk and one ``jk_contraction``
+    phase per flush -- never per quartet.
 
     An attached ``engine.scf_faults`` state has this build's corruptions
-    drawn here, per plan row and before any worker starts, so the same
-    rows are hit at every thread count; a victim on a row the density
-    screen drops never fires.  A served build draws over the store's
-    rows (the filling plan's), so later builds keep their ordinals.
+    drawn here, per plan row and before any chunk is resolved; a victim on
+    a row the density screen drops never fires.  A served build draws over
+    the store's rows (the filling plan's), so later builds keep their
+    ordinals.
     """
     n = engine.basis.nbf
     dflat = density_stack(density, n).reshape(-1, n * n)
@@ -1162,7 +1085,7 @@ def jk_from_plan(
         plan = engine.class_plan(tau)
         if store is None or not store.filling or not plan.nquartets:
             break
-        arrays, totals = _filled(engine, plan, None, faults, threads)
+        arrays, totals = _filled(engine, plan, None, faults)
         _tally(engine, totals, faults)
         with phase(PHASE_STORE_FILL):
             store.record_batch(arrays, plan.nquartets)
@@ -1170,7 +1093,7 @@ def jk_from_plan(
             store.finalize(tau)
 
     chunks = plan.chunks(density_rows(engine, plan, dflat.reshape(-1, n, n), tau))
-    jt, kt, totals = _dealt(engine, dflat, chunks, None, faults, threads)
+    jt, kt, totals = _run_chunks(engine, dflat, chunks, None, faults)
     _tally(engine, totals, faults)
     return _symmetrized(jt, kt, n, density)
 
@@ -1178,7 +1101,6 @@ def jk_from_plan(
 def _served(engine, store, dflat, n: int, density, g_only: bool):
     """J and K -- or ``(G, None)`` -- from ``store``'s mapped slot
     (:func:`map_supermatrix`), or ``None``."""
-    engine.last_jk_worker_stats = []
     sm = store.supermatrix
     if sm is None or store.verify_reads and not sm.verified:
         # dropped first: a mapping that fails (MemoryError, an

@@ -77,9 +77,6 @@ class ERIEngine(abc.ABC):
         self.quartets_served_from_store = 0
         #: opt-in memory-mapped stored-integral layer (conventional SCF)
         self.integral_store: ERIStore | None = None
-        #: per pool worker of the last J/K build, its wall and source
-        #: counts (``[]``: a serial or served build)
-        self.last_jk_worker_stats: list[dict] = []
         #: NaN/Inf sentinel on computed blocks (armed by the SCF guard,
         #: at the start of a run or by its ``reference_eri`` rung); off
         #: by default so the hot path carries zero extra cost
@@ -162,8 +159,8 @@ class ERIEngine(abc.ABC):
         return plan
 
     def count_rescues(self, n: int) -> None:
-        """Tally ``n`` rescued blocks (by the thread that owns the build:
-        threaded J/K workers report theirs through the chunk counts)."""
+        """Tally ``n`` rescued blocks (a build's, once it has resolved every
+        chunk)."""
         if n:
             self.eri_rescues += n
             get_metrics().counter(

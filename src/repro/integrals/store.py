@@ -390,7 +390,8 @@ class ERIStore:
         a well-formed CSR slice (its ``indptr`` climbs from its first
         non-zero to its last, its columns are in range).  The mapping
         rebuilds the segments flagged False."""
-        views = dict(zip(_ARRAYS, arrays))
+        # plain views: slicing a memmap costs ~4x a plain slice, per CRC call
+        views = dict(zip(_ARRAYS, map(np.asarray, arrays)))
         _, segments = _layout(self.manifest)
         if self.verify_reads:
             ok = np.equal(_segment_crcs(views, segments), self.manifest["crcs"])

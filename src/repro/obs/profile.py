@@ -19,10 +19,9 @@ count, inclusive wall seconds (``time.perf_counter``), inclusive CPU
 seconds, and (opt-in, ``alloc=True``) the peak ``tracemalloc``
 allocation observed while the phase was innermost.  CPU is
 ``time.process_time`` on the main thread (so a phase that waits on
-helper threads counts their CPU) and ``time.thread_time`` on a worker
-thread; :meth:`PhaseProfiler.record` is safe from any thread, so the
-threaded J/K workers probe their own chunks and flushes, each on its
-own trace thread.  Allocation attribution follows the main thread only.
+helper threads counts their CPU) and ``time.thread_time`` on any other
+thread; :meth:`PhaseProfiler.record` is safe from any thread.
+Allocation attribution follows the main thread only.
 
 Like the tracer and the metrics registry, the profiler is an attribute
 of the current ``repro.obs.session``, which :func:`repro.obs.phase`

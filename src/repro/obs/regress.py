@@ -368,20 +368,6 @@ def _grade_runs(root: str | Path) -> list[Finding]:
             computed = int(store.get("computed", 0))
             flag("store_zero_recompute", computed == 0,
                  f"{computed} quartets recomputed despite a warm store")
-        jk = summary.get("jk_threads")
-        if (
-            isinstance(jk, dict)
-            and jk.get("balance") is not None
-            and int(jk.get("workers", 0)) > 1
-        ):
-            bal = float(jk["balance"])
-            finding = grade_series(
-                MetricSpec(family, "jk_worker_balance", "lower", "absolute",
-                           warn=1.5, fail=3.0, quick=True, unit="x"),
-                [bal], [stamp],
-            )
-            finding.note = f"slowest/mean J/K worker wall = {bal:.2f}x"
-            findings.append(finding)
     return findings
 
 

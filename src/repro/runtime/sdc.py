@@ -38,6 +38,7 @@ the threat model, detector costs, and the recovery ladder.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -360,13 +361,19 @@ class IntegrityMonitor:
     # -- hot-path ABFT detectors --------------------------------------------
 
     def _symmetry_ok(self, a: np.ndarray) -> bool:
-        residual = float(np.max(np.abs(a - a.T)))
-        return residual <= SYM_TOL * max(1.0, float(np.max(np.abs(a))))
+        """``a`` is finite and symmetric: NaN and +-Inf both propagate into
+        ``max|a|``, the residual's scale, so a non-finite scale fails before
+        the residual pass (which Inf - Inf would only make NaN)."""
+        scale = float(np.abs(a).max())
+        if not math.isfinite(scale):
+            return False
+        # a - a^T is antisymmetric: its largest entry is its largest |entry|
+        return float((a - a.T).max()) <= SYM_TOL * max(1.0, scale)
 
     def check_fock(self, f: np.ndarray) -> bool:
         """F must be finite and symmetric (F = F^T is exact in RHF)."""
         self.record_check("fock_symmetry")
-        ok = bool(np.isfinite(f).all()) and self._symmetry_ok(f)
+        ok = self._symmetry_ok(f)
         if not ok:
             self.record_detection("fock_matrix")
         return ok
@@ -375,10 +382,10 @@ class IntegrityMonitor:
         """D must be finite, symmetric, and carry Tr(D S) = n_occ
         (``nocc``: this spin channel's count)."""
         self.record_check("density_symmetry")
-        ok = bool(np.isfinite(d).all()) and self._symmetry_ok(d)
+        ok = self._symmetry_ok(d)
         if ok and self.overlap is not None:
             self.record_check("density_trace")
-            tr = float(np.sum(d * self.overlap.T))
+            tr = float(np.vdot(d, self.overlap.T))
             ok = abs(tr - nocc) <= TRACE_TOL * max(1.0, nocc)
         if not ok:
             self.record_detection("density_matrix")

@@ -31,7 +31,6 @@ def build_jk(
     engine: ERIEngine,
     density: np.ndarray,
     tau: float = 1e-11,
-    threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coulomb and exchange matrices over the screened canonical quartets.
 
@@ -39,7 +38,7 @@ def build_jk(
     mapped matrices of an attached integral store filled at ``tau`` (by
     this build, if it was not), or, over the engine's memoized class
     plan, each chunk's blocks computed and one six-block density
-    contraction per block shape, optionally threaded.
+    contraction per block shape.
 
     Parameters
     ----------
@@ -52,10 +51,8 @@ def build_jk(
         and returned as stacked (k, nbf, nbf) J and K.
     tau:
         Cauchy-Schwarz drop tolerance (the paper uses 1e-10).
-    threads:
-        Worker threads for the contraction (``None``: serial).
     """
-    return jk_from_plan(engine, density, tau=tau, threads=threads)
+    return jk_from_plan(engine, density, tau=tau)
 
 
 def fock_matrix(
@@ -63,12 +60,11 @@ def fock_matrix(
     hcore: np.ndarray,
     density: np.ndarray,
     tau: float = 1e-11,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Closed-shell Fock matrix F = H^core + 2J - K (Eq 3).  A build served
     from a store adds ``G = 2J - K`` from its folded P alone (two sparse
     mat-vecs); a computed one forms ``H + 2J - K`` from J and K."""
-    jg, k = jk_from_plan(engine, density, tau=tau, threads=threads, g_only=True)
+    jg, k = jk_from_plan(engine, density, tau=tau, g_only=True)
     return hcore + jg if k is None else hcore + 2.0 * jg - k
 
 

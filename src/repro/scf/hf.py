@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.molecule import Molecule
-from repro.integrals.class_batch import resolve_jk_threads
 from repro.integrals.engine import ERIEngine, MDEngine
 from repro.integrals.oneelec import core_hamiltonian, overlap
 from repro.integrals.store import ERIStore
@@ -130,10 +129,6 @@ class SCFDriver:
         is reused directly; any mismatch invalidates it (with a warning)
         and it is refilled.  Unset, ``run`` holds them in memory for the run (a
         private store) if the plan bounds them within :data:`STORE_BUDGET`; else it is direct.
-    jk_threads:
-        Worker threads for the class-batched J/K contraction, >= 1
-        (default ``None`` = serial).  Builds served by a ready store do
-        not consult it, but a bad count is rejected at construction.
     max_iter:
         Iteration cap, >= 1.
     checkpoint_dir:
@@ -195,7 +190,6 @@ class SCFDriver:
     use_diis: bool = True
     density_method: str = "diagonalize"
     integral_store: str | None = None
-    jk_threads: int | None = None
     max_iter: int = 100
     e_tol: float = 1e-9
     d_tol: float = 1e-7
@@ -214,7 +208,6 @@ class SCFDriver:
             raise ValueError("restart=True requires checkpoint_dir")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        resolve_jk_threads(self.jk_threads)
         if self.guard is True:
             self.guard = GuardConfig()
         elif self.guard is False:
@@ -554,8 +547,6 @@ class SCFDriver:
         """The final state, the run's ledger summary, the result."""
         fs, e_elec, energy = self._final_state(run)
         engine, metrics, guard = self.engine, get_metrics(), run.guard
-        walls = [s["wall"] for s in engine.last_jk_worker_stats]
-        mean = sum(walls) / max(len(walls), 1)
         extra, store = {}, engine.integral_store
         self.eri_store.update(  # private and bound: _run's
             computed=int(engine.quartets_computed), warm_start=run.warm_start,
@@ -575,12 +566,7 @@ class SCFDriver:
         get_ledger().add_summary(
             molecule=run.label, basis=self.basis_name,
             energy=energy, converged=converged, iterations=it,
-            eri_store=self.eri_store, jk_threads={
-                "workers": len(walls),
-                "balance": max(walls) / mean
-                if len(walls) > 1 and mean > 0 else None,
-            },
-            **extra,
+            eri_store=self.eri_store, **extra,
         )
         metrics.gauge(
             "repro_scf_converged", "1 if the last SCF run converged",
@@ -673,9 +659,7 @@ class RHF(SCFDriver):
         return [core_guess(h, x, self.nocc)]
 
     def _focks(self, bases: list, ds: list[np.ndarray]) -> list[np.ndarray]:
-        return [fock_matrix(
-            self.engine, bases[0], ds[0], self.tau, threads=self.jk_threads
-        )]
+        return [fock_matrix(self.engine, bases[0], ds[0], self.tau)]
 
     def _electronic_energy(self, h, fs, ds) -> float:
         return hf_electronic_energy(h, fs[0], ds[0])

@@ -98,7 +98,7 @@ class UHF(SCFDriver):
         one pass over the integrals (J is linear in D; an empty beta space
         contributes nothing and is left out of the stack)."""
         dens = np.stack(ds if self.n_beta > 0 else ds[:1])
-        j, k = build_jk(self.engine, dens, self.tau, threads=self.jk_threads)
+        j, k = build_jk(self.engine, dens, self.tau)
         j = j.sum(axis=0)
         return [bases[0] + j - k[0], bases[1] + j - k[1] if self.n_beta > 0
                 else bases[1] + j]

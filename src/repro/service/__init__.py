@@ -14,7 +14,7 @@ worker crashes, hangs, and poison inputs.
 * :mod:`repro.service.worker` -- the worker-process main loop: claim a
   lease, run the job with per-iteration heartbeats and checkpointing,
   resume bitwise-exact from the latest intact checkpoint, degrade
-  ``jk_threads``/``store_dir`` on ``MemoryError`` retries.
+  ``store_dir`` on ``MemoryError`` retries.
 * :mod:`repro.service.supervisor` -- ``repro serve``: spawns the
   multi-process pool, expires dead leases, enforces per-job wall-clock
   timeouts (SIGTERM then SIGKILL), and respawns crashed workers.

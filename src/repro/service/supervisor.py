@@ -13,7 +13,7 @@ recovery paths a lease-based queue needs:
 * **Wall-clock timeouts**: a *running* job past its ``timeout_s`` budget
   is charged a timeout attempt and its worker is killed
   SIGTERM-then-SIGKILL.  SIGTERM gives the worker's handler a grace
-  window to stop its J/K threads, release the lease and exit; a worker
+  window to release the lease and exit; a worker
   that ignores it (stuck in native code) is SIGKILLed.
 * **Worker respawn**: any worker process that exits -- crash, kill,
   chaos injection -- is replaced with a fresh one (with a new owner

@@ -26,18 +26,19 @@ Crash-tolerance mechanics:
   lease owner; a stale worker that lost its lease mid-run gets ``False``
   back and discards its result -- a job is never recorded-as-done twice.
 * **Graceful degradation.**  A ``MemoryError`` retry re-enqueues the job
-  with a degraded spec (:func:`degrade_spec`): first the threaded J/K
-  is dropped to serial, then the integral store is dropped (the default
-  path: a private store, in memory, if it fits the budget, else direct
-  SCF; a private store out of memory is dropped by the run itself).
-* **Clean teardown.**  SIGTERM (supervisor timeout or shutdown)
-  interrupts threaded J/K workers at the next chunk edge (a job starts
-  no child process, so there is no pool to reap), releases the current
-  lease, and exits 143 -- no stuck lease.
+  with a degraded spec (:func:`degrade_spec`): the integral store is
+  dropped (the default path: a private store, in memory, if it fits the
+  budget, else direct SCF; a private store out of memory is dropped by
+  the run itself).
+* **Clean teardown.**  SIGTERM (supervisor timeout or shutdown) runs its
+  handler between two bytecodes of the single-threaded job (which starts
+  no child process, so there is nothing to reap): it releases the
+  current lease and exits 143 -- no stuck lease.
 
 Job specs are plain dicts.  ``kind="scf"`` (default) runs an RHF with
-``molecule``/``basis``/``max_iter``/``jk_threads``/``guard``/
-``integrity``/``store_dir`` keys.  A job whose run raises
+``molecule``/``basis``/``max_iter``/``guard``/``integrity``/``store_dir``
+keys; any other key (the J/K thread count an older ``repro submit``
+wrote) is ignored.  A job whose run raises
 :class:`~repro.runtime.sdc.IntegrityError` (corruption the recovery
 ladder could not repair) is quarantined like poison input -- retrying
 against the same corrupt state cannot help.  The other kinds are deterministic service-test
@@ -74,18 +75,13 @@ def degrade_spec(spec: dict) -> tuple[dict | None, str]:
     """One rung down the MemoryError degradation ladder.
 
     Returns ``(new_spec, description)`` or ``(None, "")`` when nothing
-    is left to shed.  Ladder: threaded J/K -> serial (one set of
-    private accumulators and staged blocks instead of one per thread),
-    then drop the integral store -- the build that fills it adds every
-    weighted block it computes into the folded supermatrix's positions
-    in RAM, 16 bytes each, and writes 20 bytes per non-zero -- and take the default
-    path: a private store when the plan's bound fits the budget, else
-    direct SCF, whose blocks are bitwise the stored ones.
+    is left to shed.  The one rung drops the integral store -- the build
+    that fills it adds every weighted block it computes into the folded
+    supermatrix's positions in RAM, 16 bytes each, and writes 20 bytes
+    per non-zero -- and takes the default path: a private store when the
+    plan's bound fits the budget, else direct SCF, whose blocks are
+    bitwise the stored ones.
     """
-    if spec.get("jk_threads") and int(spec["jk_threads"]) > 1:
-        new = dict(spec)
-        new["jk_threads"] = 1
-        return new, "jk_threads -> 1"
     if spec.get("store_dir"):
         new = dict(spec)
         new["store_dir"] = None
@@ -98,9 +94,6 @@ _CURRENT: dict = {}
 
 
 def _sigterm_handler(signum, frame):  # pragma: no cover - signal path
-    from repro.integrals.class_batch import interrupt_jk_threads
-
-    interrupt_jk_threads()
     store: JobStore | None = _CURRENT.get("store")
     job_id = _CURRENT.get("job_id")
     if store is not None and job_id is not None:
@@ -139,7 +132,6 @@ def _run_scf_job(store: JobStore, job: Job, owner: str) -> dict:
         mol,
         basis_name=spec.get("basis", "sto-3g"),
         max_iter=int(spec.get("max_iter", 100)),
-        jk_threads=spec.get("jk_threads"),
         integral_store=spec.get("store_dir"),
         guard=bool(spec.get("guard", False)),
         integrity=bool(spec.get("integrity", False)),

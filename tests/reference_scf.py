@@ -326,14 +326,6 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
         "warm_start": warm_start, **self.eri_store,
         "bytes": 0 if store is None else store.nbytes,
     }
-    worker_stats = getattr(engine, "last_jk_worker_stats", None) or []
-    balance = None
-    if len(worker_stats) > 1:
-        walls = [s["wall"] for s in worker_stats]
-        mean = sum(walls) / len(walls)
-        if mean > 0:
-            balance = max(walls) / mean
-    jk_threads = {"workers": len(worker_stats), "balance": balance}
     integrity_summary = None
     if monitor is not None:
         store = engine.integral_store
@@ -352,7 +344,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
     ledger.add_summary(
         molecule=mol_label, basis=self.basis_name,
         energy=energy, converged=converged, iterations=it,
-        eri_store=eri_store, jk_threads=jk_threads, **extra,
+        eri_store=eri_store, **extra,
     )
     metrics.gauge(
         "repro_scf_converged", "1 if the last SCF run converged",

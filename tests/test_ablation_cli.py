@@ -174,17 +174,17 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["scf", "water", "--max-iter", "0"],
-        ["scf", "water", "--jk-threads", "0"],
-        ["scf", "water", "--jk-threads=-4"],
+        ["scf", "water", "--max-iter=-4"],
+        ["perf", "profile", "water", "--max-iter", "0"],
         ["submit", "water", "--max-iter", "0"],
-        ["submit", "water", "--jk-threads", "0"],
+        ["submit", "water", "--max-iter=-4"],
         ["perf", "profile", "water", "--max-iter", "-1"],
     ])
     def test_count_below_one_exits_2_with_a_message(
         self, argv, capsys, tmp_path, monkeypatch
     ):
-        """``--max-iter 0`` used to print the core-guess energy, and
-        ``--jk-threads 0`` to run serial, without a word."""
+        """``--max-iter 0`` used to print the core-guess energy without a
+        word."""
         monkeypatch.chdir(tmp_path)  # where a parsed submit queues
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -140,8 +140,8 @@ class TestClassJKAgreement:
     @given(st.integers(0, 1000))
     @settings(max_examples=3, deadline=None)
     def test_matches_per_quartet_on_random_bases(self, seed):
-        """Every engine x {one density, a stack of two} x threads {1, 2}
-        at tau = 0 on random s/p/d bases (always one pure-d shell)."""
+        """Every engine x {one density, a stack of two} at tau = 0 on
+        random s/p/d bases (always one pure-d shell)."""
         for name, make in ENGINES.items():
             rng = np.random.default_rng(seed)
             engine = make(rand_basis(rng) if name in FAST else one_d_basis(rng))
@@ -151,13 +151,11 @@ class TestClassJKAgreement:
             n = engine.basis.nbf
             dens = np.stack([rand_density(rng, n) for _ in range(2)])
             j_ref, k_ref = reference_build_jk(engine, dens, tau=0.0)
-            for threads in (1, 2):
-                for d, jr, kr in ((dens[0], j_ref[0], k_ref[0]),
-                                  (dens, j_ref, k_ref)):
-                    j, k = build_jk(engine, d, tau=0.0, threads=threads)
-                    assert j.shape == k.shape == d.shape
-                    assert np.allclose(j, jr, atol=1e-10, rtol=0), name
-                    assert np.allclose(k, kr, atol=1e-10, rtol=0), name
+            for d, jr, kr in ((dens[0], j_ref[0], k_ref[0]), (dens, j_ref, k_ref)):
+                j, k = build_jk(engine, d, tau=0.0)
+                assert j.shape == k.shape == d.shape
+                assert np.allclose(j, jr, atol=1e-10, rtol=0), name
+                assert np.allclose(k, kr, atol=1e-10, rtol=0), name
 
     @given(st.integers(0, 1000))
     @settings(max_examples=6, deadline=None)
@@ -300,22 +298,14 @@ class TestDistinctPerms:
         assert len(distinct_perms((3, 2, 1, 0))) == 8
 
 
-class TestThreadedContraction:
-    def test_threaded_matches_serial(self):
+class TestStagedContraction:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_small_stage_budget_matches_unbounded(self, monkeypatch, k):
+        """Several flushes per shape, flush edges inside a kernel class,
+        over one density and over a stack of three."""
         basis = BasisSet.build(water(), "6-31g")
-        rng = np.random.default_rng(11)
-        d = rand_density(rng, basis.nbf)
-        engine = MDEngine(basis)
-        j1, k1 = jk_from_plan(engine, d, 0.0, threads=1)
-        j4, k4 = jk_from_plan(engine, d, 0.0, threads=4)
-        assert np.allclose(j1, j4, atol=1e-12, rtol=0)
-        assert np.allclose(k1, k4, atol=1e-12, rtol=0)
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_small_stage_budget_matches_unbounded(self, monkeypatch, threads):
-        """Several flushes per shape, flush edges inside a kernel class."""
-        basis = BasisSet.build(water(), "6-31g")
-        d = rand_density(np.random.default_rng(17), basis.nbf)
+        rng = np.random.default_rng(17)
+        d = np.stack([rand_density(rng, basis.nbf) for _ in range(k)])
         engine = MDEngine(basis)
         plan = engine.class_plan(0.0)
         flushes = recorded_flushes(monkeypatch)
@@ -327,7 +317,7 @@ class TestThreadedContraction:
         monkeypatch.setattr(class_batch, "MAX_R_WORK", 2_000)
         monkeypatch.setattr(class_batch, "MAX_STAGE_WORK", 100)
         flushes.clear()
-        j, k = jk_from_plan(engine, d, 0.0, threads=threads)
+        j, kx = jk_from_plan(engine, d, 0.0)
         assert len(flushes) >= 2 * one_per_shape
         assert any(rows.size < b.nq for f in flushes for b, rows in f)
 
@@ -338,16 +328,7 @@ class TestThreadedContraction:
             m for chunk in plan.chunks() for m in chunk
         )
         assert np.allclose(j, j_ref, atol=1e-12, rtol=0)
-        assert np.allclose(k, k_ref, atol=1e-12, rtol=0)
-
-    def test_build_jk_threads_kwarg(self):
-        basis = BasisSet.build(water(), "sto-3g")
-        rng = np.random.default_rng(13)
-        d = rand_density(rng, basis.nbf)
-        j1, k1 = build_jk(MDEngine(basis), d)
-        j2, k2 = build_jk(MDEngine(basis), d, threads=3)
-        assert np.allclose(j1, j2, atol=1e-12, rtol=0)
-        assert np.allclose(k1, k2, atol=1e-12, rtol=0)
+        assert np.allclose(kx, k_ref, atol=1e-12, rtol=0)
 
 
 class TestPlanCaching:
@@ -437,38 +418,33 @@ class TestJKForQuartets:
 
 class TestProfilerAttribution:
     """``eri_quartets`` lands per kernel chunk, ``jk_contraction`` per
-    flush -- never per quartet -- serial and threaded."""
+    flush -- never per quartet -- for a stack of ``k`` densities too."""
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_eri_and_jk_phases_recorded_per_chunk(self, monkeypatch, threads):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_eri_and_jk_phases_recorded_per_chunk(self, monkeypatch, k):
         basis = BasisSet.build(water(), "sto-3g")
         rng = np.random.default_rng(31)
-        d = rand_density(rng, basis.nbf)
+        d = np.stack([rand_density(rng, basis.nbf) for _ in range(k)])
         engine = MDEngine(basis)
         plan = engine.class_plan(0.0)
         flushes = recorded_flushes(monkeypatch)
         prof, tracer = PhaseProfiler(), Tracer()
         with session(profiler=prof, tracer=tracer):
-            jk_from_plan(engine, d, 0.0, threads=threads)
-        # as many chunk phases as one thread records, whoever runs them
+            jk_from_plan(engine, d, 0.0)
         assert prof.stats[PHASE_ERI].calls == len(plan.chunks())
         assert prof.stats[PHASE_JK].calls == len(flushes)
-        # one flush per block shape (and worker): never per quartet
-        assert len(flushes) <= threads * len({b.dims for b in plan.batches})
+        # one flush per block shape: never per quartet
+        assert len(flushes) == len({b.dims for b in plan.batches})
         assert len(plan.chunks()) < plan.nquartets
         assert prof.stats[PHASE_ERI].wall_s > 0.0
         assert prof.stats[PHASE_JK].wall_s > 0.0
-        # each occurrence is one span, on the track of the thread that ran it
+        # each occurrence is one span, all on the calling thread's track
         spans = tracer.spans()
         for stat in prof.phases():
             assert sum(s.name == stat.name for s in spans) == stat.calls
         keys = [(s.name, s.tid, s.ts) for s in spans]
         assert len(set(keys)) == len(keys)
-        tids = {s.tid for s in spans}
-        if threads == 1:
-            assert tids == {0}
-        else:  # each worker is its own track
-            assert len(tids) >= 2
+        assert {s.tid for s in spans} == {0}
 
 
 def recorded_flushes(monkeypatch) -> list:
@@ -543,11 +519,11 @@ class TestClassPlanStructure:
         assert got.shape == (len(expected), 4)
         assert [tuple(row) for row in got.tolist()] == expected
 
-    def test_operands_are_stacked_lazily_and_once_under_threads(self):
+    def test_operands_are_stacked_lazily_and_once(self):
         """The kernel's operands are the pair data's class stacks: nothing
         is expanded before the first plan, every pair the plan names is
-        expanded with it, once, and ``jk_threads`` workers sweeping it
-        only read the stacks at the plan's slots."""
+        expanded with it, once, and builds sweeping it only read the
+        stacks at the plan's slots."""
         engine = MDEngine(BasisSet.build(water(), "6-31g"))
         assert engine.pair_cache.pairs_built == 0
         plan = engine.class_plan(1e-11)
@@ -561,12 +537,12 @@ class TestClassPlanStructure:
             assert np.array_equal(batch.slots[1], pairs.slot[tuple(batch.quartets[:, 2:].T)])
             assert batch.slots[0].max() < bra.npairs and batch.slots[1].max() < ket.npairs
         d = np.eye(engine.basis.nbf)
-        threaded = jk_from_plan(engine, d, 1e-11, threads=4)
-        serial = jk_from_plan(engine, d, 1e-11)
+        first = jk_from_plan(engine, d, 1e-11)
+        again = jk_from_plan(engine, np.stack([d, d]), 1e-11)
         assert pairs.pairs_built == built
         assert all(a is b for a, b in zip(pairs.stacks, stacks))
-        for a, b in zip(threaded, serial):
-            assert np.allclose(a, b, atol=1e-12)
+        for a, b in zip(first, again):
+            assert np.allclose(np.stack([a, a]), b, atol=1e-12, rtol=0)
 
     def test_throwaway_pair_cache(self, water_basis):
         """No pair data -> a plan without class-kernel operands."""

@@ -67,17 +67,6 @@ class TestConvergenceBehavior:
         assert res.nocc == rhf.nocc == mol().nelectrons // 2
         assert eps[res.nocc] - eps[res.nocc - 1] > 0.5
 
-    @pytest.mark.usefixtures("direct_scf")
-    def test_jk_threads_reach_every_iteration_build(self):
-        """``jk_threads`` reaches every iteration's J/K build, not only
-        the final Fock build."""
-        seen = []
-        rhf = RHF(water(), jk_threads=2, max_iter=2,
-                  on_iteration=lambda it, e: seen.append(
-                      len(rhf.engine.last_jk_worker_stats)))
-        rhf.run()
-        assert seen == [2, 2]
-
     def test_without_diis_same_energy(self):
         e1 = RHF(h2(0.7414), use_diis=True).run().energy
         e2 = RHF(h2(0.7414), use_diis=False).run().energy
@@ -111,21 +100,6 @@ class TestValidation:
         core-guess energy as an unconverged result."""
         with pytest.raises(ValueError, match="max_iter"):
             RHF(water(), max_iter=max_iter)
-
-    @pytest.mark.parametrize("threads", [0, -4])
-    def test_jk_threads_below_one_rejected(self, threads):
-        """A count below 1 used to run serial without a word."""
-        with pytest.raises(ValueError, match="jk_threads"):
-            RHF(water(), jk_threads=threads)
-
-    @pytest.mark.parametrize("threads", [2.7, 2.0, True, "2"])
-    def test_jk_threads_that_are_not_integers_rejected(self, threads):
-        """``2.7`` used to run two threads, ``True`` one, ``"2"`` two."""
-        with pytest.raises(ValueError, match="jk_threads"):
-            RHF(water(), jk_threads=threads)
-
-    def test_numpy_integer_jk_threads_accepted(self):
-        assert RHF(water(), jk_threads=np.int64(2)).jk_threads == 2
 
     def test_variational_bound(self, water_scf):
         """HF energy must be above the exact ground state (-76.4)."""

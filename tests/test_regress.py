@@ -353,39 +353,21 @@ class TestGradeRuns:
         )
         assert "store_zero_recompute" not in self._findings(tmp_path)
 
-    def test_jk_worker_balance_grades(self, tmp_path):
-        self._run_dir(
-            tmp_path, "balanced",
-            jk_threads={"workers": 4, "balance": 1.1},
-        )
-        assert self._findings(tmp_path)["jk_worker_balance"].status == PASS
-
-    def test_jk_worker_imbalance_warns_then_fails(self, tmp_path):
-        self._run_dir(
-            tmp_path, "skewed", jk_threads={"workers": 4, "balance": 2.0},
-        )
-        assert self._findings(tmp_path)["jk_worker_balance"].status == WARN
-        self._run_dir(
-            tmp_path, "broken", jk_threads={"workers": 4, "balance": 5.0},
-        )
+    def test_serial_jk_not_gated(self, tmp_path):
+        """A ledger an older run wrote with a ``jk_threads`` block --
+        serial, or a 5x worker skew that once failed -- grades its exit
+        code alone: the block is ignored."""
         from repro.obs.regress import _grade_runs
 
-        balances = sorted(
-            f.latest for f in _grade_runs(tmp_path)
-            if f.spec.key == "jk_worker_balance"
-        )
-        assert balances == [2.0, 5.0]
-        worst = [
-            f for f in _grade_runs(tmp_path)
-            if f.spec.key == "jk_worker_balance" and f.latest == 5.0
-        ][0]
-        assert worst.status == FAIL
-
-    def test_serial_jk_not_gated(self, tmp_path):
         self._run_dir(
             tmp_path, "serial", jk_threads={"workers": 0, "balance": None},
         )
-        assert "jk_worker_balance" not in self._findings(tmp_path)
+        self._run_dir(
+            tmp_path, "skewed", jk_threads={"workers": 4, "balance": 5.0},
+        )
+        findings = _grade_runs(tmp_path)
+        assert [f.spec.key for f in findings] == ["exit_code"] * 2
+        assert all(f.status == PASS for f in findings)
 
     def test_critpath_family_in_default_specs(self):
         families = {s.benchmark for s in all_specs()}

@@ -12,9 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     assert_jk_close,
     assert_store_holds_kernel_bits,
@@ -34,6 +37,7 @@ from repro.integrals.store import (
 from repro.obs.metrics import MetricsRegistry, export_integrity
 from repro.obs.verify import verify_tree
 from repro.runtime.sdc import (
+    SYM_TOL,
     IntegrityError,
     IntegrityMonitor,
     SDCFaultPlan,
@@ -585,6 +589,34 @@ class TestIntegrityMonitor:
         bad = d.copy()
         bad[0, 1] = np.inf
         assert not mon.check_density(bad, 2)
+
+    @given(st.integers(0, 2**16), st.integers(2, 13),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_detectors_on_random_symmetric_matrices(self, seed, n, bad, diagonal):
+        """A finite symmetric matrix passes F's and D's detectors (D's
+        without an overlap: symmetry alone); one planted NaN or +-Inf, on
+        the diagonal or off it, fails both without a ``RuntimeWarning``;
+        an asymmetry passes at half of ``SYM_TOL * max(1, max|A|)`` and
+        fails at four times it."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        a = a + a.T
+        mon = IntegrityMonitor()
+        assert mon.check_fock(a) and mon.check_density(a, 1)
+        i, j = rng.choice(n, size=2, replace=False)
+        planted = a.copy()
+        planted[(i, i) if diagonal else (i, j)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not mon.check_fock(planted)
+            assert not mon.check_density(planted, 1)
+        bound = SYM_TOL * max(1.0, np.abs(a).max())
+        for times, ok in ((0.5, True), (4.0, False)):
+            tilted = a.copy()
+            tilted[i, j] += times * bound
+            assert mon.check_fock(tilted) == mon.check_density(tilted, 1) == ok
+        assert mon.detections == {"fock_matrix": 2, "density_matrix": 2}
 
     def test_metrics_export(self):
         s, d = self._sd()

@@ -28,10 +28,6 @@ import pytest
 
 from repro.chem.builders import benzene, water
 from repro.integrals import class_batch
-from repro.integrals.class_batch import (
-    JKInterrupted,
-    interrupt_jk_threads,
-)
 from repro.obs import MetricsRegistry, load_run, session
 from repro.scf.checkpoint import load_latest_intact, prune_checkpoints
 from repro.scf.hf import RHF
@@ -248,16 +244,13 @@ class TestWorkerPersonalities:
 
     def test_oom_walks_degradation_ladder(self, store, clock):
         job = store.submit(
-            {"kind": "oom", "jk_threads": 4, "store_dir": "/tmp/eri"},
-            max_attempts=5,
+            {"kind": "oom", "store_dir": "/tmp/eri"}, max_attempts=5,
         )
-        assert self.run_one(store, clock) == "queued"
-        assert store.get(job.id).spec["jk_threads"] == 1
         assert self.run_one(store, clock) == "queued"
         assert store.get(job.id).spec["store_dir"] is None
         assert self.run_one(store, clock) == "done"
         events = store.event_counts()
-        assert events.get("degraded") == 2
+        assert events.get("degraded") == 1
 
     def test_assembly_oom_sheds_the_store(
         self, store, clock, tmp_path, monkeypatch
@@ -283,12 +276,12 @@ class TestWorkerPersonalities:
         assert abs(final.result["energy"] - baseline.energy) <= 1e-10
 
     def test_degrade_spec_ladder(self):
-        spec = {"jk_threads": 4, "store_dir": "/tmp/eri"}
-        spec, rung = degrade_spec(spec)
-        assert spec["jk_threads"] == 1 and "jk_threads" in rung
-        spec, rung = degrade_spec(spec)
-        assert spec["store_dir"] is None and "store_dir" in rung
+        """One rung: the store goes; any other key is carried unchanged."""
+        spec, rung = degrade_spec({"store_dir": "/tmp/eri", "guard": True})
+        assert spec == {"store_dir": None, "guard": True}
+        assert rung == "store_dir -> None"
         assert degrade_spec(spec) == (None, "")
+        assert degrade_spec({"kind": "oom"}) == (None, "")
 
     def test_scf_job_records_energy(self, store, clock):
         baseline = RHF(water()).run()
@@ -310,6 +303,17 @@ class TestWorkerPersonalities:
         assert last_iter["metrics"] and (
             set(snaps[-1]["metrics"]) >= set(last_iter["metrics"])
         )
+
+    def test_a_spec_with_a_thread_count_still_runs(self, store, clock):
+        """A job an older ``repro submit`` queued with ``"jk_threads": 2``
+        reaches ``done`` with the serial energy: the key is ignored."""
+        job = store.submit({"kind": "scf", "molecule": "water",
+                            "basis": "sto-3g", "jk_threads": 2})
+        with session(metrics=MetricsRegistry()):
+            assert self.run_one(store, clock) == "done"
+        final = store.get(job.id)
+        assert final.result["converged"] and final.result["iterations"] == 8
+        assert final.result["energy"] == float.fromhex("-0x1.2bda09dcbb4c8p+6")
 
     def test_worker_main_drains(self, store, tmp_path):
         for _ in range(3):
@@ -468,9 +472,8 @@ class TestTimeoutEnforcement:
 
 class TestSigtermTeardown:
     def test_sigterm_releases_lease_and_exits_143(self, tmp_path):
-        """Satellite 2 end-to-end: SIGTERM on a worker mid-job closes
-        pools, releases the lease (no waiting out the expiry), and
-        exits 143."""
+        """End to end: SIGTERM on a worker mid-job releases the lease (no
+        waiting out the expiry) and exits 143."""
         store = JobStore(tmp_path / "queue")
         job = store.submit({"kind": "sleep", "seconds": 60.0},
                            lease_s=600.0)
@@ -496,15 +499,6 @@ class TestSigtermTeardown:
         assert final.state == "queued"  # released, not stuck leased
         assert final.lease_owner is None
         assert final.attempts == 0  # graceful release charges no attempt
-
-    def test_jk_interrupt_flag_aborts_threaded_build(self):
-        engine_density = RHF(water(), jk_threads=2)
-        interrupt_jk_threads()
-        try:
-            with pytest.raises(JKInterrupted):
-                engine_density.run()
-        finally:
-            class_batch._JK_INTERRUPT.clear()
 
     def test_prune_checkpoints_keeps_newest(self, tmp_path):
         rhf = RHF(water(), checkpoint_dir=str(tmp_path / "ck"))

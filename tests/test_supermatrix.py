@@ -57,17 +57,12 @@ def warm_dir(tmp_path, basis):
 
 
 class TestServedBuilds:
-    @given(
-        st.integers(0, 2**16), st.floats(-13.0, -6.0),
-        st.sampled_from([1, 2]), st.booleans(),
-    )
+    @given(st.integers(0, 2**16), st.floats(-13.0, -6.0), st.booleans())
     @settings(max_examples=4, deadline=None)
-    def test_served_equals_storeless_on_random_bases(
-        self, seed, log_tau, threads, stacked
-    ):
+    def test_served_equals_storeless_on_random_bases(self, seed, log_tau, stacked):
         """Mixed s/p/d shells, random tau, one density or a (2, n, n)
         stack: served == storeless <= 1e-12, and two served builds are
-        bitwise equal across engines and thread settings."""
+        bitwise equal across engines."""
         rng = np.random.default_rng(seed)
         tau = 10.0 ** log_tau
         basis = rand_basis(rng, nshells=5)
@@ -81,13 +76,12 @@ class TestServedBuilds:
         ref = build_jk(direct, d, tau)
         with tempfile.TemporaryDirectory() as tmp:
             filler = MDEngine(basis, store=tmp)
-            build_jk(filler, d, tau, threads=threads)
-            served = build_jk(filler, d, tau, threads=threads)
+            build_jk(filler, d, tau)
+            served = build_jk(filler, d, tau)
             fresh = MDEngine(basis, store=tmp)
-            again = build_jk(fresh, d, tau, threads=3 - threads)
+            again = build_jk(fresh, d, tau)
         assert fresh.quartets_computed == 0
         assert fresh.quartets_served_from_store == direct.quartets_computed
-        assert fresh.last_jk_worker_stats == []
         scale = max(1.0, np.abs(ref[0]).max(), np.abs(ref[1]).max())
         assert_jk_close(served, ref, 1e-12 * scale)
         assert served[0].shape == d.shape
@@ -302,7 +296,7 @@ class TestFillAgainstReplacedCode:
         plan = engine.class_plan(0.0)
         pieces = [(q, g * class_batch.orbit_weights(q).reshape(-1, 1, 1, 1, 1))
                   for q, g in kernel_blocks(engine, plan)]
-        whole, _ = class_batch._filled(engine, plan, None, None, None)
+        whole, _ = class_batch._filled(engine, plan, None, None)
         first = np.concatenate([b.quartets[:, 0] for b in plan.batches])
         cuts = basis.offsets * basis.nbf
         for shell, (r0, r1) in enumerate(zip(cuts[:-1], cuts[1:])):
@@ -311,7 +305,7 @@ class TestFillAgainstReplacedCode:
             folded, _ = reference_fold(basis, *mine)
             assert folded.indptr[r0] == 0 and folded.indptr[r1] == len(folded.p)
             part, _ = class_batch._filled(
-                engine, plan, np.flatnonzero(first == shell), None, None)
+                engine, plan, np.flatnonzero(first == shell), None)
             assert_fold_matches(part, basis, *mine)
             lo, hi = whole.indptr[r0], whole.indptr[r1]
             assert np.array_equal(part.indptr[r0:r1 + 1], whole.indptr[r0:r1 + 1] - lo)
@@ -327,22 +321,6 @@ class TestFillAgainstReplacedCode:
         plan = class_batch.build_class_plan(basis, None, [(1, 0, 1, 0), (1, 0, 1, 0)])
         with pytest.raises(ValueError, match="distinct"):
             class_batch.SlotFill(basis, plan, None)
-
-    def test_threads_write_the_serial_fills_bytes(self, tmp_path):
-        """Four fill threads on two cores, the switch interval shortened:
-        the store file is byte for byte the serial fill's (each slot has
-        one writer, and the first write allocates the slots once)."""
-        basis = BasisSet.build(water_cluster(2, 1, 1), "6-31g")
-        files, interval = [], sys.getswitchinterval()
-        for threads in (None, 4):
-            store = tmp_path / f"threads{threads}"
-            sys.setswitchinterval(1e-6)
-            try:
-                build_jk(MDEngine(basis, store=store), np.eye(basis.nbf), threads=threads)
-            finally:
-                sys.setswitchinterval(interval)
-            files.append((store / "supermatrix.bin").read_bytes())
-        assert files[0] == files[1]
 
     def test_a_cold_fill_holds_its_matrices_once(self, tmp_path):
         """The ``tracemalloc`` peak of a cold (H2O)3/6-31G fill, planned

@@ -277,17 +277,17 @@ class TestUHFSharedLoop:
         assert np.allclose(uhf.density_alpha, rhf.density, atol=1e-7)
         assert np.array_equal(uhf.density_alpha, uhf.density_beta)
 
-    def test_store_threads_and_purification(self, tmp_path):
+    def test_store_and_purification(self, tmp_path):
         mol = water_cation()
         # converged past the default tolerances
         tight = {"e_tol": 1e-10, "d_tol": 1e-8}
         ref = UHF(mol, **tight).run()
         store = str(tmp_path / "store")
-        filled = UHF(mol, integral_store=store, jk_threads=2, **tight).run()
+        filled = UHF(mol, integral_store=store, **tight).run()
         warm_driver = UHF(mol, integral_store=store, **tight)
         warm = warm_driver.run()
         # every build of all three is served from the same matrices (the
-        # threaded fill writes the serial fill's file; ref's are private)
+        # user store's file; ref's are private)
         assert filled.energy == ref.energy
         assert warm.energy == ref.energy
         assert warm_driver.engine.quartets_computed == 0
