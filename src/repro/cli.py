@@ -110,13 +110,13 @@ def _run_scf(args: argparse.Namespace) -> int:
             f"(served {rhf.engine.quartets_served_from_store}, "
             f"computed {rhf.engine.quartets_computed})"
         )
+    elif "dropped" in path:  # a private or a user store, out of memory
+        print(f"integrals   = direct (store dropped: {path['dropped']})")
     else:
         bound, budget = path["bound"] / 2**20, STORE_BUDGET >> 20
         print(
             f"integrals   = conventional, private store {path['bytes'] / 2**20:.2f} "
             f"MiB (bound {bound:.2f} MiB <= budget {budget} MiB)" if path["private"]
-            else f"integrals   = direct (private store dropped: {path['dropped']})"
-            if "dropped" in path
             else f"integrals   = direct (bound {bound:.2f} MiB > budget {budget} MiB)"
         )
     if result.orbital_energies is not None:
@@ -936,8 +936,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sub.add_argument(
         "--store", default=None, metavar="DIR",
         help="shared stored-integral directory (cross-process file "
-        "locking keeps concurrent fills safe; dropped for direct SCF "
-        "on MemoryError retries)",
+        "locking keeps concurrent fills safe; a run out of memory as it "
+        "fills or maps it drops it and finishes direct)",
     )
     p_sub.add_argument(
         "--guard", action="store_true", help="arm the convergence guard"

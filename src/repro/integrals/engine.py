@@ -191,13 +191,9 @@ class MDEngine(ERIEngine):
     class_kernel = True
 
     def compute_rows(self, chunk: list[Chunk]) -> list[np.ndarray]:
-        """One family sweep per group of the chunk's members (a chunk of
-        the plan has one group; a store's CRC re-read may mix them)."""
-        out = {}
-        for group in dict.fromkeys(batch.group for batch, _ in chunk):
-            mine = [i for i, (batch, _) in enumerate(chunk) if batch.group is group]
-            out.update(zip(mine, class_batch.compute_class_rows([chunk[i] for i in mine])))
-        return [out[i] for i in range(len(chunk))]
+        """One family sweep over the chunk (of one group, as every chunk
+        of :meth:`ClassPlan.chunks` is)."""
+        return class_batch.compute_class_rows(chunk)
 
     def rescue_rows(self, batch: ClassBatch, rows: np.ndarray) -> np.ndarray:
         """Graceful degradation at row granularity: the rows recomputed

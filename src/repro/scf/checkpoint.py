@@ -30,8 +30,8 @@ float64 unless noted, ``n`` basis functions, ``m`` DIIS vectors held):
   a snapshot without them restarts with a full build.
 
 * ``payload_sha256`` -- SHA-256 digest over every other entry's bytes,
-  written at save time and verified on load.  Absent in pre-integrity
-  snapshots; those load without digest verification.
+  written at save time and verified on load.  A snapshot without one
+  fails verification: nothing vouches for its bytes.
 
 That is the one-channel (RHF) layout, unchanged since the guard and
 integrity keys were added.  A run with several spin channels (UHF:
@@ -44,7 +44,7 @@ digest and validation rules are the same.
 Writes are atomic (tmp file + ``os.replace``), so a rank dying mid-write
 never corrupts the latest complete snapshot.  Reads are defensive
 against *silent* damage as well as loud damage: a snapshot that is
-unreadable, fails its payload digest, carries NaN/Inf, or has
+unreadable, lacks or fails its payload digest, carries NaN/Inf, or has
 mismatched array shapes (a bit-flipped file can still parse!) is
 skipped with a :class:`CheckpointCorruptionWarning` and the restart
 falls back to the most recent *intact* iteration
@@ -78,8 +78,8 @@ class CheckpointCorruptionWarning(UserWarning):
 class CheckpointIntegrityError(ValueError):
     """A snapshot parsed but failed integrity validation.
 
-    Raised when the payload digest does not match the stored
-    ``payload_sha256``, when an array carries NaN/Inf, or when shapes
+    Raised when the payload digest is missing or does not match the
+    stored ``payload_sha256``, when an array carries NaN/Inf, or when shapes
     are inconsistent.  :func:`load_latest_intact` treats it like any
     other corruption: warn and fall back to an older snapshot.
     """
@@ -208,21 +208,19 @@ def load_checkpoint(path: str | Path, verify: bool = True) -> Checkpoint:
     """Load one snapshot, verifying integrity unless ``verify=False``.
 
     Verification re-derives the payload digest and compares it against
-    the stored ``payload_sha256`` (when present -- pre-integrity
-    snapshots have none), then validates the arrays themselves: all
-    entries finite, ``density`` square (per spin channel), DIIS stacks
-    one axis deeper than the density with ``n`` matching it.  Failure
+    the stored ``payload_sha256`` (a snapshot without one fails), then
+    validates the arrays themselves: all entries finite, ``density``
+    square (per spin channel), DIIS stacks one axis deeper than the
+    density with ``n`` matching it.  Failure
     raises :class:`CheckpointIntegrityError`.
     """
     with np.load(path) as z:
         arrays = {name: z[name] for name in z.files}
     if verify:
-        if _DIGEST_KEY in arrays:
-            stored = str(arrays[_DIGEST_KEY])
-            if payload_digest(arrays) != stored:
-                raise CheckpointIntegrityError(
-                    f"payload digest mismatch in {path}"
-                )
+        if _DIGEST_KEY not in arrays:
+            raise CheckpointIntegrityError(f"no payload digest in {path}")
+        if payload_digest(arrays) != str(arrays[_DIGEST_KEY]):
+            raise CheckpointIntegrityError(f"payload digest mismatch in {path}")
         _validate_arrays(arrays, path)
     guard = None
     if "guard_json" in arrays:
@@ -312,8 +310,8 @@ def load_latest_intact(directory: str | Path) -> Checkpoint | None:
     """The most recent snapshot that loads *and* passes integrity checks.
 
     A snapshot that is truncated (crash mid-``os.replace`` on exotic
-    filesystems, full disk), fails its payload digest or the ZIP
-    container's CRC (bit rot), carries NaN/Inf, or has mismatched
+    filesystems, full disk), lacks or fails its payload digest, fails the
+    ZIP container's CRC (bit rot), carries NaN/Inf, or has mismatched
     shapes must not kill -- or silently poison -- the restart: it is
     skipped with a :class:`CheckpointCorruptionWarning` and the next
     older snapshot is tried.  Returns None when no intact snapshot

@@ -129,6 +129,8 @@ class SCFDriver:
         is reused directly; any mismatch invalidates it (with a warning)
         and it is refilled.  Unset, ``run`` holds them in memory for the run (a
         private store) if the plan bounds them within :data:`STORE_BUDGET`; else it is direct.
+        Either store, out of memory as it is filled or mapped, is dropped
+        and the run goes on direct (``eri_store["dropped"]``).
     max_iter:
         Iteration cap, >= 1.
     checkpoint_dir:
@@ -392,13 +394,13 @@ class SCFDriver:
         return fs
 
     def _full_focks(self, run: _Run) -> list[np.ndarray]:
-        """F from scratch.  A private store that runs out of memory as it
-        is filled is dropped, and the build redone direct."""
+        """F from scratch.  A store, private or the user's, that runs out
+        of memory as it is filled or mapped is dropped, and the build
+        redone direct."""
         try:
             return self._focks([run.h] * len(run.ds), run.ds)
         except MemoryError as exc:
-            store = self.engine.integral_store
-            if store is None or not store.private:
+            if self.engine.integral_store is None:
                 raise
             self.engine.detach_store()
             self.eri_store.update(private=False, dropped=repr(exc))

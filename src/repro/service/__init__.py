@@ -13,8 +13,8 @@ worker crashes, hangs, and poison inputs.
   after bounded attempts.
 * :mod:`repro.service.worker` -- the worker-process main loop: claim a
   lease, run the job with per-iteration heartbeats and checkpointing,
-  resume bitwise-exact from the latest intact checkpoint, degrade
-  ``store_dir`` on ``MemoryError`` retries.
+  resume bitwise-exact from the latest intact checkpoint (a run out of
+  memory drops its integral store itself and finishes direct).
 * :mod:`repro.service.supervisor` -- ``repro serve``: spawns the
   multi-process pool, expires dead leases, enforces per-job wall-clock
   timeouts (SIGTERM then SIGKILL), and respawns crashed workers.
@@ -22,8 +22,7 @@ worker crashes, hangs, and poison inputs.
   SIGKILLs mid-iteration every submitted job still reaches ``done`` and
   final energies match fault-free baselines to <= 1e-12.
 
-See docs/ROBUSTNESS.md ("Service resilience") for the state machine and
-the degradation ladder.
+See docs/ROBUSTNESS.md ("Service resilience") for the state machine.
 """
 
 from repro.service.store import (  # noqa: F401

@@ -380,7 +380,6 @@ class JobStore:
         error: str,
         retryable: bool = True,
         now: float | None = None,
-        new_spec: dict | None = None,
         event: str = "retry",
     ) -> str | None:
         """Charge an attempt; re-enqueue with backoff or quarantine.
@@ -389,8 +388,7 @@ class JobStore:
         or None when the guarded transition matched
         nothing (lease already lost).  ``owner=None`` bypasses the owner
         guard -- reserved for the supervisor's timeout path, which acts
-        on a lease it is about to kill.  ``new_spec``
-        replaces the job spec on the retry (the degradation ladder).
+        on a lease it is about to kill.
         """
         now = time.time() if now is None else now
         owner_sql = "" if owner is None else " AND lease_owner = ?"
@@ -403,21 +401,15 @@ class JobStore:
             if row is None:
                 return None
             attempts = row["attempts"] + 1
-            spec_sql = ""
-            spec_args: tuple = ()
-            if new_spec is not None:
-                spec_sql = ", spec = ?"
-                spec_args = (json.dumps(new_spec, sort_keys=True),)
             if not retryable or attempts >= row["max_attempts"]:
                 # poison input (deterministic error) or exhausted
                 # attempts: park it with the traceback for post-mortem
                 state = "quarantined"
                 conn.execute(
                     "UPDATE jobs SET state = ?, attempts = ?, error = ?,"
-                    f" lease_owner = NULL, lease_expires = NULL{spec_sql},"
+                    " lease_owner = NULL, lease_expires = NULL,"
                     " updated_utc = ? WHERE id = ?",
-                    (state, attempts, error[:20000]) + spec_args
-                    + (utc_now_iso(), job_id),
+                    (state, attempts, error[:20000], utc_now_iso(), job_id),
                 )
                 self._event(conn, job_id, state, error.splitlines()[-1]
                             if error else "")
@@ -427,10 +419,9 @@ class JobStore:
                 conn.execute(
                     "UPDATE jobs SET state = 'queued', attempts = ?,"
                     " error = ?, lease_owner = NULL, lease_expires = NULL,"
-                    f" started_at = NULL, not_before = ?{spec_sql},"
+                    " started_at = NULL, not_before = ?,"
                     " updated_utc = ? WHERE id = ?",
-                    (attempts, error[:20000], now + delay) + spec_args
-                    + (utc_now_iso(), job_id),
+                    (attempts, error[:20000], now + delay, utc_now_iso(), job_id),
                 )
                 self._event(
                     conn, job_id, event,

@@ -4,8 +4,8 @@ One worker process runs this loop::
 
     claim -> start -> run (heartbeat per SCF iteration) -> complete
                                    |
-                 MemoryError ------+--> fail(retryable, degraded spec)
                  poison input -----+--> fail(non-retryable) -> quarantine
+                 any other error --+--> fail(retryable) -> backoff, retry
                  crash / SIGKILL --+--> (nothing: lease expires, the
                                         supervisor re-enqueues, the next
                                         worker resumes from checkpoint)
@@ -25,11 +25,11 @@ Crash-tolerance mechanics:
 * **Idempotent recording.**  :meth:`JobStore.complete` is guarded by the
   lease owner; a stale worker that lost its lease mid-run gets ``False``
   back and discards its result -- a job is never recorded-as-done twice.
-* **Graceful degradation.**  A ``MemoryError`` retry re-enqueues the job
-  with a degraded spec (:func:`degrade_spec`): the integral store is
-  dropped (the default path: a private store, in memory, if it fits the
-  budget, else direct SCF; a private store out of memory is dropped by
-  the run itself).
+* **Out of memory.**  The run decides, not the worker: an SCF whose
+  integral store (``store_dir``'s or its private one) runs out of memory
+  as it is filled or mapped drops it and finishes direct in the same
+  attempt.  A ``MemoryError`` with no store to drop is a retryable error
+  like any other; a job's spec never changes after ``submit``.
 * **Clean teardown.**  SIGTERM (supervisor timeout or shutdown) runs its
   handler between two bytecodes of the single-threaded job (which starts
   no child process, so there is nothing to reap): it releases the
@@ -44,8 +44,7 @@ ladder could not repair) is quarantined like poison input -- retrying
 against the same corrupt state cannot help.  The other kinds are deterministic service-test
 personalities used by the chaos harness and the test suite: ``sleep``
 (optionally ``hang`` = no heartbeat), ``fail`` (raise until attempt N),
-``poison`` (always raise ValueError), and ``oom`` (raise MemoryError
-until the spec is fully degraded).
+and ``poison`` (always raise ValueError).
 """
 
 from __future__ import annotations
@@ -69,24 +68,6 @@ CHECKPOINT_KEEP = 3
 
 class LeaseLostError(RuntimeError):
     """The job's lease was lost mid-run; abort and discard the result."""
-
-
-def degrade_spec(spec: dict) -> tuple[dict | None, str]:
-    """One rung down the MemoryError degradation ladder.
-
-    Returns ``(new_spec, description)`` or ``(None, "")`` when nothing
-    is left to shed.  The one rung drops the integral store -- the build
-    that fills it adds every weighted block it computes into the folded
-    supermatrix's positions in RAM, 16 bytes each, and writes 20 bytes
-    per non-zero -- and takes the default path: a private store when the
-    plan's bound fits the budget, else direct SCF, whose blocks are
-    bitwise the stored ones.
-    """
-    if spec.get("store_dir"):
-        new = dict(spec)
-        new["store_dir"] = None
-        return new, "store_dir -> None"
-    return None, ""
 
 
 #: in-flight job the SIGTERM handler must release, keyed per process
@@ -172,10 +153,6 @@ def _run_test_job(store: JobStore, job: Job, owner: str) -> dict:
         return {"ok": True, "attempts_needed": job.attempts + 1}
     if kind == "poison":
         raise ValueError("poison job: deterministic bad input")
-    if kind == "oom":
-        if degrade_spec(spec)[0] is not None:
-            raise MemoryError("injected allocation failure")
-        return {"ok": True, "degraded": True}
     raise ValueError(f"unknown job kind {kind!r}")
 
 
@@ -222,16 +199,6 @@ def run_claimed_job(store: JobStore, job: Job, owner: str) -> str:
         except LeaseLostError as exc:
             ledger.add_summary(lease_lost=str(exc))
             return "lost"
-        except MemoryError:
-            err = traceback.format_exc()
-            new_spec, rung = degrade_spec(spec)
-            detail = f"MemoryError; degraded: {rung}" if new_spec else err
-            state = store.fail(
-                job.id, owner, detail, retryable=True, new_spec=new_spec,
-                event="degraded" if new_spec else "retry",
-            )
-            ledger.add_summary(error="MemoryError", degraded=rung or None)
-            return state or "lost"
         except IntegrityError:
             # unrecoverable data corruption: the recovery ladder (recompute,
             # rollback) already failed inside the run, so re-running against

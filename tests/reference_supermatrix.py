@@ -150,6 +150,16 @@ def _store_chunks(plan) -> list:
     return chunks
 
 
+def _kernel_parts(engine, chunk: list) -> list:
+    """The kernel's blocks of a one-shape chunk: one engine call per
+    family group among its members (an engine sweeps one group a call)."""
+    out = {}
+    for group in dict.fromkeys(batch.group for batch, _ in chunk):
+        mine = [i for i, (batch, _) in enumerate(chunk) if batch.group is group]
+        out.update(zip(mine, engine.compute_rows([chunk[i] for i in mine])))
+    return [out[i] for i in range(len(chunk))]
+
+
 def _sparse_piece(n: int, g: np.ndarray, bases: np.ndarray):
     """One weighted flush as its ``(M_J, M_K)`` contributions."""
     size = g[0].size
@@ -203,7 +213,7 @@ def assemble_supermatrix(engine, plan, store: V2Store | None = None):
                 if mask.any():
                     part[mask] = engine.compute_rows([(batch, rows[mask])])[0]
         else:
-            parts = engine.compute_rows(chunk)
+            parts = _kernel_parts(engine, chunk)
         piece_j, piece_k = _sparse_piece(n, *class_batch._weighted_flush(chunk, parts))
         _fold(partial_j, piece_j)
         _fold(partial_k, piece_k)

@@ -4,8 +4,8 @@ Before its first build such a run bounds the bytes a fill would store
 (``ClassPlan.stored_bytes``).  At or under ``hf.STORE_BUDGET`` it attaches
 a private :class:`~repro.integrals.store.ERIStore`: no directory, lock or
 file, the filling build's supermatrix held in memory and detached however
-the run ends; above, it runs direct.  A private fill that runs out of
-memory is dropped and the run goes on direct.
+the run ends; above, it runs direct.  A store, private or the user's,
+that runs out of memory is dropped and the run goes on direct.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ class TestLifetime:
 
 
 class TestDroppedStore:
-    """Out of memory, a private store is dropped: the run goes on direct,
-    says why in ``eri_store`` and leaves nothing behind."""
+    """Out of memory, a store is dropped: the run goes on direct, says why
+    in ``eri_store`` and leaves nothing behind."""
 
     @pytest.fixture
     def direct(self, monkeypatch):
@@ -145,15 +145,29 @@ class TestDroppedStore:
         assert rhf.engine.integral_store is None
         assert entries(tmp) == []
 
-    def test_a_user_store_is_not_dropped(self, tmp, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("warm", [False, True], ids=["fill", "mapping"])
+    def test_a_user_store_is_dropped(self, direct, tmp_path, monkeypatch, warm):
+        """The same for the user's store, as it is filled or as its file is
+        mapped: the run converges as the direct one does and the
+        directory gains no manifest."""
         def oom(*args):
             raise MemoryError("injected")
 
-        rhf = RHF(water(), integral_store=str(tmp_path / "store"))
-        rhf.run()
-        monkeypatch.setattr(class_batch, "_mapped_matrices", oom)
-        with pytest.raises(MemoryError):
-            RHF(water(), integral_store=str(tmp_path / "store")).run()
+        path = tmp_path / "store"
+        if warm:
+            RHF(water(), "6-31g", integral_store=str(path)).run()
+        before = {p.name: p.read_bytes() for p in path.glob("manifest*")}
+        if warm:
+            monkeypatch.setattr(class_batch, "_mapped_matrices", oom)
+        else:
+            monkeypatch.setattr(class_batch.SlotFill, "write", oom)
+        rhf = RHF(water(), "6-31g", integral_store=str(path))
+        res = rhf.run()
+        assert res.converged and res.iterations == direct.iterations
+        assert abs(res.energy - direct.energy) <= 1e-10
+        assert rhf.eri_store["dropped"] == "MemoryError('injected')"
+        assert rhf.engine.integral_store is None
+        assert {p.name: p.read_bytes() for p in path.glob("manifest*")} == before
 
 
 def test_the_bound_covers_a_fill_without_zeros():

@@ -154,21 +154,41 @@ class TestCheckpointIntegrity:
         with pytest.warns(CheckpointCorruptionWarning):
             assert load_latest_intact(tmp_path) is None
 
-    def test_mismatched_diis_shape_rejected(self, tmp_path):
-        # hand-built snapshot without a digest: only the shape check
-        # can reject it
+    @staticmethod
+    def _hand_built(tmp_path, digest: bool, n_diis: int = 4):
+        from repro.scf.checkpoint import payload_digest
+
+        payload = {
+            "iteration": np.int64(1),
+            "density": np.eye(4),
+            "energy": np.float64(-1.0),
+            "energy_history": np.array([-1.0]),
+            "diis_focks": np.zeros((2, n_diis, n_diis)),
+            "diis_errors": np.zeros((2, n_diis, n_diis)),
+        }
+        if digest:
+            payload["payload_sha256"] = np.str_(payload_digest(payload))
         path = tmp_path / "scf_ckpt_0001.npz"
-        np.savez(
-            path,
-            iteration=np.int64(1),
-            density=np.eye(4),
-            energy=np.float64(-1.0),
-            energy_history=np.array([-1.0]),
-            diis_focks=np.zeros((2, 3, 3)),  # wrong: should be (k, 4, 4)
-            diis_errors=np.zeros((2, 3, 3)),
-        )
-        with pytest.raises(CheckpointIntegrityError):
+        np.savez(path, **payload)
+        return path
+
+    def test_mismatched_diis_shape_rejected(self, tmp_path):
+        # hand-built snapshot with a valid digest over wrong shapes: only
+        # the shape check can reject it
+        path = self._hand_built(tmp_path, digest=True, n_diis=3)  # not (k, 4, 4)
+        with pytest.raises(CheckpointIntegrityError, match="inconsistent"):
             load_checkpoint(path, verify=True)
+
+    def test_snapshot_without_digest_rejected(self, tmp_path):
+        # sound arrays, but nothing vouches for their bytes: fail closed
+        path = self._hand_built(tmp_path, digest=False)
+        with pytest.raises(CheckpointIntegrityError, match="no payload digest"):
+            load_checkpoint(path, verify=True)
+        with pytest.warns(CheckpointCorruptionWarning, match="no payload digest"):
+            assert load_latest_intact(tmp_path) is None
+        assert load_checkpoint(
+            self._hand_built(tmp_path, digest=True), verify=True
+        ).iteration == 1
 
     def test_tampered_array_fails_digest(self, tmp_path):
         from repro.scf.checkpoint import payload_digest

@@ -40,7 +40,7 @@ from repro.service.store import (
     backoff_delay,
 )
 from repro.service.supervisor import serve
-from repro.service.worker import degrade_spec, run_claimed_job, worker_main
+from repro.service.worker import run_claimed_job, worker_main
 
 
 @pytest.fixture
@@ -242,21 +242,12 @@ class TestWorkerPersonalities:
             events = [ev for ev, _, _ in store.events_for(job.id)]
             assert "retry" not in events
 
-    def test_oom_walks_degradation_ladder(self, store, clock):
-        job = store.submit(
-            {"kind": "oom", "store_dir": "/tmp/eri"}, max_attempts=5,
-        )
-        assert self.run_one(store, clock) == "queued"
-        assert store.get(job.id).spec["store_dir"] is None
-        assert self.run_one(store, clock) == "done"
-        events = store.event_counts()
-        assert events.get("degraded") == 1
-
     def test_assembly_oom_sheds_the_store(
         self, store, clock, tmp_path, monkeypatch
     ):
         """A MemoryError raised while the warm store's supermatrix is
-        mapped walks the same ladder: the retry runs direct SCF."""
+        mapped is the run's to handle: it drops the store and finishes
+        direct on the first attempt, the job's spec unchanged."""
         store_dir = tmp_path / "eri"
         baseline = RHF(water(), integral_store=str(store_dir)).run()
 
@@ -264,24 +255,17 @@ class TestWorkerPersonalities:
             raise MemoryError("injected: no room for the supermatrix")
 
         monkeypatch.setattr(class_batch, "_mapped_matrices", oom)
-        job = store.submit(
-            {"kind": "scf", "molecule": "water", "store_dir": str(store_dir)},
-            max_attempts=5,
-        )
-        assert self.run_one(store, clock) == "queued"
-        assert store.get(job.id).spec["store_dir"] is None
-        assert store.event_counts().get("degraded") == 1
+        spec = {"kind": "scf", "molecule": "water", "store_dir": str(store_dir)}
+        job = store.submit(spec, max_attempts=5)
         assert self.run_one(store, clock) == "done"
         final = store.get(job.id)
+        assert final.attempts == 0 and final.spec == spec
         assert abs(final.result["energy"] - baseline.energy) <= 1e-10
-
-    def test_degrade_spec_ladder(self):
-        """One rung: the store goes; any other key is carried unchanged."""
-        spec, rung = degrade_spec({"store_dir": "/tmp/eri", "guard": True})
-        assert spec == {"store_dir": None, "guard": True}
-        assert rung == "store_dir -> None"
-        assert degrade_spec(spec) == (None, "")
-        assert degrade_spec({"kind": "oom"}) == (None, "")
+        assert [ev for ev, _, _ in store.events_for(job.id)] == [
+            "submitted", "leased", "started", "done",
+        ]
+        summary = load_run(Path(final.job_dir) / "run").summary
+        assert "MemoryError" in summary["eri_store"]["dropped"]
 
     def test_scf_job_records_energy(self, store, clock):
         baseline = RHF(water()).run()
