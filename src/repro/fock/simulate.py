@@ -26,8 +26,8 @@ from repro.fock.cost import TaskCosts, quartet_cost_matrix
 from repro.fock.nwchem_cost import build_nwchem_task_arrays
 from repro.fock.partition import StaticPartition
 # block_footprint is not called here any more (rank_footprints covers
-# every rank at once); the name stays importable from this module for
-# external tooling that patches it by name
+# every rank at once); the name stays importable from this module because
+# perfbench/layers.py's patch table wraps ``simulate.block_footprint``
 from repro.fock.prefetch import block_footprint, rank_footprints  # noqa: F401
 from repro.fock.screening_map import ScreeningMap
 from repro.fock.stealing import StealingOutcome, run_work_stealing

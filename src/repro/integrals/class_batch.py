@@ -990,14 +990,14 @@ def density_rows(engine, plan: ClassPlan, dens: np.ndarray, tau: float):
 def _run_chunks(engine, dflat, chunks, fill, faults):
     """``chunks`` resolved in order, a ``jk_contraction`` phase around every
     flush: their source counts and half-J/half-K buffers -- or, writing each
-    flush into a :class:`SlotFill`'s slots instead, ``None`` ones."""
+    flush into a :class:`SlotFill`'s slots in ``store_fill``, ``None`` ones."""
     n = engine.basis.nbf
     jt = kt = None
     if fill is None:
         jt, kt = np.zeros_like(dflat), np.zeros_like(dflat)
     totals = dict.fromkeys(_COUNT_KEYS, 0)
     for flush, parts in _flushes(engine, chunks, faults, totals):
-        with phase(PHASE_JK):
+        with phase(PHASE_JK if fill is None else PHASE_STORE_FILL):
             if fill is None:
                 g, bases = _weighted_flush(flush, parts)
                 parts.clear()  # the stage's blocks: g holds them now
@@ -1058,7 +1058,7 @@ def jk_from_plan(
     :func:`density_rows` keeps at ``tau``.  Either walks its kernel chunks
     in plan order on the calling thread (:func:`_run_chunks`), recording
     one ``eri_quartets`` phase per kernel chunk and one ``jk_contraction``
-    phase per flush -- never per quartet.
+    (direct) or ``store_fill`` (fill) phase per flush -- never per quartet.
 
     An attached ``engine.scf_faults`` state has this build's corruptions
     drawn here, per plan row and before any chunk is resolved; a victim on

@@ -55,7 +55,7 @@ PHASE_SCHWARZ = "schwarz_screening"
 PHASE_CLASS_PLAN = "class_plan"
 PHASE_ERI = "eri_quartets"
 PHASE_JK = "jk_contraction"
-#: a store fill's CSR assembly and ``finalize`` (after its contraction)
+#: a store fill's slot layout, its flushes' slot writes, the fold and ``finalize``
 PHASE_STORE_FILL = "store_fill"
 #: attaching an integral store: its ``import scipy.sparse``, then opening it
 PHASE_STORE_ATTACH = "store_attach"

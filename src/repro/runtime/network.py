@@ -94,6 +94,21 @@ class CommStats:
         # fraction of network transfer cost with no latency
         return nbytes / (10.0 * self.config.bandwidth)
 
+    def _failed_attempts(self, proc: int, nbytes: float, ncalls: int) -> list[float]:
+        """Draw ``proc``'s transient failures for one remote op and charge
+        each failed attempt's re-sent payload to the remote counters,
+        ``retries`` and the ``retry`` channel; returns each attempt's time
+        (transfer + backoff), in attempt order, for the caller to clock."""
+        waits = []
+        for k in range(self.faults.draw_failures(proc)):
+            dt = self.config.transfer_time(nbytes, ncalls) + self.faults.backoff(k)
+            self.remote_calls[proc] += ncalls
+            self.remote_bytes[proc] += int(nbytes)
+            self.faults.retries[proc] += 1
+            self.flight.record(proc, CH_RETRY, int(nbytes), ncalls, dt)
+            waits.append(dt)
+        return waits
+
     def charge_fault_attempts(
         self,
         proc: int,
@@ -114,16 +129,11 @@ class CommStats:
         if self.faults is None:
             return 0
         self._check(proc)
-        nfail = self.faults.draw_failures(proc)
-        for k in range(nfail):
-            dt = self.config.transfer_time(nbytes, ncalls) + self.faults.backoff(k)
-            self.remote_calls[proc] += ncalls
-            self.remote_bytes[proc] += int(nbytes)
+        waits = self._failed_attempts(proc, nbytes, ncalls)
+        for dt in waits:
             self.clock[proc] += dt
             self.comm_time[proc] += dt
-            self.faults.retries[proc] += 1
-            self.flight.record(proc, CH_RETRY, int(nbytes), ncalls, dt)
-        lost = self.faults.draw_ack_lost(proc, nfail) if want_acks else 0
+        lost = self.faults.draw_ack_lost(proc, len(waits)) if want_acks else 0
         delay = self.faults.draw_delay(proc)
         if delay > 0.0:
             self.clock[proc] += delay
@@ -221,13 +231,7 @@ class CommStats:
         self._check(proc)
         extra = 0.0
         if self.faults is not None:
-            nfail = self.faults.draw_failures(proc)
-            for k in range(nfail):
-                w = self.config.transfer_time(nbytes, ncalls) + self.faults.backoff(k)
-                self.remote_calls[proc] += ncalls
-                self.remote_bytes[proc] += int(nbytes)
-                self.faults.retries[proc] += 1
-                self.flight.record(proc, CH_RETRY, int(nbytes), ncalls, w)
+            for w in self._failed_attempts(proc, nbytes, ncalls):
                 extra += w
         self.remote_calls[proc] += ncalls
         self.remote_bytes[proc] += int(nbytes)

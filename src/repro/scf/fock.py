@@ -7,10 +7,10 @@ each contracted into its six Fock blocks, assembled as
 
 ``F = H^core + 2J - K``          (Eq 3 of the paper).
 
-The numeric distributed builders (:mod:`repro.fock.gtfock`,
-:mod:`repro.fock.nwchem`) contract the same plan rows, grouped by the
-task owning each, so numeric equality with this build is a test of
-*task coverage and data movement*.
+The numeric distributed builds (:mod:`repro.fock.gtfock`, and NWChem's
+Algorithm 2 in the test oracle ``tests/reference_nwchem.py``) contract
+the same plan rows, grouped by the task owning each, so numeric equality
+with this build is a test of *task coverage and data movement*.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Service chaos gate: seeded worker SIGKILLs must not lose a job.
 
 The execution-layer analogue of ``repro chaos`` (simulator rank deaths):
-submit real SCF jobs to a real worker pool, SIGKILL live workers at
-seeded points of the run while their jobs are mid-iteration, and verify the paper's
-resilience claim end to end:
+submit real SCF jobs to a real worker pool, SIGKILL workers mid-job, and
+verify the paper's resilience claim end to end:
 
+* every planned kill landed (a kill that missed proved nothing);
 * every submitted job still reaches ``done`` (lease expiry re-enqueues,
   checkpoint restart resumes);
 * each final energy matches a fault-free baseline run of the same
@@ -12,24 +12,23 @@ resilience claim end to end:
   bitwise, so the match is typically *exact*;
 * no job is ever recorded-as-done twice (the lease-owner guard), even
   though some were *executed* more than once.
-* at least one seeded kill landed on a lease-holding worker (a run
-  that killed nobody proved nothing).
 
-The kill schedule is a seeded draw (per kill, how many jobs are done
-when it falls due), so a chaos run is reproducible the way every fault
-plan in this package is, and its kills land however fast the jobs run.
+The seed picks which ``kills`` distinct jobs crash and, for each, an SCF
+iteration in ``[1, n - 1]`` (``n`` the baseline's iteration count),
+written into its spec as ``crash_at``: the worker running its first
+attempt SIGKILLs itself there, lease held (:mod:`repro.service.worker`).
+So every kill lands however fast the jobs run; it is counted from the
+job's ``lease_expired`` event.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.runtime.faults import EmptyPlanError, GateResult, landed
+from repro.runtime.faults import EmptyPlanError, GateResult
 from repro.service.store import JobStore
 from repro.service.supervisor import serve
 
@@ -46,7 +45,7 @@ def service_gate(payload: dict) -> GateResult:
     p = payload
     done = p["counts"].get("done", 0)
     return GateResult.stamped("service chaos", [
-        landed(p["kills_done"]),
+        ("every planned kill landed", p["kills_done"] == p["kills_planned"]),
         ("every job done", done == p["njobs"]),
         ("no job recorded done twice", p["double_records"] == 0),
         ("max |dE| <= tolerance", p["max_energy_error"] <= p["tolerance"]),
@@ -61,35 +60,6 @@ def service_gate(payload: dict) -> GateResult:
         f"(tolerance {p['tolerance']:.0e})",
         f"double records = {p['double_records']}",
     ], payload)
-
-
-class _SeededKiller:
-    """SIGKILL a lease-holding worker at each seeded point of the run's
-    progress: kill ``i`` falls due once ``due[i]`` jobs are done, drawn
-    from the first half of the queue, so it lands while jobs still run
-    however fast they are."""
-
-    def __init__(self, kills: int, seed: int, njobs: int):
-        rng = np.random.default_rng(seed)
-        self.due = sorted(rng.integers(0, max(1, njobs // 2), size=kills).tolist())
-        self.done = 0
-
-    def __call__(self, store: JobStore, pool) -> None:
-        if self.done >= len(self.due):
-            return
-        if store.counts().get("done", 0) < self.due[self.done]:
-            return
-        # kill a worker that actually holds a lease: that is the
-        # "mid-iteration" crash the gate is about
-        busy = {
-            j.lease_owner for j in store.jobs(("leased", "running"))
-            if j.lease_owner
-        }
-        for owner, proc in pool.procs.items():
-            if owner in busy and proc.poll() is None:
-                os.kill(proc.pid, signal.SIGKILL)
-                self.done += 1
-                return
 
 
 def run_service_chaos(
@@ -114,6 +84,10 @@ def run_service_chaos(
 
     if kills < 1:
         raise EmptyPlanError(f"kills={kills}")
+    if kills > njobs:
+        raise ValueError(
+            f"kills={kills} > njobs={njobs}: each kill crashes its own job"
+        )
     queue_dir = Path(queue_dir)
     store = JobStore(queue_dir)
 
@@ -123,31 +97,37 @@ def run_service_chaos(
             f"fault-free baseline {molecule}/{basis} did not converge"
         )
 
+    rng = np.random.default_rng(seed)
+    victims = rng.choice(njobs, size=kills, replace=False).tolist()
+    crash_at = dict(zip(
+        victims, rng.integers(1, baseline.iterations, size=kills).tolist()
+    ))
     job_ids = []
-    for _ in range(njobs):
+    for i in range(njobs):
+        spec = {"kind": "scf", "molecule": molecule, "basis": basis}
+        if i in crash_at:
+            spec["crash_at"] = crash_at[i]
         job = store.submit(
-            {"kind": "scf", "molecule": molecule, "basis": basis},
-            lease_s=lease_s, timeout_s=TIMEOUT_S, max_attempts=MAX_ATTEMPTS,
+            spec, lease_s=lease_s, timeout_s=TIMEOUT_S,
+            max_attempts=MAX_ATTEMPTS,
         )
         job_ids.append(job.id)
 
-    killer = _SeededKiller(kills, seed, njobs)
     t0 = time.time()
     outcome = serve(
         queue_dir, workers=workers, poll_s=POLL_S, drain=True,
-        wall_limit_s=WALL_LIMIT_S, install_signals=False, on_tick=killer,
+        wall_limit_s=WALL_LIMIT_S, install_signals=False,
     )
     wall = time.time() - t0
 
     counts = store.counts()
     energy_errors: dict[int, float] = {}
-    double_records = 0
-    for job_id in job_ids:
-        done_events = [
-            ev for ev, _, _ in store.events_for(job_id) if ev == "done"
-        ]
-        if len(done_events) > 1:
-            double_records += len(done_events) - 1
+    double_records = kills_done = 0
+    for i, job_id in enumerate(job_ids):
+        trail = [ev for ev, _, _ in store.events_for(job_id)]
+        double_records += max(0, trail.count("done") - 1)
+        if i in crash_at:
+            kills_done += trail.count("lease_expired")
         job = store.get(job_id)
         if job.state == "done" and job.result is not None:
             energy_errors[job_id] = abs(
@@ -166,7 +146,7 @@ def run_service_chaos(
         "workers": workers,
         "seed": seed,
         "kills_planned": kills,
-        "kills_done": killer.done,
+        "kills_done": kills_done,
         "wall_s": wall,
         "jobs_per_min": (njobs / wall * 60.0) if wall > 0 else 0.0,
         "counts": counts,

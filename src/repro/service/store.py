@@ -48,6 +48,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.obs.manifest import utc_now_iso
@@ -226,10 +227,12 @@ class JobStore:
     @staticmethod
     def _event(conn: sqlite3.Connection, job_id: int, event: str,
                detail: str = "") -> None:
+        # to the millisecond: a trail's gaps are a fraction of a poll tick
+        ts = datetime.now(timezone.utc).isoformat(timespec="milliseconds")
         conn.execute(
             "INSERT INTO events (job_id, event, detail, ts_utc)"
             " VALUES (?, ?, ?, ?)",
-            (job_id, event, detail[:2000], utc_now_iso()),
+            (job_id, event, detail[:2000], ts),
         )
 
     def job_directory(self, job_id: int) -> Path:

@@ -21,8 +21,9 @@ recovery paths a lease-based queue needs:
   A killed worker leaves no store behind: a private one is in memory.
 
 Workers are real subprocesses (``python -m repro.service._worker_entry``), not
-forks: no inherited sqlite handles, no inherited signal state, and the
-chaos harness can SIGKILL them exactly like a production incident would.
+forks: no inherited sqlite handles, no inherited signal state, and a
+worker that SIGKILLs itself at a job's planned crash point dies exactly
+like a production incident would.
 """
 
 from __future__ import annotations
@@ -129,16 +130,12 @@ def serve(
     grace_s: float = DEFAULT_GRACE_S,
     wall_limit_s: float | None = None,
     install_signals: bool = True,
-    on_tick=None,
     verbose: bool = False,
 ) -> ServeResult:
     """Run the worker pool until drained (``drain=True``) or signalled.
 
-    ``on_tick(store, pool)`` is an optional per-tick hook -- the chaos
-    harness uses it to SIGKILL workers at seeded points without any
-    wall-clock racing against the supervisor loop.  ``wall_limit_s``
-    bounds the run (CI safety net); hitting it returns with
-    ``drained=False`` rather than hanging a pipeline forever.
+    ``wall_limit_s`` bounds the run (CI safety net); hitting it returns
+    with ``drained=False`` rather than hanging a pipeline forever.
     """
     queue_dir = Path(queue_dir)
     store = JobStore(queue_dir)
@@ -196,8 +193,6 @@ def serve(
                         f"respawned {len(dead)} worker(s) for {dead}",
                         flush=True,
                     )
-            if on_tick is not None:
-                on_tick(store, pool)
             if finished and not pool.procs:
                 break
             if wall_limit_s is not None and now - t0 > wall_limit_s:

@@ -14,11 +14,16 @@ Crash-tolerance mechanics:
 
 * **Heartbeat = per-iteration callback.**  The lease is renewed from
   :class:`~repro.scf.hf.RHF`'s ``on_iteration`` hook, *after* that
-  iteration's checkpoint is durably on disk.  A worker stuck inside an
+  iteration's checkpoint is durably on disk (:func:`_heartbeat`, which
+  the ``sleep`` personality's ticks call too).  A worker stuck inside an
   iteration (native hang, livelock) stops heartbeating and loses its
   lease -- a deliberate design choice over a background heartbeat
   thread, which would keep vouching for a hung process forever.  Size
   ``lease_s`` above the per-iteration time.
+* **Planned crash.**  A spec's ``crash_at`` names a heartbeat (an SCF
+  iteration, a ``sleep`` tick) at which the job's first attempt SIGKILLs
+  its own worker, lease held (an SCF iteration's snapshot is durable by
+  then): the service chaos gate's seeded kill.
 * **Bitwise resume.**  Jobs run with ``checkpoint_dir`` + ``restart=True``,
   so a re-claimed job continues from the latest intact snapshot and
   reproduces the uninterrupted trajectory exactly (PR-4 guarantee).
@@ -41,10 +46,11 @@ keys; any other key (the J/K thread count an older ``repro submit``
 wrote) is ignored.  A job whose run raises
 :class:`~repro.runtime.sdc.IntegrityError` (corruption the recovery
 ladder could not repair) is quarantined like poison input -- retrying
-against the same corrupt state cannot help.  The other kinds are deterministic service-test
-personalities used by the chaos harness and the test suite: ``sleep``
-(optionally ``hang`` = no heartbeat), ``fail`` (raise until attempt N),
-and ``poison`` (always raise ValueError).
+against the same corrupt state cannot help.  The other kinds are
+deterministic personalities for the test suite: ``sleep`` (``seconds``,
+a heartbeat per 0.05 s tick; ``hang`` = no heartbeat), ``fail`` (raise
+until attempt ``times``), and ``poison`` (always raise ValueError).  An
+``scf`` or ``sleep`` spec may carry ``crash_at`` (see "Planned crash").
 """
 
 from __future__ import annotations
@@ -90,6 +96,17 @@ def install_signal_handlers() -> None:
     signal.signal(signal.SIGTERM, _sigterm_handler)
 
 
+def _heartbeat(store: JobStore, job: Job, owner: str, beat: int) -> None:
+    """Renew ``job``'s lease at its ``beat``-th heartbeat; raise
+    :class:`LeaseLostError` if it was lost.  On the job's first attempt a
+    ``crash_at`` equal to ``beat`` SIGKILLs this worker instead: it dies
+    holding the lease, as a crashed worker does."""
+    if job.attempts == 0 and job.spec.get("crash_at") == beat:
+        os.kill(os.getpid(), signal.SIGKILL)
+    if not store.heartbeat(job.id, owner):
+        raise LeaseLostError(f"job {job.id}: lease lost at heartbeat {beat}")
+
+
 # -- job personalities -------------------------------------------------------
 
 
@@ -102,13 +119,6 @@ def _run_scf_job(store: JobStore, job: Job, owner: str) -> dict:
     mol = molecule_by_name(spec.get("molecule", "water"))
     ckpt_dir = Path(job.job_dir) / "checkpoints"
     resumed = load_latest_intact(ckpt_dir)
-
-    def heartbeat(iteration: int, energy: float) -> None:
-        if not store.heartbeat(job.id, owner):
-            raise LeaseLostError(
-                f"job {job.id}: lease lost at iteration {iteration}"
-            )
-
     rhf = RHF(
         mol,
         basis_name=spec.get("basis", "sto-3g"),
@@ -118,7 +128,7 @@ def _run_scf_job(store: JobStore, job: Job, owner: str) -> dict:
         integrity=bool(spec.get("integrity", False)),
         checkpoint_dir=str(ckpt_dir),
         restart=True,
-        on_iteration=heartbeat,
+        on_iteration=lambda iteration, _: _heartbeat(store, job, owner, iteration),
     )
     result = rhf.run()
     prune_checkpoints(ckpt_dir, keep=CHECKPOINT_KEEP)
@@ -139,10 +149,12 @@ def _run_test_job(store: JobStore, job: Job, owner: str) -> dict:
     spec, kind = job.spec, job.spec["kind"]
     if kind == "sleep":
         deadline = time.time() + float(spec.get("seconds", 1.0))
+        beat = 0
         while time.time() < deadline:
             time.sleep(min(0.05, max(0.0, deadline - time.time())))
-            if not spec.get("hang") and not store.heartbeat(job.id, owner):
-                raise LeaseLostError(f"job {job.id}: lease lost mid-sleep")
+            if not spec.get("hang"):
+                beat += 1
+                _heartbeat(store, job, owner, beat)
         return {"ok": True, "slept_s": float(spec.get("seconds", 1.0))}
     if kind == "fail":
         # job.attempts counts *finished* attempts: 0 on the first try

@@ -74,7 +74,7 @@ def _service_payload() -> dict:
         lambda *a, **kw: SimpleNamespace(worker_restarts=0),
     )
     with stub, tempfile.TemporaryDirectory() as tmp:
-        return run_service_chaos(tmp, njobs=1, basis="sto-3g").payload
+        return run_service_chaos(tmp, njobs=1, kills=1, basis="sto-3g").payload
 
 
 def collect_goldens() -> dict:
@@ -205,7 +205,7 @@ BREAKERS = {
         dict(checkpoint_intact=False),
     ],
     "service": [
-        dict(kills_done=0),
+        dict(kills_planned=2),  # one of two planned kills landed
         dict(counts={"done": 1}),
         dict(double_records=1),
         dict(max_energy_error=1e-9),
@@ -226,7 +226,10 @@ class TestGateStatedOnce:
         assert res.summary_lines()[-1].endswith("-> PASS")
         # every invariant has its breaker below: a new one needs a new row
         assert len(res.invariants) == len(BREAKERS[family])
-        assert res.invariants[0][0] == "at least one planned fault landed"
+        assert res.invariants[0][0] == (
+            "every planned kill landed" if family == "service"
+            else "at least one planned fault landed"
+        )
 
     @pytest.mark.parametrize("family, index", CASES)
     def test_each_invariant_breaks_singly(self, family, index):
@@ -338,7 +341,7 @@ SURFACES = {
     "runtime": "simulated ranks, one-sided GA ops, scheduler events",
     "scf": "class-kernel ERI rows; F / D between SCF iterations",
     "sdc": "checkpoint files, stored ERI blocks, GA payloads, F / D in memory",
-    "service": "live queue workers (SIGKILL while holding a lease)",
+    "service": "queue workers (SIGKILL at a job's seeded SCF iteration, lease held)",
 }
 PLANS = {"runtime": FaultPlan, "scf": SCFFaultPlan, "sdc": SDCFaultPlan}
 

@@ -21,6 +21,7 @@ import signal
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -400,32 +401,70 @@ class TestReapReleases:
         supervisor reaps its exit, not when its 30 s lease would run out:
         the job is re-enqueued within two poll ticks of the kill (one
         attempt charged, event ``lease_expired``) and the respawned worker
-        leases it again and finishes it."""
+        leases it again and finishes it.  The kill is the job's crash
+        point, its first heartbeat: one 0.05 s tick or more after
+        ``started``, so the gap is measured from no later than the kill."""
+        poll_s = 0.2
         store = JobStore(tmp_path / "queue")
-        job = store.submit({"kind": "sleep", "seconds": 1.0}, lease_s=30.0)
-        ticks = {"n": 0, "killed": None, "released": None}
-
-        def on_tick(store, pool):
-            ticks["n"] += 1
-            j = store.get(job.id)
-            if ticks["killed"] is None and j.state == "running":
-                proc = pool.procs[j.lease_owner]
-                proc.send_signal(signal.SIGKILL)
-                proc.wait()
-                ticks["killed"] = ticks["n"]
-            elif ticks["killed"] is not None and ticks["released"] is None \
-                    and "lease_expired" in [e[0] for e in store.events_for(job.id)]:
-                ticks["released"] = ticks["n"]
-
-        result = serve(tmp_path / "queue", workers=1, poll_s=0.2, drain=True,
-                       wall_limit_s=20, install_signals=False, on_tick=on_tick)
-        assert ticks["killed"] is not None
-        assert ticks["released"] is not None
-        assert ticks["released"] - ticks["killed"] <= 2
+        job = store.submit(
+            {"kind": "sleep", "seconds": 1.0, "crash_at": 1}, lease_s=30.0,
+        )
+        result = serve(tmp_path / "queue", workers=1, poll_s=poll_s, drain=True,
+                       wall_limit_s=20, install_signals=False)
+        trail = store.events_for(job.id)
+        first = {}
+        for event, _, ts in trail:
+            first.setdefault(event, datetime.fromisoformat(ts))
+        killed = first["started"] + timedelta(seconds=0.05)
+        assert [e[0] for e in trail].count("lease_expired") == 1
+        assert (first["lease_expired"] - killed).total_seconds() <= 2 * poll_s
         final = store.get(job.id)
         assert result.drained and final.state == "done" and final.attempts == 1
-        leases = [e for e in store.events_for(job.id) if e[0] == "leased"]
+        leases = [e for e in trail if e[0] == "leased"]
         assert len(leases) == 2 and leases[0][1] != leases[1][1]
+
+
+class TestPlannedCrash:
+    def test_scf_job_dies_at_its_crash_point_and_resumes_bitwise(self, tmp_path):
+        """An SCF job whose spec names ``crash_at`` SIGKILLs its worker
+        once, at that iteration's heartbeat; a new owner resumes it from
+        that iteration's snapshot and records the uninterrupted energy
+        bitwise."""
+        baseline = RHF(water(), "sto-3g").run()
+        store = JobStore(tmp_path / "queue")
+        job = store.submit(
+            {"kind": "scf", "molecule": "water", "basis": "sto-3g", "crash_at": 3},
+            lease_s=30.0,
+        )
+        result = serve(tmp_path / "queue", workers=1, poll_s=0.1, drain=True,
+                       wall_limit_s=60, install_signals=False)
+        final = store.get(job.id)
+        trail = store.events_for(job.id)
+        assert result.drained and result.worker_restarts == 1
+        assert final.state == "done" and final.attempts == 1
+        assert [e[0] for e in trail].count("lease_expired") == 1
+        leases = [owner for event, owner, _ in trail if event == "leased"]
+        assert len(leases) == 2 and leases[0] != leases[1]
+        assert final.result["resumed_from_iteration"] == 3
+        assert final.result["iterations"] == baseline.iterations
+        assert final.result["energy"] == baseline.energy  # bitwise
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_planned_kill_lands(self, tmp_path, seed):
+        """Each kill is written into a distinct job: both land."""
+        from repro.service.chaos import run_service_chaos
+
+        p = run_service_chaos(tmp_path / "queue", njobs=4, workers=2, kills=2,
+                              seed=seed, basis="sto-3g").payload
+        assert p["kills_done"] == p["kills_planned"] == 2
+        assert p["passed"] and p["double_records"] == 0
+
+    def test_more_kills_than_jobs_is_rejected_up_front(self, tmp_path):
+        from repro.service.chaos import run_service_chaos
+
+        with pytest.raises(ValueError, match="kills=3 > njobs=2"):
+            run_service_chaos(tmp_path / "queue", njobs=2, kills=3)
+        assert not (tmp_path / "queue").exists()
 
 
 class TestTimeoutEnforcement:

@@ -143,6 +143,24 @@ class TestServedBuilds:
         assert prof.stats[PHASE_JK].calls == 1
         assert PHASE_ERI not in prof.stats
 
+    def test_a_cold_fill_records_no_contraction_of_its_own(self, tmp_path, basis):
+        """A cold fill writes its slots in ``store_fill`` phases -- the
+        layout, one per flush, the fold, ``finalize`` -- so a profiled fill
+        and a warm build record ``jk_contraction`` only for their two
+        served builds' mat-vecs."""
+        from repro.obs import session
+        from repro.obs.profile import PHASE_ERI, PHASE_JK, PHASE_STORE_FILL, PhaseProfiler
+
+        engine = MDEngine(basis, store=tmp_path / "store")
+        prof = PhaseProfiler()
+        with session(profiler=prof):
+            build_jk(engine, np.eye(basis.nbf))  # fills, then serves what it filled
+            build_jk(engine, np.eye(basis.nbf))
+        plan = engine.class_plan(1e-11)
+        assert prof.stats[PHASE_JK].calls == 2
+        assert prof.stats[PHASE_ERI].calls == len(plan.chunks())
+        assert prof.stats[PHASE_STORE_FILL].calls == len({b.dims for b in plan.batches}) + 3
+
 
 class TestAgainstV2Oracle:
     """The v4 store maps the COO fold of the matrices the v2 store
