@@ -23,13 +23,12 @@ from repro.obs.regress import gate
 
 from benchmarks import (
     test_bench_chaos,
-    test_bench_critpath,
     test_bench_eri_kernels,
+    test_bench_perfbench,
     test_bench_profiler,
     test_bench_scf_guard,
     test_bench_sdc,
     test_bench_service,
-    test_bench_simulator,
     test_bench_table3_times,
 )
 
@@ -40,12 +39,11 @@ MEASURES = {
     "eri_kernels_large": test_bench_eri_kernels.measure_large,
     "fock_table3": test_bench_table3_times.measure,
     "fock_chaos": test_bench_chaos.measure,
-    "fock_critpath": test_bench_critpath.measure,
-    "fock_simulator": test_bench_simulator.measure,
     "fock_service": test_bench_service.measure,
     "scf_guard": test_bench_scf_guard.measure,
     "fock_sdc": test_bench_sdc.measure,
     "phase_profiler": test_bench_profiler.measure,
+    "perfbench": test_bench_perfbench.measure,
 }
 assert MEASURES.keys() == FAMILIES.keys()
 

@@ -92,6 +92,9 @@ HISTORIES: dict[str, str] = {
     "BENCH_service.json":
         "crash-tolerant SCF service trajectory: seeded worker-kill chaos "
         "runs (see docs/ROBUSTNESS.md#service-resilience)",
+    "BENCH_perfbench.json":
+        "perfbench trajectory: python3 -m perfbench --seed 0, untraced and "
+        "traced (see docs/BENCH_FAMILIES.md)",
 }
 
 FAMILIES: dict[str, Family] = {}
@@ -172,32 +175,6 @@ _family(
     _bound("fock_error", 1e-11, 1e-10, "Eh"),
     _rel("fault_slowdown", "x", quick=True),
 )
-# critical-path analyzer: the observatory grades *explanatory* metrics,
-# not just wall times
-_family(
-    "fock_critpath", "BENCH_fock.json", {},
-    _bound("explained_ratio", 0.95, 0.95, "frac", "higher"),
-    _bound("idle_fraction", 0.30, 0.60, "frac"),
-    _bound("whatif_max_rel_err", 0.15, 0.15, "frac"),
-    _flag("decomposition_ok"),
-    _rel("wall_s"),
-)
-# the discrete-event simulator's own cost: untraced wall over the core
-# sweep, rates and tracing tax at the largest cell, the critical-path
-# analysis of its trace without re-simulation, its all-rank prefetch
-# footprints, and the centralized (NWChem) baseline.  Each tax bound is
-# the ratio recorded when the columnar trace log landed (tracing 1.47,
-# capture 1.86; three runs read 1.16-1.74 and 1.33-2.13) + 0.15
-_family(
-    "fock_simulator", "BENCH_fock.json",
-    {"molecule": str, "events_per_s": float, "tasks_per_s": float,
-     "footprint_s": float, "counter_accesses_per_s": float, "cells": dict},
-    _rel("wall_s"),
-    _bound("tracing_tax_ratio", 1.62, 3.0, "x", quick=False),
-    _bound("capture_tax_ratio", 2.01, 3.0, "x", quick=False),
-    _rel("export_mb_per_s", "MB/s", "higher"),
-    _rel("analyze_noresim_s"), _rel("nwchem_wall_s"),
-)
 # -- crash-tolerant SCF service: one seeded chaos run (worker kills
 # mid-iteration) per datapoint -- throughput plus the correctness gates
 _family(
@@ -230,6 +207,22 @@ _family(
     _rel("wall_on_s"),
     # the quartets its RHF computes: an exact count, so any rise is real
     _rel("quartets_computed", "quartets", warn=1.01, fail=1.05, quick=True),
+)
+# -- the benchmark itself: python3 -m perfbench at seed 0, untraced and
+# traced.  Each workload's end-to-end metrics (value, min, max of the
+# rounds); the per-layer rows are the simulator's and the critical-path
+# analyzer's cost on sim_sweep / sim_traced (C54H18 at 3888 cores).  The
+# tax row is Tracer + SimCapture against untraced on the same cell
+_family(
+    "perfbench", "BENCH_perfbench.json", {"seed": float, "wall_s": float},
+    _flag("correct"),
+    *(_rel(f"{w}.time_to_solution_s.value")
+      for w in ("scf_direct", "scf_stored", "sim_sweep", "sim_traced")),
+    _bound("tracing_tax_ratio", 1.62, 3.0, "x", quick=False),
+    _rel("export_mb_per_s", "MB/s", "higher"),
+    _rel("critpath_analyze_s"), _rel("analyze_noresim_s"), _rel("nwchem_sim_s"),
+    _bound("critpath_explained_ratio", 0.95, 0.95, "frac", "higher"),
+    _bound("whatif_max_rel_err", 0.15, 0.15, "frac"),
 )
 
 

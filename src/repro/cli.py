@@ -73,7 +73,7 @@ from repro.chem.builders import (
     paper_molecule,
 )
 from repro.chem.molecule import UnknownNameError
-from repro.runtime.faults import EmptyPlanError
+from repro.runtime.faults import EmptyPlanError, PlanValueError
 
 
 def _run_scf(args: argparse.Namespace) -> int:
@@ -1181,7 +1181,7 @@ def _run_session(
             returned = True
             if embed:
                 sess.ledger.add_summary(trace=TRACE_NAME)
-        except (UnknownNameError, EmptyPlanError) as exc:
+        except (UnknownNameError, EmptyPlanError, PlanValueError) as exc:
             print(f"repro {args.command}: {exc}", file=sys.stderr)
             sess.exit_code = 2
     if page is not None and returned:

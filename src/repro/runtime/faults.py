@@ -55,6 +55,11 @@ class EmptyPlanError(ValueError):
         )
 
 
+class PlanValueError(ValueError):
+    """A fault-plan value out of range: bad input, like
+    :class:`EmptyPlanError` (``repro chaos`` exits 2 on one line)."""
+
+
 def declare(kind: str, default, label: str | None = None, **spec):
     """One fault-plan field, declared once.
 
@@ -105,22 +110,22 @@ class SeededPlan:
                 open_top = d.get("below_one", False)
                 if not (0.0 <= v < 1.0 if open_top else 0.0 <= v <= 1.0):
                     top = "1)" if open_top else "1]"
-                    raise ValueError(f"{name} must be in [0, {top}, got {v}")
+                    raise PlanValueError(f"{name} must be in [0, {top}, got {v}")
             elif kind == "iterations":
                 for it in v:
                     if it < 1:
-                        raise ValueError(
+                        raise PlanValueError(
                             f"{name} entries are 1-based iteration numbers, got {it}"
                         )
             elif kind == "per_rank":
                 for rank, x in v.items():
                     if x < least:
-                        raise ValueError(
+                        raise PlanValueError(
                             f"{name}[{rank}] must be {d.get('noun', '')}"
                             f">= {least}, got {x}"
                         )
             elif v < least:
-                raise ValueError(f"{name} must be >= {least}, got {v}")
+                raise PlanValueError(f"{name} must be >= {least}, got {v}")
 
     @property
     def has_faults(self) -> bool:
@@ -219,7 +224,7 @@ class FaultState:
             raise ValueError(f"need at least one rank, got {nproc}")
         live = nproc - sum(1 for p in plan.deaths if 0 <= p < nproc)
         if live < 1:
-            raise ValueError("a FaultPlan must leave at least one rank alive")
+            raise PlanValueError("a FaultPlan must leave at least one rank alive")
         self.plan = plan
         self.nproc = nproc
         self.rng = np.random.default_rng(plan.seed)
@@ -496,7 +501,9 @@ def random_plan(
     contract behind ``repro chaos --seed``.
     """
     if ndeaths >= nproc:
-        raise ValueError(f"cannot kill {ndeaths} of {nproc} ranks (need a survivor)")
+        raise PlanValueError(
+            f"cannot kill {ndeaths} of {nproc} ranks (need a survivor)"
+        )
     rng = np.random.default_rng(seed)
     victims = rng.choice(nproc, size=ndeaths, replace=False) if ndeaths else []
     deaths = {

@@ -18,7 +18,8 @@ iteration in ``[1, n - 1]`` (``n`` the baseline's iteration count),
 written into its spec as ``crash_at``: the worker running its first
 attempt SIGKILLs itself there, lease held (:mod:`repro.service.worker`).
 So every kill lands however fast the jobs run; it is counted from the
-job's ``lease_expired`` event.
+job's ``lease_expired`` events that reaped a dead owner
+(:func:`owner_deaths`), not from those of a lease that ran out by its TTL.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.runtime.faults import EmptyPlanError, GateResult
-from repro.service.store import JobStore
+from repro.runtime.faults import EmptyPlanError, GateResult, PlanValueError
+from repro.service.store import OWNER_DIED, JobStore
 from repro.service.supervisor import serve
 
 
@@ -62,6 +63,18 @@ def service_gate(payload: dict) -> GateResult:
     ], payload)
 
 
+def owner_deaths(trail: list[tuple[str, str, str]]) -> int:
+    """How many of a job's lease expiries (``trail``: its
+    :meth:`JobStore.events_for`) reaped an owner that died holding the
+    lease.  For a crash job that is its kill: the planned crash is the
+    only way a worker dies here, and a lease that ran out by its TTL (an
+    iteration slower than ``lease_s``) kills nothing."""
+    return sum(
+        event == "lease_expired" and detail.startswith(OWNER_DIED)
+        for event, detail, _ in trail
+    )
+
+
 def run_service_chaos(
     queue_dir: str | Path,
     njobs: int = 8,
@@ -85,7 +98,7 @@ def run_service_chaos(
     if kills < 1:
         raise EmptyPlanError(f"kills={kills}")
     if kills > njobs:
-        raise ValueError(
+        raise PlanValueError(
             f"kills={kills} > njobs={njobs}: each kill crashes its own job"
         )
     queue_dir = Path(queue_dir)
@@ -124,10 +137,10 @@ def run_service_chaos(
     energy_errors: dict[int, float] = {}
     double_records = kills_done = 0
     for i, job_id in enumerate(job_ids):
-        trail = [ev for ev, _, _ in store.events_for(job_id)]
-        double_records += max(0, trail.count("done") - 1)
+        trail = store.events_for(job_id)
+        double_records += max(0, [e for e, _, _ in trail].count("done") - 1)
         if i in crash_at:
-            kills_done += trail.count("lease_expired")
+            kills_done += owner_deaths(trail)
         job = store.get(job_id)
         if job.state == "done" and job.result is not None:
             energy_errors[job_id] = abs(

@@ -61,6 +61,10 @@ STATES = ("queued", "leased", "running", "done", "failed", "quarantined")
 TERMINAL_STATES = ("done", "failed", "quarantined")
 #: states holding a live lease
 LEASED_STATES = ("leased", "running")
+#: the two causes of a ``lease_expired`` event: the owner was reaped (its
+#: process exited, lease held), or it stopped heartbeating past the TTL
+OWNER_DIED = "lease expired: its worker died"
+LEASE_RAN_OUT = "lease expired: no heartbeat within the lease"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -394,6 +398,7 @@ class JobStore:
         on a lease it is about to kill.
         """
         now = time.time() if now is None else now
+        cause = error.splitlines()[-1] if error else ""
         owner_sql = "" if owner is None else " AND lease_owner = ?"
         with self._tx() as conn:
             row = conn.execute(
@@ -414,8 +419,7 @@ class JobStore:
                     " updated_utc = ? WHERE id = ?",
                     (state, attempts, error[:20000], utc_now_iso(), job_id),
                 )
-                self._event(conn, job_id, state, error.splitlines()[-1]
-                            if error else "")
+                self._event(conn, job_id, state, cause)
             else:
                 state = "queued"
                 delay = backoff_delay(attempts, job_id)
@@ -428,7 +432,7 @@ class JobStore:
                 )
                 self._event(
                     conn, job_id, event,
-                    f"attempt {attempts}, backoff {delay:.2f}s",
+                    f"{cause}; attempt {attempts}, backoff {delay:.2f}s",
                 )
         return state
 
@@ -450,7 +454,8 @@ class JobStore:
             (now, *dead),
         ).fetchall()
         return [row["id"] for row in rows if self.fail(
-            row["id"], row["lease_owner"], "lease expired (worker died or hung)",
+            row["id"], row["lease_owner"],
+            OWNER_DIED if row["lease_owner"] in dead else LEASE_RAN_OUT,
             retryable=True, now=now, event="lease_expired",
         ) is not None]
 

@@ -110,11 +110,17 @@ class TestAppendHistory:
         assert "timestamp" not in entry
 
 
+#: families whose points stay in their history, unedited, after their rows
+#: moved to the ``perfbench`` family (docs/BENCH_FAMILIES.md)
+RETIRED = {"fock_simulator": "BENCH_fock.json", "fock_critpath": "BENCH_fock.json"}
+
+
 def _committed():
-    """``(file, entry)`` for every point of every repo history."""
+    """``(file, entry)`` for every point of every declared family."""
     return [
         (name, entry) for name in HISTORIES
         for entry in load_history(REPO / name)
+        if entry["benchmark"] not in RETIRED
     ]
 
 
@@ -144,12 +150,19 @@ class TestFamilyTable:
             validate_entry({**latest[entry["benchmark"]], **entry})
 
     def test_every_critpath_point_validates(self):
-        # graded since it was introduced, schema-less until the table
+        # the critical-path rows are graded on perfbench's traced pass
         points = [e for _, e in _committed()
-                  if e["benchmark"] == "fock_critpath"]
+                  if e["benchmark"] == "perfbench"]
         assert len(points) >= 2
         for entry in points:
             validate_entry(entry)
+            assert entry["critpath_explained_ratio"] >= 0.95
+
+    def test_retired_families_keep_their_points(self):
+        for name, history in RETIRED.items():
+            assert name not in FAMILIES
+            assert any(e["benchmark"] == name
+                       for e in load_history(REPO / history))
 
     def test_every_spec_key_resolves_in_the_latest_entry(self):
         for name, entry in _latest().items():
@@ -185,7 +198,7 @@ class TestFamilyTable:
             gate({"benchmark": "scf_guard"})
 
     def test_quick_gate_skips_machine_dependent_rows(self):
-        entry = dict(_latest()["fock_simulator"], tracing_tax_ratio=9.0)
+        entry = dict(_latest()["perfbench"], tracing_tax_ratio=9.0)
         assert gate(entry, quick=True).passed
         with pytest.raises(ValueError, match="tracing_tax_ratio"):
             gate(entry)

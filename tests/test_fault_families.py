@@ -309,7 +309,8 @@ class TestServiceChaosQueue:
 
 
 class TestEmptyPlanIsBadInput:
-    """(c) a gate that would inject nothing is rejected, not passed."""
+    """(c) a gate that would inject nothing, or is handed a plan value out
+    of range, is rejected as bad input, not passed or crashed."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -326,6 +327,25 @@ class TestEmptyPlanIsBadInput:
         captured = capsys.readouterr()
         assert "injects nothing" in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--op-fail-rate", "1.5"], "op_fail_rate must be in [0, 1), got 1.5"),
+        (["--family", "service", "--jobs", "1", "--kills", "2"],
+         "kills=2 > njobs=1: each kill crashes its own job"),
+    ], ids=["runtime", "service"])
+    def test_an_out_of_range_value_exits_2_on_one_line(self, argv, message, capsys):
+        assert main(["chaos", "water", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro chaos: {message}\n"
+        assert "PASS" not in captured.out
+
+    def test_a_value_error_of_the_run_keeps_its_traceback(self, monkeypatch):
+        def broken(**_):
+            raise ValueError("deep in the run")
+
+        monkeypatch.setattr("repro.fock.chaos.run_chaos", broken)
+        with pytest.raises(ValueError, match="deep in the run"):
+            main(["chaos", "water"])
 
     def test_sdc_library_call_raises(self):
         from repro.runtime.faults import EmptyPlanError

@@ -254,7 +254,7 @@ class TestDefaultSpecs:
         families = {s.benchmark for s in all_specs()}
         assert {
             "eri_kernels", "fock_table3", "fock_chaos",
-            "scf_guard", "phase_profiler", "fock_simulator",
+            "scf_guard", "phase_profiler", "perfbench",
         } <= families
 
     def test_labels_are_unique(self):
@@ -370,5 +370,8 @@ class TestGradeRuns:
         assert all(f.status == PASS for f in findings)
 
     def test_critpath_family_in_default_specs(self):
-        families = {s.benchmark for s in all_specs()}
-        assert "fock_critpath" in families
+        labels = {s.label for s in all_specs()}
+        assert {
+            "perfbench.critpath_explained_ratio",
+            "perfbench.whatif_max_rel_err",
+        } <= labels

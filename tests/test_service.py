@@ -459,6 +459,34 @@ class TestPlannedCrash:
         assert p["kills_done"] == p["kills_planned"] == 2
         assert p["passed"] and p["double_records"] == 0
 
+    @pytest.mark.parametrize("causes, kills", [
+        (("ttl",), 0),  # the lease ran out before the crash point
+        (("dead",), 1),  # its worker died at the crash point, lease held
+        (("dead", "ttl"), 1),  # the crash fired, then the retry hung
+    ], ids=["ttl", "crashed", "crashed-then-ttl"])
+    def test_a_kill_counts_only_when_the_crash_fired(
+        self, store, clock, causes, kills
+    ):
+        """Every trail expires a lease once per cause, then completes;
+        only an expiry that reaped a dead owner counts as the kill."""
+        from repro.service.chaos import owner_deaths
+
+        job = store.submit({"kind": "scf", "crash_at": 3}, lease_s=2.0)
+        for attempt, cause in enumerate([*causes, None]):
+            owner = f"w{attempt}"
+            assert store.claim(owner).attempts == attempt
+            store.start(job.id, owner)
+            if cause is None:
+                assert store.complete(job.id, owner, {"energy": -1.0})
+                break
+            clock.now += 0.0 if cause == "dead" else 2.5
+            dead = (owner,) if cause == "dead" else ()
+            assert store.expire_leases(dead=dead) == [job.id]
+            clock.now += 60.0  # past the retry backoff
+        trail = store.events_for(job.id)
+        assert [e for e, _, _ in trail].count("lease_expired") == len(causes)
+        assert owner_deaths(trail) == kills
+
     def test_more_kills_than_jobs_is_rejected_up_front(self, tmp_path):
         from repro.service.chaos import run_service_chaos
 
