@@ -28,7 +28,7 @@ from repro.fock.partition import StaticPartition, TaskBlock
 from repro.fock.prefetch import (
     Footprint,
     block_footprint,
-    footprint_bounding_boxes,
+    rank_fetch_boxes,
     rank_footprints,
 )
 from repro.fock.reorder import bandwidth_of, cell_reordering, reorder_basis
@@ -60,7 +60,7 @@ __all__ = [
     "TaskBlock",
     "Footprint",
     "block_footprint",
-    "footprint_bounding_boxes",
+    "rank_fetch_boxes",
     "rank_footprints",
     "bandwidth_of",
     "cell_reordering",

@@ -5,7 +5,7 @@ movement, so the resulting Fock matrix can be compared against the
 sequential reference:
 
 1. static 2-D partition of shell-pair tasks over the process grid;
-2. per-process prefetch of the D footprint into a local buffer;
+2. per-process prefetch of its three D fetch boxes into a local buffer;
 3. task execution through the work-stealing scheduler: a task is the
    class-plan rows it owns (:func:`~repro.fock.tasks.gtfock_task_rows`);
    running it records them and checks each row's six D blocks against
@@ -19,26 +19,28 @@ The host build is a wall-clock span tree (setup / prefetch / schedule /
 contract / flush, one ``task(m,n)`` span per executed task); the
 simulated ranks get virtual-clock ``prefetch`` / ``flush`` spans plus
 the scheduler's per-task/steal events -- one Perfetto row per rank.
+
+The task queues, task costs and fetch boxes are the simulator's
+(:func:`~repro.fock.simulate.task_queues`,
+:func:`~repro.fock.prefetch.rank_fetch_boxes`): the two builds differ
+only in the data this one moves and checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.fock.simulate import SimCapture
 
 from repro.fock.cost import TaskCosts, quartet_cost_matrix
 from repro.fock.partition import StaticPartition
 from repro.fock.prefetch import (
     block_footprint,
-    footprint_bounding_boxes,
     footprint_element_mask,
+    rank_fetch_boxes,
 )
 from repro.fock.screening_map import ScreeningMap
+from repro.fock.simulate import SimCapture, task_queues
 from repro.fock.stealing import StealingOutcome, run_work_stealing
 from repro.fock.tasks import gtfock_task_rows, task_plan
 from repro.integrals.class_batch import density_stack, jk_from_rows
@@ -137,7 +139,7 @@ def gtfock_build(
     tau: float = 1e-11,
     screen: ScreeningMap | None = None,
     faults: FaultPlan | FaultState | None = None,
-    capture: "SimCapture | None" = None,
+    capture: SimCapture | None = None,
 ) -> GTFockBuildResult:
     """Numeric GTFock Fock-matrix construction on ``nproc`` simulated processes.
 
@@ -197,11 +199,10 @@ def gtfock_build(
         own_masks: list[np.ndarray] = []
         prefetch_time = np.zeros(nproc)
         with tracer.span("prefetch", cat="fock"):
-            for p in range(nproc):
+            for p, boxes in enumerate(rank_fetch_boxes(screen, part).tolist()):
                 clock0 = float(stats.clock[p])
                 fp = block_footprint(screen, part.task_block(p))
                 own_masks.append(footprint_element_mask(fp, basis))
-                boxes = footprint_bounding_boxes(fp)
                 for r0, r1, c0, c1 in boxes:
                     bufs[p].fetch(
                         slice(offsets[r0], offsets[r1]),
@@ -214,16 +215,12 @@ def gtfock_build(
                 )
 
         # -- task execution through the work-stealing scheduler --------------
-        t_task = config.t_int_gtfock / config.cores_per_node
+        queues, cost_of = task_queues(part, costs, config, config.cores_per_node)
 
-        def cost_of(task: tuple[int, int]) -> float:
-            m, n = task
-            return float(costs.eris[m, n]) * t_task + config.task_overhead
-
-        def on_task(proc: int, task: tuple[int, int]) -> None:
-            m, n = task
+        def on_task(proc: int, task: int) -> None:
+            m, n = divmod(int(task), basis.nshells)
             with tracer.span(f"task({m},{n})", cat="task", proc=proc) as sp:
-                own = owners.of(m * basis.nshells + n)
+                own = owners.of(task)
                 bufs[proc].check_reads(
                     owners.images[own][:, _READS].reshape(-1, 2)
                 )
@@ -235,8 +232,7 @@ def gtfock_build(
 
         with tracer.span("schedule", cat="fock"):
             outcome = run_work_stealing(
-                [part.task_block(p).tasks() for p in range(nproc)],
-                cost_of, (part.prow, part.pcol), stats=stats,
+                queues, cost_of, (part.prow, part.pcol), stats=stats,
                 d_copy_bytes=lambda v: int(bufs[v].have.sum()) * config.element_size,
                 on_task=on_task, on_steal=on_steal, tracer=tracer, faults=fstate,
                 event_observer=None if capture is None
@@ -301,16 +297,11 @@ def gtfock_build(
             top["reexecuted"] = outcome.reexecuted_tasks
 
     if capture is not None:
-        capture.algorithm = "gtfock"
-        capture.molecule = basis.molecule.name or basis.molecule.formula
-        capture.cores = nproc * config.cores_per_node
-        capture.nproc = nproc
-        capture.config = config
-        capture.stats = stats
-        capture.outcome = outcome
-        capture.finish = stats.clock.copy()
-        capture.prefetch_time = prefetch_time
-        capture.flush_time = flush_time
+        capture.fill(
+            basis.molecule.name or basis.molecule.formula,
+            nproc * config.cores_per_node, config, stats, outcome,
+            stats.clock, prefetch_time, flush_time,
+        )
         # no resimulate closure: re-running the numeric build recomputes
         # real ERIs -- the analyzer's what-ifs stay projection-only here
 

@@ -31,14 +31,6 @@ class TaskBlock:
     def ntasks(self) -> int:
         return (self.row_hi - self.row_lo) * (self.col_hi - self.col_lo)
 
-    def tasks(self) -> list[tuple[int, int]]:
-        """All (M, N) shell-pair tasks in this block, row major."""
-        return [
-            (m, n)
-            for m in range(self.row_lo, self.row_hi)
-            for n in range(self.col_lo, self.col_hi)
-        ]
-
     def rows(self) -> np.ndarray:
         return np.arange(self.row_lo, self.row_hi)
 

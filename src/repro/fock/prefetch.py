@@ -46,14 +46,6 @@ class Footprint:
     phi_cols: np.ndarray
     #: distinct matrix elements in the union footprint
     elements: int
-    #: elements counted per-region without cross-region dedup (v1+v2 view)
-    elements_rows: int
-    elements_cols: int
-    elements_cross: int
-
-    @property
-    def bytes(self) -> int:
-        return self.elements * 8
 
 
 def block_footprint(screen: ScreeningMap, block: TaskBlock) -> Footprint:
@@ -80,9 +72,6 @@ def block_footprint(screen: ScreeningMap, block: TaskBlock) -> Footprint:
         phi_rows=phi_rows,
         phi_cols=phi_cols,
         elements=int(sizes @ (union @ sizes)),
-        elements_rows=int(sizes[rows] @ (sig[rows] @ sizes)),
-        elements_cols=int(sizes[cols] @ (sig[cols] @ sizes)),
-        elements_cross=int(sizes[phi_rows].sum()) * int(sizes[phi_cols].sum()),
     )
 
 
@@ -100,26 +89,40 @@ def footprint_element_mask(fp: Footprint, basis) -> np.ndarray:
     return m | m.T
 
 
-def footprint_bounding_boxes(fp: Footprint) -> list[tuple[int, int, int, int]]:
-    """Bounding rectangles (shell index space) of the three fetch regions.
+def _phi_unions(
+    screen: ScreeningMap, part: StaticPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """``U_R`` / ``U_C``: the Phi-union of every row / column block,
+    shapes ``(prow, nshells)`` / ``(pcol, nshells)``."""
+    sig = screen.significant
+    return (
+        np.logical_or.reduceat(sig, part.row_shell_bounds[:-1], axis=0),
+        np.logical_or.reduceat(sig, part.col_shell_bounds[:-1], axis=0),
+    )
 
-    Used to estimate GA call counts: with reordering, each region is
-    nearly contiguous, so GTFock issues one strided GA access per region
-    per owner process it overlaps.
-    """
-    boxes = []
-    for mask2d in (fp.row_pairs, fp.col_pairs):
-        rows = np.flatnonzero(mask2d.any(axis=1))
-        cols = np.flatnonzero(mask2d.any(axis=0))
-        if rows.size:
-            boxes.append(
-                (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
-            )
-    pr = np.flatnonzero(fp.phi_rows)
-    pc = np.flatnonzero(fp.phi_cols)
-    if pr.size and pc.size:
-        boxes.append((int(pr.min()), int(pr.max()) + 1, int(pc.min()), int(pc.max()) + 1))
-    return boxes
+
+def _fetch_boxes(
+    part: StaticPartition, u_r: np.ndarray, u_c: np.ndarray
+) -> np.ndarray:
+    """:func:`rank_fetch_boxes` from the blocks' Phi-unions."""
+    gi, gj = np.divmod(np.arange(part.nproc), part.pcol)
+    rb, cb, n = part.row_shell_bounds, part.col_shell_bounds, u_r.shape[1]
+    r, c = (rb[gi], rb[gi + 1]), (cb[gj], cb[gj + 1])
+    er = (u_r.argmax(axis=1)[gi], n - u_r[:, ::-1].argmax(axis=1)[gi])
+    ec = (u_c.argmax(axis=1)[gj], n - u_c[:, ::-1].argmax(axis=1)[gj])
+    return np.array([r + er, c + ec, er + ec], dtype=np.int64).transpose(2, 0, 1)
+
+
+def rank_fetch_boxes(screen: ScreeningMap, part: StaticPartition) -> np.ndarray:
+    """Every rank's three D fetch boxes, ``(nproc, 3, 4)`` rows of shell
+    ranges ``(r0, r1, c0, c1)``: ``R x extent(U_R)``, ``C x extent(U_C)``
+    and ``extent(U_R) x extent(U_C)`` for the rank's row block R, column
+    block C and their Phi-unions U_R, U_C (Sec III-C's ``(M, Phi(M))``,
+    ``(N, Phi(N))`` and ``(Phi(M), Phi(N))``).  Every row of a block has
+    its diagonal pair, so each box is the bounding box of its region of
+    :func:`block_footprint`'s union (``tests/test_prefetch_tasks.py``
+    keeps that per-mask rule as the oracle)."""
+    return _fetch_boxes(part, *_phi_unions(screen, part))
 
 
 def _block_span(bounds: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -134,11 +137,11 @@ def rank_footprints(
     """``(elements, prefetch_calls)`` of every rank's task block at once.
 
     Equal, rank by rank, to ``block_footprint(screen,
-    part.task_block(p)).elements`` and to one GA call per (bounding box of
-    :func:`footprint_bounding_boxes`, owner block) intersection of that
-    footprint, but a function of the rank's block indices: no
-    per-rank ``(nshells, nshells)`` mask is built, only per-row-block
-    and per-column-block summaries of shape ``(prow | pcol, nshells)``.
+    part.task_block(p)).elements`` and to one GA call per (fetch box of
+    :func:`rank_fetch_boxes`, owner block) intersection, but a function
+    of the rank's block indices: no per-rank ``(nshells, nshells)`` mask
+    is built, only per-row-block and per-column-block summaries of shape
+    ``(prow | pcol, nshells)``.
 
     With ``s`` the shell sizes, ``S`` the significance matrix,
     ``r = s * (S s)`` the weight of each shell's row of pairs and
@@ -151,16 +154,12 @@ def rank_footprints(
 
     The rows & cols term and the triple term are the same set (``M in
     Phi(M)`` puts every pair of a shared shell inside the cross block)
-    and cancel.  The three fetch regions' bounding boxes are
-    ``R x extent(U_R)``, ``C x extent(U_C)`` and ``extent(U_R) x
-    extent(U_C)`` for the same reason: every row of a block has its
-    diagonal pair.
+    and cancel.
     """
     sig = screen.significant
     s = screen.basis.shell_sizes().astype(np.int64)
     rb, cb = part.row_shell_bounds, part.col_shell_bounds
-    u_r = np.logical_or.reduceat(sig, rb[:-1], axis=0)  # (prow, nshells)
-    u_c = np.logical_or.reduceat(sig, cb[:-1], axis=0)  # (pcol, nshells)
+    u_r, u_c = _phi_unions(screen, part)
     r = s * (sig @ s)
     rows_cross = np.add.reduceat(
         s[:, None] * (sig @ (u_c * s).T), rb[:-1], axis=0
@@ -173,17 +172,9 @@ def rank_footprints(
         - rows_cross
         - cols_cross
     )
-
-    def extent(union: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = union.shape[1]
-        return union.argmax(axis=1), n - union[:, ::-1].argmax(axis=1)
-
-    r_lo, r_hi = extent(u_r)
-    c_lo, c_hi = extent(u_c)
-    # one GA call per (bounding box, owner block) intersection
+    boxes = _fetch_boxes(part, u_r, u_c)
     calls = (
-        (_block_span(rb, rb[:-1], rb[1:]) * _block_span(cb, r_lo, r_hi))[:, None]
-        + (_block_span(rb, cb[:-1], cb[1:]) * _block_span(cb, c_lo, c_hi))[None, :]
-        + np.outer(_block_span(rb, r_lo, r_hi), _block_span(cb, c_lo, c_hi))
-    )
-    return elements.ravel(), calls.ravel().astype(np.int64)
+        _block_span(rb, boxes[..., 0], boxes[..., 1])
+        * _block_span(cb, boxes[..., 2], boxes[..., 3])
+    ).sum(axis=1)
+    return elements.ravel(), calls.astype(np.int64)

@@ -141,6 +141,37 @@ class SimCapture:
             raise ValueError("capture not populated: run a simulation first")
         return float(np.max(self.finish))
 
+    def fill(
+        self, molecule: str, cores: int, config: MachineConfig,
+        stats: CommStats, outcome: StealingOutcome, finish: np.ndarray,
+        prefetch_time: np.ndarray, flush_time: np.ndarray,
+    ) -> None:
+        """Record one GTFock build's accounting (either build's)."""
+        self.algorithm, self.molecule, self.cores = "gtfock", molecule, cores
+        self.nproc, self.config, self.stats = stats.nproc, config, stats
+        self.outcome, self.finish = outcome, finish.copy()
+        self.prefetch_time, self.flush_time = prefetch_time, flush_time
+
+
+def task_queues(
+    part: StaticPartition, costs: TaskCosts, config: MachineConfig, threads: int
+) -> tuple[list[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """Both GTFock builds' schedule: each rank's task codes ``m * nshells
+    + n``, row major over its block, and the vectorised cost of a code
+    array (its ERIs at ``threads``-thread rate plus one task overhead)."""
+    ns = part.nshells
+    queues = []
+    for p in range(part.nproc):
+        blk = part.task_block(p)
+        queues.append((blk.rows()[:, None] * ns + blk.cols()[None, :]).ravel())
+    t_task = config.t_int_gtfock / threads
+    eris_flat = costs.eris.ravel()
+
+    def cost_of(codes: np.ndarray) -> np.ndarray:
+        return eris_flat[codes] * t_task + config.task_overhead
+
+    return queues, cost_of
+
 
 def _finalize(
     algorithm: str,
@@ -248,21 +279,9 @@ def simulate_gtfock(
             )
 
     # -- work-stealing execution over per-task costs ------------------------
-    t_task = config.t_int_gtfock / threads
-    eris_flat = costs.eris.ravel()
-
-    def cost_of(codes: np.ndarray) -> np.ndarray:
-        return eris_flat[codes] * t_task + config.task_overhead
-
+    queues, cost_of = task_queues(part, costs, config, threads)
     # a victim's D buffer is its prefetched footprint
     d_bytes = footprint_bytes.tolist()
-    queues = []
-    for p in range(nproc):
-        blk = part.task_block(p)
-        rows = np.arange(blk.row_lo, blk.row_hi)
-        cols = np.arange(blk.col_lo, blk.col_hi)
-        queues.append((rows[:, None] * ns + cols[None, :]).ravel())
-
     event_observer = None
     if capture is not None:
         event_observer = lambda action, time, key: capture.events.append(
@@ -301,19 +320,12 @@ def simulate_gtfock(
                 cat="comm", nbytes=float(footprint_bytes[p]), calls=fp_calls,
             )
 
+    molecule = molecule_name or (basis.molecule.name or basis.molecule.formula)
     if capture is not None:
-        capture.algorithm = "gtfock"
-        capture.molecule = molecule_name or (
-            basis.molecule.name or basis.molecule.formula
+        capture.fill(
+            molecule, cores, config, stats, outcome, finish, prefetch_time,
+            flush_time,
         )
-        capture.cores = cores
-        capture.nproc = nproc
-        capture.config = config
-        capture.stats = stats
-        capture.outcome = outcome
-        capture.finish = finish.copy()
-        capture.prefetch_time = prefetch_time
-        capture.flush_time = flush_time
 
         def resimulate(enable_stealing=enable_stealing, **overrides) -> float:
             """Re-run this exact simulation under perturbed parameters."""
@@ -338,7 +350,7 @@ def simulate_gtfock(
 
     return _finalize(
         "gtfock",
-        molecule_name or (basis.molecule.name or basis.molecule.formula),
+        molecule,
         cores,
         stats,
         outcome.executed_cost,

@@ -272,8 +272,6 @@ class GlobalArray:
             times = 1  # ack-lost attempts were deduplicated at the target
         else:
             times = 1 + lost  # every applied-but-unacked attempt double-counts
-        if times == 0:
-            return
         contribution = block if times == 1 else times * block
         if epoch is not None:
             try:

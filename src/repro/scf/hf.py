@@ -58,6 +58,9 @@ _MATRIX = {"fock": "Fock matrix", "density": "density matrix"}
 N_FULL = 20
 #: a storeless run stores privately up to this ``ClassPlan.stored_bytes`` (PERFORMANCE.md)
 STORE_BUDGET = 128 << 20
+#: a run converges when |dE| < E_TOL and max|dD| < D_TOL (Hartree, a.u.)
+E_TOL = 1e-9
+D_TOL = 1e-7
 
 
 @dataclass(kw_only=True)
@@ -142,7 +145,7 @@ class SCFDriver:
         (if one exists; corrupted snapshots are skipped with a
         :class:`~repro.scf.checkpoint.CheckpointCorruptionWarning`); the
         resumed run reproduces the uninterrupted trajectory bitwise.
-        Overrides ``guess``.  With a guard, the persisted remediation
+        With a guard, the persisted remediation
         state (damping, level shift, sticky fallbacks) is restored too.
     guard:
         Convergence watchdog + staged remediation
@@ -193,8 +196,6 @@ class SCFDriver:
     density_method: str = "diagonalize"
     integral_store: str | None = None
     max_iter: int = 100
-    e_tol: float = 1e-9
-    d_tol: float = 1e-7
     checkpoint_dir: str | None = None
     restart: bool = False
     guard: GuardConfig | bool | None = None
@@ -222,7 +223,7 @@ class SCFDriver:
         if self.integral_store is not None and self.engine.integral_store is None:
             self.engine.attach_store(self.integral_store)
 
-    def _run(self, guess: list[np.ndarray] | None):
+    def _run(self):
         """Iterate with the engine armed for this run only: the ERI
         sentinel, the seeded quartet faults, the store's CRC verification
         and a private store go back to their pre-run state however it ends."""
@@ -249,7 +250,7 @@ class SCFDriver:
             engine.scf_faults = faults[0]
             if self.integrity and store is not None:
                 store.verify_reads = True
-            return self._iterate(guess, faults)
+            return self._iterate(faults)
         finally:
             engine.finite_check, engine.scf_faults = before[:2]
             if store is not None:
@@ -257,10 +258,10 @@ class SCFDriver:
             if private:
                 engine.detach_store()
 
-    def _iterate(self, guess: list[np.ndarray] | None, faults: tuple):
+    def _iterate(self, faults: tuple):
         """Algorithm 1 over the spin stack; each iteration is a span with
         ``fock_build`` / ``diis`` / ``diagonalize`` or ``purify`` in it."""
-        run = self._start(guess, faults)
+        run = self._start(faults)
         it, converged = run.start - 1, False
         for it in range(run.start, self.max_iter + 1):
             with get_tracer().span(
@@ -292,7 +293,7 @@ class SCFDriver:
                 break
         return self._finish(run, it, converged)
 
-    def _start(self, guess: list[np.ndarray] | None, faults: tuple) -> _Run:
+    def _start(self, faults: tuple) -> _Run:
         """Set-up, then the latest intact snapshot when resuming."""
         label = self.molecule.name or self.molecule.formula
         with get_tracer().span("scf_setup", cat="scf", molecule=label):
@@ -300,12 +301,12 @@ class SCFDriver:
             h = core_hamiltonian(self.basis)
             x = orthogonalizer(s)
             enuc = self.molecule.nuclear_repulsion()
-            ds = guess if guess is not None else self._guess(h, x)
+            ds = self._guess(h, x)
         store = self.engine.integral_store
         run = _Run(
             label=label, faults=faults, s=s, h=h, x=x, enuc=enuc, ds=ds,
             guard=None if self.guard is None else SCFGuard(
-                self.guard, e_tol=self.e_tol, d_tol=self.d_tol, molecule=label
+                self.guard, e_tol=E_TOL, d_tol=D_TOL, molecule=label
             ),
             monitor=IntegrityMonitor(overlap=s) if self.integrity else None,
             # one DIIS window over the occupied channels: an empty one (the
@@ -314,6 +315,7 @@ class SCFDriver:
             eps=[None] * len(ds), coeffs=[None] * len(ds),
             warm_start=bool(store is not None and store.ready
                             and store.manifest["tau"] == self.tau),
+            store=store,
         )
         ck = load_latest_intact(self.checkpoint_dir) if self.restart else None
         if ck is not None:
@@ -519,8 +521,7 @@ class SCFDriver:
         rec = _Iteration(
             iteration=it, energy=energy, e_change=e_change,
             d_change=d_change, discarded=discarded,
-            converged=not discarded and d_change < self.d_tol
-            and e_change < self.e_tol,
+            converged=not discarded and d_change < D_TOL and e_change < E_TOL,
         )
         metrics, mol = get_metrics(), {"molecule": run.label}
         gauge = partial(metrics.gauge, labelnames=("molecule",))
@@ -549,7 +550,9 @@ class SCFDriver:
         """The final state, the run's ledger summary, the result."""
         fs, e_elec, energy = self._final_state(run)
         engine, metrics, guard = self.engine, get_metrics(), run.guard
-        extra, store = {}, engine.integral_store
+        # the store the run started with: one dropped mid-run still did
+        # its reads and checks
+        extra, store = {}, run.store
         self.eri_store.update(  # private and bound: _run's
             computed=int(engine.quartets_computed), warm_start=run.warm_start,
             from_store=int(engine.quartets_served_from_store),
@@ -624,6 +627,8 @@ class _Run:
     coeffs: list
     #: whether the first build found the store ready at the run's tau
     warm_start: bool
+    #: the store the run started with (the engine's may be dropped mid-run)
+    store: ERIStore | None
     #: the last iteration's Fock stack (None until one ran)
     fs: list[np.ndarray] | None = field(default=None, init=False)
     #: (F, D) stacks of the last build, which the next one increments
@@ -653,9 +658,9 @@ class RHF(SCFDriver):
             )
         self._occupations = (self.nocc,)
 
-    def run(self, guess: np.ndarray | None = None) -> SCFResult:
+    def run(self) -> SCFResult:
         """Run the SCF iteration to convergence (Algorithm 1)."""
-        return self._run(None if guess is None else [guess])
+        return self._run()
 
     def _guess(self, h: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
         return [core_guess(h, x, self.nocc)]

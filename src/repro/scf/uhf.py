@@ -76,7 +76,7 @@ class UHF(SCFDriver):
 
     def run(self) -> UHFResult:
         """Run the SCF iteration to convergence from the core guess."""
-        return self._run(None)
+        return self._run()
 
     def _guess(self, h: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
         d_a, _e, c0 = density_from_fock(h, x, max(self.n_alpha, 1))

@@ -242,18 +242,15 @@ def worker_main(
     owner: str | None = None,
     poll_s: float = 0.2,
     exit_when_drained: bool = False,
-    max_jobs: int | None = None,
 ) -> int:
     """The worker-process entry point (used by ``repro serve``).
 
     Claims and runs jobs until ``exit_when_drained`` sees an empty
-    queue (or ``max_jobs`` have been processed); idles on ``poll_s``
-    between empty claims.
+    queue; idles on ``poll_s`` between empty claims.
     """
     owner = owner or f"worker-{os.getpid()}"
     install_signal_handlers()
     store = JobStore(queue_dir)
-    done = 0
     while True:
         job = store.claim(owner)
         if job is None:
@@ -262,9 +259,6 @@ def worker_main(
             time.sleep(poll_s)
             continue
         run_claimed_job(store, job, owner)
-        done += 1
-        if max_jobs is not None and done >= max_jobs:
-            return 0
 
 
 def main(argv: list[str]) -> int:

@@ -15,7 +15,9 @@ incremental build's schedule in its own words: a full build every
 ``hf.N_FULL`` iterations, for a rebuild and after a discarded or rolled
 back density -- and the probes' phases: every guard check, damp and
 observation runs in a ``guard`` phase, every ABFT check in an
-``integrity`` one.
+``integrity`` one.  Its one change since: the final accounting reads
+the store the run started with, which a store dropped mid-run (out of
+memory, or the guard's ``reference_eri`` rung) no longer hides.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.scf.diis import DIIS
 from repro.scf.guard import SCFGuard
 
 
-def reference_run(driver: hf.SCFDriver, guess: list[np.ndarray] | None = None):
+def reference_run(driver: hf.SCFDriver):
     """Run ``driver`` through the one-body loop, with the engine armed
     for this run only (restored however it ends) -- and, without a store
     of its own and with the plan's bound on the stored bytes within the
@@ -52,7 +54,7 @@ def reference_run(driver: hf.SCFDriver, guess: list[np.ndarray] | None = None):
         store is not None and store.verify_reads,
     )
     try:
-        return _iterate(driver, guess)
+        return _iterate(driver)
     finally:
         engine.finite_check, engine.scf_faults = before[:2]
         if store is not None:
@@ -84,7 +86,7 @@ def _extrapolated(
     return f_eff
 
 
-def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
+def _iterate(self: hf.SCFDriver):
     tracer = get_tracer()
     metrics = get_metrics()
     ledger = get_ledger()
@@ -114,7 +116,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
     guard: SCFGuard | None = None
     if self.guard is not None:
         guard = SCFGuard(
-            self.guard, e_tol=self.e_tol, d_tol=self.d_tol,
+            self.guard, e_tol=hf.E_TOL, d_tol=hf.D_TOL,
             molecule=mol_label,
         )
         engine.finite_check = True
@@ -159,7 +161,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
         h = hf.core_hamiltonian(self.basis)
         x = hf.orthogonalizer(s)
         enuc = self.molecule.nuclear_repulsion()
-        ds = guess if guess is not None else self._guess(h, x)
+        ds = self._guess(h, x)
 
     monitor = IntegrityMonitor(overlap=s) if self.integrity else None
     # the (F, D) the next build increments, as ``_built_focks`` keeps it
@@ -299,8 +301,8 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
                     x = _apply_fallbacks(self, guard, s, x)
             if (
                 not discarded
-                and d_change < self.d_tol
-                and e_change < self.e_tol
+                and d_change < hf.D_TOL
+                and e_change < hf.E_TOL
             ):
                 converged = True
         if self.checkpoint_dir is not None:
@@ -319,7 +321,7 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
         h=h, ds=ds, fs=fs, history=history, enuc=enuc, label=mol_label,
         base=built.base,
     ))
-    store = engine.integral_store
+    # the store the run started with, dropped mid-run or not
     eri_store = self.eri_store = {
         "computed": int(engine.quartets_computed),
         "from_store": int(engine.quartets_served_from_store),
@@ -328,7 +330,6 @@ def _iterate(self: hf.SCFDriver, guess: list[np.ndarray] | None):
     }
     integrity_summary = None
     if monitor is not None:
-        store = engine.integral_store
         if store is not None:
             monitor.record_check("store_crc", store.crc_checks)
             monitor.record_detection("store_block", store.crc_mismatches)

@@ -14,6 +14,9 @@ here so the oracle shares nothing with the array versions in
 * ``exact_diagonal`` -- a task cost matrix with its diagonal tasks
   enumerated instead of halved (``repro.fock.cost.quartet_cost_matrix``'s
   approximation).
+* ``block_tasks`` -- a task block's ``(M, N)`` tasks, the list both
+  GTFock builds' task-code queues (``repro.fock.simulate.task_queues``)
+  replaced.
 
 Production code must not import this module.
 """
@@ -142,3 +145,14 @@ def atom_quartet_shell_quartets(
                     ]
                     if (m, n, p, q) == min(instances):
                         yield (m, n, p, q)
+
+
+def block_tasks(block) -> list[tuple[int, int]]:
+    """All ``(M, N)`` shell-pair tasks of a task block, row major: the
+    list the numeric build's queues held before both GTFock builds ran
+    task codes ``M * nshells + N``."""
+    return [
+        (m, n)
+        for m in range(block.row_lo, block.row_hi)
+        for n in range(block.col_lo, block.col_hi)
+    ]

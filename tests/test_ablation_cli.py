@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from reference_tasks import block_tasks
+
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import DEMO_MOLECULES, alkane
 from repro.cli import main
@@ -88,7 +90,7 @@ class TestStealingAblation:
         t_task = LONESTAR.t_int_gtfock / LONESTAR.cores_per_node
         queues = [
             [float(eris[m, n]) * t_task + LONESTAR.task_overhead
-             for m, n in part.task_block(p).tasks()]
+             for m, n in block_tasks(part.task_block(p))]
             for p in range(part.nproc)
         ]
         static = run_work_stealing(

@@ -99,25 +99,23 @@ class TestGTFockNumeric:
         assert res.stats.calls_per_process() > 0
         assert res.stats.volume_mb_per_process() > 0
 
-    def test_prefetch_miss_detection(self, methane_engine, methane_matrices):
-        """Sabotaged footprints must be caught, proving reads are checked."""
+    def test_prefetch_miss_detection(
+        self, methane_engine, methane_matrices, monkeypatch
+    ):
+        """Sabotaged fetch boxes must be caught, proving reads are checked."""
         import repro.fock.gtfock as g
 
         _s, h, _x, d = methane_matrices
-        original = g.block_footprint
+        original = g.rank_fetch_boxes
 
-        def sabotaged(screen, block):
-            fp = original(screen, block)
-            fp.phi_rows[:] = False  # drop the cross region
-            fp.phi_cols[:] = False
-            return fp
+        def sabotaged(screen, part):
+            boxes = original(screen, part)
+            boxes[:, 2] = boxes[:, 0]  # drop the cross region
+            return boxes
 
-        g.block_footprint = sabotaged
-        try:
-            with pytest.raises(PrefetchMiss):
-                gtfock_build(MDEngine(methane_engine.basis), h, d, 4, 1e-11)
-        finally:
-            g.block_footprint = original
+        monkeypatch.setattr(g, "rank_fetch_boxes", sabotaged)
+        with pytest.raises(PrefetchMiss):
+            gtfock_build(MDEngine(methane_engine.basis), h, d, 4, 1e-11)
 
     def test_shape_validation(self, methane_engine):
         with pytest.raises(ValueError):

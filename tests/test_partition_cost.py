@@ -10,7 +10,7 @@ from repro.chem.builders import alkane, water
 from repro.fock.cost import parity_allowed, quartet_cost_matrix
 from repro.fock.partition import StaticPartition, TaskBlock
 from repro.fock.screening_map import ScreeningMap
-from reference_tasks import enumerate_task_quartets, exact_diagonal
+from reference_tasks import block_tasks, enumerate_task_quartets, exact_diagonal
 from repro.fock.symmetry import symmetry_check
 from repro.integrals.schwarz import schwarz_model
 
@@ -39,7 +39,7 @@ class TestStaticPartition:
         part = StaticPartition.build(20, 6)
         for p in range(6):
             blk = part.task_block(p)
-            for (m, n) in blk.tasks():
+            for (m, n) in block_tasks(blk):
                 assert owner_of_task(part, m, n) == p
 
     def test_too_many_procs_rejected(self):
@@ -56,7 +56,7 @@ class TestStaticPartition:
     def test_task_block_tasks_count(self):
         blk = TaskBlock(2, 5, 1, 4)
         assert blk.ntasks == 9
-        assert len(blk.tasks()) == 9
+        assert len(block_tasks(blk)) == 9
 
 
 class TestParityAllowed:

@@ -12,14 +12,11 @@ from reference_fock import canonical_shell_quartets
 from repro.chem.basis.basisset import BasisSet
 from repro.chem.builders import alkane, methane
 from repro.fock.partition import StaticPartition, TaskBlock
-from repro.fock.prefetch import (
-    block_footprint,
-    footprint_bounding_boxes,
-    rank_footprints,
-)
+from repro.fock.prefetch import block_footprint, rank_fetch_boxes, rank_footprints
 from repro.fock.screening_map import ScreeningMap
 from reference_tasks import (
     atom_quartet_shell_quartets,
+    block_tasks,
     canonical_instance,
     enumerate_task_quartets,
 )
@@ -34,6 +31,24 @@ from repro.integrals.schwarz import schwarz_matrix, schwarz_model
 def screen():
     basis = BasisSet.build(alkane(10), "vdz-sim")
     return ScreeningMap(basis, schwarz_model(basis), 1e-10)
+
+
+def footprint_bounding_boxes(fp) -> list[tuple[int, int, int, int]]:
+    """Bounding rectangles (shell index space) of a footprint's three
+    fetch regions, from its masks: the oracle of ``rank_fetch_boxes``."""
+    boxes = []
+    for mask2d in (fp.row_pairs, fp.col_pairs):
+        rows = np.flatnonzero(mask2d.any(axis=1))
+        cols = np.flatnonzero(mask2d.any(axis=0))
+        if rows.size:
+            boxes.append(
+                (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
+            )
+    pr = np.flatnonzero(fp.phi_rows)
+    pc = np.flatnonzero(fp.phi_cols)
+    if pr.size and pc.size:
+        boxes.append((int(pr.min()), int(pr.max()) + 1, int(pc.min()), int(pc.max()) + 1))
+    return boxes
 
 
 def ga_calls_for_footprint(fp, row_bounds, col_bounds) -> int:
@@ -73,7 +88,7 @@ class TestFootprint:
         fp = block_footprint(screen, blk)
         per_task_sum = sum(
             block_footprint(screen, TaskBlock(m, m + 1, n, n + 1)).elements
-            for (m, n) in blk.tasks()
+            for (m, n) in block_tasks(blk)
         )
         assert fp.elements < 0.25 * per_task_sum
 
@@ -140,6 +155,20 @@ def _random_screen_and_grid(draw):
 
 
 class TestRankFootprints:
+    @given(_random_screen_and_grid())
+    @settings(max_examples=200, deadline=None)
+    def test_fetch_boxes_equal_the_mask_bounding_boxes(self, case):
+        """The rank rule's boxes are, rank by rank and in fetch order, the
+        bounding boxes of the footprint masks' three regions."""
+        screen, part = case
+        boxes = rank_fetch_boxes(screen, part)
+        assert boxes.shape == (part.nproc, 3, 4)
+        for p in range(part.nproc):
+            fp = block_footprint(screen, part.task_block(p))
+            assert boxes[p].tolist() == [
+                list(b) for b in footprint_bounding_boxes(fp)
+            ]
+
     @given(_random_screen_and_grid())
     @settings(max_examples=200, deadline=None)
     def test_closed_form_equals_per_rank_masks(self, case):

@@ -169,6 +169,35 @@ class TestDroppedStore:
         assert rhf.engine.integral_store is None
         assert {p.name: p.read_bytes() for p in path.glob("manifest*")} == before
 
+    def test_a_store_dropped_mid_run_keeps_its_accounting(
+        self, direct, tmp_path, monkeypatch
+    ):
+        """A warm store that runs out of memory in its third served
+        build still reports what it did before: its CRC checks reach the
+        integrity summary and its bytes ``eri_store``."""
+        path = str(tmp_path / "store")
+        RHF(water(), "6-31g", integral_store=path).run()
+        kept = RHF(water(), "6-31g", integral_store=path, integrity=True)
+        kept_res = kept.run()
+        contract, served = class_batch.Supermatrix.contract, []
+
+        def third_fails(self, *args, **kwargs):
+            served.append(1)
+            if len(served) == 3:
+                raise MemoryError("injected")
+            return contract(self, *args, **kwargs)
+
+        monkeypatch.setattr(class_batch.Supermatrix, "contract", third_fails)
+        rhf = RHF(water(), "6-31g", integral_store=path, integrity=True)
+        res = rhf.run()
+        assert rhf.eri_store["dropped"] == "MemoryError('injected')"
+        assert rhf.engine.integral_store is None
+        assert res.converged and abs(res.energy - direct.energy) <= 1e-10
+        checks = res.integrity_summary["checks"]
+        assert checks["store_crc"] == kept_res.integrity_summary["checks"][
+            "store_crc"] > 0
+        assert rhf.eri_store["bytes"] == kept.eri_store["bytes"] > 0
+
 
 def test_the_bound_covers_a_fill_without_zeros():
     """The bound is an upper bound on the bytes a fill writes (each array

@@ -206,9 +206,7 @@ def assert_matches_the_oracle(run, tmp_path, monkeypatch):
     (tmp_path / "loop").mkdir()
     (tmp_path / "oracle").mkdir()
     new = fingerprint(run, tmp_path / "loop")
-    monkeypatch.setattr(
-        SCFDriver, "_run", lambda self, guess: reference_run(self, guess)
-    )
+    monkeypatch.setattr(SCFDriver, "_run", reference_run)
     assert fingerprint(run, tmp_path / "oracle") == new
 
 

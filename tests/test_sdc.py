@@ -807,7 +807,7 @@ class TestFaultsCompose:
             detected={"density_matrix": 1, "fock_matrix": 1}, where="fock",
         )
 
-    def test_kill_bitflip_and_nan_in_one_uhf_run(self, tmp_path):
+    def test_kill_bitflip_and_nan_in_one_uhf_run(self, tmp_path, monkeypatch):
         # converged past the default tolerances, so the clean-energy check
         # compares two converged energies, not two stopping points; the
         # quartet NaNs are capped, or a reference_eri rung (it detaches the
@@ -816,23 +816,24 @@ class TestFaultsCompose:
         # iteration 2, so the Fock flip of iteration 3 and the density
         # flip of iteration 4 fire again (snapshot 3's flip once landed
         # in a zip64 extra field no reader checks, and it resumed there)
+        monkeypatch.setattr(hf, "E_TOL", 1e-11)
+        monkeypatch.setattr(hf, "D_TOL", 1e-8)
         self.check(
             UHF, Molecule(atoms=water().atoms, charge=1), "sto-3g", tmp_path,
             kill_at=4, detected={"density_matrix": 1, "fock_matrix": 1},
-            where="fock_alpha",
-            tols={"e_tol": 1e-11, "d_tol": 1e-8}, cap={"max_corruptions": 30},
+            where="fock_alpha", cap={"max_corruptions": 30},
         )
 
     def check(self, driver_type, mol, basis, tmp_path, kill_at, detected,
-              where, tols=None, cap=None):
+              where, cap=None):
         """Kill the faulted run at ``kill_at``, resume it, and demand the
         clean energy, one classified non-finite event ``where`` and the
         ``detected`` matrix flips, each repaired by one recompute.  The
         clean reference is the default run: its private store and the
         faulted run's user store both serve every build from the class
         kernel's matrices (bar the rows the sentinel rescued)."""
-        tols, cap = tols or {}, cap or {}
-        clean = driver_type(mol, basis, **tols).run()
+        cap = cap or {}
+        clean = driver_type(mol, basis).run()
 
         class Killed(Exception):
             pass
@@ -853,7 +854,7 @@ class TestFaultsCompose:
                     fock_flip_iterations=(3,), density_flip_iterations=(4,),
                 ),
                 integral_store=str(tmp_path / "store"),
-                checkpoint_dir=str(tmp_path / "ckpt"), **tols, **kw,
+                checkpoint_dir=str(tmp_path / "ckpt"), **kw,
             )
 
         first = driver(on_iteration=kill)
@@ -1080,9 +1081,9 @@ class TestSDCChaosGate:
         armed = []
         run = hf.SCFDriver._run
 
-        def counted(driver, guess):
+        def counted(driver):
             armed.append(driver.integrity)
-            return run(driver, guess)
+            return run(driver)
 
         monkeypatch.setattr(hf.SCFDriver, "_run", counted)
         res = run_sdc_chaos(molecule="water", basis_name="sto-3g", seed=3)

@@ -277,15 +277,17 @@ class TestUHFSharedLoop:
         assert np.allclose(uhf.density_alpha, rhf.density, atol=1e-7)
         assert np.array_equal(uhf.density_alpha, uhf.density_beta)
 
-    def test_store_and_purification(self, tmp_path):
+    def test_store_and_purification(self, tmp_path, monkeypatch):
         mol = water_cation()
-        # converged past the default tolerances
-        tight = {"e_tol": 1e-10, "d_tol": 1e-8}
-        ref = UHF(mol, **tight).run()
         store = str(tmp_path / "store")
-        filled = UHF(mol, integral_store=store, **tight).run()
-        warm_driver = UHF(mol, integral_store=store, **tight)
-        warm = warm_driver.run()
+        with monkeypatch.context() as m:
+            # converged past the default tolerances
+            m.setattr(hf, "E_TOL", 1e-10)
+            m.setattr(hf, "D_TOL", 1e-8)
+            ref = UHF(mol).run()
+            filled = UHF(mol, integral_store=store).run()
+            warm_driver = UHF(mol, integral_store=store)
+            warm = warm_driver.run()
         # every build of all three is served from the same matrices (the
         # user store's file; ref's are private)
         assert filled.energy == ref.energy
@@ -303,11 +305,12 @@ class TestUHFSharedLoop:
         error overlaps summed over the channels): the water cation
         converges in a dozen iterations, direct and on a store, to one
         energy."""
-        tols = {"e_tol": 1e-11, "d_tol": 1e-8}
-        stored = UHF(water_cation(), integral_store=str(tmp_path / "store"), **tols)
-        runs = [stored.run(), UHF(water_cation(), **tols).run()]
+        monkeypatch.setattr(hf, "E_TOL", 1e-11)
+        monkeypatch.setattr(hf, "D_TOL", 1e-8)
+        stored = UHF(water_cation(), integral_store=str(tmp_path / "store"))
+        runs = [stored.run(), UHF(water_cation()).run()]
         monkeypatch.setattr(hf, "STORE_BUDGET", 0)
-        direct = UHF(water_cation(), **tols)
+        direct = UHF(water_cation())
         runs.append(direct.run())
         assert direct.eri_store["private"] is False
         assert stored.engine.quartets_served_from_store > 0
@@ -315,12 +318,13 @@ class TestUHFSharedLoop:
             assert res.converged and res.iterations <= 15
             assert abs(res.energy - runs[0].energy) <= 1e-12
 
-    def test_seeded_faults_rescued_under_the_guard(self):
+    def test_seeded_faults_rescued_under_the_guard(self, monkeypatch):
         mol = water_cation()
         # converged past the default tolerances, so the energy check
         # compares two converged energies, not two stopping points
-        tols = {"e_tol": 1e-11, "d_tol": 1e-8}
-        ref = UHF(mol, guard=True, **tols).run()
+        monkeypatch.setattr(hf, "E_TOL", 1e-11)
+        monkeypatch.setattr(hf, "D_TOL", 1e-8)
+        ref = UHF(mol, guard=True).run()
         # capped: the reference_eri rung (it fires at iteration 8 here)
         # keeps the class kernel, so quartet faults would keep landing
         # on 5 % of every build to the end of the run; 50 is what the
@@ -330,7 +334,7 @@ class TestUHFSharedLoop:
             fock_nan_iterations=(2,), density_nan_iterations=(3,),
             max_corruptions=50,
         )
-        driver = UHF(mol, guard=True, faults=plan, **tols)
+        driver = UHF(mol, guard=True, faults=plan)
         res = driver.run()
         assert res.converged
         assert abs(res.energy - ref.energy) <= 1e-12
